@@ -32,7 +32,6 @@ from repro.core import (
 )
 from repro.hamiltonian import compress_hamiltonian, jordan_wigner
 from repro.parallel import (
-    DataParallelVMC,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -59,7 +58,6 @@ __all__ = [
     "pretrain_to_reference",
     "compress_hamiltonian",
     "jordan_wigner",
-    "DataParallelVMC",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",

@@ -166,11 +166,13 @@ def build_serial_backend(n_ranks: int = 1, **params):
 @register_backend("threads")
 def build_thread_backend(n_ranks: int = 1, *, nu_star_per_rank: int = 64,
                          eloc_partition: str = "balanced",
-                         comm_codec: bool = True, comm_shm: bool = True):
-    """FakeMPI thread ranks — the Fig. 4 data-parallel iteration in-process."""
+                         comm_codec: bool = True, comm_shm: bool = True,
+                         timeout: float = 600.0):
+    """Thread ranks — the Fig. 4 data-parallel iteration in-process."""
     return ThreadBackend(n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
                          eloc_partition=eloc_partition,
-                         comm_codec=comm_codec, comm_shm=comm_shm)
+                         comm_codec=comm_codec, comm_shm=comm_shm,
+                         timeout=timeout)
 
 
 @register_backend("process")

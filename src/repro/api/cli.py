@@ -193,7 +193,7 @@ def _print_run_info(run_dir: Path) -> int:
               f"({spec.parallel.eloc_partition} eloc partition)")
     metrics_path = run_dir / driver.METRICS_FILE
     if metrics_path.exists():
-        rows = [json.loads(line) for line in metrics_path.read_text().splitlines()]
+        rows = _read_jsonl(metrics_path)
         iters = [r for r in rows if "iteration" in r]
         if iters:
             last = iters[-1]
@@ -222,6 +222,20 @@ def _print_run_info(run_dir: Path) -> int:
     if stats_path.exists():
         _print_serve_stats(json.loads(stats_path.read_text()))
     return 0
+
+
+def _read_jsonl(path: Path) -> list[dict]:
+    """Parse a JSON-lines file, skipping an undecodable *trailing* line — the
+    torn record a kill mid-append leaves behind; one in the middle raises."""
+    lines = path.read_text().splitlines()
+    rows = []
+    for i, line in enumerate(lines):
+        try:
+            rows.append(json.loads(line))
+        except json.JSONDecodeError:
+            if i != len(lines) - 1:
+                raise
+    return rows
 
 
 def _print_serve_stats(stats: dict) -> None:

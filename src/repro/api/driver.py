@@ -58,6 +58,7 @@ from repro.core.vmc import VMCStats, default_ns_schedule
 from repro.core.wavefunction import NNQSWavefunction
 from repro.hamiltonian.compressed import compress_hamiltonian
 from repro.serve.registry import ModelRegistry
+from repro.utils.atomic import atomic_write
 
 __all__ = [
     "SPEC_FILE",
@@ -203,9 +204,9 @@ def materialize_backend(spec: RunSpec):
         "comm_codec": p.comm_codec,
         "comm_shm": p.comm_shm,
     }
-    if p.backend == "process":
-        # The coordinator's read + worker-join timeouts, previously
-        # hard-coded inside run_spmd_processes.
+    if p.backend == "threads":
+        kwargs["timeout"] = float(p.collective_timeout_s)
+    elif p.backend == "process":
         kwargs["timeout"] = float(p.collective_timeout_s)
         kwargs["join_timeout"] = float(p.join_timeout_s)
     elif p.backend == "cluster":
@@ -307,9 +308,8 @@ def _write_report(run_dir: Path, report: TrainReport,
     payload = report.to_dict()
     if backend_info is not None:
         payload["backend"] = backend_info
-    (run_dir / REPORT_FILE).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    with atomic_write(run_dir / REPORT_FILE) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _publisher(spec: RunSpec, run_dir: Path, wf):

@@ -11,7 +11,7 @@ oracle — while counting, per thread:
   sampling loop);
 * ``from_host`` crossings.
 
-Counters are ``threading.local`` so FakeMPI thread ranks count
+Counters are ``threading.local`` so thread ranks (``run_spmd``) count
 independently; the engine snapshots them around each stage window
 (:func:`repro.backend.core.counter_delta`) and ships per-rank deltas home
 with the rank results.

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.vmc import VMC, VMCStats
+from repro.utils.atomic import atomic_write
 
 __all__ = [
     "save_checkpoint",
@@ -107,7 +108,11 @@ def restore_rng(state_json: str) -> np.random.Generator:
 
 
 def save_checkpoint(vmc: VMC, path: str | Path) -> None:
+    """Write the full VMC state to ``path`` (``.npz`` appended if missing),
+    atomically: a kill mid-save leaves the previous checkpoint intact."""
     path = Path(path)
+    if path.suffix != ".npz":  # np.savez's own filename convention
+        path = path.with_name(path.name + ".npz")
     opt = vmc.optimizer
     payload = {
         "iteration": np.array(vmc.iteration),
@@ -144,7 +149,8 @@ def save_checkpoint(vmc: VMC, path: str | Path) -> None:
         # Hand-built wavefunction without a spec: still checkpointable,
         # just not publishable to a model registry.
         payload["params"] = vmc.wf.get_flat_params()
-    np.savez(path, **payload)
+    with atomic_write(path, "wb") as f:
+        np.savez(f, **payload)
 
 
 def _restore_history(vmc: VMC, data) -> None:

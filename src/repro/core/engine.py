@@ -29,11 +29,14 @@ Eq. 7 update, shared by all backends).  Reductions are rank-ordered and
 therefore deterministic: ``n_ranks=1`` is bit-identical to the serial
 backend, and ``n_ranks>1`` is run-to-run reproducible.
 
-Backends are thin schedulers over the stages:
+Backends are thin schedulers over the stages; every rank of every backend
+talks through the one :class:`repro.parallel.comm.Comm`, and the backends
+differ only in the transport under it:
 
-* :class:`SerialBackend`  — the stages inline, on a size-1 communicator.
-* :class:`ThreadBackend`  — FakeMPI thread ranks (numpy kernels release the
-  GIL, so stages 1/3/5 genuinely overlap on multicore hosts).
+* :class:`SerialBackend`  — the stages inline, on the size-1 solo transport.
+* :class:`ThreadBackend`  — thread ranks over
+  :func:`repro.parallel.fake_mpi.run_spmd` (numpy kernels release the GIL,
+  so stages 1/3/5 genuinely overlap on multicore hosts).
 * :class:`ProcessBackend` — forked OS processes over
   :func:`repro.parallel.multiprocess.run_spmd_processes`.
 
@@ -319,7 +322,7 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, codec: bool = True,
     sweights = local.weights.astype(int64)[order]
     samps = local_amps[order]
     rank = comm.Get_rank()
-    if codec and hasattr(comm, "allgather_blob"):
+    if codec:
         from repro.parallel.codec import (
             decode_sample_payload,
             encode_sample_payload,
@@ -526,7 +529,7 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
     local_sums = xp.array(
         [xp.sum(w_chunk * eloc.real), xp.sum(w_chunk * eloc.imag), w_chunk.sum()]
     )
-    sums = comm.allreduce_sum(local_sums)
+    sums = comm.allreduce_ndarray(local_sums)
     e_mean = sums[0] / sums[2]
     e_imag = sums[1] / sums[2]
 
@@ -542,10 +545,7 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
     fused = active_backend().to_host(
         xp.concatenate([grad, var_local]), tag="stage6.grad"
     )
-    if hasattr(comm, "allreduce_ndarray"):
-        packed = comm.allreduce_ndarray(fused, channel="stage6_grads")
-    else:
-        packed = comm.allreduce_sum(fused)
+    packed = comm.allreduce_ndarray(fused, channel="stage6_grads")
     grad_total, variance = packed[:-1], float(packed[-1] / sums[2])
 
     out = {
@@ -568,39 +568,6 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
         # decode peers' delta-encoded payloads next iteration.
         out["global_keys"] = keys
     return out, snap_sampled
-
-
-class _SoloComm:
-    """Size-1 communicator with FakeComm's surface and identical arithmetic.
-
-    ``allreduce_sum`` uses the same ``sum([x], axis=0)`` expression as
-    :class:`~repro.parallel.fake_mpi.FakeComm`, so a serial iteration and a
-    one-thread-rank iteration reduce bit-identically.
-    """
-
-    def Get_rank(self) -> int:
-        return 0
-
-    def Get_size(self) -> int:
-        return 1
-
-    def allgather(self, payload) -> list:
-        return [payload]
-
-    def allgather_ndarray(self, array, channel=None) -> list:
-        return [xp.asarray(array)]
-
-    def allgather_blob(self, data, logical_bytes=None, channel=None) -> list:
-        return [bytes(data)]
-
-    def allreduce_sum(self, array):
-        return xp.sum([xp.asarray(array)], axis=0)
-
-    def allreduce_ndarray(self, array, channel=None):
-        return xp.sum([xp.asarray(array)], axis=0)
-
-    def bcast(self, array, root: int = 0):
-        return array
 
 
 # --------------------------------------------------------------------------
@@ -636,8 +603,10 @@ class SerialBackend(ExecutionBackend):
     n_ranks = 1
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
+        from repro.parallel.comm import Comm, SoloTransport
+
         result = _rank_iteration(
-            engine, _SoloComm(), engine.wf, engine.rng,
+            engine, Comm(SoloTransport()), engine.wf, engine.rng,
             nu_star=0, eloc_partition="balanced",
         )
         return [result], None
@@ -654,7 +623,7 @@ def _validate_rank_args(n_ranks: int, eloc_partition: str) -> None:
 
 
 class ThreadBackend(ExecutionBackend):
-    """FakeMPI thread ranks; one model replica per rank (Fig. 4 data layout).
+    """Thread ranks; one model replica per rank (Fig. 4 data layout).
 
     N_u^* = ``nu_star_per_rank * n_ranks``, following the paper's scaling
     setup (N_u^* = 16384 n for n GPUs).  With ``n_ranks=1`` the iteration is
@@ -666,11 +635,12 @@ class ThreadBackend(ExecutionBackend):
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
                  eloc_partition: str = "balanced", comm_codec: bool = True,
-                 comm_shm: bool = True):
+                 comm_shm: bool = True, timeout: float = 600.0):
         _validate_rank_args(n_ranks, eloc_partition)
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
         self.eloc_partition = eloc_partition
+        self.timeout = timeout
         self.comm_codec = bool(comm_codec)
         # comm_shm is accepted for spec symmetry; thread ranks already share
         # one address space, so there is nothing to toggle.
@@ -703,7 +673,7 @@ class ThreadBackend(ExecutionBackend):
                 nu_star=nu_star, eloc_partition=self.eloc_partition,
             )
 
-        results, stats = run_spmd(self.n_ranks, rank_fn)
+        results, stats = run_spmd(self.n_ranks, rank_fn, timeout=self.timeout)
         self.last_comm_stats = stats
         # The post-update parameter resync is the stage-6 broadcast, realized
         # through shared memory — account its bytes like the collectives.
@@ -805,12 +775,7 @@ def execute_iteration(engine) -> VMCStats:
     backend: ExecutionBackend = engine.backend
     t_wall = time.perf_counter()
     results, comm = backend.execute(engine)
-    if comm is None:
-        comm_bytes = comm_wire = None
-    elif isinstance(comm, tuple):
-        comm_bytes, comm_wire = comm
-    else:  # legacy backends return one logical count
-        comm_bytes = comm_wire = int(comm)
+    comm_bytes, comm_wire = comm if comm is not None else (None, None)
     r0 = results[0]
     # Rank 0 hands back the lexsorted global unique set when the codec is on;
     # it becomes the next iteration's cross-iteration diff baseline.

@@ -1,45 +1,38 @@
-"""Multi-host cluster transport behind the typed FakeMPI comm interface.
+"""Multi-host transports (TCP mesh, mpi4py) and the SPMD cluster backend.
 
-This is the network realization of the comm contract that
-:class:`~repro.parallel.fake_mpi.FakeComm` defines in-process and
-``ProcessComm`` implements over pipes/shared memory:
+* :class:`MeshTransport` — a full TCP mesh between ranks (rank *i* dials
+  every rank *j < i*, accepts from every *j > i*) moving each ``exchange`` as
+  length-prefixed validated frames (:mod:`repro.parallel.rendezvous`).
+  Membership, rank assignment and liveness come from the rendezvous
+  coordinator (``python -m repro rendezvous``): each rank heartbeats the
+  coordinator, and a rank that dies poisons every survivor with
+  :class:`~repro.parallel.comm.CommAbortError` — the same crash semantics as
+  the process transport.
 
-* :class:`ClusterComm` — a full TCP mesh between ranks (rank *i* dials every
-  rank *j < i*, accepts from every *j > i*) carrying the typed collectives
-  (``allgather_ndarray`` / ``allgather_blob`` / ``allreduce_ndarray`` plus
-  the generic pickle ``allgather``/``bcast``) as length-prefixed validated
-  frames (:mod:`repro.parallel.rendezvous`).  Membership, rank assignment
-  and liveness come from the rendezvous coordinator (``python -m repro
-  rendezvous``): each rank heartbeats the coordinator, and a rank that dies
-  poisons every survivor with :class:`~repro.parallel.fake_mpi.
-  CommAbortError` — the same crash semantics as ``ProcessComm``.
-
-* :class:`MPIComm` — a thin adapter satisfying the identical interface on an
-  ``mpi4py`` communicator.  Preferred automatically by
-  :func:`create_cluster_comm` when ``mpi4py`` is importable *and* the MPI
-  world matches the requested ``world_size`` (i.e. the job was launched
-  under ``mpirun``); otherwise the socket path is used.
+* :class:`MPITransport` — ``exchange`` as one ``allgather`` on an ``mpi4py``
+  communicator.  Preferred automatically by :func:`create_cluster_comm` when
+  ``mpi4py`` is importable *and* the MPI world matches the requested
+  ``world_size`` (i.e. the job was launched under ``mpirun``); otherwise the
+  socket path is used.
 
 * :class:`ClusterBackend` — the :class:`~repro.core.engine.ExecutionBackend`
   registered as ``parallel.backend=cluster``.  Unlike the thread/process
   backends (one parent orchestrating N_p ephemeral ranks), the cluster
   backend is SPMD: every host runs the *full* driver — same spec, same
   artifact contract — and the ranks meet only inside the collectives.
-  Every collective is rank-ordered and deterministic (``np.sum`` over the
-  rank-ordered payload list, exactly FakeComm's arithmetic), so all ranks
-  apply identical updates and the run is bit-identical to the thread
-  backend at equal ``n_ranks``.
+  The collectives are the shared :class:`~repro.parallel.comm.Comm`'s —
+  rank-ordered and deterministic — so all ranks apply identical updates and
+  the run is bit-identical to the thread backend at equal ``n_ranks``.
 
-Determinism notes: byte accounting replicates FakeComm's formulas (paper
-convention, payload x N_p, logical vs. wire split) rather than counting
-socket framing overhead, so ``comm_bytes``/``comm_bytes_wire`` history
-columns match the thread backend bit-for-bit.  The per-iteration
-stats-exchange allgather (wall times + per-rank unique counts, pure
-bookkeeping) is excluded from the accounted delta for the same reason.
+Determinism notes: ``Comm`` accounts payload sizes (paper convention,
+payload x N_p, logical vs. wire split), not socket framing overhead, so
+``comm_bytes``/``comm_bytes_wire`` history columns match the thread backend
+bit-for-bit.  The per-iteration stats-exchange allgather (wall times +
+per-rank unique counts, pure bookkeeping) is excluded from the accounted
+delta for the same reason.
 """
 from __future__ import annotations
 
-import pickle
 import socket
 import threading
 import time
@@ -51,12 +44,7 @@ from repro.core.engine import (
     _rank_iteration,
     _validate_rank_args,
 )
-from repro.parallel.fake_mpi import (
-    CommAbortError,
-    CommStats,
-    _payload_bytes,
-    dead_rank_message,
-)
+from repro.parallel.comm import Comm, CommAbortError, dead_rank_message
 from repro.parallel.rendezvous import (
     FRAME_ARRAY,
     FRAME_BLOB,
@@ -71,37 +59,37 @@ from repro.parallel.rendezvous import (
 
 __all__ = [
     "ClusterBackend",
-    "ClusterComm",
-    "MPIComm",
+    "MPITransport",
+    "MeshTransport",
     "create_cluster_comm",
 ]
 
 
-class ClusterComm:
-    """One rank's communicator over the TCP mesh (FakeMPI-compatible surface).
+class MeshTransport:
+    """One rank's end of the TCP mesh.
 
     Construction performs the whole rendezvous: dial the coordinator (with
     bounded-backoff retry, covering the ranks-before-coordinator launch
     race), receive rank + peer table, build the mesh, then start the
-    heartbeat and control-listener threads.  Collectives afterwards involve
+    heartbeat and control-listener threads.  Exchanges afterwards involve
     only the mesh; the coordinator is pure liveness supervision.
 
-    All ranks must issue collectives in the same order — the MPI contract —
-    and every frame carries ``(op, seq, src, session)`` so a desynchronized
-    peer is detected instead of silently mispaired.
+    Every frame carries ``(op, seq, src, session)``: ``src``/``session`` are
+    validated here, the ``(op, seq)`` tag goes back to ``Comm``'s desync
+    check.  Received buffers are freshly allocated (``borrows`` is False).
     """
+
+    borrows = False
 
     def __init__(self, world_size: int, rendezvous_addr: str, *,
                  rank: int | None = None, join_timeout: float = 60.0,
                  collective_timeout: float = 600.0):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
-        self._size = int(world_size)
+        self.size = int(world_size)
         self._wants_rank = rank
         self._join_timeout = float(join_timeout)
         self._collective_timeout = float(collective_timeout)
-        self._stats = CommStats()
-        self._seq = 0
         self._peers: dict[int, socket.socket] = {}
         self._coord: socket.socket | None = None
         self._coord_lock = threading.Lock()
@@ -120,10 +108,10 @@ class ClusterComm:
             local_ip = coord.getsockname()[0]
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.bind((local_ip, 0))
-            listener.listen(self._size + 2)
+            listener.listen(self.size + 2)
             listen_addr = f"{local_ip}:{listener.getsockname()[1]}"
             send_ctrl(coord, kind="hello", wants_rank=self._wants_rank,
-                      addr=listen_addr, world_size=self._size)
+                      addr=listen_addr, world_size=self.size)
             coord.settimeout(self._join_timeout)
             _, meta, _ = recv_frame(coord)
             kind = meta.get("kind")
@@ -135,11 +123,11 @@ class ClusterComm:
                 raise ClusterProtocolError(
                     f"expected welcome from coordinator, got {kind!r}"
                 )
-            self._rank = int(meta["rank"])
-            if int(meta["world_size"]) != self._size:
+            self.rank = int(meta["rank"])
+            if int(meta["world_size"]) != self.size:
                 raise RuntimeError(
                     f"coordinator supervises {meta['world_size']} ranks but "
-                    f"this member was configured for world_size={self._size}"
+                    f"this member was configured for world_size={self.size}"
                 )
             self._session = str(meta["session"])
             self._heartbeat_interval = float(meta.get("heartbeat_interval", 2.0))
@@ -160,21 +148,21 @@ class ClusterComm:
                     peers: dict[int, str]) -> None:
         deadline = time.monotonic() + self._join_timeout
         # Dial the lower ranks; their listeners were up before they said hello.
-        for j in range(self._rank):
+        for j in range(self.rank):
             h, p = parse_addr(peers[j])
             conn = connect_with_retry(
                 h, p, timeout=max(deadline - time.monotonic(), 1.0)
             )
-            send_ctrl(conn, kind="peer-hello", rank=self._rank,
+            send_ctrl(conn, kind="peer-hello", rank=self.rank,
                       session=self._session)
             self._peers[j] = conn
         # Accept the higher ranks; tolerate garbage connections.
         listener.settimeout(0.2)
-        need = set(range(self._rank + 1, self._size))
+        need = set(range(self.rank + 1, self.size))
         while need:
             if time.monotonic() > deadline:
                 raise TimeoutError(
-                    f"rank {self._rank}: mesh accept timed out waiting for "
+                    f"rank {self.rank}: mesh accept timed out waiting for "
                     f"ranks {sorted(need)}"
                 )
             try:
@@ -208,11 +196,11 @@ class ClusterComm:
     def _start_threads(self) -> None:
         hb = threading.Thread(
             target=self._heartbeat_loop,
-            name=f"cluster-heartbeat-{self._rank}", daemon=True,
+            name=f"cluster-heartbeat-{self.rank}", daemon=True,
         )
         ctrl = threading.Thread(
             target=self._ctrl_loop,
-            name=f"cluster-ctrl-{self._rank}", daemon=True,
+            name=f"cluster-ctrl-{self.rank}", daemon=True,
         )
         hb.start()
         ctrl.start()
@@ -224,7 +212,7 @@ class ClusterComm:
                 if self._closed or self._coord is None:
                     return
                 try:
-                    send_ctrl(self._coord, kind="heartbeat", rank=self._rank)
+                    send_ctrl(self._coord, kind="heartbeat", rank=self.rank)
                 except OSError:
                     return
 
@@ -247,24 +235,13 @@ class ClusterComm:
                         pass
                 return
 
-    # -------------------------------------------------------------- identity
-    def Get_rank(self) -> int:
-        return self._rank
-
-    def Get_size(self) -> int:
-        return self._size
-
-    @property
-    def stats(self) -> CommStats:
-        return self._stats
-
     # --------------------------------------------------------------- plumbing
     def _check_abort(self) -> None:
         if self._abort_reason is not None:
             raise CommAbortError(f"collective aborted: {self._abort_reason}")
         if self._closed:
             raise RuntimeError(
-                f"rank {self._rank}: communicator is closed"
+                f"rank {self.rank}: communicator is closed"
             )
 
     def _raise_abort(self, peer: int | None, exc: BaseException):
@@ -276,18 +253,16 @@ class ClusterComm:
             ) from exc
         if peer is not None:
             raise CommAbortError(
-                f"rank {self._rank}: "
+                f"rank {self.rank}: "
                 + dead_rank_message([peer], f"connection failed ({exc})"),
                 dead_rank=peer,
             ) from exc
         raise CommAbortError(
-            f"rank {self._rank}: collective send failed ({exc})"
+            f"rank {self.rank}: collective send failed ({exc})"
         ) from exc
 
-    def _exchange(self, ftype: int, op: str, meta: dict,
-                  raw: bytes) -> list[tuple[dict, bytes]]:
-        """All-to-all: send (meta, raw) to every peer, receive one frame per
-        peer, return the rank-ordered ``(meta, raw)`` list (own included).
+    def exchange(self, tag, buffer) -> list:
+        """Send ``(tag, buffer)`` to every peer, receive one frame per peer.
 
         One sender thread per peer prevents the head-to-head deadlock of
         sequential send-then-recv once payloads exceed the kernel socket
@@ -295,16 +270,18 @@ class ClusterComm:
         induction (every send is drained by its peer's rank-ordered recv).
         """
         self._check_abort()
-        seq = self._seq
-        self._seq += 1
-        wire_meta = dict(meta)
-        wire_meta.update(op=op, seq=seq, src=self._rank,
-                         session=self._session)
-        results: list = [None] * self._size
-        results[self._rank] = (wire_meta, raw)
-        if self._size == 1:
+        results: list = [None] * self.size
+        results[self.rank] = (tag, buffer)
+        if self.size == 1:
             return results
-        frame = build_frame(ftype, wire_meta, raw)
+        meta = {"op": tag[0], "seq": tag[1], "src": self.rank,
+                "session": self._session}
+        if isinstance(buffer, np.ndarray):
+            ftype, raw = FRAME_ARRAY, buffer.tobytes()
+            meta.update(dtype=buffer.dtype.str, shape=list(buffer.shape))
+        else:
+            ftype, raw = FRAME_BLOB, buffer
+        frame = build_frame(ftype, meta, raw)
         send_errors: list[BaseException] = []
 
         def _send(conn: socket.socket) -> None:
@@ -313,7 +290,7 @@ class ClusterComm:
             except OSError as exc:
                 send_errors.append(exc)
 
-        others = [j for j in range(self._size) if j != self._rank]
+        others = [j for j in range(self.size) if j != self.rank]
         senders = [
             threading.Thread(target=_send, args=(self._peers[j],), daemon=True)
             for j in others
@@ -327,148 +304,36 @@ class ClusterComm:
                 raise
             except (ConnectionError, OSError) as exc:
                 self._raise_abort(j, exc)
-            if (meta_r.get("op") != op or meta_r.get("seq") != seq
-                    or meta_r.get("src") != j
+            if (meta_r.get("src") != j
                     or meta_r.get("session") != self._session):
                 raise ClusterProtocolError(
-                    f"rank {self._rank}: desynchronized collective from rank "
-                    f"{j}: expected (op={op!r}, seq={seq}), got "
-                    f"(op={meta_r.get('op')!r}, seq={meta_r.get('seq')!r}, "
-                    f"src={meta_r.get('src')!r})"
+                    f"rank {self.rank}: frame on rank {j}'s connection "
+                    f"claims src={meta_r.get('src')!r}, "
+                    f"session={meta_r.get('session')!r}"
                 )
-            if ftype_r != ftype:
+            peer_tag = (meta_r.get("op"), meta_r.get("seq"))
+            if ftype_r != ftype and peer_tag == tag:
                 raise ClusterProtocolError(
-                    f"rank {self._rank}: frame type mismatch from rank {j} "
-                    f"in {op!r}"
+                    f"rank {self.rank}: frame type mismatch from rank {j} "
+                    f"in {tag[0]!r}"
                 )
-            results[j] = (meta_r, raw_r)
+            results[j] = (
+                peer_tag, meta_r["array"] if ftype_r == FRAME_ARRAY else raw_r
+            )
         for t in senders:
             t.join()
         if send_errors:
             self._raise_abort(None, send_errors[0])
         return results
 
-    # ------------------------------------------------------------ collectives
-    def barrier(self) -> None:
-        if self._size > 1:
-            self._exchange(FRAME_BLOB, "barrier", {}, b"")
-        else:
-            self._check_abort()
-
-    def allgather(self, payload) -> list:
-        """Gather one object per rank onto all ranks (pickle on the wire)."""
-        blob = pickle.dumps(payload, protocol=5)
-        results = self._exchange(FRAME_BLOB, "allgather", {}, blob)
-        out = [
-            payload if r == self._rank else pickle.loads(raw)
-            for r, (_, raw) in enumerate(results)
-        ]
-        self._stats.add(
-            "allgather", sum(_payload_bytes(p) for p in out) * self._size
-        )
-        return out
-
-    def allgather_ndarray(self, array: np.ndarray,
-                          channel: str | None = None) -> list[np.ndarray]:
-        """Typed allgather of one ndarray per rank (validated dtype/shape)."""
-        array = np.ascontiguousarray(np.asarray(array))
-        meta = {"dtype": array.dtype.str, "shape": list(array.shape)}
-        results = self._exchange(FRAME_ARRAY, "allgather", meta,
-                                 array.tobytes())
-        out = [
-            array if r == self._rank else m["array"]
-            for r, (m, _) in enumerate(results)
-        ]
-        self._stats.add(
-            "allgather", sum(a.nbytes for a in out) * self._size,
-            channel=channel,
-        )
-        return out
-
-    def allgather_blob(self, data: bytes, logical_bytes: int | None = None,
-                       channel: str | None = None) -> list[bytes]:
-        """Allgather pre-encoded bytes; logical vs. wire accounted separately."""
-        blob = bytes(data)
-        logical = len(blob) if logical_bytes is None else int(logical_bytes)
-        results = self._exchange(FRAME_BLOB, "allgather",
-                                 {"logical": logical}, blob)
-        blobs = [raw for _, raw in results]
-        logicals = [
-            int(m.get("logical", len(raw))) for m, raw in results
-        ]
-        self._stats.add(
-            "allgather", sum(logicals) * self._size,
-            wire=sum(len(b) for b in blobs) * self._size, channel=channel,
-        )
-        return blobs
-
-    def allreduce_sum(self, array: np.ndarray) -> np.ndarray:
-        return self.allreduce_ndarray(array)
-
-    def allreduce_ndarray(self, array: np.ndarray,
-                          channel: str | None = None) -> np.ndarray:
-        """Sum-allreduce via gather + rank-ordered ``np.sum`` — exactly
-        FakeComm's arithmetic, so cluster trajectories match thread ones."""
-        array = np.ascontiguousarray(np.asarray(array))
-        meta = {"dtype": array.dtype.str, "shape": list(array.shape)}
-        results = self._exchange(FRAME_ARRAY, "allreduce", meta,
-                                 array.tobytes())
-        parts = [
-            array if r == self._rank else m["array"]
-            for r, (m, _) in enumerate(results)
-        ]
-        self._stats.add(
-            "allreduce", array.nbytes * self._size, channel=channel
-        )
-        return np.sum(parts, axis=0)
-
-    def bcast(self, payload, root: int = 0):
-        self._check_abort()
-        seq = self._seq
-        self._seq += 1
-        if self._size == 1:
-            self._stats.add("bcast", _payload_bytes(payload) * self._size)
-            return payload
-        if self._rank == root:
-            blob = pickle.dumps(payload, protocol=5)
-            meta = {"op": "bcast", "seq": seq, "src": self._rank,
-                    "session": self._session}
-            frame = build_frame(FRAME_BLOB, meta, blob)
-            send_errors: list[BaseException] = []
-
-            def _send(conn: socket.socket) -> None:
-                try:
-                    conn.sendall(frame)
-                except OSError as exc:
-                    send_errors.append(exc)
-
-            senders = [
-                threading.Thread(target=_send, args=(self._peers[j],),
-                                 daemon=True)
-                for j in range(self._size) if j != self._rank
-            ]
-            for t in senders:
-                t.start()
-            for t in senders:
-                t.join()
-            if send_errors:
-                self._raise_abort(None, send_errors[0])
-            result = payload
-        else:
-            try:
-                _, meta_r, raw = recv_frame(self._peers[root])
-            except ClusterProtocolError:
-                raise
-            except (ConnectionError, OSError) as exc:
-                self._raise_abort(root, exc)
-            if meta_r.get("op") != "bcast" or meta_r.get("seq") != seq \
-                    or meta_r.get("src") != root:
-                raise ClusterProtocolError(
-                    f"rank {self._rank}: desynchronized bcast from rank {root}"
-                )
-            result = pickle.loads(raw)
-        self._stats.add("bcast", _payload_bytes(result) * self._size)
-        return result
+    def abort(self, reason: str) -> None:
+        """Die abruptly — no leave, sockets dropped, as a killed host would:
+        the coordinator sees the EOF and poisons every survivor."""
+        if self._abort_reason is None:
+            self._abort_reason = reason
+        self._closed = True
+        self._hb_stop.set()
+        self._teardown_sockets()
 
     # --------------------------------------------------------------- shutdown
     def close(self) -> None:
@@ -480,7 +345,7 @@ class ClusterComm:
         with self._coord_lock:
             if self._coord is not None:
                 try:
-                    send_ctrl(self._coord, kind="leave", rank=self._rank)
+                    send_ctrl(self._coord, kind="leave", rank=self.rank)
                 except OSError:
                     pass
         self._teardown_sockets()
@@ -503,96 +368,32 @@ class ClusterComm:
                 except OSError:
                     pass
 
-    def __enter__(self) -> "ClusterComm":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------- test hooks
-    def _simulate_crash(self) -> None:
-        """Die abruptly: no leave, sockets dropped — as a killed host would."""
-        self._closed = True
-        self._hb_stop.set()
-        self._teardown_sockets()
-
     def _stop_heartbeating(self) -> None:
         """Wedge simulation: stay connected but stop sending heartbeats."""
         self._hb_stop.set()
 
 
-class MPIComm:
-    """The typed comm interface on an ``mpi4py`` communicator.
+class MPITransport:
+    """``exchange`` as one pickle-capable ``allgather`` on an mpi4py world.
 
-    Collectives use the lowercase (pickle-capable) mpi4py surface, and the
-    allreduce is a gather + rank-ordered ``np.sum`` rather than ``MPI.SUM``
+    The sum stays ``Comm``'s rank-ordered reduction rather than ``MPI.SUM``
     — MPI reduction order is implementation-defined, and bit-identical
-    trajectories across backends are part of the comm contract.
+    trajectories across transports are part of the comm contract.
     """
 
-    def __init__(self, comm):
-        self._comm = comm
-        self._stats = CommStats()
+    borrows = False
 
-    def Get_rank(self) -> int:
-        return self._comm.Get_rank()
+    def __init__(self, mpi):
+        self._mpi = mpi
+        self.rank = mpi.Get_rank()
+        self.size = mpi.Get_size()
 
-    def Get_size(self) -> int:
-        return self._comm.Get_size()
+    def exchange(self, tag, buffer) -> list:
+        return self._mpi.allgather((tag, buffer))
 
-    @property
-    def stats(self) -> CommStats:
-        return self._stats
-
-    def barrier(self) -> None:
-        self._comm.barrier()
-
-    def allgather(self, payload) -> list:
-        result = self._comm.allgather(payload)
-        self._stats.add(
-            "allgather",
-            sum(_payload_bytes(p) for p in result) * self.Get_size(),
-        )
-        return result
-
-    def allgather_ndarray(self, array: np.ndarray,
-                          channel: str | None = None) -> list[np.ndarray]:
-        array = np.asarray(array)
-        result = self._comm.allgather(array)
-        self._stats.add(
-            "allgather", sum(a.nbytes for a in result) * self.Get_size(),
-            channel=channel,
-        )
-        return result
-
-    def allgather_blob(self, data: bytes, logical_bytes: int | None = None,
-                       channel: str | None = None) -> list[bytes]:
-        blob = bytes(data)
-        logical = len(blob) if logical_bytes is None else int(logical_bytes)
-        result = self._comm.allgather((blob, logical))
-        size = self.Get_size()
-        self._stats.add(
-            "allgather", sum(lg for _, lg in result) * size,
-            wire=sum(len(b) for b, _ in result) * size, channel=channel,
-        )
-        return [b for b, _ in result]
-
-    def allreduce_sum(self, array: np.ndarray) -> np.ndarray:
-        return self.allreduce_ndarray(array)
-
-    def allreduce_ndarray(self, array: np.ndarray,
-                          channel: str | None = None) -> np.ndarray:
-        array = np.asarray(array)
-        parts = self._comm.allgather(array)
-        self._stats.add(
-            "allreduce", array.nbytes * self.Get_size(), channel=channel
-        )
-        return np.sum(parts, axis=0)
-
-    def bcast(self, payload, root: int = 0):
-        result = self._comm.bcast(payload, root=root)
-        self._stats.add("bcast", _payload_bytes(result) * self.Get_size())
-        return result
+    def abort(self, reason: str) -> None:
+        self._mpi.Abort(1)  # MPI's own poison: the runtime kills every rank
 
     def close(self) -> None:  # the MPI runtime owns the communicator
         pass
@@ -614,8 +415,8 @@ def create_cluster_comm(world_size: int, *, rendezvous_addr: str | None = None,
 
     Selection rule: when an MPI world is available (``mpi4py`` importable —
     i.e. the job was launched under ``mpirun``) *and* its size equals the
-    requested ``world_size``, wrap it in :class:`MPIComm`; otherwise fall
-    back to the socket transport, which requires ``rendezvous_addr``.
+    requested ``world_size``, run over :class:`MPITransport`; otherwise fall
+    back to :class:`MeshTransport`, which requires ``rendezvous_addr``.
     ``mpi`` accepts an injected communicator (tests) or ``None`` to force
     the socket path.
     """
@@ -627,21 +428,21 @@ def create_cluster_comm(world_size: int, *, rendezvous_addr: str | None = None,
                 f"parallel.rank={rank} conflicts with MPI rank "
                 f"{mpi.Get_rank()}; omit parallel.rank under mpirun"
             )
-        return MPIComm(mpi)
+        return Comm(MPITransport(mpi))
     if rendezvous_addr is None:
         raise ValueError(
             "the cluster backend needs parallel.rendezvous_addr (host:port "
             "of a `python -m repro rendezvous` coordinator) when no MPI "
             f"world of size {world_size} is available"
         )
-    return ClusterComm(
+    return Comm(MeshTransport(
         world_size, rendezvous_addr, rank=rank, join_timeout=join_timeout,
         collective_timeout=collective_timeout,
-    )
+    ))
 
 
 class ClusterBackend(ExecutionBackend):
-    """SPMD execution over :class:`ClusterComm`/:class:`MPIComm`.
+    """SPMD execution over a mesh- or MPI-backed :class:`Comm`.
 
     Every host runs the full driver on the same spec; this backend runs the
     staged iteration as *this* host's rank of the shared communicator.  All

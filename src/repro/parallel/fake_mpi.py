@@ -1,295 +1,128 @@
-"""An in-process MPI communicator with mpi4py-style semantics + byte accounting.
+"""Thread ranks: the in-process transport and its SPMD launcher.
 
-The paper's data-centric scheme (Fig. 4) needs exactly three collectives:
-``Allgather`` (unique samples + weights, stage 2) and ``Allreduce`` (energy
-average, stage 4; gradients/parameters, stage 6).  ``run_spmd`` executes N_p
-rank functions on N_p *threads* synchronized by barriers, which gives real
-MPI collective semantics in one process; because the hot kernels (vectorized
-local energy, matmuls) release the GIL, thread ranks also deliver genuine
-wall-clock parallelism on multicore hosts — that is what the strong/weak
-scaling benches measure.
+``run_spmd`` executes N_p rank functions on N_p *threads*, each holding a
+:class:`~repro.parallel.comm.Comm` over a :class:`ThreadTransport`.  That
+gives real collective semantics in one process; because the hot kernels
+(vectorized local energy, matmuls) release the GIL, thread ranks also deliver
+genuine wall-clock parallelism on multicore hosts — that is what the
+strong/weak scaling benches measure.
 
-Every collective records the bytes it would move on a real network using the
-paper's accounting convention (payload bytes x N_p), split two ways:
-
-* **logical bytes** — the uncompressed, natural-width payload (what the
-  Sec. 3.2 closed-form model predicts);
-* **wire bytes** — what actually crosses the transport after the typed /
-  compressed path (:mod:`repro.parallel.codec`); equal to logical for raw
-  collectives.
-
-The typed collectives — :meth:`FakeComm.allgather_ndarray` (thread ranks
-share array references, zero copies), :meth:`FakeComm.allgather_blob`
-(pre-encoded bytes with a caller-declared logical size) and
-:meth:`FakeComm.allreduce_ndarray` — are the interface the process backend
-implements over ``multiprocessing.shared_memory`` and a future cluster
-backend would implement over sockets/MPI.  The API mirrors mpi4py closely
-enough that porting the drivers to real MPI is an import swap.
+The transport is a generation-counted rendezvous on one condition variable:
+each rank drops ``(tag, buffer)`` into its slot and the last arriver
+publishes the rank-ordered snapshot, so peers *share references* to each
+other's buffers (zero copies).  A rank that leaves — by returning, raising
+or timing out — marks the world broken, and every peer blocked in, or later
+entering, an ``exchange`` raises
+:class:`~repro.parallel.comm.CommAbortError` instead of waiting forever; an
+exchange that already completed is never retroactively broken.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
+from repro.parallel.comm import (
+    Comm,
+    CommAbortError,
+    CommStats,
+    dead_rank_message,
+)
 
-__all__ = [
-    "CommAbortError",
-    "CommStats",
-    "FakeComm",
-    "dead_rank_message",
-    "poison_survivors",
-    "run_spmd",
-]
-
-
-class CommAbortError(RuntimeError):
-    """A collective was poisoned because a rank died (or desynchronized).
-
-    Raised with the same message on *every* survivor, naming the dead rank —
-    the shared crash semantics of :class:`~repro.parallel.multiprocess.
-    ProcessComm` and :class:`~repro.parallel.cluster.ClusterComm`.  Subclasses
-    ``RuntimeError`` so pre-existing ``except RuntimeError`` callers keep
-    working.
-    """
-
-    def __init__(self, message: str, dead_rank: int | None = None):
-        super().__init__(message)
-        self.dead_rank = dead_rank
-
-
-def dead_rank_message(dead_ranks, reason: str) -> str:
-    """The canonical poison message: which rank(s) died, and why."""
-    ranks = sorted(set(int(r) for r in dead_ranks))
-    label = f"rank {ranks[0]}" if len(ranks) == 1 else (
-        "ranks " + ", ".join(str(r) for r in ranks)
-    )
-    return f"{label} left the collective: {reason}"
-
-
-def poison_survivors(live_ranks, send_abort, message: str) -> None:
-    """Deliver an abort poison to every live rank, swallowing send failures.
-
-    ``send_abort(rank, message)`` is the transport-specific delivery (a pipe
-    send for the process coordinator, an abort control frame for the
-    rendezvous coordinator); a rank whose channel is already gone is simply
-    skipped — it is dead or dying anyway.
-    """
-    for rank in live_ranks:
-        try:
-            send_abort(rank, message)
-        except (OSError, BrokenPipeError, EOFError):
-            pass
-
-
-@dataclass
-class CommStats:
-    """Byte counters per collective (paper convention: payload x N_p).
-
-    ``*_bytes`` counters are *logical* volume (uncompressed, natural width —
-    backward compatible with the pre-codec accounting); ``*_wire_bytes``
-    are what actually moved.  ``channels`` breaks both down by the logical
-    channel name a collective was tagged with (e.g. ``stage2_samples``).
-    """
-
-    allgather_bytes: int = 0
-    allreduce_bytes: int = 0
-    bcast_bytes: int = 0
-    allgather_wire_bytes: int = 0
-    allreduce_wire_bytes: int = 0
-    bcast_wire_bytes: int = 0
-    calls: dict = field(
-        default_factory=lambda: {"allgather": 0, "allreduce": 0, "bcast": 0}
-    )
-    channels: dict = field(default_factory=dict)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.allgather_bytes + self.allreduce_bytes + self.bcast_bytes
-
-    @property
-    def total_wire_bytes(self) -> int:
-        return (
-            self.allgather_wire_bytes
-            + self.allreduce_wire_bytes
-            + self.bcast_wire_bytes
-        )
-
-    def add(self, op: str, nbytes: int, wire: int | None = None,
-            channel: str | None = None) -> None:
-        wire = nbytes if wire is None else wire
-        setattr(self, f"{op}_bytes", getattr(self, f"{op}_bytes") + nbytes)
-        setattr(
-            self, f"{op}_wire_bytes", getattr(self, f"{op}_wire_bytes") + wire
-        )
-        self.calls[op] += 1
-        if channel is not None:
-            rec = self.channels.setdefault(
-                channel, {"logical": 0, "wire": 0, "calls": 0}
-            )
-            rec["logical"] += nbytes
-            rec["wire"] += wire
-            rec["calls"] += 1
+__all__ = ["ThreadTransport", "run_spmd"]
 
 
 class _World:
-    def __init__(self, size: int):
+    def __init__(self, size: int, timeout: float):
         self.size = size
-        self.stats = CommStats()
-        self.lock = threading.Lock()
-        self.barrier = threading.Barrier(size)
-        self.slots: dict[tuple, list] = {}
-        self.errors: list[BaseException] = []
+        self.timeout = timeout
+        self.cond = threading.Condition()
+        self.slots: list = [None] * size
+        self.arrived = 0
+        self.generation = 0
+        self.snapshot: list = []
+        self.broken: str | None = None
 
 
-class FakeComm:
-    """Per-rank communicator handle (mpi4py-like surface).
+class ThreadTransport:
+    """One thread rank's view of the shared :class:`_World`."""
 
-    All ranks must issue collectives in the same order — the MPI contract.
-    """
+    borrows = False
 
     def __init__(self, world: _World, rank: int):
         self._world = world
-        self._rank = rank
-        self._seq = 0
+        self.rank = rank
+        self.size = world.size
 
-    def Get_rank(self) -> int:
-        return self._rank
-
-    def Get_size(self) -> int:
-        return self._world.size
-
-    @property
-    def stats(self) -> CommStats:
-        return self._world.stats
-
-    # ------------------------------------------------------------- internals
-    def _exchange(self, op: str, payload) -> list:
-        key = (op, self._seq)
-        self._seq += 1
+    def exchange(self, tag, buffer) -> list:
         w = self._world
-        with w.lock:
-            slot = w.slots.setdefault(key, [None] * w.size)
-        slot[self._rank] = payload
-        w.barrier.wait()
-        result = list(slot)
-        w.barrier.wait()  # everyone has read; safe to recycle
-        if self._rank == 0:
-            with w.lock:
-                w.slots.pop(key, None)
-        return result
+        with w.cond:
+            if w.broken is not None:
+                raise CommAbortError(f"collective aborted: {w.broken}")
+            w.slots[self.rank] = (tag, buffer)
+            w.arrived += 1
+            if w.arrived == w.size:
+                # The next generation cannot complete before every rank has
+                # returned from this one, so the snapshot is stable for them.
+                w.snapshot = list(w.slots)
+                w.arrived = 0
+                w.generation += 1
+                w.cond.notify_all()
+                return w.snapshot
+            generation = w.generation
+            w.cond.wait_for(
+                lambda: w.generation != generation or w.broken is not None,
+                w.timeout,
+            )
+            if w.generation != generation:
+                return w.snapshot
+            if w.broken is None:
+                w.broken = (
+                    f"rank {self.rank} timed out after {w.timeout}s waiting "
+                    f"for its peers in {tag[0]} (seq {tag[1]})"
+                )
+                w.cond.notify_all()
+            raise CommAbortError(f"collective aborted: {w.broken}")
 
-    def _account(self, op: str, nbytes: int, wire: int | None = None,
-                 channel: str | None = None) -> None:
-        if self._rank == 0:
-            with self._world.lock:
-                self._world.stats.add(op, nbytes, wire=wire, channel=channel)
+    def abort(self, reason: str) -> None:
+        w = self._world
+        with w.cond:
+            if w.broken is None:
+                w.broken = reason
+                w.cond.notify_all()
 
-    # ------------------------------------------------------------ collectives
-    def barrier(self) -> None:
-        self._world.barrier.wait()
-
-    def allgather(self, payload) -> list:
-        """Gather one object per rank onto all ranks; returns the rank-ordered list."""
-        result = self._exchange("allgather", payload)
-        self._account(
-            "allgather", sum(_payload_bytes(p) for p in result) * self._world.size
-        )
-        return result
-
-    def allgather_ndarray(self, array: np.ndarray,
-                          channel: str | None = None) -> list[np.ndarray]:
-        """Typed allgather of one ndarray per rank (zero-copy between threads).
-
-        Thread ranks share references to each other's arrays — no pickling,
-        no copies; callers must treat the returned arrays as read-only.
-        """
-        array = np.asarray(array)
-        result = self._exchange("allgather", array)
-        self._account(
-            "allgather", sum(a.nbytes for a in result) * self._world.size,
-            channel=channel,
-        )
-        return result
-
-    def allgather_blob(self, data: bytes, logical_bytes: int | None = None,
-                       channel: str | None = None) -> list[bytes]:
-        """Allgather pre-encoded bytes; accounts logical vs. wire separately.
-
-        ``logical_bytes`` declares the uncompressed payload size the blob
-        stands for (defaults to ``len(data)``), so compressed collectives
-        report an honest logical/wire split.
-        """
-        payload = (bytes(data),
-                   len(data) if logical_bytes is None else int(logical_bytes))
-        result = self._exchange("allgather", payload)
-        size = self._world.size
-        self._account(
-            "allgather",
-            sum(logical for _, logical in result) * size,
-            wire=sum(len(blob) for blob, _ in result) * size,
-            channel=channel,
-        )
-        return [blob for blob, _ in result]
-
-    def allreduce_sum(self, array: np.ndarray) -> np.ndarray:
-        """Sum-reduce a numpy array across ranks; result identical on every rank."""
-        return self.allreduce_ndarray(array)
-
-    def allreduce_ndarray(self, array: np.ndarray,
-                          channel: str | None = None) -> np.ndarray:
-        """Typed sum-allreduce; rank-ordered reduction, deterministic result.
-
-        Identical arithmetic to the historical ``allreduce_sum`` (one
-        ``np.sum`` over the rank-ordered payload list), so enabling the typed
-        path never perturbs trajectories.
-        """
-        array = np.asarray(array)
-        result = self._exchange("allreduce", array)
-        self._account(
-            "allreduce", array.nbytes * self._world.size, channel=channel
-        )
-        return np.sum(result, axis=0)
-
-    def bcast(self, array, root: int = 0):
-        payload = array if self._rank == root else None
-        result = self._exchange("bcast", payload)
-        self._account(
-            "bcast", _payload_bytes(result[root]) * self._world.size
-        )
-        return result[root]
+    def close(self) -> None:
+        self.abort(dead_rank_message(
+            [self.rank], "returned while its peers were still communicating"
+        ))
 
 
-def _payload_bytes(payload) -> int:
-    if payload is None:
-        return 0
-    if isinstance(payload, np.ndarray):
-        return payload.nbytes
-    if isinstance(payload, (tuple, list)):
-        return sum(_payload_bytes(p) for p in payload)
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        return len(payload)
-    return np.asarray(payload).nbytes
+def run_spmd(size: int, fn: Callable[[Comm], object],
+             timeout: float = 600.0) -> tuple[list, CommStats]:
+    """Run ``fn(comm)`` as ``size`` thread ranks; returns (rank results, stats).
 
-
-def run_spmd(size: int, fn: Callable[[FakeComm], object]) -> tuple[list, CommStats]:
-    """Run ``fn(comm)`` as ``size`` thread ranks; returns (rank results, stats)."""
-    world = _World(size)
+    ``timeout`` bounds how long a rank waits for its peers inside one
+    collective.  The first rank failure is re-raised in the caller.
+    """
+    world = _World(size, timeout)
+    comms = [Comm(ThreadTransport(world, r)) for r in range(size)]
     results: list = [None] * size
+    errors: list[BaseException] = []
 
     def runner(rank: int) -> None:
+        transport = comms[rank].transport
         try:
-            results[rank] = fn(FakeComm(world, rank))
+            results[rank] = fn(comms[rank])
         except BaseException as exc:  # surface rank failures to the caller
-            world.errors.append(exc)
-            world.barrier.abort()
+            errors.append(exc)
+            transport.abort(dead_rank_message([rank], f"raised {exc!r}"))
+        finally:
+            transport.close()
 
     threads = [threading.Thread(target=runner, args=(r,)) for r in range(size)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    if world.errors:
-        raise world.errors[0]
-    return results, world.stats
+    if errors:
+        raise errors[0]
+    return results, comms[0].stats

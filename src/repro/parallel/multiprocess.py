@@ -1,32 +1,31 @@
-"""Process-backed SPMD executor — the second communicator backend.
+"""Forked-process ranks: the pipe + shared-memory transport and its launcher.
 
-``repro.parallel.fake_mpi.run_spmd`` runs ranks as *threads*: collectives
-are cheap (shared memory) and numpy kernels parallelize because they release
+``repro.parallel.fake_mpi.run_spmd`` runs ranks as *threads*: exchanges are
+cheap (shared references) and numpy kernels parallelize because they release
 the GIL, but pure-Python rank code serializes on the interpreter lock.  This
-module provides the complementary backend: ``run_spmd_processes`` forks one
-OS process per rank and routes collectives through pipes to a coordinator
-thread in the parent — true interpreter-level parallelism with explicit
-message passing, one step closer to real MPI.
+module provides the complementary launcher: ``run_spmd_processes`` forks one
+OS process per rank, each holding a :class:`~repro.parallel.comm.Comm` over a
+:class:`PipeTransport`, and a relay thread in the parent hands every rank's
+``(tag, payload)`` to every other rank — true interpreter-level parallelism
+with explicit message passing, one step closer to real MPI.
 
-Semantics match ``run_spmd`` (allgather / allreduce_sum / bcast / barrier,
-byte accounting with the paper's payload x N_p convention, logical vs. wire
-split), with the MPI-like restriction that **rank state is private**: unlike
-thread ranks, writes to captured objects are not visible across ranks —
-everything shared must flow through a collective.  The data-centric drivers
-honor that contract already; tests pin it down.
+The collectives and their byte accounting are the shared ``Comm``'s, with the
+MPI-like restriction that **rank state is private**: unlike thread ranks,
+writes to captured objects are not visible across ranks — everything shared
+must flow through a collective.  The data-centric drivers honor that
+contract already; tests pin it down.
 
-Large typed collectives (``allgather_ndarray`` / ``allreduce_ndarray``) move
-raw bytes through ``multiprocessing.shared_memory`` segments instead of
-pickle-over-pipes: the posting rank writes its array into a named segment
-and ships only a tiny ``(name, dtype, shape, nbytes)`` meta record through
-the pipe; peers attach and read the bytes directly.  Segment lifecycle is
-owned by the parent coordinator: a collective's segments are unlinked as
-soon as every live rank has issued its *next* collective (proof that the
-segments were read), at coordinator shutdown, and — belt and braces — by a
+Large arrays move as raw bytes through ``multiprocessing.shared_memory``
+segments instead of pickle-over-pipes: the posting rank writes its array into
+a named segment and ships only a tiny ``(name, dtype, shape, nbytes)`` record
+through the pipe; peers attach and read the bytes in place.  Segment
+lifecycle is owned by the parent relay: an exchange's segments are unlinked
+as soon as every live rank has posted its *next* exchange (proof that the
+segments were released), at relay shutdown, and — belt and braces — by a
 name-prefix sweep of ``/dev/shm`` in the parent's ``finally``, so a rank
 crash mid-collective never leaks ``/dev/shm`` blocks.  Small payloads and
-pre-encoded blobs (``allgather_blob``) stay on the pipe, where pickling a
-``bytes`` object is a plain memcpy.
+pre-encoded blobs stay on the pipe, where pickling a ``bytes`` object is a
+plain memcpy.
 
 Linux-only (uses the fork start method so closures need not pickle).
 """
@@ -37,19 +36,19 @@ import multiprocessing as mp
 import os
 import threading
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.parallel.fake_mpi import (
+from repro.parallel.comm import (
+    Comm,
     CommAbortError,
     CommStats,
-    _payload_bytes,
     dead_rank_message,
     poison_survivors,
 )
 
-__all__ = ["ProcessComm", "run_spmd_processes", "ServiceClient", "run_service_clients"]
+__all__ = ["PipeTransport", "run_spmd_processes"]
 
 try:
     from multiprocessing import shared_memory as _shared_memory
@@ -60,9 +59,6 @@ _RUN_COUNTER = itertools.count()
 # Payloads below this ride the pipe: segment setup costs more than a small
 # pickle, and SharedMemory cannot be zero-sized anyway.
 _DEFAULT_SHM_THRESHOLD = 1 << 16
-# allreduce accumulation granularity: bounds resident temporaries without
-# changing the rank-ordered elementwise add (bit-identical to any chunking).
-_REDUCE_CHUNK_BYTES = 4 << 20
 
 
 def _ensure_resource_tracker() -> None:
@@ -108,50 +104,41 @@ def _unlink_stray_segments(prefix: str) -> None:
         _unlink_segments([p.name])
 
 
-class ProcessComm:
-    """Per-rank communicator speaking to the parent coordinator over a pipe.
+class _Segment(NamedTuple):
+    """What crosses the pipe in place of an array posted to shared memory."""
 
-    Typed collectives above ``shm_threshold`` bytes move through named
-    shared-memory segments (zero pickling of array payloads); everything
-    else — control traffic, small arrays, pre-compressed blobs — rides the
-    pipe.  ``use_shm=False`` forces the pipe path everywhere.
+    name: str
+    dtype: str
+    shape: tuple
+    nbytes: int
+
+
+class PipeTransport:
+    """One forked rank's link to the parent relay, over a pipe.
+
+    Arrays of at least ``shm_threshold`` bytes are written into a named
+    shared-memory segment and only their :class:`_Segment` record rides the
+    pipe; peers' segments come back as *views* (``borrows``), released at
+    this rank's next ``exchange`` — so an allreduce sums straight out of the
+    segments and never holds N_p private gradient copies.  Everything else —
+    small arrays, pre-compressed blobs — is pickled through the pipe.
+    ``use_shm=False`` forces the pipe path everywhere.
     """
 
     def __init__(self, rank: int, size: int, conn, *, use_shm: bool = False,
                  shm_prefix: str = "", shm_threshold: int = _DEFAULT_SHM_THRESHOLD):
-        self._rank = rank
-        self._size = size
+        self.rank = rank
+        self.size = size
         self._conn = conn
-        self._use_shm = bool(use_shm) and _shared_memory is not None
+        self.borrows = bool(use_shm) and _shared_memory is not None
         self._shm_prefix = shm_prefix
         self._shm_threshold = max(1, int(shm_threshold))
         self._shm_seq = 0
+        self._attached: list = []
 
-    def Get_rank(self) -> int:
-        return self._rank
-
-    def Get_size(self) -> int:
-        return self._size
-
-    # ------------------------------------------------------------- internals
-    def _collective(self, op, payload):
-        self._conn.send((op, payload))
-        try:
-            status, value = self._conn.recv()
-        except EOFError:
-            raise CommAbortError(
-                f"rank {self._rank}: communicator closed mid-collective"
-            ) from None
-        if status == "abort":
-            raise CommAbortError(f"collective aborted: {value}")
-        return value
-
-    def _shm_wanted(self, nbytes: int) -> bool:
-        return self._use_shm and nbytes >= self._shm_threshold
-
-    def _post_segment(self, array: np.ndarray):
-        """Write ``array`` into a fresh named segment; returns its meta."""
-        name = f"{self._shm_prefix}-{self._rank}-{self._shm_seq}"
+    def _post_segment(self, array: np.ndarray) -> _Segment:
+        """Write ``array`` into a fresh named segment; returns its record."""
+        name = f"{self._shm_prefix}-{self.rank}-{self._shm_seq}"
         self._shm_seq += 1
         seg = _shared_memory.SharedMemory(name=name, create=True,
                                           size=array.nbytes)
@@ -159,115 +146,61 @@ class ProcessComm:
         np.copyto(dst, array.reshape(-1))
         del dst
         seg.close()
-        return (name, array.dtype.str, array.shape, array.nbytes)
+        return _Segment(name, array.dtype.str, array.shape, array.nbytes)
 
-    def _read_segment(self, meta) -> np.ndarray:
-        name, dtype_str, shape, nbytes = meta
-        dt = np.dtype(dtype_str)
-        seg = _shared_memory.SharedMemory(name=name)
-        flat = np.frombuffer(seg.buf, dtype=dt)[: nbytes // dt.itemsize]
-        out = flat.copy().reshape(shape)
-        del flat
-        seg.close()
-        return out
+    def _view_segment(self, record: _Segment) -> np.ndarray:
+        dt = np.dtype(record.dtype)
+        seg = _shared_memory.SharedMemory(name=record.name)
+        self._attached.append(seg)
+        flat = np.frombuffer(seg.buf, dtype=dt)[: record.nbytes // dt.itemsize]
+        return flat.reshape(record.shape)
 
-    # ------------------------------------------------------------ collectives
-    def barrier(self) -> None:
-        self._collective("barrier", None)
+    def _release_segments(self) -> None:
+        # The previous exchange's views are dead by contract; a survivor
+        # would make mmap.close() raise BufferError.
+        for seg in self._attached:
+            seg.close()
+        self._attached.clear()
 
-    def allgather(self, payload) -> list:
-        return self._collective("allgather", payload)
-
-    def allgather_ndarray(self, array: np.ndarray,
-                          channel: str | None = None) -> list[np.ndarray]:
-        """Typed allgather; large arrays move as raw shared-memory bytes."""
-        array = np.ascontiguousarray(array)
-        if self._shm_wanted(array.nbytes):
-            meta = self._post_segment(array)
-            metas = self._collective("shm_allgather", (meta, channel))
-            return [
-                array if m[0] == meta[0] else self._read_segment(m)
-                for m in metas
-            ]
-        return self._collective("allgather_nd", (array, channel))
-
-    def allgather_blob(self, data: bytes, logical_bytes: int | None = None,
-                       channel: str | None = None) -> list[bytes]:
-        """Allgather pre-encoded bytes (compressed payloads stay on the pipe:
-        pickling ``bytes`` is a memcpy, and they are small by construction)."""
-        payload = (bytes(data),
-                   len(data) if logical_bytes is None else int(logical_bytes),
-                   channel)
-        return self._collective("allgather_blob", payload)
-
-    def allreduce_sum(self, array: np.ndarray) -> np.ndarray:
-        return self._collective("allreduce", np.asarray(array))
-
-    def allreduce_ndarray(self, array: np.ndarray,
-                          channel: str | None = None) -> np.ndarray:
-        """Typed sum-allreduce, in-place and chunked over shared memory.
-
-        Each rank posts its contribution once and accumulates the rank-ordered
-        sum locally in ``_REDUCE_CHUNK_BYTES`` chunks — the parent never
-        materializes N_p gradient copies, and the arithmetic (sequential
-        rank-ordered adds) is bit-identical to the pipe path's
-        ``total = total + p`` loop.
-        """
-        array = np.ascontiguousarray(array)
-        if self._shm_wanted(array.nbytes):
-            meta = self._post_segment(array)
-            metas = self._collective("shm_allreduce", (meta, channel))
-            return self._reduce_segments(array, meta, metas)
-        return self._collective("allreduce_nd", (array, channel))
-
-    def _reduce_segments(self, own: np.ndarray, own_meta, metas) -> np.ndarray:
-        dt = own.dtype
-        n = own.size
-        segs, views = [], []
+    def exchange(self, tag, buffer) -> list:
+        self._release_segments()
+        payload = buffer
+        if (self.borrows and isinstance(buffer, np.ndarray)
+                and buffer.nbytes >= self._shm_threshold):
+            payload = self._post_segment(buffer)
+        self._conn.send((tag, payload))
         try:
-            for m in metas:
-                if m[0] == own_meta[0]:
-                    views.append(own.reshape(-1))
-                else:
-                    seg = _shared_memory.SharedMemory(name=m[0])
-                    segs.append(seg)
-                    views.append(np.frombuffer(seg.buf, dtype=dt)[:n])
-            out = np.empty(n, dtype=dt)
-            _accumulate_rank_ordered(out, views)
-        finally:
-            # Release every buffer export before closing the mappings — a
-            # surviving view would make mmap.close() raise BufferError.
-            views.clear()
-            for seg in segs:
-                seg.close()
-        return out.reshape(own.shape)
+            status, value = self._conn.recv()
+        except EOFError:
+            raise CommAbortError(
+                f"rank {self.rank}: communicator closed mid-collective"
+            ) from None
+        if status == "abort":
+            raise CommAbortError(f"collective aborted: {value}")
+        value[self.rank] = (tag, buffer)
+        return [
+            (t, self._view_segment(p) if isinstance(p, _Segment) else p)
+            for t, p in value
+        ]
 
-    def bcast(self, array, root: int = 0):
-        return self._collective(("bcast", root), array if self._rank == root else None)
+    def abort(self, reason: str) -> None:
+        try:
+            self._conn.send((None, reason))
+        except OSError:  # the relay is already gone: everyone is poisoned
+            pass
 
-
-def _accumulate_rank_ordered(out: np.ndarray, views: list) -> None:
-    """Chunked ``out = views[0] + views[1] + ...`` in rank order.
-
-    A separate function so its locals (buffer views into shared-memory
-    mappings) are dropped on return; chunking bounds resident temporaries
-    without changing the elementwise, rank-ordered IEEE adds.
-    """
-    step = max(1, _REDUCE_CHUNK_BYTES // max(1, out.itemsize))
-    for s in range(0, out.size, step):
-        sl = slice(s, s + step)
-        np.copyto(out[sl], views[0][sl])
-        for v in views[1:]:
-            out[sl] += v[sl]
+    def close(self) -> None:
+        self._release_segments()
+        self._conn.close()
 
 
 def _abort_ranks(parent_conns, live, message: str) -> None:
     """Poison every live rank so it fails fast instead of hanging in recv.
 
-    Delivery goes through the shared :func:`~repro.parallel.fake_mpi.
+    Delivery goes through the shared :func:`~repro.parallel.comm.
     poison_survivors` idiom — the same one the rendezvous coordinator uses —
     so both process and cluster ranks die with an identical
-    :class:`~repro.parallel.fake_mpi.CommAbortError` surface.
+    :class:`~repro.parallel.comm.CommAbortError` surface.
     """
     poison_survivors(
         [r for r in range(len(parent_conns)) if live[r]],
@@ -276,15 +209,17 @@ def _abort_ranks(parent_conns, live, message: str) -> None:
     )
 
 
-def _coordinator(parent_conns, stats: CommStats, stop_flag,
-                 shm_registry: set):
-    """Serve collectives: wait for all ranks, compute, reply to all ranks.
+def _coordinator(parent_conns, stop_flag, shm_registry: set):
+    """Relay exchanges: wait for every rank's ``(tag, payload)``, send every
+    rank the rank-ordered list (its own entry blanked — it has that one).
 
-    Shared-memory segments announced in collective *t* are unlinked once
-    every live rank has posted collective *t+1* (or hit EOF) — by then every
-    reader has copied out of them.  On any protocol error the live ranks get
-    an ``("abort", msg)`` poison reply instead of waiting forever, and the
-    pending segments are unlinked before returning.
+    The relay never looks inside a payload except to note shared-memory
+    segments, whose lifecycle it owns: segments announced in exchange *t* are
+    unlinked once every live rank has posted exchange *t+1* (or hit EOF) —
+    by then every reader has released them.  When a rank dies or asks for an
+    abort (a ``None`` tag), the live ranks get an ``("abort", msg)`` poison
+    reply instead of waiting forever, and the pending segments are unlinked
+    before returning.
     """
     size = len(parent_conns)
     live = [True] * size
@@ -292,100 +227,44 @@ def _coordinator(parent_conns, stats: CommStats, stop_flag,
     try:
         while not stop_flag[0] and any(live):
             requests = [None] * size
-            got = 0
             died_now: list[int] = []
             for r, conn in enumerate(parent_conns):
                 if not live[r]:
                     continue
                 try:
                     requests[r] = conn.recv()
-                    got += 1
                 except EOFError:
                     live[r] = False
                     died_now.append(r)
-            # Every live rank has moved past the previous collective, so its
-            # segments have been read everywhere: safe to unlink them now.
+            # Every live rank has moved past the previous exchange, so its
+            # segments have been released everywhere: safe to unlink them now.
             _unlink_segments(pending_unlink, shm_registry)
             pending_unlink = []
-            if got == 0:
+            posted = [req for req in requests if req is not None]
+            if not posted:
                 # Every remaining rank closed its pipe — the normal end of a
                 # run (or the tail of an abort); nothing left to serve.
                 return
             if died_now:
-                # A rank died while its peers posted a collective: serving it
+                # A rank died while its peers posted an exchange: serving it
                 # short a participant would return silently-wrong values.
                 # Poison the survivors with the dead rank named instead.
                 _abort_ranks(parent_conns, live,
                              dead_rank_message(
                                  died_now, "connection closed mid-collective"))
                 return
-            ops = {req[0] if not isinstance(req[0], tuple) else req[0][0]
-                   for req in requests if req is not None}
-            if len(ops) != 1:
-                _abort_ranks(parent_conns, live,
-                             f"ranks issued different collectives: {ops}")
+            aborts = [reason for tag, reason in posted if tag is None]
+            if aborts:
+                _abort_ranks(parent_conns, live, aborts[0])
                 return
-            op = ops.pop()
-            payloads = [req[1] for req in requests if req is not None]
-            if op == "barrier":
-                replies = [None] * size
-            elif op == "allgather":
-                stats.add("allgather",
-                          sum(_payload_bytes(p) for p in payloads) * size)
-                replies = [list(payloads)] * size
-            elif op == "allgather_nd":
-                arrays = [p[0] for p in payloads]
-                stats.add("allgather", sum(a.nbytes for a in arrays) * size,
-                          channel=payloads[0][1])
-                replies = [arrays] * size
-            elif op == "allgather_blob":
-                blobs = [p[0] for p in payloads]
-                stats.add("allgather",
-                          sum(p[1] for p in payloads) * size,
-                          wire=sum(len(b) for b in blobs) * size,
-                          channel=payloads[0][2])
-                replies = [blobs] * size
-            elif op == "shm_allgather":
-                metas = [p[0] for p in payloads]
-                stats.add("allgather", sum(m[3] for m in metas) * size,
-                          channel=payloads[0][1])
-                for m in metas:
-                    shm_registry.add(m[0])
-                    pending_unlink.append(m[0])
-                replies = [metas] * size
-            elif op == "allreduce":
-                total = payloads[0]
-                for p in payloads[1:]:
-                    total = total + p
-                stats.add("allreduce", np.asarray(payloads[0]).nbytes * size)
-                replies = [total] * size
-            elif op == "allreduce_nd":
-                arrays = [p[0] for p in payloads]
-                total = arrays[0]
-                for p in arrays[1:]:
-                    total = total + p
-                stats.add("allreduce", arrays[0].nbytes * size,
-                          channel=payloads[0][1])
-                replies = [total] * size
-            elif op == "shm_allreduce":
-                metas = [p[0] for p in payloads]
-                stats.add("allreduce", metas[0][3] * size,
-                          channel=payloads[0][1])
-                for m in metas:
-                    shm_registry.add(m[0])
-                    pending_unlink.append(m[0])
-                replies = [metas] * size
-            elif op == "bcast":
-                root = next(req[0][1] for req in requests if req is not None)
-                value = payloads[root]
-                stats.add("bcast", _payload_bytes(value) * size)
-                replies = [value] * size
-            else:  # pragma: no cover - defensive
-                _abort_ranks(parent_conns, live, f"unknown collective {op!r}")
-                return
+            for _, payload in posted:
+                if isinstance(payload, _Segment):
+                    shm_registry.add(payload.name)
+                    pending_unlink.append(payload.name)
             for r, conn in enumerate(parent_conns):
-                if live[r]:
-                    conn.send(("ok", replies[r]))
+                conn.send(("ok", [
+                    None if i == r else req for i, req in enumerate(requests)
+                ]))
     finally:
         _unlink_segments(pending_unlink, shm_registry)
         # Closing the pipes unblocks any straggler rank still waiting on a
@@ -474,7 +353,7 @@ def _collect_rank_results(result_conns, procs, timeout: float,
 
 
 def run_spmd_processes(
-    size: int, fn: Callable[[ProcessComm], object], timeout: float = 600.0,
+    size: int, fn: Callable[[Comm], object], timeout: float = 600.0,
     *, use_shm: bool = True, shm_threshold: int = _DEFAULT_SHM_THRESHOLD,
     join_timeout: float = 10.0,
 ) -> tuple[list, CommStats]:
@@ -482,30 +361,40 @@ def run_spmd_processes(
 
     Rank return values are pickled back to the parent.  A rank exception is
     re-raised in the parent (wrapped with the rank id).  ``use_shm`` routes
-    large typed collectives through named shared-memory segments; whatever
-    happens — clean exit, rank exception, hard kill mid-collective — every
-    segment of this run is unlinked before this function returns (deferred
-    unlink in the coordinator + a name-prefix sweep of ``/dev/shm``).
+    large arrays through named shared-memory segments; whatever happens —
+    clean exit, rank exception, hard kill mid-collective — every segment of
+    this run is unlinked before this function returns (deferred unlink in
+    the relay + a name-prefix sweep of ``/dev/shm``).
     """
     use_shm = bool(use_shm) and _shared_memory is not None
     shm_prefix = f"reprocomm-{os.getpid()}-{next(_RUN_COUNTER)}"
     if use_shm:
         _ensure_resource_tracker()
-    parent_conns, result_conns, procs = _fork_rank_workers(
-        size,
-        lambda rank, conn: fn(ProcessComm(
+
+    def rank_body(rank: int, conn):
+        transport = PipeTransport(
             rank, size, conn, use_shm=use_shm, shm_prefix=shm_prefix,
             shm_threshold=shm_threshold,
-        )),
-    )
-    stats = CommStats()
+        )
+        comm = Comm(transport)
+        try:
+            out = fn(comm)
+        except BaseException as exc:
+            transport.abort(dead_rank_message([rank], f"raised {exc!r}"))
+            raise
+        finally:
+            transport.close()
+        # Every rank computes the same accounting; ship rank 0's.
+        return out, (comm.stats if rank == 0 else None)
+
+    parent_conns, result_conns, procs = _fork_rank_workers(size, rank_body)
     stop_flag = [False]
     shm_registry: set[str] = set()
-    # Daemon: a coordinator wedged on a half-dead rank set must never block
+    # Daemon: a relay wedged on a half-dead rank set must never block
     # interpreter shutdown (it is joined with a timeout below regardless).
     coord = threading.Thread(
         target=_coordinator,
-        args=(parent_conns, stats, stop_flag, shm_registry),
+        args=(parent_conns, stop_flag, shm_registry),
         daemon=True,
     )
     coord.start()
@@ -521,95 +410,4 @@ def run_spmd_processes(
             _unlink_stray_segments(shm_prefix)
     if error is not None:
         raise RuntimeError(error)
-    return results, stats
-
-
-# --------------------------------------------------------------------------
-# Serving-layer worker clients (repro.serve)
-# --------------------------------------------------------------------------
-class ServiceClient:
-    """Process-side proxy for a :class:`~repro.serve.WavefunctionService`.
-
-    Mirrors the service's synchronous request API over a pipe; the parent
-    runs one dispatcher thread per client, so requests from different worker
-    processes are in flight *concurrently* and coalesce in the service's
-    microbatcher exactly like same-process threads would.
-    """
-
-    def __init__(self, rank: int, conn):
-        self.rank = rank
-        self._conn = conn
-
-    def _call(self, op: str, *args, **kwargs):
-        self._conn.send((op, args, kwargs))
-        status, value = self._conn.recv()
-        if status == "error":
-            raise RuntimeError(value)
-        return value
-
-    def sample(self, n_samples: int, seed: int, version: int | None = None):
-        return self._call("sample", n_samples, seed, version)
-
-    def log_amplitudes(self, bits, version: int | None = None):
-        return self._call("log_amplitudes", bits, version)
-
-    def amplitudes(self, bits, version: int | None = None):
-        return self._call("amplitudes", bits, version)
-
-    def conditional_probs(self, prefix_tokens, counts_up, counts_dn,
-                          version: int | None = None):
-        return self._call("conditional_probs", prefix_tokens, counts_up,
-                          counts_dn, version)
-
-    def local_energy(self, batch, mode: str = "exact",
-                     version: int | None = None):
-        return self._call("local_energy", batch, mode, version)
-
-    def active_version(self):
-        return self._call("active_version")
-
-
-def _client_dispatcher(service, conn) -> None:
-    """Serve one worker's requests until it closes its end of the pipe."""
-    while True:
-        try:
-            op, args, kwargs = conn.recv()
-        except EOFError:
-            return
-        try:
-            result = getattr(service, op)(*args, **kwargs)
-            conn.send(("ok", result))
-        except Exception as exc:  # noqa: BLE001 - reraised client-side
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-
-
-def run_service_clients(
-    service, size: int, fn: Callable[[ServiceClient], object],
-    timeout: float = 600.0,
-) -> list:
-    """Fork ``size`` worker processes, each running ``fn(client)``.
-
-    The service object stays in the parent (models are not re-loaded per
-    worker); each worker drives it through a :class:`ServiceClient`.  One
-    parent dispatcher thread per worker submits into the service, so the
-    microbatcher sees genuinely concurrent cross-process traffic.  Returns
-    the per-rank results of ``fn``; a worker exception is re-raised in the
-    parent, wrapped with the rank id.
-    """
-    parent_conns, result_conns, procs = _fork_rank_workers(
-        size, lambda rank, conn: fn(ServiceClient(rank, conn))
-    )
-    dispatchers = [
-        threading.Thread(target=_client_dispatcher, args=(service, conn),
-                         daemon=True)
-        for conn in parent_conns
-    ]
-    for d in dispatchers:
-        d.start()
-
-    results, error = _collect_rank_results(result_conns, procs, timeout)
-    for d in dispatchers:
-        d.join(timeout=10)
-    if error is not None:
-        raise RuntimeError(error)
-    return results
+    return [out for out, _ in results], results[0][1]

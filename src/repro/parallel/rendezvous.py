@@ -25,8 +25,8 @@ are independent of the collectives themselves:
   heartbeats: a rank that stops heartbeating (or whose connection drops
   without a clean ``leave``) past the deadline poisons every survivor with an
   ``abort`` control frame carrying the canonical
-  :func:`~repro.parallel.fake_mpi.dead_rank_message`, mirroring
-  ``ProcessComm``'s crash semantics.
+  :func:`~repro.parallel.comm.dead_rank_message`, mirroring the process
+  transport's crash semantics.
 
 Control messages are JSON dicts with a ``kind`` key:
 
@@ -53,7 +53,7 @@ import uuid
 
 import numpy as np
 
-from repro.parallel.fake_mpi import dead_rank_message, poison_survivors
+from repro.parallel.comm import dead_rank_message, poison_survivors
 
 __all__ = [
     "ClusterProtocolError",

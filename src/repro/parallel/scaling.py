@@ -128,7 +128,8 @@ def _cluster_iteration_stats(wf_factory, comp, cfg, n_ranks, *,
     """
     import threading
 
-    from repro.parallel.cluster import ClusterBackend, ClusterComm
+    from repro.parallel.cluster import ClusterBackend, MeshTransport
+    from repro.parallel.comm import Comm
     from repro.parallel.rendezvous import RendezvousCoordinator
 
     coord = RendezvousCoordinator(world_size=n_ranks)
@@ -140,7 +141,7 @@ def _cluster_iteration_stats(wf_factory, comp, cfg, n_ranks, *,
     def run_rank(rank: int) -> None:
         comm = None
         try:
-            comm = ClusterComm(n_ranks, addr, rank=rank)
+            comm = Comm(MeshTransport(n_ranks, addr, rank=rank))
             driver = VMC(
                 wf_factory(), comp, cfg,
                 backend=ClusterBackend(

@@ -19,12 +19,12 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
-import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core.checkpoint import load_model_snapshot, save_model_snapshot
+from repro.utils.atomic import atomic_write
 
 __all__ = ["ModelRegistry"]
 
@@ -47,10 +47,8 @@ class ModelRegistry:
             return json.load(f)
 
     def _write_manifest(self, manifest: dict) -> None:
-        tmp = self.root / (_MANIFEST + ".tmp")
-        with open(tmp, "w") as f:
+        with atomic_write(self.root / _MANIFEST) as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
-        os.replace(tmp, self.root / _MANIFEST)  # atomic on POSIX
 
     @contextmanager
     def _publish_lock(self):

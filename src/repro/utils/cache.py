@@ -13,6 +13,8 @@ import os
 import pickle
 from pathlib import Path
 
+from repro.utils.atomic import atomic_write
+
 __all__ = ["cache_dir", "disk_cache"]
 
 
@@ -43,10 +45,8 @@ def disk_cache(fn):
             except Exception:
                 path.unlink(missing_ok=True)
         result = fn(*args, **kwargs)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             pickle.dump(result, fh, protocol=4)
-        os.replace(tmp, path)
         return result
 
     return wrapper

@@ -365,6 +365,39 @@ class TestArtifacts:
         assert on_disk == completed.report.to_dict()
         assert on_disk["iterations"] == 4
 
+    def test_report_is_replaced_atomically(self, tmp_path, monkeypatch):
+        """report.json is written to a temp file in the run dir and renamed
+        over the target, so a kill mid-write cannot tear it."""
+        import os
+
+        from repro.api.driver import REPORT_FILE, _write_report
+
+        class Report:
+            def __init__(self, n):
+                self.n = n
+
+            def to_dict(self):
+                return {"iterations": self.n}
+
+        _write_report(tmp_path, Report(1))
+        renames = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            # The new bytes are complete before they become visible.
+            assert json.loads(open(src).read()) == {"iterations": 2}
+            assert json.loads((tmp_path / REPORT_FILE).read_text()) == {
+                "iterations": 1}
+            renames.append((os.path.dirname(src), os.fspath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr("repro.utils.atomic.os.replace", spy)
+        _write_report(tmp_path, Report(2))
+        assert renames == [(str(tmp_path), str(tmp_path / REPORT_FILE))]
+        assert json.loads((tmp_path / REPORT_FILE).read_text()) == {
+            "iterations": 2}
+        assert [p.name for p in tmp_path.iterdir()] == [REPORT_FILE]
+
     def test_snapshot_published_and_loadable(self, completed):
         registry = completed.registry()
         assert registry.latest_version() == completed.published_version == 1

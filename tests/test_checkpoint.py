@@ -143,3 +143,24 @@ class TestModelSnapshot:
         np.testing.assert_array_equal(
             clone.get_flat_params(), vmc.wf.get_flat_params()
         )
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, h2_problem,
+                                                        tmp_path, monkeypatch):
+        """A save killed mid-write must not tear checkpoint.npz: the bytes go
+        to a temp file that only replaces the target once complete."""
+        vmc = _fresh_vmc(h2_problem, "made")
+        vmc.run(1)
+        path = tmp_path / "ck.npz"
+        save_checkpoint(vmc, path)
+        before = path.read_bytes()
+
+        def killed_mid_write(file, **payload):
+            file.write(b"PK torn")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.core.checkpoint.np.savez", killed_mid_write)
+        vmc.step()
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(vmc, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]

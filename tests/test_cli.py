@@ -127,6 +127,24 @@ class TestInfo:
         assert "2 iterations" in out
         assert "best E" in out
 
+    def test_torn_trailing_metrics_line_is_skipped(self, smoke_run, capsys,
+                                                    tmp_path):
+        """A kill mid-append leaves a torn last line; info must still read
+        the run.  A torn line in the *middle* is corruption and still raises."""
+        import shutil
+
+        run = tmp_path / "run"
+        shutil.copytree(smoke_run, run)
+        metrics = run / "metrics.jsonl"
+        intact = metrics.read_text()
+        metrics.write_text(intact + '{"iteration": 3, "ener')
+        assert main(["info", str(run)]) == 0
+        assert "2 iterations" in capsys.readouterr().out
+
+        metrics.write_text('{"iteration": 0, "ener\n' + intact)
+        with pytest.raises(json.JSONDecodeError):
+            main(["info", str(run)])
+
     def test_presets_listing(self, capsys):
         rc = main(["info", "--presets"])
         assert rc == 0

@@ -20,11 +20,11 @@ from repro.core.engine import ThreadBackend
 from repro.parallel import run_spmd
 from repro.parallel.cluster import (
     ClusterBackend,
-    ClusterComm,
-    MPIComm,
+    MeshTransport,
+    MPITransport,
     create_cluster_comm,
 )
-from repro.parallel.fake_mpi import CommAbortError
+from repro.parallel.comm import Comm, CommAbortError
 from repro.parallel.rendezvous import (
     FRAME_ARRAY,
     FRAME_BLOB,
@@ -42,6 +42,11 @@ from repro.parallel.rendezvous import (
 
 # Short, test-friendly liveness knobs: fast heartbeats, fast verdicts.
 _FAST = dict(heartbeat_interval=0.1, heartbeat_timeout=0.6)
+
+
+def _sync(comm) -> None:
+    """A zero-byte allgather: the barrier idiom of the two-collective Comm."""
+    comm.allgather_ndarray(np.zeros(0))
 
 
 def _start_coordinator(world_size: int, **kwargs):
@@ -66,8 +71,9 @@ def _run_cluster(world_size: int, fn, *, coordinator_kwargs=None,
     def run_rank(rank: int):
         comm = None
         try:
-            comm = ClusterComm(world_size, addr, rank=rank, join_timeout=10.0,
-                               **(comm_kwargs or {}))
+            comm = Comm(MeshTransport(world_size, addr, rank=rank,
+                                      join_timeout=10.0,
+                                      **(comm_kwargs or {})))
             comms[rank] = comm
             results[rank] = fn(comm)
         except BaseException as exc:  # noqa: BLE001 - re-raised below
@@ -202,9 +208,11 @@ class TestFrameProtocol:
 # ---------------------------------------------------------------- collectives
 class TestClusterCollectives:
     def test_allgather_rank_order(self):
-        results, _, outcome = _run_cluster(
-            3, lambda comm: comm.allgather(comm.Get_rank() * 10)
-        )
+        def fn(comm):
+            parts = comm.allgather_ndarray(np.array(comm.Get_rank() * 10))
+            return [int(p) for p in parts]
+
+        results, _, outcome = _run_cluster(3, fn)
         assert results == [[0, 10, 20]] * 3
         assert outcome == "completed"
 
@@ -241,29 +249,18 @@ class TestClusterCollectives:
             assert channels["z"]["logical"] == 100 * 2 * 2
             assert channels["z"]["wire"] == 10 * 2 * 2
 
-    def test_bcast_from_nonzero_root(self):
-        def fn(comm):
-            payload = {"v": np.array([1.5, 2.5])} if comm.Get_rank() == 1 \
-                else None
-            return comm.bcast(payload, root=1)
-
-        results, _, _ = _run_cluster(3, fn)
-        for r in results:
-            np.testing.assert_array_equal(r["v"], [1.5, 2.5])
-
     def test_collective_sequence_and_barrier(self):
         def fn(comm):
-            a = comm.allreduce_sum(np.array([1.0]))
-            comm.barrier()
-            b = comm.allgather(comm.Get_rank())
-            c = comm.bcast(float(a[0]), root=0)
-            return (a[0], tuple(b), c)
+            a = comm.allreduce_ndarray(np.array([1.0]))
+            _sync(comm)
+            b = comm.allgather_ndarray(np.array(comm.Get_rank()))
+            return (a[0], tuple(int(x) for x in b))
 
         results, _, _ = _run_cluster(2, fn)
-        assert results == [(2.0, (0, 1), 2.0)] * 2
+        assert results == [(2.0, (0, 1))] * 2
 
     def test_byte_accounting_matches_thread_comm(self):
-        """Per-rank cluster stats must equal FakeComm's shared accounting."""
+        """Every mesh rank's stats must equal the thread ranks' accounting."""
         def fn(comm):
             comm.allgather_ndarray(np.zeros(10))
             comm.allreduce_ndarray(np.zeros(5))
@@ -281,12 +278,11 @@ class TestClusterCollectives:
     def test_world_of_one_short_circuits(self):
         def fn(comm):
             assert comm.Get_size() == 1
-            return (comm.allgather("solo"),
-                    comm.allreduce_sum(np.array([2.0]))[0],
-                    comm.bcast("b"))
+            return (comm.allgather_blob(b"solo"),
+                    comm.allreduce_ndarray(np.array([2.0]))[0])
 
         results, _, outcome = _run_cluster(1, fn)
-        assert results == [(["solo"], 2.0, "b")]
+        assert results == [([b"solo"], 2.0)]
         assert outcome == "completed"
 
     def test_desynchronized_collective_detected(self):
@@ -302,11 +298,12 @@ class TestClusterCollectives:
             _run_cluster(2, fn)
 
     def test_closed_comm_refuses_collectives(self):
-        results, comms, _ = _run_cluster(2, lambda comm: comm.allgather(1))
-        assert results == [[1, 1]] * 2
+        results, comms, _ = _run_cluster(
+            2, lambda comm: comm.allgather_blob(b"1"))
+        assert results == [[b"1", b"1"]] * 2
         for comm in comms:
             with pytest.raises(RuntimeError, match="closed"):
-                comm.barrier()
+                _sync(comm)
             comm.close()  # idempotent
 
 
@@ -317,9 +314,9 @@ class TestRendezvous:
         seen = []
 
         def member():
-            comm = ClusterComm(2, addr, join_timeout=10.0)
+            comm = Comm(MeshTransport(2, addr, join_timeout=10.0))
             seen.append(comm.Get_rank())
-            comm.barrier()
+            _sync(comm)
             comm.close()
 
         threads = [threading.Thread(target=member) for _ in range(2)]
@@ -341,8 +338,9 @@ class TestRendezvous:
         results: list = [None, None]
 
         def member(rank):
-            comm = ClusterComm(2, addr, rank=rank, join_timeout=15.0)
-            results[rank] = comm.allgather(rank)
+            comm = Comm(MeshTransport(2, addr, rank=rank, join_timeout=15.0))
+            results[rank] = [
+                int(r) for r in comm.allgather_ndarray(np.array(rank))]
             comm.close()
 
         threads = [threading.Thread(target=member, args=(r,), daemon=True)
@@ -373,7 +371,7 @@ class TestRendezvous:
             2, join_timeout=0.8, **_FAST)
         with pytest.raises((ConnectionError, ClusterProtocolError,
                             RuntimeError, TimeoutError)):
-            ClusterComm(2, addr, join_timeout=10.0)  # lone member of a 2-world
+            MeshTransport(2, addr, join_timeout=10.0)  # lone member of a 2-world
         outcome = coord.wait(timeout=5.0)
         coord.stop()
         assert outcome is not None and "join timeout (1/2)" in outcome
@@ -382,7 +380,7 @@ class TestRendezvous:
         coord, addr = _start_coordinator(2, join_timeout=5.0, **_FAST)
         try:
             with pytest.raises(RuntimeError, match="world_size mismatch"):
-                ClusterComm(3, addr, join_timeout=5.0)
+                MeshTransport(3, addr, join_timeout=5.0)
         finally:
             coord.stop()
 
@@ -391,7 +389,7 @@ class TestRendezvous:
         try:
             with pytest.raises(RuntimeError,
                                match="rejected.*rank 7 outside world"):
-                ClusterComm(2, addr, rank=7, join_timeout=5.0)
+                MeshTransport(2, addr, rank=7, join_timeout=5.0)
         finally:
             coord.stop()
 
@@ -403,8 +401,7 @@ class TestRendezvous:
 
         def claim_zero():
             try:
-                comm = ClusterComm(2, addr, rank=0, join_timeout=6.0)
-                comm.close()
+                MeshTransport(2, addr, rank=0, join_timeout=6.0).close()
             except Exception as exc:  # noqa: BLE001 - collected for assert
                 errors.append(str(exc))
 
@@ -427,12 +424,13 @@ class TestRendezvous:
         scanner.close()
 
         def fn(comm):
-            return comm.allgather(comm.Get_rank())
+            return [int(r) for r in
+                    comm.allgather_ndarray(np.array(comm.Get_rank()))]
 
         results: list = [None, None]
 
         def member(rank):
-            comm = ClusterComm(2, addr, rank=rank, join_timeout=10.0)
+            comm = Comm(MeshTransport(2, addr, rank=rank, join_timeout=10.0))
             results[rank] = fn(comm)
             comm.close()
 
@@ -456,13 +454,13 @@ class TestRendezvous:
 class TestFailureSemantics:
     def test_dead_rank_poisons_survivor_with_comm_abort(self):
         """A crashed rank must surface as CommAbortError naming it — the
-        ProcessComm semantics — with no hang."""
+        process transport's semantics — with no hang."""
         barrier = threading.Barrier(2, timeout=30.0)
 
         def fn(comm):
             if comm.Get_rank() == 1:
                 barrier.wait()
-                comm._simulate_crash()  # killed host: no leave, sockets dropped
+                comm.transport.abort("killed")  # no leave, sockets dropped
                 return "crashed"
             barrier.wait()
             comm.allreduce_ndarray(np.ones(1000))  # must not block forever
@@ -480,7 +478,7 @@ class TestFailureSemantics:
 
         def fn(comm):
             if comm.Get_rank() == 1:
-                comm._stop_heartbeating()
+                comm.transport._stop_heartbeating()
                 barrier.wait()
                 time.sleep(4.0)  # wedged: never joins the collective
                 return None
@@ -499,7 +497,7 @@ class TestFailureSemantics:
     def test_abort_leaves_no_live_helper_threads(self):
         def fn(comm):
             if comm.Get_rank() == 1:
-                comm._simulate_crash()
+                comm.transport.abort("killed")
                 return None
             try:
                 comm.allreduce_ndarray(np.ones(8))
@@ -511,17 +509,17 @@ class TestFailureSemantics:
         time.sleep(0.2)
         for comm in comms:
             comm.close()  # idempotent even after a crash/abort
-            for t in comm._threads:
+            for t in comm.transport._threads:
                 t.join(timeout=5.0)
                 assert not t.is_alive()
 
     def test_coordinator_reports_abort_outcome(self):
         def fn(comm):
             if comm.Get_rank() == 1:
-                comm._simulate_crash()
+                comm.transport.abort("killed")
                 return None
             try:
-                comm.barrier()
+                _sync(comm)
             except CommAbortError:
                 pass
             return None
@@ -547,17 +545,11 @@ class _FakeMPIWorld:
     def allgather(self, payload):
         return [payload] * self._size
 
-    def bcast(self, payload, root=0):
-        return payload
-
-    def barrier(self):
-        pass
-
 
 class TestMPIAdapter:
     def test_create_prefers_matching_mpi_world(self):
         comm = create_cluster_comm(1, mpi=_FakeMPIWorld())
-        assert isinstance(comm, MPIComm)
+        assert isinstance(comm.transport, MPITransport)
         assert comm.Get_size() == 1
 
     def test_mismatched_mpi_world_falls_back_to_sockets(self):
@@ -565,7 +557,7 @@ class TestMPIAdapter:
         try:
             comm = create_cluster_comm(1, rendezvous_addr=addr,
                                        mpi=_FakeMPIWorld(size=4))
-            assert isinstance(comm, ClusterComm)
+            assert isinstance(comm.transport, MeshTransport)
             comm.close()
         finally:
             coord.stop()
@@ -579,7 +571,7 @@ class TestMPIAdapter:
             create_cluster_comm(2, mpi=None)
 
     def test_mpicomm_accounting_matches_comm_contract(self):
-        comm = MPIComm(_FakeMPIWorld())
+        comm = Comm(MPITransport(_FakeMPIWorld()))
         comm.allgather_ndarray(np.zeros(10))
         comm.allreduce_ndarray(np.zeros(5))
         comm.allgather_blob(b"abc", logical_bytes=7)
@@ -614,7 +606,8 @@ def _run_cluster_vmc(problem, n_ranks, n_steps):
     def run_rank(rank):
         comm = None
         try:
-            comm = ClusterComm(n_ranks, addr, rank=rank, join_timeout=15.0)
+            comm = Comm(MeshTransport(n_ranks, addr, rank=rank,
+                                      join_timeout=15.0))
             vmc = _fresh_vmc(problem, ClusterBackend(
                 n_ranks=n_ranks, nu_star_per_rank=4, comm=comm))
             vmc.run(n_steps)

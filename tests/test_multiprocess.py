@@ -13,6 +13,11 @@ from repro.parallel import CommAbortError, run_spmd, run_spmd_processes
 pytestmark = pytest.mark.slow
 
 
+def _sync(comm) -> None:
+    """A zero-byte allgather: the barrier idiom of the two-collective Comm."""
+    comm.allgather_ndarray(np.zeros(0))
+
+
 def _leaked_segments() -> list[str]:
     """Names of any live shared-memory segments this executor created."""
     return [p.name for p in Path("/dev/shm").glob("reprocomm-*")]
@@ -21,7 +26,8 @@ def _leaked_segments() -> list[str]:
 class TestCollectives:
     def test_allgather_rank_order(self):
         def fn(comm):
-            return comm.allgather(comm.Get_rank() * 10)
+            parts = comm.allgather_ndarray(np.array(comm.Get_rank() * 10))
+            return [int(p) for p in parts]
 
         results, stats = run_spmd_processes(3, fn)
         assert results == [[0, 10, 20]] * 3
@@ -30,39 +36,29 @@ class TestCollectives:
     def test_allreduce_sum_matches_numpy(self):
         def fn(comm):
             rank = comm.Get_rank()
-            return comm.allreduce_sum(np.arange(4, dtype=np.float64) * (rank + 1))
+            return comm.allreduce_ndarray(
+                np.arange(4, dtype=np.float64) * (rank + 1))
 
         results, _ = run_spmd_processes(4, fn)
         expected = np.arange(4, dtype=np.float64) * (1 + 2 + 3 + 4)
         for r in results:
             np.testing.assert_allclose(r, expected)
 
-    def test_bcast_from_root(self):
-        def fn(comm):
-            payload = np.array([1.5, 2.5]) if comm.Get_rank() == 1 else None
-            return comm.bcast(payload, root=1)
-
-        results, stats = run_spmd_processes(3, fn)
-        for r in results:
-            np.testing.assert_allclose(r, [1.5, 2.5])
-        assert stats.bcast_bytes == 16 * 3  # payload x N_p convention
-
     def test_collective_sequence(self):
         def fn(comm):
-            a = comm.allreduce_sum(np.array([1.0]))
-            comm.barrier()
-            b = comm.allgather(comm.Get_rank())
-            c = comm.bcast(np.array([a[0]]), root=0)
-            return (a[0], tuple(b), c[0])
+            a = comm.allreduce_ndarray(np.array([1.0]))
+            _sync(comm)
+            b = comm.allgather_ndarray(np.array(comm.Get_rank()))
+            return (a[0], tuple(int(x) for x in b))
 
         results, stats = run_spmd_processes(2, fn)
-        assert results == [(2.0, (0, 1), 2.0)] * 2
-        assert stats.calls == {"allgather": 1, "allreduce": 1, "bcast": 1}
+        assert results == [(2.0, (0, 1))] * 2
+        assert stats.calls == {"allgather": 2, "allreduce": 1}
 
     def test_byte_accounting_matches_thread_backend(self):
         def fn(comm):
-            comm.allgather(np.zeros(10))
-            comm.allreduce_sum(np.zeros(5))
+            comm.allgather_ndarray(np.zeros(10))
+            comm.allreduce_ndarray(np.zeros(5))
             return None
 
         _, s_proc = run_spmd_processes(2, fn)
@@ -114,6 +110,21 @@ class TestTypedCollectives:
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, c)
 
+    def test_shm_exchange_lends_segment_views_not_copies(self):
+        """Peers' large arrays come back as views into their segments (valid
+        until the next exchange), so an allreduce sums in place and never
+        holds N_p private copies of the gradient."""
+        def fn(comm):
+            rank = comm.Get_rank()
+            pairs = comm.transport.exchange(
+                ("probe", 0), np.full(1000, float(rank)))
+            own, peer = pairs[rank][1], pairs[1 - rank][1]
+            return own.flags.owndata, peer.flags.owndata, float(peer.sum())
+
+        results, _ = run_spmd_processes(2, fn, use_shm=True, shm_threshold=0)
+        assert results == [(True, False, 1000.0), (True, False, 0.0)]
+        assert _leaked_segments() == []
+
     def test_allgather_blob_accounts_logical_vs_wire(self):
         def fn(comm):
             blob = bytes([comm.Get_rank()]) * 10
@@ -133,7 +144,8 @@ class TestShmCleanup:
         def fn(comm):
             big = np.ones(70_000, dtype=np.float64) * comm.Get_rank()
             if comm.Get_rank() == 1:
-                comm._post_segment(big)  # segment exists, collective never completes
+                # the segment exists, the collective never completes
+                comm.transport._post_segment(big)
                 os._exit(1)
             comm.allgather_ndarray(big)
             return None
@@ -175,7 +187,7 @@ class TestProcessSemantics:
 
         def fn(comm):
             shared["value"] += 1  # fork: copy-on-write, stays rank-local
-            comm.barrier()
+            _sync(comm)
             return shared["value"]
 
         results, _ = run_spmd_processes(3, fn)
@@ -191,7 +203,7 @@ class TestProcessSemantics:
             if comm.Get_rank() == 1:
                 raise ValueError("boom")
             try:
-                comm.barrier()
+                _sync(comm)
             except Exception as exc:  # noqa: BLE001 - recorded for the assert
                 marker.write_text(f"{type(exc).__name__}:{exc}")
                 raise
@@ -208,7 +220,7 @@ class TestProcessSemantics:
         def fn(comm):
             if comm.Get_rank() == 1:
                 raise ValueError("boom")
-            comm.barrier()  # never completes; coordinator must not deadlock
+            _sync(comm)  # never completes; the relay must not deadlock
             return None
 
         with pytest.raises(RuntimeError, match="rank 1"):
@@ -224,8 +236,9 @@ class TestProcessSemantics:
             np.testing.assert_allclose(res["data"], 2.0)
 
     def test_single_rank(self):
-        results, stats = run_spmd_processes(1, lambda comm: comm.allgather("x"))
-        assert results == [["x"]]
+        results, stats = run_spmd_processes(
+            1, lambda comm: comm.allgather_blob(b"x"))
+        assert results == [[b"x"]]
 
     def test_gil_bound_work_scales_better_than_threads(self):
         """Pure-Python rank work: process ranks beat GIL-bound thread ranks.
@@ -240,7 +253,7 @@ class TestProcessSemantics:
             acc = 0
             for i in range(4_000_000):
                 acc += i & 7
-            comm.barrier()
+            _sync(comm)
             return acc
 
         t0 = time.perf_counter()

@@ -1,14 +1,14 @@
-"""FakeMPI, tree partitioning, comm model, data-parallel VMC."""
+"""Thread ranks, tree partitioning, comm model, data-parallel VMC."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import VMCConfig, build_qiankunnet
+from repro.core import VMC, VMCConfig, build_qiankunnet
 from repro.core.sampler import BASTreeState
 from repro.parallel import (
     CommVolumeModel,
-    DataParallelVMC,
+    ThreadBackend,
     balanced_weight_partition,
     run_spmd,
     split_tree_state,
@@ -16,9 +16,12 @@ from repro.parallel import (
 
 
 class TestFakeMPI:
+    """``run_spmd`` as a launcher; the collectives' contract is checked over
+    every transport at once in test_comm_contract.py."""
+
     def test_allgather_order_and_content(self):
         def fn(comm):
-            return comm.allgather(np.array([comm.Get_rank()]))
+            return comm.allgather_ndarray(np.array([comm.Get_rank()]))
 
         results, stats = run_spmd(4, fn)
         for r in range(4):
@@ -29,28 +32,19 @@ class TestFakeMPI:
 
     def test_allreduce_sum(self):
         def fn(comm):
-            return comm.allreduce_sum(np.full(3, comm.Get_rank() + 1.0))
+            return comm.allreduce_ndarray(np.full(3, comm.Get_rank() + 1.0))
 
         results, stats = run_spmd(3, fn)
         for r in results:
             np.testing.assert_array_equal(r, [6.0, 6.0, 6.0])
         assert stats.allreduce_bytes == 3 * 8 * 3
 
-    def test_bcast(self):
-        def fn(comm):
-            payload = np.arange(5) if comm.Get_rank() == 0 else None
-            return comm.bcast(payload, root=0)
-
-        results, _ = run_spmd(3, fn)
-        for r in results:
-            np.testing.assert_array_equal(r, np.arange(5))
-
     def test_multiple_collectives_sequence(self):
         def fn(comm):
-            a = comm.allreduce_sum(np.array([1.0]))
-            b = comm.allgather(comm.Get_rank())
-            c = comm.allreduce_sum(np.array([2.0]))
-            return (a[0], tuple(b), c[0])
+            a = comm.allreduce_ndarray(np.array([1.0]))
+            b = comm.allgather_ndarray(np.array(comm.Get_rank()))
+            c = comm.allreduce_ndarray(np.array([2.0]))
+            return (a[0], tuple(int(x) for x in b), c[0])
 
         results, stats = run_spmd(2, fn)
         assert results[0] == (2.0, (0, 1), 4.0)
@@ -61,13 +55,14 @@ class TestFakeMPI:
         def fn(comm):
             if comm.Get_rank() == 1:
                 raise RuntimeError("rank 1 exploded")
-            return comm.allreduce_sum(np.ones(1))
+            return comm.allreduce_ndarray(np.ones(1))
 
         with pytest.raises(RuntimeError):
             run_spmd(2, fn)
 
     def test_single_rank_degenerates(self):
-        results, stats = run_spmd(1, lambda c: c.allreduce_sum(np.array([5.0]))[0])
+        results, stats = run_spmd(
+            1, lambda c: c.allreduce_ndarray(np.array([5.0]))[0])
         assert results[0] == 5.0
 
 
@@ -136,6 +131,8 @@ class TestCommModel:
 
 
 class TestDataParallelVMC:
+    """The Fig. 4 data-parallel iteration: a VMC on a ThreadBackend."""
+
     @pytest.fixture()
     def driver_factory(self, h2o_problem):
         def make(n_ranks, seed=31):
@@ -143,10 +140,10 @@ class TestDataParallelVMC:
                 h2o_problem.n_qubits, h2o_problem.n_up, h2o_problem.n_dn,
                 d_model=8, n_heads=2, n_layers=1, phase_hidden=(16,), seed=7,
             )
-            return DataParallelVMC(
-                wf, h2o_problem.hamiltonian, n_ranks=n_ranks,
-                config=VMCConfig(n_samples=2000, eloc_mode="exact", seed=seed),
-                nu_star_per_rank=4,
+            return VMC(
+                wf, h2o_problem.hamiltonian,
+                VMCConfig(n_samples=2000, eloc_mode="exact", seed=seed),
+                backend=ThreadBackend(n_ranks=n_ranks, nu_star_per_rank=4),
             )
         return make
 
@@ -174,16 +171,16 @@ class TestDataParallelVMC:
         driver = driver_factory(2)
         driver.step()
         driver.step()
-        master = driver.master.get_flat_params()
-        for rep in driver.replicas:
+        master = driver.wf.get_flat_params()
+        for rep in driver.backend.replicas:
             np.testing.assert_allclose(rep.get_flat_params(), master, atol=1e-12)
 
     def test_energy_improves_over_iterations(self, h2_problem):
         wf = build_qiankunnet(4, 1, 1, seed=17)
-        driver = DataParallelVMC(
-            wf, h2_problem.hamiltonian, n_ranks=2,
-            config=VMCConfig(n_samples=10**4, eloc_mode="exact", warmup=50, seed=18),
-            nu_star_per_rank=2,
+        driver = VMC(
+            wf, h2_problem.hamiltonian,
+            VMCConfig(n_samples=10**4, eloc_mode="exact", warmup=50, seed=18),
+            backend=ThreadBackend(n_ranks=2, nu_star_per_rank=2),
         )
         hist = driver.run(60)
         first = np.mean([s.energy for s in hist[:5]])

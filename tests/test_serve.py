@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.core import batch_autoregressive_sample, build_qiankunnet, local_energy
-from repro.parallel.multiprocess import run_service_clients
 from repro.serve import (
     MicroBatcher,
     ModelRegistry,
@@ -533,41 +532,3 @@ class TestRegistry:
         with WavefunctionService(reg) as svc:
             with pytest.raises(ServiceClosedError, match="no published"):
                 svc.log_amplitudes(np.zeros((1, 4), dtype=np.uint8))
-
-
-# ---------------------------------------------------------------------------
-# Cross-process worker clients (slow: forks processes)
-# ---------------------------------------------------------------------------
-@pytest.mark.slow
-class TestServiceClients:
-    def test_worker_processes_drive_the_service(self):
-        wf_direct = _wf()
-        cfg = ServeConfig(max_wait_ms=5.0)
-        with WavefunctionService(_wf(), config=cfg) as svc:
-
-            def worker(client):
-                batch = client.sample(400, seed=client.rank)
-                la = client.log_amplitudes(batch.bits[:4])
-                assert client.active_version() == 0
-                return batch.bits, batch.weights, la
-
-            results = run_service_clients(svc, 4, worker, timeout=120.0)
-        for rank, (bits, weights, la) in enumerate(results):
-            direct = batch_autoregressive_sample(
-                wf_direct, 400, np.random.default_rng(rank)
-            )
-            np.testing.assert_array_equal(bits, direct.bits)
-            np.testing.assert_array_equal(weights, direct.weights)
-            np.testing.assert_allclose(
-                la, wf_direct.log_amplitudes(direct.bits[:4]),
-                rtol=1e-12, atol=1e-12,
-            )
-
-    def test_worker_errors_propagate(self):
-        with WavefunctionService(_wf()) as svc:
-
-            def worker(client):
-                client.local_energy(None)  # no Hamiltonian on this service
-
-            with pytest.raises(RuntimeError, match="Hamiltonian"):
-                run_service_clients(svc, 2, worker, timeout=120.0)
