@@ -20,10 +20,19 @@ invocation: tiny sizes, correctness only, no timing assertion).
 """
 from __future__ import annotations
 
+import os
 import threading
 import time
 
-import numpy as np
+# One BLAS thread (as benchmarks/perf/run.py pins it), set before numpy loads
+# OpenBLAS: on a small shared host the hand-off to OpenBLAS's worker thread
+# stalls for a scheduler quantum per GEMM in some runs and not in others
+# (one 64-row batch reads 5 ms or 90 ms), which would turn the speed-up
+# below into a coin toss.  An explicit setting in the environment wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 MIN_SPEEDUP = 3.0  # acceptance bar at >= 8 concurrent clients
 

@@ -1,4 +1,8 @@
-"""Reverse-mode autodiff over numpy (the PyTorch substitute)."""
+"""Reverse-mode autodiff over backend arrays (the PyTorch substitute).
+
+``tensor`` is the tape and the primitive ops; ``block_ops`` the coarse ops the
+production forward tapes (imported from there by the nn layers).
+"""
 from repro.autograd.tensor import (
     Tensor,
     concat,

@@ -10,6 +10,13 @@ read like their PyTorch counterparts.
 
 Design notes
 ------------
+* This module is the tape and the *primitive* ops (one node per ``+``, ``*``,
+  ``reshape``, ...).  The production QiankunNet forward does not compose
+  them per element: its layers tape the coarse, hand-derived block ops of
+  ``repro.autograd.block_ops`` (one node per Linear / LayerNorm / attention /
+  GELU / log-softmax head) on this same tape.  The primitives remain for
+  everything else (MADE's masked weights, the phase MLP's ``tanh``, the
+  Eq. 7 surrogate, SR) and are the oracle the block ops are tested against.
 * Gradients are accumulated into ``Tensor.grad`` (dense backend array, same
   shape as ``data``) and stay on the backend's device; graphs are rebuilt
   each forward pass (define-by-run).
@@ -27,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import threading
 from typing import Callable, Iterable
 
@@ -297,18 +303,9 @@ class Tensor:
 
     def gelu(self):
         """tanh-approximation GELU (the variant used by GPT-style decoders)."""
-        a = self.data
-        c = math.sqrt(2.0 / math.pi)
-        inner = c * (a + 0.044715 * a**3)
-        t = xp.tanh(inner)
-        out = 0.5 * a * (1.0 + t)
+        from repro.autograd.block_ops import gelu  # block_ops imports this module
 
-        def backward(g):
-            dinner = c * (1.0 + 3 * 0.044715 * a**2)
-            dt = (1.0 - t * t) * dinner
-            return (g * (0.5 * (1.0 + t) + 0.5 * a * dt),)
-
-        return Tensor._make(out, (self,), backward)
+        return gelu(self)
 
     # --------------------------------------------------------------- reshape
     def reshape(self, *shape):

@@ -48,6 +48,7 @@ keeps the checkpoint/resume format unchanged.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -67,6 +68,7 @@ from repro.core.sampler import (
     bas_prefix_sweep,
     batch_autoregressive_sample,
 )
+from repro.core.wavefunction import row_blocks
 from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
 
 __all__ = [
@@ -410,34 +412,62 @@ def stage_local_energy(wf, comp, chunk: SampleBatch, table: AmplitudeTable,
     )
 
 
+def _surrogate_backward(wf, bits, coeff_amp, coeff_phase) -> None:
+    """Tape the Eq. 7 surrogate on ``bits`` and accumulate into ``p.grad``.
+
+    Its own function so the block's graph dies on return — a caller looping
+    over row blocks never holds two blocks' activations at once.
+    """
+    logp = wf.log_prob(bits)
+    phi = wf.phase_of(bits)
+    loss = (Tensor(coeff_amp) * logp).sum() + (Tensor(coeff_phase) * phi).sum()
+    loss.backward()
+
+
 def stage_backward(wf, chunk: SampleBatch, w_norm,
                    eloc, e_mean: float, e_imag: float):
     """Stage 5: Eq. 7 surrogate loss + backward; returns the flat gradient.
 
     grad = E_p[ Re(E_loc - E) grad log pi(x) ] + 2 E_p[ Im(E_loc - E) grad phi(x) ]
 
-    implemented as a scalar loss with stop-gradient coefficients.
+    implemented as a scalar loss with stop-gradient coefficients.  The loss is
+    a sum over rows, so it is taped and back-propagated one row block at a
+    time (``wavefunction.row_blocks``) with the tape accumulating into
+    ``p.grad``: peak activation memory is O(block), not O(N_u), and a rank
+    that owns no rows returns zeros.
     """
     wf.zero_grad()
     coeff_amp = w_norm * (eloc.real - e_mean)
     coeff_phase = 2.0 * w_norm * (eloc.imag - e_imag)
-    logp = wf.log_prob(chunk.bits)
-    phi = wf.phase_of(chunk.bits)
-    loss = (Tensor(coeff_amp) * logp).sum() + (Tensor(coeff_phase) * phi).sum()
-    loss.backward()
+    for rows in row_blocks(len(chunk.bits)):
+        _surrogate_backward(wf, chunk.bits[rows], coeff_amp[rows], coeff_phase[rows])
     return wf.get_flat_grads()
 
 
-def stage_update(engine, grad) -> None:
+def _require_finite(where: str, **quantities: float) -> None:
+    """Raise ``FloatingPointError`` naming every non-finite quantity.
+
+    A NaN/Inf energy or gradient must stop the run *before* it reaches the
+    history or AdamW's moment buffers, where it would poison every later
+    iteration silently.
+    """
+    bad = [name for name, value in quantities.items() if not math.isfinite(value)]
+    if bad:
+        raise FloatingPointError(f"non-finite {', '.join(bad)} {where}")
+
+
+def stage_update(engine, grad, grad_norm: float | None = None) -> None:
     """Stage 6 epilogue: clip -> Eq. 13 schedule -> AdamW step, on the master.
 
     The single implementation of the parameter update; backends hand the
     engine one reduced gradient and never touch the optimizer themselves.
+    ``grad_norm`` is the gradient's 2-norm when the caller already has it
+    (``execute_iteration``'s non-finite guard computes it).
     """
     grad = xp.asarray(grad)
     clip = engine.config.grad_clip
     if clip is not None:
-        norm = xp.linalg.norm(grad)
+        norm = xp.linalg.norm(grad) if grad_norm is None else grad_norm
         if norm > clip:
             grad = grad * (clip / norm)
     engine.wf.set_flat_grads(grad)
@@ -523,6 +553,11 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
                               plan=getattr(engine, "eloc_plan", None),
                               kernel=getattr(engine, "eloc_kernel_fn", None))
     times["local_energy"] = time.perf_counter() - t0
+    if not bool(xp.all(xp.isfinite(eloc))):
+        raise FloatingPointError(
+            f"non-finite local energy on rank {rank} after stage 3 "
+            f"(local energy) of iteration {engine.iteration + 1}"
+        )
 
     # ---- stage 4: allreduce the weighted energy sums -----------------------
     w_chunk = chunk.weights.astype(float64)
@@ -777,10 +812,17 @@ def execute_iteration(engine) -> VMCStats:
     results, comm = backend.execute(engine)
     comm_bytes, comm_wire = comm if comm is not None else (None, None)
     r0 = results[0]
+    # The guard runs before anything of the engine is touched: parameters,
+    # optimizer state and history are exactly as they were when it fires.
+    grad_norm = float(xp.linalg.norm(xp.asarray(r0["grad"])))
+    _require_finite(
+        f"before the stage 6 update of iteration {engine.iteration + 1}",
+        energy=r0["energy"], variance=r0["variance"], gradient=grad_norm,
+    )
     # Rank 0 hands back the lexsorted global unique set when the codec is on;
     # it becomes the next iteration's cross-iteration diff baseline.
     engine.comm_baseline = r0.pop("global_keys", None)
-    stage_update(engine, r0["grad"])
+    stage_update(engine, r0["grad"], grad_norm)
     backend.after_update(engine)
     wall = time.perf_counter() - t_wall
 

@@ -170,14 +170,6 @@ def merge_amplitude_tables(a: AmplitudeTable, b: AmplitudeTable) -> AmplitudeTab
     return AmplitudeTable(keys=keys[order], log_amps=amps[order])
 
 
-# Floor for the budgeted amplitude-evaluation chunk: small enough that the
-# forward-pass activations stay modest, large enough that the usual handful
-# of missing configurations is still evaluated in one shot (one-shot
-# evaluation keeps small budgeted runs bit-identical to unbudgeted ones —
-# batch splitting may perturb BLAS reduction order at ~1e-16 otherwise).
-_MIN_EVAL_CHUNK = 1024
-
-
 def extend_amplitude_table(
     wf: NNQSWavefunction,
     comp: CompressedHamiltonian,
@@ -191,13 +183,13 @@ def extend_amplitude_table(
     With the extended table the SA kernels compute the *exact* local energy
     (the sum over x' in Eq. 4 runs over all coupled configurations).
 
-    With ``memory_budget_bytes`` both peak transients are chunked so exact
-    mode cannot OOM before the ``max_extra`` guard fires: the ``(B, G, W)``
-    coupled-key materialization is processed in sample-row chunks sized by
-    :func:`budgeted_sample_chunk` (pure integer set work — the resulting
-    missing set is identical for any chunking), and the ``wf.log_amplitudes``
-    evaluation of the missing configurations runs in bounded row chunks
-    (floored at ``_MIN_EVAL_CHUNK`` rows).
+    With ``memory_budget_bytes`` the ``(B, G, W)`` coupled-key
+    materialization is processed in sample-row chunks sized by
+    :func:`budgeted_sample_chunk`, so exact mode cannot OOM before the
+    ``max_extra`` guard fires (pure integer set work — the resulting missing
+    set is identical for any chunking).  The amplitude evaluation of the
+    missing configurations needs no budget of its own:
+    ``wf.log_amplitudes`` bounds its forward by running in row blocks.
     """
     keys = pack_bits(batch.bits)  # (B, W)
     if len(keys) == 0:
@@ -230,20 +222,7 @@ def extend_amplitude_table(
         )
     if len(bits) == 0:
         return table
-    if memory_budget_bytes is None:
-        log_amps = wf.log_amplitudes(bits)
-    else:
-        # Sized from the budget directly (not reusing row_chunk, whose cap is
-        # the *sample* count): a generous budget keeps big one-shot forward
-        # passes, the floor keeps small missing sets one-shot.
-        eval_chunk = max(_MIN_EVAL_CHUNK, budgeted_sample_chunk(
-            n_words, comp.n_groups, comp.n_groups, len(bits),
-            memory_budget_bytes,
-        ))
-        log_amps = xp.concatenate([
-            wf.log_amplitudes(bits[e0 : e0 + eval_chunk])
-            for e0 in range(0, len(bits), eval_chunk)
-        ])
+    log_amps = wf.log_amplitudes(bits)
     all_keys = xp.concatenate([table.keys, pack_bits(bits)], axis=0)
     all_amps = xp.concatenate([table.log_amps, log_amps])
     order = lexsort_keys(all_keys)

@@ -6,20 +6,24 @@ wrapped in residual connections with layer normalization.  The causal mask is
 what makes the network autoregressive — the conditional for token i only sees
 tokens < i — which in turn is what enables batch autoregressive sampling.
 
-All array math goes through the active backend's ``xp`` namespace: the
-training forward builds an autograd graph over backend arrays, and the
-KV-cache ``step`` kernels allocate their masks and attention buffers via
-``xp`` so the incremental decode stays device-resident end to end.
+Each module has two entry points over the *same* kernels
+(``repro.autograd.block_ops``): ``forward`` tapes one block op per layer for
+training, ``step`` runs the graph-free forward halves on raw backend arrays
+for the KV-cached incremental decode.
 """
 from __future__ import annotations
 
-import math
-
 from repro.autograd import Tensor
-from repro.backend import xp
-from repro.backend.dtypes import bool_
+from repro.autograd.block_ops import (
+    attention_forward,
+    causal_attention,
+    gelu,
+    gelu_forward,
+    merge_heads,
+    split_heads,
+)
 from repro.backend.host import host_np
-from repro.nn.inference import KVCache, gelu_np, layer_norm_np, linear_np, softmax_np
+from repro.nn.inference import KVCache
 from repro.nn.layers import LayerNorm, Linear
 from repro.nn.module import Module
 
@@ -36,24 +40,12 @@ class CausalSelfAttention(Module):
             raise ValueError(f"d_model={d_model} not divisible by n_heads={n_heads}")
         self.d_model = d_model
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.qkv = Linear(d_model, 3 * d_model, rng=rng)
         self.proj = Linear(d_model, d_model, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         """x: (batch, seq, d_model) -> (batch, seq, d_model)."""
-        b, t, d = x.shape
-        h, dh = self.n_heads, self.d_head
-        qkv = self.qkv(x)  # (b, t, 3d)
-        qkv = qkv.reshape(b, t, 3, h, dh).transpose(2, 0, 3, 1, 4)  # (3, b, h, t, dh)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        att = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))  # (b, h, t, t)
-        causal = xp.triu(xp.ones((t, t), dtype=bool_), k=1)
-        att = att.masked_fill(causal, -1e30)
-        att = att.softmax(axis=-1)
-        out = att @ v  # (b, h, t, dh)
-        out = out.transpose(0, 2, 1, 3).reshape(b, t, d)
-        return self.proj(out)
+        return self.proj(causal_attention(self.qkv(x), self.n_heads))
 
     def step(self, x, cache: KVCache):
         """Incremental decode: attend ``t_new`` new positions against the cache.
@@ -64,24 +56,10 @@ class CausalSelfAttention(Module):
         with ``t_new == k`` on an empty cache is a batched prefill while
         ``t_new == 1`` is one decoding step.  No autograd graph is built.
         """
-        b, t_new, d = x.shape
-        h, dh = self.n_heads, self.d_head
-        t0 = cache.length
-        qkv = linear_np(x, self.qkv)
-        qkv = xp.transpose(qkv.reshape(b, t_new, 3, h, dh), (2, 0, 3, 1, 4))
-        q, k, v = qkv[0], qkv[1], qkv[2]
+        q, k, v = split_heads(self.qkv.step(x), self.n_heads)
         cache.append(k, v)
-        att = (q @ xp.swapaxes(cache.k, -1, -2)) * (1.0 / math.sqrt(dh))
-        if t_new > 1:
-            # New position i (absolute t0+i) must not see absolute j > t0+i.
-            causal = xp.triu(xp.ones((t_new, t_new), dtype=bool_), k=1)
-            mask = xp.zeros((t_new, t0 + t_new), dtype=bool_)
-            mask[:, t0:] = causal
-            att = xp.where(mask, -1e30, att)
-        att = softmax_np(att, axis=-1)
-        out = att @ cache.v  # (b, h, t_new, dh)
-        out = xp.transpose(out, (0, 2, 1, 3)).reshape(b, t_new, d)
-        return linear_np(out, self.proj)
+        out, _ = attention_forward(q, cache.k, cache.v)
+        return self.proj.step(merge_heads(out))
 
 
 class FeedForward(Module):
@@ -95,11 +73,11 @@ class FeedForward(Module):
         self.fc2 = Linear(d_ff, d_model, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.fc2(self.fc1(x).gelu())
+        return self.fc2(gelu(self.fc1(x)))
 
     def step(self, x):
-        """Stateless ``xp`` twin of ``forward`` for the inference sessions."""
-        return linear_np(gelu_np(linear_np(x, self.fc1)), self.fc2)
+        """Graph-free ``forward`` on raw activations for the inference sessions."""
+        return self.fc2.step(gelu_forward(self.fc1.step(x))[0])
 
 
 class DecoderLayer(Module):
@@ -120,6 +98,6 @@ class DecoderLayer(Module):
 
     def step(self, x, cache: KVCache):
         """Incremental decode of ``t_new`` new positions through the block."""
-        x = x + self.attn.step(layer_norm_np(x, self.ln1), cache)
-        x = x + self.ff.step(layer_norm_np(x, self.ln2))
+        x = x + self.attn.step(self.ln1.step(x), cache)
+        x = x + self.ff.step(self.ln2.step(x))
         return x

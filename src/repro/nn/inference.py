@@ -26,15 +26,16 @@ Architecture (see DESIGN.md):
   full ``conditional_logits`` each step, which reproduces the pre-cache
   numerics bit for bit.
 
-Everything in this module is graph-free math on raw ``.data`` buffers,
-allocated through the active backend's ``xp`` namespace — the KV caches and
-step activations stay device-resident for the whole sweep.  The
-differentiable full-forward path (``conditional_logits``) remains the
-training-time code path and the correctness oracle in the tests.
+Everything in this module is graph-free bookkeeping on raw ``.data``
+buffers, allocated through the active backend's ``xp`` namespace — the KV
+caches and step activations stay device-resident for the whole sweep.  The
+arithmetic of a decode step lives in the modules' ``step`` methods
+(``repro.nn.attention``), which call the *same* forward kernels
+(``repro.autograd.block_ops``) the taped full forward runs; the full-forward
+path (``conditional_logits``) remains the training-time code path and the
+correctness oracle in the tests.
 """
 from __future__ import annotations
-
-import math
 
 from repro.backend import xp
 from repro.backend.dtypes import int64
@@ -45,10 +46,6 @@ __all__ = [
     "FallbackInferenceSession",
     "make_inference_session",
     "padded_next_logits",
-    "linear_np",
-    "layer_norm_np",
-    "gelu_np",
-    "softmax_np",
 ]
 
 
@@ -69,40 +66,6 @@ def padded_next_logits(model, prefix_tokens):
     padded[:, :k] = prefix_tokens
     with no_grad():
         return model.conditional_logits(padded).data[:, k, :]
-
-
-# --------------------------------------------------------------------------
-# Graph-free xp kernels, numerically identical to their autograd counterparts
-# (same operations in the same order as repro.autograd.tensor).
-# --------------------------------------------------------------------------
-def linear_np(x, layer):
-    """``y = x W^T + b`` on raw buffers (mirrors ``Linear.forward``)."""
-    out = x @ xp.swapaxes(layer.weight.data, -1, -2)
-    if layer.bias is not None:
-        out = out + layer.bias.data
-    return out
-
-
-def layer_norm_np(x, layer):
-    """LayerNorm on raw buffers (mirrors ``LayerNorm.forward``)."""
-    mu = xp.mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = xp.mean(centered * centered, axis=-1, keepdims=True)
-    inv = (var + layer.eps) ** -0.5
-    return centered * inv * layer.gamma.data + layer.beta.data
-
-
-def gelu_np(x):
-    """tanh-approximation GELU (mirrors ``Tensor.gelu``)."""
-    c = math.sqrt(2.0 / math.pi)
-    inner = c * (x + 0.044715 * x**3)
-    return 0.5 * x * (1.0 + xp.tanh(inner))
-
-
-def softmax_np(x, axis: int = -1):
-    m = xp.max(x, axis=axis, keepdims=True)
-    e = xp.exp(x - m)
-    return e / xp.sum(e, axis=axis, keepdims=True)
 
 
 # --------------------------------------------------------------------------

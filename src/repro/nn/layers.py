@@ -11,6 +11,12 @@ from __future__ import annotations
 import math
 
 from repro.autograd import Tensor, embedding_lookup
+from repro.autograd.block_ops import (
+    layer_norm,
+    layer_norm_forward,
+    linear,
+    linear_forward,
+)
 from repro.backend import xp
 from repro.backend.dtypes import int64
 from repro.backend.host import host_np
@@ -33,10 +39,12 @@ class Linear(Module):
         self.out_features = out_features
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.transpose()
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
+
+    def step(self, x):
+        """Graph-free forward on raw activations (the KV-cached decode path)."""
+        bias = None if self.bias is None else self.bias.data
+        return linear_forward(x, self.weight.data, bias)
 
 
 class Embedding(Module):
@@ -79,8 +87,8 @@ class LayerNorm(Module):
         self.dim = dim
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        inv = (var + self.eps) ** -0.5
-        return centered * inv * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
+
+    def step(self, x):
+        """Graph-free forward on raw activations (the KV-cached decode path)."""
+        return layer_norm_forward(x, self.gamma.data, self.beta.data, self.eps)[0]

@@ -25,7 +25,7 @@ from repro.backend import xp
 from repro.backend.dtypes import int64
 from repro.backend.host import host_np
 from repro.nn.attention import DecoderLayer
-from repro.nn.inference import TransformerInferenceSession, layer_norm_np, linear_np
+from repro.nn.inference import TransformerInferenceSession
 from repro.nn.layers import Embedding, LayerNorm, Linear, PositionalEmbedding
 from repro.nn.module import Module
 
@@ -99,7 +99,7 @@ class TransformerAmplitude(Module):
         for layer, cache in zip(self.layers, session.caches):
             x = layer.step(x, cache)
         session.pos = pos + t_new
-        logits = linear_np(layer_norm_np(x[:, -1:, :], self.ln_f), self.head)
+        logits = self.head.step(self.ln_f.step(x[:, -1:, :]))
         return logits[:, 0, :]
 
     def step(self, prev_tokens, session: TransformerInferenceSession):

@@ -225,6 +225,21 @@ class TestBackendLint:
         )
         assert lint_file(ok) == []
 
+    def test_flags_integer_power_of_three_or_more(self, lint_file, tmp_path):
+        src = tmp_path / "pow.py"
+        src.write_text(
+            "y = a**3\n"              # flagged: numpy routes it through pow
+            "z = (a + b) ** 4\n"      # flagged
+            "v = a ** 2\n"            # squaring is a multiply already
+            "n = 10**5 + 2**20\n"     # literal base: constant arithmetic
+            "w = a ** -0.5\n"
+            "def f(**kwargs): return g(**kwargs)\n"
+        )
+        errors = lint_file(src)
+        assert len(errors) == 2
+        assert any(":1:" in e and "multiply instead" in e for e in errors)
+        assert any(":2:" in e for e in errors)
+
     def test_hot_path_files_are_clean(self, lint_file):
         import importlib.util
         from pathlib import Path

@@ -248,7 +248,7 @@ class TestExtendTable:
         """Regression: the (B, G, W) flip materialization and the amplitude
         evaluation are chunked under a memory budget; the extended table must
         be identical (flip chunking is pure integer set work, and small
-        missing sets stay one-shot through the evaluation-chunk floor)."""
+        missing sets stay within one row block of the forward)."""
         wf, comp, _, _ = setup_h2
         bits = sector_bitstrings(4, 1, 1)[:2]
         batch = SampleBatch(bits=bits, weights=np.array([3, 2], dtype=np.int64))
@@ -260,17 +260,16 @@ class TestExtendTable:
         np.testing.assert_array_equal(tiny.log_amps, full.log_amps)
 
     def test_budgeted_evaluation_chunks_match(self, setup_h2, monkeypatch):
-        """Force the evaluation-chunk floor down so wf.log_amplitudes really
+        """Force the forward's row-block bound down so wf.log_amplitudes really
         runs in pieces; the union must agree to reduction-order rounding."""
-        import sys
+        import repro.core.wavefunction as wavefunction
 
-        le = sys.modules["repro.core.local_energy"]
         wf, comp, _, _ = setup_h2
         bits = sector_bitstrings(4, 1, 1)[:2]
         batch = SampleBatch(bits=bits, weights=np.array([1, 1], dtype=np.int64))
         table = build_amplitude_table(wf, batch)
         full = extend_amplitude_table(wf, comp, batch, table)
-        monkeypatch.setattr(le, "_MIN_EVAL_CHUNK", 1)
+        monkeypatch.setattr(wavefunction, "ROW_BLOCK", 1)
         tiny = extend_amplitude_table(wf, comp, batch, table,
                                       memory_budget_bytes=64)
         np.testing.assert_array_equal(tiny.keys, full.keys)

@@ -11,7 +11,11 @@ on exactly that.
 Rules, applied to the modules in ``HOT_PATH_FILES`` only:
 
 * a NAME token ``numpy`` anywhere (imports included) is an error;
-* a NAME token ``np`` immediately followed by a ``.`` operator is an error.
+* a NAME token ``np`` immediately followed by a ``.`` operator is an error;
+* a ``**`` operator followed by an integer literal >= 3 is an error: on an
+  array, numpy routes it through ``pow`` (~30x the cost of multiplying —
+  ``a**3`` in GELU was once 29 % of a VMC iteration).  A literal base
+  (``10**5``, ``2**20``) is constant arithmetic and passes.
 
 Deliberately host-bound code escapes through ``repro.backend.host``'s
 ``host_np`` alias — a distinct NAME, so it passes.  Comments, docstrings
@@ -32,6 +36,7 @@ from pathlib import Path
 # sampling/eloc/backward path.
 HOT_PATH_FILES = [
     "src/repro/autograd/tensor.py",
+    "src/repro/autograd/block_ops.py",
     "src/repro/nn/attention.py",
     "src/repro/nn/transformer.py",
     "src/repro/nn/made.py",
@@ -43,14 +48,24 @@ HOT_PATH_FILES = [
 
 
 def lint_file(path: Path) -> list[str]:
-    """``file:line:col: message`` strings for every bare-numpy token."""
+    """``file:line:col: message`` strings for every violation in ``path``."""
     errors: list[str] = []
     with tokenize.open(path) as handle:
         tokens = list(tokenize.generate_tokens(handle.readline))
     for i, tok in enumerate(tokens):
+        row, col = tok.start
+        if tok.type == tokenize.OP and tok.string == "**":
+            exponent = tokens[i + 1]
+            if (exponent.type == tokenize.NUMBER and exponent.string.isdigit()
+                    and int(exponent.string) >= 3
+                    and tokens[i - 1].type != tokenize.NUMBER):
+                errors.append(
+                    f"{path}:{row}:{col}: '** {exponent.string}' in a hot-path "
+                    "module (numpy routes it through pow; multiply instead)"
+                )
+            continue
         if tok.type != tokenize.NAME:
             continue
-        row, col = tok.start
         if tok.string == "numpy":
             # `def numpy(self)` / `t.numpy()` are the Tensor escape-hatch
             # method, not the module — only the module reference is banned.
