@@ -1,16 +1,34 @@
 """Fig. 10: speedups of the local-energy optimization ladder.
 
-Levels (Sec. 3.4): bare-CPU baseline -> SA+FUSE -> SA+FUSE+LUT ->
-SA+FUSE+LUT+vectorized-batch-kernel (the paper's GPU level; substitution
-documented in DESIGN.md) -> +compiled plan with coupled-key dedup
-(``ElocPlan`` / ``local_energy_planned`` — Hamiltonian-static work hoisted
-out of the call path, unique x' looked up once per chunk).  Measured on
+The ladder of Sec. 3.4 — each rung *adds* one of the paper's methods on top
+of the previous one, so the measured speedups are cumulative:
+
+* ``local_energy_baseline``    — "bare CPU": per-term Python loops over the
+  Fig. 6(b) layout, materializing every coupled configuration (one record
+  per Pauli string, duplicates included) before a Python-dict lookup.
+* ``local_energy_sa_fuse``     — + methods (2) "compression" and (4) "sample
+  aware": compressed XY groups visit each unique coupled configuration once
+  with fused coefficient accumulation, lookups restricted to the sampled set
+  S; configurations in the pre-LUT boolean layout of Fig. 7.
+* ``local_energy_sa_fuse_lut`` — + method (5) "LUT": configurations packed
+  into sorted integer keys, amplitudes found by binary search (Algorithm 2's
+  ``binary_find``), still Python loops over samples and groups.
+* ``local_energy_vectorized``  — + method (3) "batch parallelism": the same
+  arithmetic as chunked array operations over the batch (the paper's GPU
+  level; substitution documented in DESIGN.md).  The library's reference.
+* ``ElocPlan.local_energy``    — + compiled plan with coupled-key dedup
+  (Hamiltonian-static work hoisted out of the call path, unique x' looked
+  up once per chunk).  The library's production kernel.
+
+The three scalar rungs exist only to be measured, so they are defined here;
+the two batch rungs are :mod:`repro.core.local_energy`.  Measured on
 C2/STO-3G by default (LiCl and C2H4O in full mode, as in the paper), with
 unique samples drawn from a warmed-up QiankunNet.
 
 Shape to reproduce: monotone speedup ordering with the batch kernels orders
-of magnitude above the scalar levels, and the dedup+plan rung faster than
-the plain vectorized kernel at bit-identical values.
+of magnitude above the scalar levels, the dedup+plan rung faster than the
+plain vectorized kernel at bit-identical values, and all five rungs agreeing
+to 1e-10 on the same rows (``ladder_values``).
 
 CI smoke: ``python benchmarks/bench_fig10_localenergy.py --smoke`` runs the
 two batch rungs only on a small C2 batch, asserts the dedup+plan kernel is
@@ -21,6 +39,7 @@ from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_left
 from pathlib import Path
 
 if __name__ == "__main__":  # bare-script invocation: make src/ importable
@@ -31,18 +50,190 @@ import numpy as np
 from repro.bench import format_table, registry
 from repro.chem import build_problem
 from repro.core import (
+    AmplitudeTable,
     ElocPlan,
     build_amplitude_table,
     build_qiankunnet,
     batch_autoregressive_sample,
-    local_energy_baseline,
-    local_energy_sa_fuse,
-    local_energy_sa_fuse_lut,
     local_energy_vectorized,
     pretrain_to_reference,
 )
 from repro.core.sampler import SampleBatch
 from repro.hamiltonian import build_reference, compress_hamiltonian
+from repro.hamiltonian.compressed import (
+    CompressedHamiltonian,
+    ReferenceHamiltonianData,
+)
+from repro.utils.bitstrings import keys_to_ints, pack_bits, unpack_bits
+
+
+# --------------------------------------------------------------------------
+# The scalar rungs of the ladder.  They are the subject of this measurement
+# and nothing under src/ imports them; tests load them from this file.
+# --------------------------------------------------------------------------
+def amplitude_dict(table: AmplitudeTable) -> dict[int, complex]:
+    """Python-dict view of an amplitude table (the non-LUT rungs' lookup)."""
+    return dict(zip(keys_to_ints(table.keys), table.log_amps))
+
+
+# --------------------------------------------------------------------------
+# Level 0: bare-CPU baseline (Fig. 6(b) layout, term-by-term, dict lookup)
+# --------------------------------------------------------------------------
+def local_energy_baseline(
+    ref: ReferenceHamiltonianData,
+    batch: SampleBatch,
+    amp_dict: dict[int, complex],
+) -> np.ndarray:
+    """The "bare CPU" level of Fig. 10: per-term Python loops, no SA/FUSE/LUT."""
+    n_words = ref.xy.shape[1]
+    # Per-term integer masks and Y phases (independent of the samples).
+    a_masks, b_masks, phases = [], [], []
+    for k in range(ref.n_terms):
+        a = b = 0
+        for w in range(n_words):
+            a |= int(ref.xy[k, w]) << (64 * w)
+            b |= int(ref.yz[k, w]) << (64 * w)
+        a_masks.append(a)
+        b_masks.append(b)
+        phases.append((-1.0) ** (ref.y_occ[k] // 2))
+    eloc = np.zeros(batch.n_unique, dtype=np.complex128)
+    keys = pack_bits(batch.bits)
+    for s in range(batch.n_unique):
+        x = 0
+        for w in range(n_words):
+            x |= int(keys[s, w]) << (64 * w)
+        la_x = amp_dict[x]
+        # No FUSE: materialize every coupled configuration with its
+        # coefficient (one record per Pauli string — duplicates included,
+        # the O(N_h) memory footprint Sec. 3.4 method (2) eliminates).
+        coupled: list[tuple[int, float]] = []
+        for k in range(ref.n_terms):
+            x2 = x ^ a_masks[k]
+            sign = -1.0 if bin(b_masks[k] & x).count("1") % 2 else 1.0
+            coupled.append((x2, ref.coeffs[k] * phases[k] * sign))
+        # No SA dedup: every record triggers its own amplitude lookup (the
+        # compressed structure would visit each unique x' exactly once).
+        acc = 0.0 + 0.0j
+        for x2, coef in coupled:
+            la = amp_dict.get(x2)
+            if la is not None:
+                acc += coef * np.exp(la - la_x)
+        eloc[s] = acc + ref.constant
+    return eloc
+
+
+# --------------------------------------------------------------------------
+# Level 1: SA + FUSE (compressed groups, fused accumulation, boolean storage)
+# --------------------------------------------------------------------------
+def local_energy_sa_fuse(
+    comp: CompressedHamiltonian,
+    batch: SampleBatch,
+    amp_dict: dict[int, complex],
+) -> np.ndarray:
+    """Methods (2)+(4): fused accumulation over compressed XY groups.
+
+    Configurations are handled in the paper's pre-LUT representation —
+    "the samples generated on each GPU are stored as boolean lists" (Fig. 7)
+    — so every coupled-state lookup XORs a boolean array and hashes it; the
+    LUT level below replaces this with packed integers + binary search.
+    """
+    n = comp.n_qubits
+    xy_bits = unpack_bits(comp.xy_unique, n)          # (G, N) uint8 flip masks
+    yz_bits = unpack_bits(comp.yz_buf, n)             # (K, N) uint8 sign masks
+    idxs = comp.idxs
+    coeffs = comp.coeffs_buf
+    # Boolean-keyed amplitude map (bytes of the uint8 bit array): repack the
+    # integer keys into (U, W) uint64 words, then one vectorized unpack —
+    # O(U*W) word extractions instead of O(U*N) per-bit Python work.
+    bool_dict: dict[bytes, complex] = {}
+    if amp_dict:
+        items = list(amp_dict.items())
+        key_arr = np.array([k for k, _ in items], dtype=object)
+        n_words = (n + 63) // 64
+        mask64 = (1 << 64) - 1
+        packed = np.zeros((len(items), n_words), dtype=np.uint64)
+        for w in range(n_words):
+            packed[:, w] = ((key_arr >> (64 * w)) & mask64).astype(np.uint64)
+        key_bits = unpack_bits(packed, n)             # (U, N) uint8, vectorized
+        for i, (_, la) in enumerate(items):
+            bool_dict[key_bits[i].tobytes()] = la
+    eloc = np.zeros(batch.n_unique, dtype=np.complex128)
+    for s in range(batch.n_unique):
+        x_bits = batch.bits[s]
+        la_x = bool_dict[x_bits.tobytes()]
+        acc = 0.0 + 0.0j
+        for g in range(len(xy_bits)):
+            x2 = np.bitwise_xor(x_bits, xy_bits[g])
+            la = bool_dict.get(x2.tobytes())
+            if la is None:
+                continue  # sample-aware: skip configurations outside S
+            coef = 0.0
+            for k in range(idxs[g], idxs[g + 1]):
+                par = int(np.bitwise_and(x_bits, yz_bits[k]).sum()) & 1
+                coef += -coeffs[k] if par else coeffs[k]
+            acc += coef * np.exp(la - la_x)
+        eloc[s] = acc + comp.constant
+    return eloc
+
+
+# --------------------------------------------------------------------------
+# Level 2: SA + FUSE + LUT (packed sorted integer keys + binary search)
+# --------------------------------------------------------------------------
+def prepare_scalar_views(comp: CompressedHamiltonian, table: AmplitudeTable):
+    """Precompute the packed-integer structures of method (5) once.
+
+    Returns ``(xy_ints, yz_ints, id_lut, wf_lut)``: Python-int mask views and
+    the sorted integer key list (id_lut) aligned with the amplitude records
+    (wf_lut) — the data layout of Algorithm 2.
+    """
+    return (keys_to_ints(comp.xy_unique), keys_to_ints(comp.yz_buf),
+            keys_to_ints(table.keys), table.log_amps)
+
+
+def local_energy_sa_fuse_lut(
+    comp: CompressedHamiltonian,
+    batch: SampleBatch,
+    table: AmplitudeTable,
+    views=None,
+) -> np.ndarray:
+    """Method (5) added: packed u64 keys, ``bisect`` = Algorithm 2's binary_find."""
+    xy, yz, id_lut, wf_lut = views if views is not None else prepare_scalar_views(comp, table)
+    idxs = comp.idxs
+    coeffs = comp.coeffs_buf
+    keys = pack_bits(batch.bits)
+    n_words = keys.shape[1]
+    eloc = np.zeros(batch.n_unique, dtype=np.complex128)
+    n_entries = len(id_lut)
+    for s in range(batch.n_unique):
+        x = 0
+        for w in range(n_words):
+            x |= int(keys[s, w]) << (64 * w)
+        pos = bisect_left(id_lut, x)
+        la_x = wf_lut[pos]
+        acc = 0.0 + 0.0j
+        for g in range(len(xy)):
+            x2 = x ^ xy[g]
+            pos = bisect_left(id_lut, x2)
+            if pos >= n_entries or id_lut[pos] != x2:
+                continue
+            coef = 0.0
+            for k in range(idxs[g], idxs[g + 1]):
+                coef += coeffs[k] if bin(x & yz[k]).count("1") % 2 == 0 else -coeffs[k]
+            acc += coef * np.exp(wf_lut[pos] - la_x)
+        eloc[s] = acc + comp.constant
+    return eloc
+
+
+def ladder_values(comp, ref, batch, table) -> dict[str, np.ndarray]:
+    """Local energies of ``batch`` from every rung of the ladder."""
+    amp_dict = amplitude_dict(table)
+    return {
+        "baseline": local_energy_baseline(ref, batch, amp_dict),
+        "sa_fuse": local_energy_sa_fuse(comp, batch, amp_dict),
+        "sa_fuse_lut": local_energy_sa_fuse_lut(comp, batch, table),
+        "vectorized": local_energy_vectorized(comp, batch, table),
+        "planned": ElocPlan(comp).local_energy(batch, table),
+    }
 
 
 def _prepare(name: str, n_samples: int = 10**6, seed: int = 7):
@@ -103,9 +294,7 @@ def test_fig10_local_energy_speedups(benchmark, full):
     rows = []
     for name in molecules:
         prob, comp, ref, batch, table, _ = _prepare(name)
-        amp_dict = table.to_dict()
-        from repro.core.local_energy import prepare_scalar_views
-
+        amp_dict = amplitude_dict(table)
         views = prepare_scalar_views(comp, table)
         nb = min(batch.n_unique, 16)    # baseline is very slow — subsample
         ns = min(batch.n_unique, 64)    # scalar SA levels
@@ -128,6 +317,14 @@ def test_fig10_local_energy_speedups(benchmark, full):
         # The top rung must be a pure win: same numbers, less time.
         res = measure_dedup_plan(comp, batch, table)
         assert res["bit_identical"], f"{name}: planned kernel drifted from vectorized"
+        # ... and the ladder is one computation done five ways.
+        sub = SampleBatch(bits=batch.bits[:nb], weights=batch.weights[:nb])
+        values = ladder_values(comp, ref, sub, table)
+        for rung, eloc in values.items():
+            np.testing.assert_allclose(
+                eloc, values["vectorized"], atol=1e-10, rtol=0,
+                err_msg=f"{name}: rung {rung!r} disagrees with the reference",
+            )
         rows.append(
             [name, prob.n_qubits, prob.hamiltonian.n_terms, batch.n_unique,
              f"{t_base / t_sa:.1f}x", f"{t_base / t_lut:.1f}x",

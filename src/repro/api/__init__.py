@@ -36,14 +36,12 @@ from repro.api.spec import (
 from repro.api.registry import (
     ANSATZE,
     BACKENDS,
-    ELOC_KERNELS,
     OPTIMIZERS,
     SAMPLERS,
     ComponentRegistry,
     UnknownComponentError,
     register_ansatz,
     register_backend,
-    register_eloc_kernel,
     register_optimizer,
     register_sampler,
 )
@@ -79,12 +77,10 @@ __all__ = [
     "ANSATZE",
     "OPTIMIZERS",
     "SAMPLERS",
-    "ELOC_KERNELS",
     "BACKENDS",
     "register_ansatz",
     "register_optimizer",
     "register_sampler",
-    "register_eloc_kernel",
     "register_backend",
     "RunResult",
     "materialize_problem",

@@ -3,8 +3,8 @@
 Importing :mod:`repro.api` triggers this module, so every spec-addressable
 name below is available without further setup.  The registrations wrap the
 canonical builders (``build_qiankunnet``, ``AdamW``, ``batch_autoregressive_
-sample``, the local-energy ladder) — the registry layer adds *naming*, not
-new numerics.
+sample``) — the registry layer adds *naming*, not new numerics.  The local
+energy is not a component: every run uses the compiled ``ElocPlan``.
 
 Registered names:
 
@@ -12,13 +12,6 @@ Registered names:
 * optimizer: ``adamw`` (the Trainer/VMC path), ``sr``
 * sampler: ``bas`` (batch autoregressive), ``hybrid`` (independent-stream
   merge, Sec. 4.4), ``mcmc`` (Metropolis exchange moves)
-* eloc_kernel: ``exact`` / ``sample_aware`` (the high-level modes of
-  ``local_energy``), the scalar Fig. 10 rungs ``baseline`` / ``sa_fuse``
-  / ``sa_fuse_lut`` (native low-level signatures), and the engine-drivable
-  batch rungs ``vectorized`` / ``planned`` (shared batch-kernel signature;
-  ``planned`` is the compiled-plan + coupled-key-dedup kernel the spec's
-  ``sampling.eloc_kernel`` selects by default — see
-  :mod:`repro.core.local_energy`).
 * backend: ``serial`` / ``threads`` / ``process`` — the execution backends
   of :mod:`repro.core.engine` — plus ``cluster``, the multi-host TCP/MPI
   transport of :mod:`repro.parallel.cluster` (the spec's ``parallel``
@@ -31,19 +24,11 @@ import numpy as np
 from repro.api.registry import (
     register_ansatz,
     register_backend,
-    register_eloc_kernel,
     register_optimizer,
     register_sampler,
 )
 from repro.core.engine import ProcessBackend, SerialBackend, ThreadBackend
 from repro.core.hybrid_sampling import merged_batch_sample
-from repro.core.local_energy import (
-    BATCH_ELOC_KERNELS,
-    local_energy,
-    local_energy_baseline,
-    local_energy_sa_fuse,
-    local_energy_sa_fuse_lut,
-)
 from repro.core.mcmc import metropolis_sample
 from repro.core.sampler import batch_autoregressive_sample
 from repro.core.sr import SRConfig, StochasticReconfiguration
@@ -218,26 +203,3 @@ def build_cluster_backend(n_ranks: int = 1, *, nu_star_per_rank: int = 64,
         comm_shm=comm_shm, rendezvous_addr=rendezvous_addr, rank=rank,
         join_timeout=join_timeout, collective_timeout=collective_timeout,
     )
-
-
-# --------------------------------------------------------- local-energy ladder
-register_eloc_kernel("exact",
-                     lambda wf, comp, batch, table=None:
-                     local_energy(wf, comp, batch, mode="exact", table=table))
-register_eloc_kernel("sample_aware",
-                     lambda wf, comp, batch, table=None:
-                     local_energy(wf, comp, batch, mode="sample_aware",
-                                  table=table))
-# The raw Fig. 10 ladder, exposed for benchmarks/ablation by name.  The
-# scalar rungs keep their native low-level signatures (documented in
-# core/local_energy).
-register_eloc_kernel("baseline", local_energy_baseline)
-register_eloc_kernel("sa_fuse", local_energy_sa_fuse)
-register_eloc_kernel("sa_fuse_lut", local_energy_sa_fuse_lut)
-# The batch rungs share the engine-drivable signature
-#   kernel(comp, batch, table, *, group_chunk, sample_chunk,
-#          memory_budget_bytes, plan) -> eloc
-# so `sampling.eloc_kernel` can select either by name ('planned' is the
-# compiled-ElocPlan + coupled-key-dedup kernel; values are bit-identical).
-for _name, _kernel in BATCH_ELOC_KERNELS.items():
-    register_eloc_kernel(_name, _kernel)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import driver, presets
-from repro.api.registry import ANSATZE, BACKENDS, ELOC_KERNELS, OPTIMIZERS, SAMPLERS
+from repro.api.registry import ANSATZE, BACKENDS, OPTIMIZERS, SAMPLERS
 from repro.api.spec import RunSpec, SpecError
 
 __all__ = ["main", "build_parser", "load_spec"]
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--presets", action="store_true",
                         help="list built-in preset specs")
     p_info.add_argument("--components", action="store_true",
-                        help="list registered ansätze/optimizers/samplers/kernels")
+                        help="list registered ansätze/optimizers/samplers/backends")
 
     p_serve = sub.add_parser(
         "serve", help="serve a run's snapshots (HTTP with --port, "
@@ -164,7 +164,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
                   f"iters={spec.train.max_iterations}")
         return 0
     if args.components:
-        for registry in (ANSATZE, OPTIMIZERS, SAMPLERS, ELOC_KERNELS, BACKENDS):
+        for registry in (ANSATZE, OPTIMIZERS, SAMPLERS, BACKENDS):
             print(f"{registry.kind}: {', '.join(registry.names())}")
         return 0
     if args.run_dir is None:

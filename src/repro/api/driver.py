@@ -39,20 +39,14 @@ from pathlib import Path
 import numpy as np
 
 import repro.api.builtins  # noqa: F401 — registers the built-in components
-from repro.api.registry import (
-    ANSATZE,
-    BACKENDS,
-    OPTIMIZERS,
-    SAMPLERS,
-    UnknownComponentError,
-)
+from repro.api.registry import ANSATZE, BACKENDS, OPTIMIZERS, SAMPLERS
 from repro.api.spec import AnsatzSpec, ProblemSpec, RunSpec, SpecError
 from repro.backend import counter_delta, get_backend, use_backend
 from repro.core.engine import SerialBackend, _merge_transfers
 from repro.chem import build_problem, run_fci
 from repro.chem.pipeline import MolecularProblem
 from repro.core.trainer import TrainConfig, Trainer, TrainReport, build_report
-from repro.core.local_energy import ElocPlan, local_energy, resolve_batch_kernel
+from repro.core.local_energy import ElocPlan, local_energy
 from repro.core.pretrain import pretrain_to_reference
 from repro.core.vmc import VMCStats, default_ns_schedule
 from repro.core.wavefunction import NNQSWavefunction
@@ -72,7 +66,6 @@ __all__ = [
     "materialize_sampler",
     "materialize_backend",
     "materialize_array_backend",
-    "materialize_eloc_kernel",
     "run",
     "resume",
     "serve_run",
@@ -166,23 +159,6 @@ def materialize_sampler(spec: RunSpec, problem: MolecularProblem):
     if s.sampler == "mcmc":
         params.setdefault("start_bits", problem.hf_bits)
     return SAMPLERS.build(s.sampler, **params)
-
-
-def materialize_eloc_kernel(spec: RunSpec) -> str:
-    """Validate the spec's batch-kernel name against the eloc_kernel registry.
-
-    Returns the name (both driver loops resolve it again at call time through
-    :func:`repro.core.local_energy.resolve_batch_kernel`, so registration is
-    the single source of truth).  A typo — or a registered kernel that does
-    not take the engine-drivable batch signature, like the scalar Fig. 10
-    rungs — fails here, at materialization, with the spec field named.
-    """
-    name = spec.sampling.eloc_kernel
-    try:
-        resolve_batch_kernel(name)
-    except (UnknownComponentError, TypeError) as exc:
-        raise SpecError(f"sampling.eloc_kernel: {exc}") from None
-    return name
 
 
 def materialize_backend(spec: RunSpec):
@@ -361,7 +337,6 @@ def run(spec: RunSpec | dict, run_dir: str | Path | None = None,
     sampler = materialize_sampler(spec, problem)
     backend = materialize_backend(spec)
     array_backend = materialize_array_backend(spec)
-    materialize_eloc_kernel(spec)
     e_ref = _resolve_reference(spec, problem)
     spec.save(target / SPEC_FILE)
 
@@ -422,7 +397,6 @@ def _build_trainer(spec: RunSpec, run_dir: Path, problem: MolecularProblem,
         group_chunk=spec.parallel.group_chunk,
         sample_chunk=spec.parallel.sample_chunk,
         eloc_memory_budget_mb=spec.parallel.eloc_memory_budget_mb,
-        eloc_kernel=spec.sampling.eloc_kernel,
         plateau_window=spec.train.plateau_window,
         plateau_rel_tol=spec.train.plateau_rel_tol,
         early_stop=spec.train.early_stop,
@@ -453,18 +427,17 @@ def _run_step_protocol(spec: RunSpec, run_dir: Path,
         )
     sample = sampler or SAMPLERS.build("bas")
     comp = compress_hamiltonian(problem.hamiltonian)
-    kernel_name = materialize_eloc_kernel(spec)
     budget_bytes = (
         None if spec.parallel.eloc_memory_budget_mb is None
         else int(spec.parallel.eloc_memory_budget_mb * 2**20)
     )
     # One compiled plan per run — the Hamiltonian-static scaffolds are shared
-    # by every iteration's kernel call (unplanned kernels ignore it).
+    # by every iteration's kernel call.
     plan = ElocPlan(
         comp, group_chunk=spec.parallel.group_chunk,
         sample_chunk=spec.parallel.sample_chunk,
         memory_budget_bytes=budget_bytes,
-    ) if kernel_name == "planned" else None
+    )
     schedule = default_ns_schedule(
         pretrain_iters=spec.sampling.pretrain_iters,
         ns_pretrain=spec.sampling.ns_pretrain,
@@ -494,10 +467,7 @@ def _run_step_protocol(spec: RunSpec, run_dir: Path,
                 snap1 = array_backend.counter_snapshot()
                 eloc, _ = local_energy(
                     wf, comp, batch, mode=spec.sampling.eloc_mode,
-                    group_chunk=spec.parallel.group_chunk,
-                    sample_chunk=spec.parallel.sample_chunk,
-                    memory_budget_bytes=budget_bytes,
-                    kernel=kernel_name, plan=plan,
+                    memory_budget_bytes=budget_bytes, plan=plan,
                 )
                 info = opt.step(batch, eloc)
             snap2 = array_backend.counter_snapshot()
@@ -570,7 +540,6 @@ def resume(run_dir: str | Path,
     sampler = materialize_sampler(spec, problem)
     backend = materialize_backend(spec)
     array_backend = materialize_array_backend(spec)
-    materialize_eloc_kernel(spec)
     e_ref = _resolve_reference(spec, problem)
     trainer = _build_trainer(spec, run_dir, problem, wf, sampler, backend,
                              e_ref, array_backend)

@@ -1,4 +1,4 @@
-"""String-keyed component registries: ansätze, optimizers, samplers, kernels.
+"""String-keyed component registries: ansätze, optimizers, samplers, backends.
 
 A spec names components (``ansatz.name = "transformer"``); the registries map
 those names to builder callables.  This is the factory/driver split the AFQMC
@@ -23,9 +23,6 @@ Builder contracts (what the driver calls):
   ``energy`` attribute (the SR protocol) to be drivable by ``run()``.
 * **sampler**: ``factory(**params) -> sampler`` where
   ``sampler(wf, n_samples, rng) -> SampleBatch``.
-* **eloc_kernel**: ``kernel(wf, comp, batch, table=None) ->
-  (eloc, AmplitudeTable)`` — the signature of
-  :func:`repro.core.local_energy.local_energy`.
 * **backend**: ``factory(n_ranks, *, nu_star_per_rank, eloc_partition) ->
   ExecutionBackend`` — an execution backend of
   :mod:`repro.core.engine` (the spec's ``parallel.backend`` choice).
@@ -44,12 +41,10 @@ __all__ = [
     "ANSATZE",
     "OPTIMIZERS",
     "SAMPLERS",
-    "ELOC_KERNELS",
     "BACKENDS",
     "register_ansatz",
     "register_optimizer",
     "register_sampler",
-    "register_eloc_kernel",
     "register_backend",
 ]
 
@@ -111,7 +106,6 @@ class ComponentRegistry:
 ANSATZE = ComponentRegistry("ansatz")
 OPTIMIZERS = ComponentRegistry("optimizer")
 SAMPLERS = ComponentRegistry("sampler")
-ELOC_KERNELS = ComponentRegistry("eloc_kernel")
 BACKENDS = ComponentRegistry("backend")
 
 
@@ -128,11 +122,6 @@ def register_optimizer(name: str, builder: Callable | None = None,
 def register_sampler(name: str, builder: Callable | None = None,
                      *, overwrite: bool = False):
     return SAMPLERS.register(name, builder, overwrite=overwrite)
-
-
-def register_eloc_kernel(name: str, builder: Callable | None = None,
-                         *, overwrite: bool = False):
-    return ELOC_KERNELS.register(name, builder, overwrite=overwrite)
 
 
 def register_backend(name: str, builder: Callable | None = None,

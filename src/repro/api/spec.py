@@ -83,9 +83,9 @@ class _Spec:
         known = {f.name: f for f in fields(cls)}
         unknown = sorted(set(data) - set(known))
         if unknown:
-            section = cls._SECTION or cls.__name__
+            prefix = f"{cls._SECTION}." if cls._SECTION else ""
             raise SpecError(
-                f"{section}: unknown field(s) {', '.join(unknown)} "
+                f"unknown field(s) {', '.join(prefix + u for u in unknown)} "
                 f"(valid: {', '.join(sorted(known))})"
             )
         kwargs = {}
@@ -200,10 +200,6 @@ class SamplingSpec(_Spec):
     ns_growth: float = 1.3
     pretrain_iters: int = 100
     eloc_mode: str = "exact"
-    # Batch local-energy kernel, by eloc_kernel-registry name: 'planned'
-    # (compiled ElocPlan + coupled-key dedup, the default) or 'vectorized'
-    # (the unplanned reference).  Values are bit-identical either way.
-    eloc_kernel: str = "planned"
     params: dict = field(default_factory=dict)  # e.g. hybrid's n_streams
 
     def __post_init__(self) -> None:
@@ -221,9 +217,6 @@ class SamplingSpec(_Spec):
         _require(self.eloc_mode in ELOC_MODES,
                  "sampling.eloc_mode",
                  f"must be one of {ELOC_MODES}, got {self.eloc_mode!r}")
-        _require(isinstance(self.eloc_kernel, str) and bool(self.eloc_kernel),
-                 "sampling.eloc_kernel",
-                 "must be a registered batch eloc_kernel name")
         _require(isinstance(self.params, dict),
                  "sampling.params", "must be a mapping of sampler kwargs")
 
@@ -237,7 +230,7 @@ class ParallelSpec(_Spec):
     ``nu_star_per_rank`` map to the paper's N_p and N_u^*/N_p;
     ``eloc_partition`` selects the Sec. 3.3 weight-balanced local-energy
     chunking (or ``contiguous`` for the naive 1/N_p split); the
-    chunking/budget knobs feed the vectorized kernel.
+    chunking/budget knobs shape the run's compiled ``ElocPlan``.
 
     ``comm_codec`` toggles the stage-2 delta/varint compression and
     ``comm_shm`` the process backend's shared-memory transport (see

@@ -17,10 +17,7 @@ from repro.core.local_energy import (
     merge_amplitude_tables,
     normalize_amplitude_table,
     local_energy,
-    local_energy_baseline,
     local_energy_planned,
-    local_energy_sa_fuse,
-    local_energy_sa_fuse_lut,
     local_energy_vectorized,
 )
 from repro.core.vmc import VMC, VMCConfig, VMCStats, default_ns_schedule
@@ -69,10 +66,7 @@ __all__ = [
     "merge_amplitude_tables",
     "normalize_amplitude_table",
     "local_energy",
-    "local_energy_baseline",
     "local_energy_planned",
-    "local_energy_sa_fuse",
-    "local_energy_sa_fuse_lut",
     "local_energy_vectorized",
     "VMC",
     "VMCConfig",

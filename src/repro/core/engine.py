@@ -42,7 +42,8 @@ differ only in the transport under it:
 
 The "engine" object the backends drive is any object with the VMC state
 surface (``wf``, ``comp``, ``config``, ``rng``, ``optimizer``, ``schedule``,
-``iteration``, ``backend``) — in practice :class:`repro.core.vmc.VMC`, which
+``iteration``, ``backend``, ``array_backend``, ``eloc_plan``,
+``comm_baseline``) — in practice :class:`repro.core.vmc.VMC`, which
 keeps the checkpoint/resume format unchanged.
 """
 from __future__ import annotations
@@ -54,14 +55,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.autograd import Tensor
-from repro.backend import active_backend, counter_delta, get_backend, use_backend, xp
+from repro.backend import active_backend, counter_delta, use_backend, xp
 from repro.backend.dtypes import float64, int64, uint32, uint64
 from repro.backend.host import host_np
 from repro.core.local_energy import (
     AmplitudeTable,
     ElocPlan,
     extend_amplitude_table,
-    resolve_batch_kernel,
+    local_energy_planned,
 )
 from repro.core.sampler import (
     SampleBatch,
@@ -109,17 +110,13 @@ class VMCConfig:
     # Parallel backends (n_ranks > 1) require the default: a custom sampler
     # cannot be split across ranks by the Fig. 5 prefix-sweep scheme.
     sampler: Callable | None = None
-    # Local-energy kernel chunking (Sec. 3.4 / Fig. 9 memory story): the
-    # batch kernels materialize (sample_chunk x group_chunk) packed keys
+    # Local-energy plan chunking (Sec. 3.4 / Fig. 9 memory story): the
+    # kernel materializes (sample_chunk x group_chunk) packed keys
     # at a time; eloc_memory_budget_mb caps that materialization, shrinking
     # sample_chunk automatically on wide Hamiltonians.
     group_chunk: int = 512
     sample_chunk: int = 4096
     eloc_memory_budget_mb: float | None = None
-    # Which batch kernel evaluates stage 3, by eloc_kernel-registry name.
-    # 'planned' (default) = compiled ElocPlan + coupled-key dedup;
-    # 'vectorized' = the unplanned reference kernel.  Bit-identical values.
-    eloc_kernel: str = "planned"
 
     def __post_init__(self) -> None:
         if not callable(self.n_samples) and self.n_samples <= 0:
@@ -162,11 +159,6 @@ class VMCConfig:
             raise ValueError(
                 "VMCConfig.eloc_memory_budget_mb must be None or positive, "
                 f"got {self.eloc_memory_budget_mb!r}"
-            )
-        if not isinstance(self.eloc_kernel, str) or not self.eloc_kernel:
-            raise ValueError(
-                "VMCConfig.eloc_kernel must name a registered batch kernel, "
-                f"got {self.eloc_kernel!r}"
             )
 
     def eloc_memory_budget_bytes(self) -> int | None:
@@ -384,32 +376,19 @@ def stage_partition(weights, n_ranks: int,
 
 
 def stage_local_energy(wf, comp, chunk: SampleBatch, table: AmplitudeTable,
-                       config: VMCConfig,
-                       plan: ElocPlan | None = None,
-                       kernel: Callable | None = None):
+                       config: VMCConfig, plan: ElocPlan):
     """Stage 3: local energies of one chunk against the global table.
 
-    The batch kernel is resolved by name from the eloc_kernel registry
-    (``config.eloc_kernel``) unless the engine hands in its once-per-run
-    resolved callable; ``plan`` is the engine's compiled
-    :class:`~repro.core.local_energy.ElocPlan`, built once per run and
-    shared by every rank of every backend (unplanned kernels ignore it).
+    ``plan`` is the engine's compiled
+    :class:`~repro.core.local_energy.ElocPlan` for ``comp``, built once per
+    run and shared by every rank of every backend; it carries the chunking.
     """
-    tbl = table
     if config.eloc_mode == "exact":
-        tbl = extend_amplitude_table(
+        table = extend_amplitude_table(
             wf, comp, chunk, table,
             memory_budget_bytes=config.eloc_memory_budget_bytes(),
         )
-    if kernel is None:
-        kernel = resolve_batch_kernel(config.eloc_kernel)
-    return kernel(
-        comp, chunk, tbl,
-        group_chunk=config.group_chunk,
-        sample_chunk=config.sample_chunk,
-        memory_budget_bytes=config.eloc_memory_budget_bytes(),
-        plan=plan,
-    )
+    return local_energy_planned(comp, chunk, table, plan=plan)
 
 
 def _surrogate_backward(wf, bits, coeff_amp, coeff_phase) -> None:
@@ -493,7 +472,7 @@ def _rank_iteration(engine, comm, wf, rng, nu_star: int,
     deltas ship back as ``out['transfers']`` — the data behind the residency
     contract's "zero unplanned host transfers inside the sampling loop".
     """
-    array_backend = getattr(engine, "array_backend", None) or get_backend("numpy")
+    array_backend = engine.array_backend
     with use_backend(array_backend):
         snap0 = array_backend.counter_snapshot()
         out, snap1 = _rank_iteration_stages(
@@ -535,8 +514,8 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
     snap_sampled = active_backend().counter_snapshot()
 
     # ---- stage 2: allgather + global amplitude table -----------------------
-    codec = bool(getattr(engine.backend, "comm_codec", True))
-    baseline = getattr(engine, "comm_baseline", None) if codec else None
+    codec = engine.backend.comm_codec
+    baseline = engine.comm_baseline if codec else None
     keys, weights, table = stage_gather_table(
         comm, wf, local, codec=codec, baseline=baseline
     )
@@ -550,8 +529,7 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
         weights=weights[idx],
     )
     eloc = stage_local_energy(wf, engine.comp, chunk, table, cfg,
-                              plan=getattr(engine, "eloc_plan", None),
-                              kernel=getattr(engine, "eloc_kernel_fn", None))
+                              engine.eloc_plan)
     times["local_energy"] = time.perf_counter() - t0
     if not bool(xp.all(xp.isfinite(eloc))):
         raise FloatingPointError(
@@ -593,8 +571,7 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
         "n_samples": int(n_samples),
         "times": times,
     }
-    spmd = bool(getattr(engine.backend, "spmd", False))
-    if size > 1 and codec and (rank == 0 or spmd):
+    if size > 1 and codec and (rank == 0 or engine.backend.spmd):
         # Next iteration's diff baseline: the global unique set in canonical
         # (lexsorted) order.  On the thread/process backends only rank 0's
         # copy survives execute() (every rank rebuilds the identical array,
@@ -620,6 +597,8 @@ class ExecutionBackend:
 
     name = "?"
     n_ranks = 1
+    comm_codec = True   # stage-2 delta/varint codec (a wire optimisation only)
+    spmd = False        # True: every rank is its own engine (cluster backend)
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
         raise NotImplementedError

@@ -1,62 +1,47 @@
 """Local energy evaluation: E_loc(x) = sum_x' H_xx' Psi(x')/Psi(x)  (Eq. 4).
 
-This module reproduces the optimization ladder of Sec. 3.4 / Fig. 10.  Each
-rung *adds* one of the paper's methods on top of the previous rung — the
-measured speedups are cumulative, not independent:
+One production path and one reference (Sec. 3.4, Algorithm 2):
 
-* ``local_energy_baseline``   — "bare CPU" reference: per-term Python loops
-  over the Fig. 6(b) layout, materializing every coupled configuration (one
-  record per Pauli string, duplicates included) before looking amplitudes up
-  in a Python dict.
-* ``local_energy_sa_fuse``    — + methods (2) "compression" and (4) "sample
-  aware": compressed XY groups visit each unique coupled configuration of a
-  sample once, with fused coefficient accumulation (no materialization) and
-  amplitude lookups restricted to the sampled set S; configurations are kept
-  in the pre-LUT boolean layout of Fig. 7.
-* ``local_energy_sa_fuse_lut``— + method (5) "LUT": configurations packed
-  into sorted uint64 keys, amplitudes found with binary search (Algorithm
-  2's ``binary_find``), still Python loops over samples and groups.
-* ``local_energy_vectorized`` — + method (3) "batch parallelism": the
-  batch-parallel kernel.  The paper parallelizes Algorithm 2 over unique
-  samples with CUDA threads; our substitution runs the identical arithmetic
-  as chunked numpy array operations over the sample batch (documented in
-  DESIGN.md).
-* ``local_energy_planned``    — + compiled :class:`ElocPlan`: all
-  Hamiltonian-static work (group sizes, CSR chunk scaffolds, the packed
-  record dtype behind the binary search) is hoisted out of the per-call
-  path, coupled keys are deduplicated per chunk with ``xp.unique`` so each
-  unique x' hits the LUT binary search once, and per-thread workspaces are
-  reused across iterations.  Bit-identical to ``local_energy_vectorized``
-  (the dedup changes *where* an index is computed, never its value).
+* :class:`ElocPlan` — the kernel every run, driver and server reaches.  A
+  plan is compiled once per ``(CompressedHamiltonian, chunking)``: group
+  sizes, CSR chunk scaffolds and the packed record dtype behind the binary
+  search are hoisted out of the per-call path, coupled keys are deduplicated
+  per chunk so each unique x' hits the LUT once, and per-thread workspaces
+  are reused across iterations.  :func:`local_energy_planned` and
+  :func:`local_energy` are thin wrappers that run a plan (compiling a
+  throwaway one when the caller has none).
+* :func:`local_energy_vectorized` — the stateless reference, for testing
+  purposes only: the same sample-aware + fused + LUT arithmetic as chunked
+  array operations with no plan, no dedup and no caches.  The planned kernel
+  is bit-identical to it (dedup changes *where* an index is computed, never
+  its value), which is what the tests and the benchmark's set-up check
+  assert.
 
-All sample-aware (SA) engines only credit coupled configurations that appear
-in the amplitude table (Fig. 7(b)).  For unbiased local energies on small
-systems, :func:`extend_amplitude_table` grows the table with *all* coupled
-configurations in the physical sector, evaluated through the wave function —
-the batch kernels then compute the exact Eq. (4).
+The scalar rungs of the paper's Fig. 10 ladder (bare-CPU baseline, SA+FUSE,
+SA+FUSE+LUT) are the subject of ``benchmarks/bench_fig10_localenergy.py``
+and live there.
+
+Both kernels are sample-aware: they only credit coupled configurations that
+appear in the amplitude table (Fig. 7(b)).  For unbiased local energies on
+small systems, :func:`extend_amplitude_table` grows the table with *all*
+coupled configurations in the physical sector, evaluated through the wave
+function — the same kernels then compute the exact Eq. (4).
 """
 from __future__ import annotations
 
 import threading
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass
-from inspect import signature
 
 from repro.backend import xp
 from repro.backend.dtypes import bool_, complex128, int64, uint64
 from repro.core.sampler import SampleBatch
 from repro.core.wavefunction import NNQSWavefunction
-from repro.hamiltonian.compressed import (
-    CompressedHamiltonian,
-    ReferenceHamiltonianData,
-)
+from repro.hamiltonian.compressed import CompressedHamiltonian
 from repro.utils.bitstrings import (
-    keys_to_ints,
     lexsort_keys,
     pack_bits,
     parity64,
-    popcount64,
     searchsorted_keys,
     unpack_bits,
 )
@@ -67,14 +52,10 @@ __all__ = [
     "extend_amplitude_table",
     "merge_amplitude_tables",
     "normalize_amplitude_table",
-    "local_energy_baseline",
-    "local_energy_sa_fuse",
-    "local_energy_sa_fuse_lut",
     "local_energy_vectorized",
     "ElocPlan",
     "compile_eloc_plan",
     "local_energy_planned",
-    "resolve_batch_kernel",
     "budgeted_sample_chunk",
     "local_energy",
 ]
@@ -90,15 +71,6 @@ class AmplitudeTable:
     @property
     def n_entries(self) -> int:
         return len(self.log_amps)
-
-    def to_dict(self) -> dict[int, complex]:
-        """Python-dict view (used by the non-LUT engines of Fig. 10).
-
-        Keys are packed with one vectorized shift-or pass per word
-        (:func:`~repro.utils.bitstrings.keys_to_ints`) instead of a
-        per-entry Python word loop; the mapping is unchanged.
-        """
-        return dict(zip(keys_to_ints(self.keys), self.log_amps))
 
 
 def build_amplitude_table(wf: NNQSWavefunction, batch: SampleBatch) -> AmplitudeTable:
@@ -230,164 +202,7 @@ def extend_amplitude_table(
 
 
 # --------------------------------------------------------------------------
-# Level 0: bare-CPU baseline (Fig. 6(b) layout, term-by-term, dict lookup)
-# --------------------------------------------------------------------------
-def local_energy_baseline(
-    ref: ReferenceHamiltonianData,
-    batch: SampleBatch,
-    amp_dict: dict[int, complex],
-) -> xp.ndarray:
-    """The "bare CPU" level of Fig. 10: per-term Python loops, no SA/FUSE/LUT."""
-    n_words = ref.xy.shape[1]
-    # Per-term integer masks and Y phases (independent of the samples).
-    a_masks, b_masks, phases = [], [], []
-    for k in range(ref.n_terms):
-        a = b = 0
-        for w in range(n_words):
-            a |= int(ref.xy[k, w]) << (64 * w)
-            b |= int(ref.yz[k, w]) << (64 * w)
-        a_masks.append(a)
-        b_masks.append(b)
-        phases.append((-1.0) ** (ref.y_occ[k] // 2))
-    eloc = xp.zeros(batch.n_unique, dtype=complex128)
-    keys = pack_bits(batch.bits)
-    for s in range(batch.n_unique):
-        x = 0
-        for w in range(n_words):
-            x |= int(keys[s, w]) << (64 * w)
-        la_x = amp_dict[x]
-        # No FUSE: materialize every coupled configuration with its
-        # coefficient (one record per Pauli string — duplicates included,
-        # the O(N_h) memory footprint Sec. 3.4 method (2) eliminates).
-        coupled: list[tuple[int, float]] = []
-        for k in range(ref.n_terms):
-            x2 = x ^ a_masks[k]
-            sign = -1.0 if bin(b_masks[k] & x).count("1") % 2 else 1.0
-            coupled.append((x2, ref.coeffs[k] * phases[k] * sign))
-        # No SA dedup: every record triggers its own amplitude lookup (the
-        # compressed structure would visit each unique x' exactly once).
-        acc = 0.0 + 0.0j
-        for x2, coef in coupled:
-            la = amp_dict.get(x2)
-            if la is not None:
-                acc += coef * xp.exp(la - la_x)
-        eloc[s] = acc + ref.constant
-    return eloc
-
-
-# --------------------------------------------------------------------------
-# Level 1: SA + FUSE (compressed groups, fused accumulation, boolean storage)
-# --------------------------------------------------------------------------
-def _int_views(comp: CompressedHamiltonian):
-    """Python-int views of the compressed masks (for the scalar engines)."""
-    return keys_to_ints(comp.xy_unique), keys_to_ints(comp.yz_buf)
-
-
-def local_energy_sa_fuse(
-    comp: CompressedHamiltonian,
-    batch: SampleBatch,
-    amp_dict: dict[int, complex],
-) -> xp.ndarray:
-    """Methods (2)+(4): fused accumulation over compressed XY groups.
-
-    Configurations are handled in the paper's pre-LUT representation —
-    "the samples generated on each GPU are stored as boolean lists" (Fig. 7)
-    — so every coupled-state lookup XORs a boolean array and hashes it; the
-    LUT level below replaces this with packed integers + binary search.
-    """
-    from repro.utils.bitstrings import unpack_bits as _unpack
-
-    n = comp.n_qubits
-    xy_bits = _unpack(comp.xy_unique, n)          # (G, N) uint8 flip masks
-    yz_bits = _unpack(comp.yz_buf, n)             # (K, N) uint8 sign masks
-    idxs = comp.idxs
-    coeffs = comp.coeffs_buf
-    # Boolean-keyed amplitude map (bytes of the uint8 bit array): repack the
-    # integer keys into (U, W) uint64 words, then one vectorized unpack —
-    # O(U*W) word extractions instead of O(U*N) per-bit Python work.
-    bool_dict: dict[bytes, complex] = {}
-    if amp_dict:
-        items = list(amp_dict.items())
-        key_arr = xp.array([k for k, _ in items], dtype=object)
-        n_words = (n + 63) // 64
-        mask64 = (1 << 64) - 1
-        packed = xp.zeros((len(items), n_words), dtype=uint64)
-        for w in range(n_words):
-            packed[:, w] = ((key_arr >> (64 * w)) & mask64).astype(uint64)
-        key_bits = _unpack(packed, n)             # (U, N) uint8, vectorized
-        for i, (_, la) in enumerate(items):
-            bool_dict[key_bits[i].tobytes()] = la
-    eloc = xp.zeros(batch.n_unique, dtype=complex128)
-    for s in range(batch.n_unique):
-        x_bits = batch.bits[s]
-        la_x = bool_dict[x_bits.tobytes()]
-        acc = 0.0 + 0.0j
-        for g in range(len(xy_bits)):
-            x2 = xp.bitwise_xor(x_bits, xy_bits[g])
-            la = bool_dict.get(x2.tobytes())
-            if la is None:
-                continue  # sample-aware: skip configurations outside S
-            coef = 0.0
-            for k in range(idxs[g], idxs[g + 1]):
-                par = int(xp.bitwise_and(x_bits, yz_bits[k]).sum()) & 1
-                coef += -coeffs[k] if par else coeffs[k]
-            acc += coef * xp.exp(la - la_x)
-        eloc[s] = acc + comp.constant
-    return eloc
-
-
-# --------------------------------------------------------------------------
-# Level 2: SA + FUSE + LUT (packed sorted integer keys + binary search)
-# --------------------------------------------------------------------------
-def prepare_scalar_views(comp: CompressedHamiltonian, table: AmplitudeTable):
-    """Precompute the packed-integer structures of method (5) once.
-
-    Returns ``(xy_ints, yz_ints, id_lut, wf_lut)``: Python-int mask views and
-    the sorted integer key list (id_lut) aligned with the amplitude records
-    (wf_lut) — the data layout of Algorithm 2.
-    """
-    xy, yz = _int_views(comp)
-    # One vectorized shift-or pass over the key words (was a per-entry loop).
-    id_lut = keys_to_ints(table.keys)
-    return xy, yz, id_lut, table.log_amps
-
-
-def local_energy_sa_fuse_lut(
-    comp: CompressedHamiltonian,
-    batch: SampleBatch,
-    table: AmplitudeTable,
-    views=None,
-) -> xp.ndarray:
-    """Method (5) added: packed u64 keys, ``bisect`` = Algorithm 2's binary_find."""
-    xy, yz, id_lut, wf_lut = views if views is not None else prepare_scalar_views(comp, table)
-    idxs = comp.idxs
-    coeffs = comp.coeffs_buf
-    keys = pack_bits(batch.bits)
-    n_words = keys.shape[1]
-    eloc = xp.zeros(batch.n_unique, dtype=complex128)
-    n_entries = len(id_lut)
-    for s in range(batch.n_unique):
-        x = 0
-        for w in range(n_words):
-            x |= int(keys[s, w]) << (64 * w)
-        pos = bisect_left(id_lut, x)
-        la_x = wf_lut[pos]
-        acc = 0.0 + 0.0j
-        for g in range(len(xy)):
-            x2 = x ^ xy[g]
-            pos = bisect_left(id_lut, x2)
-            if pos >= n_entries or id_lut[pos] != x2:
-                continue
-            coef = 0.0
-            for k in range(idxs[g], idxs[g + 1]):
-                coef += coeffs[k] if bin(x & yz[k]).count("1") % 2 == 0 else -coeffs[k]
-            acc += coef * xp.exp(wf_lut[pos] - la_x)
-        eloc[s] = acc + comp.constant
-    return eloc
-
-
-# --------------------------------------------------------------------------
-# Level 3: the batch-vectorized kernel (the GPU substitute, Algorithm 2)
+# The reference: stateless batch kernel (Algorithm 2 as chunked array ops)
 # --------------------------------------------------------------------------
 def budgeted_sample_chunk(
     n_words: int,
@@ -419,7 +234,10 @@ def local_energy_vectorized(
     sample_chunk: int = 4096,
     memory_budget_bytes: int | None = None,
 ) -> xp.ndarray:
-    """Vectorized SA+FUSE+LUT kernel; chunked to bound peak memory.
+    """The reference kernel — for testing purposes only.
+
+    Stateless SA+FUSE+LUT arithmetic: no plan, no dedup, no caches; what
+    :meth:`ElocPlan.local_energy` must equal bit for bit.
 
     The double chunking mirrors the paper's two-level parallelization: the
     outer sample chunks correspond to the per-thread batches of Fig. 7(a),
@@ -483,7 +301,7 @@ def local_energy_vectorized(
 
 
 # --------------------------------------------------------------------------
-# Level 4: compiled plans — Hamiltonian-static precomputation + key dedup
+# Production: compiled plans — Hamiltonian-static precomputation + key dedup
 # --------------------------------------------------------------------------
 @dataclass
 class _GroupChunkScaffold:
@@ -717,21 +535,16 @@ def local_energy_planned(
     comp: CompressedHamiltonian,
     batch: SampleBatch,
     table: AmplitudeTable,
-    group_chunk: int = 512,
-    sample_chunk: int = 4096,
-    memory_budget_bytes: int | None = None,
     plan: ElocPlan | None = None,
 ) -> xp.ndarray:
-    """Plan+dedup kernel with the shared batch-kernel signature.
+    """Run ``plan`` on one batch (function spelling of the production kernel).
 
-    With ``plan=None`` a throwaway plan is compiled from the chunking knobs
-    (correct, but the point of plans is reuse — drivers compile one per run).
-    An explicit ``plan`` carries its own chunking; the knob arguments are
-    ignored in that case.
+    Chunking and the memory budget are properties of the plan.  With
+    ``plan=None`` a throwaway default plan is compiled (correct, but the
+    point of plans is reuse — drivers compile one per run).
     """
     if plan is None:
-        plan = ElocPlan(comp, group_chunk=group_chunk, sample_chunk=sample_chunk,
-                        memory_budget_bytes=memory_budget_bytes)
+        plan = ElocPlan(comp)
     elif plan.comp is not comp:
         raise ValueError(
             "ElocPlan was compiled for a different CompressedHamiltonian; "
@@ -740,108 +553,25 @@ def local_energy_planned(
     return plan.local_energy(batch, table)
 
 
-def _vectorized_batch_kernel(
-    comp: CompressedHamiltonian,
-    batch: SampleBatch,
-    table: AmplitudeTable,
-    group_chunk: int = 512,
-    sample_chunk: int = 4096,
-    memory_budget_bytes: int | None = None,
-    plan: ElocPlan | None = None,
-) -> xp.ndarray:
-    """``local_energy_vectorized`` behind the shared batch-kernel signature
-    (the unplanned kernel accepts and ignores ``plan``)."""
-    del plan
-    return local_energy_vectorized(
-        comp, batch, table, group_chunk=group_chunk,
-        sample_chunk=sample_chunk, memory_budget_bytes=memory_budget_bytes,
-    )
-
-
-# Built-in batch kernels under the shared signature
-#   kernel(comp, batch, table, *, group_chunk, sample_chunk,
-#          memory_budget_bytes, plan) -> (U,) complex128
-# — the contract the execution engine drives by name.  The api registry
-# re-exports these under the same names (plus the scalar Fig. 10 rungs,
-# which keep their native signatures and are *not* engine-drivable).
-BATCH_ELOC_KERNELS = {
-    "vectorized": _vectorized_batch_kernel,
-    "planned": local_energy_planned,
-}
-
-
-def _accepts_batch_signature(kernel) -> bool:
-    """Whether ``kernel`` can be driven with the shared batch-kernel call."""
-    try:
-        signature(kernel).bind(
-            None, None, None, group_chunk=1, sample_chunk=1,
-            memory_budget_bytes=None, plan=None,
-        )
-    except TypeError:
-        return False
-    return True
-
-
-def resolve_batch_kernel(name: str):
-    """Resolve a batch-kernel name, preferring the api eloc_kernel registry.
-
-    The registry (``repro.api.registry.ELOC_KERNELS``) is consulted first so
-    user-registered kernels and spec-driven runs share one namespace; the
-    core :data:`BATCH_ELOC_KERNELS` map is the fallback when ``repro.api``
-    is unavailable.  Unknown names raise ``KeyError`` with the registered
-    options listed; registered names whose callable does not take the batch
-    signature (the scalar Fig. 10 rungs, the high-level ``exact`` /
-    ``sample_aware`` wrappers) raise ``TypeError`` up front instead of
-    failing opaquely mid-run.
-    """
-    try:
-        import repro.api.builtins  # noqa: F401 — ensure built-ins registered
-        from repro.api.registry import ELOC_KERNELS
-
-        kernel = ELOC_KERNELS.get(name)
-    except ImportError:  # pragma: no cover - api layer stripped
-        try:
-            kernel = BATCH_ELOC_KERNELS[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown eloc kernel {name!r}; built-in batch kernels: "
-                f"{sorted(BATCH_ELOC_KERNELS)}"
-            ) from None
-    if not _accepts_batch_signature(kernel):
-        raise TypeError(
-            f"eloc kernel {name!r} does not take the batch-kernel signature "
-            "(comp, batch, table, *, group_chunk, sample_chunk, "
-            "memory_budget_bytes, plan) and cannot drive the staged "
-            f"iteration; engine-drivable built-ins: {sorted(BATCH_ELOC_KERNELS)}"
-        )
-    return kernel
-
-
 def local_energy(
     wf: NNQSWavefunction,
     comp: CompressedHamiltonian,
     batch: SampleBatch,
     mode: str = "exact",
     table: AmplitudeTable | None = None,
-    group_chunk: int = 512,
-    sample_chunk: int = 4096,
     memory_budget_bytes: int | None = None,
-    kernel: str = "vectorized",
     plan: ElocPlan | None = None,
 ) -> tuple[xp.ndarray, AmplitudeTable]:
-    """High-level entry point used by the VMC driver.
+    """High-level entry point: build/extend the table, then run the plan.
 
     ``mode='exact'`` extends the amplitude table with all coupled
     configurations (unbiased Eq. 4); ``mode='sample_aware'`` restricts the sum
     to the sampled set S (method (4) of Sec. 3.4 — cheap, slightly biased,
-    exact in the limit where S covers the wave function's support).  The
-    chunking/budget knobs pass straight to the batch kernel (exposed through
-    ``VMCConfig`` / the spec's ``parallel`` section).
+    exact in the limit where S covers the wave function's support).
 
-    ``kernel`` names a batch kernel (resolved through the api eloc_kernel
-    registry — ``'vectorized'`` or ``'planned'`` built in); passing an
-    explicit compiled ``plan`` implies the planned kernel.  Both kernels are
-    bit-identical in values.
+    ``plan`` is the caller's compiled :class:`ElocPlan` (one per run or
+    served model); without one a throwaway plan under ``memory_budget_bytes``
+    is compiled for this call.  The budget also bounds the table extension.
     """
     if table is None:
         table = build_amplitude_table(wf, batch)
@@ -851,12 +581,6 @@ def local_energy(
         )
     elif mode != "sample_aware":
         raise ValueError(f"unknown local-energy mode {mode!r}")
-    if plan is not None:
-        kernel = "planned"
-    kernel_fn = resolve_batch_kernel(kernel)
-    eloc = kernel_fn(
-        comp, batch, table, group_chunk=group_chunk,
-        sample_chunk=sample_chunk, memory_budget_bytes=memory_budget_bytes,
-        plan=plan,
-    )
-    return eloc, table
+    if plan is None:
+        plan = ElocPlan(comp, memory_budget_bytes=memory_budget_bytes)
+    return local_energy_planned(comp, batch, table, plan=plan), table

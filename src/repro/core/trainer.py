@@ -45,6 +45,7 @@ from repro.core.vmc import (
 from repro.core.wavefunction import NNQSWavefunction
 from repro.hamiltonian.compressed import CompressedHamiltonian
 from repro.hamiltonian.qubit_hamiltonian import QubitHamiltonian
+from repro.utils.atomic import atomic_write
 
 __all__ = ["TrainConfig", "TrainReport", "Trainer", "build_report"]
 
@@ -75,12 +76,10 @@ class TrainConfig:
     # registered name ('numpy', 'mock', 'torch', 'cupy'), an ArrayBackend
     # instance, or None for the numpy default.
     array_backend: object | None = None
-    # Local-energy kernel chunking (see VMCConfig / ParallelSpec).
+    # Local-energy plan chunking (see VMCConfig / ParallelSpec).
     group_chunk: int = 512
     sample_chunk: int = 4096
     eloc_memory_budget_mb: float | None = None
-    # Batch-kernel choice by eloc_kernel-registry name (see VMCConfig).
-    eloc_kernel: str = "planned"
     # stopping + logging
     plateau_window: int = 100
     plateau_rel_tol: float = 1e-7
@@ -151,11 +150,6 @@ class TrainConfig:
             raise ValueError(
                 "TrainConfig.eloc_memory_budget_mb must be None or positive, "
                 f"got {self.eloc_memory_budget_mb!r}"
-            )
-        if not isinstance(self.eloc_kernel, str) or not self.eloc_kernel:
-            raise ValueError(
-                "TrainConfig.eloc_kernel must name a registered batch kernel, "
-                f"got {self.eloc_kernel!r}"
             )
 
 
@@ -301,7 +295,6 @@ class Trainer:
                 group_chunk=cfg.group_chunk,
                 sample_chunk=cfg.sample_chunk,
                 eloc_memory_budget_mb=cfg.eloc_memory_budget_mb,
-                eloc_kernel=cfg.eloc_kernel,
             ),
             backend=cfg.backend,
             array_backend=cfg.array_backend,
@@ -319,8 +312,27 @@ class Trainer:
 
     # ------------------------------------------------------------------ main
     def resume(self, path: str | Path) -> None:
-        """Restore a checkpoint written by a previous :meth:`train` call."""
+        """Restore a checkpoint written by a previous :meth:`train` call.
+
+        The run log is cut back to the checkpoint: rows a killed run logged
+        after its last checkpoint are about to be logged again, and a torn
+        last line would otherwise end up mid-file.  Whole records up to the
+        restored iteration (and event records, which carry none) stay.
+        """
         load_checkpoint(self.vmc, path)
+        log_path = self.config.log_path
+        if log_path is None or not Path(log_path).exists():
+            return
+        kept = []
+        for line in Path(log_path).read_text().splitlines():
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if record.get("iteration", 0) <= self.vmc.iteration:
+                kept.append(line + "\n")
+        with atomic_write(log_path) as f:
+            f.writelines(kept)
 
     def train(self, on_iteration: Callable[[VMCStats], None] | None = None) -> TrainReport:
         """Run to ``max_iterations`` (or plateau) and report.

@@ -4,7 +4,7 @@ One iteration (see :mod:`repro.core.engine` for the staged pipeline):
 
 1. Batch autoregressive sampling produces N_u unique samples with weights.
 2. Amplitudes of the unique set are tabulated (wf_lut, Algorithm 2) and the
-   local energies evaluated with the vectorized kernel.
+   local energies evaluated with the run's compiled ``ElocPlan``.
 3. The energy estimate is the weighted mean (Eq. 6) and the gradient follows
    Eq. 7; with Psi = sqrt(pi) e^{i phi} it splits into
 
@@ -40,7 +40,7 @@ from repro.core.engine import (
     stage_sample,
     stage_update,
 )
-from repro.core.local_energy import ElocPlan, resolve_batch_kernel
+from repro.core.local_energy import ElocPlan
 from repro.core.sampler import SampleBatch
 from repro.core.wavefunction import NNQSWavefunction
 from repro.hamiltonian.compressed import CompressedHamiltonian, compress_hamiltonian
@@ -91,18 +91,14 @@ class VMC:
         )
         self.config = config or VMCConfig()
         self.backend = backend or SerialBackend()
-        # Resolved once per run: the batch kernel named by the config (fails
-        # here, not mid-iteration) and, for the planned kernel, the compiled
-        # local-energy plan — Hamiltonian-static scaffolds shared by all
-        # ranks of every backend (stage 3 hands both to the kernel; other
-        # kernels receive plan=None and may compile their own).
-        self.eloc_kernel_fn = resolve_batch_kernel(self.config.eloc_kernel)
+        # Compiled once per run: the local-energy plan — Hamiltonian-static
+        # scaffolds shared by all ranks of every backend (stage 3 runs it).
         self.eloc_plan = ElocPlan(
             self.comp,
             group_chunk=self.config.group_chunk,
             sample_chunk=self.config.sample_chunk,
             memory_budget_bytes=self.config.eloc_memory_budget_bytes(),
-        ) if self.config.eloc_kernel == "planned" else None
+        )
         self.rng = np.random.default_rng(self.config.seed)
         self.optimizer = AdamW(
             wf, lr=0.0, weight_decay=self.config.weight_decay

@@ -1,6 +1,9 @@
 """Shared fixtures: small molecular problems (session-scoped, disk-cached)."""
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,3 +28,45 @@ def h2o_problem():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def fig10():
+    """``benchmarks/bench_fig10_localenergy.py`` as a module: the home of the
+    scalar Fig. 10 rungs (baseline / sa_fuse / sa_fuse_lut)."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_fig10_localenergy.py"
+    spec = importlib.util.spec_from_file_location("bench_fig10_localenergy", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture()
+def stage3_vs_reference(monkeypatch):
+    """Check every stage-3 kernel call of the engine against the reference.
+
+    While active, each ``(chunk, table)`` the staged iteration hands to its
+    compiled plan is also evaluated by ``local_energy_vectorized`` under the
+    plan's chunking, and the two must be bit-equal.  Forked ranks inherit the
+    check; the returned list (chunk sizes, one per call) only sees calls made
+    in this process.
+    """
+    from repro.core import engine
+    from repro.core.local_energy import local_energy_vectorized
+
+    real = engine.local_energy_planned
+    calls = []
+
+    def checked(comp, chunk, table, plan):
+        out = real(comp, chunk, table, plan=plan)
+        ref = local_energy_vectorized(
+            comp, chunk, table, group_chunk=plan.group_chunk,
+            sample_chunk=plan.sample_chunk,
+            memory_budget_bytes=plan.memory_budget_bytes,
+        )
+        np.testing.assert_array_equal(out, ref)
+        calls.append(chunk.n_unique)
+        return out
+
+    monkeypatch.setattr(engine, "local_energy_planned", checked)
+    return calls

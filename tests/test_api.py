@@ -49,7 +49,6 @@ def full_spec() -> RunSpec:
         sampling=SamplingSpec(sampler="hybrid", ns_pretrain=777, ns_max=8888,
                               ns_growth=1.5, pretrain_iters=0,
                               eloc_mode="sample_aware",
-                              eloc_kernel="vectorized",
                               params={"n_streams": 2}),
         train=TrainSpec(max_iterations=7, pretrain_steps=0,
                         pretrain_target=0.25, seed=9, plateau_window=3,
@@ -170,13 +169,20 @@ class TestSpecValidation:
 # ---------------------------------------------------------------- registries
 class TestRegistries:
     def test_builtins_are_registered(self):
-        from repro.api import ELOC_KERNELS, OPTIMIZERS, SAMPLERS
+        import repro.api
+        import repro.core
+        from repro.api import OPTIMIZERS, SAMPLERS
 
         assert {"transformer", "made", "naqs-mlp", "rbm"} <= set(ANSATZE.names())
         assert {"adamw", "sr"} <= set(OPTIMIZERS.names())
         assert {"bas", "hybrid", "mcmc"} <= set(SAMPLERS.names())
-        assert {"exact", "sample_aware", "baseline", "sa_fuse", "sa_fuse_lut",
-                "vectorized", "planned"} <= set(ELOC_KERNELS.names())
+        # The local energy is not a component: no registry, no exported rung.
+        for gone in ("ELOC_KERNELS", "register_eloc_kernel",
+                     "materialize_eloc_kernel"):
+            assert gone not in repro.api.__all__ and not hasattr(repro.api, gone)
+        for gone in ("local_energy_baseline", "local_energy_sa_fuse",
+                     "local_energy_sa_fuse_lut"):
+            assert gone not in repro.core.__all__ and not hasattr(repro.core, gone)
 
     def test_unknown_name_error_lists_registered(self):
         with pytest.raises(UnknownComponentError) as exc:
@@ -220,32 +226,39 @@ class TestRegistries:
             run(spec, run_dir=tmp_path / "r")
 
     def test_unknown_eloc_kernel_in_spec(self, tmp_path):
-        spec = tiny_spec().with_overrides({"sampling.eloc_kernel": "warp"})
-        with pytest.raises(SpecError, match="sampling.eloc_kernel"):
-            run(spec, run_dir=tmp_path / "r")
+        """The knob is gone, with no alias: a --set naming it is an unknown
+        field, whatever the value — even the former default."""
+        for value in ("warp", "planned"):
+            with pytest.raises(SpecError, match="sampling.eloc_kernel"):
+                tiny_spec().with_overrides({"sampling.eloc_kernel": value})
 
     def test_non_batch_eloc_kernel_fails_at_materialization(self, tmp_path):
-        """'exact' is registered but is a high-level wrapper, not an
-        engine-drivable batch kernel — the spec field is named up front."""
-        spec = tiny_spec().with_overrides({"sampling.eloc_kernel": "exact"})
+        """An old spec.json carrying the key fails to load, naming it —
+        nothing is silently ignored, and no run directory is touched."""
+        data = tiny_spec().to_dict()
+        data["sampling"]["eloc_kernel"] = "exact"
+        path = tmp_path / "old_spec.json"
+        path.write_text(json.dumps(data))
         with pytest.raises(SpecError, match="sampling.eloc_kernel"):
-            run(spec, run_dir=tmp_path / "r")
-        assert not (tmp_path / "r" / "spec.json").exists()
+            RunSpec.load(path)
+        with pytest.raises(SpecError, match="sampling.eloc_kernel"):
+            RunSpec.from_dict(data)
 
-    def test_eloc_kernel_default_is_planned(self):
-        assert RunSpec().sampling.eloc_kernel == "planned"
+    def test_eloc_kernel_default_is_planned(self, capsys):
+        """No field, no listing: every run uses the compiled plan."""
+        from repro.api.cli import main
 
-    def test_planned_and_vectorized_runs_bit_identical(self, tmp_path):
-        """The registry-selected kernels differ only in speed: the whole
-        training trajectory (energies, report, params) must match bitwise."""
-        a = run(tiny_spec({"sampling.eloc_kernel": "planned"}),
-                run_dir=tmp_path / "a")
-        b = run(tiny_spec({"sampling.eloc_kernel": "vectorized"}),
-                run_dir=tmp_path / "b")
-        assert metric_energies(a.metrics_path) == metric_energies(b.metrics_path)
-        assert a.report.energy == b.report.energy
-        np.testing.assert_array_equal(a.wavefunction.get_flat_params(),
-                                      b.wavefunction.get_flat_params())
+        assert "eloc_kernel" not in RunSpec().to_dict()["sampling"]
+        assert not hasattr(RunSpec().sampling, "eloc_kernel")
+        assert main(["info", "--components"]) == 0
+        assert "eloc_kernel" not in capsys.readouterr().out
+
+    def test_planned_and_vectorized_runs_bit_identical(self, tmp_path,
+                                                       stage3_vs_reference):
+        """A whole run through the front door: every stage-3 call equals the
+        reference kernel on the same ``(chunk, table)``."""
+        result = run(tiny_spec(), run_dir=tmp_path / "a")
+        assert len(stage3_vs_reference) == len(metric_energies(result.metrics_path))
 
 
 # ------------------------------------------------------------ --set parsing

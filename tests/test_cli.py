@@ -157,8 +157,9 @@ class TestInfo:
         assert rc == 0
         out = capsys.readouterr().out
         for token in ("transformer", "adamw", "sr", "bas", "hybrid", "mcmc",
-                      "sa_fuse_lut"):
+                      "threads"):
             assert token in out
+        assert "sa_fuse_lut" not in out and "eloc_kernel" not in out
 
     def test_no_args_is_usage_error(self, capsys):
         assert main(["info"]) == 2

@@ -1,22 +1,25 @@
 """Compiled local-energy plans: bit-identity, dedup, threading, backends.
 
-Acceptance contracts of the ``ElocPlan`` / ``local_energy_planned`` rung:
+Acceptance contracts of ``ElocPlan``, the one production local-energy path:
 
-* bit-identical local energies vs. ``local_energy_vectorized`` for all three
-  ansätze, on sample-aware and exact (extended) tables;
+* bit-identical local energies vs. the reference ``local_energy_vectorized``
+  for all three ansätze, on sample-aware and exact (extended) tables;
 * bit-identical at every chunk boundary (``sample_chunk`` / ``group_chunk``
-  = 1, odd, > batch) when both kernels use the same chunking;
-* agreement with the scalar ``sa_fuse_lut`` ladder (the pre-batch reference);
+  = 1, odd, > batch) when plan and reference use the same chunking;
+* agreement with the scalar ``sa_fuse_lut`` rung of the Fig. 10 bench;
 * the coupled-key dedup path (``np.unique`` + inverse scatter) is
   index-identical to the direct binary search, single- and multi-word;
 * one plan per run serves every backend (serial / threads / process) and the
-  serving layer, with no caller compiling plans by hand;
-* the ``eloc_kernel`` registry selects the kernel by name from the spec.
+  serving layer: the engine's stage-3 output equals the reference on the
+  same ``(chunk, table)``;
+* there is no kernel selector: every former spelling of the knob is rejected.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ElocPlan,
@@ -29,14 +32,17 @@ from repro.core import (
     extend_amplitude_table,
     local_energy,
     local_energy_planned,
-    local_energy_sa_fuse_lut,
     local_energy_vectorized,
 )
 from repro.core.engine import ProcessBackend, ThreadBackend
-from repro.core.local_energy import AmplitudeTable, resolve_batch_kernel
+from repro.core.local_energy import AmplitudeTable
 from repro.core.sampler import batch_autoregressive_sample
-from repro.hamiltonian import compress_hamiltonian, synthetic_molecular_hamiltonian
-from repro.utils.bitstrings import lexsort_keys, pack_bits
+from repro.hamiltonian import (
+    compress_hamiltonian,
+    sector_hamiltonian_dense,
+    synthetic_molecular_hamiltonian,
+)
+from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
 
 ANSATZE = ["transformer", "made", "naqs-mlp"]
 
@@ -50,6 +56,15 @@ def _setup(problem, amplitude_type="transformer", n_samples=2000, seed=11):
     comp = compress_hamiltonian(problem.hamiltonian)
     table = build_amplitude_table(wf, batch)
     return wf, comp, batch, table
+
+
+def _mock_table(rng, keys):
+    """Lexsorted table over the unique rows of ``keys`` with random amplitudes."""
+    keys = np.unique(keys, axis=0)
+    keys = keys[lexsort_keys(keys)]
+    log_amps = (rng.normal(scale=0.5, size=len(keys))
+                + 1j * rng.uniform(0, 2 * np.pi, len(keys)))
+    return AmplitudeTable(keys=keys, log_amps=log_amps)
 
 
 class TestBitIdentity:
@@ -69,9 +84,10 @@ class TestBitIdentity:
         np.testing.assert_array_equal(out, ref)
 
     @pytest.mark.parametrize("amplitude_type", ANSATZE)
-    def test_agrees_with_scalar_lut_ladder(self, h2_problem, amplitude_type):
+    def test_agrees_with_scalar_lut_ladder(self, h2_problem, amplitude_type,
+                                           fig10):
         wf, comp, batch, table = _setup(h2_problem, amplitude_type)
-        scalar = local_energy_sa_fuse_lut(comp, batch, table)
+        scalar = fig10.local_energy_sa_fuse_lut(comp, batch, table)
         planned = ElocPlan(comp).local_energy(batch, table)
         np.testing.assert_allclose(planned, scalar, atol=1e-10)
 
@@ -85,9 +101,9 @@ class TestBitIdentity:
         ref = local_energy_vectorized(comp, batch, table,
                                       group_chunk=group_chunk,
                                       sample_chunk=sample_chunk)
-        out = local_energy_planned(comp, batch, table,
-                                   group_chunk=group_chunk,
-                                   sample_chunk=sample_chunk)
+        plan = ElocPlan(comp, group_chunk=group_chunk,
+                        sample_chunk=sample_chunk)
+        out = local_energy_planned(comp, batch, table, plan=plan)
         np.testing.assert_array_equal(out, ref)
 
     def test_memory_budget_matches_vectorized(self, lih_problem):
@@ -135,10 +151,7 @@ class TestDedup:
             rng.integers(0, 2, size=(24, n_qubits)).astype(np.uint8), axis=0
         )
         batch = SampleBatch(bits=bits, weights=np.ones(len(bits), dtype=np.int64))
-        keys = pack_bits(bits)
-        order = lexsort_keys(keys)
-        amps = rng.normal(size=len(bits)) + 1j * rng.uniform(0, 6.28, len(bits))
-        table = AmplitudeTable(keys=keys[order], log_amps=amps[order])
+        table = _mock_table(rng, pack_bits(bits))
         ref = local_energy_vectorized(comp, batch, table)
         plan = ElocPlan(comp, group_chunk=7, sample_chunk=5)
         plan.DEDUP_MIN_TABLE = 0
@@ -193,6 +206,7 @@ class TestPlanLifecycle:
         assert ElocPlan(comp).local_energy(batch, table).shape == (0,)
 
     def test_high_level_plan_implies_planned_kernel(self, h2_problem):
+        """With or without a caller's plan, ``local_energy`` runs a plan."""
         wf, comp, batch, table = _setup(h2_problem)
         plan = ElocPlan(comp)
         e_plain, t_plain = local_energy(wf, comp, batch, mode="exact")
@@ -202,33 +216,58 @@ class TestPlanLifecycle:
 
 
 class TestKernelRegistry:
-    def test_resolve_builtin_names(self):
-        assert callable(resolve_batch_kernel("vectorized"))
-        assert callable(resolve_batch_kernel("planned"))
+    """There is no registry any more: the ids below used to exercise kernel
+    selection by name and now pin that every spelling of it is gone."""
 
-    def test_unknown_name_lists_options(self):
-        with pytest.raises(KeyError, match="planned"):
-            resolve_batch_kernel("warp-drive")
+    def test_resolve_builtin_names(self):
+        from importlib import import_module
+
+        import repro.api
+
+        # ``repro.core`` re-exports a function named like the module.
+        module = import_module("repro.core.local_energy")
+
+        for gone in ("resolve_batch_kernel", "BATCH_ELOC_KERNELS"):
+            assert not hasattr(module, gone)
+        for gone in ("ELOC_KERNELS", "register_eloc_kernel"):
+            assert not hasattr(repro.api, gone)
+        assert callable(module.local_energy_planned)
+        assert callable(module.local_energy_vectorized)
+
+    def test_unknown_name_lists_options(self, h2_problem):
+        wf, comp, batch, table = _setup(h2_problem)
+        with pytest.raises(TypeError, match="kernel"):
+            local_energy(wf, comp, batch, table=table, kernel="warp-drive")
 
     @pytest.mark.parametrize("name", ["exact", "sample_aware", "baseline",
                                       "sa_fuse", "sa_fuse_lut"])
     def test_non_batch_kernels_rejected_up_front(self, name):
-        """Registered names without the batch signature must fail with the
-        drivable options listed, not with an opaque mid-run TypeError."""
-        with pytest.raises(TypeError, match="batch-kernel signature"):
-            resolve_batch_kernel(name)
+        """No config accepts a kernel name — not even a formerly valid one."""
+        from repro.core.trainer import TrainConfig
+
+        with pytest.raises(TypeError, match="eloc_kernel"):
+            VMCConfig(eloc_kernel=name)
+        with pytest.raises(TypeError, match="eloc_kernel"):
+            TrainConfig(eloc_kernel=name)
 
     def test_vmcconfig_validates_kernel_field(self):
-        with pytest.raises(ValueError, match="VMCConfig.eloc_kernel"):
-            VMCConfig(eloc_kernel="")
+        with pytest.raises(TypeError, match="eloc_kernel"):
+            VMCConfig(eloc_kernel="planned")
+        assert not hasattr(VMCConfig(), "eloc_kernel")
 
     def test_high_level_kernel_by_name(self, h2_problem):
+        """``local_energy`` without a plan compiles one — it runs production,
+        not the reference — and the chunking knobs live on the plan alone."""
         wf, comp, batch, table = _setup(h2_problem)
-        e_vec, _ = local_energy(wf, comp, batch, mode="sample_aware",
-                                table=table, kernel="vectorized")
-        e_plan, _ = local_energy(wf, comp, batch, mode="sample_aware",
-                                 table=table, kernel="planned")
-        np.testing.assert_array_equal(e_plan, e_vec)
+        e_ref = local_energy_vectorized(comp, batch, table)
+        e_default, _ = local_energy(wf, comp, batch, mode="sample_aware",
+                                    table=table)
+        np.testing.assert_array_equal(e_default, e_ref)
+        for knob in ("group_chunk", "sample_chunk"):
+            with pytest.raises(TypeError, match=knob):
+                local_energy(wf, comp, batch, table=table, **{knob: 3})
+            with pytest.raises(TypeError, match=knob):
+                local_energy_planned(comp, batch, table, **{knob: 3})
 
 
 def _fresh_vmc(problem, backend=None, **cfg):
@@ -252,37 +291,35 @@ class TestEngineIntegration:
         lambda: ThreadBackend(n_ranks=2, nu_star_per_rank=4),
     ])
     def test_planned_trajectory_matches_vectorized(self, h2_problem,
-                                                   backend_factory):
-        """The kernel choice must be invisible to the physics: identical
-        trajectories on the serial and thread-rank backends."""
-        a = _fresh_vmc(h2_problem, backend=backend_factory(),
-                       eloc_kernel="planned")
-        b = _fresh_vmc(h2_problem, backend=backend_factory(),
-                       eloc_kernel="vectorized")
+                                                   backend_factory,
+                                                   stage3_vs_reference):
+        """Every stage-3 call of a trajectory equals the reference kernel on
+        the same ``(chunk, table)``, on the serial and thread-rank backends."""
+        vmc = _fresh_vmc(h2_problem, backend=backend_factory())
         for _ in range(3):
-            sa, sb = a.step(), b.step()
-            assert sa.energy == sb.energy
-            assert sa.variance == sb.variance
-        np.testing.assert_array_equal(a.wf.get_flat_params(),
-                                      b.wf.get_flat_params())
+            vmc.step()
+        n_ranks = getattr(vmc.backend, "n_ranks", 1)
+        assert len(stage3_vs_reference) == 3 * n_ranks
+        assert sum(stage3_vs_reference) == sum(s.n_unique for s in vmc.history)
 
     @pytest.mark.slow
-    def test_process_backend_matches_thread_backend(self, h2_problem):
+    def test_process_backend_matches_thread_backend(self, h2_problem,
+                                                    stage3_vs_reference):
+        """Forked ranks run the same plan (and inherit the reference check)."""
         a = _fresh_vmc(h2_problem, backend=ProcessBackend(
-            n_ranks=2, nu_star_per_rank=4), eloc_kernel="planned")
+            n_ranks=2, nu_star_per_rank=4))
         b = _fresh_vmc(h2_problem, backend=ThreadBackend(
-            n_ranks=2, nu_star_per_rank=4), eloc_kernel="planned")
+            n_ranks=2, nu_star_per_rank=4))
         sa, sb = a.step(), b.step()
         assert sa.energy == sb.energy
         assert sa.variance == sb.variance
+        assert len(stage3_vs_reference) == 2   # the thread ranks' calls
 
     def test_unknown_kernel_fails_at_construction(self, h2_problem):
-        """The name is resolved once per run, at VMC construction — a typo
-        fails before any sampling happens, with the options listed."""
-        with pytest.raises(KeyError, match="eloc_kernel"):
-            _fresh_vmc(h2_problem, eloc_kernel="warp-drive")
-        with pytest.raises(TypeError, match="batch-kernel signature"):
-            _fresh_vmc(h2_problem, eloc_kernel="sa_fuse_lut")
+        """A kernel name fails before any sampling happens, whatever it is."""
+        for name in ("warp-drive", "sa_fuse_lut", "vectorized", "planned"):
+            with pytest.raises(TypeError, match="eloc_kernel"):
+                _fresh_vmc(h2_problem, eloc_kernel=name)
 
 
 class TestServeIntegration:
@@ -300,3 +337,80 @@ class TestServeIntegration:
         direct, _ = local_energy(wf, compress_hamiltonian(
             lih_problem.hamiltonian), batch, mode="exact")
         np.testing.assert_allclose(served, direct, atol=1e-10)
+
+
+CHUNKS = st.sampled_from((1, 3, 7, 10**6))      # 1 / odd / > batch
+
+
+class TestDifferential:
+    """Production against the reference on synthetic Hamiltonians, and the
+    reference against dense algebra — so neither is anchored to a kernel."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_qubits=st.sampled_from((24, 64, 70, 128, 130)),   # 1, 2, 3 words
+           n_terms=st.integers(10, 60), n_samples=st.integers(1, 16),
+           group_chunk=CHUNKS, sample_chunk=CHUNKS,
+           budget=st.sampled_from((None, 4096)),
+           extended=st.booleans(), dedup=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_plan_equals_reference(self, n_qubits, n_terms, n_samples,
+                                   group_chunk, sample_chunk, budget,
+                                   extended, dedup, seed):
+        comp = compress_hamiltonian(
+            synthetic_molecular_hamiltonian(n_qubits, n_terms, seed=seed))
+        rng = np.random.default_rng(seed + 1)
+        # A concentrated batch — one configuration flipped by subsets of four
+        # group masks — so samples couple to each other, as sampled ones do.
+        base = pack_bits(rng.integers(0, 2, size=(1, n_qubits)).astype(np.uint8))
+        pool = comp.xy_unique[rng.integers(0, comp.n_groups, size=4)]
+        chosen = rng.integers(0, 2, size=(n_samples, 4, 1)).astype(bool)
+        keys = np.unique(
+            base ^ np.bitwise_xor.reduce(np.where(chosen, pool, 0), axis=1), axis=0)
+        batch = SampleBatch(bits=unpack_bits(keys, n_qubits),
+                            weights=np.ones(len(keys), dtype=np.int64))
+        rows = [keys]
+        if extended:    # about half of all coupled configurations: hits and misses
+            coupled = (keys[:, None, :] ^ comp.xy_unique[None, :, :]).reshape(
+                -1, keys.shape[1])
+            rows.append(coupled[rng.random(len(coupled)) < 0.5])
+        if dedup:       # push the table over the dedup threshold
+            rows.append(pack_bits(rng.integers(
+                0, 2, size=(ElocPlan.DEDUP_MIN_TABLE + 200, n_qubits)
+            ).astype(np.uint8)))
+        table = _mock_table(rng, np.concatenate(rows))
+        assert (table.n_entries >= ElocPlan.DEDUP_MIN_TABLE) == dedup
+
+        plan = ElocPlan(comp, group_chunk=group_chunk,
+                        sample_chunk=sample_chunk, memory_budget_bytes=budget)
+        ref = local_energy_vectorized(
+            comp, batch, table, group_chunk=group_chunk,
+            sample_chunk=sample_chunk, memory_budget_bytes=budget)
+        assert np.array_equal(plan.local_energy(batch, table), ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_orb=st.integers(3, 6), up=st.integers(0, 6), dn=st.integers(0, 6),
+           n_terms=st.integers(10, 60), seed=st.integers(0, 2**16))
+    def test_reference_equals_dense_algebra(self, n_orb, up, dn, n_terms, seed):
+        """E_loc(x) = <x|H|Psi> / Psi(x) from the dense sector matrix, with
+        the whole sector tabulated (single-word keys, <= 12 qubits)."""
+        n_up, n_dn = min(up, n_orb), min(dn, n_orb)
+        comp = compress_hamiltonian(
+            synthetic_molecular_hamiltonian(2 * n_orb, n_terms, seed=seed))
+        dense, basis = sector_hamiltonian_dense(comp, n_up, n_dn)
+        rng = np.random.default_rng(seed + 1)
+        table = _mock_table(rng, basis.keys)
+        np.testing.assert_array_equal(table.keys, basis.keys)
+        psi = np.exp(table.log_amps)
+        picked = np.flatnonzero(rng.random(basis.dim) < 0.5)
+        if len(picked) == 0:
+            picked = np.array([0])
+        batch = SampleBatch(bits=basis.bits()[picked],
+                            weights=np.ones(len(picked), dtype=np.int64))
+
+        ref = local_energy_vectorized(comp, batch, table)
+        np.testing.assert_allclose(ref, (dense @ psi)[picked] / psi[picked],
+                                   rtol=0, atol=1e-10)
+        for dedup_min in (0, ElocPlan.DEDUP_MIN_TABLE):
+            plan = ElocPlan(comp)
+            plan.DEDUP_MIN_TABLE = dedup_min
+            assert np.array_equal(plan.local_energy(batch, table), ref)

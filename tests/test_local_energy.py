@@ -8,9 +8,6 @@ from repro.core import (
     build_qiankunnet,
     extend_amplitude_table,
     local_energy,
-    local_energy_baseline,
-    local_energy_sa_fuse,
-    local_energy_sa_fuse_lut,
     local_energy_vectorized,
 )
 from repro.hamiltonian import build_reference, compress_hamiltonian, sector_hamiltonian_dense
@@ -43,13 +40,13 @@ def dense_local_energy(comp, wf, bits, n_up, n_dn):
 
 
 class TestEnginesAgree:
-    def test_all_levels_match(self, setup_h2):
+    def test_all_levels_match(self, setup_h2, fig10):
         wf, comp, batch, table = setup_h2
         ref = build_reference(compress_and_back(comp))
-        amp_dict = table.to_dict()
-        e0 = local_energy_baseline(ref, batch, amp_dict)
-        e1 = local_energy_sa_fuse(comp, batch, amp_dict)
-        e2 = local_energy_sa_fuse_lut(comp, batch, table)
+        amp_dict = fig10.amplitude_dict(table)
+        e0 = fig10.local_energy_baseline(ref, batch, amp_dict)
+        e1 = fig10.local_energy_sa_fuse(comp, batch, amp_dict)
+        e2 = fig10.local_energy_sa_fuse_lut(comp, batch, table)
         e3 = local_energy_vectorized(comp, batch, table)
         np.testing.assert_allclose(e1, e0, atol=1e-10)
         np.testing.assert_allclose(e2, e0, atol=1e-10)

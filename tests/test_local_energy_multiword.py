@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import SampleBatch
-from repro.core.local_energy import (
-    AmplitudeTable,
-    local_energy_baseline,
-    local_energy_sa_fuse,
-    local_energy_sa_fuse_lut,
-    local_energy_vectorized,
-)
+from repro.core.local_energy import AmplitudeTable, local_energy_vectorized
 from repro.hamiltonian import build_reference, compress_hamiltonian, synthetic_molecular_hamiltonian
 from repro.utils.bitstrings import lexsort_keys, pack_bits
 
@@ -43,12 +37,12 @@ def make_setup(n_qubits: int, n_terms: int, n_samples: int, seed: int):
 
 @pytest.mark.parametrize("n_qubits,n_terms", [(70, 300), (100, 500)])
 class TestMultiwordEngines:
-    def test_all_engines_agree(self, n_qubits, n_terms):
+    def test_all_engines_agree(self, n_qubits, n_terms, fig10):
         ham, comp, ref, batch, table = make_setup(n_qubits, n_terms, 24, seed=3)
-        amp_dict = table.to_dict()
-        e_base = local_energy_baseline(ref, batch, amp_dict)
-        e_fuse = local_energy_sa_fuse(comp, batch, amp_dict)
-        e_lut = local_energy_sa_fuse_lut(comp, batch, table)
+        amp_dict = fig10.amplitude_dict(table)
+        e_base = fig10.local_energy_baseline(ref, batch, amp_dict)
+        e_fuse = fig10.local_energy_sa_fuse(comp, batch, amp_dict)
+        e_lut = fig10.local_energy_sa_fuse_lut(comp, batch, table)
         e_vec = local_energy_vectorized(comp, batch, table)
         np.testing.assert_allclose(e_fuse, e_base, atol=1e-10)
         np.testing.assert_allclose(e_lut, e_base, atol=1e-10)

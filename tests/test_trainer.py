@@ -101,6 +101,46 @@ class TestTrainerPersistence:
         report = t2.train()
         assert report.iterations == 20
 
+    def test_resume_after_kill_cuts_log_back_to_checkpoint(self, h2, tmp_path):
+        """Rows a killed run logged after its last checkpoint are re-run on
+        resume: the log must carry them once, and a torn last line must not
+        end up mid-file."""
+        prob, fci = h2
+        kwargs = dict(max_iterations=7, pretrain_steps=0, checkpoint_every=2)
+
+        def rows(path):
+            return [json.loads(l) for l in path.read_text().splitlines()]
+
+        whole = tmp_path / "whole.jsonl"
+        make_trainer(prob, fci, log_path=whole,
+                     checkpoint_path=tmp_path / "whole.npz", **kwargs).train()
+
+        log, ckpt = tmp_path / "run.jsonl", tmp_path / "run.npz"
+
+        class Killed(Exception):
+            pass
+
+        def kill_in_iteration_5(stats):
+            if stats.iteration == 5:
+                raise Killed
+
+        with pytest.raises(Killed):
+            make_trainer(prob, fci, log_path=log, checkpoint_path=ckpt,
+                         **kwargs).train(on_iteration=kill_in_iteration_5)
+        assert [r["iteration"] for r in rows(log)] == [1, 2, 3, 4, 5]
+        with open(log, "a") as f:
+            f.write('{"iteration": 6, "ener')      # died mid-append
+
+        resumed = make_trainer(prob, fci, log_path=log, checkpoint_path=ckpt,
+                               **kwargs)
+        resumed.resume(ckpt)
+        assert resumed.vmc.iteration == 4
+        resumed.train()
+
+        assert [r["iteration"] for r in rows(log)] == [1, 2, 3, 4, 5, 6, 7]
+        assert ([(r["iteration"], r["energy"]) for r in rows(log)]
+                == [(r["iteration"], r["energy"]) for r in rows(whole)])
+
     def test_early_stop_on_plateau(self, h2):
         prob, fci = h2
         # Tiny plateau window + huge tolerance: stops as soon as allowed.
