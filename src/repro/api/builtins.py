@@ -2,14 +2,15 @@
 
 Importing :mod:`repro.api` triggers this module, so every spec-addressable
 name below is available without further setup.  The registrations wrap the
-canonical builders (``build_qiankunnet``, ``AdamW``, ``batch_autoregressive_
+canonical builders (``build_qiankunnet``, ``NoamAdamW``, ``batch_autoregressive_
 sample``) — the registry layer adds *naming*, not new numerics.  The local
 energy is not a component: every run uses the compiled ``ElocPlan``.
 
 Registered names:
 
 * ansatz: ``transformer`` (QiankunNet), ``made``, ``naqs-mlp``, ``rbm``
-* optimizer: ``adamw`` (the Trainer/VMC path), ``sr``
+* optimizer: ``adamw`` (AdamW + the Eq. 13 schedule — what ``VMC`` builds
+  when handed none), ``sr``; both run inside the engine's stages 5 and 6
 * sampler: ``bas`` (batch autoregressive), ``hybrid`` (independent-stream
   merge, Sec. 4.4), ``mcmc`` (Metropolis exchange moves)
 * backend: ``serial`` / ``threads`` / ``process`` — the execution backends
@@ -27,14 +28,18 @@ from repro.api.registry import (
     register_optimizer,
     register_sampler,
 )
-from repro.core.engine import ProcessBackend, SerialBackend, ThreadBackend
+from repro.core.engine import (
+    NoamAdamW,
+    ProcessBackend,
+    SerialBackend,
+    ThreadBackend,
+)
 from repro.core.hybrid_sampling import merged_batch_sample
 from repro.core.mcmc import metropolis_sample
 from repro.core.sampler import batch_autoregressive_sample
 from repro.core.sr import SRConfig, StochasticReconfiguration
 from repro.core.wavefunction import build_qiankunnet
 from repro.nn.rbm import RBMWavefunction
-from repro.optim import AdamW
 
 __all__ = []  # registration side effects only
 
@@ -70,19 +75,14 @@ def build_rbm(n_qubits: int, n_up: int, n_dn: int, *, seed: int = 0,
 
 
 # ---------------------------------------------------------------- optimizers
-@register_optimizer("adamw")
-def build_adamw(wf, *, lr: float = 0.0, weight_decay: float = 0.01, **params):
-    """The paper's optimizer. ``run()`` treats the name specially (Trainer
-    path: AdamW + the Eq. 13 Noam schedule inside ``repro.core.vmc.VMC``);
-    this factory serves direct programmatic composition."""
-    if params:
-        raise TypeError(f"adamw factory got unknown params {sorted(params)}")
-    return AdamW(wf, lr=lr, weight_decay=weight_decay)
+# The paper's optimizer: AdamW under the Eq. 13 schedule, clipped.  The class
+# is the factory — it declares all four AdamW fields of the optimizer section.
+register_optimizer("adamw", NoamAdamW)
 
 
 @register_optimizer("sr")
 def build_sr(wf, **params):
-    """Stochastic reconfiguration — the ``step(batch, eloc)`` protocol."""
+    """Stochastic reconfiguration (``params`` are the ``SRConfig`` fields)."""
     return StochasticReconfiguration(wf, SRConfig(**params))
 
 

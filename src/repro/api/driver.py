@@ -5,17 +5,16 @@ The driver is the single execution path behind both the Python API and the
 it:
 
 1. materializes components through the registries (problem -> ansatz ->
-   sampler -> optimizer), so every choice is a *name* in the spec;
-2. runs the Sec. 4.1 protocol — the ``adamw`` optimizer takes the canonical
-   :class:`~repro.core.trainer.Trainer`/:class:`~repro.core.vmc.VMC` path
-   (bit-identical to hand wiring), any other registered optimizer runs the
-   generic ``step(batch, eloc)`` protocol loop (SR is the built-in);
+   sampler -> backend -> optimizer), so every choice is a *name* in the spec;
+2. runs the Sec. 4.1 protocol through the one training loop —
+   :class:`~repro.core.trainer.Trainer` over :class:`~repro.core.vmc.VMC`
+   (bit-identical to hand wiring) — whichever optimizer the spec names;
 3. owns the artifact directory::
 
        <run_dir>/
          spec.json        the exact spec (reloaded by resume/serve)
          metrics.jsonl    one JSON record per iteration (+ pretrain event)
-         checkpoint.npz   bit-identical resume state (adamw path)
+         checkpoint.npz   bit-identical resume state
          report.json      TrainReport.to_dict() of the last train() call
          models/          ModelRegistry of published snapshots
 
@@ -25,7 +24,7 @@ it:
    or :func:`serve_run`.
 
 ``resume(run_dir)`` reloads ``spec.json``, restores ``checkpoint.npz``
-(parameters, optimizer moments, RNG stream, history) and continues the
+(parameters, optimizer state, RNG stream, history) and continues the
 trajectory bit-identically to an uninterrupted run.
 """
 from __future__ import annotations
@@ -36,21 +35,16 @@ from dataclasses import dataclass
 from inspect import Parameter, signature
 from pathlib import Path
 
-import numpy as np
-
 import repro.api.builtins  # noqa: F401 — registers the built-in components
 from repro.api.registry import ANSATZE, BACKENDS, OPTIMIZERS, SAMPLERS
 from repro.api.spec import AnsatzSpec, ProblemSpec, RunSpec, SpecError
-from repro.backend import counter_delta, get_backend, use_backend
-from repro.core.engine import SerialBackend, _merge_transfers
+from repro.backend import get_backend
+from repro.core.engine import _merge_transfers
 from repro.chem import build_problem, run_fci
 from repro.chem.pipeline import MolecularProblem
-from repro.core.trainer import TrainConfig, Trainer, TrainReport, build_report
-from repro.core.local_energy import ElocPlan, local_energy
-from repro.core.pretrain import pretrain_to_reference
-from repro.core.vmc import VMCStats, default_ns_schedule
+from repro.core.trainer import TrainConfig, Trainer, TrainReport
+from repro.core.vmc import VMCStats
 from repro.core.wavefunction import NNQSWavefunction
-from repro.hamiltonian.compressed import compress_hamiltonian
 from repro.serve.registry import ModelRegistry
 from repro.utils.atomic import atomic_write
 
@@ -65,6 +59,7 @@ __all__ = [
     "materialize_ansatz",
     "materialize_sampler",
     "materialize_backend",
+    "materialize_optimizer",
     "materialize_array_backend",
     "run",
     "resume",
@@ -148,8 +143,8 @@ def materialize_ansatz(spec: AnsatzSpec, problem: MolecularProblem):
 def materialize_sampler(spec: RunSpec, problem: MolecularProblem):
     """Resolve the sampler name; ``None`` means "the VMC default path".
 
-    The plain ``bas`` sampler with no knobs returns ``None`` so the adamw
-    path stays byte-for-byte the pre-redesign ``VMC.sample`` call.
+    The plain ``bas`` sampler with no knobs returns ``None`` so stage 1
+    stays byte-for-byte the engine's own ``batch_autoregressive_sample`` call.
     """
     s = spec.sampling
     if s.sampler == "bas" and not s.params:
@@ -164,10 +159,9 @@ def materialize_sampler(spec: RunSpec, problem: MolecularProblem):
 def materialize_backend(spec: RunSpec):
     """Build the execution backend named by the spec's ``parallel`` section.
 
-    A parallel backend (anything that communicates: ``threads`` / ``process``
-    / ``cluster`` or any ``n_ranks > 1``) rides the canonical Trainer path,
-    so it requires the ``adamw`` optimizer and the default BAS sampler — both
-    restrictions fail here, at materialization, with the spec field named.
+    More than one rank requires the default BAS sampler (and an optimizer
+    whose update sums over ranks: :func:`materialize_optimizer`) — both
+    restrictions fail at materialization, with the spec field named.
     An unknown backend name raises the registry's
     :class:`~repro.api.registry.UnknownComponentError`, which lists every
     registered backend.
@@ -199,13 +193,6 @@ def materialize_backend(spec: RunSpec):
         backend = BACKENDS.build(p.backend, n_ranks, **kwargs)
     except ValueError as exc:  # e.g. serial with n_ranks > 1
         raise SpecError(f"parallel: {exc}") from None
-    if isinstance(backend, SerialBackend):
-        return backend
-    if spec.optimizer.name != "adamw":
-        raise SpecError(
-            f"parallel.backend={p.backend!r} runs the Trainer path, which "
-            f"requires optimizer.name='adamw'; got {spec.optimizer.name!r}"
-        )
     if backend.n_ranks > 1 and (spec.sampling.sampler != "bas"
                                 or spec.sampling.params):
         raise SpecError(
@@ -214,6 +201,27 @@ def materialize_backend(spec: RunSpec):
             f"sampling.sampler={spec.sampling.sampler!r}"
         )
     return backend
+
+
+def materialize_optimizer(spec: RunSpec, wf, backend):
+    """Build the optimizer the spec names, for ``wf`` on ``backend``.
+
+    ``optimizer.lr_scale`` / ``warmup`` / ``weight_decay`` / ``grad_clip``
+    reach a factory that declares them (``adamw`` does, ``sr`` does not: SR
+    is not clipped, decayed or warmed up); ``optimizer.params`` always do.
+    """
+    o = spec.optimizer
+    factory = OPTIMIZERS.get(o.name)
+    declared = signature(factory).parameters
+    fields = {k: getattr(o, k) for k in
+              ("lr_scale", "warmup", "weight_decay", "grad_clip") if k in declared}
+    optimizer = factory(wf, **fields, **o.params)
+    if backend.n_ranks > 1 and optimizer.single_rank_reason:
+        raise SpecError(
+            f"optimizer.name={o.name!r} cannot run on parallel.n_ranks="
+            f"{backend.n_ranks}: {optimizer.single_rank_reason}"
+        )
+    return optimizer
 
 
 def materialize_array_backend(spec: RunSpec):
@@ -239,13 +247,6 @@ def _backend_report(spec: RunSpec, history: list[VMCStats]) -> dict:
     if transfers is not None:
         info["transfers"] = transfers
     return info
-
-
-def _close_backend(backend) -> None:
-    """Release backend-held resources (sockets, rendezvous membership)."""
-    close = getattr(backend, "close", None)
-    if callable(close):
-        close()
 
 
 def _resolve_reference(spec: RunSpec, problem: MolecularProblem) -> float | None:
@@ -321,51 +322,10 @@ def _publish_final(spec: RunSpec, run_dir: Path, wf,
 
 
 # ----------------------------------------------------------------- execution
-def run(spec: RunSpec | dict, run_dir: str | Path | None = None,
-        overrides: dict | list | None = None) -> RunResult:
-    """Execute a spec end to end; returns the report + artifact handles."""
-    if isinstance(spec, dict):
-        spec = RunSpec.from_dict(spec)
-    spec = spec.with_overrides(overrides)
-    target = _prepare_run_dir(spec, run_dir)
-
-    # Materialize everything before spec.json lands: a failed materialization
-    # (typo'd component name, bad molecule) leaves the directory reusable.
-    problem = materialize_problem(spec.problem)
-    wf = materialize_ansatz(spec.ansatz, problem)
-    _require_autoregressive(spec, wf)
-    sampler = materialize_sampler(spec, problem)
-    backend = materialize_backend(spec)
-    array_backend = materialize_array_backend(spec)
-    e_ref = _resolve_reference(spec, problem)
-    spec.save(target / SPEC_FILE)
-
-    try:
-        if spec.optimizer.name == "adamw":
-            OPTIMIZERS.get("adamw")  # name must be registered like any other
-            trainer = _build_trainer(spec, target, problem, wf, sampler,
-                                     backend, e_ref, array_backend)
-            report = trainer.train(on_iteration=_publisher(spec, target, wf))
-            history = trainer.vmc.history
-        else:
-            report, history = _run_step_protocol(spec, target, problem, wf,
-                                                 sampler, e_ref, array_backend)
-    finally:
-        # Backends holding live resources (the cluster backend's sockets and
-        # rendezvous membership) release them even when training raises, so
-        # a poisoned run neither hangs its peers nor leaks sockets.
-        _close_backend(backend)
-
-    _write_report(target, report, _backend_report(spec, history))
-    version = _publish_final(spec, target, wf, report)
-    return RunResult(run_dir=target, spec=spec, report=report,
-                     published_version=version, wavefunction=wf)
-
-
 def _require_autoregressive(spec: RunSpec, wf) -> None:
-    """Both driver loops (Trainer and step-protocol) sample autoregressively
-    and differentiate ``log_prob``/``phase_of`` — fail at materialization
-    with the component named instead of deep inside the run loop."""
+    """The training loop samples autoregressively and differentiates
+    ``log_prob``/``phase_of`` — fail at materialization with the component
+    named instead of deep inside the run loop."""
     if not isinstance(wf, NNQSWavefunction):
         raise SpecError(
             f"ansatz {spec.ansatz.name!r} does not build an autoregressive "
@@ -374,9 +334,17 @@ def _require_autoregressive(spec: RunSpec, wf) -> None:
         )
 
 
-def _build_trainer(spec: RunSpec, run_dir: Path, problem: MolecularProblem,
-                   wf, sampler, backend, e_ref: float | None,
-                   array_backend=None) -> Trainer:
+def _build_trainer(spec: RunSpec, run_dir: Path) -> Trainer:
+    """Materialize every component of ``spec`` and wire the one training loop.
+
+    Touches nothing on disk: ``spec.json`` is persisted only after this has
+    returned, so a failed materialization (typo'd component name, refused
+    combination) leaves a fresh directory reusable and a run resumable.
+    """
+    problem = materialize_problem(spec.problem)
+    wf = materialize_ansatz(spec.ansatz, problem)
+    _require_autoregressive(spec, wf)
+    backend = materialize_backend(spec)
     cfg = TrainConfig(
         max_iterations=spec.train.max_iterations,
         pretrain_steps=spec.train.pretrain_steps,
@@ -386,14 +354,11 @@ def _build_trainer(spec: RunSpec, run_dir: Path, problem: MolecularProblem,
         ns_growth=spec.sampling.ns_growth,
         pretrain_iters=spec.sampling.pretrain_iters,
         eloc_mode=spec.sampling.eloc_mode,
-        warmup=spec.optimizer.warmup,
-        lr_scale=spec.optimizer.lr_scale,
-        weight_decay=spec.optimizer.weight_decay,
-        grad_clip=spec.optimizer.grad_clip,
         seed=spec.train.seed,
-        sampler=sampler,
+        sampler=materialize_sampler(spec, problem),
         backend=backend,
-        array_backend=array_backend,
+        array_backend=materialize_array_backend(spec),
+        optimizer=materialize_optimizer(spec, wf, backend),
         group_chunk=spec.parallel.group_chunk,
         sample_chunk=spec.parallel.sample_chunk,
         eloc_memory_budget_mb=spec.parallel.eloc_memory_budget_mb,
@@ -406,103 +371,45 @@ def _build_trainer(spec: RunSpec, run_dir: Path, problem: MolecularProblem,
         log_every=spec.output.log_every,
     )
     return Trainer(wf, problem.hamiltonian, cfg, hf_bits=problem.hf_bits,
-                   e_hf=problem.e_hf, e_reference=e_ref)
+                   e_hf=problem.e_hf,
+                   e_reference=_resolve_reference(spec, problem))
 
 
-def _run_step_protocol(spec: RunSpec, run_dir: Path,
-                       problem: MolecularProblem, wf, sampler,
-                       e_ref: float | None,
-                       array_backend=None) -> tuple[TrainReport, list[VMCStats]]:
-    """The generic optimizer loop: sample -> E_loc -> ``opt.step(batch, eloc)``.
+def _execute(spec: RunSpec, run_dir: Path,
+             checkpoint: Path | None = None) -> RunResult:
+    """Build the loop, persist the spec, [restore,] train, report, publish."""
+    trainer = _build_trainer(spec, run_dir)
+    spec.save(run_dir / SPEC_FILE)  # resume: with its overrides, if any
+    try:
+        if checkpoint is not None:
+            trainer.resume(checkpoint)
+        start_iteration = trainer.vmc.iteration
+        report = trainer.train(
+            on_iteration=_publisher(spec, run_dir, trainer.wf))
+    finally:
+        # Backends holding live resources (the cluster backend's sockets and
+        # rendezvous membership) release them even when training raises, so
+        # a poisoned run neither hangs its peers nor leaks sockets.
+        trainer.vmc.backend.close()
+    _write_report(run_dir, report, _backend_report(spec, trainer.vmc.history))
+    if report.iterations > start_iteration:
+        version = _publish_final(spec, run_dir, trainer.wf, report)
+    else:
+        # Nothing new ran (resumed with the budget already exhausted): keep
+        # the latest version instead of minting a duplicate snapshot.
+        version = (ModelRegistry(run_dir / MODELS_DIR).latest_version()
+                   if spec.output.publish else None)
+    return RunResult(run_dir=run_dir, spec=spec, report=report,
+                     published_version=version, wavefunction=trainer.wf)
 
-    Any registered optimizer exposing the SR protocol plugs in here.  The
-    path emits the same artifacts as the Trainer path but has no checkpoint
-    format — ``resume`` refuses these runs with an actionable error.
-    """
-    opt = OPTIMIZERS.build(spec.optimizer.name, wf, **spec.optimizer.params)
-    if not hasattr(opt, "step"):
-        raise SpecError(
-            f"optimizer {spec.optimizer.name!r} does not expose "
-            "step(batch, eloc); run() cannot drive it"
-        )
-    sample = sampler or SAMPLERS.build("bas")
-    comp = compress_hamiltonian(problem.hamiltonian)
-    budget_bytes = (
-        None if spec.parallel.eloc_memory_budget_mb is None
-        else int(spec.parallel.eloc_memory_budget_mb * 2**20)
-    )
-    # One compiled plan per run — the Hamiltonian-static scaffolds are shared
-    # by every iteration's kernel call.
-    plan = ElocPlan(
-        comp, group_chunk=spec.parallel.group_chunk,
-        sample_chunk=spec.parallel.sample_chunk,
-        memory_budget_bytes=budget_bytes,
-    )
-    schedule = default_ns_schedule(
-        pretrain_iters=spec.sampling.pretrain_iters,
-        ns_pretrain=spec.sampling.ns_pretrain,
-        ns_max=spec.sampling.ns_max,
-        growth=spec.sampling.ns_growth,
-    )
-    rng = np.random.default_rng(spec.train.seed)
-    publish = _publisher(spec, run_dir, wf)
-    t0 = time.perf_counter()
-    history: list[VMCStats] = []
-    with open(run_dir / METRICS_FILE, "a") as log:
-        def emit(record: dict) -> None:
-            log.write(json.dumps(record) + "\n")
-            log.flush()
 
-        if spec.train.pretrain_steps > 0:
-            pi = pretrain_to_reference(
-                wf, problem.hf_bits, n_steps=spec.train.pretrain_steps,
-                target_prob=spec.train.pretrain_target,
-            )
-            emit({"event": "pretrain", "pi_hf": pi})
-        array_backend = array_backend or get_backend("numpy")
-        for i in range(spec.train.max_iterations):
-            snap0 = array_backend.counter_snapshot()
-            with use_backend(array_backend):
-                batch = sample(wf, schedule(i), rng)
-                snap1 = array_backend.counter_snapshot()
-                eloc, _ = local_energy(
-                    wf, comp, batch, mode=spec.sampling.eloc_mode,
-                    memory_budget_bytes=budget_bytes, plan=plan,
-                )
-                info = opt.step(batch, eloc)
-            snap2 = array_backend.counter_snapshot()
-            sampling = counter_delta(snap0, snap1)
-            transfers = None
-            if sampling is not None:
-                transfers = {"sampling": sampling,
-                             "post_sampling": counter_delta(snap1, snap2)}
-            w = batch.weights / batch.weights.sum()
-            energy = float(np.sum(w * eloc.real))
-            variance = float(np.sum(w * (eloc.real - energy) ** 2))
-            stats = VMCStats(
-                iteration=i + 1, energy=energy, variance=variance,
-                n_unique=batch.n_unique, n_samples=batch.n_samples,
-                lr=float(getattr(info, "update_norm", 0.0)),
-                eloc_imag=float(np.abs(np.sum(w * eloc.imag))),
-                transfers=transfers,
-            )
-            history.append(stats)
-            emit({
-                "iteration": stats.iteration, "energy": stats.energy,
-                "variance": stats.variance, "n_unique": stats.n_unique,
-                "n_samples": stats.n_samples, "lr": stats.lr,
-            })
-            if spec.output.log_every and stats.iteration % spec.output.log_every == 0:
-                print(f"iter {stats.iteration:5d}  E = {energy:+.6f} Ha  "
-                      f"var = {variance:.2e}  N_u = {batch.n_unique}")
-            if publish is not None:
-                publish(stats)
-    report = build_report(
-        history, getattr(wf, "n_qubits", problem.n_qubits),
-        time.perf_counter() - t0, stopped_early=False,
-        e_hf=problem.e_hf, e_reference=e_ref,
-    )
-    return report, history
+def run(spec: RunSpec | dict, run_dir: str | Path | None = None,
+        overrides: dict | list | None = None) -> RunResult:
+    """Execute a spec end to end; returns the report + artifact handles."""
+    if isinstance(spec, dict):
+        spec = RunSpec.from_dict(spec)
+    spec = spec.with_overrides(overrides)
+    return _execute(spec, _prepare_run_dir(spec, run_dir))
 
 
 def resume(run_dir: str | Path,
@@ -512,53 +419,23 @@ def resume(run_dir: str | Path,
     Reloads ``spec.json`` (optionally with overrides — the usual one is
     ``train.max_iterations`` to extend the budget), rebuilds the components,
     restores ``checkpoint.npz`` and continues training.  The restored state
-    includes optimizer moments and the RNG bit-generator, so the continued
-    per-iteration energies match an uninterrupted run exactly.
+    includes the optimizer's state and the RNG bit-generator, so the
+    continued per-iteration energies match an uninterrupted run exactly.
+    Overrides are written back to ``spec.json`` (future resumes see the
+    extended budget) only once every component has materialized.
     """
     run_dir = Path(run_dir)
     spec_path = run_dir / SPEC_FILE
     if not spec_path.exists():
         raise SpecError(f"{run_dir} has no {SPEC_FILE}; not a run directory")
     spec = RunSpec.load(spec_path).with_overrides(overrides)
-    if spec.optimizer.name != "adamw":
-        raise SpecError(
-            f"resume supports the adamw/Trainer path; optimizer "
-            f"{spec.optimizer.name!r} runs are not checkpointed"
-        )
     ckpt = run_dir / CHECKPOINT_FILE
     if not ckpt.exists():
         raise SpecError(
             f"{run_dir} has no {CHECKPOINT_FILE}; the run has not completed "
             "a checkpoint yet"
         )
-    if overrides:
-        spec.save(spec_path)  # future resumes see the extended budget
-
-    problem = materialize_problem(spec.problem)
-    wf = materialize_ansatz(spec.ansatz, problem)
-    _require_autoregressive(spec, wf)
-    sampler = materialize_sampler(spec, problem)
-    backend = materialize_backend(spec)
-    array_backend = materialize_array_backend(spec)
-    e_ref = _resolve_reference(spec, problem)
-    trainer = _build_trainer(spec, run_dir, problem, wf, sampler, backend,
-                             e_ref, array_backend)
-    try:
-        trainer.resume(ckpt)
-        start_iteration = trainer.vmc.iteration
-        report = trainer.train(on_iteration=_publisher(spec, run_dir, wf))
-    finally:
-        _close_backend(backend)
-    _write_report(run_dir, report, _backend_report(spec, trainer.vmc.history))
-    if report.iterations > start_iteration:
-        version = _publish_final(spec, run_dir, wf, report)
-    else:
-        # Nothing new ran (budget already exhausted): keep the existing
-        # latest version instead of minting a duplicate snapshot.
-        version = (ModelRegistry(run_dir / MODELS_DIR).latest_version()
-                   if spec.output.publish else None)
-    return RunResult(run_dir=run_dir, spec=spec, report=report,
-                     published_version=version, wavefunction=wf)
+    return _execute(spec, run_dir, checkpoint=ckpt)
 
 
 # ------------------------------------------------------------------- serving

@@ -17,10 +17,12 @@ Builder contracts (what the driver calls):
 * **ansatz**: ``builder(n_qubits, n_up, n_dn, *, seed=0, **params) -> wf``;
   the returned wavefunction should carry a ``spec`` dict if it is to be
   snapshot/published (``build_qiankunnet`` does this).
-* **optimizer**: ``factory(wf, **params) -> optimizer``.  ``"adamw"`` is the
-  Trainer/VMC path (the driver wires AdamW + the Eq. 13 schedule itself);
-  any other optimizer must expose ``step(batch, eloc) -> info`` with an
-  ``energy`` attribute (the SR protocol) to be drivable by ``run()``.
+* **optimizer**: ``factory(wf, **params) -> optimizer``, plus whichever of
+  ``lr_scale`` / ``warmup`` / ``weight_decay`` / ``grad_clip`` the factory
+  declares by name.  The optimizer runs inside the engine's staged
+  iteration and answers what stages 5 and 6 ask (``direction``, ``apply``,
+  ``lr``, ``state`` / ``load_state``, ``single_rank_reason`` — spelled out
+  on :class:`repro.core.engine.NoamAdamW`, which ``"adamw"`` builds).
 * **sampler**: ``factory(**params) -> sampler`` where
   ``sampler(wf, n_samples, rng) -> SampleBatch``.
 * **backend**: ``factory(n_ranks, *, nu_star_per_rank, eloc_partition) ->

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from repro.backend import BACKEND_NAMES
 from repro.core.engine import ELOC_MODES, ELOC_PARTITIONS
+from repro.utils.atomic import atomic_write
 
 __all__ = [
     "SpecError",
@@ -162,7 +163,12 @@ class AnsatzSpec(_Spec):
 
 @dataclass
 class OptimizerSpec(_Spec):
-    """Which optimizer drives the parameter updates."""
+    """Which optimizer drives the parameter updates.
+
+    ``lr_scale`` / ``warmup`` / ``weight_decay`` / ``grad_clip`` are AdamW's
+    (Eq. 13 schedule, decoupled decay, max-norm clip): they reach a factory
+    that declares them and are ignored by one that does not (``sr``).
+    """
 
     _SECTION = "optimizer"
 
@@ -504,7 +510,8 @@ class RunSpec(_Spec):
         return cls.from_dict(json.loads(text))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+        with atomic_write(path) as f:
+            f.write(self.to_json() + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunSpec":

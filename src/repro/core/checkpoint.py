@@ -1,7 +1,7 @@
 """Checkpointing: save/restore wavefunction parameters and VMC state.
 
 Long VMC runs (the paper uses up to 1e5 iterations) need resumable state;
-the checkpoint stores the flat parameter vector, optimizer moments, the
+the checkpoint stores the flat parameter vector, the optimizer's state, the
 iteration counter, the stats history and the RNG bit-generator state in a
 single ``.npz`` file, so a resumed run continues bit-identically to an
 uninterrupted one.
@@ -35,13 +35,10 @@ __all__ = [
 
 SNAPSHOT_FORMAT = 2  # bumped when the on-disk layout changes
 
+# The VMCStats columns stored one array each.  comm_bytes / comm_bytes_wire
+# (-1 for the serial backend's None) and per_rank_unique (JSON) are separate.
 _HISTORY_FIELDS = (
     "iteration", "energy", "variance", "n_unique", "n_samples", "lr", "eloc_imag",
-)
-# Engine-backend extras (repro.core.engine.VMCStats): optional in the payload
-# so pre-engine checkpoints restore unchanged.  comm_bytes uses -1 for "no
-# communicator" (the serial backend's None).
-_HISTORY_EXTRAS = (
     "wall_time", "time_sampling", "time_local_energy", "time_gradient",
 )
 
@@ -113,16 +110,14 @@ def save_checkpoint(vmc: VMC, path: str | Path) -> None:
     path = Path(path)
     if path.suffix != ".npz":  # np.savez's own filename convention
         path = path.with_name(path.name + ".npz")
-    opt = vmc.optimizer
     payload = {
         "iteration": np.array(vmc.iteration),
-        "opt_t": np.array(opt.t),
-        "sched_i": np.array(vmc.schedule.i),
         "rng_state": _rng_payload(vmc.rng),
-        # Legacy key, kept so pre-format-2 readers still find the curve.
-        "energies": np.array([s.energy for s in vmc.history]),
+        # Whatever the run's optimizer carries between iterations, under its
+        # own keys (AdamW: opt_t / opt_m / opt_v / sched_i; SR: nothing).
+        **vmc.optimizer.state(),
     }
-    for f in _HISTORY_FIELDS + _HISTORY_EXTRAS:
+    for f in _HISTORY_FIELDS:
         payload[f"hist_{f}"] = np.array([getattr(s, f) for s in vmc.history])
     payload["hist_comm_bytes"] = np.array(
         [-1 if s.comm_bytes is None else int(s.comm_bytes) for s in vmc.history]
@@ -131,18 +126,14 @@ def save_checkpoint(vmc: VMC, path: str | Path) -> None:
         [-1 if s.comm_bytes_wire is None else int(s.comm_bytes_wire)
          for s in vmc.history]
     )
-    baseline = getattr(vmc, "comm_baseline", None)
-    if baseline is not None:
+    if vmc.comm_baseline is not None:
         # The stage-2 codec's cross-iteration diff baseline: without it a
         # resumed run would ship one full payload where the uninterrupted run
         # shipped a diff, breaking bitwise comm-volume equality.
-        payload["comm_baseline"] = np.asarray(baseline)
+        payload["comm_baseline"] = np.asarray(vmc.comm_baseline)
     payload["hist_per_rank_unique"] = np.array(
         json.dumps([s.per_rank_unique for s in vmc.history])
     )
-    if opt._m is not None:
-        payload["opt_m"] = np.concatenate([m.reshape(-1) for m in opt._m])
-        payload["opt_v"] = np.concatenate([v.reshape(-1) for v in opt._v])
     try:
         payload.update(snapshot_payload(vmc.wf))
     except ValueError:
@@ -155,69 +146,33 @@ def save_checkpoint(vmc: VMC, path: str | Path) -> None:
 
 def _restore_history(vmc: VMC, data) -> None:
     """Rebuild ``vmc.history`` so ``best_energy()`` sees pre-resume iterations."""
-    if "hist_energy" in data:
-        cols = {f: data[f"hist_{f}"] for f in _HISTORY_FIELDS}
-        n = len(cols["energy"])
-        extras = {
-            f: (data[f"hist_{f}"] if f"hist_{f}" in data else np.zeros(n))
-            for f in _HISTORY_EXTRAS
-        }
-        comm = (data["hist_comm_bytes"] if "hist_comm_bytes" in data
-                else np.full(n, -1))
-        wire = (data["hist_comm_bytes_wire"] if "hist_comm_bytes_wire" in data
-                else np.full(n, -1))
-        per_rank = (json.loads(data["hist_per_rank_unique"].item())
-                    if "hist_per_rank_unique" in data else [None] * n)
-        vmc.history = [
-            VMCStats(
-                iteration=int(cols["iteration"][i]),
-                energy=float(cols["energy"][i]),
-                variance=float(cols["variance"][i]),
-                n_unique=int(cols["n_unique"][i]),
-                n_samples=int(cols["n_samples"][i]),
-                lr=float(cols["lr"][i]),
-                eloc_imag=float(cols["eloc_imag"][i]),
-                wall_time=float(extras["wall_time"][i]),
-                time_sampling=float(extras["time_sampling"][i]),
-                time_local_energy=float(extras["time_local_energy"][i]),
-                time_gradient=float(extras["time_gradient"][i]),
-                comm_bytes=None if int(comm[i]) < 0 else int(comm[i]),
-                per_rank_unique=per_rank[i],
-                comm_bytes_wire=None if int(wire[i]) < 0 else int(wire[i]),
-            )
-            for i in range(n)
-        ]
-    elif "energies" in data:
-        # Pre-format-2 checkpoint: energies only — restore a minimal history
-        # (unknown variances are zero; best_energy's 1e-12 floor handles it).
-        vmc.history = [
-            VMCStats(iteration=i + 1, energy=float(e), variance=0.0,
-                     n_unique=0, n_samples=0, lr=0.0, eloc_imag=0.0)
-            for i, e in enumerate(data["energies"])
-        ]
+    cols = {f: data[f"hist_{f}"] for f in _HISTORY_FIELDS}
+    comm, wire = data["hist_comm_bytes"], data["hist_comm_bytes_wire"]
+    per_rank = json.loads(data["hist_per_rank_unique"].item())
+    vmc.history = [
+        VMCStats(
+            **{f: col[i].item() for f, col in cols.items()},  # int64 / float64
+            comm_bytes=None if comm[i] < 0 else int(comm[i]),
+            per_rank_unique=per_rank[i],
+            comm_bytes_wire=None if wire[i] < 0 else int(wire[i]),
+        )
+        for i in range(len(comm))
+    ]
 
 
 def load_checkpoint(vmc: VMC, path: str | Path) -> None:
     """Restore parameters, optimizer, RNG and history into an existing VMC."""
     data = np.load(Path(path))
+    if "hist_energy" not in data:  # checked before anything of vmc is touched
+        raise ValueError(
+            f"{path} has no 'hist_energy' column: not a format-"
+            f"{SNAPSHOT_FORMAT} checkpoint (energies-only files are not read)"
+        )
     vmc.wf.set_flat_params(data["params"])
     vmc.iteration = int(data["iteration"])
-    vmc.schedule.i = int(data["sched_i"])
     vmc.comm_baseline = (
         data["comm_baseline"] if "comm_baseline" in data else None
     )
     _restore_history(vmc, data)
-    if "rng_state" in data:
-        vmc.rng = restore_rng(data["rng_state"].item())
-    opt = vmc.optimizer
-    opt.t = int(data["opt_t"])
-    if "opt_m" in data:
-        params = list(vmc.wf.parameters())
-        opt._m = []
-        opt._v = []
-        off = 0
-        for p in params:
-            n = p.size
-            opt._m.append(data["opt_m"][off : off + n].reshape(p.shape).copy())
-            opt._v.append(data["opt_v"][off : off + n].reshape(p.shape).copy())
-            off += n
+    vmc.rng = restore_rng(data["rng_state"].item())
+    vmc.optimizer.load_state(data)

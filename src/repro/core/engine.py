@@ -17,17 +17,20 @@ Fig. 4 (Sec. 3.2):
                             weight-balanced chunk of the global unique set
                             (Sec. 3.3 load balancing) against the table.
   stage 4  energy reduce    Allreduce of the weighted energy sums.
-  stage 5  backward         Eq. 7 surrogate loss + backward on the chunk.
-  stage 6  gradient reduce  one Allreduce carries the gradient *and* the
+  stage 5  backward         the run's optimizer computes its update direction
+                            on the chunk — for AdamW the Eq. 7 surrogate loss
+                            + backward, for SR the natural-gradient solve.
+  stage 6  gradient reduce  one Allreduce carries the direction *and* the
                             centered second moment (variance), so parallel
                             histories report variance/eloc_imag exactly like
                             serial ones.
 
-The reduced gradient flows back to the engine, which applies the single
-clip -> schedule -> optimizer update (exactly one implementation of the
-Eq. 7 update, shared by all backends).  Reductions are rank-ordered and
-therefore deterministic: ``n_ranks=1`` is bit-identical to the serial
-backend, and ``n_ranks>1`` is run-to-run reproducible.
+The reduced direction flows back to the engine, which hands it to the same
+optimizer's parameter step (for AdamW clip -> schedule -> update) — the only
+place a run's parameters move, shared by all backends and all optimizers.
+Reductions are rank-ordered and therefore deterministic: ``n_ranks=1`` is
+bit-identical to the serial backend, and ``n_ranks>1`` is run-to-run
+reproducible.
 
 Backends are thin schedulers over the stages; every rank of every backend
 talks through the one :class:`repro.parallel.comm.Comm`, and the backends
@@ -41,7 +44,7 @@ differ only in the transport under it:
   :func:`repro.parallel.multiprocess.run_spmd_processes`.
 
 The "engine" object the backends drive is any object with the VMC state
-surface (``wf``, ``comp``, ``config``, ``rng``, ``optimizer``, ``schedule``,
+surface (``wf``, ``comp``, ``config``, ``rng``, ``optimizer``,
 ``iteration``, ``backend``, ``array_backend``, ``eloc_plan``,
 ``comm_baseline``) — in practice :class:`repro.core.vmc.VMC`, which
 keeps the checkpoint/resume format unchanged.
@@ -51,6 +54,7 @@ from __future__ import annotations
 import copy
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -70,6 +74,7 @@ from repro.core.sampler import (
     batch_autoregressive_sample,
 )
 from repro.core.wavefunction import row_blocks
+from repro.optim import AdamW, NoamSchedule
 from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
 
 __all__ = [
@@ -435,23 +440,63 @@ def _require_finite(where: str, **quantities: float) -> None:
         raise FloatingPointError(f"non-finite {', '.join(bad)} {where}")
 
 
-def stage_update(engine, grad, grad_norm: float | None = None) -> None:
-    """Stage 6 epilogue: clip -> Eq. 13 schedule -> AdamW step, on the master.
+def stage_update(opt: NoamAdamW, grad, grad_norm: float | None = None) -> None:
+    """Stage 6 epilogue of ``opt``: clip -> Eq. 13 schedule -> AdamW step.
 
-    The single implementation of the parameter update; backends hand the
-    engine one reduced gradient and never touch the optimizer themselves.
     ``grad_norm`` is the gradient's 2-norm when the caller already has it
     (``execute_iteration``'s non-finite guard computes it).
     """
     grad = xp.asarray(grad)
-    clip = engine.config.grad_clip
+    clip = opt.grad_clip
     if clip is not None:
         norm = xp.linalg.norm(grad) if grad_norm is None else grad_norm
         if norm > clip:
             grad = grad * (clip / norm)
-    engine.wf.set_flat_grads(grad)
-    engine.schedule.step()
-    engine.optimizer.step()
+    opt.model.set_flat_grads(grad)
+    opt.schedule.step()
+    opt.step()
+
+
+class NoamAdamW(AdamW):
+    """The paper's update rule, and the shape of every optimizer a run can
+    name — what stages 5 and 6 ask of ``engine.optimizer``, and nothing else:
+
+    * ``direction(wf, chunk, w_norm, eloc, e_mean, e_imag)`` — stage 5, on
+      this rank's ``wf``: the flat update direction of its chunk (here the
+      Eq. 7 gradient, :func:`stage_backward`); stage 6 sums over ranks.
+    * ``apply(direction, norm)`` — stage 6 epilogue, on the master after the
+      non-finite guard: the parameter step (here :func:`stage_update`).
+    * ``lr`` — the learning rate the stats row reports.
+    * ``state()`` / ``load_state(data)`` — arrays under their checkpoint keys.
+    * ``single_rank_reason`` — ``None`` when the sum of per-rank directions
+      is the whole-batch direction; otherwise why it needs one rank.
+    """
+
+    single_rank_reason: str | None = None
+
+    def __init__(self, wf, warmup: int = 4000, lr_scale: float = 1.0,
+                 weight_decay: float = 0.01, grad_clip: float | None = 1.0):
+        super().__init__(wf, lr=0.0, weight_decay=weight_decay)
+        # A proxy, not self: without the cycle a finished run's moments and
+        # model are freed by refcount (8 MiB of peak RSS on h2_converge).
+        self.schedule = NoamSchedule(
+            weakref.proxy(self), d_model=getattr(wf.amplitude, "d_model", 16),
+            warmup=warmup, scale=lr_scale,
+        )
+        self.grad_clip = grad_clip
+
+    def direction(self, wf, chunk, w_norm, eloc, e_mean, e_imag):
+        return stage_backward(wf, chunk, w_norm, eloc, e_mean, e_imag)
+
+    def apply(self, direction, norm: float) -> None:
+        stage_update(self, direction, norm)
+
+    def state(self) -> dict:
+        return {**super().state(), "sched_i": host_np.array(self.schedule.i)}
+
+    def load_state(self, data) -> None:
+        super().load_state(data)
+        self.schedule.i = int(data["sched_i"])
 
 
 # --------------------------------------------------------------------------
@@ -546,9 +591,11 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
     e_mean = sums[0] / sums[2]
     e_imag = sums[1] / sums[2]
 
-    # ---- stage 5: Eq. 7 backward on the chunk ------------------------------
+    # ---- stage 5: the optimizer's update direction on the chunk ------------
     t0 = time.perf_counter()
-    grad = stage_backward(wf, chunk, w_chunk / sums[2], eloc, e_mean, e_imag)
+    grad = engine.optimizer.direction(
+        wf, chunk, w_chunk / sums[2], eloc, e_mean, e_imag
+    )
     times["gradient"] = time.perf_counter() - t0
 
     # ---- stage 6: one allreduce for the gradient + centered 2nd moment -----
@@ -605,6 +652,9 @@ class ExecutionBackend:
 
     def after_update(self, engine) -> None:  # pragma: no cover - default hook
         pass
+
+    def close(self) -> None:
+        """Release live resources (the cluster backend's sockets); default none."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_ranks={self.n_ranks})"
@@ -782,9 +832,9 @@ def _merge_transfers(results: list) -> dict | None:
 def execute_iteration(engine) -> VMCStats:
     """One full VMC iteration of ``engine`` on its backend.
 
-    Runs the staged pipeline, applies the reduced gradient through
-    :func:`stage_update`, advances the iteration counter and returns the
-    unified stats record (the caller owns history bookkeeping).
+    Runs the staged pipeline, hands the reduced direction to the optimizer's
+    ``apply``, advances the iteration counter and returns the unified stats
+    record (the caller owns history bookkeeping).
     """
     backend: ExecutionBackend = engine.backend
     t_wall = time.perf_counter()
@@ -801,7 +851,7 @@ def execute_iteration(engine) -> VMCStats:
     # Rank 0 hands back the lexsorted global unique set when the codec is on;
     # it becomes the next iteration's cross-iteration diff baseline.
     engine.comm_baseline = r0.pop("global_keys", None)
-    stage_update(engine, r0["grad"], grad_norm)
+    engine.optimizer.apply(r0["grad"], grad_norm)
     backend.after_update(engine)
     wall = time.perf_counter() - t_wall
 

@@ -8,6 +8,9 @@ deep neural networks as well as the scalability to a large number of
 processes".  This module implements SR so that claim can be *measured*
 (``benchmarks/bench_ablations.py``): per-iteration cost and convergence are
 compared against the AdamW + autoregressive-sampling path the paper uses.
+SR is a preconditioner of the same force — Eq. 7's gradient is ``2 F`` — so
+it runs inside the same staged iteration (``optimizer.name=sr``), single
+rank only: ``S`` needs the whole batch.
 
 For a wave function Psi_theta with real parameters theta, the log-derivative
 operators are ``O_k(x) = d ln Psi*_theta(x) / d theta_k`` (here
@@ -75,13 +78,22 @@ class SRStepInfo:
 class StochasticReconfiguration:
     """SR optimizer over an :class:`NNQSWavefunction`.
 
-    Usage mirrors the VMC driver: sample a batch, compute local energies with
-    any engine, then ``sr.step(batch, eloc)``.
+    A run drives it like any optimizer (``VMC(optimizer=sr)``,
+    ``optimizer.name=sr``): stage 5 calls :meth:`direction`, stage 6
+    :meth:`apply`.  By hand: sample a batch, compute local energies, then
+    ``sr.step(batch, eloc)`` — the same two calls.  SR is stateless between
+    iterations, so its checkpoint state is empty.
     """
+
+    single_rank_reason = (
+        "the SR matrix S couples every pair of samples, so the solve needs "
+        "the whole batch on one rank"
+    )
 
     def __init__(self, wf: NNQSWavefunction, config: SRConfig | None = None):
         self.wf = wf
         self.config = config or SRConfig()
+        self.last_info: SRStepInfo | None = None
         m = wf.num_parameters()
         if m > self.config.max_params:
             raise ValueError(
@@ -90,12 +102,20 @@ class StochasticReconfiguration:
                 "point — use the AdamW path for deep networks."
             )
 
-    def step(self, batch: SampleBatch, eloc: np.ndarray) -> SRStepInfo:
-        cfg = self.config
-        w = batch.weights / batch.weights.sum()
-        e_mean = complex(np.sum(w * eloc))
+    @property
+    def lr(self) -> float:
+        return self.config.lr
 
-        j_logp, j_phi = per_sample_jacobians(self.wf, batch.bits)
+    def direction(self, wf: NNQSWavefunction, batch: SampleBatch, w: np.ndarray,
+                  eloc: np.ndarray, e_mean: float, e_imag: float) -> np.ndarray:
+        """The natural-gradient solve: ``delta`` with ``(S + lambda I) delta = F``.
+
+        ``w`` are the normalized sample weights and ``e_mean + i e_imag`` the
+        weighted mean of ``eloc``.  Everything up to, not including, the
+        parameter write; the diagnostics land in :attr:`last_info`.
+        """
+        cfg = self.config
+        j_logp, j_phi = per_sample_jacobians(wf, batch.bits)
         # O = d ln Psi* = 1/2 d log pi - i d phi   (rows per sample)
         o = 0.5 * j_logp - 1j * j_phi
         o_mean = w @ o
@@ -103,7 +123,7 @@ class StochasticReconfiguration:
 
         # F_k = Re <(E_loc - E) O_k> with O = d ln Psi* (Eq. 7's gradient);
         # no extra conjugation — O already carries the Psi* convention.
-        f = np.real((w * (eloc - e_mean)) @ oc)
+        f = np.real((w * (eloc - complex(e_mean, e_imag))) @ oc)
 
         # S = Re(A^H A) with A = sqrt(w) * oc; rank(S) <= 2 N_u, so solve in
         # the sample subspace via SVD of the stacked real representation.
@@ -119,12 +139,27 @@ class StochasticReconfiguration:
         proj = vt[keep] @ f
         delta = vt[keep].T @ (proj / (s2[keep] + cfg.diag_shift * top))
 
-        theta = self.wf.get_flat_params()
-        self.wf.set_flat_params(theta - cfg.lr * delta)
         cond = float(s2[keep][0] / s2[keep][-1]) if keep.any() else 1.0
-        return SRStepInfo(
-            energy=float(np.real(e_mean)),
+        self.last_info = SRStepInfo(
+            energy=float(e_mean),
             grad_norm=float(np.linalg.norm(f)),
-            update_norm=float(cfg.lr * np.linalg.norm(delta)),
+            update_norm=float(self.lr * np.linalg.norm(delta)),
             s_condition=cond,
         )
+        return delta
+
+    def apply(self, delta: np.ndarray, norm: float | None = None) -> None:
+        """The parameter write ``theta -= lr * delta`` (no clip, no decay)."""
+        self.wf.set_flat_params(self.wf.get_flat_params() - self.lr * delta)
+
+    def step(self, batch: SampleBatch, eloc: np.ndarray) -> SRStepInfo:
+        w = batch.weights / batch.weights.sum()
+        e_mean = complex(np.sum(w * eloc))
+        self.apply(self.direction(self.wf, batch, w, eloc, e_mean.real, e_mean.imag))
+        return self.last_info
+
+    def state(self) -> dict:
+        return {}
+
+    def load_state(self, data) -> None:
+        pass

@@ -3,8 +3,9 @@
 The paper trains in two phases: a pre-training stage with a small sample
 budget (N_s = 1e5 for the first ~100 iterations) followed by a growing
 budget (up to 1e12) "for accurate calculation", assessed by convergence
-precision.  :class:`Trainer` packages that protocol around the serial
-:class:`~repro.core.vmc.VMC` driver:
+precision.  :class:`Trainer` packages that protocol around the
+:class:`~repro.core.vmc.VMC` driver — the one training loop, whatever the
+optimizer, sampler or execution backend:
 
 * optional supervised warm start on the HF determinant;
 * the growing N_s schedule (``default_ns_schedule``);
@@ -76,6 +77,9 @@ class TrainConfig:
     # registered name ('numpy', 'mock', 'torch', 'cupy'), an ArrayBackend
     # instance, or None for the numpy default.
     array_backend: object | None = None
+    # The run's optimizer (see VMC): None builds AdamW + Eq. 13 from the four
+    # AdamW fields above; a built optimizer (SR) ignores them.
+    optimizer: object | None = None
     # Local-energy plan chunking (see VMCConfig / ParallelSpec).
     group_chunk: int = 512
     sample_chunk: int = 4096
@@ -207,11 +211,9 @@ def build_report(
 ) -> TrainReport:
     """Distill a stats history into a :class:`TrainReport`.
 
-    Shared by :class:`Trainer` and the ``repro.api`` run driver (whose
-    SR/step-protocol loop has no :class:`~repro.core.vmc.VMC` instance), so
-    every training path reports through identical estimators: the
-    variance-weighted trailing-window best energy, the zero-variance
-    extrapolation, and the reference-energy comparisons.
+    A function of the history alone — the variance-weighted trailing-window
+    best energy, the zero-variance extrapolation, and the reference-energy
+    comparisons — so any list of :class:`VMCStats` reports the same way.
     """
     if not history:
         raise RuntimeError("training has not produced any iterations")
@@ -298,6 +300,7 @@ class Trainer:
             ),
             backend=cfg.backend,
             array_backend=cfg.array_backend,
+            optimizer=cfg.optimizer,
         )
         self._log_file = None
 
@@ -353,46 +356,41 @@ class Trainer:
             self._log({"event": "pretrain", "pi_hf": pi})
 
         stopped_early = False
-        while self.vmc.iteration < cfg.max_iterations:
-            stats = self.vmc.step()
-            self._log(stats_record(stats))
-            if cfg.log_every and stats.iteration % cfg.log_every == 0:
-                print(
-                    f"iter {stats.iteration:5d}  E = {stats.energy:+.6f} Ha  "
-                    f"var = {stats.variance:.2e}  N_u = {stats.n_unique}  "
-                    f"N_s = {stats.n_samples:.0e}"
-                )
-            if (
-                cfg.checkpoint_every
-                and cfg.checkpoint_path is not None
-                and stats.iteration % cfg.checkpoint_every == 0
-            ):
+        try:
+            while self.vmc.iteration < cfg.max_iterations:
+                stats = self.vmc.step()
+                self._log(stats_record(stats))
+                if cfg.log_every and stats.iteration % cfg.log_every == 0:
+                    print(
+                        f"iter {stats.iteration:5d}  E = {stats.energy:+.6f} Ha  "
+                        f"var = {stats.variance:.2e}  N_u = {stats.n_unique}  "
+                        f"N_s = {stats.n_samples:.0e}"
+                    )
+                if (
+                    cfg.checkpoint_every
+                    and cfg.checkpoint_path is not None
+                    and stats.iteration % cfg.checkpoint_every == 0
+                ):
+                    save_checkpoint(self.vmc, cfg.checkpoint_path)
+                if on_iteration is not None:
+                    on_iteration(stats)
+                if (
+                    cfg.early_stop
+                    and stats.iteration > cfg.pretrain_iters + 2 * cfg.plateau_window
+                    and detect_plateau(self.vmc.history, cfg.plateau_window,
+                                       cfg.plateau_rel_tol)
+                ):
+                    stopped_early = True
+                    break
+            if cfg.checkpoint_path is not None:
                 save_checkpoint(self.vmc, cfg.checkpoint_path)
-            if on_iteration is not None:
-                on_iteration(stats)
-            if (
-                cfg.early_stop
-                and stats.iteration > cfg.pretrain_iters + 2 * cfg.plateau_window
-                and detect_plateau(self.vmc.history, cfg.plateau_window,
-                                   cfg.plateau_rel_tol)
-            ):
-                stopped_early = True
-                break
+        finally:
+            # Also on the guard's FloatingPointError, a CommAbortError, Ctrl-C.
+            if self._log_file is not None:
+                self._log_file.close()
+                self._log_file = None
 
-        if cfg.checkpoint_path is not None:
-            save_checkpoint(self.vmc, cfg.checkpoint_path)
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
-
-        return self._report(time.perf_counter() - t0, stopped_early)
-
-    def _report(self, wall: float, stopped_early: bool) -> TrainReport:
         return build_report(
-            self.vmc.history,
-            self.wf.n_qubits,
-            wall,
-            stopped_early,
-            e_hf=self.e_hf,
-            e_reference=self.e_reference,
+            self.vmc.history, self.wf.n_qubits, time.perf_counter() - t0,
+            stopped_early, e_hf=self.e_hf, e_reference=self.e_reference,
         )

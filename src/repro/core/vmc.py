@@ -11,14 +11,15 @@ One iteration (see :mod:`repro.core.engine` for the staged pipeline):
    grad = E_p[ Re(E_loc - E) * grad log pi(x) ] + 2 E_p[ Im(E_loc - E) * grad phi(x) ]
 
    implemented as a surrogate scalar loss with stop-gradient coefficients.
-4. AdamW + the Eq. 13 warmup schedule update the parameters.
+4. The run's optimizer updates the parameters — by default AdamW + the
+   Eq. 13 warmup schedule; ``VMC(optimizer=)`` takes any other (SR).
 
-:class:`VMC` owns the iteration *state* (wavefunction, optimizer, schedule,
-RNG, history — the checkpoint surface); *how* an iteration executes is the
+:class:`VMC` owns the iteration *state* (wavefunction, optimizer, RNG,
+history — the checkpoint surface); *how* an iteration executes is the
 ``backend``'s job: :class:`~repro.core.engine.SerialBackend` (default),
 ``ThreadBackend`` or ``ProcessBackend`` all schedule the same stage
 functions, so the serial driver and the data-parallel drivers share exactly
-one implementation of the Eq. 7 update.
+one implementation of the update, whichever optimizer computes it.
 
 The pre-training protocol of Sec. 4.1 (small N_s for the first iterations,
 then growing toward 1e12) is expressed through ``ns_schedule``.
@@ -32,20 +33,16 @@ import numpy as np
 from repro.core.engine import (
     ELOC_MODES,
     ExecutionBackend,
+    NoamAdamW,
     SerialBackend,
     VMCConfig,
     VMCStats,
     execute_iteration,
-    stage_backward,
-    stage_sample,
-    stage_update,
 )
 from repro.core.local_energy import ElocPlan
-from repro.core.sampler import SampleBatch
 from repro.core.wavefunction import NNQSWavefunction
 from repro.hamiltonian.compressed import CompressedHamiltonian, compress_hamiltonian
 from repro.hamiltonian.qubit_hamiltonian import QubitHamiltonian
-from repro.optim import AdamW, NoamSchedule
 
 __all__ = [
     "ELOC_MODES",
@@ -77,7 +74,7 @@ class VMC:
                  hamiltonian: QubitHamiltonian | CompressedHamiltonian,
                  config: VMCConfig | None = None,
                  backend: ExecutionBackend | None = None,
-                 array_backend=None):
+                 array_backend=None, optimizer=None):
         from repro.backend import get_backend
 
         self.wf = wf
@@ -100,14 +97,20 @@ class VMC:
             memory_budget_bytes=self.config.eloc_memory_budget_bytes(),
         )
         self.rng = np.random.default_rng(self.config.seed)
-        self.optimizer = AdamW(
-            wf, lr=0.0, weight_decay=self.config.weight_decay
+        # Stage 5 asks it for the update direction, stage 6 for the parameter
+        # step (the contract is NoamAdamW's docstring); None is the paper's
+        # AdamW + Eq. 13 schedule, built from the config's four AdamW fields.
+        self.optimizer = optimizer if optimizer is not None else NoamAdamW(
+            wf, warmup=self.config.warmup, lr_scale=self.config.lr_scale,
+            weight_decay=self.config.weight_decay,
+            grad_clip=self.config.grad_clip,
         )
-        d_model = getattr(wf.amplitude, "d_model", 16)
-        self.schedule = NoamSchedule(
-            self.optimizer, d_model=d_model, warmup=self.config.warmup,
-            scale=self.config.lr_scale,
-        )
+        if self.backend.n_ranks > 1 and self.optimizer.single_rank_reason:
+            raise ValueError(
+                f"{type(self.optimizer).__name__} cannot run on "
+                f"{self.backend.n_ranks} ranks: "
+                f"{self.optimizer.single_rank_reason}"
+            )
         self.iteration = 0
         self.history: list[VMCStats] = []
         # Cross-iteration diff baseline for the stage-2 codec: the previous
@@ -119,20 +122,6 @@ class VMC:
     def _n_samples(self) -> int:
         ns = self.config.n_samples
         return ns(self.iteration) if callable(ns) else ns
-
-    def sample(self) -> SampleBatch:
-        """One serial sampling stage on the engine's RNG (stage 1)."""
-        return stage_sample(self.wf, self._n_samples(), self.rng,
-                            sampler=self.config.sampler)
-
-    def gradient_step(self, batch: SampleBatch, eloc: np.ndarray) -> None:
-        """Backpropagate Eq. 7 and update parameters (stages 5-6, one rank)."""
-        w = batch.weights.astype(np.float64)
-        w_total = w.sum()
-        e_mean = float(np.sum(w * eloc.real) / w_total)
-        e_imag = float(np.sum(w * eloc.imag) / w_total)
-        grad = stage_backward(self.wf, batch, w / w_total, eloc, e_mean, e_imag)
-        stage_update(self, grad)
 
     # ------------------------------------------------------------ main loop
     def step(self) -> VMCStats:

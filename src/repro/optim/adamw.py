@@ -49,6 +49,24 @@ class AdamW:
     def zero_grad(self) -> None:
         self.model.zero_grad()
 
+    def state(self) -> dict[str, np.ndarray]:
+        """Step counter and flat moments, under their checkpoint key names."""
+        out = {"opt_t": np.array(self.t)}
+        if self._m is not None:
+            out["opt_m"] = np.concatenate([m.reshape(-1) for m in self._m])
+            out["opt_v"] = np.concatenate([v.reshape(-1) for v in self._v])
+        return out
+
+    def load_state(self, data) -> None:
+        self.t = int(data["opt_t"])
+        if "opt_m" in data:
+            self._m, self._v = [], []
+            off = 0
+            for p in self.model.parameters():
+                self._m.append(data["opt_m"][off : off + p.size].reshape(p.shape).copy())
+                self._v.append(data["opt_v"][off : off + p.size].reshape(p.shape).copy())
+                off += p.size
+
 
 class SGD:
     """Plain (optionally momentum) SGD — used in tests and ablations."""

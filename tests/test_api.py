@@ -320,23 +320,44 @@ class TestDriverEquivalence:
         assert driven == hand  # exact float equality, not approx
 
     def test_resume_continues_bit_identically(self, tmp_path):
-        """Acceptance: resume(run_dir) continues the trajectory exactly."""
-        full = run(tiny_spec({"train.max_iterations": 6}),
-                   run_dir=tmp_path / "full")
-        reference = metric_energies(full.metrics_path)
-        assert len(reference) == 6
+        """Acceptance: resume(run_dir) continues the trajectory exactly —
+        whichever optimizer runs inside the one loop.  (A loop, not a
+        parametrization: the test keeps its id.)"""
+        for optimizer in ("adamw", "sr"):
+            base = {"optimizer.name": optimizer}
+            full = run(tiny_spec({**base, "train.max_iterations": 6}),
+                       run_dir=tmp_path / optimizer / "full")
+            reference = metric_energies(full.metrics_path)
+            assert len(reference) == 6
 
-        first = run(tiny_spec({"train.max_iterations": 3}),
-                    run_dir=tmp_path / "split")
-        assert metric_energies(first.metrics_path) == reference[:3]
+            first = run(tiny_spec({**base, "train.max_iterations": 3}),
+                        run_dir=tmp_path / optimizer / "split")
+            assert metric_energies(first.metrics_path) == reference[:3]
 
-        resumed = resume(tmp_path / "split",
-                         overrides={"train.max_iterations": 6})
-        assert resumed.report.iterations == 6
-        assert metric_energies(resumed.metrics_path) == reference
+            resumed = resume(first.run_dir,
+                             overrides={"train.max_iterations": 6})
+            assert resumed.report.iterations == 6
+            assert metric_energies(resumed.metrics_path) == reference
+            np.testing.assert_array_equal(
+                resumed.wavefunction.get_flat_params(),
+                full.wavefunction.get_flat_params())
 
-        # The extended budget is persisted for future resumes.
-        assert RunSpec.load(resumed.spec_path).train.max_iterations == 6
+            # The extended budget is persisted for future resumes.
+            assert RunSpec.load(resumed.spec_path).train.max_iterations == 6
+
+    def test_refused_resume_leaves_the_run_resumable(self, tmp_path):
+        """Overrides reach spec.json only after every component materialized:
+        a refused combination must not poison the directory."""
+        first = run(tiny_spec({"train.max_iterations": 2}),
+                    run_dir=tmp_path / "run")
+        before = first.spec_path.read_bytes()
+        with pytest.raises(SpecError, match="bas"):
+            resume(first.run_dir, overrides={
+                "train.max_iterations": 3, "parallel.backend": "threads",
+                "parallel.n_ranks": 2, "sampling.sampler": "hybrid"})
+        assert first.spec_path.read_bytes() == before
+        again = resume(first.run_dir, overrides={"train.max_iterations": 3})
+        assert again.report.iterations == 3
 
     def test_resume_without_checkpoint_dir_fails(self, tmp_path):
         with pytest.raises(SpecError, match="not a run directory"):
@@ -495,8 +516,47 @@ class TestPluggability:
         assert len(metric_energies(result.metrics_path)) == 2
         assert result.report_path.exists()
         assert result.published_version == 1
-        with pytest.raises(SpecError, match="not checkpointed"):
-            resume(result.run_dir)
+        # SR runs are checkpointed like any other: resume runs iteration 3.
+        assert result.checkpoint_path.exists()
+        resumed = resume(result.run_dir,
+                         overrides={"train.max_iterations": 3})
+        assert resumed.report.iterations == 3
+        rows = [json.loads(line) for line in
+                resumed.metrics_path.read_text().splitlines()]
+        assert [r["iteration"] for r in rows if "iteration" in r] == [1, 2, 3]
+        assert rows[-1]["lr"] == 0.05  # the learning rate, not an update norm
+
+    def test_sr_through_run_matches_the_hand_driven_loop(self, h2_problem,
+                                                         tmp_path):
+        """The engine-driven SR trajectory is the hand-driven one of
+        ``examples/sr_vs_adamw.py`` (sample -> local_energy -> sr.step).
+        Rows reach the SVD lexsorted instead of in sampler order, so the
+        energies agree to rounding, not bitwise."""
+        from repro.core import (
+            SRConfig,
+            StochasticReconfiguration,
+            batch_autoregressive_sample,
+            local_energy,
+            pretrain_to_reference,
+        )
+        from repro.hamiltonian.compressed import compress_hamiltonian
+
+        spec = tiny_spec({"optimizer.name": "sr",
+                          "optimizer.params": {"lr": 0.05},
+                          "train.max_iterations": 3})
+        driven = metric_energies(run(spec, run_dir=tmp_path / "run").metrics_path)
+
+        wf = tiny_trainer(h2_problem).wf
+        pretrain_to_reference(wf, h2_problem.hf_bits, n_steps=10)
+        sr = StochasticReconfiguration(wf, SRConfig(lr=0.05))
+        comp = compress_hamiltonian(h2_problem.hamiltonian)
+        rng = np.random.default_rng(11)
+        hand = []
+        for _ in range(3):
+            batch = batch_autoregressive_sample(wf, 500, rng)
+            eloc, _ = local_energy(wf, comp, batch, mode="exact")
+            hand.append(sr.step(batch, eloc).energy)
+        np.testing.assert_allclose(driven, hand, atol=1e-9, rtol=0)
 
     def test_hybrid_sampler_runs(self, tmp_path):
         spec = tiny_spec().with_overrides({

@@ -366,28 +366,40 @@ class TestRowBlocking:
 # The non-finite guard
 # --------------------------------------------------------------------------
 class TestNonFiniteGuard:
+    """The guard sits in the engine, so it holds for whichever optimizer runs
+    inside it: every test walks the AdamW default and SR through
+    ``VMC(optimizer=)``.  (A loop, not a parametrization: the ids are kept.)"""
+
     @pytest.fixture()
-    def vmc(self, h2_problem):
-        wf = build_qiankunnet(4, 1, 1, seed=0)
+    def vmcs(self, h2_problem):
+        from repro.core import StochasticReconfiguration
+
         comp = compress_hamiltonian(h2_problem.hamiltonian)
-        v = VMC(wf, comp, VMCConfig(n_samples=500, seed=1))
-        v.step()
-        return v
+        out = []
+        for make in (lambda wf: None, StochasticReconfiguration):
+            wf = build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
+                                  phase_hidden=(12,), seed=0)  # small: SR is dense
+            v = VMC(wf, comp, VMCConfig(n_samples=500, seed=1),
+                    optimizer=make(wf))
+            v.step()
+            out.append(v)
+        return out
 
     def _assert_raises_untouched(self, vmc, match):
         params = vmc.wf.get_flat_params().copy()
-        t, n_history, iteration = vmc.optimizer.t, len(vmc.history), vmc.iteration
-        m = [a.copy() for a in vmc.optimizer._m]
+        n_history, iteration = len(vmc.history), vmc.iteration
+        state = {k: np.copy(a) for k, a in vmc.optimizer.state().items()}
         with pytest.raises(FloatingPointError, match=match) as err:
             vmc.step()
         np.testing.assert_array_equal(vmc.wf.get_flat_params(), params)
-        assert vmc.optimizer.t == t and vmc.iteration == iteration
-        assert len(vmc.history) == n_history
-        for before, after in zip(m, vmc.optimizer._m):
-            np.testing.assert_array_equal(after, before)
+        assert vmc.iteration == iteration and len(vmc.history) == n_history
+        after = vmc.optimizer.state()
+        assert after.keys() == state.keys()
+        for key, before in state.items():
+            np.testing.assert_array_equal(after[key], before)
         return str(err.value)
 
-    def test_nan_local_energy_raises_naming_rank_and_stage(self, vmc, monkeypatch):
+    def test_nan_local_energy_raises_naming_rank_and_stage(self, vmcs, monkeypatch):
         real = engine.stage_local_energy
 
         def poisoned(*args, **kwargs):
@@ -396,28 +408,31 @@ class TestNonFiniteGuard:
             return eloc
 
         monkeypatch.setattr(engine, "stage_local_energy", poisoned)
-        message = self._assert_raises_untouched(vmc, "non-finite local energy")
-        assert "rank 0" in message and "stage 3" in message
-        assert "iteration 2" in message
+        for vmc in vmcs:
+            message = self._assert_raises_untouched(vmc, "non-finite local energy")
+            assert "rank 0" in message and "stage 3" in message
+            assert "iteration 2" in message
 
-    def test_inf_gradient_raises_naming_iteration_and_stage(self, vmc, monkeypatch):
-        real = engine.stage_backward
+    def test_inf_gradient_raises_naming_iteration_and_stage(self, vmcs, monkeypatch):
+        for vmc in vmcs:
+            real = vmc.optimizer.direction
 
-        def poisoned(*args, **kwargs):
-            grad = real(*args, **kwargs)
-            grad[3] = np.inf
-            return grad
+            def poisoned(*args, real=real, **kwargs):
+                direction = real(*args, **kwargs)
+                direction[3] = np.inf
+                return direction
 
-        monkeypatch.setattr(engine, "stage_backward", poisoned)
-        message = self._assert_raises_untouched(vmc, "non-finite gradient")
-        assert "stage 6" in message and "iteration 2" in message
-        assert "energy" not in message  # only the offending quantity is named
+            monkeypatch.setattr(vmc.optimizer, "direction", poisoned)
+            message = self._assert_raises_untouched(vmc, "non-finite gradient")
+            assert "stage 6" in message and "iteration 2" in message
+            assert "energy" not in message  # only the offending quantity is named
 
-    def test_the_run_continues_after_the_fault_is_removed(self, vmc, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(engine, "stage_backward",
-                          lambda *a, **k: np.full(vmc.wf.num_parameters(), np.nan))
-            with pytest.raises(FloatingPointError):
-                vmc.step()
-        stats = vmc.step()
-        assert stats.iteration == 2 and math.isfinite(stats.energy)
+    def test_the_run_continues_after_the_fault_is_removed(self, vmcs, monkeypatch):
+        for vmc in vmcs:
+            with monkeypatch.context() as patch:
+                patch.setattr(vmc.optimizer, "direction",
+                              lambda *a, **k: np.full(vmc.wf.num_parameters(), np.nan))
+                with pytest.raises(FloatingPointError):
+                    vmc.step()
+            stats = vmc.step()
+            assert stats.iteration == 2 and math.isfinite(stats.energy)

@@ -75,25 +75,37 @@ class TestResume:
         np.testing.assert_array_equal(resumed.rng.random(8), expected_draw)
 
     def test_legacy_checkpoint_still_loads(self, h2_problem, tmp_path):
-        """A pre-format-2 file (no history columns, no RNG state) loads with a
-        minimal reconstructed history."""
+        """(Id kept.)  The energies-only pre-format-2 file is no longer read:
+        it is refused by path and missing column, before the VMC is touched."""
         path = tmp_path / "legacy.npz"
         vmc = _fresh_vmc(h2_problem, "made")
         vmc.run(2)
+        state = vmc.optimizer.state()
         np.savez(
             path,
-            params=vmc.wf.get_flat_params(),
-            iteration=np.array(vmc.iteration),
-            opt_t=np.array(vmc.optimizer.t),
-            sched_i=np.array(vmc.schedule.i),
+            params=vmc.wf.get_flat_params() + 1.0,
+            iteration=np.array(7),
+            opt_t=state["opt_t"],
+            sched_i=state["sched_i"],
             energies=np.array([s.energy for s in vmc.history]),
         )
-        resumed = _fresh_vmc(h2_problem, "made")
-        load_checkpoint(resumed, path)
-        assert len(resumed.history) == 2
-        assert resumed.best_energy() == pytest.approx(
-            np.mean([s.energy for s in vmc.history])
-        )
+        params = vmc.wf.get_flat_params().copy()
+        with pytest.raises(ValueError, match=r"legacy\.npz.*'hist_energy'"):
+            load_checkpoint(vmc, path)
+        np.testing.assert_array_equal(vmc.wf.get_flat_params(), params)
+        assert vmc.iteration == 2 and len(vmc.history) == 2
+
+    def test_checkpoint_keys_are_the_parents_minus_energies(self, h2_problem,
+                                                            tmp_path):
+        """The on-disk names a parent-commit reader/writer uses are kept, so a
+        checkpoint written there still resumes here."""
+        vmc = _fresh_vmc(h2_problem, "made")
+        vmc.run(1)
+        save_checkpoint(vmc, tmp_path / "ck.npz")
+        keys = set(np.load(tmp_path / "ck.npz").files)
+        assert {"opt_t", "opt_m", "opt_v", "sched_i", "rng_state", "iteration",
+                "params", "hist_energy", "hist_lr"} <= keys
+        assert "energies" not in keys
 
 
 class TestRngPayload:

@@ -370,6 +370,35 @@ class TestEngineGuards:
         with pytest.raises(ValueError, match="n_ranks"):
             ThreadBackend(n_ranks=0)
 
+    def test_whole_batch_optimizer_rejected_on_parallel_ranks(self, h2_problem):
+        """Hand wiring gets the refusal run() gives (test_sr_plus_parallel_
+        rejected): per-rank SR solves do not sum to the whole-batch one."""
+        from repro.core import StochasticReconfiguration
+
+        wf = build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
+                              phase_hidden=(8,), seed=1)
+        with pytest.raises(ValueError, match="whole batch on one rank"):
+            VMC(wf, h2_problem.hamiltonian, VMCConfig(n_samples=100),
+                backend=ThreadBackend(n_ranks=2),
+                optimizer=StochasticReconfiguration(wf))
+
+    def test_a_finished_vmc_is_freed_without_the_cycle_collector(self, h2_problem):
+        """The optimizer holds the model and both AdamW moments; a reference
+        cycle through its schedule would keep a finished run's copy alive
+        until the next gc pass (it was 8 MiB of peak RSS on h2_converge)."""
+        import gc
+        import weakref
+
+        vmc = _fresh_vmc(h2_problem)
+        vmc.step()
+        optimizer = weakref.ref(vmc.optimizer)
+        gc.disable()
+        try:
+            del vmc
+            assert optimizer() is None
+        finally:
+            gc.enable()
+
 
 class TestRunSpecIntegration:
     """The ``parallel`` spec section end to end through ``run()``."""
@@ -431,13 +460,20 @@ class TestRunSpecIntegration:
             full.wavefunction.get_flat_params(),
         )
 
-    def test_sr_plus_parallel_rejected(self):
-        from repro.api import SpecError
-        from repro.api.driver import materialize_backend
+    def test_sr_plus_parallel_rejected(self, tmp_path):
+        """Refused at materialization, on what the built optimizer declares,
+        naming the field and the reason — and before spec.json lands."""
+        from repro.api import SpecError, run
 
         spec = self._spec().with_overrides({"optimizer.name": "sr"})
-        with pytest.raises(SpecError, match="adamw"):
-            materialize_backend(spec)
+        with pytest.raises(SpecError, match=r"optimizer\.name='sr' cannot run "
+                           r"on parallel\.n_ranks=2: .*whole batch on one rank"):
+            run(spec, run_dir=tmp_path / "run")
+        assert not (tmp_path / "run" / "spec.json").exists()
+        # One thread rank is the serial iteration: nothing to refuse.
+        one = spec.with_overrides({"parallel.n_ranks": 1,
+                                   "train.max_iterations": 1})
+        assert run(one, run_dir=tmp_path / "one").report.iterations == 1
 
     def test_non_bas_sampler_plus_parallel_rejected(self):
         from repro.api import SpecError

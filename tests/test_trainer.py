@@ -124,9 +124,11 @@ class TestTrainerPersistence:
             if stats.iteration == 5:
                 raise Killed
 
+        killed = make_trainer(prob, fci, log_path=log, checkpoint_path=ckpt,
+                              **kwargs)
         with pytest.raises(Killed):
-            make_trainer(prob, fci, log_path=log, checkpoint_path=ckpt,
-                         **kwargs).train(on_iteration=kill_in_iteration_5)
+            killed.train(on_iteration=kill_in_iteration_5)
+        assert killed._log_file is None  # closed on the way out, not leaked
         assert [r["iteration"] for r in rows(log)] == [1, 2, 3, 4, 5]
         with open(log, "a") as f:
             f.write('{"iteration": 6, "ener')      # died mid-append
