@@ -6,9 +6,11 @@ on a >= 20-token transformer config through both paths:
 
 * ``cached``   — the incremental-decoding engine (``repro/nn/inference.py``):
   per-layer KV caches carried by the tree state, O(k) attention per step;
-* ``uncached`` — the retained full-forward oracle path
-  (``conditional_probs_reference``): the complete differentiable graph over
-  the whole prefix at every step, O(k^2) per layer per step.
+* ``uncached`` — the full-forward oracle (``conditional_probs_reference``):
+  the complete differentiable graph over the whole prefix at every step,
+  O(k^2) per layer per step.  No sampler in ``src/`` can select it; the
+  sweep over it (:func:`uncached_bas_step`) lives here, next to the bench
+  that times it.
 
 Reported: full-sweep wall time, node expansions per second ("tokens/sec" —
 one expansion = one next-token conditional for one unique prefix), and the
@@ -28,12 +30,25 @@ import numpy as np
 
 from repro.bench import format_table, registry
 from repro.core import build_qiankunnet
-from repro.core.sampler import BASTreeState, _bas_step, initial_tree_state
+from repro.core.sampler import (
+    BASTreeState,
+    _bas_step,
+    _split_weights,
+    initial_tree_state,
+)
 
 MIN_SPEEDUP = 3.0  # acceptance bar for the >= 20-token config
 
 
-def _timed_sweep(wf, n_samples: int, seed: int, use_cache: bool):
+def uncached_bas_step(wf, state: BASTreeState, rng) -> BASTreeState:
+    """``_bas_step`` with the conditionals from the full-forward oracle: the
+    same weight split on the same RNG stream, no session carried."""
+    probs = wf.conditional_probs_reference(
+        state.prefixes, state.counts_up, state.counts_dn)
+    return _split_weights(wf, state, probs, rng)[1]
+
+
+def _timed_sweep(wf, n_samples: int, seed: int, step=_bas_step):
     """Run one full BAS sweep; return (wall seconds, node expansions, batch)."""
     rng = np.random.default_rng(seed)
     root = initial_tree_state()
@@ -48,7 +63,7 @@ def _timed_sweep(wf, n_samples: int, seed: int, use_cache: bool):
     t0 = time.perf_counter()
     while state.step < wf.n_tokens:
         expansions += len(state.weights)
-        state = _bas_step(wf, state, rng, use_cache=use_cache)
+        state = step(wf, state, rng)
     wall = time.perf_counter() - t0
     bits = wf.tokens_to_bits(state.prefixes)
     return wall, expansions, (bits, state.weights)
@@ -57,10 +72,10 @@ def _timed_sweep(wf, n_samples: int, seed: int, use_cache: bool):
 def _bench_config(n_qubits: int, n_elec: int, n_samples: int, seed: int = 21):
     wf = build_qiankunnet(n_qubits, n_elec, n_elec, seed=seed)
     # Warm both paths on a tiny budget (numpy/BLAS warm-up, allocator).
-    _timed_sweep(wf, 100, seed, True)
-    _timed_sweep(wf, 100, seed, False)
-    t_cached, n_tok, (bits_c, w_c) = _timed_sweep(wf, n_samples, seed, True)
-    t_full, _, (bits_f, w_f) = _timed_sweep(wf, n_samples, seed, False)
+    _timed_sweep(wf, 100, seed)
+    _timed_sweep(wf, 100, seed, uncached_bas_step)
+    t_cached, n_tok, (bits_c, w_c) = _timed_sweep(wf, n_samples, seed)
+    t_full, _, (bits_f, w_f) = _timed_sweep(wf, n_samples, seed, uncached_bas_step)
     np.testing.assert_array_equal(bits_c, bits_f)
     np.testing.assert_array_equal(w_c, w_f)
     return {
@@ -117,7 +132,7 @@ def test_sampling_throughput(benchmark, full):
             )
 
     wf = build_qiankunnet(40, 5, 5, seed=3)
-    benchmark(lambda: _timed_sweep(wf, 10**4, 3, True))
+    benchmark(lambda: _timed_sweep(wf, 10**4, 3))
 
 
 def run_backend_rows(n_samples: int = 10**3, backend: str = "numpy",
@@ -129,16 +144,16 @@ def run_backend_rows(n_samples: int = 10**3, backend: str = "numpy",
 
     array_backend = get_backend(backend)
     wf = build_qiankunnet(40, 5, 5, seed=3)
-    _timed_sweep(wf, 100, 3, True)  # warm numpy path
+    _timed_sweep(wf, 100, 3)  # warm numpy path
     with use_backend(array_backend):
-        _timed_sweep(wf, 100, 3, True)
+        _timed_sweep(wf, 100, 3)
     t_np = t_be = float("inf")
     expansions = bits_np = w_np = None
     for _ in range(repeats):
-        wall, expansions, (bits_np, w_np) = _timed_sweep(wf, n_samples, 3, True)
+        wall, expansions, (bits_np, w_np) = _timed_sweep(wf, n_samples, 3)
         t_np = min(t_np, wall)
         with use_backend(array_backend):
-            wall, _, (bits_be, w_be) = _timed_sweep(wf, n_samples, 3, True)
+            wall, _, (bits_be, w_be) = _timed_sweep(wf, n_samples, 3)
         t_be = min(t_be, wall)
     np.testing.assert_array_equal(bits_np, bits_be)
     np.testing.assert_array_equal(w_np, w_be)

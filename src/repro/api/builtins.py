@@ -88,27 +88,23 @@ def build_sr(wf, **params):
 
 # ------------------------------------------------------------------ samplers
 @register_sampler("bas")
-def build_bas_sampler(*, use_cache: bool = True,
-                      cache_budget_bytes: int | None = None):
+def build_bas_sampler(*, cache_budget_bytes: int | None = None):
     """Batch autoregressive sampling (Fig. 3b) — the paper's sampler."""
 
     def sample(wf, n_samples, rng):
         return batch_autoregressive_sample(
-            wf, n_samples, rng, use_cache=use_cache,
-            cache_budget_bytes=cache_budget_bytes,
+            wf, n_samples, rng, cache_budget_bytes=cache_budget_bytes,
         )
 
     return sample
 
 
 @register_sampler("hybrid")
-def build_hybrid_sampler(*, n_streams: int = 4, use_cache: bool = True):
+def build_hybrid_sampler(*, n_streams: int = 4):
     """Independent-stream BAS merge (Sec. 4.4 outlook)."""
 
     def sample(wf, n_samples, rng):
-        batch, _ = merged_batch_sample(
-            wf, n_samples, rng, n_streams=n_streams, use_cache=use_cache,
-        )
+        batch, _ = merged_batch_sample(wf, n_samples, rng, n_streams=n_streams)
         return batch
 
     return sample

@@ -37,6 +37,7 @@ __all__ = [
     "layer_norm_forward",
     "gelu_forward",
     "softmax",
+    "log_softmax",
     "split_heads",
     "merge_heads",
     "attention_forward",
@@ -100,6 +101,14 @@ def softmax(x):
     xp.exp(e, out=e)
     e /= xp.sum(e, axis=-1, keepdims=True)
     return e
+
+
+def log_softmax(x):
+    """Log-softmax over the last axis (max-shifted; the input is left
+    untouched) — the arithmetic of :func:`picked_log_softmax` before the pick."""
+    z = x - xp.max(x, axis=-1, keepdims=True)
+    z -= xp.log(xp.sum(xp.exp(z), axis=-1, keepdims=True))
+    return z
 
 
 def split_heads(qkv, n_heads: int):

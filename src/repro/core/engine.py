@@ -296,11 +296,13 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, codec: bool = True,
     * ``stage2_amps`` — the complex128 log-amplitudes, always raw (lossless
       float compression is not worth the cycles).
 
-    Amplitudes are evaluated on ``local.bits`` in sampler order *before* any
-    local sort, so the network sees exactly the batches it always saw; the
-    global set is unique across ranks (disjoint BAS subtrees), hence the
-    final lexsort yields the same table bit-for-bit regardless of the wire
-    encoding.
+    Amplitudes come from ``wf.log_amplitudes(local.bits)``, which orders the
+    rows itself (a prefix-tree walk for the transformer): a row's value does
+    not depend on its batch-mates beyond BLAS rounding, and every backend,
+    transport and codec calls the same function on the same rows at equal
+    N_p, so they stay bit-identical to each other.  The global set is unique
+    across ranks (disjoint BAS subtrees), hence the final lexsort yields the
+    same table bit-for-bit regardless of the wire encoding.
     """
     local_keys = pack_bits(local.bits)
     # The stage-2 comm boundary: log-amplitudes leave the device exactly once

@@ -64,15 +64,13 @@ def merged_batch_sample(
     n_samples: int,
     rng: np.random.Generator,
     n_streams: int = 4,
-    use_cache: bool = True,
 ) -> tuple[SampleBatch, MergeStats]:
     """Run ``n_streams`` independent BAS sweeps and merge their outputs.
 
     The budget is split evenly (remainder to the first stream); each stream
     gets an independent child RNG so results are reproducible and the streams
     are statistically independent, as required for the variance argument of
-    Sec. 4.4.  Every stream runs its own incremental-decoding session
-    (``use_cache=False`` forces the full-forward oracle path).
+    Sec. 4.4.  Every stream runs its own incremental-decoding session.
     """
     if n_streams < 1:
         raise ValueError("n_streams must be >= 1")
@@ -81,7 +79,7 @@ def merged_batch_sample(
     budgets[0] += n_samples - share * n_streams
     children = rng.spawn(n_streams)
     batches = [
-        batch_autoregressive_sample(wf, ns, child, use_cache=use_cache)
+        batch_autoregressive_sample(wf, ns, child)
         for ns, child in zip(budgets, children)
         if ns > 0
     ]

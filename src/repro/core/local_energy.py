@@ -43,6 +43,7 @@ from repro.utils.bitstrings import (
     pack_bits,
     parity64,
     searchsorted_keys,
+    unique_keys,
     unpack_bits,
 )
 
@@ -160,8 +161,11 @@ def extend_amplitude_table(
     :func:`budgeted_sample_chunk`, so exact mode cannot OOM before the
     ``max_extra`` guard fires (pure integer set work — the resulting missing
     set is identical for any chunking).  The amplitude evaluation of the
-    missing configurations needs no budget of its own:
-    ``wf.log_amplitudes`` bounds its forward by running in row blocks.
+    missing configurations needs no budget of its own: coupled keys are a
+    sample XOR a few-qubit mask, so ``wf.log_amplitudes`` walks their token
+    prefix tree (each distinct prefix through the network once) in blocks
+    of bounded size.  The value of a row does not depend on which other rows
+    are missing beyond BLAS rounding.
     """
     keys = pack_bits(batch.bits)  # (B, W)
     if len(keys) == 0:
@@ -175,7 +179,7 @@ def extend_amplitude_table(
         flips = (
             keys[s0 : s0 + row_chunk, None, :] ^ comp.xy_unique[None, :, :]
         ).reshape(-1, n_words)
-        flips = xp.unique(flips, axis=0)
+        flips = unique_keys(flips)
         miss = flips[searchsorted_keys(table.keys, flips) < 0]
         if len(miss):
             missing_parts.append(miss)
@@ -183,7 +187,7 @@ def extend_amplitude_table(
         return table
     missing = xp.concatenate(missing_parts, axis=0)
     if len(missing_parts) > 1:
-        missing = xp.unique(missing, axis=0)  # dedup across row chunks
+        missing = unique_keys(missing)  # dedup across row chunks
     bits = unpack_bits(missing, comp.n_qubits)
     if wf.constraint is not None:
         bits = bits[wf.constraint.validate_bits(bits)]

@@ -14,9 +14,7 @@ inference session (per-layer KV caches, one row per unique prefix) so step k
 costs O(k) attention work instead of re-running the full transformer over
 the prefix (O(k^2) per layer).  When prefixes branch at
 ``np.nonzero(counts)`` the cache rows are gathered/duplicated along with
-them, and pruned zero-weight children drop their rows.  ``use_cache=False``
-forces the retained full-forward oracle path (the training-time numerics)
-for testing and benchmarking.
+them, and pruned zero-weight children drop their rows.
 
 ``SampleBatch`` is the data-centric unit handed to the local-energy kernel
 and the gradient step (Fig. 4): unique bitstrings, weights, and nothing else.
@@ -72,25 +70,19 @@ class BASTreeState:
 
 
 def autoregressive_sample(wf: NNQSWavefunction, n_samples: int,
-                          rng: np.random.Generator,
-                          use_cache: bool = True) -> SampleBatch:
+                          rng: np.random.Generator) -> SampleBatch:
     """Fig. 3(a): one sample per run — the O(N_s N^3) reference algorithm.
 
-    With ``use_cache`` (default) a single session of ``n_samples`` rows is
-    decoded incrementally; ``use_cache=False`` re-runs the full forward at
-    every step (the pre-cache oracle path).
+    A single session of ``n_samples`` rows is decoded incrementally.
     """
     t = wf.n_tokens
     tokens = np.zeros((n_samples, 0), dtype=np.int64)
     cu = np.zeros(n_samples, dtype=np.int64)
     cd = np.zeros(n_samples, dtype=np.int64)
-    session = wf.make_session(n_samples) if use_cache else None
+    session = wf.make_session(n_samples)
     for step in range(t):
-        if session is not None:
-            logits = session.step(tokens[:, -1] if step > 0 else None)
-            probs = wf.probs_from_logits(logits, cu, cd, step)
-        else:
-            probs = wf.conditional_probs_reference(tokens, cu, cd)  # (B, vocab)
+        logits = session.step(tokens[:, -1] if step > 0 else None)
+        probs = wf.probs_from_logits(logits, cu, cd, step)  # (B, vocab)
         # The one planned device->host sync of the sampling loop: the host
         # RNG consumes the conditional probabilities.
         probs = active_backend().to_host(probs, tag="sampling.probs")
@@ -133,7 +125,7 @@ def _estimated_cache_bytes(wf: NNQSWavefunction, n_rows: int, length: int) -> in
 
 
 def _bas_step(wf: NNQSWavefunction, state: BASTreeState,
-              rng: np.random.Generator, use_cache: bool = True,
+              rng: np.random.Generator,
               cache_budget_bytes: int | None = None) -> BASTreeState:
     """One local sampling step: expand every prefix, prune zero weights.
 
@@ -145,36 +137,50 @@ def _bas_step(wf: NNQSWavefunction, state: BASTreeState,
     prefill instead — O(k^2) per step again, but with only transient memory
     (the escape hatch for huge-N_u layers; see DESIGN.md).
     """
-    if use_cache:
-        session = state.session
-        over_budget = cache_budget_bytes is not None and _estimated_cache_bytes(
-            wf, len(state.weights), state.step + 1
-        ) > cache_budget_bytes
-        if session is not None:
-            # A carried session is always cheapest to use (O(k) step); the
-            # budget only decides whether its caches are *retained* below.
-            logits = session.step(state.prefixes[:, -1] if state.step > 0 else None)
-            probs = wf.probs_from_logits(logits, state.counts_up, state.counts_dn,
-                                         state.step)
-        elif over_budget:
-            # No caches to reuse and retaining new ones would bust the
-            # budget: one-shot transient prefill, keep nothing.
-            probs = wf.conditional_probs(
-                state.prefixes, state.counts_up, state.counts_dn
-            )
-        else:
-            # Fresh root, or a mid-tree state that lost its session (e.g.
-            # shipped across ranks by the Fig. 5 splitter, or dropped by
-            # the cache budget): batched prefill, caches retained.
-            session = wf.make_session(len(state.weights))
-            logits = session.prefill(state.prefixes)
-            probs = wf.probs_from_logits(logits, state.counts_up, state.counts_dn,
-                                         state.step)
-    else:
-        session = None
-        probs = wf.conditional_probs_reference(
+    session = state.session
+    over_budget = cache_budget_bytes is not None and _estimated_cache_bytes(
+        wf, len(state.weights), state.step + 1
+    ) > cache_budget_bytes
+    if session is not None:
+        # A carried session is always cheapest to use (O(k) step); the
+        # budget only decides whether its caches are *retained* below.
+        logits = session.step(state.prefixes[:, -1] if state.step > 0 else None)
+        probs = wf.probs_from_logits(logits, state.counts_up, state.counts_dn,
+                                     state.step)
+    elif over_budget:
+        # No caches to reuse and retaining new ones would bust the
+        # budget: one-shot transient prefill, keep nothing.
+        probs = wf.conditional_probs(
             state.prefixes, state.counts_up, state.counts_dn
         )
+    else:
+        # Fresh root, or a mid-tree state that lost its session (e.g.
+        # shipped across ranks by the Fig. 5 splitter, or dropped by
+        # the cache budget): batched prefill, caches retained.
+        session = wf.make_session(len(state.weights))
+        logits = session.prefill(state.prefixes)
+        probs = wf.probs_from_logits(logits, state.counts_up, state.counts_dn,
+                                     state.step)
+    parent_idx, children = _split_weights(wf, state, probs, rng)
+    if session is not None and cache_budget_bytes is not None and _estimated_cache_bytes(
+        wf, len(parent_idx), state.step + 1
+    ) > cache_budget_bytes:
+        # Branching multiplied the rows (up to x vocab) past the budget:
+        # don't retain the gathered caches; the next step prefills or falls
+        # back under its own budget check.
+        session = None
+    if session is not None:
+        children.session = session.select(parent_idx)
+    return children
+
+
+def _split_weights(wf: NNQSWavefunction, state: BASTreeState, probs,
+                   rng: np.random.Generator) -> tuple[np.ndarray, BASTreeState]:
+    """Split every prefix's weight among its child tokens by ``probs``.
+
+    Returns ``(parent_idx, children)``: the session-less next layer (zero-
+    weight children pruned) and, per child, the row of ``state`` it extends.
+    """
     # The one planned device->host sync per BAS step: the host RNG's
     # multinomial split consumes the conditional probabilities.
     probs = active_backend().to_host(probs, tag="sampling.probs")
@@ -184,20 +190,12 @@ def _bas_step(wf: NNQSWavefunction, state: BASTreeState,
         [state.prefixes[parent_idx], token[:, None]], axis=1
     )
     du, dd = wf.sector_counts(token[:, None].astype(np.int64))
-    if session is not None and cache_budget_bytes is not None and _estimated_cache_bytes(
-        wf, len(parent_idx), state.step + 1
-    ) > cache_budget_bytes:
-        # Branching multiplied the rows (up to x vocab) past the budget:
-        # don't retain the gathered caches; the next step prefills or falls
-        # back under its own budget check.
-        session = None
-    return BASTreeState(
+    return parent_idx, BASTreeState(
         prefixes=new_prefixes,
         weights=counts[parent_idx, token],
         counts_up=state.counts_up[parent_idx] + du,
         counts_dn=state.counts_dn[parent_idx] + dd,
         step=state.step + 1,
-        session=session.select(parent_idx) if session is not None else None,
     )
 
 
@@ -217,7 +215,6 @@ def batch_autoregressive_sample(
     n_samples: int,
     rng: np.random.Generator,
     start: BASTreeState | None = None,
-    use_cache: bool = True,
     cache_budget_bytes: int | None = None,
 ) -> SampleBatch:
     """Fig. 3(b): generate N_s samples in one tree sweep, cost ~ O(N_u N^3/3).
@@ -226,8 +223,7 @@ def batch_autoregressive_sample(
     parallel BAS of Fig. 5, where ranks share the first k steps and then
     continue on disjoint subsets of the layer-k nodes.  A resumed state
     reuses its carried inference session when present, otherwise the caches
-    are rebuilt with one batched prefill.  ``use_cache=False`` runs the
-    retained full-forward oracle path.
+    are rebuilt with one batched prefill.
     """
     state = start
     if state is None:
@@ -239,13 +235,12 @@ def batch_autoregressive_sample(
             counts_dn=state.counts_dn,
             step=0,
         )
-    elif use_cache and state.session is not None:
+    elif state.session is not None:
         # Stepping mutates a session in place (cache append + position
         # advance): work on a copy so the caller's state stays resumable.
         state = replace(state, session=state.session.copy())
     while state.step < wf.n_tokens:
-        state = _bas_step(wf, state, rng, use_cache=use_cache,
-                          cache_budget_bytes=cache_budget_bytes)
+        state = _bas_step(wf, state, rng, cache_budget_bytes=cache_budget_bytes)
     bits = wf.tokens_to_bits(state.prefixes)
     return SampleBatch(bits=bits, weights=state.weights.copy())
 
@@ -255,7 +250,6 @@ def bas_prefix_sweep(
     n_samples: int,
     rng: np.random.Generator,
     stop_unique: int,
-    use_cache: bool = True,
     cache_budget_bytes: int | None = None,
 ) -> BASTreeState:
     """Run BAS until the layer holds >= stop_unique nodes (or the tree ends).
@@ -275,6 +269,5 @@ def bas_prefix_sweep(
         step=0,
     )
     while state.step < wf.n_tokens and len(state.weights) < stop_unique:
-        state = _bas_step(wf, state, rng, use_cache=use_cache,
-                          cache_budget_bytes=cache_budget_bytes)
+        state = _bas_step(wf, state, rng, cache_budget_bytes=cache_budget_bytes)
     return state

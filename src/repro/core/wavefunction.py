@@ -17,12 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor, no_grad
-from repro.autograd.block_ops import MASK_VALUE, picked_log_softmax, softmax
+from repro.autograd.block_ops import MASK_VALUE, log_softmax, picked_log_softmax, softmax
 from repro.core.constraints import ParticleNumberConstraint
 from repro.nn import MADEAmplitude, Module, NAQSMLPAmplitude, PhaseMLP, TransformerAmplitude
 from repro.nn.inference import make_inference_session, padded_next_logits
 
-__all__ = ["NNQSWavefunction", "build_qiankunnet", "ROW_BLOCK", "row_blocks"]
+__all__ = ["NNQSWavefunction", "build_qiankunnet", "ROW_BLOCK", "PREFIX_BLOCK",
+           "row_blocks"]
 
 # Row bound of one forward (or forward + backward) pass.  A layer's chain of
 # elementwise passes runs at cache speed only while its widest activation
@@ -33,15 +34,34 @@ __all__ = ["NNQSWavefunction", "build_qiankunnet", "ROW_BLOCK", "row_blocks"]
 # reduction-order rounding, so there is nothing for a user to trade.
 ROW_BLOCK = 256
 
+# Row bound of one prefix-tree walk (``NNQSWavefunction._log_prob_shared``).
+# A walk holds one KV-cache row per distinct prefix of its rows, so the bound
+# keeps the evaluator's memory O(block) instead of O(batch).  Larger than
+# ROW_BLOCK because every block pays the sequence's Python-level decode steps
+# again while sharing barely changes (N2 exact, ~4 900 coupled rows: 13 314
+# session rows stepped in 256-row blocks, 13 177 in one walk, 48 770 dense).
+# Measured there per iteration / peak RSS: 256 rows 0.230 s / 99 MiB, 1 024
+# rows 0.205 s / 102 MiB, one walk 0.212 s / 139 MiB (dense parent: 0.300 s /
+# 101 MiB).  A constant for ROW_BLOCK's reason: results agree to rounding.
+PREFIX_BLOCK = 1024
 
-def row_blocks(n_rows: int) -> list[slice]:
-    """Evenly sized contiguous row slices of at most ``ROW_BLOCK`` rows each
-    (none for zero rows)."""
-    n_blocks = -(-n_rows // ROW_BLOCK)
+
+def row_blocks(n_rows: int, bound: int | None = None) -> list[slice]:
+    """Evenly sized contiguous row slices of at most ``bound`` rows each
+    (``ROW_BLOCK`` by default; none for zero rows)."""
+    n_blocks = -(-n_rows // (bound or ROW_BLOCK))
     return [
         slice(n_rows * i // n_blocks, n_rows * (i + 1) // n_blocks)
         for i in range(n_blocks)
     ]
+
+
+def _in_row_blocks(head, bits: np.ndarray) -> np.ndarray:
+    """``head(bits).data`` evaluated one row block at a time."""
+    out = np.empty(len(bits))
+    for rows in row_blocks(len(bits)):
+        out[rows] = head(bits[rows]).data
+    return out
 
 
 class NNQSWavefunction(Module):
@@ -119,16 +139,75 @@ class NNQSWavefunction(Module):
     def log_amplitudes(self, bits: np.ndarray) -> np.ndarray:
         """(B,) complex log Psi(x) (avoids underflow for tiny amplitudes).
 
-        Runs in row blocks of at most ``ROW_BLOCK`` rows, so the forward's
-        activation memory is bounded for any batch size.
+        The one no-grad entry point (stage 2, ``extend_amplitude_table``,
+        serving, observables).  ``log pi`` comes from the prefix-shared walk
+        (:meth:`_log_prob_shared`) when the amplitude network has an
+        incremental session of its own (it exposes ``make_session`` — a
+        property of the model), otherwise from the dense :meth:`log_prob` in
+        row blocks of ``ROW_BLOCK``; the phase MLP always runs per row block.
+        Either way memory is bounded for any batch size, and a row's value
+        does not depend on its batch-mates beyond BLAS rounding (the two
+        evaluations agree to 1e-12, not bitwise).
         """
         bits = np.atleast_2d(bits)
-        out = np.empty(len(bits), dtype=np.complex128)
         with no_grad():
-            for rows in row_blocks(len(bits)):
-                out[rows] = (0.5 * self.log_prob(bits[rows]).data
-                             + 1j * self.phase_of(bits[rows]).data)
+            if hasattr(self.amplitude, "make_session"):
+                log_prob = self._log_prob_shared(bits)
+            else:
+                log_prob = _in_row_blocks(self.log_prob, bits)
+            phase = _in_row_blocks(self.phase_of, bits)
+        return 0.5 * log_prob + 1j * phase
+
+    def _log_prob_shared(self, bits: np.ndarray) -> np.ndarray:
+        """(B,) log pi(x), each distinct token prefix evaluated once.
+
+        The rows are lexsorted (position 0 major) so rows sharing a prefix
+        are adjacent, cut into contiguous blocks of at most ``PREFIX_BLOCK``
+        rows, and each block's prefix tree is walked through one KV-cached
+        session.  Duplicate rows share a leaf; input order is restored.
+        """
+        tokens = self.bits_to_tokens(bits)
+        order = np.lexsort(tokens.T[::-1])
+        tokens = tokens[order]
+        out = np.empty(len(tokens))
+        for rows in row_blocks(len(tokens), PREFIX_BLOCK):
+            out[order[rows]] = self._walk_prefix_tree(tokens[rows])
         return out
+
+    def _walk_prefix_tree(self, tokens: np.ndarray) -> np.ndarray:
+        """log pi of lexsorted ``(n, T)`` token rows, one decode step per level.
+
+        Level ``k`` holds the distinct length-``k`` prefixes, each represented
+        by its first row (``rep``) and owning one session row; the session is
+        stepped once over them, the constrained log-conditionals are added
+        to the running ``logp`` of every distinct child, and the session
+        branches with ``select(parent)`` exactly as ``_bas_step`` does.  All
+        tree bookkeeping is integer work on the sorted rows.
+        """
+        n, t = tokens.shape
+        # opens[i, k]: row i differs from the row above at some position <= k,
+        # i.e. it opens a distinct prefix of length k + 1.
+        opens = np.ones((n, t), dtype=bool)
+        np.logical_or.accumulate(tokens[1:] != tokens[:-1], axis=1, out=opens[1:])
+        if self.constraint is not None:
+            counts_up, counts_dn = self.constraint.counts_before(tokens)
+        session = self.make_session(1)
+        rep = np.zeros(1, dtype=np.int64)      # the root: the empty prefix
+        node = np.zeros(n, dtype=np.int64)     # each row's node at this level
+        logp = np.zeros(1)
+        for k in range(t):
+            logits = session.step(tokens[rep, k - 1] if k else None)
+            if self.constraint is not None:
+                allowed = self.constraint.mask_for_step(
+                    counts_up[rep, k], counts_dn[rep, k], k)
+                logits = np.where(allowed, logits, MASK_VALUE)
+            child = np.flatnonzero(opens[:, k])
+            parent = node[child]
+            logp = logp[parent] + log_softmax(logits)[parent, tokens[child, k]]
+            if k + 1 < t:
+                session = session.select(parent)
+            rep, node = child, np.cumsum(opens[:, k]) - 1
+        return logp[node]
 
     def make_session(self, batch_size: int = 1):
         """Open an incremental decoding session on the amplitude network.
@@ -171,9 +250,10 @@ class NNQSWavefunction(Module):
         """Full-forward oracle for :meth:`conditional_probs` (pre-cache path).
 
         Runs the differentiable ``conditional_logits`` graph under
-        ``no_grad`` — the numerics of the training-time code path.  Retained
-        as the correctness oracle for the incremental engine (tests,
-        benchmarks, and the ``use_cache=False`` sampler paths).
+        ``no_grad`` — the numerics of the training-time code path.  For
+        testing purposes only: the correctness oracle of the incremental
+        engine (``tests/test_inference.py``) and the uncached side of
+        ``benchmarks/bench_sampling_throughput.py``; no sampler calls it.
         """
         k = prefix_tokens.shape[1]
         logits = padded_next_logits(self.amplitude, prefix_tokens)

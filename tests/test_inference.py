@@ -2,20 +2,26 @@
 
 The differentiable ``conditional_logits`` graph is the correctness oracle:
 the KV-cached ``step()`` path must reproduce its logits to 1e-10 at every
-position, and seeded sampling sweeps must produce bit-identical
-``SampleBatch``es whether they run cached (``use_cache=True``, the default)
-or through the retained full-forward path — for the transformer and for the
-fallback-protocol ansätze (MADE, NAQS-MLP).
+position, and seeded sampling sweeps must produce ``SampleBatch``es
+bit-identical to the same sweeps driven by the full-forward oracle
+``conditional_probs_reference`` (a test-only function: the oracle sweeps
+below are the only callers outside the throughput bench) — for the
+transformer and for the fallback-protocol ansätze (MADE, NAQS-MLP).
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import build_qiankunnet
 from repro.core.sampler import (
+    SampleBatch,
     _multinomial_rows,
+    _split_weights,
     autoregressive_sample,
     batch_autoregressive_sample,
     bas_prefix_sweep,
+    initial_tree_state,
 )
 from repro.nn import (
     FallbackInferenceSession,
@@ -32,6 +38,32 @@ ANSATZE = ["transformer", "made", "naqs-mlp"]
 def wf():
     return build_qiankunnet(8, 2, 2, d_model=8, n_heads=2, n_layers=2,
                             phase_hidden=(16,), seed=9)
+
+
+def oracle_bas_sample(wf, n_samples, rng, start=None):
+    """``batch_autoregressive_sample`` with every conditional from the
+    full-forward oracle: same weight split, same RNG stream, no session."""
+    state = start
+    if state is None:
+        state = replace(initial_tree_state(),
+                        weights=np.array([n_samples], dtype=np.int64))
+    while state.step < wf.n_tokens:
+        probs = wf.conditional_probs_reference(
+            state.prefixes, state.counts_up, state.counts_dn)
+        state = _split_weights(wf, state, probs, rng)[1]
+    return SampleBatch(bits=wf.tokens_to_bits(state.prefixes), weights=state.weights)
+
+
+def oracle_autoregressive_sample(wf, n_samples, rng):
+    """``autoregressive_sample`` over the full-forward oracle."""
+    tokens = np.zeros((n_samples, 0), dtype=np.int64)
+    for _ in range(wf.n_tokens):
+        probs = wf.conditional_probs_reference(tokens, *wf.sector_counts(tokens))
+        choice = (probs.cumsum(axis=1) < rng.random((n_samples, 1))).sum(axis=1)
+        choice = np.minimum(choice, wf.vocab_size - 1)
+        tokens = np.concatenate([tokens, choice[:, None]], axis=1)
+    uniq, inverse = np.unique(wf.tokens_to_bits(tokens), axis=0, return_inverse=True)
+    return SampleBatch(bits=uniq, weights=np.bincount(inverse.ravel()))
 
 
 def build(amplitude_type):
@@ -157,9 +189,7 @@ class TestSampledEquivalence:
         """Cached and full-forward BAS sweeps agree bit for bit under a seed."""
         w = build(amplitude_type)
         cached = batch_autoregressive_sample(w, 200_000, np.random.default_rng(42))
-        oracle = batch_autoregressive_sample(
-            w, 200_000, np.random.default_rng(42), use_cache=False
-        )
+        oracle = oracle_bas_sample(w, 200_000, np.random.default_rng(42))
         np.testing.assert_array_equal(cached.bits, oracle.bits)
         np.testing.assert_array_equal(cached.weights, oracle.weights)
 
@@ -167,8 +197,7 @@ class TestSampledEquivalence:
     def test_seeded_autoregressive_bit_identical(self, amplitude_type):
         w = build(amplitude_type)
         cached = autoregressive_sample(w, 400, np.random.default_rng(11))
-        oracle = autoregressive_sample(w, 400, np.random.default_rng(11),
-                                       use_cache=False)
+        oracle = oracle_autoregressive_sample(w, 400, np.random.default_rng(11))
         np.testing.assert_array_equal(cached.bits, oracle.bits)
         np.testing.assert_array_equal(cached.weights, oracle.weights)
 
@@ -199,9 +228,7 @@ class TestSampledEquivalence:
         np.testing.assert_array_equal(first.weights, second.weights)
         # And both must agree with the full-forward oracle on the same seed.
         state.session = None
-        oracle = batch_autoregressive_sample(
-            wf, 0, np.random.default_rng(3), start=state, use_cache=False
-        )
+        oracle = oracle_bas_sample(wf, 0, np.random.default_rng(3), start=state)
         np.testing.assert_array_equal(first.bits, oracle.bits)
         np.testing.assert_array_equal(first.weights, oracle.weights)
 
@@ -226,9 +253,8 @@ class TestSampledEquivalence:
             )
             sessionless = part
             sessionless.session = None
-            oracle = batch_autoregressive_sample(
-                wf, 0, np.random.default_rng(1), start=sessionless, use_cache=False
-            )
+            oracle = oracle_bas_sample(
+                wf, 0, np.random.default_rng(1), start=sessionless)
             np.testing.assert_array_equal(follow.bits, oracle.bits)
             np.testing.assert_array_equal(follow.weights, oracle.weights)
 
