@@ -168,11 +168,19 @@ def load_checkpoint(vmc: VMC, path: str | Path) -> None:
             f"{path} has no 'hist_energy' column: not a format-"
             f"{SNAPSHOT_FORMAT} checkpoint (energies-only files are not read)"
         )
-    vmc.wf.set_flat_params(data["params"])
+    params = data["params"]
+    if params.size != vmc.wf.num_parameters():
+        raise ValueError(
+            f"{path} holds {params.size} parameters, the model has "
+            f"{vmc.wf.num_parameters()}: a checkpoint of another architecture"
+        )
+    # The optimizer checks its own arrays before its first write, and the
+    # parameter vector was checked above: a refused file changes nothing.
+    vmc.optimizer.load_state(data)
+    vmc.wf.set_flat_params(params)
     vmc.iteration = int(data["iteration"])
     vmc.comm_baseline = (
         data["comm_baseline"] if "comm_baseline" in data else None
     )
     _restore_history(vmc, data)
     vmc.rng = restore_rng(data["rng_state"].item())
-    vmc.optimizer.load_state(data)

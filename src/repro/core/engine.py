@@ -418,16 +418,19 @@ def stage_backward(wf, chunk: SampleBatch, w_norm,
 
     implemented as a scalar loss with stop-gradient coefficients.  The loss is
     a sum over rows, so it is taped and back-propagated one row block at a
-    time (``wavefunction.row_blocks``) with the tape accumulating into
-    ``p.grad``: peak activation memory is O(block), not O(N_u), and a rank
-    that owns no rows returns zeros.
+    time (``wavefunction.row_blocks``) with the tape accumulating in place
+    into ``p.grad`` — views of the zeroed gradient buffer of ``wf``'s
+    parameter arena: peak activation memory is O(block), not O(N_u), and a
+    rank that owns no rows returns zeros.  The result *is* that buffer (no
+    copy): valid until the next gradient is taken on ``wf``.
     """
-    wf.zero_grad()
+    arena = wf.arena()
+    arena.zero_grad(bind_all=True)
     coeff_amp = w_norm * (eloc.real - e_mean)
     coeff_phase = 2.0 * w_norm * (eloc.imag - e_imag)
     for rows in row_blocks(len(chunk.bits)):
         _surrogate_backward(wf, chunk.bits[rows], coeff_amp[rows], coeff_phase[rows])
-    return wf.get_flat_grads()
+    return arena.grad
 
 
 def _require_finite(where: str, **quantities: float) -> None:
@@ -445,18 +448,20 @@ def _require_finite(where: str, **quantities: float) -> None:
 def stage_update(opt: NoamAdamW, grad, grad_norm: float | None = None) -> None:
     """Stage 6 epilogue of ``opt``: clip -> Eq. 13 schedule -> AdamW step.
 
-    ``grad_norm`` is the gradient's 2-norm when the caller already has it
-    (``execute_iteration``'s non-finite guard computes it).
+    ``grad`` is consumed: clipped in place, then overwritten by the AdamW
+    kernel, which reads it where it lies (on the serial backend, the arena
+    buffer stage 5 accumulated into).  ``grad_norm`` is the gradient's 2-norm
+    when the caller already has it (``execute_iteration``'s non-finite guard
+    computes it).
     """
     grad = xp.asarray(grad)
     clip = opt.grad_clip
     if clip is not None:
         norm = xp.linalg.norm(grad) if grad_norm is None else grad_norm
         if norm > clip:
-            grad = grad * (clip / norm)
-    opt.model.set_flat_grads(grad)
+            grad *= clip / norm
     opt.schedule.step()
-    opt.step()
+    opt.step(grad)
 
 
 class NoamAdamW(AdamW):
@@ -465,9 +470,12 @@ class NoamAdamW(AdamW):
 
     * ``direction(wf, chunk, w_norm, eloc, e_mean, e_imag)`` — stage 5, on
       this rank's ``wf``: the flat update direction of its chunk (here the
-      Eq. 7 gradient, :func:`stage_backward`); stage 6 sums over ranks.
+      Eq. 7 gradient, :func:`stage_backward`); stage 6 sums over ranks.  The
+      M-vector may be ``wf``'s arena gradient buffer itself (it is here): it
+      is valid until the next ``direction`` on that ``wf``.
     * ``apply(direction, norm)`` — stage 6 epilogue, on the master after the
-      non-finite guard: the parameter step (here :func:`stage_update`).
+      non-finite guard: the parameter step (here :func:`stage_update`), which
+      may overwrite ``direction``.
     * ``lr`` — the learning rate the stats row reports.
     * ``state()`` / ``load_state(data)`` — arrays under their checkpoint keys.
     * ``single_rank_reason`` — ``None`` when the sum of per-rank directions
@@ -497,8 +505,9 @@ class NoamAdamW(AdamW):
         return {**super().state(), "sched_i": host_np.array(self.schedule.i)}
 
     def load_state(self, data) -> None:
+        sched_i = int(data["sched_i"])  # read before anything is written
         super().load_state(data)
-        self.schedule.i = int(data["sched_i"])
+        self.schedule.i = sched_i
 
 
 # --------------------------------------------------------------------------
@@ -601,12 +610,17 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
     times["gradient"] = time.perf_counter() - t0
 
     # ---- stage 6: one allreduce for the gradient + centered 2nd moment -----
-    var_local = xp.array([xp.sum(w_chunk * (eloc.real - e_mean) ** 2)])
+    # The direction rides in the arena's M + 1 payload (AdamW's gradient was
+    # accumulated there; any other direction is copied in) and the variance
+    # takes the trailing slot, so nothing is concatenated.
+    arena = wf.arena()
+    if grad is not arena.grad:
+        arena.grad[...] = grad
+    arena.payload[-1] = xp.sum(w_chunk * (eloc.real - e_mean) ** 2)
     # The stage-6 comm boundary: the fused gradient + variance payload leaves
-    # the device exactly once per rank and iteration, entering the allreduce.
-    fused = active_backend().to_host(
-        xp.concatenate([grad, var_local]), tag="stage6.grad"
-    )
+    # the device exactly once per rank and iteration, entering the allreduce
+    # (which, on a size-1 world, hands the payload itself back).
+    fused = active_backend().to_host(arena.payload, tag="stage6.grad")
     packed = comm.allreduce_ndarray(fused, channel="stage6_grads")
     grad_total, variance = packed[:-1], float(packed[-1] / sums[2])
 
@@ -719,10 +733,10 @@ class ThreadBackend(ExecutionBackend):
             self.replicas = [
                 copy.deepcopy(engine.wf) for _ in range(self.n_ranks)
             ]
-        flat = engine.wf.get_flat_params()
+        theta = engine.wf.arena().theta
         for rep in self.replicas:
-            rep.set_flat_params(flat)
-        return flat
+            rep.set_flat_params(theta)  # one memcpy, arena to arena
+        return theta
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
         from repro.parallel.fake_mpi import run_spmd

@@ -150,7 +150,7 @@ class StochasticReconfiguration:
 
     def apply(self, delta: np.ndarray, norm: float | None = None) -> None:
         """The parameter write ``theta -= lr * delta`` (no clip, no decay)."""
-        self.wf.set_flat_params(self.wf.get_flat_params() - self.lr * delta)
+        self.wf.arena().theta -= self.lr * delta
 
     def step(self, batch: SampleBatch, eloc: np.ndarray) -> SRStepInfo:
         w = batch.weights / batch.weights.sum()

@@ -88,6 +88,9 @@ class NNQSWavefunction(Module):
         # Serving-layer hook: when set, make_session() delegates here so a
         # SessionPool (repro/serve/pool.py) can hand out recycled sessions.
         self.session_factory = None
+        # Move the parameters into their arena now (Module.arena would on
+        # first use): every later reader finds them where they will stay.
+        self.arena()
 
     # -------------------------------------------------------- token mapping
     def bits_to_tokens(self, bits: np.ndarray) -> np.ndarray:

@@ -258,7 +258,13 @@ class Comm:
                           channel: str | None = None) -> np.ndarray:
         """Typed sum-allreduce; rank-ordered, so identical on every rank and
         on every transport (never ``MPI.SUM``, whose order is
-        implementation-defined)."""
+        implementation-defined).
+
+        Aliasing rule: on a size-1 world the sum of one part is that part, and
+        the result is ``array`` itself — no copy; a caller that goes on writing
+        into its buffer is writing into the result.  On any larger world the
+        result is a new array.
+        """
         array = np.asarray(array)
         parts = self._exchange("allreduce_ndarray", array)
         for peer, part in enumerate(parts):
@@ -271,4 +277,6 @@ class Comm:
         self.stats.add(
             "allreduce", array.nbytes * self.transport.size, channel=channel
         )
+        if self.transport.size == 1:
+            return array
         return _sum_rank_ordered(parts)

@@ -339,11 +339,22 @@ class RendezvousCoordinator:
             if t is not threading.current_thread():
                 t.join(timeout=5.0)
 
-    def _finish(self, outcome: str) -> None:
+    def _finish(self, outcome: str, poison: str | None = None,
+                exclude: set[int] = frozenset()) -> None:
+        """Conclude the job: the first verdict stands, and it is recorded
+        *before* the survivors are poisoned with ``poison``.  Poisoning shuts
+        down member sockets, which wakes their readers with an EOF; a reader
+        must find the verdict taken, not blame the rank it was woken for.
+        ``wait()`` is released only once the poison is out."""
         with self._lock:
-            if self._outcome is None:
-                self._outcome = outcome
-        self._done.set()
+            if self._outcome is not None:
+                return
+            self._outcome = outcome
+        try:
+            if poison is not None:
+                self._abort_all(poison, exclude=exclude)
+        finally:
+            self._done.set()
 
     # ----------------------------------------------------------- join phase
     def _accept_loop(self) -> None:
@@ -354,15 +365,13 @@ class RendezvousCoordinator:
         try:
             while joined < self.world_size and not self._stop.is_set():
                 if time.monotonic() > deadline:
-                    self._abort_all(
-                        f"rendezvous join timed out: {joined} of "
-                        f"{self.world_size} ranks joined within "
-                        f"{self.join_timeout:.1f}s"
-                    )
                     for conn, _ in pending:
                         self._close_quietly(conn)
                     self._finish(
-                        f"aborted: join timeout ({joined}/{self.world_size})"
+                        f"aborted: join timeout ({joined}/{self.world_size})",
+                        poison=f"rendezvous join timed out: {joined} of "
+                               f"{self.world_size} ranks joined within "
+                               f"{self.join_timeout:.1f}s",
                     )
                     return
                 try:
@@ -387,8 +396,8 @@ class RendezvousCoordinator:
             self._welcome_all(pending)
             self._supervise()
         except Exception as exc:  # pragma: no cover - defensive backstop
-            self._abort_all(f"coordinator internal error: {exc!r}")
-            self._finish(f"aborted: coordinator error: {exc!r}")
+            self._finish(f"aborted: coordinator error: {exc!r}",
+                         poison=f"coordinator internal error: {exc!r}")
 
     def _read_hello(self, conn: socket.socket) -> dict | None:
         """Read + validate one hello; returns None (conn closed) on garbage."""
@@ -494,28 +503,31 @@ class RendezvousCoordinator:
                 message = dead_rank_message(
                     dead, "missed the heartbeat deadline"
                 )
-                self._abort_all(message, exclude=set(dead))
-                self._finish(f"aborted: {message}")
+                self._finish(f"aborted: {message}", poison=message,
+                             exclude=set(dead))
                 return
 
     def _member_reader(self, rank: int, conn: socket.socket) -> None:
         """Consume heartbeats/leave from one member; EOF marks it dead."""
-        conn.settimeout(None)
         while not self._stop.is_set():
             try:
+                # Inside the try: stop() may have closed the socket before
+                # this thread was first scheduled.
+                conn.settimeout(None)
                 ftype, meta, _ = recv_frame(conn)
             except (ConnectionError, ClusterProtocolError, OSError):
                 with self._lock:
                     member = self._members.get(rank)
-                    if member is None or member["left"] or self._done.is_set():
+                    if (member is None or member["left"]
+                            or self._outcome is not None):
                         return
                 # Socket dropped without a clean leave: poison immediately
                 # rather than waiting out the heartbeat deadline.
                 message = dead_rank_message(
                     [rank], "connection closed mid-run"
                 )
-                self._abort_all(message, exclude={rank})
-                self._finish(f"aborted: {message}")
+                self._finish(f"aborted: {message}", poison=message,
+                             exclude={rank})
                 return
             if ftype != FRAME_CTRL:
                 continue

@@ -226,6 +226,20 @@ class TestCollectiveContract:
         assert stats["allreduce_wire_bytes"] == (512 + 16) * size
         assert stats["calls"] == {"allgather": 2, "allreduce": 2}
 
+    @pytest.mark.parametrize("name", list(LAUNCHERS))
+    def test_allreduce_aliasing_rule(self, name):
+        """The sum of one part is that part: a size-1 world hands back the
+        very array it was given (the engine ships its gradient buffer without
+        a copy); any larger world builds a new one."""
+        def fn(comm):
+            sent = _payload(comm.Get_rank())
+            got = comm.allreduce_ndarray(sent, channel="g")
+            return got is sent, bool(np.shares_memory(got, sent))
+
+        assert LAUNCHERS[name](1, fn) == [(True, True)]
+        if name != "solo":
+            assert LAUNCHERS[name](2, fn) == [(False, False)] * 2
+
     def test_gathered_arrays_outlive_later_collectives(self):
         """Shared-memory views are only valid until the next exchange; what
         ``allgather_ndarray`` hands out must not be such a view."""
