@@ -18,6 +18,7 @@ from repro.bench import format_table, registry
 from repro.chem import build_problem, run_fci
 from repro.core import (
     VMC,
+    NoamAdamW,
     VMCConfig,
     batch_autoregressive_sample,
     build_qiankunnet,
@@ -33,7 +34,8 @@ def _run(prob, fci, iters=_ITERS, **kwargs):
     wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, **defaults)
     pretrain_to_reference(wf, prob.hf_bits, n_steps=100)
     vmc = VMC(wf, prob.hamiltonian,
-              VMCConfig(n_samples=10**5, eloc_mode="exact", warmup=150, seed=52))
+              VMCConfig(n_samples=10**5, eloc_mode="exact", seed=52),
+              optimizer=NoamAdamW(wf, warmup=150))
     vmc.run(iters)
     return vmc.best_energy() - fci, wf
 
@@ -117,7 +119,8 @@ def test_ablation_eloc_mode(benchmark, full):
         wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=55)
         pretrain_to_reference(wf, prob.hf_bits, n_steps=100)
         vmc = VMC(wf, prob.hamiltonian,
-                  VMCConfig(n_samples=10**5, eloc_mode=mode, warmup=150, seed=56))
+                  VMCConfig(n_samples=10**5, eloc_mode=mode, seed=56),
+                  optimizer=NoamAdamW(wf, warmup=150))
         vmc.run(_ITERS)
         rows.append([mode, f"{vmc.best_energy() - fci:.2e}"])
     registry.record(

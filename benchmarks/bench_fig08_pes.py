@@ -21,7 +21,13 @@ from repro.chem import (
     run_rhf,
     to_spin_orbitals,
 )
-from repro.core import VMC, VMCConfig, build_qiankunnet, pretrain_to_reference
+from repro.core import (
+    VMC,
+    NoamAdamW,
+    VMCConfig,
+    build_qiankunnet,
+    pretrain_to_reference,
+)
 
 _ITERS = 300
 
@@ -35,7 +41,8 @@ def _point(r: float, iters: int):
     wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=1)
     pretrain_to_reference(wf, prob.hf_bits, n_steps=150)
     vmc = VMC(wf, prob.hamiltonian,
-              VMCConfig(n_samples=10**6, eloc_mode="exact", warmup=300, seed=2))
+              VMCConfig(n_samples=10**6, eloc_mode="exact", seed=2),
+              optimizer=NoamAdamW(wf, warmup=300))
     vmc.run(iters)
     e_vmc = vmc.best_energy()
     return prob.e_hf, ccsd, e_vmc, fci

@@ -408,7 +408,7 @@ if __name__ == "__main__":
     parser.add_argument("--n-samples", type=int, default=None)
     parser.add_argument("--backend", default="numpy",
                         help="array backend the timed kernels run under "
-                             "(numpy/mock/torch/cupy); a non-numpy choice "
+                             "(numpy/mock); a non-numpy choice "
                              "also runs the numpy reference and records the "
                              "per-backend overhead")
     args = parser.parse_args()

@@ -14,7 +14,13 @@ import numpy as np
 
 from repro.bench import format_table, registry
 from repro.chem import build_problem, run_fci
-from repro.core import VMC, VMCConfig, build_qiankunnet, pretrain_to_reference
+from repro.core import (
+    VMC,
+    NoamAdamW,
+    VMCConfig,
+    build_qiankunnet,
+    pretrain_to_reference,
+)
 
 _ITERS = 12
 
@@ -25,8 +31,8 @@ def _point(basis: str, r: float, iters: int, seed: int = 31):
     wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=seed)
     pretrain_to_reference(wf, prob.hf_bits, n_steps=100)
     vmc = VMC(wf, prob.hamiltonian,
-              VMCConfig(n_samples=10**6, eloc_mode="exact", warmup=100,
-                        seed=seed + 1))
+              VMCConfig(n_samples=10**6, eloc_mode="exact", seed=seed + 1),
+              optimizer=NoamAdamW(wf, warmup=100))
     vmc.run(iters)
     return prob, prob.e_hf, vmc.best_energy(10), fci
 

@@ -173,7 +173,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--backend", default="numpy",
                         help="array backend the cached sweep runs under "
-                             "(numpy/mock/torch/cupy); outputs are asserted "
+                             "(numpy/mock); outputs are asserted "
                              "bit-identical to the numpy sweep")
     parser.add_argument("--n-samples", type=int, default=10**3)
     args = parser.parse_args()

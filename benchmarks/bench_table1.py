@@ -25,7 +25,13 @@ from repro.chem import (
     run_rhf,
     to_spin_orbitals,
 )
-from repro.core import VMC, VMCConfig, build_qiankunnet, pretrain_to_reference
+from repro.core import (
+    VMC,
+    NoamAdamW,
+    VMCConfig,
+    build_qiankunnet,
+    pretrain_to_reference,
+)
 
 _VMC_ITERS = 200
 _MADE_ITERS = 120
@@ -45,7 +51,8 @@ def _vmc_energy(prob, amplitude_type: str, iters: int, seed: int = 1) -> float:
     vmc = VMC(
         wf,
         prob.hamiltonian,
-        VMCConfig(n_samples=10**6, eloc_mode="exact", warmup=300, seed=seed + 1),
+        VMCConfig(n_samples=10**6, eloc_mode="exact", seed=seed + 1),
+        optimizer=NoamAdamW(wf, warmup=300),
     )
     vmc.run(iters)
     return vmc.best_energy()

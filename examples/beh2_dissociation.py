@@ -9,7 +9,14 @@ Usage:  python examples/beh2_dissociation.py [--iters 250] [--points 1.0 1.33 2.
 """
 import argparse
 
-from repro import VMC, VMCConfig, build_problem, build_qiankunnet, pretrain_to_reference
+from repro import (
+    VMC,
+    NoamAdamW,
+    VMCConfig,
+    build_problem,
+    build_qiankunnet,
+    pretrain_to_reference,
+)
 from repro.chem import (
     compute_integrals,
     make_molecule,
@@ -40,7 +47,8 @@ def main() -> None:
         wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=5)
         pretrain_to_reference(wf, prob.hf_bits, n_steps=150)
         vmc = VMC(wf, prob.hamiltonian,
-                  VMCConfig(n_samples=10**6, eloc_mode="exact", warmup=300, seed=6))
+                  VMCConfig(n_samples=10**6, eloc_mode="exact", seed=6),
+                  optimizer=NoamAdamW(wf, warmup=300))
         vmc.run(args.iters)
         e = vmc.best_energy()
         print(f"{r:6.3f}  {prob.e_hf:+.6f}  {ccsd:+.6f}  {e:+.6f}  {fci:+.6f}  "

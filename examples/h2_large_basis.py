@@ -10,7 +10,14 @@ Usage:  python examples/h2_large_basis.py [--iters 40] [--basis cc-pvtz]
 """
 import argparse
 
-from repro import VMC, VMCConfig, build_problem, build_qiankunnet, pretrain_to_reference
+from repro import (
+    VMC,
+    NoamAdamW,
+    VMCConfig,
+    build_problem,
+    build_qiankunnet,
+    pretrain_to_reference,
+)
 from repro.chem import run_fci
 
 
@@ -37,7 +44,8 @@ def main() -> None:
     wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=31)
     pretrain_to_reference(wf, prob.hf_bits, n_steps=100)
     vmc = VMC(wf, prob.hamiltonian,
-              VMCConfig(n_samples=10**6, eloc_mode="exact", warmup=100, seed=32))
+              VMCConfig(n_samples=10**6, eloc_mode="exact", seed=32),
+              optimizer=NoamAdamW(wf, warmup=100))
     vmc.run(args.iters, log_every=10)
     e = vmc.best_energy(10)
     print(f"  QiankunNet after {args.iters} iterations: {e:+.6f} Ha "

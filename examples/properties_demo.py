@@ -31,6 +31,7 @@ from repro.chem import (
 )
 from repro.core import (
     VMC,
+    NoamAdamW,
     VMCConfig,
     ObservableSet,
     batch_autoregressive_sample,
@@ -56,7 +57,8 @@ def main() -> None:
     wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=7)
     pretrain_to_reference(wf, prob.hf_bits, n_steps=200)
     vmc = VMC(wf, prob.hamiltonian,
-              VMCConfig(n_samples=10**5, eloc_mode="exact", warmup=150, seed=8))
+              VMCConfig(n_samples=10**5, eloc_mode="exact", seed=8),
+              optimizer=NoamAdamW(wf, warmup=150))
     vmc.run(args.iters, log_every=max(args.iters // 4, 1))
     print(f"VMC energy {vmc.best_energy():+.6f} Ha  (FCI {fci.energy:+.6f})")
 

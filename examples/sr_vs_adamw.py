@@ -22,6 +22,7 @@ import numpy as np
 from repro.chem import build_problem, run_fci
 from repro.core import (
     VMC,
+    NoamAdamW,
     VMCConfig,
     SRConfig,
     StochasticReconfiguration,
@@ -70,7 +71,8 @@ def main() -> None:
     wf2 = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=3, **net_kwargs)
     pretrain_to_reference(wf2, prob.hf_bits, n_steps=100)
     vmc = VMC(wf2, prob.hamiltonian,
-              VMCConfig(n_samples=10**5, eloc_mode="exact", warmup=150, seed=4))
+              VMCConfig(n_samples=10**5, eloc_mode="exact", seed=4),
+              optimizer=NoamAdamW(wf2, warmup=150))
     t0 = time.perf_counter()
     vmc.run(args.adamw_iters,
             log_every=max(args.adamw_iters // 4, 1))

@@ -24,6 +24,7 @@ from repro import api
 from repro.api import RunSpec, run, resume, serve_run
 from repro.core import (
     VMC,
+    NoamAdamW,
     VMCConfig,
     batch_autoregressive_sample,
     build_qiankunnet,
@@ -51,6 +52,7 @@ __all__ = [
     "run_fci",
     "run_rhf",
     "VMC",
+    "NoamAdamW",
     "VMCConfig",
     "batch_autoregressive_sample",
     "build_qiankunnet",

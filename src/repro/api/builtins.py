@@ -40,6 +40,7 @@ from repro.core.sampler import batch_autoregressive_sample
 from repro.core.sr import SRConfig, StochasticReconfiguration
 from repro.core.wavefunction import build_qiankunnet
 from repro.nn.rbm import RBMWavefunction
+from repro.parallel.cluster import ClusterBackend
 
 __all__ = []  # registration side effects only
 
@@ -133,69 +134,10 @@ def build_mcmc_sampler(*, start_bits=None, n_burnin: int = 200, thin: int = 2):
 
 
 # ---------------------------------------------------------- execution backends
-@register_backend("serial")
-def build_serial_backend(n_ranks: int = 1, **params):
-    """The classic single-rank iteration (the default ``parallel`` section)."""
-    if n_ranks != 1:
-        raise ValueError(
-            f"the serial backend runs exactly one rank (got n_ranks={n_ranks}); "
-            "use parallel.backend=threads, =process or =cluster for N_p > 1"
-        )
-    return SerialBackend()
-
-
-@register_backend("threads")
-def build_thread_backend(n_ranks: int = 1, *, nu_star_per_rank: int = 64,
-                         eloc_partition: str = "balanced",
-                         comm_codec: bool = True, comm_shm: bool = True,
-                         timeout: float = 600.0):
-    """Thread ranks — the Fig. 4 data-parallel iteration in-process."""
-    return ThreadBackend(n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
-                         eloc_partition=eloc_partition,
-                         comm_codec=comm_codec, comm_shm=comm_shm,
-                         timeout=timeout)
-
-
-@register_backend("process")
-def build_process_backend(n_ranks: int = 1, *, nu_star_per_rank: int = 64,
-                          eloc_partition: str = "balanced",
-                          comm_codec: bool = True, comm_shm: bool = True,
-                          timeout: float = 600.0, join_timeout: float = 10.0):
-    """Forked OS-process ranks (fork start method; Linux)."""
-    return ProcessBackend(n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
-                          eloc_partition=eloc_partition,
-                          comm_codec=comm_codec, comm_shm=comm_shm,
-                          timeout=timeout, join_timeout=join_timeout)
-
-
-@register_backend("cluster")
-def build_cluster_backend(n_ranks: int = 1, *, nu_star_per_rank: int = 64,
-                          eloc_partition: str = "balanced",
-                          comm_codec: bool = True, comm_shm: bool = True,
-                          rendezvous_addr: str | None = None,
-                          rank: int | None = None,
-                          join_timeout: float = 60.0,
-                          collective_timeout: float = 600.0):
-    """Multi-host SPMD ranks over TCP sockets (or mpi4py when available).
-
-    One rank per invocation: every host runs the full driver on the same
-    spec and the ranks meet inside the collectives.  Without an MPI world
-    of matching size, a rendezvous coordinator address is required — fail
-    here, at spec time, rather than deep inside rendezvous.
-    """
-    from repro.parallel.cluster import ClusterBackend, _mpi_comm_world
-
-    if rendezvous_addr is None:
-        mpi = _mpi_comm_world()
-        if mpi is None or mpi.Get_size() != n_ranks:
-            raise ValueError(
-                "the cluster backend needs parallel.rendezvous_addr "
-                "(host:port of a `python -m repro rendezvous` coordinator) "
-                f"when no MPI world of size {n_ranks} is available"
-            )
-    return ClusterBackend(
-        n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
-        eloc_partition=eloc_partition, comm_codec=comm_codec,
-        comm_shm=comm_shm, rendezvous_addr=rendezvous_addr, rank=rank,
-        join_timeout=join_timeout, collective_timeout=collective_timeout,
-    )
+# The classes are the factories: each declares, by ``ParallelSpec`` field
+# name, exactly the values it reads (and checks what only it can check —
+# serial's single rank, cluster's rendezvous address).
+register_backend("serial", SerialBackend)
+register_backend("threads", ThreadBackend)
+register_backend("process", ProcessBackend)
+register_backend("cluster", ClusterBackend)

@@ -43,7 +43,7 @@ from repro.core.engine import _merge_transfers
 from repro.chem import build_problem, run_fci
 from repro.chem.pipeline import MolecularProblem
 from repro.core.trainer import TrainConfig, Trainer, TrainReport
-from repro.core.vmc import VMCStats
+from repro.core.vmc import VMC, VMCConfig, VMCStats, default_ns_schedule
 from repro.core.wavefunction import NNQSWavefunction
 from repro.serve.registry import ModelRegistry
 from repro.utils.atomic import atomic_write
@@ -116,8 +116,10 @@ def materialize_problem(spec: ProblemSpec) -> MolecularProblem:
 
 
 def _filter_to_signature(builder, candidate: dict) -> dict:
-    """Architecture defaults a builder doesn't declare are dropped; explicit
-    ``ansatz.params`` are never filtered (typos there must raise)."""
+    """The ``candidate`` entries ``builder`` declares by name (all of them
+    when it takes ``**kwargs``): spec-section fields a component does not
+    read are dropped.  Free-form ``params`` dicts are never filtered (typos
+    there must raise)."""
     params = signature(builder).parameters
     if any(p.kind is Parameter.VAR_KEYWORD for p in params.values()):
         return dict(candidate)
@@ -159,6 +161,8 @@ def materialize_sampler(spec: RunSpec, problem: MolecularProblem):
 def materialize_backend(spec: RunSpec):
     """Build the execution backend named by the spec's ``parallel`` section.
 
+    The registered factory receives the section's fields it declares by name
+    (``world_size``, when set, is the job size ``n_ranks`` aliases).
     More than one rank requires the default BAS sampler (and an optimizer
     whose update sums over ranks: :func:`materialize_optimizer`) — both
     restrictions fail at materialization, with the spec field named.
@@ -167,30 +171,11 @@ def materialize_backend(spec: RunSpec):
     registered backend.
     """
     p = spec.parallel
-    n_ranks = p.n_ranks
-    kwargs = {
-        "nu_star_per_rank": p.nu_star_per_rank,
-        "eloc_partition": p.eloc_partition,
-        "comm_codec": p.comm_codec,
-        "comm_shm": p.comm_shm,
-    }
-    if p.backend == "threads":
-        kwargs["timeout"] = float(p.collective_timeout_s)
-    elif p.backend == "process":
-        kwargs["timeout"] = float(p.collective_timeout_s)
-        kwargs["join_timeout"] = float(p.join_timeout_s)
-    elif p.backend == "cluster":
-        # One SPMD member: world_size names the job size (n_ranks is its
-        # alias when world_size is unset), rank optionally pins this member.
-        n_ranks = p.world_size if p.world_size is not None else p.n_ranks
-        kwargs.update(
-            rendezvous_addr=p.rendezvous_addr,
-            rank=p.rank,
-            join_timeout=float(p.join_timeout_s),
-            collective_timeout=float(p.collective_timeout_s),
-        )
+    factory = BACKENDS.get(p.backend)
+    kwargs = _filter_to_signature(factory, p.to_dict())
+    kwargs["n_ranks"] = p.world_size if p.world_size is not None else p.n_ranks
     try:
-        backend = BACKENDS.build(p.backend, n_ranks, **kwargs)
+        backend = factory(**kwargs)
     except ValueError as exc:  # e.g. serial with n_ranks > 1
         raise SpecError(f"parallel: {exc}") from None
     if backend.n_ranks > 1 and (spec.sampling.sampler != "bas"
@@ -225,16 +210,8 @@ def materialize_optimizer(spec: RunSpec, wf, backend):
 
 
 def materialize_array_backend(spec: RunSpec):
-    """Resolve the spec's ``backend`` section into a live ArrayBackend.
-
-    The section validates the *name* at spec time; availability of the
-    optional device wheels (torch / cupy) is checked here, at
-    materialization, with the spec field named.
-    """
-    try:
-        return get_backend(spec.backend.name, device=spec.backend.device)
-    except ImportError as exc:
-        raise SpecError(f"backend.name: {exc}") from None
+    """Resolve the spec's ``backend`` section into a live ArrayBackend."""
+    return get_backend(spec.backend.name)
 
 
 def _backend_report(spec: RunSpec, history: list[VMCStats]) -> dict:
@@ -345,23 +322,29 @@ def _build_trainer(spec: RunSpec, run_dir: Path) -> Trainer:
     wf = materialize_ansatz(spec.ansatz, problem)
     _require_autoregressive(spec, wf)
     backend = materialize_backend(spec)
+    s = spec.sampling
+    vmc = VMC(
+        wf,
+        problem.hamiltonian,
+        VMCConfig(
+            n_samples=default_ns_schedule(
+                pretrain_iters=s.pretrain_iters, ns_pretrain=s.ns_pretrain,
+                ns_max=s.ns_max, ns_growth=s.ns_growth,
+            ),
+            eloc_mode=s.eloc_mode,
+            seed=spec.train.seed,
+            sampler=materialize_sampler(spec, problem),
+            eloc_memory_budget_mb=spec.parallel.eloc_memory_budget_mb,
+        ),
+        backend=backend,
+        array_backend=materialize_array_backend(spec),
+        optimizer=materialize_optimizer(spec, wf, backend),
+    )
     cfg = TrainConfig(
         max_iterations=spec.train.max_iterations,
         pretrain_steps=spec.train.pretrain_steps,
         pretrain_target=spec.train.pretrain_target,
-        ns_pretrain=spec.sampling.ns_pretrain,
-        ns_max=spec.sampling.ns_max,
-        ns_growth=spec.sampling.ns_growth,
-        pretrain_iters=spec.sampling.pretrain_iters,
-        eloc_mode=spec.sampling.eloc_mode,
-        seed=spec.train.seed,
-        sampler=materialize_sampler(spec, problem),
-        backend=backend,
-        array_backend=materialize_array_backend(spec),
-        optimizer=materialize_optimizer(spec, wf, backend),
-        group_chunk=spec.parallel.group_chunk,
-        sample_chunk=spec.parallel.sample_chunk,
-        eloc_memory_budget_mb=spec.parallel.eloc_memory_budget_mb,
+        pretrain_iters=s.pretrain_iters,
         plateau_window=spec.train.plateau_window,
         plateau_rel_tol=spec.train.plateau_rel_tol,
         early_stop=spec.train.early_stop,
@@ -370,8 +353,7 @@ def _build_trainer(spec: RunSpec, run_dir: Path) -> Trainer:
         log_path=run_dir / METRICS_FILE,
         log_every=spec.output.log_every,
     )
-    return Trainer(wf, problem.hamiltonian, cfg, hf_bits=problem.hf_bits,
-                   e_hf=problem.e_hf,
+    return Trainer(vmc, cfg, hf_bits=problem.hf_bits, e_hf=problem.e_hf,
                    e_reference=_resolve_reference(spec, problem))
 
 

@@ -25,9 +25,12 @@ Builder contracts (what the driver calls):
   on :class:`repro.core.engine.NoamAdamW`, which ``"adamw"`` builds).
 * **sampler**: ``factory(**params) -> sampler`` where
   ``sampler(wf, n_samples, rng) -> SampleBatch``.
-* **backend**: ``factory(n_ranks, *, nu_star_per_rank, eloc_partition) ->
-  ExecutionBackend`` — an execution backend of
-  :mod:`repro.core.engine` (the spec's ``parallel.backend`` choice).
+* **backend**: ``factory(n_ranks=..., **fields) -> ExecutionBackend`` (the
+  spec's ``parallel.backend`` choice), where ``fields`` are the ``parallel``
+  section's fields the factory declares by name (``nu_star_per_rank``,
+  ``comm_codec``, ``collective_timeout_s``, ...; the whole section when it
+  takes ``**kwargs``).  The built-ins register the backend classes of
+  :mod:`repro.core.engine` / :mod:`repro.parallel.cluster` themselves.
 
 Unknown names raise :class:`UnknownComponentError` listing what *is*
 registered, so a typo'd spec fails at materialization with an actionable

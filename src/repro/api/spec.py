@@ -54,12 +54,46 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise SpecError(f"{path}: {message}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Annotation name -> (accepts, "what it must be"): the leaf types a spec field
+# may be annotated with, alone or as a ``|`` union.
+_LEAF_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "int": (_is_int, "an int"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "a mapping"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+              "a list of ints"),
+    "None": (lambda v: v is None, "None"),
+}
+
+
 @dataclass
 class _Spec:
-    """Base for all spec nodes: dict/JSON round-trip + unknown-key errors."""
+    """Base for all spec nodes: dict/JSON round-trip, unknown-key errors and
+    the one type gate (each section's ``__post_init__`` runs it first, so its
+    own range checks may assume the annotated type)."""
 
     _SECTION = ""          # dotted prefix used in error messages
-    _TUPLE_FIELDS = ()     # fields stored as JSON lists but typed as tuples
+
+    def __post_init__(self) -> None:
+        """Every leaf holds a value of its annotated type — a mistyped
+        ``--set`` (``lr_scale=abc``, ``constrain=no``) fails here, by path."""
+        prefix = f"{self._SECTION}." if self._SECTION else ""
+        for f in fields(self):
+            names = [n.strip() for n in f.type.split("|")]
+            if not all(n in _LEAF_TYPES for n in names):
+                continue  # a nested section
+            value = getattr(self, f.name)
+            if not any(_LEAF_TYPES[n][0](value) for n in names):
+                allowed = " or ".join(_LEAF_TYPES[n][1] for n in names)
+                raise SpecError(
+                    f"{prefix}{f.name}: must be {allowed}, got {value!r}"
+                )
 
     def to_dict(self) -> dict:
         out = {}
@@ -95,7 +129,7 @@ class _Spec:
             sub = _SUBSPEC_TYPES.get((cls, name))
             if sub is not None and isinstance(value, dict):
                 value = sub.from_dict(value)
-            elif name in cls._TUPLE_FIELDS and isinstance(value, list):
+            elif f.type == "tuple" and isinstance(value, list):  # JSON list
                 value = tuple(value)
             kwargs[name] = value
         return cls(**kwargs)
@@ -115,17 +149,15 @@ class ProblemSpec(_Spec):
     geometry: dict = field(default_factory=dict)  # e.g. {"r": 0.7414}
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.molecule, str) and bool(self.molecule),
+        super().__post_init__()
+        _require(bool(self.molecule),
                  "problem.molecule", "must be a non-empty molecule name")
-        _require(isinstance(self.basis, str) and bool(self.basis),
+        _require(bool(self.basis),
                  "problem.basis", "must be a non-empty basis name")
-        _require(isinstance(self.n_frozen, int) and self.n_frozen >= 0,
+        _require(self.n_frozen >= 0,
                  "problem.n_frozen", f"must be a non-negative int, got {self.n_frozen!r}")
-        _require(self.n_active is None
-                 or (isinstance(self.n_active, int) and self.n_active > 0),
+        _require(self.n_active is None or self.n_active > 0,
                  "problem.n_active", f"must be None or a positive int, got {self.n_active!r}")
-        _require(isinstance(self.geometry, dict),
-                 "problem.geometry", "must be a mapping of geometry kwargs")
 
 
 @dataclass
@@ -133,7 +165,6 @@ class AnsatzSpec(_Spec):
     """Which wavefunction ansatz to build (``repro.api`` ansatz registry)."""
 
     _SECTION = "ansatz"
-    _TUPLE_FIELDS = ("phase_hidden",)
 
     name: str = "transformer"
     d_model: int = 16
@@ -147,18 +178,17 @@ class AnsatzSpec(_Spec):
     params: dict = field(default_factory=dict)  # extra kwargs for the builder
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.name, str) and bool(self.name),
+        super().__post_init__()
+        _require(bool(self.name),
                  "ansatz.name", "must be a registered ansatz name")
         for attr in ("d_model", "n_heads", "n_layers"):
             v = getattr(self, attr)
-            _require(isinstance(v, int) and v > 0,
+            _require(v > 0,
                      f"ansatz.{attr}", f"must be a positive int, got {v!r}")
         _require(self.token_bits in (1, 2),
                  "ansatz.token_bits", f"must be 1 or 2, got {self.token_bits!r}")
-        _require(all(isinstance(h, int) and h > 0 for h in self.phase_hidden),
+        _require(all(h > 0 for h in self.phase_hidden),
                  "ansatz.phase_hidden", f"must be positive ints, got {self.phase_hidden!r}")
-        _require(isinstance(self.params, dict),
-                 "ansatz.params", "must be a mapping of extra builder kwargs")
 
 
 @dataclass
@@ -180,18 +210,17 @@ class OptimizerSpec(_Spec):
     params: dict = field(default_factory=dict)  # e.g. SR's lr / diag_shift
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.name, str) and bool(self.name),
+        super().__post_init__()
+        _require(bool(self.name),
                  "optimizer.name", "must be a registered optimizer name")
         _require(self.lr_scale > 0,
                  "optimizer.lr_scale", f"must be positive, got {self.lr_scale!r}")
-        _require(isinstance(self.warmup, int) and self.warmup > 0,
+        _require(self.warmup > 0,
                  "optimizer.warmup", f"must be a positive int, got {self.warmup!r}")
         _require(self.weight_decay >= 0,
                  "optimizer.weight_decay", f"must be >= 0, got {self.weight_decay!r}")
         _require(self.grad_clip is None or self.grad_clip > 0,
                  "optimizer.grad_clip", f"must be None or positive, got {self.grad_clip!r}")
-        _require(isinstance(self.params, dict),
-                 "optimizer.params", "must be a mapping of optimizer kwargs")
 
 
 @dataclass
@@ -209,22 +238,21 @@ class SamplingSpec(_Spec):
     params: dict = field(default_factory=dict)  # e.g. hybrid's n_streams
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.sampler, str) and bool(self.sampler),
+        super().__post_init__()
+        _require(bool(self.sampler),
                  "sampling.sampler", "must be a registered sampler name")
-        _require(isinstance(self.ns_pretrain, int) and self.ns_pretrain > 0,
+        _require(self.ns_pretrain > 0,
                  "sampling.ns_pretrain", f"must be a positive int, got {self.ns_pretrain!r}")
-        _require(isinstance(self.ns_max, int) and self.ns_max > 0,
+        _require(self.ns_max > 0,
                  "sampling.ns_max", f"must be a positive int, got {self.ns_max!r}")
         _require(self.ns_growth > 0,
                  "sampling.ns_growth", f"must be positive, got {self.ns_growth!r}")
-        _require(isinstance(self.pretrain_iters, int) and self.pretrain_iters >= 0,
+        _require(self.pretrain_iters >= 0,
                  "sampling.pretrain_iters",
                  f"must be a non-negative int, got {self.pretrain_iters!r}")
         _require(self.eloc_mode in ELOC_MODES,
                  "sampling.eloc_mode",
                  f"must be one of {ELOC_MODES}, got {self.eloc_mode!r}")
-        _require(isinstance(self.params, dict),
-                 "sampling.params", "must be a mapping of sampler kwargs")
 
 
 @dataclass
@@ -235,8 +263,10 @@ class ParallelSpec(_Spec):
     ``threads`` / ``process`` / ``cluster``); ``n_ranks`` and
     ``nu_star_per_rank`` map to the paper's N_p and N_u^*/N_p;
     ``eloc_partition`` selects the Sec. 3.3 weight-balanced local-energy
-    chunking (or ``contiguous`` for the naive 1/N_p split); the
-    chunking/budget knobs shape the run's compiled ``ElocPlan``.
+    chunking (or ``contiguous`` for the naive 1/N_p split);
+    ``eloc_memory_budget_mb`` is ``VMCConfig``'s (the byte budget the run's
+    ``ElocPlan`` and exact mode's table extension shrink to).  Every other
+    field reaches the backend class that declares it, under the same name.
 
     ``comm_codec`` toggles the stage-2 delta/varint compression and
     ``comm_shm`` the process backend's shared-memory transport (see
@@ -258,8 +288,6 @@ class ParallelSpec(_Spec):
     n_ranks: int = 1
     nu_star_per_rank: int = 64
     eloc_partition: str = "balanced"
-    group_chunk: int = 512
-    sample_chunk: int = 4096
     eloc_memory_budget_mb: float | None = None
     comm_codec: bool = True
     comm_shm: bool = True
@@ -270,20 +298,18 @@ class ParallelSpec(_Spec):
     collective_timeout_s: float = 600.0
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.backend, str) and bool(self.backend),
+        super().__post_init__()
+        _require(bool(self.backend),
                  "parallel.backend", "must be a registered backend name")
-        _require(isinstance(self.n_ranks, int) and self.n_ranks > 0,
+        _require(self.n_ranks > 0,
                  "parallel.n_ranks", f"must be a positive int, got {self.n_ranks!r}")
         if self.rendezvous_addr is not None:
-            ok = isinstance(self.rendezvous_addr, str)
-            if ok:
-                host, sep, port = self.rendezvous_addr.rpartition(":")
-                ok = bool(sep) and bool(host) and port.isdigit() \
-                    and 0 < int(port) < 65536
-            _require(ok, "parallel.rendezvous_addr",
+            host, sep, port = self.rendezvous_addr.rpartition(":")
+            _require(bool(sep) and bool(host) and port.isdigit()
+                     and 0 < int(port) < 65536,
+                     "parallel.rendezvous_addr",
                      f"must be host:port, got {self.rendezvous_addr!r}")
-        _require(self.world_size is None
-                 or (isinstance(self.world_size, int) and self.world_size > 0),
+        _require(self.world_size is None or self.world_size > 0,
                  "parallel.world_size",
                  f"must be None or a positive int, got {self.world_size!r}")
         if self.world_size is not None and self.n_ranks != 1 \
@@ -293,8 +319,7 @@ class ParallelSpec(_Spec):
                 f"parallel.n_ranks={self.n_ranks}; set one of them (or both "
                 "equal)"
             )
-        _require(self.rank is None
-                 or (isinstance(self.rank, int) and self.rank >= 0),
+        _require(self.rank is None or self.rank >= 0,
                  "parallel.rank",
                  f"must be None or a non-negative int, got {self.rank!r}")
         if self.rank is not None:
@@ -304,27 +329,17 @@ class ParallelSpec(_Spec):
                      f"must be < the world size ({world}), got {self.rank}")
         for attr in ("join_timeout_s", "collective_timeout_s"):
             v = getattr(self, attr)
-            _require(isinstance(v, (int, float)) and v > 0,
-                     f"parallel.{attr}", f"must be positive, got {v!r}")
-        _require(isinstance(self.nu_star_per_rank, int) and self.nu_star_per_rank > 0,
+            _require(v > 0, f"parallel.{attr}", f"must be positive, got {v!r}")
+        _require(self.nu_star_per_rank > 0,
                  "parallel.nu_star_per_rank",
                  f"must be a positive int, got {self.nu_star_per_rank!r}")
         _require(self.eloc_partition in ELOC_PARTITIONS,
                  "parallel.eloc_partition",
                  f"must be one of {ELOC_PARTITIONS}, got {self.eloc_partition!r}")
-        for attr in ("group_chunk", "sample_chunk"):
-            v = getattr(self, attr)
-            _require(isinstance(v, int) and v > 0,
-                     f"parallel.{attr}", f"must be a positive int, got {v!r}")
         _require(self.eloc_memory_budget_mb is None
-                 or (isinstance(self.eloc_memory_budget_mb, (int, float))
-                     and self.eloc_memory_budget_mb > 0),
+                 or self.eloc_memory_budget_mb > 0,
                  "parallel.eloc_memory_budget_mb",
                  f"must be None or positive, got {self.eloc_memory_budget_mb!r}")
-        for attr in ("comm_codec", "comm_shm"):
-            v = getattr(self, attr)
-            _require(isinstance(v, bool),
-                     f"parallel.{attr}", f"must be a bool, got {v!r}")
 
 
 @dataclass
@@ -332,28 +347,20 @@ class BackendSpec(_Spec):
     """Array-backend choice — which namespace the hot kernels allocate on.
 
     ``name`` picks a registered :mod:`repro.backend` implementation:
-    ``numpy`` (the default; bit-identical to the historical code),
+    ``numpy`` (the default; bit-identical to the historical code) or
     ``mock`` (numpy wrapped with allocation/transfer counters — the
-    residency-contract verifier, still bit-identical), or the import-gated
-    device backends ``torch`` / ``cupy``.  ``device`` is the backend's
-    device string (e.g. ``cuda:0``); None keeps its default placement.
-    Validation here checks the *name* only — availability of optional
-    wheels is a materialize-time concern (:mod:`repro.api.driver`).
+    residency-contract verifier, still bit-identical).
     """
 
     _SECTION = "backend"
 
     name: str = "numpy"
-    device: str | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(self.name in BACKEND_NAMES,
                  "backend.name",
                  f"must be one of {BACKEND_NAMES}, got {self.name!r}")
-        _require(self.device is None
-                 or (isinstance(self.device, str) and bool(self.device)),
-                 "backend.device",
-                 f"must be None or a device string, got {self.device!r}")
 
 
 @dataclass
@@ -371,16 +378,17 @@ class TrainSpec(_Spec):
     early_stop: bool = True
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.max_iterations, int) and self.max_iterations > 0,
+        super().__post_init__()
+        _require(self.max_iterations > 0,
                  "train.max_iterations",
                  f"must be a positive int, got {self.max_iterations!r}")
-        _require(isinstance(self.pretrain_steps, int) and self.pretrain_steps >= 0,
+        _require(self.pretrain_steps >= 0,
                  "train.pretrain_steps",
                  f"must be a non-negative int, got {self.pretrain_steps!r}")
         _require(0.0 < self.pretrain_target < 1.0,
                  "train.pretrain_target",
                  f"must be in (0, 1), got {self.pretrain_target!r}")
-        _require(isinstance(self.plateau_window, int) and self.plateau_window > 0,
+        _require(self.plateau_window > 0,
                  "train.plateau_window",
                  f"must be a positive int, got {self.plateau_window!r}")
         _require(self.plateau_rel_tol > 0,
@@ -402,14 +410,13 @@ class OutputSpec(_Spec):
     reference: str | float | None = None  # "fci", an energy in Ha, or None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         for attr in ("checkpoint_every", "log_every", "publish_every"):
             v = getattr(self, attr)
-            _require(isinstance(v, int) and v >= 0,
+            _require(v >= 0,
                      f"output.{attr}", f"must be a non-negative int, got {v!r}")
         _require(
-            self.reference is None
-            or isinstance(self.reference, (int, float))
-            or self.reference == "fci",
+            not isinstance(self.reference, str) or self.reference == "fci",
             "output.reference",
             f"must be None, 'fci', or an energy in Ha, got {self.reference!r}",
         )
@@ -445,6 +452,7 @@ class ServeSpec(_Spec):
     backend: str = "numpy"          # array backend model evaluations run under
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(self.backend in BACKEND_NAMES, "serve.backend",
                  f"must be one of {BACKEND_NAMES}, got {self.backend!r}")
         for attr in ("max_batch_size", "queue_capacity", "workers",
@@ -452,15 +460,13 @@ class ServeSpec(_Spec):
                      "session_pool_size", "prefix_cache_entries",
                      "table_max_entries"):
             v = getattr(self, attr)
-            _require(isinstance(v, int) and v > 0,
+            _require(v > 0,
                      f"serve.{attr}", f"must be a positive int, got {v!r}")
         for attr in ("max_wait_ms", "submit_timeout", "refresh_poll_s",
                      "respawn_backoff_s"):
             v = getattr(self, attr)
-            _require(isinstance(v, (int, float)) and v >= 0,
-                     f"serve.{attr}", f"must be >= 0, got {v!r}")
-        _require(isinstance(self.drain_timeout_s, (int, float))
-                 and self.drain_timeout_s > 0,
+            _require(v >= 0, f"serve.{attr}", f"must be >= 0, got {v!r}")
+        _require(self.drain_timeout_s > 0,
                  "serve.drain_timeout_s",
                  f"must be positive, got {self.drain_timeout_s!r}")
 
@@ -498,8 +504,8 @@ class RunSpec(_Spec):
     serve: ServeSpec = field(default_factory=ServeSpec)
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.name, str) and bool(self.name),
-                 "name", "must be a non-empty run name")
+        super().__post_init__()
+        _require(bool(self.name), "name", "must be a non-empty run name")
 
     # ------------------------------------------------------------------ JSON
     def to_json(self, indent: int | None = 2) -> str:

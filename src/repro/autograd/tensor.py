@@ -28,7 +28,7 @@ Design notes
   convergence at chemical accuracy.
 * Array math goes through ``xp``-level functions (``xp.sum``, ``xp.transpose``)
   rather than ndarray methods where the conventions differ across backends,
-  so the same tape runs on numpy, the counting mock, and the torch adapter.
+  so the same tape runs on numpy, the counting mock, and any device adapter.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from repro.backend.dtypes import bool_, float64
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
-# Grad mode is per-thread (like torch): the serving layer runs inference
+# Grad mode is per-thread (like PyTorch): the serving layer runs inference
 # under no_grad on its scheduler thread while a trainer builds graphs on
 # another — a shared flag would silently untape the trainer's forward pass.
 _GRAD_STATE = threading.local()

@@ -13,10 +13,8 @@ from :mod:`repro.backend.dtypes`.  ``xp`` forwards each call to the
   (``--set backend.name=...``), the serving layer places each loaded model
   version, and the benchmarks switch per row.
 
-Registered backends: ``numpy`` (default), ``mock`` (numpy + allocation /
-transfer counters — the CI oracle for the residency contract), ``torch``
-and ``cupy`` (import-gated; absent wheels raise a clear error at
-``get_backend`` time, not mid-iteration).
+Registered backends: ``numpy`` (default) and ``mock`` (numpy + allocation /
+transfer counters — the CI oracle for the residency contract).
 """
 from __future__ import annotations
 
@@ -38,9 +36,8 @@ __all__ = [
     "xp",
 ]
 
-#: spec-valid backend names (availability of the gated ones is checked at
-#: materialize time, not spec-validation time)
-BACKEND_NAMES = ("numpy", "mock", "torch", "cupy")
+#: spec-valid backend names
+BACKEND_NAMES = ("numpy", "mock")
 
 _numpy_backend = NumpyBackend()
 _instances: dict[str, ArrayBackend] = {"numpy": _numpy_backend}
@@ -48,37 +45,23 @@ _lock = threading.Lock()
 _active = threading.local()
 
 
-def get_backend(name: str | ArrayBackend, device: str | None = None) -> ArrayBackend:
-    """Resolve a backend by registry name (idempotent per (name, device)).
+def get_backend(name: str | ArrayBackend) -> ArrayBackend:
+    """Resolve a backend by registry name (idempotent per name).
 
     Passing an :class:`ArrayBackend` instance returns it unchanged, so call
-    sites accept either form.  Import-gated backends raise ``ImportError``
-    with installation guidance when their wheel is missing.
+    sites accept either form.
     """
     if isinstance(name, ArrayBackend):
         return name
-    key = name if device is None else f"{name}@{device}"
     with _lock:
-        backend = _instances.get(key)
+        backend = _instances.get(name)
         if backend is not None:
             return backend
-        if name == "numpy":
-            backend = _numpy_backend
-        elif name == "mock":
-            backend = MockBackend()
-        elif name == "torch":
-            from repro.backend.torch_backend import TorchBackend
-
-            backend = TorchBackend(device)
-        elif name == "cupy":
-            from repro.backend.cupy_backend import CupyBackend
-
-            backend = CupyBackend(device)
-        else:
+        if name != "mock":
             raise ValueError(
                 f"unknown array backend {name!r}; registered: {BACKEND_NAMES}"
             )
-        _instances[key] = backend
+        backend = _instances[name] = MockBackend()
         return backend
 
 
@@ -91,9 +74,9 @@ def active_backend() -> ArrayBackend:
 
 
 @contextlib.contextmanager
-def use_backend(backend: str | ArrayBackend, device: str | None = None):
+def use_backend(backend: str | ArrayBackend):
     """Thread-locally activate ``backend`` for the duration of the block."""
-    backend = get_backend(backend, device)
+    backend = get_backend(backend)
     stack = getattr(_active, "stack", None)
     if stack is None:
         stack = _active.stack = []

@@ -4,8 +4,8 @@ An :class:`ArrayBackend` bundles three things:
 
 * ``xp`` — a numpy-like array namespace the hot kernels call into
   (``xp.zeros``, ``xp.exp``, ``xp.concatenate``, ...).  For the numpy
-  backend it *is* the numpy module; adapters (torch, cupy) expose a
-  compatible subset and translate dtype/axis conventions.
+  backend it *is* the numpy module; a device adapter exposes a
+  compatible subset and translates dtype/axis conventions.
 * ``to_host(arr, tag=...)`` / ``from_host(arr)`` — the explicit
   device<->host boundary.  Every device->host crossing in the pipeline is
   *tagged* (``"sampling.probs"``, ``"stage2.amps"``, ``"stage6.grad"``,
@@ -35,7 +35,7 @@ UNTAGGED = "untagged"
 class ArrayBackend:
     """Base array backend: identity transfers over a numpy-like namespace."""
 
-    #: registry name ("numpy", "mock", "torch", "cupy")
+    #: registry name ("numpy", "mock")
     name: str = "base"
     #: whether arrays live off-host (True => to_host really copies)
     device_resident: bool = False

@@ -20,6 +20,7 @@ from repro.core.local_energy import (
     local_energy_planned,
     local_energy_vectorized,
 )
+from repro.core.engine import NoamAdamW
 from repro.core.vmc import VMC, VMCConfig, VMCStats, default_ns_schedule
 from repro.core.pretrain import pretrain_to_reference
 from repro.core.mcmc import MCMCStats, RBMVMC, metropolis_sample
@@ -68,6 +69,7 @@ __all__ = [
     "local_energy",
     "local_energy_planned",
     "local_energy_vectorized",
+    "NoamAdamW",
     "VMC",
     "VMCConfig",
     "VMCStats",

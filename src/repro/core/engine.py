@@ -82,6 +82,7 @@ __all__ = [
     "ELOC_PARTITIONS",
     "VMCConfig",
     "VMCStats",
+    "NoamAdamW",
     "stats_record",
     "ExecutionBackend",
     "SerialBackend",
@@ -103,24 +104,21 @@ ELOC_PARTITIONS = ("balanced", "contiguous")
 
 @dataclass
 class VMCConfig:
+    """What stages 1-3 read.  The optimizer's numbers live on the optimizer
+    (``VMC(optimizer=NoamAdamW(wf, warmup=...))``), the local-energy chunking
+    on the run's ``ElocPlan``."""
+
     n_samples: int | Callable[[int], int] = 10**5
     eloc_mode: str = "exact"          # 'exact' | 'sample_aware'
-    lr_scale: float = 1.0             # rescales the Eq. 13 schedule
-    warmup: int = 4000
-    weight_decay: float = 0.01
-    grad_clip: float | None = 1.0     # max-norm clip (stabilizes small batches)
     seed: int = 0
     # Pluggable sampler fn(wf, n_samples, rng) -> SampleBatch; None keeps the
     # default batch autoregressive sweep (see repro.api sampler registry).
     # Parallel backends (n_ranks > 1) require the default: a custom sampler
     # cannot be split across ranks by the Fig. 5 prefix-sweep scheme.
     sampler: Callable | None = None
-    # Local-energy plan chunking (Sec. 3.4 / Fig. 9 memory story): the
-    # kernel materializes (sample_chunk x group_chunk) packed keys
-    # at a time; eloc_memory_budget_mb caps that materialization, shrinking
-    # sample_chunk automatically on wide Hamiltonians.
-    group_chunk: int = 512
-    sample_chunk: int = 4096
+    # Sec. 3.4 / Fig. 9 memory story: caps the packed keys the local-energy
+    # kernels materialize at a time (the plan's sample chunk and exact mode's
+    # table extension shrink to fit).
     eloc_memory_budget_mb: float | None = None
 
     def __post_init__(self) -> None:
@@ -132,33 +130,6 @@ class VMCConfig:
             raise ValueError(
                 f"VMCConfig.eloc_mode must be one of {ELOC_MODES}, "
                 f"got {self.eloc_mode!r}"
-            )
-        if self.lr_scale <= 0:
-            raise ValueError(
-                f"VMCConfig.lr_scale must be positive, got {self.lr_scale!r}"
-            )
-        if self.warmup <= 0:
-            raise ValueError(
-                f"VMCConfig.warmup must be positive, got {self.warmup!r}"
-            )
-        if self.weight_decay < 0:
-            raise ValueError(
-                f"VMCConfig.weight_decay must be >= 0, got {self.weight_decay!r}"
-            )
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError(
-                f"VMCConfig.grad_clip must be None or positive, "
-                f"got {self.grad_clip!r}"
-            )
-        if not isinstance(self.group_chunk, int) or self.group_chunk <= 0:
-            raise ValueError(
-                f"VMCConfig.group_chunk must be a positive int, "
-                f"got {self.group_chunk!r}"
-            )
-        if not isinstance(self.sample_chunk, int) or self.sample_chunk <= 0:
-            raise ValueError(
-                f"VMCConfig.sample_chunk must be a positive int, "
-                f"got {self.sample_chunk!r}"
             )
         if self.eloc_memory_budget_mb is not None and self.eloc_memory_budget_mb <= 0:
             raise ValueError(
@@ -486,6 +457,20 @@ class NoamAdamW(AdamW):
 
     def __init__(self, wf, warmup: int = 4000, lr_scale: float = 1.0,
                  weight_decay: float = 0.01, grad_clip: float | None = 1.0):
+        if warmup <= 0:
+            raise ValueError(f"NoamAdamW.warmup must be positive, got {warmup!r}")
+        if lr_scale <= 0:
+            raise ValueError(
+                f"NoamAdamW.lr_scale must be positive, got {lr_scale!r}"
+            )
+        if weight_decay < 0:
+            raise ValueError(
+                f"NoamAdamW.weight_decay must be >= 0, got {weight_decay!r}"
+            )
+        if grad_clip is not None and grad_clip <= 0:
+            raise ValueError(
+                f"NoamAdamW.grad_clip must be None or positive, got {grad_clip!r}"
+            )
         super().__init__(wf, lr=0.0, weight_decay=weight_decay)
         # A proxy, not self: without the cycle a finished run's moments and
         # model are freed by refcount (8 MiB of peak RSS on h2_converge).
@@ -680,7 +665,13 @@ class SerialBackend(ExecutionBackend):
     """The stages inline on a size-1 communicator (the classic serial VMC)."""
 
     name = "serial"
-    n_ranks = 1
+
+    def __init__(self, n_ranks: int = 1):
+        if n_ranks != 1:
+            raise ValueError(
+                f"the serial backend runs exactly one rank (got n_ranks={n_ranks}); "
+                "use parallel.backend=threads, =process or =cluster for N_p > 1"
+            )
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
         from repro.parallel.comm import Comm, SoloTransport
@@ -715,16 +706,13 @@ class ThreadBackend(ExecutionBackend):
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
                  eloc_partition: str = "balanced", comm_codec: bool = True,
-                 comm_shm: bool = True, timeout: float = 600.0):
+                 collective_timeout_s: float = 600.0):
         _validate_rank_args(n_ranks, eloc_partition)
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
         self.eloc_partition = eloc_partition
-        self.timeout = timeout
+        self.collective_timeout_s = collective_timeout_s
         self.comm_codec = bool(comm_codec)
-        # comm_shm is accepted for spec symmetry; thread ranks already share
-        # one address space, so there is nothing to toggle.
-        self.comm_shm = bool(comm_shm)
         self.replicas: list | None = None
         self.last_comm_stats = None
 
@@ -753,7 +741,8 @@ class ThreadBackend(ExecutionBackend):
                 nu_star=nu_star, eloc_partition=self.eloc_partition,
             )
 
-        results, stats = run_spmd(self.n_ranks, rank_fn, timeout=self.timeout)
+        results, stats = run_spmd(self.n_ranks, rank_fn,
+                                  timeout=self.collective_timeout_s)
         self.last_comm_stats = stats
         # The post-update parameter resync is the stage-6 broadcast, realized
         # through shared memory — account its bytes like the collectives.
@@ -777,15 +766,15 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
-                 eloc_partition: str = "balanced", timeout: float = 600.0,
-                 comm_codec: bool = True, comm_shm: bool = True,
-                 join_timeout: float = 10.0):
+                 eloc_partition: str = "balanced", comm_codec: bool = True,
+                 comm_shm: bool = True, collective_timeout_s: float = 600.0,
+                 join_timeout_s: float = 60.0):
         _validate_rank_args(n_ranks, eloc_partition)
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
         self.eloc_partition = eloc_partition
-        self.timeout = timeout
-        self.join_timeout = join_timeout
+        self.collective_timeout_s = collective_timeout_s
+        self.join_timeout_s = join_timeout_s
         self.comm_codec = bool(comm_codec)
         self.comm_shm = bool(comm_shm)
         self.last_comm_stats = None
@@ -811,9 +800,9 @@ class ProcessBackend(ExecutionBackend):
             return out
 
         results, stats = run_spmd_processes(self.n_ranks, rank_fn,
-                                            timeout=self.timeout,
+                                            timeout=self.collective_timeout_s,
                                             use_shm=self.comm_shm,
-                                            join_timeout=self.join_timeout)
+                                            join_timeout=self.join_timeout_s)
         self.last_comm_stats = stats
         state = results[0].pop("rng_state", None)
         if state is not None:

@@ -3,12 +3,12 @@
 The paper trains in two phases: a pre-training stage with a small sample
 budget (N_s = 1e5 for the first ~100 iterations) followed by a growing
 budget (up to 1e12) "for accurate calculation", assessed by convergence
-precision.  :class:`Trainer` packages that protocol around the
-:class:`~repro.core.vmc.VMC` driver — the one training loop, whatever the
-optimizer, sampler or execution backend:
+precision.  The budget is the :class:`~repro.core.vmc.VMC`'s own
+(``VMCConfig.n_samples = default_ns_schedule(...)``); :class:`Trainer` drives
+the ``VMC`` it is handed — the one training loop, whatever the optimizer,
+sampler or execution backend — and adds the rest of the protocol:
 
 * optional supervised warm start on the HF determinant;
-* the growing N_s schedule (``default_ns_schedule``);
 * periodic checkpointing (resumable runs);
 * plateau-based early stopping (``repro.core.diagnostics.detect_plateau``);
 * a machine-readable run log (JSON lines: iteration, energy, variance, N_u);
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
-from repro.core.engine import ExecutionBackend, stats_record
+from repro.core.engine import stats_record
 from repro.core.diagnostics import (
     correlation_energy_fraction,
     detect_plateau,
@@ -35,17 +35,7 @@ from repro.core.diagnostics import (
     zero_variance_extrapolation,
 )
 from repro.core.pretrain import pretrain_to_reference
-from repro.core.vmc import (
-    ELOC_MODES,
-    VMC,
-    VMCConfig,
-    VMCStats,
-    best_energy,
-    default_ns_schedule,
-)
-from repro.core.wavefunction import NNQSWavefunction
-from repro.hamiltonian.compressed import CompressedHamiltonian
-from repro.hamiltonian.qubit_hamiltonian import QubitHamiltonian
+from repro.core.vmc import VMC, VMCStats, best_energy
 from repro.utils.atomic import atomic_write
 
 __all__ = ["TrainConfig", "TrainReport", "Trainer", "build_report"]
@@ -53,38 +43,15 @@ __all__ = ["TrainConfig", "TrainReport", "Trainer", "build_report"]
 
 @dataclass
 class TrainConfig:
+    """Loop policy only: budget, warm start, stopping, checkpoint/log cadence.
+    What an iteration does is the ``VMC``'s (its config, optimizer, backend)."""
+
     max_iterations: int = 1000
     pretrain_steps: int = 200          # 0 disables the warm start
     pretrain_target: float = 0.5
-    ns_pretrain: int = 10**5           # Sec. 4.1: small N_s early
-    ns_max: int = 10**12               # ... growing toward 1e12
-    ns_growth: float = 1.3
-    pretrain_iters: int = 100          # iterations before N_s starts growing
-    eloc_mode: str = "exact"
-    warmup: int = 4000
-    lr_scale: float = 1.0
-    weight_decay: float = 0.01
-    grad_clip: float | None = 1.0
-    seed: int = 0
-    # Pluggable sampler fn(wf, n_samples, rng) -> SampleBatch; None keeps the
-    # default batch autoregressive sweep (see repro.api sampler registry).
-    sampler: Callable | None = None
-    # Execution backend (repro.core.engine): None keeps the serial backend;
-    # a ThreadBackend/ProcessBackend runs the same staged iteration over
-    # N_p ranks with checkpoint/metrics/resume handled here as usual.
-    backend: ExecutionBackend | None = None
-    # Array backend (repro.backend) the staged iteration allocates on: a
-    # registered name ('numpy', 'mock', 'torch', 'cupy'), an ArrayBackend
-    # instance, or None for the numpy default.
-    array_backend: object | None = None
-    # The run's optimizer (see VMC): None builds AdamW + Eq. 13 from the four
-    # AdamW fields above; a built optimizer (SR) ignores them.
-    optimizer: object | None = None
-    # Local-energy plan chunking (see VMCConfig / ParallelSpec).
-    group_chunk: int = 512
-    sample_chunk: int = 4096
-    eloc_memory_budget_mb: float | None = None
-    # stopping + logging
+    # Iterations the N_s schedule stays flat (default_ns_schedule's value):
+    # no plateau can be declared before the budget has started growing.
+    pretrain_iters: int = 100
     plateau_window: int = 100
     plateau_rel_tol: float = 1e-7
     early_stop: bool = True
@@ -104,31 +71,10 @@ class TrainConfig:
                 "TrainConfig.pretrain_steps must be >= 0, "
                 f"got {self.pretrain_steps!r}"
             )
-        if self.ns_pretrain <= 0:
-            raise ValueError(
-                f"TrainConfig.ns_pretrain must be positive, got {self.ns_pretrain!r}"
-            )
-        if self.ns_max <= 0:
-            raise ValueError(
-                f"TrainConfig.ns_max must be positive, got {self.ns_max!r}"
-            )
-        if self.ns_growth <= 0:
-            raise ValueError(
-                f"TrainConfig.ns_growth must be positive, got {self.ns_growth!r}"
-            )
         if self.pretrain_iters < 0:
             raise ValueError(
                 "TrainConfig.pretrain_iters must be >= 0, "
                 f"got {self.pretrain_iters!r}"
-            )
-        if self.eloc_mode not in ELOC_MODES:
-            raise ValueError(
-                f"TrainConfig.eloc_mode must be one of {ELOC_MODES}, "
-                f"got {self.eloc_mode!r}"
-            )
-        if self.warmup <= 0:
-            raise ValueError(
-                f"TrainConfig.warmup must be positive, got {self.warmup!r}"
             )
         if self.plateau_window <= 0:
             raise ValueError(
@@ -139,21 +85,6 @@ class TrainConfig:
             raise ValueError(
                 "TrainConfig.checkpoint_every must be >= 0, "
                 f"got {self.checkpoint_every!r}"
-            )
-        if not isinstance(self.group_chunk, int) or self.group_chunk <= 0:
-            raise ValueError(
-                f"TrainConfig.group_chunk must be a positive int, "
-                f"got {self.group_chunk!r}"
-            )
-        if not isinstance(self.sample_chunk, int) or self.sample_chunk <= 0:
-            raise ValueError(
-                f"TrainConfig.sample_chunk must be a positive int, "
-                f"got {self.sample_chunk!r}"
-            )
-        if self.eloc_memory_budget_mb is not None and self.eloc_memory_budget_mb <= 0:
-            raise ValueError(
-                "TrainConfig.eloc_memory_budget_mb must be None or positive, "
-                f"got {self.eloc_memory_budget_mb!r}"
             )
 
 
@@ -259,49 +190,22 @@ def build_report(
 
 
 class Trainer:
-    """Run the full Sec. 4.1 training protocol for one molecular problem."""
+    """Run the full Sec. 4.1 training protocol on the ``VMC`` it is given."""
 
     def __init__(
         self,
-        wf: NNQSWavefunction,
-        hamiltonian: QubitHamiltonian | CompressedHamiltonian,
+        vmc: VMC,
         config: TrainConfig | None = None,
         hf_bits: np.ndarray | None = None,
         e_hf: float | None = None,
         e_reference: float | None = None,
     ):
-        self.wf = wf
+        self.vmc = vmc
+        self.wf = vmc.wf
         self.config = config or TrainConfig()
         self.hf_bits = hf_bits
         self.e_hf = e_hf
         self.e_reference = e_reference
-        cfg = self.config
-        schedule = default_ns_schedule(
-            pretrain_iters=cfg.pretrain_iters,
-            ns_pretrain=cfg.ns_pretrain,
-            ns_max=cfg.ns_max,
-            growth=cfg.ns_growth,
-        )
-        self.vmc = VMC(
-            wf,
-            hamiltonian,
-            VMCConfig(
-                n_samples=schedule,
-                eloc_mode=cfg.eloc_mode,
-                warmup=cfg.warmup,
-                lr_scale=cfg.lr_scale,
-                weight_decay=cfg.weight_decay,
-                grad_clip=cfg.grad_clip,
-                seed=cfg.seed,
-                sampler=cfg.sampler,
-                group_chunk=cfg.group_chunk,
-                sample_chunk=cfg.sample_chunk,
-                eloc_memory_budget_mb=cfg.eloc_memory_budget_mb,
-            ),
-            backend=cfg.backend,
-            array_backend=cfg.array_backend,
-            optimizer=cfg.optimizer,
-        )
         self._log_file = None
 
     # --------------------------------------------------------------- logging

@@ -11,8 +11,9 @@ One iteration (see :mod:`repro.core.engine` for the staged pipeline):
    grad = E_p[ Re(E_loc - E) * grad log pi(x) ] + 2 E_p[ Im(E_loc - E) * grad phi(x) ]
 
    implemented as a surrogate scalar loss with stop-gradient coefficients.
-4. The run's optimizer updates the parameters — by default AdamW + the
-   Eq. 13 warmup schedule; ``VMC(optimizer=)`` takes any other (SR).
+4. The run's optimizer updates the parameters — by default AdamW under the
+   Eq. 13 schedule (``NoamAdamW``); ``VMC(optimizer=)`` takes a configured
+   one or any other (SR).
 
 :class:`VMC` owns the iteration *state* (wavefunction, optimizer, RNG,
 history — the checkpoint surface); *how* an iteration executes is the
@@ -22,7 +23,8 @@ functions, so the serial driver and the data-parallel drivers share exactly
 one implementation of the update, whichever optimizer computes it.
 
 The pre-training protocol of Sec. 4.1 (small N_s for the first iterations,
-then growing toward 1e12) is expressed through ``ns_schedule``.
+then growing toward 1e12) is a callable ``VMCConfig.n_samples``:
+:func:`default_ns_schedule`.
 """
 from __future__ import annotations
 
@@ -55,20 +57,39 @@ __all__ = [
 
 
 def default_ns_schedule(pretrain_iters: int = 100, ns_pretrain: int = 10**5,
-                        ns_max: int = 10**12, growth: float = 1.3) -> Callable[[int], int]:
+                        ns_max: int = 10**12,
+                        ns_growth: float = 1.3) -> Callable[[int], int]:
     """The paper's sample-budget schedule: small N_s early, growing to 1e12."""
+    if pretrain_iters < 0:
+        raise ValueError(
+            f"default_ns_schedule.pretrain_iters must be >= 0, got {pretrain_iters!r}"
+        )
+    for name, value in (("ns_pretrain", ns_pretrain), ("ns_max", ns_max),
+                        ("ns_growth", ns_growth)):
+        if value <= 0:
+            raise ValueError(
+                f"default_ns_schedule.{name} must be positive, got {value!r}"
+            )
 
     def schedule(iteration: int) -> int:
         if iteration < pretrain_iters:
             return ns_pretrain
-        n = ns_pretrain * growth ** (iteration - pretrain_iters)
+        n = ns_pretrain * ns_growth ** (iteration - pretrain_iters)
         return int(min(n, ns_max))
 
     return schedule
 
 
 class VMC:
-    """The VMC optimizer: engine state + a pluggable execution backend."""
+    """The VMC optimizer: engine state + a pluggable execution backend.
+
+    Everything that shapes a run arrives as an object: ``config`` (what
+    stages 1-3 read), ``backend`` (an ``ExecutionBackend``; default serial),
+    ``array_backend`` (a ``repro.backend`` name or instance; default numpy)
+    and ``optimizer`` (default ``NoamAdamW(wf)``, the paper's AdamW + Eq. 13).
+    ``eloc_plan`` is compiled here under the config's byte budget; assign
+    another ``ElocPlan`` to run stage 3 with different chunking.
+    """
 
     def __init__(self, wf: NNQSWavefunction,
                  hamiltonian: QubitHamiltonian | CompressedHamiltonian,
@@ -92,19 +113,12 @@ class VMC:
         # scaffolds shared by all ranks of every backend (stage 3 runs it).
         self.eloc_plan = ElocPlan(
             self.comp,
-            group_chunk=self.config.group_chunk,
-            sample_chunk=self.config.sample_chunk,
             memory_budget_bytes=self.config.eloc_memory_budget_bytes(),
         )
         self.rng = np.random.default_rng(self.config.seed)
         # Stage 5 asks it for the update direction, stage 6 for the parameter
-        # step (the contract is NoamAdamW's docstring); None is the paper's
-        # AdamW + Eq. 13 schedule, built from the config's four AdamW fields.
-        self.optimizer = optimizer if optimizer is not None else NoamAdamW(
-            wf, warmup=self.config.warmup, lr_scale=self.config.lr_scale,
-            weight_decay=self.config.weight_decay,
-            grad_clip=self.config.grad_clip,
-        )
+        # step (the contract is NoamAdamW's docstring).
+        self.optimizer = optimizer if optimizer is not None else NoamAdamW(wf)
         if self.backend.n_ranks > 1 and self.optimizer.single_rank_reason:
             raise ValueError(
                 f"{type(self.optimizer).__name__} cannot run on "

@@ -1,4 +1,4 @@
-"""Neural-network building blocks (the torch.nn substitute)."""
+"""Neural-network building blocks (the PyTorch ``nn`` substitute)."""
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import Embedding, LayerNorm, Linear, PositionalEmbedding
 from repro.nn.inference import (

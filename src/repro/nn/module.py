@@ -1,6 +1,6 @@
 """Minimal module system (Parameter registration, the parameter arena).
 
-Mirrors ``torch.nn.Module`` closely enough that the QiankunNet code in
+Mirrors PyTorch's ``nn.Module`` closely enough that the QiankunNet code in
 ``repro.core`` reads like the paper's PyTorch implementation.
 
 A module's parameters live in one :class:`ParameterArena`: a flat float64

@@ -408,6 +408,13 @@ def _mpi_comm_world():
     return MPI.COMM_WORLD
 
 
+_NEEDS_RENDEZVOUS = (
+    "the cluster backend needs parallel.rendezvous_addr (host:port of a "
+    "`python -m repro rendezvous` coordinator) when no MPI world of size {} "
+    "is available"
+)
+
+
 def create_cluster_comm(world_size: int, *, rendezvous_addr: str | None = None,
                         rank: int | None = None, join_timeout: float = 60.0,
                         collective_timeout: float = 600.0, mpi="auto"):
@@ -430,11 +437,7 @@ def create_cluster_comm(world_size: int, *, rendezvous_addr: str | None = None,
             )
         return Comm(MPITransport(mpi))
     if rendezvous_addr is None:
-        raise ValueError(
-            "the cluster backend needs parallel.rendezvous_addr (host:port "
-            "of a `python -m repro rendezvous` coordinator) when no MPI "
-            f"world of size {world_size} is available"
-        )
+        raise ValueError(_NEEDS_RENDEZVOUS.format(world_size))
     return Comm(MeshTransport(
         world_size, rendezvous_addr, rank=rank, join_timeout=join_timeout,
         collective_timeout=collective_timeout,
@@ -462,21 +465,23 @@ class ClusterBackend(ExecutionBackend):
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
                  eloc_partition: str = "balanced", comm_codec: bool = True,
-                 comm_shm: bool = True, *, rendezvous_addr: str | None = None,
-                 rank: int | None = None, join_timeout: float = 60.0,
-                 collective_timeout: float = 600.0, comm=None):
+                 *, rendezvous_addr: str | None = None,
+                 rank: int | None = None, join_timeout_s: float = 60.0,
+                 collective_timeout_s: float = 600.0, comm=None):
         _validate_rank_args(n_ranks, eloc_partition)
+        if comm is None and rendezvous_addr is None:
+            # Fail at construction (spec time), not deep inside rendezvous.
+            mpi = _mpi_comm_world()
+            if mpi is None or mpi.Get_size() != n_ranks:
+                raise ValueError(_NEEDS_RENDEZVOUS.format(n_ranks))
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
         self.eloc_partition = eloc_partition
         self.comm_codec = bool(comm_codec)
-        # Accepted for spec symmetry; shared-memory segments do not cross
-        # hosts, so there is nothing to toggle here.
-        self.comm_shm = bool(comm_shm)
         self.rendezvous_addr = rendezvous_addr
         self.rank = rank
-        self.join_timeout = float(join_timeout)
-        self.collective_timeout = float(collective_timeout)
+        self.join_timeout_s = float(join_timeout_s)
+        self.collective_timeout_s = float(collective_timeout_s)
         self._comm = comm
         self._owns_comm = comm is None
         self.last_comm_stats = None
@@ -485,8 +490,8 @@ class ClusterBackend(ExecutionBackend):
         if self._comm is None:
             self._comm = create_cluster_comm(
                 self.n_ranks, rendezvous_addr=self.rendezvous_addr,
-                rank=self.rank, join_timeout=self.join_timeout,
-                collective_timeout=self.collective_timeout,
+                rank=self.rank, join_timeout=self.join_timeout_s,
+                collective_timeout=self.collective_timeout_s,
             )
         if self._comm.Get_size() != self.n_ranks:
             raise ValueError(

@@ -62,9 +62,9 @@ def measure_scaling(
     rank in a thread, meeting inside the socket collectives — rank 0's stats
     speak for the world since SPMD trajectories are identical);
     ``eloc_partition`` selects the Sec. 3.3 weight-balanced chunking
-    (default) or the naive contiguous split for comparison; ``comm_codec`` /
-    ``comm_shm`` toggle the typed/compressed comm layer for before/after
-    bench comparisons.
+    (default) or the naive contiguous split for comparison; ``comm_codec``
+    (and, on the process backend, ``comm_shm``) toggle the typed/compressed
+    comm layer for before/after bench comparisons.
     """
     if backend not in ("threads", "process", "cluster"):
         raise ValueError(
@@ -80,20 +80,18 @@ def measure_scaling(
                 wf_factory, comp, cfg, n_ranks,
                 nu_star_per_rank=nu_star_per_rank,
                 eloc_partition=eloc_partition, comm_codec=comm_codec,
-                comm_shm=comm_shm, n_iters=n_iters,
-                warmup_iters=warmup_iters,
+                n_iters=n_iters, warmup_iters=warmup_iters,
             )
         else:
             wf: NNQSWavefunction = wf_factory()
-            backend_cls = (ThreadBackend if backend == "threads"
-                           else ProcessBackend)
+            rank_args = dict(
+                n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
+                eloc_partition=eloc_partition, comm_codec=comm_codec,
+            )
             driver = VMC(
                 wf, comp, cfg,
-                backend=backend_cls(
-                    n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
-                    eloc_partition=eloc_partition,
-                    comm_codec=comm_codec, comm_shm=comm_shm,
-                ),
+                backend=(ThreadBackend(**rank_args) if backend == "threads"
+                         else ProcessBackend(comm_shm=comm_shm, **rank_args)),
             )
             for _ in range(warmup_iters):
                 driver.step()
@@ -117,7 +115,7 @@ def measure_scaling(
 
 def _cluster_iteration_stats(wf_factory, comp, cfg, n_ranks, *,
                              nu_star_per_rank, eloc_partition, comm_codec,
-                             comm_shm, n_iters, warmup_iters):
+                             n_iters, warmup_iters):
     """Run ``n_ranks`` SPMD cluster ranks as localhost threads and return
     rank 0's per-iteration stats.
 
@@ -147,7 +145,7 @@ def _cluster_iteration_stats(wf_factory, comp, cfg, n_ranks, *,
                 backend=ClusterBackend(
                     n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
                     eloc_partition=eloc_partition, comm_codec=comm_codec,
-                    comm_shm=comm_shm, comm=comm,
+                    comm=comm,
                 ),
             )
             for _ in range(warmup_iters):

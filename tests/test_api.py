@@ -30,7 +30,15 @@ from repro.api import (
     run,
     serve_run,
 )
-from repro.core import TrainConfig, Trainer, build_qiankunnet
+from repro.core import (
+    VMC,
+    NoamAdamW,
+    TrainConfig,
+    Trainer,
+    VMCConfig,
+    build_qiankunnet,
+    default_ns_schedule,
+)
 from repro.core.checkpoint import load_model_snapshot
 
 
@@ -76,15 +84,16 @@ def tiny_spec(overrides: dict | None = None) -> RunSpec:
     return spec.with_overrides(overrides)
 
 
-def tiny_trainer(prob, **config_overrides) -> Trainer:
-    """The pre-redesign hand wiring equivalent to :func:`tiny_spec`."""
+def tiny_trainer(prob) -> Trainer:
+    """The hand wiring equivalent to :func:`tiny_spec`."""
     wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, d_model=8,
                           n_heads=2, n_layers=1, phase_hidden=(16,), seed=12)
-    defaults = dict(max_iterations=4, pretrain_steps=10, ns_pretrain=500,
-                    ns_max=1000, ns_growth=1.3, pretrain_iters=2, warmup=100,
-                    early_stop=False, seed=11)
-    defaults.update(config_overrides)
-    return Trainer(wf, prob.hamiltonian, TrainConfig(**defaults),
+    schedule = default_ns_schedule(pretrain_iters=2, ns_pretrain=500,
+                                   ns_max=1000, ns_growth=1.3)
+    vmc = VMC(wf, prob.hamiltonian, VMCConfig(n_samples=schedule, seed=11),
+              optimizer=NoamAdamW(wf, warmup=100))
+    return Trainer(vmc, TrainConfig(max_iterations=4, pretrain_steps=10,
+                                    pretrain_iters=2, early_stop=False),
                    hf_bits=prob.hf_bits)
 
 
@@ -138,6 +147,18 @@ class TestSpecValidation:
         ("optimizer", "grad_clip", -1.0),
         ("problem", "n_frozen", -1),
         ("output", "checkpoint_every", -1),
+        # mistyped --set values: the one type gate, before any range check
+        ("optimizer", "lr_scale", "abc"),
+        ("optimizer", "weight_decay", "none"),
+        ("optimizer", "grad_clip", "off"),
+        ("sampling", "ns_growth", "fast"),
+        ("train", "plateau_rel_tol", "x"),
+        ("train", "pretrain_target", "half"),
+        ("train", "early_stop", "maybe"),
+        ("ansatz", "phase_hidden", 5),
+        ("ansatz", "constrain", "no"),
+        ("output", "publish", 1),
+        ("parallel", "nu_star_per_rank", True),
     ])
     def test_bad_value_names_field(self, section, field, value):
         data = RunSpec().to_dict()
@@ -602,3 +623,75 @@ class TestPluggability:
             assert calls["params"]["flavor"] == "mini"
         finally:
             registry._builders.pop(name, None)
+
+
+# ------------------------------------------------- spec -> owning object
+class TestEveryLeafLands:
+    """Each run-shaping spec leaf, set to a non-default value, is read back
+    off the one object that owns it — a forwarding line lost between the
+    spec and that object fails here."""
+
+    def test_every_run_shaping_leaf_reaches_its_owner(self, tmp_path):
+        from repro.api.driver import _build_trainer
+
+        spec = RunSpec().with_overrides({
+            "ansatz.d_model": 8, "ansatz.n_heads": 2, "ansatz.n_layers": 1,
+            "ansatz.phase_hidden": [8],
+            "optimizer.lr_scale": 0.5, "optimizer.warmup": 123,
+            "optimizer.weight_decay": 0.02, "optimizer.grad_clip": 0.7,
+            "sampling.ns_pretrain": 777, "sampling.ns_max": 8888,
+            "sampling.ns_growth": 1.5, "sampling.pretrain_iters": 3,
+            "sampling.eloc_mode": "sample_aware",
+            "parallel.backend": "process", "parallel.n_ranks": 2,
+            "parallel.nu_star_per_rank": 8,
+            "parallel.eloc_partition": "contiguous",
+            "parallel.eloc_memory_budget_mb": 2.5,
+            "parallel.comm_codec": False, "parallel.comm_shm": False,
+            "parallel.join_timeout_s": 7.0,
+            "parallel.collective_timeout_s": 120.0,
+            "backend.name": "mock",
+            "train.max_iterations": 7, "train.pretrain_steps": 5,
+            "train.pretrain_target": 0.25, "train.seed": 9,
+            "train.plateau_window": 4, "train.plateau_rel_tol": 1e-5,
+            "train.early_stop": False,
+            "output.checkpoint_every": 2, "output.log_every": 1,
+        })
+        trainer = _build_trainer(spec, tmp_path)
+        vmc = trainer.vmc
+
+        opt = vmc.optimizer
+        assert (opt.schedule.warmup, opt.schedule.scale) == (123, 0.5)
+        assert (opt.weight_decay, opt.grad_clip) == (0.02, 0.7)
+
+        assert (vmc.config.eloc_mode, vmc.config.seed) == ("sample_aware", 9)
+        assert vmc.config.sampler is None  # plain bas: the engine's own call
+        ns = vmc.config.n_samples
+        assert (ns(0), ns(2), ns(3), ns(4)) == (777, 777, 777, int(777 * 1.5))
+        assert ns(50) == 8888  # the ns_max cap
+        assert vmc.config.eloc_memory_budget_mb == 2.5
+        assert vmc.eloc_plan.memory_budget_bytes == int(2.5 * 2**20)
+        assert vmc.array_backend.name == "mock"
+
+        backend = vmc.backend
+        assert (type(backend).__name__, backend.n_ranks) == ("ProcessBackend", 2)
+        assert backend.nu_star_per_rank == 8
+        assert backend.eloc_partition == "contiguous"
+        assert (backend.comm_codec, backend.comm_shm) == (False, False)
+        assert backend.collective_timeout_s == 120.0
+        assert backend.join_timeout_s == 7.0
+
+        cfg = trainer.config
+        assert (cfg.max_iterations, cfg.pretrain_steps) == (7, 5)
+        assert (cfg.pretrain_target, cfg.pretrain_iters) == (0.25, 3)
+        assert (cfg.plateau_window, cfg.plateau_rel_tol) == (4, 1e-5)
+        assert cfg.early_stop is False
+        assert (cfg.checkpoint_every, cfg.log_every) == (2, 1)
+        assert cfg.checkpoint_path == tmp_path / "checkpoint.npz"
+        assert cfg.log_path == tmp_path / "metrics.jsonl"
+
+    def test_a_sampler_with_params_lands_on_the_vmc_config(self, tmp_path):
+        from repro.api.driver import _build_trainer
+
+        spec = tiny_spec({"sampling.sampler": "hybrid",
+                          "sampling.params": {"n_streams": 2}})
+        assert callable(_build_trainer(spec, tmp_path).vmc.config.sampler)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import VMC, VMCConfig, build_qiankunnet
+from repro.core import VMC, NoamAdamW, VMCConfig, build_qiankunnet
 from repro.core.engine import ThreadBackend
 from repro.parallel import run_spmd
 from repro.parallel.cluster import (
@@ -592,9 +592,8 @@ def _fresh_vmc(problem, backend, *, n_samples=800, seed=3):
     wf = build_qiankunnet(4, 1, 1, amplitude_type="transformer", d_model=8,
                           n_heads=2, n_layers=1, phase_hidden=(8,), seed=7)
     return VMC(wf, problem.hamiltonian,
-               VMCConfig(n_samples=n_samples, eloc_mode="exact", warmup=50,
-                         seed=seed),
-               backend=backend)
+               VMCConfig(n_samples=n_samples, eloc_mode="exact", seed=seed),
+               backend=backend, optimizer=NoamAdamW(wf, warmup=50))
 
 
 def _run_cluster_vmc(problem, n_ranks, n_steps):
@@ -718,8 +717,8 @@ class TestClusterSpec:
         assert backend.n_ranks == 2
         assert backend.rank == 0
         assert backend.rendezvous_addr == "127.0.0.1:45999"
-        assert backend.join_timeout == 7.0
-        assert backend.collective_timeout == 120.0
+        assert backend.join_timeout_s == 7.0
+        assert backend.collective_timeout_s == 120.0
         backend.close()  # no comm was ever built: must be a clean no-op
 
     def test_world_size_field_sets_the_rank_count(self):

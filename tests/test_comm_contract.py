@@ -343,4 +343,4 @@ class TestFailureContract:
             "parallel": {"backend": "threads", "n_ranks": 2,
                          "collective_timeout_s": 7.0},
         })
-        assert materialize_backend(spec).timeout == 7.0
+        assert materialize_backend(spec).collective_timeout_s == 7.0

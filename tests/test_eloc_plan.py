@@ -34,7 +34,7 @@ from repro.core import (
     local_energy_planned,
     local_energy_vectorized,
 )
-from repro.core.engine import ProcessBackend, ThreadBackend
+from repro.core.engine import NoamAdamW, ProcessBackend, ThreadBackend
 from repro.core.local_energy import AmplitudeTable
 from repro.core.sampler import batch_autoregressive_sample
 from repro.hamiltonian import (
@@ -274,17 +274,21 @@ def _fresh_vmc(problem, backend=None, **cfg):
     wf = build_qiankunnet(problem.n_qubits, problem.n_up, problem.n_dn,
                           d_model=8, n_heads=2, n_layers=1, phase_hidden=(8,),
                           seed=7)
-    defaults = dict(n_samples=800, eloc_mode="exact", warmup=50, seed=3)
+    defaults = dict(n_samples=800, eloc_mode="exact", seed=3)
     defaults.update(cfg)
-    return VMC(wf, problem.hamiltonian, VMCConfig(**defaults), backend=backend)
+    return VMC(wf, problem.hamiltonian, VMCConfig(**defaults), backend=backend,
+               optimizer=NoamAdamW(wf, warmup=50))
 
 
 class TestEngineIntegration:
     def test_vmc_compiles_one_plan(self, h2_problem):
-        vmc = _fresh_vmc(h2_problem, sample_chunk=33, group_chunk=11)
+        vmc = _fresh_vmc(h2_problem, eloc_memory_budget_mb=3)
         assert isinstance(vmc.eloc_plan, ElocPlan)
         assert vmc.eloc_plan.comp is vmc.comp
-        assert (vmc.eloc_plan.group_chunk, vmc.eloc_plan.sample_chunk) == (11, 33)
+        assert vmc.eloc_plan.memory_budget_bytes == 3 * 2**20
+        # The chunking is the plan's own: a run sets the plan, not the config.
+        vmc.eloc_plan = ElocPlan(vmc.comp, sample_chunk=33, group_chunk=11)
+        assert np.isfinite(vmc.step().energy)
 
     @pytest.mark.parametrize("backend_factory", [
         lambda: None,

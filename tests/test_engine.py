@@ -18,7 +18,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import VMC, VMCConfig, build_qiankunnet, load_checkpoint, save_checkpoint
+from repro.core import (
+    VMC,
+    ElocPlan,
+    NoamAdamW,
+    VMCConfig,
+    build_qiankunnet,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.core.engine import (
     ProcessBackend,
     SerialBackend,
@@ -35,9 +43,10 @@ def _fresh_vmc(problem, amplitude_type="transformer", backend=None, seed=3,
                n_samples=800, **cfg):
     wf = build_qiankunnet(4, 1, 1, amplitude_type=amplitude_type, d_model=8,
                           n_heads=2, n_layers=1, phase_hidden=(8,), seed=7)
-    defaults = dict(n_samples=n_samples, eloc_mode="exact", warmup=50, seed=seed)
+    defaults = dict(n_samples=n_samples, eloc_mode="exact", seed=seed)
     defaults.update(cfg)
-    return VMC(wf, problem.hamiltonian, VMCConfig(**defaults), backend=backend)
+    return VMC(wf, problem.hamiltonian, VMCConfig(**defaults), backend=backend,
+               optimizer=NoamAdamW(wf, warmup=50))
 
 
 class TestSerialThreadBitIdentity:
@@ -327,17 +336,14 @@ class TestElocChunkingKnobs:
     def test_chunking_does_not_change_eloc(self, h2_problem):
         """Chunk boundaries must not alter the per-sample accumulation."""
         base = _fresh_vmc(h2_problem, seed=5)
-        tiny = _fresh_vmc(h2_problem, seed=5, sample_chunk=1,
-                          eloc_memory_budget_mb=0.001)
+        tiny = _fresh_vmc(h2_problem, seed=5, eloc_memory_budget_mb=0.001)
+        tiny.eloc_plan = ElocPlan(tiny.comp, sample_chunk=1,
+                                  memory_budget_bytes=1000)
         a, b = base.step(), tiny.step()
         assert a.energy == b.energy
         assert a.variance == b.variance
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="VMCConfig.group_chunk"):
-            VMCConfig(group_chunk=0)
-        with pytest.raises(ValueError, match="VMCConfig.sample_chunk"):
-            VMCConfig(sample_chunk=-1)
         with pytest.raises(ValueError, match="VMCConfig.eloc_memory_budget_mb"):
             VMCConfig(eloc_memory_budget_mb=0)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.chem import build_problem, run_fci
 from repro.core import (
+    NoamAdamW,
     SampleBatch,
     VMC,
     VMCConfig,
@@ -64,8 +65,8 @@ class TestEnergyConsistency:
                               lih_problem.n_dn, seed=5)
         pretrain_to_reference(wf, lih_problem.hf_bits, n_steps=150)
         vmc = VMC(wf, lih_problem.hamiltonian,
-                  VMCConfig(n_samples=10**5, eloc_mode="exact", warmup=100,
-                            seed=6))
+                  VMCConfig(n_samples=10**5, eloc_mode="exact", seed=6),
+                  optimizer=NoamAdamW(wf, warmup=100))
         vmc.run(200)
         e = vmc.best_energy()
         assert e < lih_problem.e_hf  # captured correlation energy

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import VMC, VMCConfig, build_qiankunnet
+from repro.core import VMC, NoamAdamW, VMCConfig, build_qiankunnet
 from repro.core.sampler import BASTreeState
 from repro.parallel import (
     CommVolumeModel,
@@ -179,8 +179,9 @@ class TestDataParallelVMC:
         wf = build_qiankunnet(4, 1, 1, seed=17)
         driver = VMC(
             wf, h2_problem.hamiltonian,
-            VMCConfig(n_samples=10**4, eloc_mode="exact", warmup=50, seed=18),
+            VMCConfig(n_samples=10**4, eloc_mode="exact", seed=18),
             backend=ThreadBackend(n_ranks=2, nu_star_per_rank=2),
+            optimizer=NoamAdamW(wf, warmup=50),
         )
         hist = driver.run(60)
         first = np.mean([s.energy for s in hist[:5]])

@@ -26,6 +26,7 @@ import pytest
 
 from repro.core import (
     VMC,
+    NoamAdamW,
     StochasticReconfiguration,
     VMCConfig,
     build_qiankunnet,
@@ -47,10 +48,10 @@ def _small_wf(seed=7, d_model=8, n_qubits=4, n_up=1, n_dn=1):
 
 def _fresh_vmc(problem, backend=None, d_model=8, optimizer=None):
     wf = _small_wf(d_model=d_model)
-    if optimizer == "sr":
-        optimizer = StochasticReconfiguration(wf)
+    optimizer = (StochasticReconfiguration(wf) if optimizer == "sr"
+                 else NoamAdamW(wf, warmup=50))
     return VMC(wf, problem.hamiltonian,
-               VMCConfig(n_samples=800, eloc_mode="exact", warmup=50, seed=3),
+               VMCConfig(n_samples=800, eloc_mode="exact", seed=3),
                backend=backend, optimizer=optimizer)
 
 

@@ -4,8 +4,19 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import fields
+from functools import partial
+
 from repro.chem import build_problem, run_fci
-from repro.core import TrainConfig, Trainer, build_qiankunnet
+from repro.core import (
+    VMC,
+    NoamAdamW,
+    TrainConfig,
+    Trainer,
+    VMCConfig,
+    build_qiankunnet,
+    default_ns_schedule,
+)
 
 
 @pytest.fixture(scope="module")
@@ -15,20 +26,18 @@ def h2():
     return prob, fci
 
 
-def make_trainer(prob, fci, tmp_path=None, **overrides):
-    defaults = dict(
-        max_iterations=40,
-        pretrain_steps=80,
-        ns_pretrain=10**5,
-        pretrain_iters=20,
-        warmup=100,
-        early_stop=False,
-        seed=11,
-    )
+def make_trainer(prob, fci, pretrain_iters=20, ns_growth=1.3, ns_max=10**12,
+                 **overrides):
+    defaults = dict(max_iterations=40, pretrain_steps=80,
+                    pretrain_iters=pretrain_iters, early_stop=False)
     defaults.update(overrides)
     wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, d_model=8,
                           n_heads=2, n_layers=1, phase_hidden=(16,), seed=12)
-    return Trainer(wf, prob.hamiltonian, TrainConfig(**defaults),
+    schedule = default_ns_schedule(pretrain_iters=pretrain_iters,
+                                   ns_growth=ns_growth, ns_max=ns_max)
+    vmc = VMC(wf, prob.hamiltonian, VMCConfig(n_samples=schedule, seed=11),
+              optimizer=NoamAdamW(wf, warmup=100))
+    return Trainer(vmc, TrainConfig(**defaults),
                    hf_bits=prob.hf_bits, e_hf=prob.e_hf, e_reference=fci)
 
 
@@ -64,9 +73,10 @@ class TestTrainerRun:
         prob, _ = h2
         wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, d_model=8,
                               n_heads=2, n_layers=1, phase_hidden=(16,), seed=13)
-        trainer = Trainer(wf, prob.hamiltonian,
-                          TrainConfig(max_iterations=10, pretrain_steps=0,
-                                      early_stop=False, warmup=100, seed=14))
+        vmc = VMC(wf, prob.hamiltonian, VMCConfig(seed=14),
+                  optimizer=NoamAdamW(wf, warmup=100))
+        trainer = Trainer(vmc, TrainConfig(max_iterations=10, pretrain_steps=0,
+                                           early_stop=False))
         report = trainer.train()
         assert report.error_vs_reference is None
         assert report.correlation_fraction is None
@@ -154,8 +164,17 @@ class TestTrainerPersistence:
         assert report.iterations <= 5 + 2 * 5 + 1
 
 
+# Who declares (and range-checks) the values TrainConfig used to repeat.
+_OWNERS = {
+    "ns_pretrain": default_ns_schedule, "ns_max": default_ns_schedule,
+    "ns_growth": default_ns_schedule, "eloc_mode": VMCConfig,
+    "warmup": partial(NoamAdamW, None),
+}
+
+
 class TestTrainConfigValidation:
-    """__post_init__ rejects bad knobs up front, naming the field."""
+    """Bad knobs are rejected up front, naming the field, by the one object
+    that declares them — TrainConfig for loop policy only."""
 
     @pytest.mark.parametrize("field,value", [
         ("max_iterations", 0),
@@ -173,15 +192,32 @@ class TestTrainConfigValidation:
         ("checkpoint_every", -1),
     ])
     def test_bad_value_names_field(self, field, value):
-        with pytest.raises(ValueError, match=f"TrainConfig.{field}"):
-            TrainConfig(**{field: value})
+        build = _OWNERS.get(field, TrainConfig)
+        if build is not TrainConfig:
+            with pytest.raises(TypeError, match=field):
+                TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=rf"\w+\.{field}"):
+            build(**{field: value})
 
     def test_defaults_are_valid(self):
         TrainConfig()
 
     def test_eloc_modes_accepted(self):
-        TrainConfig(eloc_mode="exact")
-        TrainConfig(eloc_mode="sample_aware")
+        VMCConfig(eloc_mode="exact")
+        VMCConfig(eloc_mode="sample_aware")
+
+    def test_train_and_vmc_config_share_no_field(self):
+        """One declaration per run-shaping value: loop policy on TrainConfig,
+        stages 1-3 on VMCConfig, the optimizer's and the plan's own numbers
+        on neither."""
+        train = {f.name for f in fields(TrainConfig)}
+        vmc = {f.name for f in fields(VMCConfig)}
+        assert train & vmc == set()
+        assert len(train) <= 11
+        assert vmc == {"n_samples", "eloc_mode", "seed", "sampler",
+                       "eloc_memory_budget_mb"}
+        assert not (train | vmc) & {"warmup", "lr_scale", "weight_decay",
+                                    "grad_clip", "group_chunk", "sample_chunk"}
 
 
 class TestTrainReportSerialization:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.chem import run_fci
 from repro.core import (
+    NoamAdamW,
     SampleBatch,
     VMC,
     VMCConfig,
@@ -34,7 +35,8 @@ class TestGradientFormula:
         weights = np.round(pi * 1e14).astype(np.int64)
         batch = SampleBatch(bits=bits, weights=weights)
 
-        vmc = VMC(wf, comp, VMCConfig(n_samples=1, eloc_mode="exact", grad_clip=None))
+        vmc = VMC(wf, comp, VMCConfig(n_samples=1, eloc_mode="exact"),
+                  optimizer=NoamAdamW(wf, grad_clip=None))
         from repro.core import local_energy
 
         eloc, _ = local_energy(wf, comp, batch, mode="exact")
@@ -76,7 +78,8 @@ class TestConvergence:
         wf = build_qiankunnet(4, 1, 1, seed=1)
         pretrain_to_reference(wf, h2_problem.hf_bits, n_steps=100)
         vmc = VMC(wf, h2_problem.hamiltonian,
-                  VMCConfig(n_samples=10**5, eloc_mode="exact", warmup=200, seed=2))
+                  VMCConfig(n_samples=10**5, eloc_mode="exact", seed=2),
+                  optimizer=NoamAdamW(wf, warmup=200))
         vmc.run(300)
         assert abs(vmc.best_energy() - fci) < 1.6e-3  # chemical accuracy
 
@@ -86,7 +89,8 @@ class TestConvergence:
         fci = run_fci(h2_problem.hamiltonian).energy
         wf = build_qiankunnet(4, 1, 1, seed=3)
         vmc = VMC(wf, h2_problem.hamiltonian,
-                  VMCConfig(n_samples=10**5, eloc_mode="exact", warmup=100, seed=4))
+                  VMCConfig(n_samples=10**5, eloc_mode="exact", seed=4),
+                  optimizer=NoamAdamW(wf, warmup=100))
         vmc.run(150)
         assert vmc.best_energy() >= fci - 5e-4
 
@@ -108,6 +112,8 @@ class TestConvergence:
 
     def test_ns_schedule(self):
         sched = default_ns_schedule(pretrain_iters=5, ns_pretrain=100, ns_max=10**6)
+        with pytest.raises(ValueError, match="default_ns_schedule.pretrain_iters"):
+            default_ns_schedule(pretrain_iters=-1)
         assert sched(0) == 100
         assert sched(4) == 100
         assert sched(5) == 100
@@ -125,7 +131,8 @@ class TestConvergence:
     def test_grad_clip_applies(self, h2_problem):
         wf = build_qiankunnet(4, 1, 1, seed=10)
         vmc = VMC(wf, h2_problem.hamiltonian,
-                  VMCConfig(n_samples=1000, grad_clip=1e-9, seed=11))
+                  VMCConfig(n_samples=1000, seed=11),
+                  optimizer=NoamAdamW(wf, grad_clip=1e-9))
         p0 = wf.get_flat_params().copy()
         vmc.step()
         # with a tiny clip the parameter movement is bounded by ~lr * 1
@@ -151,7 +158,8 @@ class TestPretrain:
 
 
 class TestVMCConfigValidation:
-    """__post_init__ rejects bad knobs up front, naming the field."""
+    """Bad knobs are rejected up front, naming the field, by the object that
+    declares them: VMCConfig for stages 1-3, NoamAdamW for its four numbers."""
 
     @pytest.mark.parametrize("field,value", [
         ("n_samples", 0),
@@ -163,14 +171,29 @@ class TestVMCConfigValidation:
         ("grad_clip", 0.0),
     ])
     def test_bad_value_names_field(self, field, value):
-        with pytest.raises(ValueError, match=f"VMCConfig.{field}"):
-            VMCConfig(**{field: value})
+        if field in ("n_samples", "eloc_mode"):
+            with pytest.raises(ValueError, match=f"VMCConfig.{field}"):
+                VMCConfig(**{field: value})
+        else:
+            with pytest.raises(ValueError, match=f"NoamAdamW.{field}"):
+                NoamAdamW(None, **{field: value})
+
+    def test_optimizer_numbers_are_not_config_fields(self, h2_problem):
+        """Nothing is left to ignore silently: with the optimizer an object,
+        ``VMCConfig(warmup=10)`` next to ``optimizer=`` used to run without
+        a word."""
+        wf = build_qiankunnet(4, 1, 1, seed=7)
+        for field in ("warmup", "lr_scale", "weight_decay", "grad_clip",
+                      "group_chunk", "sample_chunk"):
+            with pytest.raises(TypeError, match=field):
+                VMC(wf, h2_problem.hamiltonian, VMCConfig(**{field: 10}))
 
     def test_callable_schedule_accepted(self):
         VMCConfig(n_samples=default_ns_schedule())
 
-    def test_grad_clip_none_accepted(self):
-        VMCConfig(grad_clip=None)
+    def test_grad_clip_none_accepted(self, h2_problem):
+        wf = build_qiankunnet(4, 1, 1, seed=7)
+        assert NoamAdamW(wf, grad_clip=None).grad_clip is None
 
     def test_custom_sampler_is_used(self):
         from repro.core.sampler import batch_autoregressive_sample
@@ -186,7 +209,6 @@ class TestVMCConfigValidation:
         from repro.hamiltonian.synthetic import synthetic_molecular_hamiltonian
 
         ham = synthetic_molecular_hamiltonian(4, n_terms=8, seed=3)
-        vmc = VMC(wf, ham, VMCConfig(n_samples=64, warmup=10,
-                                     sampler=spy_sampler))
+        vmc = VMC(wf, ham, VMCConfig(n_samples=64, sampler=spy_sampler))
         vmc.step()
         assert calls == [64]
