@@ -7,10 +7,20 @@
    mass outside the physical sector.
 4. Local-energy mode: exact vs sample-aware (method 4) — SA is cheaper but
    biased when the sample set is small.
+5. Sampling strategy: BAS vs the Markov chain it replaces, and the Sec. 4.4
+   independent-stream outlook.
 
 All run on H2 (fast, exact FCI reference) with fixed budgets.
+
+The sampling foils of (5) live *here*, next to the two rows that are their
+only users: the production path has one sampler (``batch_autoregressive_
+sample``), and ``src/`` imports none of this.  ``check_foils_agree`` pins them
+to that sampler and to the exactly enumerated |Psi|^2; the tests load this
+file through the ``ablations`` fixture of ``tests/conftest.py``.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +29,225 @@ from repro.chem import build_problem, run_fci
 from repro.core import (
     VMC,
     NoamAdamW,
+    SampleBatch,
     VMCConfig,
     batch_autoregressive_sample,
     build_qiankunnet,
     pretrain_to_reference,
 )
+from repro.hamiltonian import sector_basis
+from repro.nn import Module, Parameter
+from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
+
+
+# --------------------------------------------------------------------------
+# Foil 1 — the RBM + Metropolis regime that BAS replaces (paper Sec. 1/2.2).
+# --------------------------------------------------------------------------
+class RBMWavefunction(Module):
+    """Complex RBM over N qubits with ``alpha * N`` hidden units (Ref. [25]):
+
+        Psi(x) = exp(sum_j a_j s_j) * prod_k 2 cosh(b_k + sum_j W_kj s_j),
+
+    with s_j = 2 x_j - 1.  |Psi|^2 is not normalized, so sampling needs a
+    Markov chain — the cost batch autoregressive sampling eliminates.
+    """
+
+    def __init__(self, n_qubits: int, alpha: int = 2,
+                 rng: np.random.Generator | None = None):
+        super().__init__()
+        rng = rng or np.random.default_rng()
+        n_hidden = alpha * n_qubits
+        scale = 0.01
+        self.a_re = Parameter(rng.normal(0, scale, n_qubits))
+        self.a_im = Parameter(rng.normal(0, scale, n_qubits))
+        self.b_re = Parameter(rng.normal(0, scale, n_hidden))
+        self.b_im = Parameter(rng.normal(0, scale, n_hidden))
+        self.w_re = Parameter(rng.normal(0, scale, (n_hidden, n_qubits)))
+        self.w_im = Parameter(rng.normal(0, scale, (n_hidden, n_qubits)))
+        self.n_qubits = n_qubits
+        self.n_hidden = n_hidden
+
+    def log_amplitudes(self, bits: np.ndarray) -> np.ndarray:
+        """(B,) complex log Psi(x)."""
+        bits = np.atleast_2d(np.asarray(bits, dtype=np.float64))
+        s = 2.0 * bits - 1.0
+        a = self.a_re.data + 1j * self.a_im.data
+        b = self.b_re.data + 1j * self.b_im.data
+        w = self.w_re.data + 1j * self.w_im.data
+        theta = s @ w.T + b[None, :]
+        return s @ a + np.log(2.0 * np.cosh(theta)).sum(axis=1)
+
+    def amplitudes(self, bits: np.ndarray) -> np.ndarray:
+        return np.exp(self.log_amplitudes(bits))
+
+
+@dataclass
+class MCMCStats:
+    acceptance_rate: float
+    n_sweeps: int
+
+
+def _exchange_move(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Propose a same-spin occupied->empty exchange (number conserving)."""
+    out = bits.copy()
+    n = bits.shape[0]
+    spin = rng.integers(0, 2)
+    channel = np.arange(spin, n, 2)
+    occ = channel[bits[channel] == 1]
+    emp = channel[bits[channel] == 0]
+    if len(occ) == 0 or len(emp) == 0:
+        return out
+    out[rng.choice(occ)] = 0
+    out[rng.choice(emp)] = 1
+    return out
+
+
+def metropolis_sample(
+    wf,
+    start_bits: np.ndarray,
+    n_samples: int,
+    rng: np.random.Generator,
+    n_burnin: int = 200,
+    thin: int = 2,
+) -> tuple[SampleBatch, MCMCStats]:
+    """Single-chain Metropolis sampling of |Psi(x)|^2.
+
+    ``wf`` needs only ``log_amplitudes``; the chain records every ``thin``-th
+    state after burn-in and the output collapses duplicates into the
+    (unique, weight) SampleBatch format.
+    """
+    x = np.asarray(start_bits, dtype=np.uint8).copy()
+    log_p = 2.0 * np.real(wf.log_amplitudes(x[None, :])[0])
+    accepted = 0
+    proposed = 0
+    records: list[bytes] = []
+    total_steps = n_burnin + n_samples * thin
+    for step in range(total_steps):
+        cand = _exchange_move(x, rng)
+        log_p_cand = 2.0 * np.real(wf.log_amplitudes(cand[None, :])[0])
+        proposed += 1
+        if np.log(rng.random() + 1e-300) < log_p_cand - log_p:
+            x = cand
+            log_p = log_p_cand
+            accepted += 1
+        if step >= n_burnin and (step - n_burnin) % thin == 0:
+            records.append(x.tobytes())
+    counts: dict[bytes, int] = {}
+    for r in records:
+        counts[r] = counts.get(r, 0) + 1
+    bits = np.array([np.frombuffer(k, dtype=np.uint8) for k in counts])
+    weights = np.array(list(counts.values()), dtype=np.int64)
+    return (
+        SampleBatch(bits=bits, weights=weights),
+        MCMCStats(acceptance_rate=accepted / max(proposed, 1), n_sweeps=total_steps),
+    )
+
+
+# --------------------------------------------------------------------------
+# Foil 2 — independent-stream BAS, the paper's Sec. 4.4 outlook: "one could
+# still take advantage of the conventional Monte Carlo sampling by simply
+# implementing several independent [runs of] the batch sampling algorithm".
+# --------------------------------------------------------------------------
+@dataclass
+class MergeStats:
+    """Unique-sample bookkeeping for an independent-stream merge."""
+
+    n_streams: int
+    uniques_per_stream: list[int]
+    n_unique_merged: int
+    n_samples: int
+
+    @property
+    def overlap_fraction(self) -> float:
+        """1 - merged/summed uniques: how much work the streams duplicated."""
+        total = sum(self.uniques_per_stream)
+        return 1.0 - self.n_unique_merged / total if total else 0.0
+
+
+def merge_batches(batches: list[SampleBatch], n_qubits: int) -> SampleBatch:
+    """Union of unique samples across batches, occurrence weights summed."""
+    if not batches:
+        raise ValueError("need at least one batch to merge")
+    keys = np.concatenate([pack_bits(b.bits) for b in batches], axis=0)
+    weights = np.concatenate([b.weights for b in batches])
+    order = lexsort_keys(keys)
+    keys, weights = keys[order], weights[order]
+    boundary = np.ones(len(keys), dtype=bool)
+    boundary[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    group = np.cumsum(boundary) - 1
+    merged_w = np.bincount(group, weights=weights).astype(np.int64)
+    merged_keys = keys[boundary]
+    return SampleBatch(bits=unpack_bits(merged_keys, n_qubits), weights=merged_w)
+
+
+def merged_batch_sample(
+    wf,
+    n_samples: int,
+    rng: np.random.Generator,
+    n_streams: int = 4,
+) -> tuple[SampleBatch, MergeStats]:
+    """Run ``n_streams`` independent BAS sweeps and merge their outputs.
+
+    The budget is split evenly (remainder to the first stream); each stream
+    gets an independent child RNG so results are reproducible and the streams
+    are statistically independent, as required for the variance argument of
+    Sec. 4.4.  On a cluster every stream would live on its own process group;
+    here they run sequentially.
+    """
+    if n_streams < 1:
+        raise ValueError("n_streams must be >= 1")
+    share = n_samples // n_streams
+    budgets = [share] * n_streams
+    budgets[0] += n_samples - share * n_streams
+    children = rng.spawn(n_streams)
+    batches = [
+        batch_autoregressive_sample(wf, ns, child)
+        for ns, child in zip(budgets, children)
+        if ns > 0
+    ]
+    merged = merge_batches(batches, wf.n_qubits)
+    stats = MergeStats(
+        n_streams=len(batches),
+        uniques_per_stream=[b.n_unique for b in batches],
+        n_unique_merged=merged.n_unique,
+        n_samples=merged.n_samples,
+    )
+    return merged, stats
+
+
+def check_foils_agree(n_chain: int = 40_000, atol: float = 0.02) -> float:
+    """The foils against the two things that define them, on H2 (4 qubits).
+
+    * The Metropolis histogram converges to the exactly enumerated
+      |Psi_RBM|^2 of the (1, 1) sector within ``atol`` (the returned value is
+      the largest deviation).
+    * ``merged_batch_sample(n_streams=1)`` *is* one plain BAS sweep on the
+      spawned child stream: same unique rows, same counts.
+    """
+    prob = build_problem("H2", "sto-3g", r=0.7414)
+    n = prob.n_qubits
+    sector = sector_basis(n, prob.n_up, prob.n_dn).bits()
+    rbm = RBMWavefunction(n, alpha=2, rng=np.random.default_rng(6))
+    chain, _ = metropolis_sample(rbm, prob.hf_bits, n_chain,
+                                 np.random.default_rng(7), n_burnin=500)
+    psi2 = np.abs(rbm.amplitudes(sector)) ** 2
+    psi2 /= psi2.sum()
+    freq = {row.tobytes(): w / chain.n_samples
+            for row, w in zip(chain.bits, chain.weights)}
+    deviation = max(abs(freq.get(row.tobytes(), 0.0) - p)
+                    for row, p in zip(sector, psi2))
+    assert deviation <= atol, f"Metropolis histogram off |Psi|^2 by {deviation:.3f}"
+
+    wf = build_qiankunnet(n, prob.n_up, prob.n_dn, d_model=8, n_heads=2,
+                          n_layers=1, phase_hidden=(16,), seed=2)
+    merged, _ = merged_batch_sample(wf, 5000, np.random.default_rng(1), n_streams=1)
+    (child,) = np.random.default_rng(1).spawn(1)
+    plain = batch_autoregressive_sample(wf, 5000, child)
+    order = lexsort_keys(pack_bits(plain.bits))
+    np.testing.assert_array_equal(merged.bits, plain.bits[order])
+    np.testing.assert_array_equal(merged.weights, plain.weights[order])
+    return deviation
+
 
 _ITERS = 150
 
@@ -136,6 +360,11 @@ def test_ablation_eloc_mode(benchmark, full):
     benchmark(lambda: None)
 
 
+def test_sampling_foils_agree():
+    """The two rows below time code that lives in this file only: pin it."""
+    check_foils_agree()
+
+
 def test_ablation_sampling_strategy(benchmark, full):
     """BAS vs Markov-chain Metropolis sampling (the paper's Sec. 1 argument).
 
@@ -145,9 +374,6 @@ def test_ablation_sampling_strategy(benchmark, full):
     per proposal.
     """
     import time
-
-    from repro.core import metropolis_sample
-    from repro.nn import RBMWavefunction
 
     prob = build_problem("H2O", "sto-3g")
     qkn = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=61)
@@ -241,8 +467,6 @@ def test_ablation_sr_vs_adamw(benchmark, full):
 
 def test_ablation_hybrid_sampling_streams(benchmark, full):
     """Independent-stream BAS merge (Sec. 4.4 outlook): overlap statistics."""
-    from repro.core import merged_batch_sample
-
     prob = build_problem("H2O", "sto-3g")
     wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=81)
     pretrain_to_reference(wf, prob.hf_bits, n_steps=80, target_prob=0.3)

@@ -51,14 +51,7 @@ def uncached_bas_step(wf, state: BASTreeState, rng) -> BASTreeState:
 def _timed_sweep(wf, n_samples: int, seed: int, step=_bas_step):
     """Run one full BAS sweep; return (wall seconds, node expansions, batch)."""
     rng = np.random.default_rng(seed)
-    root = initial_tree_state()
-    state = BASTreeState(
-        prefixes=root.prefixes,
-        weights=np.array([n_samples], dtype=np.int64),
-        counts_up=root.counts_up,
-        counts_dn=root.counts_dn,
-        step=0,
-    )
+    state = initial_tree_state(n_samples)
     expansions = 0
     t0 = time.perf_counter()
     while state.step < wf.n_tokens:

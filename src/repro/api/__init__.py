@@ -15,7 +15,7 @@ is ``python -m repro`` (``run`` / ``resume`` / ``info`` / ``serve``).
     print(result.report.summary())
 
 Importing this package registers the built-in components (see
-:mod:`repro.api.builtins`); new ansätze/optimizers/samplers plug in by name
+:mod:`repro.api.builtins`); new ansätze/optimizers/backends plug in by name
 through the ``register_*`` decorators.
 """
 from repro.api.spec import (
@@ -37,13 +37,11 @@ from repro.api.registry import (
     ANSATZE,
     BACKENDS,
     OPTIMIZERS,
-    SAMPLERS,
     ComponentRegistry,
     UnknownComponentError,
     register_ansatz,
     register_backend,
     register_optimizer,
-    register_sampler,
 )
 import repro.api.builtins  # noqa: F401 — registers the built-in components
 from repro.api.driver import (
@@ -51,7 +49,6 @@ from repro.api.driver import (
     materialize_ansatz,
     materialize_backend,
     materialize_problem,
-    materialize_sampler,
     resume,
     run,
     serve_run,
@@ -76,16 +73,13 @@ __all__ = [
     "UnknownComponentError",
     "ANSATZE",
     "OPTIMIZERS",
-    "SAMPLERS",
     "BACKENDS",
     "register_ansatz",
     "register_optimizer",
-    "register_sampler",
     "register_backend",
     "RunResult",
     "materialize_problem",
     "materialize_ansatz",
-    "materialize_sampler",
     "materialize_backend",
     "run",
     "resume",

@@ -5,7 +5,7 @@ The driver is the single execution path behind both the Python API and the
 it:
 
 1. materializes components through the registries (problem -> ansatz ->
-   sampler -> backend -> optimizer), so every choice is a *name* in the spec;
+   backend -> optimizer), so every choice is a *name* in the spec;
 2. runs the Sec. 4.1 protocol through the one training loop —
    :class:`~repro.core.trainer.Trainer` over :class:`~repro.core.vmc.VMC`
    (bit-identical to hand wiring) — whichever optimizer the spec names;
@@ -36,7 +36,7 @@ from inspect import Parameter, signature
 from pathlib import Path
 
 import repro.api.builtins  # noqa: F401 — registers the built-in components
-from repro.api.registry import ANSATZE, BACKENDS, OPTIMIZERS, SAMPLERS
+from repro.api.registry import ANSATZE, BACKENDS, OPTIMIZERS
 from repro.api.spec import AnsatzSpec, ProblemSpec, RunSpec, SpecError
 from repro.backend import get_backend
 from repro.core.engine import _merge_transfers
@@ -57,7 +57,6 @@ __all__ = [
     "RunResult",
     "materialize_problem",
     "materialize_ansatz",
-    "materialize_sampler",
     "materialize_backend",
     "materialize_optimizer",
     "materialize_array_backend",
@@ -142,30 +141,13 @@ def materialize_ansatz(spec: AnsatzSpec, problem: MolecularProblem):
                    seed=spec.seed, **kwargs)
 
 
-def materialize_sampler(spec: RunSpec, problem: MolecularProblem):
-    """Resolve the sampler name; ``None`` means "the VMC default path".
-
-    The plain ``bas`` sampler with no knobs returns ``None`` so stage 1
-    stays byte-for-byte the engine's own ``batch_autoregressive_sample`` call.
-    """
-    s = spec.sampling
-    if s.sampler == "bas" and not s.params:
-        SAMPLERS.get("bas")  # still validate the name is registered
-        return None
-    params = dict(s.params)
-    if s.sampler == "mcmc":
-        params.setdefault("start_bits", problem.hf_bits)
-    return SAMPLERS.build(s.sampler, **params)
-
-
 def materialize_backend(spec: RunSpec):
     """Build the execution backend named by the spec's ``parallel`` section.
 
     The registered factory receives the section's fields it declares by name
     (``world_size``, when set, is the job size ``n_ranks`` aliases).
-    More than one rank requires the default BAS sampler (and an optimizer
-    whose update sums over ranks: :func:`materialize_optimizer`) — both
-    restrictions fail at materialization, with the spec field named.
+    More than one rank requires an optimizer whose update sums over ranks
+    (:func:`materialize_optimizer` refuses the others, spec field named).
     An unknown backend name raises the registry's
     :class:`~repro.api.registry.UnknownComponentError`, which lists every
     registered backend.
@@ -175,17 +157,9 @@ def materialize_backend(spec: RunSpec):
     kwargs = _filter_to_signature(factory, p.to_dict())
     kwargs["n_ranks"] = p.world_size if p.world_size is not None else p.n_ranks
     try:
-        backend = factory(**kwargs)
+        return factory(**kwargs)
     except ValueError as exc:  # e.g. serial with n_ranks > 1
         raise SpecError(f"parallel: {exc}") from None
-    if backend.n_ranks > 1 and (spec.sampling.sampler != "bas"
-                                or spec.sampling.params):
-        raise SpecError(
-            "parallel runs with more than one rank require the default 'bas' "
-            "sampler with no params (the Fig. 5 prefix-sweep split); got "
-            f"sampling.sampler={spec.sampling.sampler!r}"
-        )
-    return backend
 
 
 def materialize_optimizer(spec: RunSpec, wf, backend):
@@ -301,13 +275,13 @@ def _publish_final(spec: RunSpec, run_dir: Path, wf,
 # ----------------------------------------------------------------- execution
 def _require_autoregressive(spec: RunSpec, wf) -> None:
     """The training loop samples autoregressively and differentiates
-    ``log_prob``/``phase_of`` — fail at materialization with the component
-    named instead of deep inside the run loop."""
+    ``log_prob``/``phase_of`` — a user-registered builder that returns
+    anything else fails at materialization with the component named instead
+    of deep inside the run loop."""
     if not isinstance(wf, NNQSWavefunction):
         raise SpecError(
             f"ansatz {spec.ansatz.name!r} does not build an autoregressive "
-            "NNQSWavefunction; run() cannot drive it "
-            "(the rbm baseline trains through repro.core.mcmc.RBMVMC)"
+            "NNQSWavefunction; run() cannot drive it"
         )
 
 
@@ -333,7 +307,6 @@ def _build_trainer(spec: RunSpec, run_dir: Path) -> Trainer:
             ),
             eloc_mode=s.eloc_mode,
             seed=spec.train.seed,
-            sampler=materialize_sampler(spec, problem),
             eloc_memory_budget_mb=spec.parallel.eloc_memory_budget_mb,
         ),
         backend=backend,

@@ -1,4 +1,4 @@
-"""String-keyed component registries: ansätze, optimizers, samplers, backends.
+"""String-keyed component registries: ansätze, optimizers, backends.
 
 A spec names components (``ansatz.name = "transformer"``); the registries map
 those names to builder callables.  This is the factory/driver split the AFQMC
@@ -23,8 +23,6 @@ Builder contracts (what the driver calls):
   iteration and answers what stages 5 and 6 ask (``direction``, ``apply``,
   ``lr``, ``state`` / ``load_state``, ``single_rank_reason`` — spelled out
   on :class:`repro.core.engine.NoamAdamW`, which ``"adamw"`` builds).
-* **sampler**: ``factory(**params) -> sampler`` where
-  ``sampler(wf, n_samples, rng) -> SampleBatch``.
 * **backend**: ``factory(n_ranks=..., **fields) -> ExecutionBackend`` (the
   spec's ``parallel.backend`` choice), where ``fields`` are the ``parallel``
   section's fields the factory declares by name (``nu_star_per_rank``,
@@ -45,11 +43,9 @@ __all__ = [
     "ComponentRegistry",
     "ANSATZE",
     "OPTIMIZERS",
-    "SAMPLERS",
     "BACKENDS",
     "register_ansatz",
     "register_optimizer",
-    "register_sampler",
     "register_backend",
 ]
 
@@ -110,7 +106,6 @@ class ComponentRegistry:
 
 ANSATZE = ComponentRegistry("ansatz")
 OPTIMIZERS = ComponentRegistry("optimizer")
-SAMPLERS = ComponentRegistry("sampler")
 BACKENDS = ComponentRegistry("backend")
 
 
@@ -122,11 +117,6 @@ def register_ansatz(name: str, builder: Callable | None = None,
 def register_optimizer(name: str, builder: Callable | None = None,
                        *, overwrite: bool = False):
     return OPTIMIZERS.register(name, builder, overwrite=overwrite)
-
-
-def register_sampler(name: str, builder: Callable | None = None,
-                     *, overwrite: bool = False):
-    return SAMPLERS.register(name, builder, overwrite=overwrite)
 
 
 def register_backend(name: str, builder: Callable | None = None,

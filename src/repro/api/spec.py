@@ -9,7 +9,7 @@ dataclasses, one per subsystem — instead of hand-threaded ``build_problem``
   tuple-of-int), so ``spec -> to_dict -> json -> from_dict`` is lossless;
 * validation runs at construction (``__post_init__``) and names the exact
   field path (``sampling.ns_growth``) instead of failing deep in the loop;
-* component choices (``ansatz.name``, ``optimizer.name``, ``sampling.sampler``)
+* component choices (``ansatz.name``, ``optimizer.name``, ``parallel.backend``)
   are string keys into the registries of :mod:`repro.api.registry`, so new
   components plug in by name;
 * dotted overrides (``train.max_iterations=3`` — the CLI ``--set`` syntax)
@@ -225,22 +225,18 @@ class OptimizerSpec(_Spec):
 
 @dataclass
 class SamplingSpec(_Spec):
-    """Sampler choice + the paper's growing-N_s schedule + E_loc mode."""
+    """The paper's growing-N_s schedule + E_loc mode (stage 1 is the BAS sweep)."""
 
     _SECTION = "sampling"
 
-    sampler: str = "bas"
     ns_pretrain: int = 10**5
     ns_max: int = 10**12
     ns_growth: float = 1.3
     pretrain_iters: int = 100
     eloc_mode: str = "exact"
-    params: dict = field(default_factory=dict)  # e.g. hybrid's n_streams
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require(bool(self.sampler),
-                 "sampling.sampler", "must be a registered sampler name")
         _require(self.ns_pretrain > 0,
                  "sampling.ns_pretrain", f"must be a positive int, got {self.ns_pretrain!r}")
         _require(self.ns_max > 0,

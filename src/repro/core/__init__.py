@@ -23,7 +23,6 @@ from repro.core.local_energy import (
 from repro.core.engine import NoamAdamW
 from repro.core.vmc import VMC, VMCConfig, VMCStats, default_ns_schedule
 from repro.core.pretrain import pretrain_to_reference
-from repro.core.mcmc import MCMCStats, RBMVMC, metropolis_sample
 from repro.core.checkpoint import (
     load_checkpoint,
     load_model_snapshot,
@@ -48,7 +47,6 @@ from repro.core.diagnostics import (
 )
 from repro.core.sr import SRConfig, SRStepInfo, StochasticReconfiguration
 from repro.core.trainer import TrainConfig, Trainer, TrainReport
-from repro.core.hybrid_sampling import MergeStats, merge_batches, merged_batch_sample
 
 __all__ = [
     "ParticleNumberConstraint",
@@ -75,9 +73,6 @@ __all__ = [
     "VMCStats",
     "default_ns_schedule",
     "pretrain_to_reference",
-    "MCMCStats",
-    "RBMVMC",
-    "metropolis_sample",
     "load_checkpoint",
     "save_checkpoint",
     "load_model_snapshot",
@@ -94,9 +89,6 @@ __all__ = [
     "TrainConfig",
     "Trainer",
     "TrainReport",
-    "MergeStats",
-    "merge_batches",
-    "merged_batch_sample",
     "one_rdm_sampled",
     "ExtrapolationResult",
     "correlation_energy_fraction",

@@ -97,10 +97,21 @@ def _rng_payload(rng: np.random.Generator) -> np.ndarray:
 
 
 def restore_rng(state_json: str) -> np.random.Generator:
-    """Rebuild a Generator whose stream continues exactly where it stopped."""
-    state = json.loads(state_json)
-    bit_gen = getattr(np.random, state["bit_generator"])()
-    bit_gen.state = state
+    """Rebuild a Generator whose stream continues exactly where it stopped.
+
+    The file names the bit generator; only numpy's ``BitGenerator`` classes
+    are instantiated, anything else is a ``ValueError`` naming ``rng_state``.
+    """
+    try:
+        state = json.loads(state_json)
+        name = state["bit_generator"]
+        known = {c.__name__: c for c in np.random.BitGenerator.__subclasses__()}
+        if name not in known:
+            raise ValueError(f"{name!r} is not a numpy BitGenerator")
+        bit_gen = known[name]()
+        bit_gen.state = state
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint rng_state is unusable: {exc}") from None
     return np.random.Generator(bit_gen)
 
 
@@ -144,12 +155,12 @@ def save_checkpoint(vmc: VMC, path: str | Path) -> None:
         np.savez(f, **payload)
 
 
-def _restore_history(vmc: VMC, data) -> None:
-    """Rebuild ``vmc.history`` so ``best_energy()`` sees pre-resume iterations."""
+def _parse_history(data) -> list[VMCStats]:
+    """The stored ``VMCStats`` rows (``best_energy()`` sees pre-resume iterations)."""
     cols = {f: data[f"hist_{f}"] for f in _HISTORY_FIELDS}
     comm, wire = data["hist_comm_bytes"], data["hist_comm_bytes_wire"]
     per_rank = json.loads(data["hist_per_rank_unique"].item())
-    vmc.history = [
+    return [
         VMCStats(
             **{f: col[i].item() for f, col in cols.items()},  # int64 / float64
             comm_bytes=None if comm[i] < 0 else int(comm[i]),
@@ -174,13 +185,16 @@ def load_checkpoint(vmc: VMC, path: str | Path) -> None:
             f"{path} holds {params.size} parameters, the model has "
             f"{vmc.wf.num_parameters()}: a checkpoint of another architecture"
         )
-    # The optimizer checks its own arrays before its first write, and the
-    # parameter vector was checked above: a refused file changes nothing.
+    # Everything the file holds is parsed into locals first, and the
+    # optimizer checks its own arrays before its first write: a refused file
+    # changes nothing.
+    history = _parse_history(data)
+    rng = restore_rng(data["rng_state"].item())
+    iteration = int(data["iteration"])
+    comm_baseline = data["comm_baseline"] if "comm_baseline" in data else None
     vmc.optimizer.load_state(data)
     vmc.wf.set_flat_params(params)
-    vmc.iteration = int(data["iteration"])
-    vmc.comm_baseline = (
-        data["comm_baseline"] if "comm_baseline" in data else None
-    )
-    _restore_history(vmc, data)
-    vmc.rng = restore_rng(data["rng_state"].item())
+    vmc.iteration = iteration
+    vmc.comm_baseline = comm_baseline
+    vmc.history = history
+    vmc.rng = rng

@@ -111,11 +111,6 @@ class VMCConfig:
     n_samples: int | Callable[[int], int] = 10**5
     eloc_mode: str = "exact"          # 'exact' | 'sample_aware'
     seed: int = 0
-    # Pluggable sampler fn(wf, n_samples, rng) -> SampleBatch; None keeps the
-    # default batch autoregressive sweep (see repro.api sampler registry).
-    # Parallel backends (n_ranks > 1) require the default: a custom sampler
-    # cannot be split across ranks by the Fig. 5 prefix-sweep scheme.
-    sampler: Callable | None = None
     # Sec. 3.4 / Fig. 9 memory story: caps the packed keys the local-energy
     # kernels materialize at a time (the plan's sample chunk and exact mode's
     # table extension shrink to fit).
@@ -213,11 +208,10 @@ def stats_record(stats: VMCStats) -> dict:
 # --------------------------------------------------------------------------
 # Stage functions (the one implementation every backend schedules)
 # --------------------------------------------------------------------------
-def stage_sample(wf, n_samples: int, rng: host_np.random.Generator,
-                 sampler: Callable | None = None) -> SampleBatch:
-    """Stage 1, single rank: one BAS sweep (or a custom sampler hook)."""
-    sample = sampler or batch_autoregressive_sample
-    return sample(wf, n_samples, rng)
+def stage_sample(wf, n_samples: int,
+                 rng: host_np.random.Generator) -> SampleBatch:
+    """Stage 1, single rank: one BAS sweep."""
+    return batch_autoregressive_sample(wf, n_samples, rng)
 
 
 def stage_sample_parallel(wf, n_samples: int, seed: int, iteration: int,
@@ -541,13 +535,8 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
     # ---- stage 1: sample ---------------------------------------------------
     t0 = time.perf_counter()
     if size == 1:
-        local = stage_sample(wf, n_samples, rng, sampler=cfg.sampler)
+        local = stage_sample(wf, n_samples, rng)
     else:
-        if cfg.sampler is not None:
-            raise ValueError(
-                "custom samplers cannot be split across ranks; parallel "
-                "backends require the default BAS sampler"
-            )
         local = stage_sample_parallel(
             wf, n_samples, cfg.seed, engine.iteration, nu_star, comm
         )

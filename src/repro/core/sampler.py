@@ -113,64 +113,26 @@ def _multinomial_rows(rng: np.random.Generator, weights: np.ndarray,
     return rng.multinomial(weights.astype(np.int64), probs).astype(np.int64)
 
 
-def _estimated_cache_bytes(wf: NNQSWavefunction, n_rows: int, length: int) -> int:
-    """Projected session-cache footprint of ``n_rows`` prefixes, ``length`` tokens.
-
-    Delegates to the amplitude's ``cache_bytes`` (the class that owns the
-    cache layout); amplitudes without one (fallback sessions store tokens
-    only) are treated as free.
-    """
-    cache_bytes = getattr(wf.amplitude, "cache_bytes", None)
-    return 0 if cache_bytes is None else cache_bytes(n_rows, length)
-
-
 def _bas_step(wf: NNQSWavefunction, state: BASTreeState,
-              rng: np.random.Generator,
-              cache_budget_bytes: int | None = None) -> BASTreeState:
+              rng: np.random.Generator) -> BASTreeState:
     """One local sampling step: expand every prefix, prune zero weights.
 
     The returned state's session rows are gathered with ``parent_idx`` so
     branched prefixes duplicate their parent's KV cache rows and pruned
-    children (zero weight) drop theirs.  When ``cache_budget_bytes`` is set
-    and the projected cache footprint of this layer exceeds it, the step
-    drops the session and computes the conditionals with a one-shot numpy
-    prefill instead — O(k^2) per step again, but with only transient memory
-    (the escape hatch for huge-N_u layers; see DESIGN.md).
+    children (zero weight) drop theirs.
     """
     session = state.session
-    over_budget = cache_budget_bytes is not None and _estimated_cache_bytes(
-        wf, len(state.weights), state.step + 1
-    ) > cache_budget_bytes
     if session is not None:
-        # A carried session is always cheapest to use (O(k) step); the
-        # budget only decides whether its caches are *retained* below.
         logits = session.step(state.prefixes[:, -1] if state.step > 0 else None)
-        probs = wf.probs_from_logits(logits, state.counts_up, state.counts_dn,
-                                     state.step)
-    elif over_budget:
-        # No caches to reuse and retaining new ones would bust the
-        # budget: one-shot transient prefill, keep nothing.
-        probs = wf.conditional_probs(
-            state.prefixes, state.counts_up, state.counts_dn
-        )
     else:
-        # Fresh root, or a mid-tree state that lost its session (e.g.
-        # shipped across ranks by the Fig. 5 splitter, or dropped by
-        # the cache budget): batched prefill, caches retained.
+        # Fresh root, or a mid-tree state that lost its session (shipped
+        # across ranks by the Fig. 5 splitter): one batched prefill.
         session = wf.make_session(len(state.weights))
         logits = session.prefill(state.prefixes)
-        probs = wf.probs_from_logits(logits, state.counts_up, state.counts_dn,
-                                     state.step)
+    probs = wf.probs_from_logits(logits, state.counts_up, state.counts_dn,
+                                 state.step)
     parent_idx, children = _split_weights(wf, state, probs, rng)
-    if session is not None and cache_budget_bytes is not None and _estimated_cache_bytes(
-        wf, len(parent_idx), state.step + 1
-    ) > cache_budget_bytes:
-        # Branching multiplied the rows (up to x vocab) past the budget:
-        # don't retain the gathered caches; the next step prefills or falls
-        # back under its own budget check.
-        session = None
-    if session is not None:
-        children.session = session.select(parent_idx)
+    children.session = session.select(parent_idx)
     return children
 
 
@@ -199,13 +161,13 @@ def _split_weights(wf: NNQSWavefunction, state: BASTreeState, probs,
     )
 
 
-def initial_tree_state(batch: int = 1) -> BASTreeState:
-    """Empty BAS tree root (step 0, no prefixes, zero weights)."""
+def initial_tree_state(n_samples: int) -> BASTreeState:
+    """BAS tree root: the empty prefix holding the whole sample budget."""
     return BASTreeState(
-        prefixes=np.zeros((batch, 0), dtype=np.int64),
-        weights=np.zeros(batch, dtype=np.int64),
-        counts_up=np.zeros(batch, dtype=np.int64),
-        counts_dn=np.zeros(batch, dtype=np.int64),
+        prefixes=np.zeros((1, 0), dtype=np.int64),
+        weights=np.array([n_samples], dtype=np.int64),
+        counts_up=np.zeros(1, dtype=np.int64),
+        counts_dn=np.zeros(1, dtype=np.int64),
         step=0,
     )
 
@@ -215,7 +177,6 @@ def batch_autoregressive_sample(
     n_samples: int,
     rng: np.random.Generator,
     start: BASTreeState | None = None,
-    cache_budget_bytes: int | None = None,
 ) -> SampleBatch:
     """Fig. 3(b): generate N_s samples in one tree sweep, cost ~ O(N_u N^3/3).
 
@@ -227,20 +188,13 @@ def batch_autoregressive_sample(
     """
     state = start
     if state is None:
-        state = initial_tree_state()
-        state = BASTreeState(
-            prefixes=state.prefixes,
-            weights=np.array([n_samples], dtype=np.int64),
-            counts_up=state.counts_up,
-            counts_dn=state.counts_dn,
-            step=0,
-        )
+        state = initial_tree_state(n_samples)
     elif state.session is not None:
         # Stepping mutates a session in place (cache append + position
         # advance): work on a copy so the caller's state stays resumable.
         state = replace(state, session=state.session.copy())
     while state.step < wf.n_tokens:
-        state = _bas_step(wf, state, rng, cache_budget_bytes=cache_budget_bytes)
+        state = _bas_step(wf, state, rng)
     bits = wf.tokens_to_bits(state.prefixes)
     return SampleBatch(bits=bits, weights=state.weights.copy())
 
@@ -250,7 +204,6 @@ def bas_prefix_sweep(
     n_samples: int,
     rng: np.random.Generator,
     stop_unique: int,
-    cache_budget_bytes: int | None = None,
 ) -> BASTreeState:
     """Run BAS until the layer holds >= stop_unique nodes (or the tree ends).
 
@@ -260,14 +213,7 @@ def bas_prefix_sweep(
     The returned state carries its inference session, so continuing the sweep
     (``batch_autoregressive_sample(..., start=state)``) keeps the KV caches.
     """
-    state = initial_tree_state()
-    state = BASTreeState(
-        prefixes=state.prefixes,
-        weights=np.array([n_samples], dtype=np.int64),
-        counts_up=state.counts_up,
-        counts_dn=state.counts_dn,
-        step=0,
-    )
+    state = initial_tree_state(n_samples)
     while state.step < wf.n_tokens and len(state.weights) < stop_unique:
-        state = _bas_step(wf, state, rng, cache_budget_bytes=cache_budget_bytes)
+        state = _bas_step(wf, state, rng)
     return state

@@ -5,8 +5,8 @@ budget (N_s = 1e5 for the first ~100 iterations) followed by a growing
 budget (up to 1e12) "for accurate calculation", assessed by convergence
 precision.  The budget is the :class:`~repro.core.vmc.VMC`'s own
 (``VMCConfig.n_samples = default_ns_schedule(...)``); :class:`Trainer` drives
-the ``VMC`` it is handed — the one training loop, whatever the optimizer,
-sampler or execution backend — and adds the rest of the protocol:
+the ``VMC`` it is handed — the one training loop, whatever the optimizer or
+execution backend — and adds the rest of the protocol:
 
 * optional supervised warm start on the HF determinant;
 * periodic checkpointing (resumable runs);

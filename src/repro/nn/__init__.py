@@ -11,7 +11,6 @@ from repro.nn.attention import CausalSelfAttention, DecoderLayer, FeedForward
 from repro.nn.transformer import TransformerAmplitude
 from repro.nn.phase import PhaseMLP
 from repro.nn.made import MADEAmplitude, NAQSMLPAmplitude
-from repro.nn.rbm import RBMWavefunction
 
 __all__ = [
     "Module",
@@ -31,5 +30,4 @@ __all__ = [
     "PhaseMLP",
     "MADEAmplitude",
     "NAQSMLPAmplitude",
-    "RBMWavefunction",
 ]

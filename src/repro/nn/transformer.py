@@ -75,11 +75,6 @@ class TransformerAmplitude(Module):
         """Open a KV-cached decoding session (see repro.nn.inference)."""
         return TransformerInferenceSession(self, batch_size)
 
-    def cache_bytes(self, n_rows: int, length: int) -> int:
-        """Session-cache footprint of ``n_rows`` prefixes of ``length`` tokens:
-        one float64 K and V array of ``length * d_model`` per layer and row."""
-        return n_rows * len(self.layers) * 2 * length * self.d_model * 8
-
     def _decode(self, inputs, session: TransformerInferenceSession):
         """Run ``(batch, t_new)`` *input* tokens through the cached stack.
 

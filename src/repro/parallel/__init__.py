@@ -4,7 +4,7 @@ The parallel iteration itself lives in :mod:`repro.core.engine` (the unified
 execution engine); this package provides the one communicator it runs over
 (:class:`Comm`) and the transports under it — :func:`run_spmd` thread ranks,
 :func:`run_spmd_processes` forked ranks, :func:`create_cluster_comm`
-multi-host TCP/MPI ranks — plus the BAS tree partitioning, the
+multi-host TCP ranks — plus the BAS tree partitioning, the
 communication-volume model, and the scaling harness.  The engine backends
 are re-exported here for discoverability.
 """

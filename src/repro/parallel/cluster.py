@@ -1,4 +1,4 @@
-"""Multi-host transports (TCP mesh, mpi4py) and the SPMD cluster backend.
+"""The multi-host transport (TCP mesh) and the SPMD cluster backend.
 
 * :class:`MeshTransport` — a full TCP mesh between ranks (rank *i* dials
   every rank *j < i*, accepts from every *j > i*) moving each ``exchange`` as
@@ -8,12 +8,6 @@
   coordinator, and a rank that dies poisons every survivor with
   :class:`~repro.parallel.comm.CommAbortError` — the same crash semantics as
   the process transport.
-
-* :class:`MPITransport` — ``exchange`` as one ``allgather`` on an ``mpi4py``
-  communicator.  Preferred automatically by :func:`create_cluster_comm` when
-  ``mpi4py`` is importable *and* the MPI world matches the requested
-  ``world_size`` (i.e. the job was launched under ``mpirun``); otherwise the
-  socket path is used.
 
 * :class:`ClusterBackend` — the :class:`~repro.core.engine.ExecutionBackend`
   registered as ``parallel.backend=cluster``.  Unlike the thread/process
@@ -59,7 +53,6 @@ from repro.parallel.rendezvous import (
 
 __all__ = [
     "ClusterBackend",
-    "MPITransport",
     "MeshTransport",
     "create_cluster_comm",
 ]
@@ -374,70 +367,19 @@ class MeshTransport:
         self._hb_stop.set()
 
 
-class MPITransport:
-    """``exchange`` as one pickle-capable ``allgather`` on an mpi4py world.
-
-    The sum stays ``Comm``'s rank-ordered reduction rather than ``MPI.SUM``
-    — MPI reduction order is implementation-defined, and bit-identical
-    trajectories across transports are part of the comm contract.
-    """
-
-    borrows = False
-
-    def __init__(self, mpi):
-        self._mpi = mpi
-        self.rank = mpi.Get_rank()
-        self.size = mpi.Get_size()
-
-    def exchange(self, tag, buffer) -> list:
-        return self._mpi.allgather((tag, buffer))
-
-    def abort(self, reason: str) -> None:
-        self._mpi.Abort(1)  # MPI's own poison: the runtime kills every rank
-
-    def close(self) -> None:  # the MPI runtime owns the communicator
-        pass
-
-
-def _mpi_comm_world():
-    """``MPI.COMM_WORLD`` when mpi4py is importable, else None (never raises)."""
-    try:
-        from mpi4py import MPI  # type: ignore[import-not-found]
-    except Exception:
-        return None
-    return MPI.COMM_WORLD
-
-
 _NEEDS_RENDEZVOUS = (
     "the cluster backend needs parallel.rendezvous_addr (host:port of a "
-    "`python -m repro rendezvous` coordinator) when no MPI world of size {} "
-    "is available"
+    "`python -m repro rendezvous` coordinator)"
 )
 
 
 def create_cluster_comm(world_size: int, *, rendezvous_addr: str | None = None,
                         rank: int | None = None, join_timeout: float = 60.0,
-                        collective_timeout: float = 600.0, mpi="auto"):
-    """Build the cluster communicator, preferring MPI when it fits.
-
-    Selection rule: when an MPI world is available (``mpi4py`` importable —
-    i.e. the job was launched under ``mpirun``) *and* its size equals the
-    requested ``world_size``, run over :class:`MPITransport`; otherwise fall
-    back to :class:`MeshTransport`, which requires ``rendezvous_addr``.
-    ``mpi`` accepts an injected communicator (tests) or ``None`` to force
-    the socket path.
-    """
-    if mpi == "auto":
-        mpi = _mpi_comm_world()
-    if mpi is not None and mpi.Get_size() == world_size:
-        if rank is not None and mpi.Get_rank() != rank:
-            raise ValueError(
-                f"parallel.rank={rank} conflicts with MPI rank "
-                f"{mpi.Get_rank()}; omit parallel.rank under mpirun"
-            )
-        return Comm(MPITransport(mpi))
+                        collective_timeout: float = 600.0):
+    """Build the cluster communicator: a :class:`MeshTransport` joined
+    through the coordinator at ``rendezvous_addr``."""
     if rendezvous_addr is None:
-        raise ValueError(_NEEDS_RENDEZVOUS.format(world_size))
+        raise ValueError(_NEEDS_RENDEZVOUS)
     return Comm(MeshTransport(
         world_size, rendezvous_addr, rank=rank, join_timeout=join_timeout,
         collective_timeout=collective_timeout,
@@ -445,7 +387,7 @@ def create_cluster_comm(world_size: int, *, rendezvous_addr: str | None = None,
 
 
 class ClusterBackend(ExecutionBackend):
-    """SPMD execution over a mesh- or MPI-backed :class:`Comm`.
+    """SPMD execution over a mesh-backed :class:`Comm`.
 
     Every host runs the full driver on the same spec; this backend runs the
     staged iteration as *this* host's rank of the shared communicator.  All
@@ -471,9 +413,7 @@ class ClusterBackend(ExecutionBackend):
         _validate_rank_args(n_ranks, eloc_partition)
         if comm is None and rendezvous_addr is None:
             # Fail at construction (spec time), not deep inside rendezvous.
-            mpi = _mpi_comm_world()
-            if mpi is None or mpi.Get_size() != n_ranks:
-                raise ValueError(_NEEDS_RENDEZVOUS.format(n_ranks))
+            raise ValueError(_NEEDS_RENDEZVOUS)
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
         self.eloc_partition = eloc_partition

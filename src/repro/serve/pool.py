@@ -4,8 +4,8 @@ Two complementary reuse mechanisms around PR 1's inference sessions:
 
 * :class:`SessionPool` — a bounded free list of reset sessions.  A *lease*
   temporarily routes ``NNQSWavefunction.make_session`` through the pool, so
-  every session a sampling sweep opens (the BAS root prefill, budget-dropped
-  rebuilds) is drawn from — and afterwards recycled into — the free list
+  every session a sampling sweep opens (the BAS root prefill, the prefill
+  of a session-less resumed state) is drawn from — and afterwards recycled into — the free list
   instead of being constructed from scratch per request.  ``reset()``
   restores a recycled session to its freshly-constructed state, so pooled
   sampling stays bit-identical to unpooled sampling.

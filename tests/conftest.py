@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +31,29 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def _load_bench(name: str):
+    """``benchmarks/<name>.py`` as a module (registered in ``sys.modules``
+    first: its dataclasses resolve their annotations through it)."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def fig10():
     """``benchmarks/bench_fig10_localenergy.py`` as a module: the home of the
     scalar Fig. 10 rungs (baseline / sa_fuse / sa_fuse_lut)."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_fig10_localenergy.py"
-    spec = importlib.util.spec_from_file_location("bench_fig10_localenergy", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_bench("bench_fig10_localenergy")
+
+
+@pytest.fixture(scope="session")
+def ablations():
+    """``benchmarks/bench_ablations.py`` as a module: the home of the sampling
+    foils (RBM + Metropolis, independent-stream BAS merge)."""
+    return _load_bench("bench_ablations")
 
 
 @pytest.fixture()

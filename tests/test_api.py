@@ -54,10 +54,9 @@ def full_spec() -> RunSpec:
         optimizer=OptimizerSpec(name="adamw", lr_scale=0.5, warmup=123,
                                 weight_decay=0.0, grad_clip=None,
                                 params={"lr": 0.1}),
-        sampling=SamplingSpec(sampler="hybrid", ns_pretrain=777, ns_max=8888,
+        sampling=SamplingSpec(ns_pretrain=777, ns_max=8888,
                               ns_growth=1.5, pretrain_iters=0,
-                              eloc_mode="sample_aware",
-                              params={"n_streams": 2}),
+                              eloc_mode="sample_aware"),
         train=TrainSpec(max_iterations=7, pretrain_steps=0,
                         pretrain_target=0.25, seed=9, plateau_window=3,
                         plateau_rel_tol=1e-5, early_stop=False),
@@ -192,15 +191,23 @@ class TestRegistries:
     def test_builtins_are_registered(self):
         import repro.api
         import repro.core
-        from repro.api import OPTIMIZERS, SAMPLERS
+        import repro.api.registry
+        from repro.api import OPTIMIZERS
 
-        assert {"transformer", "made", "naqs-mlp", "rbm"} <= set(ANSATZE.names())
+        assert {"transformer", "made", "naqs-mlp"} == set(ANSATZE.names())
         assert {"adamw", "sr"} <= set(OPTIMIZERS.names())
-        assert {"bas", "hybrid", "mcmc"} <= set(SAMPLERS.names())
-        # The local energy is not a component: no registry, no exported rung.
+        # Three registries, and only three.
+        assert {n for n in repro.api.registry.__all__ if n.isupper()} == {
+            "ANSATZE", "OPTIMIZERS", "BACKENDS"}
+        # Neither the sampler nor the local energy is a component: no
+        # registry, no materializer, no exported foil or rung.
         for gone in ("ELOC_KERNELS", "register_eloc_kernel",
-                     "materialize_eloc_kernel"):
+                     "materialize_eloc_kernel", "SAMPLERS", "register_sampler",
+                     "materialize_sampler"):
             assert gone not in repro.api.__all__ and not hasattr(repro.api, gone)
+        for gone in ("RBMVMC", "MCMCStats", "metropolis_sample",
+                     "merge_batches", "merged_batch_sample"):
+            assert gone not in repro.core.__all__ and not hasattr(repro.core, gone)
         for gone in ("local_energy_baseline", "local_energy_sa_fuse",
                      "local_energy_sa_fuse_lut"):
             assert gone not in repro.core.__all__ and not hasattr(repro.core, gone)
@@ -237,9 +244,22 @@ class TestRegistries:
             run(spec, run_dir=tmp_path / "r")
 
     def test_unknown_sampler_in_spec(self, tmp_path):
-        spec = tiny_spec().with_overrides({"sampling.sampler": "quantum"})
-        with pytest.raises(UnknownComponentError, match="bas"):
-            run(spec, run_dir=tmp_path / "r")
+        """The knob is gone, with no alias: a --set naming it — or a parent-
+        commit spec.json carrying it — is an unknown field, refused by name,
+        whatever the value (even the former default)."""
+        for key, value in (("sampling.sampler", "quantum"),
+                           ("sampling.sampler", "bas"),
+                           ("sampling.params", {})):
+            with pytest.raises(SpecError, match=key):
+                tiny_spec().with_overrides({key: value})
+        assert set(SamplingSpec().to_dict()) == {
+            "ns_pretrain", "ns_max", "ns_growth", "pretrain_iters", "eloc_mode"}
+        data = tiny_spec().to_dict()
+        data["sampling"].update(sampler="bas", params={})
+        path = tmp_path / "old_spec.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SpecError, match=r"sampling\.params, sampling\.sampler"):
+            RunSpec.load(path)
 
     def test_unknown_optimizer_in_spec(self, tmp_path):
         spec = tiny_spec().with_overrides({"optimizer.name": "lion"})
@@ -372,10 +392,10 @@ class TestDriverEquivalence:
         first = run(tiny_spec({"train.max_iterations": 2}),
                     run_dir=tmp_path / "run")
         before = first.spec_path.read_bytes()
-        with pytest.raises(SpecError, match="bas"):
+        with pytest.raises(SpecError, match=r"optimizer\.name='sr'"):
             resume(first.run_dir, overrides={
                 "train.max_iterations": 3, "parallel.backend": "threads",
-                "parallel.n_ranks": 2, "sampling.sampler": "hybrid"})
+                "parallel.n_ranks": 2, "optimizer.name": "sr"})
         assert first.spec_path.read_bytes() == before
         again = resume(first.run_dir, overrides={"train.max_iterations": 3})
         assert again.report.iterations == 3
@@ -579,23 +599,6 @@ class TestPluggability:
             hand.append(sr.step(batch, eloc).energy)
         np.testing.assert_allclose(driven, hand, atol=1e-9, rtol=0)
 
-    def test_hybrid_sampler_runs(self, tmp_path):
-        spec = tiny_spec().with_overrides({
-            "sampling.sampler": "hybrid",
-            "sampling.params": {"n_streams": 2},
-            "train.max_iterations": 2,
-        })
-        result = run(spec, run_dir=tmp_path / "run")
-        assert result.report.iterations == 2
-        assert np.isfinite(result.report.energy)
-
-    @pytest.mark.parametrize("optimizer", ["adamw", "sr"])
-    def test_rbm_is_actionable_on_both_paths(self, tmp_path, optimizer):
-        spec = tiny_spec().with_overrides({"ansatz.name": "rbm",
-                                           "optimizer.name": optimizer})
-        with pytest.raises(SpecError, match="RBMVMC"):
-            run(spec, run_dir=tmp_path / "run")
-
     def test_custom_ansatz_plugs_in_by_name(self, tmp_path):
         """A registered builder is reachable from a spec with zero driver edits."""
         from repro.api import register_ansatz
@@ -664,7 +667,6 @@ class TestEveryLeafLands:
         assert (opt.weight_decay, opt.grad_clip) == (0.02, 0.7)
 
         assert (vmc.config.eloc_mode, vmc.config.seed) == ("sample_aware", 9)
-        assert vmc.config.sampler is None  # plain bas: the engine's own call
         ns = vmc.config.n_samples
         assert (ns(0), ns(2), ns(3), ns(4)) == (777, 777, 777, int(777 * 1.5))
         assert ns(50) == 8888  # the ns_max cap
@@ -688,10 +690,3 @@ class TestEveryLeafLands:
         assert (cfg.checkpoint_every, cfg.log_every) == (2, 1)
         assert cfg.checkpoint_path == tmp_path / "checkpoint.npz"
         assert cfg.log_path == tmp_path / "metrics.jsonl"
-
-    def test_a_sampler_with_params_lands_on_the_vmc_config(self, tmp_path):
-        from repro.api.driver import _build_trainer
-
-        spec = tiny_spec({"sampling.sampler": "hybrid",
-                          "sampling.params": {"n_streams": 2}})
-        assert callable(_build_trainer(spec, tmp_path).vmc.config.sampler)

@@ -108,6 +108,49 @@ class TestResume:
         assert "energies" not in keys
 
 
+class TestRefusalChangesNothing:
+    """``load_checkpoint`` is all-or-nothing: a file refused at *any* field
+    leaves parameters, optimizer, iteration, history and RNG as they were."""
+
+    @staticmethod
+    def _refused(h2_problem, tmp_path, edit, error):
+        donor = _fresh_vmc(h2_problem, "made")
+        donor.run(2)
+        save_checkpoint(donor, tmp_path / "good.npz")
+        payload = dict(np.load(tmp_path / "good.npz"))
+        edit(payload)
+        np.savez(tmp_path / "bad.npz", **payload)
+
+        vmc = _fresh_vmc(h2_problem, "made")
+        params = vmc.wf.get_flat_params().copy()
+        opt_state = {k: np.copy(v) for k, v in vmc.optimizer.state().items()}
+        rng_state = vmc.rng.bit_generator.state
+        with error:
+            load_checkpoint(vmc, tmp_path / "bad.npz")
+        np.testing.assert_array_equal(vmc.wf.get_flat_params(), params)
+        assert vmc.optimizer.state().keys() == opt_state.keys()
+        for key, value in vmc.optimizer.state().items():
+            np.testing.assert_array_equal(value, opt_state[key])
+        assert vmc.iteration == 0 and vmc.history == []
+        assert vmc.rng.bit_generator.state == rng_state
+
+    def test_bad_rng_state(self, h2_problem, tmp_path):
+        import json
+
+        def edit(payload):
+            state = json.loads(payload["rng_state"].item())
+            state["bit_generator"] = "default_rng"  # callable, not a BitGenerator
+            payload["rng_state"] = np.array(json.dumps(state))
+
+        self._refused(h2_problem, tmp_path, edit,
+                      pytest.raises(ValueError, match="rng_state"))
+
+    def test_missing_history_column(self, h2_problem, tmp_path):
+        self._refused(h2_problem, tmp_path,
+                      lambda payload: payload.pop("hist_comm_bytes_wire"),
+                      pytest.raises(KeyError, match="hist_comm_bytes_wire"))
+
+
 class TestRngPayload:
     def test_restore_rng_roundtrip(self):
         import json
@@ -117,6 +160,15 @@ class TestRngPayload:
         state = json.dumps(rng.bit_generator.state)
         clone = restore_rng(state)
         np.testing.assert_array_equal(clone.random(16), rng.random(16))
+
+    @pytest.mark.parametrize("name", ["default_rng", "BitGenerator", "seed", "nope"])
+    def test_only_numpy_bit_generators_are_instantiated(self, name):
+        import json
+
+        state = dict(np.random.default_rng(0).bit_generator.state,
+                     bit_generator=name)
+        with pytest.raises(ValueError, match="rng_state"):
+            restore_rng(json.dumps(state))
 
 
 class TestModelSnapshot:
@@ -176,3 +228,41 @@ class TestModelSnapshot:
             save_checkpoint(vmc, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
+
+
+class TestCheckpoint:
+    def test_roundtrip_resumes_identically(self, h2_problem, tmp_path):
+        def fresh():
+            wf = build_qiankunnet(4, 1, 1, seed=12)
+            return VMC(wf, h2_problem.hamiltonian,
+                       VMCConfig(n_samples=2000, eloc_mode="exact", seed=13))
+
+        # Run 6 iterations straight through.
+        vmc_a = fresh()
+        vmc_a.run(3)
+        save_checkpoint(vmc_a, tmp_path / "ck.npz")
+        vmc_a.run(3)
+
+        # Run 3, checkpoint, restore into a fresh driver, run 3 more.
+        vmc_b = fresh()
+        load_checkpoint(vmc_b, tmp_path / "ck.npz")
+        assert vmc_b.iteration == 3
+        vmc_b.rng = np.random.default_rng(vmc_a.config.seed)  # align streams?
+        # Parameters must match exactly at the restore point.
+        np.testing.assert_allclose(
+            vmc_b.wf.get_flat_params(),
+            vmc_a.wf.get_flat_params(), atol=1.0,  # diverged after extra steps
+        )
+
+    def test_checkpoint_restores_parameters_exactly(self, h2_problem, tmp_path):
+        wf = build_qiankunnet(4, 1, 1, seed=14)
+        vmc = VMC(wf, h2_problem.hamiltonian, VMCConfig(n_samples=1000, seed=15))
+        vmc.run(4)
+        params = wf.get_flat_params().copy()
+        save_checkpoint(vmc, tmp_path / "ck.npz")
+        vmc.run(4)  # mutate further
+        assert not np.allclose(wf.get_flat_params(), params)
+        load_checkpoint(vmc, tmp_path / "ck.npz")
+        np.testing.assert_array_equal(wf.get_flat_params(), params)
+        assert vmc.iteration == 4
+        assert vmc.optimizer.t == 4

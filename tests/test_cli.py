@@ -156,10 +156,14 @@ class TestInfo:
         rc = main(["info", "--components"])
         assert rc == 0
         out = capsys.readouterr().out
-        for token in ("transformer", "adamw", "sr", "bas", "hybrid", "mcmc",
-                      "threads"):
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "ansatz", "optimizer", "backend"]  # three registries
+        for token in ("transformer", "adamw", "sr", "threads"):
             assert token in out
-        assert "sa_fuse_lut" not in out and "eloc_kernel" not in out
+        for gone in ("sa_fuse_lut", "eloc_kernel", "sampler", "bas", "hybrid",
+                     "mcmc", "rbm"):
+            assert gone not in out
 
     def test_no_args_is_usage_error(self, capsys):
         assert main(["info"]) == 2

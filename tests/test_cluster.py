@@ -21,7 +21,6 @@ from repro.parallel import run_spmd
 from repro.parallel.cluster import (
     ClusterBackend,
     MeshTransport,
-    MPITransport,
     create_cluster_comm,
 )
 from repro.parallel.comm import Comm, CommAbortError
@@ -529,62 +528,11 @@ class TestFailureSemantics:
         assert "rank 1" in outcome
 
 
-# ---------------------------------------------------------------- MPI adapter
-class _FakeMPIWorld:
-    """A size-1 mpi4py stand-in (the container has no real mpi4py)."""
-
-    def __init__(self, rank=0, size=1):
-        self._rank, self._size = rank, size
-
-    def Get_rank(self):
-        return self._rank
-
-    def Get_size(self):
-        return self._size
-
-    def allgather(self, payload):
-        return [payload] * self._size
-
-
-class TestMPIAdapter:
-    def test_create_prefers_matching_mpi_world(self):
-        comm = create_cluster_comm(1, mpi=_FakeMPIWorld())
-        assert isinstance(comm.transport, MPITransport)
-        assert comm.Get_size() == 1
-
-    def test_mismatched_mpi_world_falls_back_to_sockets(self):
-        coord, addr = _start_coordinator(1, **_FAST)
-        try:
-            comm = create_cluster_comm(1, rendezvous_addr=addr,
-                                       mpi=_FakeMPIWorld(size=4))
-            assert isinstance(comm.transport, MeshTransport)
-            comm.close()
-        finally:
-            coord.stop()
-
-    def test_rank_conflict_with_mpi_world_rejected(self):
-        with pytest.raises(ValueError, match="parallel.rank"):
-            create_cluster_comm(1, rank=3, mpi=_FakeMPIWorld())
-
+# ------------------------------------------------------- create_cluster_comm
+class TestCreateClusterComm:
     def test_socket_path_without_rendezvous_addr_names_the_field(self):
         with pytest.raises(ValueError, match="parallel.rendezvous_addr"):
-            create_cluster_comm(2, mpi=None)
-
-    def test_mpicomm_accounting_matches_comm_contract(self):
-        comm = Comm(MPITransport(_FakeMPIWorld()))
-        comm.allgather_ndarray(np.zeros(10))
-        comm.allreduce_ndarray(np.zeros(5))
-        comm.allgather_blob(b"abc", logical_bytes=7)
-
-        def fn(c):
-            c.allgather_ndarray(np.zeros(10))
-            c.allreduce_ndarray(np.zeros(5))
-            c.allgather_blob(b"abc", logical_bytes=7)
-
-        _, ref = run_spmd(1, fn)
-        assert comm.stats.allgather_bytes == ref.allgather_bytes
-        assert comm.stats.allreduce_bytes == ref.allreduce_bytes
-        assert comm.stats.total_wire_bytes == ref.total_wire_bytes
+            create_cluster_comm(2)
 
 
 # ------------------------------------------------------------ VMC bit-identity

@@ -1,7 +1,7 @@
 """The Comm contract, once, over every transport.
 
 One parametrized suite over (solo, thread, process-pipe, process-shm, socket
-mesh, injected fake MPI world): rank order, the rank-ordered reduction
+mesh): rank order, the rank-ordered reduction
 bit-equal to a sequential ``functools.reduce``, identical ``CommStats`` on
 every rank of every transport, the size-1 degenerate world, and the failure
 contract — a desynchronized, departed or failed rank surfaces as
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import CommAbortError, run_spmd, run_spmd_processes
-from repro.parallel.cluster import MeshTransport, MPITransport
+from repro.parallel.cluster import MeshTransport
 from repro.parallel.comm import Comm, SoloTransport
 from repro.parallel.rendezvous import RendezvousCoordinator
 
@@ -96,53 +96,15 @@ def _launch_mesh(size, fn):
         coord.stop()
 
 
-class _FakeMPIWorld:
-    """An in-process mpi4py stand-in (the container has no real mpi4py):
-    ``size`` thread-hosted ranks whose ``allgather`` meets at a barrier."""
-
-    def __init__(self, size):
-        self.size = size
-        self.slots = [None] * size
-        self.barrier = threading.Barrier(size, timeout=BOUND_S)
-
-    def rank_view(self, rank):
-        world = self
-
-        class View:
-            def Get_rank(self):
-                return rank
-
-            def Get_size(self):
-                return world.size
-
-            def allgather(self, payload):
-                world.slots[rank] = payload
-                world.barrier.wait()
-                out = list(world.slots)
-                world.barrier.wait()
-                return out
-
-        return View()
-
-
-def _launch_mpi(size, fn):
-    world = _FakeMPIWorld(size)
-    return _run_threads_with(
-        lambda rank: Comm(MPITransport(world.rank_view(rank))), size, fn)
-
-
 LAUNCHERS = {
     "solo": _launch_solo,
     "thread": _launch_thread,
     "pipe": _launch_pipe,
     "shm": _launch_shm,
     "mesh": _launch_mesh,
-    "mpi": _launch_mpi,
 }
+# Every multi-rank transport detects a misbehaving peer itself.
 MULTI_RANK = [name for name in LAUNCHERS if name != "solo"]
-# Transports that detect a misbehaving peer themselves.  Solo has no peers,
-# and under MPI a lost rank is the MPI runtime's to detect and abort.
-SUPERVISED = ["thread", "pipe", "shm", "mesh"]
 
 
 def _bounded(call):
@@ -255,7 +217,7 @@ class TestCollectiveContract:
 
 
 class TestFailureContract:
-    @pytest.mark.parametrize("name", SUPERVISED)
+    @pytest.mark.parametrize("name", MULTI_RANK)
     def test_desynchronized_ranks_get_comm_abort_naming_op_and_seq(self, name):
         def fn(comm):
             comm.allreduce_ndarray(np.zeros(3))  # seq 0, in step
@@ -275,7 +237,7 @@ class TestFailureContract:
             assert "desynchronized" in message
             assert "allgather_ndarray" in message and "seq 1" in message
 
-    @pytest.mark.parametrize("name", SUPERVISED)
+    @pytest.mark.parametrize("name", MULTI_RANK)
     def test_early_exit_poisons_blocked_peers(self, name):
         """A rank that returns while a peer is still in a collective must not
         hang the peer: the peer gets CommAbortError naming the leaver."""
@@ -295,7 +257,7 @@ class TestFailureContract:
         assert kind == "CommAbortError", (kind, message)
         assert "rank 0" in message
 
-    @pytest.mark.parametrize("name", SUPERVISED)
+    @pytest.mark.parametrize("name", MULTI_RANK)
     def test_failed_rank_poisons_peers_and_is_reraised(self, name, tmp_path):
         marker = tmp_path / "survivor.txt"
 

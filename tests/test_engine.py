@@ -349,29 +349,6 @@ class TestElocChunkingKnobs:
 
 
 class TestEngineGuards:
-    def test_custom_sampler_rejected_on_parallel_ranks(self, h2_problem):
-        def sampler(wf, n, rng):  # pragma: no cover - never reached
-            raise AssertionError
-
-        vmc = _fresh_vmc(h2_problem, sampler=sampler,
-                         backend=ThreadBackend(n_ranks=2, nu_star_per_rank=4))
-        with pytest.raises(ValueError, match="custom samplers"):
-            vmc.step()
-
-    def test_custom_sampler_fine_on_one_rank(self, h2_problem):
-        from repro.core.sampler import batch_autoregressive_sample
-
-        calls = []
-
-        def sampler(wf, n, rng):
-            calls.append(n)
-            return batch_autoregressive_sample(wf, n, rng)
-
-        vmc = _fresh_vmc(h2_problem, sampler=sampler,
-                         backend=ThreadBackend(n_ranks=1))
-        vmc.step()
-        assert calls == [800]
-
     def test_bad_rank_count_rejected(self):
         with pytest.raises(ValueError, match="n_ranks"):
             ThreadBackend(n_ranks=0)
@@ -480,14 +457,6 @@ class TestRunSpecIntegration:
         one = spec.with_overrides({"parallel.n_ranks": 1,
                                    "train.max_iterations": 1})
         assert run(one, run_dir=tmp_path / "one").report.iterations == 1
-
-    def test_non_bas_sampler_plus_parallel_rejected(self):
-        from repro.api import SpecError
-        from repro.api.driver import materialize_backend
-
-        spec = self._spec().with_overrides({"sampling.sampler": "hybrid"})
-        with pytest.raises(SpecError, match="bas"):
-            materialize_backend(spec)
 
     def test_serial_with_many_ranks_rejected(self):
         from repro.api import SpecError

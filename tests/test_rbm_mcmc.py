@@ -1,64 +1,31 @@
-"""RBM baseline wavefunction, Metropolis sampling, MP2, checkpointing."""
+"""The RBM + Metropolis foil of ``benchmarks/bench_ablations.py``.
+
+The production path has one sampler; the Markov-chain baseline it replaces
+lives next to the ablation row that times it and is loaded through the
+``ablations`` fixture (``tests/conftest.py``).
+"""
 import numpy as np
 import pytest
 
-from repro.chem import (
-    compute_integrals,
-    make_molecule,
-    mo_transform,
-    run_fci,
-    run_mp2,
-    run_rhf,
-    to_spin_orbitals,
-)
-from repro.core import (
-    RBMVMC,
-    VMC,
-    VMCConfig,
-    build_qiankunnet,
-    load_checkpoint,
-    metropolis_sample,
-    save_checkpoint,
-)
-from repro.nn import RBMWavefunction
-
 
 class TestRBM:
-    def test_amplitudes_shape_and_consistency(self):
-        wf = RBMWavefunction(6, alpha=2, rng=np.random.default_rng(0))
+    def test_amplitudes_shape_and_consistency(self, ablations):
+        wf = ablations.RBMWavefunction(6, alpha=2, rng=np.random.default_rng(0))
         bits = np.random.default_rng(1).integers(0, 2, size=(5, 6))
         la = wf.log_amplitudes(bits)
         np.testing.assert_allclose(np.exp(la), wf.amplitudes(bits), rtol=1e-12)
 
-    def test_log_psi_grad_matches_finite_difference(self):
-        wf = RBMWavefunction(4, alpha=1, rng=np.random.default_rng(2))
-        bits = np.array([[1, 0, 1, 0]], dtype=np.uint8)
-        analytic = wf.log_psi_grad(bits)[0]
-        flat = wf.get_flat_params()
-        eps = 1e-6
-        rng = np.random.default_rng(3)
-        for idx in rng.choice(len(flat), size=10, replace=False):
-            f = flat.copy()
-            f[idx] += eps
-            wf.set_flat_params(f)
-            plus = wf.log_amplitudes(bits)[0]
-            f[idx] -= 2 * eps
-            wf.set_flat_params(f)
-            minus = wf.log_amplitudes(bits)[0]
-            wf.set_flat_params(flat)
-            numeric = (plus - minus) / (2 * eps)
-            assert analytic[idx] == pytest.approx(numeric, abs=1e-6)
-
-    def test_parameter_count(self):
-        wf = RBMWavefunction(6, alpha=2)
+    def test_parameter_count(self, ablations):
+        wf = ablations.RBMWavefunction(6, alpha=2)
         # complex a (6), b (12), W (72) -> 2x real parameters
         assert wf.num_parameters() == 2 * (6 + 12 + 72)
 
 
 class TestMetropolis:
-    def test_number_conservation(self, h2o_problem):
-        wf = RBMWavefunction(h2o_problem.n_qubits, rng=np.random.default_rng(4))
-        batch, stats = metropolis_sample(
+    def test_number_conservation(self, ablations, h2o_problem):
+        wf = ablations.RBMWavefunction(h2o_problem.n_qubits,
+                                       rng=np.random.default_rng(4))
+        batch, stats = ablations.metropolis_sample(
             wf, h2o_problem.hf_bits, n_samples=500, rng=np.random.default_rng(5)
         )
         assert batch.n_samples == 500
@@ -67,12 +34,12 @@ class TestMetropolis:
         assert 0.0 <= stats.acceptance_rate <= 1.0
 
     @pytest.mark.slow
-    def test_distribution_matches_amplitudes(self, h2_problem):
+    def test_distribution_matches_amplitudes(self, ablations, h2_problem):
         """Long chain frequencies converge to |Psi|^2 on the tiny H2 sector."""
         from tests.test_wavefunction import sector_bitstrings
 
-        wf = RBMWavefunction(4, alpha=2, rng=np.random.default_rng(6))
-        batch, _ = metropolis_sample(
+        wf = ablations.RBMWavefunction(4, alpha=2, rng=np.random.default_rng(6))
+        batch, _ = ablations.metropolis_sample(
             wf, h2_problem.hf_bits, n_samples=40_000,
             rng=np.random.default_rng(7), n_burnin=500,
         )
@@ -87,76 +54,8 @@ class TestMetropolis:
         np.testing.assert_allclose(freq, psi2, atol=0.02)
 
 
-class TestRBMVMC:
-    @pytest.mark.slow
-    def test_optimizes_h2(self, h2_problem):
-        fci = run_fci(h2_problem.hamiltonian).energy
-        wf = RBMWavefunction(4, alpha=2, rng=np.random.default_rng(8))
-        vmc = RBMVMC(wf, h2_problem.hamiltonian, h2_problem.hf_bits,
-                     n_samples=1500, lr=0.05, seed=9)
-        hist = vmc.run(60)
-        assert hist[-1] < hist[0]          # energy decreased
-        assert hist[-1] > fci - 5e-2       # sane range
-
-    def test_sr_preconditioning_runs(self, h2_problem):
-        wf = RBMWavefunction(4, alpha=1, rng=np.random.default_rng(10))
-        vmc = RBMVMC(wf, h2_problem.hamiltonian, h2_problem.hf_bits,
-                     n_samples=800, lr=0.05, use_sr=True, seed=11)
-        hist = vmc.run(25)
-        assert np.all(np.isfinite(hist))
-        assert hist[-1] < hist[0] + 0.05
-
-
-class TestMP2:
-    def test_between_hf_and_fci(self, h2o_problem):
-        ints = compute_integrals(make_molecule("H2O"), "sto-3g")
-        scf = run_rhf(ints)
-        mp2 = run_mp2(to_spin_orbitals(mo_transform(ints, scf)))
-        fci = run_fci(h2o_problem.hamiltonian).energy
-        assert mp2.e_corr < 0
-        assert fci - 5e-3 < mp2.energy < scf.energy
-
-    def test_h2_mp2_below_hf(self):
-        ints = compute_integrals(make_molecule("H2", r=0.7414), "sto-3g")
-        scf = run_rhf(ints)
-        mp2 = run_mp2(to_spin_orbitals(mo_transform(ints, scf)))
-        assert mp2.energy < scf.energy
-        assert mp2.e_scf == pytest.approx(scf.energy, abs=1e-8)
-
-
-class TestCheckpoint:
-    def test_roundtrip_resumes_identically(self, h2_problem, tmp_path):
-        def fresh():
-            wf = build_qiankunnet(4, 1, 1, seed=12)
-            return VMC(wf, h2_problem.hamiltonian,
-                       VMCConfig(n_samples=2000, eloc_mode="exact", seed=13))
-
-        # Run 6 iterations straight through.
-        vmc_a = fresh()
-        vmc_a.run(3)
-        save_checkpoint(vmc_a, tmp_path / "ck.npz")
-        vmc_a.run(3)
-
-        # Run 3, checkpoint, restore into a fresh driver, run 3 more.
-        vmc_b = fresh()
-        load_checkpoint(vmc_b, tmp_path / "ck.npz")
-        assert vmc_b.iteration == 3
-        vmc_b.rng = np.random.default_rng(vmc_a.config.seed)  # align streams?
-        # Parameters must match exactly at the restore point.
-        np.testing.assert_allclose(
-            vmc_b.wf.get_flat_params(),
-            vmc_a.wf.get_flat_params(), atol=1.0,  # diverged after extra steps
-        )
-
-    def test_checkpoint_restores_parameters_exactly(self, h2_problem, tmp_path):
-        wf = build_qiankunnet(4, 1, 1, seed=14)
-        vmc = VMC(wf, h2_problem.hamiltonian, VMCConfig(n_samples=1000, seed=15))
-        vmc.run(4)
-        params = wf.get_flat_params().copy()
-        save_checkpoint(vmc, tmp_path / "ck.npz")
-        vmc.run(4)  # mutate further
-        assert not np.allclose(wf.get_flat_params(), params)
-        load_checkpoint(vmc, tmp_path / "ck.npz")
-        np.testing.assert_array_equal(wf.get_flat_params(), params)
-        assert vmc.iteration == 4
-        assert vmc.optimizer.t == 4
+@pytest.mark.slow
+def test_bench_agreement_check(ablations):
+    """The bench's own gate (Metropolis histogram vs enumerated |Psi|^2,
+    one-stream merge == one plain BAS sweep) passes under pytest."""
+    assert ablations.check_foils_agree() <= 0.02

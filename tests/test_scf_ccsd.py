@@ -1,4 +1,4 @@
-"""RHF and CCSD against reference energies and internal consistency."""
+"""RHF, MP2 and CCSD against reference energies and internal consistency."""
 import numpy as np
 import pytest
 
@@ -8,6 +8,8 @@ from repro.chem import (
     make_molecule,
     mo_transform,
     run_ccsd,
+    run_fci,
+    run_mp2,
     run_rhf,
     to_spin_orbitals,
 )
@@ -168,3 +170,20 @@ class TestCCSD:
         # Paper Table 1: CCSD within ~0.1 mHa of FCI for H2O/STO-3G.
         assert cc.energy == pytest.approx(fci.energy, abs=5e-4)
         assert cc.energy >= fci.energy - 1e-6  # FCI is the variational floor
+
+
+class TestMP2:
+    def test_between_hf_and_fci(self, h2o_problem):
+        ints = compute_integrals(make_molecule("H2O"), "sto-3g")
+        scf = run_rhf(ints)
+        mp2 = run_mp2(to_spin_orbitals(mo_transform(ints, scf)))
+        fci = run_fci(h2o_problem.hamiltonian).energy
+        assert mp2.e_corr < 0
+        assert fci - 5e-3 < mp2.energy < scf.energy
+
+    def test_h2_mp2_below_hf(self):
+        ints = compute_integrals(make_molecule("H2", r=0.7414), "sto-3g")
+        scf = run_rhf(ints)
+        mp2 = run_mp2(to_spin_orbitals(mo_transform(ints, scf)))
+        assert mp2.energy < scf.energy
+        assert mp2.e_scf == pytest.approx(scf.energy, abs=1e-8)

@@ -214,10 +214,10 @@ class TestTrainConfigValidation:
         vmc = {f.name for f in fields(VMCConfig)}
         assert train & vmc == set()
         assert len(train) <= 11
-        assert vmc == {"n_samples", "eloc_mode", "seed", "sampler",
-                       "eloc_memory_budget_mb"}
+        assert vmc == {"n_samples", "eloc_mode", "seed", "eloc_memory_budget_mb"}
         assert not (train | vmc) & {"warmup", "lr_scale", "weight_decay",
-                                    "grad_clip", "group_chunk", "sample_chunk"}
+                                    "grad_clip", "group_chunk", "sample_chunk",
+                                    "sampler"}
 
 
 class TestTrainReportSerialization:

@@ -196,19 +196,15 @@ class TestVMCConfigValidation:
         assert NoamAdamW(wf, grad_clip=None).grad_clip is None
 
     def test_custom_sampler_is_used(self):
-        from repro.core.sampler import batch_autoregressive_sample
-
-        calls = []
-
-        def spy_sampler(wf, n, rng):
-            calls.append(n)
-            return batch_autoregressive_sample(wf, n, rng)
-
+        """(Id kept.)  There is no sampler hook: stage 1 is the BAS sweep,
+        and the whole configured budget reaches it."""
         wf = build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
                               phase_hidden=(8,), seed=0)
         from repro.hamiltonian.synthetic import synthetic_molecular_hamiltonian
 
         ham = synthetic_molecular_hamiltonian(4, n_terms=8, seed=3)
-        vmc = VMC(wf, ham, VMCConfig(n_samples=64, sampler=spy_sampler))
-        vmc.step()
-        assert calls == [64]
+        with pytest.raises(TypeError, match="sampler"):
+            VMCConfig(n_samples=64, sampler=lambda wf, n, rng: None)
+        vmc = VMC(wf, ham, VMCConfig(n_samples=64))
+        stats = vmc.step()
+        assert stats.n_samples == 64
