@@ -16,7 +16,7 @@ of the previous one, so the measured speedups are cumulative:
 * ``local_energy_vectorized``  — + method (3) "batch parallelism": the same
   arithmetic as chunked array operations over the batch (the paper's GPU
   level; substitution documented in DESIGN.md).  The library's reference.
-* ``ElocPlan.local_energy``    — + compiled plan with coupled-key dedup
+* ``ElocPlan.local_energy``    — + compiled plan, membership map before the search
   (Hamiltonian-static work hoisted out of the call path, unique x' looked
   up once per chunk).  The library's production kernel.
 
@@ -26,12 +26,12 @@ C2/STO-3G by default (LiCl and C2H4O in full mode, as in the paper), with
 unique samples drawn from a warmed-up QiankunNet.
 
 Shape to reproduce: monotone speedup ordering with the batch kernels orders
-of magnitude above the scalar levels, the dedup+plan rung faster than the
+of magnitude above the scalar levels, the plan rung faster than the
 plain vectorized kernel at bit-identical values, and all five rungs agreeing
 to 1e-10 on the same rows (``ladder_values``).
 
 CI smoke: ``python benchmarks/bench_fig10_localenergy.py --smoke`` runs the
-two batch rungs only on a small C2 batch, asserts the dedup+plan kernel is
+two batch rungs only on a small C2 batch, asserts the plan kernel is
 no slower than the vectorized one (values bit-identical), and records the
 measured ratio to ``benchmarks/results/``.
 """
@@ -267,7 +267,7 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def measure_dedup_plan(comp, batch, table, repeats: int = 3) -> dict:
-    """Vectorized vs. plan+dedup kernel on one batch: times + bit-identity.
+    """Vectorized vs. planned kernel on one batch: times + bit-identity.
 
     The plan is compiled once outside the timed region (that is the point:
     compile once, evaluate many); both kernels then run ``repeats`` times
@@ -335,12 +335,12 @@ def test_fig10_local_energy_speedups(benchmark, full):
         format_table(
             "Fig. 10 — Local-energy speedups over the bare-CPU baseline",
             ["Molecule", "N", "N_h", "N_u", "SA+FUSE", "SA+FUSE+LUT",
-             "SA+FUSE+LUT+VEC", "+PLAN+DEDUP"],
+             "SA+FUSE+LUT+VEC", "+PLAN"],
             rows,
             notes=(
                 "VEC = batch-vectorized numpy kernel (the paper's GPU level; "
-                "paper reports 24x / 103x / 3768x for C2).  PLAN+DEDUP = "
-                "compiled ElocPlan with per-chunk coupled-key dedup, "
+                "paper reports 24x / 103x / 3768x for C2).  PLAN = "
+                "compiled ElocPlan (membership map before the LUT search), "
                 "bit-identical to VEC.  Shape: monotone ladder, batch rungs "
                 ">> scalar levels."
             ),
@@ -354,12 +354,13 @@ def test_fig10_local_energy_speedups(benchmark, full):
 
 def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5,
               backend: str = "numpy") -> list[dict]:
-    """The CI rung check: plan+dedup must not lose to vectorized on C2.
+    """The CI rung check: the planned kernel must not lose to vectorized on C2.
 
-    Two rows, covering both lookup regimes: the sample-aware table (small
-    LUT — dedup disengaged, the plan's static precompute and parity fold
-    carry the rung) and the exact-mode extended table (large LUT — the
-    ``np.unique`` coupled-key dedup engages).  ``backend`` scopes the timed
+    Two rows, covering both table regimes: the sample-aware table (small
+    LUT, few coupled keys present — the membership map spares nearly all of
+    them the search) and the exact-mode extended table (large LUT, many
+    hits — the plan's static precompute and parity fold carry more of the
+    rung).  ``backend`` scopes the timed
     kernels under a registered array backend (``--backend mock`` measures
     the instrumentation overhead of the counting namespace).
     """
@@ -385,13 +386,13 @@ def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5,
     registry.record(
         f"fig10_dedup_plan_smoke{suffix}",
         format_table(
-            "Fig. 10 smoke — dedup+plan kernel vs. vectorized (C2/STO-3G)",
+            "Fig. 10 smoke — planned kernel vs. vectorized (C2/STO-3G)",
             ["table regime", "backend", "N_u", "table", "t_vec (ms)",
              "t_plan (ms)", "speedup", "bit-identical"],
             rows,
             notes=("CI gate: speedup >= 1.0x in both regimes and "
                    "bitwise-equal local energies (ElocPlan compiled once, "
-                   "evaluated many; dedup engages on the extended table)."),
+                   "evaluated many; a per-table membership map spares absent keys the search)."),
         ),
     )
     return results
@@ -419,10 +420,10 @@ if __name__ == "__main__":
             f"planned kernel is not bit-identical ({res['regime']})"
         )
         assert res["speedup"] >= 1.0, (
-            f"dedup+plan rung regressed on the {res['regime']} table: "
+            f"plan rung regressed on the {res['regime']} table: "
             f"{res['speedup']:.2f}x vs vectorized"
         )
-        print(f"acceptance [{res['regime']}]: dedup+plan "
+        print(f"acceptance [{res['regime']}]: plan "
               f"{res['speedup']:.2f}x >= 1.0x vs vectorized, "
               "bit-identical — PASS")
     if args.backend != "numpy":

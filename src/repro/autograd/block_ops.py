@@ -1,4 +1,4 @@
-"""Block-granular autograd: five coarse ops with hand-derived backwards.
+"""Block-granular autograd: seven coarse ops with hand-derived backwards.
 
 The primitive ``Tensor`` ops put one tape node (and one full-size temporary)
 behind every ``+``, ``*`` and ``reshape``; at the QiankunNet shapes that is
@@ -19,6 +19,18 @@ Each op is split in two:
   registers the backward closure through ``Tensor._make`` — under
   ``no_grad`` nothing is retained.
 
+Two more taped ops carry no arithmetic of their own: ``rows_from_nodes`` and
+``nodes_from_rows`` bridge the node-major layout of the taped prefix-tree
+pass (one row per *distinct* token prefix, ``NNQSWavefunction.log_prob``)
+and the ``(b, t, .)`` layout the dense attention core works on.
+
+Every reduction over a last axis here is 4 to 64 wide, where numpy's
+reduction loop runs once per output element; they are written as
+contractions instead (``last_axis_sum`` / ``last_axis_dot`` /
+``last_axis_max``) — one formulation per reduction, whatever the width
+(``tools/lint_backend.py`` refuses an ``axis=-1`` ``sum`` / ``mean`` /
+``max`` in this file).
+
 The primitive ``Tensor`` ops stay: MADE's masked weights, SR and the tests
 use them, and ``tests/test_block_ops.py`` checks every block op against the
 same function composed from primitives.
@@ -33,6 +45,9 @@ from repro.backend.dtypes import bool_
 
 __all__ = [
     "MASK_VALUE",
+    "last_axis_sum",
+    "last_axis_dot",
+    "last_axis_max",
     "linear_forward",
     "layer_norm_forward",
     "gelu_forward",
@@ -45,6 +60,8 @@ __all__ = [
     "layer_norm",
     "gelu",
     "causal_attention",
+    "rows_from_nodes",
+    "nodes_from_rows",
     "picked_log_softmax",
 ]
 
@@ -54,6 +71,33 @@ MASK_VALUE = -1e30
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_CK = _GELU_C * 0.044715
+
+
+# --------------------------------------------------------------------------
+# Short-axis reductions as contractions
+# --------------------------------------------------------------------------
+def last_axis_sum(x):
+    """``sum(x, axis=-1, keepdims=True)`` as one GEMV against ones."""
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ xp.ones(n)).reshape(x.shape[:-1] + (1,))
+
+
+def last_axis_dot(a, b):
+    """``sum(a * b, axis=-1, keepdims=True)`` without the product array."""
+    return xp.einsum("...i,...i->...", a, b)[..., None]
+
+
+def last_axis_max(x):
+    """``max(x, axis=-1, keepdims=True)`` as a running maximum over columns."""
+    m = xp.array(x[..., 0])
+    for j in range(1, x.shape[-1]):
+        xp.maximum(m, x[..., j], out=m)
+    return m[..., None]
+
+
+def _column_sums(rows):
+    """``sum(rows, axis=0)`` of a 2-D array as one GEMV against ones."""
+    return xp.ones(len(rows)) @ rows
 
 
 # --------------------------------------------------------------------------
@@ -69,8 +113,9 @@ def linear_forward(x, w, b=None):
 
 def layer_norm_forward(x, gamma, beta, eps: float):
     """LayerNorm over the last axis; returns ``(out, xhat, inv_std)``."""
-    xhat = x - xp.mean(x, axis=-1, keepdims=True)
-    inv = 1.0 / xp.sqrt(xp.mean(xhat * xhat, axis=-1, keepdims=True) + eps)
+    scale = 1.0 / x.shape[-1]
+    xhat = x - last_axis_sum(x) * scale
+    inv = 1.0 / xp.sqrt(last_axis_dot(xhat, xhat) * scale + eps)
     xhat *= inv
     out = xhat * gamma
     out += beta
@@ -97,17 +142,17 @@ def gelu_forward(a):
 
 def softmax(x):
     """Softmax over the last axis (max-shifted; the input is left untouched)."""
-    e = x - xp.max(x, axis=-1, keepdims=True)
+    e = x - last_axis_max(x)
     xp.exp(e, out=e)
-    e /= xp.sum(e, axis=-1, keepdims=True)
+    e /= last_axis_sum(e)
     return e
 
 
 def log_softmax(x):
     """Log-softmax over the last axis (max-shifted; the input is left
     untouched) — the arithmetic of :func:`picked_log_softmax` before the pick."""
-    z = x - xp.max(x, axis=-1, keepdims=True)
-    z -= xp.log(xp.sum(xp.exp(z), axis=-1, keepdims=True))
+    z = x - last_axis_max(x)
+    z -= xp.log(last_axis_sum(xp.exp(z)))
     return z
 
 
@@ -157,7 +202,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         g2 = g.reshape(-1, wd.shape[0])
         gx = (g2 @ wd).reshape(xd.shape) if x.requires_grad else None
         gw = g2.T @ xd.reshape(-1, wd.shape[1])
-        gb = None if b is None else xp.sum(g2, axis=0)
+        gb = None if b is None else _column_sums(g2)
         return gx, gw, gb
 
     return Tensor._make(out, (x, w, b), backward)  # _make drops a None bias
@@ -170,14 +215,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
     def backward(g):
         rows = g.reshape(-1, g.shape[-1])
-        ggamma = xp.sum(rows * xhat.reshape(rows.shape), axis=0)
-        gbeta = xp.sum(rows, axis=0)
+        ggamma = xp.einsum("ij,ij->j", rows, xhat.reshape(rows.shape))
+        gbeta = _column_sums(rows)
         if not x.requires_grad:
             return None, ggamma, gbeta
+        scale = 1.0 / g.shape[-1]
         gxhat = g * gd
-        gx = gxhat - xp.mean(gxhat, axis=-1, keepdims=True)
-        gxhat *= xhat
-        gx -= xhat * xp.mean(gxhat, axis=-1, keepdims=True)
+        gx = gxhat - last_axis_sum(gxhat) * scale
+        gx -= xhat * (last_axis_dot(gxhat, xhat) * scale)
         gx *= inv
         return gx, ggamma, gbeta
 
@@ -223,7 +268,7 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
         gqkv = xp.empty((3, b, h, t, dh))
         xp.matmul(xp.swapaxes(att, -1, -2), g, out=gqkv[2])        # gv
         gs = g @ xp.swapaxes(v, -1, -2)                            # d att
-        gs -= xp.sum(gs * att, axis=-1, keepdims=True)
+        gs -= last_axis_dot(gs, att)
         gs *= att               # softmax backward; exactly 0 at masked entries
         gs *= 1.0 / math.sqrt(dh)
         xp.matmul(gs, k, out=gqkv[0])                              # gq
@@ -233,29 +278,72 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     return Tensor._make(merge_heads(out), (qkv,), backward)
 
 
-def picked_log_softmax(logits: Tensor, allowed, tokens) -> Tensor:
-    """``sum_i log softmax(masked logits)[i, tokens_i]`` — the log-prob head.
+def rows_from_nodes(x: Tensor, node_at, rep_row, level) -> Tensor:
+    """Rows read their prefixes' nodes: ``(n, c)`` node-major -> ``(b, t, c)``.
 
-    ``logits``: ``(b, t, vocab)``; ``allowed``: bool ``(b, t, vocab)`` mask of
-    permitted tokens (``None`` = unconstrained); ``tokens``: int ``(b, t)``.
-    Mask + log-softmax + gather + sum over positions in one node, returning
-    ``(b,)``.  Backward is ``g (onehot - softmax)``, zero at masked entries.
+    ``out[i, k] = x[node_at[i, k]]``.  The rows are lexsorted and the nodes
+    level-major, so the rows through node ``j`` are contiguous from
+    ``rep_row[j]`` on in column ``level[j]``: backward is a segment sum over
+    the level-major gradient — one ``add.reduceat``, no scatter.
+    """
+    out = xp.take(x.data, node_at, axis=0)
+
+    def backward(g):
+        b, t, c = g.shape
+        by_level = xp.ascontiguousarray(xp.swapaxes(g, 0, 1)).reshape(t * b, c)
+        return (xp.add.reduceat(by_level, level * b + rep_row, axis=0),)
+
+    return Tensor._make(out, (x,), backward)
+
+
+def nodes_from_rows(y: Tensor, rep_row, level) -> Tensor:
+    """A node reads its representative row: ``(b, t, c)`` -> ``(n, c)``.
+
+    ``out[j] = y[rep_row[j], level[j]]``; every ``(row, position)`` is read
+    at most once, so backward is a plain scatter into zeros.
+    """
+    yd = y.data
+
+    def backward(g):
+        gy = xp.zeros_like(yd)
+        gy[rep_row, level] = g
+        return (gy,)
+
+    return Tensor._make(yd[rep_row, level], (y,), backward)
+
+
+def picked_log_softmax(logits: Tensor, allowed, tokens, node_at=None) -> Tensor:
+    """``sum_k log softmax(masked logits)[node_at[i, k], tokens[i, k]]`` — the
+    log-prob head; returns ``(b,)`` for int ``tokens`` / ``node_at`` ``(b, t)``.
+
+    ``logits``: ``(n, vocab)`` conditionals, one per node, with row ``i``
+    reading its position-``k`` conditional off node ``node_at[i, k]`` — or
+    dense ``(b, t, vocab)`` with ``node_at=None``, every ``(row, position)``
+    its own node.  ``allowed``: bool mask of permitted tokens in the shape of
+    ``logits`` (``None`` = unconstrained).  Mask + log-softmax + gather + sum
+    over positions in one node.  Backward is ``picked - G softmax`` with
+    ``picked`` the upstream gradient binned per (node, token) — one
+    ``bincount`` — and ``G`` its sum per node; zero at masked entries.
     """
     z = logits.data
     if allowed is not None:
         z = xp.where(allowed, z, MASK_VALUE)
-    z = z - xp.max(z, axis=-1, keepdims=True)
+    z = z - last_axis_max(z)
     p = xp.exp(z)
-    norm = xp.sum(p, axis=-1, keepdims=True)
-    b, t, _ = z.shape
-    rows, cols = xp.arange(b)[:, None], xp.arange(t)[None, :]
-    out = xp.sum(z[rows, cols, tokens] - xp.log(norm[..., 0]), axis=1)
+    norm = last_axis_sum(p)
+    z -= xp.log(norm)
+    vocab = z.shape[-1]
+    if node_at is None:
+        node_at = xp.arange(tokens.size).reshape(tokens.shape)
+    flat = node_at * vocab + tokens
+    out = last_axis_sum(xp.take(z.reshape(-1), flat))[:, 0]
     p /= norm
 
     def backward(g):
-        g = g[:, None]
-        gl = p * -g[:, :, None]
-        gl[rows, cols, tokens] += g
+        weights = xp.repeat(g, flat.shape[1])
+        picked = xp.bincount(flat.reshape(-1), weights=weights, minlength=p.size)
+        picked = picked.reshape(p.shape)
+        gl = picked - p * last_axis_sum(picked)
         if allowed is not None:
             gl[~allowed] = 0.0
         return (gl,)

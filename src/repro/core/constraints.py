@@ -51,19 +51,19 @@ class ParticleNumberConstraint:
 
     # --------------------------------------------------------------- masking
     def mask_for_step(self, counts_up: np.ndarray, counts_dn: np.ndarray,
-                      step: int) -> np.ndarray:
-        """(B, vocab) allowed-token mask given occupation counts at ``step``."""
+                      step) -> np.ndarray:
+        """(B, vocab) allowed-token mask given occupation counts at ``step``
+        (one position for the whole batch, or a ``(B,)`` array of them)."""
         if self.vocab_size == 4:
-            left = self.n_tokens - step - 1
+            left = np.reshape(self.n_tokens - step - 1, (-1, 1))
             need_up = self.n_up - counts_up[:, None] - self.tok_up[None, :]
             need_dn = self.n_dn - counts_dn[:, None] - self.tok_dn[None, :]
             return (need_up >= 0) & (need_dn >= 0) & (need_up <= left) & (need_dn <= left)
-        spin = self.pos_spin[step]
-        n = self.n_up if spin == 0 else self.n_dn
-        used = counts_up if spin == 0 else counts_dn
-        occ = np.array([0, 1], dtype=np.int64)
-        need = n - used[:, None] - occ[None, :]
-        return (need >= 0) & (need <= self._left_same[step])
+        up_channel = np.reshape(self.pos_spin[step] == 0, (-1, 1))
+        free = np.where(up_channel, self.n_up - counts_up[:, None],
+                        self.n_dn - counts_dn[:, None])
+        need = free - np.array([0, 1], dtype=np.int64)
+        return (need >= 0) & (need <= np.reshape(self._left_same[step], (-1, 1)))
 
     def counts_before(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative (up, dn) occupation *before* each position; (B, T+1)."""
@@ -85,10 +85,10 @@ class ParticleNumberConstraint:
         tokens = np.asarray(tokens, dtype=np.int64)
         b, t = tokens.shape
         cu, cd = self.counts_before(tokens)
-        out = np.zeros((b, t, self.vocab_size), dtype=bool)
-        for i in range(t):
-            out[:, i] = self.mask_for_step(cu[:, i], cd[:, i], i)
-        return out
+        steps = np.tile(np.arange(t), b)
+        return self.mask_for_step(
+            cu[:, :t].ravel(), cd[:, :t].ravel(), steps
+        ).reshape(b, t, self.vocab_size)
 
     def validate_bits(self, bits: np.ndarray) -> np.ndarray:
         """(B,) bool: does each bitstring carry exactly (n_up, n_dn) electrons?"""

@@ -11,8 +11,9 @@ Fig. 4 (Sec. 3.2):
                             plain serial sweep on the engine's persistent RNG
                             (bit-identical to the serial backend).
   stage 2  gather/table     Allgather of (packed unique samples, weights,
-                            log amplitudes); lexsorted into the global
-                            amplitude table (Algorithm 2's id_lut/wf_lut).
+                            log amplitudes = the sweep's log pi + the phase
+                            MLP); lexsorted into the global amplitude table
+                            (Algorithm 2's id_lut/wf_lut).
   stage 3  eloc shard       each rank evaluates local energies for its
                             weight-balanced chunk of the global unique set
                             (Sec. 3.3 load balancing) against the table.
@@ -73,7 +74,7 @@ from repro.core.sampler import (
     bas_prefix_sweep,
     batch_autoregressive_sample,
 )
-from repro.core.wavefunction import row_blocks
+from repro.core.wavefunction import row_blocks, token_order
 from repro.optim import AdamW, NoamSchedule
 from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
 
@@ -261,20 +262,28 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, codec: bool = True,
     * ``stage2_amps`` — the complex128 log-amplitudes, always raw (lossless
       float compression is not worth the cycles).
 
-    Amplitudes come from ``wf.log_amplitudes(local.bits)``, which orders the
-    rows itself (a prefix-tree walk for the transformer): a row's value does
-    not depend on its batch-mates beyond BLAS rounding, and every backend,
-    transport and codec calls the same function on the same rows at equal
-    N_p, so they stay bit-identical to each other.  The global set is unique
-    across ranks (disjoint BAS subtrees), hence the final lexsort yields the
-    same table bit-for-bit regardless of the wire encoding.
+    The decoder is not evaluated here: ``log pi`` of every local row is
+    ``local.log_prob``, which the stage-1 sweep accumulated along the row's
+    tree path, and only the phase MLP runs (``wf.phases``, no tape, row
+    blocks).  A batch without it did not come out of a sweep and is refused —
+    ``wf.log_amplitudes`` is the evaluator for bits given from elsewhere, not
+    a fallback of this stage.  Every backend, transport and codec sweeps the
+    same subtrees with the same streams at equal N_p, so they stay
+    bit-identical to each other.  The global set is unique across ranks
+    (disjoint BAS subtrees), hence the final lexsort yields the same table
+    bit-for-bit regardless of the wire encoding.
     """
+    if local.log_prob is None:
+        raise ValueError(
+            "stage 2 needs SampleBatch.log_prob, the log pi a BAS sweep hands "
+            "out with its rows; this batch did not come out of a sweep"
+        )
     local_keys = pack_bits(local.bits)
     # The stage-2 comm boundary: log-amplitudes leave the device exactly once
     # per rank and iteration, entering the host-resident global table (and,
     # multi-rank, the stage2_amps collective).
     local_amps = active_backend().to_host(
-        wf.log_amplitudes(local.bits), tag="stage2.amps"
+        0.5 * local.log_prob + 1j * wf.phases(local.bits), tag="stage2.amps"
     )
     if comm.Get_size() == 1:
         order = lexsort_keys(local_keys)
@@ -386,15 +395,21 @@ def stage_backward(wf, chunk: SampleBatch, w_norm,
     time (``wavefunction.row_blocks``) with the tape accumulating in place
     into ``p.grad`` — views of the zeroed gradient buffer of ``wf``'s
     parameter arena: peak activation memory is O(block), not O(N_u), and a
-    rank that owns no rows returns zeros.  The result *is* that buffer (no
-    copy): valid until the next gradient is taken on ``wf``.
+    rank that owns no rows returns zeros.  The blocks are cut from the rows
+    in token order, so a block's rows share prefixes — what ``wf.log_prob``
+    tapes once per distinct prefix — whatever the ansatz's ``reverse_order``
+    (for the default order that is the key order the chunk arrives in).  The
+    result *is* the arena buffer (no copy): valid until the next gradient is
+    taken on ``wf``.
     """
     arena = wf.arena()
     arena.zero_grad(bind_all=True)
     coeff_amp = w_norm * (eloc.real - e_mean)
     coeff_phase = 2.0 * w_norm * (eloc.imag - e_imag)
-    for rows in row_blocks(len(chunk.bits)):
-        _surrogate_backward(wf, chunk.bits[rows], coeff_amp[rows], coeff_phase[rows])
+    order = token_order(wf.bits_to_tokens(chunk.bits))
+    for rows in row_blocks(len(order)):
+        idx = order[rows]
+        _surrogate_backward(wf, chunk.bits[idx], coeff_amp[idx], coeff_phase[idx])
     return arena.grad
 
 

@@ -5,17 +5,17 @@ One production path and one reference (Sec. 3.4, Algorithm 2):
 * :class:`ElocPlan` — the kernel every run, driver and server reaches.  A
   plan is compiled once per ``(CompressedHamiltonian, chunking)``: group
   sizes, CSR chunk scaffolds and the packed record dtype behind the binary
-  search are hoisted out of the per-call path, coupled keys are deduplicated
-  per chunk so each unique x' hits the LUT once, and per-thread workspaces
-  are reused across iterations.  :func:`local_energy_planned` and
+  search are hoisted out of the per-call path, a per-table membership map
+  spares the coupled keys that are surely absent the search, and per-thread
+  workspaces are reused across iterations.  :func:`local_energy_planned` and
   :func:`local_energy` are thin wrappers that run a plan (compiling a
   throwaway one when the caller has none).
 * :func:`local_energy_vectorized` — the stateless reference, for testing
   purposes only: the same sample-aware + fused + LUT arithmetic as chunked
-  array operations with no plan, no dedup and no caches.  The planned kernel
-  is bit-identical to it (dedup changes *where* an index is computed, never
-  its value), which is what the tests and the benchmark's set-up check
-  assert.
+  array operations with no plan, no membership map and no caches.  The
+  planned kernel is bit-identical to it (the map changes *which* keys are
+  searched, never an index), which is what the tests and the benchmark's
+  set-up check assert.
 
 The scalar rungs of the paper's Fig. 10 ladder (bare-CPU baseline, SA+FUSE,
 SA+FUSE+LUT) are the subject of ``benchmarks/bench_fig10_localenergy.py``
@@ -240,7 +240,7 @@ def local_energy_vectorized(
 ) -> xp.ndarray:
     """The reference kernel — for testing purposes only.
 
-    Stateless SA+FUSE+LUT arithmetic: no plan, no dedup, no caches; what
+    Stateless SA+FUSE+LUT arithmetic: no plan, no membership map, no caches; what
     :meth:`ElocPlan.local_energy` must equal bit for bit.
 
     The double chunking mirrors the paper's two-level parallelization: the
@@ -305,8 +305,12 @@ def local_energy_vectorized(
 
 
 # --------------------------------------------------------------------------
-# Production: compiled plans — Hamiltonian-static precomputation + key dedup
+# Production: compiled plans — Hamiltonian-static precomputation + membership map
 # --------------------------------------------------------------------------
+# 2^64 / golden ratio: the multiplicative-hash constant of the membership map.
+_HASH_MULTIPLIER = uint64(0x9E3779B97F4A7C15)
+
+
 @dataclass
 class _GroupChunkScaffold:
     """Hamiltonian-static data of one ``[g0, g1)`` group chunk.
@@ -335,19 +339,18 @@ class ElocPlan:
     * group sizes and per-group-chunk CSR scaffolds (``starts`` / ``sizes``
       and contiguous flip-mask slices);
     * the packed record dtype behind :func:`searchsorted_keys`, plus a
-      cached record view of the current amplitude table (rebuilt only when
-      the table object changes — i.e. when the parameters moved);
+      cached record view and membership map of the current amplitude table
+      (rebuilt only when the table object changes — i.e. when the parameters
+      moved);
     * a per-thread workspace (the ``(sample_chunk, group_chunk, W)`` flip
       buffer) reused across iterations instead of reallocated per chunk.
 
     :meth:`local_energy` is the planned kernel: identical arithmetic to
-    :func:`local_energy_vectorized` except that the coupled keys of each
-    chunk are deduplicated with ``xp.unique(..., return_inverse=True)``
-    before the LUT binary search, so each unique x' is looked up once per
-    chunk (sampled batches are concentrated, so flip rows repeat heavily
-    across samples).  Results are bit-identical: dedup changes where an
-    index comes from, never its value, and the accumulation order is
-    unchanged.
+    :func:`local_energy_vectorized` except that :meth:`_lookup` reads the
+    table's membership map first and binary-searches only the coupled keys
+    that may be present.  Results are bit-identical: the map decides which
+    keys are searched, never what a search returns, and the accumulation
+    order is unchanged.
 
     Thread safety: the compiled scaffolds are immutable; the workspace and
     the table-record cache live in ``threading.local``, so thread-rank
@@ -394,8 +397,11 @@ class ElocPlan:
             return xp.ascontiguousarray(keys[:, 0])
         return xp.ascontiguousarray(keys[:, ::-1]).view(self._record_dtype).ravel()
 
-    def _table_records(self, table: AmplitudeTable) -> xp.ndarray:
-        """Record view of ``table.keys``, cached until the table changes.
+    def _table_records(self, table: AmplitudeTable):
+        """``(records, member, shift)`` of ``table.keys``, cached until the
+        table changes: the record view the binary search runs against, and
+        the membership map :meth:`_lookup` reads first (``member[hash >>
+        shift]``, ~32 slots per key, so ~3 % of absent keys pass).
 
         Keyed by object identity through a weakref: a new table object (new
         iteration, moved parameters) recomputes; per-thread storage keeps
@@ -405,8 +411,21 @@ class ElocPlan:
         if cached is not None and cached[0]() is table:
             return cached[1]
         records = self._as_records(table.keys)
-        self._local.table_cache = (weakref.ref(table), records)
-        return records
+        n_bits = max(len(records) * 32 - 1, 1).bit_length()
+        shift = uint64(64 - n_bits)
+        member = xp.zeros(1 << n_bits, dtype=bool_)
+        member[self._hash(table.keys) >> shift] = True
+        self._local.table_cache = (weakref.ref(table), (records, member, shift))
+        return records, member, shift
+
+    @staticmethod
+    def _hash(keys: xp.ndarray) -> xp.ndarray:
+        """``(M, W)`` uint64 rows -> ``(M,)`` multiplicative (Fibonacci) hash,
+        folded over the words; the high bits are the well-mixed ones."""
+        h = keys[:, 0] * _HASH_MULTIPLIER
+        for w in range(1, keys.shape[1]):
+            h = (h ^ keys[:, w]) * _HASH_MULTIPLIER
+        return h
 
     def _flip_buffer(self, rows: int, groups: int) -> xp.ndarray:
         """A ``(rows, groups, W)`` view of the per-thread XOR workspace."""
@@ -419,40 +438,25 @@ class ElocPlan:
 
     # -------------------------------------------------------------- lookups
     def _lookup(self, table: AmplitudeTable, keys: xp.ndarray) -> xp.ndarray:
-        """Plain binary search of ``(M, W)`` keys (same contract as
-        :func:`searchsorted_keys`, against the cached record view)."""
-        base = self._table_records(table)
-        if len(base) == 0:
-            return xp.full(len(keys), -1, dtype=int64)
-        rec = self._as_records(keys)
-        pos = xp.minimum(xp.searchsorted(base, rec), len(base) - 1)
-        return xp.where(base[pos] == rec, pos, -1).astype(int64, copy=False)
+        """Index of each ``(M, W)`` key in ``table``, ``-1`` when absent (the
+        contract of :func:`searchsorted_keys`).
 
-    # Below this LUT size the dedup sort costs more than it saves: the
-    # binary search into an L1-resident table is already ~free, so the
-    # O(M log M) ``xp.unique`` would dominate.  Index-identical either way.
-    DEDUP_MIN_TABLE = 4096
-
-    def _lookup_dedup(self, table: AmplitudeTable, keys: xp.ndarray) -> xp.ndarray:
-        """Binary search with coupled-key dedup: unique rows are searched
-        once, then scattered back through the inverse map.  Index-identical
-        to :meth:`_lookup` (and to :func:`searchsorted_keys`).
-
-        Dedup engages once the LUT outgrows ``DEDUP_MIN_TABLE`` entries —
-        the regime where each binary search walks a cache-unfriendly table
-        and flip rows repeat heavily across samples (concentrated batches);
-        tiny tables fall through to the direct search.
+        Most coupled keys are not in the table (96 % on N2 sample-aware, 78 %
+        against C2's extended table), and a binary search pays its full
+        depth to find that out.  The table's membership map answers "surely
+        absent" in one gather; only the survivors are searched.  The map can
+        only pass a key on to the search, never decide a hit, so the result
+        is index-identical to searching every key.
         """
-        base = self._table_records(table)
+        base, member, shift = self._table_records(table)
+        out = xp.full(len(keys), -1, dtype=int64)
         if len(base) == 0:
-            return xp.full(len(keys), -1, dtype=int64)
-        if len(base) < self.DEDUP_MIN_TABLE:
-            return self._lookup(table, keys)
-        rec = self._as_records(keys)
-        uniq, inverse = xp.unique(rec, return_inverse=True)
-        pos = xp.minimum(xp.searchsorted(base, uniq), len(base) - 1)
-        idx_u = xp.where(base[pos] == uniq, pos, -1).astype(int64, copy=False)
-        return idx_u[inverse.ravel()]
+            return out
+        maybe = xp.flatnonzero(member[self._hash(keys) >> shift])
+        rec = self._as_records(keys[maybe])
+        pos = xp.minimum(xp.searchsorted(base, rec), len(base) - 1)
+        out[maybe] = xp.where(base[pos] == rec, pos, -1)
+        return out
 
     @staticmethod
     def _fold_parity(a: xp.ndarray, b: xp.ndarray) -> xp.ndarray:
@@ -500,7 +504,7 @@ class ElocPlan:
                 gc = cp.g1 - cp.g0
                 flips = self._flip_buffer(b, gc)
                 xp.bitwise_xor(keys[:, None, :], cp.xy[None, :, :], out=flips)
-                idx = self._lookup_dedup(
+                idx = self._lookup(
                     table, flips.reshape(-1, self.n_words)
                 ).reshape(b, gc)
                 s_hit, g_hit = xp.nonzero(idx >= 0)

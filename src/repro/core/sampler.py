@@ -17,7 +17,9 @@ the prefix (O(k^2) per layer).  When prefixes branch at
 them, and pruned zero-weight children drop their rows.
 
 ``SampleBatch`` is the data-centric unit handed to the local-energy kernel
-and the gradient step (Fig. 4): unique bitstrings, weights, and nothing else.
+and the gradient step (Fig. 4): unique bitstrings and weights — plus, on a
+batch that came out of a sweep, the ``log pi`` of every row, which the sweep
+computed anyway (the product of the conditionals it split the weights by).
 """
 from __future__ import annotations
 
@@ -37,6 +39,10 @@ class SampleBatch:
 
     bits: np.ndarray     # (U, N) uint8
     weights: np.ndarray  # (U,) int64 occurrence counts; sum = N_s
+    # (U,) log pi(x) as the BAS sweep accumulated it along each row's tree
+    # path; None on a batch that did not come out of a sweep (a table chunk,
+    # a client request, the Fig. 3a oracle).
+    log_prob: np.ndarray | None = None
 
     @property
     def n_unique(self) -> int:
@@ -65,6 +71,7 @@ class BASTreeState:
     weights: np.ndarray    # (P,) int64
     counts_up: np.ndarray  # (P,)
     counts_dn: np.ndarray  # (P,)
+    log_prob: np.ndarray   # (P,) log pi(prefix): sum of the k conditionals' logs
     step: int
     session: object | None = field(default=None, repr=False, compare=False)
 
@@ -90,7 +97,7 @@ def autoregressive_sample(wf: NNQSWavefunction, n_samples: int,
         choice = (probs.cumsum(axis=1) < u).sum(axis=1)
         choice = np.minimum(choice, wf.vocab_size - 1)
         tokens = np.concatenate([tokens, choice[:, None]], axis=1)
-        du, dd = wf.sector_counts(choice[:, None])
+        du, dd = wf.sector_counts(choice[:, None], start=step)
         cu += du
         cd += dd
     bits = wf.tokens_to_bits(tokens)
@@ -132,7 +139,8 @@ def _bas_step(wf: NNQSWavefunction, state: BASTreeState,
     probs = wf.probs_from_logits(logits, state.counts_up, state.counts_dn,
                                  state.step)
     parent_idx, children = _split_weights(wf, state, probs, rng)
-    children.session = session.select(parent_idx)
+    if children.step < wf.n_tokens:  # nobody steps the leaves' session
+        children.session = session.select(parent_idx)
     return children
 
 
@@ -142,6 +150,8 @@ def _split_weights(wf: NNQSWavefunction, state: BASTreeState, probs,
 
     Returns ``(parent_idx, children)``: the session-less next layer (zero-
     weight children pruned) and, per child, the row of ``state`` it extends.
+    A child's ``log_prob`` is its parent's plus the log of the conditional it
+    was drawn with, read off the host copy the split consumes.
     """
     # The one planned device->host sync per BAS step: the host RNG's
     # multinomial split consumes the conditional probabilities.
@@ -151,12 +161,13 @@ def _split_weights(wf: NNQSWavefunction, state: BASTreeState, probs,
     new_prefixes = np.concatenate(
         [state.prefixes[parent_idx], token[:, None]], axis=1
     )
-    du, dd = wf.sector_counts(token[:, None].astype(np.int64))
+    du, dd = wf.sector_counts(token[:, None].astype(np.int64), start=state.step)
     return parent_idx, BASTreeState(
         prefixes=new_prefixes,
         weights=counts[parent_idx, token],
         counts_up=state.counts_up[parent_idx] + du,
         counts_dn=state.counts_dn[parent_idx] + dd,
+        log_prob=state.log_prob[parent_idx] + np.log(probs[parent_idx, token]),
         step=state.step + 1,
     )
 
@@ -168,6 +179,7 @@ def initial_tree_state(n_samples: int) -> BASTreeState:
         weights=np.array([n_samples], dtype=np.int64),
         counts_up=np.zeros(1, dtype=np.int64),
         counts_dn=np.zeros(1, dtype=np.int64),
+        log_prob=np.zeros(1),
         step=0,
     )
 
@@ -196,7 +208,8 @@ def batch_autoregressive_sample(
     while state.step < wf.n_tokens:
         state = _bas_step(wf, state, rng)
     bits = wf.tokens_to_bits(state.prefixes)
-    return SampleBatch(bits=bits, weights=state.weights.copy())
+    return SampleBatch(bits=bits, weights=state.weights.copy(),
+                       log_prob=state.log_prob)
 
 
 def bas_prefix_sweep(

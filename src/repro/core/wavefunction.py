@@ -23,7 +23,7 @@ from repro.nn import MADEAmplitude, Module, NAQSMLPAmplitude, PhaseMLP, Transfor
 from repro.nn.inference import make_inference_session, padded_next_logits
 
 __all__ = ["NNQSWavefunction", "build_qiankunnet", "ROW_BLOCK", "PREFIX_BLOCK",
-           "row_blocks"]
+           "row_blocks", "token_order", "prefix_tree"]
 
 # Row bound of one forward (or forward + backward) pass.  A layer's chain of
 # elementwise passes runs at cache speed only while its widest activation
@@ -62,6 +62,36 @@ def _in_row_blocks(head, bits: np.ndarray) -> np.ndarray:
     for rows in row_blocks(len(bits)):
         out[rows] = head(bits[rows]).data
     return out
+
+
+def token_order(tokens: np.ndarray) -> np.ndarray:
+    """The permutation that lexsorts ``(n, T)`` token rows, position 0 major:
+    rows sharing a prefix become adjacent."""
+    return np.lexsort(tokens.T[::-1])
+
+
+def prefix_tree(tokens: np.ndarray):
+    """The distinct prefixes of lexsorted ``(n, T)`` token rows, level-major.
+
+    Returns ``(rep_row, level, offsets, node)``.  Node ``j`` is the
+    length-``level[j]`` prefix of row ``rep_row[j]``, the first row through
+    it; level ``k``'s nodes are ``offsets[k]:offsets[k + 1]``, in row order,
+    for ``k = 0`` (the empty prefix) ``.. T`` (the distinct rows).
+    ``node[k, i]`` is row ``i``'s index among level ``k``'s nodes: the rows
+    through one node are contiguous, a child's parent is ``node[k,
+    rep_row[child]]`` one level up, and duplicate rows share a leaf.  Integer
+    work only — the KV-cached walk and the taped node-major pass both read
+    their tree off this.
+    """
+    n, t = tokens.shape
+    # first[k, i]: row i differs from the row above within its first k
+    # tokens, i.e. it opens a distinct prefix of length k.
+    first = np.zeros((t + 1, n), dtype=bool)
+    first[:, :1] = True
+    np.logical_or.accumulate(tokens[1:] != tokens[:-1], axis=1, out=first.T[1:, 1:])
+    level, rep_row = np.nonzero(first)
+    offsets = np.searchsorted(level, np.arange(t + 2))
+    return rep_row, level, offsets, np.cumsum(first, axis=1) - 1
 
 
 class NNQSWavefunction(Module):
@@ -121,9 +151,41 @@ class NNQSWavefunction(Module):
         """(B,) log pi(x) = log |Psi(x)|^2, differentiable.
 
         The log of the constrained, renormalized conditionals, picked at the
-        sampled tokens and summed over positions — one block op.
+        sampled tokens and summed over positions — one block op.  Under a
+        causal decoder the conditional at position ``k`` depends on the
+        length-``k`` prefix alone, so an amplitude network with a session of
+        its own (the dispatch of :meth:`log_amplitudes`) is taped node-major:
+        the rows are lexsorted and every layer runs over one row per
+        *distinct* prefix (:func:`prefix_tree`), equal to
+        :meth:`log_prob_reference` to rounding.  Rows come back in input
+        order; duplicates share their nodes.
         """
         tokens = self.bits_to_tokens(bits)
+        if not hasattr(self.amplitude, "make_session"):
+            return self._log_prob_dense(tokens)
+        t = self.n_tokens
+        order = token_order(tokens)
+        ordered = tokens[order]
+        rep_row, level, offsets, node = prefix_tree(ordered)
+        rep_row, level = rep_row[: offsets[t]], level[: offsets[t]]  # no leaves
+        node_at = (node[:t] + offsets[:t, None]).T    # (B, T), node-major index
+        logits = self.amplitude.prefix_logits(ordered, node_at, rep_row, level)
+        allowed = None
+        if self.constraint is not None:
+            counts_up, counts_dn = self.constraint.counts_before(ordered)
+            allowed = self.constraint.mask_for_step(
+                counts_up[rep_row, level], counts_dn[rep_row, level], level)
+        in_input_order = np.empty(node_at.shape, dtype=np.int64)
+        in_input_order[order] = node_at
+        return picked_log_softmax(logits, allowed, tokens, in_input_order)
+
+    def log_prob_reference(self, bits: np.ndarray) -> Tensor:
+        """Dense oracle for :meth:`log_prob`: every row through every layer
+        at every position, no sharing.  For testing purposes only on the
+        transformer; it *is* :meth:`log_prob` for MADE / NAQS-MLP."""
+        return self._log_prob_dense(self.bits_to_tokens(bits))
+
+    def _log_prob_dense(self, tokens: np.ndarray) -> Tensor:
         logits = self.amplitude.conditional_logits(tokens)
         allowed = None
         if self.constraint is not None:
@@ -142,15 +204,16 @@ class NNQSWavefunction(Module):
     def log_amplitudes(self, bits: np.ndarray) -> np.ndarray:
         """(B,) complex log Psi(x) (avoids underflow for tiny amplitudes).
 
-        The one no-grad entry point (stage 2, ``extend_amplitude_table``,
-        serving, observables).  ``log pi`` comes from the prefix-shared walk
-        (:meth:`_log_prob_shared`) when the amplitude network has an
-        incremental session of its own (it exposes ``make_session`` — a
-        property of the model), otherwise from the dense :meth:`log_prob` in
-        row blocks of ``ROW_BLOCK``; the phase MLP always runs per row block.
-        Either way memory is bounded for any batch size, and a row's value
-        does not depend on its batch-mates beyond BLAS rounding (the two
-        evaluations agree to 1e-12, not bitwise).
+        The no-grad entry point for bits the caller was *given*
+        (``extend_amplitude_table``, serving, observables; stage 2 is not
+        one — the sweep hands it ``log pi``).  ``log pi`` comes from the
+        prefix-shared walk (:meth:`_log_prob_shared`) when the amplitude
+        network has an incremental session of its own (it exposes
+        ``make_session`` — a property of the model), otherwise from the dense
+        :meth:`log_prob` in row blocks of ``ROW_BLOCK``; the phase MLP always
+        runs per row block.  Either way memory is bounded for any batch size,
+        and a row's value does not depend on its batch-mates beyond BLAS
+        rounding (the two evaluations agree to 1e-12, not bitwise).
         """
         bits = np.atleast_2d(bits)
         with no_grad():
@@ -158,8 +221,13 @@ class NNQSWavefunction(Module):
                 log_prob = self._log_prob_shared(bits)
             else:
                 log_prob = _in_row_blocks(self.log_prob, bits)
-            phase = _in_row_blocks(self.phase_of, bits)
-        return 0.5 * log_prob + 1j * phase
+        return 0.5 * log_prob + 1j * self.phases(bits)
+
+    def phases(self, bits: np.ndarray) -> np.ndarray:
+        """(B,) phi(x) without a tape, one row block at a time — the half of
+        :meth:`log_amplitudes` a caller that holds ``log pi`` still needs."""
+        with no_grad():
+            return _in_row_blocks(self.phase_of, np.atleast_2d(bits))
 
     def _log_prob_shared(self, bits: np.ndarray) -> np.ndarray:
         """(B,) log pi(x), each distinct token prefix evaluated once.
@@ -170,7 +238,7 @@ class NNQSWavefunction(Module):
         session.  Duplicate rows share a leaf; input order is restored.
         """
         tokens = self.bits_to_tokens(bits)
-        order = np.lexsort(tokens.T[::-1])
+        order = token_order(tokens)
         tokens = tokens[order]
         out = np.empty(len(tokens))
         for rows in row_blocks(len(tokens), PREFIX_BLOCK):
@@ -180,37 +248,32 @@ class NNQSWavefunction(Module):
     def _walk_prefix_tree(self, tokens: np.ndarray) -> np.ndarray:
         """log pi of lexsorted ``(n, T)`` token rows, one decode step per level.
 
-        Level ``k`` holds the distinct length-``k`` prefixes, each represented
-        by its first row (``rep``) and owning one session row; the session is
-        stepped once over them, the constrained log-conditionals are added
-        to the running ``logp`` of every distinct child, and the session
-        branches with ``select(parent)`` exactly as ``_bas_step`` does.  All
-        tree bookkeeping is integer work on the sorted rows.
+        Level ``k`` holds the distinct length-``k`` prefixes
+        (:func:`prefix_tree`), each represented by its first row and owning
+        one session row; the session is stepped once over them, the
+        constrained log-conditionals are added to the running ``logp`` of
+        every distinct child, and the session branches with
+        ``select(parent)`` exactly as ``_bas_step`` does.
         """
-        n, t = tokens.shape
-        # opens[i, k]: row i differs from the row above at some position <= k,
-        # i.e. it opens a distinct prefix of length k + 1.
-        opens = np.ones((n, t), dtype=bool)
-        np.logical_or.accumulate(tokens[1:] != tokens[:-1], axis=1, out=opens[1:])
+        t = tokens.shape[1]
+        rep_row, _, offsets, node = prefix_tree(tokens)
         if self.constraint is not None:
             counts_up, counts_dn = self.constraint.counts_before(tokens)
         session = self.make_session(1)
-        rep = np.zeros(1, dtype=np.int64)      # the root: the empty prefix
-        node = np.zeros(n, dtype=np.int64)     # each row's node at this level
         logp = np.zeros(1)
         for k in range(t):
-            logits = session.step(tokens[rep, k - 1] if k else None)
+            rows = rep_row[offsets[k]:offsets[k + 1]]
+            logits = session.step(tokens[rows, k - 1] if k else None)
             if self.constraint is not None:
                 allowed = self.constraint.mask_for_step(
-                    counts_up[rep, k], counts_dn[rep, k], k)
+                    counts_up[rows, k], counts_dn[rows, k], k)
                 logits = np.where(allowed, logits, MASK_VALUE)
-            child = np.flatnonzero(opens[:, k])
-            parent = node[child]
+            child = rep_row[offsets[k + 1]:offsets[k + 2]]
+            parent = node[k, child]
             logp = logp[parent] + log_softmax(logits)[parent, tokens[child, k]]
             if k + 1 < t:
                 session = session.select(parent)
-            rep, node = child, np.cumsum(opens[:, k]) - 1
-        return logp[node]
+        return logp[node[t]]
 
     def make_session(self, batch_size: int = 1):
         """Open an incremental decoding session on the amplitude network.
@@ -262,16 +325,19 @@ class NNQSWavefunction(Module):
         logits = padded_next_logits(self.amplitude, prefix_tokens)
         return self.probs_from_logits(logits, counts_up, counts_dn, k)
 
-    def sector_counts(self, tokens_prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(up, dn) electron counts contained in a token prefix."""
+    def sector_counts(self, tokens: np.ndarray,
+                      start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(up, dn) electron counts contained in ``(B, k)`` token columns that
+        sit at sampling positions ``start .. start + k - 1`` (a prefix by
+        default)."""
         if self.token_bits == 2:
-            up = (tokens_prefix & 1).sum(axis=1)
-            dn = (tokens_prefix >> 1).sum(axis=1)
+            up = (tokens & 1).sum(axis=1)
+            dn = (tokens >> 1).sum(axis=1)
         else:
             # Position p addresses qubit order[p]; even qubits are spin-up.
-            spin = self.order[: tokens_prefix.shape[1]] % 2
-            up = (tokens_prefix * (spin[None, :] == 0)).sum(axis=1)
-            dn = (tokens_prefix * (spin[None, :] == 1)).sum(axis=1)
+            spin = self.order[start : start + tokens.shape[1]] % 2
+            up = (tokens * (spin[None, :] == 0)).sum(axis=1)
+            dn = (tokens * (spin[None, :] == 1)).sum(axis=1)
         return up, dn
 
 

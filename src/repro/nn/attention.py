@@ -20,6 +20,8 @@ from repro.autograd.block_ops import (
     gelu,
     gelu_forward,
     merge_heads,
+    nodes_from_rows,
+    rows_from_nodes,
     split_heads,
 )
 from repro.backend.host import host_np
@@ -43,9 +45,19 @@ class CausalSelfAttention(Module):
         self.qkv = Linear(d_model, 3 * d_model, rng=rng)
         self.proj = Linear(d_model, d_model, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """x: (batch, seq, d_model) -> (batch, seq, d_model)."""
-        return self.proj(causal_attention(self.qkv(x), self.n_heads))
+    def forward(self, x: Tensor, tree=None) -> Tensor:
+        """x: (batch, seq, d_model) -> (batch, seq, d_model); or, with the
+        ``(node_at, rep_row, level)`` integers of a prefix ``tree``,
+        node-major ``(n, d_model)`` -> ``(n, d_model)``: the projections run
+        once per distinct prefix and only the attention core, where a
+        position reads its row's earlier ones, works on ``(batch, seq)``."""
+        qkv = self.qkv(x)
+        if tree is None:
+            return self.proj(causal_attention(qkv, self.n_heads))
+        node_at, rep_row, level = tree
+        att = causal_attention(rows_from_nodes(qkv, node_at, rep_row, level),
+                               self.n_heads)
+        return self.proj(nodes_from_rows(att, rep_row, level))
 
     def step(self, x, cache: KVCache):
         """Incremental decode: attend ``t_new`` new positions against the cache.
@@ -91,8 +103,8 @@ class DecoderLayer(Module):
         self.ln2 = LayerNorm(d_model)
         self.ff = FeedForward(d_model, d_ff, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
+    def forward(self, x: Tensor, tree=None) -> Tensor:
+        x = x + self.attn(self.ln1(x), tree)
         x = x + self.ff(self.ln2(x))
         return x
 

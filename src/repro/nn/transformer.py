@@ -20,7 +20,7 @@ padding for positions ``>= prefix`` without corrupting earlier conditionals.
 """
 from __future__ import annotations
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, embedding_lookup
 from repro.backend import xp
 from repro.backend.dtypes import int64
 from repro.backend.host import host_np
@@ -68,6 +68,23 @@ class TransformerAmplitude(Module):
         x = self.tok_emb(shifted) + self.pos_emb(t)
         for layer in self.layers:
             x = layer(x)
+        return self.head(self.ln_f(x))
+
+    def prefix_logits(self, tokens, node_at, rep_row, level) -> Tensor:
+        """(n, vocab) logits of the ``n`` distinct prefixes of lexsorted rows.
+
+        Node ``j`` is the length-``level[j]`` prefix of ``tokens[rep_row[j]]``
+        and carries the conditional of position ``level[j]`` — what
+        :meth:`conditional_logits` computes at every ``(row, position)``
+        through it, computed once.  Every layer runs over node rows; only the
+        attention core sees ``(batch, T)`` again (``node_at``: see
+        ``block_ops.rows_from_nodes``).
+        """
+        tokens = xp.asarray(tokens, dtype=int64)
+        inputs = xp.where(level > 0, tokens[rep_row, level - 1], self.bos)
+        x = self.tok_emb(inputs) + embedding_lookup(self.pos_emb.weight, level)
+        for layer in self.layers:
+            x = layer(x, (node_at, rep_row, level))
         return self.head(self.ln_f(x))
 
     # ------------------------------------------------- incremental decoding

@@ -62,6 +62,7 @@ def split_tree_state(state: BASTreeState, n_parts: int) -> list[BASTreeState]:
                 weights=state.weights[idx],
                 counts_up=state.counts_up[idx],
                 counts_dn=state.counts_dn[idx],
+                log_prob=state.log_prob[idx],
                 step=state.step,
                 session=state.session.select(idx) if state.session is not None else None,
             )

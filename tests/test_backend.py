@@ -238,6 +238,24 @@ class TestBackendLint:
         assert any(":1:" in e and "multiply instead" in e for e in errors)
         assert any(":2:" in e for e in errors)
 
+    def test_flags_last_axis_reductions_where_contractions_are_required(
+            self, lint_file, tmp_path):
+        src = tmp_path / "reduce.py"
+        src.write_text(
+            "m = xp.max(x, axis=-1, keepdims=True)\n"          # flagged
+            "s = xp.sum(f(x, axis=-1) * y,\n"
+            "           axis=-1)\n"                            # flagged (line 3)
+            "a = xp.mean(x, keepdims=True, axis = -1)\n"       # flagged
+            "b = xp.sum(x, axis=0) + xp.sum(x, axis=1)\n"      # other axes pass
+            "c = xp.concatenate([x, y], axis=-1)\n"            # not a reduction
+            "d = last_axis_sum(x)\n"
+        )
+        errors = lint_file(src, contractions=True)
+        assert len(errors) == 3
+        for line in (1, 3, 4):
+            assert any(f":{line}:" in e and "last_axis_sum" in e for e in errors)
+        assert lint_file(src) == []      # the rule is per file
+
     def test_hot_path_files_are_clean(self, lint_file):
         import importlib.util
         from pathlib import Path
@@ -247,5 +265,7 @@ class TestBackendLint:
             "lint_backend", root / "tools" / "lint_backend.py")
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
+        assert mod.CONTRACTION_FILES <= set(mod.HOT_PATH_FILES)
         for rel in mod.HOT_PATH_FILES:
-            assert mod.lint_file(root / rel) == [], rel
+            assert mod.lint_file(
+                root / rel, contractions=rel in mod.CONTRACTION_FILES) == [], rel

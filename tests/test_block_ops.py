@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro.core.engine as engine
 import repro.core.wavefunction as wavefunction
@@ -23,11 +25,17 @@ from repro.autograd.block_ops import (
     attention_forward,
     causal_attention,
     gelu,
+    last_axis_dot,
+    last_axis_max,
+    last_axis_sum,
     layer_norm,
     linear,
+    nodes_from_rows,
     picked_log_softmax,
+    rows_from_nodes,
     split_heads,
 )
+from repro.core.wavefunction import prefix_tree
 from repro.core import VMC, VMCConfig, build_qiankunnet
 from repro.core.sampler import SampleBatch
 from repro.hamiltonian import compress_hamiltonian
@@ -217,6 +225,99 @@ class TestPickedLogSoftmax:
     def test_gradcheck(self, rng):
         logits, allowed, tokens = self._case(rng, b=2, t=3)
         gradcheck(lambda z: picked_log_softmax(z, allowed, tokens), [logits])
+
+
+    def test_node_major_matches_primitives(self, rng):
+        """Conditionals shared between rows: ``logits`` holds one row per
+        node and every (row, position) reads the node ``node_at`` names."""
+        (logits,) = _tensors(rng, (6, 4))
+        node_at = np.array([[0, 1, 3], [0, 1, 4], [0, 2, 5], [0, 2, 5]])
+        tokens = rng.integers(0, 4, size=node_at.shape)
+        allowed = rng.random((6, 4)) < 0.6
+        allowed[node_at, tokens] = True
+
+        def ref(z):
+            logc = z.masked_fill(~allowed, MASK_VALUE).log_softmax(axis=-1)
+            return logc[node_at, tokens].sum(axis=1)
+
+        _assert_same_value_and_grads(
+            lambda z: picked_log_softmax(z, allowed, tokens, node_at), ref, [logits])
+        assert np.all(logits.grad[~allowed] == 0.0)
+        gradcheck(lambda z: picked_log_softmax(z, None, tokens, node_at), [logits])
+
+
+class TestTreeBridges:
+    """``rows_from_nodes`` / ``nodes_from_rows`` against plain indexing (whose
+    backward is the primitive scatter-add)."""
+
+    @pytest.fixture()
+    def tree(self):
+        tokens = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 0], [0, 2, 0],
+                           [1, 0, 0], [3, 3, 3]])             # lexsorted, one duplicate
+        rep_row, level, offsets, node = prefix_tree(tokens)
+        t = tokens.shape[1]
+        assert list(np.diff(offsets)) == [1, 3, 4, 5]      # distinct prefixes by length
+        node_at = (node[:t] + offsets[:t, None]).T
+        return node_at, rep_row[: offsets[t]], level[: offsets[t]]
+
+    def test_rows_from_nodes_matches_indexing(self, rng, tree):
+        node_at, rep_row, level = tree
+        _assert_same_value_and_grads(
+            lambda x: rows_from_nodes(x, node_at, rep_row, level),
+            lambda x: x[node_at], _tensors(rng, (len(rep_row), 5)))
+
+    def test_nodes_from_rows_matches_indexing(self, rng, tree):
+        node_at, rep_row, level = tree
+        _assert_same_value_and_grads(
+            lambda y: nodes_from_rows(y, rep_row, level),
+            lambda y: y[rep_row, level], _tensors(rng, node_at.shape + (5,)))
+
+    def test_round_trip_is_the_identity_on_nodes(self, rng, tree):
+        node_at, rep_row, level = tree
+        (x,) = _tensors(rng, (len(rep_row), 3))
+        back = nodes_from_rows(rows_from_nodes(x, node_at, rep_row, level),
+                               rep_row, level)
+        np.testing.assert_array_equal(back.data, x.data)
+
+
+SHORT_ARRAYS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=9),
+    elements=st.floats(-1e3, 1e3, allow_nan=False, width=64))
+
+
+class TestContractions:
+    """Each short-axis contraction against the numpy reduction it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=SHORT_ARRAYS)
+    def test_last_axis_sum(self, x):
+        np.testing.assert_allclose(last_axis_sum(x), np.sum(x, axis=-1, keepdims=True),
+                                   rtol=1e-13, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=SHORT_ARRAYS, seed=st.integers(0, 2**16))
+    def test_last_axis_dot(self, x, seed):
+        y = np.random.default_rng(seed).normal(size=x.shape)
+        np.testing.assert_allclose(
+            last_axis_dot(x, y), np.sum(x * y, axis=-1, keepdims=True),
+            rtol=1e-13, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=SHORT_ARRAYS)
+    def test_last_axis_max(self, x):
+        before = x.copy()
+        np.testing.assert_array_equal(last_axis_max(x), np.max(x, axis=-1, keepdims=True))
+        np.testing.assert_array_equal(x, before)            # input untouched
+
+    def test_strided_and_empty_inputs(self, rng):
+        x = rng.normal(size=(6, 5, 8))[::2, :, ::2]         # non-contiguous view
+        np.testing.assert_allclose(last_axis_sum(x), x.sum(axis=-1, keepdims=True),
+                                   rtol=1e-13)
+        np.testing.assert_array_equal(last_axis_max(x), x.max(axis=-1, keepdims=True))
+        empty = np.zeros((0, 4))
+        assert last_axis_sum(empty).shape == last_axis_max(empty).shape == (0, 1)
+        assert last_axis_dot(empty, empty).shape == (0, 1)
 
 
 def test_no_grad_retains_no_parents(rng):

@@ -1,4 +1,4 @@
-"""Compiled local-energy plans: bit-identity, dedup, threading, backends.
+"""Compiled local-energy plans: bit-identity, lookup, threading, backends.
 
 Acceptance contracts of ``ElocPlan``, the one production local-energy path:
 
@@ -7,8 +7,8 @@ Acceptance contracts of ``ElocPlan``, the one production local-energy path:
 * bit-identical at every chunk boundary (``sample_chunk`` / ``group_chunk``
   = 1, odd, > batch) when plan and reference use the same chunking;
 * agreement with the scalar ``sa_fuse_lut`` rung of the Fig. 10 bench;
-* the coupled-key dedup path (``np.unique`` + inverse scatter) is
-  index-identical to the direct binary search, single- and multi-word;
+* the one lookup (membership map first, binary search on the survivors) is
+  index-identical to searching every key, single- and multi-word;
 * one plan per run serves every backend (serial / threads / process) and the
   serving layer: the engine's stage-3 output equals the reference on the
   same ``(chunk, table)``;
@@ -42,7 +42,12 @@ from repro.hamiltonian import (
     sector_hamiltonian_dense,
     synthetic_molecular_hamiltonian,
 )
-from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
+from repro.utils.bitstrings import (
+    lexsort_keys,
+    pack_bits,
+    searchsorted_keys,
+    unpack_bits,
+)
 
 ANSATZE = ["transformer", "made", "naqs-mlp"]
 
@@ -132,18 +137,31 @@ class TestBitIdentity:
 
 
 class TestDedup:
+    """The lookup.  (Class and test ids predate the membership map that
+    replaced the dedup fork; they are kept.)"""
+
     def test_forced_dedup_is_index_identical(self, lih_problem):
-        """Tiny tables skip dedup by default; forcing it on must not change
-        a single bit (the inverse scatter reproduces every lookup)."""
+        """The map only spares absent keys the search: ``_lookup`` returns
+        the indices of ``searchsorted_keys``, and a map forced to pass every
+        key — the plain search of all of them — must not change a bit."""
         wf, comp, batch, table = _setup(lih_problem)
-        direct = ElocPlan(comp).local_energy(batch, table)
-        forced = ElocPlan(comp)
-        forced.DEDUP_MIN_TABLE = 0
-        np.testing.assert_array_equal(forced.local_energy(batch, table), direct)
+        plan = ElocPlan(comp)
+        coupled = (pack_bits(batch.bits)[:, None, :]
+                   ^ comp.xy_unique[None, :, :]).reshape(-1, plan.n_words)
+        want = searchsorted_keys(table.keys, coupled)
+        assert 0 < np.count_nonzero(want >= 0) < len(want)   # hits and misses
+        np.testing.assert_array_equal(plan._lookup(table, coupled), want)
+        filtered = plan.local_energy(batch, table)
+        _, member, _ = plan._table_records(table)
+        assert not member.all()
+        member[:] = True
+        np.testing.assert_array_equal(plan._lookup(table, coupled), want)
+        np.testing.assert_array_equal(plan.local_energy(batch, table), filtered)
 
     @pytest.mark.parametrize("n_qubits,n_terms", [(70, 300), (100, 500)])
     def test_multiword_dedup(self, n_qubits, n_terms):
-        """Two-word keys go through the record-dtype unique/searchsorted."""
+        """Two-word keys go through the folded hash and the record-dtype
+        searchsorted."""
         ham = synthetic_molecular_hamiltonian(n_qubits, n_terms, seed=3)
         comp = compress_hamiltonian(ham)
         rng = np.random.default_rng(4)
@@ -154,7 +172,6 @@ class TestDedup:
         table = _mock_table(rng, pack_bits(bits))
         ref = local_energy_vectorized(comp, batch, table)
         plan = ElocPlan(comp, group_chunk=7, sample_chunk=5)
-        plan.DEDUP_MIN_TABLE = 0
         ref_chunked = local_energy_vectorized(comp, batch, table,
                                               group_chunk=7, sample_chunk=5)
         np.testing.assert_array_equal(plan.local_energy(batch, table),
@@ -355,11 +372,11 @@ class TestDifferential:
            n_terms=st.integers(10, 60), n_samples=st.integers(1, 16),
            group_chunk=CHUNKS, sample_chunk=CHUNKS,
            budget=st.sampled_from((None, 4096)),
-           extended=st.booleans(), dedup=st.booleans(),
+           extended=st.booleans(), padding=st.sampled_from((0, 37, 4300)),
            seed=st.integers(0, 2**16))
     def test_plan_equals_reference(self, n_qubits, n_terms, n_samples,
                                    group_chunk, sample_chunk, budget,
-                                   extended, dedup, seed):
+                                   extended, padding, seed):
         comp = compress_hamiltonian(
             synthetic_molecular_hamiltonian(n_qubits, n_terms, seed=seed))
         rng = np.random.default_rng(seed + 1)
@@ -377,12 +394,11 @@ class TestDifferential:
             coupled = (keys[:, None, :] ^ comp.xy_unique[None, :, :]).reshape(
                 -1, keys.shape[1])
             rows.append(coupled[rng.random(len(coupled)) < 0.5])
-        if dedup:       # push the table over the dedup threshold
-            rows.append(pack_bits(rng.integers(
-                0, 2, size=(ElocPlan.DEDUP_MIN_TABLE + 200, n_qubits)
-            ).astype(np.uint8)))
+        # Unrelated table entries: the membership map's size follows the
+        # table's, from a handful of slots to ~2^18.
+        rows.append(pack_bits(rng.integers(
+            0, 2, size=(padding, n_qubits)).astype(np.uint8)))
         table = _mock_table(rng, np.concatenate(rows))
-        assert (table.n_entries >= ElocPlan.DEDUP_MIN_TABLE) == dedup
 
         plan = ElocPlan(comp, group_chunk=group_chunk,
                         sample_chunk=sample_chunk, memory_budget_bytes=budget)
@@ -414,7 +430,4 @@ class TestDifferential:
         ref = local_energy_vectorized(comp, batch, table)
         np.testing.assert_allclose(ref, (dense @ psi)[picked] / psi[picked],
                                    rtol=0, atol=1e-10)
-        for dedup_min in (0, ElocPlan.DEDUP_MIN_TABLE):
-            plan = ElocPlan(comp)
-            plan.DEDUP_MIN_TABLE = dedup_min
-            assert np.array_equal(plan.local_energy(batch, table), ref)
+        assert np.array_equal(ElocPlan(comp).local_energy(batch, table), ref)

@@ -365,6 +365,27 @@ class TestEngineGuards:
                 backend=ThreadBackend(n_ranks=2),
                 optimizer=StochasticReconfiguration(wf))
 
+    def test_stage2_refuses_a_batch_the_sweep_did_not_produce(self, h2_problem):
+        """Stage 2 reads log pi off the sweep's batch and has no evaluator to
+        fall back to: a batch without it is refused by field name, and the
+        sweep's own batch tabulates what ``log_amplitudes`` computes."""
+        from repro.core import SampleBatch, batch_autoregressive_sample
+        from repro.core.engine import stage_gather_table
+        from repro.parallel.comm import Comm, SoloTransport
+        from repro.utils.bitstrings import unpack_bits
+
+        vmc = _fresh_vmc(h2_problem)
+        comm = Comm(SoloTransport())
+        swept = batch_autoregressive_sample(vmc.wf, 500, np.random.default_rng(0))
+        given = SampleBatch(bits=swept.bits, weights=swept.weights)
+        with pytest.raises(ValueError, match=r"SampleBatch\.log_prob"):
+            stage_gather_table(comm, vmc.wf, given)
+        keys, weights, table = stage_gather_table(comm, vmc.wf, swept)
+        assert weights.sum() == 500
+        np.testing.assert_allclose(
+            table.log_amps, vmc.wf.log_amplitudes(unpack_bits(keys, 4)),
+            rtol=0, atol=1e-12)
+
     def test_a_finished_vmc_is_freed_without_the_cycle_collector(self, h2_problem):
         """The optimizer holds the model and both AdamW moments; a reference
         cycle through its schedule would keep a finished run's copy alive

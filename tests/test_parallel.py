@@ -92,6 +92,7 @@ class TestPartition:
             weights=np.array([5, 1, 1, 1, 1, 5], dtype=np.int64),
             counts_up=np.arange(6),
             counts_dn=np.arange(6),
+            log_prob=-np.arange(6.0),
             step=2,
         )
         parts = split_tree_state(state, 3)
@@ -99,6 +100,9 @@ class TestPartition:
         assert all(p.step == 2 for p in parts)
         total_prefix = np.concatenate([p.prefixes for p in parts])
         np.testing.assert_array_equal(total_prefix, state.prefixes)
+        # log pi travels with the nodes it belongs to
+        for p in parts:
+            np.testing.assert_array_equal(p.log_prob, -p.prefixes[:, 0] / 2.0)
 
     def test_empty_weights(self):
         parts = balanced_weight_partition(np.array([]), 3)

@@ -345,6 +345,8 @@ class TestStageBackward:
         wf = _small_wf(n_qubits=8, n_up=2, n_dn=2)
         batch = batch_autoregressive_sample(wf, 5000, np.random.default_rng(0))
         rng = np.random.default_rng(1)
+        shuffled = rng.permutation(batch.n_unique)   # not the token order
+        batch = type(batch)(bits=batch.bits[shuffled], weights=batch.weights[shuffled])
         eloc = rng.normal(size=batch.n_unique) + 1j * rng.normal(size=batch.n_unique)
         w = batch.weights / batch.weights.sum()
         e = complex(np.sum(w * eloc))
@@ -353,12 +355,17 @@ class TestStageBackward:
     @staticmethod
     def _by_hand(wf, batch, w, eloc, e_mean, e_imag):
         """Stage 5 as it was: unbound gradients, so the tape allocates one
-        array per parameter, concatenated at the end."""
+        array per parameter, concatenated at the end.  Taped through
+        ``wf.log_prob`` itself on stage 5's token-ordered blocks, so the
+        equality is bit for bit (against the dense oracle it holds to 1e-10:
+        ``tests/test_prefix_shared.py``)."""
         for p in wf.parameters():
             p.grad = None
         coeff_amp = w * (eloc.real - e_mean)
         coeff_phase = 2.0 * w * (eloc.imag - e_imag)
+        order = wavefunction.token_order(wf.bits_to_tokens(batch.bits))
         for rows in wavefunction.row_blocks(len(batch.bits)):
+            rows = order[rows]
             engine._surrogate_backward(
                 wf, batch.bits[rows], coeff_amp[rows], coeff_phase[rows])
         return np.concatenate([

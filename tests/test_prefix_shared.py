@@ -3,18 +3,20 @@
 ``NNQSWavefunction.log_amplitudes`` walks the token prefix tree of its input
 through one KV-cached session per block when the amplitude network has an
 incremental session (the transformer), and runs the dense ``log_prob`` in
-row blocks otherwise (MADE, NAQS-MLP).  The dense forward is the oracle: the
-two must agree to 1e-12 on every input shape, and everything built on the
-entry point — the table extension, exact local energies, the mock backend's
-transfer contract — must be unchanged.
+row blocks otherwise (MADE, NAQS-MLP).  The taped ``log_prob`` runs the same
+tree node-major — one row per distinct prefix through every layer.  The dense
+forward (``log_prob_reference``) is the oracle of both: values must agree to
+1e-12 on every input shape, the taped gradient to 1e-10, and everything
+built on the entry points — the table extension, exact local energies, the
+mock backend's transfer contract — must be unchanged.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.wavefunction as wavefunction
-from repro.autograd import no_grad
-from repro.backend import UNTAGGED
+from repro.autograd import Tensor, no_grad
+from repro.backend import UNTAGGED, use_backend
 from repro.core import (
     SampleBatch,
     build_amplitude_table,
@@ -53,9 +55,9 @@ WAVEFUNCTIONS = {
 
 
 def dense(wf, bits):
-    """One-shot ``0.5 log pi + i phi`` through the training-time forward."""
+    """One-shot ``0.5 log pi + i phi`` through the dense forward."""
     with no_grad():
-        return 0.5 * wf.log_prob(bits).data + 1j * wf.phase_of(bits).data
+        return 0.5 * wf.log_prob_reference(bits).data + 1j * wf.phase_of(bits).data
 
 
 def assert_matches_dense(wf, bits):
@@ -136,6 +138,99 @@ class TestSharedEqualsDense:
         # A block of 16 sorted rows shares its first two tokens: 1 + 1 + 1 + 4
         # distinct prefixes over the four levels, against 16 x 4 dense.
         assert sum(stepped) == 16 * 7
+
+
+# (n_qubits, n_up, n_dn) of the molecules' STO-3G sectors
+SECTORS = {"h2": (4, 1, 1), "lih": (12, 2, 2), "n2": (20, 7, 7)}
+
+
+def sector_rows(rng, n_qubits, n_up, n_dn, n_rows):
+    """Random rows of the (n_up, n_dn) sector, unsorted."""
+    bits = np.zeros((n_rows, n_qubits), dtype=np.uint8)
+    for row in bits:
+        row[2 * rng.choice(n_qubits // 2, size=n_up, replace=False)] = 1
+        row[2 * rng.choice(n_qubits // 2, size=n_dn, replace=False) + 1] = 1
+    return bits
+
+
+def value_and_gradient(wf, head, bits, coeff):
+    wf.zero_grad()
+    out = head(bits)
+    (Tensor(coeff) * out).sum().backward()
+    return out.data.copy(), wf.get_flat_grads()
+
+
+class TestTapedTreeEqualsDense:
+    """``log_prob`` (node-major over the prefix tree) against
+    ``log_prob_reference`` (every row x position): value and flat gradient."""
+
+    @staticmethod
+    def _assert_equal(wf, bits, seed=0):
+        coeff = np.random.default_rng(seed).normal(size=len(bits))
+        value, grad = value_and_gradient(wf, wf.log_prob, bits, coeff)
+        want, want_grad = value_and_gradient(wf, wf.log_prob_reference, bits, coeff)
+        assert value.shape == (len(bits),)
+        np.testing.assert_allclose(value, want, rtol=TOL, atol=TOL)
+        assert np.max(np.abs(want_grad)) > 1e-3
+        np.testing.assert_allclose(grad, want_grad, rtol=0,
+                                   atol=1e-10 * np.max(np.abs(want_grad)))
+
+    @pytest.mark.parametrize("reverse_order", [True, False], ids=["reversed", "natural"])
+    @pytest.mark.parametrize("constrain", [True, False], ids=["constrained", "free"])
+    @pytest.mark.parametrize("token_bits", [1, 2])
+    @pytest.mark.parametrize("molecule", SECTORS)
+    def test_value_and_gradient(self, molecule, token_bits, constrain, reverse_order):
+        n_qubits, n_up, n_dn = SECTORS[molecule]
+        wf = build_qiankunnet(n_qubits, n_up, n_dn, phase_hidden=(8,), seed=3,
+                              token_bits=token_bits, constrain=constrain,
+                              reverse_order=reverse_order)
+        rng = np.random.default_rng(n_qubits)
+        bits = sector_rows(rng, n_qubits, n_up, n_dn, 30)
+        if not constrain:       # any bitstring is in the support
+            bits[:10] = rng.integers(0, 2, size=(10, n_qubits))
+        bits = np.concatenate([bits, bits[:9], bits[3:4]])      # duplicate rows
+        bits = bits[rng.permutation(len(bits))]                 # unsorted
+        self._assert_equal(wf, bits)
+        self._assert_equal(wf, bits[:1])                        # a 1-row batch
+
+    def test_rows_come_back_in_input_order(self):
+        wf = WAVEFUNCTIONS["constrained"]
+        bits = sector_bitstrings(N, 2, 2)
+        shuffled = np.random.default_rng(2).permutation(len(bits))
+        with no_grad():
+            np.testing.assert_array_equal(
+                wf.log_prob(bits[shuffled]).data, wf.log_prob(bits).data[shuffled])
+
+    def test_every_layer_runs_over_distinct_prefixes(self, monkeypatch):
+        """The full (2, 2) sector of 8 qubits, every row twice: 72 rows x 4
+        positions dense, 1 + 4 + 16 + 36 distinct prefixes of length 0..3
+        node-major."""
+        wf = WAVEFUNCTIONS["constrained"]
+        seen = []
+        real = type(wf.amplitude).prefix_logits
+
+        def spy(self, tokens, node_at, rep_row, level):
+            seen.append((node_at.shape, len(rep_row)))
+            return real(self, tokens, node_at, rep_row, level)
+
+        monkeypatch.setattr(type(wf.amplitude), "prefix_logits", spy)
+        wf.log_prob(np.tile(sector_bitstrings(N, 2, 2), (2, 1)))
+        assert seen == [((72, 4), 1 + 4 + 16 + 36)]
+
+    def test_sector_violating_rows_match_the_dense_masked_value(self):
+        wf = WAVEFUNCTIONS["constrained"]
+        bits = bits_of([0b11111111, 0b00000000, 0b00001111, 0b00111100])
+        with no_grad():
+            np.testing.assert_allclose(wf.log_prob(bits).data,
+                                       wf.log_prob_reference(bits).data, rtol=TOL)
+
+    def test_mock_backend(self):
+        wf = build(constrain=True)
+        bits = np.tile(sector_bitstrings(N, 2, 2)[::2], (2, 1))
+        with use_backend("mock") as backend:
+            before = backend.counter_snapshot()["to_host"]
+            self._assert_equal(wf, bits)
+            assert backend.counter_snapshot()["to_host"] == before
 
 
 class TestDenseAnsaetzeUntouched:

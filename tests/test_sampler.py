@@ -2,12 +2,15 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from repro.core import (
     autoregressive_sample,
     bas_prefix_sweep,
     batch_autoregressive_sample,
     build_qiankunnet,
 )
+from repro.parallel.partition import split_tree_state
 from tests.test_wavefunction import sector_bitstrings
 
 
@@ -75,6 +78,95 @@ class TestBAS:
     def test_frequencies_sum_to_one(self, wf):
         batch = batch_autoregressive_sample(wf, 1234, np.random.default_rng(6))
         assert batch.frequencies().sum() == pytest.approx(1.0)
+
+
+class TestOneBitTokens:
+    """The 1-qubit-token ablation: position ``p`` feeds spin channel
+    ``order[p] % 2``, which the running counts must follow step by step."""
+
+    @pytest.mark.parametrize("reverse_order", [True, False])
+    def test_bas_stays_in_the_sector_and_draws_pi(self, reverse_order):
+        wf = build_qiankunnet(8, 2, 2, token_bits=1, reverse_order=reverse_order,
+                              d_model=8, n_heads=2, n_layers=1,
+                              phase_hidden=(16,), seed=9)
+        batch = batch_autoregressive_sample(wf, 1_000_000, np.random.default_rng(0))
+        assert np.all(wf.constraint.validate_bits(batch.bits))
+        pi = np.exp(2.0 * wf.log_amplitudes(batch.bits).real)
+        assert pi.sum() == pytest.approx(1.0, abs=1e-3)   # the sector's support
+        # 5 sigma of a binomial frequency at N_s = 1e6 is <= 2.5e-3
+        np.testing.assert_allclose(batch.frequencies(), pi, atol=2.5e-3)
+
+    @pytest.mark.parametrize("reverse_order", [True, False])
+    def test_plain_autoregressive_stays_in_the_sector(self, reverse_order):
+        wf = build_qiankunnet(8, 2, 2, token_bits=1, reverse_order=reverse_order,
+                              d_model=8, n_heads=2, n_layers=1,
+                              phase_hidden=(16,), seed=9)
+        batch = autoregressive_sample(wf, 300, np.random.default_rng(1))
+        assert np.all(wf.constraint.validate_bits(batch.bits))
+
+
+class TestSweepHandsOutLogProb:
+    """``SampleBatch.log_prob`` is the log pi the sweep split its weights by —
+    equal to what the evaluator computes for the same rows, to rounding."""
+
+    @staticmethod
+    def _assert_is_log_pi(wf, batch):
+        assert batch.log_prob.shape == (batch.n_unique,)
+        np.testing.assert_allclose(
+            batch.log_prob, 2.0 * wf.log_amplitudes(batch.bits).real,
+            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"constrain": False}, {"token_bits": 1}, {"reverse_order": False},
+        {"amplitude_type": "made"},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()) or "default")
+    def test_serial_sweep(self, kwargs):
+        wf = build_qiankunnet(8, 2, 2, d_model=8, n_heads=2, n_layers=2,
+                              phase_hidden=(16,), seed=9, **kwargs)
+        batch = batch_autoregressive_sample(wf, 50_000, np.random.default_rng(3))
+        assert batch.n_unique > 10
+        self._assert_is_log_pi(wf, batch)
+
+    @pytest.mark.parametrize("n_parts", [2, 4])
+    def test_split_continuations(self, wf, n_parts):
+        state = bas_prefix_sweep(wf, 10**5, np.random.default_rng(4), stop_unique=6)
+        assert 0 < state.step < wf.n_tokens
+        parts = split_tree_state(state, n_parts)
+        assert sum(len(p.log_prob) for p in parts) == len(state.log_prob)
+        for rank, part in enumerate(parts):
+            batch = batch_autoregressive_sample(
+                wf, 0, np.random.default_rng((4, rank)), start=part)
+            self._assert_is_log_pi(wf, batch)
+
+    def test_session_less_mid_tree_state(self, wf):
+        """A state that lost its session (shipped across ranks) resumes by
+        prefill and keeps the log pi of the shared steps."""
+        state = bas_prefix_sweep(wf, 10**5, np.random.default_rng(5), stop_unique=6)
+        bare = replace(state, session=None)
+        batch = batch_autoregressive_sample(wf, 0, np.random.default_rng(6), start=bare)
+        self._assert_is_log_pi(wf, batch)
+        carried = batch_autoregressive_sample(wf, 0, np.random.default_rng(6), start=state)
+        np.testing.assert_array_equal(batch.bits, carried.bits)
+        np.testing.assert_allclose(batch.log_prob, carried.log_prob, rtol=0, atol=1e-12)
+
+    def test_batches_from_elsewhere_carry_none(self, wf):
+        plain = autoregressive_sample(wf, 50, np.random.default_rng(7))
+        assert plain.log_prob is None
+        assert type(plain)(bits=plain.bits, weights=plain.weights).log_prob is None
+
+    def test_last_level_gathers_no_session(self, wf, monkeypatch):
+        """Nobody steps the leaves: the sweep selects T - 1 times, not T."""
+        from repro.nn import TransformerInferenceSession
+
+        real, calls = TransformerInferenceSession.select, []
+
+        def select(self, idx):
+            calls.append(len(idx))
+            return real(self, idx)
+
+        monkeypatch.setattr(TransformerInferenceSession, "select", select)
+        batch_autoregressive_sample(wf, 5000, np.random.default_rng(8))
+        assert len(calls) == wf.n_tokens - 1
 
 
 class TestPrefixSweep:

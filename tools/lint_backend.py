@@ -17,6 +17,15 @@ Rules, applied to the modules in ``HOT_PATH_FILES`` only:
   ``a**3`` in GELU was once 29 % of a VMC iteration).  A literal base
   (``10**5``, ``2**20``) is constant arithmetic and passes.
 
+One more rule applies to ``CONTRACTION_FILES`` (``autograd/block_ops.py``):
+
+* a ``sum`` / ``mean`` / ``max`` call with ``axis=-1`` is an error.  Every
+  last axis there is 4 to 64 wide, where numpy's reduction loop runs once per
+  output element (``max`` over a (180, 4, 10, 10) attention matrix: 255 us
+  against 45 us); the file writes them as contractions (``last_axis_sum`` /
+  ``last_axis_dot`` / ``last_axis_max``) — one formulation per reduction,
+  whatever the width.
+
 Deliberately host-bound code escapes through ``repro.backend.host``'s
 ``host_np`` alias — a distinct NAME, so it passes.  Comments, docstrings
 and string literals are token types the lint never looks at, so prose may
@@ -47,13 +56,33 @@ HOT_PATH_FILES = [
 ]
 
 
-def lint_file(path: Path) -> list[str]:
-    """``file:line:col: message`` strings for every violation in ``path``."""
+# Modules whose short last-axis reductions must be written as contractions.
+CONTRACTION_FILES = {"src/repro/autograd/block_ops.py"}
+_REDUCTIONS = {"sum", "mean", "max"}
+
+
+def lint_file(path: Path, contractions: bool = False) -> list[str]:
+    """``file:line:col: message`` strings for every violation in ``path``
+    (``contractions``: also apply the ``CONTRACTION_FILES`` rule)."""
     errors: list[str] = []
     with tokenize.open(path) as handle:
         tokens = list(tokenize.generate_tokens(handle.readline))
+    callees: list[str | None] = []   # name before each open "(", innermost last
     for i, tok in enumerate(tokens):
         row, col = tok.start
+        if tok.type == tokenize.OP and tok.string == "(":
+            prev = tokens[i - 1]
+            callees.append(prev.string if prev.type == tokenize.NAME else None)
+        elif tok.type == tokenize.OP and tok.string == ")" and callees:
+            callees.pop()
+        elif (contractions and tok.type == tokenize.NAME and tok.string == "axis"
+                and [t.string for t in tokens[i + 1:i + 4]] == ["=", "-", "1"]
+                and callees and callees[-1] in _REDUCTIONS):
+            errors.append(
+                f"{path}:{row}:{col}: '{callees[-1]}(..., axis=-1)' where short "
+                "last axes are contractions (use last_axis_sum / last_axis_dot "
+                "/ last_axis_max)"
+            )
         if tok.type == tokenize.OP and tok.string == "**":
             exponent = tokens[i + 1]
             if (exponent.type == tokenize.NUMBER and exponent.string.isdigit()
@@ -109,7 +138,7 @@ def main(argv: list[str]) -> int:
         return 2
     errors: list[str] = []
     for rel in HOT_PATH_FILES:
-        errors.extend(lint_file(root / rel))
+        errors.extend(lint_file(root / rel, contractions=rel in CONTRACTION_FILES))
     for err in errors:
         print(err, file=sys.stderr)
     if errors:
