@@ -9,10 +9,10 @@ dimensions match the standard spherical counts the paper quotes (cc-pVTZ H2 =
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import factorial2
 
 from repro.chem.basis.data import element_shells
 from repro.chem.geometry import Molecule
@@ -29,9 +29,9 @@ def cartesian_components(l: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def _df(n: int) -> float:
+def _df(n: int) -> int:
     """(2n-1)!! with the convention (-1)!! = 1."""
-    return float(factorial2(2 * n - 1)) if n > 0 else 1.0
+    return math.prod(range(1, 2 * n, 2))
 
 
 def primitive_norm(a: float, lx: int, ly: int, lz: int) -> float:

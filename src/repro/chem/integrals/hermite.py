@@ -66,9 +66,10 @@ def hermite_coulomb_batch(lmax: int, alpha: np.ndarray, rpq: np.ndarray) -> np.n
     rpq = np.asarray(rpq, dtype=np.float64)
     batch = alpha.shape[0]
     x2 = np.einsum("bi,bi->b", rpq, rpq)
-    fm = boys_array(lmax, alpha * x2)  # (lmax+1, batch)
-    minus2a = (-2.0 * alpha)[None, :] ** np.arange(lmax + 1)[:, None]
-    base = fm * minus2a  # R^n_000, shape (lmax+1, batch)
+    base = boys_array(lmax, alpha * x2)  # F_n, becoming R^n_000: (lmax+1, batch)
+    minus2a = -2.0 * alpha
+    for n in range(1, lmax + 1):  # row n is scaled n times (array ** n costs a pow per element)
+        base[n:] *= minus2a
 
     L = lmax + 1
     # R[n, t, u, v, b]; build n from high to low.

@@ -177,16 +177,23 @@ def nuclear_attraction(basis: BasisSet) -> np.ndarray:
             lmax = sha.l + shb.l
             E = _pair_e_tables(sha, shb)
             block = np.zeros((sha.n_cart, shb.n_cart))
-            for ia, a in enumerate(sha.exps):
+            # One Hermite-Coulomb batch per shell pair — every primitive pair
+            # against every nucleus — instead of one per primitive pair: the
+            # Boys kernel and the R recursion cost per call, not per element.
+            ps = sha.exps[:, None] + shb.exps[None, :]                      # (na, nb)
+            Ps = (sha.exps[:, None, None] * sha.center
+                  + shb.exps[None, :, None] * shb.center) / ps[:, :, None]
+            rpc = Ps[:, :, None, :] - centers                               # (na, nb, n_atoms, 3)
+            R_all = hermite_coulomb_batch(
+                lmax, np.repeat(ps.ravel(), len(charges)), rpc.reshape(-1, 3)
+            ).reshape(ps.shape + (len(charges),) + (lmax + 1,) * 3)
+            for ia in range(len(sha.exps)):
                 ca = sha.norm_coefs[ia]
-                for ib, b in enumerate(shb.exps):
+                for ib in range(len(shb.exps)):
                     cb = shb.norm_coefs[ib]
-                    p = a + b
-                    P = (a * sha.center + b * shb.center) / p
-                    rpc = P[None, :] - centers  # (n_atoms, 3)
-                    R = hermite_coulomb_batch(lmax, np.full(len(charges), p), rpc)
+                    p = ps[ia, ib]
                     # Charge-weighted sum over nuclei.
-                    Rw = np.einsum("c,ctuv->tuv", -charges, R)
+                    Rw = np.einsum("c,ctuv->tuv", -charges, R_all[ia, ib])
                     Ex, Ey, Ez = E[ia, ib]
                     pref = ca * cb * 2.0 * np.pi / p
                     for qa, (l1, m1, n1) in enumerate(compsA):

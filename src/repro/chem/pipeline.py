@@ -44,8 +44,9 @@ class MolecularProblem:
 
 # Bump when upstream numerics change in ways that alter cached artifacts
 # (v2: multi-guess SCF — N2/O2/C2-class molecules previously cached an
-# excited Roothaan solution's MO basis).
-_CACHE_VERSION = 2
+# excited Roothaan solution's MO basis; v3: numpy Boys kernel, MO phases
+# fixed by ``run_rhf``'s convention instead of LAPACK's).
+_CACHE_VERSION = 3
 
 
 @disk_cache

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from repro.chem.integrals.driver import AOIntegrals
 
@@ -59,6 +58,19 @@ class _DIIS:
         return sum(c * f for c, f in zip(coeff, self.focks))
 
 
+def _fix_phases(C: np.ndarray) -> np.ndarray:
+    """Each MO column with its *leading* AO coefficient positive.
+
+    The leading coefficient is the first one whose magnitude exceeds half the
+    column's largest.  (The plain largest-magnitude rule is decided by
+    rounding on antibonding pairs, whose two largest coefficients are equal
+    and opposite.)
+    """
+    big = np.abs(C) > 0.5 * np.abs(C).max(axis=0)
+    lead = C[big.argmax(axis=0), np.arange(C.shape[1])]
+    return C * np.where(lead < 0.0, -1.0, 1.0)
+
+
 def run_rhf(ints: AOIntegrals, max_iter: int = 200, conv_tol: float = 1e-10,
             level_shift: float = 0.0, n_guesses: int = 3) -> RHFResult:
     """Solve the RHF equations; electrons must pair (closed-shell).
@@ -72,6 +84,13 @@ def run_rhf(ints: AOIntegrals, max_iter: int = 200, conv_tol: float = 1e-10,
     seeded random orthogonal orbitals) and keep the lowest converged
     solution — the pure-Python cost of an extra SCF is negligible next to
     the integrals.
+
+    MO phases are this function's convention, not LAPACK's: every column of
+    ``mo_coeff`` has its leading AO coefficient positive (:func:`_fix_phases`),
+    so a last-bit change upstream (another BLAS build, another Boys kernel)
+    cannot re-sign the Hamiltonian built on these orbitals.  Inside a
+    degenerate pair (the pi orbitals of N2, C2) the order and the rotation stay
+    ``eigh``'s: there the Hamiltonian is fixed only up to a unitary of the pair.
     """
     n_elec = ints.molecule.n_electrons
     if n_elec % 2 != 0:
@@ -98,7 +117,7 @@ def run_rhf(ints: AOIntegrals, max_iter: int = 200, conv_tol: float = 1e-10,
             shift[n_occ:] = level_shift
             Fp = C0 @ np.diag(eps0 + shift) @ C0.T
         eps, Cp = np.linalg.eigh(Fp)
-        C = X @ Cp
+        C = _fix_phases(X @ Cp)
         occ = C[:, :n_occ]
         return 2.0 * occ @ occ.T, C, eps
 

@@ -1,9 +1,10 @@
 """A tiny on-disk cache for expensive, deterministic artifacts.
 
-Jordan-Wigner Hamiltonians of the larger Fig. 9 molecules take tens of seconds
-to assemble in pure Python; they are pure functions of (molecule, basis), so we
-memoize them under ``~/.cache/nnqs-repro`` (override with ``NNQS_CACHE_DIR``,
-disable with ``NNQS_NO_CACHE=1``).
+The qubit Hamiltonians of the larger Fig. 9 molecules take seconds to build
+(integrals, SCF, the MO transformation; DESIGN.md "What a rank pays before
+iteration 1"); they are pure functions of (molecule, basis), so we memoize
+them under ``~/.cache/nnqs-repro`` (override with ``NNQS_CACHE_DIR``, disable
+with ``NNQS_NO_CACHE=1``).
 """
 from __future__ import annotations
 

@@ -36,6 +36,109 @@ class TestBoys:
         assert np.all(np.diff(fm[:, 0]) < 0)
 
 
+def boys_hyp1f1(m_max, x):
+    """The ``boys_array`` this package had while it imported scipy: Kummer's
+    function at the top order, downward recursion below it."""
+    from scipy.special import hyp1f1
+
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((m_max + 1,) + x.shape)
+    out[m_max] = hyp1f1(m_max + 0.5, m_max + 1.5, -x) / (2 * m_max + 1)
+    ex = np.exp(-x)
+    for m in range(m_max - 1, -1, -1):
+        out[m] = (2.0 * x * out[m + 1] + ex) / (2 * m + 1)
+    return out
+
+
+# x = 0, twelve decades up to 1e3, and both sides of every switch of the
+# numpy kernel: the table/asymptote hand-over at 36, a grid point (k / 8) and
+# the midpoint between two, where the nearest grid point changes.
+_EPS = np.array([-1e-9, 0.0, 1e-9])
+BOYS_GRID = np.unique(np.concatenate([
+    [0.0], np.logspace(-12, 3, 46), 36.0 + _EPS, 0.125 + _EPS, 0.0625 + _EPS,
+    17.5 + _EPS, 17.5625 + _EPS, 35.9375 + _EPS, [30.0, 49.5, 50.0, 75.0, 400.0],
+]))
+BOYS_ORDERS = range(9)     # 8 = the L of a d-shell quartet
+
+
+class TestBoysNumpyKernel:
+    """The Boys function in numpy alone (table + Taylor step below x = 36,
+    asymptote + upward recursion above): 1e-13 relative is the gate."""
+
+    @pytest.mark.parametrize("m", BOYS_ORDERS)
+    def test_matches_hyp1f1(self, m):
+        from scipy.special import hyp1f1
+
+        ref = hyp1f1(m + 0.5, m + 1.5, -BOYS_GRID) / (2 * m + 1)
+        # Beyond x = 36 hyp1f1 itself loses digits at the top orders (against
+        # 40-digit arithmetic: 7e-14 at m = 7, 1.4e-13 at m = 8, near
+        # x = 50); quadrature, below, arbitrates there at the full gate.
+        rtol = np.where((BOYS_GRID >= 36.0) & (m >= 7), 1e-12, 1e-13)
+        got = boys_array(m, BOYS_GRID)[m]
+        assert np.all(np.abs(got - ref) <= rtol * ref)
+
+    @pytest.mark.parametrize("m", BOYS_ORDERS)
+    def test_matches_quadrature_on_the_grid(self, m):
+        got = boys_array(8, BOYS_GRID)[m]      # lower orders by recursion
+        for x, value in zip(BOYS_GRID, got):
+            # past x = 36 the integrand lives in [0, 6 / sqrt(x)]
+            points = [6.0 / np.sqrt(x)] if x > 36.0 else None
+            ref, _ = quad(lambda t: t ** (2 * m) * np.exp(-x * t * t), 0.0, 1.0,
+                          epsabs=0.0, epsrel=5e-14, limit=400, points=points)
+            assert value == pytest.approx(ref, rel=1e-13, abs=0.0), (m, x)
+
+    def test_every_order_from_one_call_matches_its_own_top_order(self):
+        """Orders filled by recursion agree with the order computed directly."""
+        full = boys_array(8, BOYS_GRID)
+        for m in BOYS_ORDERS:
+            np.testing.assert_allclose(full[m], boys_array(m, BOYS_GRID)[m], rtol=1e-13)
+
+    def test_recursion_identity_across_the_switch(self):
+        x = np.array([35.9, 36.0, 36.1, 60.0, 1e3])
+        fm = boys_array(8, x)
+        for m in range(8):
+            rhs = (2 * x * fm[m + 1] + np.exp(-x)) / (2 * m + 1)
+            np.testing.assert_allclose(fm[m], rhs, rtol=1e-13)
+
+    def test_at_zero_all_orders(self):
+        fm = boys_array(8, np.zeros(1))[:, 0]
+        np.testing.assert_allclose(fm, 1.0 / (2 * np.arange(9) + 1), rtol=1e-15)
+
+    def test_shape_contract(self):
+        x = np.linspace(0.0, 80.0, 24).reshape(2, 3, 4)     # both ranges at once
+        fm = boys_array(3, x)
+        assert fm.shape == (4, 2, 3, 4)
+        np.testing.assert_array_equal(fm, boys_array(3, x.ravel()).reshape(4, 2, 3, 4))
+        assert boys_array(2, np.zeros((0, 5))).shape == (3, 0, 5)
+        assert boys(2, 1.5) == boys_array(2, np.array([1.5]))[2, 0]
+
+    def test_refuses_what_it_cannot_evaluate(self):
+        with pytest.raises(ValueError, match="x >= 0"):
+            boys_array(0, np.array([1.0, -1e-3]))
+        with pytest.raises(ValueError, match="x >= 0"):
+            boys_array(0, np.array([np.nan]))
+        with pytest.raises(ValueError, match="tabulated"):
+            boys_array(17, np.array([1.0]))
+
+
+class TestAOTensorsAgainstHyp1f1:
+    """S, T, V and the ERIs from the numpy Boys kernel against the same code
+    fed the hyp1f1-backed one: 1e-12 absolute."""
+
+    @pytest.mark.parametrize("name", ["H2O", "N2"])
+    def test_ao_tensors(self, name, monkeypatch):
+        from repro.chem import make_molecule
+        from repro.chem.integrals import hermite
+
+        mol = make_molecule(name)
+        ours = compute_integrals(mol, "sto-3g")
+        monkeypatch.setattr(hermite, "boys_array", boys_hyp1f1)
+        ref = compute_integrals(mol, "sto-3g")
+        for field in ("S", "T", "V", "eri"):
+            np.testing.assert_allclose(getattr(ours, field), getattr(ref, field),
+                                       rtol=0.0, atol=1e-12, err_msg=field)
+
+
 class TestHermiteCoefficients:
     def test_e000_is_gaussian_product_prefactor(self):
         a, b, q = 1.3, 0.7, 0.9

@@ -93,6 +93,69 @@ class TestRHF:
         assert scf.mo_energy[scf.n_occ] > scf.mo_energy[scf.n_occ - 1]
 
 
+def leading_coefficients(C):
+    """Per column: the first AO coefficient above half the column's largest."""
+    big = np.abs(C) > 0.5 * np.abs(C).max(axis=0)
+    return C[big.argmax(axis=0), np.arange(C.shape[1])]
+
+
+def perturbed(ints, rng, scale=1e-14):
+    """``ints`` with relative noise of ``scale`` on every tensor, permutational
+    symmetries kept: a stand-in for another BLAS build or Boys kernel."""
+    from dataclasses import replace
+
+    def noisy(a, perms):
+        g = rng.standard_normal(a.shape)
+        g = sum(g.transpose(p) for p in perms) / len(perms)
+        return a * (1.0 + scale * g)
+
+    pair = [(0, 1), (1, 0)]
+    eight = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+             (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]
+    return replace(ints, S=noisy(ints.S, pair), T=noisy(ints.T, pair),
+                   V=noisy(ints.V, pair), eri=noisy(ints.eri, eight))
+
+
+class TestMOPhaseConvention:
+    """MO phases are ``run_rhf``'s convention, not LAPACK's."""
+
+    @pytest.mark.parametrize("name", ["LiH", "H2O", "N2"])
+    def test_every_column_leads_positive(self, name):
+        scf = run_rhf(compute_integrals(make_molecule(name), "sto-3g"))
+        assert np.all(leading_coefficients(scf.mo_coeff) > 0.0)
+
+    @pytest.mark.parametrize("name", ["LiH", "H2O"])
+    def test_signs_survive_last_digit_noise_upstream(self, name):
+        """What the convention fixes: every non-degenerate column.  (Inside a
+        degenerate pair — LiH's two virtual pi orbitals — ``eigh`` is free to
+        return any rotation of the pair, and noise decides which.)"""
+        ints = compute_integrals(make_molecule(name), "sto-3g")
+        ref = run_rhf(ints)
+        gaps = np.diff(ref.mo_energy)
+        alone = np.append(gaps, np.inf) > 1e-6
+        alone &= np.insert(gaps, 0, np.inf) > 1e-6
+        assert alone.sum() == {"LiH": 4, "H2O": 7}[name]
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            scf = run_rhf(perturbed(ints, rng))
+            np.testing.assert_allclose(scf.mo_coeff[:, alone], ref.mo_coeff[:, alone],
+                                       rtol=0.0, atol=1e-9)
+            assert scf.energy == pytest.approx(ref.energy, abs=1e-10)
+
+    def test_convention_is_a_column_sign_and_nothing_else(self):
+        from repro.chem.scf.rhf import _fix_phases
+
+        rng = np.random.default_rng(3)
+        C = rng.standard_normal((7, 5))
+        # an antibonding pair: the two largest coefficients equal and opposite
+        C[:, 2] = [0.1, 0.7, -0.2, -0.7, 0.05, 0.0, 0.3]
+        fixed = _fix_phases(C)
+        np.testing.assert_array_equal(np.abs(fixed), np.abs(C))
+        assert np.all(leading_coefficients(fixed) > 0.0)
+        np.testing.assert_array_equal(_fix_phases(-C), fixed)
+        np.testing.assert_array_equal(fixed @ fixed.T, C @ C.T)     # densities agree
+
+
 class TestMOIntegrals:
     def test_core_hamiltonian_invariant_trace(self, h2o):
         ints, scf = h2o
