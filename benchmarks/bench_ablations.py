@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from baseline_ansatze import BASELINES, build_baseline
 
 from repro.bench import format_table, registry
 from repro.chem import build_problem, run_fci
@@ -252,10 +253,15 @@ def check_foils_agree(n_chain: int = 40_000, atol: float = 0.02) -> float:
 _ITERS = 150
 
 
-def _run(prob, fci, iters=_ITERS, **kwargs):
-    defaults = dict(d_model=16, n_heads=4, n_layers=2, seed=51)
-    defaults.update(kwargs)
-    wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, **defaults)
+def _run(prob, fci, iters=_ITERS, foil=None, **kwargs):
+    """Train ``iters`` iterations of QiankunNet, or of ``foil`` (a
+    ``baseline_ansatze`` amplitude class) in its frame."""
+    if foil is None:
+        defaults = dict(d_model=16, n_heads=4, n_layers=2, seed=51)
+        defaults.update(kwargs)
+        wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, **defaults)
+    else:
+        wf = build_baseline(foil, prob.n_qubits, prob.n_up, prob.n_dn, seed=51)
     pretrain_to_reference(wf, prob.hf_bits, n_steps=100)
     vmc = VMC(wf, prob.hamiltonian,
               VMCConfig(n_samples=10**5, eloc_mode="exact", seed=52),
@@ -268,8 +274,8 @@ def test_ablation_amplitude_architecture(benchmark, full):
     prob = build_problem("H2", "sto-3g", r=0.7414)
     fci = run_fci(prob.hamiltonian).energy
     rows = []
-    for kind in ("transformer", "made", "naqs-mlp"):
-        err, wf = _run(prob, fci, amplitude_type=kind)
+    for kind in ("transformer", *BASELINES):
+        err, wf = _run(prob, fci, foil=BASELINES.get(kind))
         rows.append([kind, wf.num_parameters(), f"{err:.2e}"])
     registry.record(
         "ablation_amplitude_architecture",

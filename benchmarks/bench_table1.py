@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from baseline_ansatze import MADEAmplitude, build_baseline
 
 from repro.bench import format_table, registry
 from repro.chem import (
@@ -43,10 +44,7 @@ def _ccsd_energy(name: str) -> float:
     return run_ccsd(to_spin_orbitals(mo_transform(ints, scf))).energy
 
 
-def _vmc_energy(prob, amplitude_type: str, iters: int, seed: int = 1) -> float:
-    wf = build_qiankunnet(
-        prob.n_qubits, prob.n_up, prob.n_dn, amplitude_type=amplitude_type, seed=seed
-    )
+def _vmc_energy(prob, wf, iters: int, seed: int) -> float:
     pretrain_to_reference(wf, prob.hf_bits, n_steps=150)
     vmc = VMC(
         wf,
@@ -66,8 +64,11 @@ def test_table1_energies(benchmark, full):
         prob = build_problem(name, "sto-3g")
         fci = run_fci(prob.hamiltonian).energy
         ccsd = _ccsd_energy(name)
-        e_made = _vmc_energy(prob, "made", _MADE_ITERS, seed=11)
-        e_qkn = _vmc_energy(prob, "transformer", _VMC_ITERS, seed=21)
+        sector = (prob.n_qubits, prob.n_up, prob.n_dn)
+        e_made = _vmc_energy(prob, build_baseline(MADEAmplitude, *sector, seed=11),
+                             _MADE_ITERS, seed=11)
+        e_qkn = _vmc_energy(prob, build_qiankunnet(*sector, seed=21),
+                            _VMC_ITERS, seed=21)
         rows.append(
             [name, prob.n_qubits, prob.n_electrons, prob.hamiltonian.n_terms,
              prob.e_hf, ccsd, e_made, e_qkn, fci]

@@ -9,7 +9,8 @@ is a component: stage 1 is the BAS sweep, every run uses the compiled
 
 Registered names:
 
-* ansatz: ``transformer`` (QiankunNet), ``made``, ``naqs-mlp``
+* ansatz: ``transformer`` (QiankunNet); ``register_ansatz`` takes any builder
+  whose amplitude network answers ``TransformerAmplitude``'s protocol
 * optimizer: ``adamw`` (AdamW + the Eq. 13 schedule — what ``VMC`` builds
   when handed none), ``sr``; both run inside the engine's stages 5 and 6
 * backend: ``serial`` / ``threads`` / ``process`` — the execution backends
@@ -38,19 +39,7 @@ __all__ = []  # registration side effects only
 
 
 # ------------------------------------------------------------------- ansätze
-def _autoregressive_builder(amplitude_type: str):
-    def build(n_qubits: int, n_up: int, n_dn: int, *, seed: int = 0, **params):
-        return build_qiankunnet(
-            n_qubits, n_up, n_dn, amplitude_type=amplitude_type, seed=seed,
-            **params,
-        )
-
-    build.__name__ = f"build_{amplitude_type.replace('-', '_')}"
-    return build
-
-
-for _kind in ("transformer", "made", "naqs-mlp"):
-    register_ansatz(_kind, _autoregressive_builder(_kind))
+register_ansatz("transformer", build_qiankunnet)
 
 
 # ---------------------------------------------------------------- optimizers

@@ -276,12 +276,28 @@ def _publish_final(spec: RunSpec, run_dir: Path, wf,
 def _require_autoregressive(spec: RunSpec, wf) -> None:
     """The training loop samples autoregressively and differentiates
     ``log_prob``/``phase_of`` — a user-registered builder that returns
-    anything else fails at materialization with the component named instead
-    of deep inside the run loop."""
+    anything else, a network short of the amplitude protocol or a wavefunction
+    the run could not publish fails at materialization, nothing on disk yet,
+    with the component named instead of deep inside (or after) the run loop."""
+    name = spec.ansatz.name
     if not isinstance(wf, NNQSWavefunction):
         raise SpecError(
-            f"ansatz {spec.ansatz.name!r} does not build an autoregressive "
+            f"ansatz {name!r} does not build an autoregressive "
             "NNQSWavefunction; run() cannot drive it"
+        )
+    missing = [attr for attr in ("make_session", "prefix_logits", "d_model")
+               if not hasattr(wf.amplitude, attr)]
+    if missing:
+        raise SpecError(
+            f"ansatz {name!r} builds a {type(wf.amplitude).__name__} amplitude "
+            f"network without {', '.join(missing)}; the sampler, the prefix "
+            "walk and the taped pass ask for exactly these"
+        )
+    if spec.output.publish and wf.spec is None:
+        raise SpecError(
+            f"output.publish is on, but ansatz.name = {name!r} builds a "
+            "wavefunction without the rebuild spec (wf.spec) a model snapshot "
+            "needs; set output.publish = false"
         )
 
 

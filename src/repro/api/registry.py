@@ -14,9 +14,11 @@ of editing the driver's call sites:
 
 Builder contracts (what the driver calls):
 
-* **ansatz**: ``builder(n_qubits, n_up, n_dn, *, seed=0, **params) -> wf``;
-  the returned wavefunction should carry a ``spec`` dict if it is to be
-  snapshot/published (``build_qiankunnet`` does this).
+* **ansatz**: ``builder(n_qubits, n_up, n_dn, *, seed=0, **params) -> wf``,
+  an ``NNQSWavefunction`` whose amplitude network answers the protocol
+  ``repro.nn.TransformerAmplitude`` documents ("Interface contract"); one
+  without a rebuild ``spec`` (``build_qiankunnet`` records it) runs with
+  ``output.publish = false``.  Both are checked at materialization.
 * **optimizer**: ``factory(wf, **params) -> optimizer``, plus whichever of
   ``lr_scale`` / ``warmup`` / ``weight_decay`` / ``grad_clip`` the factory
   declares by name.  The optimizer runs inside the engine's staged

@@ -31,9 +31,9 @@ contractions instead (``last_axis_sum`` / ``last_axis_dot`` /
 (``tools/lint_backend.py`` refuses an ``axis=-1`` ``sum`` / ``mean`` /
 ``max`` in this file).
 
-The primitive ``Tensor`` ops stay: MADE's masked weights, SR and the tests
-use them, and ``tests/test_block_ops.py`` checks every block op against the
-same function composed from primitives.
+The primitive ``Tensor`` ops stay: the phase MLP, SR and the tests use them,
+and ``tests/test_block_ops.py`` checks every block op against the same
+function composed from primitives.
 """
 from __future__ import annotations
 

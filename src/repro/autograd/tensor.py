@@ -4,7 +4,7 @@ This is the substrate that replaces PyTorch in the reproduction: a ``Tensor``
 wraps a float64 array from the active array backend (``repro.backend.xp`` —
 numpy by default) and records the operations applied to it so that
 ``backward()`` can accumulate gradients through the graph.  Only the
-operator set needed by the paper's models (transformer decoders, MLPs, MADE)
+operator set needed by the paper's models (transformer decoders, MLPs)
 is implemented, but each operator supports full broadcasting so the modules
 read like their PyTorch counterparts.
 
@@ -15,8 +15,7 @@ Design notes
   them per element: its layers tape the coarse, hand-derived block ops of
   ``repro.autograd.block_ops`` (one node per Linear / LayerNorm / attention /
   GELU / log-softmax head) on this same tape.  The primitives remain for
-  everything else (MADE's masked weights, the phase MLP's ``tanh``, the
-  Eq. 7 surrogate, SR) and are the oracle the block ops are tested against.
+  everything else (the phase MLP's ``tanh``, the Eq. 7 surrogate, SR) and are the oracle the block ops are tested against.
 * Gradients are accumulated into ``Tensor.grad`` (dense backend array, same
   shape as ``data``) and stay on the backend's device; graphs are rebuilt
   each forward pass (define-by-run).

@@ -16,6 +16,7 @@ can be published directly.
 """
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 
@@ -73,13 +74,21 @@ def save_model_snapshot(wf, path: str | Path, metadata: dict | None = None) -> N
 
 
 def load_model_snapshot(path: str | Path):
-    """Rebuild a wavefunction from a snapshot; returns ``(wf, metadata)``."""
+    """Rebuild a wavefunction from a snapshot; returns ``(wf, metadata)``.
+    A spec key ``build_qiankunnet`` does not take (any more) is a
+    ``ValueError`` naming file and key, raised before anything is built."""
     from repro.core.wavefunction import build_qiankunnet
 
     data = np.load(Path(path))
     if "spec_json" not in data:
         raise ValueError(f"{path} is not a model snapshot (no spec_json)")
     spec = json.loads(data["spec_json"].item())
+    unknown = sorted(set(spec) - set(inspect.signature(build_qiankunnet).parameters))
+    if unknown:
+        raise ValueError(
+            f"{path}: snapshot spec has key(s) build_qiankunnet does not take: "
+            f"{', '.join(unknown)} (written by another version of this code?)"
+        )
     spec["phase_hidden"] = tuple(spec["phase_hidden"])
     wf = build_qiankunnet(**spec)
     wf.set_flat_params(data["params"])

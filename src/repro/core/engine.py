@@ -484,7 +484,7 @@ class NoamAdamW(AdamW):
         # A proxy, not self: without the cycle a finished run's moments and
         # model are freed by refcount (8 MiB of peak RSS on h2_converge).
         self.schedule = NoamSchedule(
-            weakref.proxy(self), d_model=getattr(wf.amplitude, "d_model", 16),
+            weakref.proxy(self), d_model=wf.amplitude.d_model,
             warmup=warmup, scale=lr_scale,
         )
         self.grad_clip = grad_clip

@@ -3,9 +3,9 @@
 The wave function is decomposed as Psi(x) = |Psi(x)| e^{i phi(x)} (Eq. 11):
 the squared amplitude |Psi(x)|^2 = pi(x) is an autoregressive distribution
 modeled by a decoder-only transformer over 2-qubit tokens, and the phase
-phi(x) is a separate MLP.  Any amplitude network exposing
-``conditional_logits`` can be substituted (MADE, NAQS-MLP — Table 1
-baselines / ansatz ablation).
+phi(x) is a separate MLP.  Any amplitude network answering the protocol that
+``TransformerAmplitude`` documents ("Interface contract") can be substituted;
+``benchmarks/baseline_ansatze.py`` has two.
 
 Token layout: spatial orbital ``i`` = qubits ``(2i, 2i+1)``; the sampling
 order follows Ref. [27] (reverse order of the qubits after Jordan-Wigner), so
@@ -19,8 +19,8 @@ import numpy as np
 from repro.autograd import Tensor, no_grad
 from repro.autograd.block_ops import MASK_VALUE, log_softmax, picked_log_softmax, softmax
 from repro.core.constraints import ParticleNumberConstraint
-from repro.nn import MADEAmplitude, Module, NAQSMLPAmplitude, PhaseMLP, TransformerAmplitude
-from repro.nn.inference import make_inference_session, padded_next_logits
+from repro.nn import Module, PhaseMLP, TransformerAmplitude
+from repro.nn.inference import padded_next_logits
 
 __all__ = ["NNQSWavefunction", "build_qiankunnet", "ROW_BLOCK", "PREFIX_BLOCK",
            "row_blocks", "token_order", "prefix_tree"]
@@ -54,14 +54,6 @@ def row_blocks(n_rows: int, bound: int | None = None) -> list[slice]:
         slice(n_rows * i // n_blocks, n_rows * (i + 1) // n_blocks)
         for i in range(n_blocks)
     ]
-
-
-def _in_row_blocks(head, bits: np.ndarray) -> np.ndarray:
-    """``head(bits).data`` evaluated one row block at a time."""
-    out = np.empty(len(bits))
-    for rows in row_blocks(len(bits)):
-        out[rows] = head(bits[rows]).data
-    return out
 
 
 def token_order(tokens: np.ndarray) -> np.ndarray:
@@ -153,16 +145,13 @@ class NNQSWavefunction(Module):
         The log of the constrained, renormalized conditionals, picked at the
         sampled tokens and summed over positions — one block op.  Under a
         causal decoder the conditional at position ``k`` depends on the
-        length-``k`` prefix alone, so an amplitude network with a session of
-        its own (the dispatch of :meth:`log_amplitudes`) is taped node-major:
-        the rows are lexsorted and every layer runs over one row per
-        *distinct* prefix (:func:`prefix_tree`), equal to
+        length-``k`` prefix alone, so the pass is taped node-major: the rows
+        are lexsorted and the amplitude network's ``prefix_logits`` runs over
+        one row per *distinct* prefix (:func:`prefix_tree`), equal to
         :meth:`log_prob_reference` to rounding.  Rows come back in input
         order; duplicates share their nodes.
         """
         tokens = self.bits_to_tokens(bits)
-        if not hasattr(self.amplitude, "make_session"):
-            return self._log_prob_dense(tokens)
         t = self.n_tokens
         order = token_order(tokens)
         ordered = tokens[order]
@@ -180,12 +169,10 @@ class NNQSWavefunction(Module):
         return picked_log_softmax(logits, allowed, tokens, in_input_order)
 
     def log_prob_reference(self, bits: np.ndarray) -> Tensor:
-        """Dense oracle for :meth:`log_prob`: every row through every layer
-        at every position, no sharing.  For testing purposes only on the
-        transformer; it *is* :meth:`log_prob` for MADE / NAQS-MLP."""
-        return self._log_prob_dense(self.bits_to_tokens(bits))
-
-    def _log_prob_dense(self, tokens: np.ndarray) -> Tensor:
+        """Dense oracle for :meth:`log_prob`, the sweep's and the walk's
+        ``log pi``: every row through every layer at every position
+        (``conditional_logits``), no sharing.  For testing purposes only."""
+        tokens = self.bits_to_tokens(bits)
         logits = self.amplitude.conditional_logits(tokens)
         allowed = None
         if self.constraint is not None:
@@ -207,27 +194,24 @@ class NNQSWavefunction(Module):
         The no-grad entry point for bits the caller was *given*
         (``extend_amplitude_table``, serving, observables; stage 2 is not
         one — the sweep hands it ``log pi``).  ``log pi`` comes from the
-        prefix-shared walk (:meth:`_log_prob_shared`) when the amplitude
-        network has an incremental session of its own (it exposes
-        ``make_session`` — a property of the model), otherwise from the dense
-        :meth:`log_prob` in row blocks of ``ROW_BLOCK``; the phase MLP always
-        runs per row block.  Either way memory is bounded for any batch size,
-        and a row's value does not depend on its batch-mates beyond BLAS
-        rounding (the two evaluations agree to 1e-12, not bitwise).
+        prefix-shared walk (:meth:`_log_prob_shared`) in blocks of
+        ``PREFIX_BLOCK`` rows, the phase from the MLP in blocks of
+        ``ROW_BLOCK``: memory is bounded for any batch size, and a row's value
+        does not depend on its batch-mates beyond BLAS rounding (the walk and
+        :meth:`log_prob_reference` agree to 1e-12, not bitwise).
         """
         bits = np.atleast_2d(bits)
-        with no_grad():
-            if hasattr(self.amplitude, "make_session"):
-                log_prob = self._log_prob_shared(bits)
-            else:
-                log_prob = _in_row_blocks(self.log_prob, bits)
-        return 0.5 * log_prob + 1j * self.phases(bits)
+        return 0.5 * self._log_prob_shared(bits) + 1j * self.phases(bits)
 
     def phases(self, bits: np.ndarray) -> np.ndarray:
         """(B,) phi(x) without a tape, one row block at a time — the half of
         :meth:`log_amplitudes` a caller that holds ``log pi`` still needs."""
+        bits = np.atleast_2d(bits)
+        out = np.empty(len(bits))
         with no_grad():
-            return _in_row_blocks(self.phase_of, np.atleast_2d(bits))
+            for rows in row_blocks(len(bits)):
+                out[rows] = self.phase_of(bits[rows]).data
+        return out
 
     def _log_prob_shared(self, bits: np.ndarray) -> np.ndarray:
         """(B,) log pi(x), each distinct token prefix evaluated once.
@@ -276,18 +260,13 @@ class NNQSWavefunction(Module):
         return logp[node[t]]
 
     def make_session(self, batch_size: int = 1):
-        """Open an incremental decoding session on the amplitude network.
-
-        Transformer amplitudes get a KV-cached session (O(k) per step);
-        fixed-width ansätze (MADE, NAQS-MLP) get the recompute fallback with
-        the same interface.  Sessions are the sampler's hot path — see
-        DESIGN.md for the architecture.  A ``session_factory`` hook (set by
-        the serving layer's session pool) intercepts creation; a recycled
+        """Open an incremental decoding session on the amplitude network
+        (the transformer's is KV-cached, O(k) per step) — the sampler's and
+        the walk's hot path, see DESIGN.md.  A ``session_factory`` hook (set
+        by the serving layer's session pool) intercepts creation; a recycled
         session is reset first, so the numerics are those of a fresh one.
         """
-        if self.session_factory is not None:
-            return self.session_factory(batch_size)
-        return make_inference_session(self.amplitude, batch_size)
+        return (self.session_factory or self.amplitude.make_session)(batch_size)
 
     def probs_from_logits(self, logits: np.ndarray, counts_up: np.ndarray,
                           counts_dn: np.ndarray, step: int) -> np.ndarray:
@@ -349,30 +328,19 @@ def build_qiankunnet(
     n_heads: int = 4,
     n_layers: int = 2,
     phase_hidden: tuple[int, ...] = (512, 512),
-    amplitude_type: str = "transformer",
     token_bits: int = 2,
     constrain: bool = True,
     reverse_order: bool = True,
     seed: int = 0,
 ) -> NNQSWavefunction:
-    """Factory with the paper's Sec. 4.1 defaults.
-
-    ``amplitude_type``: 'transformer' (QiankunNet), 'made' (Ref. [27]
-    baseline) or 'naqs-mlp' (Ref. [26]-style baseline).
-    """
+    """QiankunNet with the paper's Sec. 4.1 defaults; the returned
+    wavefunction records these arguments as its rebuild ``spec``."""
     rng = np.random.default_rng(seed)
     n_tokens = n_qubits // token_bits
     vocab = 2**token_bits
-    if amplitude_type == "transformer":
-        amp = TransformerAmplitude(
-            n_tokens, vocab, d_model=d_model, n_heads=n_heads, n_layers=n_layers, rng=rng
-        )
-    elif amplitude_type == "made":
-        amp = MADEAmplitude(n_tokens, vocab, rng=rng)
-    elif amplitude_type == "naqs-mlp":
-        amp = NAQSMLPAmplitude(n_tokens, vocab, rng=rng)
-    else:
-        raise ValueError(f"unknown amplitude_type {amplitude_type!r}")
+    amp = TransformerAmplitude(
+        n_tokens, vocab, d_model=d_model, n_heads=n_heads, n_layers=n_layers, rng=rng
+    )
     phase = PhaseMLP(n_qubits, hidden=phase_hidden, rng=rng)
     constraint = None
     if constrain:
@@ -397,7 +365,6 @@ def build_qiankunnet(
         "n_heads": n_heads,
         "n_layers": n_layers,
         "phase_hidden": list(phase_hidden),
-        "amplitude_type": amplitude_type,
         "token_bits": token_bits,
         "constrain": constrain,
         "reverse_order": reverse_order,

@@ -20,11 +20,6 @@ Architecture (see DESIGN.md):
   causal pass (used when resuming a mid-tree :class:`BASTreeState` that
   arrives without a session, e.g. after the parallel split of Fig. 5);
   ``select()`` realigns the cache rows with the surviving/branched prefixes.
-* :class:`FallbackInferenceSession` — the protocol implementation for
-  amplitude networks without an incremental path (MADE / NAQS-MLP declare
-  ``fixed_length = True``): it stores the consumed tokens and re-runs the
-  full ``conditional_logits`` each step, which reproduces the pre-cache
-  numerics bit for bit.
 
 Everything in this module is graph-free bookkeeping on raw ``.data``
 buffers, allocated through the active backend's ``xp`` namespace — the KV
@@ -37,32 +32,24 @@ correctness oracle in the tests.
 """
 from __future__ import annotations
 
+from repro.autograd import no_grad
 from repro.backend import xp
 from repro.backend.dtypes import int64
 
 __all__ = [
     "KVCache",
     "TransformerInferenceSession",
-    "FallbackInferenceSession",
-    "make_inference_session",
     "padded_next_logits",
 ]
 
 
 def padded_next_logits(model, prefix_tokens):
-    """Next-position logits via the full ``conditional_logits`` forward.
-
-    The one place that knows the padding contract: fixed-width ansätze
-    (``fixed_length = True``) must be padded to ``n_tokens``, everything else
-    only to ``k + 1``.  Shared by the fallback session and the wavefunction's
-    full-forward oracle so the two paths cannot drift apart.
-    """
-    from repro.autograd import no_grad
-
+    """Next-position logits via the full ``conditional_logits`` forward over
+    the ``(b, k)`` prefix right-padded to ``k + 1`` — the oracle of a decode
+    step (``NNQSWavefunction.conditional_probs_reference``)."""
     prefix_tokens = xp.asarray(prefix_tokens, dtype=int64)
     b, k = prefix_tokens.shape
-    length = model.n_tokens if getattr(model, "fixed_length", False) else k + 1
-    padded = xp.zeros((b, length), dtype=int64)
+    padded = xp.zeros((b, k + 1), dtype=int64)
     padded[:, :k] = prefix_tokens
     with no_grad():
         return model.conditional_logits(padded).data[:, k, :]
@@ -171,90 +158,3 @@ class TransformerInferenceSession:
         self.pos = 0
         self.caches = [KVCache() for _ in self.model.layers]
         return self
-
-
-class FallbackInferenceSession:
-    """Session protocol for fixed-input-width ansätze (MADE, NAQS-MLP).
-
-    These networks have no incremental path — their input layer consumes the
-    whole (padded) sequence — so each ``step`` stores the new token column
-    and re-runs the full ``conditional_logits`` under ``no_grad``, exactly
-    as the pre-session ``conditional_probs`` did.  The session interface is
-    identical, so the sampler does not care which kind it is driving.
-    """
-
-    def __init__(self, model, batch_size: int = 1):
-        self.model = model
-        self.batch_size = batch_size
-        self.tokens = xp.zeros((batch_size, 0), dtype=int64)
-        self._started = False
-
-    @property
-    def pos(self) -> int:
-        return self.tokens.shape[1]
-
-    def _next_logits(self):
-        return padded_next_logits(self.model, self.tokens)
-
-    def step(self, prev_tokens=None):
-        # Same misuse contract as the transformer session: the first call
-        # takes no token, every later call must consume one.
-        if prev_tokens is None:
-            if self._started:
-                raise ValueError("prev_tokens required once the session has started")
-        else:
-            if not self._started:
-                raise ValueError(
-                    "the first step consumes BOS: call step(None) or prefill()"
-                )
-            prev = xp.asarray(prev_tokens, dtype=int64).reshape(-1, 1)
-            self.tokens = xp.concatenate([self.tokens, prev], axis=1)
-        self._started = True
-        return self._next_logits()
-
-    def prefill(self, prefix_tokens):
-        if self._started or self.tokens.shape[1] > 0:
-            # Same misuse contract as the transformer session.
-            raise ValueError("prefill requires a fresh session")
-        self._started = True
-        prefix = xp.asarray(prefix_tokens, dtype=int64)
-        if prefix.ndim == 1:
-            prefix = prefix[None, :]
-        self.tokens = prefix
-        return self._next_logits()
-
-    def select(self, idx) -> "FallbackInferenceSession":
-        out = FallbackInferenceSession.__new__(FallbackInferenceSession)
-        out.model = self.model
-        out.batch_size = len(idx)
-        out.tokens = self.tokens[idx]
-        out._started = self._started
-        return out
-
-    def copy(self) -> "FallbackInferenceSession":
-        out = FallbackInferenceSession.__new__(FallbackInferenceSession)
-        out.model = self.model
-        out.batch_size = self.batch_size
-        out.tokens = xp.array(self.tokens)
-        out._started = self._started
-        return out
-
-    def reset(self, batch_size: int | None = None) -> "FallbackInferenceSession":
-        """Return the session to its fresh state (serving-layer pool hook)."""
-        if batch_size is not None:
-            self.batch_size = batch_size
-        self.tokens = xp.zeros((self.batch_size, 0), dtype=int64)
-        self._started = False
-        return self
-
-
-def make_inference_session(amplitude, batch_size: int = 1):
-    """Open a decoding session for any amplitude network.
-
-    Networks exposing ``make_session`` (the transformer) get their native
-    KV-cached session; everything else gets the recompute fallback, so the
-    sampler's session-driven loop works for every ansatz.
-    """
-    if hasattr(amplitude, "make_session"):
-        return amplitude.make_session(batch_size)
-    return FallbackInferenceSession(amplitude, batch_size)

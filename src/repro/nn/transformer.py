@@ -11,12 +11,24 @@ the same spatial orbital", Sec. 3.3), i.e. the vocabulary is
 is N/2 for N qubits.  ``vocab_size`` is configurable (2 for the 1-qubit-token
 ablation).
 
-Interface contract (shared with the MADE / NAQS-MLP baselines):
-``conditional_logits(tokens)`` takes an int array of shape ``(batch, T)``
-(right-padded with zeros beyond the known prefix) and returns a
-``(batch, T, vocab)`` Tensor of *unnormalized* logits where the entry at
-position ``i`` depends only on tokens ``< i`` — so the caller may feed any
-padding for positions ``>= prefix`` without corrupting earlier conditionals.
+Interface contract — all that ``src/`` knows about an amplitude network, and
+all a ``register_ansatz`` builder's network has to provide (``api/driver.py``
+checks the names once, at materialization):
+
+* ``n_tokens``, ``vocab_size``, ``d_model`` (the Eq. 13 schedule's scale);
+* ``make_session(batch) -> session`` — incremental decoding, graph-free:
+  ``step(prev_tokens | None)`` / ``prefill(prefix)`` return the next
+  position's ``(batch, vocab)`` logits, ``select(idx)`` gathers rows when the
+  tree branches, ``copy()`` / ``reset(batch)``, ``batch_size``, ``pos``.  Read
+  by the BAS sweep, the walk of ``log_amplitudes`` and the serving pool;
+* ``prefix_logits(tokens, node_at, rep_row, level) -> (n_nodes, vocab)``
+  Tensor, the taped conditional of every distinct prefix of lexsorted rows.
+  Read by ``log_prob`` (stage 5, SR, pretraining);
+* ``conditional_logits(tokens)`` — ``(batch, t <= T)`` int tokens (right-padded
+  with zeros beyond the known prefix) to a ``(batch, t, vocab)`` Tensor of
+  *unnormalized* logits where the entry at position ``i`` depends only on
+  tokens ``< i``, so any padding at positions ``>= prefix`` leaves earlier
+  conditionals alone.  The dense oracle of the two above: tests only.
 """
 from __future__ import annotations
 

@@ -31,8 +31,6 @@ import threading
 
 import numpy as np
 
-from repro.nn.inference import make_inference_session
-
 __all__ = ["SessionPool", "PrefixSessionCache"]
 
 
@@ -52,7 +50,7 @@ class SessionPool:
             self.reused += 1
             return self._idle.pop().reset(batch_size)
         self.created += 1
-        return make_inference_session(self.amplitude, batch_size)
+        return self.amplitude.make_session(batch_size)
 
     def release(self, session) -> None:
         """Return a session to the free list (reset; dropped when full)."""
@@ -77,7 +75,7 @@ class SessionPool:
 
         def factory(batch_size: int):
             if threading.get_ident() != owner:
-                return make_inference_session(wf.amplitude, batch_size)
+                return wf.amplitude.make_session(batch_size)
             session = self.acquire(batch_size)
             opened.append(session)
             return session

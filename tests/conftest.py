@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.chem import build_problem
+from repro.core import build_qiankunnet
 
 
 @pytest.fixture(scope="session")
@@ -32,14 +33,37 @@ def rng():
 
 
 def _load_bench(name: str):
-    """``benchmarks/<name>.py`` as a module (registered in ``sys.modules``
-    first: its dataclasses resolve their annotations through it)."""
+    """``benchmarks/<name>.py`` as a module, loaded once (registered in
+    ``sys.modules`` first: its dataclasses resolve their annotations through
+    it, and one bench file imports another by that name)."""
+    if name in sys.modules:
+        return sys.modules[name]
     path = Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+# The ansatz matrix: the production ansatz plus the two Table 1 foils, which
+# reach sampler, walk, taped pass, engine, serving and the mock backend through
+# the amplitude protocol alone — what a ``register_ansatz`` user's network does.
+baselines = _load_bench("baseline_ansatze")
+ANSATZE = ["transformer", *baselines.BASELINES]
+
+
+def build_wf(kind: str, n_qubits: int, n_up: int, n_dn: int, *,
+             d_model: int = 16, n_heads: int = 4, n_layers: int = 2, **common):
+    """The ``kind`` wavefunction of :data:`ANSATZE`: the transformer through
+    ``build_qiankunnet``, a foil through ``baselines.build_baseline`` (which
+    has no transformer widths to set; ``common``: ``phase_hidden``,
+    ``constrain``, ``seed``)."""
+    if kind == "transformer":
+        return build_qiankunnet(n_qubits, n_up, n_dn, d_model=d_model,
+                                n_heads=n_heads, n_layers=n_layers, **common)
+    return baselines.build_baseline(baselines.BASELINES[kind], n_qubits, n_up, n_dn,
+                                    **common)
 
 
 @pytest.fixture(scope="session")

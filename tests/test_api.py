@@ -40,6 +40,7 @@ from repro.core import (
     default_ns_schedule,
 )
 from repro.core.checkpoint import load_model_snapshot
+from tests.conftest import build_wf
 
 
 def full_spec() -> RunSpec:
@@ -48,7 +49,7 @@ def full_spec() -> RunSpec:
         name="roundtrip",
         problem=ProblemSpec(molecule="LiH", basis="sto-3g", n_frozen=1,
                             n_active=3, geometry={"r": 1.2}),
-        ansatz=AnsatzSpec(name="made", d_model=8, n_heads=2, n_layers=1,
+        ansatz=AnsatzSpec(name="my-ansatz", d_model=8, n_heads=2, n_layers=1,
                           phase_hidden=(32, 16), token_bits=2, constrain=False,
                           reverse_order=False, seed=5, params={"extra": 1}),
         optimizer=OptimizerSpec(name="adamw", lr_scale=0.5, warmup=123,
@@ -99,6 +100,24 @@ def tiny_trainer(prob) -> Trainer:
 def metric_energies(path) -> list[float]:
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     return [r["energy"] for r in rows if "iteration" in r]
+
+
+@pytest.fixture()
+def registered():
+    """``registered(builder) -> name``: an ansatz registered for one test."""
+    from repro.api import register_ansatz
+    from repro.api.registry import ANSATZE as registry
+
+    names = []
+
+    def register(builder):
+        names.append(f"test-ansatz-{len(names)}")
+        register_ansatz(names[-1], builder)
+        return names[-1]
+
+    yield register
+    for name in names:
+        registry._builders.pop(name, None)
 
 
 # ----------------------------------------------------------- spec round-trip
@@ -194,7 +213,14 @@ class TestRegistries:
         import repro.api.registry
         from repro.api import OPTIMIZERS
 
-        assert {"transformer", "made", "naqs-mlp"} == set(ANSATZE.names())
+        import repro.nn
+
+        assert set(ANSATZE.names()) == {"transformer"}
+        # One ansatz on the production path: the foils, their recompute
+        # session and the session dispatch live in benchmarks/baseline_ansatze.py.
+        for gone in ("MADEAmplitude", "NAQSMLPAmplitude", "FallbackInferenceSession",
+                     "make_inference_session", "made"):
+            assert gone not in repro.nn.__all__ and not hasattr(repro.nn, gone)
         assert {"adamw", "sr"} <= set(OPTIMIZERS.names())
         # Three registries, and only three.
         assert {n for n in repro.api.registry.__all__ if n.isupper()} == {
@@ -217,7 +243,10 @@ class TestRegistries:
             ANSATZE.get("retnet")
         message = str(exc.value)
         assert "retnet" in message
-        assert "transformer" in message and "made" in message
+        assert "transformer" in message
+        for removed in ("made", "naqs-mlp"):     # refused like any unknown name
+            with pytest.raises(UnknownComponentError, match="transformer"):
+                ANSATZE.get(removed)
 
     def test_empty_registry_error_says_none(self):
         reg = ComponentRegistry("widget")
@@ -535,6 +564,28 @@ class TestServing:
         direct = result.wavefunction.log_amplitudes(batch.bits)
         np.testing.assert_allclose(served, direct, atol=1e-12, rtol=0)
 
+    def test_a_parent_written_run_resumes_but_its_snapshots_are_refused(self, tmp_path):
+        """A run directory of the commit before the ``amplitude_type`` key
+        left ``wf.spec``: ``spec.json`` and ``checkpoint.npz`` never held it,
+        so the run resumes; its ``models/`` snapshots name the key, and the one
+        reader of snapshots refuses them by that name, no alias."""
+        result = run(tiny_spec(), run_dir=tmp_path / "run")
+        snapshot = result.registry().path(result.published_version)
+        with np.load(snapshot) as data:
+            payload = dict(data)
+        spec = {**json.loads(payload["spec_json"].item()),
+                "amplitude_type": "transformer"}
+        payload["spec_json"] = np.array(json.dumps(spec))
+        np.savez(snapshot, **payload)
+        with pytest.raises(ValueError, match="amplitude_type") as err:
+            result.registry().load()
+        assert snapshot.name in str(err.value)
+        with serve_run(result.run_dir) as service:
+            with pytest.raises(ValueError, match="amplitude_type"):
+                service.sample(8, seed=1)
+        again = resume(result.run_dir, overrides={"train.max_iterations": 5})
+        assert again.report.iterations == 5
+
     def test_serve_run_without_snapshots_fails(self, tmp_path):
         spec = tiny_spec().with_overrides({"output.publish": False})
         result = run(spec, run_dir=tmp_path / "run")
@@ -599,33 +650,63 @@ class TestPluggability:
             hand.append(sr.step(batch, eloc).energy)
         np.testing.assert_allclose(driven, hand, atol=1e-9, rtol=0)
 
-    def test_custom_ansatz_plugs_in_by_name(self, tmp_path):
-        """A registered builder is reachable from a spec with zero driver edits."""
-        from repro.api import register_ansatz
-        from repro.api.registry import ANSATZE as registry
-
-        name = "test-custom-transformer"
+    def test_custom_ansatz_plugs_in_by_name(self, tmp_path, registered):
+        """A registered builder — here a network that is *not* the built-in,
+        known to the run by the amplitude protocol alone — is reachable from
+        a spec with zero driver edits, trains, checkpoints and resumes."""
         calls = {}
 
         def build(n_qubits, n_up, n_dn, *, seed=0, **params):
             calls["params"] = params
-            return build_qiankunnet(n_qubits, n_up, n_dn, d_model=8,
-                                    n_heads=2, n_layers=1, phase_hidden=(16,),
-                                    seed=seed)
+            return build_wf("made", n_qubits, n_up, n_dn, phase_hidden=(16,),
+                            seed=seed)
 
-        register_ansatz(name, build)
-        try:
-            spec = tiny_spec().with_overrides({
-                "ansatz.name": name,
-                "ansatz.params": {"flavor": "mini"},
-                "train.max_iterations": 1,
-                "train.pretrain_steps": 0,
-            })
-            result = run(spec, run_dir=tmp_path / "run")
-            assert result.report.iterations == 1
-            assert calls["params"]["flavor"] == "mini"
-        finally:
-            registry._builders.pop(name, None)
+        spec = tiny_spec().with_overrides({
+            "ansatz.name": registered(build),
+            "ansatz.params": {"flavor": "mini"},
+            "train.max_iterations": 1,
+            "train.pretrain_steps": 0,
+            "output.publish": False,
+        })
+        result = run(spec, run_dir=tmp_path / "run")
+        assert result.report.iterations == 1 and result.published_version is None
+        assert calls["params"]["flavor"] == "mini"
+        assert type(result.wavefunction.amplitude).__name__ == "MADEAmplitude"
+        again = resume(tmp_path / "run", overrides={"train.max_iterations": 2})
+        assert again.report.iterations == 2
+
+    @pytest.mark.parametrize("overrides", [{}, {"output.publish_every": 1}],
+                             ids=["final", "publish_every"])
+    def test_a_run_that_cannot_publish_is_refused_before_it_trains(
+            self, tmp_path, registered, overrides):
+        """No rebuild spec + ``output.publish`` (the default): a SpecError at
+        materialization, not a ValueError after the last iteration."""
+        name = registered(lambda n_qubits, n_up, n_dn, *, seed=0:
+                          build_wf("naqs-mlp", n_qubits, n_up, n_dn, seed=seed))
+        spec = tiny_spec().with_overrides({"ansatz.name": name, **overrides})
+        assert spec.output.publish
+        with pytest.raises(SpecError) as err:
+            run(spec, run_dir=tmp_path / "run")
+        assert "output.publish" in str(err.value) and name in str(err.value)
+        assert "ansatz.name" in str(err.value)
+        assert list((tmp_path / "run").iterdir()) == []   # reusable, nothing written
+
+    @pytest.mark.parametrize("missing", ["make_session", "prefix_logits", "d_model"])
+    def test_an_amplitude_short_of_the_protocol_is_refused_by_attribute(
+            self, tmp_path, registered, missing):
+        def build(n_qubits, n_up, n_dn, *, seed=0):
+            wf = build_wf("made", n_qubits, n_up, n_dn, seed=seed)
+            partial = type("Partial", (), {
+                a: getattr(wf.amplitude, a)
+                for a in ("make_session", "prefix_logits", "d_model") if a != missing})
+            wf.amplitude = partial()
+            return wf
+
+        spec = tiny_spec({"ansatz.name": registered(build), "output.publish": False})
+        with pytest.raises(SpecError, match=missing) as err:
+            run(spec, run_dir=tmp_path / "run")
+        assert "Partial" in str(err.value)
+        assert list((tmp_path / "run").iterdir()) == []
 
 
 # ------------------------------------------------- spec -> owning object

@@ -28,15 +28,14 @@ from repro.backend import (
     use_backend,
     xp,
 )
-from repro.core import VMC, NoamAdamW, VMCConfig, build_qiankunnet
-
-ANSATZE = ["transformer", "made", "naqs-mlp"]
+from repro.core import VMC, NoamAdamW, VMCConfig
+from tests.conftest import ANSATZE, build_wf
 
 
 def _fresh_vmc(problem, amplitude_type="transformer", array_backend="numpy",
                seed=3, n_samples=600):
-    wf = build_qiankunnet(4, 1, 1, amplitude_type=amplitude_type, d_model=8,
-                          n_heads=2, n_layers=1, phase_hidden=(8,), seed=7)
+    wf = build_wf(amplitude_type, 4, 1, 1, d_model=8, n_heads=2, n_layers=1,
+                  phase_hidden=(8,), seed=7)
     cfg = VMCConfig(n_samples=n_samples, eloc_mode="exact", seed=seed)
     return VMC(wf, problem.hamiltonian, cfg, array_backend=array_backend,
                optimizer=NoamAdamW(wf, warmup=50))

@@ -39,7 +39,8 @@ from repro.core.wavefunction import prefix_tree
 from repro.core import VMC, VMCConfig, build_qiankunnet
 from repro.core.sampler import SampleBatch
 from repro.hamiltonian import compress_hamiltonian
-from repro.nn import MADEAmplitude, NAQSMLPAmplitude, TransformerAmplitude
+from repro.nn import TransformerAmplitude
+from tests.conftest import ANSATZE, baselines, build_wf
 from tests.test_wavefunction import sector_bitstrings
 
 TOL = 1e-12
@@ -344,9 +345,9 @@ def _mlp_ref(layers, x, act):
 def oracle_logits(amp, tokens) -> Tensor:
     """``amp.conditional_logits`` rebuilt from primitive ops on amp's parameters."""
     b, t = tokens.shape
-    if isinstance(amp, MADEAmplitude):
+    if isinstance(amp, baselines.MADEAmplitude):
         return amp.conditional_logits(tokens)  # masked weights: primitives already
-    if isinstance(amp, NAQSMLPAmplitude):
+    if isinstance(amp, baselines.NAQSMLPAmplitude):
         onehot = np.eye(amp.vocab_size)[tokens]            # (b, t, v)
         outs = []
         for i in range(t):
@@ -382,8 +383,8 @@ def oracle_surrogate_gradient(wf, bits, coeff_amp, coeff_phase):
 
 def _surrogate_case(amplitude_type="transformer", constrain=True, rows=None,
                     phase_hidden=(32, 32)):
-    wf = build_qiankunnet(8, 2, 2, amplitude_type=amplitude_type,
-                          constrain=constrain, phase_hidden=phase_hidden, seed=3)
+    wf = build_wf(amplitude_type, 8, 2, 2, constrain=constrain,
+                  phase_hidden=phase_hidden, seed=3)
     bits = sector_bitstrings(8, 2, 2)
     if rows is not None:
         bits = np.tile(bits, (-(-rows // len(bits)), 1))[:rows]
@@ -398,7 +399,7 @@ def _surrogate_case(amplitude_type="transformer", constrain=True, rows=None,
 
 
 @pytest.mark.parametrize("constrain", [True, False])
-@pytest.mark.parametrize("amplitude_type", ["transformer", "made", "naqs-mlp"])
+@pytest.mark.parametrize("amplitude_type", ANSATZE)
 def test_stage5_gradient_matches_oracle_forward(amplitude_type, constrain):
     wf, chunk, (w_norm, eloc, e_mean, e_imag) = _surrogate_case(amplitude_type, constrain)
     grad = engine.stage_backward(wf, chunk, w_norm, eloc, e_mean, e_imag).copy()

@@ -19,11 +19,11 @@ from repro.core.checkpoint import (
     save_model_snapshot,
 )
 
-ANSATZE = ["transformer", "made", "naqs-mlp"]
+from tests.conftest import ANSATZE, build_wf
 
 
 def _fresh_vmc(problem, amplitude_type: str) -> VMC:
-    wf = build_qiankunnet(4, 1, 1, amplitude_type=amplitude_type, seed=12)
+    wf = build_wf(amplitude_type, 4, 1, 1, seed=12)
     return VMC(wf, problem.hamiltonian,
                VMCConfig(n_samples=1500, eloc_mode="exact", seed=13))
 
@@ -172,9 +172,11 @@ class TestRngPayload:
 
 
 class TestModelSnapshot:
-    @pytest.mark.parametrize("amplitude_type", ANSATZE)
+    # A foil carries no rebuild spec: the refusals below and in test_api.py
+    # (TestUnpublishableRunIsRefusedBeforeItTrains) are its half of the matrix.
+    @pytest.mark.parametrize("amplitude_type", ["transformer"])
     def test_roundtrip_rebuilds_identical_network(self, tmp_path, amplitude_type):
-        wf = build_qiankunnet(8, 2, 2, amplitude_type=amplitude_type, seed=5)
+        wf = build_wf(amplitude_type, 8, 2, 2, seed=5)
         # Perturb away from the seed init so params, not the spec seed,
         # must carry the state.
         wf.set_flat_params(wf.get_flat_params() + 0.01)
@@ -195,6 +197,33 @@ class TestModelSnapshot:
         wf.spec = None  # hand-built networks carry no rebuild recipe
         with pytest.raises(ValueError, match="spec"):
             save_model_snapshot(wf, tmp_path / "x.npz")
+        with pytest.raises(ValueError, match="spec"):
+            save_model_snapshot(build_wf("made", 4, 1, 1), tmp_path / "x.npz")
+
+    def test_spec_is_exactly_the_builders_arguments(self):
+        import inspect
+
+        wf = build_qiankunnet(4, 1, 1)
+        assert set(wf.spec) == set(inspect.signature(build_qiankunnet).parameters)
+        assert "amplitude_type" not in wf.spec
+
+    @pytest.mark.parametrize("extra", [
+        {"amplitude_type": "transformer"},        # what the parent commit wrote
+        {"amplitude_type": "made", "sampler": "bas"},
+    ])
+    def test_unknown_spec_key_is_refused_by_name_before_building(
+            self, tmp_path, monkeypatch, extra):
+        wf = build_qiankunnet(4, 1, 1, seed=5)
+        wf.spec = {**wf.spec, **extra}
+        path = tmp_path / "old.npz"
+        save_model_snapshot(wf, path)
+        monkeypatch.setattr("repro.core.wavefunction.build_qiankunnet",
+                            lambda **spec: pytest.fail("built before validating"))
+        with pytest.raises(ValueError) as err:
+            load_model_snapshot(path)
+        assert str(path) in str(err.value)
+        for key in extra:
+            assert key in str(err.value)
 
     def test_checkpoint_is_publishable(self, h2_problem, tmp_path):
         """save_checkpoint embeds the snapshot fields: a checkpoint file is

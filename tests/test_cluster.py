@@ -537,7 +537,7 @@ class TestCreateClusterComm:
 
 # ------------------------------------------------------------ VMC bit-identity
 def _fresh_vmc(problem, backend, *, n_samples=800, seed=3):
-    wf = build_qiankunnet(4, 1, 1, amplitude_type="transformer", d_model=8,
+    wf = build_qiankunnet(4, 1, 1, d_model=8,
                           n_heads=2, n_layers=1, phase_hidden=(8,), seed=7)
     return VMC(wf, problem.hamiltonian,
                VMCConfig(n_samples=n_samples, eloc_mode="exact", seed=seed),

@@ -48,14 +48,12 @@ from repro.utils.bitstrings import (
     searchsorted_keys,
     unpack_bits,
 )
-
-ANSATZE = ["transformer", "made", "naqs-mlp"]
+from tests.conftest import ANSATZE, build_wf
 
 
 def _setup(problem, amplitude_type="transformer", n_samples=2000, seed=11):
-    wf = build_qiankunnet(problem.n_qubits, problem.n_up, problem.n_dn,
-                          amplitude_type=amplitude_type, d_model=8, n_heads=2,
-                          n_layers=1, phase_hidden=(8,), seed=seed)
+    wf = build_wf(amplitude_type, problem.n_qubits, problem.n_up, problem.n_dn,
+                  d_model=8, n_heads=2, n_layers=1, phase_hidden=(8,), seed=seed)
     batch = batch_autoregressive_sample(wf, n_samples,
                                         np.random.default_rng(seed))
     comp = compress_hamiltonian(problem.hamiltonian)

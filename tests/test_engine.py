@@ -35,14 +35,13 @@ from repro.core.engine import (
 )
 from repro.core.local_energy import budgeted_sample_chunk
 from repro.core.pretrain import pretrain_to_reference
-
-ANSATZE = ["transformer", "made", "naqs-mlp"]
+from tests.conftest import ANSATZE, build_wf
 
 
 def _fresh_vmc(problem, amplitude_type="transformer", backend=None, seed=3,
                n_samples=800, **cfg):
-    wf = build_qiankunnet(4, 1, 1, amplitude_type=amplitude_type, d_model=8,
-                          n_heads=2, n_layers=1, phase_hidden=(8,), seed=7)
+    wf = build_wf(amplitude_type, 4, 1, 1, d_model=8, n_heads=2, n_layers=1,
+                  phase_hidden=(8,), seed=7)
     defaults = dict(n_samples=n_samples, eloc_mode="exact", seed=seed)
     defaults.update(cfg)
     return VMC(wf, problem.hamiltonian, VMCConfig(**defaults), backend=backend,

@@ -6,7 +6,8 @@ position, and seeded sampling sweeps must produce ``SampleBatch``es
 bit-identical to the same sweeps driven by the full-forward oracle
 ``conditional_probs_reference`` (a test-only function: the oracle sweeps
 below are the only callers outside the throughput bench) — for the
-transformer and for the fallback-protocol ansätze (MADE, NAQS-MLP).
+transformer and for the foils' recompute session (MADE, NAQS-MLP), which
+answer the same protocol from ``benchmarks/baseline_ansatze.py``.
 """
 
 import numpy as np
@@ -22,15 +23,9 @@ from repro.core.sampler import (
     bas_prefix_sweep,
     initial_tree_state,
 )
-from repro.nn import (
-    FallbackInferenceSession,
-    TransformerAmplitude,
-    TransformerInferenceSession,
-    make_inference_session,
-)
+from repro.nn import TransformerAmplitude, TransformerInferenceSession
 from repro.parallel.partition import split_tree_state
-
-ANSATZE = ["transformer", "made", "naqs-mlp"]
+from tests.conftest import ANSATZE, baselines, build_wf
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +60,8 @@ def oracle_autoregressive_sample(wf, n_samples, rng):
 
 
 def build(amplitude_type):
-    return build_qiankunnet(8, 2, 2, d_model=8, n_heads=2, n_layers=2,
-                            phase_hidden=(16,), amplitude_type=amplitude_type,
-                            seed=17)
+    return build_wf(amplitude_type, 8, 2, 2, d_model=8, n_heads=2, n_layers=2,
+                    phase_hidden=(16,), seed=17)
 
 
 class TestStepEquivalence:
@@ -147,13 +141,19 @@ class TestStepEquivalence:
             s.prefill(np.zeros((2, 1), dtype=np.int64))  # session not fresh
 
     def test_session_kind_dispatch(self):
+        """The network opens its own session; the wavefunction adds nothing
+        but the serving pool's ``session_factory`` hook."""
         for at in ANSATZE:
             w = build(at)
-            session = make_inference_session(w.amplitude, 3)
+            session = w.make_session(3)
             if isinstance(w.amplitude, TransformerAmplitude):
                 assert isinstance(session, TransformerInferenceSession)
             else:
-                assert isinstance(session, FallbackInferenceSession)
+                assert isinstance(session, baselines.RecomputeSession)
+            assert type(session) is type(w.amplitude.make_session(3))
+            assert (session.batch_size, session.pos) == (3, 0)
+            w.session_factory = lambda batch_size: ("pooled", batch_size)
+            assert w.make_session(5) == ("pooled", 5)
 
     @pytest.mark.parametrize("amplitude_type", ANSATZE)
     def test_session_steps_match_reference_probs(self, amplitude_type):

@@ -100,6 +100,17 @@ class TestSourceLint:
         ("one-sampler", "src/repro/core/x.py", "SAMPLERS = {}"),
         ("one-sampler", "src/repro/parallel/x.py", "from mpi4py import MPI"),
         ("no-sampler-field", "src/repro/api/spec.py", "    sampler: str = 'bas'"),
+        ("one-amplitude-protocol", "src/repro/core/wavefunction.py",
+         'if hasattr(self.amplitude, "make_session"):'),
+        ("one-amplitude-protocol", "src/repro/nn/inference.py",
+         'length = n if getattr(model, "fixed_length", False) else k + 1'),
+        ("one-amplitude-protocol", "src/repro/core/engine.py",
+         'd_model = getattr(wf.amplitude, "d_model", 16)'),
+        ("one-amplitude-protocol", "src/repro/serve/pool.py",
+         "return make_inference_session(self.amplitude, batch_size)"),
+        ("one-amplitude-protocol", "src/repro/api/builtins.py",
+         'build_qiankunnet(n, 1, 1, amplitude_type="made")'),
+        ("one-amplitude-protocol", "src/repro/nn/made.py", "class MADEAmplitude(Module):"),
     ])
     def test_relocated_grep_clauses_still_bite(self, lint_source, tree, rule, rel, line):
         path = tree / rel

@@ -11,12 +11,11 @@ from repro.nn import (
     Embedding,
     LayerNorm,
     Linear,
-    MADEAmplitude,
-    NAQSMLPAmplitude,
     PhaseMLP,
     PositionalEmbedding,
     TransformerAmplitude,
 )
+from tests.conftest import ANSATZE, baselines
 
 
 @pytest.fixture()
@@ -111,12 +110,12 @@ class TestAttention:
 
 AMPLITUDE_FACTORIES = {
     "transformer": lambda t, v, rng: TransformerAmplitude(t, v, d_model=8, n_heads=2, n_layers=2, rng=rng),
-    "made": lambda t, v, rng: MADEAmplitude(t, v, hidden=(32, 32), rng=rng),
-    "naqs-mlp": lambda t, v, rng: NAQSMLPAmplitude(t, v, hidden=(32,), rng=rng),
+    "made": lambda t, v, rng: baselines.MADEAmplitude(t, v, hidden=(32, 32), rng=rng),
+    "naqs-mlp": lambda t, v, rng: baselines.NAQSMLPAmplitude(t, v, hidden=(32,), rng=rng),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(AMPLITUDE_FACTORIES))
+@pytest.mark.parametrize("kind", ANSATZE)
 class TestAmplitudeNetworks:
     def test_shape(self, kind, rng):
         net = AMPLITUDE_FACTORIES[kind](5, 4, rng)

@@ -39,6 +39,7 @@ from repro.core.engine import ThreadBackend
 from repro.core.sampler import batch_autoregressive_sample
 from repro.nn.module import Module, Parameter
 from repro.optim import AdamW
+from tests.conftest import ANSATZE, build_wf
 
 
 def _small_wf(seed=7, d_model=8, n_qubits=4, n_up=1, n_dn=1):
@@ -89,9 +90,9 @@ class _Three(Module):
 
 # --------------------------------------------------------------------- layout
 class TestArenaLayout:
-    @pytest.mark.parametrize("amplitude_type", ["transformer", "made", "naqs-mlp"])
+    @pytest.mark.parametrize("amplitude_type", ANSATZE)
     def test_built_wavefunction_is_packed(self, amplitude_type):
-        wf = build_qiankunnet(4, 1, 1, amplitude_type=amplitude_type, seed=3)
+        wf = build_wf(amplitude_type, 4, 1, 1, seed=3)
         _assert_packed(wf)
 
     def test_packing_keeps_values_and_order(self):

@@ -1,10 +1,10 @@
 """Prefix-shared amplitude evaluation vs the dense forward.
 
 ``NNQSWavefunction.log_amplitudes`` walks the token prefix tree of its input
-through one KV-cached session per block when the amplitude network has an
-incremental session (the transformer), and runs the dense ``log_prob`` in
-row blocks otherwise (MADE, NAQS-MLP).  The taped ``log_prob`` runs the same
-tree node-major — one row per distinct prefix through every layer.  The dense
+through one session of the amplitude network per block (KV-cached for the
+transformer, the foils' recompute session otherwise).  The taped ``log_prob``
+runs the same tree node-major — one row per distinct prefix through every
+layer.  The dense
 forward (``log_prob_reference``) is the oracle of both: values must agree to
 1e-12 on every input shape, the taped gradient to 1e-10, and everything
 built on the entry points — the table extension, exact local energies, the
@@ -34,6 +34,7 @@ from repro.utils.bitstrings import (
     unique_keys,
     unpack_bits,
 )
+from tests.conftest import baselines, build_wf
 from tests.test_backend import _fresh_vmc
 from tests.test_local_energy import dense_local_energy
 from tests.test_wavefunction import sector_bitstrings
@@ -233,18 +234,27 @@ class TestTapedTreeEqualsDense:
             assert backend.counter_snapshot()["to_host"] == before
 
 
-class TestDenseAnsaetzeUntouched:
-    @pytest.mark.parametrize("amplitude_type", ["made", "naqs-mlp"])
-    def test_bit_identical_to_the_row_blocked_dense_forward(self, monkeypatch,
-                                                            amplitude_type):
-        wf = build(amplitude_type=amplitude_type)
+class TestFoilsThroughTheProtocol:
+    """A second, structurally different network needs nothing but the
+    protocol: its walk runs on its own session, across block boundaries."""
+
+    @pytest.mark.parametrize("kind", baselines.BASELINES)
+    def test_walk_equals_the_dense_forward(self, monkeypatch, kind):
+        wf = build_wf(kind, N, 2, 2, phase_hidden=(16,), seed=5)
         bits = np.tile(sector_bitstrings(N, 2, 2), (2, 1))
-        monkeypatch.setattr(wavefunction, "ROW_BLOCK", 16)
-        monkeypatch.setattr(wf, "make_session", None)   # no session is opened
-        want = np.empty(len(bits), dtype=np.complex128)
-        for rows in wavefunction.row_blocks(len(bits)):
-            want[rows] = dense(wf, bits[rows])
-        np.testing.assert_array_equal(wf.log_amplitudes(bits), want)
+        bits = bits[np.random.default_rng(0).permutation(len(bits))]
+        opened = []
+        monkeypatch.setattr(wavefunction, "PREFIX_BLOCK", 16)
+        monkeypatch.setattr(wf, "session_factory", lambda b: opened.append(
+            wf.amplitude.make_session(b)) or opened[-1])
+        assert_matches_dense(wf, bits)
+        assert len(opened) == len(wavefunction.row_blocks(len(bits), 16))
+        assert all(isinstance(s, baselines.RecomputeSession) for s in opened)
+
+    def test_baselines_agree_with_their_dense_forward(self):
+        """Value 1e-12, gradient 1e-10, the autoregressive property exact."""
+        report = baselines.check_baselines_agree()
+        assert set(report) == set(baselines.BASELINES) == {"made", "naqs-mlp"}
 
 
 def parent_extend(wf, comp, batch, table):

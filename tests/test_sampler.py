@@ -11,6 +11,7 @@ from repro.core import (
     build_qiankunnet,
 )
 from repro.parallel.partition import split_tree_state
+from tests.conftest import build_wf
 from tests.test_wavefunction import sector_bitstrings
 
 
@@ -121,8 +122,10 @@ class TestSweepHandsOutLogProb:
         {"amplitude_type": "made"},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()) or "default")
     def test_serial_sweep(self, kwargs):
-        wf = build_qiankunnet(8, 2, 2, d_model=8, n_heads=2, n_layers=2,
-                              phase_hidden=(16,), seed=9, **kwargs)
+        kwargs = dict(kwargs)
+        wf = build_wf(kwargs.pop("amplitude_type", "transformer"), 8, 2, 2,
+                      d_model=8, n_heads=2, n_layers=2, phase_hidden=(16,),
+                      seed=9, **kwargs)
         batch = batch_autoregressive_sample(wf, 50_000, np.random.default_rng(3))
         assert batch.n_unique > 10
         self._assert_is_log_pi(wf, batch)

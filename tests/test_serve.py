@@ -28,11 +28,11 @@ from repro.serve import (
     WavefunctionService,
 )
 
-ANSATZE = ["transformer", "made", "naqs-mlp"]
+from tests.conftest import ANSATZE, build_wf
 
 
 def _wf(amplitude_type: str = "transformer", seed: int = 7):
-    return build_qiankunnet(4, 1, 1, amplitude_type=amplitude_type, seed=seed)
+    return build_wf(amplitude_type, 4, 1, 1, seed=seed)
 
 
 @pytest.fixture()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import build_qiankunnet
 from repro.core.constraints import ParticleNumberConstraint
+from tests.conftest import ANSATZE, build_wf
 
 
 def sector_bitstrings(n_qubits: int, n_up: int, n_dn: int) -> np.ndarray:
@@ -23,11 +24,10 @@ def sector_bitstrings(n_qubits: int, n_up: int, n_dn: int) -> np.ndarray:
     return np.array(out)
 
 
-@pytest.fixture(params=["transformer", "made", "naqs-mlp"])
+@pytest.fixture(params=ANSATZE)
 def wf(request):
-    return build_qiankunnet(8, 2, 2, amplitude_type=request.param,
-                            d_model=8, n_heads=2, n_layers=1, phase_hidden=(16,),
-                            seed=3)
+    return build_wf(request.param, 8, 2, 2, d_model=8, n_heads=2, n_layers=1,
+                    phase_hidden=(16,), seed=3)
 
 
 class TestTokenMapping:

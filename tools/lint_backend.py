@@ -48,7 +48,6 @@ HOT_PATH_FILES = [
     "src/repro/autograd/block_ops.py",
     "src/repro/nn/attention.py",
     "src/repro/nn/transformer.py",
-    "src/repro/nn/made.py",
     "src/repro/nn/layers.py",
     "src/repro/nn/inference.py",
     "src/repro/core/local_energy.py",

@@ -45,7 +45,7 @@ RULES = (
          r"|gradient_step|use_cache", (SRC,),
          "no probing of the communicator, the engine or the optimizer; one "
          "local-energy path, one table lookup, one training loop, one inference "
-         "path (Local energy, Stage contract, BAS cache branching)"),
+         "path (Local energy, Stage contract, Sessions and the BAS tree)"),
     Rule("arena-owns-the-flat-buffers", r"concatenate",
          ("src/repro/nn/module.py", "src/repro/optim/adamw.py"),
          "theta, its gradient and the Adam moments are views of one arena, "
@@ -76,7 +76,14 @@ RULES = (
          "without an MPI host"),
     Rule("no-sampler-field", r"sampler\s*:",
          ("src/repro/core/engine.py", "src/repro/api/spec.py"),
-         "no sampler spec field or config hook (BAS cache branching)"),
+         "no sampler spec field or config hook (Sessions and the BAS tree)"),
+    Rule("one-amplitude-protocol",
+         r"hasattr\(self\.amplitude|hasattr\(amplitude|fixed_length"
+         r"|make_inference_session|FallbackInferenceSession|amplitude_type"
+         r"|MADEAmplitude|NAQSMLPAmplitude|getattr\(wf\.amplitude", (SRC,),
+         "the production path asks the amplitude network for a session and for "
+         "prefix_logits and never probes it; the foils and their recompute session "
+         "live in benchmarks/baseline_ansatze.py (The amplitude protocol)"),
     Rule("no-module-level-scipy", r"^(import|from)\s+scipy\b", (SRC,),
          "a rank imports numpy and repro, nothing else: any scipy submodule "
          "costs ~0.2 s and ~30 MiB per process (What a rank pays before iteration 1)"),
