@@ -9,14 +9,17 @@
    biased when the sample set is small.
 5. Sampling strategy: BAS vs the Markov chain it replaces, and the Sec. 4.4
    independent-stream outlook.
+6. Optimizer: stochastic reconfiguration vs the paper's AdamW (Sec. 1).
 
 All run on H2 (fast, exact FCI reference) with fixed budgets.
 
-The sampling foils of (5) live *here*, next to the two rows that are their
-only users: the production path has one sampler (``batch_autoregressive_
-sample``), and ``src/`` imports none of this.  ``check_foils_agree`` pins them
+The sampling foils of (5) and the SR optimizer of (6) live *here*, next to
+the rows that are their only users: the production path has one sampler
+(``batch_autoregressive_sample``) and one optimizer (``NoamAdamW``), and
+``src/`` imports none of this.  ``check_foils_agree`` pins the sampling foils
 to that sampler and to the exactly enumerated |Psi|^2; the tests load this
-file through the ``ablations`` fixture of ``tests/conftest.py``.
+file through the ``ablations`` fixture of ``tests/conftest.py``, and
+``examples/sr_vs_adamw.py`` loads it by path.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from repro.bench import format_table, registry
 from repro.chem import build_problem, run_fci
 from repro.core import (
     VMC,
+    NNQSWavefunction,
     NoamAdamW,
     SampleBatch,
     VMCConfig,
@@ -250,6 +254,139 @@ def check_foils_agree(n_chain: int = 40_000, atol: float = 0.02) -> float:
     return deviation
 
 
+# --------------------------------------------------------------------------
+# Foil 3 — stochastic reconfiguration (SR), the optimizer the paper engineers
+# around.  Sec. 1: conventional NNQS needs "the stochastic reconfiguration
+# (SR) technique for stable convergence to the global minimum, for which one
+# needs to (approximately) compute the inverse of the M x M SR matrix for a
+# neural network with M parameters, thus greatly prohibiting the usage of
+# very deep neural networks as well as the scalability to a large number of
+# processes".  SR lives here so that claim can be *measured* against the
+# AdamW + autoregressive-sampling path the paper uses.
+#
+# For a wave function Psi_theta with real parameters theta, the
+# log-derivative operators are ``O_k(x) = d ln Psi*_theta(x) / d theta_k``
+# (here ``1/2 d log pi - i d phi``), and one SR step solves
+#
+#     (S + lambda I) delta = -lr * F,
+#     S_kk' = Re( <O_k* O_k'> - <O_k*><O_k'> ),
+#     F_k   = Re( <(E_loc - <E>) O_k*> ),
+#
+# with expectations over the sampled distribution.  SR preconditions the
+# same force as the production update: Eq. 7's gradient is ``2 F``.  The
+# dense M x M solve (and the per-sample Jacobian it needs) is exactly the
+# bottleneck the paper points at; we guard with ``max_params`` instead of
+# hiding it.
+# --------------------------------------------------------------------------
+def per_sample_jacobians(
+    wf: NNQSWavefunction, bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``J_logp[b] = d log pi(x_b)/d theta`` and ``J_phi[b] = d phi(x_b)/d theta``.
+
+    One backward pass per sample and head — O(B * M) memory, O(B * cost)
+    time.  This is the scaling wall SR imposes; documented, not optimized.
+    """
+    bits = np.atleast_2d(bits)
+    m = wf.num_parameters()
+    j_logp = np.zeros((len(bits), m))
+    j_phi = np.zeros((len(bits), m))
+    for b in range(len(bits)):
+        wf.zero_grad()
+        wf.log_prob(bits[b : b + 1]).sum().backward()
+        j_logp[b] = wf.get_flat_grads()
+        wf.zero_grad()
+        wf.phase_of(bits[b : b + 1]).sum().backward()
+        j_phi[b] = wf.get_flat_grads()
+    wf.zero_grad()
+    return j_logp, j_phi
+
+
+@dataclass
+class SRConfig:
+    lr: float = 0.05
+    diag_shift: float = 0.01   # relative Tikhonov shift (units of the top eigenvalue)
+    rcond: float = 1e-10       # singular-value cutoff relative to the largest
+    max_params: int = 20_000   # refuse the dense solve beyond this M
+
+
+@dataclass
+class SRStepInfo:
+    energy: float
+    grad_norm: float
+    update_norm: float
+    s_condition: float
+
+
+class StochasticReconfiguration:
+    """SR over an ``NNQSWavefunction``, driven by hand: sample a batch,
+    compute local energies, then ``sr.step(batch, eloc)``.  Single rank by
+    construction — ``S`` couples every pair of samples."""
+
+    def __init__(self, wf: NNQSWavefunction, config: SRConfig | None = None):
+        self.wf = wf
+        self.config = config or SRConfig()
+        self.last_info: SRStepInfo | None = None
+        m = wf.num_parameters()
+        if m > self.config.max_params:
+            raise ValueError(
+                f"SR needs a dense {m} x {m} solve; refusing above "
+                f"max_params={self.config.max_params}.  This is the paper's "
+                "point — use the AdamW path for deep networks."
+            )
+
+    def direction(self, batch: SampleBatch, w: np.ndarray, eloc: np.ndarray,
+                  e_mean: float, e_imag: float) -> np.ndarray:
+        """The natural-gradient solve: ``delta`` with ``(S + lambda I) delta = F``.
+
+        ``w`` are the normalized sample weights and ``e_mean + i e_imag`` the
+        weighted mean of ``eloc``.  Everything up to, not including, the
+        parameter write; the diagnostics land in :attr:`last_info`.
+        """
+        cfg = self.config
+        j_logp, j_phi = per_sample_jacobians(self.wf, batch.bits)
+        # O = d ln Psi* = 1/2 d log pi - i d phi   (rows per sample)
+        o = 0.5 * j_logp - 1j * j_phi
+        o_mean = w @ o
+        oc = o - o_mean[None, :]
+
+        # F_k = Re <(E_loc - E) O_k> with O = d ln Psi* (Eq. 7's gradient);
+        # no extra conjugation — O already carries the Psi* convention.
+        f = np.real((w * (eloc - complex(e_mean, e_imag))) @ oc)
+
+        # S = Re(A^H A) with A = sqrt(w) * oc; rank(S) <= 2 N_u, so solve in
+        # the sample subspace via SVD of the stacked real representation.
+        # Directions outside the span carry no curvature information and are
+        # projected out (the pseudo-inverse convention used in practice) —
+        # a dense (S + lambda I)^{-1} would blow them up by 1/lambda.
+        a = np.sqrt(w)[:, None] * oc
+        ar = np.vstack([a.real, a.imag])  # (2B, M): S = ar.T @ ar exactly
+        _, sing, vt = np.linalg.svd(ar, full_matrices=False)
+        s2 = sing**2
+        top = s2[0] if len(s2) and s2[0] > 0 else 1.0
+        keep = s2 > cfg.rcond * top
+        proj = vt[keep] @ f
+        delta = vt[keep].T @ (proj / (s2[keep] + cfg.diag_shift * top))
+
+        cond = float(s2[keep][0] / s2[keep][-1]) if keep.any() else 1.0
+        self.last_info = SRStepInfo(
+            energy=float(e_mean),
+            grad_norm=float(np.linalg.norm(f)),
+            update_norm=float(cfg.lr * np.linalg.norm(delta)),
+            s_condition=cond,
+        )
+        return delta
+
+    def apply(self, delta: np.ndarray) -> None:
+        """The parameter write ``theta -= lr * delta`` (no clip, no decay)."""
+        self.wf.arena().theta -= self.config.lr * delta
+
+    def step(self, batch: SampleBatch, eloc: np.ndarray) -> SRStepInfo:
+        w = batch.weights / batch.weights.sum()
+        e_mean = complex(np.sum(w * eloc))
+        self.apply(self.direction(batch, w, eloc, e_mean.real, e_mean.imag))
+        return self.last_info
+
+
 _ITERS = 150
 
 
@@ -426,7 +563,7 @@ def test_ablation_sr_vs_adamw(benchmark, full):
     """
     import time
 
-    from repro.core import SRConfig, StochasticReconfiguration, local_energy
+    from repro.core import local_energy
     from repro.hamiltonian import compress_hamiltonian
 
     prob = build_problem("H2", "sto-3g", r=0.7414)

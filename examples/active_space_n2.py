@@ -46,7 +46,7 @@ def run_point(r: float, iters: int) -> None:
         problem=ProblemSpec(molecule="N2", basis="sto-3g", n_frozen=2,
                             n_active=6, geometry={"r": r}),
         ansatz=AnsatzSpec(name="transformer", seed=21),
-        optimizer=OptimizerSpec(name="adamw", warmup=200),
+        optimizer=OptimizerSpec(warmup=200),
         sampling=SamplingSpec(ns_growth=1.05, ns_max=10**7, pretrain_iters=50),
         train=TrainSpec(max_iterations=iters, pretrain_steps=150,
                         plateau_window=50, seed=22),

@@ -54,7 +54,7 @@ def main() -> None:
         problem=ProblemSpec(molecule="H2", basis="sto-3g",
                             geometry={"r": args.bond_length}),
         ansatz=AnsatzSpec(name="transformer", seed=1),
-        optimizer=OptimizerSpec(name="adamw", warmup=200),
+        optimizer=OptimizerSpec(warmup=200),
         sampling=SamplingSpec(ns_pretrain=10**5, ns_max=10**5),
         train=TrainSpec(max_iterations=args.iters, pretrain_steps=100,
                         early_stop=False, seed=2),

@@ -12,10 +12,16 @@ iterations and stalls at the sign-structure plateau; AdamW's noisy stochastic
 gradients escape it and reach chemical accuracy — while never forming an
 M x M matrix.
 
+SR is not part of the library: it is the foil of
+``benchmarks/bench_ablations.py``, loaded here by path.
+
 Usage:  python examples/sr_vs_adamw.py [--sr-iters 60] [--adamw-iters 300]
 """
 import argparse
+import importlib.util
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -24,8 +30,6 @@ from repro.core import (
     VMC,
     NoamAdamW,
     VMCConfig,
-    SRConfig,
-    StochasticReconfiguration,
     batch_autoregressive_sample,
     build_qiankunnet,
     correlation_energy_fraction,
@@ -35,7 +39,17 @@ from repro.core import (
 from repro.hamiltonian import compress_hamiltonian
 
 
+def load_bench(name: str):
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def main() -> None:
+    load_bench("baseline_ansatze")        # bench_ablations imports it by name
+    ablations = load_bench("bench_ablations")
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sr-iters", type=int, default=60)
     ap.add_argument("--adamw-iters", type=int, default=300)
@@ -53,7 +67,8 @@ def main() -> None:
     pretrain_to_reference(wf, prob.hf_bits, n_steps=100)
     print(f"[SR]    model M = {wf.num_parameters()} parameters "
           f"(SR solves an M x M system each iteration)")
-    sr = StochasticReconfiguration(wf, SRConfig(lr=0.2, diag_shift=0.02))
+    sr = ablations.StochasticReconfiguration(
+        wf, ablations.SRConfig(lr=0.2, diag_shift=0.02))
     rng = np.random.default_rng(2)
     t0 = time.perf_counter()
     e_sr = np.inf

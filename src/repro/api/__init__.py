@@ -15,8 +15,8 @@ is ``python -m repro`` (``run`` / ``resume`` / ``info`` / ``serve``).
     print(result.report.summary())
 
 Importing this package registers the built-in components (see
-:mod:`repro.api.builtins`); new ansätze/optimizers/backends plug in by name
-through the ``register_*`` decorators.
+:mod:`repro.api.builtins`); new ansätze and backends plug in by name through
+the ``register_*`` decorators.
 """
 from repro.api.spec import (
     AnsatzSpec,
@@ -36,12 +36,10 @@ from repro.api.spec import (
 from repro.api.registry import (
     ANSATZE,
     BACKENDS,
-    OPTIMIZERS,
     ComponentRegistry,
     UnknownComponentError,
     register_ansatz,
     register_backend,
-    register_optimizer,
 )
 import repro.api.builtins  # noqa: F401 — registers the built-in components
 from repro.api.driver import (
@@ -72,10 +70,8 @@ __all__ = [
     "ComponentRegistry",
     "UnknownComponentError",
     "ANSATZE",
-    "OPTIMIZERS",
     "BACKENDS",
     "register_ansatz",
-    "register_optimizer",
     "register_backend",
     "RunResult",
     "materialize_problem",

@@ -2,17 +2,15 @@
 
 Importing :mod:`repro.api` triggers this module, so every spec-addressable
 name below is available without further setup.  The registrations wrap the
-canonical builders (``build_qiankunnet``, ``NoamAdamW``) — the registry layer
-adds *naming*, not new numerics.  Neither the sampler nor the local energy
-is a component: stage 1 is the BAS sweep, every run uses the compiled
-``ElocPlan``.
+canonical builders (``build_qiankunnet``, the backend classes) — the
+registry layer adds *naming*, not new numerics.  Neither the sampler, the
+local energy nor the optimizer is a component: stage 1 is the BAS sweep,
+every run uses the compiled ``ElocPlan`` and trains with ``NoamAdamW``.
 
 Registered names:
 
 * ansatz: ``transformer`` (QiankunNet); ``register_ansatz`` takes any builder
   whose amplitude network answers ``TransformerAmplitude``'s protocol
-* optimizer: ``adamw`` (AdamW + the Eq. 13 schedule — what ``VMC`` builds
-  when handed none), ``sr``; both run inside the engine's stages 5 and 6
 * backend: ``serial`` / ``threads`` / ``process`` — the execution backends
   of :mod:`repro.core.engine` — plus ``cluster``, the multi-host TCP
   transport of :mod:`repro.parallel.cluster` (the spec's ``parallel``
@@ -20,18 +18,8 @@ Registered names:
 """
 from __future__ import annotations
 
-from repro.api.registry import (
-    register_ansatz,
-    register_backend,
-    register_optimizer,
-)
-from repro.core.engine import (
-    NoamAdamW,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
-from repro.core.sr import SRConfig, StochasticReconfiguration
+from repro.api.registry import register_ansatz, register_backend
+from repro.core.engine import ProcessBackend, SerialBackend, ThreadBackend
 from repro.core.wavefunction import build_qiankunnet
 from repro.parallel.cluster import ClusterBackend
 
@@ -40,18 +28,6 @@ __all__ = []  # registration side effects only
 
 # ------------------------------------------------------------------- ansätze
 register_ansatz("transformer", build_qiankunnet)
-
-
-# ---------------------------------------------------------------- optimizers
-# The paper's optimizer: AdamW under the Eq. 13 schedule, clipped.  The class
-# is the factory — it declares all four AdamW fields of the optimizer section.
-register_optimizer("adamw", NoamAdamW)
-
-
-@register_optimizer("sr")
-def build_sr(wf, **params):
-    """Stochastic reconfiguration (``params`` are the ``SRConfig`` fields)."""
-    return StochasticReconfiguration(wf, SRConfig(**params))
 
 
 # ---------------------------------------------------------- execution backends

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import driver, presets
-from repro.api.registry import ANSATZE, BACKENDS, OPTIMIZERS
+from repro.api.registry import ANSATZE, BACKENDS
 from repro.api.spec import RunSpec, SpecError
 
 __all__ = ["main", "build_parser", "load_spec"]
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--presets", action="store_true",
                         help="list built-in preset specs")
     p_info.add_argument("--components", action="store_true",
-                        help="list registered ansätze/optimizers/backends")
+                        help="list registered ansätze/backends")
 
     p_serve = sub.add_parser(
         "serve", help="serve a run's snapshots (HTTP with --port, "
@@ -164,7 +164,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
                   f"iters={spec.train.max_iterations}")
         return 0
     if args.components:
-        for registry in (ANSATZE, OPTIMIZERS, BACKENDS):
+        for registry in (ANSATZE, BACKENDS):
             print(f"{registry.kind}: {', '.join(registry.names())}")
         return 0
     if args.run_dir is None:
@@ -186,7 +186,7 @@ def _print_run_info(run_dir: Path) -> int:
           + (f" CAS(n_frozen={spec.problem.n_frozen}, "
              f"n_active={spec.problem.n_active})"
              if spec.problem.n_frozen or spec.problem.n_active else ""))
-    print(f"ansatz   {spec.ansatz.name}  optimizer {spec.optimizer.name}")
+    print(f"ansatz   {spec.ansatz.name}")
     if spec.parallel.backend != "serial" or spec.parallel.n_ranks > 1:
         print(f"parallel {spec.parallel.backend} x {spec.parallel.n_ranks} "
               f"({spec.parallel.eloc_partition} eloc partition)")

@@ -5,10 +5,11 @@ The driver is the single execution path behind both the Python API and the
 it:
 
 1. materializes components through the registries (problem -> ansatz ->
-   backend -> optimizer), so every choice is a *name* in the spec;
+   backend), so every choice is a *name* in the spec, and builds the
+   paper's optimizer (``NoamAdamW``) from the ``optimizer`` section;
 2. runs the Sec. 4.1 protocol through the one training loop —
    :class:`~repro.core.trainer.Trainer` over :class:`~repro.core.vmc.VMC`
-   (bit-identical to hand wiring) — whichever optimizer the spec names;
+   (bit-identical to hand wiring);
 3. owns the artifact directory::
 
        <run_dir>/
@@ -36,10 +37,10 @@ from inspect import Parameter, signature
 from pathlib import Path
 
 import repro.api.builtins  # noqa: F401 — registers the built-in components
-from repro.api.registry import ANSATZE, BACKENDS, OPTIMIZERS
+from repro.api.registry import ANSATZE, BACKENDS
 from repro.api.spec import AnsatzSpec, ProblemSpec, RunSpec, SpecError
 from repro.backend import get_backend
-from repro.core.engine import _merge_transfers
+from repro.core.engine import NoamAdamW, _merge_transfers
 from repro.chem import build_problem, run_fci
 from repro.chem.pipeline import MolecularProblem
 from repro.core.trainer import TrainConfig, Trainer, TrainReport
@@ -58,7 +59,6 @@ __all__ = [
     "materialize_problem",
     "materialize_ansatz",
     "materialize_backend",
-    "materialize_optimizer",
     "materialize_array_backend",
     "run",
     "resume",
@@ -146,8 +146,6 @@ def materialize_backend(spec: RunSpec):
 
     The registered factory receives the section's fields it declares by name
     (``world_size``, when set, is the job size ``n_ranks`` aliases).
-    More than one rank requires an optimizer whose update sums over ranks
-    (:func:`materialize_optimizer` refuses the others, spec field named).
     An unknown backend name raises the registry's
     :class:`~repro.api.registry.UnknownComponentError`, which lists every
     registered backend.
@@ -160,27 +158,6 @@ def materialize_backend(spec: RunSpec):
         return factory(**kwargs)
     except ValueError as exc:  # e.g. serial with n_ranks > 1
         raise SpecError(f"parallel: {exc}") from None
-
-
-def materialize_optimizer(spec: RunSpec, wf, backend):
-    """Build the optimizer the spec names, for ``wf`` on ``backend``.
-
-    ``optimizer.lr_scale`` / ``warmup`` / ``weight_decay`` / ``grad_clip``
-    reach a factory that declares them (``adamw`` does, ``sr`` does not: SR
-    is not clipped, decayed or warmed up); ``optimizer.params`` always do.
-    """
-    o = spec.optimizer
-    factory = OPTIMIZERS.get(o.name)
-    declared = signature(factory).parameters
-    fields = {k: getattr(o, k) for k in
-              ("lr_scale", "warmup", "weight_decay", "grad_clip") if k in declared}
-    optimizer = factory(wf, **fields, **o.params)
-    if backend.n_ranks > 1 and optimizer.single_rank_reason:
-        raise SpecError(
-            f"optimizer.name={o.name!r} cannot run on parallel.n_ranks="
-            f"{backend.n_ranks}: {optimizer.single_rank_reason}"
-        )
-    return optimizer
 
 
 def materialize_array_backend(spec: RunSpec):
@@ -312,7 +289,7 @@ def _build_trainer(spec: RunSpec, run_dir: Path) -> Trainer:
     wf = materialize_ansatz(spec.ansatz, problem)
     _require_autoregressive(spec, wf)
     backend = materialize_backend(spec)
-    s = spec.sampling
+    s, o = spec.sampling, spec.optimizer
     vmc = VMC(
         wf,
         problem.hamiltonian,
@@ -327,7 +304,8 @@ def _build_trainer(spec: RunSpec, run_dir: Path) -> Trainer:
         ),
         backend=backend,
         array_backend=materialize_array_backend(spec),
-        optimizer=materialize_optimizer(spec, wf, backend),
+        optimizer=NoamAdamW(wf, lr_scale=o.lr_scale, warmup=o.warmup,
+                            weight_decay=o.weight_decay, grad_clip=o.grad_clip),
     )
     cfg = TrainConfig(
         max_iterations=spec.train.max_iterations,

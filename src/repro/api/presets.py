@@ -20,7 +20,7 @@ PRESETS: dict[str, dict] = {
                     "geometry": {"r": 0.7414}},
         "ansatz": {"name": "transformer", "d_model": 8, "n_heads": 2,
                    "n_layers": 1, "phase_hidden": [16], "seed": 1},
-        "optimizer": {"name": "adamw", "warmup": 100},
+        "optimizer": {"warmup": 100},
         "sampling": {"ns_pretrain": 1000, "ns_max": 2000, "ns_growth": 1.2,
                      "pretrain_iters": 3},
         "train": {"max_iterations": 5, "pretrain_steps": 20,
@@ -33,7 +33,7 @@ PRESETS: dict[str, dict] = {
         "problem": {"molecule": "H2", "basis": "sto-3g",
                     "geometry": {"r": 0.7414}},
         "ansatz": {"name": "transformer", "seed": 1},
-        "optimizer": {"name": "adamw", "warmup": 200},
+        "optimizer": {"warmup": 200},
         "sampling": {"ns_pretrain": 100000, "ns_max": 100000,
                      "pretrain_iters": 100},
         "train": {"max_iterations": 400, "pretrain_steps": 100,
@@ -46,7 +46,7 @@ PRESETS: dict[str, dict] = {
         "problem": {"molecule": "N2", "basis": "sto-3g", "n_frozen": 2,
                     "n_active": 6, "geometry": {"r": 1.0977}},
         "ansatz": {"name": "transformer", "seed": 21},
-        "optimizer": {"name": "adamw", "warmup": 200},
+        "optimizer": {"warmup": 200},
         "sampling": {"ns_pretrain": 100000, "ns_max": 10000000,
                      "ns_growth": 1.05, "pretrain_iters": 50},
         "train": {"max_iterations": 300, "pretrain_steps": 150,

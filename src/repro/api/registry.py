@@ -1,4 +1,4 @@
-"""String-keyed component registries: ansätze, optimizers, backends.
+"""String-keyed component registries: ansätze and execution backends.
 
 A spec names components (``ansatz.name = "transformer"``); the registries map
 those names to builder callables.  This is the factory/driver split the AFQMC
@@ -19,12 +19,6 @@ Builder contracts (what the driver calls):
   ``repro.nn.TransformerAmplitude`` documents ("Interface contract"); one
   without a rebuild ``spec`` (``build_qiankunnet`` records it) runs with
   ``output.publish = false``.  Both are checked at materialization.
-* **optimizer**: ``factory(wf, **params) -> optimizer``, plus whichever of
-  ``lr_scale`` / ``warmup`` / ``weight_decay`` / ``grad_clip`` the factory
-  declares by name.  The optimizer runs inside the engine's staged
-  iteration and answers what stages 5 and 6 ask (``direction``, ``apply``,
-  ``lr``, ``state`` / ``load_state``, ``single_rank_reason`` — spelled out
-  on :class:`repro.core.engine.NoamAdamW`, which ``"adamw"`` builds).
 * **backend**: ``factory(n_ranks=..., **fields) -> ExecutionBackend`` (the
   spec's ``parallel.backend`` choice), where ``fields`` are the ``parallel``
   section's fields the factory declares by name (``nu_star_per_rank``,
@@ -44,10 +38,8 @@ __all__ = [
     "UnknownComponentError",
     "ComponentRegistry",
     "ANSATZE",
-    "OPTIMIZERS",
     "BACKENDS",
     "register_ansatz",
-    "register_optimizer",
     "register_backend",
 ]
 
@@ -107,18 +99,12 @@ class ComponentRegistry:
 
 
 ANSATZE = ComponentRegistry("ansatz")
-OPTIMIZERS = ComponentRegistry("optimizer")
 BACKENDS = ComponentRegistry("backend")
 
 
 def register_ansatz(name: str, builder: Callable | None = None,
                     *, overwrite: bool = False):
     return ANSATZE.register(name, builder, overwrite=overwrite)
-
-
-def register_optimizer(name: str, builder: Callable | None = None,
-                       *, overwrite: bool = False):
-    return OPTIMIZERS.register(name, builder, overwrite=overwrite)
 
 
 def register_backend(name: str, builder: Callable | None = None,

@@ -9,9 +9,9 @@ dataclasses, one per subsystem — instead of hand-threaded ``build_problem``
   tuple-of-int), so ``spec -> to_dict -> json -> from_dict`` is lossless;
 * validation runs at construction (``__post_init__``) and names the exact
   field path (``sampling.ns_growth``) instead of failing deep in the loop;
-* component choices (``ansatz.name``, ``optimizer.name``, ``parallel.backend``)
-  are string keys into the registries of :mod:`repro.api.registry`, so new
-  components plug in by name;
+* component choices (``ansatz.name``, ``parallel.backend``) are string keys
+  into the registries of :mod:`repro.api.registry`, so new components plug
+  in by name;
 * dotted overrides (``train.max_iterations=3`` — the CLI ``--set`` syntax)
   rewrite the dict form before re-validation.
 
@@ -193,26 +193,18 @@ class AnsatzSpec(_Spec):
 
 @dataclass
 class OptimizerSpec(_Spec):
-    """Which optimizer drives the parameter updates.
-
-    ``lr_scale`` / ``warmup`` / ``weight_decay`` / ``grad_clip`` are AdamW's
-    (Eq. 13 schedule, decoupled decay, max-norm clip): they reach a factory
-    that declares them and are ignored by one that does not (``sr``).
-    """
+    """The numbers of the paper's optimizer, ``NoamAdamW``: the Eq. 13
+    schedule (``lr_scale``, ``warmup``), decoupled decay and max-norm clip."""
 
     _SECTION = "optimizer"
 
-    name: str = "adamw"
     lr_scale: float = 1.0
     warmup: int = 4000
     weight_decay: float = 0.01
     grad_clip: float | None = 1.0
-    params: dict = field(default_factory=dict)  # e.g. SR's lr / diag_shift
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require(bool(self.name),
-                 "optimizer.name", "must be a registered optimizer name")
         _require(self.lr_scale > 0,
                  "optimizer.lr_scale", f"must be positive, got {self.lr_scale!r}")
         _require(self.warmup > 0,

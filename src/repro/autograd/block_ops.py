@@ -31,7 +31,7 @@ contractions instead (``last_axis_sum`` / ``last_axis_dot`` /
 (``tools/lint_backend.py`` refuses an ``axis=-1`` ``sum`` / ``mean`` /
 ``max`` in this file).
 
-The primitive ``Tensor`` ops stay: the phase MLP, SR and the tests use them,
+The primitive ``Tensor`` ops stay: the phase MLP and the tests use them,
 and ``tests/test_block_ops.py`` checks every block op against the same
 function composed from primitives.
 """

@@ -15,7 +15,8 @@ Design notes
   them per element: its layers tape the coarse, hand-derived block ops of
   ``repro.autograd.block_ops`` (one node per Linear / LayerNorm / attention /
   GELU / log-softmax head) on this same tape.  The primitives remain for
-  everything else (the phase MLP's ``tanh``, the Eq. 7 surrogate, SR) and are the oracle the block ops are tested against.
+  everything else (the phase MLP's ``tanh``, the Eq. 7 surrogate) and are
+  the oracle the block ops are tested against.
 * Gradients are accumulated into ``Tensor.grad`` (dense backend array, same
   shape as ``data``) and stay on the backend's device; graphs are rebuilt
   each forward pass (define-by-run).
@@ -23,8 +24,8 @@ Design notes
   this mirrors the paper's split between sampling (inference) and the backward
   pass (Fig. 4).
 * All math is float64 (``repro.backend.dtypes``): VMC gradients are small
-  differences of local energies, and float32 noise visibly degrades
-  convergence at chemical accuracy.
+  differences of local energies.  Whether float32 would degrade
+  chemical-accuracy convergence is unmeasured (ROADMAP item 5 measures it).
 * Array math goes through ``xp``-level functions (``xp.sum``, ``xp.transpose``)
   rather than ndarray methods where the conventions differ across backends,
   so the same tape runs on numpy, the counting mock, and any device adapter.

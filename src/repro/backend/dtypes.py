@@ -6,8 +6,8 @@ math in float64, amplitudes in complex128, packed configuration keys in
 uint64) is stated once and adapters can translate it per backend:
 
 * float64 everywhere real-valued — VMC gradients are small differences of
-  local energies; float32 noise visibly degrades chemical-accuracy
-  convergence (DESIGN.md).
+  local energies.  Whether float32 would degrade chemical-accuracy
+  convergence is unmeasured (ROADMAP item 5 measures it).
 * complex128 for log-amplitudes ``log Psi = 0.5 log pi + i phi``.
 * uint64 for packed bitstring keys (64 qubits per word, multi-word rows);
   uint8 for unpacked bit arrays; int64 for weights/counts/indices;

@@ -45,7 +45,6 @@ from repro.core.diagnostics import (
     v_score,
     zero_variance_extrapolation,
 )
-from repro.core.sr import SRConfig, SRStepInfo, StochasticReconfiguration
 from repro.core.trainer import TrainConfig, Trainer, TrainReport
 
 __all__ = [
@@ -83,9 +82,6 @@ __all__ = [
     "fidelity",
     "occupations",
     "sector_expectation",
-    "SRConfig",
-    "SRStepInfo",
-    "StochasticReconfiguration",
     "TrainConfig",
     "Trainer",
     "TrainReport",

@@ -133,8 +133,8 @@ def save_checkpoint(vmc: VMC, path: str | Path) -> None:
     payload = {
         "iteration": np.array(vmc.iteration),
         "rng_state": _rng_payload(vmc.rng),
-        # Whatever the run's optimizer carries between iterations, under its
-        # own keys (AdamW: opt_t / opt_m / opt_v / sched_i; SR: nothing).
+        # The optimizer's state under its own keys: opt_t / opt_m / opt_v /
+        # sched_i.
         **vmc.optimizer.state(),
     }
     for f in _HISTORY_FIELDS:

@@ -18,17 +18,16 @@ Fig. 4 (Sec. 3.2):
                             weight-balanced chunk of the global unique set
                             (Sec. 3.3 load balancing) against the table.
   stage 4  energy reduce    Allreduce of the weighted energy sums.
-  stage 5  backward         the run's optimizer computes its update direction
-                            on the chunk — for AdamW the Eq. 7 surrogate loss
-                            + backward, for SR the natural-gradient solve.
-  stage 6  gradient reduce  one Allreduce carries the direction *and* the
+  stage 5  backward         the Eq. 7 surrogate loss + backward on the chunk,
+                            accumulated into the arena's gradient buffer.
+  stage 6  gradient reduce  one Allreduce carries the gradient *and* the
                             centered second moment (variance), so parallel
                             histories report variance/eloc_imag exactly like
                             serial ones.
 
-The reduced direction flows back to the engine, which hands it to the same
-optimizer's parameter step (for AdamW clip -> schedule -> update) — the only
-place a run's parameters move, shared by all backends and all optimizers.
+The reduced gradient flows back to the engine, which hands it to
+:func:`stage_update` (clip -> Eq. 13 schedule -> AdamW) — the only place a
+run's parameters move, shared by all backends.
 Reductions are rank-ordered and therefore deterministic: ``n_ranks=1`` is
 bit-identical to the serial backend, and ``n_ranks>1`` is run-to-run
 reproducible.
@@ -55,7 +54,6 @@ from __future__ import annotations
 import copy
 import math
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -75,7 +73,7 @@ from repro.core.sampler import (
     batch_autoregressive_sample,
 )
 from repro.core.wavefunction import row_blocks, token_order
-from repro.optim import AdamW, NoamSchedule
+from repro.optim import AdamW
 from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
 
 __all__ = [
@@ -440,29 +438,17 @@ def stage_update(opt: NoamAdamW, grad, grad_norm: float | None = None) -> None:
         norm = xp.linalg.norm(grad) if grad_norm is None else grad_norm
         if norm > clip:
             grad *= clip / norm
-    opt.schedule.step()
+    opt.sched_i += 1
+    opt.lr = opt.lr_at(opt.sched_i)
     opt.step(grad)
 
 
 class NoamAdamW(AdamW):
-    """The paper's update rule, and the shape of every optimizer a run can
-    name — what stages 5 and 6 ask of ``engine.optimizer``, and nothing else:
-
-    * ``direction(wf, chunk, w_norm, eloc, e_mean, e_imag)`` — stage 5, on
-      this rank's ``wf``: the flat update direction of its chunk (here the
-      Eq. 7 gradient, :func:`stage_backward`); stage 6 sums over ranks.  The
-      M-vector may be ``wf``'s arena gradient buffer itself (it is here): it
-      is valid until the next ``direction`` on that ``wf``.
-    * ``apply(direction, norm)`` — stage 6 epilogue, on the master after the
-      non-finite guard: the parameter step (here :func:`stage_update`), which
-      may overwrite ``direction``.
-    * ``lr`` — the learning rate the stats row reports.
-    * ``state()`` / ``load_state(data)`` — arrays under their checkpoint keys.
-    * ``single_rank_reason`` — ``None`` when the sum of per-rank directions
-      is the whole-batch direction; otherwise why it needs one rank.
+    """The paper's update rule (Sec. 4.1): AdamW under the Eq. 13 schedule
+    with paper default ``warmup = 4000``, the gradient clipped to
+    ``grad_clip``.  :func:`stage_update` drives it; ``sched_i`` (the
+    schedule's epoch) rides AdamW's checkpoint keys.
     """
-
-    single_rank_reason: str | None = None
 
     def __init__(self, wf, warmup: int = 4000, lr_scale: float = 1.0,
                  weight_decay: float = 0.01, grad_clip: float | None = 1.0):
@@ -481,27 +467,25 @@ class NoamAdamW(AdamW):
                 f"NoamAdamW.grad_clip must be None or positive, got {grad_clip!r}"
             )
         super().__init__(wf, lr=0.0, weight_decay=weight_decay)
-        # A proxy, not self: without the cycle a finished run's moments and
-        # model are freed by refcount (8 MiB of peak RSS on h2_converge).
-        self.schedule = NoamSchedule(
-            weakref.proxy(self), d_model=wf.amplitude.d_model,
-            warmup=warmup, scale=lr_scale,
-        )
+        self.d_model = wf.amplitude.d_model
+        self.warmup = warmup
+        self.lr_scale = lr_scale
         self.grad_clip = grad_clip
+        self.sched_i = 0
 
-    def direction(self, wf, chunk, w_norm, eloc, e_mean, e_imag):
-        return stage_backward(wf, chunk, w_norm, eloc, e_mean, e_imag)
-
-    def apply(self, direction, norm: float) -> None:
-        stage_update(self, direction, norm)
+    def lr_at(self, i: int) -> float:
+        """Eq. 13: ``lr_scale * d_model^-0.5 * min(i^-0.5, i * warmup^-1.5)``."""
+        i = max(i, 1)
+        return (self.lr_scale * self.d_model**-0.5
+                * min(i**-0.5, i * self.warmup**-1.5))
 
     def state(self) -> dict:
-        return {**super().state(), "sched_i": host_np.array(self.schedule.i)}
+        return {**super().state(), "sched_i": host_np.array(self.sched_i)}
 
     def load_state(self, data) -> None:
         sched_i = int(data["sched_i"])  # read before anything is written
         super().load_state(data)
-        self.schedule.i = sched_i
+        self.sched_i = sched_i
 
 
 # --------------------------------------------------------------------------
@@ -591,20 +575,15 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
     e_mean = sums[0] / sums[2]
     e_imag = sums[1] / sums[2]
 
-    # ---- stage 5: the optimizer's update direction on the chunk ------------
+    # ---- stage 5: Eq. 7 backward on the chunk ------------------------------
     t0 = time.perf_counter()
-    grad = engine.optimizer.direction(
-        wf, chunk, w_chunk / sums[2], eloc, e_mean, e_imag
-    )
+    stage_backward(wf, chunk, w_chunk / sums[2], eloc, e_mean, e_imag)
     times["gradient"] = time.perf_counter() - t0
 
     # ---- stage 6: one allreduce for the gradient + centered 2nd moment -----
-    # The direction rides in the arena's M + 1 payload (AdamW's gradient was
-    # accumulated there; any other direction is copied in) and the variance
-    # takes the trailing slot, so nothing is concatenated.
+    # Stage 5 accumulated the gradient in the arena's M + 1 payload and the
+    # variance takes the trailing slot, so nothing is concatenated.
     arena = wf.arena()
-    if grad is not arena.grad:
-        arena.grad[...] = grad
     arena.payload[-1] = xp.sum(w_chunk * (eloc.real - e_mean) ** 2)
     # The stage-6 comm boundary: the fused gradient + variance payload leaves
     # the device exactly once per rank and iteration, entering the allreduce
@@ -841,9 +820,9 @@ def _merge_transfers(results: list) -> dict | None:
 def execute_iteration(engine) -> VMCStats:
     """One full VMC iteration of ``engine`` on its backend.
 
-    Runs the staged pipeline, hands the reduced direction to the optimizer's
-    ``apply``, advances the iteration counter and returns the unified stats
-    record (the caller owns history bookkeeping).
+    Runs the staged pipeline, hands the reduced gradient to
+    :func:`stage_update`, advances the iteration counter and returns the
+    unified stats record (the caller owns history bookkeeping).
     """
     backend: ExecutionBackend = engine.backend
     t_wall = time.perf_counter()
@@ -860,7 +839,7 @@ def execute_iteration(engine) -> VMCStats:
     # Rank 0 hands back the lexsorted global unique set when the codec is on;
     # it becomes the next iteration's cross-iteration diff baseline.
     engine.comm_baseline = r0.pop("global_keys", None)
-    engine.optimizer.apply(r0["grad"], grad_norm)
+    stage_update(engine.optimizer, r0["grad"], grad_norm)
     backend.after_update(engine)
     wall = time.perf_counter() - t_wall
 

@@ -11,16 +11,15 @@ One iteration (see :mod:`repro.core.engine` for the staged pipeline):
    grad = E_p[ Re(E_loc - E) * grad log pi(x) ] + 2 E_p[ Im(E_loc - E) * grad phi(x) ]
 
    implemented as a surrogate scalar loss with stop-gradient coefficients.
-4. The run's optimizer updates the parameters — by default AdamW under the
-   Eq. 13 schedule (``NoamAdamW``); ``VMC(optimizer=)`` takes a configured
-   one or any other (SR).
+4. AdamW under the Eq. 13 schedule (``NoamAdamW``) updates the parameters;
+   ``VMC(optimizer=)`` takes a configured one.
 
 :class:`VMC` owns the iteration *state* (wavefunction, optimizer, RNG,
 history — the checkpoint surface); *how* an iteration executes is the
 ``backend``'s job: :class:`~repro.core.engine.SerialBackend` (default),
 ``ThreadBackend`` or ``ProcessBackend`` all schedule the same stage
 functions, so the serial driver and the data-parallel drivers share exactly
-one implementation of the update, whichever optimizer computes it.
+one implementation of the update.
 
 The pre-training protocol of Sec. 4.1 (small N_s for the first iterations,
 then growing toward 1e12) is a callable ``VMCConfig.n_samples``:
@@ -86,18 +85,26 @@ class VMC:
     Everything that shapes a run arrives as an object: ``config`` (what
     stages 1-3 read), ``backend`` (an ``ExecutionBackend``; default serial),
     ``array_backend`` (a ``repro.backend`` name or instance; default numpy)
-    and ``optimizer`` (default ``NoamAdamW(wf)``, the paper's AdamW + Eq. 13).
-    ``eloc_plan`` is compiled here under the config's byte budget; assign
-    another ``ElocPlan`` to run stage 3 with different chunking.
+    and ``optimizer`` (default ``NoamAdamW(wf)``, the paper's AdamW + Eq. 13;
+    it must be built on ``wf``).  ``eloc_plan`` is compiled here under the
+    config's byte budget; assign another ``ElocPlan`` to run stage 3 with
+    different chunking.
     """
 
     def __init__(self, wf: NNQSWavefunction,
                  hamiltonian: QubitHamiltonian | CompressedHamiltonian,
                  config: VMCConfig | None = None,
                  backend: ExecutionBackend | None = None,
-                 array_backend=None, optimizer=None):
+                 array_backend=None, optimizer: NoamAdamW | None = None):
         from repro.backend import get_backend
 
+        # Stage 5 differentiates wf and stage 6 steps the optimizer's model:
+        # another model would train in wf's place, silently.
+        if optimizer is not None and optimizer.model is not wf:
+            raise ValueError(
+                "VMC optimizer was built on another model; pass "
+                "optimizer=NoamAdamW(wf, ...) for the wavefunction being trained"
+            )
         self.wf = wf
         # The array backend every xp allocation of the staged iteration lands
         # on (name, ArrayBackend instance, or None for the numpy default).
@@ -116,15 +123,7 @@ class VMC:
             memory_budget_bytes=self.config.eloc_memory_budget_bytes(),
         )
         self.rng = np.random.default_rng(self.config.seed)
-        # Stage 5 asks it for the update direction, stage 6 for the parameter
-        # step (the contract is NoamAdamW's docstring).
         self.optimizer = optimizer if optimizer is not None else NoamAdamW(wf)
-        if self.backend.n_ranks > 1 and self.optimizer.single_rank_reason:
-            raise ValueError(
-                f"{type(self.optimizer).__name__} cannot run on "
-                f"{self.backend.n_ranks} ranks: "
-                f"{self.optimizer.single_rank_reason}"
-            )
         self.iteration = 0
         self.history: list[VMCStats] = []
         # Cross-iteration diff baseline for the stage-2 codec: the previous

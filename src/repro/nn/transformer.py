@@ -23,7 +23,7 @@ checks the names once, at materialization):
   by the BAS sweep, the walk of ``log_amplitudes`` and the serving pool;
 * ``prefix_logits(tokens, node_at, rep_row, level) -> (n_nodes, vocab)``
   Tensor, the taped conditional of every distinct prefix of lexsorted rows.
-  Read by ``log_prob`` (stage 5, SR, pretraining);
+  Read by ``log_prob`` (stage 5, pretraining);
 * ``conditional_logits(tokens)`` — ``(batch, t <= T)`` int tokens (right-padded
   with zeros beyond the known prefix) to a ``(batch, t, vocab)`` Tensor of
   *unnormalized* logits where the entry at position ``i`` depends only on

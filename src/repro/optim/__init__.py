@@ -1,5 +1,4 @@
-"""Optimizers and learning-rate schedules."""
-from repro.optim.adamw import AdamW, SGD
-from repro.optim.schedule import ConstantSchedule, NoamSchedule
+"""The AdamW kernel (the Eq. 13 schedule is ``repro.core.NoamAdamW``)."""
+from repro.optim.adamw import AdamW
 
-__all__ = ["AdamW", "SGD", "ConstantSchedule", "NoamSchedule"]
+__all__ = ["AdamW"]

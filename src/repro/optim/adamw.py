@@ -2,7 +2,7 @@
 
 Sec. 4.1: "We have used the gradient descent optimizer AdamW for training
 with the learn rate schedule alpha_i = d_model^-0.5 * min(i^-0.5,
-i * S_warmup^-1.5)" — the schedule lives in :mod:`repro.optim.schedule`.
+i * S_warmup^-1.5)" — the schedule is :class:`repro.core.engine.NoamAdamW`'s.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.backend import xp
 from repro.backend.dtypes import float64
 from repro.nn.module import Module
 
-__all__ = ["AdamW", "SGD"]
+__all__ = ["AdamW"]
 
 # Elements per call of the AdamW kernel.  The kernel makes 16 elementwise
 # passes over five streams (theta, m, v, gradient, scratch); 32 768 doubles of
@@ -116,27 +116,3 @@ class AdamW:
                     )
         self.t = int(data["opt_t"])
         self._m, self._v = m, v
-
-
-class SGD:
-    """Plain (optionally momentum) SGD — used in tests and ablations."""
-
-    def __init__(self, model: Module, lr: float = 1e-2, momentum: float = 0.0):
-        self.model = model
-        self.lr = lr
-        self.momentum = momentum
-        self._buf: list[np.ndarray] | None = None
-
-    def step(self) -> None:
-        params = list(self.model.parameters())
-        if self._buf is None:
-            self._buf = [np.zeros_like(p.data) for p in params]
-        for p, buf in zip(params, self._buf):
-            if p.grad is None:
-                continue
-            buf *= self.momentum
-            buf += p.grad
-            p.data -= self.lr * buf
-
-    def zero_grad(self) -> None:
-        self.model.zero_grad()

@@ -76,7 +76,8 @@ def fig10():
 @pytest.fixture(scope="session")
 def ablations():
     """``benchmarks/bench_ablations.py`` as a module: the home of the sampling
-    foils (RBM + Metropolis, independent-stream BAS merge)."""
+    foils (RBM + Metropolis, independent-stream BAS merge) and of stochastic
+    reconfiguration."""
     return _load_bench("bench_ablations")
 
 

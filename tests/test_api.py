@@ -52,9 +52,8 @@ def full_spec() -> RunSpec:
         ansatz=AnsatzSpec(name="my-ansatz", d_model=8, n_heads=2, n_layers=1,
                           phase_hidden=(32, 16), token_bits=2, constrain=False,
                           reverse_order=False, seed=5, params={"extra": 1}),
-        optimizer=OptimizerSpec(name="adamw", lr_scale=0.5, warmup=123,
-                                weight_decay=0.0, grad_clip=None,
-                                params={"lr": 0.1}),
+        optimizer=OptimizerSpec(lr_scale=0.5, warmup=123, weight_decay=0.0,
+                                grad_clip=None),
         sampling=SamplingSpec(ns_pretrain=777, ns_max=8888,
                               ns_growth=1.5, pretrain_iters=0,
                               eloc_mode="sample_aware"),
@@ -211,7 +210,6 @@ class TestRegistries:
         import repro.api
         import repro.core
         import repro.api.registry
-        from repro.api import OPTIMIZERS
 
         import repro.nn
 
@@ -221,10 +219,9 @@ class TestRegistries:
         for gone in ("MADEAmplitude", "NAQSMLPAmplitude", "FallbackInferenceSession",
                      "make_inference_session", "made"):
             assert gone not in repro.nn.__all__ and not hasattr(repro.nn, gone)
-        assert {"adamw", "sr"} <= set(OPTIMIZERS.names())
-        # Three registries, and only three.
+        # Two registries, and only two: the optimizer is not a component.
         assert {n for n in repro.api.registry.__all__ if n.isupper()} == {
-            "ANSATZE", "OPTIMIZERS", "BACKENDS"}
+            "ANSATZE", "BACKENDS"}
         # Neither the sampler nor the local energy is a component: no
         # registry, no materializer, no exported foil or rung.
         for gone in ("ELOC_KERNELS", "register_eloc_kernel",
@@ -291,9 +288,34 @@ class TestRegistries:
             RunSpec.load(path)
 
     def test_unknown_optimizer_in_spec(self, tmp_path):
-        spec = tiny_spec().with_overrides({"optimizer.name": "lion"})
-        with pytest.raises(UnknownComponentError, match="adamw"):
-            run(spec, run_dir=tmp_path / "r")
+        """The optimizer is no component: naming one — even the former
+        default — is an unknown field, refused by name, as is ``params``."""
+        for key, value in (("optimizer.name", "lion"), ("optimizer.name", "adamw"),
+                           ("optimizer.name", "sr"), ("optimizer.params", {})):
+            with pytest.raises(SpecError, match=key.replace(".", r"\.")):
+                tiny_spec().with_overrides({key: value})
+        assert set(OptimizerSpec().to_dict()) == {
+            "lr_scale", "warmup", "weight_decay", "grad_clip"}
+
+    def test_the_optimizer_machinery_is_gone(self):
+        """One optimizer: no registry, protocol, schedule object or foil is
+        exported (SR lives in benchmarks/bench_ablations.py)."""
+        import repro.api
+        import repro.api.driver
+        import repro.core
+        import repro.optim
+
+        removed = ("StochasticReconfiguration", "SRConfig", "SRStepInfo",
+                   "OPTIMIZERS", "register_optimizer", "materialize_optimizer",
+                   "NoamSchedule", "ConstantSchedule", "SGD")
+        for module in (repro.core, repro.api, repro.api.driver, repro.optim):
+            for gone in removed:
+                assert gone not in module.__all__ and not hasattr(module, gone)
+        assert repro.optim.__all__ == ["AdamW"]
+        opt = NoamAdamW(build_qiankunnet(4, 1, 1, d_model=8, n_heads=2,
+                                         n_layers=1, phase_hidden=(8,)))
+        for gone in ("direction", "apply", "single_rank_reason", "schedule"):
+            assert not hasattr(opt, gone)
 
     def test_unknown_eloc_kernel_in_spec(self, tmp_path):
         """The knob is gone, with no alias: a --set naming it is an unknown
@@ -390,30 +412,25 @@ class TestDriverEquivalence:
         assert driven == hand  # exact float equality, not approx
 
     def test_resume_continues_bit_identically(self, tmp_path):
-        """Acceptance: resume(run_dir) continues the trajectory exactly —
-        whichever optimizer runs inside the one loop.  (A loop, not a
-        parametrization: the test keeps its id.)"""
-        for optimizer in ("adamw", "sr"):
-            base = {"optimizer.name": optimizer}
-            full = run(tiny_spec({**base, "train.max_iterations": 6}),
-                       run_dir=tmp_path / optimizer / "full")
-            reference = metric_energies(full.metrics_path)
-            assert len(reference) == 6
+        """Acceptance: resume(run_dir) continues the trajectory exactly."""
+        full = run(tiny_spec({"train.max_iterations": 6}),
+                   run_dir=tmp_path / "full")
+        reference = metric_energies(full.metrics_path)
+        assert len(reference) == 6
 
-            first = run(tiny_spec({**base, "train.max_iterations": 3}),
-                        run_dir=tmp_path / optimizer / "split")
-            assert metric_energies(first.metrics_path) == reference[:3]
+        first = run(tiny_spec({"train.max_iterations": 3}),
+                    run_dir=tmp_path / "split")
+        assert metric_energies(first.metrics_path) == reference[:3]
 
-            resumed = resume(first.run_dir,
-                             overrides={"train.max_iterations": 6})
-            assert resumed.report.iterations == 6
-            assert metric_energies(resumed.metrics_path) == reference
-            np.testing.assert_array_equal(
-                resumed.wavefunction.get_flat_params(),
-                full.wavefunction.get_flat_params())
+        resumed = resume(first.run_dir, overrides={"train.max_iterations": 6})
+        assert resumed.report.iterations == 6
+        assert metric_energies(resumed.metrics_path) == reference
+        np.testing.assert_array_equal(
+            resumed.wavefunction.get_flat_params(),
+            full.wavefunction.get_flat_params())
 
-            # The extended budget is persisted for future resumes.
-            assert RunSpec.load(resumed.spec_path).train.max_iterations == 6
+        # The extended budget is persisted for future resumes.
+        assert RunSpec.load(resumed.spec_path).train.max_iterations == 6
 
     def test_refused_resume_leaves_the_run_resumable(self, tmp_path):
         """Overrides reach spec.json only after every component materialized:
@@ -421,10 +438,10 @@ class TestDriverEquivalence:
         first = run(tiny_spec({"train.max_iterations": 2}),
                     run_dir=tmp_path / "run")
         before = first.spec_path.read_bytes()
-        with pytest.raises(SpecError, match=r"optimizer\.name='sr'"):
+        with pytest.raises(SpecError, match=r"parallel: .*serial"):
             resume(first.run_dir, overrides={
-                "train.max_iterations": 3, "parallel.backend": "threads",
-                "parallel.n_ranks": 2, "optimizer.name": "sr"})
+                "train.max_iterations": 3, "parallel.backend": "serial",
+                "parallel.n_ranks": 2})
         assert first.spec_path.read_bytes() == before
         again = resume(first.run_dir, overrides={"train.max_iterations": 3})
         assert again.report.iterations == 3
@@ -586,6 +603,36 @@ class TestServing:
         again = resume(result.run_dir, overrides={"train.max_iterations": 5})
         assert again.report.iterations == 5
 
+    def test_a_parent_written_spec_naming_an_optimizer_is_refused(self, tmp_path,
+                                                                  capsys):
+        """A run directory whose ``spec.json`` carries ``optimizer.name`` /
+        ``optimizer.params`` (every spec.json before the optimizer registry
+        left) is refused by those names on resume, info and serve — no alias,
+        and nothing in the directory is written."""
+        from repro.api.cli import main
+
+        result = run(tiny_spec({"train.max_iterations": 2}),
+                     run_dir=tmp_path / "run")
+        data = json.loads(result.spec_path.read_text())
+        data["optimizer"].update(name="adamw", params={})
+        result.spec_path.write_text(json.dumps(data, indent=2, sort_keys=True))
+
+        def tree():
+            return {p: p.read_bytes() for p in sorted(result.run_dir.rglob("*"))
+                    if p.is_file()}
+
+        before = tree()
+        refused = r"unknown field\(s\) optimizer\.name, optimizer\.params"
+        with pytest.raises(SpecError, match=refused):
+            resume(result.run_dir, overrides={"train.max_iterations": 3})
+        with pytest.raises(SpecError, match=refused):
+            serve_run(result.run_dir)
+        for argv in (["resume", str(result.run_dir)], ["info", str(result.run_dir)],
+                     ["serve", str(result.run_dir), "--n-random", "1"]):
+            assert main(argv) == 2
+            assert "optimizer.name, optimizer.params" in capsys.readouterr().err
+        assert tree() == before
+
     def test_serve_run_without_snapshots_fails(self, tmp_path):
         spec = tiny_spec().with_overrides({"output.publish": False})
         result = run(spec, run_dir=tmp_path / "run")
@@ -595,61 +642,6 @@ class TestServing:
 
 # --------------------------------------------------------- pluggable pieces
 class TestPluggability:
-    def test_sr_optimizer_runs_and_reports(self, tmp_path):
-        spec = tiny_spec().with_overrides({
-            "optimizer.name": "sr",
-            "optimizer.params": {"lr": 0.05},
-            "train.max_iterations": 2,
-            "train.pretrain_steps": 5,
-        })
-        result = run(spec, run_dir=tmp_path / "run")
-        assert result.report.iterations == 2
-        assert np.isfinite(result.report.energy)
-        assert len(metric_energies(result.metrics_path)) == 2
-        assert result.report_path.exists()
-        assert result.published_version == 1
-        # SR runs are checkpointed like any other: resume runs iteration 3.
-        assert result.checkpoint_path.exists()
-        resumed = resume(result.run_dir,
-                         overrides={"train.max_iterations": 3})
-        assert resumed.report.iterations == 3
-        rows = [json.loads(line) for line in
-                resumed.metrics_path.read_text().splitlines()]
-        assert [r["iteration"] for r in rows if "iteration" in r] == [1, 2, 3]
-        assert rows[-1]["lr"] == 0.05  # the learning rate, not an update norm
-
-    def test_sr_through_run_matches_the_hand_driven_loop(self, h2_problem,
-                                                         tmp_path):
-        """The engine-driven SR trajectory is the hand-driven one of
-        ``examples/sr_vs_adamw.py`` (sample -> local_energy -> sr.step).
-        Rows reach the SVD lexsorted instead of in sampler order, so the
-        energies agree to rounding, not bitwise."""
-        from repro.core import (
-            SRConfig,
-            StochasticReconfiguration,
-            batch_autoregressive_sample,
-            local_energy,
-            pretrain_to_reference,
-        )
-        from repro.hamiltonian.compressed import compress_hamiltonian
-
-        spec = tiny_spec({"optimizer.name": "sr",
-                          "optimizer.params": {"lr": 0.05},
-                          "train.max_iterations": 3})
-        driven = metric_energies(run(spec, run_dir=tmp_path / "run").metrics_path)
-
-        wf = tiny_trainer(h2_problem).wf
-        pretrain_to_reference(wf, h2_problem.hf_bits, n_steps=10)
-        sr = StochasticReconfiguration(wf, SRConfig(lr=0.05))
-        comp = compress_hamiltonian(h2_problem.hamiltonian)
-        rng = np.random.default_rng(11)
-        hand = []
-        for _ in range(3):
-            batch = batch_autoregressive_sample(wf, 500, rng)
-            eloc, _ = local_energy(wf, comp, batch, mode="exact")
-            hand.append(sr.step(batch, eloc).energy)
-        np.testing.assert_allclose(driven, hand, atol=1e-9, rtol=0)
-
     def test_custom_ansatz_plugs_in_by_name(self, tmp_path, registered):
         """A registered builder — here a network that is *not* the built-in,
         known to the run by the amplitude protocol alone — is reachable from
@@ -744,7 +736,8 @@ class TestEveryLeafLands:
         vmc = trainer.vmc
 
         opt = vmc.optimizer
-        assert (opt.schedule.warmup, opt.schedule.scale) == (123, 0.5)
+        assert type(opt) is NoamAdamW and opt.model is vmc.wf
+        assert (opt.warmup, opt.lr_scale) == (123, 0.5)
         assert (opt.weight_decay, opt.grad_clip) == (0.02, 0.7)
 
         assert (vmc.config.eloc_mode, vmc.config.seed) == ("sample_aware", 9)

@@ -468,24 +468,17 @@ class TestRowBlocking:
 # The non-finite guard
 # --------------------------------------------------------------------------
 class TestNonFiniteGuard:
-    """The guard sits in the engine, so it holds for whichever optimizer runs
-    inside it: every test walks the AdamW default and SR through
-    ``VMC(optimizer=)``.  (A loop, not a parametrization: the ids are kept.)"""
+    """The guard sits in the engine, between the stage-6 allreduce and the
+    parameter step."""
 
     @pytest.fixture()
-    def vmcs(self, h2_problem):
-        from repro.core import StochasticReconfiguration
-
-        comp = compress_hamiltonian(h2_problem.hamiltonian)
-        out = []
-        for make in (lambda wf: None, StochasticReconfiguration):
-            wf = build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
-                                  phase_hidden=(12,), seed=0)  # small: SR is dense
-            v = VMC(wf, comp, VMCConfig(n_samples=500, seed=1),
-                    optimizer=make(wf))
-            v.step()
-            out.append(v)
-        return out
+    def vmc(self, h2_problem):
+        wf = build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
+                              phase_hidden=(12,), seed=0)
+        vmc = VMC(wf, compress_hamiltonian(h2_problem.hamiltonian),
+                  VMCConfig(n_samples=500, seed=1))
+        vmc.step()
+        return vmc
 
     def _assert_raises_untouched(self, vmc, match):
         params = vmc.wf.get_flat_params().copy()
@@ -501,7 +494,20 @@ class TestNonFiniteGuard:
             np.testing.assert_array_equal(after[key], before)
         return str(err.value)
 
-    def test_nan_local_energy_raises_naming_rank_and_stage(self, vmcs, monkeypatch):
+    @staticmethod
+    def _poison_stage5(patch, value, index=slice(None)):
+        """Stage 5 as usual, then ``value`` written into its gradient — the
+        arena buffer stage 6 ships."""
+        real = engine.stage_backward
+
+        def poisoned(*args, **kwargs):
+            grad = real(*args, **kwargs)
+            grad[index] = value
+            return grad
+
+        patch.setattr(engine, "stage_backward", poisoned)
+
+    def test_nan_local_energy_raises_naming_rank_and_stage(self, vmc, monkeypatch):
         real = engine.stage_local_energy
 
         def poisoned(*args, **kwargs):
@@ -510,31 +516,20 @@ class TestNonFiniteGuard:
             return eloc
 
         monkeypatch.setattr(engine, "stage_local_energy", poisoned)
-        for vmc in vmcs:
-            message = self._assert_raises_untouched(vmc, "non-finite local energy")
-            assert "rank 0" in message and "stage 3" in message
-            assert "iteration 2" in message
+        message = self._assert_raises_untouched(vmc, "non-finite local energy")
+        assert "rank 0" in message and "stage 3" in message
+        assert "iteration 2" in message
 
-    def test_inf_gradient_raises_naming_iteration_and_stage(self, vmcs, monkeypatch):
-        for vmc in vmcs:
-            real = vmc.optimizer.direction
+    def test_inf_gradient_raises_naming_iteration_and_stage(self, vmc, monkeypatch):
+        self._poison_stage5(monkeypatch, np.inf, index=3)
+        message = self._assert_raises_untouched(vmc, "non-finite gradient")
+        assert "stage 6" in message and "iteration 2" in message
+        assert "energy" not in message  # only the offending quantity is named
 
-            def poisoned(*args, real=real, **kwargs):
-                direction = real(*args, **kwargs)
-                direction[3] = np.inf
-                return direction
-
-            monkeypatch.setattr(vmc.optimizer, "direction", poisoned)
-            message = self._assert_raises_untouched(vmc, "non-finite gradient")
-            assert "stage 6" in message and "iteration 2" in message
-            assert "energy" not in message  # only the offending quantity is named
-
-    def test_the_run_continues_after_the_fault_is_removed(self, vmcs, monkeypatch):
-        for vmc in vmcs:
-            with monkeypatch.context() as patch:
-                patch.setattr(vmc.optimizer, "direction",
-                              lambda *a, **k: np.full(vmc.wf.num_parameters(), np.nan))
-                with pytest.raises(FloatingPointError):
-                    vmc.step()
-            stats = vmc.step()
-            assert stats.iteration == 2 and math.isfinite(stats.energy)
+    def test_the_run_continues_after_the_fault_is_removed(self, vmc, monkeypatch):
+        with monkeypatch.context() as patch:
+            self._poison_stage5(patch, np.nan)
+            with pytest.raises(FloatingPointError):
+                vmc.step()
+        stats = vmc.step()
+        assert stats.iteration == 2 and math.isfinite(stats.energy)

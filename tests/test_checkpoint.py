@@ -107,6 +107,44 @@ class TestResume:
                 "params", "hist_energy", "hist_lr"} <= keys
         assert "energies" not in keys
 
+    def test_a_checkpoint_of_the_schedule_object_era_restores(self, h2_problem):
+        """``data/checkpoint_h2_3iters.npz`` was written by the code that still
+        kept the Eq. 13 epoch on a separate schedule object: 3 iterations of
+        ``make()`` below.  Its optimizer keys are the ones written today, it
+        restores, and it continues the trajectory of an uninterrupted run."""
+        from pathlib import Path
+
+        from repro.core import NoamAdamW
+
+        def make():
+            wf = build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
+                                  phase_hidden=(8,), seed=12)
+            return VMC(wf, h2_problem.hamiltonian,
+                       VMCConfig(n_samples=500, eloc_mode="exact", seed=13),
+                       optimizer=NoamAdamW(wf, warmup=50))
+
+        path = Path(__file__).parent / "data" / "checkpoint_h2_3iters.npz"
+        optimizer_keys = {"opt_t", "opt_m", "opt_v", "sched_i"}
+        with np.load(path) as data:
+            assert {k for k in data.files if k.startswith(("opt_", "sched_"))} \
+                == optimizer_keys
+        resumed = make()
+        load_checkpoint(resumed, path)
+        assert set(resumed.optimizer.state()) == optimizer_keys
+        assert resumed.iteration == resumed.optimizer.t \
+            == resumed.optimizer.sched_i == 3
+
+        uninterrupted = make()
+        uninterrupted.run(3)
+        for key, value in uninterrupted.optimizer.state().items():
+            np.testing.assert_allclose(resumed.optimizer.state()[key], value,
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose(resumed.wf.get_flat_params(),
+                                   uninterrupted.wf.get_flat_params(),
+                                   rtol=0, atol=1e-12)
+        assert resumed.step().energy == pytest.approx(
+            uninterrupted.step().energy, rel=0, abs=1e-10)
+
 
 class TestRefusalChangesNothing:
     """``load_checkpoint`` is all-or-nothing: a file refused at *any* field

@@ -158,11 +158,11 @@ class TestInfo:
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert [line.split(":")[0] for line in lines] == [
-            "ansatz", "optimizer", "backend"]  # three registries
-        for token in ("transformer", "adamw", "sr", "threads"):
+            "ansatz", "backend"]  # two registries
+        for token in ("transformer", "threads"):
             assert token in out
         for gone in ("sa_fuse_lut", "eloc_kernel", "sampler", "bas", "hybrid",
-                     "mcmc", "rbm"):
+                     "mcmc", "rbm", "optimizer", "adamw", "sr"):
             assert gone not in out
 
     def test_no_args_is_usage_error(self, capsys):

@@ -625,7 +625,7 @@ class TestClusterSpec:
                         "geometry": {"r": 0.7414}},
             "ansatz": {"name": "transformer", "d_model": 8, "n_heads": 2,
                        "n_layers": 1, "phase_hidden": [8], "seed": 1},
-            "optimizer": {"name": "adamw", "warmup": 100},
+            "optimizer": {"warmup": 100},
             "sampling": {"ns_pretrain": 500, "ns_max": 500,
                          "pretrain_iters": 3},
             "parallel": {"backend": "cluster", "n_ranks": 2,

@@ -352,17 +352,25 @@ class TestEngineGuards:
         with pytest.raises(ValueError, match="n_ranks"):
             ThreadBackend(n_ranks=0)
 
-    def test_whole_batch_optimizer_rejected_on_parallel_ranks(self, h2_problem):
-        """Hand wiring gets the refusal run() gives (test_sr_plus_parallel_
-        rejected): per-rank SR solves do not sum to the whole-batch one."""
-        from repro.core import StochasticReconfiguration
+    def test_an_optimizer_of_another_model_is_refused(self, h2_problem):
+        """Stage 5 differentiates ``wf`` and stage 6 steps the optimizer's
+        model: an optimizer built on another one — same architecture or not —
+        would train that model instead, silently."""
+        def build(d_model):
+            return build_qiankunnet(4, 1, 1, d_model=d_model, n_heads=2,
+                                    n_layers=1, phase_hidden=(8,), seed=1)
 
-        wf = build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
-                              phase_hidden=(8,), seed=1)
-        with pytest.raises(ValueError, match="whole batch on one rank"):
-            VMC(wf, h2_problem.hamiltonian, VMCConfig(n_samples=100),
-                backend=ThreadBackend(n_ranks=2),
-                optimizer=StochasticReconfiguration(wf))
+        wf = build(8)
+        for other in (build(8), build(16)):
+            theta = other.get_flat_params()
+            with pytest.raises(ValueError, match="optimizer"):
+                VMC(wf, h2_problem.hamiltonian, VMCConfig(n_samples=100),
+                    optimizer=NoamAdamW(other))
+            np.testing.assert_array_equal(other.get_flat_params(), theta)
+        before = wf.get_flat_params()
+        VMC(wf, h2_problem.hamiltonian, VMCConfig(n_samples=100),
+            optimizer=NoamAdamW(wf)).step()
+        assert not np.array_equal(wf.get_flat_params(), before)
 
     def test_stage2_refuses_a_batch_the_sweep_did_not_produce(self, h2_problem):
         """Stage 2 reads log pi off the sweep's batch and has no evaluator to
@@ -415,7 +423,7 @@ class TestRunSpecIntegration:
                         "geometry": {"r": 0.7414}},
             "ansatz": {"name": "transformer", "d_model": 8, "n_heads": 2,
                        "n_layers": 1, "phase_hidden": [8], "seed": 1},
-            "optimizer": {"name": "adamw", "warmup": 100},
+            "optimizer": {"warmup": 100},
             "sampling": {"ns_pretrain": 500, "ns_max": 500,
                          "pretrain_iters": 3},
             "parallel": {"backend": "threads", "n_ranks": 2,
@@ -463,20 +471,16 @@ class TestRunSpecIntegration:
             full.wavefunction.get_flat_params(),
         )
 
-    def test_sr_plus_parallel_rejected(self, tmp_path):
-        """Refused at materialization, on what the built optimizer declares,
-        naming the field and the reason — and before spec.json lands."""
-        from repro.api import SpecError, run
+    def test_sr_plus_parallel_rejected(self):
+        """SR is no run option on any rank count: a spec naming an optimizer
+        is refused by the spec gate, field named, before any run starts."""
+        from repro.api import RunSpec, SpecError
 
-        spec = self._spec().with_overrides({"optimizer.name": "sr"})
-        with pytest.raises(SpecError, match=r"optimizer\.name='sr' cannot run "
-                           r"on parallel\.n_ranks=2: .*whole batch on one rank"):
-            run(spec, run_dir=tmp_path / "run")
-        assert not (tmp_path / "run" / "spec.json").exists()
-        # One thread rank is the serial iteration: nothing to refuse.
-        one = spec.with_overrides({"parallel.n_ranks": 1,
-                                   "train.max_iterations": 1})
-        assert run(one, run_dir=tmp_path / "one").report.iterations == 1
+        for n_ranks in (2, 1):
+            data = self._spec(n_ranks=n_ranks).to_dict()
+            data["optimizer"]["name"] = "sr"
+            with pytest.raises(SpecError, match=r"optimizer\.name"):
+                RunSpec.from_dict(data)
 
     def test_serial_with_many_ranks_rejected(self):
         from repro.api import SpecError

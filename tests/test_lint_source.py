@@ -85,7 +85,6 @@ class TestSourceLint:
         ("one-comm-accounting-site", "src/repro/core/engine.py", "comm.stats.add(nbytes)"),
         ("no-probing-no-second-path", "src/repro/core/vmc.py", "if hasattr(comm, 'rank'):"),
         ("no-probing-no-second-path", "src/repro/nn/x.py", "def f(use_cache=True): ..."),
-        ("no-probing-no-second-path", "src/repro/core/x.py", "if optimizer.name == 'sr':"),
         ("arena-owns-the-flat-buffers", "src/repro/optim/adamw.py",
          "flat = xp.concatenate(parts)"),
         ("stage5-writes-into-the-arena", "src/repro/core/engine.py", "wf.set_flat_grads(g)"),
@@ -100,6 +99,18 @@ class TestSourceLint:
         ("one-sampler", "src/repro/core/x.py", "SAMPLERS = {}"),
         ("one-sampler", "src/repro/parallel/x.py", "from mpi4py import MPI"),
         ("no-sampler-field", "src/repro/api/spec.py", "    sampler: str = 'bas'"),
+        ("one-optimizer", "src/repro/api/registry.py",
+         'OPTIMIZERS = ComponentRegistry("optimizer")'),
+        ("one-optimizer", "src/repro/api/builtins.py",
+         'register_optimizer("sr", build_sr)'),
+        ("one-optimizer", "src/repro/core/engine.py",
+         "if self.optimizer.single_rank_reason:"),
+        ("one-optimizer", "src/repro/core/sr.py", "class StochasticReconfiguration:"),
+        ("one-optimizer", "src/repro/core/sr.py",
+         "j_logp, j_phi = per_sample_jacobians(wf, bits)"),
+        ("one-optimizer", "src/repro/optim/schedule.py", "class NoamSchedule:"),
+        ("one-optimizer", "src/repro/optim/schedule.py", "ConstantSchedule(opt, lr)"),
+        ("one-optimizer", "src/repro/optim/adamw.py", "class SGD:"),
         ("one-amplitude-protocol", "src/repro/core/wavefunction.py",
          'if hasattr(self.amplitude, "make_session"):'),
         ("one-amplitude-protocol", "src/repro/nn/inference.py",

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
+from repro.core import NoamAdamW, build_qiankunnet
+from repro.core.engine import stage_update
 from repro.nn import Linear, Module, Parameter
-from repro.optim import AdamW, ConstantSchedule, NoamSchedule, SGD
+from repro.optim import AdamW
 
 
 class _Quadratic(Module):
@@ -64,51 +66,30 @@ class TestAdamW:
         np.testing.assert_allclose(m.x.data, [-0.1], rtol=1e-6)
 
 
-class TestSGD:
-    def test_converges(self):
-        m = _Quadratic()
-        opt = SGD(m, lr=0.05)
-        for _ in range(500):
-            opt.zero_grad()
-            m.loss().backward()
-            opt.step()
-        np.testing.assert_allclose(m.x.data, m.target, atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        losses = {}
-        for mom in (0.0, 0.9):
-            m = _Quadratic(seed=3)
-            opt = SGD(m, lr=0.01, momentum=mom)
-            for _ in range(100):
-                opt.zero_grad()
-                loss = m.loss()
-                loss.backward()
-                opt.step()
-            losses[mom] = m.loss().item()
-        assert losses[0.9] < losses[0.0]
+def _wf(d_model=16):
+    return build_qiankunnet(4, 1, 1, d_model=d_model, n_heads=2, n_layers=1,
+                            phase_hidden=(8,), seed=0)
 
 
 class TestNoamSchedule:
+    """Eq. 13 is ``NoamAdamW``'s own: no schedule object."""
+
     def test_eq13_formula(self):
-        opt = AdamW(_Quadratic(), lr=0.0)
-        sched = NoamSchedule(opt, d_model=16, warmup=4000)
+        opt = NoamAdamW(_wf(d_model=16), warmup=4000)
         for i in (1, 100, 4000, 10000):
             expected = 16**-0.5 * min(i**-0.5, i * 4000**-1.5)
-            assert sched.lr_at(i) == pytest.approx(expected)
+            assert opt.lr_at(i) == pytest.approx(expected)
 
     def test_peak_at_warmup(self):
-        sched = NoamSchedule(AdamW(_Quadratic(), lr=0.0), d_model=16, warmup=100)
-        lrs = [sched.lr_at(i) for i in range(1, 400)]
+        opt = NoamAdamW(_wf(), warmup=100)
+        lrs = [opt.lr_at(i) for i in range(1, 400)]
         assert int(np.argmax(lrs)) + 1 == 100
 
     def test_step_pushes_lr(self):
-        opt = AdamW(_Quadratic(), lr=0.0)
-        sched = NoamSchedule(opt, d_model=16, warmup=10, scale=2.0)
-        lr = sched.step()
-        assert opt.lr == lr > 0
-
-    def test_constant_schedule(self):
-        opt = AdamW(_Quadratic(), lr=0.0)
-        sched = ConstantSchedule(opt, lr=0.123)
-        sched.step()
-        assert opt.lr == 0.123
+        """Stage 6 advances the epoch and steps at that epoch's rate."""
+        wf = _wf()
+        opt = NoamAdamW(wf, warmup=10, lr_scale=2.0)
+        assert (opt.sched_i, opt.lr) == (0, 0.0)
+        stage_update(opt, np.ones(wf.num_parameters()))
+        assert opt.sched_i == 1 and opt.t == 1
+        assert opt.lr == opt.lr_at(1) == 2.0 * 16**-0.5 * 10**-1.5 > 0

@@ -13,7 +13,7 @@ Contracts of the arena PR:
   parameters, with weight decay;
 * ``stage_backward`` returns the arena's gradient buffer itself, bit-equal to
   per-parameter tape gradients concatenated by hand, for any row blocking;
-* SR's in-place ``apply`` is bit-identical to ``theta - lr * delta``.
+* the SR foil's in-place ``apply`` is bit-identical to ``theta - lr * delta``.
 
 The size-1 allreduce aliasing rule lives in ``test_comm_contract.py``.
 """
@@ -27,7 +27,6 @@ import pytest
 from repro.core import (
     VMC,
     NoamAdamW,
-    StochasticReconfiguration,
     VMCConfig,
     build_qiankunnet,
     load_checkpoint,
@@ -47,13 +46,11 @@ def _small_wf(seed=7, d_model=8, n_qubits=4, n_up=1, n_dn=1):
                             n_layers=1, phase_hidden=(8,), seed=seed)
 
 
-def _fresh_vmc(problem, backend=None, d_model=8, optimizer=None):
+def _fresh_vmc(problem, backend=None, d_model=8):
     wf = _small_wf(d_model=d_model)
-    optimizer = (StochasticReconfiguration(wf) if optimizer == "sr"
-                 else NoamAdamW(wf, warmup=50))
     return VMC(wf, problem.hamiltonian,
                VMCConfig(n_samples=800, eloc_mode="exact", seed=3),
-               backend=backend, optimizer=optimizer)
+               backend=backend, optimizer=NoamAdamW(wf, warmup=50))
 
 
 def _assert_packed(module: Module) -> None:
@@ -425,13 +422,14 @@ class TestEngineOnTheArena:
         serial.run(3)
         assert abs(serial.history[0].energy - vmc.history[0].energy) < 0.05
 
-    def test_sr_apply_is_bit_identical_to_theta_minus_lr_delta(self, h2_problem):
-        vmc = _fresh_vmc(h2_problem, optimizer="sr")
-        arena = vmc.wf.arena()
+    def test_sr_apply_is_bit_identical_to_theta_minus_lr_delta(self, ablations):
+        """The SR foil (``benchmarks/bench_ablations.py``) writes in place."""
+        wf = _small_wf()
+        sr = ablations.StochasticReconfiguration(wf)
+        arena = wf.arena()
         delta = np.random.default_rng(4).normal(size=arena.theta.size)
-        expected = vmc.wf.get_flat_params() - vmc.optimizer.lr * delta
-        vmc.optimizer.apply(delta)
-        assert vmc.wf.arena() is arena
+        expected = wf.get_flat_params() - sr.config.lr * delta
+        sr.apply(delta)
+        assert wf.arena() is arena
         np.testing.assert_array_equal(arena.theta, expected)
-        vmc.run(2)  # and the staged iteration carries SR's delta in the payload
-        _assert_packed(vmc.wf)
+        _assert_packed(wf)

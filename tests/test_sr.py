@@ -1,18 +1,18 @@
-"""Tests for stochastic reconfiguration (the paper's forgone optimizer)."""
+"""Tests for stochastic reconfiguration (the paper's forgone optimizer).
+
+SR is the foil of ``benchmarks/bench_ablations.py`` (the ``ablations``
+fixture), not part of the library."""
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
 from repro.chem import build_problem
 from repro.core import (
-    SRConfig,
-    StochasticReconfiguration,
     batch_autoregressive_sample,
     build_qiankunnet,
     local_energy,
     pretrain_to_reference,
 )
-from repro.core.sr import per_sample_jacobians
 from repro.hamiltonian import compress_hamiltonian
 
 
@@ -28,13 +28,13 @@ def tiny_wf(prob, seed=1):
 
 
 class TestPerSampleJacobians:
-    def test_rows_sum_to_batch_gradient(self, h2):
+    def test_rows_sum_to_batch_gradient(self, h2, ablations):
         """sum_b c_b J[b] must equal the gradient of sum_b c_b f(x_b)."""
         prob, _ = h2
         wf = tiny_wf(prob)
         bits = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1]], dtype=np.uint8)
         c = np.array([0.3, -1.2, 2.0])
-        j_logp, j_phi = per_sample_jacobians(wf, bits)
+        j_logp, j_phi = ablations.per_sample_jacobians(wf, bits)
 
         wf.zero_grad()
         (Tensor(c) * wf.log_prob(bits)).sum().backward()
@@ -44,26 +44,27 @@ class TestPerSampleJacobians:
         (Tensor(c) * wf.phase_of(bits)).sum().backward()
         np.testing.assert_allclose(wf.get_flat_grads(), c @ j_phi, atol=1e-10)
 
-    def test_grads_cleared_after(self, h2):
+    def test_grads_cleared_after(self, h2, ablations):
         prob, _ = h2
         wf = tiny_wf(prob)
-        per_sample_jacobians(wf, np.array([[1, 1, 0, 0]], dtype=np.uint8))
+        ablations.per_sample_jacobians(wf, np.array([[1, 1, 0, 0]], dtype=np.uint8))
         assert np.all(wf.get_flat_grads() == 0.0)
 
 
 class TestSRStep:
-    def test_refuses_large_models(self, h2):
+    def test_refuses_large_models(self, h2, ablations):
         prob, _ = h2
         wf = tiny_wf(prob)
         with pytest.raises(ValueError, match="dense"):
-            StochasticReconfiguration(wf, SRConfig(max_params=10))
+            ablations.StochasticReconfiguration(wf, ablations.SRConfig(max_params=10))
 
-    def test_single_step_moves_parameters_downhill(self, h2):
+    def test_single_step_moves_parameters_downhill(self, h2, ablations):
         prob, comp = h2
         wf = tiny_wf(prob)
         pretrain_to_reference(wf, prob.hf_bits, n_steps=80)
         rng = np.random.default_rng(0)
-        sr = StochasticReconfiguration(wf, SRConfig(lr=0.05, diag_shift=0.01))
+        sr = ablations.StochasticReconfiguration(
+            wf, ablations.SRConfig(lr=0.05, diag_shift=0.01))
 
         batch = batch_autoregressive_sample(wf, 10**5, rng)
         eloc, _ = local_energy(wf, comp, batch, mode="exact")
@@ -81,7 +82,7 @@ class TestSRStep:
         e_after = sector_expectation(prob.hamiltonian, amps_after, basis)
         assert e_after < info.energy + 1e-6
 
-    def test_converges_to_hf_basin(self, h2):
+    def test_converges_to_hf_basin(self, h2, ablations):
         """SR polishes the warm start to the HF determinant rapidly.
 
         This is the measured behaviour behind the paper's Sec. 1 argument:
@@ -93,7 +94,8 @@ class TestSRStep:
         wf = tiny_wf(prob)
         pretrain_to_reference(wf, prob.hf_bits, n_steps=100)
         rng = np.random.default_rng(0)
-        sr = StochasticReconfiguration(wf, SRConfig(lr=0.2, diag_shift=0.02))
+        sr = ablations.StochasticReconfiguration(
+            wf, ablations.SRConfig(lr=0.2, diag_shift=0.02))
         energy = np.inf
         for _ in range(60):
             batch = batch_autoregressive_sample(wf, 10**5, rng)
@@ -101,7 +103,7 @@ class TestSRStep:
             energy = sr.step(batch, eloc).energy
         assert energy == pytest.approx(prob.e_hf, abs=2e-3)
 
-    def test_rank_deficiency_handled(self, h2):
+    def test_rank_deficiency_handled(self, h2, ablations):
         """A single-sample batch (rank-2 S matrix) must not blow up."""
         prob, comp = h2
         wf = tiny_wf(prob)
@@ -111,7 +113,7 @@ class TestSRStep:
                             weights=np.array([100], dtype=np.int64))
         eloc, _ = local_energy(wf, comp, batch, mode="exact")
         theta_before = wf.get_flat_params()
-        sr = StochasticReconfiguration(wf, SRConfig(lr=0.05))
+        sr = ablations.StochasticReconfiguration(wf, ablations.SRConfig(lr=0.05))
         info = sr.step(batch, eloc)
         theta_after = wf.get_flat_params()
         assert np.all(np.isfinite(theta_after))

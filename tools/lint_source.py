@@ -41,7 +41,7 @@ RULES = (
     Rule("no-probing-no-second-path",
          r"hasattr\(comm|eloc_kernel|resolve_batch_kernel|ELOC_KERNELS"
          r"|local_energy_baseline|local_energy_sa_fuse|_lookup_dedup|DEDUP_MIN_TABLE"
-         r"|getattr\(engine|_run_step_protocol|hasattr\(opt|optimizer\.name\s*[!=]="
+         r"|getattr\(engine|_run_step_protocol|hasattr\(opt"
          r"|gradient_step|use_cache", (SRC,),
          "no probing of the communicator, the engine or the optimizer; one "
          "local-energy path, one table lookup, one training loop, one inference "
@@ -74,6 +74,12 @@ RULES = (
          "stage 1 is the BAS sweep: no sampler registry, cache budget or foil "
          "under src/ (they live in benchmarks/bench_ablations.py), no MPI adapter "
          "without an MPI host"),
+    Rule("one-optimizer",
+         r"OPTIMIZERS|register_optimizer|single_rank_reason|StochasticReconfiguration"
+         r"|per_sample_jacobians|NoamSchedule|ConstantSchedule|\bSGD\b", (SRC,),
+         "stage 5 is the Eq. 7 backward and stage 6 the Noam-AdamW step: no "
+         "optimizer registry, protocol or schedule object, and no SR under src/ "
+         "(it lives in benchmarks/bench_ablations.py) (Stage contract)"),
     Rule("no-sampler-field", r"sampler\s*:",
          ("src/repro/core/engine.py", "src/repro/api/spec.py"),
          "no sampler spec field or config hook (Sessions and the BAS tree)"),
