@@ -23,9 +23,10 @@ Design notes
 * ``no_grad()`` disables taping, used by the sampler's pure-inference passes —
   this mirrors the paper's split between sampling (inference) and the backward
   pass (Fig. 4).
-* All math is float64 (``repro.backend.dtypes``): VMC gradients are small
-  differences of local energies.  Whether float32 would degrade
-  chemical-accuracy convergence is unmeasured (ROADMAP item 5 measures it).
+* All math on the tape is float64 (``repro.backend.dtypes``): VMC gradients
+  are small differences of local energies.  The one float32 path is off the
+  tape — the phase MLP's no-grad evaluator ``PhaseMLP.step`` — and its
+  audit numbers are in ``repro.backend.dtypes``.
 * Array math goes through ``xp``-level functions (``xp.sum``, ``xp.transpose``)
   rather than ndarray methods where the conventions differ across backends,
   so the same tape runs on numpy, the counting mock, and any device adapter.

@@ -1,13 +1,22 @@
 """The repository's dtype policy, in one place.
 
 Every hot-path module takes its dtypes from here instead of spelling
-``np.float64`` / ``np.complex128`` literals inline, so the policy (all VMC
-math in float64, amplitudes in complex128, packed configuration keys in
-uint64) is stated once and adapters can translate it per backend:
+``np.float64`` / ``np.complex128`` literals inline, so the policy (VMC math
+in float64 but for the no-grad phase GEMMs, amplitudes in complex128, packed
+configuration keys in uint64) is stated once and adapters can translate it
+per backend:
 
 * float64 everywhere real-valued — VMC gradients are small differences of
-  local energies.  Whether float32 would degrade chemical-accuracy
-  convergence is unmeasured (ROADMAP item 5 measures it).
+  local energies — except the no-grad phase GEMMs.  ``PhaseMLP.step``
+  (every no-grad phi: stage 2, the amplitude-table extension, serving,
+  observables) runs its GEMM + bias + tanh chain in float32 on a per-call
+  cast of the float64 parameters and returns float64.  The decoder, the
+  prefix walk, E_loc accumulation, the taped stage-5 head and the AdamW
+  update stay float64.  Audit against the float64 head
+  (``tests/test_precision.py``): |dphi| <= 1.9e-7 rad on the paper-size
+  net; on a 100k-sample N2 batch (N_u ~ 550) per-sample |dE_loc| <= 1.7e-6
+  Ha, an energy shift 1.5e-8 of its error bar, the Eq. 7 gradient 1.8e-9
+  relative; exact sector energies (H2, LiH, N2 CAS) within 8.2e-10 Ha.
 * complex128 for log-amplitudes ``log Psi = 0.5 log pi + i phi``.
 * uint64 for packed bitstring keys (64 qubits per word, multi-word rows);
   uint8 for unpacked bit arrays; int64 for weights/counts/indices;

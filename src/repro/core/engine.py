@@ -262,12 +262,12 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, codec: bool = True,
 
     The decoder is not evaluated here: ``log pi`` of every local row is
     ``local.log_prob``, which the stage-1 sweep accumulated along the row's
-    tree path, and only the phase MLP runs (``wf.phases``, no tape, row
-    blocks).  A batch without it did not come out of a sweep and is refused —
-    ``wf.log_amplitudes`` is the evaluator for bits given from elsewhere, not
-    a fallback of this stage.  Every backend, transport and codec sweeps the
-    same subtrees with the same streams at equal N_p, so they stay
-    bit-identical to each other.  The global set is unique across ranks
+    tree path, and only the phase MLP runs (``wf.phases``: float32 GEMMs, no
+    tape, row blocks).  A batch without it did not come out of a sweep and is
+    refused — ``wf.log_amplitudes`` is the evaluator for bits given from
+    elsewhere, not a fallback of this stage.  Every backend, transport and
+    codec sweeps the same subtrees with the same streams at equal N_p, so
+    they stay bit-identical to each other.  The global set is unique across ranks
     (disjoint BAS subtrees), hence the final lexsort yields the same table
     bit-for-bit regardless of the wire encoding.
     """

@@ -70,15 +70,22 @@ def estimate(
     ``mode='exact'`` evaluates Psi on every coupled configuration (unbiased);
     ``'sample_aware'`` restricts to the sampled set (method (4) of Sec. 3.4).
     Note: an amplitude ``table`` built for a *different* operator must not be
-    reused in exact mode — coupled sets differ.
+    reused in exact mode — coupled sets differ.  A batch with no rows or no
+    total weight is a ``ValueError``: it has no mean to report.
     """
+    total = batch.weights.sum()
+    if not total > 0:
+        raise ValueError(
+            f"estimate needs a batch with samples; this batch has "
+            f"{batch.n_unique} rows of total weight {total}"
+        )
     comp = (
         operator
         if isinstance(operator, CompressedHamiltonian)
         else compress_hamiltonian(operator)
     )
     oloc, _ = local_energy(wf, comp, batch, mode=mode, table=table)
-    w = batch.weights / batch.weights.sum()
+    w = batch.weights / total
     mean = float(np.sum(w * oloc.real))
     var = float(np.sum(w * (oloc.real - mean) ** 2))
     return EstimateResult(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor
 from repro.autograd.block_ops import MASK_VALUE, log_softmax, picked_log_softmax, softmax
 from repro.core.constraints import ParticleNumberConstraint
 from repro.nn import Module, PhaseMLP, TransformerAmplitude
@@ -43,7 +43,10 @@ ROW_BLOCK = 256
 # blocks, 13 177 in one walk, 48 770 dense).  Measured then per iteration /
 # peak RSS: 256 rows 0.230 s / 99 MiB, 1 024 rows 0.205 s / 102 MiB, one walk
 # 0.212 s / 139 MiB (dense: 0.300 s / 101 MiB).  A constant for ROW_BLOCK's
-# reason: results agree to rounding.
+# reason: results agree to rounding.  It also bounds a no-grad phase block
+# (``NNQSWavefunction.phases``): the float32 GEMM chain keeps no tape, and on
+# N2 exact 1 024-row blocks beat 256 in 19 of 20 alternating pairs (-2 ... -3 %
+# per iteration, a gap inside the runs' quartile spread) for +0.3 MiB peak RSS.
 PREFIX_BLOCK = 1024
 
 
@@ -209,22 +212,24 @@ class NNQSWavefunction(Module):
         (``extend_amplitude_table``, serving, observables; stage 2 is not
         one — the sweep hands it ``log pi``).  ``log pi`` comes from the
         prefix-shared walk (:meth:`_log_prob_shared`) in blocks of
-        ``PREFIX_BLOCK`` rows, the phase from the MLP in blocks of
-        ``ROW_BLOCK``: memory is bounded for any batch size, and a row's value
-        does not depend on its batch-mates beyond BLAS rounding (the walk and
-        :meth:`log_prob_reference` agree to 1e-12, not bitwise).
+        ``PREFIX_BLOCK`` rows, the phase from the MLP's float32 evaluator
+        (:meth:`phases`) in blocks of as many: memory is bounded for any batch
+        size, and a row's value does not depend on its batch-mates beyond
+        BLAS rounding (the walk and :meth:`log_prob_reference` agree to
+        1e-12, not bitwise; the phase and :meth:`phase_of` to ~2e-7 rad).
         """
         bits = np.atleast_2d(bits)
         return 0.5 * self._log_prob_shared(bits) + 1j * self.phases(bits)
 
     def phases(self, bits: np.ndarray) -> np.ndarray:
-        """(B,) phi(x) without a tape, one row block at a time — the half of
-        :meth:`log_amplitudes` a caller that holds ``log pi`` still needs."""
+        """(B,) phi(x) without a tape, ``PREFIX_BLOCK`` rows at a time — the
+        half of :meth:`log_amplitudes` a caller that holds ``log pi`` still
+        needs.  Float32 GEMMs (``PhaseMLP.step``), within ~2e-7 rad of
+        :meth:`phase_of`, the float64 head stage 5 differentiates."""
         bits = np.atleast_2d(bits)
         out = np.empty(len(bits))
-        with no_grad():
-            for rows in row_blocks(len(bits)):
-                out[rows] = self.phase_of(bits[rows]).data
+        for rows in row_blocks(len(bits), PREFIX_BLOCK):
+            out[rows] = self.phase.step(bits[rows])
         return out
 
     def _log_prob_shared(self, bits: np.ndarray) -> np.ndarray:

@@ -111,6 +111,18 @@ class TestSampledEstimates:
         res = estimate(wf, comp, batch)
         assert res.mean == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("rows", [slice(0, 0), slice(None)], ids=["no-rows", "no-weight"])
+    def test_a_batch_without_samples_is_refused(self, h2_setup, rows):
+        """No rows, or rows of total weight 0, have no mean: not 0.0 +- 0.0."""
+        from repro.core import SampleBatch
+
+        prob, wf, batch = h2_setup
+        weights = batch.weights[rows] * 0
+        empty = SampleBatch(bits=batch.bits[rows], weights=weights)
+        for mode in ("exact", "sample_aware"):
+            with pytest.raises(ValueError, match="batch"):
+                estimate(wf, prob.hamiltonian, empty, mode=mode)
+
 
 class TestFidelity:
     def test_bounds(self, h2_setup):

@@ -1,0 +1,145 @@
+"""The no-grad phase runs in float32: an audit against the float64 oracle.
+
+``NNQSWavefunction.phases`` — stage 2, the amplitude-table extension,
+serving, observables — evaluates phi through ``PhaseMLP.step``: float32
+GEMMs on a per-call cast of the float64 parameters.  ``phase_of`` is the
+taped float64 head stage 5 differentiates, and the oracle here.  At one θ,
+every quantity the no-grad phi feeds is computed from both evaluators and
+held to the bounds below (measured margins in the comments).
+"""
+import numpy as np
+import pytest
+
+from repro.autograd import no_grad
+from repro.chem import build_problem
+from repro.core import (
+    batch_autoregressive_sample,
+    build_qiankunnet,
+    local_energy,
+    pretrain_to_reference,
+    sector_expectation,
+)
+from repro.core.engine import stage_backward
+from repro.hamiltonian import compress_hamiltonian, sector_basis
+from repro.nn import PhaseMLP
+
+SECTOR_E_TOL = 1e-8      # Ha, exact <psi|H|psi> (measured <= 8.2e-10, H2)
+ELOC_TOL = 1e-4          # Ha, any one sample's E_loc (measured 1.7e-6)
+E_SHIFT_OF_ERROR = 1e-3  # |dE| / std_error of the estimate (measured 1.5e-8)
+GRAD_RTOL = 1e-6         # relative, the Eq. 7 gradient (measured 1.8e-9)
+PHASE_TOL = 1e-6         # rad, paper-size net (measured 1.9e-7)
+
+
+def float64_phases(wf, bits):
+    """``wf.phases`` through the taped float64 head: the oracle."""
+    with no_grad():
+        return wf.phase_of(bits).data
+
+
+# problem name -> build_problem arguments (n2-cas66 is the preset's window)
+SECTORS = {
+    "h2": ("H2", {"r": 0.7414}),
+    "lih": ("LiH", {}),
+    "n2-cas66": ("N2", {"n_frozen": 2, "n_active": 6, "r": 1.0977}),
+}
+
+
+@pytest.mark.parametrize("name", SECTORS)
+def test_exact_sector_energy(name):
+    """<psi|H|psi> / <psi|psi> over the whole sector, log pi shared."""
+    molecule, kwargs = SECTORS[name]
+    problem = build_problem(molecule, "sto-3g", **kwargs)
+    wf = build_qiankunnet(problem.n_qubits, problem.n_up, problem.n_dn, seed=7)
+    basis = sector_basis(problem.n_qubits, problem.n_up, problem.n_dn)
+    bits = basis.bits()
+    half_log_pi = 0.5 * wf._log_prob_shared(bits)
+
+    def energy(phi):
+        return sector_expectation(problem.hamiltonian,
+                                  np.exp(half_log_pi + 1j * phi), basis)
+
+    assert abs(energy(wf.phases(bits)) - energy(float64_phases(wf, bits))) <= SECTOR_E_TOL
+
+
+@pytest.fixture(scope="module")
+def n2():
+    """N2/STO-3G at the ``n2_*`` workloads' θ (seed 6, pretrained toward HF)
+    and a 100k-sample BAS batch of it (N_u ~ 550)."""
+    problem = build_problem("N2", "sto-3g")
+    wf = build_qiankunnet(problem.n_qubits, problem.n_up, problem.n_dn, seed=6)
+    pretrain_to_reference(wf, problem.hf_bits, n_steps=60, target_prob=0.2)
+    batch = batch_autoregressive_sample(wf, 100_000, np.random.default_rng(1))
+    return wf, compress_hamiltonian(problem.hamiltonian), batch
+
+
+def _estimates(wf, comp, batch, mode):
+    """Per-sample E_loc, the energy, its i.i.d. error bar and the stage-5
+    gradient (a copy: the arena buffer is reused)."""
+    eloc, _ = local_energy(wf, comp, batch, mode=mode)
+    w = batch.weights / batch.weights.sum()
+    energy = float(np.sum(w * eloc.real))
+    std_error = float(np.sqrt(np.sum(w * (eloc.real - energy) ** 2) / batch.n_samples))
+    grad = stage_backward(wf, batch, w, eloc, energy, float(np.sum(w * eloc.imag)))
+    return eloc, energy, std_error, grad.copy()
+
+
+@pytest.fixture(scope="module", params=["exact", "sample_aware"])
+def both(request, n2):
+    """``_estimates`` with the float32 no-grad phase, then the oracle's."""
+    wf, comp, batch = n2
+    f32 = _estimates(wf, comp, batch, request.param)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wf, "phases", lambda bits: float64_phases(wf, bits))
+        f64 = _estimates(wf, comp, batch, request.param)
+    return f32, f64
+
+
+class TestN2Batch:
+    def test_per_sample_local_energy(self, both):
+        (eloc32, *_), (eloc64, *_) = both
+        assert np.max(np.abs(eloc32 - eloc64)) <= ELOC_TOL
+
+    def test_energy_within_a_sliver_of_its_error_bar(self, both):
+        (_, e32, _, _), (_, e64, std_error, _) = both
+        assert std_error > 0
+        assert abs(e32 - e64) <= E_SHIFT_OF_ERROR * std_error
+
+    def test_stage5_gradient(self, both):
+        (*_, g32), (*_, g64) = both
+        assert np.linalg.norm(g64) > 0
+        assert np.linalg.norm(g32 - g64) <= GRAD_RTOL * np.linalg.norm(g64)
+
+
+class TestPhaseEvaluator:
+    """``PhaseMLP.step`` against ``forward`` on the paper's 20 x 512 x 512 x 1."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return PhaseMLP(20, rng=np.random.default_rng(0))
+
+    def test_matches_the_taped_head(self, net):
+        bits = np.random.default_rng(1).integers(0, 2, size=(2000, 20), dtype=np.uint8)
+        got = net.step(bits)
+        with no_grad():
+            want = net(bits).data
+        assert got.dtype == np.float64 and got.shape == (2000,)
+        assert np.max(np.abs(got - want)) <= PHASE_TOL
+
+    def test_zero_rows_and_one_dimensional_input(self, net):
+        out = net.step(np.zeros((0, 20), dtype=np.uint8))
+        assert out.shape == (0,) and out.dtype == np.float64
+        row = np.random.default_rng(2).integers(0, 2, size=20, dtype=np.uint8)
+        one = net.step(row)
+        assert one.shape == (1,) and one.dtype == np.float64
+        with no_grad():
+            assert abs(one[0] - net(row).data[0]) <= PHASE_TOL
+
+    def test_reads_the_parameters_it_is_called_with(self, net):
+        """No cached float32 copy: a parameter update shows on the next call."""
+        bits = np.ones((3, 20), dtype=np.uint8)
+        before = net.step(bits)
+        net.layers[-1].bias.data += 1.0
+        try:
+            np.testing.assert_allclose(net.step(bits), before + 1.0, atol=PHASE_TOL)
+        finally:
+            net.layers[-1].bias.data -= 1.0

@@ -8,7 +8,9 @@ layer.  The dense
 forward (``log_prob_reference``) is the oracle of both: values must agree to
 1e-12 on every input shape, the taped gradient to 1e-10, and everything
 built on the entry points — the table extension, exact local energies, the
-mock backend's transfer contract — must be unchanged.
+mock backend's transfer contract — must be unchanged.  The phase half of a
+log-amplitude comes from the MLP's float32 evaluator, so it is held to the
+float64 head ``phase_of`` at ``PHASE_TOL`` instead.
 """
 import numpy as np
 import pytest
@@ -40,6 +42,9 @@ from tests.test_local_energy import dense_local_energy
 from tests.test_wavefunction import sector_bitstrings
 
 TOL = 1e-12
+# phi of a no-grad log-amplitude is PhaseMLP.step's float32 GEMM chain; these
+# small nets land within ~1e-7 rad of the float64 phase_of.
+PHASE_TOL = 1e-6
 N = 8
 
 
@@ -56,16 +61,22 @@ WAVEFUNCTIONS = {
 
 
 def dense(wf, bits):
-    """One-shot ``0.5 log pi + i phi`` through the dense forward."""
+    """One-shot ``0.5 log pi + i phi`` through the dense float64 forward."""
     with no_grad():
         return 0.5 * wf.log_prob_reference(bits).data + 1j * wf.phase_of(bits).data
 
 
-def assert_matches_dense(wf, bits):
+def assert_log_amps_close(got, want):
+    """log pi (the real part) to ``TOL``, phi (the imaginary part) to
+    ``PHASE_TOL``."""
     # rtol carries the sector-violating rows, whose log pi is a multiple of
     # MASK_VALUE = -1e30 on both paths.
-    np.testing.assert_allclose(wf.log_amplitudes(bits), dense(wf, bits),
-                               rtol=TOL, atol=TOL)
+    np.testing.assert_allclose(got.real, want.real, rtol=TOL, atol=TOL)
+    np.testing.assert_allclose(got.imag, want.imag, rtol=0, atol=PHASE_TOL)
+
+
+def assert_matches_dense(wf, bits):
+    assert_log_amps_close(wf.log_amplitudes(bits), dense(wf, bits))
 
 
 def bits_of(values):
@@ -113,7 +124,8 @@ class TestSharedEqualsDense:
         bits = bits[np.random.default_rng(1).permutation(len(bits))]
         one_walk = wf.log_amplitudes(bits)
         monkeypatch.setattr(wavefunction, "PREFIX_BLOCK", block)
-        np.testing.assert_allclose(wf.log_amplitudes(bits), one_walk, rtol=TOL, atol=TOL)
+        # The bound cuts the float32 phase blocks too: phi to PHASE_TOL.
+        assert_log_amps_close(wf.log_amplitudes(bits), one_walk)
         assert_matches_dense(wf, bits)
 
     def test_session_never_holds_more_rows_than_the_block(self, monkeypatch):
@@ -417,7 +429,7 @@ class TestTableExtension:
                                          memory_budget_bytes=budget)
             assert got.n_entries > table.n_entries
             np.testing.assert_array_equal(got.keys, keys)
-            np.testing.assert_allclose(got.log_amps, amps, rtol=TOL, atol=TOL)
+            assert_log_amps_close(got.log_amps, amps)
 
     def test_two_word_keys(self):
         n_qubits = 70
@@ -433,7 +445,7 @@ class TestTableExtension:
             got = extend_amplitude_table(wf, comp, batch, table,
                                          memory_budget_bytes=budget)
             np.testing.assert_array_equal(got.keys, keys)
-            np.testing.assert_allclose(got.log_amps, amps, rtol=TOL, atol=TOL)
+            assert_log_amps_close(got.log_amps, amps)
 
     @settings(max_examples=30, deadline=None)
     @given(n_words=st.integers(1, 3), seed=st.integers(0, 2**16))
@@ -456,7 +468,10 @@ class TestExactLocalEnergy:
         batch = SampleBatch(bits=bits, weights=np.ones(len(bits), dtype=np.int64))
         eloc, _ = local_energy(wf, comp, batch, mode="exact")
         ref = dense_local_energy(comp, wf, bits, problem.n_up, problem.n_dn)
-        np.testing.assert_allclose(eloc, ref, rtol=1e-9)
+        # Both sides read float32 phi, but over different row sets, and a
+        # float32 GEMM rounds by its batch: ~1e-8 relative, past the 1e-9
+        # that held in float64.
+        np.testing.assert_allclose(eloc, ref, rtol=1e-6)
 
 
 def test_mock_backend_sees_no_unplanned_host_crossing(h2_problem):

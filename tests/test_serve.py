@@ -253,9 +253,12 @@ class TestServiceDeterminism:
                 t.join()
             stats = svc.stats()["batcher"]
         for req, res in zip(requests, results):
-            np.testing.assert_allclose(
-                res, wf_direct.log_amplitudes(req), rtol=1e-12, atol=1e-12
-            )
+            direct = wf_direct.log_amplitudes(req)
+            np.testing.assert_allclose(res.real, direct.real, rtol=1e-12, atol=1e-12)
+            # phi is a float32 GEMM chain, and a fused batch rounds a row
+            # differently from its 4-row request (~3e-8 rad; 1e-12 held in
+            # float64).
+            np.testing.assert_allclose(res.imag, direct.imag, rtol=0, atol=1e-6)
         # The barrier lined clients up, so requests must actually have fused.
         assert stats["max_rows_per_batch"] > 4
         assert stats["batches"] < stats["requests"]

@@ -49,6 +49,7 @@ HOT_PATH_FILES = [
     "src/repro/nn/attention.py",
     "src/repro/nn/transformer.py",
     "src/repro/nn/layers.py",
+    "src/repro/nn/phase.py",
     "src/repro/nn/inference.py",
     "src/repro/core/local_energy.py",
     "src/repro/core/engine.py",
