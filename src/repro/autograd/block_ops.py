@@ -31,9 +31,11 @@ contractions instead (``last_axis_sum`` / ``last_axis_dot`` /
 (``tools/lint_backend.py`` refuses an ``axis=-1`` ``sum`` / ``mean`` /
 ``max`` in this file).
 
-The primitive ``Tensor`` ops stay: the phase MLP and the tests use them,
-and ``tests/test_block_ops.py`` checks every block op against the same
-function composed from primitives.
+The primitive ``Tensor`` ops stay: the Eq. 7 surrogate, the taped float64
+phase head (an oracle: stage 5 differentiates the phase MLP by its own
+float32 VJP, ``PhaseMLP.vjp``, not on the tape) and the tests use them, and
+``tests/test_block_ops.py`` checks every block op against the same function
+composed from primitives.
 """
 from __future__ import annotations
 

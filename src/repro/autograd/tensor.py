@@ -15,8 +15,10 @@ Design notes
   them per element: its layers tape the coarse, hand-derived block ops of
   ``repro.autograd.block_ops`` (one node per Linear / LayerNorm / attention /
   GELU / log-softmax head) on this same tape.  The primitives remain for
-  everything else (the phase MLP's ``tanh``, the Eq. 7 surrogate) and are
-  the oracle the block ops are tested against.
+  the Eq. 7 surrogate's ``log pi`` half and the taped float64 phase head
+  (``PhaseMLP.forward``, the oracle — stage 5 differentiates the phase MLP
+  by its own VJP, off the tape), and they are the oracle the block ops are
+  tested against.
 * Gradients are accumulated into ``Tensor.grad`` (dense backend array, same
   shape as ``data``) and stay on the backend's device; graphs are rebuilt
   each forward pass (define-by-run).
@@ -24,9 +26,9 @@ Design notes
   this mirrors the paper's split between sampling (inference) and the backward
   pass (Fig. 4).
 * All math on the tape is float64 (``repro.backend.dtypes``): VMC gradients
-  are small differences of local energies.  The one float32 path is off the
-  tape — the phase MLP's no-grad evaluator ``PhaseMLP.step`` — and its
-  audit numbers are in ``repro.backend.dtypes``.
+  are small differences of local energies.  The float32 arithmetic is off
+  the tape — the phase MLP's ``PhaseMLP.step`` / ``PhaseMLP.vjp`` pair — and
+  its audit numbers are in ``repro.backend.dtypes``.
 * Array math goes through ``xp``-level functions (``xp.sum``, ``xp.transpose``)
   rather than ndarray methods where the conventions differ across backends,
   so the same tape runs on numpy, the counting mock, and any device adapter.

@@ -17,12 +17,15 @@ from repro.backend.core import ArrayBackend
 __all__ = ["NumpyBackend"]
 
 # glibc's mallopt(M_TOP_PAD, bytes): how much free memory stays at the top of
-# the heap before it is handed back to the kernel.  Each 256-row block of
-# stage 5 frees ~10 MB of activations there; at the default (dynamic, ~4 MB)
-# the heap is trimmed after every block and the next block re-faults it, one
-# 4 KiB page at a time — ~13 300 minor faults per n2_grad iteration, ~60 with
-# the pad.  Measured, not tuned: 16 MiB and MALLOC_TRIM_THRESHOLD_ alone were
-# both worse than doing nothing (DESIGN.md, "Parameter arena").
+# the heap before it is handed back to the kernel.  Stage 5's row blocks free
+# their activations there; at the default (dynamic, ~4 MB) the heap is trimmed
+# after a block and the next one re-faults it, one 4 KiB page at a time.  Per
+# n2_grad iteration (steady state, one BLAS thread): ~1 600 minor faults
+# without the pad, ~2 with it (~10 with it while the phase MLP was still on
+# stage 5's tape; ~13 300 / ~60 when the pad was added, before the decoder
+# was taped node-major).  Measured, not tuned: 16 MiB and
+# MALLOC_TRIM_THRESHOLD_ alone were both worse than doing nothing (DESIGN.md,
+# "Parameter arena").
 _M_TOP_PAD = -2
 _HEAP_TOP_PAD_BYTES = 64 << 20
 

@@ -18,8 +18,10 @@ Fig. 4 (Sec. 3.2):
                             weight-balanced chunk of the global unique set
                             (Sec. 3.3 load balancing) against the table.
   stage 4  energy reduce    Allreduce of the weighted energy sums.
-  stage 5  backward         the Eq. 7 surrogate loss + backward on the chunk,
-                            accumulated into the arena's gradient buffer.
+  stage 5  backward         the Eq. 7 gradient on the chunk — log pi by tape,
+                            phi by the phase MLP's hand-derived VJP (no
+                            tape) — accumulated into the arena's gradient
+                            buffer.
   stage 6  gradient reduce  one Allreduce carries the gradient *and* the
                             centered second moment (variance), so parallel
                             histories report variance/eloc_imag exactly like
@@ -370,44 +372,48 @@ def stage_local_energy(wf, comp, chunk: SampleBatch, table: AmplitudeTable,
     return local_energy_planned(comp, chunk, table, plan=plan)
 
 
-def _surrogate_backward(wf, bits, coeff_amp, coeff_phase) -> None:
-    """Tape the Eq. 7 surrogate on ``bits`` and accumulate into ``p.grad``.
+def _surrogate_backward(wf, bits, coeff_amp) -> None:
+    """Tape the amplitude half of the Eq. 7 surrogate, ``sum coeff_amp *
+    log pi``, on ``bits`` and accumulate into ``p.grad``.
 
     Its own function so the block's graph dies on return — a caller looping
     over row blocks never holds two blocks' activations at once.
     """
-    logp = wf.log_prob(bits)
-    phi = wf.phase_of(bits)
-    loss = (Tensor(coeff_amp) * logp).sum() + (Tensor(coeff_phase) * phi).sum()
-    loss.backward()
+    (Tensor(coeff_amp) * wf.log_prob(bits)).sum().backward()
 
 
 def stage_backward(wf, chunk: SampleBatch, w_norm,
                    eloc, e_mean: float, e_imag: float):
-    """Stage 5: Eq. 7 surrogate loss + backward; returns the flat gradient.
+    """Stage 5: the Eq. 7 gradient, accumulated into the arena; returns it.
 
     grad = E_p[ Re(E_loc - E) grad log pi(x) ] + 2 E_p[ Im(E_loc - E) grad phi(x) ]
 
-    implemented as a scalar loss with stop-gradient coefficients.  The loss is
-    a sum over rows, so it is taped and back-propagated one row block at a
-    time (``wavefunction.row_blocks``) with the tape accumulating in place
-    into ``p.grad`` — views of the zeroed gradient buffer of ``wf``'s
-    parameter arena: peak activation memory is O(block), not O(N_u), and a
-    rank that owns no rows returns zeros.  The blocks are cut from the rows
-    in token order, so a block's rows share prefixes — what ``wf.log_prob``
-    tapes once per distinct prefix — whatever the ansatz's ``reverse_order``
-    (for the default order that is the key order the chunk arrives in).  The
-    result *is* the arena buffer (no copy): valid until the next gradient is
-    taken on ``wf``.
+    with stop-gradient coefficients.  Both halves are sums over rows and
+    accumulate in place into ``p.grad`` — views of the zeroed gradient
+    buffer of ``wf``'s parameter arena — so peak memory is O(block), not
+    O(N_u), and a rank that owns no rows returns zeros.
+
+    * ``log pi``: the surrogate is taped and back-propagated one
+      ``ROW_BLOCK`` at a time (``wavefunction.row_blocks``).  The blocks are
+      cut from the rows in token order, so a block's rows share prefixes —
+      what ``wf.log_prob`` tapes once per distinct prefix — whatever the
+      ansatz's ``reverse_order`` (for the default order that is the key
+      order the chunk arrives in).
+    * ``phi``: off the tape, ``wf.phase_vjp`` over the whole chunk
+      (``PREFIX_BLOCK`` rows per block; float32 GEMMs, the output bias in
+      float64 — DESIGN.md "Precision").
+
+    The result *is* the arena buffer (no copy): valid until the next gradient
+    is taken on ``wf``.
     """
     arena = wf.arena()
     arena.zero_grad(bind_all=True)
     coeff_amp = w_norm * (eloc.real - e_mean)
-    coeff_phase = 2.0 * w_norm * (eloc.imag - e_imag)
     order = token_order(wf.bits_to_tokens(chunk.bits))
     for rows in row_blocks(len(order)):
         idx = order[rows]
-        _surrogate_backward(wf, chunk.bits[idx], coeff_amp[idx], coeff_phase[idx])
+        _surrogate_backward(wf, chunk.bits[idx], coeff_amp[idx])
+    wf.phase_vjp(chunk.bits, 2.0 * w_norm * (eloc.imag - e_imag))
     return arena.grad
 
 

@@ -58,6 +58,18 @@ class EstimateResult:
     n_samples: int
 
 
+def _total_weight(batch: SampleBatch, who: str):
+    """The batch's total sample weight; a batch with no rows or no weight has
+    no mean to report and is a ``ValueError`` naming ``who``."""
+    total = batch.weights.sum()
+    if not total > 0:
+        raise ValueError(
+            f"{who} needs a batch with samples; this batch has "
+            f"{batch.n_unique} rows of total weight {total}"
+        )
+    return total
+
+
 def estimate(
     wf: NNQSWavefunction,
     operator: QubitHamiltonian | CompressedHamiltonian,
@@ -73,12 +85,7 @@ def estimate(
     reused in exact mode — coupled sets differ.  A batch with no rows or no
     total weight is a ``ValueError``: it has no mean to report.
     """
-    total = batch.weights.sum()
-    if not total > 0:
-        raise ValueError(
-            f"estimate needs a batch with samples; this batch has "
-            f"{batch.n_unique} rows of total weight {total}"
-        )
+    total = _total_weight(batch, "estimate")
     comp = (
         operator
         if isinstance(operator, CompressedHamiltonian)
@@ -142,8 +149,9 @@ def fidelity(wf: NNQSWavefunction, vec: np.ndarray, basis: SectorBasis) -> float
 
 
 def occupations(batch: SampleBatch) -> np.ndarray:
-    """Spin-orbital occupations <n_P> from the sample weights alone."""
-    w = batch.weights / batch.weights.sum()
+    """Spin-orbital occupations <n_P> from the sample weights alone (a batch
+    with no rows or no total weight is a ``ValueError``)."""
+    w = batch.weights / _total_weight(batch, "occupations")
     return (w[:, None] * batch.bits).sum(axis=0)
 
 
@@ -160,7 +168,8 @@ def one_rdm_sampled(
     pass over the batch, so the cost is O(N^2) estimator sweeps — fine for
     the molecule sizes where the RDM is inspected, guarded by ``max_qubits``.
     Assumes a real wave function (molecular ground states here), for which
-    gamma is symmetric.
+    gamma is symmetric.  A batch with no rows or no total weight is a
+    ``ValueError``, as in :func:`estimate`.
     """
     from repro.hamiltonian.jordan_wigner import jordan_wigner_fermion_terms
 

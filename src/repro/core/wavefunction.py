@@ -197,8 +197,18 @@ class NNQSWavefunction(Module):
         return picked_log_softmax(logits, allowed, tokens)
 
     def phase_of(self, bits: np.ndarray) -> Tensor:
-        """(B,) phase phi(x) in radians, differentiable."""
+        """(B,) phase phi(x) in radians, taped in float64 — the oracle of
+        :meth:`phases` and :meth:`phase_vjp` (tests, benchmarks)."""
         return self.phase(np.atleast_2d(bits))
+
+    def phase_vjp(self, bits: np.ndarray, coeff: np.ndarray) -> None:
+        """Add ``sum_i coeff[i] dphi(bits[i]) / dtheta`` into the phase
+        network's ``p.grad``, ``PREFIX_BLOCK`` rows at a time — stage 5's
+        phase half, off the tape (``PhaseMLP.vjp``: float32 GEMMs, the
+        gauge-direction output bias summed in float64)."""
+        bits = np.atleast_2d(bits)
+        for rows in row_blocks(len(bits), PREFIX_BLOCK):
+            self.phase.vjp(bits[rows], coeff[rows])
 
     # ------------------------------------------------------------ inference
     def amplitudes(self, bits: np.ndarray) -> np.ndarray:
@@ -225,7 +235,7 @@ class NNQSWavefunction(Module):
         """(B,) phi(x) without a tape, ``PREFIX_BLOCK`` rows at a time — the
         half of :meth:`log_amplitudes` a caller that holds ``log pi`` still
         needs.  Float32 GEMMs (``PhaseMLP.step``), within ~2e-7 rad of
-        :meth:`phase_of`, the float64 head stage 5 differentiates."""
+        :meth:`phase_of`, the taped float64 oracle."""
         bits = np.atleast_2d(bits)
         out = np.empty(len(bits))
         for rows in row_blocks(len(bits), PREFIX_BLOCK):

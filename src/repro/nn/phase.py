@@ -5,13 +5,16 @@ an MLP of layer sizes N x 512 x 512 x 1 (Sec. 4.1).  The input is the raw
 qubit bitstring mapped to {-1, +1}; the output is an unconstrained real phase
 in radians.
 
-Two evaluators, one set of parameters: ``forward`` is the taped float64 head
-stage 5 differentiates, and the oracle of ``step``, the graph-free
-evaluator every no-grad consumer of phi calls (stage 2, the amplitude-table
-extension, serving, observables).  ``step`` runs its GEMMs in float32 on
-copies of the float64 weights cast on every call — no cached copy that an
-optimizer step, a restore or a version swap could leave stale — and hands
-back float64.  The audit behind the choice is ``backend/dtypes.py``'s.
+One set of parameters, two arithmetics.  The production pair runs on one
+float32 forward (``_forward32``): ``step``, the graph-free evaluator every
+no-grad consumer of phi calls (stage 2, the amplitude-table extension,
+serving, observables), and ``vjp``, stage 5's hand-derived backward, which
+adds the Eq. 7 phase gradient into the float64 ``p.grad`` arena views.  Both
+run their GEMMs on copies of the float64 weights cast on every call — no
+cached copy that an optimizer step, a restore or a version swap could leave
+stale.  ``forward`` is the taped float64 head: the oracle of both, and what
+tests and benchmarks differentiate by tape.  The audit behind the choice is
+``backend/dtypes.py``'s.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ class PhaseMLP(Module):
         self.n_qubits = n_qubits
 
     def forward(self, bits) -> Tensor:
-        """(batch, N) 0/1 bits -> (batch,) phase in radians."""
+        """(batch, N) 0/1 bits -> (batch,) phase in radians; taped, float64."""
         bits = xp.asarray(bits, dtype=float64)
         if bits.ndim == 1:
             bits = bits[None, :]
@@ -47,22 +50,56 @@ class PhaseMLP(Module):
 
     def step(self, bits):
         """Graph-free :meth:`forward`: (batch, N) or (N,) 0/1 bits ->
-        (batch,) float64 phase, every GEMM, bias and ``tanh`` in float32.
+        (batch,) float64 phase, every GEMM, bias and ``tanh`` in float32."""
+        return xp.asarray(self._forward32(bits)[-1][0], dtype=float64)
 
-        Activations are feature-major, ``(features, batch)``: BLAS runs
-        ``W @ h`` well ahead of ``h^T W^T`` on small batches (4 rows through
-        the 512 x 512 layer: 32 against 91 us on one OpenBLAS thread of an
-        AMD EPYC core) and level with it at 1 024.
+    def vjp(self, bits, coeff) -> None:
+        """Add ``sum_i coeff[i] dphi(bits[i]) / dtheta`` into the layers'
+        ``p.grad`` (a bound arena view is written in place; ``None`` starts
+        from zero, as the tape does).
+
+        The backward of :meth:`_forward32`, in float32, each parameter's
+        contribution added into its float64 gradient.  The one exception is
+        the output bias's gradient, ``coeff.sum()`` in float64: that
+        direction is the global phase, a gauge, and stage 5's
+        centred coefficients make it exactly 0 analytically — a float32 sum
+        would leave ~1e-8 of rounding there, which Adam's ``m / (sqrt(v) +
+        eps)`` turns into an lr-sized random walk of the bias.
+        """
+        coeff = xp.asarray(coeff, dtype=float64)
+        acts = self._forward32(bits)
+        top = len(self.layers) - 1
+        self.layers[top].bias._accumulate(xp.sum(coeff, keepdims=True))
+        g = coeff.astype(float32)[None, :]      # dloss / dz of layer i, (out, batch)
+        for i in range(top, -1, -1):
+            layer, h = self.layers[i], acts[i]
+            layer.weight._accumulate(g @ h.T)
+            if i < top:
+                layer.bias._accumulate(xp.sum(g, axis=1))
+            if i:
+                g = xp.asarray(layer.weight.data, dtype=float32).T @ g
+                g *= 1.0 - h * h                # h is layer i - 1's tanh output
+
+    def _forward32(self, bits) -> list:
+        """The float32 forward: ``[x, h_1, ..., h_L]``, feature-major
+        ``(features, batch)``, ``x = 2 bits - 1`` and ``h_L`` the ``(1,
+        batch)`` phase; every hidden ``h`` is a ``tanh`` output.
+
+        Feature-major because BLAS runs ``W @ h`` well ahead of ``h^T W^T``
+        on small batches (4 rows through the 512 x 512 layer: 32 against 91
+        us on one OpenBLAS thread of an AMD EPYC core) and level with it at
+        1 024.
         """
         x = xp.asarray(bits, dtype=float32)
         if x.ndim == 1:
             x = x[None, :]
-        h = (2.0 * x - 1.0).T           # a Python scalar keeps float32
+        acts = [(2.0 * x - 1.0).T]      # a Python scalar keeps float32
         *hidden, last = self.layers
         for layer in hidden:
-            h = _affine32(layer, h)
-            xp.tanh(h, out=h)
-        return xp.asarray(_affine32(last, h)[0], dtype=float64)
+            h = _affine32(layer, acts[-1])
+            acts.append(xp.tanh(h, out=h))
+        acts.append(_affine32(last, acts[-1]))
+        return acts
 
 
 def _affine32(layer: Linear, h):

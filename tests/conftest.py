@@ -66,6 +66,15 @@ def build_wf(kind: str, n_qubits: int, n_up: int, n_dn: int, *,
                                     **common)
 
 
+def amplitude_and_phase(wf, flat):
+    """The amplitude and the phase network's slices of ``wf``'s flat
+    gradient (stage 5 computes the first by tape, the second by the phase
+    MLP's float32 VJP)."""
+    n_amp = wf.amplitude.num_parameters()
+    assert n_amp + wf.phase.num_parameters() == flat.size
+    return flat[:n_amp], flat[n_amp:]
+
+
 @pytest.fixture(scope="session")
 def fig10():
     """``benchmarks/bench_fig10_localenergy.py`` as a module: the home of the

@@ -88,6 +88,8 @@ class TestSourceLint:
         ("arena-owns-the-flat-buffers", "src/repro/optim/adamw.py",
          "flat = xp.concatenate(parts)"),
         ("stage5-writes-into-the-arena", "src/repro/core/engine.py", "wf.set_flat_grads(g)"),
+        ("stage5-phase-off-the-tape", "src/repro/core/engine.py",
+         "phi = wf.phase_of(bits)"),
         ("optimizer-and-plan-own-their-numbers", "src/repro/core/trainer.py", "warmup = 150"),
         ("optimizer-and-plan-own-their-numbers", "src/repro/core/vmc.py",
          "plan = ElocPlan(comp, group_chunk=512)"),

@@ -165,6 +165,19 @@ class TestOccupations:
         occ = occupations(batch)
         np.testing.assert_allclose(occ, [0.75, 0.75, 0.25, 0.25])
 
+    @pytest.mark.parametrize("rows", [slice(0, 0), slice(None)], ids=["no-rows", "no-weight"])
+    def test_a_batch_without_samples_is_refused(self, h2_setup, rows):
+        """No rows (was zeros) or rows of total weight 0 (was NaN): no mean,
+        here or in the 1-RDM whose diagonal this is."""
+        from repro.core import SampleBatch, one_rdm_sampled
+
+        _, wf, batch = h2_setup
+        empty = SampleBatch(bits=batch.bits[rows], weights=batch.weights[rows] * 0)
+        with pytest.raises(ValueError, match="batch"):
+            occupations(empty)
+        with pytest.raises(ValueError, match="batch"):
+            one_rdm_sampled(wf, empty)
+
 
 class TestObservableSet:
     def test_measure_all(self, h2_setup):

@@ -11,8 +11,10 @@ Contracts of the arena PR:
 * the flat in-place AdamW kernel is bit-identical to the per-parameter loop it
   replaced (kept here as the oracle), with and without ``None``-grad
   parameters, with weight decay;
-* ``stage_backward`` returns the arena's gradient buffer itself, bit-equal to
-  per-parameter tape gradients concatenated by hand, for any row blocking;
+* ``stage_backward`` returns the arena's gradient buffer itself; for any row
+  blocking its amplitude slice is bit-equal to per-parameter tape gradients
+  concatenated by hand, its phase slice (a float32 VJP) within 1e-5 of the
+  float64 tape's;
 * the SR foil's in-place ``apply`` is bit-identical to ``theta - lr * delta``.
 
 The size-1 allreduce aliasing rule lives in ``test_comm_contract.py``.
@@ -24,6 +26,7 @@ import copy
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor
 from repro.core import (
     VMC,
     NoamAdamW,
@@ -38,7 +41,7 @@ from repro.core.engine import ThreadBackend
 from repro.core.sampler import batch_autoregressive_sample
 from repro.nn.module import Module, Parameter
 from repro.optim import AdamW
-from tests.conftest import ANSATZE, build_wf
+from tests.conftest import ANSATZE, amplitude_and_phase, build_wf
 
 
 def _small_wf(seed=7, d_model=8, n_qubits=4, n_up=1, n_dn=1):
@@ -352,11 +355,13 @@ class TestStageBackward:
 
     @staticmethod
     def _by_hand(wf, batch, w, eloc, e_mean, e_imag):
-        """Stage 5 as it was: unbound gradients, so the tape allocates one
-        array per parameter, concatenated at the end.  Taped through
-        ``wf.log_prob`` itself on stage 5's token-ordered blocks, so the
-        equality is bit for bit (against the dense oracle it holds to 1e-10:
-        ``tests/test_prefix_shared.py``)."""
+        """Stage 5 as it was: the whole Eq. 7 surrogate on one float64 tape,
+        unbound gradients, so the tape allocates one array per parameter,
+        concatenated at the end.  ``log pi`` is taped through ``wf.log_prob``
+        itself on stage 5's token-ordered blocks, so the amplitude slice is
+        equal bit for bit (against the dense oracle it holds to 1e-10:
+        ``tests/test_prefix_shared.py``); ``phi`` through ``wf.phase_of``,
+        the oracle of stage 5's float32 phase VJP."""
         for p in wf.parameters():
             p.grad = None
         coeff_amp = w * (eloc.real - e_mean)
@@ -364,8 +369,10 @@ class TestStageBackward:
         order = wavefunction.token_order(wf.bits_to_tokens(batch.bits))
         for rows in wavefunction.row_blocks(len(batch.bits)):
             rows = order[rows]
-            engine._surrogate_backward(
-                wf, batch.bits[rows], coeff_amp[rows], coeff_phase[rows])
+            bits = batch.bits[rows]
+            loss = ((Tensor(coeff_amp[rows]) * wf.log_prob(bits)).sum()
+                    + (Tensor(coeff_phase[rows]) * wf.phase_of(bits)).sum())
+            loss.backward()
         return np.concatenate([
             (np.zeros_like(p.data) if p.grad is None else p.grad).reshape(-1)
             for p in wf.parameters()
@@ -378,10 +385,15 @@ class TestStageBackward:
                             -(-batch.n_unique // n_blocks))
         assert len(wavefunction.row_blocks(batch.n_unique)) == n_blocks
         expected = self._by_hand(wf, batch, w, eloc, e_mean, e_imag)
-        assert np.any(expected != 0.0)
         grad = engine.stage_backward(wf, batch, w, eloc, e_mean, e_imag)
         assert grad is wf.arena().grad  # the buffer itself, no copy
-        np.testing.assert_array_equal(grad, expected)
+        (amp, phase), (want_amp, want_phase) = (
+            amplitude_and_phase(wf, g) for g in (grad, expected))
+        assert np.any(want_amp != 0.0)
+        np.testing.assert_array_equal(amp, want_amp)
+        # The phase slice: float32 VJP against the float64 tape.
+        assert np.linalg.norm(want_phase) > 0
+        assert np.linalg.norm(phase - want_phase) <= 1e-5 * np.linalg.norm(want_phase)
 
     def test_zero_row_chunk_is_a_zero_gradient(self, chunk):
         wf, batch, w, eloc, e_mean, e_imag = chunk

@@ -1,16 +1,22 @@
-"""The no-grad phase runs in float32: an audit against the float64 oracle.
+"""The phase MLP runs in float32: an audit against the float64 oracle.
 
-``NNQSWavefunction.phases`` — stage 2, the amplitude-table extension,
-serving, observables — evaluates phi through ``PhaseMLP.step``: float32
-GEMMs on a per-call cast of the float64 parameters.  ``phase_of`` is the
-taped float64 head stage 5 differentiates, and the oracle here.  At one θ,
-every quantity the no-grad phi feeds is computed from both evaluators and
-held to the bounds below (measured margins in the comments).
+Two float32 paths share ``PhaseMLP._forward32``: ``NNQSWavefunction.phases``
+— stage 2, the amplitude-table extension, serving, observables — evaluates
+phi through ``PhaseMLP.step``, and stage 5 adds the phase gradient through
+``PhaseMLP.vjp`` (``wf.phase_vjp``), both as float32 GEMMs on a per-call cast
+of the float64 parameters.  ``phase_of`` is the taped float64 head and the
+oracle here.  At one θ, every quantity either path feeds is computed from
+both arithmetics and held to the bounds below (measured margins in the
+comments).
+
+For scale, the Monte Carlo noise these bounds sit under: two independent
+100k-sample batches of the N2 fixture's θ give stage-5 gradients that differ
+by 6.4 % (full) and 13.5-14 % (phase slice) relative.
 """
 import numpy as np
 import pytest
 
-from repro.autograd import no_grad
+from repro.autograd import Tensor, no_grad
 from repro.chem import build_problem
 from repro.core import (
     batch_autoregressive_sample,
@@ -19,15 +25,20 @@ from repro.core import (
     pretrain_to_reference,
     sector_expectation,
 )
+from repro.core import wavefunction
 from repro.core.engine import stage_backward
 from repro.hamiltonian import compress_hamiltonian, sector_basis
 from repro.nn import PhaseMLP
+from tests.conftest import amplitude_and_phase
 
 SECTOR_E_TOL = 1e-8      # Ha, exact <psi|H|psi> (measured <= 8.2e-10, H2)
 ELOC_TOL = 1e-4          # Ha, any one sample's E_loc (measured 1.7e-6)
 E_SHIFT_OF_ERROR = 1e-3  # |dE| / std_error of the estimate (measured 1.5e-8)
-GRAD_RTOL = 1e-6         # relative, the Eq. 7 gradient (measured 1.8e-9)
+GRAD_RTOL = 1e-6         # relative, the Eq. 7 gradient (measured <= 2.0e-9)
 PHASE_TOL = 1e-6         # rad, paper-size net (measured 1.9e-7)
+PHASE_GRAD_RTOL = 1e-5   # relative, stage 5's phase slice (measured 3.6e-7;
+                         # 9.1e-7 per layer of the paper-size net)
+GAUGE_TOL = 1e-12        # |output-bias gradient| at centred coefficients (~1e-18)
 
 
 def float64_phases(wf, bits):
@@ -108,6 +119,134 @@ class TestN2Batch:
         (*_, g32), (*_, g64) = both
         assert np.linalg.norm(g64) > 0
         assert np.linalg.norm(g32 - g64) <= GRAD_RTOL * np.linalg.norm(g64)
+
+
+def float64_stage_backward(wf, batch, w, eloc, e_mean, e_imag):
+    """``stage_backward`` with the whole Eq. 7 surrogate on the float64 tape
+    (``log_prob`` and ``phase_of``), on stage 5's token-ordered row blocks."""
+    wf.arena().zero_grad(bind_all=True)
+    coeff_amp = w * (eloc.real - e_mean)
+    coeff_phase = 2.0 * w * (eloc.imag - e_imag)
+    order = wavefunction.token_order(wf.bits_to_tokens(batch.bits))
+    for rows in wavefunction.row_blocks(len(order)):
+        idx = order[rows]
+        bits = batch.bits[idx]
+        loss = ((Tensor(coeff_amp[idx]) * wf.log_prob(bits)).sum()
+                + (Tensor(coeff_phase[idx]) * wf.phase_of(bits)).sum())
+        loss.backward()
+    return wf.arena().grad.copy()
+
+
+@pytest.fixture(scope="module", params=["exact", "sample_aware"])
+def stage5(request, n2):
+    """One batch's coefficients through ``stage_backward`` (float32 phase
+    VJP) and through the all-float64 tape: ``(grad, want)`` as whole
+    vectors and as ``amplitude_and_phase`` slices, and the output bias's
+    gradient as stage 5 left it."""
+    wf, comp, batch = n2
+    eloc, _ = local_energy(wf, comp, batch, mode=request.param)
+    w = batch.weights / batch.weights.sum()
+    args = (wf, batch, w, eloc, float(np.sum(w * eloc.real)),
+            float(np.sum(w * eloc.imag)))
+    grad = stage_backward(*args).copy()
+    gauge = float(wf.phase.layers[-1].bias.grad[0])
+    want = float64_stage_backward(*args)
+    return {"full": (grad, want), "gauge": gauge,
+            **dict(zip(("amplitude", "phase"),
+                       zip(amplitude_and_phase(wf, grad), amplitude_and_phase(wf, want))))}
+
+
+class TestStage5:
+    """Stage 5 against the float64 tape at fixed coefficients."""
+
+    def test_full_gradient(self, stage5):
+        grad, want = stage5["full"]
+        assert np.linalg.norm(grad - want) <= GRAD_RTOL * np.linalg.norm(want)
+
+    def test_phase_slice(self, stage5):
+        phase, want = stage5["phase"]
+        assert np.linalg.norm(want) > 0
+        assert np.linalg.norm(phase - want) <= PHASE_GRAD_RTOL * np.linalg.norm(want)
+
+    def test_amplitude_slice_is_bit_identical(self, stage5):
+        np.testing.assert_array_equal(*stage5["amplitude"])
+
+    def test_output_bias_gradient_is_the_gauge_zero(self, stage5):
+        """The global phase is a gauge: its gradient is 0 at centred
+        coefficients, so stage 5 sums it in float64."""
+        assert abs(stage5["gauge"]) <= GAUGE_TOL
+
+
+class TestPhaseVJP:
+    """``PhaseMLP.vjp`` against ``forward``'s tape on the paper's
+    20 x 512 x 512 x 1, layer by layer."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return PhaseMLP(20, rng=np.random.default_rng(0))
+
+    @staticmethod
+    def _taped(net, bits, coeff):
+        net.arena().zero_grad(bind_all=True)
+        (Tensor(coeff) * net(bits)).sum().backward()
+        return [p.grad.copy() for p in net.parameters()]
+
+    @staticmethod
+    def _vjp(net, bits, coeff, calls=1):
+        """Per-parameter gradients after ``calls`` VJPs into the bound,
+        zeroed arena views."""
+        arena = net.arena()
+        arena.zero_grad(bind_all=True)
+        for _ in range(calls):
+            net.vjp(bits, coeff)
+        assert net.layers[0].weight.grad.base is arena.payload  # still the view
+        return [p.grad.copy() for p in net.parameters()]
+
+    def test_matches_the_taped_backward_per_layer(self, net):
+        rng = np.random.default_rng(3)
+        bits = rng.integers(0, 2, size=(2000, 20), dtype=np.uint8)
+        coeff = rng.normal(size=2000) / 2000
+        got, want = self._vjp(net, bits, coeff), self._taped(net, bits, coeff)
+        names = [name for name, _ in net.named_parameters()]
+        for name, g, w in zip(names, got, want):
+            assert g.dtype == np.float64 and g.shape == w.shape, name
+            assert np.linalg.norm(g - w) <= PHASE_GRAD_RTOL * np.linalg.norm(w), name
+        np.testing.assert_allclose(got[-1], coeff.sum(), rtol=1e-12)  # float64 bias
+
+    def test_zero_rows_and_one_dimensional_input(self, net):
+        got = self._vjp(net, np.zeros((0, 20), dtype=np.uint8), np.zeros(0))
+        assert all(not g.any() for g in got)
+        row = np.random.default_rng(4).integers(0, 2, size=20, dtype=np.uint8)
+        got, want = self._vjp(net, row, np.array([0.7])), self._taped(net, row, np.array([0.7]))
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w) <= PHASE_GRAD_RTOL * np.linalg.norm(w)
+
+    def test_accumulates(self, net):
+        """Two calls add two gradients into the arena views."""
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2, size=(50, 20), dtype=np.uint8)
+        coeff = rng.normal(size=50)
+        once, twice = self._vjp(net, bits, coeff), self._vjp(net, bits, coeff, calls=2)
+        for a, b in zip(once, twice):
+            np.testing.assert_array_equal(b, 2 * a)
+
+    def test_reads_the_parameters_it_is_called_with(self, net):
+        """No cached float32 copy: a parameter update shows on the next call."""
+        rng = np.random.default_rng(6)
+        bits = rng.integers(0, 2, size=(50, 20), dtype=np.uint8)
+        coeff = rng.normal(size=50)
+        before = self._vjp(net, bits, coeff)
+        net.layers[-1].weight.data *= 2.0
+        try:
+            after = self._vjp(net, bits, coeff)
+        finally:
+            net.layers[-1].weight.data /= 2.0
+        # The output layer's gradient does not read W_out; every layer below
+        # scales with it, exactly (a factor of 2 rounds nothing).
+        for a, b in zip(after[-2:], before[-2:]):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(after[:-2], before[:-2]):
+            np.testing.assert_array_equal(a, 2 * b)
 
 
 class TestPhaseEvaluator:

@@ -53,6 +53,9 @@ RULES = (
     Rule("stage5-writes-into-the-arena", r"set_flat_grads\(|concatenate\(\[grad",
          ("src/repro/core/engine.py",),
          "stage 5 accumulates into the arena's gradient buffer (Parameter arena)"),
+    Rule("stage5-phase-off-the-tape", r"phase_of\(", ("src/repro/core/engine.py",),
+         "stage 5's phase gradient is the float32 VJP (wf.phase_vjp); the taped "
+         "float64 head is the oracle of tests and benchmarks (Precision)"),
     Rule("optimizer-and-plan-own-their-numbers",
          r"warmup|lr_scale|weight_decay|grad_clip|group_chunk|sample_chunk",
          ("src/repro/core/trainer.py", "src/repro/core/vmc.py"),
