@@ -113,7 +113,7 @@ def _run_service(wf, requests, max_batch_size: int, max_wait_ms: float,
 
 def _bench_config(n_qubits: int, n_elec: int, n_clients: int,
                   n_requests: int, rows_per_request: int,
-                  check_tol: float = 1e-10) -> dict:
+                  check_tol: float = 1e-6) -> dict:
     wf, requests = _make_workload(
         n_qubits, n_elec, n_clients, n_requests, rows_per_request
     )
@@ -126,8 +126,9 @@ def _bench_config(n_qubits: int, n_elec: int, n_clients: int,
     t_fused, fused_results, stats = _run_service(wf, requests, 1024, 2.0,
                                                  depth=8)
 
-    # Every service response must agree with the direct evaluation (fused
-    # batches may differ by BLAS reduction-order rounding only).
+    # Every service response must agree with the direct evaluation.  The
+    # decoder and the phase MLP evaluate in float32, and a row evaluated in
+    # another batch may round differently (~1e-7 on log psi).
     for direct, unfused, fused in zip(serial_results, unfused_results,
                                       fused_results):
         np.testing.assert_allclose(unfused, direct, rtol=check_tol, atol=check_tol)

@@ -11,9 +11,10 @@ Each op is split in two:
 
 * a graph-free **forward kernel** on raw backend arrays (``linear_forward``,
   ``layer_norm_forward``, ``gelu_forward``, ``attention_forward``,
-  ``softmax``) — the *only* place its formula is written.  The KV-cached
-  decode path (``Module.step`` in ``repro.nn``) calls these directly, so the
-  full forward and the incremental decode cannot drift apart;
+  ``softmax``), row-major and float64 here.  The KV-cached decode writes the
+  same formulas a second time, feature-major and in float32
+  (``repro.nn.inference``; it shares ``gelu_forward``, which is
+  elementwise), and the tests pin the two to each other;
 * the **taped op** on ``Tensor`` (``linear``, ``layer_norm``, ``gelu``,
   ``causal_attention``, ``picked_log_softmax``), which calls the kernel and
   registers the backward closure through ``Tensor._make`` — under
@@ -176,18 +177,15 @@ def merge_heads(x):
 def attention_forward(q, k, v):
     """Causal scaled-dot-product attention; returns ``(out, att)``.
 
-    ``q``: ``(b, h, tq, dh)``; ``k``/``v``: ``(b, h, tk, dh)`` with
-    ``tk >= tq``.  The queries are the *last* ``tq`` of the ``tk`` positions,
-    so ``tq == tk`` is the full training forward, ``tq < tk`` a KV-cached
-    decode step (new positions against the cache).
+    ``q``/``k``/``v``: ``(b, h, t, dh)``, query ``i`` seeing keys ``<= i``.
+    (The KV-cached decode has its own float32 kernel for one query against
+    the cache, ``repro.nn.inference.cached_attention``.)
     """
-    tq, tk = q.shape[-2], k.shape[-2]
+    t = q.shape[-2]
     att = q @ xp.swapaxes(k, -1, -2)
     att *= 1.0 / math.sqrt(q.shape[-1])
-    if tq > 1:
-        # Query i sits at absolute position tk - tq + i; it must not see later keys.
-        future = xp.triu(xp.ones((tq, tk), dtype=bool_), k=tk - tq + 1)
-        att[..., future] = MASK_VALUE
+    if t > 1:
+        att[..., xp.triu(xp.ones((t, t), dtype=bool_), k=1)] = MASK_VALUE
     att = softmax(att)
     return att @ v, att
 

@@ -27,8 +27,9 @@ Design notes
   pass (Fig. 4).
 * All math on the tape is float64 (``repro.backend.dtypes``): VMC gradients
   are small differences of local energies.  The float32 arithmetic is off
-  the tape — the phase MLP's ``PhaseMLP.step`` / ``PhaseMLP.vjp`` pair — and
-  its audit numbers are in ``repro.backend.dtypes``.
+  the tape — the KV-cached decoder (``repro.nn.inference``) and the phase
+  MLP's ``PhaseMLP.step`` / ``PhaseMLP.vjp`` pair — and its audit numbers
+  are in ``repro.backend.dtypes``.
 * Array math goes through ``xp``-level functions (``xp.sum``, ``xp.transpose``)
   rather than ndarray methods where the conventions differ across backends,
   so the same tape runs on numpy, the counting mock, and any device adapter.

@@ -2,12 +2,22 @@
 
 Every hot-path module takes its dtypes from here instead of spelling
 ``np.float64`` / ``np.complex128`` literals inline, so the policy (VMC math
-in float64 but for the phase MLP's GEMMs, amplitudes in complex128, packed
+in float64 but for what no tape reads, amplitudes in complex128, packed
 configuration keys in uint64) is stated once and adapters can translate it
 per backend:
 
 * float64 everywhere real-valued — VMC gradients are small differences of
-  local energies — except the phase MLP's GEMMs, no-grad and stage 5 alike.
+  local energies — except the KV-cached decoder and the phase MLP's GEMMs,
+  no-grad and stage 5 alike.  The decoder session (``repro.nn.inference``:
+  the BAS sweep, the walk of ``log_amplitudes``, serving) runs its kernel and
+  KV cache in float32 on a per-session copy of the parameters and returns
+  float64 logits; masks, log-softmax, the multinomial split and the running
+  log pi stay float64.  Audit against the dense float64 forward
+  (``tests/test_precision.py``): |d log pi| <= 2.6e-6 on the paper-size N2
+  net (10k coupled rows, median 6.3e-7); with both no-grad halves float32,
+  exact sector energies (H2, LiH, N2 CAS) within 1.3e-7 Ha, and on a
+  100k-sample N2 batch per-sample |dE_loc| <= 8.0e-6 Ha, an energy shift
+  1.3e-8 of its error bar, the Eq. 7 gradient 9.3e-9 relative.
   ``PhaseMLP.step`` (every no-grad phi: stage 2, the amplitude-table
   extension, serving, observables) and ``PhaseMLP.vjp`` (stage 5's phase
   gradient) share one float32 GEMM + bias + tanh forward on a per-call cast
@@ -15,15 +25,12 @@ per backend:
   the float64 gradient.  One sum stays float64: the output bias's
   gradient, the global-phase (gauge) direction, which centred coefficients
   make exactly 0 — float32 would leave ~1e-8 there, and Adam normalises
-  that noise into an lr-sized random walk.  The decoder, its walk and tape,
-  E_loc accumulation and the AdamW update stay float64.  Audit against the
-  taped float64 head (``tests/test_precision.py``): |dphi| <= 1.9e-7 rad on
-  the paper-size net; on a 100k-sample N2 batch (N_u ~ 550) per-sample
-  |dE_loc| <= 1.7e-6 Ha, an energy shift 1.5e-8 of its error bar; stage 5
-  against the all-float64 tape at fixed coefficients: gradient 2.0e-9
-  relative, phase slice 3.6e-7, amplitude slice bit-identical, output-bias
-  gradient ~1e-18; exact sector energies (H2, LiH, N2 CAS) within 8.2e-10
-  Ha.
+  that noise into an lr-sized random walk.  The decoder's tape (stage 5's
+  log pi, pretraining), E_loc accumulation and the AdamW update stay
+  float64.  Audit against the taped float64 head: |dphi| <= 1.9e-7 rad on
+  the paper-size net; stage 5 against the all-float64 tape at fixed
+  coefficients: gradient 2.0e-9 relative, phase slice 3.6e-7, amplitude
+  slice bit-identical, output-bias gradient ~1e-18.
 * complex128 for log-amplitudes ``log Psi = 0.5 log pi + i phi``.
 * uint64 for packed bitstring keys (64 qubits per word, multi-word rows);
   uint8 for unpacked bit arrays; int64 for weights/counts/indices;

@@ -400,7 +400,7 @@ def stage_backward(wf, chunk: SampleBatch, w_norm,
       ansatz's ``reverse_order`` (for the default order that is the key
       order the chunk arrives in).
     * ``phi``: off the tape, ``wf.phase_vjp`` over the whole chunk
-      (``PREFIX_BLOCK`` rows per block; float32 GEMMs, the output bias in
+      (``PHASE_BLOCK`` rows per block; float32 GEMMs, the output bias in
       float64 — DESIGN.md "Precision").
 
     The result *is* the arena buffer (no copy): valid until the next gradient

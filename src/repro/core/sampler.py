@@ -10,7 +10,7 @@ paper uses up to 1e12) at a cost that depends only on the number of unique
 prefixes per layer.
 
 Each local sampling step is *incremental*: the tree state carries an
-inference session (per-layer KV caches, one row per undecided unique prefix)
+inference session (a float32 KV cache, one row per undecided unique prefix)
 so step k costs O(k) attention work instead of re-running the full
 transformer over the prefix (O(k^2) per layer).  When prefixes branch at
 ``np.nonzero(counts)`` the cache rows are gathered/duplicated along with

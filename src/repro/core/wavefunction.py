@@ -23,7 +23,7 @@ from repro.nn import Module, PhaseMLP, TransformerAmplitude
 from repro.nn.inference import padded_next_logits
 
 __all__ = ["NNQSWavefunction", "build_qiankunnet", "ROW_BLOCK", "PREFIX_BLOCK",
-           "row_blocks", "token_order", "prefix_tree"]
+           "PHASE_BLOCK", "row_blocks", "token_order", "prefix_tree"]
 
 # Row bound of one forward (or forward + backward) pass.  A layer's chain of
 # elementwise passes runs at cache speed only while its widest activation
@@ -35,19 +35,23 @@ __all__ = ["NNQSWavefunction", "build_qiankunnet", "ROW_BLOCK", "PREFIX_BLOCK",
 ROW_BLOCK = 256
 
 # Row bound of one prefix-tree walk (``NNQSWavefunction._log_prob_shared``).
-# A walk holds one KV-cache row per distinct open prefix of its rows, so the
-# bound keeps the evaluator's memory O(block) instead of O(batch).  Larger
-# than ROW_BLOCK because every block pays the sequence's Python-level decode
-# steps again while sharing barely changes (N2 exact, ~4 900 coupled rows,
-# before decided prefixes were skipped: 13 314 session rows stepped in 256-row
-# blocks, 13 177 in one walk, 48 770 dense).  Measured then per iteration /
-# peak RSS: 256 rows 0.230 s / 99 MiB, 1 024 rows 0.205 s / 102 MiB, one walk
-# 0.212 s / 139 MiB (dense: 0.300 s / 101 MiB).  A constant for ROW_BLOCK's
-# reason: results agree to rounding.  It also bounds a no-grad phase block
-# (``NNQSWavefunction.phases``): the float32 GEMM chain keeps no tape, and on
-# N2 exact 1 024-row blocks beat 256 in 19 of 20 alternating pairs (-2 ... -3 %
-# per iteration, a gap inside the runs' quartile spread) for +0.3 MiB peak RSS.
-PREFIX_BLOCK = 1024
+# A walk holds one KV-cache row per distinct open prefix of its rows (float32,
+# 2.5 KB per row at N2's T = 10, d_model = 16, two layers), so the bound keeps
+# the evaluator's memory O(block) instead of O(batch).  Larger than ROW_BLOCK
+# because every block pays the sequence's Python-level decode steps again
+# while sharing barely changes.  Measured on N2 exact (~5 200 coupled rows per
+# iteration, one OpenBLAS thread of an AMD EPYC core, alternating pairs of
+# benchmark runs): 2 048 against 1 024 rows -8 % per iteration (6 of 6 pairs)
+# at flat peak RSS; 4 096 another -4 % but +1.4 MiB (6 of 6).  A constant for
+# ROW_BLOCK's reason: results agree to rounding.
+PREFIX_BLOCK = 2048
+
+# Row bound of one phase-MLP block (``NNQSWavefunction.phases`` and
+# ``phase_vjp``): the float32 GEMM chain keeps no tape, and on N2 exact 1 024-row
+# blocks beat 256 in 19 of 20 alternating pairs (-2 ... -3 % per iteration, a
+# gap inside the runs' quartile spread) for +0.3 MiB peak RSS; 2 048 cost
+# another +2.3 MiB (10 of 10 pairs, with 2 048-row walk blocks).
+PHASE_BLOCK = 1024
 
 
 def row_blocks(n_rows: int, bound: int | None = None) -> list[slice]:
@@ -203,11 +207,11 @@ class NNQSWavefunction(Module):
 
     def phase_vjp(self, bits: np.ndarray, coeff: np.ndarray) -> None:
         """Add ``sum_i coeff[i] dphi(bits[i]) / dtheta`` into the phase
-        network's ``p.grad``, ``PREFIX_BLOCK`` rows at a time — stage 5's
+        network's ``p.grad``, ``PHASE_BLOCK`` rows at a time — stage 5's
         phase half, off the tape (``PhaseMLP.vjp``: float32 GEMMs, the
         gauge-direction output bias summed in float64)."""
         bits = np.atleast_2d(bits)
-        for rows in row_blocks(len(bits), PREFIX_BLOCK):
+        for rows in row_blocks(len(bits), PHASE_BLOCK):
             self.phase.vjp(bits[rows], coeff[rows])
 
     # ------------------------------------------------------------ inference
@@ -221,24 +225,25 @@ class NNQSWavefunction(Module):
         The no-grad entry point for bits the caller was *given*
         (``extend_amplitude_table``, serving, observables; stage 2 is not
         one — the sweep hands it ``log pi``).  ``log pi`` comes from the
-        prefix-shared walk (:meth:`_log_prob_shared`) in blocks of
-        ``PREFIX_BLOCK`` rows, the phase from the MLP's float32 evaluator
-        (:meth:`phases`) in blocks of as many: memory is bounded for any batch
-        size, and a row's value does not depend on its batch-mates beyond
-        BLAS rounding (the walk and :meth:`log_prob_reference` agree to
-        1e-12, not bitwise; the phase and :meth:`phase_of` to ~2e-7 rad).
+        prefix-shared walk (:meth:`_log_prob_shared`, the float32 KV-cached
+        decoder) in blocks of ``PREFIX_BLOCK`` rows, the phase from the MLP's
+        float32 evaluator (:meth:`phases`) in blocks of ``PHASE_BLOCK``:
+        memory is bounded for any batch size, and a row's value does not
+        depend on its batch-mates beyond rounding (the walk and
+        :meth:`log_prob_reference` agree to ~1e-6, the phase and
+        :meth:`phase_of` to ~2e-7 rad; ``tests/test_precision.py``).
         """
         bits = np.atleast_2d(bits)
         return 0.5 * self._log_prob_shared(bits) + 1j * self.phases(bits)
 
     def phases(self, bits: np.ndarray) -> np.ndarray:
-        """(B,) phi(x) without a tape, ``PREFIX_BLOCK`` rows at a time — the
+        """(B,) phi(x) without a tape, ``PHASE_BLOCK`` rows at a time — the
         half of :meth:`log_amplitudes` a caller that holds ``log pi`` still
         needs.  Float32 GEMMs (``PhaseMLP.step``), within ~2e-7 rad of
         :meth:`phase_of`, the taped float64 oracle."""
         bits = np.atleast_2d(bits)
         out = np.empty(len(bits))
-        for rows in row_blocks(len(bits), PREFIX_BLOCK):
+        for rows in row_blocks(len(bits), PHASE_BLOCK):
             out[rows] = self.phase.step(bits[rows])
         return out
 

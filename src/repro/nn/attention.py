@@ -6,26 +6,17 @@ wrapped in residual connections with layer normalization.  The causal mask is
 what makes the network autoregressive — the conditional for token i only sees
 tokens < i — which in turn is what enables batch autoregressive sampling.
 
-Each module has two entry points over the *same* kernels
-(``repro.autograd.block_ops``): ``forward`` tapes one block op per layer for
-training, ``step`` runs the graph-free forward halves on raw backend arrays
-for the KV-cached incremental decode.
+``forward`` tapes one block op per layer (``repro.autograd.block_ops``),
+row-major and float64: training, pretraining and the dense oracle.  The
+KV-cached incremental decode does not run through these modules; it reads
+their parameters into its own float32, feature-major kernel
+(``repro.nn.inference``), pinned to ``forward`` by the tests.
 """
 from __future__ import annotations
 
 from repro.autograd import Tensor
-from repro.autograd.block_ops import (
-    attention_forward,
-    causal_attention,
-    gelu,
-    gelu_forward,
-    merge_heads,
-    nodes_from_rows,
-    rows_from_nodes,
-    split_heads,
-)
+from repro.autograd.block_ops import causal_attention, gelu, nodes_from_rows, rows_from_nodes
 from repro.backend.host import host_np
-from repro.nn.inference import KVCache
 from repro.nn.layers import LayerNorm, Linear
 from repro.nn.module import Module
 
@@ -59,20 +50,6 @@ class CausalSelfAttention(Module):
                                self.n_heads)
         return self.proj(nodes_from_rows(att, rep_row, level))
 
-    def step(self, x, cache: KVCache):
-        """Incremental decode: attend ``t_new`` new positions against the cache.
-
-        ``x``: raw ``(batch, t_new, d_model)`` backend activations.  The new
-        keys/values are appended to ``cache``; queries attend to every cached
-        position plus (causally) the other new positions, so a single call
-        with ``t_new == k`` on an empty cache is a batched prefill while
-        ``t_new == 1`` is one decoding step.  No autograd graph is built.
-        """
-        q, k, v = split_heads(self.qkv.step(x), self.n_heads)
-        cache.append(k, v)
-        out, _ = attention_forward(q, cache.k, cache.v)
-        return self.proj.step(merge_heads(out))
-
 
 class FeedForward(Module):
     """Position-wise feed-forward network (d_model -> 4 d_model -> d_model)."""
@@ -86,10 +63,6 @@ class FeedForward(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
-
-    def step(self, x):
-        """Graph-free ``forward`` on raw activations for the inference sessions."""
-        return self.fc2.step(gelu_forward(self.fc1.step(x))[0])
 
 
 class DecoderLayer(Module):
@@ -106,10 +79,4 @@ class DecoderLayer(Module):
     def forward(self, x: Tensor, tree=None) -> Tensor:
         x = x + self.attn(self.ln1(x), tree)
         x = x + self.ff(self.ln2(x))
-        return x
-
-    def step(self, x, cache: KVCache):
-        """Incremental decode of ``t_new`` new positions through the block."""
-        x = x + self.attn.step(self.ln1.step(x), cache)
-        x = x + self.ff.step(self.ln2.step(x))
         return x

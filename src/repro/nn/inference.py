@@ -1,52 +1,60 @@
-"""Incremental-decoding inference engine: KV caches and sampling sessions.
+"""Incremental decoding of the transformer: one KV-cached, float32 kernel.
 
 The batch autoregressive sampler (Fig. 3) only ever asks the amplitude
 network one question: "given this prefix, what is the conditional of the
 *next* token?".  Re-running the full transformer over the whole prefix at
 every local sampling step costs O(sum_k k^2) attention recompute per layer
-and sweep; with per-layer key/value caches the same sweep costs O(k) — the
-standard incremental-decoding trick of GPT-style inference servers, applied
-to the NNQS sampling loop.
+and sweep; with cached keys/values the same sweep costs O(k) — the standard
+incremental-decoding trick of GPT-style inference servers, applied to the
+NNQS sampling loop.
 
-Architecture (see DESIGN.md):
+:class:`TransformerInferenceSession` is one in-flight decoding: the BAS
+sweep, the prefix-tree walk of ``log_amplitudes`` and the serving tier all
+step through it, and through the one kernel behind it (:func:`decode_step`,
+one position per call):
 
-* :class:`KVCache` — the cached keys/values of one attention layer, shape
-  ``(batch, heads, t, d_head)``, appended to as the prefix grows and
-  *gathered* when the BAS tree branches (one cache row per unique prefix).
-* :class:`TransformerInferenceSession` — one in-flight decoding session:
-  a list of per-layer caches plus the current position.  ``step()`` consumes
-  one token per row and returns the next-position logits;
-  ``prefill()`` bootstraps the caches from a whole prefix in one batched
-  causal pass (used when resuming a mid-tree :class:`BASTreeState` that
-  arrives without a session, e.g. after the parallel split of Fig. 5);
-  ``select()`` realigns the cache rows with the surviving/branched prefixes.
+* **Layout.** Activations are feature-major, ``(features, rows)``.  The
+  session holds one cache array ``(T, layers, k/v, heads, d_head, rows)``;
+  a step writes position ``pos`` in place, scores are a contraction over
+  ``d_head`` and the softmax runs over the position axis, so every op's
+  inner loop runs over rows.  Positions lead so that ``select``'s gather of
+  the first ``pos`` positions writes one contiguous block.
+* **Precision.** Every GEMM, LayerNorm, GELU and softmax runs in float32,
+  on a float32 copy of the parameters taken when the session consumes its
+  first position (fresh, or after ``reset``).  ``select`` and ``copy``
+  share that copy, so weights and KV cache have one lifetime.  Logits come
+  back float64: the masks, log-softmax, multinomial split and the walk's
+  running log pi stay float64.  The audit is ``backend/dtypes.py``'s.
+* **Oracle.** ``conditional_logits`` (the taped float64 block ops, row-major)
+  is the training-time forward and, through :func:`padded_next_logits`, the
+  oracle of every decode (``tests/test_inference.py``,
+  ``tests/test_precision.py``).
 
-Everything in this module is graph-free bookkeeping on raw ``.data``
-buffers, allocated through the active backend's ``xp`` namespace — the KV
-caches and step activations stay device-resident for the whole sweep.  The
-arithmetic of a decode step lives in the modules' ``step`` methods
-(``repro.nn.attention``), which call the *same* forward kernels
-(``repro.autograd.block_ops``) the taped full forward runs; the full-forward
-path (``conditional_logits``) remains the training-time code path and the
-correctness oracle in the tests.
+``prefill`` is a loop of the same kernel over the prefix.  Everything here
+is graph-free bookkeeping on backend arrays allocated through ``xp``.
 """
 from __future__ import annotations
 
+import math
+
 from repro.autograd import no_grad
+from repro.autograd.block_ops import gelu_forward
 from repro.backend import xp
-from repro.backend.dtypes import int64
+from repro.backend.dtypes import float32, float64, int64
 
 __all__ = [
-    "KVCache",
+    "DecodeWeights",
     "TransformerInferenceSession",
+    "cached_attention",
+    "decode_step",
     "padded_next_logits",
 ]
 
 
 def padded_next_logits(model, prefix_tokens):
     """Next-position logits via the full ``conditional_logits`` forward over
-    the ``(b, k)`` prefix right-padded to ``k + 1`` — the oracle of a decode
-    step (``NNQSWavefunction.conditional_probs_reference``)."""
+    the ``(b, k)`` prefix right-padded to ``k + 1`` — the float64 oracle of a
+    decode step (``NNQSWavefunction.conditional_probs_reference``)."""
     prefix_tokens = xp.asarray(prefix_tokens, dtype=int64)
     b, k = prefix_tokens.shape
     padded = xp.zeros((b, k + 1), dtype=int64)
@@ -56,40 +64,110 @@ def padded_next_logits(model, prefix_tokens):
 
 
 # --------------------------------------------------------------------------
-# KV cache
+# The decode kernel: feature-major, float32
 # --------------------------------------------------------------------------
-class KVCache:
-    """Cached keys/values of one attention layer: ``(batch, heads, t, d_head)``.
+class DecodeWeights:
+    """Float32 copies of a ``TransformerAmplitude``'s parameters, laid out
+    for :func:`decode_step`.
 
-    ``t`` grows by one per decoding step (or by ``k`` on a prefill).  The
-    batch axis is *row-aligned with the sampler's unique prefixes*: when the
-    BAS tree branches, :meth:`select` duplicates the parent rows for every
-    surviving child and drops pruned ones.
+    Embeddings are ``(d_model, entries)``, biases ``(features, 1)``
+    columns.  Every LayerNorm feeds a linear layer, so its gain and shift
+    are folded into that layer (in float64, before the cast):
+    ``W (g * xhat + b) + c = (W diag g) xhat + (W b + c)``.
     """
 
-    __slots__ = ("k", "v")
+    __slots__ = ("tok", "pos", "layers", "head", "n_heads")
 
-    def __init__(self, k=None, v=None):
-        self.k = k  # None until the first append
-        self.v = v
+    def __init__(self, model):
+        self.tok = xp.ascontiguousarray(model.tok_emb.weight.data.T, dtype=float32)
+        self.pos = xp.ascontiguousarray(model.pos_emb.weight.data.T, dtype=float32)
+        self.layers = [
+            (_normed(layer.ln1, layer.attn.qkv), _affine_of(layer.attn.proj),
+             _normed(layer.ln2, layer.ff.fc1), _affine_of(layer.ff.fc2))
+            for layer in model.layers
+        ]
+        self.head = _normed(model.ln_f, model.head)
+        self.n_heads = model.layers[0].attn.n_heads if model.layers else 1
 
-    @property
-    def length(self) -> int:
-        return 0 if self.k is None else self.k.shape[2]
 
-    def append(self, k_new, v_new) -> None:
-        """Append ``(batch, heads, t_new, d_head)`` keys/values along time."""
-        if self.k is None:
-            self.k, self.v = k_new, v_new
-        else:
-            self.k = xp.concatenate([self.k, k_new], axis=2)
-            self.v = xp.concatenate([self.v, v_new], axis=2)
+def _column32(b):
+    return xp.asarray(b, dtype=float32)[:, None]
 
-    def select(self, idx) -> "KVCache":
-        """Gather cache rows: duplicates branching prefixes, drops pruned ones."""
-        if self.k is None:
-            return KVCache()
-        return KVCache(k=self.k[idx], v=self.v[idx])
+
+def _affine_of(lin):
+    """``(W, c)`` of a linear layer in float32."""
+    return xp.asarray(lin.weight.data, dtype=float32), _column32(lin.bias.data)
+
+
+def _normed(ln, lin):
+    """``(W diag g, W b + c, eps)``: LayerNorm ``ln`` folded into ``lin``."""
+    w = lin.weight.data
+    return (xp.asarray(w * ln.gamma.data, dtype=float32),
+            _column32(w @ ln.beta.data + lin.bias.data), ln.eps)
+
+
+def _affine(w, b, h):
+    """``W h + b`` on feature-major activations."""
+    out = w @ h
+    out += b
+    return out
+
+
+def _norm_affine(w, b, eps: float, x):
+    """``W LayerNorm(x) + b`` over the feature axis of ``(features, rows)``
+    activations, the norm's gain and shift folded into ``W`` and ``b`` —
+    ``layer_norm_forward``'s formula, transposed, with the per-row ``1/std``
+    applied after the GEMM."""
+    scale = 1.0 / len(x)
+    xc = x - x.sum(axis=0) * scale
+    std = xp.einsum("dn,dn->n", xc, xc)
+    std *= scale
+    std += eps
+    xp.sqrt(std, out=std)
+    out = w @ xc
+    out /= std
+    out += b
+    return out
+
+
+def cached_attention(q, k, v):
+    """One query position against the ``t`` cached ones (itself the last).
+
+    ``q``: ``(heads, d_head, rows)``; ``k``/``v``: ``(t, heads, d_head,
+    rows)``.  Returns ``(heads, d_head, rows)`` — row ``t - 1`` of
+    ``attention_forward``'s causal attention, with the scores' softmax over
+    the position axis.
+    """
+    s = xp.einsum("thdn,hdn->thn", k, q)
+    s *= 1.0 / math.sqrt(q.shape[1])
+    s -= s.max(axis=0)
+    xp.exp(s, out=s)
+    s /= s.sum(axis=0)
+    return xp.einsum("thn,thdn->hdn", s, v)
+
+
+def decode_step(w: DecodeWeights, kv, pos: int, inputs):
+    """Consume input token ``inputs[i]`` at position ``pos`` for every row.
+
+    Writes the new keys/values into ``kv[pos]`` (cache ``(T, layers, 2,
+    heads, d_head, rows)``, float32) and returns the next position's
+    ``(rows, vocab)`` logits in float64.
+    """
+    d, n = len(w.tok), len(inputs)
+    h = w.n_heads
+    # take, not w.tok[:, inputs]: the fancy index returns the columns
+    # Fortran-ordered, and every later op would inherit that order.
+    x = xp.take(w.tok, inputs, axis=1)
+    x += w.pos[:, pos, None]
+    for layer, (qkv_w, proj, fc1, fc2) in enumerate(w.layers):
+        qkv = _norm_affine(*qkv_w, x).reshape(3, h, d // h, n)
+        kv[pos, layer] = qkv[1:]
+        cache = kv[:pos + 1, layer]
+        att = cached_attention(qkv[0], cache[:, 0], cache[:, 1])
+        x += _affine(*proj, att.reshape(d, n))
+        x += _affine(*fc2, gelu_forward(_norm_affine(*fc1, x))[0])
+    logits = _norm_affine(*w.head, x)
+    return xp.ascontiguousarray(logits.T, dtype=float64)
 
 
 # --------------------------------------------------------------------------
@@ -99,15 +177,18 @@ class TransformerInferenceSession:
     """One in-flight incremental decoding of a :class:`TransformerAmplitude`.
 
     Invariant: ``pos`` input positions have been consumed (position 0 is the
-    BOS token), so the caches cover inputs ``0..pos-1`` and logits have been
-    produced for sequence positions ``0..pos-1``.
+    BOS token), so the cache holds positions ``0..pos-1`` of its
+    ``batch_size`` rows and logits have been produced for sequence positions
+    ``0..pos-1``.  The float32 weights (``DecodeWeights``) and the cache are
+    created together when position 0 is consumed.
     """
 
     def __init__(self, model, batch_size: int = 1):
         self.model = model
         self.batch_size = batch_size
         self.pos = 0
-        self.caches = [KVCache() for _ in model.layers]
+        self._weights = None
+        self._kv = None
 
     def step(self, prev_tokens=None):
         """Consume one token per row, return ``(batch, vocab)`` next logits.
@@ -115,46 +196,84 @@ class TransformerInferenceSession:
         ``prev_tokens`` is the token sampled at the previous position
         (``None`` on the very first call, which consumes the BOS token).
         """
-        return self.model.step(prev_tokens, self)
+        if prev_tokens is None:
+            if self.pos != 0:
+                raise ValueError("prev_tokens required once the session has started")
+            return self._advance(xp.full(self.batch_size, self.model.bos, dtype=int64))
+        if self.pos == 0:
+            raise ValueError("the first step consumes BOS: call step(None) or prefill()")
+        return self._advance(xp.asarray(prev_tokens, dtype=int64).reshape(-1))
 
     def prefill(self, prefix_tokens):
-        """Bootstrap the caches from a ``(batch, k)`` prefix in one pass.
+        """Consume BOS and a whole ``(batch, k)`` prefix, one kernel step per
+        position; returns the ``(batch, vocab)`` logits of position ``k``.
+        Only valid on a fresh session (``pos == 0``)."""
+        if self.pos != 0:
+            raise ValueError("prefill requires a fresh session")
+        prefix = xp.asarray(prefix_tokens, dtype=int64)
+        if prefix.ndim == 1:
+            prefix = prefix[None, :]
+        logits = self._advance(xp.full(len(prefix), self.model.bos, dtype=int64))
+        for k in range(prefix.shape[1]):
+            logits = self._advance(prefix[:, k])
+        return logits
 
-        Returns the ``(batch, vocab)`` logits of position ``k``.  Only valid
-        on a fresh session (``pos == 0``).
-        """
-        return self.model.prefill(prefix_tokens, self)
+    def _advance(self, inputs):
+        model = self.model
+        # Valid inputs are BOS + the first n_tokens-1 tokens; one more step
+        # would read the never-trained extra positional-embedding row.
+        if self.pos >= model.n_tokens:
+            raise ValueError(f"decoding past the model's {model.n_tokens}-token "
+                             f"sequence (position {self.pos})")
+        if self.pos == 0:
+            self._weights = DecodeWeights(model)
+            heads = self._weights.n_heads
+            self._kv = xp.empty((model.n_tokens, len(model.layers), 2, heads,
+                                 model.d_model // heads, len(inputs)), dtype=float32)
+        logits = decode_step(self._weights, self._kv, self.pos, inputs)
+        self.pos += 1
+        return logits
+
+    def _derived(self, batch_size: int, kv) -> "TransformerInferenceSession":
+        out = TransformerInferenceSession.__new__(TransformerInferenceSession)
+        out.model, out.batch_size, out.pos = self.model, batch_size, self.pos
+        out._weights, out._kv = self._weights, kv
+        return out
 
     def select(self, idx) -> "TransformerInferenceSession":
-        """Realign cache rows with branched/pruned prefixes (BAS tree split)."""
-        out = TransformerInferenceSession.__new__(TransformerInferenceSession)
-        out.model = self.model
-        out.batch_size = len(idx)
-        out.pos = self.pos
-        out.caches = [c.select(idx) for c in self.caches]
-        return out
+        """Realign cache rows with branched/pruned prefixes (BAS tree split).
+
+        ``take`` along the row axis over the consumed positions only, into a
+        fresh cache: a fancy index on the last axis would return a transposed,
+        non-contiguous array and slow every later step.
+        """
+        idx = xp.asarray(idx, dtype=int64)
+        if self._kv is None:
+            return self._derived(len(idx), None)
+        n = self._kv.shape[-1]
+        if len(idx) and (int(idx.min()) < 0 or int(idx.max()) >= n):
+            raise IndexError(f"select: session rows out of range for {n} rows")
+        kv = xp.empty(self._kv.shape[:-1] + (len(idx),), dtype=float32)
+        # mode="wrap" skips take's buffered bounds check (checked above).
+        xp.take(self._kv[:self.pos], idx, axis=-1, out=kv[:self.pos], mode="wrap")
+        return self._derived(len(idx), kv)
 
     def copy(self) -> "TransformerInferenceSession":
-        """Deep-copied session: stepping the copy never mutates the original."""
-        out = TransformerInferenceSession.__new__(TransformerInferenceSession)
-        out.model = self.model
-        out.batch_size = self.batch_size
-        out.pos = self.pos
-        out.caches = [
-            KVCache(None if c.k is None else xp.array(c.k),
-                    None if c.v is None else xp.array(c.v))
-            for c in self.caches
-        ]
-        return out
+        """Deep-copied cache, shared weights: stepping the copy never mutates
+        the original."""
+        return self._derived(self.batch_size,
+                             None if self._kv is None else xp.array(self._kv))
 
     def reset(self, batch_size: int | None = None) -> "TransformerInferenceSession":
         """Return the session to its fresh state (serving-layer pool hook).
 
-        A reset session is indistinguishable from a newly constructed one —
-        the pool's recycled sessions therefore keep sampling bit-identical.
+        A reset session is indistinguishable from a newly constructed one:
+        its next step takes a new float32 copy of the parameters, so a
+        recycled session follows the network's current θ and pooled sampling
+        stays bit-identical to unpooled sampling.
         """
         if batch_size is not None:
             self.batch_size = batch_size
         self.pos = 0
-        self.caches = [KVCache() for _ in self.model.layers]
+        self._weights = self._kv = None
         return self

@@ -11,12 +11,7 @@ from __future__ import annotations
 import math
 
 from repro.autograd import Tensor, embedding_lookup
-from repro.autograd.block_ops import (
-    layer_norm,
-    layer_norm_forward,
-    linear,
-    linear_forward,
-)
+from repro.autograd.block_ops import layer_norm, linear
 from repro.backend import xp
 from repro.backend.dtypes import int64
 from repro.backend.host import host_np
@@ -40,11 +35,6 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
-
-    def step(self, x):
-        """Graph-free forward on raw activations (the KV-cached decode path)."""
-        bias = None if self.bias is None else self.bias.data
-        return linear_forward(x, self.weight.data, bias)
 
 
 class Embedding(Module):
@@ -88,7 +78,3 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)
-
-    def step(self, x):
-        """Graph-free forward on raw activations (the KV-cached decode path)."""
-        return layer_norm_forward(x, self.gamma.data, self.beta.data, self.eps)[0]

@@ -18,9 +18,11 @@ checks the names once, at materialization):
 * ``n_tokens``, ``vocab_size``, ``d_model`` (the Eq. 13 schedule's scale);
 * ``make_session(batch) -> session`` — incremental decoding, graph-free:
   ``step(prev_tokens | None)`` / ``prefill(prefix)`` return the next
-  position's ``(batch, vocab)`` logits, ``select(idx)`` gathers rows when the
-  tree branches, ``copy()`` / ``reset(batch)``, ``batch_size``, ``pos``.  Read
-  by the BAS sweep, the walk of ``log_amplitudes`` and the serving pool;
+  position's ``(batch, vocab)`` float64 logits, ``select(idx)`` gathers rows
+  when the tree branches, ``copy()`` / ``reset(batch)``, ``batch_size``,
+  ``pos``.  Read by the BAS sweep, the walk of ``log_amplitudes`` and the
+  serving pool (the transformer's session runs its own float32 kernel, see
+  ``repro.nn.inference``);
 * ``prefix_logits(tokens, node_at, rep_row, level) -> (n_nodes, vocab)``
   Tensor, the taped conditional of every distinct prefix of lexsorted rows.
   Read by ``log_prob`` (stage 5, pretraining);
@@ -28,7 +30,8 @@ checks the names once, at materialization):
   with zeros beyond the known prefix) to a ``(batch, t, vocab)`` Tensor of
   *unnormalized* logits where the entry at position ``i`` depends only on
   tokens ``< i``, so any padding at positions ``>= prefix`` leaves earlier
-  conditionals alone.  The dense oracle of the two above: tests only.
+  conditionals alone.  The dense float64 oracle of the two above: tests
+  only.
 """
 from __future__ import annotations
 
@@ -101,51 +104,6 @@ class TransformerAmplitude(Module):
 
     # ------------------------------------------------- incremental decoding
     def make_session(self, batch_size: int = 1) -> TransformerInferenceSession:
-        """Open a KV-cached decoding session (see repro.nn.inference)."""
+        """Open a KV-cached decoding session: feature-major, float32, one
+        kernel per position (see repro.nn.inference)."""
         return TransformerInferenceSession(self, batch_size)
-
-    def _decode(self, inputs, session: TransformerInferenceSession):
-        """Run ``(batch, t_new)`` *input* tokens through the cached stack.
-
-        Inputs are already shifted (BOS first); returns the ``(batch, vocab)``
-        logits of the last new position.  Graph-free ``xp`` math only.
-        """
-        b, t_new = inputs.shape
-        pos = session.pos
-        # Valid inputs are BOS + the first n_tokens-1 tokens; one more step
-        # would read the never-trained extra positional-embedding row.
-        if pos + t_new > self.n_tokens:
-            raise ValueError(
-                f"decoding past the model's {self.n_tokens}-token sequence "
-                f"(position {pos + t_new - 1})"
-            )
-        x = self.tok_emb.weight.data[inputs] + self.pos_emb.weight.data[pos:pos + t_new]
-        for layer, cache in zip(self.layers, session.caches):
-            x = layer.step(x, cache)
-        session.pos = pos + t_new
-        logits = self.head.step(self.ln_f.step(x[:, -1:, :]))
-        return logits[:, 0, :]
-
-    def step(self, prev_tokens, session: TransformerInferenceSession):
-        """Consume one token per row; return next-position ``(batch, vocab)`` logits."""
-        if prev_tokens is None:
-            if session.pos != 0:
-                raise ValueError("prev_tokens required once the session has started")
-            inputs = xp.full((session.batch_size, 1), self.bos, dtype=int64)
-        else:
-            if session.pos == 0:
-                raise ValueError(
-                    "the first step consumes BOS: call step(None) or prefill()"
-                )
-            inputs = xp.asarray(prev_tokens, dtype=int64).reshape(-1, 1)
-        return self._decode(inputs, session)
-
-    def prefill(self, prefix_tokens, session: TransformerInferenceSession):
-        """Build the session caches from a whole ``(batch, k)`` prefix at once."""
-        if session.pos != 0:
-            raise ValueError("prefill requires a fresh session")
-        prefix = xp.asarray(prefix_tokens, dtype=int64)
-        if prefix.ndim == 1:
-            prefix = prefix[None, :]
-        bos = xp.full((len(prefix), 1), self.bos, dtype=int64)
-        return self._decode(xp.concatenate([bos, prefix], axis=1), session)

@@ -35,6 +35,7 @@ import itertools
 import multiprocessing as mp
 import os
 import threading
+import traceback
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -293,9 +294,10 @@ def _close_foreign_pipe_ends(rank: int, *pipe_lists) -> None:
 def _fork_rank_workers(size: int, body: Callable[[int, object], object]):
     """Fork ``size`` workers running ``body(rank, conn)`` with pipe hygiene.
 
-    Each worker reports ``("ok", result)`` or ``("error", message)`` on its
-    result pipe; the parent keeps only its own pipe ends, so a dead worker's
-    connections actually deliver EOF.  Returns
+    Each worker reports ``("ok", result)`` or ``("error", message)`` — the
+    exception and its traceback — on its result pipe; the parent keeps only
+    its own pipe ends, so a dead worker's connections actually deliver EOF.
+    Returns
     ``(parent_conns, result_conns, procs)``.
     """
     ctx = mp.get_context("fork")
@@ -308,7 +310,10 @@ def _fork_rank_workers(size: int, body: Callable[[int, object], object]):
             out = body(rank, pipes[rank][1])
             result_pipes[rank][1].send(("ok", out))
         except BaseException as exc:  # noqa: BLE001 - reraised in parent
-            result_pipes[rank][1].send(("error", f"rank {rank}: {exc!r}"))
+            # The rank's own traceback rides along: the parent's re-raise
+            # only shows where the launcher noticed.
+            result_pipes[rank][1].send(
+                ("error", f"rank {rank}: {exc!r}\n{traceback.format_exc()}"))
         finally:
             pipes[rank][1].close()
             result_pipes[rank][1].close()

@@ -7,7 +7,9 @@ Two complementary reuse mechanisms around PR 1's inference sessions:
   every session a sampling sweep opens (the BAS root prefill, the prefill
   of a session-less resumed state) is drawn from — and afterwards recycled into — the free list
   instead of being constructed from scratch per request.  ``reset()``
-  restores a recycled session to its freshly-constructed state, so pooled
+  restores a recycled session to its freshly-constructed state — its KV
+  cache and its float32 copy of the weights are dropped together, and the
+  next step takes both afresh from the network's current θ — so pooled
   sampling stays bit-identical to unpooled sampling.
 
 * :class:`PrefixSessionCache` — an LRU of *live* decoding sessions keyed by
@@ -15,10 +17,11 @@ Two complementary reuse mechanisms around PR 1's inference sessions:
   autoregressive loop through the service's ``conditional_probs`` API.
   A request whose prefix extends a cached entry by one position is served
   with a single KV-cached ``step()`` (O(k) work) instead of a full prefill
-  (O(k^2)); a repeat of an identical prefix replays the stored logits with
-  no network work at all.  Cache-miss prefills are numerically *identical*
-  to a direct in-process call; step-continuations match the full forward to
-  the incremental-engine tolerance (1e-10, see tests/test_inference.py).
+  (k + 1 steps, O(k^2)); a repeat of an identical prefix replays the stored
+  logits with no network work at all.  A prefill is a loop of the same
+  decode kernel, so cache-miss prefills, step-continuations and a direct
+  in-process call are numerically *identical*; all match the float64 full
+  forward to the float32 decoder's tolerance (tests/test_inference.py).
 
 Neither structure is thread-safe: the service confines all model evaluation
 to the single scheduler thread (see scheduler.py).

@@ -40,6 +40,7 @@ from repro.core import VMC, VMCConfig, build_qiankunnet
 from repro.core.sampler import SampleBatch
 from repro.hamiltonian import compress_hamiltonian
 from repro.nn import TransformerAmplitude
+from repro.nn.inference import cached_attention
 from tests.conftest import ANSATZE, amplitude_and_phase, baselines, build_wf
 from tests.test_wavefunction import sector_bitstrings
 
@@ -175,17 +176,20 @@ class TestCausalAttention:
         gradcheck(lambda qkv: causal_attention(qkv, 2), _tensors(rng, (2, 3, 12)))
 
     def test_decode_step_equals_rows_of_the_full_forward(self, rng):
-        """The kernel the KV-cached ``step`` calls: the last ``tq`` queries
-        against all ``tk`` keys reproduce the full causal forward's rows."""
-        q, k, v = split_heads(rng.normal(size=(3, 6, 3 * 8)), 2)
+        """The KV-cached decode's attention — one query against the cached
+        positions, feature-major — reproduces the full causal forward row by
+        row; the decode of position ``i`` sees positions ``<= i`` only.  In
+        float64 the two formulas agree to rounding (production decodes in
+        float32: ``tests/test_inference.py``)."""
+        q, k, v = split_heads(rng.normal(size=(3, 6, 3 * 8)), 2)    # (b, h, t, dh)
         full, _ = attention_forward(q, k, v)
-        for tq in (1, 2, 6):
-            out, att = attention_forward(q[:, :, -tq:], k, v)
-            np.testing.assert_allclose(out, full[:, :, -tq:], atol=1e-14)
-            assert att.shape[-2:] == (tq, 6)
-        # ... and a decode of position 3 must not see positions 4, 5.
-        out, _ = attention_forward(q[:, :, 3:4], k[:, :, :4], v[:, :, :4])
-        np.testing.assert_allclose(out, full[:, :, 3:4], atol=1e-14)
+        k_cache, v_cache = (np.transpose(a, (2, 1, 3, 0)) for a in (k, v))  # (t, h, dh, b)
+        for i in range(6):
+            out = cached_attention(np.transpose(q[:, :, i], (1, 2, 0)),
+                                   k_cache[:i + 1], v_cache[:i + 1])
+            assert out.shape == (2, 4, 3)
+            np.testing.assert_allclose(np.transpose(out, (2, 0, 1)), full[:, :, i],
+                                       atol=1e-14)
 
 
 class TestPickedLogSoftmax:
@@ -474,9 +478,9 @@ class TestRowBlocking:
 
     def test_phase_vjp_memory_is_bounded_by_the_block(self):
         """The paper-size phase net (N x 512 x 512 x 1): the phase VJP holds
-        one ``PREFIX_BLOCK`` of activations at a time, so 4 blocks peak
+        one ``PHASE_BLOCK`` of activations at a time, so 4 blocks peak
         where one does."""
-        block = wavefunction.PREFIX_BLOCK
+        block = wavefunction.PHASE_BLOCK
         cases = {rows: _surrogate_case(rows=rows, phase_hidden=(512, 512))
                  for rows in (block, 4 * block)}
 

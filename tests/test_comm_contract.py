@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import threading
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -108,14 +109,20 @@ MULTI_RANK = [name for name in LAUNCHERS if name != "solo"]
 
 
 def _bounded(call):
-    """Run ``call()`` on a watchdog thread; fail instead of hanging."""
+    """Run ``call()`` on a watchdog thread; fail instead of hanging.
+
+    Returns ``{"value": ...}``, or ``{"error": exc, "traceback": text}`` when
+    ``call`` raised — the text (type, message, traceback) is what an
+    assertion about the box should print.
+    """
     box: dict = {}
 
     def target():
         try:
             box["value"] = call()
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
+        except BaseException as exc:  # noqa: BLE001 - reported by the asserts
             box["error"] = exc
+            box["traceback"] = "".join(traceback.format_exception(exc))
 
     t = threading.Thread(target=target, daemon=True)
     t.start()
@@ -231,7 +238,7 @@ class TestFailureContract:
             return "completed", ""
 
         box = _bounded(lambda: LAUNCHERS[name](3, fn))
-        assert "error" not in box, box.get("error")
+        assert "error" not in box, box["traceback"]
         for kind, message in box["value"]:
             assert kind == "CommAbortError", (kind, message)
             assert "desynchronized" in message
@@ -251,7 +258,7 @@ class TestFailureContract:
             return "completed", ""
 
         box = _bounded(lambda: LAUNCHERS[name](2, fn))
-        assert "error" not in box, box.get("error")
+        assert "error" not in box, box["traceback"]
         assert box["value"][0] == ("left early", "")
         kind, message = box["value"][1]
         assert kind == "CommAbortError", (kind, message)
@@ -271,7 +278,8 @@ class TestFailureContract:
                 raise
 
         box = _bounded(lambda: LAUNCHERS[name](2, fn))
-        assert isinstance(box.get("error"), (ValueError, RuntimeError))
+        assert isinstance(box.get("error"), (ValueError, RuntimeError)), \
+            box.get("traceback", box)
         assert "rank 1" in str(box["error"]) or "boom" in str(box["error"])
         kind, _, message = marker.read_text().partition(":")
         assert kind == "CommAbortError"

@@ -124,12 +124,22 @@ class TestSourceLint:
         ("one-amplitude-protocol", "src/repro/api/builtins.py",
          'build_qiankunnet(n, 1, 1, amplitude_type="made")'),
         ("one-amplitude-protocol", "src/repro/nn/made.py", "class MADEAmplitude(Module):"),
+        ("one-decode-kernel", "src/repro/nn/inference.py", "class KVCache:"),
+        ("one-decode-kernel", "src/repro/nn/attention.py",
+         "    def step(self, x, cache: KVCache):"),
+        ("one-decode-kernel", "src/repro/nn/layers.py", "    def step(self, x):"),
     ])
     def test_relocated_grep_clauses_still_bite(self, lint_source, tree, rule, rel, line):
         path = tree / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(line + "\n")
         assert rule in violated(lint_source.lint(tree))
+
+    def test_the_phase_evaluator_is_not_a_layer_step(self, lint_source, tree):
+        """``PhaseMLP.step`` (bits in, phases out) is the no-grad phase
+        evaluator, not a decode step of a layer."""
+        (tree / "src/repro/nn/phase.py").write_text("    def step(self, bits):\n")
+        assert lint_source.lint(tree) == []
 
     def test_comm_accounting_is_allowed_in_comm_py(self, lint_source, tree):
         (tree / "src/repro/parallel/comm.py").write_text("self.stats.add(n)\n")

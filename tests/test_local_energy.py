@@ -116,13 +116,16 @@ class TestExactness:
         assert abs(eloc_sa[0] - ref[0]) > 1e-6
 
     def test_energy_expectation_matches_rayleigh_quotient(self, setup_h2):
-        """sum_x pi(x) E_loc(x) = <psi|H|psi>/<psi|psi> exactly."""
+        """sum_x pi(x) E_loc(x) = <psi|H|psi>/<psi|psi> exactly, with pi and
+        psi from the same evaluator (the one the table was built by; the
+        float64 taped log_prob differs from it by the float32 decoder's
+        rounding, ~1e-8 in this energy)."""
         wf, comp, batch, table = setup_h2
         from repro.hamiltonian import sector_hamiltonian_dense
 
         eloc = local_energy_vectorized(comp, batch, table)
-        pi = np.exp(wf.log_prob(batch.bits).data)
-        e_vmc = np.sum(pi * eloc.real)  # pi is normalized over the sector
+        pi = np.abs(wf.amplitudes(batch.bits)) ** 2
+        e_vmc = np.sum(pi * eloc.real) / np.sum(pi)  # the batch is the whole sector
         Hs, basis = sector_hamiltonian_dense(comp, 1, 1)
         psi = wf.amplitudes(basis.bits())
         e_rq = np.real(psi.conj() @ Hs @ psi) / np.real(psi.conj() @ psi)

@@ -1,50 +1,89 @@
-"""The phase MLP runs in float32: an audit against the float64 oracle.
+"""The no-grad evaluators run in float32: an audit against the float64 oracles.
 
-Two float32 paths share ``PhaseMLP._forward32``: ``NNQSWavefunction.phases``
-— stage 2, the amplitude-table extension, serving, observables — evaluates
-phi through ``PhaseMLP.step``, and stage 5 adds the phase gradient through
-``PhaseMLP.vjp`` (``wf.phase_vjp``), both as float32 GEMMs on a per-call cast
-of the float64 parameters.  ``phase_of`` is the taped float64 head and the
-oracle here.  At one θ, every quantity either path feeds is computed from
-both arithmetics and held to the bounds below (measured margins in the
-comments).
+Three float32 paths, each with a float64 oracle:
+
+* the KV-cached decoder (``repro.nn.inference``): the BAS sweep's
+  ``SampleBatch.log_prob`` and the walk of ``log_amplitudes``
+  (``_log_prob_shared``: the amplitude-table extension, serving,
+  observables).  Oracle: ``log_prob_reference``, the dense forward through
+  the taped float64 block ops;
+* ``PhaseMLP.step`` (``wf.phases``: stage 2 and the same consumers).
+  Oracle: ``phase_of``, the taped float64 head;
+* ``PhaseMLP.vjp`` (``wf.phase_vjp``: stage 5's phase gradient).  Oracle:
+  ``phase_of``'s tape.
+
+At one θ, every quantity these paths feed is computed from both arithmetics
+and held to the bounds below (measured margins in the comments).  Stage 5's
+log-pi half is the taped float64 ``log_prob`` in both.
 
 For scale, the Monte Carlo noise these bounds sit under: two independent
 100k-sample batches of the N2 fixture's θ give stage-5 gradients that differ
 by 6.4 % (full) and 13.5-14 % (phase slice) relative.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad
 from repro.chem import build_problem
 from repro.core import (
+    NoamAdamW,
+    VMC,
+    VMCConfig,
     batch_autoregressive_sample,
+    build_amplitude_table,
     build_qiankunnet,
+    extend_amplitude_table,
     local_energy,
     pretrain_to_reference,
     sector_expectation,
 )
-from repro.core import wavefunction
+from repro.core import sampler, wavefunction
+from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.engine import stage_backward
 from repro.hamiltonian import compress_hamiltonian, sector_basis
 from repro.nn import PhaseMLP
-from tests.conftest import amplitude_and_phase
+from repro.nn.inference import padded_next_logits
+from repro.serve.pool import SessionPool
+from repro.utils.bitstrings import unpack_bits
+from tests.conftest import LOGIT_TOL, amplitude_and_phase
 
-SECTOR_E_TOL = 1e-8      # Ha, exact <psi|H|psi> (measured <= 8.2e-10, H2)
-ELOC_TOL = 1e-4          # Ha, any one sample's E_loc (measured 1.7e-6)
-E_SHIFT_OF_ERROR = 1e-3  # |dE| / std_error of the estimate (measured 1.5e-8)
-GRAD_RTOL = 1e-6         # relative, the Eq. 7 gradient (measured <= 2.0e-9)
+# Exact <psi|H|psi> with both halves float32 (measured <= 1.3e-7 Ha, LiH;
+# H2 1.2e-8, n2-cas66 1.4e-8).  It was 1e-8 while only the phase was float32
+# (<= 8.2e-10); the float32 decoder moves log pi by up to ~1e-6, and the bound
+# stays more than three orders of magnitude below chemical accuracy (1.6e-3 Ha).
+SECTOR_E_TOL = 1e-6
+ELOC_TOL = 1e-4          # Ha, any one sample's E_loc (measured 8.0e-6)
+E_SHIFT_OF_ERROR = 1e-3  # |dE| / std_error of the estimate (measured 1.3e-8)
+GRAD_RTOL = 1e-6         # relative, the Eq. 7 gradient (measured <= 9.3e-9)
+LOG_PI_TOL = 2e-5        # log pi, paper-size N2 decoder (measured: sweep 1.7e-6,
+                         # walk 2.6e-6 over 10k coupled rows, median 6.3e-7)
 PHASE_TOL = 1e-6         # rad, paper-size net (measured 1.9e-7)
 PHASE_GRAD_RTOL = 1e-5   # relative, stage 5's phase slice (measured 3.6e-7;
                          # 9.1e-7 per layer of the paper-size net)
 GAUGE_TOL = 1e-12        # |output-bias gradient| at centred coefficients (~1e-18)
+MULTINOMIAL_SUM_TOL = 1e-12   # Generator.multinomial refuses sum(p[:-1]) > 1 + 1e-12
+                              # (measured: row sums within 2.2e-16)
 
 
 def float64_phases(wf, bits):
     """``wf.phases`` through the taped float64 head: the oracle."""
     with no_grad():
         return wf.phase_of(bits).data
+
+
+def float64_log_pi(wf, bits):
+    """``wf._log_prob_shared`` — and a sweep's ``SampleBatch.log_prob`` —
+    through the dense float64 forward: the decoder's oracle."""
+    with no_grad():
+        return wf.log_prob_reference(bits).data
+
+
+def float64_evaluators(patch, wf):
+    """Route both no-grad halves of ``wf`` through their float64 oracles."""
+    patch.setattr(wf, "phases", lambda bits: float64_phases(wf, bits))
+    patch.setattr(wf, "_log_prob_shared", lambda bits: float64_log_pi(wf, bits))
 
 
 # problem name -> build_problem arguments (n2-cas66 is the preset's window)
@@ -57,19 +96,19 @@ SECTORS = {
 
 @pytest.mark.parametrize("name", SECTORS)
 def test_exact_sector_energy(name):
-    """<psi|H|psi> / <psi|psi> over the whole sector, log pi shared."""
+    """<psi|H|psi> / <psi|psi> over the whole sector: ``log_amplitudes``
+    (float32 decoder walk + float32 phase) against both float64 oracles."""
     molecule, kwargs = SECTORS[name]
     problem = build_problem(molecule, "sto-3g", **kwargs)
     wf = build_qiankunnet(problem.n_qubits, problem.n_up, problem.n_dn, seed=7)
     basis = sector_basis(problem.n_qubits, problem.n_up, problem.n_dn)
     bits = basis.bits()
-    half_log_pi = 0.5 * wf._log_prob_shared(bits)
 
-    def energy(phi):
-        return sector_expectation(problem.hamiltonian,
-                                  np.exp(half_log_pi + 1j * phi), basis)
+    def energy(log_psi):
+        return sector_expectation(problem.hamiltonian, np.exp(log_psi), basis)
 
-    assert abs(energy(wf.phases(bits)) - energy(float64_phases(wf, bits))) <= SECTOR_E_TOL
+    oracle = 0.5 * float64_log_pi(wf, bits) + 1j * float64_phases(wf, bits)
+    assert abs(energy(wf.log_amplitudes(bits)) - energy(oracle)) <= SECTOR_E_TOL
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +135,14 @@ def _estimates(wf, comp, batch, mode):
 
 @pytest.fixture(scope="module", params=["exact", "sample_aware"])
 def both(request, n2):
-    """``_estimates`` with the float32 no-grad phase, then the oracle's."""
+    """``_estimates`` with both no-grad halves in float32 (decoder walk and
+    phase), then with both float64 oracles (the sweep's ``log_prob`` too)."""
     wf, comp, batch = n2
     f32 = _estimates(wf, comp, batch, request.param)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wf, "phases", lambda bits: float64_phases(wf, bits))
-        f64 = _estimates(wf, comp, batch, request.param)
+        float64_evaluators(patch, wf)
+        oracle_batch = replace(batch, log_prob=float64_log_pi(wf, batch.bits))
+        f64 = _estimates(wf, comp, oracle_batch, request.param)
     return f32, f64
 
 
@@ -119,6 +160,44 @@ class TestN2Batch:
         (*_, g32), (*_, g64) = both
         assert np.linalg.norm(g64) > 0
         assert np.linalg.norm(g32 - g64) <= GRAD_RTOL * np.linalg.norm(g64)
+
+
+class TestDecoder:
+    """The float32 KV-cached decoder against the dense float64 forward on the
+    N2 fixture (the paper-size transformer: d_model 16, 4 heads, 2 layers)."""
+
+    def test_the_sweep_log_prob(self, n2):
+        wf, _, batch = n2
+        err = np.abs(batch.log_prob - float64_log_pi(wf, batch.bits))
+        assert np.max(err) <= LOG_PI_TOL
+
+    def test_the_walk_on_the_coupled_set(self, n2):
+        """The rows ``n2_exact``'s table extension walks each iteration."""
+        wf, comp, batch = n2
+        table = build_amplitude_table(wf, batch)
+        extended = extend_amplitude_table(wf, comp, batch, table)
+        assert extended.n_entries > 10 * table.n_entries
+        bits = unpack_bits(extended.keys, wf.n_qubits)
+        err = np.abs(2.0 * extended.log_amps.real - float64_log_pi(wf, bits))
+        assert np.max(err) <= LOG_PI_TOL
+
+    def test_probabilities_pass_the_multinomial_sum_check(self, n2, monkeypatch):
+        """Masked, renormalized conditionals of float32 logits: every row the
+        sweep splits weights by sums to 1 within ``Generator.multinomial``'s
+        check (the softmax runs on the float64 logits)."""
+        wf, _, _ = n2
+        seen, real = [], sampler._multinomial_rows
+
+        def record(rng, weights, probs):
+            seen.append(probs.copy())
+            return real(rng, weights, probs)
+
+        monkeypatch.setattr(sampler, "_multinomial_rows", record)
+        batch_autoregressive_sample(wf, 100_000, np.random.default_rng(2))
+        probs = np.concatenate(seen)
+        assert probs.dtype == np.float64 and len(probs) > 100
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= MULTINOMIAL_SUM_TOL
+        assert np.max(probs[:, :-1].sum(axis=1)) <= 1.0 + MULTINOMIAL_SUM_TOL
 
 
 def float64_stage_backward(wf, batch, w, eloc, e_mean, e_imag):
@@ -282,3 +361,77 @@ class TestPhaseEvaluator:
             np.testing.assert_allclose(net.step(bits), before + 1.0, atol=PHASE_TOL)
         finally:
             net.layers[-1].bias.data -= 1.0
+
+
+class TestSessionLifetime:
+    """A session's float32 weights are taken with its KV cache — when it
+    consumes position 0, fresh or after ``reset`` — and shared by ``select``
+    and ``copy``: a session opened after θ moved decodes with the new θ, a
+    session stepped before keeps the θ its cache was built with."""
+
+    @pytest.fixture()
+    def wf(self):
+        return build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
+                                phase_hidden=(8,), seed=11)
+
+    @staticmethod
+    def _first_logits(session, rows=3):
+        return session.step(None)[:rows]
+
+    @staticmethod
+    def _assert_decodes_theta(wf, logits, stale):
+        """``logits`` (position 0) match the current θ's float64 oracle, and
+        the move of θ is far past the float32 rounding."""
+        want = padded_next_logits(wf.amplitude, np.zeros((len(logits), 0)))
+        np.testing.assert_allclose(logits, want, rtol=0, atol=LOGIT_TOL)
+        assert np.max(np.abs(want - stale)) > 1e3 * LOGIT_TOL
+
+    def test_after_set_flat_params(self, wf):
+        stale_session = wf.make_session(3)
+        stale = self._first_logits(stale_session)
+        wf.set_flat_params(1.5 * wf.get_flat_params())
+        self._assert_decodes_theta(wf, self._first_logits(wf.make_session(3)), stale)
+        # The session stepped before the move keeps its own θ: its cache and
+        # its weights were taken together.
+        tokens = np.array([1, 2, 3])
+        want = padded_next_logits(wf.amplitude, tokens[:, None])
+        assert np.max(np.abs(stale_session.step(tokens) - want)) > 1e3 * LOGIT_TOL
+
+    def test_after_an_adamw_step_and_a_checkpoint_restore(self, wf, h2_problem, tmp_path):
+        vmc = VMC(wf, h2_problem.hamiltonian, VMCConfig(n_samples=1000, seed=0),
+                  optimizer=NoamAdamW(wf, warmup=1))
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(vmc, path)
+        before = self._first_logits(wf.make_session(3))
+        vmc.step()                                   # stage 6: one AdamW step
+        moved = self._first_logits(wf.make_session(3))
+        self._assert_decodes_theta(wf, moved, before)
+        load_checkpoint(vmc, path)                   # θ back where it was saved
+        self._assert_decodes_theta(wf, self._first_logits(wf.make_session(3)), moved)
+
+    def test_a_session_the_pool_resets(self, wf):
+        pool = SessionPool(wf.amplitude, max_idle=1)
+        session = pool.acquire(3)
+        stale = self._first_logits(session)
+        pool.release(session)
+        wf.set_flat_params(1.5 * wf.get_flat_params())
+        recycled = pool.acquire(3)
+        assert recycled is session and pool.reused == 1
+        self._assert_decodes_theta(wf, self._first_logits(recycled), stale)
+
+    def test_stepping_a_copy_leaves_the_original(self):
+        """Interleaved, the copy and the original each decode their own
+        prefix: neither's steps reach the other's cache."""
+        wf = build_qiankunnet(8, 2, 2, d_model=8, n_heads=2, n_layers=1,
+                              phase_hidden=(8,), seed=11)
+        a, b = np.array([0, 1, 3]), np.array([2, 2, 0])
+        session = wf.make_session(3)
+        session.step(None)
+        copy = session.copy()
+        copy.step(a)
+        got = session.step(b)
+        assert (session.pos, copy.pos) == (2, 2)
+        got_copy = copy.step(b)
+        for logits, prefix in ((got, b[:, None]), (got_copy, np.stack([a, b], axis=1))):
+            np.testing.assert_allclose(logits, padded_next_logits(wf.amplitude, prefix),
+                                       rtol=0, atol=LOGIT_TOL)

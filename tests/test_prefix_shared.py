@@ -1,16 +1,17 @@
 """Prefix-shared amplitude evaluation vs the dense forward.
 
 ``NNQSWavefunction.log_amplitudes`` walks the token prefix tree of its input
-through one session of the amplitude network per block (KV-cached for the
-transformer, the foils' recompute session otherwise).  The taped ``log_prob``
-runs the same tree node-major — one row per distinct prefix through every
-layer.  The dense
-forward (``log_prob_reference``) is the oracle of both: values must agree to
-1e-12 on every input shape, the taped gradient to 1e-10, and everything
-built on the entry points — the table extension, exact local energies, the
-mock backend's transfer contract — must be unchanged.  The phase half of a
-log-amplitude comes from the MLP's float32 evaluator, so it is held to the
-float64 head ``phase_of`` at ``PHASE_TOL`` instead.
+through one session of the amplitude network per block (KV-cached and
+float32 for the transformer, the foils' float64 recompute session
+otherwise).  The taped ``log_prob`` runs the same tree node-major — one row
+per distinct prefix through every layer, float64.  The dense forward
+(``log_prob_reference``) is the oracle of both, on every input shape: the
+taped value must agree to 1e-12 and its gradient to 1e-10, the walk's log pi
+to ``LOGIT_TOL`` (the foils' to 1e-12), and everything built on the entry
+points — the table extension, exact local energies, the mock backend's
+transfer contract — must be unchanged.  The phase half of a log-amplitude
+comes from the MLP's float32 evaluator, so it is held to the float64 head
+``phase_of`` at ``PHASE_TOL``.
 """
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from repro.core import (
     local_energy,
 )
 from repro.hamiltonian import compress_hamiltonian, synthetic_molecular_hamiltonian
-from repro.nn import TransformerInferenceSession
+from repro.nn import TransformerAmplitude, TransformerInferenceSession
 from repro.utils.bitstrings import (
     int_to_bits,
     lexsort_keys,
@@ -36,7 +37,7 @@ from repro.utils.bitstrings import (
     unique_keys,
     unpack_bits,
 )
-from tests.conftest import baselines, build_wf
+from tests.conftest import LOGIT_TOL, baselines, build_wf
 from tests.test_backend import _fresh_vmc
 from tests.test_local_energy import dense_local_energy
 from tests.test_wavefunction import sector_bitstrings
@@ -66,17 +67,20 @@ def dense(wf, bits):
         return 0.5 * wf.log_prob_reference(bits).data + 1j * wf.phase_of(bits).data
 
 
-def assert_log_amps_close(got, want):
-    """log pi (the real part) to ``TOL``, phi (the imaginary part) to
-    ``PHASE_TOL``."""
+def assert_log_amps_close(got, want, tol=LOGIT_TOL):
+    """log pi (the real part) to ``tol`` — the transformer's float32 walk
+    by default —, phi (the imaginary part) to ``PHASE_TOL``."""
     # rtol carries the sector-violating rows, whose log pi is a multiple of
     # MASK_VALUE = -1e30 on both paths.
-    np.testing.assert_allclose(got.real, want.real, rtol=TOL, atol=TOL)
+    np.testing.assert_allclose(got.real, want.real, rtol=tol, atol=tol)
     np.testing.assert_allclose(got.imag, want.imag, rtol=0, atol=PHASE_TOL)
 
 
 def assert_matches_dense(wf, bits):
-    assert_log_amps_close(wf.log_amplitudes(bits), dense(wf, bits))
+    """The walk against the dense float64 forward: the transformer's session
+    decodes in float32, a foil's recomputes in float64."""
+    tol = LOGIT_TOL if isinstance(wf.amplitude, TransformerAmplitude) else TOL
+    assert_log_amps_close(wf.log_amplitudes(bits), dense(wf, bits), tol)
 
 
 def bits_of(values):
@@ -124,7 +128,8 @@ class TestSharedEqualsDense:
         bits = bits[np.random.default_rng(1).permutation(len(bits))]
         one_walk = wf.log_amplitudes(bits)
         monkeypatch.setattr(wavefunction, "PREFIX_BLOCK", block)
-        # The bound cuts the float32 phase blocks too: phi to PHASE_TOL.
+        # ... and the float32 phase blocks: phi to PHASE_TOL.
+        monkeypatch.setattr(wavefunction, "PHASE_BLOCK", block)
         assert_log_amps_close(wf.log_amplitudes(bits), one_walk)
         assert_matches_dense(wf, bits)
 

@@ -93,6 +93,10 @@ RULES = (
          "the production path asks the amplitude network for a session and for "
          "prefix_logits and never probes it; the foils and their recompute session "
          "live in benchmarks/baseline_ansatze.py (The amplitude protocol)"),
+    Rule("one-decode-kernel", r"KVCache|def step\(self, x\b", ("src/repro/nn",),
+         "the KV-cached decode is one float32, feature-major kernel behind the "
+         "session (nn/inference.py): no per-layer cache object and no per-layer "
+         "step(x, cache) beside the taped forward (Sessions and the BAS tree)"),
     Rule("no-module-level-scipy", r"^(import|from)\s+scipy\b", (SRC,),
          "a rank imports numpy and repro, nothing else: any scipy submodule "
          "costs ~0.2 s and ~30 MiB per process (What a rank pays before iteration 1)"),
