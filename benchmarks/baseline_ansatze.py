@@ -123,8 +123,15 @@ class _DenseOnlyAmplitude(Module):
     def make_session(self, batch_size: int = 1) -> RecomputeSession:
         return RecomputeSession(self, batch_size)
 
-    def prefix_logits(self, tokens, node_at, rep_row, level) -> Tensor:
-        return self.conditional_logits(tokens)[rep_row, level]
+    # The forward/VJP pair over the prefix tree, answered with the tape these
+    # networks bring along: the node rows of the dense forward, taped, then
+    # back-propagated from the head's logits gradient.
+    def prefix_forward(self, tokens, rep_row, level):
+        logits = self.conditional_logits(tokens)[rep_row, level]
+        return logits.data, logits
+
+    def prefix_vjp(self, saved: Tensor, g) -> None:
+        saved.backward(g)
 
 
 class _MaskedLinear(Module):
@@ -238,13 +245,14 @@ def build_baseline(foil, n_qubits: int, n_up: int, n_dn: int, *,
 def check_baselines_agree(value_atol: float = 1e-12, grad_rtol: float = 1e-10) -> dict:
     """Each foil *through the protocol* against its own dense forward.
 
-    On a constrained 8-qubit (2, 2) wavefunction per foil: the taped
-    ``log_prob`` (``prefix_logits``) and the prefix walk of ``log_amplitudes``
-    (session steps) equal ``log_prob_reference`` (``conditional_logits``) to
-    ``value_atol`` on shuffled sector rows with duplicates, the flat gradient
-    to ``grad_rtol`` relative, the sweep's ``log pi`` equals the walk's, and
-    the logits at position ``i`` do not move — exactly — when tokens ``>= i``
-    do.  Returns the largest deviations per foil.
+    On a constrained 8-qubit (2, 2) wavefunction per foil: ``log_prob_vjp``
+    (``prefix_forward`` / ``prefix_vjp``) and the prefix walk of
+    ``log_amplitudes`` (session steps) equal ``log_prob``
+    (``conditional_logits``) to ``value_atol`` on shuffled sector rows with
+    duplicates, the flat gradient ``log_prob_vjp`` adds equals ``log_prob``'s
+    tape to ``grad_rtol`` relative, the sweep's ``log pi`` equals the walk's,
+    and the logits at position ``i`` do not move — exactly — when tokens
+    ``>= i`` do.  Returns the largest deviations per foil.
     """
     n, t = 8, 4
     bits = sector_basis(n, 2, 2).bits()
@@ -256,14 +264,12 @@ def check_baselines_agree(value_atol: float = 1e-12, grad_rtol: float = 1e-10) -
         wf = build_baseline(foil, n, 2, 2, phase_hidden=(16,), seed=2)
         amp = wf.amplitude
 
-        def value_and_grad(head):
-            wf.zero_grad()
-            out = head(bits)
-            (Tensor(coeff) * out).sum().backward()
-            return out.data, wf.get_flat_grads().copy()
-
-        want, want_grad = value_and_grad(wf.log_prob_reference)
-        got, got_grad = value_and_grad(wf.log_prob)
+        wf.zero_grad()
+        want = wf.log_prob(bits)
+        (Tensor(coeff) * want).sum().backward()
+        want, want_grad = want.data, wf.get_flat_grads()
+        wf.zero_grad()
+        got, got_grad = wf.log_prob_vjp(bits, coeff), wf.get_flat_grads()
         taped = float(abs(got - want).max())
         grad = float(abs(got_grad - want_grad).max() / abs(want_grad).max())
         walk = float(abs(2.0 * wf.log_amplitudes(bits).real - want).max())

@@ -5,10 +5,10 @@ The ``register_ansatz`` demonstration.  ``transformer`` is the one built-in;
 MADE and the NAQS-style MLP are *user* networks here — the Table 1 foils of
 ``benchmarks/baseline_ansatze.py``, loaded by path — which plug into the same
 VMC / BAS / local-energy stack by answering the amplitude protocol
-(``make_session``, ``prefix_logits``, ``d_model``) and registering a builder
-under a name.  The comparison is then a loop over specs that differ in a
-single string, distilling the paper's Table 1 'NAQS vs MADE vs QiankunNet'
-columns into one run on LiH.  A foil records no rebuild spec, so nothing is
+(``make_session``, the ``prefix_forward`` / ``prefix_vjp`` pair, ``d_model``)
+and registering a builder under a name.  The comparison is then a loop over
+specs that differ in a single string, distilling the paper's Table 1 'NAQS
+vs MADE vs QiankunNet' columns into one run on LiH.  A foil records no rebuild spec, so nothing is
 published (``output.publish = False``; the run is refused up front otherwise).
 
 Usage:  python examples/ansatz_comparison.py [--molecule LiH] [--iters 200]

@@ -252,7 +252,7 @@ def _publish_final(spec: RunSpec, run_dir: Path, wf,
 # ----------------------------------------------------------------- execution
 def _require_autoregressive(spec: RunSpec, wf) -> None:
     """The training loop samples autoregressively and differentiates
-    ``log_prob``/``phase_of`` — a user-registered builder that returns
+    ``log_prob_vjp``/``phase_vjp`` — a user-registered builder that returns
     anything else, a network short of the amplitude protocol or a wavefunction
     the run could not publish fails at materialization, nothing on disk yet,
     with the component named instead of deep inside (or after) the run loop."""
@@ -262,13 +262,13 @@ def _require_autoregressive(spec: RunSpec, wf) -> None:
             f"ansatz {name!r} does not build an autoregressive "
             "NNQSWavefunction; run() cannot drive it"
         )
-    missing = [attr for attr in ("make_session", "prefix_logits", "d_model")
+    missing = [attr for attr in ("make_session", "prefix_forward", "prefix_vjp", "d_model")
                if not hasattr(wf.amplitude, attr)]
     if missing:
         raise SpecError(
             f"ansatz {name!r} builds a {type(wf.amplitude).__name__} amplitude "
             f"network without {', '.join(missing)}; the sampler, the prefix "
-            "walk and the taped pass ask for exactly these"
+            "walk and stage 5's forward/VJP pair ask for exactly these"
         )
     if spec.output.publish and wf.spec is None:
         raise SpecError(

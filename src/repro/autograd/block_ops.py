@@ -1,29 +1,30 @@
-"""Block-granular autograd: seven coarse ops with hand-derived backwards.
+"""Block-granular autograd: five coarse ops with hand-derived backwards.
 
 The primitive ``Tensor`` ops put one tape node (and one full-size temporary)
 behind every ``+``, ``*`` and ``reshape``; at the QiankunNet shapes that is
-~270 nodes per VMC iteration, and the iteration's time goes to walking them
-rather than to the transformer's arithmetic.  The ops here make the graph
-coarse instead: each is *one* tape node whose closed-form backward saves
-exactly the activations it needs (table in DESIGN.md, "Block ops").
+~270 nodes per forward, and the time goes to walking them rather than to the
+transformer's arithmetic.  The ops here make the graph coarse instead: each
+is *one* tape node whose closed-form backward saves exactly the activations
+it needs (table in DESIGN.md, "Block ops").  Nothing on the production path
+tapes them: they are the dense float64 oracle (``conditional_logits``,
+``NNQSWavefunction.log_prob``) of the graph-free float32 kernels in
+``repro.nn``, and what tests and benchmarks differentiate by tape.
 
 Each op is split in two:
 
 * a graph-free **forward kernel** on raw backend arrays (``linear_forward``,
   ``layer_norm_forward``, ``gelu_forward``, ``attention_forward``,
-  ``softmax``), row-major and float64 here.  The KV-cached decode writes the
-  same formulas a second time, feature-major and in float32
-  (``repro.nn.inference``; it shares ``gelu_forward``, which is
-  elementwise), and the tests pin the two to each other;
+  ``softmax``, ``picked_log_softmax_forward``), row-major and float64 here.
+  The KV-cached decode and stage 5's forward/VJP pair over the prefix tree
+  write the same formulas a second time, feature-major and in float32
+  (``repro.nn.inference``, ``repro.nn.transformer``); they share the
+  elementwise ``gelu_forward`` / ``gelu_backward``, stage 5 shares the
+  float64 log-softmax head and its backward, and the tests pin the rest to
+  each other;
 * the **taped op** on ``Tensor`` (``linear``, ``layer_norm``, ``gelu``,
   ``causal_attention``, ``picked_log_softmax``), which calls the kernel and
   registers the backward closure through ``Tensor._make`` — under
   ``no_grad`` nothing is retained.
-
-Two more taped ops carry no arithmetic of their own: ``rows_from_nodes`` and
-``nodes_from_rows`` bridge the node-major layout of the taped prefix-tree
-pass (one row per *distinct* token prefix, ``NNQSWavefunction.log_prob``)
-and the ``(b, t, .)`` layout the dense attention core works on.
 
 Every reduction over a last axis here is 4 to 64 wide, where numpy's
 reduction loop runs once per output element; they are written as
@@ -32,11 +33,9 @@ contractions instead (``last_axis_sum`` / ``last_axis_dot`` /
 (``tools/lint_backend.py`` refuses an ``axis=-1`` ``sum`` / ``mean`` /
 ``max`` in this file).
 
-The primitive ``Tensor`` ops stay: the Eq. 7 surrogate, the taped float64
-phase head (an oracle: stage 5 differentiates the phase MLP by its own
-float32 VJP, ``PhaseMLP.vjp``, not on the tape) and the tests use them, and
-``tests/test_block_ops.py`` checks every block op against the same function
-composed from primitives.
+The primitive ``Tensor`` ops stay: the taped float64 phase head (the oracle
+of ``PhaseMLP.vjp``) and the tests use them, and ``tests/test_block_ops.py``
+checks every block op against the same function composed from primitives.
 """
 from __future__ import annotations
 
@@ -54,17 +53,18 @@ __all__ = [
     "linear_forward",
     "layer_norm_forward",
     "gelu_forward",
+    "gelu_backward",
     "softmax",
     "log_softmax",
     "split_heads",
     "merge_heads",
     "attention_forward",
+    "picked_log_softmax_forward",
+    "picked_log_softmax_backward",
     "linear",
     "layer_norm",
     "gelu",
     "causal_attention",
-    "rows_from_nodes",
-    "nodes_from_rows",
     "picked_log_softmax",
 ]
 
@@ -229,27 +229,29 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return Tensor._make(out, (x, gamma, beta), backward)
 
 
+def gelu_backward(g, a, t):
+    """``g * gelu'(a)`` from the input ``a`` and :func:`gelu_forward`'s tanh
+    factor ``t`` (elementwise: any layout, float32 or float64)."""
+    # d/da [a/2 (1 + t)] = (1 + t)/2 + a/2 (1 - t^2) (c + 3 c k a^2)
+    poly = a * a
+    poly *= 3.0 * _GELU_CK
+    poly += _GELU_C
+    poly *= a
+    sech2 = t * t
+    sech2 -= 1.0            # -(1 - t^2)
+    poly *= sech2
+    poly -= t
+    poly -= 1.0             # -(1 + t) - a (1 - t^2)(...)
+    poly *= -0.5
+    poly *= g
+    return poly
+
+
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU; saves the input and the tanh factor."""
     a = x.data
     out, t = gelu_forward(a)
-
-    def backward(g):
-        # d/da [a/2 (1 + t)] = (1 + t)/2 + a/2 (1 - t^2) (c + 3 c k a^2)
-        poly = a * a
-        poly *= 3.0 * _GELU_CK
-        poly += _GELU_C
-        poly *= a
-        sech2 = t * t
-        sech2 -= 1.0            # -(1 - t^2)
-        poly *= sech2
-        poly -= t
-        poly -= 1.0             # -(1 + t) - a (1 - t^2)(...)
-        poly *= -0.5
-        poly *= g
-        return (poly,)
-
-    return Tensor._make(out, (x,), backward)
+    return Tensor._make(out, (x,), lambda g: (gelu_backward(g, a, t),))
 
 
 def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
@@ -278,65 +280,24 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     return Tensor._make(merge_heads(out), (qkv,), backward)
 
 
-def rows_from_nodes(x: Tensor, node_at, rep_row, level) -> Tensor:
-    """Rows read their prefixes' nodes: ``(n, c)`` node-major -> ``(b, t, c)``.
-
-    ``out[i, k] = x[node_at[i, k]]``.  The rows are lexsorted and the nodes
-    level-major, so the rows through node ``j`` are contiguous from
-    ``rep_row[j]`` on in column ``level[j]``: backward is a segment sum over
-    the level-major gradient — one ``add.reduceat``, no scatter.
-
-    A position with no node (``node_at`` -1: decided, not taped) reads the
-    last node.  Such positions form a suffix of every row, so under the
-    causal mask no taped node reads them: their gradient is exactly zero,
-    and adding it to whichever segment holds them changes nothing.
-    """
-    out = xp.take(x.data, node_at, axis=0)
-
-    def backward(g):
-        b, t, c = g.shape
-        by_level = xp.ascontiguousarray(xp.swapaxes(g, 0, 1)).reshape(t * b, c)
-        return (xp.add.reduceat(by_level, level * b + rep_row, axis=0),)
-
-    return Tensor._make(out, (x,), backward)
-
-
-def nodes_from_rows(y: Tensor, rep_row, level) -> Tensor:
-    """A node reads its representative row: ``(b, t, c)`` -> ``(n, c)``.
-
-    ``out[j] = y[rep_row[j], level[j]]``; every ``(row, position)`` is read
-    at most once, so backward is a plain scatter into zeros.
-    """
-    yd = y.data
-
-    def backward(g):
-        gy = xp.zeros_like(yd)
-        gy[rep_row, level] = g
-        return (gy,)
-
-    return Tensor._make(yd[rep_row, level], (y,), backward)
-
-
-def picked_log_softmax(logits: Tensor, allowed, tokens, node_at=None) -> Tensor:
+def picked_log_softmax_forward(logits, allowed, tokens, node_at=None):
     """``sum_k log softmax(masked logits)[node_at[i, k], tokens[i, k]]`` — the
-    log-prob head; returns ``(b,)`` for int ``tokens`` / ``node_at`` ``(b, t)``.
+    log-prob head, graph-free; returns ``(out, p, flat)``: the ``(b,)`` sums
+    for int ``tokens`` / ``node_at`` ``(b, t)``, and what
+    :func:`picked_log_softmax_backward` needs.
 
     ``logits``: ``(n, vocab)`` conditionals, one per node, with row ``i``
     reading its position-``k`` conditional off node ``node_at[i, k]`` — or
     dense ``(b, t, vocab)`` with ``node_at=None``, every ``(row, position)``
     its own node; a ``node_at`` of -1 is a position whose conditional is
-    exactly 1 (decided by the sector mask, no node taped): it reads a zero
-    sentinel past the last entry and sends its gradient there.  ``allowed``:
-    bool mask of permitted tokens in the shape of ``logits`` (``None`` =
-    unconstrained).  Mask + log-softmax + gather + sum over positions in one
-    node.  Backward is ``picked - G softmax`` with ``picked`` the upstream
-    gradient binned per (node, token) — one ``bincount`` — and ``G`` its sum
-    per node; zero at masked entries.
+    exactly 1 (decided by the sector mask, no node evaluated): it reads a
+    zero sentinel past the last entry and sends its gradient there.
+    ``allowed``: bool mask of permitted tokens in the shape of ``logits``
+    (``None`` = unconstrained).  Float64: it is ``nodes x vocab`` only.
     """
-    z = logits.data
     if allowed is not None:
-        z = xp.where(allowed, z, MASK_VALUE)
-    z = z - last_axis_max(z)
+        logits = xp.where(allowed, logits, MASK_VALUE)
+    z = logits - last_axis_max(logits)
     p = xp.exp(z)
     norm = last_axis_sum(p)
     z -= xp.log(norm)
@@ -346,14 +307,27 @@ def picked_log_softmax(logits: Tensor, allowed, tokens, node_at=None) -> Tensor:
     flat = xp.where(node_at < 0, z.size, node_at * vocab + tokens)
     out = last_axis_sum(xp.take(xp.append(z, 0.0), flat))[:, 0]
     p /= norm
+    return out, p, flat
 
-    def backward(g):
-        weights = xp.repeat(g, flat.shape[1])
-        picked = xp.bincount(flat.reshape(-1), weights=weights, minlength=p.size + 1)
-        picked = picked[: p.size].reshape(p.shape)
-        gl = picked - p * last_axis_sum(picked)
-        if allowed is not None:
-            gl[~allowed] = 0.0
-        return (gl,)
 
-    return Tensor._make(out, (logits,), backward)
+def picked_log_softmax_backward(g, p, flat, allowed):
+    """The logits' gradient of ``sum_i g[i] out[i]``: ``picked - G softmax``
+    with ``picked`` the ``(b,)`` weights ``g`` binned per (node, token) — one
+    ``bincount`` — and ``G`` its sum per node; exactly zero at masked
+    entries and at a node whose one allowed token is picked."""
+    weights = xp.repeat(g, flat.shape[1])
+    picked = xp.bincount(flat.reshape(-1), weights=weights, minlength=p.size + 1)
+    picked = picked[: p.size].reshape(p.shape)
+    gl = picked - p * last_axis_sum(picked)
+    if allowed is not None:
+        gl[~allowed] = 0.0
+    return gl
+
+
+def picked_log_softmax(logits: Tensor, allowed, tokens, node_at=None) -> Tensor:
+    """:func:`picked_log_softmax_forward` as one tape node (mask +
+    log-softmax + gather + sum over positions), backward
+    :func:`picked_log_softmax_backward`."""
+    out, p, flat = picked_log_softmax_forward(logits.data, allowed, tokens, node_at)
+    return Tensor._make(
+        out, (logits,), lambda g: (picked_log_softmax_backward(g, p, flat, allowed),))

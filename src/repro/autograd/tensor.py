@@ -11,24 +11,25 @@ read like their PyTorch counterparts.
 Design notes
 ------------
 * This module is the tape and the *primitive* ops (one node per ``+``, ``*``,
-  ``reshape``, ...).  The production QiankunNet forward does not compose
-  them per element: its layers tape the coarse, hand-derived block ops of
-  ``repro.autograd.block_ops`` (one node per Linear / LayerNorm / attention /
-  GELU / log-softmax head) on this same tape.  The primitives remain for
-  the Eq. 7 surrogate's ``log pi`` half and the taped float64 phase head
-  (``PhaseMLP.forward``, the oracle — stage 5 differentiates the phase MLP
-  by its own VJP, off the tape), and they are the oracle the block ops are
-  tested against.
+  ``reshape``, ...).  Nothing on the production path builds a graph: stage 5
+  and pretraining differentiate both networks by hand-derived float32 VJPs
+  (``TransformerAmplitude.prefix_vjp``, ``PhaseMLP.vjp``).  The tape is the
+  float64 oracle of those: the dense QiankunNet forward tapes the coarse,
+  hand-derived block ops of ``repro.autograd.block_ops`` (one node per
+  Linear / LayerNorm / attention / GELU / log-softmax head), the phase head
+  (``PhaseMLP.forward``) the primitives, and the primitives are the oracle
+  the block ops are tested against.  Tests and benchmarks differentiate by
+  tape.
 * Gradients are accumulated into ``Tensor.grad`` (dense backend array, same
   shape as ``data``) and stay on the backend's device; graphs are rebuilt
   each forward pass (define-by-run).
 * ``no_grad()`` disables taping, used by the sampler's pure-inference passes —
   this mirrors the paper's split between sampling (inference) and the backward
   pass (Fig. 4).
-* All math on the tape is float64 (``repro.backend.dtypes``): VMC gradients
-  are small differences of local energies.  The float32 arithmetic is off
-  the tape — the KV-cached decoder (``repro.nn.inference``) and the phase
-  MLP's ``PhaseMLP.step`` / ``PhaseMLP.vjp`` pair — and its audit numbers
+* All math on the tape is float64 (``repro.backend.dtypes``): it is the
+  oracle.  The float32 arithmetic is off the tape — the KV-cached decoder
+  (``repro.nn.inference``), stage 5's pair over the prefix tree and the
+  phase MLP's ``PhaseMLP.step`` / ``PhaseMLP.vjp`` — and its audit numbers
   are in ``repro.backend.dtypes``.
 * Array math goes through ``xp``-level functions (``xp.sum``, ``xp.transpose``)
   rather than ndarray methods where the conventions differ across backends,

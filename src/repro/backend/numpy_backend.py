@@ -20,10 +20,10 @@ __all__ = ["NumpyBackend"]
 # the heap before it is handed back to the kernel.  Stage 5's row blocks free
 # their activations there; at the default (dynamic, ~4 MB) the heap is trimmed
 # after a block and the next one re-faults it, one 4 KiB page at a time.  Per
-# n2_grad iteration (steady state, one BLAS thread): ~1 600 minor faults
-# without the pad, ~2 with it (~10 with it while the phase MLP was still on
-# stage 5's tape; ~13 300 / ~60 when the pad was added, before the decoder
-# was taped node-major).  Measured, not tuned: 16 MiB and
+# n2_grad iteration (steady state, one BLAS thread of an AMD EPYC core, both
+# halves of stage 5 float32 VJPs; six alternating pairs of processes):
+# ~1 760 minor faults and 15.1 ms without the pad, ~8 and 13.8 ms with it,
+# for +1.6 MiB peak RSS (68.4 -> 70.0).  Measured, not tuned: 16 MiB and
 # MALLOC_TRIM_THRESHOLD_ alone were both worse than doing nothing (DESIGN.md,
 # "Parameter arena").
 _M_TOP_PAD = -2

@@ -18,10 +18,9 @@ Fig. 4 (Sec. 3.2):
                             weight-balanced chunk of the global unique set
                             (Sec. 3.3 load balancing) against the table.
   stage 4  energy reduce    Allreduce of the weighted energy sums.
-  stage 5  backward         the Eq. 7 gradient on the chunk — log pi by tape,
-                            phi by the phase MLP's hand-derived VJP (no
-                            tape) — accumulated into the arena's gradient
-                            buffer.
+  stage 5  backward         the Eq. 7 gradient on the chunk — log pi and phi
+                            by hand-derived float32 VJPs (no tape) —
+                            accumulated into the arena's gradient buffer.
   stage 6  gradient reduce  one Allreduce carries the gradient *and* the
                             centered second moment (variance), so parallel
                             histories report variance/eloc_imag exactly like
@@ -59,7 +58,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.autograd import Tensor
 from repro.backend import active_backend, counter_delta, use_backend, xp
 from repro.backend.dtypes import float64, int64, uint32, uint64
 from repro.backend.host import host_np
@@ -74,7 +72,6 @@ from repro.core.sampler import (
     bas_prefix_sweep,
     batch_autoregressive_sample,
 )
-from repro.core.wavefunction import row_blocks, token_order
 from repro.optim import AdamW
 from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
 
@@ -372,47 +369,31 @@ def stage_local_energy(wf, comp, chunk: SampleBatch, table: AmplitudeTable,
     return local_energy_planned(comp, chunk, table, plan=plan)
 
 
-def _surrogate_backward(wf, bits, coeff_amp) -> None:
-    """Tape the amplitude half of the Eq. 7 surrogate, ``sum coeff_amp *
-    log pi``, on ``bits`` and accumulate into ``p.grad``.
-
-    Its own function so the block's graph dies on return — a caller looping
-    over row blocks never holds two blocks' activations at once.
-    """
-    (Tensor(coeff_amp) * wf.log_prob(bits)).sum().backward()
-
-
 def stage_backward(wf, chunk: SampleBatch, w_norm,
                    eloc, e_mean: float, e_imag: float):
     """Stage 5: the Eq. 7 gradient, accumulated into the arena; returns it.
 
     grad = E_p[ Re(E_loc - E) grad log pi(x) ] + 2 E_p[ Im(E_loc - E) grad phi(x) ]
 
-    with stop-gradient coefficients.  Both halves are sums over rows and
-    accumulate in place into ``p.grad`` — views of the zeroed gradient
-    buffer of ``wf``'s parameter arena — so peak memory is O(block), not
-    O(N_u), and a rank that owns no rows returns zeros.
+    with stop-gradient coefficients.  Both halves are sums over rows, and
+    both are hand-derived VJPs off the tape that add in place into
+    ``p.grad`` — views of the zeroed gradient buffer of ``wf``'s parameter
+    arena — so peak memory is O(block), not O(N_u), and a rank that owns no
+    rows returns zeros.  No ``Tensor`` is built.
 
-    * ``log pi``: the surrogate is taped and back-propagated one
-      ``ROW_BLOCK`` at a time (``wavefunction.row_blocks``).  The blocks are
-      cut from the rows in token order, so a block's rows share prefixes —
-      what ``wf.log_prob`` tapes once per distinct prefix — whatever the
-      ansatz's ``reverse_order`` (for the default order that is the key
-      order the chunk arrives in).
-    * ``phi``: off the tape, ``wf.phase_vjp`` over the whole chunk
-      (``PHASE_BLOCK`` rows per block; float32 GEMMs, the output bias in
-      float64 — DESIGN.md "Precision").
+    * ``log pi``: ``wf.log_prob_vjp`` — ``ROW_BLOCK`` blocks of lexsorted
+      rows, each block's prefix tree through the amplitude network's
+      forward/VJP pair once (float32, feature-major; the masked log-softmax
+      head in float64).
+    * ``phi``: ``wf.phase_vjp`` (``PHASE_BLOCK`` rows per block; float32
+      GEMMs, the output bias in float64).
 
-    The result *is* the arena buffer (no copy): valid until the next gradient
-    is taken on ``wf``.
+    DESIGN.md "Precision" has the audit.  The result *is* the arena buffer
+    (no copy): valid until the next gradient is taken on ``wf``.
     """
     arena = wf.arena()
     arena.zero_grad(bind_all=True)
-    coeff_amp = w_norm * (eloc.real - e_mean)
-    order = token_order(wf.bits_to_tokens(chunk.bits))
-    for rows in row_blocks(len(order)):
-        idx = order[rows]
-        _surrogate_backward(wf, chunk.bits[idx], coeff_amp[idx])
+    wf.log_prob_vjp(chunk.bits, w_norm * (eloc.real - e_mean))
     wf.phase_vjp(chunk.bits, 2.0 * w_norm * (eloc.imag - e_imag))
     return arena.grad
 

@@ -22,17 +22,17 @@ def pretrain_to_reference(wf: NNQSWavefunction, bits: np.ndarray,
                           target_prob: float = 0.5) -> float:
     """Maximize log pi(reference) until it exceeds log(target_prob).
 
-    Returns the final pi(reference).  Phase parameters are untouched.
+    Returns the final pi(reference).  Phase parameters are untouched (no
+    gradient reaches them, so AdamW skips them).  Each step's gradient of
+    ``-sum log pi`` is ``wf.log_prob_vjp``'s, stage 5's amplitude half.
     """
     bits = np.atleast_2d(bits)
     opt = AdamW(wf, lr=lr, weight_decay=0.0)
     logp_val = -np.inf
     for _ in range(n_steps):
         opt.zero_grad()
-        logp = wf.log_prob(bits).sum()
-        (-logp).backward()
+        logp_val = float(wf.log_prob_vjp(bits, -np.ones(len(bits))).sum())
         opt.step()
-        logp_val = logp.item()
         if logp_val > np.log(target_prob):
             break
     return float(np.exp(logp_val))

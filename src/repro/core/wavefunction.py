@@ -17,7 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.autograd.block_ops import MASK_VALUE, log_softmax, picked_log_softmax, softmax
+from repro.autograd.block_ops import (
+    MASK_VALUE,
+    log_softmax,
+    picked_log_softmax,
+    picked_log_softmax_backward,
+    picked_log_softmax_forward,
+    softmax,
+)
 from repro.core.constraints import ParticleNumberConstraint
 from repro.nn import Module, PhaseMLP, TransformerAmplitude
 from repro.nn.inference import padded_next_logits
@@ -25,14 +32,16 @@ from repro.nn.inference import padded_next_logits
 __all__ = ["NNQSWavefunction", "build_qiankunnet", "ROW_BLOCK", "PREFIX_BLOCK",
            "PHASE_BLOCK", "row_blocks", "token_order", "prefix_tree"]
 
-# Row bound of one forward (or forward + backward) pass.  A layer's chain of
-# elementwise passes runs at cache speed only while its widest activation
-# (rows x positions x d_ff doubles — 5 KB per row at N2's T = 10, d_ff = 64)
-# stays L2-resident; past that every pass streams from memory and a row costs
-# more (N2, 545 rows taped: 104 ms in one block, 76 ms in 256-row blocks).
-# A constant, not a config field: any value gives the same result to
+# Row bound of one block of stage 5's forward/VJP pair
+# (``NNQSWavefunction.log_prob_vjp``), which holds one block's float32
+# activations until its backward.  Each block pays the pair's ~40 Python-level
+# kernel calls per layer again, while the activations stay small: N2's 535-row
+# stage-5 chunk (one OpenBLAS thread of an AMD EPYC core) takes 2.9 ms in
+# 256-row blocks, 2.4 in 512 and 1.85 in one 1 024-row block; the tracemalloc
+# peak over 1 173 rows is 2.8 / 4.4 / 6.3 MiB, and 11.5 MiB at 2 048.  A
+# constant, not a config field: any value gives the same result to
 # reduction-order rounding, so there is nothing for a user to trade.
-ROW_BLOCK = 256
+ROW_BLOCK = 1024
 
 # Row bound of one prefix-tree walk (``NNQSWavefunction._log_prob_shared``).
 # A walk holds one KV-cache row per distinct open prefix of its rows (float32,
@@ -80,7 +89,7 @@ def prefix_tree(tokens: np.ndarray):
     ``node[k, i]`` is row ``i``'s index among level ``k``'s nodes: the rows
     through one node are contiguous, a child's parent is ``node[k,
     rep_row[child]]`` one level up, and duplicate rows share a leaf.  Integer
-    work only — the KV-cached walk and the taped node-major pass both read
+    work only — the KV-cached walk and stage 5's forward/VJP pair both read
     their tree off this.
     """
     n, t = tokens.shape
@@ -146,59 +155,74 @@ class NNQSWavefunction(Module):
             bits[:] = toks
         return bits
 
-    # -------------------------------------------------- differentiable heads
+    # ------------------------------------------------------------ gradients
     def log_prob(self, bits: np.ndarray) -> Tensor:
-        """(B,) log pi(x) = log |Psi(x)|^2, differentiable.
+        """(B,) log pi(x) = log |Psi(x)|^2, taped in float64 — the oracle of
+        :meth:`log_prob_vjp`, of the sweep's and of the walk's ``log pi``
+        (tests, benchmarks).
 
         The log of the constrained, renormalized conditionals, picked at the
-        sampled tokens and summed over positions — one block op.  Under a
-        causal decoder the conditional at position ``k`` depends on the
-        length-``k`` prefix alone, so the pass is taped node-major: the rows
-        are lexsorted and the amplitude network's ``prefix_logits`` runs over
-        one row per distinct *open* prefix (:func:`prefix_tree`,
-        :meth:`_open_nodes`), equal to :meth:`log_prob_reference` to
-        rounding.  A decided node's conditional is exactly 1: it is not taped
-        and its positions add exactly zero, in value and gradient
-        (``node_at`` -1).  Rows come back in input order; duplicates share
-        their nodes.
+        sampled tokens and summed over positions (one block op), with every
+        row through every layer at every position (``conditional_logits``):
+        no sharing, no skipped prefix.
         """
-        tokens = self.bits_to_tokens(bits)
-        t = self.n_tokens
-        order = token_order(tokens)
-        ordered = tokens[order]
-        rep_row, level, offsets, node = prefix_tree(ordered)
-        is_open, counts = self._open_nodes(ordered, rep_row, level, offsets, node)
-        # The root stays on the tape even where the sector fixes every token,
-        # so there is always a graph to differentiate (its picks add 0).
-        is_open[:1] = True
-        keep = np.flatnonzero(is_open[: offsets[t]])        # no leaves
-        slot = np.full(offsets[t], -1)
-        slot[keep] = np.arange(len(keep))
-        node_at = slot[(node[:t] + offsets[:t, None]).T]    # (B, T), -1: decided
-        rep_row, level = rep_row[keep], level[keep]
-        # Open positions form a prefix of every row: past the deepest open
-        # level no taped node reads the attention core.
-        depth = int(level.max(initial=0)) + 1
-        logits = self.amplitude.prefix_logits(ordered, node_at[:, :depth],
-                                              rep_row, level)
-        allowed = None
-        if counts is not None:
-            allowed = self.constraint.mask_for_step(
-                counts[0][rep_row, level], counts[1][rep_row, level], level)
-        in_input_order = np.empty(node_at.shape, dtype=np.int64)
-        in_input_order[order] = node_at
-        return picked_log_softmax(logits, allowed, tokens, in_input_order)
-
-    def log_prob_reference(self, bits: np.ndarray) -> Tensor:
-        """Dense oracle for :meth:`log_prob`, the sweep's and the walk's
-        ``log pi``: every row through every layer at every position
-        (``conditional_logits``), no sharing.  For testing purposes only."""
         tokens = self.bits_to_tokens(bits)
         logits = self.amplitude.conditional_logits(tokens)
         allowed = None
         if self.constraint is not None:
             allowed = self.constraint.mask_sequence(tokens)
         return picked_log_softmax(logits, allowed, tokens)
+
+    def log_prob_vjp(self, bits: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+        """(B,) float64 log pi(bits); adds ``sum_i coeff[i] d log pi(bits[i])
+        / dtheta`` into the amplitude network's ``p.grad`` — stage 5's
+        amplitude half and pretraining, off the tape.
+
+        The rows are lexsorted and cut into ``ROW_BLOCK`` blocks; each
+        block's prefix tree goes through the network's graph-free pair once
+        (:meth:`_prefix_vjp`).  Rows come back in input order; duplicates
+        share their nodes.  Equal to :meth:`log_prob` and its tape to
+        float32 rounding (``tests/test_precision.py``).
+        """
+        tokens = self.bits_to_tokens(bits)
+        order = token_order(tokens)
+        tokens = tokens[order]
+        coeff = np.asarray(coeff, dtype=np.float64)[order]
+        out = np.empty(len(tokens))
+        for rows in row_blocks(len(tokens)):
+            out[order[rows]] = self._prefix_vjp(tokens[rows], coeff[rows])
+        return out
+
+    def _prefix_vjp(self, tokens: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+        """:meth:`log_prob_vjp` of lexsorted ``(n, T)`` token rows.
+
+        Under a causal decoder the conditional at position ``k`` depends on
+        the length-``k`` prefix alone, so the network's ``prefix_forward``
+        runs over one node per distinct *open* prefix (:func:`prefix_tree`,
+        :meth:`_open_nodes`).  A decided node's conditional is exactly 1: it
+        is not evaluated and its positions add exactly zero, in value and
+        gradient (``node_at`` -1).  The masked, picked log-softmax and its
+        closed-form backward are ``nodes x vocab`` and stay float64 — the
+        oracle's formula (``block_ops.picked_log_softmax``).
+        """
+        t = self.n_tokens
+        rep_row, level, offsets, node = prefix_tree(tokens)
+        is_open, counts = self._open_nodes(tokens, rep_row, level, offsets, node)
+        keep = np.flatnonzero(is_open[: offsets[t]])        # no leaves
+        if not len(keep):            # the sector fixes every token: log pi = 0
+            return np.zeros(len(tokens))
+        slot = np.full(offsets[t], -1)
+        slot[keep] = np.arange(len(keep))
+        node_at = slot[(node[:t] + offsets[:t, None]).T]    # (n, T), -1: decided
+        rep_row, level = rep_row[keep], level[keep]
+        logits, saved = self.amplitude.prefix_forward(tokens, rep_row, level)
+        allowed = None
+        if counts is not None:
+            allowed = self.constraint.mask_for_step(
+                counts[0][rep_row, level], counts[1][rep_row, level], level)
+        logp, p, flat = picked_log_softmax_forward(logits, allowed, tokens, node_at)
+        self.amplitude.prefix_vjp(saved, picked_log_softmax_backward(coeff, p, flat, allowed))
+        return logp
 
     def phase_of(self, bits: np.ndarray) -> Tensor:
         """(B,) phase phi(x) in radians, taped in float64 — the oracle of
@@ -230,7 +254,7 @@ class NNQSWavefunction(Module):
         float32 evaluator (:meth:`phases`) in blocks of ``PHASE_BLOCK``:
         memory is bounded for any batch size, and a row's value does not
         depend on its batch-mates beyond rounding (the walk and
-        :meth:`log_prob_reference` agree to ~1e-6, the phase and
+        :meth:`log_prob` agree to ~1e-6, the phase and
         :meth:`phase_of` to ~2e-7 rad; ``tests/test_precision.py``).
         """
         bits = np.atleast_2d(bits)

@@ -7,20 +7,29 @@ what makes the network autoregressive — the conditional for token i only sees
 tokens < i — which in turn is what enables batch autoregressive sampling.
 
 ``forward`` tapes one block op per layer (``repro.autograd.block_ops``),
-row-major and float64: training, pretraining and the dense oracle.  The
-KV-cached incremental decode does not run through these modules; it reads
-their parameters into its own float32, feature-major kernel
-(``repro.nn.inference``), pinned to ``forward`` by the tests.
+row-major and float64: the dense oracle.  Neither production path runs
+through these modules; both read their parameters into float32,
+feature-major kernels — the KV-cached decode (``repro.nn.inference``) and
+stage 5's forward/VJP pair over the prefix tree
+(``TransformerAmplitude.prefix_forward``), whose attention core is
+:func:`tree_attention_forward` / :func:`tree_attention_vjp` below — pinned to
+``forward`` by the tests.
 """
 from __future__ import annotations
 
+import math
+
 from repro.autograd import Tensor
-from repro.autograd.block_ops import causal_attention, gelu, nodes_from_rows, rows_from_nodes
+from repro.autograd.block_ops import MASK_VALUE, causal_attention, gelu
+from repro.backend import xp
+from repro.backend.dtypes import float32
 from repro.backend.host import host_np
+from repro.nn.inference import attention_weights
 from repro.nn.layers import LayerNorm, Linear
 from repro.nn.module import Module
 
-__all__ = ["CausalSelfAttention", "FeedForward", "DecoderLayer"]
+__all__ = ["CausalSelfAttention", "FeedForward", "DecoderLayer", "ancestor_layout",
+           "tree_attention_forward", "tree_attention_vjp"]
 
 
 class CausalSelfAttention(Module):
@@ -36,19 +45,9 @@ class CausalSelfAttention(Module):
         self.qkv = Linear(d_model, 3 * d_model, rng=rng)
         self.proj = Linear(d_model, d_model, rng=rng)
 
-    def forward(self, x: Tensor, tree=None) -> Tensor:
-        """x: (batch, seq, d_model) -> (batch, seq, d_model); or, with the
-        ``(node_at, rep_row, level)`` integers of a prefix ``tree``,
-        node-major ``(n, d_model)`` -> ``(n, d_model)``: the projections run
-        once per distinct prefix and only the attention core, where a
-        position reads its row's earlier ones, works on ``(batch, seq)``."""
-        qkv = self.qkv(x)
-        if tree is None:
-            return self.proj(causal_attention(qkv, self.n_heads))
-        node_at, rep_row, level = tree
-        att = causal_attention(rows_from_nodes(qkv, node_at, rep_row, level),
-                               self.n_heads)
-        return self.proj(nodes_from_rows(att, rep_row, level))
+    def forward(self, x: Tensor) -> Tensor:
+        """x: (batch, seq, d_model) -> (batch, seq, d_model)."""
+        return self.proj(causal_attention(self.qkv(x), self.n_heads))
 
 
 class FeedForward(Module):
@@ -76,7 +75,86 @@ class DecoderLayer(Module):
         self.ln2 = LayerNorm(d_model)
         self.ff = FeedForward(d_model, d_ff, rng=rng)
 
-    def forward(self, x: Tensor, tree=None) -> Tensor:
-        x = x + self.attn(self.ln1(x), tree)
+    def forward(self, x: Tensor) -> Tensor:
+        x = x + self.attn(self.ln1(x))
         x = x + self.ff(self.ln2(x))
         return x
+
+
+# --------------------------------------------------------------------------
+# Attention over a prefix tree: graph-free, feature-major, float32
+# --------------------------------------------------------------------------
+def ancestor_layout(rep_row, level):
+    """The integers :func:`tree_attention_forward` reads its keys by.
+
+    ``rep_row`` / ``level``: the ``n`` nodes of a prefix tree of lexsorted
+    rows, level-major (``core.wavefunction.prefix_tree``), every node's
+    parent among them.  Under a causal decoder a node at level ``L`` attends
+    to its ``L + 1`` ancestors (itself the last).  Ordered depth-first
+    (``pre``: by representative row, then level; ``inv`` its inverse), a
+    node's subtree is contiguous, so in the flattened ``(depth, n)`` layout
+    whose column ``j`` is node ``pre[j]``, level ``t``'s ancestors form one
+    run per level-``t`` node: run ``a`` starts at ``starts[a] = level[a] n +
+    inv[a]`` (increasing in the level-major order) and is ``runs[a]`` long.
+    The forward is one ``repeat`` by ``runs``, its adjoint one
+    ``add.reduceat`` at ``starts``.  Entries past a node's own level fall in
+    some run; ``mask`` (``(depth, 1, n)``, 0 or ``MASK_VALUE``) removes them.
+    """
+    n = len(level)
+    depth = int(level.max()) + 1
+    pre = xp.lexsort((level, rep_row))
+    inv = xp.empty_like(pre)
+    inv[pre] = xp.arange(n)
+    starts = level * n + inv
+    runs = xp.diff(starts, append=depth * n)
+    positions = xp.arange(depth)[:, None, None]
+    mask = xp.where(positions > level[pre], MASK_VALUE, 0.0).astype(float32)
+    return pre, inv, starts, runs, mask
+
+
+def tree_attention_forward(qkv, layout, n_heads: int):
+    """Causal self-attention of the prefix tree's nodes on their ancestors.
+
+    ``qkv``: ``(3 d, n)`` fused float32 projections, node-major in the
+    level-major order; ``layout``: :func:`ancestor_layout`.  Returns the
+    ``(d, n)`` head outputs (before the output projection) and what
+    :func:`tree_attention_vjp` needs.  Every node's query reads exactly the
+    keys and values the dense causal core would give its rows at its
+    position; scores and softmax run over the position axis
+    (``attention_weights``, the decode's formula), rows last.
+    """
+    pre, inv, _, runs, mask = layout
+    d3, n = qkv.shape
+    heads = qkv.reshape(3, n_heads, d3 // (3 * n_heads), n)
+    q = xp.take(heads[0], pre, axis=-1)
+    kv = xp.repeat(heads[1:], runs, axis=-1).reshape(heads[1:].shape[:-1] + (len(mask), n))
+    k, v = (xp.moveaxis(a, 2, 0) for a in kv)                # (depth, h, dh, n)
+    p = attention_weights(q, k, mask)
+    out = xp.einsum("thn,thdn->hdn", p, v).reshape(d3 // 3, n)
+    return xp.take(out, inv, axis=1), (q, kv, p)
+
+
+def tree_attention_vjp(saved, g, layout):
+    """The ``(3 d, n)`` gradient of the fused projections from the ``(d,
+    n)`` gradient ``g`` of :func:`tree_attention_forward`'s output.
+
+    The ancestors' key and value gradients are summed back onto their nodes
+    by one ``add.reduceat`` over the ``(depth, n)`` runs; masked entries hold
+    exact zeros and add nothing.
+    """
+    pre, inv, starts, _, _ = layout
+    q, kv, p = saved
+    n_heads, dh, n = q.shape
+    k, v = (xp.moveaxis(a, 2, 0) for a in kv)
+    go = xp.take(g, pre, axis=1).reshape(q.shape)
+    g_ancestors = xp.empty_like(kv)
+    gk, gv = (xp.moveaxis(a, 2, 0) for a in g_ancestors)
+    gp = xp.einsum("hdn,thdn->thn", go, v)
+    xp.einsum("thn,hdn->thdn", p, go, out=gv)
+    gp -= xp.einsum("thn,thn->hn", gp, p)
+    gp *= p                 # softmax backward; exactly 0 at masked positions
+    gp *= 1.0 / math.sqrt(dh)
+    gq = xp.einsum("thn,thdn->hdn", gp, k).reshape(n_heads * dh, n)
+    xp.einsum("thn,hdn->thdn", gp, q, out=gk)
+    gkv = xp.add.reduceat(g_ancestors.reshape(2 * n_heads * dh, -1), starts, axis=1)
+    return xp.concatenate([xp.take(gq, inv, axis=1), gkv])

@@ -45,6 +45,7 @@ from repro.backend.dtypes import float32, float64, int64
 __all__ = [
     "DecodeWeights",
     "TransformerInferenceSession",
+    "attention_weights",
     "cached_attention",
     "decode_step",
     "padded_next_logits",
@@ -113,21 +114,45 @@ def _affine(w, b, h):
     return out
 
 
-def _norm_affine(w, b, eps: float, x):
-    """``W LayerNorm(x) + b`` over the feature axis of ``(features, rows)``
-    activations, the norm's gain and shift folded into ``W`` and ``b`` —
-    ``layer_norm_forward``'s formula, transposed, with the per-row ``1/std``
-    applied after the GEMM."""
+def _standardize(x, eps: float):
+    """``(x - mean, std)`` over the feature axis of ``(features, rows)``
+    activations: ``layer_norm_forward``'s statistics, transposed."""
     scale = 1.0 / len(x)
     xc = x - x.sum(axis=0) * scale
     std = xp.einsum("dn,dn->n", xc, xc)
     std *= scale
     std += eps
     xp.sqrt(std, out=std)
+    return xc, std
+
+
+def _norm_affine(w, b, eps: float, x):
+    """``W LayerNorm(x) + b`` over the feature axis of ``(features, rows)``
+    activations, the norm's gain and shift folded into ``W`` and ``b``, the
+    per-row ``1/std`` applied after the GEMM."""
+    xc, std = _standardize(x, eps)
     out = w @ xc
     out /= std
     out += b
     return out
+
+
+def attention_weights(q, k, mask=None):
+    """Scaled-dot-product attention weights of one query per row.
+
+    ``q``: ``(heads, d_head, rows)``; ``k``: ``(t, heads, d_head, rows)``.
+    Returns the ``(t, heads, rows)`` softmax over the position axis;
+    ``mask`` (0 or ``MASK_VALUE``, broadcast to that shape) removes
+    positions.
+    """
+    s = xp.einsum("thdn,hdn->thn", k, q)
+    s *= 1.0 / math.sqrt(q.shape[1])
+    if mask is not None:
+        s += mask
+    s -= s.max(axis=0)
+    xp.exp(s, out=s)
+    s /= s.sum(axis=0)
+    return s
 
 
 def cached_attention(q, k, v):
@@ -135,15 +160,9 @@ def cached_attention(q, k, v):
 
     ``q``: ``(heads, d_head, rows)``; ``k``/``v``: ``(t, heads, d_head,
     rows)``.  Returns ``(heads, d_head, rows)`` — row ``t - 1`` of
-    ``attention_forward``'s causal attention, with the scores' softmax over
-    the position axis.
+    ``attention_forward``'s causal attention.
     """
-    s = xp.einsum("thdn,hdn->thn", k, q)
-    s *= 1.0 / math.sqrt(q.shape[1])
-    s -= s.max(axis=0)
-    xp.exp(s, out=s)
-    s /= s.sum(axis=0)
-    return xp.einsum("thn,thdn->hdn", s, v)
+    return xp.einsum("thn,thdn->hdn", attention_weights(q, k), v)
 
 
 def decode_step(w: DecodeWeights, kv, pos: int, inputs):

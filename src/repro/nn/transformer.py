@@ -23,24 +23,35 @@ checks the names once, at materialization):
   ``pos``.  Read by the BAS sweep, the walk of ``log_amplitudes`` and the
   serving pool (the transformer's session runs its own float32 kernel, see
   ``repro.nn.inference``);
-* ``prefix_logits(tokens, node_at, rep_row, level) -> (n_nodes, vocab)``
-  Tensor, the taped conditional of every distinct prefix of lexsorted rows.
-  Read by ``log_prob`` (stage 5, pretraining);
+* ``prefix_forward(tokens, rep_row, level) -> (logits, saved)`` and
+  ``prefix_vjp(saved, g)`` — the graph-free pair over the distinct prefixes
+  of lexsorted rows: ``(n_nodes, vocab)`` float64 conditionals, then the
+  parameters' gradient of ``sum(g * logits)`` *added* into each ``p.grad``
+  (a bound arena view is written in place; ``None`` starts from zero).
+  Read by ``NNQSWavefunction.log_prob_vjp`` (stage 5, pretraining).  A
+  network without a hand-written backward may answer with a tape: logits
+  taped in ``prefix_forward``, ``backward(g)`` in ``prefix_vjp``;
 * ``conditional_logits(tokens)`` — ``(batch, t <= T)`` int tokens (right-padded
   with zeros beyond the known prefix) to a ``(batch, t, vocab)`` Tensor of
   *unnormalized* logits where the entry at position ``i`` depends only on
   tokens ``< i``, so any padding at positions ``>= prefix`` leaves earlier
-  conditionals alone.  The dense float64 oracle of the two above: tests
-  only.
+  conditionals alone.  The dense float64 oracle of the two above (taped, so
+  its gradient is the oracle's too): tests and benchmarks only.
 """
 from __future__ import annotations
 
-from repro.autograd import Tensor, embedding_lookup
+from repro.autograd import Tensor
+from repro.autograd.block_ops import gelu_backward, gelu_forward
 from repro.backend import xp
-from repro.backend.dtypes import int64
+from repro.backend.dtypes import float32, float64, int64
 from repro.backend.host import host_np
-from repro.nn.attention import DecoderLayer
-from repro.nn.inference import TransformerInferenceSession
+from repro.nn.attention import (
+    DecoderLayer,
+    ancestor_layout,
+    tree_attention_forward,
+    tree_attention_vjp,
+)
+from repro.nn.inference import TransformerInferenceSession, _affine, _standardize
 from repro.nn.layers import Embedding, LayerNorm, Linear, PositionalEmbedding
 from repro.nn.module import Module
 
@@ -85,25 +96,139 @@ class TransformerAmplitude(Module):
             x = layer(x)
         return self.head(self.ln_f(x))
 
-    def prefix_logits(self, tokens, node_at, rep_row, level) -> Tensor:
-        """(n, vocab) logits of the ``n`` distinct prefixes of lexsorted rows.
+    # ------------------------------------------- stage 5: the prefix tree
+    def prefix_forward(self, tokens, rep_row, level):
+        """``(n, vocab)`` float64 logits of the ``n`` distinct prefixes of
+        lexsorted rows, and what :meth:`prefix_vjp` needs.
 
         Node ``j`` is the length-``level[j]`` prefix of ``tokens[rep_row[j]]``
-        and carries the conditional of position ``level[j]`` — what
+        (level-major, every node's parent among the nodes) and carries the
+        conditional of position ``level[j]`` — what
         :meth:`conditional_logits` computes at every ``(row, position)``
-        through it, computed once.  Every layer runs over node rows; only the
-        attention core sees ``(batch, T)`` again (``node_at``: see
-        ``block_ops.rows_from_nodes``).
+        through it, computed once.  Every layer runs over node columns,
+        feature-major ``(features, n)``, in float32 on copies of the
+        parameters cast for this call; only the attention core reads a
+        node's ancestors (``tree_attention_forward``).  LayerNorm is not
+        folded into the next linear, as the decode folds it: its gain and
+        shift need gradients of their own.
         """
         tokens = xp.asarray(tokens, dtype=int64)
         inputs = xp.where(level > 0, tokens[rep_row, level - 1], self.bos)
-        x = self.tok_emb(inputs) + embedding_lookup(self.pos_emb.weight, level)
-        for layer in self.layers:
-            x = layer(x, (node_at, rep_row, level))
-        return self.head(self.ln_f(x))
+        x = xp.take(_f32(self.tok_emb.weight).T, inputs, axis=1)
+        x += xp.take(_f32(self.pos_emb.weight).T, level, axis=1)
+        layout = ancestor_layout(rep_row, level)
+        layers = [_decoder_forward(layer, x, layout) for layer in self.layers]
+        hf, ln_f = _layer_norm(self.ln_f, x)
+        logits, head = _linear(self.head, hf)
+        saved = (inputs, level, layout, layers, ln_f, head)
+        return xp.ascontiguousarray(logits.T, dtype=float64), saved
+
+    def prefix_vjp(self, saved, g) -> None:
+        """Add the gradient of ``sum(g * logits)`` into every parameter's
+        ``p.grad``, for the ``(n, vocab)`` float64 ``g`` against
+        :meth:`prefix_forward`'s logits.
+
+        The hand-derived backward of :meth:`prefix_forward`, in float32,
+        each parameter's contribution added into its float64 gradient.
+        Two sums stay float64 or exact: the head bias's, ``g.sum(axis=0)``,
+        read off the float64 ``g``; and the attention key bias's, written as
+        exactly 0.  A key bias adds the same ``q . b_k`` to every score of a
+        query, which the softmax removes, so its gradient is 0 analytically;
+        float32 leaves rounding there (~1e-7 of the gradient's scale), which
+        Adam's ``m / (sqrt(v) + eps)`` turns into an lr-sized random walk.
+        """
+        inputs, level, layout, layers, ln_f, head = saved
+        self.head.bias._accumulate(xp.sum(g, axis=0))
+        gx = _layer_norm_vjp(self.ln_f, ln_f, _linear_vjp(
+            self.head, head, xp.ascontiguousarray(g.T, dtype=float32), bias=False))
+        for layer, saved_layer in zip(reversed(self.layers), reversed(layers)):
+            _decoder_vjp(layer, saved_layer, gx, layout)
+        for emb, index in ((self.tok_emb, inputs), (self.pos_emb, level)):
+            one_hot = (index[:, None] == xp.arange(len(emb.weight.data))).astype(float32)
+            emb.weight._accumulate((gx @ one_hot).T)
 
     # ------------------------------------------------- incremental decoding
     def make_session(self, batch_size: int = 1) -> TransformerInferenceSession:
         """Open a KV-cached decoding session: feature-major, float32, one
         kernel per position (see repro.nn.inference)."""
         return TransformerInferenceSession(self, batch_size)
+
+
+# --------------------------------------------------------------------------
+# The prefix-tree pair's layers: feature-major ``(features, n)``, float32
+# --------------------------------------------------------------------------
+def _f32(p):
+    return xp.asarray(p.data, dtype=float32)
+
+
+def _linear(lin: Linear, h):
+    """``W h + b``; returns the output and ``(W, h)`` for the backward."""
+    w = _f32(lin.weight)
+    return _affine(w, _f32(lin.bias)[:, None], h), (w, h)
+
+
+def _linear_vjp(lin: Linear, saved, g, bias=True):
+    """Add ``g h^T`` (and, with ``bias``, the row sums of ``g``) into the
+    layer's gradients; return the input's gradient ``W^T g``."""
+    w, h = saved
+    lin.weight._accumulate(g @ h.T)
+    if bias:
+        lin.bias._accumulate(xp.sum(g, axis=1))
+    return w.T @ g
+
+
+def _layer_norm(ln: LayerNorm, x):
+    """``gamma xhat + beta`` over the feature axis; returns the output and
+    ``(xhat, std, gamma)``."""
+    xhat, std = _standardize(x, ln.eps)
+    xhat /= std
+    gamma = _f32(ln.gamma)[:, None]
+    out = xhat * gamma
+    out += _f32(ln.beta)[:, None]
+    return out, (xhat, std, gamma)
+
+
+def _layer_norm_vjp(ln: LayerNorm, saved, g):
+    """Add the gain's and shift's gradients; return the input's gradient
+    (``layer_norm``'s backward, transposed)."""
+    xhat, std, gamma = saved
+    ln.gamma._accumulate(xp.einsum("dn,dn->d", g, xhat))
+    ln.beta._accumulate(xp.sum(g, axis=1))
+    scale = 1.0 / len(g)
+    gx = g * gamma
+    dot = xp.einsum("dn,dn->n", gx, xhat)
+    gx -= xp.sum(gx, axis=0) * scale
+    gx -= xhat * (dot * scale)
+    gx /= std
+    return gx
+
+
+def _decoder_forward(layer: DecoderLayer, x, layout):
+    """One pre-norm decoder block, ``x`` updated in place; returns what
+    :func:`_decoder_vjp` needs."""
+    h, ln1 = _layer_norm(layer.ln1, x)
+    qkv, qkv_in = _linear(layer.attn.qkv, h)
+    att, core = tree_attention_forward(qkv, layout, layer.attn.n_heads)
+    out, proj = _linear(layer.attn.proj, att)
+    x += out
+    h, ln2 = _layer_norm(layer.ln2, x)
+    a, fc1 = _linear(layer.ff.fc1, h)
+    act, t = gelu_forward(a)
+    out, fc2 = _linear(layer.ff.fc2, act)
+    x += out
+    return ln1, qkv_in, core, proj, ln2, fc1, (a, t), fc2
+
+
+def _decoder_vjp(layer: DecoderLayer, saved, gx, layout) -> None:
+    """Backward of :func:`_decoder_forward`: parameter gradients added,
+    ``gx`` (the residual stream's gradient) updated in place."""
+    ln1, qkv_in, core, proj, ln2, fc1, (a, t), fc2 = saved
+    ga = gelu_backward(_linear_vjp(layer.ff.fc2, fc2, gx), a, t)
+    gx += _layer_norm_vjp(layer.ln2, ln2, _linear_vjp(layer.ff.fc1, fc1, ga))
+    gqkv = tree_attention_vjp(core, _linear_vjp(layer.attn.proj, proj, gx), layout)
+    d = len(gx)
+    gb = xp.sum(gqkv, axis=1)
+    gb[d:2 * d] = 0.0         # the key bias: a gauge (prefix_vjp)
+    layer.attn.qkv.bias._accumulate(gb)
+    gx += _layer_norm_vjp(layer.ln1, ln1,
+                          _linear_vjp(layer.attn.qkv, qkv_in, gqkv, bias=False))

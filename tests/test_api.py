@@ -683,14 +683,16 @@ class TestPluggability:
         assert "ansatz.name" in str(err.value)
         assert list((tmp_path / "run").iterdir()) == []   # reusable, nothing written
 
-    @pytest.mark.parametrize("missing", ["make_session", "prefix_logits", "d_model"])
+    @pytest.mark.parametrize("missing", ["make_session", "prefix_forward", "prefix_vjp",
+                                         "d_model"])
     def test_an_amplitude_short_of_the_protocol_is_refused_by_attribute(
             self, tmp_path, registered, missing):
         def build(n_qubits, n_up, n_dn, *, seed=0):
             wf = build_wf("made", n_qubits, n_up, n_dn, seed=seed)
             partial = type("Partial", (), {
                 a: getattr(wf.amplitude, a)
-                for a in ("make_session", "prefix_logits", "d_model") if a != missing})
+                for a in ("make_session", "prefix_forward", "prefix_vjp", "d_model")
+                if a != missing})
             wf.amplitude = partial()
             return wf
 

@@ -12,6 +12,7 @@ from repro.utils.bitstrings import (
     parity64,
     popcount64,
     searchsorted_keys,
+    unique_keys,
     unpack_bits,
 )
 
@@ -134,3 +135,20 @@ class TestLexsort:
     def test_1d_keys_accepted(self):
         keys = np.array([3, 1, 2], dtype=np.uint64)
         np.testing.assert_array_equal(lexsort_keys(keys), [1, 2, 0])
+
+
+class TestUniqueKeys:
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 7), max_size=60))
+    def test_single_word_is_numpys_unique(self, values):
+        """Zero rows, one row, duplicates and the full 64-bit range: the sort
+        plus adjacent-difference dedup returns ``np.unique``'s array."""
+        keys = np.array(values, dtype=np.uint64).reshape(-1, 1)
+        got = unique_keys(keys)
+        assert got.dtype == np.uint64 and got.shape[1] == 1
+        np.testing.assert_array_equal(got[:, 0], np.unique(keys[:, 0]))
+
+    def test_empty_and_one_row(self):
+        for rows in (0, 1):
+            keys = np.full((rows, 1), 5, dtype=np.uint64)
+            np.testing.assert_array_equal(unique_keys(keys), keys)

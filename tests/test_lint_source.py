@@ -90,6 +90,21 @@ class TestSourceLint:
         ("stage5-writes-into-the-arena", "src/repro/core/engine.py", "wf.set_flat_grads(g)"),
         ("stage5-phase-off-the-tape", "src/repro/core/engine.py",
          "phi = wf.phase_of(bits)"),
+        ("stage5-log-pi-off-the-tape", "src/repro/core/engine.py",
+         "(Tensor(coeff_amp) * wf.log_prob(bits)).sum().backward()"),
+        ("stage5-log-pi-off-the-tape", "src/repro/core/engine.py",
+         "loss.backward(grad)"),
+        ("stage5-log-pi-off-the-tape", "src/repro/core/pretrain.py", "(-logp).backward()"),
+        ("stage5-log-pi-off-the-tape", "src/repro/core/pretrain.py",
+         "loss = Tensor(-np.ones(len(bits))) * logp"),
+        ("one-prefix-tree-pass", "src/repro/nn/transformer.py",
+         "    def prefix_logits(self, tokens, node_at, rep_row, level) -> Tensor:"),
+        ("one-prefix-tree-pass", "src/repro/core/wavefunction.py",
+         "logits = self.amplitude.prefix_logits(ordered, node_at, rep_row, level)"),
+        ("one-prefix-tree-pass", "src/repro/autograd/block_ops.py",
+         "def rows_from_nodes(x: Tensor, node_at, rep_row, level) -> Tensor:"),
+        ("one-prefix-tree-pass", "src/repro/nn/attention.py",
+         "return self.proj(nodes_from_rows(att, rep_row, level))"),
         ("optimizer-and-plan-own-their-numbers", "src/repro/core/trainer.py", "warmup = 150"),
         ("optimizer-and-plan-own-their-numbers", "src/repro/core/vmc.py",
          "plan = ElocPlan(comp, group_chunk=512)"),
@@ -139,6 +154,22 @@ class TestSourceLint:
         """``PhaseMLP.step`` (bits in, phases out) is the no-grad phase
         evaluator, not a decode step of a layer."""
         (tree / "src/repro/nn/phase.py").write_text("    def step(self, bits):\n")
+        assert lint_source.lint(tree) == []
+
+    def test_the_log_pi_vjp_and_the_tape_elsewhere_pass(self, lint_source, tree):
+        """Stage 5 and pretraining call the pair and may say so; the tape
+        itself stays legal where the oracles live."""
+        for rel, text in {
+            "src/repro/core/engine.py":
+                '    """... off the tape.  No ``Tensor`` is built."""\n'
+                "    wf.log_prob_vjp(chunk.bits, w_norm * (eloc.real - e_mean))\n",
+            "src/repro/core/pretrain.py":
+                "logp = float(wf.log_prob_vjp(bits, -np.ones(len(bits))).sum())\n",
+            "src/repro/nn/phase.py": "x = Tensor(2.0 * bits - 1.0)\n",
+            "src/repro/autograd/gradcheck.py": "out.sum().backward()\n",
+        }.items():
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tree / rel).write_text(text)
         assert lint_source.lint(tree) == []
 
     def test_comm_accounting_is_allowed_in_comm_py(self, lint_source, tree):

@@ -1,20 +1,22 @@
-"""The no-grad evaluators run in float32: an audit against the float64 oracles.
+"""The production arithmetic is float32: an audit against the float64 oracles.
 
-Three float32 paths, each with a float64 oracle:
+Four float32 paths, each with a float64 oracle:
 
 * the KV-cached decoder (``repro.nn.inference``): the BAS sweep's
   ``SampleBatch.log_prob`` and the walk of ``log_amplitudes``
   (``_log_prob_shared``: the amplitude-table extension, serving,
-  observables).  Oracle: ``log_prob_reference``, the dense forward through
-  the taped float64 block ops;
+  observables).  Oracle: ``log_prob``, the dense forward through the taped
+  float64 block ops;
 * ``PhaseMLP.step`` (``wf.phases``: stage 2 and the same consumers).
   Oracle: ``phase_of``, the taped float64 head;
 * ``PhaseMLP.vjp`` (``wf.phase_vjp``: stage 5's phase gradient).  Oracle:
-  ``phase_of``'s tape.
+  ``phase_of``'s tape;
+* ``TransformerAmplitude.prefix_forward`` / ``prefix_vjp``
+  (``wf.log_prob_vjp``: stage 5's log-pi gradient, pretraining).  Oracle:
+  ``log_prob``'s tape.
 
 At one θ, every quantity these paths feed is computed from both arithmetics
-and held to the bounds below (measured margins in the comments).  Stage 5's
-log-pi half is the taped float64 ``log_prob`` in both.
+and held to the bounds below (measured margins in the comments).
 
 For scale, the Monte Carlo noise these bounds sit under: two independent
 100k-sample batches of the N2 fixture's θ give stage-5 gradients that differ
@@ -39,30 +41,34 @@ from repro.core import (
     pretrain_to_reference,
     sector_expectation,
 )
-from repro.core import sampler, wavefunction
+from repro.core import sampler
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.engine import stage_backward
 from repro.hamiltonian import compress_hamiltonian, sector_basis
 from repro.nn import PhaseMLP
 from repro.nn.inference import padded_next_logits
+from repro.optim import AdamW
 from repro.serve.pool import SessionPool
 from repro.utils.bitstrings import unpack_bits
-from tests.conftest import LOGIT_TOL, amplitude_and_phase
+from tests.conftest import LOG_PI_GRAD_RTOL, LOGIT_TOL, amplitude_and_phase
 
 # Exact <psi|H|psi> with both halves float32 (measured <= 1.3e-7 Ha, LiH;
 # H2 1.2e-8, n2-cas66 1.4e-8).  It was 1e-8 while only the phase was float32
 # (<= 8.2e-10); the float32 decoder moves log pi by up to ~1e-6, and the bound
 # stays more than three orders of magnitude below chemical accuracy (1.6e-3 Ha).
 SECTOR_E_TOL = 1e-6
-ELOC_TOL = 1e-4          # Ha, any one sample's E_loc (measured 8.0e-6)
-E_SHIFT_OF_ERROR = 1e-3  # |dE| / std_error of the estimate (measured 1.3e-8)
-GRAD_RTOL = 1e-6         # relative, the Eq. 7 gradient (measured <= 9.3e-9)
-LOG_PI_TOL = 2e-5        # log pi, paper-size N2 decoder (measured: sweep 1.7e-6,
-                         # walk 2.6e-6 over 10k coupled rows, median 6.3e-7)
+ELOC_TOL = 1e-4          # Ha, any one sample's E_loc (measured 6.7e-6)
+E_SHIFT_OF_ERROR = 1e-3  # |dE| / std_error of the estimate (measured 2.6e-8)
+GRAD_RTOL = 1e-6         # relative, the Eq. 7 gradient (measured <= 3.1e-7)
+LOG_PI_TOL = 2e-5        # log pi, paper-size N2 decoder (measured: sweep 1.3e-6,
+                         # walk 2.5e-6 over 10k coupled rows, median 3.7e-7)
 PHASE_TOL = 1e-6         # rad, paper-size net (measured 1.9e-7)
-PHASE_GRAD_RTOL = 1e-5   # relative, stage 5's phase slice (measured 3.6e-7;
+PHASE_GRAD_RTOL = 1e-5   # relative, stage 5's phase slice (measured 3.7e-7;
                          # 9.1e-7 per layer of the paper-size net)
-GAUGE_TOL = 1e-12        # |output-bias gradient| at centred coefficients (~1e-18)
+GAUGE_TOL = 1e-12        # |gradient| along a gauge direction: the phase output
+                         # bias at centred coefficients (~1e-18), the attention
+                         # key biases (exactly 0; the tape's ~1e-18, float32's
+                         # up to 1.4e-9)
 MULTINOMIAL_SUM_TOL = 1e-12   # Generator.multinomial refuses sum(p[:-1]) > 1 + 1e-12
                               # (measured: row sums within 2.2e-16)
 
@@ -77,13 +83,28 @@ def float64_log_pi(wf, bits):
     """``wf._log_prob_shared`` — and a sweep's ``SampleBatch.log_prob`` —
     through the dense float64 forward: the decoder's oracle."""
     with no_grad():
-        return wf.log_prob_reference(bits).data
+        return wf.log_prob(bits).data
+
+
+def float64_log_prob_vjp(wf, bits, coeff):
+    """``wf.log_prob_vjp`` through the float64 tape of ``log_prob``."""
+    logp = wf.log_prob(bits)
+    (Tensor(coeff) * logp).sum().backward()
+    return logp.data
+
+
+def float64_phase_vjp(wf, bits, coeff):
+    """``wf.phase_vjp`` through the float64 tape of ``phase_of``."""
+    (Tensor(coeff) * wf.phase_of(bits)).sum().backward()
 
 
 def float64_evaluators(patch, wf):
-    """Route both no-grad halves of ``wf`` through their float64 oracles."""
+    """Route both no-grad halves of ``wf`` and both halves of stage 5 through
+    their float64 oracles."""
     patch.setattr(wf, "phases", lambda bits: float64_phases(wf, bits))
     patch.setattr(wf, "_log_prob_shared", lambda bits: float64_log_pi(wf, bits))
+    patch.setattr(wf, "log_prob_vjp", lambda bits, c: float64_log_prob_vjp(wf, bits, c))
+    patch.setattr(wf, "phase_vjp", lambda bits, c: float64_phase_vjp(wf, bits, c))
 
 
 # problem name -> build_problem arguments (n2-cas66 is the preset's window)
@@ -135,8 +156,9 @@ def _estimates(wf, comp, batch, mode):
 
 @pytest.fixture(scope="module", params=["exact", "sample_aware"])
 def both(request, n2):
-    """``_estimates`` with both no-grad halves in float32 (decoder walk and
-    phase), then with both float64 oracles (the sweep's ``log_prob`` too)."""
+    """``_estimates`` in production arithmetic (float32 decoder walk, phase
+    and stage 5), then through the float64 oracles (the sweep's
+    ``log_prob`` too)."""
     wf, comp, batch = n2
     f32 = _estimates(wf, comp, batch, request.param)
     with pytest.MonkeyPatch.context() as patch:
@@ -200,28 +222,19 @@ class TestDecoder:
         assert np.max(probs[:, :-1].sum(axis=1)) <= 1.0 + MULTINOMIAL_SUM_TOL
 
 
-def float64_stage_backward(wf, batch, w, eloc, e_mean, e_imag):
-    """``stage_backward`` with the whole Eq. 7 surrogate on the float64 tape
-    (``log_prob`` and ``phase_of``), on stage 5's token-ordered row blocks."""
-    wf.arena().zero_grad(bind_all=True)
-    coeff_amp = w * (eloc.real - e_mean)
-    coeff_phase = 2.0 * w * (eloc.imag - e_imag)
-    order = wavefunction.token_order(wf.bits_to_tokens(batch.bits))
-    for rows in wavefunction.row_blocks(len(order)):
-        idx = order[rows]
-        bits = batch.bits[idx]
-        loss = ((Tensor(coeff_amp[idx]) * wf.log_prob(bits)).sum()
-                + (Tensor(coeff_phase[idx]) * wf.phase_of(bits)).sum())
-        loss.backward()
-    return wf.arena().grad.copy()
+def key_bias_gradients(wf):
+    """The attention key biases' gradients, one ``d_model`` slice per layer."""
+    d = wf.amplitude.d_model
+    return np.concatenate([layer.attn.qkv.bias.grad[d:2 * d].copy()
+                           for layer in wf.amplitude.layers])
 
 
 @pytest.fixture(scope="module", params=["exact", "sample_aware"])
 def stage5(request, n2):
-    """One batch's coefficients through ``stage_backward`` (float32 phase
-    VJP) and through the all-float64 tape: ``(grad, want)`` as whole
-    vectors and as ``amplitude_and_phase`` slices, and the output bias's
-    gradient as stage 5 left it."""
+    """One batch's coefficients through ``stage_backward`` (float32 VJPs)
+    and through the all-float64 tape: ``(grad, want)`` as whole vectors and
+    as ``amplitude_and_phase`` slices, and the gauge directions' gradients
+    as each left them."""
     wf, comp, batch = n2
     eloc, _ = local_energy(wf, comp, batch, mode=request.param)
     w = batch.weights / batch.weights.sum()
@@ -229,8 +242,12 @@ def stage5(request, n2):
             float(np.sum(w * eloc.imag)))
     grad = stage_backward(*args).copy()
     gauge = float(wf.phase.layers[-1].bias.grad[0])
-    want = float64_stage_backward(*args)
+    key_bias = key_bias_gradients(wf)
+    with pytest.MonkeyPatch.context() as patch:
+        float64_evaluators(patch, wf)
+        want = stage_backward(*args).copy()
     return {"full": (grad, want), "gauge": gauge,
+            "key_bias": (key_bias, key_bias_gradients(wf)),
             **dict(zip(("amplitude", "phase"),
                        zip(amplitude_and_phase(wf, grad), amplitude_and_phase(wf, want))))}
 
@@ -247,13 +264,119 @@ class TestStage5:
         assert np.linalg.norm(want) > 0
         assert np.linalg.norm(phase - want) <= PHASE_GRAD_RTOL * np.linalg.norm(want)
 
-    def test_amplitude_slice_is_bit_identical(self, stage5):
-        np.testing.assert_array_equal(*stage5["amplitude"])
+    def test_amplitude_slice(self, stage5):
+        amplitude, want = stage5["amplitude"]
+        assert np.linalg.norm(want) > 0
+        assert np.linalg.norm(amplitude - want) <= LOG_PI_GRAD_RTOL * np.linalg.norm(want)
+
+    def test_every_exact_zero_of_the_tape_stays_zero(self, stage5):
+        """Masked tokens' head rows, the positional rows no open prefix
+        reaches (the last is never used), the embedding row of a token no
+        node consumes."""
+        grad, want = stage5["full"]
+        zero = want == 0.0
+        assert zero.sum() >= 16          # at least the unused positional row (d_model)
+        assert np.all(grad[zero] == 0.0)
 
     def test_output_bias_gradient_is_the_gauge_zero(self, stage5):
         """The global phase is a gauge: its gradient is 0 at centred
         coefficients, so stage 5 sums it in float64."""
         assert abs(stage5["gauge"]) <= GAUGE_TOL
+
+    def test_key_bias_gradient_is_the_gauge_zero(self, stage5):
+        """A key bias adds one constant to all of a query's scores, which the
+        softmax removes: the tape leaves rounding there, stage 5 writes 0."""
+        got, want = stage5["key_bias"]
+        assert np.max(np.abs(want)) <= GAUGE_TOL
+        assert np.max(np.abs(got)) <= GAUGE_TOL
+
+
+class TestLogProbVJP:
+    """``wf.log_prob_vjp`` against ``log_prob``'s float64 tape on the N2
+    fixture's paper-size transformer, for the inputs stage 5 and pretraining
+    can hand it."""
+
+    @staticmethod
+    def _vjp(wf, bits, coeff):
+        """Value and flat gradient of ``log_prob_vjp`` into a zeroed, bound
+        arena."""
+        wf.arena().zero_grad(bind_all=True)
+        value = wf.log_prob_vjp(bits, coeff)
+        return value, wf.arena().grad.copy()
+
+    @classmethod
+    def _assert_close(cls, wf, bits, coeff):
+        value, grad = cls._vjp(wf, bits, coeff)
+        wf.arena().zero_grad(bind_all=True)
+        want = float64_log_prob_vjp(wf, bits, coeff)
+        want_grad = wf.arena().grad.copy()
+        # rtol carries the out-of-sector rows (multiples of MASK_VALUE)
+        np.testing.assert_allclose(value, want, rtol=LOG_PI_TOL, atol=LOG_PI_TOL)
+        assert np.linalg.norm(want_grad) > 0
+        assert (np.linalg.norm(grad - want_grad)
+                <= LOG_PI_GRAD_RTOL * np.linalg.norm(want_grad))
+        assert np.all(grad[want_grad == 0.0] == 0.0)
+        return value
+
+    def test_duplicate_and_astray_rows(self, n2):
+        """Shuffled batch rows, a quarter of them twice, and rows one flipped
+        bit outside the sector (log pi a multiple of ``MASK_VALUE``)."""
+        wf, _, batch = n2
+        rng = np.random.default_rng(8)
+        bits = batch.bits[rng.permutation(batch.n_unique)[:200]]
+        astray = bits[:20].copy()
+        astray[:, 0] ^= 1
+        bits = np.concatenate([bits, bits[:50], astray])
+        value = self._assert_close(wf, bits[rng.permutation(len(bits))],
+                                   rng.normal(size=len(bits)))
+        assert np.sum(value < -1e29) == len(astray)
+
+    def test_a_root_only_batch(self, monkeypatch):
+        """H2: the sector decides every length-1 prefix, so the one node the
+        network evaluates is the root."""
+        wf = build_qiankunnet(4, 1, 1, seed=7)
+        bits = sector_basis(4, 1, 1).bits()
+        seen, real = [], type(wf.amplitude).prefix_forward
+        monkeypatch.setattr(type(wf.amplitude), "prefix_forward",
+                            lambda self, *a: seen.append(len(a[1])) or real(self, *a))
+        self._assert_close(wf, bits, np.random.default_rng(9).normal(size=len(bits)))
+        assert seen == [1]
+
+    def test_zero_rows(self, n2):
+        wf, _, batch = n2
+        value, grad = self._vjp(wf, batch.bits[:0], np.zeros(0))
+        assert value.shape == (0,) and value.dtype == np.float64
+        assert not grad.any()
+
+    def test_accumulates_into_the_bound_arena(self, n2):
+        """Two calls add two gradients into the arena's views, bitwise."""
+        wf, _, batch = n2
+        coeff = np.random.default_rng(10).normal(size=batch.n_unique)
+        _, once = self._vjp(wf, batch.bits, coeff)
+        wf.log_prob_vjp(batch.bits, coeff)
+        arena = wf.arena()
+        assert wf.amplitude.head.weight.grad.base is arena.payload   # still the view
+        np.testing.assert_array_equal(arena.grad, 2 * once)
+
+    @pytest.mark.parametrize("move", ["set_flat_params", "adamw_step"])
+    def test_reads_the_parameters_it_is_called_with(self, n2, move):
+        """No cached float32 copy: once θ moves, the pair is the new θ's."""
+        wf, _, batch = n2
+        theta = wf.get_flat_params()
+        bits = batch.bits[:100]
+        coeff = np.random.default_rng(11).normal(size=len(bits))
+        before, _ = self._vjp(wf, bits, coeff)
+        try:
+            if move == "set_flat_params":
+                wf.set_flat_params(1.1 * theta)
+            else:
+                opt = AdamW(wf, lr=1e-2)
+                self._vjp(wf, bits, coeff)
+                opt.step()
+            after = self._assert_close(wf, bits, coeff)
+            assert np.max(np.abs(after - before)) > 1e3 * LOG_PI_TOL
+        finally:
+            wf.set_flat_params(theta)
 
 
 class TestPhaseVJP:

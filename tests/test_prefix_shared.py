@@ -3,15 +3,16 @@
 ``NNQSWavefunction.log_amplitudes`` walks the token prefix tree of its input
 through one session of the amplitude network per block (KV-cached and
 float32 for the transformer, the foils' float64 recompute session
-otherwise).  The taped ``log_prob`` runs the same tree node-major — one row
-per distinct prefix through every layer, float64.  The dense forward
-(``log_prob_reference``) is the oracle of both, on every input shape: the
-taped value must agree to 1e-12 and its gradient to 1e-10, the walk's log pi
-to ``LOGIT_TOL`` (the foils' to 1e-12), and everything built on the entry
-points — the table extension, exact local energies, the mock backend's
-transfer contract — must be unchanged.  The phase half of a log-amplitude
-comes from the MLP's float32 evaluator, so it is held to the float64 head
-``phase_of`` at ``PHASE_TOL``.
+otherwise).  Stage 5's ``log_prob_vjp`` runs the same tree node-major through
+the network's forward/VJP pair — one column per distinct prefix through
+every layer, float32 for the transformer.  The dense taped forward
+(``log_prob``) is the oracle of both, on every input shape: the walk's and
+the pair's log pi must agree to ``LOGIT_TOL`` and the pair's gradient with
+the tape's to ``LOG_PI_GRAD_RTOL`` (the foils': 1e-12 and 1e-10), and
+everything built on the entry points — the table extension, exact local
+energies, the mock backend's transfer contract — must be unchanged.  The
+phase half of a log-amplitude comes from the MLP's float32 evaluator, so it
+is held to the float64 head ``phase_of`` at ``PHASE_TOL``.
 """
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from repro.utils.bitstrings import (
     unique_keys,
     unpack_bits,
 )
-from tests.conftest import LOGIT_TOL, baselines, build_wf
+from tests.conftest import LOG_PI_GRAD_RTOL, LOGIT_TOL, baselines, build_wf
 from tests.test_backend import _fresh_vmc
 from tests.test_local_energy import dense_local_energy
 from tests.test_wavefunction import sector_bitstrings
@@ -64,7 +65,7 @@ WAVEFUNCTIONS = {
 def dense(wf, bits):
     """One-shot ``0.5 log pi + i phi`` through the dense float64 forward."""
     with no_grad():
-        return 0.5 * wf.log_prob_reference(bits).data + 1j * wf.phase_of(bits).data
+        return 0.5 * wf.log_prob(bits).data + 1j * wf.phase_of(bits).data
 
 
 def assert_log_amps_close(got, want, tol=LOGIT_TOL):
@@ -171,27 +172,41 @@ def sector_rows(rng, n_qubits, n_up, n_dn, n_rows):
     return bits
 
 
-def value_and_gradient(wf, head, bits, coeff):
+def taped_value_and_gradient(wf, bits, coeff):
+    """``log_prob`` and the flat gradient of ``sum(coeff * log_prob)`` by tape."""
     wf.zero_grad()
-    out = head(bits)
+    out = wf.log_prob(bits)
     (Tensor(coeff) * out).sum().backward()
     return out.data.copy(), wf.get_flat_grads()
 
 
+def vjp_value_and_gradient(wf, bits, coeff):
+    """The same through ``log_prob_vjp``."""
+    wf.zero_grad()
+    out = wf.log_prob_vjp(bits, coeff)
+    return out, wf.get_flat_grads()
+
+
 class TestTapedTreeEqualsDense:
-    """``log_prob`` (node-major over the prefix tree) against
-    ``log_prob_reference`` (every row x position): value and flat gradient."""
+    """``log_prob_vjp`` (node-major over the prefix tree, the network's
+    forward/VJP pair) against ``log_prob`` (every row x position, taped):
+    value and flat gradient."""
 
     @staticmethod
     def _assert_equal(wf, bits, seed=0):
         coeff = np.random.default_rng(seed).normal(size=len(bits))
-        value, grad = value_and_gradient(wf, wf.log_prob, bits, coeff)
-        want, want_grad = value_and_gradient(wf, wf.log_prob_reference, bits, coeff)
-        assert value.shape == (len(bits),)
-        np.testing.assert_allclose(value, want, rtol=TOL, atol=TOL)
+        value, grad = vjp_value_and_gradient(wf, bits, coeff)
+        want, want_grad = taped_value_and_gradient(wf, bits, coeff)
+        foil = not isinstance(wf.amplitude, TransformerAmplitude)
+        tol, grad_rtol = (TOL, 1e-10) if foil else (LOGIT_TOL, LOG_PI_GRAD_RTOL)
+        assert value.shape == (len(bits),) and value.dtype == np.float64
+        # rtol carries the sector-violating rows (multiples of MASK_VALUE)
+        np.testing.assert_allclose(value, want, rtol=tol, atol=tol)
         assert np.max(np.abs(want_grad)) > 1e-3
-        np.testing.assert_allclose(grad, want_grad, rtol=0,
-                                   atol=1e-10 * np.max(np.abs(want_grad)))
+        assert np.linalg.norm(grad - want_grad) <= grad_rtol * np.linalg.norm(want_grad)
+        # every exact zero of the tape — an unused embedding row, a head row
+        # no node's gradient reaches — stays exactly zero
+        assert np.all(grad[want_grad == 0.0] == 0.0)
 
     @pytest.mark.parametrize("reverse_order", [True, False], ids=["reversed", "natural"])
     @pytest.mark.parametrize("constrain", [True, False], ids=["constrained", "free"])
@@ -215,34 +230,35 @@ class TestTapedTreeEqualsDense:
         wf = WAVEFUNCTIONS["constrained"]
         bits = sector_bitstrings(N, 2, 2)
         shuffled = np.random.default_rng(2).permutation(len(bits))
-        with no_grad():
-            np.testing.assert_array_equal(
-                wf.log_prob(bits[shuffled]).data, wf.log_prob(bits).data[shuffled])
+        none = np.zeros(len(bits))
+        np.testing.assert_array_equal(wf.log_prob_vjp(bits[shuffled], none),
+                                      wf.log_prob_vjp(bits, none)[shuffled])
 
     def test_every_layer_runs_over_distinct_prefixes(self, monkeypatch):
         """The full (2, 2) sector of 8 qubits, every row twice: 72 rows x 4
         positions dense, 1 + 4 + 16 + 36 distinct prefixes of length 0..3 —
         of which the decoder sees 1 + 4 + 12: a length-2 prefix is decided
         unless a spin has one electron left for its two slots, a length-3
-        one always (one slot), so the core is cut to 3 positions."""
+        one always (one slot), so attention reads 3 positions."""
         wf = WAVEFUNCTIONS["constrained"]
         seen = []
-        real = type(wf.amplitude).prefix_logits
+        real = type(wf.amplitude).prefix_forward
 
-        def spy(self, tokens, node_at, rep_row, level):
-            seen.append((node_at.shape, len(rep_row)))
-            return real(self, tokens, node_at, rep_row, level)
+        def spy(self, tokens, rep_row, level):
+            seen.append((len(tokens), len(rep_row), int(level.max()) + 1))
+            return real(self, tokens, rep_row, level)
 
-        monkeypatch.setattr(type(wf.amplitude), "prefix_logits", spy)
-        wf.log_prob(np.tile(sector_bitstrings(N, 2, 2), (2, 1)))
-        assert seen == [((72, 3), 1 + 4 + 12)]
+        monkeypatch.setattr(type(wf.amplitude), "prefix_forward", spy)
+        bits = np.tile(sector_bitstrings(N, 2, 2), (2, 1))
+        wf.log_prob_vjp(bits, np.zeros(len(bits)))
+        assert seen == [(72, 1 + 4 + 12, 3)]
 
     def test_sector_violating_rows_match_the_dense_masked_value(self):
         wf = WAVEFUNCTIONS["constrained"]
         bits = bits_of([0b11111111, 0b00000000, 0b00001111, 0b00111100])
         with no_grad():
-            np.testing.assert_allclose(wf.log_prob(bits).data,
-                                       wf.log_prob_reference(bits).data, rtol=TOL)
+            np.testing.assert_allclose(wf.log_prob_vjp(bits, np.zeros(4)),
+                                       wf.log_prob(bits).data, rtol=TOL, atol=LOGIT_TOL)
 
     def test_mock_backend(self):
         wf = build(constrain=True)
@@ -306,7 +322,7 @@ def stepped_session_rows(monkeypatch):
 
 
 class TestDecidedPrefixesSkipped:
-    """The walk and the taped pass evaluate the decoder on open prefixes
+    """The walk and stage 5's pair evaluate the decoder on open prefixes
     only, and still equal the dense oracle — on edge sectors, for both token
     widths and orders, and on rows that pass a decided prefix and then leave
     the sector (skipping *their* node would drop the masked term the dense
@@ -347,8 +363,8 @@ class TestDecidedPrefixesSkipped:
     @pytest.mark.parametrize("molecule", ["lih", "n2"])
     def test_one_decoder_row_per_open_prefix(self, monkeypatch, molecule):
         """A fixed tree — sector rows and rows that leave the sector after a
-        decided prefix: the walk steps, and the taped pass tapes, exactly
-        the open prefixes counted by brute force."""
+        decided prefix: the walk steps, and stage 5's pair evaluates,
+        exactly the open prefixes counted by brute force."""
         wf = self._wf(molecule)
         rng = np.random.default_rng(11)
         bits = sector_rows(rng, *SECTORS[molecule], 60)
@@ -360,24 +376,27 @@ class TestDecidedPrefixesSkipped:
         stepped = stepped_session_rows(monkeypatch)
         wf.log_amplitudes(bits)
         assert sum(stepped) == want
-        taped = []
-        real = type(wf.amplitude).prefix_logits
-        monkeypatch.setattr(type(wf.amplitude), "prefix_logits",
-                            lambda self, tokens, node_at, rep_row, level:
-                            taped.append(len(rep_row)) or real(self, tokens, node_at,
-                                                               rep_row, level))
-        wf.log_prob(bits)
-        assert taped == [want]
+        evaluated = []
+        real = type(wf.amplitude).prefix_forward
+        monkeypatch.setattr(type(wf.amplitude), "prefix_forward",
+                            lambda self, tokens, rep_row, level:
+                            evaluated.append(len(rep_row)) or real(self, tokens,
+                                                                   rep_row, level))
+        wf.log_prob_vjp(bits, np.ones(len(bits)))
+        assert evaluated == [want]
 
     def test_a_sector_of_one_configuration(self, monkeypatch):
         """Both spin shells full: the mask decides every token.  The walk
-        opens no session, the taped pass keeps only the root on its tape,
-        and log pi is exactly 0 with a zero gradient."""
+        opens no session, stage 5's pair evaluates no network, and log pi
+        is exactly 0 with a zero gradient, as the dense tape has it."""
         wf = build_qiankunnet(4, 2, 2, d_model=8, n_heads=2, phase_hidden=(8,), seed=3)
         bits = np.ones((2, 4), dtype=np.uint8)
+        want, want_grad = taped_value_and_gradient(wf, bits, np.ones(2))
+        assert np.all(want == 0.0) and not np.any(want_grad)
         monkeypatch.setattr(wf, "make_session", None)       # opening one would raise
+        monkeypatch.setattr(wf.amplitude, "prefix_forward", None)
         assert np.all(wf.log_amplitudes(bits).real == 0.0)
-        value, grad = value_and_gradient(wf, wf.log_prob, bits, np.ones(2))
+        value, grad = vjp_value_and_gradient(wf, bits, np.ones(2))
         assert np.all(value == 0.0) and not np.any(grad)
 
 

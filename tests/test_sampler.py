@@ -255,7 +255,7 @@ class TestDecidedRowsSkipTheDecoder:
         oracle = oracle_bas_sample(wf, 100_000, np.random.default_rng(3))
         np.testing.assert_array_equal(batch.bits, oracle.bits)
         np.testing.assert_array_equal(batch.weights, oracle.weights)
-        np.testing.assert_allclose(batch.log_prob, wf.log_prob_reference(batch.bits).data,
+        np.testing.assert_allclose(batch.log_prob, wf.log_prob(batch.bits).data,
                                    rtol=0, atol=LOGIT_TOL)
 
     @pytest.mark.parametrize("sector", ["h2", "lih"])
@@ -306,7 +306,7 @@ class TestResumeKeepsSessionRowsUndecided:
             np.testing.assert_array_equal(follow.bits, oracle.bits)
             np.testing.assert_array_equal(follow.weights, oracle.weights)
             np.testing.assert_allclose(follow.log_prob,
-                                       wf.log_prob_reference(follow.bits).data,
+                                       wf.log_prob(follow.bits).data,
                                        rtol=0, atol=LOGIT_TOL)
 
     def test_an_all_decided_state_resumes_without_a_decoder(self, wf, monkeypatch):

@@ -19,13 +19,13 @@ from tests.test_wavefunction import sector_bitstrings
 
 def exact_energy(wf, comp, n_up, n_dn) -> float:
     """Rayleigh quotient <psi|H|psi>/<psi|psi> from the dense sector matrix,
-    psi from the float64 oracles (``log_prob_reference``, ``phase_of``): a
+    psi from the float64 oracles (``log_prob``, ``phase_of``): a
     central difference over +-1e-5 must not divide the float32 evaluators'
     rounding by 2e-5."""
     Hs, basis = sector_hamiltonian_dense(comp, n_up, n_dn)
     bits = basis.bits()
     with no_grad():
-        psi = np.exp(0.5 * wf.log_prob_reference(bits).data + 1j * wf.phase_of(bits).data)
+        psi = np.exp(0.5 * wf.log_prob(bits).data + 1j * wf.phase_of(bits).data)
     return float(np.real(psi.conj() @ Hs @ psi) / np.real(psi.conj() @ psi))
 
 

@@ -17,14 +17,17 @@ Rules, applied to the modules in ``HOT_PATH_FILES`` only:
   ``a**3`` in GELU was once 29 % of a VMC iteration).  A literal base
   (``10**5``, ``2**20``) is constant arithmetic and passes.
 
-One more rule applies to ``CONTRACTION_FILES`` (``autograd/block_ops.py``):
+One more rule applies to ``CONTRACTION_FILES`` (``autograd/block_ops.py`` and
+the feature-major kernels of stage 5's pair over the prefix tree,
+``nn/attention.py`` and ``nn/transformer.py``):
 
 * a ``sum`` / ``mean`` / ``max`` call with ``axis=-1`` is an error.  Every
-  last axis there is 4 to 64 wide, where numpy's reduction loop runs once per
-  output element (``max`` over a (180, 4, 10, 10) attention matrix: 255 us
-  against 45 us); the file writes them as contractions (``last_axis_sum`` /
-  ``last_axis_dot`` / ``last_axis_max``) — one formulation per reduction,
-  whatever the width.
+  short axis there is 4 to 64 wide, where numpy's reduction loop runs once
+  per output element (``max`` over a (180, 4, 10, 10) attention matrix: 255
+  us against 45 us); block_ops writes them as contractions (``last_axis_sum``
+  / ``last_axis_dot`` / ``last_axis_max``) — one formulation per reduction,
+  whatever the width — and the feature-major kernels put the rows last, so
+  their short axes are never the last one.
 
 Deliberately host-bound code escapes through ``repro.backend.host``'s
 ``host_np`` alias — a distinct NAME, so it passes.  Comments, docstrings
@@ -56,8 +59,9 @@ HOT_PATH_FILES = [
 ]
 
 
-# Modules whose short last-axis reductions must be written as contractions.
-CONTRACTION_FILES = {"src/repro/autograd/block_ops.py"}
+# Modules where no reduction runs over a short last axis.
+CONTRACTION_FILES = {"src/repro/autograd/block_ops.py", "src/repro/nn/attention.py",
+                     "src/repro/nn/transformer.py"}
 _REDUCTIONS = {"sum", "mean", "max"}
 
 

@@ -56,6 +56,15 @@ RULES = (
     Rule("stage5-phase-off-the-tape", r"phase_of\(", ("src/repro/core/engine.py",),
          "stage 5's phase gradient is the float32 VJP (wf.phase_vjp); the taped "
          "float64 head is the oracle of tests and benchmarks (Precision)"),
+    Rule("stage5-log-pi-off-the-tape", r"\.backward\(|\bTensor\(",
+         ("src/repro/core/engine.py", "src/repro/core/pretrain.py"),
+         "stage 5 and pretraining take the log-pi gradient from wf.log_prob_vjp, "
+         "the amplitude network's forward/VJP pair; they build no Tensor and "
+         "walk no tape (Precision, Stage contract)"),
+    Rule("one-prefix-tree-pass", r"prefix_logits|rows_from_nodes|nodes_from_rows", (SRC,),
+         "the prefix tree is evaluated with gradients by the forward/VJP pair "
+         "alone: no taped node-major pass and no bridge ops to a dense core "
+         "(The amplitude protocol, Block ops)"),
     Rule("optimizer-and-plan-own-their-numbers",
          r"warmup|lr_scale|weight_decay|grad_clip|group_chunk|sample_chunk",
          ("src/repro/core/trainer.py", "src/repro/core/vmc.py"),
@@ -91,8 +100,9 @@ RULES = (
          r"|make_inference_session|FallbackInferenceSession|amplitude_type"
          r"|MADEAmplitude|NAQSMLPAmplitude|getattr\(wf\.amplitude", (SRC,),
          "the production path asks the amplitude network for a session and for "
-         "prefix_logits and never probes it; the foils and their recompute session "
-         "live in benchmarks/baseline_ansatze.py (The amplitude protocol)"),
+         "the prefix_forward / prefix_vjp pair and never probes it; the foils, "
+         "their recompute session and their taped answer to the pair live in "
+         "benchmarks/baseline_ansatze.py (The amplitude protocol)"),
     Rule("one-decode-kernel", r"KVCache|def step\(self, x\b", ("src/repro/nn",),
          "the KV-cached decode is one float32, feature-major kernel behind the "
          "session (nn/inference.py): no per-layer cache object and no per-layer "
