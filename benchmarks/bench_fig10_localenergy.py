@@ -16,9 +16,12 @@ of the previous one, so the measured speedups are cumulative:
 * ``local_energy_vectorized``  — + method (3) "batch parallelism": the same
   arithmetic as chunked array operations over the batch (the paper's GPU
   level; substitution documented in DESIGN.md).  The library's reference.
-* ``ElocPlan.local_energy``    — + compiled plan, membership map before the search
-  (Hamiltonian-static work hoisted out of the call path, unique x' looked
-  up once per chunk).  The library's production kernel.
+* ``ElocPlan.local_energy``    — + compiled plan, slot map before the search
+  (Hamiltonian-static work hoisted out of the call path, coupled keys found
+  in one gather with the binary search kept for shared slots, the hits
+  returned as a list).  The library's production kernel.  Both batch rungs
+  accumulate the ψ product (one ``exp`` per coupled entry and one per
+  sample, not one per pair).
 
 The three scalar rungs exist only to be measured, so they are defined here;
 the two batch rungs are :mod:`repro.core.local_energy`.  Measured on
@@ -340,7 +343,7 @@ def test_fig10_local_energy_speedups(benchmark, full):
             notes=(
                 "VEC = batch-vectorized numpy kernel (the paper's GPU level; "
                 "paper reports 24x / 103x / 3768x for C2).  PLAN = "
-                "compiled ElocPlan (membership map before the LUT search), "
+                "compiled ElocPlan (slot map before the LUT search), "
                 "bit-identical to VEC.  Shape: monotone ladder, batch rungs "
                 ">> scalar levels."
             ),
@@ -357,10 +360,10 @@ def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5,
     """The CI rung check: the planned kernel must not lose to vectorized on C2.
 
     Two rows, covering both table regimes: the sample-aware table (small
-    LUT, few coupled keys present — the membership map spares nearly all of
-    them the search) and the exact-mode extended table (large LUT, many
-    hits — the plan's static precompute and parity fold carry more of the
-    rung).  ``backend`` scopes the timed
+    LUT, few coupled keys present — the slot map finds them in one gather
+    where the reference binary-searches every one) and the exact-mode
+    extended table (large LUT, many hits — the hit list, the slot map's
+    single full-key compare and the parity fold carry the rung).  ``backend`` scopes the timed
     kernels under a registered array backend (``--backend mock`` measures
     the instrumentation overhead of the counting namespace).
     """
@@ -392,7 +395,7 @@ def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5,
             rows,
             notes=("CI gate: speedup >= 1.0x in both regimes and "
                    "bitwise-equal local energies (ElocPlan compiled once, "
-                   "evaluated many; a per-table membership map spares absent keys the search)."),
+                   "evaluated many; a per-table slot map finds coupled keys in one gather)."),
         ),
     )
     return results

@@ -5,17 +5,24 @@ One production path and one reference (Sec. 3.4, Algorithm 2):
 * :class:`ElocPlan` — the kernel every run, driver and server reaches.  A
   plan is compiled once per ``(CompressedHamiltonian, chunking)``: group
   sizes, CSR chunk scaffolds and the packed record dtype behind the binary
-  search are hoisted out of the per-call path, a per-table membership map
-  spares the coupled keys that are surely absent the search, and per-thread
-  workspaces are reused across iterations.  :func:`local_energy_planned` and
-  :func:`local_energy` are thin wrappers that run a plan (compiling a
-  throwaway one when the caller has none).
+  search are hoisted out of the per-call path, a per-table slot map finds
+  coupled keys in one gather (the binary search runs only for keys whose
+  slot several table keys share), and per-thread workspaces are reused
+  across iterations.  :func:`local_energy_planned` and :func:`local_energy`
+  are thin wrappers that run a plan (compiling a throwaway one when the
+  caller has none).
 * :func:`local_energy_vectorized` — the stateless reference, for testing
   purposes only: the same sample-aware + fused + LUT arithmetic as chunked
-  array operations with no plan, no membership map and no caches.  The
-  planned kernel is bit-identical to it (the map changes *which* keys are
-  searched, never an index), which is what the tests and the benchmark's
+  array operations with no plan, no slot map and no caches.  The planned
+  kernel is bit-identical to it (the slot map changes *how* a key is found,
+  never which row it finds), which is what the tests and the benchmark's
   set-up check assert.
+
+Both accumulate the ψ product of Eq. 4 rather than per-hit ratios:
+``E_loc(x) = c + e^{m - log ψ(x)} Σ_x' H_xx' e^{log ψ(x') - m}`` with ``m`` the
+largest ``Re log ψ`` of the table, so one complex ``exp`` per coupled entry
+(or per table entry, whichever is fewer) and one per sample replace one per
+(sample, coupled entry) pair.  The shift keeps the form scale-invariant.
 
 The scalar rungs of the paper's Fig. 10 ladder (bare-CPU baseline, SA+FUSE,
 SA+FUSE+LUT) are the subject of ``benchmarks/bench_fig10_localenergy.py``
@@ -34,7 +41,7 @@ import weakref
 from dataclasses import dataclass
 
 from repro.backend import xp
-from repro.backend.dtypes import bool_, complex128, int64, uint64
+from repro.backend.dtypes import bool_, complex128, float64, int32, int64, uint64
 from repro.core.sampler import SampleBatch
 from repro.core.wavefunction import NNQSWavefunction
 from repro.hamiltonian.compressed import CompressedHamiltonian
@@ -166,6 +173,11 @@ def extend_amplitude_table(
     prefix tree (each distinct prefix through the network once) in blocks
     of bounded size.  The value of a row does not depend on which other rows
     are missing beyond BLAS rounding.
+
+    Coupled keys outside the wave function's particle-number sector are
+    dropped on the packed words (``constraint.validate_keys``) before the
+    dedup and never unpacked — 76 % of the flips of an N2 exact iteration —
+    so ``max_extra`` counts sector-valid rows.
     """
     keys = pack_bits(batch.bits)  # (B, W)
     if len(keys) == 0:
@@ -179,6 +191,8 @@ def extend_amplitude_table(
         flips = (
             keys[s0 : s0 + row_chunk, None, :] ^ comp.xy_unique[None, :, :]
         ).reshape(-1, n_words)
+        if wf.constraint is not None:
+            flips = flips[wf.constraint.validate_keys(flips)]
         flips = unique_keys(flips)
         miss = flips[searchsorted_keys(table.keys, flips) < 0]
         if len(miss):
@@ -189,8 +203,6 @@ def extend_amplitude_table(
     if len(missing_parts) > 1:
         missing = unique_keys(missing)  # dedup across row chunks
     bits = unpack_bits(missing, comp.n_qubits)
-    if wf.constraint is not None:
-        bits = bits[wf.constraint.validate_bits(bits)]
     if len(bits) > max_extra:
         raise ValueError(
             f"{len(bits)} coupled configurations exceed max_extra={max_extra}; "
@@ -217,17 +229,34 @@ def budgeted_sample_chunk(
 ) -> int:
     """Shrink ``sample_chunk`` so one chunk's key materialization fits a budget.
 
-    The kernel's peak transient is the ``(sample_chunk, group_chunk, W)``
+    The reference's peak transient is the ``(sample_chunk, group_chunk, W)``
     uint64 flip array plus its ``(sample_chunk, group_chunk)`` int64 lookup —
-    ``group_chunk * (W + 1) * 8`` bytes per sample row.  Wide Hamiltonians
-    (large group counts, Fig. 9's memory story) can exceed a host budget at
-    the default chunking; the budget caps the row count instead of failing.
+    ``group_chunk * (W + 1) * 8`` bytes per sample row.  The planned kernel
+    holds no such index matrix (its lookup returns the hits alone, and its
+    per-key hash is the same 8 bytes), but it takes the same row count: the
+    two must cut the batch at the same boundaries to stay bit-identical.
+    Wide Hamiltonians (large group counts, Fig. 9's memory story) can exceed
+    a host budget at the default chunking; the budget caps the row count
+    instead of failing.
     """
     if memory_budget_bytes is None:
         return sample_chunk
     g = min(group_chunk, n_groups)
     bytes_per_sample = max(g * (n_words + 1) * 8, 1)
     return int(max(1, min(sample_chunk, memory_budget_bytes // bytes_per_sample)))
+
+
+def _log_amp_scale(table: AmplitudeTable) -> float:
+    """``m``, the largest ``Re log ψ`` of the table (0 for an empty one)."""
+    return float(table.log_amps.real.max()) if table.n_entries else 0.0
+
+
+def _shifted_psi(log_amps: xp.ndarray, m: float) -> xp.ndarray:
+    """``ψ e^{-m}`` from ``log ψ``: at most 1 in modulus, so nothing
+    overflows, and a coupled entry that underflows to 0 weighs < e^-745 of
+    the table's largest.  Elementwise, so evaluating it over the whole
+    table and gathering gives the same bits as evaluating it on a gather."""
+    return xp.exp(log_amps - m)
 
 
 def local_energy_vectorized(
@@ -240,8 +269,10 @@ def local_energy_vectorized(
 ) -> xp.ndarray:
     """The reference kernel — for testing purposes only.
 
-    Stateless SA+FUSE+LUT arithmetic: no plan, no membership map, no caches; what
-    :meth:`ElocPlan.local_energy` must equal bit for bit.
+    Stateless SA+FUSE+LUT arithmetic: no plan, no slot map, no caches; what
+    :meth:`ElocPlan.local_energy` must equal bit for bit.  Every coupled key
+    is binary-searched, the hits read off a dense ``(sample, group)`` index
+    matrix; the ψ product (module docstring) is the plan's.
 
     The double chunking mirrors the paper's two-level parallelization: the
     outer sample chunks correspond to the per-thread batches of Fig. 7(a),
@@ -258,7 +289,8 @@ def local_energy_vectorized(
     idx_self = searchsorted_keys(table.keys, keys_all)
     if xp.any(idx_self < 0):
         raise ValueError("amplitude table must contain every sample")
-    la_self_all = table.log_amps[idx_self]
+    m = _log_amp_scale(table)
+    inv_x_all = xp.exp(m - table.log_amps[idx_self])     # e^m / ψ(x)
 
     eloc = xp.full(batch.n_unique, comp.constant, dtype=complex128)
     group_sizes = xp.diff(comp.idxs).astype(int64)
@@ -266,9 +298,9 @@ def local_energy_vectorized(
     for s0 in range(0, batch.n_unique, sample_chunk):
         s1 = min(s0 + sample_chunk, batch.n_unique)
         keys = keys_all[s0:s1]
-        la_x = la_self_all[s0:s1]
         b = s1 - s0
-        acc = xp.zeros(b, dtype=complex128)
+        acc_re = xp.zeros(b, dtype=float64)
+        acc_im = xp.zeros(b, dtype=float64)
         for g0 in range(0, comp.n_groups, group_chunk):
             g1 = min(g0 + group_chunk, comp.n_groups)
             # Coupled configurations + lookup (cheap: XOR + binary search).
@@ -295,20 +327,39 @@ def local_energy_vectorized(
             )
             signed = comp.coeffs_buf[term_idx] * (1.0 - 2.0 * par)
             coef = xp.bincount(pair_of_term, weights=signed, minlength=len(s_hit))
-            ratios = xp.exp(table.log_amps[idx[s_hit, g_hit]] - la_x[s_hit])
-            contrib = coef * ratios
-            acc += xp.bincount(s_hit, weights=contrib.real, minlength=b) + 1j * xp.bincount(
-                s_hit, weights=contrib.imag, minlength=b
-            )
-        eloc[s0:s1] += acc
+            psi = _shifted_psi(table.log_amps[idx[s_hit, g_hit]], m)
+            acc_re += xp.bincount(s_hit, weights=coef * psi.real, minlength=b)
+            acc_im += xp.bincount(s_hit, weights=coef * psi.imag, minlength=b)
+        eloc[s0:s1] += (acc_re + 1j * acc_im) * inv_x_all[s0:s1]
     return eloc
 
 
 # --------------------------------------------------------------------------
-# Production: compiled plans — Hamiltonian-static precomputation + membership map
+# Production: compiled plans — Hamiltonian-static precomputation + slot map
 # --------------------------------------------------------------------------
-# 2^64 / golden ratio: the multiplicative-hash constant of the membership map.
+# 2^64 / golden ratio: the multiplicative-hash constant of the slot map.
 _HASH_MULTIPLIER = uint64(0x9E3779B97F4A7C15)
+# Slot-map size: the next power of two >= SLOTS_PER_KEY x table entries.
+SLOTS_PER_KEY = 32
+# Slot values besides a table row.
+_EMPTY, _SHARED = -1, -2
+
+
+@dataclass
+class _TableIndex:
+    """What the plan derives from one amplitude-table object (built by
+    :meth:`ElocPlan._table_index`, cached per thread until the table object
+    changes)."""
+
+    records: xp.ndarray   # (U,) scalar/record keys, LUT order — the search base
+    slots: xp.ndarray     # (2^k,) int32: table row, _EMPTY or _SHARED
+    shift: uint64         # slot = hash >> shift (the hash's top k bits)
+    m: float              # _log_amp_scale(table)
+    psi: xp.ndarray | None = None   # _shifted_psi over the table, when needed
+
+    @property
+    def n_entries(self) -> int:
+        return len(self.records)
 
 
 @dataclass
@@ -339,21 +390,31 @@ class ElocPlan:
     * group sizes and per-group-chunk CSR scaffolds (``starts`` / ``sizes``
       and contiguous flip-mask slices);
     * the packed record dtype behind :func:`searchsorted_keys`, plus a
-      cached record view and membership map of the current amplitude table
-      (rebuilt only when the table object changes — i.e. when the parameters
-      moved);
+      cached :class:`_TableIndex` of the current amplitude table — record
+      view, slot map, ``m`` and, once a chunk has more hits than the table
+      has entries, ``ψ e^{-m}`` of every entry (rebuilt only when the table
+      object changes — i.e. when the parameters moved);
     * a per-thread workspace (the ``(sample_chunk, group_chunk, W)`` flip
       buffer) reused across iterations instead of reallocated per chunk.
 
     :meth:`local_energy` is the planned kernel: identical arithmetic to
-    :func:`local_energy_vectorized` except that :meth:`_lookup` reads the
-    table's membership map first and binary-searches only the coupled keys
-    that may be present.  Results are bit-identical: the map decides which
-    keys are searched, never what a search returns, and the accumulation
-    order is unchanged.
+    :func:`local_energy_vectorized` except for the lookup.  :meth:`_lookup`
+    returns the hits alone, ascending in flat ``(sample, group)`` position —
+    the order of the reference's ``nonzero`` over its index matrix — with
+    their table rows, found through the slot map.  Results are
+    bit-identical: the slot map finds exactly the rows the binary search
+    finds, and the accumulation order is unchanged.
+
+    Memory: the slot map holds 4-byte slots, ``SLOTS_PER_KEY`` to twice that
+    per table entry — 128-256 B per entry; a 14.8k-entry table takes
+    2 MiB.  One map lives per plan and
+    thread, for the table it last saw; serving's worst case is
+    ``table_max_entries`` x ``max_loaded_versions`` = 500 000 x 4 entries at
+    the defaults, 64 MiB per version, 256 MiB per thread that serves local
+    energies.
 
     Thread safety: the compiled scaffolds are immutable; the workspace and
-    the table-record cache live in ``threading.local``, so thread-rank
+    the table index live in ``threading.local``, so thread-rank
     backends can share one plan.  Plans hold no model state — they are
     invalidated only by a different Hamiltonian or chunking config, never by
     a parameter update (the amplitude table carries all parameter-dependent
@@ -397,11 +458,9 @@ class ElocPlan:
             return xp.ascontiguousarray(keys[:, 0])
         return xp.ascontiguousarray(keys[:, ::-1]).view(self._record_dtype).ravel()
 
-    def _table_records(self, table: AmplitudeTable):
-        """``(records, member, shift)`` of ``table.keys``, cached until the
-        table changes: the record view the binary search runs against, and
-        the membership map :meth:`_lookup` reads first (``member[hash >>
-        shift]``, ~32 slots per key, so ~3 % of absent keys pass).
+    def _table_index(self, table: AmplitudeTable) -> _TableIndex:
+        """The :class:`_TableIndex` of ``table``, cached until the table
+        changes.
 
         Keyed by object identity through a weakref: a new table object (new
         iteration, moved parameters) recomputes; per-thread storage keeps
@@ -410,13 +469,29 @@ class ElocPlan:
         cached = getattr(self._local, "table_cache", None)
         if cached is not None and cached[0]() is table:
             return cached[1]
-        records = self._as_records(table.keys)
-        n_bits = max(len(records) * 32 - 1, 1).bit_length()
+        self._local.table_cache = None     # never two slot maps alive at once
+        n_bits = max(table.n_entries * SLOTS_PER_KEY - 1, 1).bit_length()
+        slots, shift = self._slot_map(table.keys, n_bits)
+        index = _TableIndex(records=self._as_records(table.keys), slots=slots,
+                            shift=shift, m=_log_amp_scale(table))
+        self._local.table_cache = (weakref.ref(table), index)
+        return index
+
+    @classmethod
+    def _slot_map(cls, keys: xp.ndarray, n_bits: int) -> tuple[xp.ndarray, uint64]:
+        """``(slots, shift)``: ``2^n_bits`` int32 slots over ``(U, W)`` table
+        keys, slot = the top ``n_bits`` bits of :meth:`_hash`.  A slot holds
+        the row of the one key that hashes there, ``_EMPTY`` when none does
+        and ``_SHARED`` when two or more do."""
         shift = uint64(64 - n_bits)
-        member = xp.zeros(1 << n_bits, dtype=bool_)
-        member[self._hash(table.keys) >> shift] = True
-        self._local.table_cache = (weakref.ref(table), (records, member, shift))
-        return records, member, shift
+        slot = cls._hash(keys) >> shift
+        rows = xp.arange(len(keys), dtype=int32)
+        slots = xp.full(1 << n_bits, _EMPTY, dtype=int32)
+        slots[slot] = rows
+        # A slot two keys share keeps one row, whichever write landed last:
+        # a key that reads back another row marks its slot shared.
+        slots[slot[slots[slot] != rows]] = _SHARED
+        return slots, shift
 
     @staticmethod
     def _hash(keys: xp.ndarray) -> xp.ndarray:
@@ -437,26 +512,44 @@ class ElocPlan:
         return buf[:need].reshape(rows, groups, self.n_words)
 
     # -------------------------------------------------------------- lookups
-    def _lookup(self, table: AmplitudeTable, keys: xp.ndarray) -> xp.ndarray:
-        """Index of each ``(M, W)`` key in ``table``, ``-1`` when absent (the
-        contract of :func:`searchsorted_keys`).
+    def _lookup(self, index: _TableIndex,
+                keys: xp.ndarray) -> tuple[xp.ndarray, xp.ndarray]:
+        """``(flat, rows)``: the ascending positions of the ``(M, W)`` keys
+        that are in the table, and their table rows — the hits of
+        :func:`searchsorted_keys`, which returns ``rows`` at ``flat`` and
+        ``-1`` everywhere else.
 
-        Most coupled keys are not in the table (96 % on N2 sample-aware, 78 %
-        against C2's extended table), and a binary search pays its full
-        depth to find that out.  The table's membership map answers "surely
-        absent" in one gather; only the survivors are searched.  The map can
-        only pass a key on to the search, never decide a hit, so the result
-        is index-identical to searching every key.
+        One gather reads every key's slot.  An empty slot is a miss; a slot
+        holding a row is a candidate; a shared slot sends the key to the
+        binary search on the record view.  Every candidate, searched or not,
+        is then compared with its table key in full, so a slot never decides
+        a hit and the rows are the search's by construction.
         """
-        base, member, shift = self._table_records(table)
-        out = xp.full(len(keys), -1, dtype=int64)
-        if len(base) == 0:
-            return out
-        maybe = xp.flatnonzero(member[self._hash(keys) >> shift])
-        rec = self._as_records(keys[maybe])
-        pos = xp.minimum(xp.searchsorted(base, rec), len(base) - 1)
-        out[maybe] = xp.where(base[pos] == rec, pos, -1)
-        return out
+        if index.n_entries == 0:
+            empty = xp.zeros(0, dtype=int64)
+            return empty, empty
+        cand = index.slots[self._hash(keys) >> index.shift]
+        flat = xp.flatnonzero(cand != _EMPTY)
+        rows = cand[flat].astype(int64)
+        rec = self._as_records(keys[flat])
+        shared = xp.flatnonzero(rows == _SHARED)
+        if len(shared):
+            rows[shared] = xp.minimum(
+                xp.searchsorted(index.records, rec[shared]), index.n_entries - 1)
+        hit = index.records[rows] == rec
+        return flat[hit], rows[hit]
+
+    @staticmethod
+    def _psi(index: _TableIndex, log_amps: xp.ndarray,
+             rows: xp.ndarray) -> xp.ndarray:
+        """``ψ e^{-m}`` of the table ``rows``: evaluated on the gathered rows
+        when they are fewer than the table's entries, else once over the
+        whole table (kept in ``index``) and gathered — the same bits."""
+        if index.psi is None:
+            if len(rows) < index.n_entries:
+                return _shifted_psi(log_amps[rows], index.m)
+            index.psi = _shifted_psi(log_amps, index.m)
+        return index.psi[rows]
 
     @staticmethod
     def _fold_parity(a: xp.ndarray, b: xp.ndarray) -> xp.ndarray:
@@ -470,6 +563,23 @@ class ElocPlan:
         for w in range(1, a.shape[1]):
             x ^= a[:, w] & b[:, w]
         return (xp.bitwise_count(x) & 1).astype(int64)
+
+    def _pair_coefficients(self, keys: xp.ndarray, s_hit: xp.ndarray,
+                           g_hit: xp.ndarray, cp: _GroupChunkScaffold) -> xp.ndarray:
+        """H_xx' of each hit pair (sample ``s_hit``, group ``cp.g0 + g_hit``):
+        the group's coefficients summed with their ``(-1)^popcount(x & yz)``
+        signs (FUSE).  Its term-length temporaries (the largest arrays of a
+        call) die on return, before the next group chunk is looked up."""
+        comp = self.comp
+        sizes = cp.sizes[g_hit]                              # terms per pair
+        # term index: concat of [start_p, start_p + size_p), built in place
+        term_idx = xp.arange(int(sizes.sum()))
+        term_idx += xp.repeat(cp.starts[g_hit] - (xp.cumsum(sizes) - sizes), sizes)
+        par = self._fold_parity(
+            xp.repeat(keys[s_hit], sizes, axis=0), comp.yz_buf[term_idx])
+        signed = comp.coeffs_buf[term_idx] * (1.0 - 2.0 * par)
+        pair_of_term = xp.repeat(xp.arange(len(s_hit)), sizes)
+        return xp.bincount(pair_of_term, weights=signed, minlength=len(s_hit))
 
     # --------------------------------------------------------------- kernel
     def local_energy(self, batch: SampleBatch, table: AmplitudeTable) -> xp.ndarray:
@@ -485,46 +595,32 @@ class ElocPlan:
             self.n_words, comp.n_groups, self.group_chunk, self.sample_chunk,
             self.memory_budget_bytes,
         )
-        idx_self = self._lookup(table, keys_all)
-        if xp.any(idx_self < 0):
+        index = self._table_index(table)
+        found, rows_self = self._lookup(index, keys_all)
+        if len(found) != batch.n_unique:
             raise ValueError("amplitude table must contain every sample")
-        la_self_all = table.log_amps[idx_self]
+        inv_x_all = xp.exp(index.m - table.log_amps[rows_self])   # e^m / ψ(x)
 
         eloc = xp.full(batch.n_unique, comp.constant, dtype=complex128)
         for s0 in range(0, batch.n_unique, sample_chunk):
             s1 = min(s0 + sample_chunk, batch.n_unique)
             keys = keys_all[s0:s1]
-            la_x = la_self_all[s0:s1]
             b = s1 - s0
-            acc = xp.zeros(b, dtype=complex128)
+            acc_re = xp.zeros(b, dtype=float64)
+            acc_im = xp.zeros(b, dtype=float64)
             for cp in self.chunks:
                 gc = cp.g1 - cp.g0
                 flips = self._flip_buffer(b, gc)
                 xp.bitwise_xor(keys[:, None, :], cp.xy[None, :, :], out=flips)
-                idx = self._lookup(
-                    table, flips.reshape(-1, self.n_words)
-                ).reshape(b, gc)
-                s_hit, g_hit = xp.nonzero(idx >= 0)
-                if len(s_hit) == 0:
+                flat, rows = self._lookup(index, flips.reshape(-1, self.n_words))
+                if len(flat) == 0:
                     continue
-                sizes = cp.sizes[g_hit]                          # terms per pair
-                starts = cp.starts[g_hit]
-                total = int(sizes.sum())
-                term_idx = xp.repeat(starts, sizes) + (
-                    xp.arange(total) - xp.repeat(xp.cumsum(sizes) - sizes, sizes)
-                )
-                pair_of_term = xp.repeat(xp.arange(len(s_hit)), sizes)
-                par = self._fold_parity(
-                    keys[s_hit[pair_of_term]], comp.yz_buf[term_idx]
-                )
-                signed = comp.coeffs_buf[term_idx] * (1.0 - 2.0 * par)
-                coef = xp.bincount(pair_of_term, weights=signed, minlength=len(s_hit))
-                ratios = xp.exp(table.log_amps[idx[s_hit, g_hit]] - la_x[s_hit])
-                contrib = coef * ratios
-                acc += xp.bincount(s_hit, weights=contrib.real, minlength=b) + 1j * xp.bincount(
-                    s_hit, weights=contrib.imag, minlength=b
-                )
-            eloc[s0:s1] += acc
+                s_hit, g_hit = xp.divmod(flat, gc)
+                coef = self._pair_coefficients(keys, s_hit, g_hit, cp)
+                psi = self._psi(index, table.log_amps, rows)
+                acc_re += xp.bincount(s_hit, weights=coef * psi.real, minlength=b)
+                acc_im += xp.bincount(s_hit, weights=coef * psi.imag, minlength=b)
+            eloc[s0:s1] += (acc_re + 1j * acc_im) * inv_x_all[s0:s1]
         return eloc
 
 

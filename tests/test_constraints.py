@@ -195,3 +195,32 @@ class TestSuffixForced:
                                      pos_spin=np.array([0, 1, 0, 1]))
         assert c.suffix_forced(np.array([2, 2, 1]), np.array([1, 0, 2]), 3).tolist() \
             == [True, True, False]
+
+
+class TestValidateKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.sampled_from(["two-bit", "one-bit-reversed", "one-bit-natural"]),
+           n_orb=st.sampled_from([1, 5, 31, 32, 33, 50, 64, 70]),   # 1-3 words
+           data=st.data())
+    def test_packed_equals_unpacked(self, width, n_orb, data):
+        """``validate_keys(pack_bits(b)) == validate_bits(b)``, rows in and
+        out of the sector, with keys of one, two and three words."""
+        from repro.utils.bitstrings import pack_bits
+
+        n_up = data.draw(st.integers(0, n_orb))
+        n_dn = data.draw(st.integers(0, n_orb))
+        c = _constraint(width, n_orb, n_up, n_dn)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        bits = (rng.random((40, 2 * n_orb)) < rng.random((40, 1))).astype(np.uint8)
+        in_sector = np.zeros((8, 2 * n_orb), dtype=np.uint8)   # exact-count rows
+        for row in in_sector:
+            row[0::2][rng.permutation(n_orb)[:n_up]] = 1
+            row[1::2][rng.permutation(n_orb)[:n_dn]] = 1
+        bits = np.concatenate([bits, in_sector])
+        want = c.validate_bits(bits)
+        assert want[-8:].all()
+        np.testing.assert_array_equal(c.validate_keys(pack_bits(bits)), want)
+
+    def test_empty(self):
+        c = ParticleNumberConstraint(3, 1, 1)
+        assert c.validate_keys(np.zeros((0, 1), dtype=np.uint64)).shape == (0,)

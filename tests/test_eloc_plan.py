@@ -134,27 +134,120 @@ class TestBitIdentity:
             local_energy_vectorized(comp, batch, table))
 
 
+def _hits_of_search(table, keys):
+    """``(flat, rows)`` as ``ElocPlan._lookup`` must return them, read off
+    ``searchsorted_keys``."""
+    idx = searchsorted_keys(table.keys, keys) if len(table.keys) else \
+        np.full(len(keys), -1)
+    flat = np.flatnonzero(idx >= 0)
+    return flat, idx[flat]
+
+
+def _assert_lookup_is_search(plan, table, keys):
+    flat, rows = plan._lookup(plan._table_index(table), keys)
+    want_flat, want_rows = _hits_of_search(table, keys)
+    np.testing.assert_array_equal(flat, want_flat)
+    np.testing.assert_array_equal(rows, want_rows)
+    assert flat.dtype == rows.dtype == np.int64
+
+
 class TestDedup:
-    """The lookup.  (Class and test ids predate the membership map that
-    replaced the dedup fork; they are kept.)"""
+    """The lookup: the slot map, with the binary search behind its shared
+    slots.  (Class and test ids predate the slot map and the membership map
+    before it, both of which replaced a dedup fork; they are kept.)"""
 
     def test_forced_dedup_is_index_identical(self, lih_problem):
-        """The map only spares absent keys the search: ``_lookup`` returns
-        the indices of ``searchsorted_keys``, and a map forced to pass every
-        key — the plain search of all of them — must not change a bit."""
+        """``_lookup`` returns the hits of ``searchsorted_keys``, and neither
+        a map forced to all shared slots — the plain binary search of every
+        key — nor a map of two slots changes a bit of E_loc."""
         wf, comp, batch, table = _setup(lih_problem)
         plan = ElocPlan(comp)
         coupled = (pack_bits(batch.bits)[:, None, :]
                    ^ comp.xy_unique[None, :, :]).reshape(-1, plan.n_words)
-        want = searchsorted_keys(table.keys, coupled)
-        assert 0 < np.count_nonzero(want >= 0) < len(want)   # hits and misses
-        np.testing.assert_array_equal(plan._lookup(table, coupled), want)
-        filtered = plan.local_energy(batch, table)
-        _, member, _ = plan._table_records(table)
-        assert not member.all()
-        member[:] = True
-        np.testing.assert_array_equal(plan._lookup(table, coupled), want)
-        np.testing.assert_array_equal(plan.local_energy(batch, table), filtered)
+        flat, _ = _hits_of_search(table, coupled)
+        assert 0 < len(flat) < len(coupled)                   # hits and misses
+        _assert_lookup_is_search(plan, table, coupled)
+        as_built = plan.local_energy(batch, table)
+        index = plan._table_index(table)
+        assert (index.slots >= 0).any() and (index.slots == -1).any()
+
+        index.slots[:] = -2                                   # search every key
+        _assert_lookup_is_search(plan, table, coupled)
+        np.testing.assert_array_equal(plan.local_energy(batch, table), as_built)
+
+        index.slots, index.shift = ElocPlan._slot_map(table.keys, 1)
+        assert index.slots.shape == (2,)
+        _assert_lookup_is_search(plan, table, coupled)
+        np.testing.assert_array_equal(plan.local_energy(batch, table), as_built)
+        np.testing.assert_array_equal(
+            as_built, local_energy_vectorized(comp, batch, table))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_qubits=st.sampled_from((30, 64, 100, 150)),          # 1, 1, 2, 3 words
+           n_entries=st.sampled_from((0, 1, 2, 5, 3000)),
+           n_queries=st.integers(0, 200), seed=st.integers(0, 2**16))
+    def test_lookup_equals_search(self, n_qubits, n_entries, n_queries, seed):
+        """Index-identical to ``searchsorted_keys`` for 1- to 3-word keys on
+        tables of 0, 1, a few and thousands of entries; the queries mix
+        table keys, their one-bit neighbours and random keys."""
+        rng = np.random.default_rng(seed)
+        rand = lambda k: pack_bits(rng.integers(0, 2, size=(k, n_qubits)).astype(np.uint8))
+        table = _mock_table(rng, rand(n_entries)) if n_entries else AmplitudeTable(
+            keys=np.zeros((0, (n_qubits + 63) // 64), dtype=np.uint64),
+            log_amps=np.zeros(0, dtype=np.complex128))
+        queries = [rand(n_queries)]
+        if table.n_entries:
+            picked = table.keys[rng.integers(0, table.n_entries, size=n_queries)]
+            near = picked.copy()
+            near[:, 0] ^= np.uint64(1)
+            queries += [picked, near]
+        keys = np.concatenate(queries)[rng.permutation(sum(map(len, queries)))]
+        comp = compress_hamiltonian(synthetic_molecular_hamiltonian(n_qubits, 10, seed=1))
+        _assert_lookup_is_search(ElocPlan(comp), table, keys)
+
+    def test_empty_table_raises_every_sample(self, h2_problem):
+        wf, comp, batch, table = _setup(h2_problem)
+        empty = AmplitudeTable(keys=table.keys[:0], log_amps=table.log_amps[:0])
+        with pytest.raises(ValueError, match="every sample"):
+            ElocPlan(comp).local_energy(batch, empty)
+        with pytest.raises(ValueError, match="every sample"):
+            local_energy_vectorized(comp, batch, empty)
+
+    def test_threads_share_one_plan(self, lih_problem):
+        """More threads than cores calling one plan on different tables at
+        once each get the reference's bits: the table index (with its lazily
+        filled ψ) and the workspace are per thread."""
+        import sys
+        import threading
+
+        wf, comp, batch, table = _setup(lih_problem, seed=1)
+        _, _, batch2, table2 = _setup(lih_problem, seed=2)
+        ext = extend_amplitude_table(wf, comp, batch, table)
+        cases = [(batch, table), (batch2, table2), (batch, ext)] * 2
+        want = [local_energy_vectorized(comp, b, t) for b, t in cases]
+        plan, results = ElocPlan(comp), []
+        start = threading.Barrier(len(cases))
+
+        def worker(k):
+            start.wait(timeout=60)
+            for _ in range(10):
+                b, t = cases[k]
+                # a fresh table object every call rebuilds this thread's index
+                t = AmplitudeTable(keys=t.keys, log_amps=t.log_amps)
+                results.append(np.array_equal(plan.local_energy(b, t), want[k]))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 10 * len(cases) and all(results)
 
     @pytest.mark.parametrize("n_qubits,n_terms", [(70, 300), (100, 500)])
     def test_multiword_dedup(self, n_qubits, n_terms):
@@ -175,6 +268,49 @@ class TestDedup:
         np.testing.assert_array_equal(plan.local_energy(batch, table),
                                       ref_chunked)
         np.testing.assert_allclose(ref_chunked, ref, atol=1e-12)
+
+
+def _shifted(table, c):
+    return AmplitudeTable(keys=table.keys, log_amps=table.log_amps + c)
+
+
+class TestPsiProduct:
+    """E_loc = c + e^{m - log ψ(x)} Σ H_xx' e^{log ψ(x') - m}: the shift by
+    the table's largest Re log ψ keeps the form scale-invariant and finite."""
+
+    @pytest.mark.parametrize("c", [-800.0, -50.0, 0.0, 50.0, 800.0])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_scale_invariant(self, lih_problem, c, extended):
+        wf, comp, batch, table = _setup(lih_problem)
+        if extended:
+            table = extend_amplitude_table(wf, comp, batch, table)
+        want = local_energy_vectorized(comp, batch, table)
+        shifted = _shifted(table, c)
+        ref = local_energy_vectorized(comp, batch, shifted)
+        out = ElocPlan(comp).local_energy(batch, shifted)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("c", [0.0, 800.0])
+    def test_an_underflowing_coupled_row(self, c):
+        """One coupled row at log|ψ| = -760 (e^-760 underflows float64)
+        while the samples stay O(1): E_loc still equals the dense algebra."""
+        comp = compress_hamiltonian(synthetic_molecular_hamiltonian(10, 60, seed=5))
+        dense, basis = sector_hamiltonian_dense(comp, 2, 3)
+        rng = np.random.default_rng(6)
+        table = _mock_table(rng, basis.keys)
+        picked = np.arange(0, basis.dim, 2)
+        tiny = np.flatnonzero(np.abs(dense[picked, 1::2]).max(axis=0) > 0)[0] * 2 + 1
+        table.log_amps[tiny] = -760.0 + 1j * table.log_amps[tiny].imag
+        psi = np.exp(table.log_amps)
+        batch = SampleBatch(bits=basis.bits()[picked],
+                            weights=np.ones(len(picked), dtype=np.int64))
+        table = _shifted(table, c)
+        ref = local_energy_vectorized(comp, batch, table)
+        np.testing.assert_allclose(ref, (dense @ psi)[picked] / psi[picked],
+                                   rtol=0, atol=1e-10)
+        assert np.array_equal(ElocPlan(comp).local_energy(batch, table), ref)
 
 
 class TestPlanLifecycle:

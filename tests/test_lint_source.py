@@ -85,6 +85,12 @@ class TestSourceLint:
         ("one-comm-accounting-site", "src/repro/core/engine.py", "comm.stats.add(nbytes)"),
         ("no-probing-no-second-path", "src/repro/core/vmc.py", "if hasattr(comm, 'rank'):"),
         ("no-probing-no-second-path", "src/repro/nn/x.py", "def f(use_cache=True): ..."),
+        ("eloc-one-lookup", "src/repro/core/local_energy.py",
+         "maybe = xp.flatnonzero(member[self._hash(keys) >> shift])"),
+        ("eloc-one-lookup", "src/repro/core/local_energy.py",
+         "ratios = xp.exp(table.log_amps[idx[s_hit, g_hit]] - la_x[s_hit])"),
+        ("eloc-one-lookup", "src/repro/core/local_energy.py",
+         "contrib = coef * np.exp(table.log_amps[rows] - la_self[s_hit])"),
         ("arena-owns-the-flat-buffers", "src/repro/optim/adamw.py",
          "flat = xp.concatenate(parts)"),
         ("stage5-writes-into-the-arena", "src/repro/core/engine.py", "wf.set_flat_grads(g)"),
@@ -170,6 +176,20 @@ class TestSourceLint:
         }.items():
             (tree / rel).parent.mkdir(parents=True, exist_ok=True)
             (tree / rel).write_text(text)
+        assert lint_source.lint(tree) == []
+
+    def test_the_psi_product_and_the_reference_lookup_pass(self, lint_source, tree):
+        """The ψ product's two exponentials and the reference's dense
+        ``nonzero`` are what the local-energy module is made of; the ratio
+        form stays legal outside it (the scalar Fig. 10 rungs)."""
+        (tree / "src/repro/core/local_energy.py").write_text(
+            "    return xp.exp(log_amps - m)\n"
+            "    inv_x_all = xp.exp(m - table.log_amps[idx_self])\n"
+            "    psi = _shifted_psi(table.log_amps[idx[s_hit, g_hit]], m)\n"
+            "    s_hit, g_hit = xp.nonzero(idx >= 0)\n"
+            '    """Slot map: no membership map, no per-hit ratio."""\n')
+        (tree / "src/repro/core/observables.py").write_text(
+            "r = np.exp(table.log_amps[i] - la_x)\n")
         assert lint_source.lint(tree) == []
 
     def test_comm_accounting_is_allowed_in_comm_py(self, lint_source, tree):

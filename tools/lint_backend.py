@@ -55,6 +55,7 @@ HOT_PATH_FILES = [
     "src/repro/nn/phase.py",
     "src/repro/nn/inference.py",
     "src/repro/core/local_energy.py",
+    "src/repro/core/constraints.py",
     "src/repro/core/engine.py",
 ]
 

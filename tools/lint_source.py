@@ -46,6 +46,11 @@ RULES = (
          "no probing of the communicator, the engine or the optimizer; one "
          "local-energy path, one table lookup, one training loop, one inference "
          "path (Local energy, Stage contract, Sessions and the BAS tree)"),
+    Rule("eloc-one-lookup", r"member\[|exp\(.*log_amps\[.*\]\s*-",
+         ("src/repro/core/local_energy.py",),
+         "the plan finds coupled keys through its slot map and divides by psi(x) "
+         "once per sample: no bool membership map beside it and no per-hit "
+         "exp(log psi(y) - log psi(x)) ratio (Local energy)"),
     Rule("arena-owns-the-flat-buffers", r"concatenate",
          ("src/repro/nn/module.py", "src/repro/optim/adamw.py"),
          "theta, its gradient and the Adam moments are views of one arena, "
