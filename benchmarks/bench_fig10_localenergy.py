@@ -343,8 +343,9 @@ def test_fig10_local_energy_speedups(benchmark, full):
             notes=(
                 "VEC = batch-vectorized numpy kernel (the paper's GPU level; "
                 "paper reports 24x / 103x / 3768x for C2).  PLAN = "
-                "compiled ElocPlan (slot map before the LUT search), "
-                "bit-identical to VEC.  Shape: monotone ladder, batch rungs "
+                "compiled ElocPlan (slot map before the LUT search, each "
+                "hit's terms one add.reduceat segment of a signed-"
+                "coefficient table), bit-identical to VEC.  Shape: monotone ladder, batch rungs "
                 ">> scalar levels."
             ),
         ),
@@ -363,7 +364,8 @@ def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5,
     LUT, few coupled keys present — the slot map finds them in one gather
     where the reference binary-searches every one) and the exact-mode
     extended table (large LUT, many hits — the hit list, the slot map's
-    single full-key compare and the parity fold carry the rung).  ``backend`` scopes the timed
+    single full-key compare and the FUSE step's segment sums over the
+    signed-coefficient table carry the rung).  ``backend`` scopes the timed
     kernels under a registered array backend (``--backend mock`` measures
     the instrumentation overhead of the counting namespace).
     """
@@ -395,7 +397,8 @@ def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5,
             rows,
             notes=("CI gate: speedup >= 1.0x in both regimes and "
                    "bitwise-equal local energies (ElocPlan compiled once, "
-                   "evaluated many; a per-table slot map finds coupled keys in one gather)."),
+                   "evaluated many; a per-table slot map finds coupled keys in one gather, "
+                   "one add.reduceat segment per hit sums its signed terms)."),
         ),
     )
     return results

@@ -4,25 +4,29 @@ One production path and one reference (Sec. 3.4, Algorithm 2):
 
 * :class:`ElocPlan` — the kernel every run, driver and server reaches.  A
   plan is compiled once per ``(CompressedHamiltonian, chunking)``: group
-  sizes, CSR chunk scaffolds and the packed record dtype behind the binary
-  search are hoisted out of the per-call path, a per-table slot map finds
-  coupled keys in one gather (the binary search runs only for keys whose
-  slot several table keys share), and per-thread workspaces are reused
-  across iterations.  :func:`local_energy_planned` and :func:`local_energy`
-  are thin wrappers that run a plan (compiling a throwaway one when the
-  caller has none).
+  sizes, CSR chunk scaffolds, the signed-coefficient table of the FUSE step
+  and the packed record dtype behind the binary search are hoisted out of
+  the per-call path, a per-table slot map finds coupled keys in one gather
+  (the binary search runs only for keys whose slot several table keys
+  share), and per-thread workspaces are reused across iterations.
+  :func:`local_energy_planned` and :func:`local_energy` are thin wrappers
+  that run a plan (compiling a throwaway one when the caller has none).
 * :func:`local_energy_vectorized` — the stateless reference, for testing
   purposes only: the same sample-aware + fused + LUT arithmetic as chunked
   array operations with no plan, no slot map and no caches.  The planned
   kernel is bit-identical to it (the slot map changes *how* a key is found,
-  never which row it finds), which is what the tests and the benchmark's
-  set-up check assert.
+  never which row it finds; the signed table gives the same signed terms),
+  which is what the tests and the benchmark's set-up check assert.
 
 Both accumulate the ψ product of Eq. 4 rather than per-hit ratios:
 ``E_loc(x) = c + e^{m - log ψ(x)} Σ_x' H_xx' e^{log ψ(x') - m}`` with ``m`` the
 largest ``Re log ψ`` of the table, so one complex ``exp`` per coupled entry
 (or per table entry, whichever is fewer) and one per sample replace one per
 (sample, coupled entry) pair.  The shift keeps the form scale-invariant.
+Each hit's H_xx' is the sum of its group's signed terms, taken as one
+``add.reduceat`` segment in both kernels (so both sum in the same order);
+a Hamiltonian with a term-less group is refused, because ``reduceat``
+would read the next group's first term for it.
 
 The scalar rungs of the paper's Fig. 10 ladder (bare-CPU baseline, SA+FUSE,
 SA+FUSE+LUT) are the subject of ``benchmarks/bench_fig10_localenergy.py``
@@ -233,8 +237,9 @@ def budgeted_sample_chunk(
     uint64 flip array plus its ``(sample_chunk, group_chunk)`` int64 lookup —
     ``group_chunk * (W + 1) * 8`` bytes per sample row.  The planned kernel
     holds no such index matrix (its lookup returns the hits alone, and its
-    per-key hash is the same 8 bytes), but it takes the same row count: the
-    two must cut the batch at the same boundaries to stay bit-identical.
+    per-key hash workspace is the same 8 bytes), but it takes the same row
+    count: the two must cut the batch at the same boundaries to stay
+    bit-identical.
     Wide Hamiltonians (large group counts, Fig. 9's memory story) can exceed
     a host budget at the default chunking; the budget caps the row count
     instead of failing.
@@ -244,6 +249,19 @@ def budgeted_sample_chunk(
     g = min(group_chunk, n_groups)
     bytes_per_sample = max(g * (n_words + 1) * 8, 1)
     return int(max(1, min(sample_chunk, memory_budget_bytes // bytes_per_sample)))
+
+
+def _refuse_empty_groups(group_sizes: xp.ndarray) -> None:
+    """Both kernels sum a hit's terms as one ``add.reduceat`` segment, and
+    ``reduceat`` answers an empty segment with the next segment's first
+    term, not 0: a group without terms must never reach it.
+    ``compress_hamiltonian`` builds none; a hand-made Hamiltonian might."""
+    empty = xp.flatnonzero(group_sizes == 0)
+    if len(empty):
+        raise ValueError(
+            f"Hamiltonian group {int(empty[0])} has no terms ({len(empty)} empty "
+            "group(s)); every XY group needs at least one YZ term"
+        )
 
 
 def _log_amp_scale(table: AmplitudeTable) -> float:
@@ -272,7 +290,10 @@ def local_energy_vectorized(
     Stateless SA+FUSE+LUT arithmetic: no plan, no slot map, no caches; what
     :meth:`ElocPlan.local_energy` must equal bit for bit.  Every coupled key
     is binary-searched, the hits read off a dense ``(sample, group)`` index
-    matrix; the ψ product (module docstring) is the plan's.
+    matrix, and each hit's signed terms are spelled ``c (1 - 2 parity)``
+    (exactly ``±c``, the plan's signed-table entries); the per-hit
+    ``add.reduceat`` segment sum and the ψ product (module docstring) are
+    the plan's.
 
     The double chunking mirrors the paper's two-level parallelization: the
     outer sample chunks correspond to the per-thread batches of Fig. 7(a),
@@ -286,6 +307,8 @@ def local_energy_vectorized(
         keys_all.shape[1], comp.n_groups, group_chunk, sample_chunk,
         memory_budget_bytes,
     )
+    group_sizes = xp.diff(comp.idxs).astype(int64)
+    _refuse_empty_groups(group_sizes)
     idx_self = searchsorted_keys(table.keys, keys_all)
     if xp.any(idx_self < 0):
         raise ValueError("amplitude table must contain every sample")
@@ -293,7 +316,6 @@ def local_energy_vectorized(
     inv_x_all = xp.exp(m - table.log_amps[idx_self])     # e^m / ψ(x)
 
     eloc = xp.full(batch.n_unique, comp.constant, dtype=complex128)
-    group_sizes = xp.diff(comp.idxs).astype(int64)
 
     for s0 in range(0, batch.n_unique, sample_chunk):
         s1 = min(s0 + sample_chunk, batch.n_unique)
@@ -316,9 +338,10 @@ def local_energy_vectorized(
             sizes = group_sizes[g_abs]                       # terms per pair
             starts = comp.idxs[g_abs]
             # term index array: concat of [starts_p, starts_p + sizes_p)
+            offs = xp.cumsum(sizes) - sizes                  # segment starts
             total = int(sizes.sum())
             term_idx = xp.repeat(starts, sizes) + (
-                xp.arange(total) - xp.repeat(xp.cumsum(sizes) - sizes, sizes)
+                xp.arange(total) - xp.repeat(offs, sizes)
             )
             pair_of_term = xp.repeat(xp.arange(len(s_hit)), sizes)
             par = (
@@ -326,7 +349,8 @@ def local_energy_vectorized(
                 & 1
             )
             signed = comp.coeffs_buf[term_idx] * (1.0 - 2.0 * par)
-            coef = xp.bincount(pair_of_term, weights=signed, minlength=len(s_hit))
+            # one segment sum per pair, in reduceat's order (the plan's)
+            coef = xp.add.reduceat(signed, offs)
             psi = _shifted_psi(table.log_amps[idx[s_hit, g_hit]], m)
             acc_re += xp.bincount(s_hit, weights=coef * psi.real, minlength=b)
             acc_im += xp.bincount(s_hit, weights=coef * psi.imag, minlength=b)
@@ -389,16 +413,21 @@ class ElocPlan:
 
     * group sizes and per-group-chunk CSR scaffolds (``starts`` / ``sizes``
       and contiguous flip-mask slices);
+    * the FUSE tables: ``signed`` (``2K`` float64, ``signed[2t + p] =
+      (-1)^p c_t``) and one contiguous column per word of the YZ masks;
     * the packed record dtype behind :func:`searchsorted_keys`, plus a
       cached :class:`_TableIndex` of the current amplitude table — record
       view, slot map, ``m`` and, once a chunk has more hits than the table
       has entries, ``ψ e^{-m}`` of every entry (rebuilt only when the table
       object changes — i.e. when the parameters moved);
-    * a per-thread workspace (the ``(sample_chunk, group_chunk, W)`` flip
-      buffer) reused across iterations instead of reallocated per chunk.
+    * per-thread workspaces — the ``(sample_chunk, group_chunk, W)`` flip
+      buffer and the lookup's hash buffer — reused across iterations
+      instead of reallocated per chunk.
 
     :meth:`local_energy` is the planned kernel: identical arithmetic to
-    :func:`local_energy_vectorized` except for the lookup.  :meth:`_lookup`
+    :func:`local_energy_vectorized` except for the lookup and the spelling
+    of the signed terms (a gather from ``signed`` at ``(t << 1) | parity``
+    instead of ``c_t (1 - 2 parity)``: the same floats).  :meth:`_lookup`
     returns the hits alone, ascending in flat ``(sample, group)`` position —
     the order of the reference's ``nonzero`` over its index matrix — with
     their table rows, found through the slot map.  Results are
@@ -411,9 +440,13 @@ class ElocPlan:
     thread, for the table it last saw; serving's worst case is
     ``table_max_entries`` x ``max_loaded_versions`` = 500 000 x 4 entries at
     the defaults, 64 MiB per version, 256 MiB per thread that serves local
-    energies.
+    energies.  The hash workspace holds 8 B per key of the largest lookup —
+    a group chunk's coupled keys, ``b x gc`` (or the batch's samples, when
+    more): 0.5 MiB on C2's 128 x 512, 2.2 MiB on N2's ~550 x 512 and 16 MiB
+    in serving's worst case of 4096 x 512, the same as the flip buffer for
+    single-word keys.
 
-    Thread safety: the compiled scaffolds are immutable; the workspace and
+    Thread safety: the compiled scaffolds are immutable; the workspaces and
     the table index live in ``threading.local``, so thread-rank
     backends can share one plan.  Plans hold no model state — they are
     invalidated only by a different Hamiltonian or chunking config, never by
@@ -434,6 +467,15 @@ class ElocPlan:
         self.memory_budget_bytes = memory_budget_bytes
         self.n_words = (comp.n_qubits + 63) // 64
         self.group_sizes = xp.diff(comp.idxs).astype(int64)
+        _refuse_empty_groups(self.group_sizes)
+        # FUSE tables: signed[2t + p] = (-1)^p c_t, so a term's signed
+        # coefficient is one gather at (t << 1) | parity; and each word of
+        # the YZ masks as its own contiguous column.
+        self.signed = xp.empty(2 * comp.n_terms, dtype=float64)
+        self.signed[0::2] = comp.coeffs_buf
+        self.signed[1::2] = -comp.coeffs_buf
+        self.yz_cols = [xp.ascontiguousarray(comp.yz_buf[:, w])
+                        for w in range(self.n_words)]
         self.chunks: list[_GroupChunkScaffold] = []
         for g0 in range(0, comp.n_groups, group_chunk):
             g1 = min(g0 + group_chunk, comp.n_groups)
@@ -494,22 +536,25 @@ class ElocPlan:
         return slots, shift
 
     @staticmethod
-    def _hash(keys: xp.ndarray) -> xp.ndarray:
+    def _hash(keys: xp.ndarray, out: xp.ndarray | None = None) -> xp.ndarray:
         """``(M, W)`` uint64 rows -> ``(M,)`` multiplicative (Fibonacci) hash,
-        folded over the words; the high bits are the well-mixed ones."""
-        h = keys[:, 0] * _HASH_MULTIPLIER
+        folded over the words; the high bits are the well-mixed ones.
+        Computed in place in ``out`` when given."""
+        h = xp.multiply(keys[:, 0], _HASH_MULTIPLIER, out=out)
         for w in range(1, keys.shape[1]):
-            h = (h ^ keys[:, w]) * _HASH_MULTIPLIER
+            h ^= keys[:, w]
+            h *= _HASH_MULTIPLIER
         return h
 
-    def _flip_buffer(self, rows: int, groups: int) -> xp.ndarray:
-        """A ``(rows, groups, W)`` view of the per-thread XOR workspace."""
-        need = rows * groups * self.n_words
-        buf = getattr(self._local, "flip_buf", None)
-        if buf is None or buf.size < need:
-            buf = xp.empty(need, dtype=uint64)
-            self._local.flip_buf = buf
-        return buf[:need].reshape(rows, groups, self.n_words)
+    def _workspace(self, name: str, size: int) -> xp.ndarray:
+        """The first ``size`` entries of the per-thread uint64 workspace
+        ``name`` (``flip_buf``: the XOR buffer; ``hash_buf``: the lookup's
+        hashes), grown on demand and reused across chunks and calls."""
+        buf = getattr(self._local, name, None)
+        if buf is None or buf.size < size:
+            buf = xp.empty(size, dtype=uint64)
+            setattr(self._local, name, buf)
+        return buf[:size]
 
     # -------------------------------------------------------------- lookups
     def _lookup(self, index: _TableIndex,
@@ -519,25 +564,30 @@ class ElocPlan:
         :func:`searchsorted_keys`, which returns ``rows`` at ``flat`` and
         ``-1`` everywhere else.
 
-        One gather reads every key's slot.  An empty slot is a miss; a slot
-        holding a row is a candidate; a shared slot sends the key to the
-        binary search on the record view.  Every candidate, searched or not,
-        is then compared with its table key in full, so a slot never decides
-        a hit and the rows are the search's by construction.
+        One gather reads every key's slot, hashed in place in the per-thread
+        workspace.  An empty slot is a miss; a slot holding a row is a
+        candidate; a shared slot sends the key to the binary search on the
+        record view.  Every candidate, searched or not, is then compared with
+        its table key in full, so a slot never decides a hit and the rows are
+        the search's by construction.  Rows stay int32 (the slot map's type)
+        until the hits are known.
         """
         if index.n_entries == 0:
             empty = xp.zeros(0, dtype=int64)
             return empty, empty
-        cand = index.slots[self._hash(keys) >> index.shift]
+        h = self._hash(keys, out=self._workspace("hash_buf", len(keys)))
+        h >>= index.shift
+        cand = index.slots.take(h.view(int64))
         flat = xp.flatnonzero(cand != _EMPTY)
-        rows = cand[flat].astype(int64)
-        rec = self._as_records(keys[flat])
+        rows = cand.take(flat)
+        rec = (keys[:, 0].take(flat) if self.n_words == 1
+               else self._as_records(keys[flat]))
         shared = xp.flatnonzero(rows == _SHARED)
         if len(shared):
             rows[shared] = xp.minimum(
                 xp.searchsorted(index.records, rec[shared]), index.n_entries - 1)
-        hit = index.records[rows] == rec
-        return flat[hit], rows[hit]
+        hit = index.records.take(rows) == rec
+        return flat[hit], rows[hit].astype(int64)
 
     @staticmethod
     def _psi(index: _TableIndex, log_amps: xp.ndarray,
@@ -551,35 +601,34 @@ class ElocPlan:
             index.psi = _shifted_psi(log_amps, index.m)
         return index.psi[rows]
 
-    @staticmethod
-    def _fold_parity(a: xp.ndarray, b: xp.ndarray) -> xp.ndarray:
-        """Rowwise ``popcount(a & b) mod 2`` for ``(T, W)`` uint64 rows.
-
-        parity of a multi-word AND = parity of the XOR of its words, read
-        off one hardware popcount per row.  Integer-identical to
-        ``parity64(a & b).sum(axis=1) & 1``.
-        """
-        x = a[:, 0] & b[:, 0]
-        for w in range(1, a.shape[1]):
-            x ^= a[:, w] & b[:, w]
-        return (xp.bitwise_count(x) & 1).astype(int64)
-
     def _pair_coefficients(self, keys: xp.ndarray, s_hit: xp.ndarray,
                            g_hit: xp.ndarray, cp: _GroupChunkScaffold) -> xp.ndarray:
         """H_xx' of each hit pair (sample ``s_hit``, group ``cp.g0 + g_hit``):
         the group's coefficients summed with their ``(-1)^popcount(x & yz)``
-        signs (FUSE).  Its term-length temporaries (the largest arrays of a
-        call) die on return, before the next group chunk is looked up."""
-        comp = self.comp
+        signs (FUSE), as one ``add.reduceat`` segment per pair over gathers
+        from the signed table.  The parity of a multi-word AND is the parity
+        of the XOR of its words, read off one hardware popcount per term.
+        Its term-length temporaries (the largest arrays of a call) die on
+        return, before the next group chunk is looked up."""
         sizes = cp.sizes[g_hit]                              # terms per pair
+        ends = xp.cumsum(sizes)
+        offs = ends - sizes                                  # segment starts
         # term index: concat of [start_p, start_p + size_p), built in place
-        term_idx = xp.arange(int(sizes.sum()))
-        term_idx += xp.repeat(cp.starts[g_hit] - (xp.cumsum(sizes) - sizes), sizes)
-        par = self._fold_parity(
-            xp.repeat(keys[s_hit], sizes, axis=0), comp.yz_buf[term_idx])
-        signed = comp.coeffs_buf[term_idx] * (1.0 - 2.0 * par)
-        pair_of_term = xp.repeat(xp.arange(len(s_hit)), sizes)
-        return xp.bincount(pair_of_term, weights=signed, minlength=len(s_hit))
+        term_idx = xp.arange(int(ends[-1]))
+        term_idx += xp.repeat(cp.starts[g_hit] - offs, sizes)
+        x = None                            # the words of x & yz, XOR-folded
+        for w, yz in enumerate(self.yz_cols):
+            word = xp.repeat(keys[:, w].take(s_hit), sizes)
+            word &= yz.take(term_idx)
+            if x is None:
+                x = word
+            else:
+                x ^= word
+        par = xp.bitwise_count(x)
+        par &= 1
+        term_idx <<= 1
+        term_idx |= par
+        return xp.add.reduceat(self.signed.take(term_idx), offs)
 
     # --------------------------------------------------------------- kernel
     def local_energy(self, batch: SampleBatch, table: AmplitudeTable) -> xp.ndarray:
@@ -610,7 +659,8 @@ class ElocPlan:
             acc_im = xp.zeros(b, dtype=float64)
             for cp in self.chunks:
                 gc = cp.g1 - cp.g0
-                flips = self._flip_buffer(b, gc)
+                flips = self._workspace("flip_buf", b * gc * self.n_words).reshape(
+                    b, gc, self.n_words)
                 xp.bitwise_xor(keys[:, None, :], cp.xy[None, :, :], out=flips)
                 flat, rows = self._lookup(index, flips.reshape(-1, self.n_words))
                 if len(flat) == 0:

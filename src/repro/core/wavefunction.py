@@ -233,10 +233,12 @@ class NNQSWavefunction(Module):
         """Add ``sum_i coeff[i] dphi(bits[i]) / dtheta`` into the phase
         network's ``p.grad``, ``PHASE_BLOCK`` rows at a time — stage 5's
         phase half, off the tape (``PhaseMLP.vjp``: float32 GEMMs, the
-        gauge-direction output bias summed in float64)."""
+        gauge-direction output bias summed in float64).  The parameters are
+        cast to float32 once per call, not once per block."""
         bits = np.atleast_2d(bits)
+        params32 = self.phase.cast32()
         for rows in row_blocks(len(bits), PHASE_BLOCK):
-            self.phase.vjp(bits[rows], coeff[rows])
+            self.phase.vjp(bits[rows], coeff[rows], params32)
 
     # ------------------------------------------------------------ inference
     def amplitudes(self, bits: np.ndarray) -> np.ndarray:
@@ -264,11 +266,13 @@ class NNQSWavefunction(Module):
         """(B,) phi(x) without a tape, ``PHASE_BLOCK`` rows at a time — the
         half of :meth:`log_amplitudes` a caller that holds ``log pi`` still
         needs.  Float32 GEMMs (``PhaseMLP.step``), within ~2e-7 rad of
-        :meth:`phase_of`, the taped float64 oracle."""
+        :meth:`phase_of`, the taped float64 oracle.  The parameters are cast
+        to float32 once per call, not once per block."""
         bits = np.atleast_2d(bits)
         out = np.empty(len(bits))
+        params32 = self.phase.cast32()
         for rows in row_blocks(len(bits), PHASE_BLOCK):
-            out[rows] = self.phase.step(bits[rows])
+            out[rows] = self.phase.step(bits[rows], params32)
         return out
 
     def _log_prob_shared(self, bits: np.ndarray) -> np.ndarray:

@@ -64,7 +64,7 @@ def _ladder_masks(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _parity_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``popcount(a & b) mod 2`` over the trailing word axis (the word-XOR
-    fold of ``ElocPlan._fold_parity``)."""
+    fold of ``ElocPlan._pair_coefficients``)."""
     return (np.bitwise_count(np.bitwise_xor.reduce(a & b, axis=-1)) & 1).astype(np.int64)
 
 

@@ -10,10 +10,11 @@ float32 forward (``_forward32``): ``step``, the graph-free evaluator every
 no-grad consumer of phi calls (stage 2, the amplitude-table extension,
 serving, observables), and ``vjp``, stage 5's hand-derived backward, which
 adds the Eq. 7 phase gradient into the float64 ``p.grad`` arena views.  Both
-run their GEMMs on copies of the float64 weights cast on every call — no
-cached copy that an optimizer step, a restore or a version swap could leave
-stale.  ``forward`` is the taped float64 head: the oracle of both, and what
-tests and benchmarks differentiate by tape.  The audit behind the choice is
+run their GEMMs on float32 copies of the float64 parameters (``cast32``),
+cast once per call and handed to every row block of it — no cached copy that
+an optimizer step, a restore or a version swap could leave stale.
+``forward`` is the taped float64 head: the oracle of both, and what tests
+and benchmarks differentiate by tape.  The audit behind the choice is
 ``backend/dtypes.py``'s.
 """
 from __future__ import annotations
@@ -48,12 +49,25 @@ class PhaseMLP(Module):
         out = self.layers[-1](x)
         return out.reshape(out.shape[0])
 
-    def step(self, bits):
-        """Graph-free :meth:`forward`: (batch, N) or (N,) 0/1 bits ->
-        (batch,) float64 phase, every GEMM, bias and ``tanh`` in float32."""
-        return xp.asarray(self._forward32(bits)[-1][0], dtype=float64)
+    def cast32(self) -> list:
+        """``[(W, b), ...]``: float32 copies of every layer's parameters, for
+        one caller's :meth:`step` / :meth:`vjp` calls (a row-blocked caller
+        casts once and passes the copies to each block).  The copies are the
+        caller's to drop; nothing here keeps them."""
+        return [(xp.asarray(layer.weight.data, dtype=float32),
+                 xp.asarray(layer.bias.data, dtype=float32))
+                for layer in self.layers]
 
-    def vjp(self, bits, coeff) -> None:
+    def step(self, bits, params32: list | None = None):
+        """Graph-free :meth:`forward`: (batch, N) or (N,) 0/1 bits ->
+        (batch,) float64 phase, every GEMM, bias and ``tanh`` in float32.
+        ``params32`` is :meth:`cast32` of the current parameters (cast here
+        when not given)."""
+        if params32 is None:
+            params32 = self.cast32()
+        return xp.asarray(self._forward32(bits, params32)[-1][0], dtype=float64)
+
+    def vjp(self, bits, coeff, params32: list | None = None) -> None:
         """Add ``sum_i coeff[i] dphi(bits[i]) / dtheta`` into the layers'
         ``p.grad`` (a bound arena view is written in place; ``None`` starts
         from zero, as the tape does).
@@ -65,9 +79,14 @@ class PhaseMLP(Module):
         centred coefficients make it exactly 0 analytically — a float32 sum
         would leave ~1e-8 of rounding there, which Adam's ``m / (sqrt(v) +
         eps)`` turns into an lr-sized random walk of the bias.
+
+        ``params32`` as in :meth:`step`; the backward's ``W^T g`` reads the
+        same float32 weights as the forward.
         """
         coeff = xp.asarray(coeff, dtype=float64)
-        acts = self._forward32(bits)
+        if params32 is None:
+            params32 = self.cast32()
+        acts = self._forward32(bits, params32)
         top = len(self.layers) - 1
         self.layers[top].bias._accumulate(xp.sum(coeff, keepdims=True))
         g = coeff.astype(float32)[None, :]      # dloss / dz of layer i, (out, batch)
@@ -77,13 +96,14 @@ class PhaseMLP(Module):
             if i < top:
                 layer.bias._accumulate(xp.sum(g, axis=1))
             if i:
-                g = xp.asarray(layer.weight.data, dtype=float32).T @ g
+                g = params32[i][0].T @ g
                 g *= 1.0 - h * h                # h is layer i - 1's tanh output
 
-    def _forward32(self, bits) -> list:
+    def _forward32(self, bits, params32: list) -> list:
         """The float32 forward: ``[x, h_1, ..., h_L]``, feature-major
         ``(features, batch)``, ``x = 2 bits - 1`` and ``h_L`` the ``(1,
-        batch)`` phase; every hidden ``h`` is a ``tanh`` output.
+        batch)`` phase; every hidden ``h`` is a ``tanh`` output.  The GEMMs
+        run on ``params32`` (:meth:`cast32`).
 
         Feature-major because BLAS runs ``W @ h`` well ahead of ``h^T W^T``
         on small batches (4 rows through the 512 x 512 layer: 32 against 91
@@ -94,17 +114,16 @@ class PhaseMLP(Module):
         if x.ndim == 1:
             x = x[None, :]
         acts = [(2.0 * x - 1.0).T]      # a Python scalar keeps float32
-        *hidden, last = self.layers
-        for layer in hidden:
-            h = _affine32(layer, acts[-1])
+        *hidden, last = params32
+        for w, b in hidden:
+            h = _affine32(w, b, acts[-1])
             acts.append(xp.tanh(h, out=h))
-        acts.append(_affine32(last, acts[-1]))
+        acts.append(_affine32(*last, acts[-1]))
         return acts
 
 
-def _affine32(layer: Linear, h):
-    """``W h + b`` on feature-major activations, with float32 copies of the
-    layer's parameters cast for this call."""
-    out = xp.asarray(layer.weight.data, dtype=float32) @ h
-    out += xp.asarray(layer.bias.data, dtype=float32)[:, None]
+def _affine32(w, b, h):
+    """``W h + b`` on feature-major activations, float32 throughout."""
+    out = w @ h
+    out += b[:, None]
     return out

@@ -9,6 +9,9 @@ Acceptance contracts of ``ElocPlan``, the one production local-energy path:
 * agreement with the scalar ``sa_fuse_lut`` rung of the Fig. 10 bench;
 * the one lookup (membership map first, binary search on the survivors) is
   index-identical to searching every key, single- and multi-word;
+* the FUSE step (each hit's terms one ``add.reduceat`` segment of the
+  signed-coefficient table) against an integer-parity oracle, and the
+  refusal of a Hamiltonian with a term-less group;
 * one plan per run serves every backend (serial / threads / process) and the
   serving layer: the engine's stage-3 output equals the reference on the
   same ``(chunk, table)``;
@@ -38,6 +41,7 @@ from repro.core.engine import NoamAdamW, ProcessBackend, ThreadBackend
 from repro.core.local_energy import AmplitudeTable
 from repro.core.sampler import batch_autoregressive_sample
 from repro.hamiltonian import (
+    CompressedHamiltonian,
     compress_hamiltonian,
     sector_hamiltonian_dense,
     synthetic_molecular_hamiltonian,
@@ -565,3 +569,95 @@ class TestDifferential:
         np.testing.assert_allclose(ref, (dense @ psi)[picked] / psi[picked],
                                    rtol=0, atol=1e-10)
         assert np.array_equal(ElocPlan(comp).local_energy(batch, table), ref)
+
+
+def _grouped_hamiltonian(rng, n_qubits, sizes):
+    """A ``CompressedHamiltonian`` whose groups hold exactly ``sizes`` terms
+    (random distinct XY masks, random YZ masks and coefficients)."""
+    n_words = (n_qubits + 63) // 64
+    rand = lambda k: pack_bits(rng.integers(0, 2, size=(k, n_qubits)).astype(np.uint8))
+    xy = np.unique(rand(4 * len(sizes) + 4), axis=0)[:len(sizes)]
+    assert len(xy) == len(sizes)
+    n_terms = int(sum(sizes))
+    return CompressedHamiltonian(
+        n_qubits=n_qubits, xy_unique=xy[lexsort_keys(xy)],
+        idxs=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        yz_buf=rand(n_terms).reshape(n_terms, n_words),
+        coeffs_buf=rng.normal(size=n_terms), constant=0.25)
+
+
+def _as_int(words):
+    """A ``(W,)`` uint64 key as one Python int (word ``w`` at bit ``64 w``)."""
+    return sum(int(v) << (64 * w) for w, v in enumerate(words))
+
+
+class TestFuse:
+    """The FUSE step: each hit's H_xx' is one ``add.reduceat`` segment over
+    gathers from the plan's signed-coefficient table."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_qubits=st.sampled_from((24, 64, 70, 130)),        # 1, 1, 2, 3 words
+           sizes=st.lists(st.sampled_from((1, 2, 3, 8, 9, 38, 210)),
+                          min_size=1, max_size=12),
+           group_chunk=st.sampled_from((1, 3, 512)),
+           n_samples=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_pair_coefficients_equal_integer_parity(self, n_qubits, sizes,
+                                                    group_chunk, n_samples, seed):
+        """Every (sample, group) pair of every chunk against the sum
+        Σ_t c_t (-1)^popcount(x & yz_t) with the parity taken on Python
+        ints, to 1e-12 of Σ|c_t|."""
+        rng = np.random.default_rng(seed)
+        comp = _grouped_hamiltonian(rng, n_qubits, sizes)
+        plan = ElocPlan(comp, group_chunk=group_chunk)
+        keys = pack_bits(rng.integers(0, 2, size=(n_samples, n_qubits)).astype(np.uint8))
+        yz = [_as_int(row) for row in comp.yz_buf]
+        for cp in plan.chunks:
+            gc = cp.g1 - cp.g0
+            s_hit, g_hit = np.divmod(np.arange(n_samples * gc), gc)
+            got = plan._pair_coefficients(keys, s_hit, g_hit, cp)
+            assert got.shape == (len(s_hit),) and got.dtype == np.float64
+            for p, (s, g) in enumerate(zip(s_hit, g_hit + cp.g0)):
+                x = _as_int(keys[s])
+                terms = range(comp.idxs[g], comp.idxs[g + 1])
+                want = sum(comp.coeffs_buf[t] * (-1) ** bin(x & yz[t]).count("1")
+                           for t in terms)
+                scale = sum(abs(comp.coeffs_buf[t]) for t in terms)
+                assert abs(got[p] - want) <= 1e-12 * scale
+
+    def test_signed_table_is_exactly_plus_minus_c(self, lih_problem):
+        comp = compress_hamiltonian(lih_problem.hamiltonian)
+        plan = ElocPlan(comp)
+        assert plan.signed.shape == (2 * comp.n_terms,)
+        np.testing.assert_array_equal(plan.signed[0::2], comp.coeffs_buf)
+        np.testing.assert_array_equal(plan.signed[1::2], -comp.coeffs_buf)
+        for w, col in enumerate(plan.yz_cols):
+            assert col.flags.c_contiguous
+            np.testing.assert_array_equal(col, comp.yz_buf[:, w])
+
+    def test_lih_has_segments_where_the_summation_order_shows(self, lih_problem):
+        """``reduceat`` and a left-to-right sum part ways from 3-term
+        segments up: the bit-identity fixtures must hold such groups, or a
+        kernel that went back to ``bincount`` alone would pass them."""
+        comp = compress_hamiltonian(lih_problem.hamiltonian)
+        assert np.diff(comp.idxs).max() >= 3
+
+    @pytest.mark.parametrize("empty_group", [0, 2])
+    def test_a_group_without_terms_is_refused(self, empty_group):
+        """``reduceat`` answers an empty segment with the next segment's
+        first term: both kernels refuse such a Hamiltonian, naming the group."""
+        rng = np.random.default_rng(7)
+        comp = _grouped_hamiltonian(rng, 12, [2, 3, 1, 4])
+        sizes = np.diff(comp.idxs)
+        sizes[empty_group] = 0
+        comp.idxs = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        comp.yz_buf = comp.yz_buf[:comp.idxs[-1]]
+        comp.coeffs_buf = comp.coeffs_buf[:comp.idxs[-1]]
+        bits = rng.integers(0, 2, size=(3, 12)).astype(np.uint8)
+        batch = SampleBatch(bits=np.unique(bits, axis=0),
+                            weights=np.ones(len(np.unique(bits, axis=0)), dtype=np.int64))
+        table = _mock_table(rng, pack_bits(batch.bits))
+        match = f"group {empty_group} has no terms"
+        with pytest.raises(ValueError, match=match):
+            ElocPlan(comp)
+        with pytest.raises(ValueError, match=match):
+            local_energy_vectorized(comp, batch, table)

@@ -91,6 +91,10 @@ class TestSourceLint:
          "ratios = xp.exp(table.log_amps[idx[s_hit, g_hit]] - la_x[s_hit])"),
         ("eloc-one-lookup", "src/repro/core/local_energy.py",
          "contrib = coef * np.exp(table.log_amps[rows] - la_self[s_hit])"),
+        ("eloc-one-fuse", "src/repro/core/local_energy.py",
+         "coef = xp.bincount(pair_of_term, weights=signed, minlength=len(s_hit))"),
+        ("eloc-one-fuse", "src/repro/core/local_energy.py",
+         "        return np.bincount(pair_of_term, weights=terms)"),
         ("arena-owns-the-flat-buffers", "src/repro/optim/adamw.py",
          "flat = xp.concatenate(parts)"),
         ("stage5-writes-into-the-arena", "src/repro/core/engine.py", "wf.set_flat_grads(g)"),
@@ -190,6 +194,21 @@ class TestSourceLint:
             '    """Slot map: no membership map, no per-hit ratio."""\n')
         (tree / "src/repro/core/observables.py").write_text(
             "r = np.exp(table.log_amps[i] - la_x)\n")
+        assert lint_source.lint(tree) == []
+
+    def test_the_segment_sum_and_the_per_sample_bins_pass(self, lint_source, tree):
+        """The FUSE's ``reduceat``, the per-sample ``bincount`` of the ψ
+        product and a pair id by itself are legal in the local-energy
+        module; the pair-id ``bincount`` stays legal outside it (the scalar
+        Fig. 10 rungs live in benchmarks/)."""
+        (tree / "src/repro/core/local_energy.py").write_text(
+            "    coef = xp.add.reduceat(signed, offs)\n"
+            "    return xp.add.reduceat(self.signed.take(term_idx), offs)\n"
+            "    acc_re += xp.bincount(s_hit, weights=coef * psi.real, minlength=b)\n"
+            "    pair_of_term = xp.repeat(xp.arange(len(s_hit)), sizes)\n"
+            '    """No weighted bincount over a pair id."""\n')
+        (tree / "src/repro/core/observables.py").write_text(
+            "coef = np.bincount(pair_of_term, weights=signed)\n")
         assert lint_source.lint(tree) == []
 
     def test_comm_accounting_is_allowed_in_comm_py(self, lint_source, tree):

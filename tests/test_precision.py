@@ -41,7 +41,7 @@ from repro.core import (
     pretrain_to_reference,
     sector_expectation,
 )
-from repro.core import sampler
+from repro.core import sampler, wavefunction
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.engine import stage_backward
 from repro.hamiltonian import compress_hamiltonian, sector_basis
@@ -484,6 +484,56 @@ class TestPhaseEvaluator:
             np.testing.assert_allclose(net.step(bits), before + 1.0, atol=PHASE_TOL)
         finally:
             net.layers[-1].bias.data -= 1.0
+
+
+class TestPhaseCastOnce:
+    """``wf.phases`` / ``wf.phase_vjp`` cast the phase parameters to float32
+    once per call and hand the copies to every ``PHASE_BLOCK`` block: the
+    bits are those of casting per block, since the cast values are equal."""
+
+    @pytest.fixture(scope="class")
+    def wf(self):
+        return build_qiankunnet(20, 5, 5, seed=3)
+
+    ROWS = (1, wavefunction.PHASE_BLOCK, wavefunction.PHASE_BLOCK + 1,
+            3 * wavefunction.PHASE_BLOCK)
+
+    @staticmethod
+    def _bits(n):
+        return np.random.default_rng(n).integers(0, 2, size=(n, 20), dtype=np.uint8)
+
+    @staticmethod
+    def _count_casts(wf, monkeypatch):
+        calls = []
+        cast = wf.phase.cast32
+        monkeypatch.setattr(wf.phase, "cast32", lambda: calls.append(1) or cast())
+        return calls
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_phases_equal_the_per_block_path(self, wf, n, monkeypatch):
+        bits = self._bits(n)
+        per_block = np.concatenate([
+            wf.phase.step(bits[rows])
+            for rows in wavefunction.row_blocks(n, wavefunction.PHASE_BLOCK)])
+        calls = self._count_casts(wf, monkeypatch)
+        np.testing.assert_array_equal(wf.phases(bits), per_block)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_phase_vjp_equals_the_per_block_path(self, wf, n, monkeypatch):
+        bits = self._bits(n)
+        coeff = np.random.default_rng(n + 1).normal(size=n) / n
+        arena = wf.arena()
+        arena.zero_grad(bind_all=True)
+        for rows in wavefunction.row_blocks(n, wavefunction.PHASE_BLOCK):
+            wf.phase.vjp(bits[rows], coeff[rows])
+        per_block = [p.grad.copy() for p in wf.phase.parameters()]
+        calls = self._count_casts(wf, monkeypatch)
+        arena.zero_grad(bind_all=True)
+        wf.phase_vjp(bits, coeff)
+        for got, want in zip((p.grad for p in wf.phase.parameters()), per_block):
+            np.testing.assert_array_equal(got, want)
+        assert len(calls) == 1
 
 
 class TestSessionLifetime:

@@ -51,6 +51,10 @@ RULES = (
          "the plan finds coupled keys through its slot map and divides by psi(x) "
          "once per sample: no bool membership map beside it and no per-hit "
          "exp(log psi(y) - log psi(x)) ratio (Local energy)"),
+    Rule("eloc-one-fuse", r"bincount\(pair_of_term", ("src/repro/core/local_energy.py",),
+         "both kernels sum a hit's Hamiltonian terms as one add.reduceat "
+         "segment, in the same order, so the plan equals the reference bit for "
+         "bit: no weighted bincount over a pair id beside it (Local energy)"),
     Rule("arena-owns-the-flat-buffers", r"concatenate",
          ("src/repro/nn/module.py", "src/repro/optim/adamw.py"),
          "theta, its gradient and the Adam moments are views of one arena, "
