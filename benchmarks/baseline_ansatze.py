@@ -20,13 +20,16 @@ with a one-hot position encoding.
 
 One-hot input staging and the constant autoregressive masks allocate through
 the active backend's ``xp`` namespace, so both baselines run on the same
-array seam as the transformer.
+array seam as the transformer.  Their only forward is taped float64: the
+parameters go on the tape through the oracle's leaf wrapper
+(``repro.autograd.oracle.Leaf``), so ``prefix_vjp``'s backward fills the
+arena's gradient views.
 """
 from __future__ import annotations
 
 import math
 
-from repro.autograd import Tensor, stack
+from repro.autograd import Tensor, oracle, stack
 from repro.backend import xp
 from repro.backend.dtypes import float64, int64
 from repro.backend.host import host_np
@@ -37,7 +40,6 @@ from repro.core import (
 )
 from repro.hamiltonian import sector_basis
 from repro.nn import PhaseMLP
-from repro.nn.inference import padded_next_logits
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
 
@@ -49,7 +51,7 @@ class RecomputeSession:
     """The decoding-session interface for a network without an incremental
     path: the input layer consumes the whole (padded) sequence, so each
     ``step`` stores the new token column and re-runs the full
-    ``conditional_logits`` under ``no_grad``.  Same interface and misuse
+    ``conditional_logits`` (``padded_next_logits``), keeping its values.  Same interface and misuse
     contract as ``TransformerInferenceSession``, so the sampler and the
     prefix walk do not care which kind they drive.
     """
@@ -75,14 +77,14 @@ class RecomputeSession:
             prev = xp.asarray(prev_tokens, dtype=int64).reshape(-1, 1)
             self.tokens = xp.concatenate([self.tokens, prev], axis=1)
         self._started = True
-        return padded_next_logits(self.model, self.tokens)
+        return oracle.padded_next_logits(self.model, self.tokens)
 
     def prefill(self, prefix_tokens):
         if self._started:
             raise ValueError("prefill requires a fresh session")
         self._started = True
         self.tokens = xp.atleast_2d(xp.asarray(prefix_tokens, dtype=int64))
-        return padded_next_logits(self.model, self.tokens)
+        return oracle.padded_next_logits(self.model, self.tokens)
 
     def _with_tokens(self, tokens) -> "RecomputeSession":
         out = RecomputeSession(self.model, len(tokens))
@@ -144,8 +146,8 @@ class _MaskedLinear(Module):
         self.mask = xp.asarray(mask, dtype=float64)  # (out, in), constant
 
     def forward(self, x: Tensor) -> Tensor:
-        w = self.weight * Tensor(self.mask)
-        return x @ w.transpose() + self.bias
+        w = oracle.Leaf(self.weight) * Tensor(self.mask)
+        return x @ w.transpose() + oracle.Leaf(self.bias)
 
 
 class MADEAmplitude(_DenseOnlyAmplitude):
@@ -187,8 +189,8 @@ class MADEAmplitude(_DenseOnlyAmplitude):
         onehot[xp.arange(b)[:, None], flat] = 1.0
         x = Tensor(onehot)
         for layer in self.layers[:-1]:
-            x = layer(x).relu()
-        out = self.layers[-1](x)
+            x = layer.forward(x).relu()
+        out = self.layers[-1].forward(x)
         return out.reshape(b, t, self.vocab_size)
 
 
@@ -219,8 +221,8 @@ class NAQSMLPAmplitude(_DenseOnlyAmplitude):
             pos[:, i] = 1.0
             x = Tensor(xp.concatenate([prefix.reshape(b, -1), pos], axis=1))
             for layer in self.layers[:-1]:
-                x = layer(x).relu()
-            outs.append(self.layers[-1](x))
+                x = oracle.forward(layer, x).relu()
+            outs.append(oracle.forward(self.layers[-1], x))
         return stack(outs, axis=1)  # (b, t, v)
 
 
@@ -265,7 +267,7 @@ def check_baselines_agree(value_atol: float = 1e-12, grad_rtol: float = 1e-10) -
         amp = wf.amplitude
 
         wf.zero_grad()
-        want = wf.log_prob(bits)
+        want = oracle.log_prob(wf, bits)
         (Tensor(coeff) * want).sum().backward()
         want, want_grad = want.data, wf.get_flat_grads()
         wf.zero_grad()
@@ -280,11 +282,11 @@ def check_baselines_agree(value_atol: float = 1e-12, grad_rtol: float = 1e-10) -
         assert grad <= grad_rtol, (kind, grad)
 
         tokens = wf.bits_to_tokens(bits)
-        base = amp.conditional_logits(tokens).data
+        base = oracle.conditional_logits(amp, tokens).data
         for i in range(t):
             moved = tokens.copy()
             moved[:, i:] = (moved[:, i:] + 1) % 4
-            leaked = amp.conditional_logits(moved).data[:, : i + 1] != base[:, : i + 1]
+            leaked = oracle.conditional_logits(amp, moved).data[:, : i + 1] != base[:, : i + 1]
             assert not leaked.any(), f"{kind}: position {i} reads tokens >= {i}"
         report[kind] = {"taped": taped, "walk": walk, "sweep": sweep, "grad": grad}
     return report

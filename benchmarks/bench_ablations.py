@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from baseline_ansatze import BASELINES, build_baseline
 
+from repro.autograd import oracle
 from repro.bench import format_table, registry
 from repro.chem import build_problem, run_fci
 from repro.core import (
@@ -283,8 +284,9 @@ def per_sample_jacobians(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``J_logp[b] = d log pi(x_b)/d theta`` and ``J_phi[b] = d phi(x_b)/d theta``.
 
-    One backward pass per sample and head — O(B * M) memory, O(B * cost)
-    time.  This is the scaling wall SR imposes; documented, not optimized.
+    One backward pass per sample and head through the taped float64 oracle
+    (``repro.autograd.oracle``) — O(B * M) memory, O(B * cost) time.  This
+    is the scaling wall SR imposes; documented, not optimized.
     """
     bits = np.atleast_2d(bits)
     m = wf.num_parameters()
@@ -292,10 +294,10 @@ def per_sample_jacobians(
     j_phi = np.zeros((len(bits), m))
     for b in range(len(bits)):
         wf.zero_grad()
-        wf.log_prob(bits[b : b + 1]).sum().backward()
+        oracle.log_prob(wf, bits[b : b + 1]).sum().backward()
         j_logp[b] = wf.get_flat_grads()
         wf.zero_grad()
-        wf.phase_of(bits[b : b + 1]).sum().backward()
+        oracle.forward(wf.phase, bits[b : b + 1]).sum().backward()
         j_phi[b] = wf.get_flat_grads()
     wf.zero_grad()
     return j_logp, j_phi

@@ -49,7 +49,7 @@ def main() -> None:
         print(f"{ns:<9.0e}  {'-':>6}  {dt:8.3f}")
 
     batch = batch_autoregressive_sample(wf, 10**6, rng)
-    logp = wf.log_prob(batch.bits).data
+    logp = 2.0 * wf.log_amplitudes(batch.bits).real
     err = np.abs(batch.frequencies() - np.exp(logp)).max()
     print()
     print(f"max |empirical frequency - pi(x)| over {batch.n_unique} unique "

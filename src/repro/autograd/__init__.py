@@ -1,24 +1,9 @@
 """Reverse-mode autodiff over backend arrays (the PyTorch substitute).
 
-``tensor`` is the tape and the primitive ops; ``block_ops`` the coarse ops the
-production forward tapes (imported from there by the nn layers).
+``tensor`` is the tape and the primitive ops; ``oracle`` the taped float64
+QiankunNet built from coarse block ops, the oracle of the production
+kernels (tests and benchmarks only).
 """
-from repro.autograd.tensor import (
-    Tensor,
-    concat,
-    embedding_lookup,
-    is_grad_enabled,
-    no_grad,
-    stack,
-)
-from repro.autograd.gradcheck import gradcheck
+from repro.autograd.tensor import Tensor, concat, embedding_lookup, stack
 
-__all__ = [
-    "Tensor",
-    "concat",
-    "embedding_lookup",
-    "is_grad_enabled",
-    "no_grad",
-    "stack",
-    "gradcheck",
-]
+__all__ = ["Tensor", "concat", "embedding_lookup", "stack"]

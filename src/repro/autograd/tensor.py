@@ -11,21 +11,23 @@ read like their PyTorch counterparts.
 Design notes
 ------------
 * This module is the tape and the *primitive* ops (one node per ``+``, ``*``,
-  ``reshape``, ...).  Nothing on the production path builds a graph: stage 5
-  and pretraining differentiate both networks by hand-derived float32 VJPs
-  (``TransformerAmplitude.prefix_vjp``, ``PhaseMLP.vjp``).  The tape is the
-  float64 oracle of those: the dense QiankunNet forward tapes the coarse,
-  hand-derived block ops of ``repro.autograd.block_ops`` (one node per
-  Linear / LayerNorm / attention / GELU / log-softmax head), the phase head
-  (``PhaseMLP.forward``) the primitives, and the primitives are the oracle
+  ``reshape``, ...).  Nothing on the production path builds a graph: the
+  networks run graph-free float32 kernels, stage 5 and pretraining
+  differentiate them by hand-derived VJPs (``TransformerAmplitude.prefix_vjp``,
+  ``PhaseMLP.vjp``).  The tape is the float64 oracle of those: the taped
+  QiankunNet of ``repro.autograd.oracle`` records its coarse, hand-derived
+  block ops (one node per Linear / LayerNorm / attention / GELU / log-softmax
+  head), the phase head the primitives, and the primitives are the oracle
   the block ops are tested against.  Tests and benchmarks differentiate by
   tape.
+* A node is taped when one of its inputs requires a gradient: a ``Tensor``
+  built from plain data is a constant, and the oracle puts the parameters it
+  reads on the tape as leaves (``oracle.Leaf``).  There is no global grad
+  mode.
 * Gradients are accumulated into ``Tensor.grad`` (dense backend array, same
-  shape as ``data``) and stay on the backend's device; graphs are rebuilt
-  each forward pass (define-by-run).
-* ``no_grad()`` disables taping, used by the sampler's pure-inference passes —
-  this mirrors the paper's split between sampling (inference) and the backward
-  pass (Fig. 4).
+  shape as ``data``) — or, for a parameter's leaf, into the parameter's own
+  gradient — and stay on the backend's device; graphs are rebuilt each
+  forward pass (define-by-run).
 * All math on the tape is float64 (``repro.backend.dtypes``): it is the
   oracle.  The float32 arithmetic is off the tape — the KV-cached decoder
   (``repro.nn.inference``), stage 5's pair over the prefix tree and the
@@ -37,42 +39,13 @@ Design notes
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
-import threading
 from typing import Callable, Iterable
 
 from repro.backend import xp
 from repro.backend.dtypes import bool_, float64
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
-
-# Grad mode is per-thread (like PyTorch): the serving layer runs inference
-# under no_grad on its scheduler thread while a trainer builds graphs on
-# another — a shared flag would silently untape the trainer's forward pass.
-_GRAD_STATE = threading.local()
-
-
-def _grad_stack() -> list[bool]:
-    stack = getattr(_GRAD_STATE, "stack", None)
-    if stack is None:
-        stack = _GRAD_STATE.stack = [True]
-    return stack
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Context manager disabling graph construction (inference mode)."""
-    stack = _grad_stack()
-    stack.append(False)
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
-def is_grad_enabled() -> bool:
-    return _grad_stack()[-1]
+__all__ = ["Tensor", "concat", "stack", "embedding_lookup"]
 
 
 def _unbroadcast(grad, shape: tuple[int, ...]):
@@ -101,7 +74,7 @@ class Tensor:
             data = data.data
         self.data = xp.asarray(data, dtype=float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad) and is_grad_enabled()
+        self.requires_grad = bool(requires_grad)
         self._backward: Callable | None = None
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
@@ -112,15 +85,8 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
-
-    def numpy(self):
-        return self.data
 
     def item(self) -> float:
         return float(self.data)
@@ -128,18 +94,11 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        grad = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{grad})"
-
-    def __len__(self) -> int:
-        return len(self.data)
-
     # ----------------------------------------------------------- graph build
     @staticmethod
     def _make(data, parents: Iterable["Tensor"], backward) -> "Tensor":
         parents = tuple(p for p in parents if isinstance(p, Tensor))
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+        requires = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = parents
@@ -305,12 +264,6 @@ class Tensor:
     def sigmoid(self):
         out = 1.0 / (1.0 + xp.exp(-self.data))
         return Tensor._make(out, (self,), lambda g: (g * out * (1.0 - out),))
-
-    def gelu(self):
-        """tanh-approximation GELU (the variant used by GPT-style decoders)."""
-        from repro.autograd.block_ops import gelu  # block_ops imports this module
-
-        return gelu(self)
 
     # --------------------------------------------------------------- reshape
     def reshape(self, *shape):

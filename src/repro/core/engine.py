@@ -379,7 +379,7 @@ def stage_backward(wf, chunk: SampleBatch, w_norm,
     both are hand-derived VJPs off the tape that add in place into
     ``p.grad`` — views of the zeroed gradient buffer of ``wf``'s parameter
     arena — so peak memory is O(block), not O(N_u), and a rank that owns no
-    rows returns zeros.  No ``Tensor`` is built.
+    rows returns zeros.  No graph is built.
 
     * ``log pi``: ``wf.log_prob_vjp`` — ``ROW_BLOCK`` blocks of lexsorted
       rows, each block's prefix tree through the amplitude network's

@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor
-from repro.autograd.block_ops import (
+from repro.autograd import oracle
+from repro.core.constraints import ParticleNumberConstraint
+from repro.nn import Module, PhaseMLP, TransformerAmplitude
+from repro.nn.kernels import (
     MASK_VALUE,
     log_softmax,
-    picked_log_softmax,
     picked_log_softmax_backward,
     picked_log_softmax_forward,
     softmax,
 )
-from repro.core.constraints import ParticleNumberConstraint
-from repro.nn import Module, PhaseMLP, TransformerAmplitude
-from repro.nn.inference import padded_next_logits
 
 __all__ = ["NNQSWavefunction", "build_qiankunnet", "ROW_BLOCK", "PREFIX_BLOCK",
            "PHASE_BLOCK", "row_blocks", "token_order", "prefix_tree"]
@@ -155,23 +153,21 @@ class NNQSWavefunction(Module):
             bits[:] = toks
         return bits
 
-    # ------------------------------------------------------------ gradients
-    def log_prob(self, bits: np.ndarray) -> Tensor:
-        """(B,) log pi(x) = log |Psi(x)|^2, taped in float64 — the oracle of
-        :meth:`log_prob_vjp`, of the sweep's and of the walk's ``log pi``
-        (tests, benchmarks).
+    # ---------------------------------------------------------- the oracle
+    def log_prob(self, bits: np.ndarray):
+        """(B,) log pi(x), taped in float64 — for testing purposes only."""
+        return oracle.log_prob(self, bits)
 
-        The log of the constrained, renormalized conditionals, picked at the
-        sampled tokens and summed over positions (one block op), with every
-        row through every layer at every position (``conditional_logits``):
-        no sharing, no skipped prefix.
-        """
-        tokens = self.bits_to_tokens(bits)
-        logits = self.amplitude.conditional_logits(tokens)
-        allowed = None
-        if self.constraint is not None:
-            allowed = self.constraint.mask_sequence(tokens)
-        return picked_log_softmax(logits, allowed, tokens)
+    def phase_of(self, bits: np.ndarray):
+        """(B,) phi(x), taped in float64 — for testing purposes only."""
+        return oracle.forward(self.phase, bits)
+
+    def conditional_probs_reference(self, prefix_tokens, counts_up, counts_dn):
+        """:meth:`conditional_probs` through the dense float64 forward — for
+        testing purposes only."""
+        return oracle.conditional_probs_reference(self, prefix_tokens, counts_up, counts_dn)
+
+    # ------------------------------------------------------------ gradients
 
     def log_prob_vjp(self, bits: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """(B,) float64 log pi(bits); adds ``sum_i coeff[i] d log pi(bits[i])
@@ -181,8 +177,8 @@ class NNQSWavefunction(Module):
         The rows are lexsorted and cut into ``ROW_BLOCK`` blocks; each
         block's prefix tree goes through the network's graph-free pair once
         (:meth:`_prefix_vjp`).  Rows come back in input order; duplicates
-        share their nodes.  Equal to :meth:`log_prob` and its tape to
-        float32 rounding (``tests/test_precision.py``).
+        share their nodes.  Equal to the oracle's :meth:`log_prob` and its
+        tape to float32 rounding (``tests/test_precision.py``).
         """
         tokens = self.bits_to_tokens(bits)
         order = token_order(tokens)
@@ -202,8 +198,8 @@ class NNQSWavefunction(Module):
         :meth:`_open_nodes`).  A decided node's conditional is exactly 1: it
         is not evaluated and its positions add exactly zero, in value and
         gradient (``node_at`` -1).  The masked, picked log-softmax and its
-        closed-form backward are ``nodes x vocab`` and stay float64 — the
-        oracle's formula (``block_ops.picked_log_softmax``).
+        closed-form backward are ``nodes x vocab`` and stay float64
+        (``repro.nn.kernels``).
         """
         t = self.n_tokens
         rep_row, level, offsets, node = prefix_tree(tokens)
@@ -223,11 +219,6 @@ class NNQSWavefunction(Module):
         logp, p, flat = picked_log_softmax_forward(logits, allowed, tokens, node_at)
         self.amplitude.prefix_vjp(saved, picked_log_softmax_backward(coeff, p, flat, allowed))
         return logp
-
-    def phase_of(self, bits: np.ndarray) -> Tensor:
-        """(B,) phase phi(x) in radians, taped in float64 — the oracle of
-        :meth:`phases` and :meth:`phase_vjp` (tests, benchmarks)."""
-        return self.phase(np.atleast_2d(bits))
 
     def phase_vjp(self, bits: np.ndarray, coeff: np.ndarray) -> None:
         """Add ``sum_i coeff[i] dphi(bits[i]) / dtheta`` into the phase
@@ -382,21 +373,6 @@ class NNQSWavefunction(Module):
         b, k = prefix_tokens.shape
         session = self.make_session(b)
         logits = session.prefill(prefix_tokens)
-        return self.probs_from_logits(logits, counts_up, counts_dn, k)
-
-    def conditional_probs_reference(self, prefix_tokens: np.ndarray,
-                                    counts_up: np.ndarray,
-                                    counts_dn: np.ndarray) -> np.ndarray:
-        """Full-forward oracle for :meth:`conditional_probs` (pre-cache path).
-
-        Runs the differentiable ``conditional_logits`` graph under
-        ``no_grad`` — the numerics of the training-time code path.  For
-        testing purposes only: the correctness oracle of the incremental
-        engine (``tests/test_inference.py``) and the uncached side of
-        ``benchmarks/bench_sampling_throughput.py``; no sampler calls it.
-        """
-        k = prefix_tokens.shape[1]
-        logits = padded_next_logits(self.amplitude, prefix_tokens)
         return self.probs_from_logits(logits, counts_up, counts_dn, k)
 
     def sector_counts(self, tokens: np.ndarray,

@@ -6,25 +6,22 @@ wrapped in residual connections with layer normalization.  The causal mask is
 what makes the network autoregressive — the conditional for token i only sees
 tokens < i — which in turn is what enables batch autoregressive sampling.
 
-``forward`` tapes one block op per layer (``repro.autograd.block_ops``),
-row-major and float64: the dense oracle.  Neither production path runs
-through these modules; both read their parameters into float32,
-feature-major kernels — the KV-cached decode (``repro.nn.inference``) and
-stage 5's forward/VJP pair over the prefix tree
-(``TransformerAmplitude.prefix_forward``), whose attention core is
-:func:`tree_attention_forward` / :func:`tree_attention_vjp` below — pinned to
-``forward`` by the tests.
+The modules hold parameters; two float32, feature-major kernels read them —
+the KV-cached decode (``repro.nn.inference``) and stage 5's forward/VJP pair
+over the prefix tree (``TransformerAmplitude.prefix_forward``), whose
+attention core is :func:`tree_attention_forward` / :func:`tree_attention_vjp`
+below.  The tests pin both to the dense float64 forward of the oracle
+(``repro.autograd.oracle``), which tapes one block op per layer.
 """
 from __future__ import annotations
 
 import math
 
-from repro.autograd import Tensor
-from repro.autograd.block_ops import MASK_VALUE, causal_attention, gelu
 from repro.backend import xp
 from repro.backend.dtypes import float32
 from repro.backend.host import host_np
 from repro.nn.inference import attention_weights
+from repro.nn.kernels import MASK_VALUE
 from repro.nn.layers import LayerNorm, Linear
 from repro.nn.module import Module
 
@@ -45,10 +42,6 @@ class CausalSelfAttention(Module):
         self.qkv = Linear(d_model, 3 * d_model, rng=rng)
         self.proj = Linear(d_model, d_model, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """x: (batch, seq, d_model) -> (batch, seq, d_model)."""
-        return self.proj(causal_attention(self.qkv(x), self.n_heads))
-
 
 class FeedForward(Module):
     """Position-wise feed-forward network (d_model -> 4 d_model -> d_model)."""
@@ -59,9 +52,6 @@ class FeedForward(Module):
         d_ff = d_ff or 4 * d_model
         self.fc1 = Linear(d_model, d_ff, rng=rng)
         self.fc2 = Linear(d_ff, d_model, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.fc2(gelu(self.fc1(x)))
 
 
 class DecoderLayer(Module):
@@ -74,11 +64,6 @@ class DecoderLayer(Module):
         self.attn = CausalSelfAttention(d_model, n_heads, rng=rng)
         self.ln2 = LayerNorm(d_model)
         self.ff = FeedForward(d_model, d_ff, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
-        x = x + self.ff(self.ln2(x))
-        return x
 
 
 # --------------------------------------------------------------------------

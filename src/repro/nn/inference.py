@@ -25,10 +25,9 @@ one position per call):
   share that copy, so weights and KV cache have one lifetime.  Logits come
   back float64: the masks, log-softmax, multinomial split and the walk's
   running log pi stay float64.  The audit is ``backend/dtypes.py``'s.
-* **Oracle.** ``conditional_logits`` (the taped float64 block ops, row-major)
-  is the training-time forward and, through :func:`padded_next_logits`, the
-  oracle of every decode (``tests/test_inference.py``,
-  ``tests/test_precision.py``).
+* **Oracle.** The dense float64 forward of ``repro.autograd.oracle``
+  (``conditional_logits``, through ``padded_next_logits``) is the oracle of
+  every decode (``tests/test_inference.py``, ``tests/test_precision.py``).
 
 ``prefill`` is a loop of the same kernel over the prefix.  Everything here
 is graph-free bookkeeping on backend arrays allocated through ``xp``.
@@ -37,10 +36,9 @@ from __future__ import annotations
 
 import math
 
-from repro.autograd import no_grad
-from repro.autograd.block_ops import gelu_forward
 from repro.backend import xp
 from repro.backend.dtypes import float32, float64, int64
+from repro.nn.kernels import gelu_forward
 
 __all__ = [
     "DecodeWeights",
@@ -48,20 +46,7 @@ __all__ = [
     "attention_weights",
     "cached_attention",
     "decode_step",
-    "padded_next_logits",
 ]
-
-
-def padded_next_logits(model, prefix_tokens):
-    """Next-position logits via the full ``conditional_logits`` forward over
-    the ``(b, k)`` prefix right-padded to ``k + 1`` — the float64 oracle of a
-    decode step (``NNQSWavefunction.conditional_probs_reference``)."""
-    prefix_tokens = xp.asarray(prefix_tokens, dtype=int64)
-    b, k = prefix_tokens.shape
-    padded = xp.zeros((b, k + 1), dtype=int64)
-    padded[:, :k] = prefix_tokens
-    with no_grad():
-        return model.conditional_logits(padded).data[:, k, :]
 
 
 # --------------------------------------------------------------------------
@@ -116,7 +101,7 @@ def _affine(w, b, h):
 
 def _standardize(x, eps: float):
     """``(x - mean, std)`` over the feature axis of ``(features, rows)``
-    activations: ``layer_norm_forward``'s statistics, transposed."""
+    activations: the oracle's ``layer_norm`` statistics, transposed."""
     scale = 1.0 / len(x)
     xc = x - x.sum(axis=0) * scale
     std = xp.einsum("dn,dn->n", xc, xc)
@@ -159,8 +144,8 @@ def cached_attention(q, k, v):
     """One query position against the ``t`` cached ones (itself the last).
 
     ``q``: ``(heads, d_head, rows)``; ``k``/``v``: ``(t, heads, d_head,
-    rows)``.  Returns ``(heads, d_head, rows)`` — row ``t - 1`` of
-    ``attention_forward``'s causal attention.
+    rows)``.  Returns ``(heads, d_head, rows)`` — row ``t - 1`` of the
+    dense causal attention (the oracle's ``attention_forward``).
     """
     return xp.einsum("thn,thdn->hdn", attention_weights(q, k), v)
 

@@ -4,16 +4,17 @@ Initializations follow the PyTorch defaults the paper's implementation
 inherits (Kaiming-uniform linear layers, N(0,1)-scaled embeddings).
 Initialization is host-side by contract (the seeded ``host_np`` Generator
 defines the parameter bitstream); the resulting Parameters live on the
-active array backend via the Tensor constructor.
+active array backend (``Parameter`` converts with ``xp.asarray``).
+
+The layers hold parameters only: the float32 kernels that read them are the
+decode's and stage 5's (``repro.nn.inference``, ``repro.nn.transformer``),
+their taped float64 forward is the oracle's (``repro.autograd.oracle``).
 """
 from __future__ import annotations
 
 import math
 
-from repro.autograd import Tensor, embedding_lookup
-from repro.autograd.block_ops import layer_norm, linear
 from repro.backend import xp
-from repro.backend.dtypes import int64
 from repro.backend.host import host_np
 from repro.nn.module import Module, Parameter
 
@@ -33,12 +34,9 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
 
-    def forward(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
-
 
 class Embedding(Module):
-    """Token embedding table with scatter-add backward."""
+    """Token embedding table."""
 
     def __init__(self, num_embeddings: int, dim: int,
                  rng: host_np.random.Generator | None = None):
@@ -47,9 +45,6 @@ class Embedding(Module):
         self.weight = Parameter(rng.normal(0.0, 0.02, size=(num_embeddings, dim)))
         self.num_embeddings = num_embeddings
         self.dim = dim
-
-    def forward(self, idx) -> Tensor:
-        return embedding_lookup(self.weight, xp.asarray(idx, dtype=int64))
 
 
 class PositionalEmbedding(Module):
@@ -62,9 +57,6 @@ class PositionalEmbedding(Module):
         self.weight = Parameter(rng.normal(0.0, 0.02, size=(max_len, dim)))
         self.max_len = max_len
 
-    def forward(self, length: int) -> Tensor:
-        return self.weight[xp.arange(length)]
-
 
 class LayerNorm(Module):
     """Layer normalization over the last axis with learned affine."""
@@ -75,6 +67,3 @@ class LayerNorm(Module):
         self.beta = Parameter(xp.zeros(dim))
         self.eps = eps
         self.dim = dim
-
-    def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, self.eps)

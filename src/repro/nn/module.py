@@ -10,25 +10,42 @@ a flat stage-6 ``payload`` of length M + 1 whose first M slots every bound
 whose Allreduce dominates the communication volume analysis of Sec. 3.2
 (8·M·N_p bytes per iteration); the trailing slot carries the variance that
 rides the same collective.  Reading or writing the whole model is therefore
-one memcpy, and the tape accumulates the gradient in place
+one memcpy, and the VJPs accumulate the gradient in place
 (DESIGN.md, "Parameter arena").
+
+A module holds parameters and the graph-free kernels that read them; it has
+no forward of its own.  The taped float64 forward of the same modules is the
+oracle's (``repro.autograd.oracle``), for tests and benchmarks.
 """
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.autograd import Tensor
 from repro.backend import xp
 from repro.backend.dtypes import float64
 
 __all__ = ["Parameter", "ParameterArena", "Module"]
 
 
-class Parameter(Tensor):
-    """A Tensor that is registered as trainable state of a Module."""
+class Parameter:
+    """Trainable state of a Module: ``data`` (once packed, a view of its
+    arena's ``theta``) and ``grad`` (``None``, or an array of its shape)."""
+
+    __slots__ = ("data", "grad", "name")
 
     def __init__(self, data, name: str | None = None):
-        super().__init__(data, requires_grad=True, name=name)
+        self.data = xp.asarray(data, dtype=float64)
+        self.grad = None
+        self.name = name
+
+    shape = property(lambda self: self.data.shape)
+    size = property(lambda self: self.data.size)
+
+    def _accumulate(self, grad) -> None:
+        """Add ``grad`` into the gradient (in place once it exists)."""
+        if self.grad is None:
+            self.grad = xp.zeros_like(self.data)
+        self.grad += grad
 
 
 class ParameterArena:
@@ -40,9 +57,9 @@ class ParameterArena:
     ``grad``     (M,)   ``payload[:M]``; a bound ``p.grad`` is a view of it.
 
     A parameter's gradient is in one of three states: ``None`` (it has none —
-    optimizers skip it), its arena view (*bound*: the tape accumulates in
-    place), or a foreign array someone assigned, which :meth:`gather_grads`
-    copies into the view and rebinds.
+    optimizers skip it), its arena view (*bound*: the VJPs and the oracle's
+    tape accumulate in place), or a foreign array someone assigned, which
+    :meth:`gather_grads` copies into the view and rebinds.
     """
 
     __slots__ = ("params", "theta", "payload", "grad", "_spans", "_grad_views")
@@ -77,7 +94,7 @@ class ParameterArena:
         """Zero the payload and bind the gradients to their views of it: those
         that exist, so a parameter no loss has reached keeps ``None`` and is
         skipped by the optimizer, or with ``bind_all`` every parameter's (the
-        engine: the payload is the gradient, whatever the tape reaches)."""
+        engine: the payload is the gradient, whatever the VJPs reach)."""
         self.payload.fill(0.0)
         for p, view in zip(self.params, self._grad_views):
             if bind_all or p.grad is not None:
@@ -189,10 +206,3 @@ class Module:
         flat = _flat(flat, arena.grad.size)
         arena.zero_grad(bind_all=True)
         arena.grad[...] = flat
-
-    # ----------------------------------------------------------------- call
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
-
-    def forward(self, *args, **kwargs):  # pragma: no cover - abstract
-        raise NotImplementedError

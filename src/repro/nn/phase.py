@@ -5,21 +5,19 @@ an MLP of layer sizes N x 512 x 512 x 1 (Sec. 4.1).  The input is the raw
 qubit bitstring mapped to {-1, +1}; the output is an unconstrained real phase
 in radians.
 
-One set of parameters, two arithmetics.  The production pair runs on one
-float32 forward (``_forward32``): ``step``, the graph-free evaluator every
-no-grad consumer of phi calls (stage 2, the amplitude-table extension,
-serving, observables), and ``vjp``, stage 5's hand-derived backward, which
-adds the Eq. 7 phase gradient into the float64 ``p.grad`` arena views.  Both
-run their GEMMs on float32 copies of the float64 parameters (``cast32``),
-cast once per call and handed to every row block of it — no cached copy that
-an optimizer step, a restore or a version swap could leave stale.
-``forward`` is the taped float64 head: the oracle of both, and what tests
-and benchmarks differentiate by tape.  The audit behind the choice is
-``backend/dtypes.py``'s.
+One forward, float32 (``_forward32``), behind two entry points: ``step``,
+the graph-free evaluator every consumer of phi calls (stage 2, the
+amplitude-table extension, serving, observables), and ``vjp``, stage 5's
+hand-derived backward, which adds the Eq. 7 phase gradient into the float64
+``p.grad`` arena views.  Both run their GEMMs on float32 copies of the
+float64 parameters (``cast32``), cast once per call and handed to every row
+block of it — no cached copy that an optimizer step, a restore or a version
+swap could leave stale.  The taped float64 head is the oracle's
+(``repro.autograd.oracle``): tests and benchmarks differentiate it by tape.
+The audit behind the choice is ``backend/dtypes.py``'s.
 """
 from __future__ import annotations
 
-from repro.autograd import Tensor
 from repro.backend import xp
 from repro.backend.dtypes import float32, float64
 from repro.backend.host import host_np
@@ -38,17 +36,6 @@ class PhaseMLP(Module):
         self.layers = [Linear(sizes[i], sizes[i + 1], rng=rng) for i in range(len(sizes) - 1)]
         self.n_qubits = n_qubits
 
-    def forward(self, bits) -> Tensor:
-        """(batch, N) 0/1 bits -> (batch,) phase in radians; taped, float64."""
-        bits = xp.asarray(bits, dtype=float64)
-        if bits.ndim == 1:
-            bits = bits[None, :]
-        x = Tensor(2.0 * bits - 1.0)
-        for layer in self.layers[:-1]:
-            x = layer(x).tanh()
-        out = self.layers[-1](x)
-        return out.reshape(out.shape[0])
-
     def cast32(self) -> list:
         """``[(W, b), ...]``: float32 copies of every layer's parameters, for
         one caller's :meth:`step` / :meth:`vjp` calls (a row-blocked caller
@@ -59,8 +46,8 @@ class PhaseMLP(Module):
                 for layer in self.layers]
 
     def step(self, bits, params32: list | None = None):
-        """Graph-free :meth:`forward`: (batch, N) or (N,) 0/1 bits ->
-        (batch,) float64 phase, every GEMM, bias and ``tanh`` in float32.
+        """(batch, N) or (N,) 0/1 bits -> (batch,) float64 phase in radians,
+        every GEMM, bias and ``tanh`` in float32.
         ``params32`` is :meth:`cast32` of the current parameters (cast here
         when not given)."""
         if params32 is None:

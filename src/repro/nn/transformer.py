@@ -30,18 +30,17 @@ checks the names once, at materialization):
   (a bound arena view is written in place; ``None`` starts from zero).
   Read by ``NNQSWavefunction.log_prob_vjp`` (stage 5, pretraining).  A
   network without a hand-written backward may answer with a tape: logits
-  taped in ``prefix_forward``, ``backward(g)`` in ``prefix_vjp``;
-* ``conditional_logits(tokens)`` — ``(batch, t <= T)`` int tokens (right-padded
-  with zeros beyond the known prefix) to a ``(batch, t, vocab)`` Tensor of
-  *unnormalized* logits where the entry at position ``i`` depends only on
-  tokens ``< i``, so any padding at positions ``>= prefix`` leaves earlier
-  conditionals alone.  The dense float64 oracle of the two above (taped, so
-  its gradient is the oracle's too): tests and benchmarks only.
+  taped in ``prefix_forward``, backpropagated in ``prefix_vjp``.
+
+The dense float64 oracle of both is not part of the contract: the oracle
+module (``repro.autograd.oracle.conditional_logits``) tapes the
+transformer's, and a network of another kind brings its own taped
+``conditional_logits(tokens)`` — ``(batch, t <= T)`` int tokens to
+``(batch, t, vocab)`` logits, position ``i`` a function of tokens ``< i``
+(tests and benchmarks only).
 """
 from __future__ import annotations
 
-from repro.autograd import Tensor
-from repro.autograd.block_ops import gelu_backward, gelu_forward
 from repro.backend import xp
 from repro.backend.dtypes import float32, float64, int64
 from repro.backend.host import host_np
@@ -52,6 +51,7 @@ from repro.nn.attention import (
     tree_attention_vjp,
 )
 from repro.nn.inference import TransformerInferenceSession, _affine, _standardize
+from repro.nn.kernels import gelu_backward, gelu_forward
 from repro.nn.layers import Embedding, LayerNorm, Linear, PositionalEmbedding
 from repro.nn.module import Module
 
@@ -81,21 +81,6 @@ class TransformerAmplitude(Module):
         self.ln_f = LayerNorm(d_model)
         self.head = Linear(d_model, vocab_size, rng=rng)
 
-    def conditional_logits(self, tokens) -> Tensor:
-        """(batch, T) int tokens -> (batch, T, vocab) logits, causally masked."""
-        tokens = xp.asarray(tokens, dtype=int64)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
-        b, t = tokens.shape
-        # Shift right: position i attends to [BOS, x_1, ..., x_{i-1}].
-        shifted = xp.concatenate(
-            [xp.full((b, 1), self.bos, dtype=int64), tokens[:, : t - 1]], axis=1
-        )
-        x = self.tok_emb(shifted) + self.pos_emb(t)
-        for layer in self.layers:
-            x = layer(x)
-        return self.head(self.ln_f(x))
-
     # ------------------------------------------- stage 5: the prefix tree
     def prefix_forward(self, tokens, rep_row, level):
         """``(n, vocab)`` float64 logits of the ``n`` distinct prefixes of
@@ -103,9 +88,8 @@ class TransformerAmplitude(Module):
 
         Node ``j`` is the length-``level[j]`` prefix of ``tokens[rep_row[j]]``
         (level-major, every node's parent among the nodes) and carries the
-        conditional of position ``level[j]`` — what
-        :meth:`conditional_logits` computes at every ``(row, position)``
-        through it, computed once.  Every layer runs over node columns,
+        conditional of position ``level[j]`` — what the dense oracle
+        computes at every ``(row, position)`` through it, computed once.  Every layer runs over node columns,
         feature-major ``(features, n)``, in float32 on copies of the
         parameters cast for this call; only the attention core reads a
         node's ancestors (``tree_attention_forward``).  LayerNorm is not

@@ -24,6 +24,11 @@ PROB_TOL = 5e-7    # masked, renormalized conditionals, absolute (measured <= 5.
 # the amplitude slice of log_prob_vjp's gradient against log_prob's tape,
 # relative 2-norm (measured <= 6.8e-7)
 LOG_PI_GRAD_RTOL = 5e-6
+# Eq. 7 against a central difference (+-1e-5) of the exact H2 energy, per
+# parameter, absolute — the oracle's tape and stage 5's float32 VJPs alike
+# (measured over all 1 061 parameters of the test's net: <= 4.2e-8 taped,
+# <= 3.8e-7 stage_backward; gradient entries up to 0.75)
+EQ7_FD_ATOL = 5e-6
 
 
 @pytest.fixture(scope="session")

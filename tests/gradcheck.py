@@ -1,4 +1,4 @@
-"""Finite-difference gradient verification used by the test suite."""
+"""Finite-difference gradient verification of the tape (``repro.autograd``)."""
 from __future__ import annotations
 
 import numpy as np

@@ -2,16 +2,17 @@
 
 The base suite (test_autograd.py) covers targeted cases; this file sweeps the
 operator set with randomized shapes/values, plus graph-semantics invariants
-(accumulation, no_grad, diamond graphs, broadcasting adjoints).
+(accumulation, what gets taped, diamond graphs, broadcasting adjoints).
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor, no_grad
-from repro.autograd.gradcheck import gradcheck
+from repro.autograd import Tensor
+from repro.autograd.oracle import gelu
 from repro.autograd.tensor import concat, embedding_lookup, stack
+from tests.gradcheck import gradcheck
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 DIMS = st.integers(min_value=1, max_value=5)
@@ -41,7 +42,7 @@ class TestElementwiseGradients:
     def test_tanh_sigmoid_gelu(self, seed, n, m):
         rng = np.random.default_rng(seed)
         x = arr(rng, n, m)
-        gradcheck(lambda a: a.tanh() + a.sigmoid() + a.gelu(), [x], tol=1e-4)
+        gradcheck(lambda a: a.tanh() + a.sigmoid() + gelu(a), [x], tol=1e-4)
 
     @settings(max_examples=10, deadline=None)
     @given(SEEDS, st.floats(min_value=0.5, max_value=3.0))
@@ -152,23 +153,25 @@ class TestGraphSemantics:
         (x * 3.0).sum().backward()
         np.testing.assert_allclose(x.grad, [5.0, 5.0])
 
-    def test_no_grad_blocks_taping(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        with no_grad():
-            y = (x * 2.0).sum()
+    def test_constants_are_not_taped(self):
+        c = Tensor(np.ones(3))
+        y = (c * 2.0).sum()
         assert not y.requires_grad
         with pytest.raises(RuntimeError):
             y.backward()
 
-    def test_nested_no_grad(self):
+    def test_taping_follows_the_inputs(self):
+        """A node is taped when one of its inputs requires a gradient — not
+        by any mode: the same constant is untaped alone and taped beside a
+        leaf, and the leaf's gradient skips it."""
         x = Tensor(np.ones(2), requires_grad=True)
-        with no_grad():
-            with no_grad():
-                pass
-            y = x * 2.0
-        assert not y.requires_grad
-        z = x * 2.0
-        assert z.requires_grad  # re-enabled after exit
+        c = Tensor(np.full(2, 3.0))
+        assert not (c * 2.0).requires_grad
+        z = x * c
+        assert z.requires_grad
+        z.sum().backward()
+        np.testing.assert_allclose(x.grad, [3.0, 3.0])
+        assert c.grad is None
 
     def test_backward_on_nonscalar_requires_grad_arg(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -1,8 +1,9 @@
 """Block-granular autograd ops against their primitive-op oracles.
 
-Every block op of ``repro.autograd.block_ops`` is checked against the same
-function composed, *in this file*, from primitive ``Tensor`` ops (the
-per-element graph the forward used to build), against central differences.
+Every block op of the oracle (``repro.autograd.oracle``) is checked against
+the same function composed, *in this file*, from primitive ``Tensor`` ops
+(the per-element graph the forward used to build), against central
+differences; so is the production log-prob head of ``repro.nn.kernels``.
 The prefix tree's attention core (``repro.nn.attention``) is checked in
 float64 against the taped dense core, and stage 5 — assembled into a whole
 wavefunction — against an oracle forward of the Eq. 7 surrogate.  Row
@@ -20,15 +21,13 @@ from hypothesis.extra import numpy as hnp
 
 import repro.core.engine as engine
 import repro.core.wavefunction as wavefunction
-from repro.autograd import Tensor, embedding_lookup, gradcheck, no_grad, stack
-from repro.autograd.block_ops import (
-    MASK_VALUE,
+from repro.autograd import Tensor, embedding_lookup, stack
+from repro.autograd.oracle import (
+    Leaf,
     attention_forward,
     causal_attention,
     gelu,
     last_axis_dot,
-    last_axis_max,
-    last_axis_sum,
     layer_norm,
     linear,
     picked_log_softmax,
@@ -41,6 +40,13 @@ from repro.hamiltonian import compress_hamiltonian
 from repro.nn import TransformerAmplitude
 from repro.nn.attention import ancestor_layout, tree_attention_forward, tree_attention_vjp
 from repro.nn.inference import cached_attention
+from repro.nn.kernels import (
+    MASK_VALUE,
+    last_axis_max,
+    last_axis_sum,
+    picked_log_softmax_backward,
+    picked_log_softmax_forward,
+)
 from tests.conftest import (
     ANSATZE,
     LOG_PI_GRAD_RTOL,
@@ -48,6 +54,7 @@ from tests.conftest import (
     baselines,
     build_wf,
 )
+from tests.gradcheck import gradcheck
 from tests.test_wavefunction import sector_bitstrings
 
 TOL = 1e-12
@@ -239,22 +246,36 @@ class TestPickedLogSoftmax:
 
 
     def test_node_major_matches_primitives(self, rng):
-        """Conditionals shared between rows: ``logits`` holds one row per
-        node and every (row, position) reads the node ``node_at`` names."""
+        """The production head (``repro.nn.kernels``) with conditionals
+        shared between rows: ``logits`` holds one row per node, every (row,
+        position) reads the node ``node_at`` names, and -1 is a position
+        whose conditional is exactly 1 (it reads nothing)."""
         (logits,) = _tensors(rng, (6, 4))
-        node_at = np.array([[0, 1, 3], [0, 1, 4], [0, 2, 5], [0, 2, 5]])
+        node_at = np.array([[0, 1, 3], [0, 1, 4], [0, 2, 5], [0, 2, -1]])
         tokens = rng.integers(0, 4, size=node_at.shape)
         allowed = rng.random((6, 4)) < 0.6
         allowed[node_at, tokens] = True
-
-        def ref(z):
-            logc = z.masked_fill(~allowed, MASK_VALUE).log_softmax(axis=-1)
-            return logc[node_at, tokens].sum(axis=1)
-
-        _assert_same_value_and_grads(
-            lambda z: picked_log_softmax(z, allowed, tokens, node_at), ref, [logits])
-        assert np.all(logits.grad[~allowed] == 0.0)
-        gradcheck(lambda z: picked_log_softmax(z, None, tokens, node_at), [logits])
+        g = rng.normal(size=len(tokens))
+        rows, cols = np.nonzero(node_at >= 0)
+        for mask in (allowed, None):
+            z = logits if mask is None else logits.masked_fill(~mask, MASK_VALUE)
+            picked = z.log_softmax(axis=-1)[node_at[rows, cols], tokens[rows, cols]]
+            want = Tensor(np.eye(len(tokens))[:, rows]) @ picked    # sum per row
+            logits.zero_grad()
+            (want * Tensor(g)).sum().backward()
+            out, p, flat = picked_log_softmax_forward(logits.data, mask, tokens, node_at)
+            got = picked_log_softmax_backward(g, p, flat, mask)
+            np.testing.assert_allclose(out, want.data, atol=TOL, rtol=TOL)
+            np.testing.assert_allclose(got, logits.grad, atol=TOL, rtol=TOL)
+            if mask is not None:
+                assert np.all(got[~mask] == 0.0)
+        # The unmasked gradient against central differences (gradcheck's rule).
+        def loss(z):
+            return g @ picked_log_softmax_forward(z, None, tokens, node_at)[0]
+        steps = 1e-6 * np.eye(logits.data.size).reshape(-1, *logits.shape)
+        num = np.array([(loss(logits.data + e) - loss(logits.data - e)) / 2e-6
+                        for e in steps]).reshape(logits.shape)
+        assert np.abs(num - got).max() / max(1.0, np.abs(num).max()) < 1e-5
 
 
 class TestTreeAttention:
@@ -341,13 +362,14 @@ class TestContractions:
         assert last_axis_dot(empty, empty).shape == (0, 1)
 
 
-def test_no_grad_retains_no_parents(rng):
-    x, w, b, gamma, beta = _tensors(rng, (2, 3, 6), (6, 6), (6,), (6,), (6,))
-    (qkv,) = _tensors(rng, (2, 3, 12))
+def test_constant_inputs_retain_no_parents(rng):
+    """A block op on inputs that require no gradient is not taped."""
+    x, w, b, gamma, beta = _tensors(rng, (2, 3, 6), (6, 6), (6,), (6,), (6,),
+                                    requires_grad=False)
+    (qkv,) = _tensors(rng, (2, 3, 12), requires_grad=False)
     tokens = rng.integers(0, 6, size=(2, 3))
-    with no_grad():
-        outs = [linear(x, w, b), layer_norm(x, gamma, beta, 1e-5), gelu(x),
-                causal_attention(qkv, 2), picked_log_softmax(x, None, tokens)]
+    outs = [linear(x, w, b), layer_norm(x, gamma, beta, 1e-5), gelu(x),
+            causal_attention(qkv, 2), picked_log_softmax(x, None, tokens)]
     for out in outs:
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
@@ -356,14 +378,23 @@ def test_no_grad_retains_no_parents(rng):
 # --------------------------------------------------------------------------
 # The whole stage-5 gradient against an oracle wavefunction forward
 # --------------------------------------------------------------------------
+def _lin(x, lin):
+    return linear_ref(x, Leaf(lin.weight), Leaf(lin.bias))
+
+
+def _ln(x, ln):
+    return layer_norm_ref(x, Leaf(ln.gamma), Leaf(ln.beta), ln.eps)
+
+
 def _mlp_ref(layers, x, act):
     for layer in layers[:-1]:
-        x = getattr(linear_ref(x, layer.weight, layer.bias), act)()
-    return linear_ref(x, layers[-1].weight, layers[-1].bias)
+        x = getattr(_lin(x, layer), act)()
+    return _lin(x, layers[-1])
 
 
 def oracle_logits(amp, tokens) -> Tensor:
-    """``amp.conditional_logits`` rebuilt from primitive ops on amp's parameters."""
+    """The oracle's ``conditional_logits`` rebuilt from primitive ops on amp's
+    parameters."""
     b, t = tokens.shape
     if isinstance(amp, baselines.MADEAmplitude):
         return amp.conditional_logits(tokens)  # masked weights: primitives already
@@ -378,17 +409,14 @@ def oracle_logits(amp, tokens) -> Tensor:
         return stack(outs, axis=1)
     assert isinstance(amp, TransformerAmplitude)
     shifted = np.concatenate([np.full((b, 1), amp.bos), tokens[:, : t - 1]], axis=1)
-    x = embedding_lookup(amp.tok_emb.weight, shifted) + amp.pos_emb.weight[np.arange(t)]
+    x = (embedding_lookup(Leaf(amp.tok_emb.weight), shifted)
+         + Leaf(amp.pos_emb.weight)[np.arange(t)])
     for layer in amp.layers:
-        h = layer_norm_ref(x, layer.ln1.gamma, layer.ln1.beta, layer.ln1.eps)
-        qkv = linear_ref(h, layer.attn.qkv.weight, layer.attn.qkv.bias)
-        att = causal_attention_ref(qkv, layer.attn.n_heads)
-        x = x + linear_ref(att, layer.attn.proj.weight, layer.attn.proj.bias)
-        h = layer_norm_ref(x, layer.ln2.gamma, layer.ln2.beta, layer.ln2.eps)
-        h = gelu_ref(linear_ref(h, layer.ff.fc1.weight, layer.ff.fc1.bias))
-        x = x + linear_ref(h, layer.ff.fc2.weight, layer.ff.fc2.bias)
-    x = layer_norm_ref(x, amp.ln_f.gamma, amp.ln_f.beta, amp.ln_f.eps)
-    return linear_ref(x, amp.head.weight, amp.head.bias)
+        qkv = _lin(_ln(x, layer.ln1), layer.attn.qkv)
+        x = x + _lin(causal_attention_ref(qkv, layer.attn.n_heads), layer.attn.proj)
+        h = gelu_ref(_lin(_ln(x, layer.ln2), layer.ff.fc1))
+        x = x + _lin(h, layer.ff.fc2)
+    return _lin(_ln(x, amp.ln_f), amp.head)
 
 
 def oracle_surrogate_gradient(wf, bits, coeff_amp, coeff_phase):

@@ -1,7 +1,7 @@
 """Incremental decoding engine: cached step/prefill vs the full-forward oracle.
 
-The differentiable float64 ``conditional_logits`` graph is the correctness
-oracle.  The transformer's KV-cached ``step()`` runs in float32, so it must
+The oracle's differentiable float64 ``conditional_logits`` graph
+(``repro.autograd.oracle``) is the correctness oracle.  The transformer's KV-cached ``step()`` runs in float32, so it must
 reproduce those logits to ``LOGIT_TOL`` at every position (the foils'
 recompute session, float64, to 1e-10); seeded sampling sweeps must still
 produce ``SampleBatch``es (bits and weights) bit-identical to the same sweeps
@@ -14,6 +14,7 @@ which answer the same protocol from ``benchmarks/baseline_ansatze.py``.
 import numpy as np
 import pytest
 
+from repro.autograd.oracle import conditional_logits
 from repro.core import build_qiankunnet
 from repro.core.sampler import (
     SampleBatch,
@@ -71,7 +72,7 @@ class TestStepEquivalence:
         amp = wf.amplitude
         rng = np.random.default_rng(0)
         toks = rng.integers(0, 4, size=(5, wf.n_tokens))
-        full = amp.conditional_logits(toks).data
+        full = conditional_logits(amp, toks).data
         session = amp.make_session(5)
         for i in range(wf.n_tokens):
             logits = session.step(None if i == 0 else toks[:, i - 1])
@@ -81,7 +82,7 @@ class TestStepEquivalence:
         amp = wf.amplitude
         rng = np.random.default_rng(1)
         toks = rng.integers(0, 4, size=(4, wf.n_tokens))
-        full = amp.conditional_logits(toks).data
+        full = conditional_logits(amp, toks).data
         for k in range(wf.n_tokens):
             session = amp.make_session(4)
             logits = session.prefill(toks[:, :k])
@@ -92,7 +93,7 @@ class TestStepEquivalence:
         amp = wf.amplitude
         rng = np.random.default_rng(2)
         toks = rng.integers(0, 4, size=(3, wf.n_tokens))
-        full = amp.conditional_logits(toks).data
+        full = conditional_logits(amp, toks).data
         session = amp.make_session(3)
         logits = session.prefill(toks[:, :2])  # produces position-2 logits
         np.testing.assert_allclose(logits, full[:, 2, :], atol=LOGIT_TOL, rtol=0)
@@ -112,8 +113,8 @@ class TestStepEquivalence:
         next_tok = rng.integers(0, 4, size=len(idx))
         got = branched.step(next_tok)  # position-3 logits on gathered rows
         # Compare against the oracle at the position after the selected prefix.
-        full = amp.conditional_logits(
-            np.concatenate(
+        full = conditional_logits(
+            amp, np.concatenate(
                 [toks[idx], next_tok[:, None],
                  np.zeros((len(idx), wf.n_tokens - 3), dtype=np.int64)], axis=1
             )

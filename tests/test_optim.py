@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
+from repro.autograd.oracle import Leaf
 from repro.core import NoamAdamW, build_qiankunnet
 from repro.core.engine import stage_update
 from repro.nn import Linear, Module, Parameter
@@ -19,7 +20,7 @@ class _Quadratic(Module):
         self.target = rng.normal(size=dim)
 
     def loss(self) -> Tensor:
-        d = self.x - Tensor(self.target)
+        d = Leaf(self.x) - Tensor(self.target)
         return (d * d).sum()
 
 

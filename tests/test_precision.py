@@ -27,7 +27,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor
+from repro.autograd.oracle import forward, padded_next_logits
 from repro.chem import build_problem
 from repro.core import (
     NoamAdamW,
@@ -46,7 +47,6 @@ from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.engine import stage_backward
 from repro.hamiltonian import compress_hamiltonian, sector_basis
 from repro.nn import PhaseMLP
-from repro.nn.inference import padded_next_logits
 from repro.optim import AdamW
 from repro.serve.pool import SessionPool
 from repro.utils.bitstrings import unpack_bits
@@ -75,15 +75,13 @@ MULTINOMIAL_SUM_TOL = 1e-12   # Generator.multinomial refuses sum(p[:-1]) > 1 + 
 
 def float64_phases(wf, bits):
     """``wf.phases`` through the taped float64 head: the oracle."""
-    with no_grad():
-        return wf.phase_of(bits).data
+    return wf.phase_of(bits).data
 
 
 def float64_log_pi(wf, bits):
     """``wf._log_prob_shared`` — and a sweep's ``SampleBatch.log_prob`` —
     through the dense float64 forward: the decoder's oracle."""
-    with no_grad():
-        return wf.log_prob(bits).data
+    return wf.log_prob(bits).data
 
 
 def float64_log_prob_vjp(wf, bits, coeff):
@@ -390,7 +388,7 @@ class TestPhaseVJP:
     @staticmethod
     def _taped(net, bits, coeff):
         net.arena().zero_grad(bind_all=True)
-        (Tensor(coeff) * net(bits)).sum().backward()
+        (Tensor(coeff) * forward(net, bits)).sum().backward()
         return [p.grad.copy() for p in net.parameters()]
 
     @staticmethod
@@ -461,8 +459,7 @@ class TestPhaseEvaluator:
     def test_matches_the_taped_head(self, net):
         bits = np.random.default_rng(1).integers(0, 2, size=(2000, 20), dtype=np.uint8)
         got = net.step(bits)
-        with no_grad():
-            want = net(bits).data
+        want = forward(net, bits).data
         assert got.dtype == np.float64 and got.shape == (2000,)
         assert np.max(np.abs(got - want)) <= PHASE_TOL
 
@@ -472,8 +469,7 @@ class TestPhaseEvaluator:
         row = np.random.default_rng(2).integers(0, 2, size=20, dtype=np.uint8)
         one = net.step(row)
         assert one.shape == (1,) and one.dtype == np.float64
-        with no_grad():
-            assert abs(one[0] - net(row).data[0]) <= PHASE_TOL
+        assert abs(one[0] - forward(net, row).data[0]) <= PHASE_TOL
 
     def test_reads_the_parameters_it_is_called_with(self, net):
         """No cached float32 copy: a parameter update shows on the next call."""

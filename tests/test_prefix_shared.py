@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.wavefunction as wavefunction
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor
 from repro.backend import UNTAGGED, use_backend
 from repro.core import (
     SampleBatch,
@@ -64,8 +64,7 @@ WAVEFUNCTIONS = {
 
 def dense(wf, bits):
     """One-shot ``0.5 log pi + i phi`` through the dense float64 forward."""
-    with no_grad():
-        return 0.5 * wf.log_prob(bits).data + 1j * wf.phase_of(bits).data
+    return 0.5 * wf.log_prob(bits).data + 1j * wf.phase_of(bits).data
 
 
 def assert_log_amps_close(got, want, tol=LOGIT_TOL):
@@ -256,9 +255,8 @@ class TestTapedTreeEqualsDense:
     def test_sector_violating_rows_match_the_dense_masked_value(self):
         wf = WAVEFUNCTIONS["constrained"]
         bits = bits_of([0b11111111, 0b00000000, 0b00001111, 0b00111100])
-        with no_grad():
-            np.testing.assert_allclose(wf.log_prob_vjp(bits, np.zeros(4)),
-                                       wf.log_prob(bits).data, rtol=TOL, atol=LOGIT_TOL)
+        np.testing.assert_allclose(wf.log_prob_vjp(bits, np.zeros(4)),
+                                   wf.log_prob(bits).data, rtol=TOL, atol=LOGIT_TOL)
 
     def test_mock_backend(self):
         wf = build(constrain=True)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import no_grad
+from repro.autograd import Tensor
 from repro.chem import run_fci
 from repro.core import (
     NoamAdamW,
@@ -11,9 +11,12 @@ from repro.core import (
     VMCConfig,
     build_qiankunnet,
     default_ns_schedule,
+    local_energy,
     pretrain_to_reference,
 )
+from repro.core.engine import stage_backward
 from repro.hamiltonian import compress_hamiltonian, sector_hamiltonian_dense
+from tests.conftest import EQ7_FD_ATOL
 from tests.test_wavefunction import sector_bitstrings
 
 
@@ -24,14 +27,29 @@ def exact_energy(wf, comp, n_up, n_dn) -> float:
     rounding by 2e-5."""
     Hs, basis = sector_hamiltonian_dense(comp, n_up, n_dn)
     bits = basis.bits()
-    with no_grad():
-        psi = np.exp(0.5 * wf.log_prob(bits).data + 1j * wf.phase_of(bits).data)
+    psi = np.exp(0.5 * wf.log_prob(bits).data + 1j * wf.phase_of(bits).data)
     return float(np.real(psi.conj() @ Hs @ psi) / np.real(psi.conj() @ psi))
 
 
+def taped_eq7(wf, batch, w, eloc, e_mean, e_imag):
+    """Eq. 7 through the float64 oracle's tape."""
+    wf.zero_grad()
+    loss = (Tensor(w * (eloc.real - e_mean)) * wf.log_prob(batch.bits)).sum() + (
+        Tensor(2.0 * w * (eloc.imag - e_imag)) * wf.phase_of(batch.bits)).sum()
+    loss.backward()
+    return wf.get_flat_grads()
+
+
+def stage5_eq7(wf, batch, *args):
+    """Eq. 7 through stage 5's float32 VJPs (the production gradient)."""
+    return stage_backward(wf, batch, *args).copy()
+
+
 class TestGradientFormula:
-    def test_eq7_matches_finite_difference(self, h2_problem):
-        """With exact-pi weights and exact E_loc, Eq. 7 equals dE/dtheta."""
+    @pytest.mark.parametrize("eq7", [taped_eq7, stage5_eq7], ids=["taped", "stage_backward"])
+    def test_eq7_matches_finite_difference(self, h2_problem, eq7):
+        """With exact-pi weights and exact E_loc, Eq. 7 equals dE/dtheta —
+        through the oracle's tape and through stage 5's float32 VJPs."""
         wf = build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
                               phase_hidden=(12,), seed=13)
         comp = compress_hamiltonian(h2_problem.hamiltonian)
@@ -40,26 +58,10 @@ class TestGradientFormula:
         # Integer weights proportional to pi (relative error ~1e-12).
         weights = np.round(pi * 1e14).astype(np.int64)
         batch = SampleBatch(bits=bits, weights=weights)
-
-        vmc = VMC(wf, comp, VMCConfig(n_samples=1, eloc_mode="exact"),
-                  optimizer=NoamAdamW(wf, grad_clip=None))
-        from repro.core import local_energy
-
         eloc, _ = local_energy(wf, comp, batch, mode="exact")
-        wf.zero_grad()
-        vmc.optimizer.lr = 0.0  # isolate gradient computation
-        # gradient_step mutates params through optimizer; compute grads only:
         w = batch.weights / batch.weights.sum()
         e_mean = np.sum(w * eloc)
-        from repro.autograd import Tensor
-
-        coeff_amp = w * (eloc.real - e_mean.real)
-        coeff_phase = 2.0 * w * (eloc.imag - e_mean.imag)
-        loss = (Tensor(coeff_amp) * wf.log_prob(bits)).sum() + (
-            Tensor(coeff_phase) * wf.phase_of(bits)
-        ).sum()
-        loss.backward()
-        analytic = wf.get_flat_grads()
+        analytic = eq7(wf, batch, w, eloc, e_mean.real, e_mean.imag)
 
         flat0 = wf.get_flat_params()
         rng = np.random.default_rng(0)
@@ -75,7 +77,7 @@ class TestGradientFormula:
                     e_minus = exact_energy(wf, comp, 1, 1)
             wf.set_flat_params(flat0)
             numeric = (e_plus - e_minus) / (2 * eps)
-            assert analytic[idx] == pytest.approx(numeric, abs=5e-6), f"param {idx}"
+            assert analytic[idx] == pytest.approx(numeric, abs=EQ7_FD_ATOL), f"param {idx}"
 
 
 class TestConvergence:

@@ -17,17 +17,18 @@ Rules, applied to the modules in ``HOT_PATH_FILES`` only:
   ``a**3`` in GELU was once 29 % of a VMC iteration).  A literal base
   (``10**5``, ``2**20``) is constant arithmetic and passes.
 
-One more rule applies to ``CONTRACTION_FILES`` (``autograd/block_ops.py`` and
-the feature-major kernels of stage 5's pair over the prefix tree,
-``nn/attention.py`` and ``nn/transformer.py``):
+One more rule applies to ``CONTRACTION_FILES`` (the shared production
+kernels of ``nn/kernels.py`` and the feature-major kernels of stage 5's pair
+over the prefix tree, ``nn/attention.py`` and ``nn/transformer.py``):
 
 * a ``sum`` / ``mean`` / ``max`` call with ``axis=-1`` is an error.  Every
   short axis there is 4 to 64 wide, where numpy's reduction loop runs once
   per output element (``max`` over a (180, 4, 10, 10) attention matrix: 255
-  us against 45 us); block_ops writes them as contractions (``last_axis_sum``
-  / ``last_axis_dot`` / ``last_axis_max``) — one formulation per reduction,
+  us against 45 us); nn/kernels writes them as contractions
+  (``last_axis_sum`` / ``last_axis_max``) — one formulation per reduction,
   whatever the width — and the feature-major kernels put the rows last, so
-  their short axes are never the last one.
+  their short axes are never the last one.  The taped float64 oracle
+  (``autograd/oracle.py``) is held to backend purity only.
 
 Deliberately host-bound code escapes through ``repro.backend.host``'s
 ``host_np`` alias — a distinct NAME, so it passes.  Comments, docstrings
@@ -48,7 +49,8 @@ from pathlib import Path
 # sampling/eloc/backward path.
 HOT_PATH_FILES = [
     "src/repro/autograd/tensor.py",
-    "src/repro/autograd/block_ops.py",
+    "src/repro/autograd/oracle.py",
+    "src/repro/nn/kernels.py",
     "src/repro/nn/attention.py",
     "src/repro/nn/transformer.py",
     "src/repro/nn/layers.py",
@@ -61,7 +63,7 @@ HOT_PATH_FILES = [
 
 
 # Modules where no reduction runs over a short last axis.
-CONTRACTION_FILES = {"src/repro/autograd/block_ops.py", "src/repro/nn/attention.py",
+CONTRACTION_FILES = {"src/repro/nn/kernels.py", "src/repro/nn/attention.py",
                      "src/repro/nn/transformer.py"}
 _REDUCTIONS = {"sum", "mean", "max"}
 

@@ -5,7 +5,8 @@ Every rule is a regular expression that must match no line of the files it
 covers — the grep chain that used to live in ``.github/workflows/ci.yml``,
 one named rule per collapse (DESIGN.md has the section each ``why`` cites).
 A rule covers files or directories (searched recursively for ``*.py``);
-``exempt`` names the one file where the construct is allowed to live.
+``exempt`` names the files or directories where the construct is allowed to
+live, ``allow`` single lines of one file (``(file, line regex)``).
 
 The match is per line and purely textual, comments and docstrings included:
 a rule bans a *spelling* from a place, so prose there has to find another
@@ -32,6 +33,7 @@ class Rule:
     paths: tuple[str, ...]
     why: str
     exempt: tuple[str, ...] = ()
+    allow: tuple[tuple[str, str], ...] = ()
 
 
 RULES = (
@@ -62,14 +64,16 @@ RULES = (
     Rule("stage5-writes-into-the-arena", r"set_flat_grads\(|concatenate\(\[grad",
          ("src/repro/core/engine.py",),
          "stage 5 accumulates into the arena's gradient buffer (Parameter arena)"),
-    Rule("stage5-phase-off-the-tape", r"phase_of\(", ("src/repro/core/engine.py",),
-         "stage 5's phase gradient is the float32 VJP (wf.phase_vjp); the taped "
-         "float64 head is the oracle of tests and benchmarks (Precision)"),
-    Rule("stage5-log-pi-off-the-tape", r"\.backward\(|\bTensor\(",
-         ("src/repro/core/engine.py", "src/repro/core/pretrain.py"),
-         "stage 5 and pretraining take the log-pi gradient from wf.log_prob_vjp, "
-         "the amplitude network's forward/VJP pair; they build no Tensor and "
-         "walk no tape (Precision, Stage contract)"),
+    Rule("tape-only-in-autograd",
+         r"\bTensor\b|\bno_grad\b|\.backward\(|requires_grad"
+         r"|^\s*(from|import)\s+repro\.autograd\b", (SRC,),
+         "nothing outside autograd/ builds, walks or imports the tape: the "
+         "networks run graph-free float32 kernels and hand-derived VJPs, and the "
+         "taped float64 QiankunNet is autograd/oracle.py's, reached through "
+         "NNQSWavefunction's three delegators for testing purposes only "
+         "(Precision, Block ops)",
+         exempt=("src/repro/autograd",),
+         allow=(("src/repro/core/wavefunction.py", r"^from repro\.autograd import oracle$"),)),
     Rule("one-prefix-tree-pass", r"prefix_logits|rows_from_nodes|nodes_from_rows", (SRC,),
          "the prefix tree is evaluated with gradients by the forward/VJP pair "
          "alone: no taped node-major pass and no bridge ops to a dense core "
@@ -133,7 +137,7 @@ def rule_files(root: Path, rule: Rule) -> list[Path]:
         path = root / rel
         files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
     exempt = {root / rel for rel in rule.exempt}
-    return [f for f in files if f not in exempt]
+    return [f for f in files if exempt.isdisjoint((f, *f.parents))]
 
 
 def lint(root: Path, rules=RULES) -> list[str]:
@@ -142,8 +146,9 @@ def lint(root: Path, rules=RULES) -> list[str]:
     for rule in rules:
         regex = re.compile(rule.pattern)
         for path in rule_files(root, rule):
+            allowed = [re.compile(p) for rel, p in rule.allow if root / rel == path]
             for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                if regex.search(line):
+                if regex.search(line) and not any(a.search(line) for a in allowed):
                     errors.append(f"{path.relative_to(root)}:{lineno}: "
                                   f"[{rule.name}] {line.strip()!r} — {rule.why}")
     return errors
@@ -151,7 +156,8 @@ def lint(root: Path, rules=RULES) -> list[str]:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
-    missing = sorted({rel for rule in RULES for rel in rule.paths + rule.exempt
+    missing = sorted({rel for rule in RULES
+                      for rel in rule.paths + rule.exempt + tuple(f for f, _ in rule.allow)
                       if not (root / rel).exists()})
     if missing:
         print(f"lint_source: paths named by a rule do not exist: {missing}",
