@@ -6,21 +6,20 @@ i * S_warmup^-1.5)" — the schedule is :class:`repro.core.engine.NoamAdamW`'s.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.backend import xp
 from repro.backend.dtypes import float64
+from repro.backend.host import host_np
 from repro.nn.module import Module
 
 __all__ = ["AdamW"]
 
-# Elements per call of the AdamW kernel.  The kernel makes 16 elementwise
-# passes over five streams (theta, m, v, gradient, scratch); 32 768 doubles of
-# each is 1.25 MiB, which stays L2-resident across the passes, where the whole
-# arena (5 x 2.1 MiB on H2) streams from memory 16 times.  Measured on the h2
-# preset, median stage-6 update: one call 2.85 ms, 65 536 2.26, 32 768 2.09,
-# 16 384 2.18.  A constant: the kernel is elementwise, so any blocking gives
-# the same bits.
+# Elements per call of the AdamW kernel.  The kernel makes 13 elementwise
+# passes over four streams (theta, m, v, gradient); 32 768 doubles of each is
+# 1 MiB, which stays L2-resident across the passes, where the whole arena
+# (4 x 2.1 MiB on H2) streams from memory 13 times.  Measured on an arena of
+# the h2 preset's size (272 517), median step: one call 1.30 ms, 65 536 1.01,
+# 32 768 1.03, 16 384 1.05.  A constant: the kernel is elementwise, so any
+# blocking gives the same bits.
 _BLOCK = 32768
 
 
@@ -39,13 +38,13 @@ class AdamW:
         self.t = 0
         self._m = None
         self._v = None
-        self._scratch = xp.empty(model.num_parameters(), dtype=float64)
 
     def step(self, grad=None) -> None:
         """One update from ``grad``, a flat M-vector, or (``None``) from the
         gradients the model's parameters carry — those without one are
         skipped, decay included.  The gradient is consumed: its storage comes
-        back holding the step that was taken.
+        back holding ``alpha_t m / (sqrt(v) + eps_hat)``, the Adam part of the
+        step without the decay.
         """
         arena = self.model.arena()
         size = arena.theta.size
@@ -57,46 +56,46 @@ class AdamW:
             self._m = xp.zeros(size, dtype=float64)
             self._v = xp.zeros(size, dtype=float64)
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        root_bc2 = (1.0 - self.beta2**self.t) ** 0.5
+        alpha = self.lr * root_bc2 / (1.0 - self.beta1**self.t)
+        eps_hat = self.eps * root_bc2
+        decay = 1.0 - self.lr * self.weight_decay
         for a, b in spans:
             for lo in range(a, b, _BLOCK):
                 hi = min(lo + _BLOCK, b)
                 self._update(arena.theta[lo:hi], self._m[lo:hi], self._v[lo:hi],
-                             grad[lo:hi], self._scratch[lo:hi], bc1, bc2)
+                             grad[lo:hi], alpha, eps_hat, decay)
 
-    def _update(self, theta, m, v, g, s, bc1: float, bc2: float) -> None:
-        """The AdamW recurrence, elementwise and in place, one IEEE operation
-        per line in the order of its textbook form (kept as the oracle in
-        ``tests/test_param_arena.py``) — so any slicing of the arena gives the
-        same bits.  ``s`` is scratch; ``g`` is dead once ``v`` is updated and
-        becomes the update ``u``."""
+    def _update(self, theta, m, v, g, alpha: float, eps_hat: float,
+                decay: float) -> None:
+        """AdamW in Kingma & Ba's efficient ordering (Adam, ICLR 2015, end of
+        Sec. 2), elementwise and in place: 13 passes, one sqrt, one divide,
+        ``g`` the only temporary; the bias corrections are in ``alpha = lr
+        sqrt(bc2) / bc1`` and ``eps_hat = eps sqrt(bc2)``, the decoupled decay
+        in ``decay = 1 - lr wd``.  Against the textbook form (the oracle in
+        ``tests/test_param_arena.py``) m is bit-equal, v and theta equal to
+        rounding; any slicing of the arena gives the same bits."""
         b1, b2 = self.beta1, self.beta2
+        g *= 1 - b1
         m *= b1
-        xp.multiply(g, 1 - b1, out=s)
-        m += s                            # m = b1 m + (1 - b1) g
+        m += g                            # m = b1 m + (1 - b1) g
+        g *= g
+        g *= (1 - b2) / (1 - b1) ** 2
         v *= b2
-        xp.multiply(g, 1 - b2, out=s)
-        s *= g
-        v += s                            # v = b2 v + (1 - b2) g g
-        u = g
-        xp.divide(m, bc1, out=u)
-        xp.divide(v, bc2, out=s)
-        xp.sqrt(s, out=s)
-        s += self.eps
-        u /= s                            # u = m_hat / (sqrt(v_hat) + eps)
-        # Decoupled weight decay (AdamW): decay applied directly to weights.
-        xp.multiply(theta, self.weight_decay, out=s)
-        u += s
-        u *= self.lr
-        theta -= u
+        v += g                            # v = b2 v + (1 - b2) g g
+        xp.sqrt(v, out=g)
+        g += eps_hat
+        xp.divide(m, g, out=g)
+        g *= alpha                        # g = alpha m / (sqrt(v) + eps_hat)
+        theta *= decay                    # decoupled weight decay (AdamW)
+        theta -= g
 
     def zero_grad(self) -> None:
         self.model.zero_grad()
 
     def state(self) -> dict:
         """Step counter and flat moments, under their checkpoint key names."""
-        out = {"opt_t": np.array(self.t)}
+        out = {"opt_t": host_np.array(self.t)}
         if self._m is not None:
             out["opt_m"] = self._m.copy()
             out["opt_v"] = self._v.copy()
@@ -104,8 +103,8 @@ class AdamW:
 
     def load_state(self, data) -> None:
         """Restore :meth:`state`; moments of the wrong size are refused before
-        anything is written."""
-        m, v = self._m, self._v
+        anything is written, absent ones (a pre-first-step state) reset."""
+        m = v = None
         if "opt_m" in data:
             size = self.model.num_parameters()
             m, v = (xp.array(data[key], dtype=float64) for key in ("opt_m", "opt_v"))

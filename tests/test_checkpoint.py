@@ -62,6 +62,25 @@ class TestResume:
             s.variance for s in vmc.history
         ]
 
+    def test_an_iteration_zero_checkpoint_restores_no_moments(self, h2_problem,
+                                                              tmp_path):
+        """A state saved before the first step holds no moments; rolling a
+        run back to it in process must drop the moments of later steps, so
+        the next step equals a fresh VMC's that resumes the same file."""
+        path = tmp_path / "ck.npz"
+        rolled_back = _fresh_vmc(h2_problem, "transformer")
+        save_checkpoint(rolled_back, path)
+        assert "opt_m" not in np.load(path).files
+        rolled_back.run(2)
+        load_checkpoint(rolled_back, path)
+        rolled_back.step()
+
+        resumed = _fresh_vmc(h2_problem, "transformer")
+        load_checkpoint(resumed, path)
+        resumed.step()
+        np.testing.assert_array_equal(rolled_back.wf.get_flat_params(),
+                                      resumed.wf.get_flat_params())
+
     def test_rng_stream_continues(self, h2_problem, tmp_path):
         path = tmp_path / "ck.npz"
         vmc = _fresh_vmc(h2_problem, "transformer")

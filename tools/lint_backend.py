@@ -59,6 +59,7 @@ HOT_PATH_FILES = [
     "src/repro/core/local_energy.py",
     "src/repro/core/constraints.py",
     "src/repro/core/engine.py",
+    "src/repro/optim/adamw.py",
 ]
 
 
