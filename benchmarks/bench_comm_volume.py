@@ -29,12 +29,12 @@ from repro.hamiltonian import compress_hamiltonian
 from repro.parallel import CommVolumeModel, ThreadBackend
 
 
-def _measure_c2(n_samples: int = 10**5, n_steps: int = 2, codec: bool = True):
+def _measure_c2(n_samples: int = 10**5, n_steps: int = 2):
     """Run ``n_steps`` 2-rank C2 iterations; returns (vmc, backend, stats)."""
     prob = build_problem("C2", "sto-3g")
     wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=41)
     pretrain_to_reference(wf, prob.hf_bits, n_steps=60, target_prob=0.2)
-    backend = ThreadBackend(n_ranks=2, nu_star_per_rank=16, comm_codec=codec)
+    backend = ThreadBackend(n_ranks=2, nu_star_per_rank=16)
     vmc = VMC(
         wf, compress_hamiltonian(prob.hamiltonian),
         VMCConfig(n_samples=n_samples, eloc_mode="sample_aware", seed=42),

@@ -30,10 +30,6 @@ def main() -> None:
     ap.add_argument("--ranks", type=int, nargs="+", default=[1, 2, 4])
     ap.add_argument("--samples", type=int, default=200_000)
     ap.add_argument("--iters", type=int, default=3)
-    ap.add_argument("--eloc-partition", default="balanced",
-                    choices=["balanced", "contiguous"],
-                    help="Sec. 3.3 weight-balanced eloc chunking (default) "
-                         "or the naive contiguous 1/N_p split")
     args = ap.parse_args()
 
     prob = build_problem(args.molecule, "sto-3g")
@@ -51,8 +47,7 @@ def main() -> None:
             wf, comp,
             VMCConfig(n_samples=args.samples, eloc_mode="sample_aware",
                       seed=14),
-            backend=ThreadBackend(n_ranks=n_ranks, nu_star_per_rank=32,
-                                  eloc_partition=args.eloc_partition),
+            backend=ThreadBackend(n_ranks=n_ranks, nu_star_per_rank=32),
         )
         driver.step()  # warmup
         stats = [driver.step() for _ in range(args.iters)]

@@ -188,8 +188,7 @@ def _print_run_info(run_dir: Path) -> int:
              if spec.problem.n_frozen or spec.problem.n_active else ""))
     print(f"ansatz   {spec.ansatz.name}")
     if spec.parallel.backend != "serial" or spec.parallel.n_ranks > 1:
-        print(f"parallel {spec.parallel.backend} x {spec.parallel.n_ranks} "
-              f"({spec.parallel.eloc_partition} eloc partition)")
+        print(f"parallel {spec.parallel.backend} x {spec.parallel.n_ranks}")
     metrics_path = run_dir / driver.METRICS_FILE
     if metrics_path.exists():
         rows = _read_jsonl(metrics_path)

@@ -22,8 +22,8 @@ Builder contracts (what the driver calls):
 * **backend**: ``factory(n_ranks=..., **fields) -> ExecutionBackend`` (the
   spec's ``parallel.backend`` choice), where ``fields`` are the ``parallel``
   section's fields the factory declares by name (``nu_star_per_rank``,
-  ``comm_codec``, ``collective_timeout_s``, ...; the whole section when it
-  takes ``**kwargs``).  The built-ins register the backend classes of
+  ``collective_timeout_s``, ...; the whole section when it takes
+  ``**kwargs``).  The built-ins register the backend classes of
   :mod:`repro.core.engine` / :mod:`repro.parallel.cluster` themselves.
 
 Unknown names raise :class:`UnknownComponentError` listing what *is*

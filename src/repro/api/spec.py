@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.backend import BACKEND_NAMES
-from repro.core.engine import ELOC_MODES, ELOC_PARTITIONS
+from repro.core.engine import ELOC_MODES
 from repro.utils.atomic import atomic_write
 
 __all__ = [
@@ -250,24 +250,24 @@ class ParallelSpec(_Spec):
     ``backend`` names a registered execution backend (``serial`` /
     ``threads`` / ``process`` / ``cluster``); ``n_ranks`` and
     ``nu_star_per_rank`` map to the paper's N_p and N_u^*/N_p;
-    ``eloc_partition`` selects the Sec. 3.3 weight-balanced local-energy
-    chunking (or ``contiguous`` for the naive 1/N_p split);
     ``eloc_memory_budget_mb`` is ``VMCConfig``'s (the byte budget the run's
     ``ElocPlan`` and exact mode's table extension shrink to).  Every other
     field reaches the backend class that declares it, under the same name.
-
-    ``comm_codec`` toggles the stage-2 delta/varint compression and
-    ``comm_shm`` the process backend's shared-memory transport (see
-    DESIGN.md "Communication layer"); both default on and are bit-identical
-    either way — they only change what crosses the wire.
+    A multi-rank iteration has one shape (DESIGN.md "Communication layer"):
+    stage 2 ships delta/varint-compressed samples, the process backend moves
+    large arrays through shared memory, and stage 3 splits the unique set
+    into Sec. 3.3 weight-balanced chunks.
 
     The cluster fields describe one SPMD member of a multi-host job:
     ``rendezvous_addr`` is the ``host:port`` of the ``python -m repro
     rendezvous`` coordinator, ``rank`` optionally pins this member's rank,
     and ``world_size`` may spell out the job size explicitly (it must agree
     with ``n_ranks`` when both are set).  ``join_timeout_s`` bounds the
-    rendezvous/mesh construction and ``collective_timeout_s`` bounds each
-    collective (also the process backend's coordinator read timeout).
+    rendezvous/mesh construction (and, on the process backend, the wait for
+    finished ranks to exit).  ``collective_timeout_s`` bounds each collective
+    on the thread and cluster backends; on the process backend it bounds the
+    launcher's wait for the rank results — a whole iteration — since the
+    relay's reads there carry no timeout.
     """
 
     _SECTION = "parallel"
@@ -275,10 +275,7 @@ class ParallelSpec(_Spec):
     backend: str = "serial"
     n_ranks: int = 1
     nu_star_per_rank: int = 64
-    eloc_partition: str = "balanced"
     eloc_memory_budget_mb: float | None = None
-    comm_codec: bool = True
-    comm_shm: bool = True
     rendezvous_addr: str | None = None
     rank: int | None = None
     world_size: int | None = None
@@ -321,9 +318,6 @@ class ParallelSpec(_Spec):
         _require(self.nu_star_per_rank > 0,
                  "parallel.nu_star_per_rank",
                  f"must be a positive int, got {self.nu_star_per_rank!r}")
-        _require(self.eloc_partition in ELOC_PARTITIONS,
-                 "parallel.eloc_partition",
-                 f"must be one of {ELOC_PARTITIONS}, got {self.eloc_partition!r}")
         _require(self.eloc_memory_budget_mb is None
                  or self.eloc_memory_budget_mb > 0,
                  "parallel.eloc_memory_budget_mb",

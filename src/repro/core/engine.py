@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.backend import active_backend, counter_delta, use_backend, xp
-from repro.backend.dtypes import float64, int64, uint32, uint64
+from repro.backend.dtypes import float64, int64
 from repro.backend.host import host_np
 from repro.core.local_energy import (
     AmplitudeTable,
@@ -77,7 +77,6 @@ from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
 
 __all__ = [
     "ELOC_MODES",
-    "ELOC_PARTITIONS",
     "VMCConfig",
     "VMCStats",
     "NoamAdamW",
@@ -97,7 +96,6 @@ __all__ = [
 ]
 
 ELOC_MODES = ("exact", "sample_aware")
-ELOC_PARTITIONS = ("balanced", "contiguous")
 
 
 @dataclass
@@ -161,7 +159,7 @@ class VMCStats:
     time_gradient: float = field(default=0.0, compare=False)
     comm_bytes: int | None = None     # None: no communicator (serial backend)
     per_rank_unique: list[int] | None = field(default=None)
-    # Wire bytes actually moved (<= comm_bytes with the codec on); None on
+    # Wire bytes actually moved (<= comm_bytes: stage 2 is compressed); None on
     # serial iterations and on histories recorded before the split existed.
     comm_bytes_wire: int | None = None
     # Array-backend transfer/allocation counters (instrumented backends only;
@@ -233,17 +231,15 @@ def stage_sample_parallel(wf, n_samples: int, seed: int, iteration: int,
     return batch_autoregressive_sample(wf, 0, cont_rng, start=my_state)
 
 
-def _counts_array(weights):
-    """Integer multiplicities at natural width: uint32 when they fit (the
-    common case — counts are bounded by the per-rank sample budget), uint64
-    for the paper's N_s -> 1e12 tail."""
-    if weights.size and int(weights.max()) > 0xFFFFFFFF:
-        return weights.astype(uint64)
-    return weights.astype(uint32)
+def _counts_nbytes(weights) -> int:
+    """Logical bytes of the integer multiplicities at natural width: uint32
+    when they fit (the common case — counts are bounded by the per-rank
+    sample budget), uint64 for the paper's N_s -> 1e12 tail."""
+    wide = weights.size and int(weights.max()) > 0xFFFFFFFF
+    return weights.size * (8 if wide else 4)
 
 
-def stage_gather_table(comm, wf, local: SampleBatch, *, codec: bool = True,
-                       baseline=None):
+def stage_gather_table(comm, wf, local: SampleBatch, *, baseline=None):
     """Stage 2: Allgather the unique sets; build the global amplitude table.
 
     Returns ``(keys, weights, table)`` with the global unique set lexsorted —
@@ -251,11 +247,11 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, codec: bool = True,
 
     The multi-rank payload is split into two typed channels:
 
-    * ``stage2_samples`` — packed keys + integer counts.  With ``codec``
-      on, each rank lexsorts locally and ships a delta/varint payload
-      (:mod:`repro.parallel.codec`), diffed against ``baseline`` (the
-      previous iteration's global unique set) when one is available; with
-      ``codec`` off the keys and uint32 counts travel as raw typed arrays.
+    * ``stage2_samples`` — packed keys + integer counts.  Each rank lexsorts
+      locally and ships a delta/varint payload (:mod:`repro.parallel.codec`),
+      diffed against ``baseline`` (the previous iteration's global unique
+      set) when one is available; the logical size is the raw keys plus
+      natural-width counts.
     * ``stage2_amps`` — the complex128 log-amplitudes, always raw (lossless
       float compression is not worth the cycles).
 
@@ -264,11 +260,11 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, codec: bool = True,
     tree path, and only the phase MLP runs (``wf.phases``: float32 GEMMs, no
     tape, row blocks).  A batch without it did not come out of a sweep and is
     refused — ``wf.log_amplitudes`` is the evaluator for bits given from
-    elsewhere, not a fallback of this stage.  Every backend, transport and
-    codec sweeps the same subtrees with the same streams at equal N_p, so
-    they stay bit-identical to each other.  The global set is unique across ranks
-    (disjoint BAS subtrees), hence the final lexsort yields the same table
-    bit-for-bit regardless of the wire encoding.
+    elsewhere, not a fallback of this stage.  Every backend and transport
+    sweeps the same subtrees with the same streams at equal N_p, so they
+    stay bit-identical to each other.  The global set is unique across ranks
+    (disjoint BAS subtrees) and the codec is lossless, hence the final
+    lexsort yields the same table bit-for-bit on every backend.
     """
     if local.log_prob is None:
         raise ValueError(
@@ -282,44 +278,30 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, codec: bool = True,
     local_amps = active_backend().to_host(
         0.5 * local.log_prob + 1j * wf.phases(local.bits), tag="stage2.amps"
     )
-    if comm.Get_size() == 1:
-        order = lexsort_keys(local_keys)
-        keys = local_keys[order]
-        weights = local.weights.astype(int64)[order]
-        amps = local_amps[order]
-        return keys, weights, AmplitudeTable(keys=keys, log_amps=amps)
-
     order = lexsort_keys(local_keys)
     skeys = local_keys[order]
     sweights = local.weights.astype(int64)[order]
     samps = local_amps[order]
-    rank = comm.Get_rank()
-    if codec:
-        from repro.parallel.codec import (
-            decode_sample_payload,
-            encode_sample_payload,
-        )
+    if comm.Get_size() == 1:
+        return skeys, sweights, AmplitudeTable(keys=skeys, log_amps=samps)
 
-        blob = encode_sample_payload(skeys, sweights, baseline=baseline)
-        logical = skeys.nbytes + _counts_array(sweights).nbytes
-        blobs = comm.allgather_blob(blob, logical_bytes=logical,
-                                    channel="stage2_samples")
-        key_parts, weight_parts = [], []
-        for r, b in enumerate(blobs):
-            if r == rank:  # own payload: skip the (lossless) decode
-                key_parts.append(skeys)
-                weight_parts.append(sweights)
-            else:
-                k, c = decode_sample_payload(b, baseline=baseline)
-                key_parts.append(k)
-                weight_parts.append(c)
-    else:
-        counts = _counts_array(sweights)
-        key_parts = comm.allgather_ndarray(skeys, channel="stage2_samples")
-        weight_parts = [
-            c.astype(int64)
-            for c in comm.allgather_ndarray(counts, channel="stage2_samples")
-        ]
+    from repro.parallel.codec import decode_sample_payload, encode_sample_payload
+
+    rank = comm.Get_rank()
+    blob = encode_sample_payload(skeys, sweights, baseline=baseline)
+    blobs = comm.allgather_blob(
+        blob, logical_bytes=skeys.nbytes + _counts_nbytes(sweights),
+        channel="stage2_samples",
+    )
+    key_parts, weight_parts = [], []
+    for r, b in enumerate(blobs):
+        if r == rank:  # own payload: skip the (lossless) decode
+            key_parts.append(skeys)
+            weight_parts.append(sweights)
+        else:
+            k, c = decode_sample_payload(b, baseline=baseline)
+            key_parts.append(k)
+            weight_parts.append(c)
     amp_parts = comm.allgather_ndarray(samps, channel="stage2_amps")
     keys = xp.concatenate(key_parts, axis=0)
     weights = xp.concatenate(weight_parts)
@@ -329,28 +311,15 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, codec: bool = True,
     return keys, weights, AmplitudeTable(keys=keys, log_amps=amps)
 
 
-def stage_partition(weights, n_ranks: int,
-                    mode: str = "balanced") -> list:
+def stage_partition(weights, n_ranks: int) -> list:
     """Stage 3 prologue: split the global unique set into per-rank chunks.
 
-    ``balanced`` (default) reuses the Sec. 3.3 weight-balancing heuristic —
-    contiguous cuts of ~equal total sample weight — instead of the naive
-    contiguous ``1/N_p`` count split (kept as ``contiguous`` for the
-    benchmark comparison).
+    The Sec. 3.3 weight-balancing heuristic: contiguous cuts of ~equal total
+    sample weight, not ~equal sample count.
     """
-    if mode == "balanced":
-        from repro.parallel.partition import balanced_weight_partition
+    from repro.parallel.partition import balanced_weight_partition
 
-        return balanced_weight_partition(weights, n_ranks)
-    if mode != "contiguous":
-        raise ValueError(
-            f"eloc partition mode must be one of {ELOC_PARTITIONS}, got {mode!r}"
-        )
-    n = len(weights)
-    return [
-        xp.arange(r * n // n_ranks, (r + 1) * n // n_ranks, dtype=int64)
-        for r in range(n_ranks)
-    ]
+    return balanced_weight_partition(weights, n_ranks)
 
 
 def stage_local_energy(wf, comp, chunk: SampleBatch, table: AmplitudeTable,
@@ -478,8 +447,7 @@ class NoamAdamW(AdamW):
 # --------------------------------------------------------------------------
 # The per-rank iteration body (shared verbatim by every backend)
 # --------------------------------------------------------------------------
-def _rank_iteration(engine, comm, wf, rng, nu_star: int,
-                    eloc_partition: str) -> dict:
+def _rank_iteration(engine, comm, wf, rng, nu_star: int) -> dict:
     """Run stages 1-6 as one rank of ``comm``; returns the rank's results.
 
     With a size-1 communicator this *is* the serial iteration: the sample
@@ -496,9 +464,7 @@ def _rank_iteration(engine, comm, wf, rng, nu_star: int,
     array_backend = engine.array_backend
     with use_backend(array_backend):
         snap0 = array_backend.counter_snapshot()
-        out, snap1 = _rank_iteration_stages(
-            engine, comm, wf, rng, nu_star, eloc_partition
-        )
+        out, snap1 = _rank_iteration_stages(engine, comm, wf, rng, nu_star)
         snap2 = array_backend.counter_snapshot()
     sampling = counter_delta(snap0, snap1)
     if sampling is not None:
@@ -509,8 +475,8 @@ def _rank_iteration(engine, comm, wf, rng, nu_star: int,
     return out
 
 
-def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
-                           eloc_partition: str) -> tuple[dict, dict | None]:
+def _rank_iteration_stages(engine, comm, wf, rng,
+                           nu_star: int) -> tuple[dict, dict | None]:
     """Stages 1-6 proper; returns ``(out, post-stage-1 counter snapshot)``."""
     cfg: VMCConfig = engine.config
     size = comm.Get_size()
@@ -530,16 +496,14 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
     snap_sampled = active_backend().counter_snapshot()
 
     # ---- stage 2: allgather + global amplitude table -----------------------
-    codec = engine.backend.comm_codec
-    baseline = engine.comm_baseline if codec else None
     keys, weights, table = stage_gather_table(
-        comm, wf, local, codec=codec, baseline=baseline
+        comm, wf, local, baseline=engine.comm_baseline
     )
     n_u = len(weights)
 
     # ---- stage 3: local energy on this rank's chunk ------------------------
     t0 = time.perf_counter()
-    idx = stage_partition(weights, size, eloc_partition)[rank]
+    idx = stage_partition(weights, size)[rank]
     chunk = SampleBatch(
         bits=unpack_bits(keys[idx], engine.comp.n_qubits),
         weights=weights[idx],
@@ -589,7 +553,7 @@ def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int,
         "n_samples": int(n_samples),
         "times": times,
     }
-    if size > 1 and codec and (rank == 0 or engine.backend.spmd):
+    if size > 1 and (rank == 0 or engine.backend.spmd):
         # Next iteration's diff baseline: the global unique set in canonical
         # (lexsorted) order.  On the thread/process backends only rank 0's
         # copy survives execute() (every rank rebuilds the identical array,
@@ -615,7 +579,6 @@ class ExecutionBackend:
 
     name = "?"
     n_ranks = 1
-    comm_codec = True   # stage-2 delta/varint codec (a wire optimisation only)
     spmd = False        # True: every rank is its own engine (cluster backend)
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
@@ -647,20 +610,14 @@ class SerialBackend(ExecutionBackend):
         from repro.parallel.comm import Comm, SoloTransport
 
         result = _rank_iteration(
-            engine, Comm(SoloTransport()), engine.wf, engine.rng,
-            nu_star=0, eloc_partition="balanced",
+            engine, Comm(SoloTransport()), engine.wf, engine.rng, nu_star=0,
         )
         return [result], None
 
 
-def _validate_rank_args(n_ranks: int, eloc_partition: str) -> None:
+def _validate_rank_args(n_ranks: int) -> None:
     if not isinstance(n_ranks, int) or n_ranks < 1:
         raise ValueError(f"n_ranks must be a positive int, got {n_ranks!r}")
-    if eloc_partition not in ELOC_PARTITIONS:
-        raise ValueError(
-            f"eloc_partition must be one of {ELOC_PARTITIONS}, "
-            f"got {eloc_partition!r}"
-        )
 
 
 class ThreadBackend(ExecutionBackend):
@@ -675,14 +632,11 @@ class ThreadBackend(ExecutionBackend):
     name = "threads"
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
-                 eloc_partition: str = "balanced", comm_codec: bool = True,
                  collective_timeout_s: float = 600.0):
-        _validate_rank_args(n_ranks, eloc_partition)
+        _validate_rank_args(n_ranks)
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
-        self.eloc_partition = eloc_partition
         self.collective_timeout_s = collective_timeout_s
-        self.comm_codec = bool(comm_codec)
         self.replicas: list | None = None
         self.last_comm_stats = None
 
@@ -708,7 +662,7 @@ class ThreadBackend(ExecutionBackend):
         def rank_fn(comm):
             return _rank_iteration(
                 engine, comm, self.replicas[comm.Get_rank()], rng,
-                nu_star=nu_star, eloc_partition=self.eloc_partition,
+                nu_star=nu_star,
             )
 
         results, stats = run_spmd(self.n_ranks, rank_fn,
@@ -736,17 +690,13 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
-                 eloc_partition: str = "balanced", comm_codec: bool = True,
-                 comm_shm: bool = True, collective_timeout_s: float = 600.0,
+                 collective_timeout_s: float = 600.0,
                  join_timeout_s: float = 60.0):
-        _validate_rank_args(n_ranks, eloc_partition)
+        _validate_rank_args(n_ranks)
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
-        self.eloc_partition = eloc_partition
         self.collective_timeout_s = collective_timeout_s
         self.join_timeout_s = join_timeout_s
-        self.comm_codec = bool(comm_codec)
-        self.comm_shm = bool(comm_shm)
         self.last_comm_stats = None
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
@@ -756,10 +706,8 @@ class ProcessBackend(ExecutionBackend):
         param_bytes = sum(p.data.nbytes for p in engine.wf.parameters())
 
         def rank_fn(comm):
-            out = _rank_iteration(
-                engine, comm, engine.wf, engine.rng,
-                nu_star=nu_star, eloc_partition=self.eloc_partition,
-            )
+            out = _rank_iteration(engine, comm, engine.wf, engine.rng,
+                                  nu_star=nu_star)
             if comm.Get_size() == 1:
                 # The serial-identical path consumed the fork's private copy
                 # of the RNG; ship its state back so the parent's stream
@@ -771,7 +719,6 @@ class ProcessBackend(ExecutionBackend):
 
         results, stats = run_spmd_processes(self.n_ranks, rank_fn,
                                             timeout=self.collective_timeout_s,
-                                            use_shm=self.comm_shm,
                                             join_timeout=self.join_timeout_s)
         self.last_comm_stats = stats
         state = results[0].pop("rng_state", None)
@@ -823,8 +770,8 @@ def execute_iteration(engine) -> VMCStats:
         f"before the stage 6 update of iteration {engine.iteration + 1}",
         energy=r0["energy"], variance=r0["variance"], gradient=grad_norm,
     )
-    # Rank 0 hands back the lexsorted global unique set when the codec is on;
-    # it becomes the next iteration's cross-iteration diff baseline.
+    # Rank 0 of a multi-rank iteration hands back the lexsorted global unique
+    # set; it becomes the next iteration's cross-iteration diff baseline.
     engine.comm_baseline = r0.pop("global_keys", None)
     stage_update(engine.optimizer, r0["grad"], grad_norm)
     backend.after_update(engine)

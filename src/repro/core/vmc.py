@@ -127,8 +127,8 @@ class VMC:
         self.iteration = 0
         self.history: list[VMCStats] = []
         # Cross-iteration diff baseline for the stage-2 codec: the previous
-        # iteration's lexsorted global unique set (multi-rank codec runs
-        # only); part of the checkpoint surface so resume stays bitwise.
+        # iteration's lexsorted global unique set (multi-rank runs only);
+        # part of the checkpoint surface so resume stays bitwise.
         self.comm_baseline: np.ndarray | None = None
 
     # ------------------------------------------------------------ internals

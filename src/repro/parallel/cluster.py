@@ -406,18 +406,15 @@ class ClusterBackend(ExecutionBackend):
     spmd = True
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
-                 eloc_partition: str = "balanced", comm_codec: bool = True,
                  *, rendezvous_addr: str | None = None,
                  rank: int | None = None, join_timeout_s: float = 60.0,
                  collective_timeout_s: float = 600.0, comm=None):
-        _validate_rank_args(n_ranks, eloc_partition)
+        _validate_rank_args(n_ranks)
         if comm is None and rendezvous_addr is None:
             # Fail at construction (spec time), not deep inside rendezvous.
             raise ValueError(_NEEDS_RENDEZVOUS)
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
-        self.eloc_partition = eloc_partition
-        self.comm_codec = bool(comm_codec)
         self.rendezvous_addr = rendezvous_addr
         self.rank = rank
         self.join_timeout_s = float(join_timeout_s)
@@ -448,10 +445,8 @@ class ClusterBackend(ExecutionBackend):
 
         before_logical = comm.stats.total_bytes
         before_wire = comm.stats.total_wire_bytes
-        out = _rank_iteration(
-            engine, comm, engine.wf, engine.rng,
-            nu_star=nu_star, eloc_partition=self.eloc_partition,
-        )
+        out = _rank_iteration(engine, comm, engine.wf, engine.rng,
+                              nu_star=nu_star)
         logical = comm.stats.total_bytes - before_logical
         wire = comm.stats.total_wire_bytes - before_wire
         self.last_comm_stats = comm.stats

@@ -35,7 +35,9 @@ import itertools
 import multiprocessing as mp
 import os
 import threading
+import time
 import traceback
+from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -51,15 +53,12 @@ from repro.parallel.comm import (
 
 __all__ = ["PipeTransport", "run_spmd_processes"]
 
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    _shared_memory = None
-
 _RUN_COUNTER = itertools.count()
-# Payloads below this ride the pipe: segment setup costs more than a small
-# pickle, and SharedMemory cannot be zero-sized anyway.
-_DEFAULT_SHM_THRESHOLD = 1 << 16
+# Arrays of at least this many bytes go through a shared-memory segment;
+# smaller ones ride the pipe, where a small pickle costs less than segment
+# setup.  Read when a rank builds its transport, so a test can lower it
+# before the fork (0 sends every non-empty array through a segment).
+SHM_THRESHOLD = 1 << 16
 
 
 def _ensure_resource_tracker() -> None:
@@ -79,11 +78,9 @@ def _ensure_resource_tracker() -> None:
 
 def _unlink_segments(names, registry: set | None = None) -> None:
     """Unlink shared-memory segments by name; missing segments are fine."""
-    if _shared_memory is None:  # pragma: no cover
-        return
     for name in list(names):
         try:
-            seg = _shared_memory.SharedMemory(name=name)
+            seg = shared_memory.SharedMemory(name=name)
         except FileNotFoundError:
             pass
         except OSError:  # pragma: no cover - defensive
@@ -117,23 +114,22 @@ class _Segment(NamedTuple):
 class PipeTransport:
     """One forked rank's link to the parent relay, over a pipe.
 
-    Arrays of at least ``shm_threshold`` bytes are written into a named
+    Arrays of at least :data:`SHM_THRESHOLD` bytes are written into a named
     shared-memory segment and only their :class:`_Segment` record rides the
     pipe; peers' segments come back as *views* (``borrows``), released at
     this rank's next ``exchange`` — so an allreduce sums straight out of the
     segments and never holds N_p private gradient copies.  Everything else —
     small arrays, pre-compressed blobs — is pickled through the pipe.
-    ``use_shm=False`` forces the pipe path everywhere.
     """
 
-    def __init__(self, rank: int, size: int, conn, *, use_shm: bool = False,
-                 shm_prefix: str = "", shm_threshold: int = _DEFAULT_SHM_THRESHOLD):
+    borrows = True
+
+    def __init__(self, rank: int, size: int, conn, *, shm_prefix: str):
         self.rank = rank
         self.size = size
         self._conn = conn
-        self.borrows = bool(use_shm) and _shared_memory is not None
         self._shm_prefix = shm_prefix
-        self._shm_threshold = max(1, int(shm_threshold))
+        self._shm_min_bytes = max(1, SHM_THRESHOLD)  # no zero-sized segment
         self._shm_seq = 0
         self._attached: list = []
 
@@ -141,8 +137,8 @@ class PipeTransport:
         """Write ``array`` into a fresh named segment; returns its record."""
         name = f"{self._shm_prefix}-{self.rank}-{self._shm_seq}"
         self._shm_seq += 1
-        seg = _shared_memory.SharedMemory(name=name, create=True,
-                                          size=array.nbytes)
+        seg = shared_memory.SharedMemory(name=name, create=True,
+                                         size=array.nbytes)
         dst = np.frombuffer(seg.buf, dtype=array.dtype)[: array.size]
         np.copyto(dst, array.reshape(-1))
         del dst
@@ -151,7 +147,7 @@ class PipeTransport:
 
     def _view_segment(self, record: _Segment) -> np.ndarray:
         dt = np.dtype(record.dtype)
-        seg = _shared_memory.SharedMemory(name=record.name)
+        seg = shared_memory.SharedMemory(name=record.name)
         self._attached.append(seg)
         flat = np.frombuffer(seg.buf, dtype=dt)[: record.nbytes // dt.itemsize]
         return flat.reshape(record.shape)
@@ -166,8 +162,8 @@ class PipeTransport:
     def exchange(self, tag, buffer) -> list:
         self._release_segments()
         payload = buffer
-        if (self.borrows and isinstance(buffer, np.ndarray)
-                and buffer.nbytes >= self._shm_threshold):
+        if (isinstance(buffer, np.ndarray)
+                and buffer.nbytes >= self._shm_min_bytes):
             payload = self._post_segment(buffer)
         self._conn.send((tag, payload))
         try:
@@ -332,11 +328,17 @@ def _fork_rank_workers(size: int, body: Callable[[int, object], object]):
 
 def _collect_rank_results(result_conns, procs, timeout: float,
                           join_timeout: float = 10.0):
-    """Gather per-rank results, then join/terminate; returns (results, error)."""
+    """Gather per-rank results, then join/terminate; returns (results, error).
+
+    One deadline covers every rank's report and one ``join_timeout`` every
+    rank's exit, so wedged ranks cost ``timeout + join_timeout`` in all,
+    however many there are.
+    """
     results: list = [None] * len(procs)
     error: str | None = None
+    deadline = time.monotonic() + timeout
     for r, conn in enumerate(result_conns):
-        if conn.poll(timeout):
+        if conn.poll(max(0.0, deadline - time.monotonic())):
             try:
                 status, value = conn.recv()
             except EOFError:
@@ -350,37 +352,35 @@ def _collect_rank_results(result_conns, procs, timeout: float,
                 error = error or value
         else:
             error = error or f"rank {r}: timed out after {timeout}s"
+    deadline = time.monotonic() + join_timeout
     for p in procs:
-        p.join(timeout=join_timeout)
-        if p.is_alive():  # pragma: no cover - cleanup path
+        p.join(timeout=max(0.0, deadline - time.monotonic()))
+    for p in procs:
+        if p.is_alive():
             p.terminate()
     return results, error
 
 
 def run_spmd_processes(
     size: int, fn: Callable[[Comm], object], timeout: float = 600.0,
-    *, use_shm: bool = True, shm_threshold: int = _DEFAULT_SHM_THRESHOLD,
-    join_timeout: float = 10.0,
+    *, join_timeout: float = 10.0,
 ) -> tuple[list, CommStats]:
     """Run ``fn(comm)`` as ``size`` forked processes; returns (results, stats).
 
     Rank return values are pickled back to the parent.  A rank exception is
-    re-raised in the parent (wrapped with the rank id).  ``use_shm`` routes
-    large arrays through named shared-memory segments; whatever happens —
-    clean exit, rank exception, hard kill mid-collective — every segment of
-    this run is unlinked before this function returns (deferred unlink in
-    the relay + a name-prefix sweep of ``/dev/shm``).
+    re-raised in the parent (wrapped with the rank id).  ``timeout`` bounds
+    the wait for every rank's result together, ``join_timeout`` the wait for
+    every rank's exit before stragglers are terminated.  Large arrays move
+    through named shared-memory segments; whatever happens — clean exit,
+    rank exception, hard kill mid-collective — every segment of this run is
+    unlinked before this function returns (deferred unlink in the relay + a
+    name-prefix sweep of ``/dev/shm``).
     """
-    use_shm = bool(use_shm) and _shared_memory is not None
     shm_prefix = f"reprocomm-{os.getpid()}-{next(_RUN_COUNTER)}"
-    if use_shm:
-        _ensure_resource_tracker()
+    _ensure_resource_tracker()
 
     def rank_body(rank: int, conn):
-        transport = PipeTransport(
-            rank, size, conn, use_shm=use_shm, shm_prefix=shm_prefix,
-            shm_threshold=shm_threshold,
-        )
+        transport = PipeTransport(rank, size, conn, shm_prefix=shm_prefix)
         comm = Comm(transport)
         try:
             out = fn(comm)
@@ -410,9 +410,8 @@ def run_spmd_processes(
     finally:
         stop_flag[0] = True
         coord.join(timeout=max(join_timeout, 10.0))
-        if use_shm:
-            _unlink_segments(list(shm_registry), shm_registry)
-            _unlink_stray_segments(shm_prefix)
+        _unlink_segments(list(shm_registry), shm_registry)
+        _unlink_stray_segments(shm_prefix)
     if error is not None:
         raise RuntimeError(error)
     return [out for out, _ in results], results[0][1]

@@ -46,10 +46,7 @@ def measure_scaling(
     warmup_iters: int = 1,
     config: VMCConfig | None = None,
     nu_star_per_rank: int = 64,
-    eloc_partition: str = "balanced",
     backend: str = "threads",
-    comm_codec: bool = True,
-    comm_shm: bool = True,
 ) -> list[ScalingPoint]:
     """Measure per-iteration stage times for each rank count.
 
@@ -60,11 +57,7 @@ def measure_scaling(
     :class:`ProcessBackend` (``backend="process"``) or the SPMD cluster
     transport over localhost TCP (``backend="cluster"``: one full driver per
     rank in a thread, meeting inside the socket collectives — rank 0's stats
-    speak for the world since SPMD trajectories are identical);
-    ``eloc_partition`` selects the Sec. 3.3 weight-balanced chunking
-    (default) or the naive contiguous split for comparison; ``comm_codec``
-    (and, on the process backend, ``comm_shm``) toggle the typed/compressed
-    comm layer for before/after bench comparisons.
+    speak for the world since SPMD trajectories are identical).
     """
     if backend not in ("threads", "process", "cluster"):
         raise ValueError(
@@ -79,19 +72,15 @@ def measure_scaling(
             stats = _cluster_iteration_stats(
                 wf_factory, comp, cfg, n_ranks,
                 nu_star_per_rank=nu_star_per_rank,
-                eloc_partition=eloc_partition, comm_codec=comm_codec,
                 n_iters=n_iters, warmup_iters=warmup_iters,
             )
         else:
             wf: NNQSWavefunction = wf_factory()
-            rank_args = dict(
-                n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
-                eloc_partition=eloc_partition, comm_codec=comm_codec,
-            )
+            backend_cls = ThreadBackend if backend == "threads" else ProcessBackend
             driver = VMC(
                 wf, comp, cfg,
-                backend=(ThreadBackend(**rank_args) if backend == "threads"
-                         else ProcessBackend(comm_shm=comm_shm, **rank_args)),
+                backend=backend_cls(n_ranks=n_ranks,
+                                    nu_star_per_rank=nu_star_per_rank),
             )
             for _ in range(warmup_iters):
                 driver.step()
@@ -114,8 +103,7 @@ def measure_scaling(
 
 
 def _cluster_iteration_stats(wf_factory, comp, cfg, n_ranks, *,
-                             nu_star_per_rank, eloc_partition, comm_codec,
-                             n_iters, warmup_iters):
+                             nu_star_per_rank, n_iters, warmup_iters):
     """Run ``n_ranks`` SPMD cluster ranks as localhost threads and return
     rank 0's per-iteration stats.
 
@@ -144,7 +132,6 @@ def _cluster_iteration_stats(wf_factory, comp, cfg, n_ranks, *,
                 wf_factory(), comp, cfg,
                 backend=ClusterBackend(
                     n_ranks=n_ranks, nu_star_per_rank=nu_star_per_rank,
-                    eloc_partition=eloc_partition, comm_codec=comm_codec,
                     comm=comm,
                 ),
             )

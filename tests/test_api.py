@@ -17,6 +17,7 @@ from repro.api import (
     ComponentRegistry,
     OptimizerSpec,
     OutputSpec,
+    ParallelSpec,
     ProblemSpec,
     RunSpec,
     SamplingSpec,
@@ -316,6 +317,28 @@ class TestRegistries:
                                          n_layers=1, phase_hidden=(8,)))
         for gone in ("direction", "apply", "single_rank_reason", "schedule"):
             assert not hasattr(opt, gone)
+
+    @pytest.mark.parametrize("field,value", [
+        ("comm_codec", True), ("comm_shm", False), ("eloc_partition", "balanced"),
+    ])
+    def test_a_removed_parallel_option_is_refused_by_name(self, field, value,
+                                                          tmp_path, capsys):
+        """A multi-rank iteration has one shape: a spec or ``--set`` naming
+        a former wire/partition option — even at its former default — is an
+        unknown field, refused by name before a run directory exists."""
+        from repro.api.cli import main
+
+        data = tiny_spec().to_dict()
+        data["parallel"][field] = value
+        with pytest.raises(SpecError, match=rf"parallel\.{field}"):
+            RunSpec.from_dict(data)
+        run_dir = tmp_path / "run"
+        assert main(["run", "--preset", "smoke",
+                     "--set", f"parallel.{field}={json.dumps(value)}",
+                     "--run-dir", str(run_dir)]) == 2
+        assert f"parallel.{field}" in capsys.readouterr().err
+        assert not run_dir.exists()
+        assert field not in ParallelSpec().to_dict()
 
     def test_unknown_eloc_kernel_in_spec(self, tmp_path):
         """The knob is gone, with no alias: a --set naming it is an unknown
@@ -722,9 +745,7 @@ class TestEveryLeafLands:
             "sampling.eloc_mode": "sample_aware",
             "parallel.backend": "process", "parallel.n_ranks": 2,
             "parallel.nu_star_per_rank": 8,
-            "parallel.eloc_partition": "contiguous",
             "parallel.eloc_memory_budget_mb": 2.5,
-            "parallel.comm_codec": False, "parallel.comm_shm": False,
             "parallel.join_timeout_s": 7.0,
             "parallel.collective_timeout_s": 120.0,
             "backend.name": "mock",
@@ -753,8 +774,6 @@ class TestEveryLeafLands:
         backend = vmc.backend
         assert (type(backend).__name__, backend.n_ranks) == ("ProcessBackend", 2)
         assert backend.nu_star_per_rank == 8
-        assert backend.eloc_partition == "contiguous"
-        assert (backend.comm_codec, backend.comm_shm) == (False, False)
         assert backend.collective_timeout_s == 120.0
         assert backend.join_timeout_s == 7.0
 

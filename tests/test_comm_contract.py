@@ -19,11 +19,12 @@ import functools
 import threading
 import time
 import traceback
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.parallel import CommAbortError, run_spmd, run_spmd_processes
+from repro.parallel import CommAbortError, multiprocess, run_spmd, run_spmd_processes
 from repro.parallel.cluster import MeshTransport
 from repro.parallel.comm import Comm, SoloTransport
 from repro.parallel.rendezvous import RendezvousCoordinator
@@ -73,13 +74,14 @@ def _launch_thread(size, fn):
 
 
 def _launch_pipe(size, fn):
-    return run_spmd_processes(size, fn, timeout=2 * BOUND_S, use_shm=False)[0]
+    # The default threshold: these payloads are small and ride the pipe.
+    return run_spmd_processes(size, fn, timeout=2 * BOUND_S)[0]
 
 
 def _launch_shm(size, fn):
-    # threshold=0 forces every array through a shared-memory segment
-    return run_spmd_processes(size, fn, timeout=2 * BOUND_S, use_shm=True,
-                              shm_threshold=0)[0]
+    # Threshold 0 sends every non-empty array through a shared-memory segment.
+    with mock.patch.object(multiprocess, "SHM_THRESHOLD", 0):
+        return run_spmd_processes(size, fn, timeout=2 * BOUND_S)[0]
 
 
 def _launch_mesh(size, fn):

@@ -7,7 +7,7 @@ Acceptance contracts of the engine refactor:
 * ``n_ranks in {2, 4}`` is run-to-run deterministic and agrees with serial
   on the energy, for all three ansätze;
 * a checkpointed parallel run resumes bit-identically;
-* the weight-balanced eloc partition beats the contiguous 1/N_p split on
+* the weight-balanced eloc partition beats a naive 1/N_p count split on
   skewed weights;
 * parallel histories carry variance/eloc_imag/comm fields (one stats type),
   so ``best_energy`` applies to any backend's history;
@@ -135,46 +135,27 @@ class TestProcessBackend:
 
 
 class TestCommLayerInvariance:
-    """The tentpole contract: codec x shm are pure *wire* optimizations.
-
-    Every combination must leave energies, variances and the parameter
-    trajectory bit-identical; what changes is only the wire-byte accounting
-    (codec on => stage-2 samples wire < logical).
-    """
-
-    def _trajectory(self, problem, backend, steps=3):
-        vmc = _fresh_vmc(problem, backend=backend)
-        hist = [vmc.step() for _ in range(steps)]
-        return hist, vmc.wf.get_flat_params()
-
-    @pytest.mark.parametrize("codec", [True, False])
-    def test_thread_codec_toggle_bit_identical(self, h2_problem, codec):
-        ref_hist, ref_params = self._trajectory(
-            h2_problem, ThreadBackend(n_ranks=2, nu_star_per_rank=4,
-                                      comm_codec=True))
-        hist, params = self._trajectory(
-            h2_problem, ThreadBackend(n_ranks=2, nu_star_per_rank=4,
-                                      comm_codec=codec))
-        for a, b in zip(ref_hist, hist):
-            assert a.energy == b.energy
-            assert a.variance == b.variance
-            assert a.eloc_imag == b.eloc_imag
-        np.testing.assert_array_equal(ref_params, params)
+    """The comm layer is a pure *wire* optimization: stage 2 always ships
+    the codec's payload and the process ranks lend large arrays through
+    shared memory, and only the wire-byte accounting shows it (stage-2
+    samples wire < logical), never the trajectory."""
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("codec", [True, False])
-    @pytest.mark.parametrize("shm", [True, False])
-    def test_process_codec_shm_combos_match_threads(self, h2_problem,
-                                                    codec, shm):
-        ref_hist, ref_params = self._trajectory(
-            h2_problem, ThreadBackend(n_ranks=2, nu_star_per_rank=4), steps=2)
-        hist, params = self._trajectory(
-            h2_problem, ProcessBackend(n_ranks=2, nu_star_per_rank=4,
-                                       comm_codec=codec, comm_shm=shm),
-            steps=2)
-        for a, b in zip(ref_hist, hist):
-            assert a.energy == b.energy
-            assert a.variance == b.variance
+    def test_process_over_shared_memory_matches_threads(self, h2_problem,
+                                                        monkeypatch):
+        """Every array of the process ranks through a shared-memory segment
+        (threshold 0): the same trajectory and comm columns as threads."""
+        from repro.parallel import multiprocess
+
+        monkeypatch.setattr(multiprocess, "SHM_THRESHOLD", 0)
+        runs = []
+        for backend in (ThreadBackend(n_ranks=2, nu_star_per_rank=4),
+                        ProcessBackend(n_ranks=2, nu_star_per_rank=4)):
+            vmc = _fresh_vmc(h2_problem, backend=backend)
+            runs.append(([vmc.step() for _ in range(2)],
+                         vmc.wf.get_flat_params()))
+        (ref_hist, ref_params), (hist, params) = runs
+        assert hist == ref_hist  # energies, variances, comm bytes, N_u split
         np.testing.assert_array_equal(ref_params, params)
 
     def test_codec_shrinks_stage2_wire_bytes(self, h2_problem):
@@ -189,13 +170,6 @@ class TestCommLayerInvariance:
         # amplitudes travel raw: their channel never compresses
         amp = backend.last_comm_stats.channels["stage2_amps"]
         assert amp["wire"] == amp["logical"]
-
-    def test_codec_off_reports_equal_logical_and_wire(self, h2_problem):
-        backend = ThreadBackend(n_ranks=2, nu_star_per_rank=4,
-                                comm_codec=False)
-        vmc = _fresh_vmc(h2_problem, backend=backend)
-        stats = vmc.step()
-        assert stats.comm_bytes_wire == stats.comm_bytes
 
     def test_diff_baseline_never_inflates_and_stays_bitwise(self, h2_problem):
         """The cross-iteration baseline is a pure win-or-tie: the encoder
@@ -276,52 +250,23 @@ class TestUnifiedStats:
         assert s.per_rank_unique is None
         assert s.wall_time > 0
 
-    def test_parallel_variance_independent_of_partition(self, h2_problem):
-        """The allreduced variance is a property of the global unique set:
-        re-chunking it (balanced vs contiguous) must not change the value
-        beyond fp reduction order."""
-        var = {}
-        for mode in ("balanced", "contiguous"):
-            vmc = _fresh_vmc(h2_problem, backend=ThreadBackend(
-                n_ranks=2, nu_star_per_rank=4, eloc_partition=mode))
-            var[mode] = vmc.step().variance
-        assert var["balanced"] == pytest.approx(var["contiguous"], abs=1e-9)
-
 
 class TestElocPartition:
     def test_balanced_beats_contiguous_on_skewed_weights(self):
         rng = np.random.default_rng(0)
         # A BAS-like weight profile: few huge weights, long light tail.
         weights = np.sort(rng.pareto(1.0, size=400) * 100 + 1)[::-1].astype(np.int64)
+        n = len(weights)
         for n_ranks in (2, 4, 8):
-            balanced = stage_partition(weights, n_ranks, "balanced")
-            contiguous = stage_partition(weights, n_ranks, "contiguous")
+            balanced = stage_partition(weights, n_ranks)
+            contiguous = [np.arange(r * n // n_ranks, (r + 1) * n // n_ranks)
+                          for r in range(n_ranks)]
             loads_b = [weights[idx].sum() for idx in balanced]
             loads_c = [weights[idx].sum() for idx in contiguous]
             mean = weights.sum() / n_ranks
             assert max(loads_b) / mean <= max(loads_c) / mean
-            # Coverage and order are preserved in both modes.
-            np.testing.assert_array_equal(
-                np.concatenate(balanced), np.arange(len(weights)))
-            np.testing.assert_array_equal(
-                np.concatenate(contiguous), np.arange(len(weights)))
-
-    def test_unknown_partition_mode_raises(self):
-        with pytest.raises(ValueError, match="partition"):
-            stage_partition(np.ones(4), 2, "typo")
-
-    def test_backend_validates_partition_mode(self):
-        with pytest.raises(ValueError, match="eloc_partition"):
-            ThreadBackend(n_ranks=2, eloc_partition="typo")
-
-    def test_contiguous_backend_still_converges_same_energy(self, h2_problem):
-        """Partitioning changes the fp reduction order, not the estimator."""
-        e = {}
-        for mode in ("balanced", "contiguous"):
-            vmc = _fresh_vmc(h2_problem, backend=ThreadBackend(
-                n_ranks=2, nu_star_per_rank=4, eloc_partition=mode))
-            e[mode] = vmc.step().energy
-        assert e["balanced"] == pytest.approx(e["contiguous"], abs=1e-9)
+            # Coverage and order are preserved.
+            np.testing.assert_array_equal(np.concatenate(balanced), np.arange(n))
 
 
 class TestElocChunkingKnobs:
@@ -504,8 +449,6 @@ class TestRunSpecIntegration:
 
         with pytest.raises(SpecError, match="parallel.n_ranks"):
             self._spec(n_ranks=0)
-        with pytest.raises(SpecError, match="parallel.eloc_partition"):
-            self._spec(eloc_partition="typo")
 
     def test_old_specs_without_parallel_section_load(self):
         from repro.api import RunSpec

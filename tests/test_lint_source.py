@@ -166,6 +166,14 @@ class TestSourceLint:
         ("one-decode-kernel", "src/repro/nn/attention.py",
          "    def step(self, x, cache: KVCache):"),
         ("one-decode-kernel", "src/repro/nn/layers.py", "    def step(self, x):"),
+        ("one-parallel-path", "src/repro/api/spec.py", "    comm_codec: bool = True"),
+        ("one-parallel-path", "src/repro/api/spec.py", '    eloc_partition: str = "balanced"'),
+        ("one-parallel-path", "src/repro/core/engine.py",
+         'ELOC_PARTITIONS = ("balanced", "contiguous")'),
+        ("one-parallel-path", "src/repro/core/engine.py",
+         "    if self.comm_shm and not use_shm:"),
+        ("one-parallel-path", "src/repro/parallel/multiprocess.py",
+         "def run_spmd_processes(size, fn, *, shm_threshold=0):"),
     ])
     def test_relocated_grep_clauses_still_bite(self, lint_source, tree, rule, rel, line):
         path = tree / rel

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.parallel import CommAbortError, run_spmd, run_spmd_processes
+from repro.parallel import CommAbortError, multiprocess, run_spmd, run_spmd_processes
 
 # Process spawning is slow (and barrier-timeout recovery takes minutes on
 # constrained runners), so the whole module sits behind the slow marker.
@@ -16,6 +16,11 @@ pytestmark = pytest.mark.slow
 def _sync(comm) -> None:
     """A zero-byte allgather: the barrier idiom of the two-collective Comm."""
     comm.allgather_ndarray(np.zeros(0))
+
+
+# The two routes an array can take: a segment, or (the default threshold,
+# above these payloads) a pickle through the pipe.
+ROUTES = {"shm": 0, "pipe": multiprocess.SHM_THRESHOLD}
 
 
 def _leaked_segments() -> list[str]:
@@ -68,49 +73,49 @@ class TestCollectives:
 
 
 class TestTypedCollectives:
-    @pytest.mark.parametrize("use_shm", [True, False])
-    def test_allgather_ndarray_roundtrip(self, use_shm):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_allgather_ndarray_roundtrip(self, route, monkeypatch):
         def fn(comm):
             arr = np.arange(5, dtype=np.float64) + 10 * comm.Get_rank()
             return comm.allgather_ndarray(arr, channel="t")
 
-        # threshold=0 forces every array through the shm path when enabled
-        results, stats = run_spmd_processes(2, fn, use_shm=use_shm,
-                                            shm_threshold=0)
+        monkeypatch.setattr(multiprocess, "SHM_THRESHOLD", ROUTES[route])
+        results, stats = run_spmd_processes(2, fn)
         for parts in results:
             np.testing.assert_array_equal(parts[0], np.arange(5.0))
             np.testing.assert_array_equal(parts[1], np.arange(5.0) + 10)
         assert stats.channels["t"]["logical"] == 5 * 8 * 2 * 2
         assert _leaked_segments() == []
 
-    @pytest.mark.parametrize("use_shm", [True, False])
-    def test_allreduce_ndarray_matches_rank_ordered_sum(self, use_shm):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_allreduce_ndarray_matches_rank_ordered_sum(self, route, monkeypatch):
         def fn(comm):
             arr = np.arange(6, dtype=np.float64) * (comm.Get_rank() + 1)
             return comm.allreduce_ndarray(arr, channel="g")
 
-        results, _ = run_spmd_processes(3, fn, use_shm=use_shm,
-                                        shm_threshold=0)
+        monkeypatch.setattr(multiprocess, "SHM_THRESHOLD", ROUTES[route])
+        results, _ = run_spmd_processes(3, fn)
         expected = np.arange(6, dtype=np.float64) * 6
         for r in results:
             np.testing.assert_array_equal(r, expected)
         assert _leaked_segments() == []
 
-    def test_shm_and_pipe_paths_bit_identical(self):
+    def test_shm_and_pipe_paths_bit_identical(self, monkeypatch):
         def fn(comm):
             arr = (np.arange(100, dtype=np.float64) + 1) / (comm.Get_rank() + 3)
             gathered = comm.allgather_ndarray(arr)
             reduced = comm.allreduce_ndarray(arr)
             return np.concatenate(gathered + [reduced])
 
-        via_shm, _ = run_spmd_processes(2, fn, use_shm=True, shm_threshold=0)
-        via_pipe, _ = run_spmd_processes(2, fn, use_shm=False)
+        via_pipe, _ = run_spmd_processes(2, fn)
+        monkeypatch.setattr(multiprocess, "SHM_THRESHOLD", 0)
+        via_shm, _ = run_spmd_processes(2, fn)
         via_threads, _ = run_spmd(2, fn)
         for a, b, c in zip(via_shm, via_pipe, via_threads):
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, c)
 
-    def test_shm_exchange_lends_segment_views_not_copies(self):
+    def test_shm_exchange_lends_segment_views_not_copies(self, monkeypatch):
         """Peers' large arrays come back as views into their segments (valid
         until the next exchange), so an allreduce sums in place and never
         holds N_p private copies of the gradient."""
@@ -121,7 +126,8 @@ class TestTypedCollectives:
             own, peer = pairs[rank][1], pairs[1 - rank][1]
             return own.flags.owndata, peer.flags.owndata, float(peer.sum())
 
-        results, _ = run_spmd_processes(2, fn, use_shm=True, shm_threshold=0)
+        monkeypatch.setattr(multiprocess, "SHM_THRESHOLD", 0)
+        results, _ = run_spmd_processes(2, fn)
         assert results == [(True, False, 1000.0), (True, False, 0.0)]
         assert _leaked_segments() == []
 
@@ -151,7 +157,7 @@ class TestShmCleanup:
             return None
 
         with pytest.raises(RuntimeError, match="rank 1"):
-            run_spmd_processes(2, fn, timeout=120, use_shm=True)
+            run_spmd_processes(2, fn, timeout=120)
         assert _leaked_segments() == []
 
     def test_abort_poisons_stragglers_without_hanging(self):
@@ -165,7 +171,7 @@ class TestShmCleanup:
 
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError, match="rank 0"):
-            run_spmd_processes(2, fn, timeout=120, use_shm=True)
+            run_spmd_processes(2, fn, timeout=120)
         assert time.perf_counter() - t0 < 60
         assert _leaked_segments() == []
 
@@ -176,8 +182,22 @@ class TestShmCleanup:
                 comm.allreduce_ndarray(np.ones(70_000))
             return None
 
-        run_spmd_processes(2, fn, use_shm=True)
+        run_spmd_processes(2, fn)
         assert _leaked_segments() == []
+
+
+class TestLauncherDeadline:
+    def test_wedged_ranks_share_one_deadline(self):
+        """However many ranks are wedged, the launcher raises after one
+        ``timeout`` plus one ``join_timeout``, not N_p of each."""
+        def fn(comm):
+            time.sleep(60)
+
+        timeout = 2.0
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="timed out"):
+            run_spmd_processes(3, fn, timeout=timeout, join_timeout=0.2)
+        assert time.perf_counter() - t0 < 2 * timeout
 
 
 class TestProcessSemantics:

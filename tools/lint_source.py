@@ -120,6 +120,14 @@ RULES = (
          "the KV-cached decode is one float32, feature-major kernel behind the "
          "session (nn/inference.py): no per-layer cache object and no per-layer "
          "step(x, cache) beside the taped forward (Sessions and the BAS tree)"),
+    Rule("one-parallel-path",
+         r"comm_codec|comm_shm|use_shm|shm_threshold|eloc_partition|ELOC_PARTITIONS",
+         (SRC,),
+         "a multi-rank iteration has one shape: stage 2 always ships the "
+         "codec's payload, the process transport always lends large arrays "
+         "through shared memory, and stage 3 always splits the unique set into "
+         "weight-balanced chunks — no option selects a second path "
+         "(Configuration, Communication layer)"),
     Rule("no-module-level-scipy", r"^(import|from)\s+scipy\b", (SRC,),
          "a rank imports numpy and repro, nothing else: any scipy submodule "
          "costs ~0.2 s and ~30 MiB per process (What a rank pays before iteration 1)"),
