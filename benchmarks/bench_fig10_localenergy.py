@@ -344,8 +344,8 @@ def test_fig10_local_energy_speedups(benchmark, full):
                 "VEC = batch-vectorized numpy kernel (the paper's GPU level; "
                 "paper reports 24x / 103x / 3768x for C2).  PLAN = "
                 "compiled ElocPlan (slot map before the LUT search, each "
-                "hit's terms one add.reduceat segment of a signed-"
-                "coefficient table), bit-identical to VEC.  Shape: monotone ladder, batch rungs "
+                "hit's reduced terms one add.reduceat segment of pattern-"
+                "table gathers), bit-identical to VEC.  Shape: monotone ladder, batch rungs "
                 ">> scalar levels."
             ),
         ),
@@ -365,7 +365,7 @@ def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5,
     where the reference binary-searches every one) and the exact-mode
     extended table (large LUT, many hits — the hit list, the slot map's
     single full-key compare and the FUSE step's segment sums over the
-    signed-coefficient table carry the rung).  ``backend`` scopes the timed
+    pattern table carry the rung).  ``backend`` scopes the timed
     kernels under a registered array backend (``--backend mock`` measures
     the instrumentation overhead of the counting namespace).
     """
@@ -398,7 +398,8 @@ def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5,
             notes=("CI gate: speedup >= 1.0x in both regimes and "
                    "bitwise-equal local energies (ElocPlan compiled once, "
                    "evaluated many; a per-table slot map finds coupled keys in one gather, "
-                   "one add.reduceat segment per hit sums its signed terms)."),
+                   "one add.reduceat segment per hit sums its reduced terms, "
+                   "each one pattern-table gather)."),
         ),
     )
     return results

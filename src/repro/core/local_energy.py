@@ -3,30 +3,35 @@
 One production path and one reference (Sec. 3.4, Algorithm 2):
 
 * :class:`ElocPlan` — the kernel every run, driver and server reaches.  A
-  plan is compiled once per ``(CompressedHamiltonian, chunking)``: group
-  sizes, CSR chunk scaffolds, the signed-coefficient table of the FUSE step
-  and the packed record dtype behind the binary search are hoisted out of
-  the per-call path, a per-table slot map finds coupled keys in one gather
-  (the binary search runs only for keys whose slot several table keys
-  share), and per-thread workspaces are reused across iterations.
+  plan is compiled once per ``(CompressedHamiltonian, chunking)``: the CSR
+  chunk scaffolds, the pattern table of the FUSE step and the packed record
+  dtype behind the binary search are hoisted out of the per-call path, a
+  per-table slot map finds coupled keys in one gather (the binary search
+  runs only for keys whose slot several table keys share), and per-thread
+  workspaces are reused across iterations.
   :func:`local_energy_planned` and :func:`local_energy` are thin wrappers
   that run a plan (compiling a throwaway one when the caller has none).
 * :func:`local_energy_vectorized` — the stateless reference, for testing
   purposes only: the same sample-aware + fused + LUT arithmetic as chunked
   array operations with no plan, no slot map and no caches.  The planned
   kernel is bit-identical to it (the slot map changes *how* a key is found,
-  never which row it finds; the signed table gives the same signed terms),
-  which is what the tests and the benchmark's set-up check assert.
+  never which row it finds; a pattern-table entry is the very segment sum
+  the reference takes over a reduced term's signed terms), which is what
+  the tests and the benchmark's set-up check assert.
 
 Both accumulate the ψ product of Eq. 4 rather than per-hit ratios:
 ``E_loc(x) = c + e^{m - log ψ(x)} Σ_x' H_xx' e^{log ψ(x') - m}`` with ``m`` the
 largest ``Re log ψ`` of the table, so one complex ``exp`` per coupled entry
 (or per table entry, whichever is fewer) and one per sample replace one per
 (sample, coupled entry) pair.  The shift keeps the form scale-invariant.
-Each hit's H_xx' is the sum of its group's signed terms, taken as one
-``add.reduceat`` segment in both kernels (so both sum in the same order);
-a Hamiltonian with a term-less group is refused, because ``reduceat``
-would read the next group's first term for it.
+Each hit's H_xx' is a nested sum over its group's *reduced terms*
+(:func:`~repro.hamiltonian.compressed.reduce_terms`: the terms that share
+their Z/Y letters off ≤ 4 flipped qubits of one word): one ``add.reduceat``
+segment per reduced term over its signed terms, then one per hit over
+those — the same nesting in both kernels, so both sum in the same order.
+The plan takes the inner sums from its pattern table, where the reference
+sums the terms; a Hamiltonian with a term-less group is refused, because
+``reduceat`` would read the next group's first term for it.
 
 The scalar rungs of the paper's Fig. 10 ladder (bare-CPU baseline, SA+FUSE,
 SA+FUSE+LUT) are the subject of ``benchmarks/bench_fig10_localenergy.py``
@@ -48,7 +53,12 @@ from repro.backend import xp
 from repro.backend.dtypes import bool_, complex128, float64, int32, int64, uint64
 from repro.core.sampler import SampleBatch
 from repro.core.wavefunction import NNQSWavefunction
-from repro.hamiltonian.compressed import CompressedHamiltonian
+from repro.hamiltonian.compressed import (
+    PATTERN_QUBITS,
+    CompressedHamiltonian,
+    ReducedTerms,
+    reduce_terms,
+)
 from repro.utils.bitstrings import (
     lexsort_keys,
     pack_bits,
@@ -206,16 +216,13 @@ def extend_amplitude_table(
     missing = xp.concatenate(missing_parts, axis=0)
     if len(missing_parts) > 1:
         missing = unique_keys(missing)  # dedup across row chunks
-    bits = unpack_bits(missing, comp.n_qubits)
-    if len(bits) > max_extra:
+    if len(missing) > max_extra:
         raise ValueError(
-            f"{len(bits)} coupled configurations exceed max_extra={max_extra}; "
+            f"{len(missing)} coupled configurations exceed max_extra={max_extra}; "
             "use sample-aware mode for this system size"
         )
-    if len(bits) == 0:
-        return table
-    log_amps = wf.log_amplitudes(bits)
-    all_keys = xp.concatenate([table.keys, pack_bits(bits)], axis=0)
+    log_amps = wf.log_amplitudes(unpack_bits(missing, comp.n_qubits))
+    all_keys = xp.concatenate([table.keys, missing], axis=0)
     all_amps = xp.concatenate([table.log_amps, log_amps])
     order = lexsort_keys(all_keys)
     return AmplitudeTable(keys=all_keys[order], log_amps=all_amps[order])
@@ -291,9 +298,9 @@ def local_energy_vectorized(
     :meth:`ElocPlan.local_energy` must equal bit for bit.  Every coupled key
     is binary-searched, the hits read off a dense ``(sample, group)`` index
     matrix, and each hit's signed terms are spelled ``c (1 - 2 parity)``
-    (exactly ``±c``, the plan's signed-table entries); the per-hit
-    ``add.reduceat`` segment sum and the ψ product (module docstring) are
-    the plan's.
+    (exactly ``±c``) in reduced-term order; one ``add.reduceat`` segment
+    per reduced term (the segment the plan's pattern-table entry holds),
+    then one per hit, and the ψ product (module docstring) are the plan's.
 
     The double chunking mirrors the paper's two-level parallelization: the
     outer sample chunks correspond to the per-thread batches of Fig. 7(a),
@@ -307,8 +314,12 @@ def local_energy_vectorized(
         keys_all.shape[1], comp.n_groups, group_chunk, sample_chunk,
         memory_budget_bytes,
     )
-    group_sizes = xp.diff(comp.idxs).astype(int64)
+    group_sizes = xp.diff(comp.idxs)
     _refuse_empty_groups(group_sizes)
+    red = reduce_terms(comp)
+    n_reduced = xp.diff(red.group_idxs)
+    starts_reduced = xp.zeros(comp.n_terms, dtype=bool_)
+    starts_reduced[red.idxs[:-1]] = True
     idx_self = searchsorted_keys(table.keys, keys_all)
     if xp.any(idx_self < 0):
         raise ValueError("amplitude table must contain every sample")
@@ -334,23 +345,25 @@ def local_energy_vectorized(
                 continue
             # Coefficients only for the (sample, group) pairs actually found —
             # the vectorized counterpart of Algorithm 2's continue-on-missing.
+            # Each pair's terms in reduced-term order: the group's range of
+            # red.order, cut where a reduced term starts.
             g_abs = g_hit + g0
             sizes = group_sizes[g_abs]                       # terms per pair
-            starts = comp.idxs[g_abs]
-            # term index array: concat of [starts_p, starts_p + sizes_p)
             offs = xp.cumsum(sizes) - sizes                  # segment starts
-            total = int(sizes.sum())
-            term_idx = xp.repeat(starts, sizes) + (
-                xp.arange(total) - xp.repeat(offs, sizes)
-            )
-            pair_of_term = xp.repeat(xp.arange(len(s_hit)), sizes)
+            pos = xp.repeat(comp.idxs[g_abs], sizes) + (
+                xp.arange(int(sizes.sum())) - xp.repeat(offs, sizes))
+            term_idx = red.order[pos]
             par = (
-                parity64(keys[s_hit][pair_of_term] & comp.yz_buf[term_idx]).sum(axis=1)
-                & 1
+                parity64(xp.repeat(keys[s_hit], sizes, axis=0)
+                         & comp.yz_buf[term_idx]).sum(axis=1) & 1
             )
             signed = comp.coeffs_buf[term_idx] * (1.0 - 2.0 * par)
-            # one segment sum per pair, in reduceat's order (the plan's)
-            coef = xp.add.reduceat(signed, offs)
+            # one segment sum per reduced term, then one per pair, in
+            # reduceat's order (the plan's)
+            r_sizes = n_reduced[g_abs]                       # reduced terms per pair
+            coef = xp.add.reduceat(
+                xp.add.reduceat(signed, xp.flatnonzero(starts_reduced[pos])),
+                xp.cumsum(r_sizes) - r_sizes)
             psi = _shifted_psi(table.log_amps[idx[s_hit, g_hit]], m)
             acc_re += xp.bincount(s_hit, weights=coef * psi.real, minlength=b)
             acc_im += xp.bincount(s_hit, weights=coef * psi.imag, minlength=b)
@@ -367,6 +380,13 @@ _HASH_MULTIPLIER = uint64(0x9E3779B97F4A7C15)
 SLOTS_PER_KEY = 32
 # Slot values besides a table row.
 _EMPTY, _SHARED = -1, -2
+# The pattern-multiplier search: its seed, candidates per round (over all
+# unresolved groups) and round cap.
+_SEARCH_SEED = 0x5EED
+_SEARCH_CANDIDATES = 1 << 14
+_SEARCH_ROUNDS = 256
+# A reduced term's row of the pattern table: (pattern << 1) | parity.
+_ROW_BITS = PATTERN_QUBITS + 1
 
 
 @dataclass
@@ -399,8 +419,11 @@ class _GroupChunkScaffold:
     g0: int
     g1: int
     xy: xp.ndarray       # (gc, W) uint64, contiguous copy of the flip masks
-    starts: xp.ndarray   # (gc,) int64 — comp.idxs[g0:g1]
-    sizes: xp.ndarray    # (gc,) int64 — terms per group
+    starts: xp.ndarray   # (gc,) int64 — first reduced term of each group
+    sizes: xp.ndarray    # (gc,) int64 — reduced terms per group
+    patterns: list       # W x (gc,) uint64 — the pattern qubits, word by word
+    shifts: xp.ndarray   # (gc,) uint64 — the lowest pattern qubit's bit in its word
+    multipliers: xp.ndarray  # (gc,) uint64 — the pattern hash's multipliers
 
 
 class ElocPlan:
@@ -411,10 +434,18 @@ class ElocPlan:
     path (the "compile once, evaluate many" shape of ipie's propagator
     pre-build):
 
-    * group sizes and per-group-chunk CSR scaffolds (``starts`` / ``sizes``
-      and contiguous flip-mask slices);
-    * the FUSE tables: ``signed`` (``2K`` float64, ``signed[2t + p] =
-      (-1)^p c_t``) and one contiguous column per word of the YZ masks;
+    * per-group-chunk scaffolds: contiguous flip-mask slices, each group's
+      reduced terms as CSR ``starts`` / ``sizes``, its pattern mask word by
+      word, and its pattern shift and multiplier;
+    * the FUSE tables: ``pattern_table`` (32 float64 per reduced term ``r``:
+      ``pattern_table[(r << 5) | (p << 1) | q] = (-1)^q`` times the sum of
+      ``r``'s signed coefficients at occupation pattern ``p`` of the group's
+      pattern qubits) and one contiguous column per word of the reduced
+      terms' sign masks.  A pattern is ``((x & pattern_mask) >> shift) M
+      >> 60`` in the one word that holds the pattern qubits, ``shift`` the
+      lowest one's bit, with a multiplier ``M`` per distinct shifted mask
+      that a seeded search (:meth:`_pattern_multipliers`) makes one-to-one
+      over the mask's ``2^k`` subsets;
     * the packed record dtype behind :func:`searchsorted_keys`, plus a
       cached :class:`_TableIndex` of the current amplitude table — record
       view, slot map, ``m`` and, once a chunk has more hits than the table
@@ -425,19 +456,23 @@ class ElocPlan:
       instead of reallocated per chunk.
 
     :meth:`local_energy` is the planned kernel: identical arithmetic to
-    :func:`local_energy_vectorized` except for the lookup and the spelling
-    of the signed terms (a gather from ``signed`` at ``(t << 1) | parity``
-    instead of ``c_t (1 - 2 parity)``: the same floats).  :meth:`_lookup`
+    :func:`local_energy_vectorized` except for the lookup and the inner sum
+    of each hit (one pattern-table gather per reduced term instead of the
+    ``add.reduceat`` of its ``c_t (1 - 2 parity)`` terms: the same float,
+    summed at compile time over the same segment).  :meth:`_lookup`
     returns the hits alone, ascending in flat ``(sample, group)`` position —
     the order of the reference's ``nonzero`` over its index matrix — with
     their table rows, found through the slot map.  Results are
     bit-identical: the slot map finds exactly the rows the binary search
     finds, and the accumulation order is unchanged.
 
-    Memory: the slot map holds 4-byte slots, ``SLOTS_PER_KEY`` to twice that
-    per table entry — 128-256 B per entry; a 14.8k-entry table takes
-    2 MiB.  One map lives per plan and
-    thread, for the table it last saw; serving's worst case is
+    Memory: the pattern table holds 256 B per reduced term — 0.24 MiB on
+    N2 (971 reduced terms), 0.71 MiB on C2 (2 909), 1.14 MiB on Li2O
+    (4 658) and 1.72 MiB on LiCl (7 057), against 16 B per term for a
+    table of ``±c_t``.  The slot map holds 4-byte slots, ``SLOTS_PER_KEY``
+    to twice that per table entry — 128-256 B per entry; a 14.8k-entry
+    table takes 2 MiB.  One map lives per plan and thread, for the table it
+    last saw; serving's worst case is
     ``table_max_entries`` x ``max_loaded_versions`` = 500 000 x 4 entries at
     the defaults, 64 MiB per version, 256 MiB per thread that serves local
     energies.  The hash workspace holds 8 B per key of the largest lookup —
@@ -466,24 +501,40 @@ class ElocPlan:
         self.sample_chunk = sample_chunk
         self.memory_budget_bytes = memory_budget_bytes
         self.n_words = (comp.n_qubits + 63) // 64
-        self.group_sizes = xp.diff(comp.idxs).astype(int64)
-        _refuse_empty_groups(self.group_sizes)
-        # FUSE tables: signed[2t + p] = (-1)^p c_t, so a term's signed
-        # coefficient is one gather at (t << 1) | parity; and each word of
-        # the YZ masks as its own contiguous column.
-        self.signed = xp.empty(2 * comp.n_terms, dtype=float64)
-        self.signed[0::2] = comp.coeffs_buf
-        self.signed[1::2] = -comp.coeffs_buf
-        self.yz_cols = [xp.ascontiguousarray(comp.yz_buf[:, w])
-                        for w in range(self.n_words)]
+        _refuse_empty_groups(xp.diff(comp.idxs))
+        # FUSE tables: the pattern table, one row of 32 floats per reduced
+        # term (``(r << 5) | (pattern << 1) | parity``), and each word of the
+        # reduced terms' sign masks as its own contiguous column.
+        red = reduce_terms(comp)
+        # One word holds a group's pattern qubits: fold the words, then
+        # shift the lowest pattern qubit to bit 0.  The multipliers depend
+        # on the shifted mask alone, so the search runs once per distinct
+        # shifted mask (at most 41 729 of them, whatever the Hamiltonian).
+        word = xp.bitwise_or.reduce(red.pattern_masks, axis=1)
+        shifts = xp.bitwise_count((word & (~word + uint64(1))) - uint64(1))
+        shifts = xp.where(word != 0, shifts, 0).astype(uint64)
+        masks, group_mask = xp.unique(word >> shifts, return_inverse=True)
+        subsets = self._pattern_subsets(masks)
+        multipliers = self._pattern_multipliers(subsets)
+        self.pattern_table = self._compile_pattern_table(
+            comp, red, shifts, subsets[group_mask],
+            self._pattern(subsets, multipliers[:, None])[group_mask])
+        multipliers = multipliers[group_mask]
+        self.sign_cols = [xp.ascontiguousarray(red.sign_masks[:, w])
+                          for w in range(self.n_words)]
+        n_reduced = xp.diff(red.group_idxs)
         self.chunks: list[_GroupChunkScaffold] = []
         for g0 in range(0, comp.n_groups, group_chunk):
             g1 = min(g0 + group_chunk, comp.n_groups)
             self.chunks.append(_GroupChunkScaffold(
                 g0=g0, g1=g1,
                 xy=xp.ascontiguousarray(comp.xy_unique[g0:g1]),
-                starts=xp.ascontiguousarray(comp.idxs[g0:g1]).astype(int64),
-                sizes=xp.ascontiguousarray(self.group_sizes[g0:g1]),
+                starts=xp.ascontiguousarray(red.group_idxs[g0:g1]).astype(int64),
+                sizes=xp.ascontiguousarray(n_reduced[g0:g1]).astype(int64),
+                patterns=[xp.ascontiguousarray(red.pattern_masks[g0:g1, w])
+                          for w in range(self.n_words)],
+                shifts=xp.ascontiguousarray(shifts[g0:g1]),
+                multipliers=xp.ascontiguousarray(multipliers[g0:g1]),
             ))
         # The searchsorted_keys record dtype, compiled once (multi-word keys
         # compare with the *last* word most significant — see lexsort_keys).
@@ -492,6 +543,95 @@ class ElocPlan:
             else xp.dtype([(f"w{i}", uint64) for i in range(self.n_words)])
         )
         self._local = threading.local()
+
+    # --------------------------------------------------------- pattern table
+    @staticmethod
+    def _pattern_subsets(masks: xp.ndarray) -> xp.ndarray:
+        """``(U, 16)``: subset ``s`` of each one-word mask's set bits — the
+        ``j``-th lowest bit is in it when bit ``j`` of ``s`` is set.  A mask
+        of ``k < 4`` bits repeats its ``2^k`` subsets."""
+        rest = masks.copy()
+        subsets = xp.zeros((len(masks), 1 << PATTERN_QUBITS), dtype=uint64)
+        has_bit = (xp.arange(1 << PATTERN_QUBITS)[:, None]
+                   >> xp.arange(PATTERN_QUBITS)[None, :]) & 1
+        for j in range(PATTERN_QUBITS):
+            bit = rest & (~rest + uint64(1))           # the lowest set bit (none: 0)
+            rest ^= bit
+            subsets[:, has_bit[:, j] == 1] |= bit[:, None]
+        return subsets
+
+    @staticmethod
+    def _pattern(subsets: xp.ndarray, multipliers: xp.ndarray) -> xp.ndarray:
+        """The pattern index (``0 .. 15``) of shifted subsets under
+        multipliers (broadcast): the top 4 bits of ``subset M`` (mod 2^64)
+        — the multiply-shift of the kernel's ``_pair_coefficients``."""
+        return (subsets * multipliers) >> uint64(64 - PATTERN_QUBITS)
+
+    @classmethod
+    def _pattern_multipliers(cls, subsets: xp.ndarray) -> xp.ndarray:
+        """``(U,)`` uint64 multipliers whose :meth:`_pattern` is one-to-one
+        over each mask's subsets, by a seeded search: sparse candidates
+        (the AND of two random words: ~2 % of them separate 4 qubits, 3x
+        the rate of dense ones), ``_SEARCH_CANDIDATES`` per round over the
+        unresolved masks.  Every mask whose lowest bit is bit 0 has one
+        (checked over all of them); fails loudly when a mask stays
+        unresolved."""
+        rng = xp.random.default_rng(_SEARCH_SEED)
+        # 2^k subsets, k the mask's bit count (all bits of subset 15)
+        n_patterns = xp.left_shift(1, xp.bitwise_count(subsets[:, -1]))
+        multipliers = xp.zeros(len(subsets), dtype=uint64)
+        todo = xp.arange(len(subsets))
+        for _ in range(_SEARCH_ROUNDS):
+            if len(todo) == 0:
+                return multipliers
+            size = (len(todo), max(1, _SEARCH_CANDIDATES // len(todo)))
+            cand = rng.integers(0, 1 << 64, size=size, dtype=uint64)
+            cand &= rng.integers(0, 1 << 64, size=size, dtype=uint64)
+            seen = xp.zeros(size, dtype=uint64)       # bit p: pattern p taken
+            for s in range(1 << PATTERN_QUBITS):
+                seen |= xp.left_shift(
+                    uint64(1), cls._pattern(subsets[todo, s, None], cand))
+            good = xp.bitwise_count(seen) == n_patterns[todo, None]
+            found = good.any(axis=1)
+            multipliers[todo[found]] = cand[found, xp.argmax(good[found], axis=1)]
+            todo = todo[~found]
+        if len(todo):
+            raise RuntimeError(
+                f"no one-to-one pattern multiplier found for pattern mask "
+                f"{int(subsets[todo[0], -1]):#x} ({len(todo)} mask(s)) in "
+                f"{_SEARCH_ROUNDS} rounds")
+        return multipliers
+
+    @staticmethod
+    def _compile_pattern_table(comp: CompressedHamiltonian, red: ReducedTerms,
+                               shifts: xp.ndarray, subsets: xp.ndarray,
+                               pattern: xp.ndarray) -> xp.ndarray:
+        """The pattern table: ``table[(r << 5) | (p << 1) | q]`` is
+        ``(-1)^q Σ_{t in r} c_t (-1)^popcount(s & yz_t)`` for the subset
+        ``s`` of pattern ``p`` (``subsets`` and ``pattern``: ``(G, 16)``,
+        subsets shifted right by the group's ``shifts``) — each sign its own
+        ``add.reduceat`` segment over ``±c_t`` in the reduced term's order,
+        i.e. exactly the segment the reference sums for a hit whose
+        sign-mask parity is ``q``.  Patterns no subset maps to stay 0
+        (never read)."""
+        n_groups = comp.n_groups
+        group_of_term = xp.repeat(xp.arange(n_groups), xp.diff(comp.idxs))[red.order]
+        group_of_red = xp.repeat(xp.arange(n_groups), xp.diff(red.group_idxs))
+        # each term's YZ letters in its group's pattern word, shifted alike
+        pattern_word = xp.argmax(red.pattern_masks != 0, axis=1)
+        yz = comp.yz_buf[red.order, pattern_word[group_of_term]]
+        yz >>= shifts[group_of_term]
+        coeffs = comp.coeffs_buf[red.order]
+        offs = red.idxs[:-1]
+        rows = xp.arange(red.n_reduced) << _ROW_BITS
+        table = xp.zeros(red.n_reduced << _ROW_BITS, dtype=float64)
+        for s in range(1 << PATTERN_QUBITS):
+            x = subsets[:, s].take(group_of_term) & yz
+            signed = coeffs * (1.0 - 2.0 * (xp.bitwise_count(x) & 1))
+            slot = rows | (pattern[:, s].take(group_of_red).astype(int64) << 1)
+            table[slot] = xp.add.reduceat(signed, offs)
+            table[slot | 1] = xp.add.reduceat(-signed, offs)
+        return table
 
     # ------------------------------------------------------------ record keys
     def _as_records(self, keys: xp.ndarray) -> xp.ndarray:
@@ -603,32 +743,50 @@ class ElocPlan:
 
     def _pair_coefficients(self, keys: xp.ndarray, s_hit: xp.ndarray,
                            g_hit: xp.ndarray, cp: _GroupChunkScaffold) -> xp.ndarray:
-        """H_xx' of each hit pair (sample ``s_hit``, group ``cp.g0 + g_hit``):
-        the group's coefficients summed with their ``(-1)^popcount(x & yz)``
-        signs (FUSE), as one ``add.reduceat`` segment per pair over gathers
-        from the signed table.  The parity of a multi-word AND is the parity
-        of the XOR of its words, read off one hardware popcount per term.
-        Its term-length temporaries (the largest arrays of a call) die on
-        return, before the next group chunk is looked up."""
-        sizes = cp.sizes[g_hit]                              # terms per pair
+        """H_xx' of each hit pair (sample ``s_hit``, group ``cp.g0 + g_hit``)
+        (FUSE): one ``add.reduceat`` segment per pair over its group's
+        reduced terms, each read off the pattern table at the pair's
+        pattern and the parity of ``x & sign_mask``.  The pattern is one
+        multiply-shift of ``(x & pattern_mask) >> shift`` per pair (the
+        words ORed first: one word holds the pattern qubits); the parity of
+        a multi-word AND is the parity of the XOR of its words, read off one
+        hardware popcount per reduced term.  Its reduced-term-length
+        temporaries (the largest arrays of a call) die on return, before
+        the next group chunk is looked up."""
+        sizes = cp.sizes[g_hit]                      # reduced terms per pair
         ends = xp.cumsum(sizes)
-        offs = ends - sizes                                  # segment starts
-        # term index: concat of [start_p, start_p + size_p), built in place
-        term_idx = xp.arange(int(ends[-1]))
-        term_idx += xp.repeat(cp.starts[g_hit] - offs, sizes)
-        x = None                            # the words of x & yz, XOR-folded
-        for w, yz in enumerate(self.yz_cols):
-            word = xp.repeat(keys[:, w].take(s_hit), sizes)
-            word &= yz.take(term_idx)
+        offs = ends - sizes                          # segment starts
+        words = [keys[:, w].take(s_hit) for w in range(self.n_words)]
+        h = None                 # x & pattern: one word holds the pattern qubits
+        for w, word in enumerate(words):
+            part = word & cp.patterns[w].take(g_hit)
+            if h is None:
+                h = part
+            else:
+                h |= part
+        h >>= cp.shifts.take(g_hit)
+        h *= cp.multipliers.take(g_hit)
+        h >>= uint64(64 - PATTERN_QUBITS)
+        base = cp.starts[g_hit] - offs
+        base <<= _ROW_BITS
+        base |= h.view(int64) << 1
+        # table index (r << 5) | (pattern << 1), r running over the
+        # concatenated [start_p, start_p + size_p), built in place
+        slot = xp.arange(0, int(ends[-1]) << _ROW_BITS, 1 << _ROW_BITS)
+        slot += xp.repeat(base, sizes)
+        red = slot >> _ROW_BITS
+        x = None                            # the words of x & sign, XOR-folded
+        for word, sign in zip(words, self.sign_cols):
+            word = xp.repeat(word, sizes)
+            word &= sign.take(red)
             if x is None:
                 x = word
             else:
                 x ^= word
         par = xp.bitwise_count(x)
         par &= 1
-        term_idx <<= 1
-        term_idx |= par
-        return xp.add.reduceat(self.signed.take(term_idx), offs)
+        slot |= par
+        return xp.add.reduceat(self.pattern_table.take(slot), offs)
 
     # --------------------------------------------------------------- kernel
     def local_energy(self, batch: SampleBatch, table: AmplitudeTable) -> xp.ndarray:
@@ -724,14 +882,14 @@ def local_energy(
     served model); without one a throwaway plan under ``memory_budget_bytes``
     is compiled for this call.  The budget also bounds the table extension.
     """
+    if mode not in ("exact", "sample_aware"):
+        raise ValueError(f"unknown local-energy mode {mode!r}")
     if table is None:
         table = build_amplitude_table(wf, batch)
     if mode == "exact":
         table = extend_amplitude_table(
             wf, comp, batch, table, memory_budget_bytes=memory_budget_bytes
         )
-    elif mode != "sample_aware":
-        raise ValueError(f"unknown local-energy mode {mode!r}")
     if plan is None:
         plan = ElocPlan(comp, memory_budget_bytes=memory_budget_bytes)
     return local_energy_planned(comp, batch, table, plan=plan), table

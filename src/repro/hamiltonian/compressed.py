@@ -19,6 +19,13 @@ Because every Pauli string sharing an XY mask couples an input configuration
 local-energy kernel evaluate each unique coupled configuration exactly once
 (Fig. 7(b)) — that is what the SA/FUSE/LUT kernels in
 ``repro.core.local_energy`` consume.
+
+:func:`reduce_terms` goes one step further for the local-energy plan: inside
+a group that flips at most :data:`PATTERN_QUBITS` qubits, all in one 64-bit
+word (any such group up to 64 qubits), the terms that share their Z/Y letters
+off the flipped qubits differ only in how they read those few qubits, so
+their signed sum is a function of the flipped qubits' occupation and one
+parity — a table of 16 patterns per *reduced term*.
 """
 from __future__ import annotations
 
@@ -35,7 +42,14 @@ __all__ = [
     "CompressedHamiltonian",
     "build_reference",
     "compress_hamiltonian",
+    "PATTERN_QUBITS",
+    "ReducedTerms",
+    "reduce_terms",
 ]
+
+# The widest flip whose occupation patterns the local-energy plan tabulates
+# (2^4 = 16 patterns): a fermionic two-body term flips at most 4 spin orbitals.
+PATTERN_QUBITS = 4
 
 
 @dataclass
@@ -144,4 +158,63 @@ def compress_hamiltonian(h: QubitHamiltonian) -> CompressedHamiltonian:
         coeffs_buf=coeff_sorted,
         constant=h.constant,
         n_electrons=h.n_electrons,
+    )
+
+
+@dataclass(frozen=True)
+class ReducedTerms:
+    """The terms of every XY group regrouped into *reduced terms*.
+
+    A group's *pattern qubits* are the qubits it flips when it flips at most
+    :data:`PATTERN_QUBITS` of them, all in one 64-bit word, else none.  The
+    terms of a reduced term share a group and their YZ letters off the
+    pattern qubits (``yz & ~pattern``, the *sign mask*), so on a
+    configuration ``x`` their signs differ only through ``x``'s occupation
+    of the pattern qubits.  In a group without pattern qubits every distinct
+    YZ mask is its own reduced term, under its whole mask.
+
+    ``order`` lists the term buffer group by group, each reduced term's
+    terms adjacent and in buffer order (a stable sort); reduced terms run in
+    ascending sign-mask order (``lexsort_keys``) inside their group.
+    """
+
+    order: np.ndarray          # (K,) int64 — term permutation
+    idxs: np.ndarray           # (R + 1,) int64 — CSR offsets of each reduced term into order
+    group_idxs: np.ndarray     # (G + 1,) int64 — CSR offsets of each group's reduced terms
+    pattern_masks: np.ndarray  # (G, W) uint64 — the pattern qubits of each group
+    sign_masks: np.ndarray     # (R, W) uint64 — yz & ~pattern of each reduced term
+
+    @property
+    def n_reduced(self) -> int:
+        return len(self.idxs) - 1
+
+
+def reduce_terms(comp: CompressedHamiltonian) -> ReducedTerms:
+    """The :class:`ReducedTerms` of any :class:`CompressedHamiltonian`,
+    hand-made ones included (vectorized: no loop over groups)."""
+    n_groups, n_words = comp.xy_unique.shape
+    group_of_term = np.repeat(np.arange(n_groups), np.diff(comp.idxs))
+    n_flips = popcount64(comp.xy_unique).sum(axis=1)
+    # Pattern qubits must share one word: the plan's multiply-shift cannot
+    # separate qubits that sit high in different words (63 and 127 both
+    # contribute 2^63 under any multipliers that keep them apart from 0).
+    one_word = np.count_nonzero(comp.xy_unique, axis=1) <= 1
+    pattern = np.where(((n_flips <= PATTERN_QUBITS) & one_word)[:, None],
+                       comp.xy_unique, np.uint64(0))
+    sign = comp.yz_buf & ~pattern[group_of_term]
+    # np.lexsort is stable and sorts by its last key first: group, then the
+    # sign mask in lexsort_keys order (last word most significant).
+    order = np.lexsort([sign[:, w] for w in range(n_words)] + [group_of_term])
+    sign, group_of_term = sign[order], group_of_term[order]
+    new = np.ones(len(order), dtype=bool_)
+    new[1:] = (group_of_term[1:] != group_of_term[:-1]) | np.any(
+        sign[1:] != sign[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    return ReducedTerms(
+        order=order.astype(int64),
+        idxs=np.append(starts, len(order)).astype(int64),
+        group_idxs=np.searchsorted(group_of_term[starts],
+                                   np.arange(n_groups + 1)).astype(int64),
+        pattern_masks=pattern,
+        sign_masks=sign[starts],
     )

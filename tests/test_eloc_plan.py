@@ -9,9 +9,10 @@ Acceptance contracts of ``ElocPlan``, the one production local-energy path:
 * agreement with the scalar ``sa_fuse_lut`` rung of the Fig. 10 bench;
 * the one lookup (membership map first, binary search on the survivors) is
   index-identical to searching every key, single- and multi-word;
-* the FUSE step (each hit's terms one ``add.reduceat`` segment of the
-  signed-coefficient table) against an integer-parity oracle, and the
-  refusal of a Hamiltonian with a term-less group;
+* the FUSE step (each hit's reduced terms one ``add.reduceat`` segment of
+  pattern-table gathers) against an integer-parity oracle, the pattern
+  table and its multipliers on Python ints, the paper-regime systems
+  (Li2O, LiCl), and the refusal of a Hamiltonian with a term-less group;
 * one plan per run serves every backend (serial / threads / process) and the
   serving layer: the engine's stage-3 output equals the reference on the
   same ``(chunk, table)``;
@@ -19,11 +20,15 @@ Acceptance contracts of ``ElocPlan``, the one production local-energy path:
 """
 from __future__ import annotations
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chem import build_problem
 from repro.core import (
     ElocPlan,
     SampleBatch,
@@ -46,6 +51,7 @@ from repro.hamiltonian import (
     sector_hamiltonian_dense,
     synthetic_molecular_hamiltonian,
 )
+from repro.hamiltonian.compressed import reduce_terms
 from repro.utils.bitstrings import (
     lexsort_keys,
     pack_bits,
@@ -571,19 +577,47 @@ class TestDifferential:
         assert np.array_equal(ElocPlan(comp).local_energy(batch, table), ref)
 
 
-def _grouped_hamiltonian(rng, n_qubits, sizes):
-    """A ``CompressedHamiltonian`` whose groups hold exactly ``sizes`` terms
-    (random distinct XY masks, random YZ masks and coefficients)."""
+# Qubits a drawn group flips: a few (the pattern-table path, 0 = diagonal)
+# or, for None, about half of them (every term its own reduced term).
+FLIPS = (0, 1, 2, 3, 4, None)
+
+
+def _grouped_hamiltonian(rng, n_qubits, groups):
+    """A ``CompressedHamiltonian`` with one group per drawn ``(terms,
+    flips)`` pair, groups whose XY mask repeats an earlier one dropped.
+    ``flips`` is a qubit count, ``None`` (random) or a tuple of qubits.
+
+    A few-qubit flip sits, every other group of a wide key, on the qubits
+    either side of the last word boundary.  A group's YZ masks take their
+    letters off the flipped qubits from two choices and random letters on
+    them, so reduced terms hold several terms."""
     n_words = (n_qubits + 63) // 64
-    rand = lambda k: pack_bits(rng.integers(0, 2, size=(k, n_qubits)).astype(np.uint8))
-    xy = np.unique(rand(4 * len(sizes) + 4), axis=0)[:len(sizes)]
-    assert len(xy) == len(sizes)
-    n_terms = int(sum(sizes))
+    edge = 64 * ((n_qubits - 1) // 64)
+    rand = lambda: rng.integers(0, 2, size=n_qubits).astype(np.uint8)
+    blocks = {}                         # XY mask bytes -> (xy, yz rows)
+    for g, (n_terms, n_flips) in enumerate(groups):
+        if n_flips is None:
+            flip = rand()
+        elif isinstance(n_flips, tuple):
+            flip = np.zeros(n_qubits, dtype=np.uint8)
+            flip[list(n_flips)] = 1
+        else:
+            window = (np.arange(edge - 4, min(edge + 4, n_qubits)) if g % 2 and edge
+                      else np.arange(n_qubits))
+            flip = np.zeros(n_qubits, dtype=np.uint8)
+            flip[rng.choice(window, n_flips, replace=False)] = 1
+        off = [rand() & (1 - flip) for _ in range(2)]
+        yz = [off[rng.integers(2)] | (rand() & flip) for _ in range(n_terms)]
+        blocks.setdefault(flip.tobytes(), (flip, yz))
+    xy = pack_bits(np.array([flip for flip, _ in blocks.values()]))
+    order = lexsort_keys(xy)
+    yz = [list(blocks.values())[g][1] for g in order]
+    sizes = [len(rows) for rows in yz]
     return CompressedHamiltonian(
-        n_qubits=n_qubits, xy_unique=xy[lexsort_keys(xy)],
+        n_qubits=n_qubits, xy_unique=xy[order],
         idxs=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
-        yz_buf=rand(n_terms).reshape(n_terms, n_words),
-        coeffs_buf=rng.normal(size=n_terms), constant=0.25)
+        yz_buf=pack_bits(np.concatenate(yz)).reshape(-1, n_words),
+        coeffs_buf=rng.normal(size=int(sum(sizes))), constant=0.25)
 
 
 def _as_int(words):
@@ -591,23 +625,43 @@ def _as_int(words):
     return sum(int(v) << (64 * w) for w, v in enumerate(words))
 
 
+def _group_patterns(plan, cp, i):
+    """``{subset: pattern}`` of group ``cp.g0 + i`` on Python ints: every
+    subset of its pattern qubits (all in one word) and the top 4 bits of
+    ``(word >> shift) M`` (mod 2^64), ``word`` the subset's bits in that
+    word."""
+    mask = _as_int([col[i] for col in cp.patterns])
+    shift, mult = int(cp.shifts[i]), int(cp.multipliers[i])
+    qubits = [q for q in range(plan.comp.n_qubits) if mask >> q & 1]
+    assert len({q // 64 for q in qubits}) <= 1
+    assert not qubits or qubits[0] % 64 == shift
+    out = {}
+    for n in range(len(qubits) + 1):
+        for chosen in itertools.combinations(qubits, n):
+            s = sum(1 << q for q in chosen)
+            word = s >> (64 * (qubits[0] // 64)) if qubits else 0
+            out[s] = ((word >> shift) * mult % 2**64) >> 60
+    return out
+
+
 class TestFuse:
     """The FUSE step: each hit's H_xx' is one ``add.reduceat`` segment over
-    gathers from the plan's signed-coefficient table."""
+    its group's reduced terms, each a gather from the plan's pattern table."""
 
     @settings(max_examples=40, deadline=None)
     @given(n_qubits=st.sampled_from((24, 64, 70, 130)),        # 1, 1, 2, 3 words
-           sizes=st.lists(st.sampled_from((1, 2, 3, 8, 9, 38, 210)),
-                          min_size=1, max_size=12),
+           groups=st.lists(st.tuples(st.sampled_from((1, 2, 3, 8, 9, 38, 210)),
+                                     st.sampled_from(FLIPS)),
+                           min_size=1, max_size=12),
            group_chunk=st.sampled_from((1, 3, 512)),
            n_samples=st.integers(1, 6), seed=st.integers(0, 2**16))
-    def test_pair_coefficients_equal_integer_parity(self, n_qubits, sizes,
+    def test_pair_coefficients_equal_integer_parity(self, n_qubits, groups,
                                                     group_chunk, n_samples, seed):
         """Every (sample, group) pair of every chunk against the sum
         Σ_t c_t (-1)^popcount(x & yz_t) with the parity taken on Python
         ints, to 1e-12 of Σ|c_t|."""
         rng = np.random.default_rng(seed)
-        comp = _grouped_hamiltonian(rng, n_qubits, sizes)
+        comp = _grouped_hamiltonian(rng, n_qubits, groups)
         plan = ElocPlan(comp, group_chunk=group_chunk)
         keys = pack_bits(rng.integers(0, 2, size=(n_samples, n_qubits)).astype(np.uint8))
         yz = [_as_int(row) for row in comp.yz_buf]
@@ -624,29 +678,119 @@ class TestFuse:
                 scale = sum(abs(comp.coeffs_buf[t]) for t in terms)
                 assert abs(got[p] - want) <= 1e-12 * scale
 
-    def test_signed_table_is_exactly_plus_minus_c(self, lih_problem):
+    def test_pattern_table_entries_are_integer_parity_sums(self, lih_problem):
+        """Entry ``(r, p, 0)`` is the ``add.reduceat`` segment sum (not
+        ``add.reduce``: its order differs) of ``c_t (-1)^popcount(s & yz_t)`` over
+        reduced term ``r`` — parity on Python ints — for the subset ``s``
+        of pattern ``p``; entry ``(r, p, 1)`` is its exact negative.  The
+        sign-mask columns are the reduced terms' ``yz & ~pattern``."""
         comp = compress_hamiltonian(lih_problem.hamiltonian)
-        plan = ElocPlan(comp)
-        assert plan.signed.shape == (2 * comp.n_terms,)
-        np.testing.assert_array_equal(plan.signed[0::2], comp.coeffs_buf)
-        np.testing.assert_array_equal(plan.signed[1::2], -comp.coeffs_buf)
-        for w, col in enumerate(plan.yz_cols):
+        plan = ElocPlan(comp, group_chunk=7)
+        red = reduce_terms(comp)
+        table = plan.pattern_table.reshape(red.n_reduced, 16, 2)
+        np.testing.assert_array_equal(table[..., 1], -table[..., 0])
+        yz = [_as_int(row) for row in comp.yz_buf]
+        for w, col in enumerate(plan.sign_cols):
             assert col.flags.c_contiguous
-            np.testing.assert_array_equal(col, comp.yz_buf[:, w])
+            np.testing.assert_array_equal(col, red.sign_masks[:, w])
+        n_checked = 0
+        for cp in plan.chunks:
+            for i, g in enumerate(range(cp.g0, cp.g1)):
+                pattern_mask = _as_int([col[i] for col in cp.patterns])
+                for s, p in _group_patterns(plan, cp, i).items():
+                    for r in range(red.group_idxs[g], red.group_idxs[g + 1]):
+                        terms = red.order[red.idxs[r]:red.idxs[r + 1]]
+                        assert len({yz[t] & ~pattern_mask for t in terms}) == 1
+                        signed = np.array(
+                            [comp.coeffs_buf[t] * (-1) ** bin(s & yz[t]).count("1")
+                             for t in terms])
+                        assert table[r, p, 0] == np.add.reduceat(signed, [0])[0]
+                        n_checked += 1
+        assert n_checked >= red.n_reduced
+
+    @pytest.mark.parametrize("name", ["H2", "LiH", "N2", "C2"])
+    def test_every_multiplier_is_one_to_one(self, name):
+        """Each group's 2^k subsets of its pattern qubits land on 2^k
+        distinct patterns (Python-int arithmetic), and the groups of ≤ 4
+        flips are exactly the groups with pattern qubits."""
+        comp = compress_hamiltonian(build_problem(name).hamiltonian)
+        plan = ElocPlan(comp)
+        for cp in plan.chunks:
+            for i in range(cp.g1 - cp.g0):
+                patterns = _group_patterns(plan, cp, i)
+                assert len(set(patterns.values())) == len(patterns)
+                n_flips = bin(_as_int(cp.xy[i])).count("1")
+                assert len(patterns) == (2 ** n_flips if n_flips <= 4 else 1)
+
+    @pytest.mark.parametrize("n_qubits, flips", [
+        (130, (63, 127)), (130, (62, 63, 126, 127)), (130, (63, 127, 129)),
+        (70, (63, 64)), (64, (57, 59, 60, 63)), (128, (122, 123, 125, 127))],
+        ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else f"{v}q")
+    def test_flips_a_raw_multiply_shift_cannot_separate(self, n_qubits, flips):
+        """Qubits high in different words (63 and 127 each add 2^63 under
+        any multipliers that keep them apart from the empty subset) and
+        tight clusters at the top of one word (no ``M`` makes
+        ``(x & mask) M >> 60`` one-to-one on 57, 59, 60, 63): a group that
+        straddles words has no pattern qubits, a one-word one is shifted to
+        bit 0 before the multiply.  The plan compiles, every multiplier is
+        one-to-one, and plan == reference on every occupation of the
+        flipped qubits."""
+        rng = np.random.default_rng(63)
+        pair = (flips[0], flips[-1])
+        comp = _grouped_hamiltonian(
+            rng, n_qubits, [(9, flips), (9, pair), (3, 0), (8, None)])
+        plan = ElocPlan(comp, group_chunk=3)
+        for cp in plan.chunks:
+            for i in range(cp.g1 - cp.g0):
+                xy = _as_int(cp.xy[i])
+                words = {q // 64 for q in range(n_qubits) if xy >> q & 1}
+                patterns = _group_patterns(plan, cp, i)
+                assert len(set(patterns.values())) == len(patterns)
+                if len(words) > 1:
+                    assert patterns == {0: patterns[0]}
+        occupations = np.array(list(itertools.product((0, 1), repeat=len(flips))))
+        bits = np.repeat(rng.integers(0, 2, size=(1, n_qubits)), len(occupations), 0)
+        bits[:, list(flips)] = occupations
+        keys = pack_bits(bits.astype(np.uint8))
+        coupled = (keys[:, None, :] ^ comp.xy_unique[None]).reshape(-1, keys.shape[1])
+        table = _mock_table(rng, np.concatenate([keys, coupled]))
+        batch = SampleBatch(bits=unpack_bits(np.unique(keys, axis=0), n_qubits),
+                            weights=np.ones(len(occupations), dtype=np.int64))
+        assert np.array_equal(plan.local_energy(batch, table),
+                              local_energy_vectorized(comp, batch, table,
+                                                      group_chunk=3))
+
+    def test_every_shifted_mask_has_a_multiplier(self):
+        """The search resolves all 41 729 masks a group can present — the
+        empty one and every set of 1-4 bits that holds bit 0 — at once, each
+        to a one-to-one multiplier."""
+        masks = [0] + [1 | sum(1 << b for b in rest) for k in range(4)
+                       for rest in itertools.combinations(range(1, 64), k)]
+        masks = np.array(masks, dtype=np.uint64)
+        subsets = ElocPlan._pattern_subsets(masks)
+        multipliers = ElocPlan._pattern_multipliers(subsets)
+        patterns = ElocPlan._pattern(subsets, multipliers[:, None])
+        distinct = (np.diff(np.sort(patterns, axis=1), axis=1) != 0).sum(axis=1) + 1
+        assert len(masks) == 41_729
+        np.testing.assert_array_equal(distinct, 2 ** np.bitwise_count(masks).astype(int))
 
     def test_lih_has_segments_where_the_summation_order_shows(self, lih_problem):
         """``reduceat`` and a left-to-right sum part ways from 3-term
-        segments up: the bit-identity fixtures must hold such groups, or a
-        kernel that went back to ``bincount`` alone would pass them."""
-        comp = compress_hamiltonian(lih_problem.hamiltonian)
-        assert np.diff(comp.idxs).max() >= 3
+        segments up: the bit-identity fixtures must hold a reduced term of
+        ≥ 3 terms (the inner sum) and a group of ≥ 3 reduced terms (the
+        outer one), or a kernel that summed either level in another order —
+        one flat segment per hit, or a ``bincount`` — would pass them."""
+        red = reduce_terms(compress_hamiltonian(lih_problem.hamiltonian))
+        assert np.diff(red.idxs).max() >= 3
+        assert np.diff(red.group_idxs).max() >= 3
 
     @pytest.mark.parametrize("empty_group", [0, 2])
     def test_a_group_without_terms_is_refused(self, empty_group):
         """``reduceat`` answers an empty segment with the next segment's
         first term: both kernels refuse such a Hamiltonian, naming the group."""
         rng = np.random.default_rng(7)
-        comp = _grouped_hamiltonian(rng, 12, [2, 3, 1, 4])
+        comp = _grouped_hamiltonian(rng, 12, [(2, None), (3, None), (1, None), (4, None)])
+        assert comp.n_groups == 4
         sizes = np.diff(comp.idxs)
         sizes[empty_group] = 0
         comp.idxs = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
@@ -661,3 +805,52 @@ class TestFuse:
             ElocPlan(comp)
         with pytest.raises(ValueError, match=match):
             local_energy_vectorized(comp, batch, table)
+
+
+class TestPaperRegime:
+    """The 28-30-qubit Table 1 systems (STO-3G; ROADMAP item 7), where 98 %
+    of the groups are double excitations: reduced-term counts, the double
+    excitations folded to one reduced term each, a bounded compile, and
+    plan == reference on an in-sector batch."""
+
+    # name -> (terms, reduced terms)
+    COUNTS = {"Li2O": (15_961, 4_658), "LiCl": (24_278, 7_057)}
+    # Each compile measured 0.05-0.08 s on a shared 2-core host; the bound
+    # leaves >10x for slower CI machines.
+    COMPILE_BOUND_S = 1.0
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    def test_reduced_terms_compile_and_bit_identity(self, name):
+        problem = build_problem(name)
+        comp = compress_hamiltonian(problem.hamiltonian)
+        red = reduce_terms(comp)
+        assert (comp.n_terms, red.n_reduced) == self.COUNTS[name]
+        n_flips = np.bitwise_count(comp.xy_unique).sum(axis=1)
+        assert np.mean(n_flips == 4) > 0.98
+        assert np.all(np.diff(red.group_idxs)[n_flips == 4] == 1)
+
+        t0 = time.perf_counter()
+        plan = ElocPlan(comp)
+        assert time.perf_counter() - t0 < self.COMPILE_BOUND_S
+
+        # In-sector configurations (alpha on even qubits, beta on odd), and a
+        # table of them plus half of their sector-valid coupled keys.
+        rng = np.random.default_rng(38)
+        n, n_dn = problem.n_qubits, problem.n_electrons // 2
+        n_up = problem.n_electrons - n_dn
+        bits = np.zeros((48, n), dtype=np.uint8)
+        for row in bits:
+            row[2 * rng.choice(n // 2, n_up, replace=False)] = 1
+            row[2 * rng.choice(n // 2, n_dn, replace=False) + 1] = 1
+        bits = np.unique(np.vstack([problem.hf_bits, bits]), axis=0)
+        keys = pack_bits(bits)
+        coupled = (keys[:, None, :] ^ comp.xy_unique[None, :, :]).reshape(-1, 1)
+        alpha = np.uint64(int("01" * 32, 2))         # the even qubits
+        in_sector = ((np.bitwise_count(coupled[:, 0] & alpha) == n_up)
+                     & (np.bitwise_count(coupled[:, 0] & ~alpha) == n_dn))
+        coupled = coupled[in_sector & (rng.random(len(coupled)) < 0.5)]
+        table = _mock_table(rng, np.concatenate([keys, coupled]))
+        batch = SampleBatch(bits=bits, weights=np.ones(len(bits), dtype=np.int64))
+        assert np.array_equal(plan.local_energy(batch, table),
+                              local_energy_vectorized(comp, batch, table))
+

@@ -233,7 +233,7 @@ class TestSourceLint:
         Fig. 10 rungs live in benchmarks/)."""
         (tree / "src/repro/core/local_energy.py").write_text(
             "    coef = xp.add.reduceat(signed, offs)\n"
-            "    return xp.add.reduceat(self.signed.take(term_idx), offs)\n"
+            "    return xp.add.reduceat(self.pattern_table.take(slot), offs)\n"
             "    acc_re += xp.bincount(s_hit, weights=coef * psi.real, minlength=b)\n"
             "    pair_of_term = xp.repeat(xp.arange(len(s_hit)), sizes)\n"
             '    """No weighted bincount over a pair id."""\n')

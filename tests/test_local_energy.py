@@ -1,4 +1,6 @@
 """Local-energy engines: cross-agreement and exactness against dense algebra."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -145,9 +147,15 @@ class TestExactness:
         eloc = local_energy_vectorized(comp, batch, table)
         assert eloc[0].real == pytest.approx(h2o_problem.e_hf, abs=1e-7)
 
-    def test_unknown_mode_raises(self, setup_h2):
+    def test_unknown_mode_raises(self, setup_h2, monkeypatch):
+        """Refused before the amplitude table is evaluated."""
         wf, comp, batch, _ = setup_h2
-        with pytest.raises(ValueError):
+
+        def forbidden(bits):
+            raise AssertionError("log_amplitudes ran before the mode check")
+
+        monkeypatch.setattr(wf, "log_amplitudes", forbidden)
+        with pytest.raises(ValueError, match="unknown local-energy mode"):
             local_energy(wf, comp, batch, mode="warp-speed")
 
     def test_table_missing_sample_raises(self, setup_h2):
@@ -239,12 +247,21 @@ class TestExtendTable:
         ext2 = extend_amplitude_table(wf, comp, batch, ext)
         assert ext2.n_entries == ext.n_entries
 
-    def test_max_extra_guard(self, setup_h2):
+    def test_max_extra_guard(self, setup_h2, monkeypatch):
+        """The guard exists to stop the ``(rows, n_qubits)`` unpack: it fires
+        before one."""
+        # repro.core re-exports a *function* named local_energy over the module
+        local_energy_module = importlib.import_module("repro.core.local_energy")
         wf, comp, _, _ = setup_h2
         bits = sector_bitstrings(4, 1, 1)[:1]
         batch = SampleBatch(bits=bits, weights=np.array([1], dtype=np.int64))
         table = build_amplitude_table(wf, batch)
-        with pytest.raises(ValueError):
+
+        def forbidden(keys, n_qubits):
+            raise AssertionError("unpack_bits ran before the max_extra guard")
+
+        monkeypatch.setattr(local_energy_module, "unpack_bits", forbidden)
+        with pytest.raises(ValueError, match="exceed max_extra=0"):
             extend_amplitude_table(wf, comp, batch, table, max_extra=0)
 
     def test_budgeted_extension_matches_unbudgeted(self, setup_h2):

@@ -453,12 +453,22 @@ class TestTableExtension:
             np.testing.assert_array_equal(got.keys, keys)
             assert_log_amps_close(got.log_amps, amps)
 
-    def test_two_word_keys(self):
+    @pytest.mark.parametrize("constrain", [False, True])
+    def test_two_word_keys(self, constrain):
+        """70 qubits; constrained, the coupled keys leave the sector too and
+        only the valid ones are added."""
         n_qubits = 70
         comp = compress_hamiltonian(synthetic_molecular_hamiltonian(n_qubits, 120, seed=3))
         wf = build_qiankunnet(n_qubits, 3, 3, d_model=8, n_heads=2, n_layers=1,
-                              phase_hidden=(8,), constrain=False, seed=4)
-        bits = np.random.default_rng(5).integers(0, 2, size=(5, n_qubits)).astype(np.uint8)
+                              phase_hidden=(8,), constrain=constrain, seed=4)
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2, size=(5, n_qubits)).astype(np.uint8)
+        if constrain:                    # 3 alpha (even) and 3 beta (odd) qubits
+            bits[:] = 0
+            for row in bits:
+                row[2 * rng.choice(n_qubits // 2, 3, replace=False)] = 1
+                row[2 * rng.choice(n_qubits // 2, 3, replace=False) + 1] = 1
+            bits = np.unique(bits, axis=0)
         batch = SampleBatch(bits=bits, weights=np.ones(len(bits), dtype=np.int64))
         table = build_amplitude_table(wf, batch)
         keys, amps = parent_extend(wf, comp, batch, table)
