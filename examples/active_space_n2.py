@@ -45,7 +45,7 @@ def run_point(r: float, iters: int) -> None:
         name=f"n2-cas66-r{r:.4f}",
         problem=ProblemSpec(molecule="N2", basis="sto-3g", n_frozen=2,
                             n_active=6, geometry={"r": r}),
-        ansatz=AnsatzSpec(name="transformer", seed=21),
+        ansatz=AnsatzSpec(seed=21),
         optimizer=OptimizerSpec(warmup=200),
         sampling=SamplingSpec(ns_growth=1.05, ns_max=10**7, pretrain_iters=50),
         train=TrainSpec(max_iterations=iters, pretrain_steps=150,

@@ -53,7 +53,7 @@ def main() -> None:
         name="quickstart-h2",
         problem=ProblemSpec(molecule="H2", basis="sto-3g",
                             geometry={"r": args.bond_length}),
-        ansatz=AnsatzSpec(name="transformer", seed=1),
+        ansatz=AnsatzSpec(seed=1),
         optimizer=OptimizerSpec(warmup=200),
         sampling=SamplingSpec(ns_pretrain=10**5, ns_max=10**5),
         train=TrainSpec(max_iterations=args.iters, pretrain_steps=100,

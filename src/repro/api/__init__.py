@@ -1,8 +1,9 @@
 """``repro.api`` — the declarative experiment front door.
 
-One spec tree (:class:`RunSpec`), string-keyed component registries, and a
-``run(spec)`` driver that owns the artifact directory.  The equivalent CLI
-is ``python -m repro`` (``run`` / ``resume`` / ``info`` / ``serve``).
+One spec tree (:class:`RunSpec`) and a ``run(spec)`` driver that builds
+QiankunNet and the execution backend from it and owns the artifact
+directory.  The equivalent CLI is ``python -m repro`` (``run`` / ``resume``
+/ ``info`` / ``serve``).
 
     from repro.api import RunSpec, ProblemSpec, TrainSpec, run
 
@@ -13,10 +14,6 @@ is ``python -m repro`` (``run`` / ``resume`` / ``info`` / ``serve``).
     )
     result = run(spec)
     print(result.report.summary())
-
-Importing this package registers the built-in components (see
-:mod:`repro.api.builtins`); new ansätze and backends plug in by name through
-the ``register_*`` decorators.
 """
 from repro.api.spec import (
     AnsatzSpec,
@@ -33,15 +30,6 @@ from repro.api.spec import (
     coerce_override_value,
     parse_set_assignment,
 )
-from repro.api.registry import (
-    ANSATZE,
-    BACKENDS,
-    ComponentRegistry,
-    UnknownComponentError,
-    register_ansatz,
-    register_backend,
-)
-import repro.api.builtins  # noqa: F401 — registers the built-in components
 from repro.api.driver import (
     RunResult,
     materialize_ansatz,
@@ -67,12 +55,6 @@ __all__ = [
     "apply_overrides",
     "coerce_override_value",
     "parse_set_assignment",
-    "ComponentRegistry",
-    "UnknownComponentError",
-    "ANSATZE",
-    "BACKENDS",
-    "register_ansatz",
-    "register_backend",
     "RunResult",
     "materialize_problem",
     "materialize_ansatz",

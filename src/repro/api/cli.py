@@ -5,8 +5,8 @@ Subcommands:
 * ``run``     — execute a spec from ``--spec file.json`` or ``--preset name``,
   with ``--set key=value`` dotted overrides.
 * ``resume``  — continue a run directory (``--set`` can extend the budget).
-* ``info``    — inspect a run directory, or list presets / registered
-  components (``--presets`` / ``--components``).
+* ``info``    — inspect a run directory, or list the presets
+  (``--presets``).
 * ``serve``   — with ``--port``, run the network serving tier (an HTTP/JSON
   router over ``--workers`` worker processes; SIGTERM/SIGINT drain
   gracefully).  Without ``--port``, answer ``log_amplitudes`` requests
@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import driver, presets
-from repro.api.registry import ANSATZE, BACKENDS
 from repro.api.spec import RunSpec, SpecError
 
 __all__ = ["main", "build_parser", "load_spec"]
@@ -59,12 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
                           default=[], metavar="KEY=VALUE",
                           help="spec override, e.g. train.max_iterations=200")
 
-    p_info = sub.add_parser("info", help="inspect a run / list components")
+    p_info = sub.add_parser("info", help="inspect a run / list presets")
     p_info.add_argument("run_dir", type=Path, nargs="?")
     p_info.add_argument("--presets", action="store_true",
                         help="list built-in preset specs")
-    p_info.add_argument("--components", action="store_true",
-                        help="list registered ansätze/backends")
 
     p_serve = sub.add_parser(
         "serve", help="serve a run's snapshots (HTTP with --port, "
@@ -160,16 +157,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
         for name in presets.preset_names():
             spec = presets.get_preset(name)
             print(f"{name:12s} {spec.problem.molecule}/{spec.problem.basis}  "
-                  f"ansatz={spec.ansatz.name}  "
                   f"iters={spec.train.max_iterations}")
         return 0
-    if args.components:
-        for registry in (ANSATZE, BACKENDS):
-            print(f"{registry.kind}: {', '.join(registry.names())}")
-        return 0
     if args.run_dir is None:
-        print("info needs a run directory, --presets, or --components",
-              file=sys.stderr)
+        print("info needs a run directory or --presets", file=sys.stderr)
         return 2
     return _print_run_info(args.run_dir)
 
@@ -186,7 +177,6 @@ def _print_run_info(run_dir: Path) -> int:
           + (f" CAS(n_frozen={spec.problem.n_frozen}, "
              f"n_active={spec.problem.n_active})"
              if spec.problem.n_frozen or spec.problem.n_active else ""))
-    print(f"ansatz   {spec.ansatz.name}")
     if spec.parallel.backend != "serial" or spec.parallel.n_ranks > 1:
         print(f"parallel {spec.parallel.backend} x {spec.parallel.n_ranks}")
     metrics_path = run_dir / driver.METRICS_FILE
@@ -414,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
+    except KeyError as exc:  # e.g. serve --version naming no published snapshot
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -4,9 +4,10 @@ The driver is the single execution path behind both the Python API and the
 ``python -m repro`` CLI.  Given a validated :class:`~repro.api.spec.RunSpec`
 it:
 
-1. materializes components through the registries (problem -> ansatz ->
-   backend), so every choice is a *name* in the spec, and builds the
-   paper's optimizer (``NoamAdamW``) from the ``optimizer`` section;
+1. builds the problem, QiankunNet (``build_qiankunnet`` with the
+   ``ansatz`` section's fields), the execution backend (``parallel.backend``
+   looked up in one table of classes) and the paper's optimizer
+   (``NoamAdamW``) from the ``optimizer`` section;
 2. runs the Sec. 4.1 protocol through the one training loop —
    :class:`~repro.core.trainer.Trainer` over :class:`~repro.core.vmc.VMC`
    (bit-identical to hand wiring);
@@ -33,19 +34,24 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from inspect import Parameter, signature
+from inspect import signature
 from pathlib import Path
 
-import repro.api.builtins  # noqa: F401 — registers the built-in components
-from repro.api.registry import ANSATZE, BACKENDS
 from repro.api.spec import AnsatzSpec, ProblemSpec, RunSpec, SpecError
 from repro.backend import get_backend
-from repro.core.engine import NoamAdamW, _merge_transfers
+from repro.core.engine import (
+    NoamAdamW,
+    ProcessBackend,
+    SerialBackend,
+    ThreadBackend,
+    _merge_transfers,
+)
 from repro.chem import build_problem, run_fci
 from repro.chem.pipeline import MolecularProblem
 from repro.core.trainer import TrainConfig, Trainer, TrainReport
 from repro.core.vmc import VMC, VMCConfig, VMCStats, default_ns_schedule
-from repro.core.wavefunction import NNQSWavefunction
+from repro.core.wavefunction import build_qiankunnet
+from repro.parallel.cluster import ClusterBackend
 from repro.serve.registry import ModelRegistry
 from repro.utils.atomic import atomic_write
 
@@ -114,48 +120,51 @@ def materialize_problem(spec: ProblemSpec) -> MolecularProblem:
     )
 
 
-def _filter_to_signature(builder, candidate: dict) -> dict:
-    """The ``candidate`` entries ``builder`` declares by name (all of them
-    when it takes ``**kwargs``): spec-section fields a component does not
-    read are dropped.  Free-form ``params`` dicts are never filtered (typos
-    there must raise)."""
-    params = signature(builder).parameters
-    if any(p.kind is Parameter.VAR_KEYWORD for p in params.values()):
-        return dict(candidate)
-    return {k: v for k, v in candidate.items() if k in params}
-
-
 def materialize_ansatz(spec: AnsatzSpec, problem: MolecularProblem):
-    builder = ANSATZE.get(spec.name)
-    arch = {
-        "d_model": spec.d_model,
-        "n_heads": spec.n_heads,
-        "n_layers": spec.n_layers,
-        "phase_hidden": tuple(spec.phase_hidden),
-        "token_bits": spec.token_bits,
-        "constrain": spec.constrain,
-        "reverse_order": spec.reverse_order,
-    }
-    kwargs = {**_filter_to_signature(builder, arch), **spec.params}
-    return builder(problem.n_qubits, problem.n_up, problem.n_dn,
-                   seed=spec.seed, **kwargs)
+    """QiankunNet for ``problem``: the section's fields are exactly
+    ``build_qiankunnet``'s keyword arguments."""
+    return build_qiankunnet(
+        problem.n_qubits, problem.n_up, problem.n_dn,
+        d_model=spec.d_model, n_heads=spec.n_heads, n_layers=spec.n_layers,
+        phase_hidden=tuple(spec.phase_hidden), token_bits=spec.token_bits,
+        constrain=spec.constrain, reverse_order=spec.reverse_order,
+        seed=spec.seed,
+    )
+
+
+# ``parallel.backend`` -> the execution backend class.  The classes are their
+# own factories: each declares, by ``ParallelSpec`` field name, exactly the
+# values it reads (and checks what only it can check — serial's single rank,
+# cluster's rendezvous address).
+_BACKEND_CLASSES = {
+    "serial": SerialBackend,
+    "threads": ThreadBackend,
+    "process": ProcessBackend,
+    "cluster": ClusterBackend,
+}
 
 
 def materialize_backend(spec: RunSpec):
     """Build the execution backend named by the spec's ``parallel`` section.
 
-    The registered factory receives the section's fields it declares by name
-    (``world_size``, when set, is the job size ``n_ranks`` aliases).
-    An unknown backend name raises the registry's
-    :class:`~repro.api.registry.UnknownComponentError`, which lists every
-    registered backend.
+    The class receives the section's fields its signature declares by name
+    (``world_size``, when set, is the job size ``n_ranks`` aliases).  An
+    unknown name, or a combination the class refuses, is a
+    :class:`~repro.api.spec.SpecError`.
     """
     p = spec.parallel
-    factory = BACKENDS.get(p.backend)
-    kwargs = _filter_to_signature(factory, p.to_dict())
+    try:
+        cls = _BACKEND_CLASSES[p.backend]
+    except KeyError:
+        raise SpecError(
+            f"parallel.backend: must be one of {', '.join(_BACKEND_CLASSES)}, "
+            f"got {p.backend!r}"
+        ) from None
+    declared = signature(cls).parameters
+    kwargs = {k: v for k, v in p.to_dict().items() if k in declared}
     kwargs["n_ranks"] = p.world_size if p.world_size is not None else p.n_ranks
     try:
-        return factory(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:  # e.g. serial with n_ranks > 1
         raise SpecError(f"parallel: {exc}") from None
 
@@ -250,44 +259,15 @@ def _publish_final(spec: RunSpec, run_dir: Path, wf,
 
 
 # ----------------------------------------------------------------- execution
-def _require_autoregressive(spec: RunSpec, wf) -> None:
-    """The training loop samples autoregressively and differentiates
-    ``log_prob_vjp``/``phase_vjp`` — a user-registered builder that returns
-    anything else, a network short of the amplitude protocol or a wavefunction
-    the run could not publish fails at materialization, nothing on disk yet,
-    with the component named instead of deep inside (or after) the run loop."""
-    name = spec.ansatz.name
-    if not isinstance(wf, NNQSWavefunction):
-        raise SpecError(
-            f"ansatz {name!r} does not build an autoregressive "
-            "NNQSWavefunction; run() cannot drive it"
-        )
-    missing = [attr for attr in ("make_session", "prefix_forward", "prefix_vjp", "d_model")
-               if not hasattr(wf.amplitude, attr)]
-    if missing:
-        raise SpecError(
-            f"ansatz {name!r} builds a {type(wf.amplitude).__name__} amplitude "
-            f"network without {', '.join(missing)}; the sampler, the prefix "
-            "walk and stage 5's forward/VJP pair ask for exactly these"
-        )
-    if spec.output.publish and wf.spec is None:
-        raise SpecError(
-            f"output.publish is on, but ansatz.name = {name!r} builds a "
-            "wavefunction without the rebuild spec (wf.spec) a model snapshot "
-            "needs; set output.publish = false"
-        )
-
-
 def _build_trainer(spec: RunSpec, run_dir: Path) -> Trainer:
     """Materialize every component of ``spec`` and wire the one training loop.
 
     Touches nothing on disk: ``spec.json`` is persisted only after this has
-    returned, so a failed materialization (typo'd component name, refused
+    returned, so a failed materialization (unknown backend name, refused
     combination) leaves a fresh directory reusable and a run resumable.
     """
     problem = materialize_problem(spec.problem)
     wf = materialize_ansatz(spec.ansatz, problem)
-    _require_autoregressive(spec, wf)
     backend = materialize_backend(spec)
     s, o = spec.sampling, spec.optimizer
     vmc = VMC(

@@ -18,8 +18,8 @@ PRESETS: dict[str, dict] = {
         "name": "smoke",
         "problem": {"molecule": "H2", "basis": "sto-3g",
                     "geometry": {"r": 0.7414}},
-        "ansatz": {"name": "transformer", "d_model": 8, "n_heads": 2,
-                   "n_layers": 1, "phase_hidden": [16], "seed": 1},
+        "ansatz": {"d_model": 8, "n_heads": 2, "n_layers": 1,
+                   "phase_hidden": [16], "seed": 1},
         "optimizer": {"warmup": 100},
         "sampling": {"ns_pretrain": 1000, "ns_max": 2000, "ns_growth": 1.2,
                      "pretrain_iters": 3},
@@ -32,7 +32,7 @@ PRESETS: dict[str, dict] = {
         "name": "h2-sto3g",
         "problem": {"molecule": "H2", "basis": "sto-3g",
                     "geometry": {"r": 0.7414}},
-        "ansatz": {"name": "transformer", "seed": 1},
+        "ansatz": {"seed": 1},
         "optimizer": {"warmup": 200},
         "sampling": {"ns_pretrain": 100000, "ns_max": 100000,
                      "pretrain_iters": 100},
@@ -45,7 +45,7 @@ PRESETS: dict[str, dict] = {
         "name": "n2-cas66",
         "problem": {"molecule": "N2", "basis": "sto-3g", "n_frozen": 2,
                     "n_active": 6, "geometry": {"r": 1.0977}},
-        "ansatz": {"name": "transformer", "seed": 21},
+        "ansatz": {"seed": 21},
         "optimizer": {"warmup": 200},
         "sampling": {"ns_pretrain": 100000, "ns_max": 10000000,
                      "ns_growth": 1.05, "pretrain_iters": 50},

@@ -9,9 +9,9 @@ dataclasses, one per subsystem — instead of hand-threaded ``build_problem``
   tuple-of-int), so ``spec -> to_dict -> json -> from_dict`` is lossless;
 * validation runs at construction (``__post_init__``) and names the exact
   field path (``sampling.ns_growth``) instead of failing deep in the loop;
-* component choices (``ansatz.name``, ``parallel.backend``) are string keys
-  into the registries of :mod:`repro.api.registry`, so new components plug
-  in by name;
+* the ``ansatz`` section is exactly ``build_qiankunnet``'s keyword
+  arguments, and ``parallel.backend`` names one of the four execution
+  backend classes;
 * dotted overrides (``train.max_iterations=3`` — the CLI ``--set`` syntax)
   rewrite the dict form before re-validation.
 
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.backend import BACKEND_NAMES
+from repro.chem.molecules import MOLECULES, geometry_keys
 from repro.core.engine import ELOC_MODES
 from repro.utils.atomic import atomic_write
 
@@ -150,8 +151,13 @@ class ProblemSpec(_Spec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require(bool(self.molecule),
-                 "problem.molecule", "must be a non-empty molecule name")
+        _require(self.molecule in MOLECULES, "problem.molecule",
+                 f"must be one of {', '.join(MOLECULES)}, got {self.molecule!r}")
+        accepted = geometry_keys(self.molecule)
+        unknown = sorted(set(self.geometry) - set(accepted))
+        _require(not unknown, "problem.geometry",
+                 f"unknown key(s) {', '.join(unknown)}; {self.molecule} "
+                 f"takes {', '.join(accepted) or 'none'}")
         _require(bool(self.basis),
                  "problem.basis", "must be a non-empty basis name")
         _require(self.n_frozen >= 0,
@@ -162,11 +168,11 @@ class ProblemSpec(_Spec):
 
 @dataclass
 class AnsatzSpec(_Spec):
-    """Which wavefunction ansatz to build (``repro.api`` ansatz registry)."""
+    """QiankunNet's architecture and seed: exactly ``build_qiankunnet``'s
+    keyword arguments, at the paper's Sec. 4.1 defaults."""
 
     _SECTION = "ansatz"
 
-    name: str = "transformer"
     d_model: int = 16
     n_heads: int = 4
     n_layers: int = 2
@@ -175,16 +181,15 @@ class AnsatzSpec(_Spec):
     constrain: bool = True
     reverse_order: bool = True
     seed: int = 0
-    params: dict = field(default_factory=dict)  # extra kwargs for the builder
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require(bool(self.name),
-                 "ansatz.name", "must be a registered ansatz name")
         for attr in ("d_model", "n_heads", "n_layers"):
             v = getattr(self, attr)
             _require(v > 0,
                      f"ansatz.{attr}", f"must be a positive int, got {v!r}")
+        _require(self.d_model % self.n_heads == 0, "ansatz.n_heads",
+                 f"must divide ansatz.d_model={self.d_model}, got {self.n_heads}")
         _require(self.token_bits in (1, 2),
                  "ansatz.token_bits", f"must be 1 or 2, got {self.token_bits!r}")
         _require(all(h > 0 for h in self.phase_hidden),
@@ -247,8 +252,8 @@ class SamplingSpec(_Spec):
 class ParallelSpec(_Spec):
     """Execution backend choice — the Fig. 4 data-parallel iteration as data.
 
-    ``backend`` names a registered execution backend (``serial`` /
-    ``threads`` / ``process`` / ``cluster``); ``n_ranks`` and
+    ``backend`` names an execution backend (``serial`` / ``threads`` /
+    ``process`` / ``cluster``); ``n_ranks`` and
     ``nu_star_per_rank`` map to the paper's N_p and N_u^*/N_p;
     ``eloc_memory_budget_mb`` is ``VMCConfig``'s (the byte budget the run's
     ``ElocPlan`` and exact mode's table extension shrink to).  Every other
@@ -285,7 +290,7 @@ class ParallelSpec(_Spec):
     def __post_init__(self) -> None:
         super().__post_init__()
         _require(bool(self.backend),
-                 "parallel.backend", "must be a registered backend name")
+                 "parallel.backend", "must be a non-empty backend name")
         _require(self.n_ranks > 0,
                  "parallel.n_ranks", f"must be a positive int, got {self.n_ranks!r}")
         if self.rendezvous_addr is not None:

@@ -8,11 +8,14 @@ unaffected.
 """
 from __future__ import annotations
 
+from inspect import signature
+
 import numpy as np
 
 from repro.chem.geometry import Molecule
 
-__all__ = ["make_molecule", "MOLECULES", "paper_table1_molecules", "fig9_molecules"]
+__all__ = ["make_molecule", "MOLECULES", "geometry_keys", "paper_table1_molecules",
+           "fig9_molecules"]
 
 
 def _h2(r: float = 0.7414) -> Molecule:
@@ -176,6 +179,12 @@ def make_molecule(name: str, **kwargs) -> Molecule:
     except KeyError as exc:
         raise ValueError(f"unknown molecule {name!r}; available: {MOLECULES}") from exc
     return factory(**kwargs)
+
+
+def geometry_keys(name: str) -> tuple[str, ...]:
+    """The geometry keywords ``make_molecule(name, ...)`` accepts (``("r",)``
+    for a diatomic, ``()`` for a fixed structure)."""
+    return tuple(signature(_FACTORIES[name]).parameters)
 
 
 def paper_table1_molecules() -> list[str]:

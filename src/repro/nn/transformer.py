@@ -12,8 +12,8 @@ is N/2 for N qubits.  ``vocab_size`` is configurable (2 for the 1-qubit-token
 ablation).
 
 Interface contract — all that ``src/`` knows about an amplitude network, and
-all a ``register_ansatz`` builder's network has to provide (``api/driver.py``
-checks the names once, at materialization):
+all another network wired into ``NNQSWavefunction`` by hand has to provide
+(the foils of ``benchmarks/baseline_ansatze.py`` do):
 
 * ``n_tokens``, ``vocab_size``, ``d_model`` (the Eq. 13 schedule's scale);
 * ``make_session(batch) -> session`` — incremental decoding, graph-free:

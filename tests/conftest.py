@@ -72,8 +72,8 @@ def _load_bench(name: str):
 
 # The ansatz matrix: the production ansatz plus the two Table 1 foils, which
 # reach sampler, walk, stage 5's pair, engine, serving and the mock backend
-# through the amplitude protocol alone — what a ``register_ansatz`` user's
-# network does.
+# through the amplitude protocol alone — what any network wired into
+# ``NNQSWavefunction`` by hand does.
 baselines = _load_bench("baseline_ansatze")
 ANSATZE = ["transformer", *baselines.BASELINES]
 

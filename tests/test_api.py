@@ -1,20 +1,19 @@
 """Tests for the declarative experiment API (repro.api).
 
 Covers the RunSpec JSON round-trip, spec validation error paths, the
-component registries, the ``--set`` override machinery, and the run driver's
+refusal of removed fields, the ``--set`` override machinery, and the run driver's
 acceptance contracts: bit-identical trajectories vs the hand-wired Trainer
 path, bit-identical resume, the artifact-directory layout, and a servable
 published snapshot.
 """
 import json
+from inspect import signature
 
 import numpy as np
 import pytest
 
 from repro.api import (
-    ANSATZE,
     AnsatzSpec,
-    ComponentRegistry,
     OptimizerSpec,
     OutputSpec,
     ParallelSpec,
@@ -23,7 +22,6 @@ from repro.api import (
     SamplingSpec,
     SpecError,
     TrainSpec,
-    UnknownComponentError,
     apply_overrides,
     get_preset,
     parse_set_assignment,
@@ -31,6 +29,7 @@ from repro.api import (
     run,
     serve_run,
 )
+from repro.api.driver import materialize_ansatz, materialize_problem
 from repro.core import (
     VMC,
     NoamAdamW,
@@ -41,7 +40,7 @@ from repro.core import (
     default_ns_schedule,
 )
 from repro.core.checkpoint import load_model_snapshot
-from tests.conftest import build_wf
+from repro.core.wavefunction import NNQSWavefunction
 
 
 def full_spec() -> RunSpec:
@@ -50,9 +49,9 @@ def full_spec() -> RunSpec:
         name="roundtrip",
         problem=ProblemSpec(molecule="LiH", basis="sto-3g", n_frozen=1,
                             n_active=3, geometry={"r": 1.2}),
-        ansatz=AnsatzSpec(name="my-ansatz", d_model=8, n_heads=2, n_layers=1,
+        ansatz=AnsatzSpec(d_model=8, n_heads=2, n_layers=1,
                           phase_hidden=(32, 16), token_bits=2, constrain=False,
-                          reverse_order=False, seed=5, params={"extra": 1}),
+                          reverse_order=False, seed=5),
         optimizer=OptimizerSpec(lr_scale=0.5, warmup=123, weight_decay=0.0,
                                 grad_clip=None),
         sampling=SamplingSpec(ns_pretrain=777, ns_max=8888,
@@ -73,8 +72,8 @@ def tiny_spec(overrides: dict | None = None) -> RunSpec:
         name="tiny",
         problem=ProblemSpec(molecule="H2", basis="sto-3g",
                             geometry={"r": 0.7414}),
-        ansatz=AnsatzSpec(name="transformer", d_model=8, n_heads=2,
-                          n_layers=1, phase_hidden=(16,), seed=12),
+        ansatz=AnsatzSpec(d_model=8, n_heads=2, n_layers=1,
+                          phase_hidden=(16,), seed=12),
         optimizer=OptimizerSpec(warmup=100),
         sampling=SamplingSpec(ns_pretrain=500, ns_max=1000, ns_growth=1.3,
                               pretrain_iters=2),
@@ -100,24 +99,6 @@ def tiny_trainer(prob) -> Trainer:
 def metric_energies(path) -> list[float]:
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     return [r["energy"] for r in rows if "iteration" in r]
-
-
-@pytest.fixture()
-def registered():
-    """``registered(builder) -> name``: an ansatz registered for one test."""
-    from repro.api import register_ansatz
-    from repro.api.registry import ANSATZE as registry
-
-    names = []
-
-    def register(builder):
-        names.append(f"test-ansatz-{len(names)}")
-        register_ansatz(names[-1], builder)
-        return names[-1]
-
-    yield register
-    for name in names:
-        registry._builders.pop(name, None)
 
 
 # ----------------------------------------------------------- spec round-trip
@@ -177,6 +158,10 @@ class TestSpecValidation:
         ("ansatz", "constrain", "no"),
         ("output", "publish", 1),
         ("parallel", "nu_star_per_rank", True),
+        # caught by the spec, not by the network, molecule table or factory
+        ("ansatz", "n_heads", 3),
+        ("problem", "molecule", "Xx"),
+        ("problem", "geometry", {"bogus": 1.0}),
     ])
     def test_bad_value_names_field(self, section, field, value):
         data = RunSpec().to_dict()
@@ -207,28 +192,33 @@ class TestSpecValidation:
 
 # ---------------------------------------------------------------- registries
 class TestRegistries:
-    def test_builtins_are_registered(self):
-        import repro.api
-        import repro.core
-        import repro.api.registry
+    def test_the_component_registries_are_gone(self):
+        """The driver builds QiankunNet and finds the backend in one table:
+        no registry, ``register_*`` or lookup error is exported, and no
+        foil or second component lives under src/."""
+        import importlib
 
+        import repro.api
+        import repro.api.driver
+        import repro.core
         import repro.nn
 
-        assert set(ANSATZE.names()) == {"transformer"}
+        for gone in ("repro.api.registry", "repro.api.builtins"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(gone)
+        for module in (repro.api, repro.api.driver):
+            for gone in ("ComponentRegistry", "UnknownComponentError", "ANSATZE",
+                         "BACKENDS", "register_ansatz", "register_backend",
+                         "ELOC_KERNELS", "register_eloc_kernel",
+                         "materialize_eloc_kernel", "SAMPLERS", "register_sampler",
+                         "materialize_sampler"):
+                assert gone not in module.__all__ and not hasattr(module, gone)
+            assert not [n for n in dir(module) if n.startswith("register_")]
         # One ansatz on the production path: the foils, their recompute
         # session and the session dispatch live in benchmarks/baseline_ansatze.py.
         for gone in ("MADEAmplitude", "NAQSMLPAmplitude", "FallbackInferenceSession",
                      "make_inference_session", "made"):
             assert gone not in repro.nn.__all__ and not hasattr(repro.nn, gone)
-        # Two registries, and only two: the optimizer is not a component.
-        assert {n for n in repro.api.registry.__all__ if n.isupper()} == {
-            "ANSATZE", "BACKENDS"}
-        # Neither the sampler nor the local energy is a component: no
-        # registry, no materializer, no exported foil or rung.
-        for gone in ("ELOC_KERNELS", "register_eloc_kernel",
-                     "materialize_eloc_kernel", "SAMPLERS", "register_sampler",
-                     "materialize_sampler"):
-            assert gone not in repro.api.__all__ and not hasattr(repro.api, gone)
         for gone in ("RBMVMC", "MCMCStats", "metropolis_sample",
                      "merge_batches", "merged_batch_sample"):
             assert gone not in repro.core.__all__ and not hasattr(repro.core, gone)
@@ -236,39 +226,13 @@ class TestRegistries:
                      "local_energy_sa_fuse_lut"):
             assert gone not in repro.core.__all__ and not hasattr(repro.core, gone)
 
-    def test_unknown_name_error_lists_registered(self):
-        with pytest.raises(UnknownComponentError) as exc:
-            ANSATZE.get("retnet")
-        message = str(exc.value)
-        assert "retnet" in message
-        assert "transformer" in message
-        for removed in ("made", "naqs-mlp"):     # refused like any unknown name
-            with pytest.raises(UnknownComponentError, match="transformer"):
-                ANSATZE.get(removed)
-
-    def test_empty_registry_error_says_none(self):
-        reg = ComponentRegistry("widget")
-        with pytest.raises(UnknownComponentError, match=r"\(none\)"):
-            reg.get("anything")
-
-    def test_register_decorator_and_duplicate_rejection(self):
-        reg = ComponentRegistry("widget")
-
-        @reg.register("thing")
-        def build_thing():
-            return "built"
-
-        assert "thing" in reg
-        assert reg.build("thing") == "built"
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register("thing", lambda: None)
-        reg.register("thing", lambda: "replaced", overwrite=True)
-        assert reg.build("thing") == "replaced"
-
-    def test_unknown_ansatz_in_spec_fails_at_materialization(self, tmp_path):
-        spec = tiny_spec().with_overrides({"ansatz.name": "retnet"})
-        with pytest.raises(UnknownComponentError, match="transformer"):
+    def test_a_cluster_without_rendezvous_fails_at_materialization(self, tmp_path):
+        """A combination only the backend class can refuse is a SpecError
+        before anything lands in the run directory."""
+        spec = tiny_spec({"parallel.backend": "cluster", "parallel.n_ranks": 2})
+        with pytest.raises(SpecError, match="parallel.rendezvous_addr"):
             run(spec, run_dir=tmp_path / "r")
+        assert list((tmp_path / "r").iterdir()) == []
 
     def test_unknown_sampler_in_spec(self, tmp_path):
         """The knob is gone, with no alias: a --set naming it — or a parent-
@@ -289,14 +253,20 @@ class TestRegistries:
             RunSpec.load(path)
 
     def test_unknown_optimizer_in_spec(self, tmp_path):
-        """The optimizer is no component: naming one — even the former
-        default — is an unknown field, refused by name, as is ``params``."""
+        """Neither the optimizer nor the ansatz is a component: naming one —
+        even the former default — is an unknown field, refused by name, as is
+        ``params``.  The ansatz section is exactly build_qiankunnet's
+        keyword arguments."""
         for key, value in (("optimizer.name", "lion"), ("optimizer.name", "adamw"),
-                           ("optimizer.name", "sr"), ("optimizer.params", {})):
+                           ("optimizer.name", "sr"), ("optimizer.params", {}),
+                           ("ansatz.name", "transformer"), ("ansatz.name", "made"),
+                           ("ansatz.params", {})):
             with pytest.raises(SpecError, match=key.replace(".", r"\.")):
                 tiny_spec().with_overrides({key: value})
         assert set(OptimizerSpec().to_dict()) == {
             "lr_scale", "warmup", "weight_decay", "grad_clip"}
+        assert set(AnsatzSpec().to_dict()) == set(
+            signature(build_qiankunnet).parameters) - {"n_qubits", "n_up", "n_dn"}
 
     def test_the_optimizer_machinery_is_gone(self):
         """One optimizer: no registry, protocol, schedule object or foil is
@@ -359,14 +329,10 @@ class TestRegistries:
         with pytest.raises(SpecError, match="sampling.eloc_kernel"):
             RunSpec.from_dict(data)
 
-    def test_eloc_kernel_default_is_planned(self, capsys):
-        """No field, no listing: every run uses the compiled plan."""
-        from repro.api.cli import main
-
+    def test_eloc_kernel_default_is_planned(self):
+        """No field: every run uses the compiled plan."""
         assert "eloc_kernel" not in RunSpec().to_dict()["sampling"]
         assert not hasattr(RunSpec().sampling, "eloc_kernel")
-        assert main(["info", "--components"]) == 0
-        assert "eloc_kernel" not in capsys.readouterr().out
 
     def test_planned_and_vectorized_runs_bit_identical(self, tmp_path,
                                                        stage3_vs_reference):
@@ -433,6 +399,33 @@ class TestDriverEquivalence:
         result = run(tiny_spec(), run_dir=tmp_path / "run")
         driven = metric_energies(result.metrics_path)
         assert driven == hand  # exact float equality, not approx
+
+    # (n_params, sum p, p @ p, sum i*p) of each preset's initial flat
+    # parameters, measured when the ansatz was still built through a registry.
+    PRESET_PARAMS = {
+        "smoke": (1085, 24.268321076117328, 58.29313182608183, 14060.78283615755),
+        "h2": (272517, 85.05968319546906, 570.4846465706622, -1365265.9186880463),
+        "n2-cas66": (276677, 104.28472801674576, 537.6882276273324,
+                     -1387255.1322088216),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_PARAMS))
+    def test_preset_builds_the_same_qiankunnet(self, preset):
+        """Each preset's ansatz section reaches build_qiankunnet unchanged:
+        the same initial parameters as before, and — with no outside builder
+        able to reach a run — an autoregressive wavefunction that carries the
+        amplitude protocol and a rebuild spec by construction."""
+        spec = get_preset(preset)
+        wf = materialize_ansatz(spec.ansatz, materialize_problem(spec.problem))
+        assert isinstance(wf, NNQSWavefunction) and wf.spec is not None
+        for attr in ("make_session", "prefix_forward", "prefix_vjp", "d_model"):
+            assert hasattr(wf.amplitude, attr)
+        p = wf.get_flat_params()
+        n, total, square, moment = self.PRESET_PARAMS[preset]
+        assert p.size == n
+        np.testing.assert_allclose(
+            [p.sum(), p @ p, np.arange(p.size) @ p], [total, square, moment],
+            rtol=1e-12)
 
     def test_resume_continues_bit_identically(self, tmp_path):
         """Acceptance: resume(run_dir) continues the trajectory exactly."""
@@ -563,8 +556,8 @@ class TestArtifacts:
     def test_failed_materialization_leaves_dir_reusable(self, tmp_path):
         """A typo'd spec must not brick its run_dir (no orphan spec.json)."""
         target = tmp_path / "run"
-        bad = tiny_spec().with_overrides({"ansatz.name": "retnet"})
-        with pytest.raises(UnknownComponentError):
+        bad = tiny_spec().with_overrides({"parallel.backend": "gpu"})
+        with pytest.raises(SpecError, match="parallel.backend"):
             run(bad, run_dir=target)
         assert not (target / "spec.json").exists()
         result = run(tiny_spec(), run_dir=target)  # retry after fixing
@@ -630,100 +623,41 @@ class TestServing:
                                                                   capsys):
         """A run directory whose ``spec.json`` carries ``optimizer.name`` /
         ``optimizer.params`` (every spec.json before the optimizer registry
-        left) is refused by those names on resume, info and serve — no alias,
-        and nothing in the directory is written."""
+        left) or ``ansatz.name`` / ``ansatz.params`` (before the ansatz
+        registry left) is refused by those names on resume, info and serve —
+        no alias, and nothing in the directory is written."""
         from repro.api.cli import main
 
         result = run(tiny_spec({"train.max_iterations": 2}),
                      run_dir=tmp_path / "run")
-        data = json.loads(result.spec_path.read_text())
-        data["optimizer"].update(name="adamw", params={})
-        result.spec_path.write_text(json.dumps(data, indent=2, sort_keys=True))
+        written = json.loads(result.spec_path.read_text())
 
         def tree():
             return {p: p.read_bytes() for p in sorted(result.run_dir.rglob("*"))
                     if p.is_file()}
 
-        before = tree()
-        refused = r"unknown field\(s\) optimizer\.name, optimizer\.params"
-        with pytest.raises(SpecError, match=refused):
-            resume(result.run_dir, overrides={"train.max_iterations": 3})
-        with pytest.raises(SpecError, match=refused):
-            serve_run(result.run_dir)
-        for argv in (["resume", str(result.run_dir)], ["info", str(result.run_dir)],
-                     ["serve", str(result.run_dir), "--n-random", "1"]):
-            assert main(argv) == 2
-            assert "optimizer.name, optimizer.params" in capsys.readouterr().err
-        assert tree() == before
+        for section, name in (("optimizer", "adamw"), ("ansatz", "transformer")):
+            data = json.loads(json.dumps(written))
+            data[section].update(name=name, params={})
+            result.spec_path.write_text(json.dumps(data, indent=2, sort_keys=True))
+            before = tree()
+            names = f"{section}.name, {section}.params"
+            refused = r"unknown field\(s\) " + names.replace(".", r"\.")
+            with pytest.raises(SpecError, match=refused):
+                resume(result.run_dir, overrides={"train.max_iterations": 3})
+            with pytest.raises(SpecError, match=refused):
+                serve_run(result.run_dir)
+            for argv in (["resume", str(result.run_dir)], ["info", str(result.run_dir)],
+                         ["serve", str(result.run_dir), "--n-random", "1"]):
+                assert main(argv) == 2
+                assert names in capsys.readouterr().err
+            assert tree() == before
 
     def test_serve_run_without_snapshots_fails(self, tmp_path):
         spec = tiny_spec().with_overrides({"output.publish": False})
         result = run(spec, run_dir=tmp_path / "run")
         with pytest.raises(SpecError, match="no published snapshots"):
             serve_run(result.run_dir)
-
-
-# --------------------------------------------------------- pluggable pieces
-class TestPluggability:
-    def test_custom_ansatz_plugs_in_by_name(self, tmp_path, registered):
-        """A registered builder — here a network that is *not* the built-in,
-        known to the run by the amplitude protocol alone — is reachable from
-        a spec with zero driver edits, trains, checkpoints and resumes."""
-        calls = {}
-
-        def build(n_qubits, n_up, n_dn, *, seed=0, **params):
-            calls["params"] = params
-            return build_wf("made", n_qubits, n_up, n_dn, phase_hidden=(16,),
-                            seed=seed)
-
-        spec = tiny_spec().with_overrides({
-            "ansatz.name": registered(build),
-            "ansatz.params": {"flavor": "mini"},
-            "train.max_iterations": 1,
-            "train.pretrain_steps": 0,
-            "output.publish": False,
-        })
-        result = run(spec, run_dir=tmp_path / "run")
-        assert result.report.iterations == 1 and result.published_version is None
-        assert calls["params"]["flavor"] == "mini"
-        assert type(result.wavefunction.amplitude).__name__ == "MADEAmplitude"
-        again = resume(tmp_path / "run", overrides={"train.max_iterations": 2})
-        assert again.report.iterations == 2
-
-    @pytest.mark.parametrize("overrides", [{}, {"output.publish_every": 1}],
-                             ids=["final", "publish_every"])
-    def test_a_run_that_cannot_publish_is_refused_before_it_trains(
-            self, tmp_path, registered, overrides):
-        """No rebuild spec + ``output.publish`` (the default): a SpecError at
-        materialization, not a ValueError after the last iteration."""
-        name = registered(lambda n_qubits, n_up, n_dn, *, seed=0:
-                          build_wf("naqs-mlp", n_qubits, n_up, n_dn, seed=seed))
-        spec = tiny_spec().with_overrides({"ansatz.name": name, **overrides})
-        assert spec.output.publish
-        with pytest.raises(SpecError) as err:
-            run(spec, run_dir=tmp_path / "run")
-        assert "output.publish" in str(err.value) and name in str(err.value)
-        assert "ansatz.name" in str(err.value)
-        assert list((tmp_path / "run").iterdir()) == []   # reusable, nothing written
-
-    @pytest.mark.parametrize("missing", ["make_session", "prefix_forward", "prefix_vjp",
-                                         "d_model"])
-    def test_an_amplitude_short_of_the_protocol_is_refused_by_attribute(
-            self, tmp_path, registered, missing):
-        def build(n_qubits, n_up, n_dn, *, seed=0):
-            wf = build_wf("made", n_qubits, n_up, n_dn, seed=seed)
-            partial = type("Partial", (), {
-                a: getattr(wf.amplitude, a)
-                for a in ("make_session", "prefix_forward", "prefix_vjp", "d_model")
-                if a != missing})
-            wf.amplitude = partial()
-            return wf
-
-        spec = tiny_spec({"ansatz.name": registered(build), "output.publish": False})
-        with pytest.raises(SpecError, match=missing) as err:
-            run(spec, run_dir=tmp_path / "run")
-        assert "Partial" in str(err.value)
-        assert list((tmp_path / "run").iterdir()) == []
 
 
 # ------------------------------------------------- spec -> owning object

@@ -79,6 +79,25 @@ class TestRun:
         assert rc == 2
         assert "train.max_iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment,path,hint", [
+        ("ansatz.n_heads=3", "ansatz.n_heads", "d_model=8"),
+        ("problem.molecule=Xx", "problem.molecule", "LiH"),
+        ('problem.geometry={"bogus": 1.0}', "problem.geometry", "bogus"),
+    ], ids=["n_heads", "molecule", "geometry"])
+    def test_a_spec_mistake_is_one_line_naming_the_path(self, assignment, path,
+                                                        hint, capsys, tmp_path):
+        """Exit 2 with ``error: <path> ...``, not a traceback out of the
+        network, the molecule table or a geometry factory; the run directory
+        stays reusable."""
+        run_dir = tmp_path / "run"
+        assert main(["run", "--preset", "smoke", "--set", assignment,
+                     "--run-dir", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and hint in err
+        assert len(err.splitlines()) == 1
+        assert main(["run", "--preset", "smoke", *SMOKE_ARGS,
+                     "--run-dir", str(run_dir)]) == 0
+
     def test_spec_file_source(self, tmp_path):
         from repro.api import get_preset
 
@@ -151,19 +170,9 @@ class TestInfo:
         out = capsys.readouterr().out
         for name in ("smoke", "h2", "n2-cas66"):
             assert name in out
-
-    def test_components_listing(self, capsys):
-        rc = main(["info", "--components"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        assert [line.split(":")[0] for line in lines] == [
-            "ansatz", "backend"]  # two registries
-        for token in ("transformer", "threads"):
-            assert token in out
-        for gone in ("sa_fuse_lut", "eloc_kernel", "sampler", "bas", "hybrid",
-                     "mcmc", "rbm", "optimizer", "adamw", "sr"):
-            assert gone not in out
+        assert "ansatz" not in out   # one ansatz: nothing to name
+        with pytest.raises(SystemExit):      # no registry to list
+            main(["info", "--components"])
 
     def test_no_args_is_usage_error(self, capsys):
         assert main(["info"]) == 2

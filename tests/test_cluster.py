@@ -623,8 +623,8 @@ class TestClusterSpec:
             "name": "cluster-test",
             "problem": {"molecule": "H2", "basis": "sto-3g",
                         "geometry": {"r": 0.7414}},
-            "ansatz": {"name": "transformer", "d_model": 8, "n_heads": 2,
-                       "n_layers": 1, "phase_hidden": [8], "seed": 1},
+            "ansatz": {"d_model": 8, "n_heads": 2, "n_layers": 1,
+                       "phase_hidden": [8], "seed": 1},
             "optimizer": {"warmup": 100},
             "sampling": {"ns_pretrain": 500, "ns_max": 500,
                          "pretrain_iters": 3},

@@ -366,8 +366,8 @@ class TestRunSpecIntegration:
             "name": "engine-test",
             "problem": {"molecule": "H2", "basis": "sto-3g",
                         "geometry": {"r": 0.7414}},
-            "ansatz": {"name": "transformer", "d_model": 8, "n_heads": 2,
-                       "n_layers": 1, "phase_hidden": [8], "seed": 1},
+            "ansatz": {"d_model": 8, "n_heads": 2, "n_layers": 1,
+                       "phase_hidden": [8], "seed": 1},
             "optimizer": {"warmup": 100},
             "sampling": {"ns_pretrain": 500, "ns_max": 500,
                          "pretrain_iters": 3},
@@ -436,13 +436,37 @@ class TestRunSpecIntegration:
         with pytest.raises(SpecError, match="serial"):
             materialize_backend(spec)
 
+    def test_each_backend_name_builds_its_class(self):
+        """The driver's table: each of the four names builds its class,
+        which receives the section's rank fields."""
+        from repro.api.driver import materialize_backend
+        from repro.core.engine import ProcessBackend, SerialBackend, ThreadBackend
+        from repro.parallel.cluster import ClusterBackend
+
+        expected = {"serial": SerialBackend, "threads": ThreadBackend,
+                    "process": ProcessBackend, "cluster": ClusterBackend}
+        for name, cls in expected.items():
+            n_ranks = 1 if name == "serial" else 2
+            overrides = {"parallel.backend": name, "parallel.n_ranks": n_ranks}
+            if name == "cluster":
+                overrides["parallel.rendezvous_addr"] = "127.0.0.1:29500"
+            backend = materialize_backend(self._spec().with_overrides(overrides))
+            assert type(backend) is cls
+            assert backend.n_ranks == n_ranks
+            if name != "serial":
+                assert backend.nu_star_per_rank == 4
+
     def test_unknown_backend_lists_registered(self):
-        from repro.api import UnknownComponentError
+        """An unknown name is a SpecError naming the field and the four
+        backends of the driver's table."""
+        from repro.api import SpecError
         from repro.api.driver import materialize_backend
 
         spec = self._spec().with_overrides({"parallel.backend": "gpu"})
-        with pytest.raises(UnknownComponentError, match="threads"):
+        with pytest.raises(SpecError, match=r"parallel\.backend: .*'gpu'") as err:
             materialize_backend(spec)
+        for name in ("serial", "threads", "process", "cluster"):
+            assert name in str(err.value)
 
     def test_parallel_spec_validation_names_fields(self):
         from repro.api import SpecError

@@ -4,7 +4,7 @@ import pytest
 
 from repro.chem import MOLECULES, Molecule, make_molecule
 from repro.chem.elements import ANGSTROM_TO_BOHR, atomic_number
-from repro.chem.molecules import fig9_molecules, paper_table1_molecules
+from repro.chem.molecules import fig9_molecules, geometry_keys, paper_table1_molecules
 
 
 class TestElements:
@@ -65,6 +65,19 @@ class TestPresets:
         short = make_molecule("H2", r=0.5)
         longer = make_molecule("H2", r=1.5)
         assert longer.nuclear_repulsion() < short.nuclear_repulsion()
+
+    def test_geometry_keys_are_what_make_molecule_accepts(self):
+        """Each molecule builds with exactly its geometry_keys and refuses
+        any other keyword."""
+        assert geometry_keys("H2") == ("r",)
+        assert geometry_keys("H2O") == ("r", "theta_deg")
+        assert geometry_keys("NH3") == ()
+        for name in MOLECULES:
+            keys = geometry_keys(name)
+            shifted = make_molecule(name, **{k: 1.1 for k in keys})
+            assert shifted.n_electrons == make_molecule(name).n_electrons
+            with pytest.raises(TypeError, match="bogus"):
+                make_molecule(name, bogus=1.0)
 
     def test_electron_counts_match_paper_table1(self):
         expected = {"H2O": 10, "N2": 14, "O2": 16, "H2S": 18, "PH3": 18,

@@ -133,8 +133,10 @@ class TestSourceLint:
          "plan = ElocPlan(comp, group_chunk=512)"),
         ("driver-compares-no-backend-name", "src/repro/api/driver.py",
          'if p.backend == "threads":'),
-        ("backend-classes-are-their-factories", "src/repro/api/builtins.py",
+        ("backend-classes-are-their-factories", "src/repro/api/driver.py",
          "def build_thread_backend(spec):"),
+        ("no-component-registry", "src/repro/api/registry.py",
+         'ANSATZE = ComponentRegistry("ansatz")'),
         ("no-device-adapter-without-a-device", "src/repro/backend/x.py", "import torch"),
         ("one-sampler", "src/repro/core/x.py", "SAMPLERS = {}"),
         ("one-sampler", "src/repro/parallel/x.py", "from mpi4py import MPI"),

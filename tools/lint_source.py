@@ -87,8 +87,14 @@ RULES = (
          ("src/repro/api/driver.py",),
          "the driver compares the backend name with nothing (Configuration)"),
     Rule("backend-classes-are-their-factories",
-         r"def build_(thread|process|cluster)_backend", ("src/repro/api/builtins.py",),
-         "backend classes are the registered factories (Configuration)"),
+         r"def build_(thread|process|cluster)_backend", ("src/repro/api/driver.py",),
+         "backend classes are the factories the driver's table names (Configuration)"),
+    Rule("no-component-registry",
+         r"ComponentRegistry|register_ansatz|register_backend|UnknownComponentError"
+         r"|\bANSATZE\b|\bBACKENDS\b", (SRC,),
+         "no string-keyed component registry: the driver builds QiankunNet with "
+         "build_qiankunnet and finds the execution backend in one table; another "
+         "ansatz is wired by hand through the amplitude protocol (Spec to objects)"),
     Rule("no-device-adapter-without-a-device", r"torch|cupy", (SRC,),
          "no device adapter comes back without a device host to run it "
          "(ROADMAP, Parked)"),
