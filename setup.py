@@ -14,5 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=2.0", "scipy>=1.10"],
+    install_requires=["numpy>=2.0"],
 )

@@ -23,7 +23,7 @@ from repro.chem.ccsd import CCSDResult, run_ccsd
 from repro.chem.mp2 import MP2Result, run_mp2
 from repro.chem.fci import FCIResult, run_fci
 from repro.chem.ci import TruncatedCIResult, excitation_basis, run_cis, run_cisd, run_truncated_ci
-from repro.chem.davidson import DavidsonResult, davidson, sector_diagonal
+from repro.chem.davidson import DavidsonResult, davidson
 from repro.chem.pipeline import MolecularProblem, build_problem
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "run_truncated_ci",
     "DavidsonResult",
     "davidson",
-    "sector_diagonal",
     "MolecularProblem",
     "build_problem",
 ]

@@ -5,8 +5,8 @@ classic variational counterpart (Sec. 1: "the truncated configuration
 interaction considers only excitations above the HF reference state up to a
 fixed order").  We diagonalize the qubit Hamiltonian in the span of all
 determinants within ``max_rank`` excitations of the Hartree–Fock reference,
-reusing the sector matvec of ``repro.hamiltonian.exact`` — couplings leaving
-the truncated space are dropped, which is precisely the CI truncation.
+applying ``repro.hamiltonian.exact.SectorOperator`` on that basis — couplings
+leaving the truncated space are dropped, which is precisely the CI truncation.
 
 ``rank = n_orb`` (or anything >= min(n_elec, n_virtuals)) recovers FCI.
 """
@@ -17,11 +17,11 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.chem.davidson import davidson, sector_diagonal
-from repro.hamiltonian.compressed import CompressedHamiltonian, compress_hamiltonian
-from repro.hamiltonian.exact import SectorBasis, _group_structure
+from repro.chem.davidson import davidson
+from repro.hamiltonian.compressed import CompressedHamiltonian
+from repro.hamiltonian.exact import SectorBasis, SectorOperator
 from repro.hamiltonian.qubit_hamiltonian import QubitHamiltonian
-from repro.utils.bitstrings import lexsort_keys, pack_bits
+from repro.utils.bitstrings import ints_to_keys, lexsort_keys, pack_bits, searchsorted_keys
 
 __all__ = ["TruncatedCIResult", "excitation_basis", "run_truncated_ci", "run_cis", "run_cisd"]
 
@@ -82,12 +82,7 @@ def excitation_basis(hf_bits: np.ndarray, max_rank: int) -> SectorBasis:
                                 det |= 1 << p
                             dets.add(det)
 
-    w = (n + 63) // 64
-    mask64 = (1 << 64) - 1
-    keys = np.zeros((len(dets), w), dtype=np.uint64)
-    for i, v in enumerate(sorted(dets)):
-        for word in range(w):
-            keys[i, word] = (v >> (64 * word)) & mask64
+    keys = ints_to_keys(sorted(dets), (n + 63) // 64)
     keys = keys[lexsort_keys(keys)]
     return SectorBasis(n_qubits=n, n_up=len(occ_up), n_dn=len(occ_dn), keys=keys)
 
@@ -99,26 +94,10 @@ def run_truncated_ci(
     tol: float = 1e-9,
 ) -> TruncatedCIResult:
     """Variational ground state within ``max_rank`` excitations of HF."""
-    comp = (
-        hamiltonian
-        if isinstance(hamiltonian, CompressedHamiltonian)
-        else compress_hamiltonian(hamiltonian)
-    )
-    basis = excitation_basis(hf_bits, max_rank)
-    targets, coefs = _group_structure(comp, basis)
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for tgt, coef in zip(targets, coefs):
-            ok = tgt >= 0
-            np.add.at(out, tgt[ok], coef[ok] * v[ok])
-        return out
-
-    diag = sector_diagonal(comp, basis)
+    op = SectorOperator(hamiltonian, excitation_basis(hf_bits, max_rank))
+    basis, diag = op.basis, op.diagonal
     # Start from the HF determinant itself.
     hf_key = pack_bits(np.asarray(hf_bits, dtype=np.uint8))
-    from repro.utils.bitstrings import searchsorted_keys
-
     hf_idx = int(searchsorted_keys(basis.keys, hf_key)[0])
     if hf_idx < 0:
         raise ValueError("HF reference missing from the excitation basis")
@@ -126,10 +105,10 @@ def run_truncated_ci(
     v0[hf_idx, 0] = 1.0
     v0[np.argsort(diag)[min(1, basis.dim - 1)], 1] = 1.0
     if basis.dim == 1:
-        e = float(matvec(np.ones(1))[0]) + comp.constant
+        e = float(op.matvec(np.ones(1))[0]) + op.constant
         return TruncatedCIResult(e, np.ones(1), basis, max_rank, 1)
-    res = davidson(matvec, diag, k=1, v0=v0, tol=tol)
-    energy = float(res.eigenvalues[0] + comp.constant)
+    res = davidson(op.matvec, diag, k=1, v0=v0, tol=tol)
+    energy = float(res.eigenvalues[0] + op.constant)
     vec = res.eigenvectors[:, 0]
     return TruncatedCIResult(energy, vec, basis, max_rank, res.n_matvec)
 

@@ -1,11 +1,11 @@
 """Davidson–Liu iterative eigensolver for sector Hamiltonians.
 
-The FCI/CISD matrices of this package are only available as matrix-vector
-products (the XOR-permutation matvec of ``repro.hamiltonian.exact``), and
+The FCI matrices of this package above a few hundred determinants, and every
+truncated-CI matrix, are applied as matrix-vector products (the
+XOR-permutation matvec of ``repro.hamiltonian.exact.SectorOperator``), and
 their diagonal is strongly dominant — exactly the regime the Davidson
-algorithm with a diagonal preconditioner was designed for.  Compared to the
-generic Lanczos of ``scipy.sparse.linalg.eigsh`` it typically converges the
-ground state of a molecular sector in a handful of matvecs.
+algorithm with a diagonal preconditioner was designed for: it converges the
+ground state of a molecular sector in a few dozen matvecs.
 
 The implementation is a textbook block Davidson with:
 
@@ -20,11 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.hamiltonian.compressed import CompressedHamiltonian
-from repro.hamiltonian.exact import SectorBasis
-from repro.utils.bitstrings import parity64
-
-__all__ = ["DavidsonResult", "davidson", "sector_diagonal"]
+__all__ = ["DavidsonResult", "davidson"]
 
 
 @dataclass
@@ -35,22 +31,6 @@ class DavidsonResult:
     n_iterations: int
     converged: bool
     residual_norms: np.ndarray
-
-
-def sector_diagonal(comp: CompressedHamiltonian, basis: SectorBasis) -> np.ndarray:
-    """<x|H|x> for every determinant x of the sector (without the constant).
-
-    Only Pauli groups with an all-zero XY mask (pure Z strings) touch the
-    diagonal; their contribution is ``sum_k c_k (-1)^{|x & z_k|}``.
-    """
-    keys = basis.keys
-    diag = np.zeros(basis.dim)
-    zero_groups = np.flatnonzero(~comp.xy_unique.any(axis=1))
-    for g in zero_groups:
-        for k in range(comp.idxs[g], comp.idxs[g + 1]):
-            par = parity64(keys & comp.yz_buf[k][None, :]).sum(axis=1) % 2
-            diag += comp.coeffs_buf[k] * (1.0 - 2.0 * par)
-    return diag
 
 
 def davidson(

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.chem.geometry import Molecule
 from repro.hamiltonian.exact import SectorBasis
-from repro.utils.bitstrings import popcount64, searchsorted_keys
+from repro.utils.bitstrings import ints_to_keys, popcount64, searchsorted_keys
 
 __all__ = [
     "one_rdm_spin_orbital",
@@ -39,15 +39,8 @@ def _jw_sign_between(keys: np.ndarray, p: int, q: int) -> np.ndarray:
     lo, hi = (p, q) if p < q else (q, p)
     if hi - lo < 2:
         return np.ones(len(keys))
-    mask_int = 0
-    for j in range(lo + 1, hi):
-        mask_int |= 1 << j
-    w = keys.shape[1]
-    mask = np.array(
-        [(mask_int >> (64 * word)) & ((1 << 64) - 1) for word in range(w)],
-        dtype=np.uint64,
-    )
-    par = popcount64(keys & mask[None, :]).sum(axis=1) % 2
+    mask = ints_to_keys([(1 << hi) - (1 << (lo + 1))], keys.shape[1])
+    par = popcount64(keys & mask).sum(axis=1) % 2
     return 1.0 - 2.0 * par
 
 

@@ -25,7 +25,7 @@ from repro.core.local_energy import AmplitudeTable, local_energy
 from repro.core.sampler import SampleBatch
 from repro.core.wavefunction import NNQSWavefunction
 from repro.hamiltonian.compressed import CompressedHamiltonian, compress_hamiltonian
-from repro.hamiltonian.exact import SectorBasis, _group_structure
+from repro.hamiltonian.exact import SectorBasis, SectorOperator
 from repro.hamiltonian.operators import (
     double_occupancy_operator,
     number_operator,
@@ -111,17 +111,9 @@ def sector_matvec(
     basis: SectorBasis,
 ) -> np.ndarray:
     """O @ v in a determinant sector basis (couplings leaving it are dropped)."""
-    comp = (
-        operator
-        if isinstance(operator, CompressedHamiltonian)
-        else compress_hamiltonian(operator)
-    )
-    targets, coefs = _group_structure(comp, basis)
-    out = np.zeros_like(np.asarray(vec, dtype=np.complex128))
-    for tgt, coef in zip(targets, coefs):
-        ok = tgt >= 0
-        np.add.at(out, tgt[ok], coef[ok] * vec[ok])
-    return out + comp.constant * vec
+    vec = np.asarray(vec, dtype=np.complex128)
+    op = SectorOperator(operator, basis)
+    return op.matvec(vec) + op.constant * vec
 
 
 def sector_expectation(

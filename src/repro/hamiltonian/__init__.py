@@ -31,7 +31,7 @@ from repro.hamiltonian.compressed import (
 )
 from repro.hamiltonian.exact import (
     SectorBasis,
-    exact_ground_state,
+    SectorOperator,
     sector_basis,
     sector_hamiltonian_dense,
 )
@@ -61,7 +61,7 @@ __all__ = [
     "build_reference",
     "compress_hamiltonian",
     "SectorBasis",
-    "exact_ground_state",
+    "SectorOperator",
     "sector_basis",
     "sector_hamiltonian_dense",
     "synthetic_molecular_hamiltonian",

@@ -45,6 +45,7 @@ from repro.parallel.rendezvous import (
     FRAME_CTRL,
     ClusterProtocolError,
     build_frame,
+    close_socket,
     connect_with_retry,
     parse_addr,
     recv_frame,
@@ -348,18 +349,9 @@ class MeshTransport:
 
     def _teardown_sockets(self) -> None:
         for conn in list(self._peers.values()):
-            for fn in (lambda: conn.shutdown(socket.SHUT_RDWR), conn.close):
-                try:
-                    fn()
-                except OSError:
-                    pass
+            close_socket(conn)
         if self._coord is not None:
-            for fn in (lambda: self._coord.shutdown(socket.SHUT_RDWR),
-                       self._coord.close):
-                try:
-                    fn()
-                except OSError:
-                    pass
+            close_socket(self._coord)
 
     # ------------------------------------------------------------- test hooks
     def _stop_heartbeating(self) -> None:

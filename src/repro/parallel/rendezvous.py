@@ -65,6 +65,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "RendezvousCoordinator",
     "build_frame",
+    "close_socket",
     "connect_with_retry",
     "parse_addr",
     "recv_frame",
@@ -249,6 +250,19 @@ def connect_with_retry(host: str, port: int, *, timeout: float,
             delay *= 2
 
 
+def close_socket(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it, ignoring a peer that already left.
+
+    ``shutdown`` wakes a thread blocked in ``recv`` on the socket; a bare
+    ``close`` does not, so the reader would outlive its join.
+    """
+    for fn in (lambda: sock.shutdown(socket.SHUT_RDWR), sock.close):
+        try:
+            fn()
+        except OSError:
+            pass
+
+
 # ---------------------------------------------------------------- coordinator
 class RendezvousCoordinator:
     """Rank assignment + liveness supervision for one cluster job.
@@ -331,10 +345,7 @@ class RendezvousCoordinator:
         with self._lock:
             conns = [m["conn"] for m in self._members.values()]
         for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            close_socket(conn)
         for t in self._threads:
             if t is not threading.current_thread():
                 t.join(timeout=5.0)

@@ -23,6 +23,7 @@ __all__ = [
     "bits_to_int",
     "int_to_bits",
     "keys_to_ints",
+    "ints_to_keys",
     "lexsort_keys",
     "searchsorted_keys",
     "unique_keys",
@@ -100,6 +101,19 @@ def keys_to_ints(keys: np.ndarray) -> list[int]:
     for w in range(1, keys.shape[1]):
         acc = acc | (obj[:, w] << (64 * w))
     return acc.tolist()
+
+
+def ints_to_keys(values, n_words: int) -> np.ndarray:
+    """Inverse of :func:`keys_to_ints`: Python ints -> ``(len, n_words)`` uint64.
+
+    Word ``w`` of a key holds bits ``64w..64w+63`` of the int.
+    """
+    obj = np.array(list(values), dtype=object)
+    keys = np.zeros((len(obj), n_words), dtype=np.uint64)
+    mask64 = (1 << 64) - 1
+    for w in range(n_words):
+        keys[:, w] = (obj >> (64 * w)) & mask64
+    return keys
 
 
 def lexsort_keys(keys: np.ndarray) -> np.ndarray:

@@ -51,6 +51,11 @@ def h2o_problem():
     return build_problem("H2O", "sto-3g")
 
 
+@pytest.fixture(scope="session")
+def beh2_problem():
+    return build_problem("BeH2", "sto-3g")
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.utils.bitstrings import (
     bits_to_int,
     int_to_bits,
+    ints_to_keys,
+    keys_to_ints,
     lexsort_keys,
     pack_bits,
     parity64,
@@ -58,6 +60,9 @@ class TestPackUnpack:
         recovered = int(keys[0, 0]) | (int(keys[0, 1]) << 64)
         assert recovered == value
         assert bits_to_int(bits) == value
+        assert keys_to_ints(keys) == [value]
+        np.testing.assert_array_equal(ints_to_keys([value], 2), keys)
+        assert keys_to_ints(ints_to_keys([value, value >> 64], 2)) == [value, value >> 64]
 
 
 class TestPopcountParity:

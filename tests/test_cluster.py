@@ -43,6 +43,23 @@ from repro.parallel.rendezvous import (
 _FAST = dict(heartbeat_interval=0.1, heartbeat_timeout=0.6)
 
 
+@pytest.fixture(autouse=True)
+def no_leaked_cluster_threads():
+    """Every rendezvous / cluster helper thread a test starts is gone 2 s
+    after the test ends."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 2.0
+    while True:
+        leaked = sorted(t.name for t in set(threading.enumerate()) - before
+                        if t.is_alive()
+                        and t.name.startswith(("rendezvous-", "cluster-")))
+        if not leaked or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not leaked, f"threads outlived the test: {leaked}"
+
+
 def _sync(comm) -> None:
     """A zero-byte allgather: the barrier idiom of the two-collective Comm."""
     comm.allgather_ndarray(np.zeros(0))
@@ -474,8 +491,10 @@ class TestFailureSemantics:
         """A wedged rank (alive socket, no heartbeats, no collectives) must
         get every peer aborted within the heartbeat deadline."""
         barrier = threading.Barrier(2, timeout=30.0)
+        comms = []
 
         def fn(comm):
+            comms.append(comm)
             if comm.Get_rank() == 1:
                 comm.transport._stop_heartbeating()
                 barrier.wait()
@@ -492,6 +511,8 @@ class TestFailureSemantics:
         # Detection bound: heartbeat_timeout (0.6s) + supervision poll +
         # abort propagation, with generous slack for loaded runners.
         assert time.monotonic() - t0 < 10.0
+        for comm in comms:
+            comm.close()
 
     def test_abort_leaves_no_live_helper_threads(self):
         def fn(comm):

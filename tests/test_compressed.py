@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.chem.fci as fci_module
+from repro.chem import run_fci
+from repro.chem.ci import excitation_basis
+from repro.chem.davidson import DavidsonResult, davidson
 from repro.hamiltonian import (
     QubitHamiltonian,
+    SectorOperator,
     build_reference,
     compress_hamiltonian,
-    exact_ground_state,
     sector_basis,
     sector_hamiltonian_dense,
     strings_to_matrix,
@@ -101,39 +105,64 @@ class TestSectorBasis:
 class TestExactSolver:
     def test_matches_dense_diagonalization_synthetic(self):
         h = synthetic_molecular_hamiltonian(n_qubits=8, n_terms=60, seed=3, n_electrons=4)
-        e, vec, basis = exact_ground_state(h, n_up=2, n_dn=2)
+        fci = run_fci(h, n_up=2, n_dn=2)
         H = strings_to_matrix(h.to_terms())
         assert np.abs(H.imag).max() < 1e-10
         # Project dense H onto the sector and diagonalize.
         idx = []
-        for i in range(basis.dim):
-            bits = unpack_bits(basis.keys[i], 8)[0]
+        for i in range(fci.dim):
+            bits = unpack_bits(fci.basis.keys[i], 8)[0]
             idx.append(int(sum(int(b) << k for k, b in enumerate(bits))))
         Hs = H.real[np.ix_(idx, idx)]
         ref = np.linalg.eigvalsh(Hs)[0]
-        assert e == pytest.approx(ref + h.constant, abs=1e-8)
+        assert fci.energy == pytest.approx(ref + h.constant, abs=1e-8)
 
     def test_ground_state_is_eigenvector(self, h2_problem):
-        from repro.hamiltonian import compress_hamiltonian
-
         comp = compress_hamiltonian(h2_problem.hamiltonian)
-        e, vec, basis = exact_ground_state(comp, 1, 1)
+        fci = run_fci(comp, 1, 1)
         Hs, _ = sector_hamiltonian_dense(comp, 1, 1)
-        resid = Hs @ vec - e * vec
+        resid = Hs @ fci.ground_state - fci.energy * fci.ground_state
         assert np.abs(resid).max() < 1e-8
 
     def test_infers_sector_from_electron_count(self, h2_problem):
-        e_auto, _, _ = exact_ground_state(h2_problem.hamiltonian)
-        e_explicit, _, _ = exact_ground_state(h2_problem.hamiltonian, 1, 1)
+        e_auto = run_fci(h2_problem.hamiltonian).energy
+        e_explicit = run_fci(h2_problem.hamiltonian, 1, 1).energy
         assert e_auto == pytest.approx(e_explicit)
 
-    def test_large_sector_uses_iterative_path(self, lih_problem):
-        # LiH sector dim = C(6,2)^2 = 225 < 600 -> dense; force iterative by
-        # requesting a bigger synthetic sector.
-        h = synthetic_molecular_hamiltonian(n_qubits=12, n_terms=120, seed=5)
-        e, vec, basis = exact_ground_state(h, 3, 3)
-        assert basis.dim == 400
-        assert np.isfinite(e)
+    def test_large_sector_uses_iterative_path(self, beh2_problem, monkeypatch):
+        """BeH2/STO-3G, C(7,3)^2 = 1225 determinants: above the dense cut, so
+        Davidson solves it, and it agrees with the dense spectrum."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return davidson(*args, **kwargs)
+
+        monkeypatch.setattr(fci_module, "davidson", spy)
+        fci = run_fci(beh2_problem.hamiltonian)
+        assert fci.dim == 1225 > fci_module.DENSE_MAX_DIM
+        assert calls == [1]
+        Hs, _ = sector_hamiltonian_dense(beh2_problem.hamiltonian, 3, 3)
+        assert fci.energy == pytest.approx(np.linalg.eigvalsh(Hs)[0], abs=1e-10)
+
+    def test_operator_keeps_each_in_basis_coupling_once(self, lih_problem):
+        """A truncated basis loses couplings: none is stored, the rest once."""
+        basis = excitation_basis(lih_problem.hf_bits, 2)
+        op = SectorOperator(lih_problem.hamiltonian, basis)
+        assert op.rows.min() >= 0 and op.rows.max() < basis.dim
+        pairs = op.rows * basis.dim + op.cols
+        assert len(np.unique(pairs)) == len(pairs)
+        n_groups = compress_hamiltonian(lih_problem.hamiltonian).n_groups
+        assert len(pairs) < n_groups * basis.dim
+
+    def test_unconverged_davidson_raises(self, beh2_problem, monkeypatch):
+        def stalled(matvec, diag, **kwargs):
+            return DavidsonResult(np.zeros(1), np.zeros((len(diag), 1)), 400,
+                                  200, False, np.array([3e-4]))
+
+        monkeypatch.setattr(fci_module, "davidson", stalled)
+        with pytest.raises(RuntimeError, match=r"failed to converge.*0\.0003"):
+            run_fci(beh2_problem.hamiltonian)
 
 
 class TestSynthetic:

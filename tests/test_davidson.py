@@ -1,14 +1,13 @@
-"""Tests for the Davidson–Liu eigensolver and the sector diagonal."""
+"""Tests for the Davidson–Liu eigensolver and the sector operator's diagonal."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chem import build_problem
-from repro.chem.davidson import davidson, sector_diagonal
+from repro.chem.davidson import davidson
 from repro.hamiltonian import (
-    compress_hamiltonian,
-    exact_ground_state,
+    SectorOperator,
     sector_basis,
     sector_hamiltonian_dense,
 )
@@ -92,28 +91,28 @@ class TestDavidsonOnMatrices:
 
 class TestSectorDiagonal:
     def test_matches_dense_diagonal_h2(self, h2_problem):
-        comp = compress_hamiltonian(h2_problem.hamiltonian)
-        basis = sector_basis(4, 1, 1)
+        op = SectorOperator(h2_problem.hamiltonian, sector_basis(4, 1, 1))
         H, _ = sector_hamiltonian_dense(h2_problem.hamiltonian, 1, 1)
-        diag = sector_diagonal(comp, basis)
-        np.testing.assert_allclose(diag + comp.constant, np.diag(H), atol=1e-10)
+        np.testing.assert_allclose(op.diagonal + op.constant, np.diag(H), atol=1e-10)
 
     def test_matches_dense_diagonal_lih(self, lih_problem):
-        comp = compress_hamiltonian(lih_problem.hamiltonian)
-        basis = sector_basis(lih_problem.n_qubits, 2, 2)
+        op = SectorOperator(lih_problem.hamiltonian,
+                            sector_basis(lih_problem.n_qubits, 2, 2))
         H, _ = sector_hamiltonian_dense(lih_problem.hamiltonian, 2, 2)
-        diag = sector_diagonal(comp, basis)
-        np.testing.assert_allclose(diag + comp.constant, np.diag(H), atol=1e-9)
+        np.testing.assert_allclose(op.diagonal + op.constant, np.diag(H), atol=1e-9)
 
 
 class TestDavidsonFCIIntegration:
-    def test_davidson_matches_dense_fci(self, lih_problem):
-        e_dense, _, _ = exact_ground_state(lih_problem.hamiltonian, method="dense")
-        e_dav, vec, basis = exact_ground_state(lih_problem.hamiltonian, method="davidson")
-        assert e_dav == pytest.approx(e_dense, abs=1e-8)
+    @pytest.mark.parametrize("problem, n_elec", [("lih_problem", 2), ("h2o_problem", 5)])
+    def test_davidson_matches_dense(self, request, problem, n_elec):
+        """Dense eigh and Davidson on one sector operator (LiH 225, H2O 441)."""
+        prob = request.getfixturevalue(problem)
+        op = SectorOperator(prob.hamiltonian,
+                            sector_basis(prob.n_qubits, n_elec, n_elec))
+        w, v = np.linalg.eigh(op.dense())
+        res = davidson(op.matvec, op.diagonal, k=1, tol=1e-9)
+        assert res.converged
+        assert res.eigenvalues[0] == pytest.approx(w[0], abs=1e-8)
+        vec = res.eigenvectors[:, 0]
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-8)
-
-    def test_davidson_matches_lanczos_h2o(self, h2o_problem):
-        e_lan, _, _ = exact_ground_state(h2o_problem.hamiltonian, method="lanczos")
-        e_dav, _, _ = exact_ground_state(h2o_problem.hamiltonian, method="davidson")
-        assert e_dav == pytest.approx(e_lan, abs=1e-7)
+        assert abs(vec @ v[:, 0]) == pytest.approx(1.0, abs=1e-8)

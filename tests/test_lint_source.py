@@ -62,18 +62,21 @@ class TestSourceLint:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(f'"""Docstring."""\nimport numpy as np\n{line}\n')
         errors = lint_source.lint(tree)
-        assert violated(errors) == ["no-module-level-scipy"]
+        assert violated(errors) == ["no-scipy"]
         assert errors[0].startswith(f"{rel}:3: ")
         assert lint_source.main(["lint_source", str(tree)]) == 1
 
-    def test_function_local_scipy_only_in_exact(self, lint_source, tree):
-        body = "def f():\n    import scipy.sparse.linalg as spla\n    return spla\n"
-        (tree / "src/repro/hamiltonian/exact.py").write_text(body)
-        assert lint_source.lint(tree) == []
-        (tree / "src/repro/chem/davidson.py").write_text(body)
+    @pytest.mark.parametrize("rel", [
+        "src/repro/hamiltonian/exact.py", "src/repro/chem/fci.py",
+        "src/repro/chem/davidson.py",
+    ])
+    def test_function_local_scipy_is_refused_everywhere(self, lint_source, tree, rel):
+        path = tree / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("def f():\n    import scipy.sparse.linalg as spla\n    return spla\n")
         errors = lint_source.lint(tree)
-        assert violated(errors) == ["scipy-only-inside-the-lanczos-branch"]
-        assert errors[0].startswith("src/repro/chem/davidson.py:2: ")
+        assert violated(errors) == ["no-scipy"]
+        assert errors[0].startswith(f"{rel}:2: ")
 
     def test_prose_about_scipy_passes(self, lint_source, tree):
         (tree / "src/repro/chem/davidson.py").write_text(
@@ -262,4 +265,16 @@ class TestImportGraph:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120,
                               env={"PYTHONPATH": env_path, "PATH": ""})
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+    def test_the_davidson_fci_path_does_not_import_scipy(self):
+        """BeH2/STO-3G (1225 determinants) takes run_fci's Davidson branch."""
+        code = ("import sys; from repro.chem import build_problem, run_fci; "
+                "fci = run_fci(build_problem('BeH2', 'sto-3g').hamiltonian); "
+                "assert fci.dim == 1225, fci.dim; "
+                "bad = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+                "assert not bad, bad[:5]")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""})
         assert proc.returncode == 0, proc.stderr[-2000:]

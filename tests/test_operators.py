@@ -184,12 +184,12 @@ class TestSectorConservation:
     def test_all_observable_ops_conserve_sector(self):
         """Every term of N/Sz/S2/D maps the (1,1) sector into itself."""
         from repro.hamiltonian.compressed import compress_hamiltonian
-        from repro.hamiltonian.exact import _group_structure
+        from repro.hamiltonian.exact import SectorOperator
 
         basis = sector_basis(4, 1, 1)
         for op in (number_operator(4), sz_operator(4), s2_operator(4),
                    double_occupancy_operator(4)):
-            comp = compress_hamiltonian(op)
-            targets, _ = _group_structure(comp, basis)
-            for tgt in targets:
-                assert np.all(tgt >= 0), "operator couples outside the sector"
+            # the operator keeps only in-basis couplings: one per group and row
+            n_groups = compress_hamiltonian(op).n_groups
+            assert len(SectorOperator(op, basis).cols) == n_groups * basis.dim, \
+                "operator couples outside the sector"

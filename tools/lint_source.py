@@ -134,13 +134,10 @@ RULES = (
          "through shared memory, and stage 3 always splits the unique set into "
          "weight-balanced chunks — no option selects a second path "
          "(Configuration, Communication layer)"),
-    Rule("no-module-level-scipy", r"^(import|from)\s+scipy\b", (SRC,),
+    Rule("no-scipy", r"^\s*(import|from)\s+scipy\b", (SRC,),
          "a rank imports numpy and repro, nothing else: any scipy submodule "
-         "costs ~0.2 s and ~30 MiB per process (What a rank pays before iteration 1)"),
-    Rule("scipy-only-inside-the-lanczos-branch", r"^\s+(import|from)\s+scipy\b", (SRC,),
-         "the one function-local scipy import is exact_ground_state's Lanczos "
-         "branch (What a rank pays before iteration 1)",
-         exempt=("src/repro/hamiltonian/exact.py",)),
+         "costs ~0.2 s and ~30 MiB per process, module-level or function-local "
+         "(What a rank pays before iteration 1, Exact references)"),
 )
 
 
