@@ -19,49 +19,33 @@ Quickstart::
     vmc.run(400, log_every=50)
     print(vmc.best_energy())
 """
-from repro.chem import build_problem, make_molecule, run_ccsd, run_fci, run_rhf
-from repro import api
-from repro.api import RunSpec, run, resume, serve_run
-from repro.core import (
-    VMC,
-    NoamAdamW,
-    VMCConfig,
-    batch_autoregressive_sample,
-    build_qiankunnet,
-    local_energy,
-    pretrain_to_reference,
-)
-from repro.hamiltonian import compress_hamiltonian, jordan_wigner
-from repro.parallel import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "api",
-    "RunSpec",
-    "run",
-    "resume",
-    "serve_run",
-    "build_problem",
-    "make_molecule",
-    "run_ccsd",
-    "run_fci",
-    "run_rhf",
-    "VMC",
-    "NoamAdamW",
-    "VMCConfig",
-    "batch_autoregressive_sample",
-    "build_qiankunnet",
-    "local_energy",
-    "pretrain_to_reference",
-    "compress_hamiltonian",
-    "jordan_wigner",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "__version__",
-]
+_EXPORTS = {
+    "RunSpec": ".api",
+    "run": ".api",
+    "resume": ".api",
+    "serve_run": ".api",
+    "build_problem": ".chem",
+    "make_molecule": ".chem",
+    "run_ccsd": ".chem",
+    "run_fci": ".chem",
+    "run_rhf": ".chem",
+    "VMC": ".core",
+    "NoamAdamW": ".core",
+    "VMCConfig": ".core",
+    "batch_autoregressive_sample": ".core",
+    "build_qiankunnet": ".core",
+    "local_energy": ".core",
+    "pretrain_to_reference": ".core",
+    "compress_hamiltonian": ".hamiltonian",
+    "jordan_wigner": ".hamiltonian",
+    "SerialBackend": ".parallel",
+    "ThreadBackend": ".parallel",
+    "ProcessBackend": ".parallel",
+}
+
+__all__ = ["api", *_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -39,19 +39,13 @@ from pathlib import Path
 
 from repro.api.spec import AnsatzSpec, ProblemSpec, RunSpec, SpecError
 from repro.backend import get_backend
-from repro.core.engine import (
-    NoamAdamW,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    _merge_transfers,
-)
+import repro.parallel as parallel
+from repro.core.engine import NoamAdamW, _merge_transfers
 from repro.chem import build_problem, run_fci
 from repro.chem.pipeline import MolecularProblem
 from repro.core.trainer import TrainConfig, Trainer, TrainReport
 from repro.core.vmc import VMC, VMCConfig, VMCStats, default_ns_schedule
 from repro.core.wavefunction import build_qiankunnet
-from repro.parallel.cluster import ClusterBackend
 from repro.serve.registry import ModelRegistry
 from repro.utils.atomic import atomic_write
 
@@ -132,15 +126,16 @@ def materialize_ansatz(spec: AnsatzSpec, problem: MolecularProblem):
     )
 
 
-# ``parallel.backend`` -> the execution backend class.  The classes are their
-# own factories: each declares, by ``ParallelSpec`` field name, exactly the
-# values it reads (and checks what only it can check — serial's single rank,
-# cluster's rendezvous address).
+# ``parallel.backend`` -> the execution backend class, by its name in
+# ``repro.parallel`` (which loads the cluster transport only when the cluster
+# backend is asked for).  The classes are their own factories: each declares,
+# by ``ParallelSpec`` field name, exactly the values it reads (and checks what
+# only it can check — serial's single rank, cluster's rendezvous address).
 _BACKEND_CLASSES = {
-    "serial": SerialBackend,
-    "threads": ThreadBackend,
-    "process": ProcessBackend,
-    "cluster": ClusterBackend,
+    "serial": "SerialBackend",
+    "threads": "ThreadBackend",
+    "process": "ProcessBackend",
+    "cluster": "ClusterBackend",
 }
 
 
@@ -154,7 +149,7 @@ def materialize_backend(spec: RunSpec):
     """
     p = spec.parallel
     try:
-        cls = _BACKEND_CLASSES[p.backend]
+        cls = getattr(parallel, _BACKEND_CLASSES[p.backend])
     except KeyError:
         raise SpecError(
             f"parallel.backend: must be one of {', '.join(_BACKEND_CLASSES)}, "

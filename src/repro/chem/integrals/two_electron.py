@@ -95,14 +95,24 @@ def _quartet(bra: _PairData, ket: _PairData) -> np.ndarray:
         t2[:, None, None] + t2[None, :, None] + t2[None, None, :]
     )
     theta_ket = ket.theta * sign[None, None, None]
-    return np.einsum(
-        "k,kabtuv,kcdxyz,ktuvxyz->abcd",
-        pref,
-        bra.theta[i1],
-        theta_ket[i2],
-        R6,
-        optimize=True,
-    )
+    return _contract(pref, bra.theta[i1], theta_ket[i2], R6)
+
+
+_QUARTET = "k,kabtuv,kcdxyz,ktuvxyz->abcd"
+# Operand shapes -> the contraction path ``optimize=True`` picks for them.
+# The path depends on the shapes alone, and a basis has few distinct
+# quartet shapes, so each is searched once; searching per quartet was ~40 %
+# of the integral time.  The same path runs the same contractions, so the
+# result is bit-identical to ``optimize=True``.
+_PATHS: dict[tuple, list] = {}
+
+
+def _contract(*operands: np.ndarray) -> np.ndarray:
+    shapes = tuple(op.shape for op in operands)
+    path = _PATHS.get(shapes)
+    if path is None:
+        path = _PATHS[shapes] = np.einsum_path(_QUARTET, *operands, optimize=True)[0]
+    return np.einsum(_QUARTET, *operands, optimize=path)
 
 
 def electron_repulsion(basis: BasisSet) -> np.ndarray:

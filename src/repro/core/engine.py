@@ -73,6 +73,8 @@ from repro.core.sampler import (
     batch_autoregressive_sample,
 )
 from repro.optim import AdamW
+from repro.parallel.comm import Comm, SoloTransport
+from repro.parallel.partition import balanced_weight_partition, split_tree_state
 from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
 
 __all__ = [
@@ -221,8 +223,6 @@ def stage_sample_parallel(wf, n_samples: int, seed: int, iteration: int,
     so the iteration is reproducible from the checkpointed iteration counter
     alone — no RNG state crosses ranks.
     """
-    from repro.parallel.partition import split_tree_state
-
     rank, size = comm.Get_rank(), comm.Get_size()
     shared_rng = host_np.random.default_rng((seed, iteration, 0xBA5))
     state = bas_prefix_sweep(wf, n_samples, shared_rng, nu_star)
@@ -317,8 +317,6 @@ def stage_partition(weights, n_ranks: int) -> list:
     The Sec. 3.3 weight-balancing heuristic: contiguous cuts of ~equal total
     sample weight, not ~equal sample count.
     """
-    from repro.parallel.partition import balanced_weight_partition
-
     return balanced_weight_partition(weights, n_ranks)
 
 
@@ -607,8 +605,6 @@ class SerialBackend(ExecutionBackend):
             )
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
-        from repro.parallel.comm import Comm, SoloTransport
-
         result = _rank_iteration(
             engine, Comm(SoloTransport()), engine.wf, engine.rng, nu_star=0,
         )

@@ -1,68 +1,38 @@
 """Qubit Hamiltonians: Pauli algebra, Jordan-Wigner, compressed storage."""
-from repro.hamiltonian.pauli import (
-    PauliTerm,
-    letters_to_xz,
-    pauli_mul,
-    strings_to_matrix,
-    term_matrix,
-    xz_to_letters,
-)
-from repro.hamiltonian.qubit_hamiltonian import QubitHamiltonian
-from repro.hamiltonian.jordan_wigner import (
-    jordan_wigner,
-    jordan_wigner_fermion_terms,
-    ladder_terms,
-)
-from repro.hamiltonian.operators import (
-    double_occupancy_operator,
-    number_dn_operator,
-    number_operator,
-    number_up_operator,
-    occupation_operator,
-    one_body_operator,
-    s2_operator,
-    sz_operator,
-)
-from repro.hamiltonian.compressed import (
-    CompressedHamiltonian,
-    ReferenceHamiltonianData,
-    build_reference,
-    compress_hamiltonian,
-)
-from repro.hamiltonian.exact import (
-    SectorBasis,
-    SectorOperator,
-    sector_basis,
-    sector_hamiltonian_dense,
-)
-from repro.hamiltonian.synthetic import synthetic_molecular_hamiltonian
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PauliTerm",
-    "letters_to_xz",
-    "pauli_mul",
-    "strings_to_matrix",
-    "term_matrix",
-    "xz_to_letters",
-    "QubitHamiltonian",
-    "jordan_wigner",
-    "jordan_wigner_fermion_terms",
-    "ladder_terms",
-    "double_occupancy_operator",
-    "number_dn_operator",
-    "number_operator",
-    "number_up_operator",
-    "occupation_operator",
-    "one_body_operator",
-    "s2_operator",
-    "sz_operator",
-    "CompressedHamiltonian",
-    "ReferenceHamiltonianData",
-    "build_reference",
-    "compress_hamiltonian",
-    "SectorBasis",
-    "SectorOperator",
-    "sector_basis",
-    "sector_hamiltonian_dense",
-    "synthetic_molecular_hamiltonian",
-]
+# ``jordan_wigner`` is also a submodule's name, so it is bound now (``repro._lazy``).
+from repro.hamiltonian.jordan_wigner import jordan_wigner
+
+_EXPORTS = {
+    "PauliTerm": ".pauli",
+    "letters_to_xz": ".pauli",
+    "pauli_mul": ".pauli",
+    "strings_to_matrix": ".pauli",
+    "term_matrix": ".pauli",
+    "xz_to_letters": ".pauli",
+    "QubitHamiltonian": ".qubit_hamiltonian",
+    "jordan_wigner": ".jordan_wigner",
+    "jordan_wigner_fermion_terms": ".jordan_wigner",
+    "ladder_terms": ".jordan_wigner",
+    "double_occupancy_operator": ".operators",
+    "number_dn_operator": ".operators",
+    "number_operator": ".operators",
+    "number_up_operator": ".operators",
+    "occupation_operator": ".operators",
+    "one_body_operator": ".operators",
+    "s2_operator": ".operators",
+    "sz_operator": ".operators",
+    "CompressedHamiltonian": ".compressed",
+    "ReferenceHamiltonianData": ".compressed",
+    "build_reference": ".compressed",
+    "compress_hamiltonian": ".compressed",
+    "SectorBasis": ".exact",
+    "SectorOperator": ".exact",
+    "sector_basis": ".exact",
+    "sector_hamiltonian_dense": ".exact",
+    "synthetic_molecular_hamiltonian": ".synthetic",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,11 +25,15 @@ Spin-orbital ordering is the paper's: spatial orbital i -> qubits (2i, 2i+1).
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.chem.mo_integrals import SpinOrbitalIntegrals
 from repro.hamiltonian.qubit_hamiltonian import QubitHamiltonian
 from repro.utils.bitstrings import lexsort_keys, popcount64
+
+if TYPE_CHECKING:  # an annotation only: the Hamiltonian layer loads no chemistry
+    from repro.chem.mo_integrals import SpinOrbitalIntegrals
 
 __all__ = ["jordan_wigner", "jordan_wigner_fermion_terms", "ladder_terms"]
 

@@ -83,7 +83,11 @@ class PhaseMLP(Module):
             if i < top:
                 layer.bias._accumulate(xp.sum(g, axis=1))
             if i:
-                g = params32[i][0].T @ g
+                w = params32[i][0]
+                # The output layer's W^T g is a (hidden, 1) @ (1, batch) outer
+                # product: a broadcast multiply forms the same products
+                # without a K = 1 GEMM.
+                g = w.T * g if i == top else w.T @ g
                 g *= 1.0 - h * h                # h is layer i - 1's tanh output
 
     def _forward32(self, bits, params32: list) -> list:

@@ -8,43 +8,30 @@ multi-host TCP ranks — plus the BAS tree partitioning, the
 communication-volume model, and the scaling harness.  The engine backends
 are re-exported here for discoverability.
 """
-from repro.core.engine import ProcessBackend, SerialBackend, ThreadBackend
-from repro.parallel.comm import Comm, CommAbortError, CommStats
-from repro.parallel.fake_mpi import run_spmd
-from repro.parallel.multiprocess import run_spmd_processes
-from repro.parallel.partition import balanced_weight_partition, split_tree_state
-from repro.parallel.comm_model import CommVolumeModel, comm_volume_bytes
-from repro.parallel.cluster import ClusterBackend, create_cluster_comm
-from repro.parallel.rendezvous import (
-    ClusterProtocolError,
-    RendezvousCoordinator,
-)
-from repro.parallel.scaling import (
-    ScalingPoint,
-    measure_scaling,
-    model_scaling,
-    parallel_efficiency,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Comm",
-    "CommAbortError",
-    "CommStats",
-    "run_spmd",
-    "run_spmd_processes",
-    "balanced_weight_partition",
-    "split_tree_state",
-    "CommVolumeModel",
-    "comm_volume_bytes",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "ClusterBackend",
-    "create_cluster_comm",
-    "ClusterProtocolError",
-    "RendezvousCoordinator",
-    "ScalingPoint",
-    "measure_scaling",
-    "model_scaling",
-    "parallel_efficiency",
-]
+_EXPORTS = {
+    "Comm": ".comm",
+    "CommAbortError": ".comm",
+    "CommStats": ".comm",
+    "run_spmd": ".fake_mpi",
+    "run_spmd_processes": ".multiprocess",
+    "balanced_weight_partition": ".partition",
+    "split_tree_state": ".partition",
+    "CommVolumeModel": ".comm_model",
+    "comm_volume_bytes": ".comm_model",
+    "SerialBackend": "repro.core.engine",
+    "ThreadBackend": "repro.core.engine",
+    "ProcessBackend": "repro.core.engine",
+    "ClusterBackend": ".cluster",
+    "create_cluster_comm": ".cluster",
+    "ClusterProtocolError": ".rendezvous",
+    "RendezvousCoordinator": ".rendezvous",
+    "ScalingPoint": ".scaling",
+    "measure_scaling": ".scaling",
+    "model_scaling": ".scaling",
+    "parallel_efficiency": ".scaling",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

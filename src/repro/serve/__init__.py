@@ -15,24 +15,19 @@ batched sampler and amplitude LUT are already built for.  See DESIGN.md
 * :class:`ModelRegistry` — versioned, immutable model snapshots; clients
   pin a version while training publishes new ones.
 """
-from repro.serve.pool import PrefixSessionCache, SessionPool
-from repro.serve.registry import ModelRegistry
-from repro.serve.scheduler import (
-    BatcherStats,
-    MicroBatcher,
-    ServiceClosedError,
-    ServiceOverloadedError,
-)
-from repro.serve.service import ServeConfig, WavefunctionService
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatcherStats",
-    "MicroBatcher",
-    "ModelRegistry",
-    "PrefixSessionCache",
-    "ServeConfig",
-    "ServiceClosedError",
-    "ServiceOverloadedError",
-    "SessionPool",
-    "WavefunctionService",
-]
+_EXPORTS = {
+    "BatcherStats": ".scheduler",
+    "MicroBatcher": ".scheduler",
+    "ModelRegistry": ".registry",
+    "PrefixSessionCache": ".pool",
+    "ServeConfig": ".service",
+    "ServiceClosedError": ".scheduler",
+    "ServiceOverloadedError": ".scheduler",
+    "SessionPool": ".pool",
+    "WavefunctionService": ".service",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,27 +1,19 @@
 """Shared utilities: bit packing, disk caching, deterministic RNG streams."""
-from repro.utils.bitstrings import (
-    bits_to_int,
-    int_to_bits,
-    lexsort_keys,
-    pack_bits,
-    parity64,
-    popcount64,
-    searchsorted_keys,
-)
-from repro.utils.cache import disk_cache, cache_dir
-from repro.utils.rng import spawn_rngs
-from repro.utils.ascii_plot import line_plot
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "line_plot",
-    "bits_to_int",
-    "int_to_bits",
-    "lexsort_keys",
-    "pack_bits",
-    "parity64",
-    "popcount64",
-    "searchsorted_keys",
-    "disk_cache",
-    "cache_dir",
-    "spawn_rngs",
-]
+_EXPORTS = {
+    "line_plot": ".ascii_plot",
+    "bits_to_int": ".bitstrings",
+    "int_to_bits": ".bitstrings",
+    "lexsort_keys": ".bitstrings",
+    "pack_bits": ".bitstrings",
+    "parity64": ".bitstrings",
+    "popcount64": ".bitstrings",
+    "searchsorted_keys": ".bitstrings",
+    "disk_cache": ".cache",
+    "cache_dir": ".cache",
+    "spawn_rngs": ".rng",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -139,6 +139,21 @@ class TestAOTensorsAgainstHyp1f1:
                                        rtol=0.0, atol=1e-12, err_msg=field)
 
 
+def test_eri_path_planned_once_per_shape_is_bit_identical(monkeypatch):
+    """Each quartet's contraction runs the path searched once for its operand
+    shapes; searching per quartet (``optimize=True``) gives the same bits."""
+    from repro.chem import make_molecule
+    from repro.chem.integrals import two_electron
+
+    basis = build_basis(make_molecule("H2O"), "sto-3g")
+    monkeypatch.setattr(two_electron, "_PATHS", {})
+    planned = two_electron.electron_repulsion(basis)
+    assert len(two_electron._PATHS) > 1          # s and p shells: several shapes
+    monkeypatch.setattr(two_electron, "_contract", lambda *ops: np.einsum(
+        two_electron._QUARTET, *ops, optimize=True))
+    assert np.array_equal(two_electron.electron_repulsion(basis), planned)
+
+
 class TestHermiteCoefficients:
     def test_e000_is_gaussian_product_prefactor(self):
         a, b, q = 1.3, 0.7, 0.9

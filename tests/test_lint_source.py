@@ -123,6 +123,8 @@ class TestSourceLint:
          "from repro.autograd import Tensor, oracle"),
         ("tape-only-in-autograd", "src/repro/core/pretrain.py",
          "from repro.autograd import oracle"),
+        ("tape-only-in-autograd", "src/repro/core/wavefunction.py",
+         "from repro.autograd import oracle"),
         ("one-prefix-tree-pass", "src/repro/nn/transformer.py",
          "    def prefix_logits(self, tokens, node_at, rep_row, level) -> Tensor:"),
         ("one-prefix-tree-pass", "src/repro/core/wavefunction.py",
@@ -195,7 +197,7 @@ class TestSourceLint:
     def test_the_log_pi_vjp_and_the_tape_elsewhere_pass(self, lint_source, tree):
         """Stage 5 and pretraining call the pair and may say so; the tape
         itself stays legal where the oracle lives, and the wavefunction's
-        three delegators reach it through one import."""
+        three delegators each import it in their own body."""
         for rel, text in {
             "src/repro/core/engine.py":
                 '    """... off the tape.  No graph is built."""\n'
@@ -203,7 +205,7 @@ class TestSourceLint:
             "src/repro/core/pretrain.py":
                 "logp = float(wf.log_prob_vjp(bits, -np.ones(len(bits))).sum())\n",
             "src/repro/core/wavefunction.py":
-                "from repro.autograd import oracle\n"
+                "        from repro.autograd import oracle\n"
                 "        return oracle.log_prob(self, bits)\n"
                 "        return oracle.forward(self.phase, bits)\n",
             "src/repro/nn/module.py":
@@ -256,25 +258,75 @@ class TestSourceLint:
         assert all(r.why and r.paths for r in lint_source.RULES)
 
 
+# What a serial VMC process never loads (DESIGN.md "What a rank pays before
+# iteration 1"): transports, serving, the tape, reference chemistry, the
+# observables, the plots and the bench tables.  A name covers its submodules.
+OFF_THE_RUN_PATH = (
+    "repro.serve.pool", "repro.serve.scheduler", "repro.serve.service", "repro.serve.net",
+    "repro.parallel.cluster", "repro.parallel.rendezvous", "repro.parallel.multiprocess",
+    "repro.parallel.fake_mpi", "repro.parallel.scaling", "repro.parallel.comm_model",
+    "repro.autograd",
+    "repro.chem.ccsd", "repro.chem.ci", "repro.chem.mp2", "repro.chem.properties",
+    "repro.hamiltonian.operators", "repro.hamiltonian.synthetic",
+    "repro.core.observables", "repro.utils.ascii_plot", "repro.bench",
+)
+LAZY_PACKAGES = ("repro", "repro.core", "repro.chem", "repro.hamiltonian",
+                 "repro.parallel", "repro.serve", "repro.utils")
+
+
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter on ``src/`` alone; fail with its stderr."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={"PYTHONPATH": str(ROOT / "src"), "PATH": "",
+                               "NNQS_NO_CACHE": "1", "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 class TestImportGraph:
+    def test_a_serial_vmc_step_loads_nothing_off_the_run_path(self):
+        run_fresh(
+            "import sys\n"
+            "import repro.api, repro.core.engine\n"
+            "from repro.chem import build_problem\n"
+            "from repro.core import VMC, VMCConfig, NoamAdamW, build_qiankunnet\n"
+            "prob = build_problem('H2', 'sto-3g')\n"
+            "wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=0)\n"
+            "vmc = VMC(wf, prob.hamiltonian, VMCConfig(n_samples=1000, seed=0),\n"
+            "          optimizer=NoamAdamW(wf, warmup=10))\n"
+            "vmc.step()\n"
+            f"off = {OFF_THE_RUN_PATH!r}\n"
+            "bad = sorted(m for m in sys.modules\n"
+            "             if any(m == p or m.startswith(p + '.') for p in off))\n"
+            "assert not bad, bad\n")
+
+    def test_every_exported_name_resolves(self):
+        """Each lazy package's ``__all__`` resolves and is listed by ``dir``;
+        a name that is also a submodule's stays the function after the
+        submodule is imported."""
+        run_fresh(
+            "import importlib\n"
+            f"for name in {LAZY_PACKAGES!r}:\n"
+            "    pkg = importlib.import_module(name)\n"
+            "    for attr in pkg.__all__:\n"
+            "        getattr(pkg, attr)\n"
+            "    assert set(pkg.__all__) <= set(dir(pkg)), name\n"
+            "for pkg, attr in (('repro.core', 'local_energy'), ('repro.chem', 'davidson'),\n"
+            "                  ('repro.hamiltonian', 'jordan_wigner')):\n"
+            "    module = importlib.import_module(f'{pkg}.{attr}')\n"
+            "    assert getattr(importlib.import_module(pkg), attr) is getattr(module, attr)\n"
+            "import repro\n"
+            "assert repro.core.observables.__name__ == 'repro.core.observables'\n")
+
     def test_importing_the_package_does_not_import_scipy(self):
-        code = ("import repro, repro.api, repro.chem, repro.core, repro.serve, sys; "
-                "bad = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-                "assert not bad, bad[:5]")
-        env_path = str(ROOT / "src")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120,
-                              env={"PYTHONPATH": env_path, "PATH": ""})
-        assert proc.returncode == 0, proc.stderr[-2000:]
+        run_fresh("import repro, repro.api, repro.chem, repro.core, repro.serve, sys; "
+                  "bad = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+                  "assert not bad, bad[:5]")
 
     def test_the_davidson_fci_path_does_not_import_scipy(self):
         """BeH2/STO-3G (1225 determinants) takes run_fci's Davidson branch."""
-        code = ("import sys; from repro.chem import build_problem, run_fci; "
-                "fci = run_fci(build_problem('BeH2', 'sto-3g').hamiltonian); "
-                "assert fci.dim == 1225, fci.dim; "
-                "bad = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-                "assert not bad, bad[:5]")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120,
-                              env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""})
-        assert proc.returncode == 0, proc.stderr[-2000:]
+        run_fresh("import sys; from repro.chem import build_problem, run_fci; "
+                  "fci = run_fci(build_problem('BeH2', 'sto-3g').hamiltonian); "
+                  "assert fci.dim == 1225, fci.dim; "
+                  "bad = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+                  "assert not bad, bad[:5]")

@@ -413,6 +413,39 @@ class TestPhaseVJP:
             assert np.linalg.norm(g - w) <= PHASE_GRAD_RTOL * np.linalg.norm(w), name
         np.testing.assert_allclose(got[-1], coeff.sum(), rtol=1e-12)  # float64 bias
 
+    @staticmethod
+    def _vjp_all_gemm(net, bits, coeff):
+        """The backward with every ``W^T g`` a GEMM, the output layer's
+        ``(hidden, 1) @ (1, batch)`` included; per-parameter gradients in
+        ``net.parameters()`` order."""
+        params32 = net.cast32()
+        acts = net._forward32(bits, params32)
+        top = len(net.layers) - 1
+        grads = [None] * (2 * len(net.layers))
+        grads[2 * top + 1] = np.sum(coeff, keepdims=True)
+        g = coeff.astype(np.float32)[None, :]
+        for i in range(top, -1, -1):
+            h = acts[i]
+            grads[2 * i] = (g @ h.T).astype(np.float64)
+            if i < top:
+                grads[2 * i + 1] = np.sum(g, axis=1).astype(np.float64)
+            if i:
+                g = params32[i][0].T @ g
+                g *= 1.0 - h * h
+        return grads
+
+    @pytest.mark.parametrize("n", [4, 538, 1500])
+    def test_output_layer_outer_product_equals_the_gemm(self, net, n):
+        """The output layer's ``W^T g`` is a broadcast multiply, not a K = 1
+        GEMM: the same products, so every gradient is bit-equal."""
+        rng = np.random.default_rng(n)
+        bits = rng.integers(0, 2, size=(n, 20), dtype=np.uint8)
+        coeff = rng.normal(size=n) / n
+        got = self._vjp(net, bits, coeff)
+        want = self._vjp_all_gemm(net, bits, coeff)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
+
     def test_zero_rows_and_one_dimensional_input(self, net):
         got = self._vjp(net, np.zeros((0, 20), dtype=np.uint8), np.zeros(0))
         assert all(not g.any() for g in got)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import build_qiankunnet
 from repro.core.constraints import ParticleNumberConstraint
+from repro.core.wavefunction import token_order
 from repro.nn import TransformerAmplitude
 from tests.conftest import ANSATZE, LOGIT_TOL, build_wf
 
@@ -61,6 +62,18 @@ class TestTokenMapping:
         np.testing.assert_array_equal(
             wf.tokens_to_bits(wf.bits_to_tokens(bits)), bits
         )
+
+    @pytest.mark.parametrize("t", [10, 40, 70])     # one, two and three words
+    def test_token_order_is_the_lexsort(self, t):
+        """The packed-key sort is the T-key lexsort's permutation, ties
+        (duplicate rows) in input order, sorted input or not."""
+        rng = np.random.default_rng(t)
+        tokens = rng.integers(0, 4, size=(300, t))
+        tokens = np.concatenate([tokens, tokens[:80], tokens[:80, ::-1]])
+        tokens[:40, t // 2:] = 3                        # long shared prefixes
+        rng.shuffle(tokens)
+        for rows in (tokens, tokens[np.lexsort(tokens.T[::-1])]):
+            np.testing.assert_array_equal(token_order(rows), np.lexsort(rows.T[::-1]))
 
 
 class TestNormalization:

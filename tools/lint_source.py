@@ -70,10 +70,12 @@ RULES = (
          "nothing outside autograd/ builds, walks or imports the tape: the "
          "networks run graph-free float32 kernels and hand-derived VJPs, and the "
          "taped float64 QiankunNet is autograd/oracle.py's, reached through "
-         "NNQSWavefunction's three delegators for testing purposes only "
-         "(Precision, Block ops)",
+         "NNQSWavefunction's three delegators for testing purposes only, each "
+         "importing it in its own body (Precision, Block ops, What a rank pays "
+         "before iteration 1)",
          exempt=("src/repro/autograd",),
-         allow=(("src/repro/core/wavefunction.py", r"^from repro\.autograd import oracle$"),)),
+         allow=(("src/repro/core/wavefunction.py",
+                 r"^\s+from repro\.autograd import oracle$"),)),
     Rule("one-prefix-tree-pass", r"prefix_logits|rows_from_nodes|nodes_from_rows", (SRC,),
          "the prefix tree is evaluated with gradients by the forward/VJP pair "
          "alone: no taped node-major pass and no bridge ops to a dense core "
