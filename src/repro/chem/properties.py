@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chem.geometry import Molecule
-from repro.hamiltonian.exact import SectorBasis
-from repro.utils.bitstrings import ints_to_keys, popcount64, searchsorted_keys
+from repro.hamiltonian.exact import SectorBasis, SectorOperator
+from repro.hamiltonian.jordan_wigner import jordan_wigner_fermion_terms
 
 __all__ = [
     "one_rdm_spin_orbital",
@@ -34,61 +34,23 @@ __all__ = [
 AU_TO_DEBYE = 2.541746473
 
 
-def _jw_sign_between(keys: np.ndarray, p: int, q: int) -> np.ndarray:
-    """(-1)^{number of occupied orbitals strictly between p and q} per row."""
-    lo, hi = (p, q) if p < q else (q, p)
-    if hi - lo < 2:
-        return np.ones(len(keys))
-    mask = ints_to_keys([(1 << hi) - (1 << (lo + 1))], keys.shape[1])
-    par = popcount64(keys & mask).sum(axis=1) % 2
-    return 1.0 - 2.0 * par
-
-
 def one_rdm_spin_orbital(vec: np.ndarray, basis: SectorBasis) -> np.ndarray:
-    """1-RDM ``gamma[P, Q] = <v| a+_P a_Q |v>`` for a normalized CI vector.
+    """1-RDM ``gamma[P, Q] = <v| a+_P a_Q |v>`` for a real normalized CI vector.
 
-    Works directly on the packed determinant keys: for each (P, Q) the
-    operator is a bit test + bit flip + Jordan–Wigner parity between the two
-    positions — the same arithmetic as the local-energy kernel.
+    Each element applies the pair operator ``(a+_P a_Q + a+_Q a_P) / 2`` —
+    the operator :func:`repro.core.observables.one_rdm_sampled` estimates
+    from samples — to the basis as a :class:`SectorOperator`; for a real
+    vector its expectation is ``gamma[P, Q] = gamma[Q, P]``.
     """
     vec = np.asarray(vec, dtype=np.float64)
     n = basis.n_qubits
-    keys = basis.keys
-    w = keys.shape[1]
     gamma = np.zeros((n, n))
-
-    occ = np.zeros((len(keys), n), dtype=bool)
-    for word in range(w):
-        hi = min(64 * (word + 1), n)
-        shifts = np.arange(hi - 64 * word, dtype=np.uint64)
-        occ[:, 64 * word : hi] = ((keys[:, word : word + 1] >> shifts) & np.uint64(1)) == 1
-
-    def flip(keys_in: np.ndarray, j: int) -> np.ndarray:
-        out = keys_in.copy()
-        out[:, j // 64] ^= np.uint64(1 << (j % 64))
-        return out
-
-    for q in range(n):
-        has_q = occ[:, q]
-        if not has_q.any():
-            continue
-        # Diagonal: <n_q>.
-        gamma[q, q] = np.sum(vec[has_q] ** 2)
-        for p in range(n):
-            if p == q:
-                continue
-            ok = has_q & ~occ[:, p]
-            if not ok.any():
-                continue
-            src = np.flatnonzero(ok)
-            moved = flip(flip(keys[src], q), p)
-            tgt = searchsorted_keys(keys, moved)
-            found = tgt >= 0
-            if not found.any():
-                continue
-            src, tgt = src[found], tgt[found]
-            sign = _jw_sign_between(keys[src], p, q)[: len(src)]
-            gamma[p, q] += np.sum(vec[tgt] * sign * vec[src])
+    for p in range(n):
+        for q in range(p, n):
+            op = SectorOperator(jordan_wigner_fermion_terms(
+                [(0.5, [(p, True), (q, False)]), (0.5, [(q, True), (p, False)])], n,
+            ), basis)
+            gamma[p, q] = gamma[q, p] = vec @ op.matvec(vec) + op.constant * (vec @ vec)
     return gamma
 
 

@@ -18,8 +18,7 @@ _EXPORTS = {
     "build_amplitude_table": ".local_energy",
     "compile_eloc_plan": ".local_energy",
     "extend_amplitude_table": ".local_energy",
-    "merge_amplitude_tables": ".local_energy",
-    "normalize_amplitude_table": ".local_energy",
+    "grow_amplitude_table": ".local_energy",
     "local_energy": ".local_energy",
     "local_energy_planned": ".local_energy",
     "local_energy_vectorized": ".local_energy",

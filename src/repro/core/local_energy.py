@@ -4,11 +4,10 @@ One production path and one reference (Sec. 3.4, Algorithm 2):
 
 * :class:`ElocPlan` — the kernel every run, driver and server reaches.  A
   plan is compiled once per ``(CompressedHamiltonian, chunking)``: the CSR
-  chunk scaffolds, the pattern table of the FUSE step and the packed record
-  dtype behind the binary search are hoisted out of the per-call path, a
-  per-table slot map finds coupled keys in one gather (the binary search
-  runs only for keys whose slot several table keys share), and per-thread
-  workspaces are reused across iterations.
+  chunk scaffolds and the pattern table of the FUSE step are hoisted out of
+  the per-call path, a per-table slot map finds coupled keys in one gather
+  (the binary search runs only for keys whose slot several table keys
+  share), and per-thread workspaces are reused across iterations.
   :func:`local_energy_planned` and :func:`local_energy` are thin wrappers
   that run a plan (compiling a throwaway one when the caller has none).
 * :func:`local_energy_vectorized` — the stateless reference, for testing
@@ -60,6 +59,7 @@ from repro.hamiltonian.compressed import (
     reduce_terms,
 )
 from repro.utils.bitstrings import (
+    key_records,
     lexsort_keys,
     pack_bits,
     parity64,
@@ -72,8 +72,7 @@ __all__ = [
     "AmplitudeTable",
     "build_amplitude_table",
     "extend_amplitude_table",
-    "merge_amplitude_tables",
-    "normalize_amplitude_table",
+    "grow_amplitude_table",
     "local_energy_vectorized",
     "ElocPlan",
     "compile_eloc_plan",
@@ -85,9 +84,16 @@ __all__ = [
 
 @dataclass
 class AmplitudeTable:
-    """The id_lut / wf_lut pair of Algorithm 2 (sorted keys + log amplitudes)."""
+    """The id_lut / wf_lut pair of Algorithm 2 (sorted keys + log amplitudes).
 
-    keys: xp.ndarray       # (U, W) uint64, lexsorted
+    Invariant: ``keys`` are unique and in :func:`~repro.utils.bitstrings.lexsort_keys`
+    order, so a binary search finds one row per key.  A plain wrapper that
+    copies nothing: :func:`build_amplitude_table` and
+    :func:`grow_amplitude_table` establish the invariant, stage 2 wraps
+    arrays it already sorted.
+    """
+
+    keys: xp.ndarray       # (U, W) uint64, lexsorted, unique
     log_amps: xp.ndarray   # (U,) complex128 — log Psi of each key
 
     @property
@@ -95,73 +101,36 @@ class AmplitudeTable:
         return len(self.log_amps)
 
 
-def build_amplitude_table(wf: NNQSWavefunction, batch: SampleBatch) -> AmplitudeTable:
-    """Tabulate log Psi of the unique samples, lexsorted for binary search."""
-    keys = pack_bits(batch.bits)
-    log_amps = wf.log_amplitudes(batch.bits)
+def _tabulate(keys: xp.ndarray, log_amps: xp.ndarray) -> AmplitudeTable:
+    """The one place the table invariant is established: a stable lexsort,
+    keeping the first row of each key."""
     order = lexsort_keys(keys)
-    return AmplitudeTable(keys=keys[order], log_amps=log_amps[order])
-
-
-def normalize_amplitude_table(table: AmplitudeTable) -> AmplitudeTable:
-    """Restore the lexsorted-unique invariant of an amplitude table.
-
-    Returns ``table`` itself when the invariant already holds (the common
-    case — one vectorized monotonicity check, no copies).  Otherwise the
-    keys are lexsorted and internal duplicates collapsed, keeping the first
-    occurrence in sorted order (all duplicates of a key carry the same
-    ``log Psi`` under one parameter vector, so the choice is value-neutral).
-    """
-    if table.n_entries <= 1:
-        return table
-    keys = table.keys
-    # Vectorized lexicographic prev < cur in the lexsort_keys order (word 0
-    # minor, last word major) — structured void dtypes have no ordering
-    # ufunc, so the word loop below is the comparison; it must stay
-    # consistent with lexsort_keys / searchsorted_keys.
-    prev, cur = keys[:-1], keys[1:]
-    gt = xp.zeros(len(keys) - 1, dtype=bool_)   # prev > cur so far (majors)
-    strictly_less = xp.zeros(len(keys) - 1, dtype=bool_)
-    for w in range(keys.shape[1] - 1, -1, -1):
-        strictly_less |= (~gt) & (prev[:, w] < cur[:, w])
-        gt |= (~strictly_less) & (prev[:, w] > cur[:, w])
-    if bool(xp.all(strictly_less)):
-        return table
-    order = lexsort_keys(keys)
-    keys = keys[order]
-    amps = table.log_amps[order]
+    keys, log_amps = keys[order], log_amps[order]
     keep = xp.ones(len(keys), dtype=bool_)
     keep[1:] = xp.any(keys[1:] != keys[:-1], axis=1)
-    return AmplitudeTable(keys=keys[keep], log_amps=amps[keep])
+    if not keep.all():
+        keys, log_amps = keys[keep], log_amps[keep]
+    return AmplitudeTable(keys=keys, log_amps=log_amps)
 
 
-def merge_amplitude_tables(a: AmplitudeTable, b: AmplitudeTable) -> AmplitudeTable:
-    """Union of two amplitude tables (both must come from the same parameters).
+def build_amplitude_table(wf: NNQSWavefunction, batch: SampleBatch) -> AmplitudeTable:
+    """Tabulate log Psi of the batch's rows (a repeated row keeps its first
+    value)."""
+    return _tabulate(pack_bits(batch.bits), wf.log_amplitudes(batch.bits))
 
-    Entries of ``a`` win on duplicate keys; the result is lexsorted and
-    duplicate-free, ready for binary search.  Inputs that violate the
-    sorted-unique invariant (unsorted keys, or ``b`` duplicating keys within
-    itself) are normalized first — a silent duplicate-key table would make
-    every later binary search nondeterministic about which entry it hits.
 
-    This is the serving-layer primitive: the
-    :class:`~repro.serve.WavefunctionService` accumulates one table per model
-    version across ``local_energy`` requests, so amplitudes of previously seen
-    configurations are never recomputed.
-    """
-    a = normalize_amplitude_table(a)
-    b = normalize_amplitude_table(b)
-    if a.n_entries == 0:
-        return b
-    if b.n_entries == 0:
-        return a
-    dup = searchsorted_keys(a.keys, b.keys) >= 0
-    if xp.all(dup):
-        return a
-    keys = xp.concatenate([a.keys, b.keys[~dup]], axis=0)
-    amps = xp.concatenate([a.log_amps, b.log_amps[~dup]])
-    order = lexsort_keys(keys)
-    return AmplitudeTable(keys=keys[order], log_amps=amps[order])
+def grow_amplitude_table(wf: NNQSWavefunction, table: AmplitudeTable,
+                         keys: xp.ndarray) -> AmplitudeTable:
+    """``table`` plus log Psi of the ``(M, W)`` keys it lacks, each evaluated
+    once; ``table`` itself when it holds them all.  Entries already in the
+    table keep their values (they must come from the same parameters)."""
+    keys = unique_keys(keys)
+    missing = keys[searchsorted_keys(table.keys, keys) < 0]
+    if not len(missing):
+        return table
+    log_amps = wf.log_amplitudes(unpack_bits(missing, wf.n_qubits))
+    return _tabulate(xp.concatenate([table.keys, missing], axis=0),
+                     xp.concatenate([table.log_amps, log_amps]))
 
 
 def extend_amplitude_table(
@@ -172,7 +141,7 @@ def extend_amplitude_table(
     max_extra: int = 2_000_000,
     memory_budget_bytes: int | None = None,
 ) -> AmplitudeTable:
-    """Add every sector-valid coupled configuration to the amplitude table.
+    """Grow the amplitude table by every sector-valid coupled configuration.
 
     With the extended table the SA kernels compute the *exact* local energy
     (the sum over x' in Eq. 4 runs over all coupled configurations).
@@ -221,11 +190,7 @@ def extend_amplitude_table(
             f"{len(missing)} coupled configurations exceed max_extra={max_extra}; "
             "use sample-aware mode for this system size"
         )
-    log_amps = wf.log_amplitudes(unpack_bits(missing, comp.n_qubits))
-    all_keys = xp.concatenate([table.keys, missing], axis=0)
-    all_amps = xp.concatenate([table.log_amps, log_amps])
-    order = lexsort_keys(all_keys)
-    return AmplitudeTable(keys=all_keys[order], log_amps=all_amps[order])
+    return grow_amplitude_table(wf, table, missing)
 
 
 # --------------------------------------------------------------------------
@@ -446,9 +411,9 @@ class ElocPlan:
       lowest one's bit, with a multiplier ``M`` per distinct shifted mask
       that a seeded search (:meth:`_pattern_multipliers`) makes one-to-one
       over the mask's ``2^k`` subsets;
-    * the packed record dtype behind :func:`searchsorted_keys`, plus a
-      cached :class:`_TableIndex` of the current amplitude table — record
-      view, slot map, ``m`` and, once a chunk has more hits than the table
+    * a cached :class:`_TableIndex` of the current amplitude table — its
+      :func:`~repro.utils.bitstrings.key_records` view (the search base),
+      slot map, ``m`` and, once a chunk has more hits than the table
       has entries, ``ψ e^{-m}`` of every entry (rebuilt only when the table
       object changes — i.e. when the parameters moved);
     * per-thread workspaces — the ``(sample_chunk, group_chunk, W)`` flip
@@ -536,12 +501,6 @@ class ElocPlan:
                 shifts=xp.ascontiguousarray(shifts[g0:g1]),
                 multipliers=xp.ascontiguousarray(multipliers[g0:g1]),
             ))
-        # The searchsorted_keys record dtype, compiled once (multi-word keys
-        # compare with the *last* word most significant — see lexsort_keys).
-        self._record_dtype = (
-            None if self.n_words == 1
-            else xp.dtype([(f"w{i}", uint64) for i in range(self.n_words)])
-        )
         self._local = threading.local()
 
     # --------------------------------------------------------- pattern table
@@ -633,13 +592,7 @@ class ElocPlan:
             table[slot | 1] = xp.add.reduceat(-signed, offs)
         return table
 
-    # ------------------------------------------------------------ record keys
-    def _as_records(self, keys: xp.ndarray) -> xp.ndarray:
-        """``(M, W)`` uint64 rows -> ``(M,)`` scalar/record keys (LUT order)."""
-        if self.n_words == 1:
-            return xp.ascontiguousarray(keys[:, 0])
-        return xp.ascontiguousarray(keys[:, ::-1]).view(self._record_dtype).ravel()
-
+    # ---------------------------------------------------------- table index
     def _table_index(self, table: AmplitudeTable) -> _TableIndex:
         """The :class:`_TableIndex` of ``table``, cached until the table
         changes.
@@ -654,7 +607,7 @@ class ElocPlan:
         self._local.table_cache = None     # never two slot maps alive at once
         n_bits = max(table.n_entries * SLOTS_PER_KEY - 1, 1).bit_length()
         slots, shift = self._slot_map(table.keys, n_bits)
-        index = _TableIndex(records=self._as_records(table.keys), slots=slots,
+        index = _TableIndex(records=key_records(table.keys), slots=slots,
                             shift=shift, m=_log_amp_scale(table))
         self._local.table_cache = (weakref.ref(table), index)
         return index
@@ -720,8 +673,7 @@ class ElocPlan:
         cand = index.slots.take(h.view(int64))
         flat = xp.flatnonzero(cand != _EMPTY)
         rows = cand.take(flat)
-        rec = (keys[:, 0].take(flat) if self.n_words == 1
-               else self._as_records(keys[flat]))
+        rec = key_records(keys.take(flat, axis=0))
         shared = xp.flatnonzero(rows == _SHARED)
         if len(shared):
             rows[shared] = xp.minimum(

@@ -579,51 +579,3 @@ class RendezvousCoordinator:
         except OSError:
             pass
 
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point for ``python -m repro rendezvous``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro rendezvous",
-        description="Run the cluster rendezvous coordinator for one job.",
-    )
-    parser.add_argument("--port", type=int, required=True,
-                        help="TCP port to listen on (0 picks a free port)")
-    parser.add_argument("--host", default="0.0.0.0",
-                        help="interface to bind (default: all)")
-    parser.add_argument("--world-size", type=int, required=True,
-                        help="number of ranks in the job")
-    parser.add_argument("--join-timeout", type=float, default=60.0,
-                        help="seconds to wait for all ranks to join")
-    parser.add_argument("--heartbeat-interval", type=float, default=2.0,
-                        help="seconds between member heartbeats")
-    parser.add_argument("--heartbeat-timeout", type=float, default=10.0,
-                        help="seconds without a heartbeat before a rank "
-                             "is declared dead")
-    args = parser.parse_args(argv)
-
-    coord = RendezvousCoordinator(
-        world_size=args.world_size, host=args.host, port=args.port,
-        join_timeout=args.join_timeout,
-        heartbeat_interval=args.heartbeat_interval,
-        heartbeat_timeout=args.heartbeat_timeout,
-    )
-    host, port = coord.start()
-    print(
-        f"rendezvous listening on {host}:{port} "
-        f"(world_size={args.world_size})",
-        flush=True,
-    )
-    try:
-        outcome = coord.wait()
-    except KeyboardInterrupt:
-        outcome = "aborted: interrupted"
-    finally:
-        coord.stop()
-    print(f"rendezvous finished: {outcome}", flush=True)
-    return 0 if outcome == "completed" else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

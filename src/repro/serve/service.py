@@ -50,9 +50,8 @@ from repro.core.local_energy import (
     AmplitudeTable,
     ElocPlan,
     build_amplitude_table,
+    grow_amplitude_table,
     local_energy,
-    merge_amplitude_tables,
-    normalize_amplitude_table,
 )
 from repro.core.sampler import SampleBatch, batch_autoregressive_sample
 from repro.core.wavefunction import NNQSWavefunction
@@ -60,7 +59,7 @@ from repro.hamiltonian.compressed import CompressedHamiltonian, compress_hamilto
 from repro.serve.pool import PrefixSessionCache, SessionPool
 from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import MicroBatcher, RequestFailure, ServiceClosedError
-from repro.utils.bitstrings import pack_bits, searchsorted_keys
+from repro.utils.bitstrings import pack_bits
 
 __all__ = ["ServeConfig", "WavefunctionService"]
 
@@ -359,27 +358,14 @@ class WavefunctionService:
 
     def _table_with_samples(self, model: _LoadedModel,
                             batch: SampleBatch) -> AmplitudeTable:
-        """The version's table, grown to cover ``batch`` — only amplitudes of
-        configurations never seen under this version are evaluated.
-
-        Client batches are untrusted: rows may repeat (the SampleBatch
-        unique-rows contract is a sampler guarantee, not a wire invariant),
-        so both the first-request build and every merge normalize to the
-        sorted-unique table invariant — a duplicate key would make later
-        binary searches hit an arbitrary copy.
-        """
+        """The version's table, grown to cover ``batch``.  The first request
+        tabulates the batch; later ones evaluate only configurations never
+        seen under this version, each once.  Client rows may repeat (unique
+        rows are a sampler guarantee, not a wire invariant): both calls keep
+        the table sorted-unique."""
         if model.table is None:
-            return normalize_amplitude_table(build_amplitude_table(model.wf, batch))
-        keys = pack_bits(batch.bits)
-        missing = searchsorted_keys(model.table.keys, keys) < 0
-        if not missing.any():
-            return model.table
-        fresh = build_amplitude_table(
-            model.wf,
-            SampleBatch(bits=batch.bits[missing],
-                        weights=np.ones(int(missing.sum()), dtype=np.int64)),
-        )
-        return merge_amplitude_tables(model.table, fresh)
+            return build_amplitude_table(model.wf, batch)
+        return grow_amplitude_table(model.wf, model.table, pack_bits(batch.bits))
 
     # ----------------------------------------------------------- monitoring
     def stats(self) -> dict:

@@ -3,8 +3,6 @@ from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "line_plot": ".ascii_plot",
-    "bits_to_int": ".bitstrings",
-    "int_to_bits": ".bitstrings",
     "lexsort_keys": ".bitstrings",
     "pack_bits": ".bitstrings",
     "parity64": ".bitstrings",

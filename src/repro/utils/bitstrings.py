@@ -13,6 +13,8 @@ integers for 64 <= N < 128; we follow the same layout.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -20,11 +22,10 @@ __all__ = [
     "unpack_bits",
     "popcount64",
     "parity64",
-    "bits_to_int",
-    "int_to_bits",
     "keys_to_ints",
     "ints_to_keys",
     "lexsort_keys",
+    "key_records",
     "searchsorted_keys",
     "unique_keys",
 ]
@@ -75,25 +76,12 @@ def parity64(x: np.ndarray) -> np.ndarray:
     return (popcount64(x) & 1).astype(np.int64)
 
 
-def bits_to_int(bits) -> int:
-    """Single Python-int key for one configuration of arbitrary length."""
-    v = 0
-    for j, b in enumerate(bits):
-        if b:
-            v |= 1 << j
-    return v
-
-
-def int_to_bits(v: int, n: int) -> np.ndarray:
-    return np.array([(v >> j) & 1 for j in range(n)], dtype=np.uint8)
-
-
 def keys_to_ints(keys: np.ndarray) -> list[int]:
     """Collapse ``(batch, K)`` uint64 keys into arbitrary-precision Python ints.
 
     One vectorized shift-or pass per word over an object-dtype view (word
     ``w`` contributes bits ``64w..64w+63``), instead of a per-entry Python
-    loop.  The result matches ``bits_to_int`` on the unpacked configuration.
+    loop: bit ``j`` of the int is qubit ``j`` of the configuration.
     """
     keys = np.atleast_2d(np.asarray(keys, dtype=np.uint64))
     obj = keys.astype(object)  # Python ints: << never overflows
@@ -122,11 +110,32 @@ def lexsort_keys(keys: np.ndarray) -> np.ndarray:
     With bit j of the configuration stored in word ``j // 64``, comparing the
     *last* word first gives an order consistent across any key width; any
     total order works for the lookup table, this one is deterministic.
+    ``np.lexsort`` is stable: equal keys keep their input order.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     if keys.ndim == 1:
         keys = keys[:, None]
     return np.lexsort(tuple(keys[:, w] for w in range(keys.shape[1])))
+
+
+@functools.cache
+def _words_dtype(n_words: int) -> np.dtype:
+    return np.dtype([(f"w{i}", np.uint64) for i in range(n_words)])
+
+
+def key_records(keys: np.ndarray) -> np.ndarray:
+    """``(M, W)`` uint64 keys -> ``(M,)`` values that compare in
+    :func:`lexsort_keys` order — the one comparable view of a key.
+
+    A one-word key is its word (no copy when the column is contiguous); a
+    wider key is a record of its words, last word first, so ``np.searchsorted``
+    and ``==`` compare the most significant word first.  Callers that search
+    one table many times cache the view of the table.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.shape[1] == 1:
+        return np.ascontiguousarray(keys[:, 0])
+    return np.ascontiguousarray(keys[:, ::-1]).view(_words_dtype(keys.shape[1])).ravel()
 
 
 def unique_keys(keys: np.ndarray) -> np.ndarray:
@@ -155,23 +164,9 @@ def searchsorted_keys(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     query key is absent.  This is the numpy counterpart of the CUDA
     ``binary_find`` of Algorithm 2 in the paper.
     """
-    sorted_keys = np.atleast_2d(np.asarray(sorted_keys, dtype=np.uint64))
-    query = np.atleast_2d(np.asarray(query, dtype=np.uint64))
-    k = sorted_keys.shape[1]
-    if k == 1:
-        base = sorted_keys[:, 0]
-        q = query[:, 0]
-        pos = np.searchsorted(base, q)
-        pos_clip = np.minimum(pos, len(base) - 1) if len(base) else pos * 0
-        hit = (len(base) > 0) & (base[pos_clip] == q) if len(base) else np.zeros(len(q), bool)
-        return np.where(hit, pos_clip, -1).astype(np.int64)
-    # Multi-word keys: map each distinct word tuple to a scalar via structured view.
-    dt = np.dtype([(f"w{i}", np.uint64) for i in range(k)])
-    # lexsort_keys sorts with word 0 as the *least* significant, so build the
-    # structured comparison in reverse word order to match.
-    base_rec = np.ascontiguousarray(sorted_keys[:, ::-1]).view(dt).ravel()
-    q_rec = np.ascontiguousarray(query[:, ::-1]).view(dt).ravel()
-    pos = np.searchsorted(base_rec, q_rec)
-    pos_clip = np.minimum(pos, len(base_rec) - 1) if len(base_rec) else pos * 0
-    hit = (base_rec[pos_clip] == q_rec) if len(base_rec) else np.zeros(len(q_rec), bool)
-    return np.where(hit, pos_clip, -1).astype(np.int64)
+    base = key_records(np.atleast_2d(np.asarray(sorted_keys, dtype=np.uint64)))
+    q = key_records(np.atleast_2d(np.asarray(query, dtype=np.uint64)))
+    if not len(base):
+        return np.full(len(q), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(base, q), len(base) - 1)
+    return np.where(base[pos] == q, pos, -1).astype(np.int64)

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.bitstrings import (
-    bits_to_int,
-    int_to_bits,
     ints_to_keys,
+    key_records,
     keys_to_ints,
     lexsort_keys,
     pack_bits,
@@ -55,14 +54,14 @@ class TestPackUnpack:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**120 - 1))
     def test_matches_python_int(self, value):
-        bits = int_to_bits(value, 120)
-        keys = pack_bits(bits[None, :])
-        recovered = int(keys[0, 0]) | (int(keys[0, 1]) << 64)
-        assert recovered == value
-        assert bits_to_int(bits) == value
-        assert keys_to_ints(keys) == [value]
-        np.testing.assert_array_equal(ints_to_keys([value], 2), keys)
-        assert keys_to_ints(ints_to_keys([value, value >> 64], 2)) == [value, value >> 64]
+        """A 120-bit int (two words) and its high word round-trip through
+        ``ints_to_keys`` / ``keys_to_ints``, and bit j of the int is qubit j."""
+        keys = ints_to_keys([value, value >> 64], 2)
+        assert keys_to_ints(keys) == [value, value >> 64]
+        assert int(keys[0, 0]) | (int(keys[0, 1]) << 64) == value
+        bits = unpack_bits(keys[:1], 120)
+        assert sum(int(b) << j for j, b in enumerate(bits[0])) == value
+        np.testing.assert_array_equal(pack_bits(bits), keys[:1])
 
 
 class TestPopcountParity:
@@ -126,16 +125,21 @@ class TestSearchSorted:
 
 
 class TestLexsort:
-    def test_sorting_is_total_order(self):
+    @pytest.mark.parametrize("n_words", [1, 2, 3])
+    def test_sorting_is_total_order(self, n_words):
+        """``lexsort_keys`` orders keys as the Python ints they pack (last
+        word most significant), and so does sorting their ``key_records``."""
         rng = np.random.default_rng(3)
-        keys = rng.integers(0, 2**63, size=(30, 2)).astype(np.uint64)
+        keys = rng.integers(0, 4, size=(60, n_words)).astype(np.uint64) << np.uint64(62)
+        keys[::3] |= rng.integers(0, 2**63, size=(20, n_words)).astype(np.uint64)
         order = lexsort_keys(keys)
-        s = keys[order]
-        # word-1-major, word-0-minor ordering
-        for i in range(len(s) - 1):
-            a = (int(s[i, 1]) << 64) | int(s[i, 0])
-            b = (int(s[i + 1, 1]) << 64) | int(s[i + 1, 0])
-            assert a <= b
+        ints = keys_to_ints(keys[order])
+        assert ints == sorted(ints)
+        records = key_records(keys)
+        assert records.shape == (len(keys),)
+        np.testing.assert_array_equal(
+            keys[np.argsort(records, kind="stable")], keys[order])
+        np.testing.assert_array_equal(np.sort(records), records[order])
 
     def test_1d_keys_accepted(self):
         keys = np.array([3, 1, 2], dtype=np.uint64)

@@ -1,9 +1,10 @@
 """The Comm contract, once, over every transport.
 
 One parametrized suite over (solo, thread, process-pipe, process-shm, socket
-mesh): rank order, the rank-ordered reduction
+mesh): rank order (1-D and 0-d arrays, blobs), the rank-ordered reduction
 bit-equal to a sequential ``functools.reduce``, identical ``CommStats`` on
-every rank of every transport, the size-1 degenerate world, and the failure
+every rank of every transport, the size-1 degenerate world, a mesh job whose
+ranks all return ending "completed" at the coordinator, and the failure
 contract — a desynchronized, departed or failed rank surfaces as
 ``CommAbortError`` naming the op/seq or the rank on every peer, within a
 bound each test enforces itself (CI has no pytest-timeout).
@@ -89,12 +90,15 @@ def _launch_mesh(size, fn):
                                   heartbeat_timeout=0.6)
     host, port = coord.start()
     try:
-        return _run_threads_with(
+        results = _run_threads_with(
             lambda rank: Comm(MeshTransport(size, f"{host}:{port}", rank=rank,
                                             join_timeout=10.0)),
             size, fn,
             on_error=lambda comm, rank, exc: comm.transport.abort(repr(exc)),
         )
+        # Every rank returned: the coordinator saw a clean job.
+        assert coord.wait(timeout=BOUND_S) == "completed"
+        return results
     finally:
         coord.stop()
 
@@ -147,12 +151,14 @@ def _traffic(comm):
         np.arange(5, dtype=np.int64) + 100 * rank, channel="t")
     blobs = comm.allgather_blob(bytes([rank]) * 10, logical_bytes=100,
                                 channel="z")
+    scalars = comm.allgather_ndarray(np.array(rank))
     reduced = comm.allreduce_ndarray(_payload(rank), channel="g")
     unchanneled = comm.allreduce_ndarray(np.array([1.0, rank]))
     return {
         "rank": rank,
         "gathered": gathered,
         "blobs": blobs,
+        "scalars": scalars,
         "reduced": reduced,
         "unchanneled": unchanneled,
         "stats": dataclasses.asdict(comm.stats),
@@ -178,6 +184,8 @@ class TestCollectiveContract:
                     part, np.arange(5, dtype=np.int64) + 100 * r)
                 assert part.dtype == np.int64
             assert out["blobs"] == [bytes([r]) * 10 for r in range(size)]
+            assert [part.shape for part in out["scalars"]] == [()] * size
+            assert [int(part) for part in out["scalars"]] == list(range(size))
             assert out["reduced"].tobytes() == expected_sum.tobytes()
             np.testing.assert_array_equal(
                 out["unchanneled"], [size, size * (size - 1) / 2])
@@ -191,11 +199,11 @@ class TestCollectiveContract:
             "z": {"logical": 100 * n2, "wire": 10 * n2, "calls": 1},
             "g": {"logical": 512 * size, "wire": 512 * size, "calls": 1},
         }
-        assert stats["allgather_bytes"] == 140 * n2
-        assert stats["allgather_wire_bytes"] == 50 * n2
+        assert stats["allgather_bytes"] == (140 + 8) * n2
+        assert stats["allgather_wire_bytes"] == (50 + 8) * n2
         assert stats["allreduce_bytes"] == (512 + 16) * size
         assert stats["allreduce_wire_bytes"] == (512 + 16) * size
-        assert stats["calls"] == {"allgather": 2, "allreduce": 2}
+        assert stats["calls"] == {"allgather": 3, "allreduce": 2}
 
     @pytest.mark.parametrize("name", list(LAUNCHERS))
     def test_allreduce_aliasing_rule(self, name):

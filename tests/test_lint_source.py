@@ -88,6 +88,18 @@ class TestSourceLint:
         ("one-comm-accounting-site", "src/repro/core/engine.py", "comm.stats.add(nbytes)"),
         ("no-probing-no-second-path", "src/repro/core/vmc.py", "if hasattr(comm, 'rank'):"),
         ("no-probing-no-second-path", "src/repro/nn/x.py", "def f(use_cache=True): ..."),
+        ("no-probing-no-second-path", "src/repro/serve/service.py",
+         "return normalize_amplitude_table(build_amplitude_table(model.wf, batch))"),
+        ("no-probing-no-second-path", "src/repro/core/local_energy.py",
+         "def merge_amplitude_tables(a: AmplitudeTable, b: AmplitudeTable):"),
+        ("no-probing-no-second-path", "src/repro/core/local_energy.py",
+         "        rec = self._as_records(keys[flat])"),
+        ("no-probing-no-second-path", "src/repro/chem/properties.py",
+         "sign = _jw_sign_between(keys[src], p, q)"),
+        ("one-key-record-view", "src/repro/core/local_energy.py",
+         'self._record_dtype = xp.dtype([(f"w{i}", uint64) for i in range(k)])'),
+        ("one-key-record-view", "src/repro/parallel/codec.py",
+         "rec = keys.view(np.dtype([('hi', np.uint64), ('lo', np.uint64)]))"),
         ("eloc-one-lookup", "src/repro/core/local_energy.py",
          "maybe = xp.flatnonzero(member[self._hash(keys) >> shift])"),
         ("eloc-one-lookup", "src/repro/core/local_energy.py",
@@ -217,6 +229,15 @@ class TestSourceLint:
         }.items():
             (tree / rel).parent.mkdir(parents=True, exist_ok=True)
             (tree / rel).write_text(text)
+        assert lint_source.lint(tree) == []
+
+    def test_the_key_record_view_lives_in_bitstrings(self, lint_source, tree):
+        """The one structured record dtype of a packed key is built by
+        ``utils/bitstrings.py``; a plan that uses the view passes."""
+        (tree / "src/repro/utils/bitstrings.py").write_text(
+            '    return np.dtype([(f"w{i}", np.uint64) for i in range(n_words)])\n')
+        (tree / "src/repro/core/local_energy.py").write_text(
+            "        rec = key_records(keys.take(flat, axis=0))\n")
         assert lint_source.lint(tree) == []
 
     def test_the_psi_product_and_the_reference_lookup_pass(self, lint_source, tree):

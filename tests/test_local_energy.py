@@ -167,65 +167,76 @@ class TestExactness:
             local_energy_vectorized(comp, batch, short)
 
 
-class TestMergeTables:
+class TestGrowTable:
     @staticmethod
     def _assert_sorted_unique(table):
         # lexsort_keys order: word 0 minor, last word major -> compare the
         # reversed word tuples.
         rows = [tuple(r) for r in table.keys[:, ::-1].tolist()]
-        assert rows == sorted(rows), "merged table keys are not sorted"
-        assert len(set(rows)) == len(rows), "merged table has duplicate keys"
+        assert rows == sorted(rows), "grown table keys are not sorted"
+        assert len(set(rows)) == len(rows), "grown table has duplicate keys"
 
-    def test_duplicates_within_b_are_collapsed(self, setup_h2):
-        """Regression: a ``b`` table with internal duplicate keys used to
-        survive the merge, corrupting every later binary search."""
-        from repro.core import AmplitudeTable, merge_amplitude_tables
+    @staticmethod
+    def _count_rows(wf, monkeypatch):
+        """Record the rows every ``wf.log_amplitudes`` call evaluates."""
+        seen = []
+        real = wf.log_amplitudes
+
+        def counting(bits):
+            seen.append(np.array(bits))
+            return real(bits)
+
+        monkeypatch.setattr(wf, "log_amplitudes", counting)
+        return seen
+
+    def test_repeated_unsorted_keys_are_evaluated_once(self, setup_h2, monkeypatch):
+        """Unsorted candidates that repeat a missing key (and one the table
+        holds) add each missing key once, evaluated once."""
+        from repro.core import AmplitudeTable, grow_amplitude_table
 
         wf, comp, batch, table = setup_h2
         half = AmplitudeTable(keys=table.keys[:2], log_amps=table.log_amps[:2])
-        dup_idx = np.array([2, 3, 3, 2, 2])
-        b = AmplitudeTable(keys=table.keys[dup_idx],
-                           log_amps=table.log_amps[dup_idx])
-        merged = merge_amplitude_tables(half, b)
-        self._assert_sorted_unique(merged)
-        assert merged.n_entries == 4
-        np.testing.assert_array_equal(merged.keys, table.keys)
-        np.testing.assert_array_equal(merged.log_amps, table.log_amps)
+        seen = self._count_rows(wf, monkeypatch)
+        grown = grow_amplitude_table(wf, half, table.keys[[3, 2, 3, 0, 2, 2]])
+        self._assert_sorted_unique(grown)
+        np.testing.assert_array_equal(grown.keys, table.keys)
+        np.testing.assert_allclose(grown.log_amps, table.log_amps, rtol=1e-12)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(pack_bits(seen[0]), table.keys[2:])
 
-    def test_unsorted_inputs_are_normalized(self, setup_h2):
-        from repro.core import AmplitudeTable, merge_amplitude_tables
-
-        wf, comp, batch, table = setup_h2
-        rev = slice(None, None, -1)
-        a = AmplitudeTable(keys=table.keys[:3][rev], log_amps=table.log_amps[:3][rev])
-        b = AmplitudeTable(keys=table.keys[2:][rev], log_amps=table.log_amps[2:][rev])
-        merged = merge_amplitude_tables(a, b)
-        self._assert_sorted_unique(merged)
-        np.testing.assert_array_equal(merged.keys, table.keys)
-        np.testing.assert_array_equal(merged.log_amps, table.log_amps)
-
-    def test_a_wins_on_duplicate_keys(self, setup_h2):
-        from repro.core import AmplitudeTable, merge_amplitude_tables
+    def test_table_entries_are_never_reevaluated(self, setup_h2, monkeypatch):
+        from repro.core import AmplitudeTable, grow_amplitude_table
 
         wf, comp, batch, table = setup_h2
-        b = AmplitudeTable(keys=table.keys.copy(),
-                           log_amps=table.log_amps + 1.0)
-        merged = merge_amplitude_tables(table, b)
-        np.testing.assert_array_equal(merged.log_amps, table.log_amps)
+        # Marked values: an entry the table holds must come back untouched.
+        marked = AmplitudeTable(keys=table.keys[:3], log_amps=table.log_amps[:3] + 1.0)
+        seen = self._count_rows(wf, monkeypatch)
+        grown = grow_amplitude_table(wf, marked, table.keys[::-1])
+        np.testing.assert_array_equal(grown.log_amps[:3], marked.log_amps)
+        assert sum(len(rows) for rows in seen) == 1
+        np.testing.assert_array_equal(pack_bits(seen[0]), table.keys[3:])
 
-    def test_sorted_inputs_pass_through_untouched(self, setup_h2):
-        """The invariant check must not copy already-valid tables."""
-        from repro.core import AmplitudeTable, merge_amplitude_tables
-        from repro.core.local_energy import normalize_amplitude_table
+    def test_nothing_missing_returns_the_table_itself(self, setup_h2, monkeypatch):
+        from repro.core import grow_amplitude_table
 
         wf, comp, batch, table = setup_h2
-        assert normalize_amplitude_table(table) is table
+        seen = self._count_rows(wf, monkeypatch)
+        assert grow_amplitude_table(wf, table, table.keys[[3, 1, 1, 0]]) is table
+        assert grow_amplitude_table(wf, table, table.keys[:0]) is table
+        assert seen == []
+
+    def test_empty_table_grows_sorted_unique(self, setup_h2):
+        from repro.core import AmplitudeTable, grow_amplitude_table
+
+        wf, comp, batch, table = setup_h2
         empty = AmplitudeTable(
             keys=np.zeros((0, table.keys.shape[1]), dtype=np.uint64),
             log_amps=np.zeros(0, dtype=np.complex128),
         )
-        assert merge_amplitude_tables(table, empty) is table
-        assert merge_amplitude_tables(empty, table) is table
+        grown = grow_amplitude_table(wf, empty, table.keys[[2, 0, 3, 0, 1]])
+        self._assert_sorted_unique(grown)
+        np.testing.assert_array_equal(grown.keys, table.keys)
+        np.testing.assert_allclose(grown.log_amps, table.log_amps, rtol=1e-12)
 
 
 class TestExtendTable:

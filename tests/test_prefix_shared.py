@@ -31,7 +31,7 @@ from repro.core import (
 from repro.hamiltonian import compress_hamiltonian, synthetic_molecular_hamiltonian
 from repro.nn import TransformerAmplitude, TransformerInferenceSession
 from repro.utils.bitstrings import (
-    int_to_bits,
+    ints_to_keys,
     lexsort_keys,
     pack_bits,
     searchsorted_keys,
@@ -84,7 +84,7 @@ def assert_matches_dense(wf, bits):
 
 
 def bits_of(values):
-    return np.array([int_to_bits(v, N) for v in values], dtype=np.uint8).reshape(-1, N)
+    return unpack_bits(ints_to_keys(values, 1), N)
 
 
 class TestSharedEqualsDense:

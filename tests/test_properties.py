@@ -15,7 +15,6 @@ from repro.chem import (
     run_rhf,
     spatial_rdm,
 )
-from repro.core.observables import sector_expectation
 from repro.hamiltonian import jordan_wigner_fermion_terms
 
 
@@ -41,18 +40,26 @@ class TestOneRDM:
         np.testing.assert_allclose(gamma[0::2, 1::2], 0.0, atol=1e-12)
         np.testing.assert_allclose(gamma[1::2, 0::2], 0.0, atol=1e-12)
 
-    def test_matches_operator_expectations(self, lih_fci):
-        """Cross-check every matrix element against a JW operator expectation."""
-        prob, fci, gamma = lih_fci
-        rng = np.random.default_rng(0)
-        pairs = [(0, 0), (2, 2), (0, 2), (2, 6), (1, 3), (5, 7)]
-        for p, q in pairs:
-            op = jordan_wigner_fermion_terms(
-                [(0.5, [(p, True), (q, False)]), (0.5, [(q, True), (p, False)])],
-                prob.n_qubits,
-            )
-            val = sector_expectation(op, fci.ground_state, fci.basis)
-            assert gamma[p, q] == pytest.approx(val, abs=1e-9)
+    def test_matches_operator_expectations(self):
+        """Every element equals <v| (a+_P a_Q + a+_Q a_P)/2 |v> from the dense
+        matrix of the JW operator, on H2's full 16-state space with a random
+        real vector (cross-spin and particle-changing elements included)."""
+        from repro.hamiltonian import SectorBasis
+        from repro.hamiltonian.pauli import strings_to_matrix
+
+        n = 4
+        basis = SectorBasis(n_qubits=n, n_up=0, n_dn=0,
+                            keys=np.arange(2**n, dtype=np.uint64)[:, None])
+        vec = np.random.default_rng(0).normal(size=2**n)
+        vec /= np.linalg.norm(vec)
+        gamma = one_rdm_spin_orbital(vec, basis)
+        for p in range(n):
+            for q in range(n):
+                op = jordan_wigner_fermion_terms(
+                    [(0.5, [(p, True), (q, False)]), (0.5, [(q, True), (p, False)])], n)
+                dense = strings_to_matrix(op.to_terms()) + op.constant * np.eye(2**n)
+                assert gamma[p, q] == pytest.approx(float((vec @ dense @ vec).real), abs=1e-12)
+        assert abs(gamma[0, 1]) > 1e-3  # the cross-spin block is exercised
 
     def test_positive_semidefinite(self, lih_fci):
         _, _, gamma = lih_fci

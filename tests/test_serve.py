@@ -393,34 +393,44 @@ class TestLocalEnergy:
         # Identical request: every amplitude came from the table, no growth.
         assert stats["table_entries"] == entries_after_first > 0
 
-    def test_duplicate_client_rows_keep_table_sorted_unique(self, service):
+    def test_duplicate_client_rows_keep_table_sorted_unique(self, service, monkeypatch):
         """Regression: a client batch with repeated rows used to push
         duplicate keys into the per-version amplitude table through both the
         first-request build and the merge path, corrupting later binary
-        searches.  The served values must match the direct computation and
-        the accumulated table must stay sorted-unique."""
+        searches, and the merge path evaluated a repeated missing row once
+        per repeat.  Repeated rows get equal values, every configuration
+        the table lacks is evaluated once, and the table stays
+        sorted-unique."""
         from repro.core.sampler import SampleBatch
 
-        wf_direct = _wf()
-        clean = batch_autoregressive_sample(
-            wf_direct, 400, np.random.default_rng(5)
-        )
-        dup_rows = np.concatenate([clean.bits, clean.bits[:3], clean.bits[:1]])
-        dup = SampleBatch(bits=dup_rows,
-                          weights=np.ones(len(dup_rows), dtype=np.int64))
-        # First request seeds the table from the duplicated batch, the second
-        # (shifted subset, duplicated again) exercises the merge path.
-        first = service.local_energy(dup, mode="sample_aware")
-        np.testing.assert_array_equal(first[:3], first[len(clean.bits):-1])
-        other = batch_autoregressive_sample(
-            wf_direct, 400, np.random.default_rng(6)
-        )
-        dup2_rows = np.concatenate([other.bits, other.bits[:2]])
-        dup2 = SampleBatch(bits=dup2_rows,
-                           weights=np.ones(len(dup2_rows), dtype=np.int64))
-        second = service.local_energy(dup2, mode="sample_aware")
+        clean = batch_autoregressive_sample(_wf(), 400, np.random.default_rng(5))
+        assert clean.n_unique == 4  # the whole H2 sector
+        # The first request seeds the table from two configurations, repeated.
+        dup_rows = np.concatenate([clean.bits[:2], clean.bits[:2], clean.bits[:1]])
+        first = service.local_energy(
+            SampleBatch(bits=dup_rows, weights=np.ones(len(dup_rows), dtype=np.int64)),
+            mode="sample_aware")
+        np.testing.assert_array_equal(first[:2], first[2:4])
+        np.testing.assert_array_equal(first[:1], first[4:])
+        # The second adds the other two, repeated: the grow path.
+        model = service._models[0]
+        seen = []
+        real = model.wf.log_amplitudes
+
+        def counting(bits):
+            seen.append(np.array(bits))
+            return real(bits)
+
+        monkeypatch.setattr(model.wf, "log_amplitudes", counting)
+        dup2_rows = np.concatenate([clean.bits, clean.bits[2:], clean.bits[3:]])
+        second = service.local_energy(
+            SampleBatch(bits=dup2_rows, weights=np.ones(len(dup2_rows), dtype=np.int64)),
+            mode="sample_aware")
         assert len(second) == len(dup2_rows)
-        table = service._models[0].table
+        evaluated = sorted(map(tuple, np.concatenate(seen).tolist()))
+        assert evaluated == sorted(map(tuple, clean.bits[2:].tolist()))
+        table = model.table
+        assert table.n_entries == 4
         rows = [tuple(r) for r in table.keys[:, ::-1].tolist()]
         assert rows == sorted(rows), "per-version table keys not sorted"
         assert len(set(rows)) == len(rows), "per-version table has duplicates"

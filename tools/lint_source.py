@@ -44,10 +44,18 @@ RULES = (
          r"hasattr\(comm|eloc_kernel|resolve_batch_kernel|ELOC_KERNELS"
          r"|local_energy_baseline|local_energy_sa_fuse|_lookup_dedup|DEDUP_MIN_TABLE"
          r"|getattr\(engine|_run_step_protocol|hasattr\(opt"
-         r"|gradient_step|use_cache", (SRC,),
+         r"|gradient_step|use_cache"
+         r"|normalize_amplitude_table|merge_amplitude_tables|_as_records|_jw_sign_between",
+         (SRC,),
          "no probing of the communicator, the engine or the optimizer; one "
          "local-energy path, one table lookup, one training loop, one inference "
-         "path (Local energy, Stage contract, Sessions and the BAS tree)"),
+         "path, one way to grow an amplitude table, one operator on a "
+         "determinant basis (Local energy, Stage contract, Sessions and the BAS "
+         "tree, Serving layer, Exact references)"),
+    Rule("one-key-record-view", r"dtype\(\[", (SRC,),
+         "packed keys compare through utils/bitstrings.py's key_records alone: "
+         "no structured record dtype built anywhere else (Local energy)",
+         exempt=("src/repro/utils/bitstrings.py",)),
     Rule("eloc-one-lookup", r"member\[|exp\(.*log_amps\[.*\]\s*-",
          ("src/repro/core/local_energy.py",),
          "the plan finds coupled keys through its slot map and divides by psi(x) "
