@@ -13,11 +13,18 @@ the unit of exchange between training and the serving layer — the
 :class:`~repro.serve.ModelRegistry` stores one snapshot per published
 version, and ``save_checkpoint`` embeds the same fields so any checkpoint
 can be published directly.
+
+Both are written by :func:`write_npz`: numpy's ``.npz`` layout, drawn
+straight from each array's own buffer; the payload references the arena's
+theta and the optimizer's moments in place, so writing an artifact costs no
+model-sized copy.  Both go through ``atomic_write``: a kill mid-write leaves
+the previous file intact, never a torn one.
 """
 from __future__ import annotations
 
 import inspect
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +39,7 @@ __all__ = [
     "load_model_snapshot",
     "snapshot_payload",
     "restore_rng",
+    "write_npz",
 ]
 
 SNAPSHOT_FORMAT = 2  # bumped when the on-disk layout changes
@@ -44,13 +52,40 @@ _HISTORY_FIELDS = (
 )
 
 
+# --------------------------------------------------------------------- writer
+def write_npz(file, arrays: dict) -> None:
+    """Write ``arrays`` to the open binary ``file`` in the layout numpy's
+    ``savez`` writes and ``np.load`` reads: one uncompressed ZIP entry
+    ``<key>.npy`` per array, a format-1.0 ``.npy`` header, then the array's
+    own buffer through a ``memoryview`` — no ``tobytes()``, no copy.  Every
+    array must be C-contiguous (``memoryview.cast`` refuses any other)."""
+    with zipfile.ZipFile(file, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for key, value in arrays.items():
+            arr = np.asarray(value)
+            if arr.dtype.hasobject:  # its buffer holds pointers, not values
+                raise TypeError(f"{key}: an object array needs pickling; not written")
+            # force_zip64: the local header is written before the size is
+            # known, so it must have room for any size (as numpy's savez does).
+            with zf.open(f"{key}.npy", "w", force_zip64=True) as entry:
+                np.lib.format.write_array_header_1_0(
+                    entry, np.lib.format.header_data_from_array_1_0(arr))
+                entry.write(memoryview(arr).cast("B"))
+
+
+def _npz_path(path: str | Path) -> Path:
+    """``path`` with ``.npz`` appended if missing (numpy's savez convention)."""
+    path = Path(path)
+    return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
+
+
 # --------------------------------------------------------------- wavefunction
 def snapshot_payload(wf, metadata: dict | None = None) -> dict:
     """The registry-compatible snapshot fields of one wavefunction.
 
     Requires the wavefunction to carry a ``spec`` (recorded by
     ``build_qiankunnet``) so :func:`load_model_snapshot` can rebuild the
-    network without any out-of-band information.
+    network without any out-of-band information.  ``params`` is the arena's
+    theta itself, not a copy: write the payload before the next update.
     """
     spec = getattr(wf, "spec", None)
     if spec is None:
@@ -60,7 +95,7 @@ def snapshot_payload(wf, metadata: dict | None = None) -> dict:
         )
     payload = {
         "format": np.array(SNAPSHOT_FORMAT),
-        "params": wf.get_flat_params(),
+        "params": wf.arena().theta,
         "spec_json": np.array(json.dumps(spec)),
     }
     if metadata is not None:
@@ -69,8 +104,11 @@ def snapshot_payload(wf, metadata: dict | None = None) -> dict:
 
 
 def save_model_snapshot(wf, path: str | Path, metadata: dict | None = None) -> None:
-    """Write a self-contained wavefunction snapshot (params + rebuild spec)."""
-    np.savez(Path(path), **snapshot_payload(wf, metadata))
+    """Write a self-contained wavefunction snapshot (params + rebuild spec)
+    to ``path`` (``.npz`` appended if missing), atomically."""
+    payload = snapshot_payload(wf, metadata)
+    with atomic_write(_npz_path(path), "wb") as f:
+        write_npz(f, payload)
 
 
 def load_model_snapshot(path: str | Path):
@@ -127,15 +165,12 @@ def restore_rng(state_json: str) -> np.random.Generator:
 def save_checkpoint(vmc: VMC, path: str | Path) -> None:
     """Write the full VMC state to ``path`` (``.npz`` appended if missing),
     atomically: a kill mid-save leaves the previous checkpoint intact."""
-    path = Path(path)
-    if path.suffix != ".npz":  # np.savez's own filename convention
-        path = path.with_name(path.name + ".npz")
     payload = {
         "iteration": np.array(vmc.iteration),
         "rng_state": _rng_payload(vmc.rng),
         # The optimizer's state under its own keys: opt_t / opt_m / opt_v /
-        # sched_i.
-        **vmc.optimizer.state(),
+        # sched_i; the moments are the live arrays, written as they lie.
+        **vmc.optimizer.state_views(),
     }
     for f in _HISTORY_FIELDS:
         payload[f"hist_{f}"] = np.array([getattr(s, f) for s in vmc.history])
@@ -159,9 +194,9 @@ def save_checkpoint(vmc: VMC, path: str | Path) -> None:
     except ValueError:
         # Hand-built wavefunction without a spec: still checkpointable,
         # just not publishable to a model registry.
-        payload["params"] = vmc.wf.get_flat_params()
-    with atomic_write(path, "wb") as f:
-        np.savez(f, **payload)
+        payload["params"] = vmc.wf.arena().theta
+    with atomic_write(_npz_path(path), "wb") as f:
+        write_npz(f, payload)
 
 
 def _parse_history(data) -> list[VMCStats]:

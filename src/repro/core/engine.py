@@ -433,8 +433,8 @@ class NoamAdamW(AdamW):
         return (self.lr_scale * self.d_model**-0.5
                 * min(i**-0.5, i * self.warmup**-1.5))
 
-    def state(self) -> dict:
-        return {**super().state(), "sched_i": host_np.array(self.sched_i)}
+    def state_views(self) -> dict:
+        return {**super().state_views(), "sched_i": host_np.array(self.sched_i)}
 
     def load_state(self, data) -> None:
         sched_i = int(data["sched_i"])  # read before anything is written

@@ -93,13 +93,18 @@ class AdamW:
     def zero_grad(self) -> None:
         self.model.zero_grad()
 
-    def state(self) -> dict:
-        """Step counter and flat moments, under their checkpoint key names."""
+    def state_views(self) -> dict:
+        """Step counter and flat moments, under their checkpoint key names;
+        ``opt_m`` / ``opt_v`` are the live moments, not copies (the next step
+        overwrites them): what a checkpoint writer reads in place."""
         out = {"opt_t": host_np.array(self.t)}
         if self._m is not None:
-            out["opt_m"] = self._m.copy()
-            out["opt_v"] = self._v.copy()
+            out["opt_m"], out["opt_v"] = self._m, self._v
         return out
+
+    def state(self) -> dict:
+        """:meth:`state_views`, every array copied."""
+        return {key: value.copy() for key, value in self.state_views().items()}
 
     def load_state(self, data) -> None:
         """Restore :meth:`state`; moments of the wrong size are refused before

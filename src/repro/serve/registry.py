@@ -77,11 +77,11 @@ class ModelRegistry:
             # orphan of a publish that crashed before its manifest write —
             # never visible to readers, safe to overwrite.
             save_model_snapshot(wf, self.root / filename, metadata)
-            params = wf.get_flat_params()
+            theta = wf.arena().theta  # hashed in place: the digest of its bytes
             manifest["versions"][str(version)] = {
                 "file": filename,
-                "n_params": int(params.size),
-                "params_sha256": hashlib.sha256(params.tobytes()).hexdigest(),
+                "n_params": int(theta.size),
+                "params_sha256": hashlib.sha256(theta).hexdigest(),
                 "published_at": time.time(),
                 "metadata": metadata or {},
             }
@@ -116,10 +116,22 @@ class ModelRegistry:
     def load(self, version: int | None = None):
         """Rebuild the snapshot; returns ``(wf, metadata)``.
 
-        ``version=None`` loads the latest published version.
+        ``version=None`` loads the latest published version.  Parameters
+        whose SHA-256 is not the one recorded at publish time (a file changed
+        or damaged on disk) are a ``ValueError`` naming file and version.
         """
         if version is None:
             version = self.latest_version()
             if version is None:
                 raise KeyError(f"registry {self.root} has no published versions")
-        return load_model_snapshot(self.path(version))
+        rec = self._record(version)
+        path = self.root / rec["file"]
+        wf, metadata = load_model_snapshot(path)
+        digest = hashlib.sha256(wf.arena().theta).hexdigest()
+        if digest != rec["params_sha256"]:
+            raise ValueError(
+                f"{path}: parameters of version {version} do not match the "
+                f"params_sha256 recorded at publish ({digest} != "
+                f"{rec['params_sha256']})"
+            )
+        return wf, metadata

@@ -9,15 +9,23 @@ uninterrupted run, for every ansatz.
 """
 from __future__ import annotations
 
+import hashlib
+import io
+import tracemalloc
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core import VMC, VMCConfig, build_qiankunnet, load_checkpoint, save_checkpoint
+from repro.core import checkpoint
 from repro.core.checkpoint import (
     load_model_snapshot,
     restore_rng,
     save_model_snapshot,
 )
+from repro.serve.registry import ModelRegistry
 
 from tests.conftest import ANSATZE, build_wf
 
@@ -309,16 +317,111 @@ class TestModelSnapshot:
         save_checkpoint(vmc, path)
         before = path.read_bytes()
 
-        def killed_mid_write(file, **payload):
-            file.write(b"PK torn")
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr("repro.core.checkpoint.np.savez", killed_mid_write)
+        _kill_the_writer_mid_write(monkeypatch)
         vmc.step()
         with pytest.raises(KeyboardInterrupt):
             save_checkpoint(vmc, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
+
+    def test_failed_save_keeps_the_previous_snapshot(self, tmp_path, monkeypatch):
+        """The same for a model snapshot: the previous file stays byte for
+        byte and still loads with its own parameters."""
+        wf = build_qiankunnet(4, 1, 1, seed=5)
+        path = tmp_path / "snap.npz"
+        save_model_snapshot(wf, path)
+        before, params = path.read_bytes(), wf.get_flat_params()
+
+        _kill_the_writer_mid_write(monkeypatch)
+        wf.set_flat_params(params + 0.01)
+        with pytest.raises(KeyboardInterrupt):
+            save_model_snapshot(wf, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.npz"]
+        np.testing.assert_array_equal(load_model_snapshot(path)[0].get_flat_params(),
+                                      params)
+
+    def test_the_writer_matches_numpys_savez(self, h2_problem, tmp_path):
+        """``write_npz`` is numpy's own layout: a checkpoint's payload written
+        by it and by ``np.savez`` reads back with the same keys, dtypes,
+        shapes and values, 0-d strings and empty history columns included."""
+        vmc = _fresh_vmc(h2_problem, "transformer")
+        save_checkpoint(vmc, tmp_path / "empty.npz")    # no moments, no history
+        vmc.run(2)
+        save_checkpoint(vmc, tmp_path / "ck.npz")
+        for name in ("empty.npz", "ck.npz"):
+            with np.load(tmp_path / name) as data:
+                ours = dict(data)
+            np.savez(tmp_path / "numpy.npz", **ours)
+            with np.load(tmp_path / "numpy.npz") as data:
+                theirs = dict(data)
+            assert list(ours) == list(theirs)
+            for key, value in theirs.items():
+                assert ours[key].dtype == value.dtype, key
+                assert ours[key].shape == value.shape, key
+                np.testing.assert_array_equal(ours[key], value, err_msg=key)
+        np.testing.assert_array_equal(ours["params"], vmc.wf.get_flat_params())
+        np.testing.assert_array_equal(ours["opt_m"], vmc.optimizer.state()["opt_m"])
+
+
+def _kill_the_writer_mid_write(monkeypatch) -> None:
+    """Make ``write_npz`` die halfway: half of the bytes the real writer
+    produces reach the file, then the process is interrupted."""
+    real = checkpoint.write_npz
+
+    def killed_mid_write(file, arrays):
+        whole = io.BytesIO()
+        real(whole, arrays)
+        file.write(whole.getbuffer()[: whole.tell() // 2])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(checkpoint, "write_npz", killed_mid_write)
+
+
+class TestArtifactsCopyNothing:
+    """Writing a run's artifacts adds no model-sized buffer to what training
+    holds: on an ``h2``-preset-sized model (272 517 parameters, so theta, m
+    and v are 6.2 MiB together) a checkpoint and a publish each allocate,
+    under tracemalloc, under 5 % of theta + m + v.  (The copying writers
+    allocated 134 % and 67 %.)"""
+
+    @pytest.fixture(scope="class")
+    def vmc(self, h2_problem):
+        p = h2_problem
+        wf = build_qiankunnet(p.n_qubits, p.n_up, p.n_dn,
+                              **asdict(api.get_preset("h2").ansatz))
+        vmc = VMC(wf, p.hamiltonian, VMCConfig(n_samples=1000, seed=3))
+        vmc.run(2)
+        assert wf.num_parameters() == 272_517
+        return vmc
+
+    @staticmethod
+    def _allocated(write) -> int:
+        """Peak bytes traced while ``write()`` runs, above where it started."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def _budget(self, vmc) -> float:
+        return 0.05 * 3 * vmc.wf.arena().theta.nbytes
+
+    def test_save_checkpoint(self, vmc, tmp_path):
+        allocated = self._allocated(lambda: save_checkpoint(vmc, tmp_path / "ck.npz"))
+        assert allocated < self._budget(vmc)
+
+    def test_publish(self, vmc, tmp_path):
+        registry = ModelRegistry(tmp_path / "models")
+        allocated = self._allocated(lambda: registry.publish(vmc.wf))
+        assert allocated < self._budget(vmc)
+        wf, _ = registry.load(1)
+        np.testing.assert_array_equal(wf.get_flat_params(), vmc.wf.get_flat_params())
+        # Hashing theta's buffer in place gives the digest of its bytes.
+        digest = hashlib.sha256(vmc.wf.get_flat_params().tobytes()).hexdigest()
+        assert registry._record(1)["params_sha256"] == digest
 
 
 class TestCheckpoint:

@@ -193,6 +193,7 @@ class TestSourceLint:
          "    if self.comm_shm and not use_shm:"),
         ("one-parallel-path", "src/repro/parallel/multiprocess.py",
          "def run_spmd_processes(size, fn, *, shm_threshold=0):"),
+        ("one-npz-writer", "src/repro/core/checkpoint.py", "        np.savez(f, **payload)"),
     ])
     def test_relocated_grep_clauses_still_bite(self, lint_source, tree, rule, rel, line):
         path = tree / rel

@@ -484,6 +484,25 @@ class TestRegistry:
             loaded.get_flat_params(), wf.get_flat_params()
         )
 
+    def test_params_that_do_not_match_the_recorded_hash_are_refused(self, tmp_path):
+        """``params_sha256`` is checked on load: one flipped byte of a
+        published snapshot's parameters is a ``ValueError`` naming the file
+        and the version; the other versions still load."""
+        reg = ModelRegistry(tmp_path / "models")
+        wf = _wf()
+        reg.publish(wf)
+        reg.publish(wf)
+        path = reg.path(2)
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["params"].view(np.uint8)[5] ^= 0x01
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="params_sha256") as err:
+            reg.load(2)
+        assert str(path) in str(err.value) and "version 2" in str(err.value)
+        loaded, _ = reg.load(1)
+        np.testing.assert_array_equal(loaded.get_flat_params(), wf.get_flat_params())
+
     def test_unknown_version_raises(self, tmp_path):
         reg = ModelRegistry(tmp_path / "models")
         reg.publish(_wf())

@@ -144,6 +144,10 @@ RULES = (
          "through shared memory, and stage 3 always splits the unique set into "
          "weight-balanced chunks — no option selects a second path "
          "(Configuration, Communication layer)"),
+    Rule("one-npz-writer", r"np\.savez", (SRC,),
+         "checkpoints and model snapshots are written by core/checkpoint.py's "
+         "write_npz, straight from the arena and the optimizer's moments: no "
+         "writer that copies every array into bytes (Parameter arena)"),
     Rule("no-scipy", r"^\s*(import|from)\s+scipy\b", (SRC,),
          "a rank imports numpy and repro, nothing else: any scipy submodule "
          "costs ~0.2 s and ~30 MiB per process, module-level or function-local "
