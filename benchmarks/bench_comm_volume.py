@@ -7,9 +7,8 @@ volume after the typed/compressed comm layer (delta/varint keys + uint32
 counts on ``stage2_samples``, raw complex128 amplitudes on ``stage2_amps``).
 
 CI smoke: ``python benchmarks/bench_comm_volume.py --smoke`` runs two
-2-rank C2 iterations (the second exercises the cross-iteration diff
-baseline) and asserts the stage-2 samples wire volume is <= 50% of the
-uncompressed model prediction for that payload.
+2-rank C2 iterations and asserts the second's stage-2 samples wire volume
+is <= 50% of the uncompressed model prediction for that payload.
 """
 from __future__ import annotations
 
@@ -64,7 +63,7 @@ def test_comm_volume_paper_example(benchmark, full):
     ]
 
     # Measured: two real 2-rank iterations on C2 with FakeMPI byte counters
-    # (the second exercises the cross-iteration diff baseline).
+    # (the second iteration's are reported).
     prob, vmc, backend, s = _measure_c2()
     wf = vmc.wf
     measured = CommVolumeModel(prob.n_qubits, s.n_unique, 2,
@@ -100,12 +99,12 @@ def test_comm_volume_paper_example(benchmark, full):
                 "Paper quotes 'about 173 MB' for the example row (our model: "
                 f"{parts['total_MB']:.1f} MB). Measured FakeMPI bytes track the "
                 "model; wire row = typed/compressed comm layer (delta/varint "
-                "keys, uint32 counts, diff vs previous iteration's set)."
+                "keys, uint32 counts)."
             ),
         )
         + "\n\n"
         + format_table(
-            "Stage-2 channel split (C2, 2 ranks, iteration w/ diff baseline)",
+            "Stage-2 channel split (C2, 2 ranks, second iteration)",
             ["channel", "logical MB", "wire MB", "compression"],
             channel_rows,
             notes="Amplitudes travel raw by design; the compressible payload "
@@ -138,7 +137,7 @@ def run_smoke(n_samples: int = 3 * 10**4) -> dict:
     registry.record(
         "comm_volume_smoke",
         format_table(
-            "Comm-volume smoke — 2-rank C2, codec + diff baseline",
+            "Comm-volume smoke — 2-rank C2, delta/varint codec",
             ["N_u", "samples logical B", "samples wire B",
              "model uncompressed B", "wire/model"],
             [[s.n_unique, ch["logical"], ch["wire"], predicted,

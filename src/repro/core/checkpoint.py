@@ -181,11 +181,6 @@ def save_checkpoint(vmc: VMC, path: str | Path) -> None:
         [-1 if s.comm_bytes_wire is None else int(s.comm_bytes_wire)
          for s in vmc.history]
     )
-    if vmc.comm_baseline is not None:
-        # The stage-2 codec's cross-iteration diff baseline: without it a
-        # resumed run would ship one full payload where the uninterrupted run
-        # shipped a diff, breaking bitwise comm-volume equality.
-        payload["comm_baseline"] = np.asarray(vmc.comm_baseline)
     payload["hist_per_rank_unique"] = np.array(
         json.dumps([s.per_rank_unique for s in vmc.history])
     )
@@ -235,10 +230,8 @@ def load_checkpoint(vmc: VMC, path: str | Path) -> None:
     history = _parse_history(data)
     rng = restore_rng(data["rng_state"].item())
     iteration = int(data["iteration"])
-    comm_baseline = data["comm_baseline"] if "comm_baseline" in data else None
     vmc.optimizer.load_state(data)
     vmc.wf.set_flat_params(params)
     vmc.iteration = iteration
-    vmc.comm_baseline = comm_baseline
     vmc.history = history
     vmc.rng = rng

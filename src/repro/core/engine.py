@@ -46,9 +46,9 @@ differ only in the transport under it:
 
 The "engine" object the backends drive is any object with the VMC state
 surface (``wf``, ``comp``, ``config``, ``rng``, ``optimizer``,
-``iteration``, ``backend``, ``array_backend``, ``eloc_plan``,
-``comm_baseline``) — in practice :class:`repro.core.vmc.VMC`, which
-keeps the checkpoint/resume format unchanged.
+``iteration``, ``backend``, ``array_backend``, ``eloc_plan``) — in
+practice :class:`repro.core.vmc.VMC`, which keeps the checkpoint/resume
+format unchanged.
 """
 from __future__ import annotations
 
@@ -239,7 +239,7 @@ def _counts_nbytes(weights) -> int:
     return weights.size * (8 if wide else 4)
 
 
-def stage_gather_table(comm, wf, local: SampleBatch, *, baseline=None):
+def stage_gather_table(comm, wf, local: SampleBatch):
     """Stage 2: Allgather the unique sets; build the global amplitude table.
 
     Returns ``(keys, weights, table)`` with the global unique set lexsorted —
@@ -248,10 +248,9 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, baseline=None):
     The multi-rank payload is split into two typed channels:
 
     * ``stage2_samples`` — packed keys + integer counts.  Each rank lexsorts
-      locally and ships a delta/varint payload (:mod:`repro.parallel.codec`),
-      diffed against ``baseline`` (the previous iteration's global unique
-      set) when one is available; the logical size is the raw keys plus
-      natural-width counts.
+      locally and ships a delta/varint payload (:mod:`repro.parallel.codec`)
+      of this iteration's keys and counts alone; the logical size is the raw
+      keys plus natural-width counts.
     * ``stage2_amps`` — the complex128 log-amplitudes, always raw (lossless
       float compression is not worth the cycles).
 
@@ -288,7 +287,7 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, baseline=None):
     from repro.parallel.codec import decode_sample_payload, encode_sample_payload
 
     rank = comm.Get_rank()
-    blob = encode_sample_payload(skeys, sweights, baseline=baseline)
+    blob = encode_sample_payload(skeys, sweights)
     blobs = comm.allgather_blob(
         blob, logical_bytes=skeys.nbytes + _counts_nbytes(sweights),
         channel="stage2_samples",
@@ -299,7 +298,7 @@ def stage_gather_table(comm, wf, local: SampleBatch, *, baseline=None):
             key_parts.append(skeys)
             weight_parts.append(sweights)
         else:
-            k, c = decode_sample_payload(b, baseline=baseline)
+            k, c = decode_sample_payload(b)
             key_parts.append(k)
             weight_parts.append(c)
     amp_parts = comm.allgather_ndarray(samps, channel="stage2_amps")
@@ -494,9 +493,7 @@ def _rank_iteration_stages(engine, comm, wf, rng,
     snap_sampled = active_backend().counter_snapshot()
 
     # ---- stage 2: allgather + global amplitude table -----------------------
-    keys, weights, table = stage_gather_table(
-        comm, wf, local, baseline=engine.comm_baseline
-    )
+    keys, weights, table = stage_gather_table(comm, wf, local)
     n_u = len(weights)
 
     # ---- stage 3: local energy on this rank's chunk ------------------------
@@ -541,7 +538,7 @@ def _rank_iteration_stages(engine, comm, wf, rng,
     packed = comm.allreduce_ndarray(fused, channel="stage6_grads")
     grad_total, variance = packed[:-1], float(packed[-1] / sums[2])
 
-    out = {
+    return {
         "grad": grad_total,
         "energy": float(e_mean),
         "eloc_imag": float(abs(e_imag)),
@@ -550,16 +547,7 @@ def _rank_iteration_stages(engine, comm, wf, rng,
         "n_local_unique": int(local.n_unique),
         "n_samples": int(n_samples),
         "times": times,
-    }
-    if size > 1 and (rank == 0 or engine.backend.spmd):
-        # Next iteration's diff baseline: the global unique set in canonical
-        # (lexsorted) order.  On the thread/process backends only rank 0's
-        # copy survives execute() (every rank rebuilds the identical array,
-        # so shipping one is enough); on SPMD backends (cluster) each rank
-        # is a separate host-resident engine and must retain its own copy to
-        # decode peers' delta-encoded payloads next iteration.
-        out["global_keys"] = keys
-    return out, snap_sampled
+    }, snap_sampled
 
 
 # --------------------------------------------------------------------------
@@ -569,15 +557,14 @@ class ExecutionBackend:
     """How the staged iteration executes; subclasses schedule the stages.
 
     ``execute(engine)`` runs stages 1-6 and returns ``(rank_results,
-    comm)`` where ``comm`` is ``None`` (no communicator) or a
-    ``(logical_bytes, wire_bytes)`` pair; the engine then applies the single
-    parameter update and calls ``after_update`` so the backend can resync any
-    rank replicas.
+    comm)`` where ``comm`` is ``None`` (no communicator) or the collectives'
+    ``(logical_bytes, wire_bytes)`` pair; the engine then adds the stage-6
+    parameter broadcast, applies the single parameter update and calls
+    ``after_update`` so the backend can resync any rank replicas.
     """
 
     name = "?"
     n_ranks = 1
-    spmd = False        # True: every rank is its own engine (cluster backend)
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
         raise NotImplementedError
@@ -636,7 +623,7 @@ class ThreadBackend(ExecutionBackend):
         self.replicas: list | None = None
         self.last_comm_stats = None
 
-    def _sync_replicas(self, engine):
+    def _sync_replicas(self, engine) -> None:
         if self.replicas is None:
             self.replicas = [
                 copy.deepcopy(engine.wf) for _ in range(self.n_ranks)
@@ -644,14 +631,13 @@ class ThreadBackend(ExecutionBackend):
         theta = engine.wf.arena().theta
         for rep in self.replicas:
             rep.set_flat_params(theta)  # one memcpy, arena to arena
-        return theta
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
         from repro.parallel.fake_mpi import run_spmd
 
         # Sync before every execute (not just after updates): the master may
         # have moved outside the engine step — checkpoint restore, pretrain.
-        flat = self._sync_replicas(engine)
+        self._sync_replicas(engine)
         nu_star = self.nu_star_per_rank * self.n_ranks
         rng = engine.rng  # consumed only on the size-1 (serial-identical) path
 
@@ -664,10 +650,7 @@ class ThreadBackend(ExecutionBackend):
         results, stats = run_spmd(self.n_ranks, rank_fn,
                                   timeout=self.collective_timeout_s)
         self.last_comm_stats = stats
-        # The post-update parameter resync is the stage-6 broadcast, realized
-        # through shared memory — account its bytes like the collectives.
-        sync = flat.nbytes * self.n_ranks
-        return results, (stats.total_bytes + sync, stats.total_wire_bytes + sync)
+        return results, (stats.total_bytes, stats.total_wire_bytes)
 
     def after_update(self, engine) -> None:
         # Keep replicas in lockstep with the master between iterations (the
@@ -699,7 +682,6 @@ class ProcessBackend(ExecutionBackend):
         from repro.parallel.multiprocess import run_spmd_processes
 
         nu_star = self.nu_star_per_rank * self.n_ranks
-        param_bytes = sum(p.data.nbytes for p in engine.wf.parameters())
 
         def rank_fn(comm):
             out = _rank_iteration(engine, comm, engine.wf, engine.rng,
@@ -720,8 +702,7 @@ class ProcessBackend(ExecutionBackend):
         state = results[0].pop("rng_state", None)
         if state is not None:
             engine.rng.bit_generator.state = state
-        sync = param_bytes * self.n_ranks
-        return results, (stats.total_bytes + sync, stats.total_wire_bytes + sync)
+        return results, (stats.total_bytes, stats.total_wire_bytes)
 
 
 # --------------------------------------------------------------------------
@@ -757,7 +738,13 @@ def execute_iteration(engine) -> VMCStats:
     backend: ExecutionBackend = engine.backend
     t_wall = time.perf_counter()
     results, comm = backend.execute(engine)
-    comm_bytes, comm_wire = comm if comm is not None else (None, None)
+    comm_bytes = comm_wire = None
+    if comm is not None:
+        # The stage-6 parameter broadcast of Fig. 4, in bytes: thread replicas
+        # copy theta, forked ranks inherit it, cluster ranks apply the same
+        # update; every backend moves theta to each of its ranks.
+        sync = engine.wf.arena().theta.nbytes * backend.n_ranks
+        comm_bytes, comm_wire = comm[0] + sync, comm[1] + sync
     r0 = results[0]
     # The guard runs before anything of the engine is touched: parameters,
     # optimizer state and history are exactly as they were when it fires.
@@ -766,9 +753,6 @@ def execute_iteration(engine) -> VMCStats:
         f"before the stage 6 update of iteration {engine.iteration + 1}",
         energy=r0["energy"], variance=r0["variance"], gradient=grad_norm,
     )
-    # Rank 0 of a multi-rank iteration hands back the lexsorted global unique
-    # set; it becomes the next iteration's cross-iteration diff baseline.
-    engine.comm_baseline = r0.pop("global_keys", None)
     stage_update(engine.optimizer, r0["grad"], grad_norm)
     backend.after_update(engine)
     wall = time.perf_counter() - t_wall

@@ -126,10 +126,6 @@ class VMC:
         self.optimizer = optimizer if optimizer is not None else NoamAdamW(wf)
         self.iteration = 0
         self.history: list[VMCStats] = []
-        # Cross-iteration diff baseline for the stage-2 codec: the previous
-        # iteration's lexsorted global unique set (multi-rank runs only);
-        # part of the checkpoint surface so resume stays bitwise.
-        self.comm_baseline: np.ndarray | None = None
 
     # ------------------------------------------------------------ internals
     def _n_samples(self) -> int:

@@ -108,11 +108,16 @@ class AdamW:
 
     def load_state(self, data) -> None:
         """Restore :meth:`state`; moments of the wrong size are refused before
-        anything is written, absent ones (a pre-first-step state) reset."""
+        anything is written, absent ones (a pre-first-step state) reset.
+
+        The optimizer adopts the moments it is handed when they are already
+        writable, C-contiguous float64 arrays (a checkpoint's freshly read
+        ``opt_m`` / ``opt_v``): the next step updates them in place, so the
+        caller hands them over.  Anything else is copied."""
         m = v = None
         if "opt_m" in data:
             size = self.model.num_parameters()
-            m, v = (xp.array(data[key], dtype=float64) for key in ("opt_m", "opt_v"))
+            m, v = (_adopted(data[key]) for key in ("opt_m", "opt_v"))
             for key, moment in (("opt_m", m), ("opt_v", v)):
                 if moment.shape != (size,):
                     raise ValueError(
@@ -120,3 +125,12 @@ class AdamW:
                     )
         self.t = int(data["opt_t"])
         self._m, self._v = m, v
+
+
+def _adopted(moment):
+    """``moment`` itself when the kernel can update it in place, else a
+    float64 copy."""
+    moment = xp.asarray(moment, dtype=float64)
+    if moment.flags.c_contiguous and moment.flags.writeable:
+        return moment
+    return xp.array(moment)

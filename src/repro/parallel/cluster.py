@@ -387,15 +387,9 @@ class ClusterBackend(ExecutionBackend):
     reduced gradient locally, so no parameter broadcast is needed and each
     host's artifact directory is bit-identical to a thread-backend run at
     equal ``n_ranks`` (timing columns aside).
-
-    ``spmd = True`` tells the engine that every rank keeps its own
-    cross-iteration state — in particular each rank retains the stage-2
-    diff baseline (``global_keys``) locally, since peers' next-iteration
-    payloads are delta-encoded against it.
     """
 
     name = "cluster"
-    spmd = True
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
                  *, rendezvous_addr: str | None = None,
@@ -433,7 +427,6 @@ class ClusterBackend(ExecutionBackend):
         comm = self._ensure_comm()
         size = comm.Get_size()
         nu_star = self.nu_star_per_rank * self.n_ranks
-        param_bytes = sum(p.data.nbytes for p in engine.wf.parameters())
 
         before_logical = comm.stats.total_bytes
         before_wire = comm.stats.total_wire_bytes
@@ -468,14 +461,7 @@ class ClusterBackend(ExecutionBackend):
             for key in ("grad", "energy", "eloc_imag", "variance",
                         "n_unique", "n_samples")
         })
-        if "global_keys" in out:
-            results[0]["global_keys"] = out["global_keys"]
-
-        # The post-update parameter resync of Fig. 4 stage 6 — realized here
-        # as every rank applying the identical update locally — accounted
-        # exactly like the thread/process backends for column bit-identity.
-        sync = param_bytes * size
-        return results, (logical + sync, wire + sync)
+        return results, (logical, wire)
 
     def close(self) -> None:
         if self._comm is not None and self._owns_comm:

@@ -10,18 +10,12 @@ keys compress extremely well:
   multi-word differences (exact subtract-with-borrow, no precision loss);
 * **LEB128 varints** — each K-word little-endian value is emitted as 7-bit
   groups, least significant first, with the high bit as the continuation
-  flag; small gaps take one byte instead of ``8 * K``;
-* **cross-iteration diffing** — the global unique set churns slowly between
-  VMC steps, so a payload may be encoded against the previous iteration's
-  global key set (the *baseline*): keys already in the baseline are sent as
-  delta-varint *indices* into it, only genuinely new keys are sent in full.
+  flag; small gaps take one byte instead of ``8 * K``.
 
 Everything here is bit-exact: ``decode(encode(x)) == x`` for any sorted
 uint64 key set, including adversarial gaps of 0 (duplicates), 1, and
-``> 2**64`` (multi-word carries).  Both sides of a diff payload must agree
-on the baseline; the payload embeds the baseline length as a cheap
-consistency check and decoding raises on mismatch rather than returning
-garbage.
+``> 2**64`` (multi-word carries).  A payload is a function of the one
+iteration's keys and counts alone: no state crosses iterations.
 
 Encoding and decoding are vectorized numpy passes (one loop over the ≤ 19
 seven-bit groups of a 128-bit value, never over the batch).
@@ -29,8 +23,6 @@ seven-bit groups of a 128-bit value, never over the batch).
 from __future__ import annotations
 
 import numpy as np
-
-from repro.utils.bitstrings import lexsort_keys, searchsorted_keys
 
 __all__ = [
     "encode_uint_stream",
@@ -43,8 +35,7 @@ __all__ = [
     "decode_sample_payload",
 ]
 
-_PAYLOAD_VERSION = 1
-_FLAG_DIFF = 1
+_PAYLOAD_VERSION = 2
 
 
 # ----------------------------------------------------------- scalar varints
@@ -238,24 +229,14 @@ def decode_counts(data: bytes, expect: int | None = None) -> np.ndarray:
 
 
 # ------------------------------------------------------------ full payloads
-def encode_sample_payload(keys: np.ndarray, counts: np.ndarray,
-                          baseline: np.ndarray | None = None) -> bytes:
+def encode_sample_payload(keys: np.ndarray, counts: np.ndarray) -> bytes:
     """Encode one rank's sorted (keys, counts) stage-2 contribution.
 
     Wire format (all integers LEB128 varints)::
 
-        version | flags | U | K
-        [diff]  len(baseline) | section(delta-varint baseline indices of hits)
-                              | section(delta-varint new keys)
-        [full]  section(delta-varint keys)
-        section(varint counts)           # aligned with the sorted key order
+        version | U | K | section(delta-varint keys) | section(varint counts)
 
-    ``flags`` bit 0 marks a cross-iteration diff against ``baseline`` (the
-    previous iteration's *global* lexsorted unique set, identical on every
-    rank); hit indices are strictly increasing so they delta-code like keys.
-    The encoder emits whichever of the two encodings is smaller — on dense
-    key spaces the full delta stream is already ~1 byte/key and the diff's
-    header would inflate it — so a baseline never makes the payload bigger.
+    ``counts`` is aligned with the sorted key order.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if keys.ndim == 1:
@@ -266,86 +247,32 @@ def encode_sample_payload(keys: np.ndarray, counts: np.ndarray,
         raise ValueError(
             f"counts shape {counts.shape} does not match {u} keys"
         )
-    header = [_varint(_PAYLOAD_VERSION)]
-    tail = _section(encode_counts(counts))
-    full = b"".join(
-        header
-        + [_varint(0), _varint(u), _varint(k),
-           _section(delta_encode_keys(keys)), tail]
-    )
-    if baseline is None or len(baseline) == 0:
-        return full
-    base = np.ascontiguousarray(baseline, dtype=np.uint64)
-    if base.ndim == 1:
-        base = base[:, None]
-    if base.shape[1] != k:
-        raise ValueError(
-            f"baseline key width {base.shape[1]} != payload width {k}"
-        )
-    if u:
-        pos = searchsorted_keys(base, keys)
-    else:
-        pos = np.zeros(0, dtype=np.int64)
-    hit = pos >= 0
-    idx = pos[hit].astype(np.uint64)[:, None]
-    diff = b"".join(
-        header
-        + [_varint(_FLAG_DIFF), _varint(u), _varint(k),
-           _varint(len(base)),
-           _section(encode_uint_stream(_delta_words(idx))),
-           _section(delta_encode_keys(keys[~hit])), tail]
-    )
-    return diff if len(diff) < len(full) else full
+    return b"".join([
+        _varint(_PAYLOAD_VERSION), _varint(u), _varint(k),
+        _section(delta_encode_keys(keys)), _section(encode_counts(counts)),
+    ])
 
 
-def decode_sample_payload(blob: bytes,
-                          baseline: np.ndarray | None = None
-                          ) -> tuple[np.ndarray, np.ndarray]:
+def decode_sample_payload(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`encode_sample_payload`; returns (keys, counts).
 
     ``keys`` is the sender's sorted (U, K) uint64 set, ``counts`` the aligned
-    int64 multiplicities.  Raises :class:`ValueError` on version, width, or
-    baseline mismatches instead of reconstructing a wrong set.
+    int64 multiplicities.  Raises :class:`ValueError` on a version or width
+    mismatch or a corrupt payload instead of reconstructing a wrong set.
     """
     buf = memoryview(bytes(blob))
     version, pos = _read_varint(buf, 0)
     if version != _PAYLOAD_VERSION:
-        raise ValueError(f"unknown payload version {version}")
-    flags, pos = _read_varint(buf, pos)
+        raise ValueError(
+            f"unknown payload version {version} (this build reads "
+            f"version {_PAYLOAD_VERSION})"
+        )
     u, pos = _read_varint(buf, pos)
     k, pos = _read_varint(buf, pos)
     if k < 1:
         raise ValueError(f"invalid key width {k}")
-    if flags & _FLAG_DIFF:
-        if baseline is None or len(baseline) == 0:
-            raise ValueError(
-                "payload is diff-encoded but no baseline was provided"
-            )
-        base = np.ascontiguousarray(baseline, dtype=np.uint64)
-        if base.ndim == 1:
-            base = base[:, None]
-        if base.shape[1] != k:
-            raise ValueError(
-                f"baseline key width {base.shape[1]} != payload width {k}"
-            )
-        blen, pos = _read_varint(buf, pos)
-        if blen != len(base):
-            raise ValueError(
-                f"baseline length mismatch: payload encoded against "
-                f"{blen} keys, decoder holds {len(base)}"
-            )
-        idx_stream, pos = _read_section(buf, pos)
-        idx = _cumsum_multiword(decode_uint_stream(idx_stream, 1)).ravel()
-        if idx.size and int(idx[-1]) >= len(base):
-            raise ValueError("baseline index out of range")
-        new_stream, pos = _read_section(buf, pos)
-        new = delta_decode_keys(new_stream, k)
-        hit_keys = base[idx.astype(np.int64)]
-        keys = np.concatenate([hit_keys, new], axis=0)
-        keys = keys[lexsort_keys(keys)]
-    else:
-        stream, pos = _read_section(buf, pos)
-        keys = delta_decode_keys(stream, k)
+    stream, pos = _read_section(buf, pos)
+    keys = delta_decode_keys(stream, k)
     counts_stream, pos = _read_section(buf, pos)
     counts = decode_counts(counts_stream)
     if len(keys) != u or len(counts) != u:

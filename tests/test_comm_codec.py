@@ -5,8 +5,7 @@ bit-identity contracts (serial == thread == process trajectories) ride on
 decode(encode(x)) == x for every sorted unique-key set the sampler can emit:
 multi-word uint64 keys, adversarial gaps (0 between duplicates is excluded
 by construction — keys are unique — but 1 and > 2^32 with word carries are
-not), empty and single-key sets, and the cross-iteration diff against a
-baseline set.
+not), and empty and single-key sets.
 """
 from __future__ import annotations
 
@@ -132,81 +131,34 @@ class TestCounts:
 
 @st.composite
 def _payload_case(draw, k=2):
-    """A (keys, counts, baseline) triple with a random hit/new split."""
-    universe = draw(st.lists(
-        st.integers(min_value=0, max_value=2 ** (64 * k) - 1),
-        min_size=0, max_size=50,
-    ))
-    baseline_vals = draw(st.lists(st.sampled_from(universe), max_size=50)
-                         if universe else st.just([]))
-    key_vals = draw(st.lists(st.sampled_from(universe), max_size=50)
-                    if universe else st.just([]))
-    keys = _sorted_unique_keys(key_vals, k)
-    baseline = _sorted_unique_keys(baseline_vals, k)
+    """A sorted unique key set with aligned positive counts."""
+    keys = draw(_keys_strategy(k, max_size=50))
     counts = draw(st.lists(
         st.integers(min_value=1, max_value=10**6),
         min_size=len(keys), max_size=len(keys),
     ))
-    return keys, np.array(counts, dtype=np.int64), baseline
+    return keys, np.array(counts, dtype=np.int64)
 
 
 class TestSamplePayload:
     @given(_payload_case())
     @settings(max_examples=80, deadline=None)
     def test_full_roundtrip(self, case):
-        keys, counts, _ = case
+        keys, counts = case
         blob = encode_sample_payload(keys, counts)
         out_k, out_c = decode_sample_payload(blob)
         assert np.array_equal(out_k, keys)
         assert np.array_equal(out_c, counts)
 
-    @given(_payload_case())
-    @settings(max_examples=80, deadline=None)
-    def test_diff_roundtrip(self, case):
-        """Cross-iteration diff/apply identity against a shared baseline."""
-        keys, counts, baseline = case
-        blob = encode_sample_payload(keys, counts, baseline=baseline)
-        out_k, out_c = decode_sample_payload(blob, baseline=baseline)
-        assert np.array_equal(out_k, keys)
-        assert np.array_equal(out_c, counts)
-
-    def test_diff_beats_full_on_sparse_overlapping_sets(self):
-        """Keys sparse in a 2^40 space need multi-byte deltas, but their hit
-        indices into the baseline are dense — the diff mode's whole point."""
-        rng = np.random.default_rng(7)
-        vals = np.unique(rng.integers(0, 2**40, size=3000))
-        keys = vals.astype(np.uint64).reshape(-1, 1)
-        counts = np.ones(len(keys), dtype=np.int64)
-        full = encode_sample_payload(keys, counts)
-        diff = encode_sample_payload(keys, counts, baseline=keys)
-        assert len(diff) < len(full)
-
-    @staticmethod
-    def _diff_mode_blob():
-        """A payload the encoder provably emits in diff mode: keys sparse in
-        a 2^40 space (multi-byte full deltas) fully covered by the baseline
-        (1-byte hit-index deltas)."""
-        rng = np.random.default_rng(11)
-        vals = np.unique(rng.integers(0, 2**40, size=2000))
-        keys = vals.astype(np.uint64).reshape(-1, 1)
-        counts = np.ones(len(keys), dtype=np.int64)
-        blob = encode_sample_payload(keys, counts, baseline=keys)
-        assert len(blob) < len(encode_sample_payload(keys, counts))
-        return keys, counts, blob
-
-    def test_baseline_mismatch_detected(self):
-        baseline, _, blob = self._diff_mode_blob()
-        with pytest.raises(ValueError):
-            decode_sample_payload(blob, baseline=baseline[:-1])
-
-    def test_diff_without_baseline_detected(self):
-        _, _, blob = self._diff_mode_blob()
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("blob, match", [
+        (b"\xff\xff\xff", "truncated"),
+        # The earlier format: version 1 | flags 0 | U 1 | K 1 | section(key 5)
+        # | section(count 3).  A peer on that build fails loudly, by version.
+        (bytes([1, 0, 1, 1, 1, 5, 1, 3]), "version 1"),
+    ], ids=["garbage", "version-1-with-flags"])
+    def test_garbage_rejected(self, blob, match):
+        with pytest.raises(ValueError, match=match):
             decode_sample_payload(blob)
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            decode_sample_payload(b"\xff\xff\xff")
 
     def test_compresses_sorted_dense_sets(self):
         """The design target: lexsorted 20-bit keys shrink well below raw."""

@@ -171,43 +171,31 @@ class TestCommLayerInvariance:
         amp = backend.last_comm_stats.channels["stage2_amps"]
         assert amp["wire"] == amp["logical"]
 
-    def test_diff_baseline_never_inflates_and_stays_bitwise(self, h2_problem):
-        """The cross-iteration baseline is a pure win-or-tie: the encoder
-        falls back to the full delta stream when the diff would be bigger,
-        and either way the trajectory is untouched."""
-        diffed_backend = ThreadBackend(n_ranks=2, nu_star_per_rank=4)
-        diffed = _fresh_vmc(h2_problem, backend=diffed_backend)
-        full_backend = ThreadBackend(n_ranks=2, nu_star_per_rank=4)
-        full = _fresh_vmc(h2_problem, backend=full_backend)
-        for _ in range(3):
-            a = diffed.step()
-            full.comm_baseline = None  # force full payloads every iteration
-            b = full.step()
-            assert a.energy == b.energy
-            assert a.variance == b.variance
-            wire_diff = diffed_backend.last_comm_stats.channels[
-                "stage2_samples"]["wire"]
-            wire_full = full_backend.last_comm_stats.channels[
-                "stage2_samples"]["wire"]
-            assert wire_diff <= wire_full
-        np.testing.assert_array_equal(
-            diffed.wf.get_flat_params(), full.wf.get_flat_params()
-        )
-
 
 class TestParallelResume:
-    def test_checkpointed_parallel_run_resumes_bitwise(self, h2_problem, tmp_path):
+    @pytest.mark.parametrize("older_build", [False, True],
+                             ids=["this-build", "with-comm-baseline"])
+    def test_checkpointed_parallel_run_resumes_bitwise(self, h2_problem, tmp_path,
+                                                       older_build):
+        """``older_build``: the checkpoint also holds the ``comm_baseline``
+        array (the previous iteration's global key set) that builds with a
+        cross-iteration stage-2 diff wrote; it is never read."""
         path = tmp_path / "ck.npz"
         backend = dict(n_ranks=2, nu_star_per_rank=4)
         uninterrupted = _fresh_vmc(h2_problem, backend=ThreadBackend(**backend))
         uninterrupted.run(3)
         save_checkpoint(uninterrupted, path)
+        if older_build:
+            payload = dict(np.load(path))
+            payload["comm_baseline"] = np.array([[3], [5], [6], [9]], dtype=np.uint64)
+            np.savez(path, **payload)
         expected = [uninterrupted.step() for _ in range(2)]
 
         resumed = _fresh_vmc(h2_problem, backend=ThreadBackend(**backend))
         load_checkpoint(resumed, path)
         got = [resumed.step() for _ in range(2)]
         assert got == expected  # timings excluded from VMCStats equality
+        assert resumed.history == uninterrupted.history
         np.testing.assert_array_equal(
             resumed.wf.get_flat_params(), uninterrupted.wf.get_flat_params()
         )

@@ -194,6 +194,11 @@ class TestSourceLint:
         ("one-parallel-path", "src/repro/parallel/multiprocess.py",
          "def run_spmd_processes(size, fn, *, shm_threshold=0):"),
         ("one-npz-writer", "src/repro/core/checkpoint.py", "        np.savez(f, **payload)"),
+        ("no-probing-no-second-path", "src/repro/core/vmc.py",
+         "        self.comm_baseline: np.ndarray | None = None"),
+        ("no-probing-no-second-path", "src/repro/core/engine.py",
+         '        out["global_keys"] = keys'),
+        ("no-probing-no-second-path", "src/repro/parallel/codec.py", "_FLAG_DIFF = 1"),
     ])
     def test_relocated_grep_clauses_still_bite(self, lint_source, tree, rule, rel, line):
         path = tree / rel

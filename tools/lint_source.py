@@ -45,13 +45,15 @@ RULES = (
          r"|local_energy_baseline|local_energy_sa_fuse|_lookup_dedup|DEDUP_MIN_TABLE"
          r"|getattr\(engine|_run_step_protocol|hasattr\(opt"
          r"|gradient_step|use_cache"
-         r"|normalize_amplitude_table|merge_amplitude_tables|_as_records|_jw_sign_between",
+         r"|normalize_amplitude_table|merge_amplitude_tables|_as_records|_jw_sign_between"
+         r"|comm_baseline|global_keys|_FLAG_DIFF",
          (SRC,),
          "no probing of the communicator, the engine or the optimizer; one "
          "local-energy path, one table lookup, one training loop, one inference "
          "path, one way to grow an amplitude table, one operator on a "
-         "determinant basis (Local energy, Stage contract, Sessions and the BAS "
-         "tree, Serving layer, Exact references)"),
+         "determinant basis, one stage-2 payload of this iteration's samples "
+         "alone (Local energy, Stage contract, Sessions and the BAS tree, "
+         "Serving layer, Exact references, Codec wire format)"),
     Rule("one-key-record-view", r"dtype\(\[", (SRC,),
          "packed keys compare through utils/bitstrings.py's key_records alone: "
          "no structured record dtype built anywhere else (Local energy)",
