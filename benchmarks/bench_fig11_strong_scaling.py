@@ -12,8 +12,8 @@ Iterations run on the unified execution engine's ``ThreadBackend``
 (``repro.core.engine``); a load table pins the Sec. 3.3 choice — per-rank
 sample weight of one iteration's unique set under the weight-balanced
 partition stage 3 uses against a naive 1/N_p count split — and a
-process-backend block measures the fork-rank path over the shared-memory
-transport with the compressed stage-2 payload.
+process-backend block measures the fork-rank path over the socket-pair
+mesh with the compressed stage-2 payload.
 
 CI smoke: ``python benchmarks/bench_fig11_strong_scaling.py --smoke`` runs
 the same workload on 1 and 2 process ranks and on 1 and 2 thread ranks,
@@ -129,8 +129,8 @@ def test_fig11_strong_scaling(benchmark, full):
         xlabel="ranks", ylabel="%",
     )
     cmp_table = _partition_load_table(prob)
-    # Process-backend rows: fork ranks over the typed shm + codec comm layer
-    # (true core parallelism even for GIL-bound stages).
+    # Process-backend rows: fork ranks over the socket-pair mesh + codec comm
+    # layer (true core parallelism even for GIL-bound stages).
     proc_ranks = [1, 2] + ([4] if full else [])
     proc_points = measure_scaling(
         _wf_factory(prob), comp, proc_ranks, n_samples_for=lambda n: _NS,
@@ -145,12 +145,12 @@ def test_fig11_strong_scaling(benchmark, full):
         for p, e in zip(proc_points, proc_eff)
     ]
     proc_table = format_table(
-        "Process backend (fork ranks, shm + codec comm layer)",
+        "Process backend (fork ranks, socket-pair mesh + codec comm layer)",
         ["ranks", "N_u", "t/iter (s)", "comm MB logical", "comm MB wire",
          "efficiency"],
         proc_rows,
         notes="Same staged iteration as the thread rows; collectives move "
-              "through shared-memory segments with delta/varint-compressed "
+              "as frames over socket pairs with delta/varint-compressed "
               "stage-2 payloads.",
     )
     registry.record("fig11_strong_scaling",

@@ -259,8 +259,8 @@ class ParallelSpec(_Spec):
     ``ElocPlan`` and exact mode's table extension shrink to).  Every other
     field reaches the backend class that declares it, under the same name.
     A multi-rank iteration has one shape (DESIGN.md "Communication layer"):
-    stage 2 ships delta/varint-compressed samples, the process backend moves
-    large arrays through shared memory, and stage 3 splits the unique set
+    stage 2 ships delta/varint-compressed samples, process ranks move every
+    array as frames over socket pairs, and stage 3 splits the unique set
     into Sec. 3.3 weight-balanced chunks.
 
     The cluster fields describe one SPMD member of a multi-host job:
@@ -270,9 +270,8 @@ class ParallelSpec(_Spec):
     with ``n_ranks`` when both are set).  ``join_timeout_s`` bounds the
     rendezvous/mesh construction (and, on the process backend, the wait for
     finished ranks to exit).  ``collective_timeout_s`` bounds each collective
-    on the thread and cluster backends; on the process backend it bounds the
-    launcher's wait for the rank results — a whole iteration — since the
-    relay's reads there carry no timeout.
+    on every multi-rank backend; on the process backend it also bounds the
+    launcher's wait for the rank results — a whole iteration.
     """
 
     _SECTION = "parallel"

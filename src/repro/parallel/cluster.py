@@ -1,13 +1,16 @@
 """The multi-host transport (TCP mesh) and the SPMD cluster backend.
 
-* :class:`MeshTransport` — a full TCP mesh between ranks (rank *i* dials
-  every rank *j < i*, accepts from every *j > i*) moving each ``exchange`` as
-  length-prefixed validated frames (:mod:`repro.parallel.rendezvous`).
-  Membership, rank assignment and liveness come from the rendezvous
-  coordinator (``python -m repro rendezvous``): each rank heartbeats the
-  coordinator, and a rank that dies poisons every survivor with
-  :class:`~repro.parallel.comm.CommAbortError` — the same crash semantics as
-  the process transport.
+* :class:`MeshTransport` — a full mesh of stream sockets between ranks
+  moving each ``exchange`` as length-prefixed validated frames
+  (:mod:`repro.parallel.rendezvous`).  Across hosts the mesh is TCP (rank *i*
+  dials every rank *j < i*, accepts from every *j > i*) and membership, rank
+  assignment and liveness come from the rendezvous coordinator (``python -m
+  repro rendezvous``): each rank heartbeats the coordinator, and a rank that
+  dies poisons every survivor with
+  :class:`~repro.parallel.comm.CommAbortError`.  Forked ranks on one host
+  (:func:`~repro.parallel.multiprocess.run_spmd_processes`) start from
+  socket pairs made before the fork (:meth:`MeshTransport.from_sockets`):
+  no coordinator, and a dead peer is its socket's EOF.
 
 * :class:`ClusterBackend` — the :class:`~repro.core.engine.ExecutionBackend`
   registered as ``parallel.backend=cluster``.  Unlike the thread/process
@@ -44,12 +47,13 @@ from repro.parallel.rendezvous import (
     FRAME_BLOB,
     FRAME_CTRL,
     ClusterProtocolError,
-    build_frame,
     close_socket,
     connect_with_retry,
+    frame_head,
     parse_addr,
     recv_frame,
     send_ctrl,
+    send_parts,
 )
 
 __all__ = [
@@ -60,29 +64,48 @@ __all__ = [
 
 
 class MeshTransport:
-    """One rank's end of the TCP mesh.
+    """One rank's end of the mesh.
 
     Construction performs the whole rendezvous: dial the coordinator (with
     bounded-backoff retry, covering the ranks-before-coordinator launch
     race), receive rank + peer table, build the mesh, then start the
     heartbeat and control-listener threads.  Exchanges afterwards involve
     only the mesh; the coordinator is pure liveness supervision.
+    :meth:`from_sockets` skips all of that for peers already connected.
 
     Every frame carries ``(op, seq, src, session)``: ``src``/``session`` are
     validated here, the ``(op, seq)`` tag goes back to ``Comm``'s desync
-    check.  Received buffers are freshly allocated (``borrows`` is False).
+    check.  Received arrays are views of each frame's freshly received body.
     """
-
-    borrows = False
 
     def __init__(self, world_size: int, rendezvous_addr: str, *,
                  rank: int | None = None, join_timeout: float = 60.0,
                  collective_timeout: float = 600.0):
+        self._setup(world_size, collective_timeout)
+        self._wants_rank = rank
+        self._join_timeout = float(join_timeout)
+        self._connect(rendezvous_addr)
+
+    @classmethod
+    def from_sockets(cls, rank: int, peers: dict[int, socket.socket], *,
+                     collective_timeout: float = 600.0) -> "MeshTransport":
+        """Rank ``rank`` of a world whose other members are the connected
+        stream sockets ``peers`` (peer rank -> socket).  There is no
+        coordinator and no helper thread: a peer that dies or leaves is its
+        socket's EOF, named at once."""
+        self = cls.__new__(cls)
+        self._setup(len(peers) + 1, collective_timeout)
+        self.rank = int(rank)
+        self._session = "local"
+        self._peers = dict(peers)
+        for conn in self._peers.values():
+            conn.settimeout(self._collective_timeout)
+        return self
+
+    def _setup(self, world_size: int, collective_timeout: float) -> None:
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
         self.size = int(world_size)
-        self._wants_rank = rank
-        self._join_timeout = float(join_timeout)
         self._collective_timeout = float(collective_timeout)
         self._peers: dict[int, socket.socket] = {}
         self._coord: socket.socket | None = None
@@ -92,7 +115,6 @@ class MeshTransport:
         self._closed = False
         self._hb_stop = threading.Event()
         self._threads: list[threading.Thread] = []
-        self._connect(rendezvous_addr)
 
     # ------------------------------------------------------------ rendezvous
     def _connect(self, rendezvous_addr: str) -> None:
@@ -238,21 +260,18 @@ class MeshTransport:
                 f"rank {self.rank}: communicator is closed"
             )
 
-    def _raise_abort(self, peer: int | None, exc: BaseException):
-        """A mesh send/recv failed: surface the coordinator's verdict if one
-        arrives within a short grace window, else name the failed peer."""
-        if self._abort_event.wait(1.0):
+    def _raise_abort(self, peer: int, exc: BaseException):
+        """A send to or recv from ``peer`` failed: surface the coordinator's
+        verdict if one arrives within a short grace window, else (and at
+        once without a coordinator) name the peer."""
+        if self._coord is not None and self._abort_event.wait(1.0):
             raise CommAbortError(
                 f"collective aborted: {self._abort_reason}"
             ) from exc
-        if peer is not None:
-            raise CommAbortError(
-                f"rank {self.rank}: "
-                + dead_rank_message([peer], f"connection failed ({exc})"),
-                dead_rank=peer,
-            ) from exc
         raise CommAbortError(
-            f"rank {self.rank}: collective send failed ({exc})"
+            f"rank {self.rank}: "
+            + dead_rank_message([peer], f"connection failed ({exc})"),
+            dead_rank=peer,
         ) from exc
 
     def exchange(self, tag, buffer) -> list:
@@ -271,24 +290,23 @@ class MeshTransport:
         meta = {"op": tag[0], "seq": tag[1], "src": self.rank,
                 "session": self._session}
         if isinstance(buffer, np.ndarray):
-            ftype, raw = FRAME_ARRAY, buffer.tobytes()
+            ftype, raw = FRAME_ARRAY, np.ascontiguousarray(buffer)
             meta.update(dtype=buffer.dtype.str, shape=list(buffer.shape))
         else:
             ftype, raw = FRAME_BLOB, buffer
-        frame = build_frame(ftype, meta, raw)
-        send_errors: list[BaseException] = []
+        raw = memoryview(raw).cast("B")
+        frame = (frame_head(ftype, meta, len(raw)), raw)
+        send_errors: list[tuple[int, BaseException]] = []
 
-        def _send(conn: socket.socket) -> None:
+        def _send(j: int) -> None:
             try:
-                conn.sendall(frame)
+                send_parts(self._peers[j], frame)
             except OSError as exc:
-                send_errors.append(exc)
+                send_errors.append((j, exc))
 
         others = [j for j in range(self.size) if j != self.rank]
-        senders = [
-            threading.Thread(target=_send, args=(self._peers[j],), daemon=True)
-            for j in others
-        ]
+        senders = [threading.Thread(target=_send, args=(j,), daemon=True)
+                   for j in others]
         for t in senders:
             t.start()
         for j in others:
@@ -317,12 +335,13 @@ class MeshTransport:
         for t in senders:
             t.join()
         if send_errors:
-            self._raise_abort(None, send_errors[0])
+            self._raise_abort(*send_errors[0])
         return results
 
     def abort(self, reason: str) -> None:
         """Die abruptly — no leave, sockets dropped, as a killed host would:
-        the coordinator sees the EOF and poisons every survivor."""
+        the coordinator (or, without one, every peer) sees the EOF and
+        every survivor raises."""
         if self._abort_reason is None:
             self._abort_reason = reason
         self._closed = True

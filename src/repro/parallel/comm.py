@@ -15,12 +15,10 @@ A transport supplies five things:
     All-to-all: deliver ``(tag, buffer)`` to every peer and return every
     rank's pair in rank order (the caller's own pair at index ``rank``,
     carrying the very object passed in).  ``buffer`` is an ``ndarray`` or a
-    ``bytes`` object and comes back as the same kind.  Returned buffers are
-    **valid until the next** ``exchange`` on this transport and must be
-    treated as read-only; ``borrows`` says whether they alias transport
-    memory (shared-memory segment views) and so *must* be copied to outlive
-    it.  Peers' tags come back unchecked — the desync check lives here, in
-    one place, not in each transport.
+    ``bytes`` object and comes back as an ``ndarray`` or a bytes-like object;
+    returned buffers are read-only to the caller (thread ranks share the
+    peer's own object).  Peers' tags come back unchecked — the desync check
+    lives here, in one place, not in each transport.
 ``abort(reason)``
     Leave the world abruptly so that every peer's blocked or next
     ``exchange`` raises :class:`CommAbortError` in bounded time.
@@ -47,7 +45,6 @@ __all__ = [
     "CommStats",
     "SoloTransport",
     "dead_rank_message",
-    "poison_survivors",
 ]
 
 # allreduce accumulation granularity: bounds resident temporaries without
@@ -77,21 +74,6 @@ def dead_rank_message(dead_ranks, reason: str) -> str:
         "ranks " + ", ".join(str(r) for r in ranks)
     )
     return f"{label} left the collective: {reason}"
-
-
-def poison_survivors(live_ranks, send_abort, message: str) -> None:
-    """Deliver an abort poison to every live rank, swallowing send failures.
-
-    ``send_abort(rank, message)`` is the transport-specific delivery (a pipe
-    send for the process coordinator, an abort control frame for the
-    rendezvous coordinator); a rank whose channel is already gone is simply
-    skipped — it is dead or dying anyway.
-    """
-    for rank in live_ranks:
-        try:
-            send_abort(rank, message)
-        except (OSError, BrokenPipeError, EOFError):
-            pass
 
 
 @dataclass
@@ -143,7 +125,6 @@ class SoloTransport:
 
     rank = 0
     size = 1
-    borrows = False
 
     def exchange(self, tag, buffer) -> list:
         return [(tag, buffer)]
@@ -160,8 +141,7 @@ def _sum_rank_ordered(parts: list) -> np.ndarray:
 
     Sequential elementwise IEEE adds — bit-equal to
     ``functools.reduce(np.add, parts)`` — in ``_REDUCE_CHUNK_BYTES`` chunks,
-    so the only resident temporary is the output itself even when ``parts``
-    are views into peers' shared-memory segments.
+    so the only resident temporary is the output itself.
     """
     out = np.empty(parts[0].shape, dtype=parts[0].dtype)
     flat = out.reshape(-1)
@@ -226,8 +206,6 @@ class Comm:
             "allgather", sum(a.nbytes for a in parts) * self.transport.size,
             channel=channel,
         )
-        if self.transport.borrows:
-            parts = [a if a is array else a.copy() for a in parts]
         return parts
 
     def allgather_blob(self, data: bytes, logical_bytes: int | None = None,

@@ -46,8 +46,6 @@ class _World:
 class ThreadTransport:
     """One thread rank's view of the shared :class:`_World`."""
 
-    borrows = False
-
     def __init__(self, world: _World, rank: int):
         self._world = world
         self.rank = rank

@@ -25,8 +25,8 @@ are independent of the collectives themselves:
   heartbeats: a rank that stops heartbeating (or whose connection drops
   without a clean ``leave``) past the deadline poisons every survivor with an
   ``abort`` control frame carrying the canonical
-  :func:`~repro.parallel.comm.dead_rank_message`, mirroring the process
-  transport's crash semantics.
+  :func:`~repro.parallel.comm.dead_rank_message`, the message forked
+  ranks' mesh raises on a peer's EOF.
 
 Control messages are JSON dicts with a ``kind`` key:
 
@@ -53,7 +53,7 @@ import uuid
 
 import numpy as np
 
-from repro.parallel.comm import dead_rank_message, poison_survivors
+from repro.parallel.comm import dead_rank_message
 
 __all__ = [
     "ClusterProtocolError",
@@ -67,10 +67,12 @@ __all__ = [
     "build_frame",
     "close_socket",
     "connect_with_retry",
+    "frame_head",
     "parse_addr",
     "recv_frame",
     "send_ctrl",
     "send_frame",
+    "send_parts",
 ]
 
 MAGIC = b"Rv"
@@ -84,6 +86,8 @@ _FRAME_TYPES = (FRAME_CTRL, FRAME_ARRAY, FRAME_BLOB)
 # magic (2s) | version (B) | frame type (B) | body length (I)
 _HEADER = struct.Struct("!2sBBI")
 _META_LEN = struct.Struct("!I")
+# A frame's payload starts at this byte boundary of its body.
+_PAYLOAD_ALIGN = 16
 
 # Hard ceiling on a single frame.  Stage-2 amplitude payloads for
 # benzene-class runs are O(100 MB); 2 GiB leaves headroom while still
@@ -96,26 +100,51 @@ class ClusterProtocolError(ValueError):
 
 
 # --------------------------------------------------------------------- frames
-def build_frame(ftype: int, meta: dict, raw: bytes = b"") -> bytes:
-    """Serialize one frame (header + meta + raw) into a single bytes object."""
+def frame_head(ftype: int, meta: dict, raw_len: int) -> bytes:
+    """Everything of a frame before its ``raw_len`` payload bytes.
+
+    The JSON meta is padded with spaces so the payload starts at a multiple
+    of :data:`_PAYLOAD_ALIGN` inside the body: :func:`recv_frame` reads an
+    array straight out of the received body, and numpy runs its fast loops
+    only on aligned data.
+    """
     if ftype not in _FRAME_TYPES:
         raise ClusterProtocolError(f"unknown frame type {ftype}")
     meta_blob = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-    body_len = _META_LEN.size + len(meta_blob) + len(raw)
+    meta_blob += b" " * (-(_META_LEN.size + len(meta_blob)) % _PAYLOAD_ALIGN)
+    body_len = _META_LEN.size + len(meta_blob) + raw_len
     if body_len > MAX_FRAME_BYTES:
         raise ClusterProtocolError(
             f"frame body of {body_len} bytes exceeds MAX_FRAME_BYTES"
         )
-    header = _HEADER.pack(MAGIC, PROTOCOL_VERSION, ftype, body_len)
-    return b"".join((header, _META_LEN.pack(len(meta_blob)), meta_blob, raw))
+    return b"".join((_HEADER.pack(MAGIC, PROTOCOL_VERSION, ftype, body_len),
+                     _META_LEN.pack(len(meta_blob)), meta_blob))
+
+
+def build_frame(ftype: int, meta: dict, raw: bytes = b"") -> bytes:
+    """Serialize one frame (header + meta + raw) into a single bytes object."""
+    return frame_head(ftype, meta, len(raw)) + raw
+
+
+def send_parts(sock: socket.socket, parts) -> int:
+    """Write buffers back to back with scatter-gather sends, copying none
+    of them; returns the number of bytes written."""
+    views = [memoryview(p).cast("B") for p in parts]
+    views = [v for v in views if len(v)]
+    total = sum(len(v) for v in views)
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if sent:
+            views[0] = views[0][sent:]
+    return total
 
 
 def send_frame(sock: socket.socket, ftype: int, meta: dict,
                raw: bytes = b"") -> int:
     """Send one frame; returns the number of wire bytes written."""
-    frame = build_frame(ftype, meta, raw)
-    sock.sendall(frame)
-    return len(frame)
+    return send_parts(sock, (frame_head(ftype, meta, len(raw)), raw))
 
 
 def send_ctrl(sock: socket.socket, **meta) -> int:
@@ -123,28 +152,32 @@ def send_ctrl(sock: socket.socket, **meta) -> int:
     return send_frame(sock, FRAME_CTRL, meta)
 
 
-def recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise ``ConnectionError`` on EOF."""
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
+def recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """Read exactly ``n`` bytes into one new buffer, or raise
+    ``ConnectionError`` on EOF."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        chunk = sock.recv_into(view[got:])
         if not chunk:
             raise ConnectionError(
-                f"connection closed with {remaining} of {n} bytes unread"
+                f"connection closed with {n - got} of {n} bytes unread"
             )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        got += chunk
+    return buf
 
 
-def _validate_array_meta(meta: dict, raw: bytes) -> np.ndarray:
-    """Reconstruct an ndarray from (meta, raw), validating dtype and shape."""
+def _validate_array_meta(meta: dict, raw: memoryview) -> np.ndarray:
+    """The ndarray ``meta`` declares over ``raw`` — a view, not a copy —
+    after validating its dtype and shape against the payload length."""
     try:
         dtype = np.dtype(meta["dtype"])
         shape = tuple(meta["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ClusterProtocolError(f"malformed array meta: {exc!r}") from None
+    if dtype.hasobject:
+        raise ClusterProtocolError(f"array frame declares object dtype {dtype}")
     if not all(isinstance(d, int) and d >= 0 for d in shape):
         raise ClusterProtocolError(f"malformed array shape {shape!r}")
     expected = int(math.prod(shape)) * dtype.itemsize
@@ -153,16 +186,17 @@ def _validate_array_meta(meta: dict, raw: bytes) -> np.ndarray:
             f"array frame declares dtype={dtype} shape={shape} "
             f"({expected} bytes) but carries {len(raw)} payload bytes"
         )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, dict, bytes]:
+def recv_frame(sock: socket.socket) -> tuple[int, dict, memoryview]:
     """Read one validated frame; returns ``(ftype, meta, raw)``.
 
     Raises :class:`ClusterProtocolError` for protocol violations (bad magic,
     version mismatch, bogus lengths, malformed meta) and ``ConnectionError``
-    when the peer closes mid-frame.  For ``FRAME_ARRAY`` the reconstructed
-    ndarray is returned in ``meta["array"]`` after dtype/shape validation.
+    when the peer closes mid-frame.  The body is received into one buffer
+    that ``raw`` views; for ``FRAME_ARRAY`` the ndarray over the same bytes
+    is returned in ``meta["array"]`` after dtype/shape validation.
     """
     magic, version, ftype, body_len = _HEADER.unpack(
         recv_exact(sock, _HEADER.size)
@@ -178,8 +212,8 @@ def recv_frame(sock: socket.socket) -> tuple[int, dict, bytes]:
         raise ClusterProtocolError(f"unknown frame type {ftype}")
     if body_len < _META_LEN.size or body_len > MAX_FRAME_BYTES:
         raise ClusterProtocolError(f"implausible frame body length {body_len}")
-    body = recv_exact(sock, body_len)
-    (meta_len,) = _META_LEN.unpack(body[: _META_LEN.size])
+    body = memoryview(recv_exact(sock, body_len))
+    (meta_len,) = _META_LEN.unpack_from(body)
     if _META_LEN.size + meta_len > body_len:
         raise ClusterProtocolError(
             f"frame meta length {meta_len} overruns body of {body_len} bytes"
@@ -187,7 +221,7 @@ def recv_frame(sock: socket.socket) -> tuple[int, dict, bytes]:
     meta_blob = body[_META_LEN.size : _META_LEN.size + meta_len]
     raw = body[_META_LEN.size + meta_len :]
     try:
-        meta = json.loads(meta_blob.decode("utf-8"))
+        meta = json.loads(bytes(meta_blob).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ClusterProtocolError(f"undecodable frame meta: {exc!r}") from None
     if not isinstance(meta, dict):
@@ -496,8 +530,7 @@ class RendezvousCoordinator:
             )
             t.start()
             self._threads.append(t)
-        while not self._stop.is_set():
-            time.sleep(min(self.heartbeat_interval, 0.2))
+        while not self._stop.wait(min(self.heartbeat_interval, 0.2)):
             now = time.monotonic()
             with self._lock:
                 left = [r for r, m in self._members.items() if m["left"]]
@@ -554,23 +587,21 @@ class RendezvousCoordinator:
                 return
 
     def _abort_all(self, message: str, exclude: set[int] = frozenset()) -> None:
+        """Send every live member the ``abort`` poison; a member whose
+        channel is already gone is skipped — it is dead or dying anyway."""
         with self._lock:
-            targets = {
-                r: m["conn"] for r, m in self._members.items()
+            targets = [
+                m["conn"] for r, m in sorted(self._members.items())
                 if r not in exclude and not m["left"]
-            }
-
-        def send_abort(rank: int, msg: str) -> None:
-            conn = targets[rank]
-            send_ctrl(conn, kind="abort", reason=msg)
-            # Wake any recv blocked on this socket so the poison is seen even
-            # if the member is wedged inside a collective on the mesh.
+            ]
+        for conn in targets:
             try:
+                send_ctrl(conn, kind="abort", reason=message)
+                # Wake any recv blocked on this socket so the poison is seen
+                # even if the member is wedged inside a collective on the mesh.
                 conn.shutdown(socket.SHUT_RD)
             except OSError:
                 pass
-
-        poison_survivors(sorted(targets), send_abort, message)
 
     @staticmethod
     def _close_quietly(conn: socket.socket) -> None:

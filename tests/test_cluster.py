@@ -143,6 +143,18 @@ class TestFrameProtocol:
         np.testing.assert_array_equal(out["array"], arr)
         assert out["array"].dtype == arr.dtype
 
+    @pytest.mark.parametrize("pad", range(8))
+    def test_received_array_is_an_aligned_view(self, pad):
+        """The array is read in place from the received body, not copied,
+        and lands aligned whatever the meta's length."""
+        arr = np.arange(5, dtype=np.complex128)
+        meta = {"dtype": arr.dtype.str, "shape": [5], "pad": "x" * pad}
+        _, out, _ = self._roundtrip(
+            build_frame(FRAME_ARRAY, meta, arr.tobytes()))
+        assert not out["array"].flags.owndata
+        assert out["array"].flags.aligned
+        np.testing.assert_array_equal(out["array"], arr)
+
     def test_blob_roundtrip(self):
         _, meta, raw = self._roundtrip(
             build_frame(FRAME_BLOB, {"logical": 99}, b"\x00\x01\x02")
@@ -180,6 +192,12 @@ class TestFrameProtocol:
         frame = build_frame(FRAME_ARRAY,
                             {"dtype": "not-a-dtype", "shape": [1]}, b"")
         with pytest.raises(ClusterProtocolError, match="array meta"):
+            self._roundtrip(frame)
+
+    def test_array_with_object_dtype_rejected(self):
+        frame = build_frame(FRAME_ARRAY,
+                            {"dtype": "|O", "shape": [1]}, b"\x00" * 8)
+        with pytest.raises(ClusterProtocolError, match="object dtype"):
             self._roundtrip(frame)
 
     def test_ctrl_with_raw_payload_rejected(self):

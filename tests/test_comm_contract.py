@@ -1,17 +1,18 @@
 """The Comm contract, once, over every transport.
 
-One parametrized suite over (solo, thread, process-pipe, process-shm, socket
-mesh): rank order (1-D and 0-d arrays, blobs), the rank-ordered reduction
-bit-equal to a sequential ``functools.reduce``, identical ``CommStats`` on
-every rank of every transport, the size-1 degenerate world, a mesh job whose
-ranks all return ending "completed" at the coordinator, and the failure
-contract — a desynchronized, departed or failed rank surfaces as
-``CommAbortError`` naming the op/seq or the rank on every peer, within a
-bound each test enforces itself (CI has no pytest-timeout).
+One parametrized suite over (solo, thread, forked processes on a socket-pair
+mesh, coordinator-joined socket mesh): rank order (1-D and 0-d arrays,
+blobs), the rank-ordered reduction bit-equal to a sequential
+``functools.reduce``, identical ``CommStats`` on every rank of every
+transport, the size-1 degenerate world, a mesh job whose ranks all return
+ending "completed" at the coordinator, and the failure contract — a
+desynchronized, departed or failed rank surfaces as ``CommAbortError``
+naming the op/seq or the rank on every peer, within a bound each test
+enforces itself (CI has no pytest-timeout).
 
 Transport-specific safety lives next to the transport: frame rejection and
-heartbeat poisoning in test_cluster.py, shm leak sweeps in
-test_multiprocess.py.
+heartbeat poisoning in test_cluster.py, a killed forked rank's children and
+descriptors in test_multiprocess.py.
 """
 from __future__ import annotations
 
@@ -20,12 +21,11 @@ import functools
 import threading
 import time
 import traceback
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.parallel import CommAbortError, multiprocess, run_spmd, run_spmd_processes
+from repro.parallel import CommAbortError, run_spmd, run_spmd_processes
 from repro.parallel.cluster import MeshTransport
 from repro.parallel.comm import Comm, SoloTransport
 from repro.parallel.rendezvous import RendezvousCoordinator
@@ -74,15 +74,8 @@ def _launch_thread(size, fn):
     return run_spmd(size, fn)[0]
 
 
-def _launch_pipe(size, fn):
-    # The default threshold: these payloads are small and ride the pipe.
+def _launch_process(size, fn):
     return run_spmd_processes(size, fn, timeout=2 * BOUND_S)[0]
-
-
-def _launch_shm(size, fn):
-    # Threshold 0 sends every non-empty array through a shared-memory segment.
-    with mock.patch.object(multiprocess, "SHM_THRESHOLD", 0):
-        return run_spmd_processes(size, fn, timeout=2 * BOUND_S)[0]
 
 
 def _launch_mesh(size, fn):
@@ -106,8 +99,7 @@ def _launch_mesh(size, fn):
 LAUNCHERS = {
     "solo": _launch_solo,
     "thread": _launch_thread,
-    "pipe": _launch_pipe,
-    "shm": _launch_shm,
+    "process": _launch_process,
     "mesh": _launch_mesh,
 }
 # Every multi-rank transport detects a misbehaving peer itself.
@@ -220,8 +212,8 @@ class TestCollectiveContract:
             assert LAUNCHERS[name](2, fn) == [(False, False)] * 2
 
     def test_gathered_arrays_outlive_later_collectives(self):
-        """Shared-memory views are only valid until the next exchange; what
-        ``allgather_ndarray`` hands out must not be such a view."""
+        """What ``allgather_ndarray`` hands out stays valid across later
+        collectives: no transport may reuse a buffer it returned."""
         def fn(comm):
             held = comm.allgather_ndarray(
                 np.full(1000, comm.Get_rank(), dtype=np.float64))

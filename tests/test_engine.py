@@ -136,18 +136,14 @@ class TestProcessBackend:
 
 class TestCommLayerInvariance:
     """The comm layer is a pure *wire* optimization: stage 2 always ships
-    the codec's payload and the process ranks lend large arrays through
-    shared memory, and only the wire-byte accounting shows it (stage-2
+    the codec's payload and process ranks move every array as frames over
+    socket pairs, and only the wire-byte accounting shows it (stage-2
     samples wire < logical), never the trajectory."""
 
     @pytest.mark.slow
-    def test_process_over_shared_memory_matches_threads(self, h2_problem,
-                                                        monkeypatch):
-        """Every array of the process ranks through a shared-memory segment
-        (threshold 0): the same trajectory and comm columns as threads."""
-        from repro.parallel import multiprocess
-
-        monkeypatch.setattr(multiprocess, "SHM_THRESHOLD", 0)
+    def test_process_over_socket_pairs_matches_threads(self, h2_problem):
+        """Process ranks' arrays cross socket pairs as frames: the same
+        trajectory and comm columns as threads."""
         runs = []
         for backend in (ThreadBackend(n_ranks=2, nu_star_per_rank=4),
                         ProcessBackend(n_ranks=2, nu_star_per_rank=4)):

@@ -193,6 +193,13 @@ class TestSourceLint:
          "    if self.comm_shm and not use_shm:"),
         ("one-parallel-path", "src/repro/parallel/multiprocess.py",
          "def run_spmd_processes(size, fn, *, shm_threshold=0):"),
+        ("one-parallel-path", "src/repro/parallel/multiprocess.py",
+         "class PipeTransport:"),
+        ("one-parallel-path", "src/repro/parallel/multiprocess.py",
+         "SHM_THRESHOLD = 1 << 16"),
+        ("one-parallel-path", "src/repro/parallel/multiprocess.py",
+         "from multiprocessing import shared_memory"),
+        ("one-parallel-path", "src/repro/parallel/comm.py", "    borrows = True"),
         ("one-npz-writer", "src/repro/core/checkpoint.py", "        np.savez(f, **payload)"),
         ("no-probing-no-second-path", "src/repro/core/vmc.py",
          "        self.comm_baseline: np.ndarray | None = None"),

@@ -139,11 +139,13 @@ RULES = (
          "session (nn/inference.py): no per-layer cache object and no per-layer "
          "step(x, cache) beside the taped forward (Sessions and the BAS tree)"),
     Rule("one-parallel-path",
-         r"comm_codec|comm_shm|use_shm|shm_threshold|eloc_partition|ELOC_PARTITIONS",
+         r"comm_codec|comm_shm|use_shm|shm_threshold|eloc_partition|ELOC_PARTITIONS"
+         r"|PipeTransport|SHM_THRESHOLD|shared_memory|borrows",
          (SRC,),
          "a multi-rank iteration has one shape: stage 2 always ships the "
-         "codec's payload, the process transport always lends large arrays "
-         "through shared memory, and stage 3 always splits the unique set into "
+         "codec's payload, every multi-process collective crosses the socket "
+         "mesh as frames (MeshTransport: socket pairs for forked ranks, TCP "
+         "across hosts), and stage 3 always splits the unique set into "
          "weight-balanced chunks — no option selects a second path "
          "(Configuration, Communication layer)"),
     Rule("one-npz-writer", r"np\.savez", (SRC,),
