@@ -39,10 +39,11 @@ differ only in the transport under it:
 
 * :class:`SerialBackend`  — the stages inline, on the size-1 solo transport.
 * :class:`ThreadBackend`  — thread ranks over
-  :func:`repro.parallel.fake_mpi.run_spmd` (numpy kernels release the GIL,
-  so stages 1/3/5 genuinely overlap on multicore hosts).
+  :func:`repro.parallel.multiprocess.run_spmd` (numpy kernels release the
+  GIL, so stages 1/3/5 genuinely overlap on multicore hosts).
 * :class:`ProcessBackend` — forked OS processes over
-  :func:`repro.parallel.multiprocess.run_spmd_processes`.
+  :func:`repro.parallel.multiprocess.run_spmd_processes`, on the same
+  socket-pair mesh as thread ranks.
 
 The "engine" object the backends drive is any object with the VMC state
 surface (``wf``, ``comp``, ``config``, ``rng``, ``optimizer``,
@@ -604,7 +605,7 @@ def _validate_rank_args(n_ranks: int) -> None:
 
 
 class ThreadBackend(ExecutionBackend):
-    """Thread ranks; one model replica per rank (Fig. 4 data layout).
+    """Mesh-connected thread ranks, one model replica each (Fig. 4 layout).
 
     N_u^* = ``nu_star_per_rank * n_ranks``, following the paper's scaling
     setup (N_u^* = 16384 n for n GPUs).  With ``n_ranks=1`` the iteration is
@@ -633,7 +634,7 @@ class ThreadBackend(ExecutionBackend):
             rep.set_flat_params(theta)  # one memcpy, arena to arena
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
-        from repro.parallel.fake_mpi import run_spmd
+        from repro.parallel.multiprocess import run_spmd
 
         # Sync before every execute (not just after updates): the master may
         # have moved outside the engine step — checkpoint restore, pretrain.

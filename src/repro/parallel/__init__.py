@@ -14,7 +14,7 @@ _EXPORTS = {
     "Comm": ".comm",
     "CommAbortError": ".comm",
     "CommStats": ".comm",
-    "run_spmd": ".fake_mpi",
+    "run_spmd": ".multiprocess",
     "run_spmd_processes": ".multiprocess",
     "balanced_weight_partition": ".partition",
     "split_tree_state": ".partition",

@@ -7,10 +7,10 @@
   assignment and liveness come from the rendezvous coordinator (``python -m
   repro rendezvous``): each rank heartbeats the coordinator, and a rank that
   dies poisons every survivor with
-  :class:`~repro.parallel.comm.CommAbortError`.  Forked ranks on one host
-  (:func:`~repro.parallel.multiprocess.run_spmd_processes`) start from
-  socket pairs made before the fork (:meth:`MeshTransport.from_sockets`):
-  no coordinator, and a dead peer is its socket's EOF.
+  :class:`~repro.parallel.comm.CommAbortError`.  Thread and forked ranks
+  on one host (:mod:`repro.parallel.multiprocess`) start from socket pairs
+  made before any rank starts (:meth:`MeshTransport.from_sockets`): no
+  coordinator, and a dead peer is its socket's EOF.
 
 * :class:`ClusterBackend` — the :class:`~repro.core.engine.ExecutionBackend`
   registered as ``parallel.backend=cluster``.  Unlike the thread/process
@@ -260,10 +260,17 @@ class MeshTransport:
                 f"rank {self.rank}: communicator is closed"
             )
 
-    def _raise_abort(self, peer: int, exc: BaseException):
-        """A send to or recv from ``peer`` failed: surface the coordinator's
-        verdict if one arrives within a short grace window, else (and at
-        once without a coordinator) name the peer."""
+    def _raise_abort(self, peer: int, exc: BaseException, tag):
+        """A send to or recv from ``peer`` failed in collective ``tag``: a
+        timeout names the silent peer with op and seq; otherwise surface the
+        coordinator's verdict if one arrives within a short grace window,
+        else (and at once without a coordinator) name the peer as gone."""
+        if isinstance(exc, socket.timeout):
+            raise CommAbortError(
+                f"rank {self.rank}: timed out after "
+                f"{self._collective_timeout}s waiting for rank {peer} in "
+                f"{tag[0]} (seq {tag[1]})"
+            ) from exc
         if self._coord is not None and self._abort_event.wait(1.0):
             raise CommAbortError(
                 f"collective aborted: {self._abort_reason}"
@@ -315,7 +322,7 @@ class MeshTransport:
             except ClusterProtocolError:
                 raise
             except (ConnectionError, OSError) as exc:
-                self._raise_abort(j, exc)
+                self._raise_abort(j, exc, tag)
             if (meta_r.get("src") != j
                     or meta_r.get("session") != self._session):
                 raise ClusterProtocolError(
@@ -335,7 +342,7 @@ class MeshTransport:
         for t in senders:
             t.join()
         if send_errors:
-            self._raise_abort(*send_errors[0])
+            self._raise_abort(*send_errors[0], tag)
         return results
 
     def abort(self, reason: str) -> None:

@@ -16,8 +16,8 @@ A transport supplies five things:
     rank's pair in rank order (the caller's own pair at index ``rank``,
     carrying the very object passed in).  ``buffer`` is an ``ndarray`` or a
     ``bytes`` object and comes back as an ``ndarray`` or a bytes-like object;
-    returned buffers are read-only to the caller (thread ranks share the
-    peer's own object).  Peers' tags come back unchecked — the desync check
+    a peer's buffer is a view of a freshly received frame body that no later
+    exchange reuses.  Peers' tags come back unchecked — the desync check
     lives here, in one place, not in each transport.
 ``abort(reason)``
     Leave the world abruptly so that every peer's blocked or next
@@ -197,8 +197,8 @@ class Comm:
                           channel: str | None = None) -> list[np.ndarray]:
         """Typed allgather of one ndarray per rank, returned in rank order.
 
-        Thread ranks share references to each other's arrays (zero copies),
-        so callers must treat the returned arrays as read-only.
+        The caller's own entry is ``array`` itself; every peer's is a fresh
+        array that stays valid across later collectives.
         """
         array = np.asarray(array)
         parts = self._exchange("allgather_ndarray", array)

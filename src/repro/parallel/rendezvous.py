@@ -522,7 +522,8 @@ class RendezvousCoordinator:
 
     # ------------------------------------------------------ supervise phase
     def _supervise(self) -> None:
-        """Watch heartbeats until every member leaves or somebody dies."""
+        """Watch heartbeat deadlines until the job has a verdict; the member
+        readers conclude it themselves on a death or the last ``leave``."""
         for rank, member in list(self._members.items()):
             t = threading.Thread(
                 target=self._member_reader, args=(rank, member["conn"]),
@@ -530,19 +531,15 @@ class RendezvousCoordinator:
             )
             t.start()
             self._threads.append(t)
-        while not self._stop.wait(min(self.heartbeat_interval, 0.2)):
+        tick = min(self.heartbeat_interval, 0.2)
+        while not self._stop.wait(tick) and not self._done.is_set():
             now = time.monotonic()
             with self._lock:
-                left = [r for r, m in self._members.items() if m["left"]]
                 dead = [
                     r for r, m in self._members.items()
                     if not m["left"]
                     and now - m["last_seen"] > self.heartbeat_timeout
                 ]
-                all_left = len(left) == len(self._members)
-            if all_left:
-                self._finish("completed")
-                return
             if dead:
                 message = dead_rank_message(
                     dead, "missed the heartbeat deadline"
@@ -584,6 +581,9 @@ class RendezvousCoordinator:
                 with self._lock:
                     if rank in self._members:
                         self._members[rank]["left"] = True
+                    all_left = all(m["left"] for m in self._members.values())
+                if all_left:
+                    self._finish("completed")
                 return
 
     def _abort_all(self, message: str, exclude: set[int] = frozenset()) -> None:

@@ -362,6 +362,31 @@ class TestRendezvous:
         coord.stop()
         assert sorted(seen) == [0, 1]
 
+    def test_wait_returns_as_the_last_member_leaves(self):
+        """The last ``leave`` concludes the job: ``wait()`` does not sit
+        out a supervision tick (0.2 s at the default heartbeat interval)."""
+        coord, addr = _start_coordinator(2)
+        comms: list = [None, None]
+
+        def member(rank):
+            comms[rank] = Comm(MeshTransport(2, addr, rank=rank,
+                                             join_timeout=10.0))
+
+        threads = [threading.Thread(target=member, args=(r,), daemon=True)
+                   for r in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        try:
+            for comm in comms:
+                comm.close()
+            last_close = time.monotonic()
+            assert coord.wait(timeout=5.0) == "completed"
+            assert time.monotonic() - last_close < 0.1
+        finally:
+            coord.stop()
+
     def test_members_retry_until_coordinator_appears(self):
         """Ranks launched before the coordinator must connect via backoff."""
         probe = socket.socket()

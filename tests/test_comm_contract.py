@@ -1,14 +1,15 @@
 """The Comm contract, once, over every transport.
 
-One parametrized suite over (solo, thread, forked processes on a socket-pair
-mesh, coordinator-joined socket mesh): rank order (1-D and 0-d arrays,
-blobs), the rank-ordered reduction bit-equal to a sequential
+One parametrized suite over (solo, thread ranks and forked processes on a
+socket-pair mesh, coordinator-joined socket mesh): rank order (1-D, 0-d and
+empty arrays, blobs), the rank-ordered reduction bit-equal to a sequential
 ``functools.reduce``, identical ``CommStats`` on every rank of every
 transport, the size-1 degenerate world, a mesh job whose ranks all return
 ending "completed" at the coordinator, and the failure contract — a
-desynchronized, departed or failed rank surfaces as ``CommAbortError``
-naming the op/seq or the rank on every peer, within a bound each test
-enforces itself (CI has no pytest-timeout).
+desynchronized, departed, failed or wedged rank surfaces as
+``CommAbortError`` naming the op/seq or the rank on every peer, within a
+bound each test enforces itself (CI has no pytest-timeout), and leaves no
+descriptor open; a collective on a closed communicator names its rank.
 
 Transport-specific safety lives next to the transport: frame rejection and
 heartbeat poisoning in test_cluster.py, a killed forked rank's children and
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import multiprocessing as mp
+import os
 import threading
 import time
 import traceback
@@ -25,7 +28,7 @@ import traceback
 import numpy as np
 import pytest
 
-from repro.parallel import CommAbortError, run_spmd, run_spmd_processes
+from repro.parallel import run_spmd, run_spmd_processes
 from repro.parallel.cluster import MeshTransport
 from repro.parallel.comm import Comm, SoloTransport
 from repro.parallel.rendezvous import RendezvousCoordinator
@@ -70,12 +73,12 @@ def _launch_solo(size, fn):
     return [fn(Comm(SoloTransport()))]
 
 
-def _launch_thread(size, fn):
-    return run_spmd(size, fn)[0]
+def _launch_thread(size, fn, timeout=2 * BOUND_S):
+    return run_spmd(size, fn, timeout=timeout)[0]
 
 
-def _launch_process(size, fn):
-    return run_spmd_processes(size, fn, timeout=2 * BOUND_S)[0]
+def _launch_process(size, fn, timeout=2 * BOUND_S):
+    return run_spmd_processes(size, fn, timeout=timeout)[0]
 
 
 def _launch_mesh(size, fn):
@@ -129,6 +132,10 @@ def _bounded(call):
     return box
 
 
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 # ------------------------------------------------------------------- traffic
 def _payload(rank: int) -> np.ndarray:
     # Values whose sum depends on the association order in floating point.
@@ -144,6 +151,7 @@ def _traffic(comm):
     blobs = comm.allgather_blob(bytes([rank]) * 10, logical_bytes=100,
                                 channel="z")
     scalars = comm.allgather_ndarray(np.array(rank))
+    empty = comm.allgather_ndarray(np.zeros(0))
     reduced = comm.allreduce_ndarray(_payload(rank), channel="g")
     unchanneled = comm.allreduce_ndarray(np.array([1.0, rank]))
     return {
@@ -151,6 +159,7 @@ def _traffic(comm):
         "gathered": gathered,
         "blobs": blobs,
         "scalars": scalars,
+        "empty": empty,
         "reduced": reduced,
         "unchanneled": unchanneled,
         "stats": dataclasses.asdict(comm.stats),
@@ -159,7 +168,7 @@ def _traffic(comm):
 
 def _matrix():
     for name in LAUNCHERS:
-        for size in ((1,) if name == "solo" else (1, 2, 4)):
+        for size in ((1,) if name == "solo" else (1, 2, 3, 4)):
             yield pytest.param(name, size, id=f"{name}-{size}")
 
 
@@ -178,6 +187,7 @@ class TestCollectiveContract:
             assert out["blobs"] == [bytes([r]) * 10 for r in range(size)]
             assert [part.shape for part in out["scalars"]] == [()] * size
             assert [int(part) for part in out["scalars"]] == list(range(size))
+            assert [part.shape for part in out["empty"]] == [(0,)] * size
             assert out["reduced"].tobytes() == expected_sum.tobytes()
             np.testing.assert_array_equal(
                 out["unchanneled"], [size, size * (size - 1) / 2])
@@ -195,7 +205,7 @@ class TestCollectiveContract:
         assert stats["allgather_wire_bytes"] == (50 + 8) * n2
         assert stats["allreduce_bytes"] == (512 + 16) * size
         assert stats["allreduce_wire_bytes"] == (512 + 16) * size
-        assert stats["calls"] == {"allgather": 3, "allreduce": 2}
+        assert stats["calls"] == {"allgather": 4, "allreduce": 2}
 
     @pytest.mark.parametrize("name", list(LAUNCHERS))
     def test_allreduce_aliasing_rule(self, name):
@@ -259,12 +269,14 @@ class TestFailureContract:
                 return type(exc).__name__, str(exc)
             return "completed", ""
 
+        before = _open_fds()
         box = _bounded(lambda: LAUNCHERS[name](2, fn))
         assert "error" not in box, box["traceback"]
         assert box["value"][0] == ("left early", "")
         kind, message = box["value"][1]
         assert kind == "CommAbortError", (kind, message)
         assert "rank 0" in message
+        assert _open_fds() == before
 
     @pytest.mark.parametrize("name", MULTI_RANK)
     def test_failed_rank_poisons_peers_and_is_reraised(self, name, tmp_path):
@@ -279,6 +291,7 @@ class TestFailureContract:
                 marker.write_text(f"{type(exc).__name__}:{exc}")
                 raise
 
+        before = _open_fds()
         box = _bounded(lambda: LAUNCHERS[name](2, fn))
         assert isinstance(box.get("error"), (ValueError, RuntimeError)), \
             box.get("traceback", box)
@@ -286,25 +299,51 @@ class TestFailureContract:
         kind, _, message = marker.read_text().partition(":")
         assert kind == "CommAbortError"
         assert "rank 1" in message
+        assert _open_fds() == before
 
-    def test_thread_collective_timeout_names_op_and_seq(self):
-        """``timeout`` bounds a thread rank's wait for a wedged peer."""
-        release = threading.Event()
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_collective_timeout_names_op_and_seq(self, name):
+        """``timeout`` bounds a rank's wait for a peer that is alive but
+        never communicates: the waiter names the peer, the op and the seq,
+        not a departed rank."""
+        release = mp.get_context("fork").Event()  # seen by threads and forks
 
         def fn(comm):
             if comm.Get_rank() == 1:
                 release.wait(BOUND_S)  # wedged: alive, never communicates
                 return None
+            t0 = time.monotonic()
             try:
                 comm.allreduce_ndarray(np.ones(4))
+            except Exception as exc:  # noqa: BLE001 - shipped to the assert
+                return type(exc).__name__, str(exc), time.monotonic() - t0
             finally:
                 release.set()
+            return "completed", "", 0.0
 
-        t0 = time.monotonic()
-        with pytest.raises(CommAbortError,
-                           match=r"timed out.*allreduce_ndarray \(seq 0\)"):
-            run_spmd(2, fn, timeout=0.3)
-        assert time.monotonic() - t0 < BOUND_S
+        box = _bounded(lambda: LAUNCHERS[name](2, fn, timeout=0.3))
+        assert "error" not in box, box["traceback"]
+        kind, message, waited = box["value"][0]
+        assert kind == "CommAbortError", (kind, message)
+        assert ("timed out after 0.3s waiting for rank 1 in "
+                "allreduce_ndarray (seq 0)") in message
+        assert waited < 10 * 0.3
+
+    @pytest.mark.parametrize("name", MULTI_RANK)
+    def test_collective_on_a_closed_comm_names_the_rank(self, name):
+        def fn(comm):
+            comm.close()
+            try:
+                comm.allreduce_ndarray(np.ones(2))
+            except Exception as exc:  # noqa: BLE001 - shipped to the assert
+                return isinstance(exc, RuntimeError), str(exc)
+            return False, "completed"
+
+        box = _bounded(lambda: LAUNCHERS[name](2, fn))
+        assert "error" not in box, box["traceback"]
+        for rank, (is_runtime_error, message) in enumerate(box["value"]):
+            assert is_runtime_error, message
+            assert f"rank {rank}: communicator is closed" in message
 
     def test_spec_collective_timeout_reaches_the_thread_backend(self):
         from repro.api import RunSpec

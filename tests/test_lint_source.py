@@ -200,6 +200,10 @@ class TestSourceLint:
         ("one-parallel-path", "src/repro/parallel/multiprocess.py",
          "from multiprocessing import shared_memory"),
         ("one-parallel-path", "src/repro/parallel/comm.py", "    borrows = True"),
+        ("one-parallel-path", "src/repro/parallel/multiprocess.py",
+         "class ThreadTransport:"),
+        ("one-parallel-path", "src/repro/core/engine.py",
+         "        from repro.parallel.fake_mpi import run_spmd"),
         ("one-npz-writer", "src/repro/core/checkpoint.py", "        np.savez(f, **payload)"),
         ("no-probing-no-second-path", "src/repro/core/vmc.py",
          "        self.comm_baseline: np.ndarray | None = None"),
@@ -298,7 +302,7 @@ class TestSourceLint:
 OFF_THE_RUN_PATH = (
     "repro.serve.pool", "repro.serve.scheduler", "repro.serve.service", "repro.serve.net",
     "repro.parallel.cluster", "repro.parallel.rendezvous", "repro.parallel.multiprocess",
-    "repro.parallel.fake_mpi", "repro.parallel.scaling", "repro.parallel.comm_model",
+    "repro.parallel.scaling", "repro.parallel.comm_model",
     "repro.autograd",
     "repro.chem.ccsd", "repro.chem.ci", "repro.chem.mp2", "repro.chem.properties",
     "repro.hamiltonian.operators", "repro.hamiltonian.synthetic",

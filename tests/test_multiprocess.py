@@ -22,50 +22,6 @@ def _sync(comm) -> None:
     comm.allgather_ndarray(np.zeros(0))
 
 
-class TestCollectives:
-    def test_allgather_rank_order(self):
-        def fn(comm):
-            parts = comm.allgather_ndarray(np.array(comm.Get_rank() * 10))
-            return [int(p) for p in parts]
-
-        results, stats = run_spmd_processes(3, fn)
-        assert results == [[0, 10, 20]] * 3
-        assert stats.calls["allgather"] == 1
-
-    def test_allreduce_sum_matches_numpy(self):
-        def fn(comm):
-            rank = comm.Get_rank()
-            return comm.allreduce_ndarray(
-                np.arange(4, dtype=np.float64) * (rank + 1))
-
-        results, _ = run_spmd_processes(4, fn)
-        expected = np.arange(4, dtype=np.float64) * (1 + 2 + 3 + 4)
-        for r in results:
-            np.testing.assert_allclose(r, expected)
-
-    def test_collective_sequence(self):
-        def fn(comm):
-            a = comm.allreduce_ndarray(np.array([1.0]))
-            _sync(comm)
-            b = comm.allgather_ndarray(np.array(comm.Get_rank()))
-            return (a[0], tuple(int(x) for x in b))
-
-        results, stats = run_spmd_processes(2, fn)
-        assert results == [(2.0, (0, 1))] * 2
-        assert stats.calls == {"allgather": 2, "allreduce": 1}
-
-    def test_byte_accounting_matches_thread_backend(self):
-        def fn(comm):
-            comm.allgather_ndarray(np.zeros(10))
-            comm.allreduce_ndarray(np.zeros(5))
-            return None
-
-        _, s_proc = run_spmd_processes(2, fn)
-        _, s_thread = run_spmd(2, fn)
-        assert s_proc.allgather_bytes == s_thread.allgather_bytes
-        assert s_proc.allreduce_bytes == s_thread.allreduce_bytes
-
-
 class TestTypedCollectives:
     def test_allgather_ndarray_roundtrip(self):
         def fn(comm):
@@ -140,7 +96,7 @@ class TestKilledRank:
 class TestLauncherDeadline:
     def test_wedged_ranks_share_one_deadline(self):
         """However many ranks are wedged, the launcher raises after one
-        ``timeout`` plus one ``join_timeout``, not N_p of each."""
+        ``timeout`` plus two ``join_timeout``, not N_p of each."""
         def fn(comm):
             time.sleep(60)
 

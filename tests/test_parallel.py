@@ -1,4 +1,4 @@
-"""Thread ranks, tree partitioning, comm model, data-parallel VMC."""
+"""Tree partitioning, comm model, data-parallel VMC."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,60 +10,8 @@ from repro.parallel import (
     CommVolumeModel,
     ThreadBackend,
     balanced_weight_partition,
-    run_spmd,
     split_tree_state,
 )
-
-
-class TestFakeMPI:
-    """``run_spmd`` as a launcher; the collectives' contract is checked over
-    every transport at once in test_comm_contract.py."""
-
-    def test_allgather_order_and_content(self):
-        def fn(comm):
-            return comm.allgather_ndarray(np.array([comm.Get_rank()]))
-
-        results, stats = run_spmd(4, fn)
-        for r in range(4):
-            gathered = np.concatenate(results[r])
-            np.testing.assert_array_equal(gathered, [0, 1, 2, 3])
-        assert stats.calls["allgather"] == 1
-        assert stats.allgather_bytes == 4 * 8 * 4  # 4 payloads x 8B x N_p
-
-    def test_allreduce_sum(self):
-        def fn(comm):
-            return comm.allreduce_ndarray(np.full(3, comm.Get_rank() + 1.0))
-
-        results, stats = run_spmd(3, fn)
-        for r in results:
-            np.testing.assert_array_equal(r, [6.0, 6.0, 6.0])
-        assert stats.allreduce_bytes == 3 * 8 * 3
-
-    def test_multiple_collectives_sequence(self):
-        def fn(comm):
-            a = comm.allreduce_ndarray(np.array([1.0]))
-            b = comm.allgather_ndarray(np.array(comm.Get_rank()))
-            c = comm.allreduce_ndarray(np.array([2.0]))
-            return (a[0], tuple(int(x) for x in b), c[0])
-
-        results, stats = run_spmd(2, fn)
-        assert results[0] == (2.0, (0, 1), 4.0)
-        assert results[1] == (2.0, (0, 1), 4.0)
-        assert stats.calls["allreduce"] == 2
-
-    def test_rank_error_propagates(self):
-        def fn(comm):
-            if comm.Get_rank() == 1:
-                raise RuntimeError("rank 1 exploded")
-            return comm.allreduce_ndarray(np.ones(1))
-
-        with pytest.raises(RuntimeError):
-            run_spmd(2, fn)
-
-    def test_single_rank_degenerates(self):
-        results, stats = run_spmd(
-            1, lambda c: c.allreduce_ndarray(np.array([5.0]))[0])
-        assert results[0] == 5.0
 
 
 class TestPartition:

@@ -140,13 +140,14 @@ RULES = (
          "step(x, cache) beside the taped forward (Sessions and the BAS tree)"),
     Rule("one-parallel-path",
          r"comm_codec|comm_shm|use_shm|shm_threshold|eloc_partition|ELOC_PARTITIONS"
-         r"|PipeTransport|SHM_THRESHOLD|shared_memory|borrows",
+         r"|PipeTransport|SHM_THRESHOLD|shared_memory|borrows"
+         r"|ThreadTransport|fake_mpi",
          (SRC,),
          "a multi-rank iteration has one shape: stage 2 always ships the "
-         "codec's payload, every multi-process collective crosses the socket "
-         "mesh as frames (MeshTransport: socket pairs for forked ranks, TCP "
-         "across hosts), and stage 3 always splits the unique set into "
-         "weight-balanced chunks — no option selects a second path "
+         "codec's payload, every multi-rank collective crosses the socket "
+         "mesh as frames (MeshTransport: socket pairs for thread and forked "
+         "ranks, TCP across hosts), and stage 3 always splits the unique set "
+         "into weight-balanced chunks — no option selects a second path "
          "(Configuration, Communication layer)"),
     Rule("one-npz-writer", r"np\.savez", (SRC,),
          "checkpoints and model snapshots are written by core/checkpoint.py's "
