@@ -4,7 +4,8 @@ Checks the closed-form model against the paper's quoted parameters and
 against bytes *measured* by FakeMPI during a real parallel iteration — both
 the logical (uncompressed, what the paper's formulas predict) and the wire
 volume after the typed/compressed comm layer (delta/varint keys + uint32
-counts on ``stage2_samples``, raw complex128 amplitudes on ``stage2_amps``).
+counts on ``stage2_samples``; on ``stage2_amps``, raw float64 log pi of each
+rank's sampled rows and phi of its chunk, 16 B per unique row).
 
 CI smoke: ``python benchmarks/bench_comm_volume.py --smoke`` runs two
 2-rank C2 iterations and asserts the second's stage-2 samples wire volume
@@ -85,7 +86,7 @@ def test_comm_volume_paper_example(benchmark, full):
     channel_rows = [
         ["stage2_samples (keys+counts)", f"{ch['logical'] / 1e6:.3f}",
          f"{ch['wire'] / 1e6:.3f}", f"{ch['logical'] / max(ch['wire'], 1):.1f}x"],
-        ["stage2_amps (complex128)", f"{amp['logical'] / 1e6:.3f}",
+        ["stage2_amps (log pi + phi)", f"{amp['logical'] / 1e6:.3f}",
          f"{amp['wire'] / 1e6:.3f}", "1.0x"],
     ]
     registry.record(

@@ -182,7 +182,7 @@ def _partition_load_table(prob, ranks=(2, 4, 8)) -> str:
     """
     wf = _wf_factory(prob)()
     batch = batch_autoregressive_sample(wf, _NS, np.random.default_rng(15))
-    _, weights, _ = stage_gather_table(Comm(SoloTransport()), wf, batch)
+    _, weights, _, _ = stage_gather_table(Comm(SoloTransport()), wf, batch)
     weights = np.asarray(weights)
     n, total, heaviest = len(weights), int(weights.sum()), int(weights.max())
     rows = []

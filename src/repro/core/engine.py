@@ -10,16 +10,18 @@ Fig. 4 (Sec. 3.2):
                             of the layer-k nodes; a single rank runs the
                             plain serial sweep on the engine's persistent RNG
                             (bit-identical to the serial backend).
-  stage 2  gather/table     Allgather of (packed unique samples, weights,
-                            log amplitudes = the sweep's log pi + the phase
-                            MLP); lexsorted into the global amplitude table
-                            (Algorithm 2's id_lut/wf_lut).
+  stage 2  gather/table     Allgather of the packed unique samples and
+                            weights; each rank runs the phase MLP over its
+                            weight-balanced chunk of the lexsorted global set
+                            and allgathers (the sweep's log pi of its sampled
+                            rows, phi of its chunk) into the global amplitude
+                            table (Algorithm 2's id_lut/wf_lut).
   stage 3  eloc shard       each rank evaluates local energies for its
-                            weight-balanced chunk of the global unique set
-                            (Sec. 3.3 load balancing) against the table.
+                            chunk (Sec. 3.3 load balancing) against the table.
   stage 4  energy reduce    Allreduce of the weighted energy sums.
-  stage 5  backward         the Eq. 7 gradient on the chunk — log pi and phi
-                            by hand-derived float32 VJPs (no tape) —
+  stage 5  backward         the Eq. 7 gradient on the chunk — phi through
+                            stage 2's kept forward, log pi by the amplitude
+                            network's forward/VJP pair; float32, no tape —
                             accumulated into the arena's gradient buffer.
   stage 6  gradient reduce  one Allreduce carries the gradient *and* the
                             centered second moment (variance), so parallel
@@ -243,79 +245,98 @@ def _counts_nbytes(weights) -> int:
 def stage_gather_table(comm, wf, local: SampleBatch):
     """Stage 2: Allgather the unique sets; build the global amplitude table.
 
-    Returns ``(keys, weights, table)`` with the global unique set lexsorted —
-    the rank-independent canonical order every chunk indexes into.
+    Returns ``(keys, weights, table, phase)`` with the global unique set
+    lexsorted — the rank-independent canonical order every chunk indexes
+    into — and ``phase`` the :class:`~repro.core.wavefunction.PhaseForward`
+    of this rank's chunk, for :func:`stage_backward` to differentiate.
 
-    The multi-rank payload is split into two typed channels:
+    In order, over two typed channels:
 
     * ``stage2_samples`` — packed keys + integer counts.  Each rank lexsorts
       locally and ships a delta/varint payload (:mod:`repro.parallel.codec`)
       of this iteration's keys and counts alone; the logical size is the raw
       keys plus natural-width counts.
-    * ``stage2_amps`` — the complex128 log-amplitudes, always raw (lossless
-      float compression is not worth the cycles).
+    * The weight-balanced partition of the lexsorted global set
+      (``balanced_weight_partition``, the cut :func:`stage_partition` hands
+      stage 3) and one phase-MLP forward over this rank's chunk
+      (``wf.phase_forward``: float32 GEMMs, no tape, row blocks), kept.
+    * ``stage2_amps`` — one float64 array per rank, always raw (lossless
+      float compression is not worth the cycles): ``log pi`` of the rank's
+      sampled rows in its shipped key order, then ``phi`` of its chunk.  A
+      receiver splits it by the count it decoded and the partition it cut;
+      8 + 8 bytes per unique row, as one complex128 was.
 
-    The decoder is not evaluated here: ``log pi`` of every local row is
-    ``local.log_prob``, which the stage-1 sweep accumulated along the row's
-    tree path, and only the phase MLP runs (``wf.phases``: float32 GEMMs, no
-    tape, row blocks).  A batch without it did not come out of a sweep and is
-    refused — ``wf.log_amplitudes`` is the evaluator for bits given from
-    elsewhere, not a fallback of this stage.  Every backend and transport
-    sweeps the same subtrees with the same streams at equal N_p, so they
-    stay bit-identical to each other.  The global set is unique across ranks
-    (disjoint BAS subtrees) and the codec is lossless, hence the final
-    lexsort yields the same table bit-for-bit on every backend.
+    ``log psi = 0.5 log pi + i phi``.  The decoder is not evaluated here:
+    ``log pi`` is ``local.log_prob``, which the stage-1 sweep accumulated
+    along each row's tree path.  A batch without it did not come out of a
+    sweep and is refused — ``wf.log_amplitudes`` is the evaluator for bits
+    given from elsewhere, not a fallback of this stage.  Every backend and
+    transport sweeps the same subtrees with the same streams at equal N_p,
+    so they stay bit-identical to each other.  The global set is unique
+    across ranks (disjoint BAS subtrees) and the codec is lossless, hence
+    every rank builds the same table bit-for-bit.  On one rank nothing is
+    gathered and the chunk is every row.
     """
     if local.log_prob is None:
         raise ValueError(
             "stage 2 needs SampleBatch.log_prob, the log pi a BAS sweep hands "
             "out with its rows; this batch did not come out of a sweep"
         )
+    rank, size = comm.Get_rank(), comm.Get_size()
     local_keys = pack_bits(local.bits)
-    # The stage-2 comm boundary: log-amplitudes leave the device exactly once
+    order = lexsort_keys(local_keys)
+    keys = local_keys[order]
+    weights = local.weights.astype(int64)[order]
+    n_sampled = [len(keys)]
+    if size > 1:
+        from repro.parallel.codec import decode_sample_payload, encode_sample_payload
+
+        blobs = comm.allgather_blob(
+            encode_sample_payload(keys, weights),
+            logical_bytes=keys.nbytes + _counts_nbytes(weights),
+            channel="stage2_samples",
+        )
+        # Own payload: skip the (lossless) decode.
+        parts = [(keys, weights) if r == rank else decode_sample_payload(b)
+                 for r, b in enumerate(blobs)]
+        n_sampled = [len(k) for k, _ in parts]
+        keys = xp.concatenate([k for k, _ in parts], axis=0)
+        weights = xp.concatenate([c for _, c in parts])
+        global_order = lexsort_keys(keys)
+        keys, weights = keys[global_order], weights[global_order]
+
+    # The cut stage_partition hands stage 3, computed here again rather than
+    # called: the six stage functions run one after another, none inside
+    # another, so each one's time is its own.
+    chunks = balanced_weight_partition(weights, size)
+    phi, phase = wf.phase_forward(unpack_bits(keys[chunks[rank]], wf.n_qubits))
+    # The stage-2 comm boundary: log pi and phi leave the device exactly once
     # per rank and iteration, entering the host-resident global table (and,
     # multi-rank, the stage2_amps collective).
-    local_amps = active_backend().to_host(
-        0.5 * local.log_prob + 1j * wf.phases(local.bits), tag="stage2.amps"
-    )
-    order = lexsort_keys(local_keys)
-    skeys = local_keys[order]
-    sweights = local.weights.astype(int64)[order]
-    samps = local_amps[order]
-    if comm.Get_size() == 1:
-        return skeys, sweights, AmplitudeTable(keys=skeys, log_amps=samps)
-
-    from repro.parallel.codec import decode_sample_payload, encode_sample_payload
-
-    rank = comm.Get_rank()
-    blob = encode_sample_payload(skeys, sweights)
-    blobs = comm.allgather_blob(
-        blob, logical_bytes=skeys.nbytes + _counts_nbytes(sweights),
-        channel="stage2_samples",
-    )
-    key_parts, weight_parts = [], []
-    for r, b in enumerate(blobs):
-        if r == rank:  # own payload: skip the (lossless) decode
-            key_parts.append(skeys)
-            weight_parts.append(sweights)
-        else:
-            k, c = decode_sample_payload(b)
-            key_parts.append(k)
-            weight_parts.append(c)
-    amp_parts = comm.allgather_ndarray(samps, channel="stage2_amps")
-    keys = xp.concatenate(key_parts, axis=0)
-    weights = xp.concatenate(weight_parts)
-    amps = xp.concatenate(amp_parts)
-    order = lexsort_keys(keys)
-    keys, weights, amps = keys[order], weights[order], amps[order]
-    return keys, weights, AmplitudeTable(keys=keys, log_amps=amps)
+    shipped = active_backend().to_host(
+        xp.concatenate([local.log_prob[order], phi]), tag="stage2.amps")
+    amp_parts = [shipped]
+    if size > 1:
+        amp_parts = comm.allgather_ndarray(shipped, channel="stage2_amps")
+    for r, part in enumerate(amp_parts):
+        if len(part) != n_sampled[r] + len(chunks[r]):
+            raise ValueError(
+                f"stage 2: rank {r} shipped {len(part)} log pi + phi values for "
+                f"{n_sampled[r]} sampled and {len(chunks[r])} chunk rows")
+    log_prob = xp.concatenate([p[:n] for p, n in zip(amp_parts, n_sampled)])
+    phi = xp.concatenate([p[n:] for p, n in zip(amp_parts, n_sampled)])
+    if size > 1:
+        log_prob = log_prob[global_order]
+    table = AmplitudeTable(keys=keys, log_amps=0.5 * log_prob + 1j * phi)
+    return keys, weights, table, phase
 
 
 def stage_partition(weights, n_ranks: int) -> list:
     """Stage 3 prologue: split the global unique set into per-rank chunks.
 
     The Sec. 3.3 weight-balancing heuristic: contiguous cuts of ~equal total
-    sample weight, not ~equal sample count.
+    sample weight, not ~equal sample count — the cut stage 2 already ran the
+    phase MLP over (a pure function of the gathered weights).
     """
     return balanced_weight_partition(weights, n_ranks)
 
@@ -337,7 +358,7 @@ def stage_local_energy(wf, comp, chunk: SampleBatch, table: AmplitudeTable,
 
 
 def stage_backward(wf, chunk: SampleBatch, w_norm,
-                   eloc, e_mean: float, e_imag: float):
+                   eloc, e_mean: float, e_imag: float, phase=None):
     """Stage 5: the Eq. 7 gradient, accumulated into the arena; returns it.
 
     grad = E_p[ Re(E_loc - E) grad log pi(x) ] + 2 E_p[ Im(E_loc - E) grad phi(x) ]
@@ -345,23 +366,27 @@ def stage_backward(wf, chunk: SampleBatch, w_norm,
     with stop-gradient coefficients.  Both halves are sums over rows, and
     both are hand-derived VJPs off the tape that add in place into
     ``p.grad`` — views of the zeroed gradient buffer of ``wf``'s parameter
-    arena — so peak memory is O(block), not O(N_u), and a rank that owns no
-    rows returns zeros.  No graph is built.
+    arena — and a rank that owns no rows returns zeros.  No graph is built.
 
+    * ``phi`` first: ``wf.phase_vjp`` (float32 GEMMs, the output bias in
+      float64) differentiates ``phase``, stage 2's kept forward of this chunk
+      (:func:`stage_gather_table`): no forward GEMM and no second float32
+      cast, except for blocks past ``PHASE_KEEP_ROWS``, which it recomputes
+      (every block when ``phase`` is ``None``).  It consumes ``phase``, so the
+      kept activations are freed before the amplitude half allocates.
     * ``log pi``: ``wf.log_prob_vjp`` — ``ROW_BLOCK`` blocks of lexsorted
       rows, each block's prefix tree through the amplitude network's
       forward/VJP pair once (float32, feature-major; the masked log-softmax
-      head in float64).
-    * ``phi``: ``wf.phase_vjp`` (``PHASE_BLOCK`` rows per block; float32
-      GEMMs, the output bias in float64).
+      head in float64), so its memory is O(block).
 
-    DESIGN.md "Precision" has the audit.  The result *is* the arena buffer
-    (no copy): valid until the next gradient is taken on ``wf``.
+    The halves write disjoint spans of the arena, so their order changes no
+    bit.  DESIGN.md "Precision" has the audit.  The result *is* the arena
+    buffer (no copy): valid until the next gradient is taken on ``wf``.
     """
     arena = wf.arena()
     arena.zero_grad(bind_all=True)
+    wf.phase_vjp(chunk.bits, 2.0 * w_norm * (eloc.imag - e_imag), phase)
     wf.log_prob_vjp(chunk.bits, w_norm * (eloc.real - e_mean))
-    wf.phase_vjp(chunk.bits, 2.0 * w_norm * (eloc.imag - e_imag))
     return arena.grad
 
 
@@ -493,8 +518,8 @@ def _rank_iteration_stages(engine, comm, wf, rng,
     times["sampling"] = time.perf_counter() - t0
     snap_sampled = active_backend().counter_snapshot()
 
-    # ---- stage 2: allgather + global amplitude table -----------------------
-    keys, weights, table = stage_gather_table(comm, wf, local)
+    # ---- stage 2: allgather, this rank's phases, global amplitude table -----
+    keys, weights, table, phase = stage_gather_table(comm, wf, local)
     n_u = len(weights)
 
     # ---- stage 3: local energy on this rank's chunk ------------------------
@@ -524,7 +549,7 @@ def _rank_iteration_stages(engine, comm, wf, rng,
 
     # ---- stage 5: Eq. 7 backward on the chunk ------------------------------
     t0 = time.perf_counter()
-    stage_backward(wf, chunk, w_chunk / sums[2], eloc, e_mean, e_imag)
+    stage_backward(wf, chunk, w_chunk / sums[2], eloc, e_mean, e_imag, phase)
     times["gradient"] = time.perf_counter() - t0
 
     # ---- stage 6: one allreduce for the gradient + centered 2nd moment -----

@@ -27,7 +27,8 @@ from repro.nn.kernels import (
 )
 
 __all__ = ["NNQSWavefunction", "build_qiankunnet", "ROW_BLOCK", "PREFIX_BLOCK",
-           "PHASE_BLOCK", "row_blocks", "token_order", "prefix_tree"]
+           "PHASE_BLOCK", "PHASE_KEEP_ROWS", "PhaseForward", "row_blocks",
+           "token_order", "prefix_tree"]
 
 # Row bound of one block of stage 5's forward/VJP pair
 # (``NNQSWavefunction.log_prob_vjp``), which holds one block's float32
@@ -58,6 +59,18 @@ PREFIX_BLOCK = 2048
 # gap inside the runs' quartile spread) for +0.3 MiB peak RSS; 2 048 cost
 # another +2.3 MiB (10 of 10 pairs, with 2 048-row walk blocks).
 PHASE_BLOCK = 1024
+
+# Row bound of the phase-MLP activations stage 2 keeps for stage 5
+# (``NNQSWavefunction.phase_forward``): blocks past it are dropped after their
+# phases are read, and ``phase_vjp`` recomputes them.  A kept row holds two
+# float32 512-wide hidden layers, 4 KiB.  Each kept 1 024-row block saves one
+# 512 x 512 GEMM and costs 4 MiB, with no knee: 8 192 rows of the paper-size
+# net (one OpenBLAS thread, median of 12 interleaved rounds) take 196 ms
+# forward + VJP recomputing every block, 173 / 170 / 147 ms keeping 2 048 /
+# 4 096 / 8 192 rows, at a tracemalloc peak of 11 / 15 / 23 / 39 MiB.  4 096
+# rows caps the keep at 16 MiB, the E_loc budget of ``n2_exact``; every chunk
+# of the benchmark workloads (<= ~550 rows) is kept whole.
+PHASE_KEEP_ROWS = 4096
 
 
 def row_blocks(n_rows: int, bound: int | None = None) -> list[slice]:
@@ -114,6 +127,21 @@ def prefix_tree(tokens: np.ndarray):
     level, rep_row = np.nonzero(first)
     offsets = np.searchsorted(level, np.arange(t + 2))
     return rep_row, level, offsets, np.cumsum(first, axis=1) - 1
+
+
+class PhaseForward:
+    """One :meth:`NNQSWavefunction.phase_forward` over some rows, kept for
+    :meth:`NNQSWavefunction.phase_vjp` of the same rows: the float32
+    parameters it ran on, its row blocks and, per block, the hidden
+    activations (``None`` past ``PHASE_KEEP_ROWS``).  The caller holds it from
+    one stage to the next; nothing on the wavefunction refers to it, and
+    ``phase_vjp`` consumes it, releasing each block as it goes."""
+
+    __slots__ = ("n_rows", "params32", "blocks", "hidden")
+
+    def __init__(self, n_rows: int, params32: list, blocks: list, hidden: list):
+        self.n_rows, self.params32 = n_rows, params32
+        self.blocks, self.hidden = blocks, hidden
 
 
 class NNQSWavefunction(Module):
@@ -240,16 +268,32 @@ class NNQSWavefunction(Module):
         self.amplitude.prefix_vjp(saved, picked_log_softmax_backward(coeff, p, flat, allowed))
         return logp
 
-    def phase_vjp(self, bits: np.ndarray, coeff: np.ndarray) -> None:
+    def phase_vjp(self, bits: np.ndarray, coeff: np.ndarray,
+                  forward: PhaseForward | None = None) -> None:
         """Add ``sum_i coeff[i] dphi(bits[i]) / dtheta`` into the phase
         network's ``p.grad``, ``PHASE_BLOCK`` rows at a time — stage 5's
         phase half, off the tape (``PhaseMLP.vjp``: float32 GEMMs, the
-        gauge-direction output bias summed in float64).  The parameters are
-        cast to float32 once per call, not once per block."""
+        gauge-direction output bias summed in float64).
+
+        ``forward`` is :meth:`phase_forward` of these bits: its float32
+        parameters and blocks are used, a kept block runs no forward GEMM,
+        and the gradient is the bits it would be without it.  It is consumed
+        — each block's activations are released once differentiated, its
+        parameters at the end.  Without it the parameters are cast once per
+        call and every block runs its forward."""
         bits = np.atleast_2d(bits)
-        params32 = self.phase.cast32()
-        for rows in row_blocks(len(bits), PHASE_BLOCK):
-            self.phase.vjp(bits[rows], coeff[rows], params32)
+        if forward is None:
+            blocks = row_blocks(len(bits), PHASE_BLOCK)
+            forward = PhaseForward(len(bits), self.phase.cast32(), blocks,
+                                   [None] * len(blocks))
+        if forward.n_rows != len(bits):
+            raise ValueError(
+                f"phase_vjp: the forward covers {forward.n_rows} rows, "
+                f"the bits are {len(bits)}")
+        for b, rows in enumerate(forward.blocks):
+            hidden, forward.hidden[b] = forward.hidden[b], None
+            self.phase.vjp(bits[rows], coeff[rows], forward.params32, hidden)
+        forward.params32 = None
 
     # ------------------------------------------------------------ inference
     def amplitudes(self, bits: np.ndarray) -> np.ndarray:
@@ -275,16 +319,35 @@ class NNQSWavefunction(Module):
 
     def phases(self, bits: np.ndarray) -> np.ndarray:
         """(B,) phi(x) without a tape, ``PHASE_BLOCK`` rows at a time — the
-        half of :meth:`log_amplitudes` a caller that holds ``log pi`` still
-        needs.  Float32 GEMMs (``PhaseMLP.step``), within ~2e-7 rad of
-        :meth:`phase_of`, the taped float64 oracle.  The parameters are cast
-        to float32 once per call, not once per block."""
+        phase half of :meth:`log_amplitudes`.  Float32 GEMMs
+        (``PhaseMLP.step``), within ~2e-7 rad of :meth:`phase_of`, the taped
+        float64 oracle.  The parameters are cast to float32 once per call,
+        not once per block."""
         bits = np.atleast_2d(bits)
         out = np.empty(len(bits))
         params32 = self.phase.cast32()
         for rows in row_blocks(len(bits), PHASE_BLOCK):
             out[rows] = self.phase.step(bits[rows], params32)
         return out
+
+    def phase_forward(self, bits: np.ndarray) -> tuple[np.ndarray, PhaseForward]:
+        """``(phi, forward)``: :meth:`phases` of ``bits``, bit for bit, and the
+        forward it ran, kept for :meth:`phase_vjp` of the same bits — stage 2
+        evaluates its chunk here and stage 5 differentiates the result.  The
+        hidden activations of the blocks within the first
+        ``PHASE_KEEP_ROWS`` rows are kept, with the one float32 cast they
+        were computed with; a later block's are dropped as soon as its
+        phases are read, and ``phase_vjp`` recomputes them."""
+        bits = np.atleast_2d(bits)
+        out = np.empty(len(bits))
+        params32 = self.phase.cast32()
+        blocks = row_blocks(len(bits), PHASE_BLOCK)
+        kept = []
+        for rows in blocks:
+            out[rows], hidden = self.phase.forward(bits[rows], params32)
+            kept.append(hidden if rows.stop <= PHASE_KEEP_ROWS else None)
+            del hidden          # a dropped block goes before the next one runs
+        return out, PhaseForward(len(bits), params32, blocks, kept)
 
     def _log_prob_shared(self, bits: np.ndarray) -> np.ndarray:
         """(B,) log pi(x), each distinct token prefix evaluated once.

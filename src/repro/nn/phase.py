@@ -5,16 +5,20 @@ an MLP of layer sizes N x 512 x 512 x 1 (Sec. 4.1).  The input is the raw
 qubit bitstring mapped to {-1, +1}; the output is an unconstrained real phase
 in radians.
 
-One forward, float32 (``_forward32``), behind two entry points: ``step``,
-the graph-free evaluator every consumer of phi calls (stage 2, the
-amplitude-table extension, serving, observables), and ``vjp``, stage 5's
+One forward, float32 (``_forward32``), behind three entry points:
+``step``, the graph-free evaluator of phi (the amplitude-table extension,
+serving, observables); ``forward``, the same phi plus the hidden ``tanh``
+outputs, which stage 2 keeps for stage 5; and ``vjp``, stage 5's
 hand-derived backward, which adds the Eq. 7 phase gradient into the float64
-``p.grad`` arena views.  Both run their GEMMs on float32 copies of the
-float64 parameters (``cast32``), cast once per call and handed to every row
-block of it — no cached copy that an optimizer step, a restore or a version
-swap could leave stale.  The taped float64 head is the oracle's
-(``repro.autograd.oracle``): tests and benchmarks differentiate it by tape.
-The audit behind the choice is ``backend/dtypes.py``'s.
+``p.grad`` arena views — over the kept activations when it is handed them,
+with no forward GEMM, else after running the forward itself.  All run their
+GEMMs on float32 copies of the float64 parameters (``cast32``), cast once
+per caller and handed to every row block of it; the caller owns the copies,
+so none outlives what it was cast for, and nothing an optimizer step, a
+restore or a version swap could leave stale is kept here.  The taped
+float64 head is the oracle's (``repro.autograd.oracle``): tests and
+benchmarks differentiate it by tape.  The audit behind the choice is
+``backend/dtypes.py``'s.
 """
 from __future__ import annotations
 
@@ -50,11 +54,21 @@ class PhaseMLP(Module):
         every GEMM, bias and ``tanh`` in float32.
         ``params32`` is :meth:`cast32` of the current parameters (cast here
         when not given)."""
+        return self.forward(bits, params32)[0]
+
+    def forward(self, bits, params32: list | None = None):
+        """``(phase, hidden)``: :meth:`step`'s phase and the hidden layers'
+        ``tanh`` outputs ``[h_1, ..., h_{L-1}]`` (feature-major float32), which
+        :meth:`vjp` of the same bits and ``params32`` reads instead of running
+        the forward again.  The input ``x`` is not among them: the bits hold
+        it."""
         if params32 is None:
             params32 = self.cast32()
-        return xp.asarray(self._forward32(bits, params32)[-1][0], dtype=float64)
+        _, *hidden, out = self._forward32(bits, params32)
+        return xp.asarray(out[0], dtype=float64), hidden
 
-    def vjp(self, bits, coeff, params32: list | None = None) -> None:
+    def vjp(self, bits, coeff, params32: list | None = None,
+            hidden: list | None = None) -> None:
         """Add ``sum_i coeff[i] dphi(bits[i]) / dtheta`` into the layers'
         ``p.grad`` (a bound arena view is written in place; ``None`` starts
         from zero, as the tape does).
@@ -68,12 +82,19 @@ class PhaseMLP(Module):
         eps)`` turns into an lr-sized random walk of the bias.
 
         ``params32`` as in :meth:`step`; the backward's ``W^T g`` reads the
-        same float32 weights as the forward.
+        same float32 weights as the forward.  ``hidden`` is :meth:`forward`'s
+        second result for these bits and ``params32``: given, no forward GEMM
+        runs and the gradient is the bits it would be without it.  The
+        hidden activations, given or computed, are overwritten: a forward is
+        differentiated once.
         """
         coeff = xp.asarray(coeff, dtype=float64)
         if params32 is None:
             params32 = self.cast32()
-        acts = self._forward32(bits, params32)
+        if hidden is None:
+            acts = self._forward32(bits, params32)
+        else:
+            acts = [_inputs32(bits), *hidden]
         top = len(self.layers) - 1
         self.layers[top].bias._accumulate(xp.sum(coeff, keepdims=True))
         g = coeff.astype(float32)[None, :]      # dloss / dz of layer i, (out, batch)
@@ -88,7 +109,10 @@ class PhaseMLP(Module):
                 # product: a broadcast multiply forms the same products
                 # without a K = 1 GEMM.
                 g = w.T * g if i == top else w.T @ g
-                g *= 1.0 - h * h                # h is layer i - 1's tanh output
+                # h is layer i - 1's tanh output, read for the last time:
+                # 1 - h^2 overwrites it instead of allocating twice.
+                h *= h
+                g *= xp.subtract(1.0, h, out=h)
 
     def _forward32(self, bits, params32: list) -> list:
         """The float32 forward: ``[x, h_1, ..., h_L]``, feature-major
@@ -101,16 +125,21 @@ class PhaseMLP(Module):
         us on one OpenBLAS thread of an AMD EPYC core) and level with it at
         1 024.
         """
-        x = xp.asarray(bits, dtype=float32)
-        if x.ndim == 1:
-            x = x[None, :]
-        acts = [(2.0 * x - 1.0).T]      # a Python scalar keeps float32
+        acts = [_inputs32(bits)]
         *hidden, last = params32
         for w, b in hidden:
             h = _affine32(w, b, acts[-1])
             acts.append(xp.tanh(h, out=h))
         acts.append(_affine32(*last, acts[-1]))
         return acts
+
+
+def _inputs32(bits):
+    """``x = 2 bits - 1``, feature-major ``(N, batch)`` float32."""
+    x = xp.asarray(bits, dtype=float32)
+    if x.ndim == 1:
+        x = x[None, :]
+    return (2.0 * x - 1.0).T     # a Python scalar keeps float32
 
 
 def _affine32(w, b, h):

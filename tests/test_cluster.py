@@ -17,7 +17,6 @@ import pytest
 
 from repro.core import VMC, NoamAdamW, VMCConfig, build_qiankunnet
 from repro.core.engine import ThreadBackend
-from repro.parallel import run_spmd
 from repro.parallel.cluster import (
     ClusterBackend,
     MeshTransport,
@@ -237,108 +236,6 @@ class TestFrameProtocol:
         for bad in ("nocolon", ":5", "host:", "host:notaport", "host:99999"):
             with pytest.raises(ValueError, match="host:port|out of range"):
                 parse_addr(bad)
-
-
-# ---------------------------------------------------------------- collectives
-class TestClusterCollectives:
-    def test_allgather_rank_order(self):
-        def fn(comm):
-            parts = comm.allgather_ndarray(np.array(comm.Get_rank() * 10))
-            return [int(p) for p in parts]
-
-        results, _, outcome = _run_cluster(3, fn)
-        assert results == [[0, 10, 20]] * 3
-        assert outcome == "completed"
-
-    def test_allreduce_matches_rank_ordered_numpy_sum(self):
-        def fn(comm):
-            arr = np.arange(6, dtype=np.float64) * (comm.Get_rank() + 1)
-            return comm.allreduce_ndarray(arr, channel="g")
-
-        results, _, _ = _run_cluster(3, fn)
-        expected = np.arange(6, dtype=np.float64) * 6
-        for r in results:
-            np.testing.assert_array_equal(r, expected)
-
-    def test_typed_allgather_roundtrip(self):
-        def fn(comm):
-            arr = np.arange(5, dtype=np.int64) + 100 * comm.Get_rank()
-            return comm.allgather_ndarray(arr, channel="t")
-
-        results, _, _ = _run_cluster(2, fn)
-        for parts in results:
-            np.testing.assert_array_equal(parts[0], np.arange(5))
-            np.testing.assert_array_equal(parts[1], np.arange(5) + 100)
-            assert parts[0].dtype == np.int64
-
-    def test_allgather_blob_logical_vs_wire_accounting(self):
-        def fn(comm):
-            blob = bytes([comm.Get_rank()]) * 10
-            out = comm.allgather_blob(blob, logical_bytes=100, channel="z")
-            return out, dict(comm.stats.channels)
-
-        results, _, _ = _run_cluster(2, fn)
-        for blobs, channels in results:
-            assert blobs == [b"\x00" * 10, b"\x01" * 10]
-            assert channels["z"]["logical"] == 100 * 2 * 2
-            assert channels["z"]["wire"] == 10 * 2 * 2
-
-    def test_collective_sequence_and_barrier(self):
-        def fn(comm):
-            a = comm.allreduce_ndarray(np.array([1.0]))
-            _sync(comm)
-            b = comm.allgather_ndarray(np.array(comm.Get_rank()))
-            return (a[0], tuple(int(x) for x in b))
-
-        results, _, _ = _run_cluster(2, fn)
-        assert results == [(2.0, (0, 1))] * 2
-
-    def test_byte_accounting_matches_thread_comm(self):
-        """Every mesh rank's stats must equal the thread ranks' accounting."""
-        def fn(comm):
-            comm.allgather_ndarray(np.zeros(10))
-            comm.allreduce_ndarray(np.zeros(5))
-            comm.allgather_blob(b"abc", logical_bytes=7)
-            s = comm.stats
-            return (s.allgather_bytes, s.allreduce_bytes, s.total_bytes,
-                    s.total_wire_bytes)
-
-        cluster_results, _, _ = _run_cluster(2, fn)
-        _, s_thread = run_spmd(2, fn)
-        expected = (s_thread.allgather_bytes, s_thread.allreduce_bytes,
-                    s_thread.total_bytes, s_thread.total_wire_bytes)
-        assert cluster_results == [expected, expected]
-
-    def test_world_of_one_short_circuits(self):
-        def fn(comm):
-            assert comm.Get_size() == 1
-            return (comm.allgather_blob(b"solo"),
-                    comm.allreduce_ndarray(np.array([2.0]))[0])
-
-        results, _, outcome = _run_cluster(1, fn)
-        assert results == [([b"solo"], 2.0)]
-        assert outcome == "completed"
-
-    def test_desynchronized_collective_detected(self):
-        """Mismatched collective ops must raise, not silently mispair."""
-        def fn(comm):
-            if comm.Get_rank() == 0:
-                comm.allgather_ndarray(np.zeros(3))
-            else:
-                comm.allreduce_ndarray(np.zeros(3))
-
-        with pytest.raises((ClusterProtocolError, CommAbortError),
-                           match="desynchronized|aborted"):
-            _run_cluster(2, fn)
-
-    def test_closed_comm_refuses_collectives(self):
-        results, comms, _ = _run_cluster(
-            2, lambda comm: comm.allgather_blob(b"1"))
-        assert results == [[b"1", b"1"]] * 2
-        for comm in comms:
-            with pytest.raises(RuntimeError, match="closed"):
-                _sync(comm)
-            comm.close()  # idempotent
 
 
 # ----------------------------------------------------------------- rendezvous

@@ -333,6 +333,7 @@ class TestFailureContract:
     def test_collective_on_a_closed_comm_names_the_rank(self, name):
         def fn(comm):
             comm.close()
+            comm.close()  # idempotent; the launcher closes it once more
             try:
                 comm.allreduce_ndarray(np.ones(2))
             except Exception as exc:  # noqa: BLE001 - shipped to the assert

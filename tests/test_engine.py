@@ -168,6 +168,141 @@ class TestCommLayerInvariance:
         assert amp["wire"] == amp["logical"]
 
 
+class TestKeptPhaseForward:
+    """Stage 2 runs the phase MLP once over the rank's chunk and stage 5
+    differentiates that forward: the same gradient bits as recomputing it,
+    once per row per iteration, nothing left behind on ``wf``."""
+
+    @pytest.mark.parametrize("rows, keep", [(40, 4096), (40, 16), (0, 4096)],
+                             ids=["whole", "past-the-keep-bound", "empty"])
+    def test_kept_forward_gives_the_recomputed_gradient(self, monkeypatch, rows, keep):
+        from repro.core import SampleBatch, wavefunction
+        from repro.core.engine import stage_backward
+
+        monkeypatch.setattr(wavefunction, "PHASE_BLOCK", 8)
+        monkeypatch.setattr(wavefunction, "PHASE_KEEP_ROWS", keep)
+        wf = build_qiankunnet(20, 5, 5, d_model=8, n_heads=2, n_layers=1,
+                              phase_hidden=(64, 64), constrain=False, seed=3)
+        rng = np.random.default_rng(rows)
+        chunk = SampleBatch(bits=rng.integers(0, 2, size=(rows, 20), dtype=np.uint8),
+                            weights=rng.integers(1, 9, size=rows))
+        w = chunk.weights / max(chunk.weights.sum(), 1)
+        eloc = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+        args = (wf, chunk, w, eloc, 0.25, -0.125)
+        want = stage_backward(*args).copy()
+
+        phi, forward = wf.phase_forward(chunk.bits)
+        np.testing.assert_array_equal(phi, wf.phases(chunk.bits))
+        kept = [h is not None for h in forward.hidden]
+        assert kept == [rows_.stop <= keep for rows_ in forward.blocks]
+        if rows and keep < rows:
+            assert any(kept) and not all(kept)
+        np.testing.assert_array_equal(stage_backward(*args, forward), want)
+        assert forward.params32 is None and not any(h is not None for h in forward.hidden)
+
+    def test_a_forward_of_other_rows_is_refused(self):
+        wf = build_qiankunnet(4, 1, 1, phase_hidden=(8,), seed=1)
+        bits = np.array([[1, 0, 0, 1], [0, 1, 1, 0]], dtype=np.uint8)
+        _, forward = wf.phase_forward(bits[:1])
+        with pytest.raises(ValueError, match="forward covers 1 rows"):
+            wf.phase_vjp(bits, np.ones(2), forward)
+
+    @pytest.mark.slow
+    def test_a_rank_without_rows_ships_an_empty_phase_part(self, h2_problem):
+        """Five ranks, at most four unique rows (H2's sector): a rank owns no
+        chunk.  Threads and processes still agree bit for bit."""
+        runs = []
+        for backend in (ThreadBackend(n_ranks=5, nu_star_per_rank=1),
+                        ProcessBackend(n_ranks=5, nu_star_per_rank=1)):
+            vmc = _fresh_vmc(h2_problem, backend=backend, eloc_mode="sample_aware")
+            history = [vmc.step() for _ in range(2)]
+            assert all(s.n_unique < 5 for s in history)
+            runs.append((history, vmc.wf.get_flat_params()))
+        (ref_hist, ref_params), (hist, params) = runs
+        assert hist == ref_hist
+        np.testing.assert_array_equal(ref_params, params)
+
+    def test_every_rank_tabulates_what_log_amplitudes_gives(self, h2_problem, monkeypatch):
+        """Each rank ships log pi of its sampled rows and phi of its chunk;
+        every receiver splits the parts back into the same table, equal to
+        ``wf.log_amplitudes`` of its keys (the sweep's log pi and a
+        float32 phase over other row blocks: agreement to rounding)."""
+        import copy
+
+        from repro.core import engine
+        from repro.utils.bitstrings import unpack_bits
+
+        tables, real = {}, engine.stage_gather_table
+
+        def recording(comm, wf, local):
+            out = real(comm, wf, local)
+            tables[comm.Get_rank()] = out
+            return out
+
+        monkeypatch.setattr(engine, "stage_gather_table", recording)
+        vmc = _fresh_vmc(h2_problem, backend=ThreadBackend(n_ranks=3, nu_star_per_rank=1))
+        before = copy.deepcopy(vmc.wf)   # the step moves the parameters
+        vmc.step()
+        keys, _, table, _ = tables[0]
+        for rank in (1, 2):
+            np.testing.assert_array_equal(tables[rank][2].keys, table.keys)
+            np.testing.assert_array_equal(tables[rank][2].log_amps, table.log_amps)
+        want = before.log_amplitudes(unpack_bits(keys, 4))
+        np.testing.assert_allclose(table.log_amps, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("n_ranks", [1, 2])
+    def test_stage2_amps_are_16_bytes_per_unique_row(self, h2_problem, n_ranks):
+        """log pi (8 B) of every sampled row plus phi (8 B) of every chunk
+        row: one complex128's worth per unique row, times N_p (an allgather
+        is counted as payload x N_p).  A one-rank world gathers nothing."""
+        backend = ThreadBackend(n_ranks=n_ranks, nu_star_per_rank=4)
+        stats = _fresh_vmc(h2_problem, backend=backend).step()
+        amp = backend.last_comm_stats.channels.get("stage2_amps")
+        if n_ranks == 1:
+            assert amp is None
+        else:
+            assert amp["logical"] == amp["wire"] == 16 * stats.n_unique * n_ranks
+
+    def test_no_kept_activation_outlives_the_step(self, h2_problem, monkeypatch):
+        import gc
+        import weakref
+
+        vmc = _fresh_vmc(h2_problem, eloc_mode="sample_aware")
+        refs, forward_of = [], vmc.wf.phase_forward
+
+        def recording(bits):
+            phi, forward = forward_of(bits)
+            refs.extend(weakref.ref(a) for h in forward.hidden if h for a in h)
+            refs.extend(weakref.ref(a) for pair in forward.params32 for a in pair)
+            return phi, forward
+
+        monkeypatch.setattr(vmc.wf, "phase_forward", recording)
+        gc.disable()
+        try:
+            vmc.step()
+            assert refs and not any(r() is not None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_one_phase_forward_per_unique_row(self, h2_problem, monkeypatch):
+        """A serial sample-aware iteration runs the phase MLP's forward over
+        its N_u rows once: stage 2 runs it, stage 5 reads it."""
+        from repro.nn import PhaseMLP
+
+        rows, real = [], PhaseMLP._forward32
+
+        def counting(self, bits, params32):
+            rows.append(len(bits))
+            return real(self, bits, params32)
+
+        monkeypatch.setattr(PhaseMLP, "_forward32", counting)
+        vmc = _fresh_vmc(h2_problem, eloc_mode="sample_aware")
+        for _ in range(2):
+            rows.clear()
+            stats = vmc.step()
+            assert sum(rows) == stats.n_unique
+
+
 class TestParallelResume:
     @pytest.mark.parametrize("older_build", [False, True],
                              ids=["this-build", "with-comm-baseline"])
@@ -316,7 +451,7 @@ class TestEngineGuards:
         given = SampleBatch(bits=swept.bits, weights=swept.weights)
         with pytest.raises(ValueError, match=r"SampleBatch\.log_prob"):
             stage_gather_table(comm, vmc.wf, given)
-        keys, weights, table = stage_gather_table(comm, vmc.wf, swept)
+        keys, weights, table, _ = stage_gather_table(comm, vmc.wf, swept)
         assert weights.sum() == 500
         np.testing.assert_allclose(
             table.log_amps, vmc.wf.log_amplitudes(unpack_bits(keys, 4)),

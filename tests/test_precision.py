@@ -102,7 +102,8 @@ def float64_evaluators(patch, wf):
     patch.setattr(wf, "phases", lambda bits: float64_phases(wf, bits))
     patch.setattr(wf, "_log_prob_shared", lambda bits: float64_log_pi(wf, bits))
     patch.setattr(wf, "log_prob_vjp", lambda bits, c: float64_log_prob_vjp(wf, bits, c))
-    patch.setattr(wf, "phase_vjp", lambda bits, c: float64_phase_vjp(wf, bits, c))
+    patch.setattr(wf, "phase_vjp",
+                  lambda bits, c, forward=None: float64_phase_vjp(wf, bits, c))
 
 
 # problem name -> build_problem arguments (n2-cas66 is the preset's window)
