@@ -1,7 +1,8 @@
 """Sec. 3.2 communication-volume example: the C2/STO-3G ~173 MB iteration.
 
 Checks the closed-form model against the paper's quoted parameters and
-against bytes *measured* by FakeMPI during a real parallel iteration — both
+against bytes *measured* by ``Comm``'s ``CommStats`` counters during a real
+2-rank iteration over the socket-pair mesh transport — both
 the logical (uncompressed, what the paper's formulas predict) and the wire
 volume after the typed/compressed comm layer (delta/varint keys + uint32
 counts on ``stage2_samples``; on ``stage2_amps``, raw float64 log pi of each
@@ -43,6 +44,7 @@ def _measure_c2(n_samples: int = 10**5, n_steps: int = 2):
     stats = None
     for _ in range(n_steps):
         stats = vmc.step()
+    backend.close()
     return prob, vmc, backend, stats
 
 
@@ -63,14 +65,14 @@ def test_comm_volume_paper_example(benchmark, full):
          f"{cparts['total_MB']:.1f}"],
     ]
 
-    # Measured: two real 2-rank iterations on C2 with FakeMPI byte counters
-    # (the second iteration's are reported).
+    # Measured: two real 2-rank iterations on C2, bytes from the mesh
+    # transport's CommStats (the second iteration's are reported).
     prob, vmc, backend, s = _measure_c2()
     wf = vmc.wf
     measured = CommVolumeModel(prob.n_qubits, s.n_unique, 2,
                                wf.num_parameters())
     rows.append(
-        ["C2 measured logical (FakeMPI)", prob.n_qubits, s.n_unique, 2,
+        ["C2 measured logical (CommStats)", prob.n_qubits, s.n_unique, 2,
          wf.num_parameters(), "-", "-", f"{s.comm_bytes / 1e6:.1f}"]
     )
     rows.append(
@@ -98,7 +100,7 @@ def test_comm_volume_paper_example(benchmark, full):
             rows,
             notes=(
                 "Paper quotes 'about 173 MB' for the example row (our model: "
-                f"{parts['total_MB']:.1f} MB). Measured FakeMPI bytes track the "
+                f"{parts['total_MB']:.1f} MB). Measured CommStats bytes track the "
                 "model; wire row = typed/compressed comm layer (delta/varint "
                 "keys, uint32 counts)."
             ),

@@ -9,11 +9,12 @@ to 64 ranks.  Shape: monotonically decreasing efficiency, still high at
 moderate rank counts.
 
 Iterations run on the unified execution engine's ``ThreadBackend``
-(``repro.core.engine``); a load table pins the Sec. 3.3 choice — per-rank
-sample weight of one iteration's unique set under the weight-balanced
-partition stage 3 uses against a naive 1/N_p count split — and a
-process-backend block measures the fork-rank path over the socket-pair
-mesh with the compressed stage-2 payload.
+(``repro.core.engine``); a load table pins stage 3's cut — contiguous
+chunks of equal row count — by the stage-3 time each rank's chunk of one
+iteration's unique set measures, against the Sec. 3.3 weight-balanced cut
+(which stage 1 keeps for the BAS tree split) — and a process-backend block
+measures the fork-rank path over the socket-pair mesh with the compressed
+stage-2 payload.
 
 CI smoke: ``python benchmarks/bench_fig11_strong_scaling.py --smoke`` runs
 the same workload on 1 and 2 process ranks and on 1 and 2 thread ranks,
@@ -27,6 +28,7 @@ thread-hosted SPMD ranks).
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 
 if __name__ == "__main__":  # bare-script invocation: make src/ importable
@@ -37,12 +39,20 @@ import numpy as np
 from repro.bench import format_table, registry
 from repro.chem import build_problem
 from repro.core import (
+    ElocPlan,
+    SampleBatch,
     VMCConfig,
     batch_autoregressive_sample,
     build_qiankunnet,
     pretrain_to_reference,
 )
-from repro.core.engine import ProcessBackend, ThreadBackend, stage_gather_table
+from repro.core.engine import (
+    ProcessBackend,
+    ThreadBackend,
+    stage_gather_table,
+    stage_local_energy,
+    stage_partition,
+)
 from repro.core.vmc import VMC
 from repro.hamiltonian import compress_hamiltonian
 from repro.parallel import (
@@ -52,6 +62,7 @@ from repro.parallel import (
     parallel_efficiency,
 )
 from repro.parallel.comm import Comm, SoloTransport
+from repro.utils.bitstrings import unpack_bits
 
 _NS = 200_000
 
@@ -128,7 +139,7 @@ def test_fig11_strong_scaling(benchmark, full):
         title="Fig. 11 — strong-scaling parallel efficiency vs ranks",
         xlabel="ranks", ylabel="%",
     )
-    cmp_table = _partition_load_table(prob)
+    cmp_table = _partition_load_table(prob, comp)
     # Process-backend rows: fork ranks over the socket-pair mesh + codec comm
     # layer (true core parallelism even for GIL-bound stages).
     proc_ranks = [1, 2] + ([4] if full else [])
@@ -171,41 +182,51 @@ def _n_params(prob) -> int:
     return wf.num_parameters()
 
 
-def _partition_load_table(prob, ranks=(2, 4, 8)) -> str:
-    """Sec. 3.3 load balancing over one iteration's sampled weights.
+def _partition_load_table(prob, comp, ranks=(2, 4, 8)) -> str:
+    """Stage 3's cut over one iteration's unique set, by measured time.
 
     Stage 3 cuts the lexsorted global unique set into contiguous chunks of
-    ~equal total sample weight (``balanced_weight_partition``); the foil is
-    the naive split into ~equal sample *counts*.  Both cover the same rows
-    in the same order, so the estimator is the same either way — what
-    differs is the heaviest rank's share of the work.
+    equal row count (``stage_partition``); the foil is the Sec. 3.3 cut of
+    ~equal total sample weight (``balanced_weight_partition``, which stage
+    1 keeps for the BAS tree split).  Each rank's chunk runs stage 3 alone
+    against the full table (median of 3), as its rank would: the heaviest
+    rank's time over the mean is what the cut costs the step.
     """
     wf = _wf_factory(prob)()
     batch = batch_autoregressive_sample(wf, _NS, np.random.default_rng(15))
-    _, weights, _, _ = stage_gather_table(Comm(SoloTransport()), wf, batch)
-    weights = np.asarray(weights)
-    n, total, heaviest = len(weights), int(weights.sum()), int(weights.max())
+    keys, weights, table, _ = stage_gather_table(Comm(SoloTransport()), wf, batch)
+    config, plan = VMCConfig(eloc_mode="sample_aware"), ElocPlan(comp)
+
+    def stage3_ms(idx) -> float:
+        chunk = SampleBatch(bits=unpack_bits(keys[idx], prob.n_qubits),
+                            weights=weights[idx])
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            stage_local_energy(wf, comp, chunk, table, config, plan)
+            times.append(time.perf_counter() - t0)
+        return 1e3 * float(np.median(times))
+
     rows = []
     for n_ranks in ranks:
-        naive = [np.arange(r * n // n_ranks, (r + 1) * n // n_ranks)
-                 for r in range(n_ranks)]
-        for label, chunks in (("naive 1/N_p", naive),
-                              ("balanced", balanced_weight_partition(weights, n_ranks))):
-            loads = [int(weights[idx].sum()) for idx in chunks]
-            rows.append([label, n_ranks, " / ".join(map(str, loads)),
-                         f"{max(loads) * n_ranks / total:.3f}",
-                         f"{max(1.0, heaviest * n_ranks / total):.3f}"])
+        for label, chunks in (
+                ("rows (stage 3)", stage_partition(weights, n_ranks)),
+                ("sample weight", balanced_weight_partition(weights, n_ranks))):
+            ms = [stage3_ms(idx) for idx in chunks]
+            rows.append([label, n_ranks, " / ".join(str(len(i)) for i in chunks),
+                         " / ".join(f"{t:.1f}" for t in ms),
+                         f"{max(ms) * n_ranks / sum(ms):.3f}"])
     return format_table(
-        f"Eloc partition load (one iteration's unique set: N_u={n}, "
-        f"N_s={total})",
-        ["partition", "ranks", "per-rank sample weight", "max / mean",
-         "floor"],
+        f"Stage-3 partition load (one iteration's unique set: "
+        f"N_u={len(weights)}, N_s={int(weights.sum())})",
+        ["cut", "ranks", "rows per rank", "stage-3 ms per rank",
+         "max / mean time"],
         rows,
-        notes="Same rows, same order, same estimator; the weight-balanced "
-              "cuts (Sec. 3.3) equalize per-rank sample weight, the naive "
-              "split equalizes per-rank unique-sample counts. 'floor' is the "
-              "best max / mean any split of whole rows can reach: the "
-              f"heaviest unique sample alone carries {heaviest} of {total}.",
+        notes="Same rows, same order, same estimator. Stage 3's work is per "
+              "row (coupled keys and table lookups do not depend on how "
+              "often a row was sampled), so equal rows give equal measured "
+              "time; the weight cut hands the lightly sampled tail's many "
+              "rows to one rank.",
     )
 
 

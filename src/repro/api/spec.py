@@ -260,18 +260,18 @@ class ParallelSpec(_Spec):
     field reaches the backend class that declares it, under the same name.
     A multi-rank iteration has one shape (DESIGN.md "Communication layer"):
     stage 2 ships delta/varint-compressed samples, process ranks move every
-    array as frames over socket pairs, and stage 3 splits the unique set
-    into Sec. 3.3 weight-balanced chunks.
+    array as frames over socket pairs, and stage 3 cuts the unique set into
+    contiguous chunks of equal row count (within one row), since measured
+    per-rank stage-3 time follows rows, not sample weight.
 
     The cluster fields describe one SPMD member of a multi-host job:
     ``rendezvous_addr`` is the ``host:port`` of the ``python -m repro
     rendezvous`` coordinator, ``rank`` optionally pins this member's rank,
     and ``world_size`` may spell out the job size explicitly (it must agree
     with ``n_ranks`` when both are set).  ``join_timeout_s`` bounds the
-    rendezvous/mesh construction (and, on the process backend, the wait for
-    finished ranks to exit).  ``collective_timeout_s`` bounds each collective
-    on every multi-rank backend; on the process backend it also bounds the
-    launcher's wait for the rank results — a whole iteration.
+    rendezvous/mesh construction (and, on the process backend, ``close()``'s
+    wait for the forked ranks to exit).  ``collective_timeout_s`` bounds each
+    collective on every multi-rank backend.
     """
 
     _SECTION = "parallel"

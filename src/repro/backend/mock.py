@@ -11,10 +11,10 @@ oracle — while counting, per thread:
   sampling loop);
 * ``from_host`` crossings.
 
-Counters are ``threading.local`` so thread ranks (``run_spmd``) count
-independently; the engine snapshots them around each stage window
-(:func:`repro.backend.core.counter_delta`) and ships per-rank deltas home
-with the rank results.
+Counters are ``threading.local`` so thread ranks (``start_thread_ranks``)
+count independently; the engine snapshots them around each stage window
+(:func:`repro.backend.core.counter_delta`) and records each rank's deltas
+with its results.
 """
 from __future__ import annotations
 

@@ -1,8 +1,8 @@
 """The unified VMC execution engine: one staged iteration, many backends.
 
-Every execution backend — serial, thread ranks, forked process ranks — runs
-the *same* per-iteration stage functions, in the data-centric order of
-Fig. 4 (Sec. 3.2):
+Every execution backend — serial, thread ranks, forked process ranks,
+cluster ranks — runs the *same* per-iteration stage functions, in the
+data-centric order of Fig. 4 (Sec. 3.2):
 
   stage 1  sample           parallel BAS (Fig. 5) for N_p > 1: identical
                             seeded prefix sweep to the dynamic split step k,
@@ -12,40 +12,33 @@ Fig. 4 (Sec. 3.2):
                             (bit-identical to the serial backend).
   stage 2  gather/table     Allgather of the packed unique samples and
                             weights; each rank runs the phase MLP over its
-                            weight-balanced chunk of the lexsorted global set
-                            and allgathers (the sweep's log pi of its sampled
+                            row chunk of the lexsorted global set and
+                            allgathers (the sweep's log pi of its sampled
                             rows, phi of its chunk) into the global amplitude
                             table (Algorithm 2's id_lut/wf_lut).
-  stage 3  eloc shard       each rank evaluates local energies for its
-                            chunk (Sec. 3.3 load balancing) against the table.
+  stage 3  eloc shard       each rank evaluates local energies for the same
+                            chunk — contiguous rows, counts within 1 of each
+                            other — against the table.
   stage 4  energy reduce    Allreduce of the weighted energy sums.
   stage 5  backward         the Eq. 7 gradient on the chunk — phi through
                             stage 2's kept forward, log pi by the amplitude
                             network's forward/VJP pair; float32, no tape —
                             accumulated into the arena's gradient buffer.
   stage 6  gradient reduce  one Allreduce carries the gradient *and* the
-                            centered second moment (variance), so parallel
-                            histories report variance/eloc_imag exactly like
-                            serial ones.
+                            centered second moment (variance); then every
+                            rank runs :func:`stage_update` (clip -> Eq. 13
+                            -> AdamW), the only place parameters move.
 
-The reduced gradient flows back to the engine, which hands it to
-:func:`stage_update` (clip -> Eq. 13 schedule -> AdamW) — the only place a
-run's parameters move, shared by all backends.
 Reductions are rank-ordered and therefore deterministic: ``n_ranks=1`` is
 bit-identical to the serial backend, and ``n_ranks>1`` is run-to-run
-reproducible.
+reproducible and the same bits on every multi-rank backend.  Backends
+differ only in how a rank gets its :class:`~repro.parallel.comm.Comm`:
 
-Backends are thin schedulers over the stages; every rank of every backend
-talks through the one :class:`repro.parallel.comm.Comm`, and the backends
-differ only in the transport under it:
-
-* :class:`SerialBackend`  — the stages inline, on the size-1 solo transport.
-* :class:`ThreadBackend`  — thread ranks over
-  :func:`repro.parallel.multiprocess.run_spmd` (numpy kernels release the
-  GIL, so stages 1/3/5 genuinely overlap on multicore hosts).
-* :class:`ProcessBackend` — forked OS processes over
-  :func:`repro.parallel.multiprocess.run_spmd_processes`, on the same
-  socket-pair mesh as thread ranks.
+* :class:`SerialBackend` — the stages inline, on the size-1 solo transport.
+* :class:`ThreadBackend`, :class:`ProcessBackend` and
+  :class:`~repro.parallel.cluster.ClusterBackend` — ranks of one SPMD run
+  (:class:`SPMDBackend`, Fig. 4): follower threads, followers forked once,
+  or one host per rank joined through the rendezvous.
 
 The "engine" object the backends drive is any object with the VMC state
 surface (``wf``, ``comp``, ``config``, ``rng``, ``optimizer``,
@@ -58,6 +51,7 @@ from __future__ import annotations
 import copy
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -76,8 +70,8 @@ from repro.core.sampler import (
     batch_autoregressive_sample,
 )
 from repro.optim import AdamW
-from repro.parallel.comm import Comm, SoloTransport
-from repro.parallel.partition import balanced_weight_partition, split_tree_state
+from repro.parallel.comm import Comm, CommStats, SoloTransport
+from repro.parallel.partition import split_tree_state
 from repro.utils.bitstrings import lexsort_keys, pack_bits, unpack_bits
 
 __all__ = [
@@ -90,6 +84,7 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
+    "SPMDBackend",
     "stage_sample",
     "stage_sample_parallel",
     "stage_gather_table",
@@ -256,10 +251,10 @@ def stage_gather_table(comm, wf, local: SampleBatch):
       locally and ships a delta/varint payload (:mod:`repro.parallel.codec`)
       of this iteration's keys and counts alone; the logical size is the raw
       keys plus natural-width counts.
-    * The weight-balanced partition of the lexsorted global set
-      (``balanced_weight_partition``, the cut :func:`stage_partition` hands
-      stage 3) and one phase-MLP forward over this rank's chunk
-      (``wf.phase_forward``: float32 GEMMs, no tape, row blocks), kept.
+    * The row cut of the lexsorted global set (the cut
+      :func:`stage_partition` hands stage 3) and one phase-MLP forward over
+      this rank's chunk (``wf.phase_forward``: float32 GEMMs, no tape, row
+      blocks), kept.
     * ``stage2_amps`` — one float64 array per rank, always raw (lossless
       float compression is not worth the cycles): ``log pi`` of the rank's
       sampled rows in its shipped key order, then ``phi`` of its chunk.  A
@@ -308,7 +303,7 @@ def stage_gather_table(comm, wf, local: SampleBatch):
     # The cut stage_partition hands stage 3, computed here again rather than
     # called: the six stage functions run one after another, none inside
     # another, so each one's time is its own.
-    chunks = balanced_weight_partition(weights, size)
+    chunks = host_np.array_split(host_np.arange(len(weights)), size)
     phi, phase = wf.phase_forward(unpack_bits(keys[chunks[rank]], wf.n_qubits))
     # The stage-2 comm boundary: log pi and phi leave the device exactly once
     # per rank and iteration, entering the host-resident global table (and,
@@ -332,27 +327,32 @@ def stage_gather_table(comm, wf, local: SampleBatch):
 
 
 def stage_partition(weights, n_ranks: int) -> list:
-    """Stage 3 prologue: split the global unique set into per-rank chunks.
-
-    The Sec. 3.3 weight-balancing heuristic: contiguous cuts of ~equal total
-    sample weight, not ~equal sample count — the cut stage 2 already ran the
-    phase MLP over (a pure function of the gathered weights).
+    """Stage 3 prologue: split the global unique set into per-rank chunks —
+    contiguous rows, counts within one of each other (the first
+    ``len % n_ranks`` hold the extra row; on one rank, every row), the cut
+    stage 2 ran the phase MLP over.  Stage 3 costs per row, however often
+    it was sampled; sample weight is balanced where it predicts work, in
+    stage 1's BAS tree split (:func:`~repro.parallel.partition.split_tree_state`).
     """
-    return balanced_weight_partition(weights, n_ranks)
+    return host_np.array_split(host_np.arange(len(weights)), n_ranks)
 
 
 def stage_local_energy(wf, comp, chunk: SampleBatch, table: AmplitudeTable,
-                       config: VMCConfig, plan: ElocPlan):
+                       config: VMCConfig, plan: ElocPlan, params32=None):
     """Stage 3: local energies of one chunk against the global table.
 
     ``plan`` is the engine's compiled
     :class:`~repro.core.local_energy.ElocPlan` for ``comp``, built once per
     run and shared by every rank of every backend; it carries the chunking.
+    ``params32`` is the phase MLP's float32 cast stage 2 keeps for stage 5
+    (``PhaseForward.params32``): exact mode's table extension evaluates
+    its phases on it rather than casting a second copy.
     """
     if config.eloc_mode == "exact":
         table = extend_amplitude_table(
             wf, comp, chunk, table,
             memory_budget_bytes=config.eloc_memory_budget_bytes(),
+            params32=params32,
         )
     return local_energy_planned(comp, chunk, table, plan=plan)
 
@@ -530,7 +530,7 @@ def _rank_iteration_stages(engine, comm, wf, rng,
         weights=weights[idx],
     )
     eloc = stage_local_energy(wf, engine.comp, chunk, table, cfg,
-                              engine.eloc_plan)
+                              engine.eloc_plan, phase.params32)
     times["local_energy"] = time.perf_counter() - t0
     if not bool(xp.all(xp.isfinite(eloc))):
         raise FloatingPointError(
@@ -582,11 +582,9 @@ def _rank_iteration_stages(engine, comm, wf, rng,
 class ExecutionBackend:
     """How the staged iteration executes; subclasses schedule the stages.
 
-    ``execute(engine)`` runs stages 1-6 and returns ``(rank_results,
-    comm)`` where ``comm`` is ``None`` (no communicator) or the collectives'
-    ``(logical_bytes, wire_bytes)`` pair; the engine then adds the stage-6
-    parameter broadcast, applies the single parameter update and calls
-    ``after_update`` so the backend can resync any rank replicas.
+    ``execute(engine)`` runs stages 1-6 on this rank, the update included,
+    and returns ``(rank_results, comm)`` where ``comm`` is ``None`` (no
+    communicator) or the step's ``(logical_bytes, wire_bytes)`` pair.
     """
 
     name = "?"
@@ -595,14 +593,24 @@ class ExecutionBackend:
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
         raise NotImplementedError
 
-    def after_update(self, engine) -> None:  # pragma: no cover - default hook
-        pass
-
     def close(self) -> None:
-        """Release live resources (the cluster backend's sockets); default none."""
+        """Release live resources (other ranks, sockets); default none."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_ranks={self.n_ranks})"
+
+
+def _apply_update(engine, r0: dict) -> None:
+    """The end of stage 6 on this rank: the non-finite guard, then
+    :func:`stage_update` with the reduced gradient.  The guard fires before
+    anything of the engine is touched, on every rank alike (the reduced
+    values are the same bits everywhere)."""
+    grad_norm = float(xp.linalg.norm(xp.asarray(r0["grad"])))
+    _require_finite(
+        f"before the stage 6 update of iteration {engine.iteration + 1}",
+        energy=r0["energy"], variance=r0["variance"], gradient=grad_norm,
+    )
+    stage_update(engine.optimizer, r0["grad"], grad_norm)
 
 
 class SerialBackend(ExecutionBackend):
@@ -621,6 +629,7 @@ class SerialBackend(ExecutionBackend):
         result = _rank_iteration(
             engine, Comm(SoloTransport()), engine.wf, engine.rng, nu_star=0,
         )
+        _apply_update(engine, result)
         return [result], None
 
 
@@ -629,110 +638,225 @@ def _validate_rank_args(n_ranks: int) -> None:
         raise ValueError(f"n_ranks must be a positive int, got {n_ranks!r}")
 
 
-class ThreadBackend(ExecutionBackend):
-    """Mesh-connected thread ranks, one model replica each (Fig. 4 layout).
+# The step header (int64) rank 0 sends before every step: go (1) or stop
+# (0), the iteration, N_s, and whether theta or the optimizer state moved
+# outside stage_update since the last step.
+_GO, _ITERATION, _N_SAMPLES, _MOVED = range(4)
+_STOP = (0, 0, 0, 0)
 
-    N_u^* = ``nu_star_per_rank * n_ranks``, following the paper's scaling
-    setup (N_u^* = 16384 n for n GPUs).  With ``n_ranks=1`` the iteration is
-    bit-identical to :class:`SerialBackend`: same RNG stream, same stage
-    arithmetic, degenerate collectives.
+
+def _exchange_header(comm, header) -> host_np.ndarray:
+    """Rank 0's header, its move flag or-ed with every rank's (a cluster host
+    may have moved too).  Each rank ships its own, so a rank that left is
+    named before any stage runs."""
+    parts = comm.allgather_ndarray(host_np.asarray(header, dtype=host_np.int64))
+    out = parts[0].copy()
+    out[_MOVED] = max(p[_MOVED] for p in parts)
+    return out
+
+
+def _state_arrays(engine) -> list:
+    """Theta and the optimizer state: what every rank holds bit for bit."""
+    return [engine.wf.arena().theta, *engine.optimizer.state_views().values()]
+
+
+def _broadcast_state(engine, comm) -> None:
+    """Rank 0's theta and optimizer state onto every rank: one counted
+    allgather on channel ``resync``, ``[opt_t, sched_i, theta, m, v]`` from
+    rank 0 and nothing from the others."""
+    opt, theta = engine.optimizer, engine.wf.arena().theta
+    mine = host_np.empty(0)
+    if comm.Get_rank() == 0:
+        st = opt.state_views()
+        mine = host_np.concatenate([[st["opt_t"], st["sched_i"]], theta,
+                                    st.get("opt_m", []), st.get("opt_v", [])])
+    got = comm.allgather_ndarray(mine, channel="resync")[0]
+    if comm.Get_rank() != 0:
+        n = theta.size
+        engine.wf.set_flat_params(got[2:2 + n])
+        state = {"opt_t": int(got[0]), "sched_i": int(got[1])}
+        if len(got) > 2 + n:
+            state["opt_m"], state["opt_v"] = got[2 + n:2 + 2 * n], got[2 + 2 * n:]
+        opt.load_state(state)
+
+
+def _spmd_iteration(engine, comm, nu_star: int, resync: bool):
+    """One step as one rank of an SPMD run, after the header: the state
+    broadcast if asked for, stages 1-6, the stats exchange, the update.
+
+    Returns ``(rank_results, (logical, wire), comm_stats)`` of the broadcast
+    and the stages.  The header and the stats exchange (wall times and
+    unique counts of every rank, so each rank's record has max-over-ranks
+    times and ``per_rank_unique``) are bookkeeping, left out.
+    """
+    comm.stats = CommStats()
+    if resync:
+        _broadcast_state(engine, comm)
+    out = _rank_iteration(engine, comm, engine.wf, engine.rng, nu_star=nu_star)
+    stats, comm.stats = comm.stats, CommStats()
+    t = out["times"]
+    gathered = comm.allgather_ndarray(host_np.array(
+        [t["sampling"], t["local_energy"], t["gradient"], out["n_local_unique"]]))
+    results = [{"times": dict(zip(t, map(float, g[:3]))), "n_local_unique": int(g[3])}
+               for g in gathered]
+    results[0].update({key: out[key] for key in (
+        "grad", "energy", "eloc_imag", "variance", "n_unique", "n_samples")})
+    results[comm.Get_rank()]["transfers"] = out.get("transfers")  # this rank's
+    _apply_update(engine, results[0])
+    return results, (stats.total_bytes, stats.total_wire_bytes), stats
+
+
+class _Follower:
+    """What a follower rank's step reads: its own model and optimizer, the
+    run's read-only parts, and the iteration and N_s of rank 0's header."""
+
+    def __init__(self, engine, wf, optimizer):
+        self.wf, self.optimizer, self.rng = wf, optimizer, None
+        self.comp, self.config = engine.comp, engine.config
+        self.eloc_plan, self.array_backend = engine.eloc_plan, engine.array_backend
+        self.iteration = self.n_samples = 0
+
+    def _n_samples(self) -> int:
+        return self.n_samples
+
+
+def _follow(rank: _Follower, comm, nu_star: int) -> None:
+    """Ranks 1..N_p-1 of a thread or process launch: one step per header
+    until rank 0 says stop.  The wait for a header has no timeout; rank 0
+    leaving is the ``CommAbortError`` that ends the rank."""
+    while True:
+        comm.transport.wait_for(0)
+        header = _exchange_header(comm, _STOP)
+        if not header[_GO]:
+            return
+        rank.iteration, rank.n_samples = int(header[_ITERATION]), int(header[_N_SAMPLES])
+        _spmd_iteration(rank, comm, nu_star, bool(header[_MOVED]))
+
+
+class SPMDBackend(ExecutionBackend):
+    """This rank's end of an SPMD run (Fig. 4): N_p ranks, each with its own
+    model replica, optimizer state and data from the first step after
+    construction (or :meth:`close`) until :meth:`close`.
+
+    Every rank runs the same step — header, state broadcast if asked for,
+    stages 1-6, stats exchange, update — so every subclass gives the same
+    history bits at equal N_p; a subclass only says how this rank gets its
+    :class:`~repro.parallel.comm.Comm` (:meth:`_launch`).  N_u^* =
+    ``nu_star_per_rank * n_ranks`` (the paper: 16384 per GPU).  With
+    ``n_ranks=1`` the iteration is bit-identical to :class:`SerialBackend`.
+
+    Rank 0 compares theta and the optimizer state with what it held after
+    its last update: a move outside ``stage_update`` (checkpoint restore,
+    ``set_flat_params``) sets the header's flag and costs one counted
+    broadcast, so no rank trains another theta.  A step that raises aborts
+    the launch; the next step starts it again.  ``last_comm_stats`` is the
+    last step's :class:`~repro.parallel.comm.CommStats`.
     """
 
-    name = "threads"
+    # Thread and process launches: rank 0 tells its followers to stop.
+    _leads_followers = True
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
                  collective_timeout_s: float = 600.0):
         _validate_rank_args(n_ranks)
         self.n_ranks = n_ranks
         self.nu_star_per_rank = nu_star_per_rank
-        self.collective_timeout_s = collective_timeout_s
-        self.replicas: list | None = None
-        self.last_comm_stats = None
+        self.collective_timeout_s = float(collective_timeout_s)
+        self.last_comm_stats = self._comm = self._stop = self._synced = None
 
-    def _sync_replicas(self, engine) -> None:
-        if self.replicas is None:
-            self.replicas = [
-                copy.deepcopy(engine.wf) for _ in range(self.n_ranks)
-            ]
-        theta = engine.wf.arena().theta
-        for rep in self.replicas:
-            rep.set_flat_params(theta)  # one memcpy, arena to arena
+    def _launch(self, engine) -> tuple[Comm, Callable[[], None]]:
+        """Start the ranks: ``(this rank's comm, stop)``; ``stop`` releases the
+        comm and ends what the launch started, and must not refer to
+        ``self`` (it also runs when the backend is garbage-collected)."""
+        raise NotImplementedError
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
-        from repro.parallel.multiprocess import run_spmd
+        if self._comm is None:
+            self._comm, stop = self._launch(engine)
+            self._stop = weakref.finalize(self, stop)
+            self._synced = [a.copy() for a in _state_arrays(engine)]
+        comm, multi = self._comm, self._comm.Get_size() > 1
+        try:
+            now = _state_arrays(engine)
+            moved = multi and not (len(now) == len(self._synced) and all(
+                map(host_np.array_equal, now, self._synced)))
+            header = _exchange_header(
+                comm, (1, engine.iteration, engine._n_samples(), moved))
+            results, pair, self.last_comm_stats = _spmd_iteration(
+                engine, comm, self.nu_star_per_rank * self.n_ranks,
+                bool(header[_MOVED]))
+        except BaseException as exc:
+            comm.transport.abort(f"rank {comm.Get_rank()} raised {exc!r}")
+            self._shut_down()
+            raise
+        if multi:
+            self._synced = [a.copy() for a in _state_arrays(engine)]
+        return results, pair
 
-        # Sync before every execute (not just after updates): the master may
-        # have moved outside the engine step — checkpoint restore, pretrain.
-        self._sync_replicas(engine)
+    def close(self) -> None:
+        """Stop the other ranks and release every socket (idempotent); the
+        next step starts them again."""
+        if self._comm is None:
+            return
+        if self._leads_followers and self._comm.Get_size() > 1:
+            try:
+                _exchange_header(self._comm, _STOP)
+            except (RuntimeError, OSError):
+                pass   # a rank already gone: the others see rank 0 leave
+        self._shut_down()
+
+    def _shut_down(self) -> None:
+        stop = self._stop
+        self._comm = self._stop = self._synced = None
+        stop()
+
+
+class ThreadBackend(SPMDBackend):
+    """Ranks 1..N_p-1 in follower threads, each on one deep copy of the model
+    and its optimizer, made before any rank runs."""
+
+    name = "threads"
+
+    def _launch(self, engine):
+        from repro.parallel.multiprocess import start_thread_ranks
+
+        replicas = [_Follower(engine, *copy.deepcopy((engine.wf, engine.optimizer)))
+                    for _ in range(1, self.n_ranks)]
         nu_star = self.nu_star_per_rank * self.n_ranks
-        rng = engine.rng  # consumed only on the size-1 (serial-identical) path
 
-        def rank_fn(comm):
-            return _rank_iteration(
-                engine, comm, self.replicas[comm.Get_rank()], rng,
-                nu_star=nu_star,
-            )
+        def follow(comm):
+            _follow(replicas[comm.Get_rank() - 1], comm, nu_star)
 
-        results, stats = run_spmd(self.n_ranks, rank_fn,
-                                  timeout=self.collective_timeout_s)
-        self.last_comm_stats = stats
-        return results, (stats.total_bytes, stats.total_wire_bytes)
-
-    def after_update(self, engine) -> None:
-        # Keep replicas in lockstep with the master between iterations (the
-        # parameter broadcast of Fig. 4 stage 6).
-        self._sync_replicas(engine)
+        return start_thread_ranks(self.n_ranks, follow, self.collective_timeout_s)
 
 
-class ProcessBackend(ExecutionBackend):
-    """Forked OS-process ranks over ``run_spmd_processes`` (fork-only, Linux).
-
-    Each iteration forks ``n_ranks`` workers that inherit the current
-    parameters; the reduced gradient (and, on the size-1 path, the advanced
-    RNG state) is shipped back to the parent, which applies the update.
-    """
+class ProcessBackend(SPMDBackend):
+    """Ranks 1..N_p-1 forked once each (Linux), each on its private copy of
+    the model and optimizer.  ``join_timeout_s`` bounds :meth:`close`'s wait
+    for the forks to exit before stragglers are killed."""
 
     name = "process"
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
                  collective_timeout_s: float = 600.0,
                  join_timeout_s: float = 60.0):
-        _validate_rank_args(n_ranks)
-        self.n_ranks = n_ranks
-        self.nu_star_per_rank = nu_star_per_rank
-        self.collective_timeout_s = collective_timeout_s
-        self.join_timeout_s = join_timeout_s
-        self.last_comm_stats = None
+        super().__init__(n_ranks, nu_star_per_rank, collective_timeout_s)
+        self.join_timeout_s = float(join_timeout_s)
 
-    def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
-        from repro.parallel.multiprocess import run_spmd_processes
+    def _launch(self, engine):
+        from repro.parallel.multiprocess import start_process_ranks
 
         nu_star = self.nu_star_per_rank * self.n_ranks
 
-        def rank_fn(comm):
-            out = _rank_iteration(engine, comm, engine.wf, engine.rng,
-                                  nu_star=nu_star)
-            if comm.Get_size() == 1:
-                # The serial-identical path consumed the fork's private copy
-                # of the RNG; ship its state back so the parent's stream
-                # continues exactly where the child stopped.
-                out["rng_state"] = engine.rng.bit_generator.state
-            if comm.Get_rank() != 0:
-                out["grad"] = None  # identical on every rank; pickle it once
-            return out
+        def follow(comm):
+            _follow(_Follower(engine, engine.wf, engine.optimizer), comm, nu_star)
 
-        results, stats = run_spmd_processes(self.n_ranks, rank_fn,
-                                            timeout=self.collective_timeout_s,
-                                            join_timeout=self.join_timeout_s)
-        self.last_comm_stats = stats
-        state = results[0].pop("rng_state", None)
-        if state is not None:
-            engine.rng.bit_generator.state = state
-        return results, (stats.total_bytes, stats.total_wire_bytes)
+        return start_process_ranks(self.n_ranks, follow, self.collective_timeout_s,
+                                   join_timeout=self.join_timeout_s)
 
 
 # --------------------------------------------------------------------------
-# The engine step: backend-scheduled stages + the single update
+# The engine step: the backend's stages and update, then the stats record
 # --------------------------------------------------------------------------
 def _merge_transfers(results: list) -> dict | None:
     """Sum the per-rank counter deltas (None unless a rank was instrumented)."""
@@ -755,35 +879,14 @@ def _merge_transfers(results: list) -> dict | None:
 
 
 def execute_iteration(engine) -> VMCStats:
-    """One full VMC iteration of ``engine`` on its backend.
-
-    Runs the staged pipeline, hands the reduced gradient to
-    :func:`stage_update`, advances the iteration counter and returns the
-    unified stats record (the caller owns history bookkeeping).
-    """
-    backend: ExecutionBackend = engine.backend
+    """One full VMC iteration of ``engine``: its backend runs stages 1-6 and
+    the update; this advances the iteration counter and returns the unified
+    stats record (the caller owns history bookkeeping)."""
     t_wall = time.perf_counter()
-    results, comm = backend.execute(engine)
-    comm_bytes = comm_wire = None
-    if comm is not None:
-        # The stage-6 parameter broadcast of Fig. 4, in bytes: thread replicas
-        # copy theta, forked ranks inherit it, cluster ranks apply the same
-        # update; every backend moves theta to each of its ranks.
-        sync = engine.wf.arena().theta.nbytes * backend.n_ranks
-        comm_bytes, comm_wire = comm[0] + sync, comm[1] + sync
-    r0 = results[0]
-    # The guard runs before anything of the engine is touched: parameters,
-    # optimizer state and history are exactly as they were when it fires.
-    grad_norm = float(xp.linalg.norm(xp.asarray(r0["grad"])))
-    _require_finite(
-        f"before the stage 6 update of iteration {engine.iteration + 1}",
-        energy=r0["energy"], variance=r0["variance"], gradient=grad_norm,
-    )
-    stage_update(engine.optimizer, r0["grad"], grad_norm)
-    backend.after_update(engine)
+    results, comm = engine.backend.execute(engine)
     wall = time.perf_counter() - t_wall
-
     engine.iteration += 1
+    r0 = results[0]
     return VMCStats(
         iteration=engine.iteration,
         energy=r0["energy"],
@@ -796,11 +899,10 @@ def execute_iteration(engine) -> VMCStats:
         time_sampling=max(r["times"]["sampling"] for r in results),
         time_local_energy=max(r["times"]["local_energy"] for r in results),
         time_gradient=max(r["times"]["gradient"] for r in results),
-        comm_bytes=comm_bytes,
+        comm_bytes=None if comm is None else comm[0],
         per_rank_unique=(
-            None if comm_bytes is None
-            else [r["n_local_unique"] for r in results]
+            None if comm is None else [r["n_local_unique"] for r in results]
         ),
-        comm_bytes_wire=comm_wire,
+        comm_bytes_wire=None if comm is None else comm[1],
         transfers=_merge_transfers(results),
     )

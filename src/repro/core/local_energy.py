@@ -120,15 +120,16 @@ def build_amplitude_table(wf: NNQSWavefunction, batch: SampleBatch) -> Amplitude
 
 
 def grow_amplitude_table(wf: NNQSWavefunction, table: AmplitudeTable,
-                         keys: xp.ndarray) -> AmplitudeTable:
+                         keys: xp.ndarray, params32=None) -> AmplitudeTable:
     """``table`` plus log Psi of the ``(M, W)`` keys it lacks, each evaluated
     once; ``table`` itself when it holds them all.  Entries already in the
-    table keep their values (they must come from the same parameters)."""
+    table keep their values (they must come from the same parameters);
+    ``params32`` goes to ``wf.log_amplitudes``."""
     keys = unique_keys(keys)
     missing = keys[searchsorted_keys(table.keys, keys) < 0]
     if not len(missing):
         return table
-    log_amps = wf.log_amplitudes(unpack_bits(missing, wf.n_qubits))
+    log_amps = wf.log_amplitudes(unpack_bits(missing, wf.n_qubits), params32)
     return _tabulate(xp.concatenate([table.keys, missing], axis=0),
                      xp.concatenate([table.log_amps, log_amps]))
 
@@ -140,6 +141,7 @@ def extend_amplitude_table(
     table: AmplitudeTable,
     max_extra: int = 2_000_000,
     memory_budget_bytes: int | None = None,
+    params32=None,
 ) -> AmplitudeTable:
     """Grow the amplitude table by every sector-valid coupled configuration.
 
@@ -160,7 +162,8 @@ def extend_amplitude_table(
     Coupled keys outside the wave function's particle-number sector are
     dropped on the packed words (``constraint.validate_keys``) before the
     dedup and never unpacked — 76 % of the flips of an N2 exact iteration —
-    so ``max_extra`` counts sector-valid rows.
+    so ``max_extra`` counts sector-valid rows.  ``params32``: see
+    :func:`grow_amplitude_table`.
     """
     keys = pack_bits(batch.bits)  # (B, W)
     if len(keys) == 0:
@@ -190,7 +193,7 @@ def extend_amplitude_table(
             f"{len(missing)} coupled configurations exceed max_extra={max_extra}; "
             "use sample-aware mode for this system size"
         )
-    return grow_amplitude_table(wf, table, missing)
+    return grow_amplitude_table(wf, table, missing, params32)
 
 
 # --------------------------------------------------------------------------

@@ -300,7 +300,7 @@ class NNQSWavefunction(Module):
         """(B,) complex Psi(x) = sqrt(pi(x)) exp(i phi(x)) — inference only."""
         return np.exp(self.log_amplitudes(bits))
 
-    def log_amplitudes(self, bits: np.ndarray) -> np.ndarray:
+    def log_amplitudes(self, bits: np.ndarray, params32=None) -> np.ndarray:
         """(B,) complex log Psi(x) (avoids underflow for tiny amplitudes).
 
         The no-grad entry point for bits the caller was *given*
@@ -312,20 +312,23 @@ class NNQSWavefunction(Module):
         memory is bounded for any batch size, and a row's value does not
         depend on its batch-mates beyond rounding (the walk and
         :meth:`log_prob` agree to ~1e-6, the phase and
-        :meth:`phase_of` to ~2e-7 rad; ``tests/test_precision.py``).
+        :meth:`phase_of` to ~2e-7 rad; ``tests/test_precision.py``);
+        ``params32`` goes to :meth:`phases`.
         """
         bits = np.atleast_2d(bits)
-        return 0.5 * self._log_prob_shared(bits) + 1j * self.phases(bits)
+        return 0.5 * self._log_prob_shared(bits) + 1j * self.phases(bits, params32)
 
-    def phases(self, bits: np.ndarray) -> np.ndarray:
+    def phases(self, bits: np.ndarray, params32=None) -> np.ndarray:
         """(B,) phi(x) without a tape, ``PHASE_BLOCK`` rows at a time — the
         phase half of :meth:`log_amplitudes`.  Float32 GEMMs
         (``PhaseMLP.step``), within ~2e-7 rad of :meth:`phase_of`, the taped
         float64 oracle.  The parameters are cast to float32 once per call,
-        not once per block."""
+        not once per block — unless the caller holds ``params32``, a
+        ``phase.cast32()`` of the current parameters (stage 2's, in stage 3)."""
         bits = np.atleast_2d(bits)
         out = np.empty(len(bits))
-        params32 = self.phase.cast32()
+        if params32 is None:
+            params32 = self.phase.cast32()
         for rows in row_blocks(len(bits), PHASE_BLOCK):
             out[rows] = self.phase.step(bits[rows], params32)
         return out

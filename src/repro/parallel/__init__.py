@@ -2,10 +2,10 @@
 
 The parallel iteration itself lives in :mod:`repro.core.engine` (the unified
 execution engine); this package provides the one communicator it runs over
-(:class:`Comm`) and the transports under it — :func:`run_spmd` thread ranks,
-:func:`run_spmd_processes` forked ranks, :func:`create_cluster_comm`
-multi-host TCP ranks — plus the BAS tree partitioning, the
-communication-volume model, and the scaling harness.  The engine backends
+(:class:`Comm`) and the launchers that give a rank its transport —
+:func:`start_thread_ranks` thread ranks, :func:`start_process_ranks` forked
+ranks, :func:`create_cluster_comm` multi-host TCP ranks — plus the BAS tree
+partitioning, the communication-volume model, and the scaling harness.  The engine backends
 are re-exported here for discoverability.
 """
 from repro._lazy import lazy_exports
@@ -14,8 +14,8 @@ _EXPORTS = {
     "Comm": ".comm",
     "CommAbortError": ".comm",
     "CommStats": ".comm",
-    "run_spmd": ".multiprocess",
-    "run_spmd_processes": ".multiprocess",
+    "start_thread_ranks": ".multiprocess",
+    "start_process_ranks": ".multiprocess",
     "balanced_weight_partition": ".partition",
     "split_tree_state": ".partition",
     "CommVolumeModel": ".comm_model",

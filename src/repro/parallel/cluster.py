@@ -12,35 +12,25 @@
   made before any rank starts (:meth:`MeshTransport.from_sockets`): no
   coordinator, and a dead peer is its socket's EOF.
 
-* :class:`ClusterBackend` — the :class:`~repro.core.engine.ExecutionBackend`
-  registered as ``parallel.backend=cluster``.  Unlike the thread/process
-  backends (one parent orchestrating N_p ephemeral ranks), the cluster
-  backend is SPMD: every host runs the *full* driver — same spec, same
-  artifact contract — and the ranks meet only inside the collectives.
-  The collectives are the shared :class:`~repro.parallel.comm.Comm`'s —
-  rank-ordered and deterministic — so all ranks apply identical updates and
-  the run is bit-identical to the thread backend at equal ``n_ranks``.
-
-Determinism notes: ``Comm`` accounts payload sizes (paper convention,
-payload x N_p, logical vs. wire split), not socket framing overhead, so
-``comm_bytes``/``comm_bytes_wire`` history columns match the thread backend
-bit-for-bit.  The per-iteration stats-exchange allgather (wall times +
-per-rank unique counts, pure bookkeeping) is excluded from the accounted
-delta for the same reason.
+* :class:`ClusterBackend` — the :class:`~repro.core.engine.SPMDBackend`
+  registered as ``parallel.backend=cluster``: every host runs the *full*
+  driver — same spec, same artifact contract — as one rank, joined through
+  the rendezvous.  The step is the thread and process backends' (header,
+  stages 1-6, stats exchange, update on every rank), so the run is
+  bit-identical to theirs at equal ``n_ranks``: ``Comm`` accounts payload
+  sizes (paper convention, payload x N_p, logical vs. wire split), not
+  socket framing overhead.
 """
 from __future__ import annotations
 
+import select
 import socket
 import threading
 import time
 
 import numpy as np
 
-from repro.core.engine import (
-    ExecutionBackend,
-    _rank_iteration,
-    _validate_rank_args,
-)
+from repro.core.engine import SPMDBackend
 from repro.parallel.comm import Comm, CommAbortError, dead_rank_message
 from repro.parallel.rendezvous import (
     FRAME_ARRAY,
@@ -251,6 +241,11 @@ class MeshTransport:
                         pass
                 return
 
+    def wait_for(self, peer: int) -> None:
+        """Block, with no timeout, until ``peer`` has sent something or left:
+        a follower rank's wait for the next step header."""
+        select.select([self._peers[peer]], [], [])
+
     # --------------------------------------------------------------- plumbing
     def _check_abort(self) -> None:
         if self._abort_reason is not None:
@@ -404,92 +399,45 @@ def create_cluster_comm(world_size: int, *, rendezvous_addr: str | None = None,
     ))
 
 
-class ClusterBackend(ExecutionBackend):
-    """SPMD execution over a mesh-backed :class:`Comm`.
+class ClusterBackend(SPMDBackend):
+    """One host's rank of a multi-host SPMD run, joined through the
+    rendezvous coordinator at ``rendezvous_addr`` (or over ``comm``, a
+    ready communicator the caller owns).
 
-    Every host runs the full driver on the same spec; this backend runs the
-    staged iteration as *this* host's rank of the shared communicator.  All
-    collectives are deterministic and every rank applies the identical
-    reduced gradient locally, so no parameter broadcast is needed and each
-    host's artifact directory is bit-identical to a thread-backend run at
-    equal ``n_ranks`` (timing columns aside).
+    Every host runs the full driver on the same spec; the step and the
+    accounting are :class:`~repro.core.engine.SPMDBackend`'s, so each host's
+    artifact directory is bit-identical to a thread- or process-backend run
+    at equal ``n_ranks`` (timing columns aside).
     """
 
     name = "cluster"
+    _leads_followers = False
 
     def __init__(self, n_ranks: int, nu_star_per_rank: int = 64,
                  *, rendezvous_addr: str | None = None,
                  rank: int | None = None, join_timeout_s: float = 60.0,
                  collective_timeout_s: float = 600.0, comm=None):
-        _validate_rank_args(n_ranks)
+        super().__init__(n_ranks, nu_star_per_rank, collective_timeout_s)
         if comm is None and rendezvous_addr is None:
             # Fail at construction (spec time), not deep inside rendezvous.
             raise ValueError(_NEEDS_RENDEZVOUS)
-        self.n_ranks = n_ranks
-        self.nu_star_per_rank = nu_star_per_rank
         self.rendezvous_addr = rendezvous_addr
         self.rank = rank
         self.join_timeout_s = float(join_timeout_s)
-        self.collective_timeout_s = float(collective_timeout_s)
-        self._comm = comm
-        self._owns_comm = comm is None
-        self.last_comm_stats = None
+        self._given_comm = comm
 
-    def _ensure_comm(self):
-        if self._comm is None:
-            self._comm = create_cluster_comm(
-                self.n_ranks, rendezvous_addr=self.rendezvous_addr,
-                rank=self.rank, join_timeout=self.join_timeout_s,
-                collective_timeout=self.collective_timeout_s,
-            )
-        if self._comm.Get_size() != self.n_ranks:
+    def _launch(self, engine):
+        comm = self._given_comm or create_cluster_comm(
+            self.n_ranks, rendezvous_addr=self.rendezvous_addr,
+            rank=self.rank, join_timeout=self.join_timeout_s,
+            collective_timeout=self.collective_timeout_s,
+        )
+        if comm.Get_size() != self.n_ranks:
+            if comm is not self._given_comm:
+                comm.close()
             raise ValueError(
-                f"communicator world size {self._comm.Get_size()} != "
+                f"communicator world size {comm.Get_size()} != "
                 f"backend n_ranks {self.n_ranks}"
             )
-        return self._comm
-
-    def execute(self, engine):
-        comm = self._ensure_comm()
-        size = comm.Get_size()
-        nu_star = self.nu_star_per_rank * self.n_ranks
-
-        before_logical = comm.stats.total_bytes
-        before_wire = comm.stats.total_wire_bytes
-        out = _rank_iteration(engine, comm, engine.wf, engine.rng,
-                              nu_star=nu_star)
-        logical = comm.stats.total_bytes - before_logical
-        wire = comm.stats.total_wire_bytes - before_wire
-        self.last_comm_stats = comm.stats
-
-        # Exchange per-rank wall times + unique counts so the stats record
-        # matches the thread backend's (max over ranks, per_rank_unique in
-        # rank order).  Pure bookkeeping: deliberately outside the accounted
-        # delta above, because the thread backend has no analogous transfer.
-        t = out["times"]
-        stats_vec = np.array(
-            [t["sampling"], t["local_energy"], t["gradient"],
-             float(out["n_local_unique"])], dtype=np.float64,
-        )
-        gathered = comm.allgather_ndarray(stats_vec)
-        results: list[dict] = []
-        for r in range(size):
-            results.append({
-                "times": {
-                    "sampling": float(gathered[r][0]),
-                    "local_energy": float(gathered[r][1]),
-                    "gradient": float(gathered[r][2]),
-                },
-                "n_local_unique": int(gathered[r][3]),
-            })
-        results[0].update({
-            key: out[key]
-            for key in ("grad", "energy", "eloc_imag", "variance",
-                        "n_unique", "n_samples")
-        })
-        return results, (logical, wire)
-
-    def close(self) -> None:
-        if self._comm is not None and self._owns_comm:
-            self._comm.close()
-            self._comm = None
+        # A communicator the caller owns is the caller's to close.
+        return comm, (comm.close if comm is not self._given_comm else lambda: None)

@@ -30,7 +30,7 @@ into *logical* bytes (the uncompressed natural-width payload the Sec. 3.2
 closed-form model predicts) and *wire* bytes (what crosses the transport
 after :mod:`repro.parallel.codec`; equal to logical for raw collectives).
 Every rank computes the same numbers from the payload sizes it sees, so any
-rank's :class:`CommStats` speaks for the world; launchers return rank 0's.
+rank's :class:`CommStats` speaks for the world.
 """
 from __future__ import annotations
 

@@ -85,6 +85,7 @@ def measure_scaling(
             for _ in range(warmup_iters):
                 driver.step()
             stats = [driver.step() for _ in range(n_iters)]
+            driver.backend.close()
         points.append(
             ScalingPoint(
                 n_ranks=n_ranks,

@@ -149,3 +149,71 @@ def stage3_vs_reference(monkeypatch):
 
     monkeypatch.setattr(engine, "local_energy_planned", checked)
     return calls
+
+
+# ------------------------------------------------------------------ rank runs
+def run_ranks(launch, size: int, fn, timeout: float = 600.0, **kwargs) -> list:
+    """``fn(comm)`` on every rank of a ``repro.parallel.multiprocess`` launch
+    (``start_thread_ranks`` / ``start_process_ranks``): ranks 1.. as its
+    followers, rank 0 in the caller; returns the per-rank results.
+
+    A follower pickles its result, or its exception's type name and message,
+    into a file of its own (a fork's writes are private), read back once the
+    launch's ``stop`` has ended every follower.  Rank 0's raise propagates;
+    else a follower's failure is raised as a ``RuntimeError`` naming it —
+    the first that is not a ``CommAbortError``, if any.
+    """
+    import os
+    import pickle
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        def box(rank: int) -> str:
+            return os.path.join(tmp, f"rank{rank}.pkl")
+
+        def follow(comm):
+            try:
+                out = ("ok", fn(comm))
+            except BaseException as exc:
+                out = ("error", type(exc).__name__, f"rank {comm.Get_rank()}: {exc}")
+                raise
+            finally:
+                with open(box(comm.Get_rank()), "wb") as f:
+                    pickle.dump(out, f)
+
+        comm, stop = launch(size, follow, timeout, **kwargs)
+        try:
+            results = [fn(comm)]
+        finally:
+            stop()
+        errors = []
+        for rank in range(1, size):
+            try:
+                with open(box(rank), "rb") as f:
+                    out = pickle.load(f)
+            except FileNotFoundError:
+                out = ("error", "RuntimeError", f"rank {rank}: died without a result")
+            if out[0] == "ok":
+                results.append(out[1])
+            else:
+                results.append(None)
+                errors.append(out[1:])
+    if errors:
+        kind, message = next((e for e in errors if e[0] != "CommAbortError"),
+                             errors[0])
+        raise RuntimeError(f"{kind}: {message}")
+    return results
+
+
+def child_pids() -> set[int]:
+    """This process's live or unreaped children (every thread's)."""
+    import os
+
+    pids: set[int] = set()
+    for task in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{task}/children") as f:
+                pids.update(map(int, f.read().split()))
+        except FileNotFoundError:
+            pass   # the thread ended while we looked
+    return pids

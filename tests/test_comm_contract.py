@@ -1,7 +1,8 @@
 """The Comm contract, once, over every transport.
 
 One parametrized suite over (solo, thread ranks and forked processes on a
-socket-pair mesh, coordinator-joined socket mesh): rank order (1-D, 0-d and
+socket-pair mesh — rank 0 in the caller, the others the launch's followers
+— coordinator-joined socket mesh): rank order (1-D, 0-d and
 empty arrays, blobs), the rank-ordered reduction bit-equal to a sequential
 ``functools.reduce``, identical ``CommStats`` on every rank of every
 transport, the size-1 degenerate world, a mesh job whose ranks all return
@@ -28,10 +29,11 @@ import traceback
 import numpy as np
 import pytest
 
-from repro.parallel import run_spmd, run_spmd_processes
+from repro.parallel import start_process_ranks, start_thread_ranks
 from repro.parallel.cluster import MeshTransport
 from repro.parallel.comm import Comm, SoloTransport
 from repro.parallel.rendezvous import RendezvousCoordinator
+from tests.conftest import run_ranks
 
 # Generous for loaded 1-2 core runners; a hang is what these bounds catch.
 BOUND_S = 30.0
@@ -74,11 +76,11 @@ def _launch_solo(size, fn):
 
 
 def _launch_thread(size, fn, timeout=2 * BOUND_S):
-    return run_spmd(size, fn, timeout=timeout)[0]
+    return run_ranks(start_thread_ranks, size, fn, timeout)
 
 
 def _launch_process(size, fn, timeout=2 * BOUND_S):
-    return run_spmd_processes(size, fn, timeout=timeout)[0]
+    return run_ranks(start_process_ranks, size, fn, timeout)
 
 
 def _launch_mesh(size, fn):

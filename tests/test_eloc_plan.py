@@ -478,7 +478,9 @@ class TestEngineIntegration:
         sa, sb = a.step(), b.step()
         assert sa.energy == sb.energy
         assert sa.variance == sb.variance
-        assert len(stage3_vs_reference) == 2   # the thread ranks' calls
+        # Recorded here: the process backend's rank 0 (this process) and
+        # both thread ranks; the fork's call is its own.
+        assert len(stage3_vs_reference) == 3
 
     def test_unknown_kernel_fails_at_construction(self, h2_problem):
         """A kernel name fails before any sampling happens, whatever it is."""

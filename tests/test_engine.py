@@ -7,8 +7,8 @@ Acceptance contracts of the engine refactor:
 * ``n_ranks in {2, 4}`` is run-to-run deterministic and agrees with serial
   on the energy, for all three ansätze;
 * a checkpointed parallel run resumes bit-identically;
-* the weight-balanced eloc partition beats a naive 1/N_p count split on
-  skewed weights;
+* stage 3's partition is contiguous rows, counts within 1 of each other,
+  whatever the weights (weight balance is stage 1's tree split);
 * parallel histories carry variance/eloc_imag/comm fields (one stats type),
   so ``best_energy`` applies to any backend's history;
 * the RunSpec ``parallel`` section drives all of it through ``run()``.
@@ -121,9 +121,9 @@ class TestProcessBackend:
             thread.wf.get_flat_params(), proc.wf.get_flat_params()
         )
 
-    def test_single_rank_rng_stream_survives_fork(self, h2_problem):
-        """The size-1 process path consumes the RNG in a fork; the advanced
-        state must ship back or every iteration would resample identically."""
+    def test_single_rank_is_the_serial_stream(self, h2_problem):
+        """One process rank forks nothing: rank 0 is the caller, sweeping on
+        the engine's persistent RNG exactly as the serial backend does."""
         serial = _fresh_vmc(h2_problem)
         proc = _fresh_vmc(h2_problem, backend=ProcessBackend(n_ranks=1))
         for _ in range(2):
@@ -284,6 +284,39 @@ class TestKeptPhaseForward:
         finally:
             gc.enable()
 
+    def test_an_exact_iteration_casts_the_phase_mlp_once(self, lih_problem, monkeypatch):
+        """Stage 2's float32 cast, kept for stage 5, is lent to exact mode's
+        table extension (which grows LiH's 100-sample table here): one cast
+        per iteration, the phases unchanged."""
+        from repro.core import engine
+        from repro.nn import PhaseMLP
+
+        def make():
+            p = lih_problem
+            wf = build_qiankunnet(p.n_qubits, p.n_up, p.n_dn, d_model=8, n_heads=2,
+                                  n_layers=1, phase_hidden=(8,), seed=7)
+            return VMC(wf, p.hamiltonian,
+                       VMCConfig(n_samples=100, eloc_mode="exact", seed=3))
+
+        want = make().step()
+        casts, grown = [], []
+        cast, extend = PhaseMLP.cast32, engine.extend_amplitude_table
+
+        def counting(self):
+            casts.append(1)
+            return cast(self)
+
+        def growing(wf, comp, chunk, table, **kwargs):
+            out = extend(wf, comp, chunk, table, **kwargs)
+            grown.append(out.n_entries - table.n_entries)
+            return out
+
+        monkeypatch.setattr(PhaseMLP, "cast32", counting)
+        monkeypatch.setattr(engine, "extend_amplitude_table", growing)
+        got = make().step()
+        assert (got.energy, got.variance) == (want.energy, want.variance)
+        assert grown[0] > 0 and len(casts) == 1
+
     def test_one_phase_forward_per_unique_row(self, h2_problem, monkeypatch):
         """A serial sample-aware iteration runs the phase MLP's forward over
         its N_u rows once: stage 2 runs it, stage 5 reads it."""
@@ -371,21 +404,19 @@ class TestUnifiedStats:
 
 
 class TestElocPartition:
-    def test_balanced_beats_contiguous_on_skewed_weights(self):
+    def test_rows_are_cut_contiguously_within_one_row(self):
         rng = np.random.default_rng(0)
-        # A BAS-like weight profile: few huge weights, long light tail.
-        weights = np.sort(rng.pareto(1.0, size=400) * 100 + 1)[::-1].astype(np.int64)
-        n = len(weights)
-        for n_ranks in (2, 4, 8):
-            balanced = stage_partition(weights, n_ranks)
-            contiguous = [np.arange(r * n // n_ranks, (r + 1) * n // n_ranks)
-                          for r in range(n_ranks)]
-            loads_b = [weights[idx].sum() for idx in balanced]
-            loads_c = [weights[idx].sum() for idx in contiguous]
-            mean = weights.sum() / n_ranks
-            assert max(loads_b) / mean <= max(loads_c) / mean
-            # Coverage and order are preserved.
-            np.testing.assert_array_equal(np.concatenate(balanced), np.arange(n))
+        # A BAS-like weight profile: few huge weights, long light tail —
+        # which the cut ignores: stage 3's work is per row.
+        skewed = np.sort(rng.pareto(1.0, size=400) * 100 + 1)[::-1].astype(np.int64)
+        for n in (0, 1, 3, 7, 400):
+            for n_ranks in (1, 2, 3, 4, 8):
+                parts = stage_partition(skewed[:n], n_ranks)
+                assert len(parts) == n_ranks
+                np.testing.assert_array_equal(np.concatenate(parts), np.arange(n))
+                sizes = [len(p) for p in parts]
+                assert max(sizes) - min(sizes) <= 1
+                assert sizes == sorted(sizes, reverse=True)
 
 
 class TestElocChunkingKnobs:

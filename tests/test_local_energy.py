@@ -182,9 +182,9 @@ class TestGrowTable:
         seen = []
         real = wf.log_amplitudes
 
-        def counting(bits):
+        def counting(bits, params32=None):
             seen.append(np.array(bits))
-            return real(bits)
+            return real(bits, params32)
 
         monkeypatch.setattr(wf, "log_amplitudes", counting)
         return seen

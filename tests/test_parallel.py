@@ -120,13 +120,29 @@ class TestDataParallelVMC:
             s = driver.step()
             assert s.n_samples == 2000
 
-    def test_replicas_stay_in_sync(self, driver_factory):
+    def test_every_rank_steps_from_rank_0s_theta(self, driver_factory, monkeypatch):
+        """Each rank keeps its own replica for the whole run and applies the
+        update itself: at every step's stage 2 every rank holds rank 0's
+        theta, bit for bit, on a model object of its own."""
+        from repro.core import engine
+
+        seen, real = [], engine.stage_gather_table
+
+        def recording(comm, wf, local):
+            seen.append((comm.Get_rank(), id(wf), wf.get_flat_params()))
+            return real(comm, wf, local)
+
+        monkeypatch.setattr(engine, "stage_gather_table", recording)
         driver = driver_factory(2)
-        driver.step()
-        driver.step()
-        master = driver.wf.get_flat_params()
-        for rep in driver.backend.replicas:
-            np.testing.assert_allclose(rep.get_flat_params(), master, atol=1e-12)
+        for _ in range(3):
+            seen.clear()
+            master = driver.wf.get_flat_params()
+            driver.step()
+            assert sorted(rank for rank, _, _ in seen) == [0, 1]
+            assert len({model for _, model, _ in seen}) == 2
+            for _, _, theta in seen:
+                np.testing.assert_array_equal(theta, master)
+        driver.backend.close()
 
     def test_energy_improves_over_iterations(self, h2_problem):
         wf = build_qiankunnet(4, 1, 1, seed=17)

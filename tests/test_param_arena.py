@@ -479,20 +479,31 @@ class TestEngineOnTheArena:
         assert vmc.wf.arena() is arena
         _assert_packed(vmc.wf)
 
-    def test_thread_replicas_pack_their_own_arenas(self, h2_problem):
+    def test_thread_replicas_pack_their_own_arenas(self, h2_problem, monkeypatch):
+        from repro.core import engine
+
+        replicas, real = {}, engine.stage_gather_table
+
+        def recording(comm, wf, local):
+            replicas[comm.Get_rank()] = wf
+            return real(comm, wf, local)
+
         def run():
             backend = ThreadBackend(n_ranks=2, nu_star_per_rank=4)
             vmc = _fresh_vmc(h2_problem, backend=backend)
             vmc.run(3)
+            backend.close()   # joins rank 1, whose last update may still run
             return vmc, backend
 
+        monkeypatch.setattr(engine, "stage_gather_table", recording)
         vmc, backend = run()
         master = vmc.wf.arena()
-        for replica in backend.replicas:
-            _assert_packed(replica)
-            assert not np.shares_memory(replica.arena().theta, master.theta)
-            assert not np.shares_memory(replica.arena().payload, master.payload)
-            np.testing.assert_array_equal(replica.arena().theta, master.theta)
+        assert replicas[0] is vmc.wf
+        replica = replicas[1]
+        _assert_packed(replica)
+        assert not np.shares_memory(replica.arena().theta, master.theta)
+        assert not np.shares_memory(replica.arena().payload, master.payload)
+        np.testing.assert_array_equal(replica.arena().theta, master.theta)
         again, _ = run()
         assert again.history == vmc.history
         np.testing.assert_array_equal(again.wf.get_flat_params(), master.theta)

@@ -99,7 +99,7 @@ def float64_phase_vjp(wf, bits, coeff):
 def float64_evaluators(patch, wf):
     """Route both no-grad halves of ``wf`` and both halves of stage 5 through
     their float64 oracles."""
-    patch.setattr(wf, "phases", lambda bits: float64_phases(wf, bits))
+    patch.setattr(wf, "phases", lambda bits, params32=None: float64_phases(wf, bits))
     patch.setattr(wf, "_log_prob_shared", lambda bits: float64_log_pi(wf, bits))
     patch.setattr(wf, "log_prob_vjp", lambda bits, c: float64_log_prob_vjp(wf, bits, c))
     patch.setattr(wf, "phase_vjp",

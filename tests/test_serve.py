@@ -417,9 +417,9 @@ class TestLocalEnergy:
         seen = []
         real = model.wf.log_amplitudes
 
-        def counting(bits):
+        def counting(bits, params32=None):
             seen.append(np.array(bits))
-            return real(bits)
+            return real(bits, params32)
 
         monkeypatch.setattr(model.wf, "log_amplitudes", counting)
         dup2_rows = np.concatenate([clean.bits, clean.bits[2:], clean.bits[3:]])

@@ -146,8 +146,9 @@ RULES = (
          "a multi-rank iteration has one shape: stage 2 always ships the "
          "codec's payload, every multi-rank collective crosses the socket "
          "mesh as frames (MeshTransport: socket pairs for thread and forked "
-         "ranks, TCP across hosts), and stage 3 always splits the unique set "
-         "into weight-balanced chunks — no option selects a second path "
+         "ranks, TCP across hosts), and stage 3 always cuts the unique set "
+         "into contiguous row chunks of equal count (within one row; measured "
+         "per-rank stage-3 time tracks rows) — no option selects a second path "
          "(Configuration, Communication layer)"),
     Rule("one-npz-writer", r"np\.savez", (SRC,),
          "checkpoints and model snapshots are written by core/checkpoint.py's "
