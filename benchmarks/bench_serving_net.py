@@ -1,18 +1,23 @@
-"""Network serving tier: latency vs. offered load, 1 worker vs. W workers.
+"""HTTP serving: latency vs offered load, one serving process against the
+multi-worker tier it replaced.
 
-An open-loop load generator drives the real HTTP tier (``NetServer`` router
-+ worker subprocesses over the framed socket protocol) with paced request
-arrivals at a swept offered rate.  Latency is measured from each request's
-*scheduled* arrival time — so once the tier saturates, queueing delay shows
-up in the percentiles instead of being hidden by a slowing generator (the
-closed-loop coordinated-omission trap).  Per sweep point: offered and
-achieved throughput, p50/p95/p99 latency, HTTP status mix.  The sweep stops
-once achieved throughput falls below 80% of offered (saturation).
+The server runs in its own process, started through the CLI (``python -m
+repro serve <run_dir> --port 0``), so the open-loop generator here does not
+share its GIL.  Requests arrive on a paced schedule at a swept offered rate
+and latency is measured from each request's *scheduled* arrival time — once
+the server saturates, queueing delay shows up in the percentiles instead of
+being hidden by a slowing generator (the closed-loop coordinated-omission
+trap).  Per sweep point: offered and achieved throughput, p50/p95/p99
+latency, the HTTP status mix, and CPU ms per answered request of the server
+(its process tree) and of the generator, both read from ``/proc/<pid>/stat``.
+The sweep stops once achieved throughput falls below 80% of offered.
 
-Acceptance (multi-core hosts only): saturation throughput with the full
-worker count must be >= 1.5x a single worker.  On a single-core host the
-workers time-share one CPU, so the multi-worker bar is reported but not
-asserted — the recorded table says which case it was.
+The baseline is the router + worker-process tier of commit
+``BASELINE_REV`` with its default 2 workers, unpacked from git history
+(``git archive``, or ``--baseline-src DIR`` naming a checkout's ``src``)
+and driven by the same generator in the same run.  Acceptance: the
+single process saturates at >= ``MIN_SPEEDUP`` x the baseline's 2-worker
+saturation — the bar the tier once set for a second worker.
 
 Run as a script::
 
@@ -20,19 +25,24 @@ Run as a script::
     python benchmarks/bench_serving_net.py           # the full sweep
 
 The smoke mode is the CI "HTTP serving smoke": train the smoke preset,
-serve it with 2 workers, assert served results bit-identical to direct
-in-process evaluation, burst past ``queue_capacity`` expecting 429s, then
-drain and verify no worker process outlives the router.
+serve it through the CLI, assert served results bit-identical to direct
+in-process evaluation, burst past ``queue_capacity`` expecting 429s and
+then a 200, then SIGTERM: the drain writes ``serve_stats.json``, exits 0
+and the server never had a child process.
 """
 from __future__ import annotations
 
 import http.client
+import io
 import itertools
 import json
 import os
+import re
 import shutil
+import signal
 import subprocess
 import sys
+import tarfile
 import tempfile
 import threading
 import time
@@ -41,8 +51,11 @@ from pathlib import Path
 
 import numpy as np
 
-MIN_MULTIWORKER_SPEEDUP = 1.5  # acceptance bar, multi-core hosts only
-WORKERS = 2
+MIN_SPEEDUP = 1.5   # single-process saturation over the 2-worker baseline's
+BASELINE_REV = "ef559488785b637daca2cfc901e2eaeaa2937b1b"
+RATES = [25, 50, 100, 200, 400, 800, 1600, 3200]
+ROOT = Path(__file__).resolve().parent.parent
+_TICKS = os.sysconf("SC_CLK_TCK")
 
 
 def _train_run(run_dir: Path) -> None:
@@ -59,14 +72,10 @@ def _train_run(run_dir: Path) -> None:
 
 def _payloads(n: int, n_qubits: int = 4, rows: int = 2,
               seed: int = 11) -> list[bytes]:
-    """Pre-serialized request bodies with distinct leading rows, so the
-    consistent-hash router spreads them across workers."""
+    """Pre-serialized ``log_amplitudes`` bodies with distinct rows."""
     rng = np.random.default_rng(seed)
-    bodies = []
-    for _ in range(n):
-        bits = rng.integers(0, 2, size=(rows, n_qubits)).tolist()
-        bodies.append(json.dumps({"bits": bits}).encode())
-    return bodies
+    return [json.dumps({"bits": rng.integers(0, 2, size=(rows, n_qubits))
+                        .tolist()}).encode() for _ in range(n)]
 
 
 def _post_json(port: int, path: str, body: dict) -> tuple[int, dict]:
@@ -79,8 +88,66 @@ def _post_json(port: int, path: str, body: dict) -> tuple[int, dict]:
         conn.close()
 
 
+# ------------------------------------------------------------- the server
+def _children(pid: int) -> list[int]:
+    out = []
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        try:
+            out += [int(c) for c in (task / "children").read_text().split()]
+        except OSError:
+            continue  # the thread ended between the listing and the read
+    return out
+
+
+def _cpu_s(pid: int) -> float:
+    """User + system CPU seconds of ``pid`` and its live descendants."""
+    total, stack = 0.0, [pid]
+    while stack:
+        p = stack.pop()
+        try:
+            fields = Path(f"/proc/{p}/stat").read_text().rsplit(")", 1)[1]
+            fields = fields.split()
+            total += (int(fields[11]) + int(fields[12])) / _TICKS
+            stack += _children(p)
+        except (OSError, ValueError):
+            continue  # exited between the listing and the read
+    return total
+
+
+def _launch(run_dir: Path, src: Path, *extra: str) -> tuple[subprocess.Popen, int]:
+    """``python -m repro serve <run_dir> --port 0`` on ``src``; waits for
+    the listening line and returns the process and its port."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(run_dir), "--port", "0",
+         *extra],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+    lines = []
+    for line in proc.stdout:
+        lines.append(line)
+        match = re.search(r"http://[^:\s]+:(\d+)", line)
+        if match:
+            return proc, int(match.group(1))
+    proc.wait()
+    raise RuntimeError(f"server exited {proc.returncode}: {''.join(lines)}")
+
+
+def _stop(proc: subprocess.Popen) -> str:
+    """SIGTERM (graceful drain); returns the remaining output."""
+    proc.send_signal(signal.SIGTERM)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        out, _ = proc.communicate()
+    return out
+
+
+# -------------------------------------------------------------- the load
 def _offered_load(port: int, bodies: list[bytes], rate: float,
-                  duration: float, n_threads: int = 32) -> dict:
+                  duration: float, server_pid: int,
+                  n_threads: int = 32) -> dict:
     """Open-loop: request i is *scheduled* at t0 + i/rate; a thread pool
     executes arrivals and measures latency from the scheduled time."""
     n = max(int(rate * duration), 1)
@@ -89,6 +156,7 @@ def _offered_load(port: int, bodies: list[bytes], rate: float,
     latencies: list[float] = []
     codes: Counter = Counter()
     t_last = [0.0]
+    server_cpu0, gen_cpu0 = _cpu_s(server_pid), _cpu_s(os.getpid())
     t0 = time.perf_counter() + 0.1
 
     def client() -> None:
@@ -127,40 +195,47 @@ def _offered_load(port: int, bodies: list[bytes], rate: float,
         t.join()
     wall = max(t_last[0] - t0, 1e-9)
     lat = np.asarray(latencies)
-    ok = codes.get(200, 0)
+    ok = max(codes.get(200, 0), 1)
     return {
         "offered": rate,
-        "achieved": ok / wall,
+        "achieved": codes.get(200, 0) / wall,
         "p50_ms": float(np.percentile(lat, 50)) * 1e3,
         "p95_ms": float(np.percentile(lat, 95)) * 1e3,
         "p99_ms": float(np.percentile(lat, 99)) * 1e3,
+        "server_cpu_ms": (_cpu_s(server_pid) - server_cpu0) * 1e3 / ok,
+        "gen_cpu_ms": (_cpu_s(os.getpid()) - gen_cpu0) * 1e3 / ok,
         "codes": dict(codes),
-        "n": n,
     }
 
 
-def _sweep(run_dir: Path, workers: int, rates: list[float],
-           duration: float) -> list[dict]:
-    from repro.api.spec import ServeSpec
-    from repro.serve.net import NetServer
-
+def _sweep(label: str, run_dir: Path, src: Path, duration: float,
+           *extra: str) -> list[dict]:
     bodies = _payloads(256)
-    spec = ServeSpec(max_wait_ms=1.0, workers=workers)
-    server = NetServer(run_dir, workers=workers, serve_spec=spec).start()
+    proc, port = _launch(run_dir, src, "--set", "serve.max_wait_ms=1",
+                         *extra)
     try:
-        server.wait_ready(timeout=120.0)
-        # Warm both tiers (connection setup, first forward pass).
-        _offered_load(server.port, bodies, 20.0, 0.5)
+        _offered_load(port, bodies, 20.0, 0.5, proc.pid)   # warm up
         points = []
-        for rate in rates:
-            point = _offered_load(server.port, bodies, rate, duration)
-            point["workers"] = workers
+        for rate in RATES:
+            point = _offered_load(port, bodies, rate, duration, proc.pid)
+            point["server"] = label
             points.append(point)
             if point["achieved"] < 0.8 * rate:
                 break  # saturated: offered load beyond capacity
         return points
     finally:
-        server.close()
+        _stop(proc)
+
+
+def _baseline_src(tmp: Path, baseline_src: Path | None) -> Path:
+    if baseline_src is not None:
+        return baseline_src
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", BASELINE_REV,
+         "src"], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tmp / "baseline")
+    return tmp / "baseline" / "src"
 
 
 def _format(points: list[dict], note: str) -> str:
@@ -168,56 +243,58 @@ def _format(points: list[dict], note: str) -> str:
 
     rows = [
         [
-            p["workers"], f"{p['offered']:.0f}", f"{p['achieved']:.0f}",
+            p["server"], f"{p['offered']:.0f}", f"{p['achieved']:.0f}",
             f"{p['p50_ms']:.1f}", f"{p['p95_ms']:.1f}", f"{p['p99_ms']:.1f}",
+            f"{p['server_cpu_ms']:.2f}", f"{p['gen_cpu_ms']:.2f}",
             " ".join(f"{k}:{v}" for k, v in sorted(p["codes"].items())),
         ]
         for p in points
     ]
     return format_table(
-        "HTTP serving tier: latency vs offered load (open-loop)",
-        ["workers", "offered rps", "achieved rps", "p50 ms", "p95 ms",
-         "p99 ms", "status"],
+        "HTTP serving: latency vs offered load (open-loop)",
+        ["server", "offered rps", "achieved rps", "p50 ms", "p95 ms",
+         "p99 ms", "server CPU ms/req", "generator CPU ms/req", "status"],
         rows,
         notes=note,
     )
 
 
-def run_bench(duration: float = 3.0) -> tuple[list[dict], str]:
+def run_bench(duration: float = 3.0,
+              baseline_src: Path | None = None) -> tuple[list[dict], str]:
     from repro.bench import registry
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-serving-net-"))
     run_dir = tmp / "run"
     try:
         _train_run(run_dir)
-        rates = [25, 50, 100, 200, 400, 800]
-        points = []
-        for workers in (1, WORKERS):
-            points += _sweep(run_dir, workers, rates, duration)
-        sat = {w: max(p["achieved"] for p in points if p["workers"] == w)
-               for w in (1, WORKERS)}
-        speedup = sat[WORKERS] / sat[1]
-        cores = os.cpu_count() or 1
-        multicore = cores >= 2
+        base = _sweep("2 workers (baseline)", run_dir,
+                      _baseline_src(tmp, baseline_src), duration,
+                      "--workers", "2")
+        one = _sweep("1 process", run_dir, ROOT / "src", duration)
+        sat_base = max(p["achieved"] for p in base)
+        sat_one = max(p["achieved"] for p in one)
+        p99 = {label: next((p["p99_ms"] for p in pts if p["offered"] == 400),
+                           float("nan"))
+               for label, pts in (("base", base), ("one", one))}
         note = (
-            f"Open-loop paced arrivals, latency measured from scheduled "
-            f"arrival time. Saturation throughput: {sat[1]:.0f} rps at 1 "
-            f"worker, {sat[WORKERS]:.0f} rps at {WORKERS} workers "
-            f"({speedup:.2f}x). Host has {cores} CPU core(s): the "
-            + (f">= {MIN_MULTIWORKER_SPEEDUP}x multi-worker bar is asserted."
-               if multicore else
-               f">= {MIN_MULTIWORKER_SPEEDUP}x multi-worker bar is reported "
-               "only — worker processes time-share a single core, so "
-               "multi-worker scaling is physically unavailable here.")
+            f"Open-loop paced arrivals, latency from scheduled arrival time, "
+            f"{duration:g} s per point; server started through the CLI in "
+            f"its own process, CPU ms per answered request from "
+            f"/proc/<pid>/stat (server: the whole process tree). Host has "
+            f"{os.cpu_count()} CPU core(s). Saturation: {sat_one:.0f} rps "
+            f"in one process against {sat_base:.0f} rps for the 2-worker "
+            f"baseline (git {BASELINE_REV[:7]}), {sat_one / sat_base:.2f}x "
+            f"(bar: >= {MIN_SPEEDUP}x). p99 at 400 rps: {p99['one']:.1f} ms "
+            f"against {p99['base']:.1f} ms."
         )
-        table = _format(points, note)
+        table = _format(base + one, note)
         registry.record("serving_net", table)
-        if multicore:
-            assert speedup >= MIN_MULTIWORKER_SPEEDUP, (
-                f"{WORKERS}-worker saturation throughput only {speedup:.2f}x "
-                f"a single worker (bar: {MIN_MULTIWORKER_SPEEDUP}x)"
-            )
-        return points, note
+        assert sat_one >= MIN_SPEEDUP * sat_base, (
+            f"one-process saturation {sat_one:.0f} rps is only "
+            f"{sat_one / sat_base:.2f}x the 2-worker baseline's "
+            f"{sat_base:.0f} rps (bar: {MIN_SPEEDUP}x)"
+        )
+        return base + one, note
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -227,9 +304,7 @@ def run_smoke() -> str:
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.api.driver import serve_run
-    from repro.api.spec import ServeSpec
     from repro.bench import registry
-    from repro.serve.net import NetServer
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-serving-net-smoke-"))
     run_dir = tmp / "run"
@@ -240,31 +315,31 @@ def run_smoke() -> str:
             batch = svc.sample(64, seed=3)
             direct = svc.log_amplitudes(batch.bits)
 
-        spec = ServeSpec(max_wait_ms=0.0, queue_capacity=2, max_batch_size=2)
-        server = NetServer(run_dir, workers=WORKERS, serve_spec=spec).start()
+        proc, port = _launch(run_dir, ROOT / "src",
+                             "--set", "serve.max_wait_ms=0",
+                             "--set", "serve.queue_capacity=2",
+                             "--set", "serve.max_batch_size=2")
         try:
-            server.wait_ready(timeout=120.0)
-
             # 1. Served results must be bit-identical to direct evaluation.
-            status, resp = _post_json(server.port, "/v1/log_amplitudes",
+            status, resp = _post_json(port, "/v1/log_amplitudes",
                                       {"bits": batch.bits.tolist()})
             assert status == 200, f"log_amplitudes -> {status}: {resp}"
-            served = np.array([complex(re, im) for re, im in resp["value"]])
+            served = np.array([complex(re_, im) for re_, im in resp["value"]])
             assert np.array_equal(served, direct), \
                 "served log_amplitudes differ from direct evaluation"
-            status, resp = _post_json(server.port, "/v1/sample",
+            status, resp = _post_json(port, "/v1/sample",
                                       {"n_samples": 64, "seed": 3})
             assert status == 200
             assert np.array_equal(np.asarray(resp["bits"], dtype=np.uint8),
                                   batch.bits), "served sample bits differ"
             lines.append(f"bit-identity: OK ({len(batch.bits)} unique "
-                         f"configurations, {WORKERS} workers)")
+                         "configurations, log_amplitudes and sample)")
 
             # 2. A burst past queue_capacity must yield 429s, not a wedge.
             bodies = _payloads(128)
 
             def one(body: bytes) -> int:
-                conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                conn = http.client.HTTPConnection("127.0.0.1", port,
                                                   timeout=60)
                 try:
                     conn.request("POST", "/v1/log_amplitudes", body)
@@ -278,29 +353,27 @@ def run_smoke() -> str:
                 codes = Counter(pool.map(one, bodies))
             assert set(codes) <= {200, 429}, f"unexpected statuses: {codes}"
             assert codes[429] > 0, f"no 429 under burst: {codes}"
-            status, _ = _post_json(server.port, "/v1/log_amplitudes",
+            status, _ = _post_json(port, "/v1/log_amplitudes",
                                    {"bits": [[0, 1, 0, 1]]})
-            assert status == 200, "worker wedged after overload burst"
+            assert status == 200, "service wedged after overload burst"
             lines.append(f"backpressure: OK (burst of {len(bodies)} -> "
                          f"{codes[200]}x200 + {codes[429]}x429, "
                          "served again after)")
+            children = _children(proc.pid)
+            assert children == [], f"server started processes: {children}"
         finally:
-            stats = server.close()
+            out = _stop(proc)
 
-        # 3. Clean shutdown: drained stats written, workers exited 0.
-        assert stats is not None and stats.get("drained")
-        for proc in server._procs:
-            assert proc is not None and proc.poll() == 0, \
-                "worker did not exit cleanly on drain"
-        leaked = subprocess.run(
-            ["pgrep", "-f", f"repro serve-worker {run_dir}"],
-            capture_output=True, text=True).stdout.strip()
-        assert leaked == "", f"leaked worker processes: {leaked}"
-        lines.append("shutdown: OK (graceful drain, all workers exited 0, "
-                     "no leaked processes)")
+        # 3. Clean shutdown: drained, stats written, exit 0.
+        assert proc.returncode == 0, f"server exited {proc.returncode}: {out}"
+        stats = json.loads((run_dir / "serve_stats.json").read_text())
+        assert stats["drained"] and stats["http"]["requests"] >= 131
+        lines.append(f"shutdown: OK (graceful drain, exit 0, "
+                     f"{stats['http']['requests']} requests in "
+                     "serve_stats.json, no child process)")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    text = "HTTP serving smoke (2-worker tier over the framed protocol)\n"
+    text = "HTTP serving smoke (one serving process, started through the CLI)\n"
     text += "\n".join(f"  {line}" for line in lines)
     registry.record("serving_net_smoke", text)
     return text
@@ -316,16 +389,19 @@ def test_serving_net(benchmark, full):
 if __name__ == "__main__":
     import argparse
 
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="CI smoke: correctness/backpressure/shutdown only")
     parser.add_argument("--duration", type=float, default=3.0,
                         help="seconds per sweep point (full mode)")
+    parser.add_argument("--baseline-src", type=Path, default=None,
+                        help="src/ of a checkout of the 2-worker tier "
+                             f"(default: git archive {BASELINE_REV[:7]})")
     args = parser.parse_args()
     if args.smoke:
         run_smoke()
     else:
-        run_bench(duration=args.duration)
+        run_bench(duration=args.duration, baseline_src=args.baseline_src)
         print("acceptance: see the recorded note in "
               "benchmarks/results/serving_net.txt")

@@ -131,7 +131,6 @@ def main() -> None:
         print(f"  local-energy requests {counts['local_energy']}")
         print(f"  fused rows/batch      {s['batcher']['rows_per_batch']:.1f}")
         pinned_stats = s["versions"][pinned]
-        print(f"  session pool          {pinned_stats['pool']}")
         print(f"  amplitude table       {pinned_stats['table_entries']} entries "
               f"(version {pinned} only — tables never cross versions)")
         service.close()

@@ -7,13 +7,10 @@ Subcommands:
 * ``resume``  — continue a run directory (``--set`` can extend the budget).
 * ``info``    — inspect a run directory, or list the presets
   (``--presets``).
-* ``serve``   — with ``--port``, run the network serving tier (an HTTP/JSON
-  router over ``--workers`` worker processes; SIGTERM/SIGINT drain
-  gracefully).  Without ``--port``, answer ``log_amplitudes`` requests
-  in-process, self-checked against direct evaluation of the loaded
-  snapshot.
-* ``serve-worker`` — internal: one serving worker, spawned by the router
-  (not for direct use).
+* ``serve``   — with ``--port``, run the HTTP/JSON front door over one
+  in-process service (SIGTERM/SIGINT drain gracefully).  Without
+  ``--port``, answer ``log_amplitudes`` requests in-process, self-checked
+  against direct evaluation of the loaded snapshot.
 * ``rendezvous`` — run the cluster rendezvous coordinator for one
   multi-host job (``parallel.backend=cluster`` members dial it).
 
@@ -73,9 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="interface the HTTP tier binds "
                               "(default: loopback)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="worker processes for the HTTP tier "
-                              "(default: serve.workers)")
     p_serve.add_argument("--set", dest="overrides", action="append",
                          default=[], metavar="KEY=VALUE",
                          help="spec override, e.g. serve.max_batch_size=64")
@@ -87,15 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed for the random request bitstrings")
     p_serve.add_argument("--version", type=int, default=None,
                          help="pin a published snapshot version (default: latest)")
-
-    # Internal: the router spawns these; never invoked by hand.
-    p_worker = sub.add_parser("serve-worker")
-    p_worker.add_argument("run_dir", type=Path)
-    p_worker.add_argument("--connect", required=True,
-                          help="host:port of the router's internal listener")
-    p_worker.add_argument("--worker-id", type=int, required=True)
-    p_worker.add_argument("--set", dest="overrides", action="append",
-                          default=[], metavar="KEY=VALUE")
 
     p_rdv = sub.add_parser(
         "rendezvous",
@@ -227,26 +212,17 @@ def _read_jsonl(path: Path) -> list[dict]:
 
 
 def _print_serve_stats(stats: dict) -> None:
-    """The last serving session's counters (written on router drain)."""
+    """The last serving session's counters (written on drain)."""
     http = stats.get("http", {})
     statuses = http.get("statuses", {})
     status_str = " ".join(f"{k}:{v}" for k, v in sorted(statuses.items()))
     print(f"serving  {http.get('requests', 0)} http requests"
-          + (f" ({status_str})" if status_str else "")
-          + (f", {stats['restarts']} worker restarts"
-             if stats.get("restarts") else ""))
-    batchers = [w.get("service", {}).get("batcher", {})
-                for w in stats.get("per_worker", [])]
-    batchers = [b for b in batchers if b]
-    if batchers:
-        requests = sum(b.get("requests", 0) for b in batchers)
-        rejected = sum(b.get("rejected", 0) for b in batchers)
-        batches = sum(b.get("batches", 0) for b in batchers)
-        rows = sum(b.get("batched_rows", 0) for b in batchers)
-        fuse = rows / batches if batches else 0.0
-        print(f"         {len(batchers)} workers: {requests} batched "
-              f"requests, {rejected} rejected, "
-              f"fuse ratio {fuse:.1f} rows/batch")
+          + (f" ({status_str})" if status_str else ""))
+    batcher = stats.get("service", {}).get("batcher")
+    if batcher:
+        print(f"         {batcher['requests']} batched requests, "
+              f"{batcher['rejected']} rejected, "
+              f"fuse ratio {batcher['rows_per_batch']:.1f} rows/batch")
 
 
 def _load_run_spec(run_dir: Path, overrides: list[str]) -> RunSpec:
@@ -258,20 +234,16 @@ def _load_run_spec(run_dir: Path, overrides: list[str]) -> RunSpec:
 
 
 def _cmd_serve_net(args: argparse.Namespace) -> int:
-    """The network serving tier: router + workers until SIGTERM/SIGINT,
-    then a graceful drain (every accepted request is answered)."""
+    """The HTTP front door until SIGTERM/SIGINT, then a graceful drain
+    (every accepted request is answered)."""
     import signal
     import threading
 
     from repro.serve.net import NetServer
 
     spec = _load_run_spec(args.run_dir, args.overrides)
-    worker_args: list[str] = []
-    for assignment in args.overrides:
-        worker_args += ["--set", assignment]
     server = NetServer(args.run_dir, host=args.host, port=args.port,
-                       workers=args.workers, serve_spec=spec.serve,
-                       worker_args=worker_args)
+                       serve_spec=spec.serve)
 
     stop = threading.Event()
 
@@ -282,32 +254,17 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGINT, _on_signal)
 
     server.start()
-    try:
-        server.wait_ready(timeout=120.0)
-    except TimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        server.close(timeout=2.0)
-        return 1
-    print(f"serving {args.run_dir} on http://{server.host}:{server.port} "
-          f"({server.workers} workers)", flush=True)
+    print(f"serving {args.run_dir} on http://{server.host}:{server.port}",
+          flush=True)
     while not stop.is_set():
         stop.wait(0.5)
     print("draining...", flush=True)
     stats = server.close()
     if stats is not None:
         http = stats.get("http", {})
-        print(f"served {http.get('requests', 0)} requests "
-              f"({stats.get('restarts', 0)} worker restarts); "
+        print(f"served {http.get('requests', 0)} requests; "
               f"stats in {args.run_dir / 'serve_stats.json'}", flush=True)
     return 0
-
-
-def _cmd_serve_worker(args: argparse.Namespace) -> int:
-    from repro.serve.net.worker import run_worker
-
-    spec = _load_run_spec(args.run_dir, args.overrides)
-    return run_worker(args.run_dir, args.connect, args.worker_id,
-                      serve_spec=spec.serve)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -397,8 +354,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.port is not None:
                 return _cmd_serve_net(args)
             return _cmd_serve(args)
-        if args.command == "serve-worker":
-            return _cmd_serve_worker(args)
         if args.command == "rendezvous":
             return _cmd_rendezvous(args)
     except SpecError as exc:

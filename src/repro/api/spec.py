@@ -410,13 +410,13 @@ class OutputSpec(_Spec):
 
 @dataclass
 class ServeSpec(_Spec):
-    """The serving tier as data: batcher knobs + the network topology.
+    """The serving tier as data: batcher and cache knobs + the front door.
 
-    The first four fields mirror :class:`repro.serve.ServeConfig` (the
-    microbatching/backpressure contract — see DESIGN.md "Serving layer");
-    the rest shape the per-version cache machinery and the network tier
-    behind ``python -m repro serve --port`` (DESIGN.md "Network serving
-    tier").  Everything is overridable via ``--set serve.<field>=...``.
+    Every field but ``refresh_poll_s`` and ``drain_timeout_s`` mirrors
+    :class:`repro.serve.ServeConfig` (the microbatching/backpressure
+    contract and the per-version caches — see DESIGN.md "Serving"); those
+    two shape the HTTP front door behind ``python -m repro serve --port``.
+    Everything is overridable via ``--set serve.<field>=...``.
     """
 
     _SECTION = "serve"
@@ -426,14 +426,9 @@ class ServeSpec(_Spec):
     queue_capacity: int = 1024      # bounded queue => backpressure
     submit_timeout: float = 30.0    # seconds before overload rejection
     max_loaded_versions: int = 4    # resident snapshot LRU
-    session_pool_size: int = 4      # idle sessions kept per version
     prefix_cache_entries: int = 8   # live decoding sessions per version
     table_max_entries: int = 500_000  # per-version amplitude-table cap
-    workers: int = 2                # network tier: worker processes
-    prefix_anchor: int = 8          # routing key: tokens hashed per prefix
-    hash_replicas: int = 64         # vnodes per worker on the ring
     refresh_poll_s: float = 2.0     # registry poll period (0: disabled)
-    respawn_backoff_s: float = 0.5  # wait before restarting a dead worker
     drain_timeout_s: float = 10.0   # graceful-shutdown budget
     backend: str = "numpy"          # array backend model evaluations run under
 
@@ -441,15 +436,12 @@ class ServeSpec(_Spec):
         super().__post_init__()
         _require(self.backend in BACKEND_NAMES, "serve.backend",
                  f"must be one of {BACKEND_NAMES}, got {self.backend!r}")
-        for attr in ("max_batch_size", "queue_capacity", "workers",
-                     "prefix_anchor", "hash_replicas", "max_loaded_versions",
-                     "session_pool_size", "prefix_cache_entries",
-                     "table_max_entries"):
+        for attr in ("max_batch_size", "queue_capacity", "max_loaded_versions",
+                     "prefix_cache_entries", "table_max_entries"):
             v = getattr(self, attr)
             _require(v > 0,
                      f"serve.{attr}", f"must be a positive int, got {v!r}")
-        for attr in ("max_wait_ms", "submit_timeout", "refresh_poll_s",
-                     "respawn_backoff_s"):
+        for attr in ("max_wait_ms", "submit_timeout", "refresh_poll_s"):
             v = getattr(self, attr)
             _require(v >= 0, f"serve.{attr}", f"must be >= 0, got {v!r}")
         _require(self.drain_timeout_s > 0,
@@ -458,7 +450,7 @@ class ServeSpec(_Spec):
 
     def to_serve_config(self):
         """The in-process :class:`repro.serve.ServeConfig` slice of this
-        section (the network-topology fields stay with the router)."""
+        section (the front door's two fields stay with ``NetServer``)."""
         from repro.serve import ServeConfig
 
         return ServeConfig(
@@ -467,7 +459,6 @@ class ServeSpec(_Spec):
             queue_capacity=self.queue_capacity,
             submit_timeout=self.submit_timeout,
             max_loaded_versions=self.max_loaded_versions,
-            session_pool_size=self.session_pool_size,
             prefix_cache_entries=self.prefix_cache_entries,
             table_max_entries=self.table_max_entries,
             backend=self.backend,

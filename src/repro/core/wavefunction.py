@@ -165,9 +165,6 @@ class NNQSWavefunction(Module):
         # Rebuild recipe (set by build_qiankunnet) — makes the wavefunction
         # snapshottable for the model registry (core/checkpoint.py).
         self.spec: dict | None = None
-        # Serving-layer hook: when set, make_session() delegates here so a
-        # SessionPool (repro/serve/pool.py) can hand out recycled sessions.
-        self.session_factory = None
         # Move the parameters into their arena now (Module.arena would on
         # first use): every later reader finds them where they will stay.
         self.arena()
@@ -434,11 +431,9 @@ class NNQSWavefunction(Module):
     def make_session(self, batch_size: int = 1):
         """Open an incremental decoding session on the amplitude network
         (the transformer's is KV-cached, O(k) per step) — the sampler's and
-        the walk's hot path, see DESIGN.md.  A ``session_factory`` hook (set
-        by the serving layer's session pool) intercepts creation; a recycled
-        session is reset first, so the numerics are those of a fresh one.
+        the walk's hot path, see DESIGN.md.
         """
-        return (self.session_factory or self.amplitude.make_session)(batch_size)
+        return self.amplitude.make_session(batch_size)
 
     def probs_from_logits(self, logits: np.ndarray, counts_up: np.ndarray,
                           counts_dn: np.ndarray, step: int) -> np.ndarray:

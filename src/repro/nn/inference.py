@@ -21,7 +21,7 @@ one position per call):
   the first ``pos`` positions writes one contiguous block.
 * **Precision.** Every GEMM, LayerNorm, GELU and softmax runs in float32,
   on a float32 copy of the parameters taken when the session consumes its
-  first position (fresh, or after ``reset``).  ``select`` and ``copy``
+  first position.  ``select`` and ``copy``
   share that copy, so weights and KV cache have one lifetime.  Logits come
   back float64: the masks, log-softmax, multinomial split and the walk's
   running log pi stay float64.  The audit is ``backend/dtypes.py``'s.
@@ -268,16 +268,3 @@ class TransformerInferenceSession:
         return self._derived(self.batch_size,
                              None if self._kv is None else xp.array(self._kv))
 
-    def reset(self, batch_size: int | None = None) -> "TransformerInferenceSession":
-        """Return the session to its fresh state (serving-layer pool hook).
-
-        A reset session is indistinguishable from a newly constructed one:
-        its next step takes a new float32 copy of the parameters, so a
-        recycled session follows the network's current θ and pooled sampling
-        stays bit-identical to unpooled sampling.
-        """
-        if batch_size is not None:
-            self.batch_size = batch_size
-        self.pos = 0
-        self._weights = self._kv = None
-        return self

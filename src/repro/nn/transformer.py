@@ -19,9 +19,9 @@ all another network wired into ``NNQSWavefunction`` by hand has to provide
 * ``make_session(batch) -> session`` — incremental decoding, graph-free:
   ``step(prev_tokens | None)`` / ``prefill(prefix)`` return the next
   position's ``(batch, vocab)`` float64 logits, ``select(idx)`` gathers rows
-  when the tree branches, ``copy()`` / ``reset(batch)``, ``batch_size``,
-  ``pos``.  Read by the BAS sweep, the walk of ``log_amplitudes`` and the
-  serving pool (the transformer's session runs its own float32 kernel, see
+  when the tree branches, ``copy()``, ``batch_size``, ``pos``.  Read by the
+  BAS sweep, the walk of ``log_amplitudes`` and the serving layer's prefix
+  cache (the transformer's session runs its own float32 kernel, see
   ``repro.nn.inference``);
 * ``prefix_forward(tokens, rep_row, level) -> (logits, saved)`` and
   ``prefix_vjp(saved, g)`` — the graph-free pair over the distinct prefixes

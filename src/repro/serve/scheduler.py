@@ -12,7 +12,7 @@ single scheduler thread drains it, fuses requests that share a *coalescing
 key* up to ``max_batch_size`` rows — waiting at most ``max_wait_ms`` for
 stragglers — and runs one vectorized evaluation per group.
 
-Knobs and their trade-off (see DESIGN.md "Serving layer"):
+Knobs and their trade-off (see DESIGN.md "Serving"):
 
 * ``max_batch_size`` — rows fused into one forward; larger amortizes more
   fixed cost per row but delays the first request of the batch.
@@ -24,7 +24,7 @@ Knobs and their trade-off (see DESIGN.md "Serving layer"):
   then raises :class:`ServiceOverloadedError`.
 
 Execution is single-threaded by design: every model evaluation happens on
-the scheduler thread, so the per-model state (session pools, prefix caches,
+the scheduler thread, so the per-model state (prefix caches,
 amplitude tables) needs no locking.
 """
 from __future__ import annotations
@@ -181,8 +181,8 @@ class MicroBatcher:
         :class:`ServiceOverloadedError` when backpressure rejects the
         request (queue full past ``timeout``, defaulting to the batcher's
         ``submit_timeout``; pass ``0.0`` for an immediate reject — the
-        network worker's non-blocking shape, where waiting would wedge the
-        socket reader behind a full queue).
+        HTTP front door's shape, where waiting would park a handler thread
+        behind a full queue).
         """
         if self._closing:
             raise ServiceClosedError("batcher is closed")

@@ -11,9 +11,8 @@ This module turns the in-process :class:`NNQSWavefunction` into a service:
 * a :class:`~repro.serve.scheduler.MicroBatcher` coalescing concurrent
   amplitude requests into single vectorized forward passes (bounded queue,
   backpressure, latency/batch-size knobs);
-* a per-version :class:`~repro.serve.pool.SessionPool` +
-  :class:`~repro.serve.pool.PrefixSessionCache` reusing KV caches across
-  requests;
+* a per-version :class:`PrefixSessionCache` reusing live KV caches across
+  ``conditional_probs`` requests;
 * a :class:`~repro.serve.registry.ModelRegistry` binding, so clients pin a
   model version while training publishes new ones.
 
@@ -56,12 +55,11 @@ from repro.core.local_energy import (
 from repro.core.sampler import SampleBatch, batch_autoregressive_sample
 from repro.core.wavefunction import NNQSWavefunction
 from repro.hamiltonian.compressed import CompressedHamiltonian, compress_hamiltonian
-from repro.serve.pool import PrefixSessionCache, SessionPool
 from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import MicroBatcher, RequestFailure, ServiceClosedError
 from repro.utils.bitstrings import pack_bits
 
-__all__ = ["ServeConfig", "WavefunctionService"]
+__all__ = ["PrefixSessionCache", "ServeConfig", "WavefunctionService"]
 
 
 @dataclass
@@ -73,16 +71,88 @@ class ServeConfig:
     queue_capacity: int = 1024       # bounded queue => backpressure
     submit_timeout: float = 30.0     # seconds before overload rejection
     max_loaded_versions: int = 4     # resident snapshot LRU
-    session_pool_size: int = 4       # idle sessions kept per version
     prefix_cache_entries: int = 8    # live decoding sessions per version
     table_max_entries: int = 500_000  # per-version amplitude-table cap
     backend: str = "numpy"           # array backend evaluations run under
 
 
+class _PrefixEntry:
+    __slots__ = ("session", "logits")
+
+    def __init__(self, session, logits: np.ndarray):
+        self.session = session
+        self.logits = logits
+
+
+def _prefix_key(tokens: np.ndarray) -> tuple:
+    return (tokens.shape, tokens.tobytes())
+
+
+class PrefixSessionCache:
+    """LRU of live decoding sessions keyed by their consumed ``(batch, k)``
+    prefix, for clients that drive their own autoregressive loop through
+    ``conditional_probs``.
+
+    A request whose prefix extends a cached entry by one position is served
+    with a single KV-cached ``step()`` (O(k) work) instead of a full prefill
+    (k + 1 steps, O(k^2)); a repeat of an identical prefix replays the
+    stored logits with no network work at all.  A prefill is a loop of the
+    same decode kernel, so misses, continuations and a direct in-process
+    call are numerically identical.  Not thread-safe: only the scheduler
+    thread touches it.
+    """
+
+    def __init__(self, amplitude, max_entries: int = 8):
+        self.amplitude = amplitude
+        self.max_entries = max_entries
+        self._entries: OrderedDict[tuple, _PrefixEntry] = OrderedDict()
+        self.hits_exact = 0
+        self.hits_step = 0
+        self.misses = 0
+
+    def next_logits(self, prefix_tokens: np.ndarray) -> np.ndarray:
+        """Raw next-position logits for ``(batch, k)`` prefixes.
+
+        Lookup order: exact replay (stored logits, no network work) ->
+        one-token continuation (single cached ``step``) -> miss (full
+        prefill, entry inserted).
+        """
+        prefix = np.ascontiguousarray(prefix_tokens, dtype=np.int64)
+        if prefix.ndim == 1:
+            prefix = prefix[None, :]
+        key = _prefix_key(prefix)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.hits_exact += 1
+            self._entries.move_to_end(key)
+            return entry.logits
+        if prefix.shape[1] > 0:
+            entry = self._entries.pop(_prefix_key(prefix[:, :-1]), None)
+            if entry is not None:
+                self.hits_step += 1
+                entry.logits = entry.session.step(prefix[:, -1])
+                self._insert(key, entry)
+                return entry.logits
+        self.misses += 1
+        session = self.amplitude.make_session(len(prefix))
+        logits = session.prefill(prefix)
+        self._insert(key, _PrefixEntry(session, logits))
+        return logits
+
+    def _insert(self, key: tuple, entry: _PrefixEntry) -> None:
+        self._entries[key] = entry
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+
+    def stats(self) -> dict:
+        return {"exact_hits": self.hits_exact, "step_hits": self.hits_step,
+                "misses": self.misses, "entries": len(self._entries)}
+
+
 class _LoadedModel:
     """One resident snapshot: wavefunction + its per-version reuse state."""
 
-    __slots__ = ("version", "wf", "pool", "prefix_cache", "table",
+    __slots__ = ("version", "wf", "prefix_cache", "table",
                  "table_overflows", "eloc_plan", "backend")
 
     def __init__(self, version: int, wf: NNQSWavefunction, cfg: ServeConfig):
@@ -92,9 +162,8 @@ class _LoadedModel:
         # snapshot (fused forwards, sampling, local energies) runs under
         # this backend's xp namespace on the scheduler thread.
         self.backend = get_backend(cfg.backend)
-        self.pool = SessionPool(wf.amplitude, max_idle=cfg.session_pool_size)
         self.prefix_cache = PrefixSessionCache(
-            self.pool, max_entries=cfg.prefix_cache_entries
+            wf.amplitude, max_entries=cfg.prefix_cache_entries
         )
         self.table: AmplitudeTable | None = None
         self.table_overflows = 0
@@ -337,8 +406,7 @@ class WavefunctionService:
     def _run_sample(self, model: _LoadedModel, payload) -> SampleBatch:
         n_samples, seed = payload
         rng = np.random.default_rng(seed)
-        with model.pool.lease(model.wf):
-            return batch_autoregressive_sample(model.wf, n_samples, rng)
+        return batch_autoregressive_sample(model.wf, n_samples, rng)
 
     def _run_local_energy(self, model: _LoadedModel, payload) -> np.ndarray:
         batch, mode = payload
@@ -375,7 +443,6 @@ class WavefunctionService:
             ops = dict(self._op_counts)
         per_version = {
             v: {
-                "pool": m.pool.stats(),
                 "prefix_cache": m.prefix_cache.stats(),
                 "table_entries": 0 if m.table is None else m.table.n_entries,
                 "table_overflows": m.table_overflows,

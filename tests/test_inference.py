@@ -144,8 +144,7 @@ class TestStepEquivalence:
             s.prefill(np.zeros((2, 1), dtype=np.int64))  # session not fresh
 
     def test_session_kind_dispatch(self):
-        """The network opens its own session; the wavefunction adds nothing
-        but the serving pool's ``session_factory`` hook."""
+        """The network opens its own session; the wavefunction adds nothing."""
         for at in ANSATZE:
             w = build(at)
             session = w.make_session(3)
@@ -155,8 +154,6 @@ class TestStepEquivalence:
                 assert isinstance(session, baselines.RecomputeSession)
             assert type(session) is type(w.amplitude.make_session(3))
             assert (session.batch_size, session.pos) == (3, 0)
-            w.session_factory = lambda batch_size: ("pooled", batch_size)
-            assert w.make_session(5) == ("pooled", 5)
 
     @pytest.mark.parametrize("amplitude_type", ANSATZE)
     def test_session_steps_match_reference_probs(self, amplitude_type):

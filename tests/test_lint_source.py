@@ -55,7 +55,7 @@ class TestSourceLint:
     ])
     @pytest.mark.parametrize("rel", [
         "src/repro/chem/integrals/boys.py", "src/repro/hamiltonian/exact.py",
-        "src/repro/serve/net/deep/new_module.py",
+        "src/repro/serve/deep/new_module.py",
     ])
     def test_module_level_scipy_is_refused_anywhere(self, lint_source, tree, rel, line):
         path = tree / rel
@@ -176,7 +176,7 @@ class TestSourceLint:
          'length = n if getattr(model, "fixed_length", False) else k + 1'),
         ("one-amplitude-protocol", "src/repro/core/engine.py",
          'd_model = getattr(wf.amplitude, "d_model", 16)'),
-        ("one-amplitude-protocol", "src/repro/serve/pool.py",
+        ("one-amplitude-protocol", "src/repro/serve/service.py",
          "return make_inference_session(self.amplitude, batch_size)"),
         ("one-amplitude-protocol", "src/repro/api/builtins.py",
          'build_qiankunnet(n, 1, 1, amplitude_type="made")'),
@@ -204,6 +204,16 @@ class TestSourceLint:
          "class ThreadTransport:"),
         ("one-parallel-path", "src/repro/core/engine.py",
          "        from repro.parallel.fake_mpi import run_spmd"),
+        ("one-serving-process", "src/repro/serve/net.py",
+         "from repro.parallel.rendezvous import send_frame"),
+        ("one-serving-process", "src/repro/serve/net.py",
+         'argv = [sys.executable, "-m", "repro", "serve-worker", run_dir]'),
+        ("one-serving-process", "src/repro/serve/net.py",
+         "        self._ring = HashRing(replicas=64)"),
+        ("one-serving-process", "src/repro/serve/service.py",
+         "        with SessionPool(wf.amplitude).lease(wf):"),
+        ("one-serving-process", "src/repro/core/wavefunction.py",
+         "        self.session_factory = None"),
         ("one-npz-writer", "src/repro/core/checkpoint.py", "        np.savez(f, **payload)"),
         ("no-probing-no-second-path", "src/repro/core/vmc.py",
          "        self.comm_baseline: np.ndarray | None = None"),
@@ -300,7 +310,7 @@ class TestSourceLint:
 # iteration 1"): transports, serving, the tape, reference chemistry, the
 # observables, the plots and the bench tables.  A name covers its submodules.
 OFF_THE_RUN_PATH = (
-    "repro.serve.pool", "repro.serve.scheduler", "repro.serve.service", "repro.serve.net",
+    "repro.serve.scheduler", "repro.serve.service", "repro.serve.net",
     "repro.parallel.cluster", "repro.parallel.rendezvous", "repro.parallel.multiprocess",
     "repro.parallel.scaling", "repro.parallel.comm_model",
     "repro.autograd",

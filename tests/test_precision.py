@@ -48,7 +48,6 @@ from repro.core.engine import stage_backward
 from repro.hamiltonian import compress_hamiltonian, sector_basis
 from repro.nn import PhaseMLP
 from repro.optim import AdamW
-from repro.serve.pool import SessionPool
 from repro.utils.bitstrings import unpack_bits
 from tests.conftest import LOG_PI_GRAD_RTOL, LOGIT_TOL, amplitude_and_phase
 
@@ -611,16 +610,6 @@ class TestSessionLifetime:
         self._assert_decodes_theta(wf, moved, before)
         load_checkpoint(vmc, path)                   # θ back where it was saved
         self._assert_decodes_theta(wf, self._first_logits(wf.make_session(3)), moved)
-
-    def test_a_session_the_pool_resets(self, wf):
-        pool = SessionPool(wf.amplitude, max_idle=1)
-        session = pool.acquire(3)
-        stale = self._first_logits(session)
-        pool.release(session)
-        wf.set_flat_params(1.5 * wf.get_flat_params())
-        recycled = pool.acquire(3)
-        assert recycled is session and pool.reused == 1
-        self._assert_decodes_theta(wf, self._first_logits(recycled), stale)
 
     def test_stepping_a_copy_leaves_the_original(self):
         """Interleaved, the copy and the original each decode their own

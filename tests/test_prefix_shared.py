@@ -409,7 +409,7 @@ class TestFoilsThroughTheProtocol:
         bits = bits[np.random.default_rng(0).permutation(len(bits))]
         opened = []
         monkeypatch.setattr(wavefunction, "PREFIX_BLOCK", 16)
-        monkeypatch.setattr(wf, "session_factory", lambda b: opened.append(
+        monkeypatch.setattr(wf, "make_session", lambda b: opened.append(
             wf.amplitude.make_session(b)) or opened[-1])
         assert_matches_dense(wf, bits)
         assert len(opened) == len(wavefunction.row_blocks(len(bits), 16))

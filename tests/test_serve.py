@@ -326,48 +326,6 @@ class TestConditionalProbs:
         )
 
 
-class TestSessionPool:
-    def test_sessions_recycled_across_sample_requests(self, service):
-        for seed in range(4):
-            service.sample(300, seed=seed)
-        pool = service.stats()["versions"][0]["pool"]
-        assert pool["reused"] >= 3  # root session recycled between requests
-        assert pool["created"] <= 2
-
-    def test_lease_does_not_capture_other_threads_sessions(self):
-        """A trainer thread sampling on the shared wavefunction while the
-        pool holds a lease must get plain sessions — lease exit would reset
-        pooled ones out from under it."""
-        from repro.serve.pool import SessionPool
-
-        wf = _wf()
-        pool = SessionPool(wf.amplitude)
-        direct = batch_autoregressive_sample(wf, 400, np.random.default_rng(3))
-        with pool.lease(wf):
-            outcome = {}
-
-            def trainer():
-                outcome["batch"] = batch_autoregressive_sample(
-                    wf, 400, np.random.default_rng(3)
-                )
-
-            t = threading.Thread(target=trainer)
-            t.start()
-            t.join()
-        assert pool.stats() == {"created": 0, "reused": 0, "idle": 0}
-        np.testing.assert_array_equal(outcome["batch"].bits, direct.bits)
-
-    def test_pooled_sampling_matches_unpooled(self):
-        wf_direct = _wf()
-        with WavefunctionService(_wf()) as svc:
-            svc.sample(500, seed=1)  # populate the free list
-            served = svc.sample(500, seed=2)  # this one runs on recycled state
-        direct = batch_autoregressive_sample(wf_direct, 500,
-                                             np.random.default_rng(2))
-        np.testing.assert_array_equal(served.bits, direct.bits)
-        np.testing.assert_array_equal(served.weights, direct.weights)
-
-
 class TestLocalEnergy:
     def test_exact_mode_matches_direct(self, service, h2_problem):
         wf_direct = _wf()

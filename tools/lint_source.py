@@ -53,7 +53,7 @@ RULES = (
          "path, one way to grow an amplitude table, one operator on a "
          "determinant basis, one stage-2 payload of this iteration's samples "
          "alone (Local energy, Stage contract, Sessions and the BAS tree, "
-         "Serving layer, Exact references, Codec wire format)"),
+         "Serving, Exact references, Codec wire format)"),
     Rule("one-key-record-view", r"dtype\(\[", (SRC,),
          "packed keys compare through utils/bitstrings.py's key_records alone: "
          "no structured record dtype built anywhere else (Local energy)",
@@ -150,6 +150,14 @@ RULES = (
          "into contiguous row chunks of equal count (within one row; measured "
          "per-rank stage-3 time tracks rows) — no option selects a second path "
          "(Configuration, Communication layer)"),
+    Rule("one-serving-process",
+         r"HashRing|SessionPool|session_factory|serve-worker|routing_key"
+         r"|subprocess|parallel\.rendezvous",
+         ("src/repro/serve", "src/repro/core/wavefunction.py"),
+         "the HTTP front door calls one in-process service: no worker "
+         "processes, no framed hop, no hash ring, and no session pool — a "
+         "session holds its KV cache and its float32 weights for one "
+         "lifetime, so a recycled one keeps nothing a new one lacks (Serving)"),
     Rule("one-npz-writer", r"np\.savez", (SRC,),
          "checkpoints and model snapshots are written by core/checkpoint.py's "
          "write_npz, straight from the arena and the optimizer's moments: no "
