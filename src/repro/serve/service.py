@@ -362,9 +362,11 @@ class WavefunctionService:
         model = self._model(version)
         with use_backend(model.backend):
             if op == "log_amps":
-                return self._run_fused(model.wf.log_amplitudes, payloads)
+                return self._run_fused(model.wf.log_amplitudes, payloads,
+                                       model.wf.n_qubits)
             if op == "amps":
-                return self._run_fused(model.wf.amplitudes, payloads)
+                return self._run_fused(model.wf.amplitudes, payloads,
+                                       model.wf.n_qubits)
             if op == "cond_probs":
                 return [self._run_cond_probs(model, p) for p in payloads]
             if op == "sample":
@@ -374,24 +376,32 @@ class WavefunctionService:
         raise RuntimeError(f"unknown op {op!r}")  # pragma: no cover
 
     @staticmethod
-    def _run_fused(evaluate, payloads: list) -> list:
+    def _run_fused(evaluate, payloads: list, n_qubits: int) -> list:
         """One vectorized forward over the concatenated request rows.
 
         A group that fails as a whole (e.g. one client sent malformed bits,
         breaking the concatenation) falls back to per-request evaluation so
-        a single bad request cannot poison the others fused with it.
+        a single bad request cannot poison the others fused with it.  Rows
+        that are not ``n_qubits`` wide are a ``ValueError`` (a bad request),
+        raised before any forward work.
         """
+        def checked(bits: np.ndarray) -> np.ndarray:
+            if bits.ndim != 2 or bits.shape[1] != n_qubits:
+                raise ValueError(f"bits rows must be {n_qubits} wide, "
+                                 f"got shape {bits.shape}")
+            return evaluate(bits)
+
         if len(payloads) == 1:
-            return [evaluate(payloads[0])]
+            return [checked(payloads[0])]
         try:
             sizes = np.cumsum([len(p) for p in payloads])[:-1]
-            out = evaluate(np.concatenate(payloads, axis=0))
+            out = checked(np.concatenate(payloads, axis=0))
             return np.split(out, sizes)
         except Exception:  # noqa: BLE001 - isolated per request below
             results = []
             for p in payloads:
                 try:
-                    results.append(evaluate(p))
+                    results.append(checked(p))
                 except Exception as exc:  # noqa: BLE001
                     results.append(RequestFailure(exc))
             return results

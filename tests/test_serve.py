@@ -279,6 +279,18 @@ class TestServiceDeterminism:
             with pytest.raises(Exception):
                 f_bad.result(timeout=10)
 
+    @pytest.mark.parametrize("width", [2, 6])
+    @pytest.mark.parametrize("op", ["log_amplitudes", "amplitudes"])
+    def test_rows_of_the_wrong_width_are_a_value_error(self, service, op,
+                                                        width):
+        """A ValueError is what the HTTP front door answers with 400; the
+        service answers the next valid request."""
+        with pytest.raises(ValueError, match="must be 4 wide"):
+            getattr(service, op)(np.ones((3, width), dtype=np.uint8))
+        good = np.array([[1, 1, 0, 0]], dtype=np.uint8)
+        np.testing.assert_array_equal(service.log_amplitudes(good),
+                                      _wf().log_amplitudes(good))
+
     def test_amplitudes_endpoint(self, service):
         bits = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.uint8)
         np.testing.assert_allclose(
@@ -324,6 +336,27 @@ class TestConditionalProbs:
             service.conditional_probs(tokens, cu, cd),
             wf_direct.conditional_probs(tokens, cu, cd),
         )
+
+    def test_cache_drops_the_least_recent_prefix_beyond_max_entries(self):
+        wf_direct = _wf()
+        prefixes = [np.array([[t]], dtype=np.int64) for t in (0, 1, 2)]
+        cfg = ServeConfig(max_wait_ms=1.0, prefix_cache_entries=2)
+        with WavefunctionService(_wf(), config=cfg) as svc:
+            for prefix in prefixes:
+                svc.conditional_probs(prefix, *wf_direct.sector_counts(prefix))
+            cache = svc.stats()["versions"][0]["prefix_cache"]
+            assert (cache["misses"], cache["entries"]) == (3, 2)
+            svc.conditional_probs(prefixes[2],
+                                  *wf_direct.sector_counts(prefixes[2]))
+            # The first prefix was dropped: it is prefilled again, exactly.
+            cu, cd = wf_direct.sector_counts(prefixes[0])
+            np.testing.assert_array_equal(
+                svc.conditional_probs(prefixes[0], cu, cd),
+                wf_direct.conditional_probs(prefixes[0], cu, cd),
+            )
+            cache = svc.stats()["versions"][0]["prefix_cache"]
+        assert cache == {"exact_hits": 1, "step_hits": 0, "misses": 4,
+                         "entries": 2}
 
 
 class TestLocalEnergy:
@@ -496,6 +529,30 @@ class TestRegistry:
             np.testing.assert_array_equal(
                 la_v2, wf_v2.log_amplitudes(bits)
             )
+
+    def test_prefix_sessions_do_not_outlive_their_version(self, tmp_path):
+        """After a refresh, a cached prefix decodes the new parameters; the
+        old version's cache still replays its own."""
+        reg = ModelRegistry(tmp_path / "models")
+        wf_v1 = _wf(seed=7)
+        reg.publish(wf_v1)
+        tokens = np.zeros((2, 0), dtype=np.int64)  # the first token's law
+        cu, cd = wf_v1.sector_counts(tokens)
+        with WavefunctionService(reg) as svc:
+            p1 = svc.conditional_probs(tokens, cu, cd)
+            wf_v2 = _wf(seed=7)
+            wf_v2.set_flat_params(wf_v2.get_flat_params() + 0.1)
+            reg.publish(wf_v2)
+            assert svc.refresh() == 2
+            p2 = svc.conditional_probs(tokens, cu, cd)
+            np.testing.assert_array_equal(
+                svc.conditional_probs(tokens, cu, cd, version=1), p1)
+            caches = {v: s["prefix_cache"]
+                      for v, s in svc.stats()["versions"].items()}
+        np.testing.assert_array_equal(p1, wf_v1.conditional_probs(tokens, cu, cd))
+        np.testing.assert_array_equal(p2, wf_v2.conditional_probs(tokens, cu, cd))
+        assert not np.allclose(p1, p2)
+        assert caches[1]["exact_hits"] == 1 and caches[2]["misses"] == 1
 
     def test_per_version_amplitude_tables_are_isolated(self, tmp_path, h2_problem):
         reg = ModelRegistry(tmp_path / "models")

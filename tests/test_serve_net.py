@@ -31,7 +31,7 @@ import pytest
 
 from repro.api.cli import main as cli_main
 from repro.api.spec import RunSpec, ServeSpec, SpecError
-from repro.serve import net
+from repro.serve import ServiceClosedError, ServiceOverloadedError, net
 from repro.serve.net import NetServer
 
 SMOKE_ARGS = [
@@ -192,6 +192,8 @@ class TestFrontDoor:
                      400, id="missing bits"),
         pytest.param("/v1/log_amplitudes", b'{"bits": [[1, 0, 1, 0], [1, 0]]}',
                      None, 400, id="ragged bits"),
+        pytest.param("/v1/log_amplitudes", b'{"bits": [[1, 0]]}', None, 400,
+                     id="bits of the wrong width"),
         pytest.param("/v1/no_such_op", json.dumps(VALID).encode(), None, 404,
                      id="unknown op"),
         pytest.param("/v1/log_amplitudes", b"",
@@ -208,6 +210,24 @@ class TestFrontDoor:
         assert _post(door.port, "/v1/log_amplitudes", VALID)[0] == 200
         after = _get(door.port, "/v1/stats")[1]["http"]["statuses"]
         assert after.get(str(want), 0) == before.get(str(want), 0) + 1
+
+    @pytest.mark.parametrize("exc,status", [
+        pytest.param(ServiceOverloadedError("queue full"), 429, id="overloaded"),
+        pytest.param(ServiceClosedError("draining"), 503, id="closed"),
+        pytest.param(ValueError("bad bits"), 400, id="ValueError"),
+        pytest.param(KeyError("bits"), 400, id="KeyError"),
+        pytest.param(TypeError("not a list"), 400, id="TypeError"),
+        pytest.param(RuntimeError("boom"), 500, id="anything else"),
+    ])
+    def test_each_failure_maps_to_its_status(self, exc, status):
+        assert net.ERROR_STATUS[net._error_code(exc)] == status
+
+    def test_a_closed_service_answers_503(self, net_run):
+        with _server(net_run) as server:
+            server.service.close()
+            status, resp = _post(server.port, "/v1/log_amplitudes", VALID)
+            assert status == 503 and resp["error"]["code"] == "closed", resp
+            assert _get(server.port, "/v1/healthz")[0] == 200
 
     @pytest.mark.parametrize("op", net.OPS)
     def test_every_op_answers_what_the_service_does(self, door, net_run, op):
