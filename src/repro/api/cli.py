@@ -235,7 +235,8 @@ def _load_run_spec(run_dir: Path, overrides: list[str]) -> RunSpec:
 
 def _cmd_serve_net(args: argparse.Namespace) -> int:
     """The HTTP front door until SIGTERM/SIGINT, then a graceful drain
-    (every accepted request is answered)."""
+    (every accepted request is answered); exits 1 when the drain outlasts
+    ``serve.drain_timeout_s``."""
     import signal
     import threading
 
@@ -260,10 +261,16 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         stop.wait(0.5)
     print("draining...", flush=True)
     stats = server.close()
-    if stats is not None:
-        http = stats.get("http", {})
-        print(f"served {http.get('requests', 0)} requests; "
-              f"stats in {args.run_dir / 'serve_stats.json'}", flush=True)
+    if stats is None:
+        return 0
+    http = stats.get("http", {})
+    print(f"served {http.get('requests', 0)} requests; "
+          f"stats in {args.run_dir / 'serve_stats.json'}", flush=True)
+    if not stats["drained"]:
+        print(f"drain outlasted serve.drain_timeout_s="
+              f"{spec.serve.drain_timeout_s:g}; queued requests got 503",
+              file=sys.stderr, flush=True)
+        return 1
     return 0
 
 

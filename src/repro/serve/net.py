@@ -12,22 +12,25 @@ runs: a stdlib ``ThreadingHTTPServer`` speaking JSON over one
   in-process evaluation).
 * Each handler thread parses its body, submits to the service's
   microbatcher with ``timeout=0.0`` — a full bounded queue rejects at once
-  instead of parking the thread — and waits for its future.  Errors map
-  through :data:`ERROR_STATUS`: overload -> 429, closed -> 503, bad input
-  -> 400; an unknown op is 404 and an oversized body 413.
+  instead of parking the thread — and waits for its future at most
+  ``_REQUEST_TIMEOUT_S``.  Errors map through :data:`ERROR_STATUS`:
+  overload -> 429, closed or timed out -> 503, bad input -> 400; an
+  unknown op is 404 and an oversized body 413.
 * A poller calls ``service.refresh()`` every ``serve.refresh_poll_s`` so a
   snapshot the trainer publishes is served mid-traffic; a request keeps
   the version it resolved at submit time.
 * ``close()`` (wired to SIGTERM/SIGINT by the CLI) stops HTTP intake,
   drains the service (every accepted request is answered) and writes
   ``serve_stats.json`` into the run directory (``python -m repro info``
-  prints it).
+  prints it), all within ``serve.drain_timeout_s``: past it the backlog
+  gets 503 and the stats say ``"drained": false`` (the CLI exits 1).
 """
 from __future__ import annotations
 
 import json
 import threading
 import time
+from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -43,12 +46,16 @@ SERVE_STATS_FILE = "serve_stats.json"
 # Largest accepted HTTP request body (413 above it).
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
+# Longest a handler waits for its answer (503 "timeout" past it).
+_REQUEST_TIMEOUT_S = 120.0
+
 # The backpressure contract on one line per failure mode.  429 means "the
-# service is up but full — retry with backoff"; 503 means "draining or
-# nothing published yet".
+# service is up but full — retry with backoff"; 503 means "draining,
+# nothing published yet, or no answer within _REQUEST_TIMEOUT_S".
 ERROR_STATUS = {
     "overloaded": 429,
     "closed": 503,
+    "timeout": 503,
     "bad-request": 400,
     "internal": 500,
 }
@@ -62,9 +69,22 @@ def _error_code(exc: BaseException) -> str:
         return "overloaded"
     if isinstance(exc, ServiceClosedError):
         return "closed"
+    if isinstance(exc, TimeoutError):
+        return "timeout"
     if isinstance(exc, (ValueError, KeyError, TypeError)):
         return "bad-request"
     return "internal"
+
+
+def _answer(fut: Future):
+    """The future's result within ``_REQUEST_TIMEOUT_S``; a request still
+    queued at the deadline is cancelled, so it never runs."""
+    try:
+        return fut.result(timeout=_REQUEST_TIMEOUT_S)
+    except TimeoutError:
+        fut.cancel()
+        raise TimeoutError(
+            f"no answer within {_REQUEST_TIMEOUT_S:g} s") from None
 
 
 def _json_array(arr: np.ndarray):
@@ -293,21 +313,21 @@ class NetServer:
             submit = (svc.submit_log_amplitudes if op == "log_amplitudes"
                       else svc.submit_amplitudes)
             fut = submit(arrays["bits"], version=version, timeout=0.0)
-            return version, {"value": fut.result()}
+            return version, {"value": _answer(fut)}
         if op == "sample":
             fut = svc.submit_sample(args["n_samples"], args["seed"],
                                     version=version, timeout=0.0)
-            batch = fut.result()
+            batch = _answer(fut)
             return version, {"bits": batch.bits, "weights": batch.weights}
         if op == "conditional_probs":
             fut = svc.submit_conditional_probs(
                 arrays["prefix_tokens"], arrays["counts_up"],
                 arrays["counts_dn"], version=version, timeout=0.0)
-            return version, {"probs": fut.result()}
+            return version, {"probs": _answer(fut)}
         batch = SampleBatch(bits=arrays["bits"], weights=arrays["weights"])
         fut = svc.submit_local_energy(batch, mode=args.get("mode", "exact"),
                                       version=version, timeout=0.0)
-        return version, {"value": fut.result()}
+        return version, {"value": _answer(fut)}
 
     # ---------------------------------------------------------- monitoring
     def track(self, delta: int) -> None:
@@ -336,18 +356,19 @@ class NetServer:
                 return None
             self._closed = True
         self._stop.set()
+        deadline = time.monotonic() + float(self.spec.drain_timeout_s)
         # Stop intake, then answer every request the service accepted (a
         # keep-alive connection's next request gets 503 from here on).
         self._httpd.shutdown()
         self._httpd.server_close()
-        self.service.close(drain=True)
+        drained = self.service.close(
+            drain=True, timeout=max(deadline - time.monotonic(), 0.0))
         # Let the handlers write what the drain answered, so the counters
         # below include it.
-        deadline = time.monotonic() + float(self.spec.drain_timeout_s)
         while self._in_flight and time.monotonic() < deadline:
             time.sleep(0.01)
         stats = self.stats()
-        stats["drained"] = True
+        stats["drained"] = drained and not self._in_flight
         stats["finished_at"] = time.time()
         try:
             (self.run_dir / SERVE_STATS_FILE).write_text(

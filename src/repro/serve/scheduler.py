@@ -139,7 +139,7 @@ class MicroBatcher:
         self._thread.start()
         return self
 
-    def close(self, drain: bool = True) -> None:
+    def close(self, drain: bool = True, timeout: float | None = None) -> bool:
         """Stop accepting requests, then shut the scheduler down.
 
         ``drain=True`` (the graceful path, wired to SIGTERM in the network
@@ -150,27 +150,56 @@ class MicroBatcher:
         emergency path, e.g. the peer we would answer is already gone):
         queued requests are failed with :class:`ServiceClosedError`
         immediately; only the batch already executing finishes.
+
+        ``timeout`` bounds the whole close.  Past it the backlog is failed
+        as with ``drain=False``, the batch already executing finishes on the
+        (daemon) scheduler thread, which then exits, and close() returns
+        False.  Returns True once the scheduler thread has exited.
         """
         self._closing = True
-        if self._thread is not None:
+        thread = self._thread
+        if thread is not None:
+            deadline = None if timeout is None else time.monotonic() + timeout
+
+            def left() -> float | None:
+                return (None if deadline is None
+                        else max(deadline - time.monotonic(), 0.0))
+
             if not drain:
                 self._fail_queued()  # empty the backlog before the marker
-            self._queue.put(_SHUTDOWN)  # blocks while full; the loop drains
-            self._thread.join()
+            try:
+                self._queue.put(_SHUTDOWN, timeout=left())  # the loop drains
+            except queue.Full:
+                pass  # budget spent behind a full queue; failed below
+            thread.join(left())
             self._thread = None
+            if thread.is_alive():
+                self._fail_queued()
+                try:
+                    self._queue.put_nowait(_SHUTDOWN)
+                except queue.Full:  # pragma: no cover - a submit raced in
+                    pass
+                return False
         self._fail_queued()
+        return True
 
     def _fail_queued(self) -> None:
-        """Deliver ServiceClosedError to any request still in the dead queue."""
+        """Deliver ServiceClosedError to any request still in the dead queue
+        (a shutdown marker found on the way is put back for the loop)."""
+        marker = False
         while True:
             try:
                 req = self._queue.get_nowait()
             except queue.Empty:
                 break
-            if not req.future.done():
+            if req is _SHUTDOWN:
+                marker = True
+            elif not req.future.done():
                 req.future.set_exception(
                     ServiceClosedError("batcher is closed")
                 )
+        if marker:
+            self._queue.put_nowait(_SHUTDOWN)
 
     # -------------------------------------------------------------- submit
     def submit(self, key: tuple, payload, n_rows: int = 1,

@@ -88,6 +88,22 @@ def _prefix_key(tokens: np.ndarray) -> tuple:
     return (tokens.shape, tokens.tobytes())
 
 
+def _check_bits(bits: np.ndarray, n_qubits: int) -> None:
+    """A client's ``(B, n_qubits)`` 0/1 rows; anything else is a bad
+    request."""
+    if bits.ndim != 2 or bits.shape[1] != n_qubits:
+        raise ValueError(f"bits rows must be {n_qubits} wide, "
+                         f"got shape {bits.shape}")
+    if bits.size and bits.max() > 1:
+        raise ValueError("bits must be 0 or 1")
+
+
+def _check_per_row(name: str, arr: np.ndarray, n_rows: int) -> None:
+    if arr.shape != (n_rows,):
+        raise ValueError(f"{name} must hold one entry per row ({n_rows}), "
+                         f"got shape {arr.shape}")
+
+
 class PrefixSessionCache:
     """LRU of live decoding sessions keyed by their consumed ``(batch, k)``
     prefix, for clients that drive their own autoregressive loop through
@@ -226,10 +242,11 @@ class WavefunctionService:
         self._batcher.start()
         return self
 
-    def close(self, drain: bool = True) -> None:
+    def close(self, drain: bool = True, timeout: float | None = None) -> bool:
         """Shut the service down; with ``drain`` (default) every accepted
-        request is answered first — see :meth:`MicroBatcher.close`."""
-        self._batcher.close(drain=drain)
+        request is answered first, within ``timeout`` seconds if given —
+        see :meth:`MicroBatcher.close`.  False when the budget ran out."""
+        return self._batcher.close(drain=drain, timeout=timeout)
 
     def __enter__(self) -> "WavefunctionService":
         return self.start()
@@ -382,13 +399,11 @@ class WavefunctionService:
         A group that fails as a whole (e.g. one client sent malformed bits,
         breaking the concatenation) falls back to per-request evaluation so
         a single bad request cannot poison the others fused with it.  Rows
-        that are not ``n_qubits`` wide are a ``ValueError`` (a bad request),
-        raised before any forward work.
+        that are not ``n_qubits`` wide or hold a value other than 0/1 are a
+        ``ValueError`` (a bad request), raised before any forward work.
         """
         def checked(bits: np.ndarray) -> np.ndarray:
-            if bits.ndim != 2 or bits.shape[1] != n_qubits:
-                raise ValueError(f"bits rows must be {n_qubits} wide, "
-                                 f"got shape {bits.shape}")
+            _check_bits(bits, n_qubits)
             return evaluate(bits)
 
         if len(payloads) == 1:
@@ -408,6 +423,13 @@ class WavefunctionService:
 
     def _run_cond_probs(self, model: _LoadedModel, payload) -> np.ndarray:
         prefix, counts_up, counts_dn = payload
+        vocab = model.wf.vocab_size
+        if prefix.ndim != 2 or (prefix.size and not
+                                0 <= prefix.min() <= prefix.max() < vocab):
+            raise ValueError(f"prefix_tokens must be (B, k) tokens in "
+                             f"[0, {vocab}), got shape {prefix.shape}")
+        _check_per_row("counts_up", counts_up, len(prefix))
+        _check_per_row("counts_dn", counts_dn, len(prefix))
         logits = model.prefix_cache.next_logits(prefix)
         return model.wf.probs_from_logits(
             logits, counts_up, counts_dn, prefix.shape[1]
@@ -420,6 +442,8 @@ class WavefunctionService:
 
     def _run_local_energy(self, model: _LoadedModel, payload) -> np.ndarray:
         batch, mode = payload
+        _check_bits(batch.bits, model.wf.n_qubits)
+        _check_per_row("weights", batch.weights, len(batch.bits))
         if model.eloc_plan is None:
             model.eloc_plan = ElocPlan(self.comp)
         table = self._table_with_samples(model, batch)

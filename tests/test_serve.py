@@ -165,9 +165,42 @@ class TestMicroBatcher:
         assert not closer.is_alive()
         assert blocker.result(timeout=5) == 0
 
+    def test_close_with_a_timeout_returns_at_the_budget(self):
+        """A drain that outlasts its budget: close() returns False on time,
+        the backlog fails with ServiceClosedError, and the batch already
+        executing still finishes, after which the scheduler thread exits."""
+        picked_up = threading.Event()
+        release = threading.Event()
+
+        def runner(key, payloads):
+            picked_up.set()
+            release.wait(timeout=10)
+            return list(payloads)
+
+        mb = MicroBatcher(runner, max_wait_ms=0.0, queue_capacity=1).start()
+        thread = mb._thread
+        blocker = mb.submit(("k",), 0)
+        assert picked_up.wait(timeout=5)
+        queued = mb.submit(("k",), 1)  # fills the queue: no room to drain
+        t0 = time.monotonic()
+        assert mb.close(timeout=0.3) is False
+        assert time.monotonic() - t0 < 2.0
+        with pytest.raises(ServiceClosedError):
+            queued.result(timeout=0)
+        release.set()
+        assert blocker.result(timeout=5) == 0
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_close_within_its_timeout_returns_true(self):
+        mb = MicroBatcher(lambda k, p: list(p), max_wait_ms=0.0).start()
+        futures = [mb.submit(("k",), i) for i in range(5)]
+        assert mb.close(timeout=10) is True
+        assert [f.result(timeout=0) for f in futures] == list(range(5))
+
     def test_submit_timeout_zero_rejects_immediately(self):
-        """timeout=0.0 is the network worker's shape: a full queue rejects
-        without blocking the caller (the socket-reader thread)."""
+        """timeout=0.0 is the HTTP front door's shape: a full queue rejects
+        without blocking the caller (a handler thread)."""
         picked_up = threading.Event()
         release = threading.Event()
 
@@ -279,17 +312,41 @@ class TestServiceDeterminism:
             with pytest.raises(Exception):
                 f_bad.result(timeout=10)
 
-    @pytest.mark.parametrize("width", [2, 6])
+    @pytest.mark.parametrize("bits,match", [
+        pytest.param(np.ones((3, 2)), "must be 4 wide", id="width 2"),
+        pytest.param(np.ones((3, 6)), "must be 4 wide", id="width 6"),
+        pytest.param([[1, 2, 0, 0]], "0 or 1", id="a bit of 2"),
+    ])
     @pytest.mark.parametrize("op", ["log_amplitudes", "amplitudes"])
-    def test_rows_of_the_wrong_width_are_a_value_error(self, service, op,
-                                                        width):
+    def test_malformed_bits_are_a_value_error(self, service, op, bits,
+                                              match):
         """A ValueError is what the HTTP front door answers with 400; the
         service answers the next valid request."""
-        with pytest.raises(ValueError, match="must be 4 wide"):
-            getattr(service, op)(np.ones((3, width), dtype=np.uint8))
+        with pytest.raises(ValueError, match=match):
+            getattr(service, op)(np.asarray(bits, dtype=np.uint8))
         good = np.array([[1, 1, 0, 0]], dtype=np.uint8)
         np.testing.assert_array_equal(service.log_amplitudes(good),
                                       _wf().log_amplitudes(good))
+
+    @pytest.mark.parametrize("bits,weights,match", [
+        pytest.param([[1, 0]], [1], "must be 4 wide", id="narrow bits"),
+        pytest.param([[1, 1, 0, 0, 1, 0]], [1], "must be 4 wide",
+                     id="wide bits"),
+        pytest.param([[1, 1, 0, 0], [1, 0, 0, 1]], [1],
+                     "one entry per row", id="short weights"),
+        pytest.param([[1, 2, 0, 0]], [1], "0 or 1", id="bit value 2"),
+    ])
+    def test_a_malformed_local_energy_batch_is_a_value_error(
+            self, service, bits, weights, match):
+        from repro.core.sampler import SampleBatch
+
+        batch = SampleBatch(bits=np.array(bits, dtype=np.uint8),
+                            weights=np.array(weights))
+        with pytest.raises(ValueError, match=match):
+            service.local_energy(batch)
+        good = SampleBatch(bits=np.array([[1, 1, 0, 0]], dtype=np.uint8),
+                           weights=np.array([1]))
+        assert service.local_energy(good).shape == (1,)
 
     def test_amplitudes_endpoint(self, service):
         bits = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.uint8)
@@ -318,6 +375,21 @@ class TestConditionalProbs:
         stats = service.stats()["versions"][0]["prefix_cache"]
         assert stats["step_hits"] == wf_direct.n_tokens - 1
         assert stats["misses"] == 1
+
+    @pytest.mark.parametrize("prefix,counts,match", [
+        pytest.param([[4]], [0], "tokens in", id="token past the vocab"),
+        pytest.param([[-1]], [0], "tokens in", id="negative token"),
+        pytest.param([[[1]]], [0], "tokens in", id="3-d prefix"),
+        pytest.param([[1], [2]], [0], "one entry per row", id="short counts"),
+    ])
+    def test_a_malformed_prefix_is_a_value_error(self, service, prefix,
+                                                 counts, match):
+        counts = np.array(counts)
+        with pytest.raises(ValueError, match=match):
+            service.conditional_probs(np.array(prefix), counts, counts)
+        prefix = np.array([[1]])
+        cu, cd = _wf().sector_counts(prefix)
+        assert service.conditional_probs(prefix, cu, cd).shape == (1, 4)
 
     def test_exact_replay_returns_identical_probs(self, service):
         wf_direct = _wf()

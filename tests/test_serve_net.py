@@ -18,6 +18,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -194,6 +195,13 @@ class TestFrontDoor:
                      None, 400, id="ragged bits"),
         pytest.param("/v1/log_amplitudes", b'{"bits": [[1, 0]]}', None, 400,
                      id="bits of the wrong width"),
+        pytest.param("/v1/local_energy",
+                     b'{"bits": [[1, 0]], "weights": [1]}', None, 400,
+                     id="local_energy bits of the wrong width"),
+        pytest.param("/v1/conditional_probs",
+                     b'{"prefix_tokens": [[9]], "counts_up": [0], '
+                     b'"counts_dn": [0]}', None, 400,
+                     id="prefix token past the vocab"),
         pytest.param("/v1/no_such_op", json.dumps(VALID).encode(), None, 404,
                      id="unknown op"),
         pytest.param("/v1/log_amplitudes", b"",
@@ -214,6 +222,7 @@ class TestFrontDoor:
     @pytest.mark.parametrize("exc,status", [
         pytest.param(ServiceOverloadedError("queue full"), 429, id="overloaded"),
         pytest.param(ServiceClosedError("draining"), 503, id="closed"),
+        pytest.param(TimeoutError("no answer"), 503, id="timeout"),
         pytest.param(ValueError("bad bits"), 400, id="ValueError"),
         pytest.param(KeyError("bits"), 400, id="KeyError"),
         pytest.param(TypeError("not a list"), 400, id="TypeError"),
@@ -228,6 +237,57 @@ class TestFrontDoor:
             status, resp = _post(server.port, "/v1/log_amplitudes", VALID)
             assert status == 503 and resp["error"]["code"] == "closed", resp
             assert _get(server.port, "/v1/healthz")[0] == 200
+
+    @staticmethod
+    def _stall(server) -> tuple[threading.Event, threading.Event]:
+        """Hold every batch the service runs until ``release`` is set."""
+        picked_up, release = threading.Event(), threading.Event()
+        run = server.service._batcher._runner
+
+        def stalled(key, payloads):
+            picked_up.set()
+            release.wait(timeout=30)
+            return run(key, payloads)
+
+        server.service._batcher._runner = stalled
+        return picked_up, release
+
+    def test_a_request_past_the_timeout_gets_503(self, net_run, monkeypatch):
+        monkeypatch.setattr(net, "_REQUEST_TIMEOUT_S", 0.3)
+        with _server(net_run) as server:
+            _, release = self._stall(server)
+            try:
+                status, resp = _post(server.port, "/v1/log_amplitudes",
+                                     VALID)
+            finally:
+                release.set()
+            assert status == 503 and resp["error"]["code"] == "timeout", resp
+
+    def test_close_returns_within_the_drain_budget(self, net_run):
+        """A drain stuck behind a slow batch: close() returns on time with
+        ``drained`` false, and the queued request gets 503."""
+        server = NetServer(net_run, serve_spec=ServeSpec(
+            max_wait_ms=0.0, max_batch_size=1, drain_timeout_s=0.5)).start()
+        picked_up, release = self._stall(server)
+        with ThreadPoolExecutor(2) as pool:
+            running = pool.submit(_post, server.port, "/v1/log_amplitudes",
+                                  VALID)
+            assert picked_up.wait(timeout=10)
+            queued = pool.submit(_post, server.port, "/v1/log_amplitudes",
+                                 VALID)
+            deadline = time.monotonic() + 10
+            while server.service.stats()["batcher"]["requests"] < 1 or \
+                    server._in_flight < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            t0 = time.monotonic()
+            stats = server.close()
+            elapsed = time.monotonic() - t0
+            release.set()
+            assert queued.result(timeout=10)[0] == 503
+            assert running.result(timeout=10)[0] == 200
+        assert elapsed < 2.0, elapsed
+        assert stats["drained"] is False
 
     @pytest.mark.parametrize("op", net.OPS)
     def test_every_op_answers_what_the_service_does(self, door, net_run, op):
