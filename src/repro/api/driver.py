@@ -17,7 +17,8 @@ it:
          spec.json        the exact spec (reloaded by resume/serve)
          metrics.jsonl    one JSON record per iteration (+ pretrain event)
          checkpoint.npz   bit-identical resume state
-         report.json      TrainReport.to_dict() of the last train() call
+         report.json      TrainReport.to_dict() of the last train() call,
+                          plus its backend and screened-Hamiltonian sections
          models/          ModelRegistry of published snapshots
 
 4. auto-publishes the final snapshot (and, with ``output.publish_every``,
@@ -212,11 +213,17 @@ def _prepare_run_dir(spec: RunSpec, run_dir: str | Path | None) -> Path:
     return target
 
 
-def _write_report(run_dir: Path, report: TrainReport,
-                  backend_info: dict | None = None) -> None:
-    payload = report.to_dict()
-    if backend_info is not None:
-        payload["backend"] = backend_info
+def _hamiltonian_report(problem: MolecularProblem) -> dict:
+    """The report.json ``hamiltonian`` section: the Pauli terms the run
+    trained on, and the count and summed |c| of those ``build_problem``
+    screened away (a bound on how far any energy moved)."""
+    ham = problem.hamiltonian
+    return {"n_terms": ham.n_terms, "screened_terms": ham.screened_terms,
+            "screened_weight_ha": ham.screened_weight}
+
+
+def _write_report(run_dir: Path, report: TrainReport, **sections: dict) -> None:
+    payload = {**report.to_dict(), **sections}
     with atomic_write(run_dir / REPORT_FILE) as f:
         f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -254,14 +261,15 @@ def _publish_final(spec: RunSpec, run_dir: Path, wf,
 
 
 # ----------------------------------------------------------------- execution
-def _build_trainer(spec: RunSpec, run_dir: Path) -> Trainer:
-    """Materialize every component of ``spec`` and wire the one training loop.
+def _build_trainer(spec: RunSpec, run_dir: Path,
+                   problem: MolecularProblem) -> Trainer:
+    """Materialize every other component of ``spec`` and wire the one
+    training loop.
 
     Touches nothing on disk: ``spec.json`` is persisted only after this has
     returned, so a failed materialization (unknown backend name, refused
     combination) leaves a fresh directory reusable and a run resumable.
     """
-    problem = materialize_problem(spec.problem)
     wf = materialize_ansatz(spec.ansatz, problem)
     backend = materialize_backend(spec)
     s, o = spec.sampling, spec.optimizer
@@ -302,7 +310,8 @@ def _build_trainer(spec: RunSpec, run_dir: Path) -> Trainer:
 def _execute(spec: RunSpec, run_dir: Path,
              checkpoint: Path | None = None) -> RunResult:
     """Build the loop, persist the spec, [restore,] train, report, publish."""
-    trainer = _build_trainer(spec, run_dir)
+    problem = materialize_problem(spec.problem)
+    trainer = _build_trainer(spec, run_dir, problem)
     spec.save(run_dir / SPEC_FILE)  # resume: with its overrides, if any
     try:
         if checkpoint is not None:
@@ -315,7 +324,9 @@ def _execute(spec: RunSpec, run_dir: Path,
         # rendezvous membership) release them even when training raises, so
         # a poisoned run neither hangs its peers nor leaks sockets.
         trainer.vmc.backend.close()
-    _write_report(run_dir, report, _backend_report(spec, trainer.vmc.history))
+    _write_report(run_dir, report,
+                  backend=_backend_report(spec, trainer.vmc.history),
+                  hamiltonian=_hamiltonian_report(problem))
     if report.iterations > start_iteration:
         version = _publish_final(spec, run_dir, trainer.wf, report)
     else:

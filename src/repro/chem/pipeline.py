@@ -45,8 +45,15 @@ class MolecularProblem:
 # Bump when upstream numerics change in ways that alter cached artifacts
 # (v2: multi-guess SCF — N2/O2/C2-class molecules previously cached an
 # excited Roothaan solution's MO basis; v3: numpy Boys kernel, MO phases
-# fixed by ``run_rhf``'s convention instead of LAPACK's).
-_CACHE_VERSION = 3
+# fixed by ``run_rhf``'s convention instead of LAPACK's; v4: screened).
+_CACHE_VERSION = 4
+
+# The summed |c| of the Pauli terms every built Hamiltonian may drop
+# (``QubitHamiltonian.screen``): 1/160 of chemical accuracy, so no energy of
+# any state moves by more.  What it drops is SCF noise — C2/STO-3G's 4 756
+# terms under it sum to 9.98e-6 Ha and keep 856 of its 1 576 XY groups
+# alive (DESIGN.md "Hamiltonian screening").
+SCREEN_BOUND_HA = 1e-5
 
 
 @disk_cache
@@ -57,7 +64,7 @@ def _cached_hamiltonian(name: str, basis: str, geom_kwargs: tuple,
     scf = run_rhf(ints)
     mo = mo_transform(ints, scf, n_frozen=n_frozen, n_active=n_active)
     so = to_spin_orbitals(mo)
-    ham = jordan_wigner(so).prune()
+    ham = jordan_wigner(so).screen(SCREEN_BOUND_HA)
     return ham, scf.energy
 
 

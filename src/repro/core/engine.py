@@ -655,9 +655,31 @@ def _exchange_header(comm, header) -> host_np.ndarray:
     return out
 
 
-def _state_arrays(engine) -> list:
-    """Theta and the optimizer state: what every rank holds bit for bit."""
-    return [engine.wf.arena().theta, *engine.optimizer.state_views().values()]
+class _StateMark:
+    """What rank 0 held after its last update, to tell whether theta or the
+    optimizer state moved outside ``stage_update`` since.
+
+    Theta is compared by value against one buffer, refreshed in place.  The
+    moments are compared by identity: AdamW updates them in place only inside
+    ``stage_update``, and a restore (``load_state``) replaces the arrays.
+    ``opt_t`` and ``sched_i`` are compared by value.
+    """
+
+    def __init__(self, engine):
+        self.theta = host_np.empty_like(engine.wf.arena().theta)
+        self.mark(engine)
+
+    def mark(self, engine) -> None:
+        host_np.copyto(self.theta, engine.wf.arena().theta)
+        # the moments themselves, not their ids: a freed id can be reused
+        self.state = engine.optimizer.state_views()
+
+    def moved(self, engine) -> bool:
+        now, then = engine.optimizer.state_views(), self.state
+        return not (now.keys() == then.keys()
+                    and all(now[k] is then[k] if k in ("opt_m", "opt_v")
+                            else now[k] == then[k] for k in now)
+                    and host_np.array_equal(engine.wf.arena().theta, self.theta))
 
 
 def _broadcast_state(engine, comm) -> None:
@@ -774,12 +796,10 @@ class SPMDBackend(ExecutionBackend):
         if self._comm is None:
             self._comm, stop = self._launch(engine)
             self._stop = weakref.finalize(self, stop)
-            self._synced = [a.copy() for a in _state_arrays(engine)]
+            self._synced = _StateMark(engine)
         comm, multi = self._comm, self._comm.Get_size() > 1
         try:
-            now = _state_arrays(engine)
-            moved = multi and not (len(now) == len(self._synced) and all(
-                map(host_np.array_equal, now, self._synced)))
+            moved = multi and self._synced.moved(engine)
             header = _exchange_header(
                 comm, (1, engine.iteration, engine._n_samples(), moved))
             results, pair, self.last_comm_stats = _spmd_iteration(
@@ -790,7 +810,7 @@ class SPMDBackend(ExecutionBackend):
             self._shut_down()
             raise
         if multi:
-            self._synced = [a.copy() for a in _state_arrays(engine)]
+            self._synced.mark(engine)
         return results, pair
 
     def close(self) -> None:

@@ -435,12 +435,13 @@ class ElocPlan:
     finds, and the accumulation order is unchanged.
 
     Memory: the pattern table holds 256 B per reduced term — 0.24 MiB on
-    N2 (971 reduced terms), 0.71 MiB on C2 (2 909), 1.14 MiB on Li2O
-    (4 658) and 1.72 MiB on LiCl (7 057), against 16 B per term for a
-    table of ``±c_t``.  The slot map holds 4-byte slots, ``SLOTS_PER_KEY``
-    to twice that per table entry — 128-256 B per entry; a 14.8k-entry
-    table takes 2 MiB.  One map lives per plan and thread, for the table it
-    last saw; serving's worst case is
+    N2 (971 reduced terms), 0.34 MiB on C2 (1 409), 1.03 MiB on Li2O
+    (4 214) and 1.71 MiB on LiCl (7 023), ``build_problem``'s screened
+    Hamiltonians — against 16 B per term for a table of ``±c_t``.  The
+    slot map holds 4-byte slots, ``SLOTS_PER_KEY`` to twice that per table
+    entry — 128-256 B per entry; a 14.8k-entry table takes 2 MiB.  One map
+    lives per plan and thread, for the table it last saw; serving's worst
+    case is
     ``table_max_entries`` x ``max_loaded_versions`` = 500 000 x 4 entries at
     the defaults, 64 MiB per version, 256 MiB per thread that serves local
     energies.  The hash workspace holds 8 B per key of the largest lookup —

@@ -26,6 +26,8 @@ class QubitHamiltonian:
     coeffs: np.ndarray        # (K,) float64 — letter-basis coefficients
     constant: float = 0.0     # identity coefficient (incl. nuclear repulsion)
     n_electrons: int | None = None
+    screened_terms: int = 0       # terms ``screen`` dropped, and ...
+    screened_weight: float = 0.0  # ... their summed |c|: a bound on ||H_raw - H||
 
     def __post_init__(self):
         self.x_masks = np.atleast_2d(np.asarray(self.x_masks, dtype=np.uint64))
@@ -70,8 +72,24 @@ class QubitHamiltonian:
         """Fig. 6(a): one byte per Pauli letter + an 8-byte coefficient."""
         return self.n_terms * (self.n_qubits + 8)
 
-    def prune(self, tol: float = 1e-12) -> "QubitHamiltonian":
-        keep = np.abs(self.coeffs) > tol
+    def screen(self, bound: float) -> "QubitHamiltonian":
+        """This Hamiltonian without its smallest-|c| terms, dropped for as long
+        as their summed |c| stays <= ``bound``; the kept terms keep their order.
+
+        Every Pauli string has operator norm 1, so the dropped part moves no
+        energy, of any state, by more than the summed |c| it carried: the
+        result records that sum in ``screened_weight`` (and the count in
+        ``screened_terms``), added to what earlier screens dropped, and a
+        second screen spends only what is left of ``bound`` — screening is
+        idempotent and the bound holds against the unscreened operator.
+        ``screen(0)`` drops exactly the zero coefficients.
+        """
+        mags = np.abs(self.coeffs)
+        order = np.argsort(mags, kind="stable")
+        spent = self.screened_weight + np.cumsum(mags[order])
+        n_drop = int(np.searchsorted(spent, bound, side="right"))
+        keep = np.ones(self.n_terms, dtype=bool)
+        keep[order[:n_drop]] = False
         return QubitHamiltonian(
             n_qubits=self.n_qubits,
             x_masks=self.x_masks[keep],
@@ -79,4 +97,6 @@ class QubitHamiltonian:
             coeffs=self.coeffs[keep],
             constant=self.constant,
             n_electrons=self.n_electrons,
+            screened_terms=self.screened_terms + n_drop,
+            screened_weight=float(spent[n_drop - 1]) if n_drop else self.screened_weight,
         )

@@ -499,6 +499,9 @@ class TestArtifacts:
         # transfer counters — numpy is not instrumented).
         backend = on_disk.pop("backend")
         assert backend == {"name": "numpy"}
+        # ... and the Hamiltonian's: H2 keeps all 14 terms under the screen.
+        assert on_disk.pop("hamiltonian") == {
+            "n_terms": 14, "screened_terms": 0, "screened_weight_ha": 0.0}
         assert on_disk == completed.report.to_dict()
         assert on_disk["iterations"] == 4
 
@@ -667,7 +670,7 @@ class TestEveryLeafLands:
     spec and that object fails here."""
 
     def test_every_run_shaping_leaf_reaches_its_owner(self, tmp_path):
-        from repro.api.driver import _build_trainer
+        from repro.api.driver import _build_trainer, materialize_problem
 
         spec = RunSpec().with_overrides({
             "ansatz.d_model": 8, "ansatz.n_heads": 2, "ansatz.n_layers": 1,
@@ -689,7 +692,7 @@ class TestEveryLeafLands:
             "train.early_stop": False,
             "output.checkpoint_every": 2, "output.log_every": 1,
         })
-        trainer = _build_trainer(spec, tmp_path)
+        trainer = _build_trainer(spec, tmp_path, materialize_problem(spec.problem))
         vmc = trainer.vmc
 
         opt = vmc.optimizer

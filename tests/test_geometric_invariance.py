@@ -79,6 +79,7 @@ class TestRotationInvariance:
     def test_combined_rotation_translation_fci(self, h2_problem):
         """End-to-end through Jordan-Wigner + FCI for a moved frame."""
         from repro.chem import mo_transform, run_fci, to_spin_orbitals
+        from repro.chem.pipeline import SCREEN_BOUND_HA
         from repro.hamiltonian import jordan_wigner
 
         mol = make_molecule("H2", r=0.7414)
@@ -87,7 +88,7 @@ class TestRotationInvariance:
         ints = compute_integrals(moved, "sto-3g")
         scf = run_rhf(ints)
         so = to_spin_orbitals(mo_transform(ints, scf))
-        ham = jordan_wigner(so).prune()
+        ham = jordan_wigner(so).screen(SCREEN_BOUND_HA)
         e_moved = run_fci(ham, n_up=1, n_dn=1).energy
         e_ref = run_fci(h2_problem.hamiltonian).energy
         assert e_moved == pytest.approx(e_ref, abs=1e-9)

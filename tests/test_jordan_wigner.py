@@ -5,6 +5,7 @@ import pytest
 from repro.chem import build_problem, make_molecule, compute_integrals, run_rhf
 from repro.chem.mo_integrals import mo_transform, to_spin_orbitals
 from repro.hamiltonian import (
+    QubitHamiltonian,
     jordan_wigner,
     ladder_terms,
     strings_to_matrix,
@@ -289,7 +290,11 @@ PARENT_E_HF = {
 PARENT_E_FCI = {
     "H2": -1.1372700988410724, "LiH": -7.882403025366379, "H2O": -75.01258522421621,
 }
+# (terms, XY groups) of the raw ``jordan_wigner`` output, and of what
+# ``build_problem`` hands out after ``SCREEN_BOUND_HA`` screening: C2's SCF
+# noise (4 756 terms, summed |c| 9.98e-6 Ha) keeps 856 groups alive.
 PARENT_TERMS_GROUPS = {"N2": (2950, 534), "C2": (8926, 1576)}
+SCREENED_TERMS_GROUPS = {"N2": (2950, 534), "C2": (4170, 720)}
 # H2 / STO-3G at r = 0.7414: the parent's 14 terms, in its order.  (The H2
 # Hamiltonian does not depend on the MO phases: integrals with an odd number
 # of sigma_u orbitals vanish by symmetry.)
@@ -304,8 +309,18 @@ PARENT_H2_COEFFS = [float.fromhex(c) for c in (
 PARENT_H2_CONSTANT = float.fromhex("-0x1.94f29edaef480p-4")
 
 
+def _geometry(name):
+    return {"r": 0.7414} if name == "H2" else {}
+
+
 def _problem(name):
-    return build_problem(name, "sto-3g", **({"r": 0.7414} if name == "H2" else {}))
+    return build_problem(name, "sto-3g", **_geometry(name))
+
+
+def _raw_hamiltonian(name):
+    """``build_problem``'s steps without the screen."""
+    ints = compute_integrals(make_molecule(name, **_geometry(name)), "sto-3g")
+    return jordan_wigner(to_spin_orbitals(mo_transform(ints, run_rhf(ints))))
 
 
 class TestPhysicsInvariants:
@@ -324,8 +339,9 @@ class TestPhysicsInvariants:
     def test_term_and_group_counts(self, name):
         from repro.hamiltonian import compress_hamiltonian
 
-        ham = _problem(name).hamiltonian
-        assert (ham.n_terms, compress_hamiltonian(ham).n_groups) == PARENT_TERMS_GROUPS[name]
+        for ham, want in ((_raw_hamiltonian(name), PARENT_TERMS_GROUPS),
+                          (_problem(name).hamiltonian, SCREENED_TERMS_GROUPS)):
+            assert (ham.n_terms, compress_hamiltonian(ham).n_groups) == want[name]
 
     def test_h2_hamiltonian_is_the_parents(self, h2_problem):
         ham = h2_problem.hamiltonian
@@ -333,3 +349,83 @@ class TestPhysicsInvariants:
         np.testing.assert_array_equal(ham.z_masks.ravel(), PARENT_H2_Z)
         np.testing.assert_allclose(ham.coeffs, PARENT_H2_COEFFS, rtol=0.0, atol=1e-12)
         assert ham.constant == pytest.approx(PARENT_H2_CONSTANT, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Screening: ``QubitHamiltonian.screen`` and what ``build_problem`` drops
+# ---------------------------------------------------------------------------
+def _planted() -> QubitHamiltonian:
+    """Four real terms with tiny (and one zero) terms planted between them."""
+    coeffs = [0.5, 2e-6, -0.3, 0.0, -3e-6, 0.1, 4e-6, 1e-6, -0.2]
+    k = np.arange(1, len(coeffs) + 1, dtype=np.uint64)
+    return QubitHamiltonian(n_qubits=4, x_masks=(k & np.uint64(3))[:, None],
+                            z_masks=(k >> np.uint64(2))[:, None],
+                            coeffs=coeffs, constant=-1.25, n_electrons=2)
+
+
+class TestScreen:
+    def test_drops_the_smallest_terms_while_their_sum_fits(self):
+        ham = _planted()
+        kept = ham.screen(7e-6)
+        # 0 + 1e-6 + 2e-6 + 3e-6 = 6e-6 fits; adding 4e-6 would not, so the
+        # 4e-6 term stays although it alone is under the bound.
+        keep = [0, 2, 5, 6, 8]
+        np.testing.assert_array_equal(kept.coeffs, ham.coeffs[keep])
+        np.testing.assert_array_equal(kept.x_masks, ham.x_masks[keep])
+        np.testing.assert_array_equal(kept.z_masks, ham.z_masks[keep])
+        assert (kept.constant, kept.n_electrons) == (ham.constant, ham.n_electrons)
+        assert kept.screened_terms == 4
+        assert kept.screened_weight == pytest.approx(6e-6, rel=1e-12)
+
+    def test_is_idempotent_and_spends_one_bound(self):
+        ham = _planted()
+        once = ham.screen(7e-6)
+        for again in (once.screen(7e-6), ham.screen(3e-6).screen(7e-6)):
+            np.testing.assert_array_equal(again.coeffs, once.coeffs)
+            assert (again.screened_terms, again.screened_weight) == \
+                (once.screened_terms, once.screened_weight)
+
+    def test_a_zero_bound_drops_only_zeros(self):
+        ham = _planted()
+        kept = ham.screen(0.0)
+        np.testing.assert_array_equal(kept.coeffs, ham.coeffs[ham.coeffs != 0])
+        assert (kept.screened_terms, kept.screened_weight) == (1, 0.0)
+
+    def test_the_bound_holds_on_every_state(self):
+        ham = _planted()
+        kept = ham.screen(7e-6)
+        gap = np.linalg.norm(
+            strings_to_matrix(ham.to_terms()) - strings_to_matrix(kept.to_terms()), 2)
+        assert gap <= kept.screened_weight * (1 + 1e-12)
+
+    @pytest.mark.parametrize("name", ["H2", "LiH", "H2O", "N2"])
+    def test_build_problem_keeps_every_term_where_none_is_noise(self, name):
+        raw, ham = _raw_hamiltonian(name), _problem(name).hamiltonian
+        np.testing.assert_array_equal(ham.x_masks, raw.x_masks)
+        np.testing.assert_array_equal(ham.z_masks, raw.z_masks)
+        np.testing.assert_array_equal(ham.coeffs, raw.coeffs)
+        assert ham.constant == raw.constant
+        assert (ham.screened_terms, ham.screened_weight) == (0, 0.0)
+
+    def test_c2_drops_its_scf_noise_under_the_bound(self):
+        from repro.chem.pipeline import SCREEN_BOUND_HA
+
+        raw, ham = _raw_hamiltonian("C2"), _problem("C2").hamiltonian
+        keys = lambda h: [r.tobytes() for r in np.hstack([h.x_masks, h.z_masks])]
+        index = {key: i for i, key in enumerate(keys(raw))}
+        at = np.array([index[key] for key in keys(ham)])
+        assert (np.diff(at) > 0).all()                          # order kept
+        np.testing.assert_array_equal(ham.coeffs, raw.coeffs[at])
+        dropped = np.abs(np.delete(raw.coeffs, at))
+        assert ham.screened_terms == len(dropped) == 4756
+        assert ham.screened_weight == pytest.approx(dropped.sum(), rel=1e-9)
+        assert ham.screened_weight <= SCREEN_BOUND_HA
+        assert dropped.max() < np.abs(ham.coeffs).min()
+
+    @pytest.mark.slow
+    def test_c2_fci_energy_moves_under_a_nanohartree(self):
+        from repro.chem import run_fci
+
+        e_raw = run_fci(_raw_hamiltonian("C2")).energy
+        e_screened = run_fci(_problem("C2").hamiltonian).energy
+        assert abs(e_screened - e_raw) <= 1e-9
