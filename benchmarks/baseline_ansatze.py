@@ -18,9 +18,7 @@ postprocessing to ensure the autoregressive property": one shared MLP is
 applied per position to the prefix (positions >= i zeroed out) concatenated
 with a one-hot position encoding.
 
-One-hot input staging and the constant autoregressive masks allocate through
-the active backend's ``xp`` namespace, so both baselines run on the same
-array seam as the transformer.  Their only forward is taped float64: the
+Their only forward is taped float64: the
 parameters go on the tape through the oracle's leaf wrapper
 (``repro.autograd.oracle.Leaf``), so ``prefix_vjp``'s backward fills the
 arena's gradient views.
@@ -29,15 +27,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.autograd import Tensor, oracle, stack
-from repro.backend import xp
-from repro.backend.dtypes import float64, int64
-from repro.backend.host import host_np
 from repro.core import (
     NNQSWavefunction,
     ParticleNumberConstraint,
     batch_autoregressive_sample,
 )
+from repro.dtypes import float64, int64
 from repro.hamiltonian import sector_basis
 from repro.nn import PhaseMLP
 from repro.nn.layers import Linear
@@ -74,8 +72,8 @@ class RecomputeSession:
                 raise ValueError(
                     "the first step consumes BOS: call step(None) or prefill()"
                 )
-            prev = xp.asarray(prev_tokens, dtype=int64).reshape(-1, 1)
-            self.tokens = xp.concatenate([self.tokens, prev], axis=1)
+            prev = np.asarray(prev_tokens, dtype=int64).reshape(-1, 1)
+            self.tokens = np.concatenate([self.tokens, prev], axis=1)
         self._started = True
         return oracle.padded_next_logits(self.model, self.tokens)
 
@@ -83,7 +81,7 @@ class RecomputeSession:
         if self._started:
             raise ValueError("prefill requires a fresh session")
         self._started = True
-        self.tokens = xp.atleast_2d(xp.asarray(prefix_tokens, dtype=int64))
+        self.tokens = np.atleast_2d(np.asarray(prefix_tokens, dtype=int64))
         return oracle.padded_next_logits(self.model, self.tokens)
 
     def _with_tokens(self, tokens) -> "RecomputeSession":
@@ -95,13 +93,13 @@ class RecomputeSession:
         return self._with_tokens(self.tokens[idx])
 
     def copy(self) -> "RecomputeSession":
-        return self._with_tokens(xp.array(self.tokens))
+        return self._with_tokens(np.array(self.tokens))
 
     def reset(self, batch_size: int | None = None) -> "RecomputeSession":
         """Return the session to its fresh state (serving-layer pool hook)."""
         if batch_size is not None:
             self.batch_size = batch_size
-        self.tokens = xp.zeros((self.batch_size, 0), dtype=int64)
+        self.tokens = np.zeros((self.batch_size, 0), dtype=int64)
         self._started = False
         return self
 
@@ -114,11 +112,11 @@ class _DenseOnlyAmplitude(Module):
 
     def conditional_logits(self, tokens) -> Tensor:
         """``(b, t <= n_tokens)`` int tokens -> ``(b, t, vocab)`` logits."""
-        tokens = xp.atleast_2d(xp.asarray(tokens, dtype=int64))
+        tokens = np.atleast_2d(np.asarray(tokens, dtype=int64))
         b, t = tokens.shape
         if t == self.n_tokens:
             return self._dense_logits(tokens)
-        padded = xp.zeros((b, self.n_tokens), dtype=int64)
+        padded = np.zeros((b, self.n_tokens), dtype=int64)
         padded[:, :t] = tokens
         return self._dense_logits(padded)[:, :t]
 
@@ -138,12 +136,12 @@ class _DenseOnlyAmplitude(Module):
 
 class _MaskedLinear(Module):
     def __init__(self, in_features: int, out_features: int, mask,
-                 rng: host_np.random.Generator):
+                 rng: np.random.Generator):
         super().__init__()
         bound = 1.0 / math.sqrt(in_features)
         self.weight = Parameter(rng.uniform(-bound, bound, (out_features, in_features)))
         self.bias = Parameter(rng.uniform(-bound, bound, (out_features,)))
-        self.mask = xp.asarray(mask, dtype=float64)  # (out, in), constant
+        self.mask = np.asarray(mask, dtype=float64)  # (out, in), constant
 
     def forward(self, x: Tensor) -> Tensor:
         w = oracle.Leaf(self.weight) * Tensor(self.mask)
@@ -162,31 +160,31 @@ class MADEAmplitude(_DenseOnlyAmplitude):
 
     def __init__(self, n_tokens: int, vocab_size: int = 4,
                  hidden: tuple[int, ...] = (128, 128),
-                 rng: host_np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or host_np.random.default_rng()
+        rng = rng or np.random.default_rng()
         self.n_tokens = n_tokens
         self.vocab_size = vocab_size
         t, v = n_tokens, vocab_size
 
-        in_deg = xp.repeat(xp.arange(1, t + 1), v)  # one-hot blocks
+        in_deg = np.repeat(np.arange(1, t + 1), v)  # one-hot blocks
         prev_deg = in_deg
         layers = []
         for h in hidden:
-            deg = 1 + (xp.arange(h) % max(t - 1, 1))
+            deg = 1 + (np.arange(h) % max(t - 1, 1))
             mask = (deg[:, None] >= prev_deg[None, :])
             layers.append(_MaskedLinear(len(prev_deg), h, mask, rng))
             prev_deg = deg
-        out_deg = xp.repeat(xp.arange(1, t + 1), v)
+        out_deg = np.repeat(np.arange(1, t + 1), v)
         out_mask = (out_deg[:, None] > prev_deg[None, :])
         layers.append(_MaskedLinear(len(prev_deg), t * v, out_mask, rng))
         self.layers = layers
 
     def _dense_logits(self, tokens) -> Tensor:
         b, t = tokens.shape
-        onehot = xp.zeros((b, t * self.vocab_size))
-        flat = tokens + xp.arange(t) * self.vocab_size
-        onehot[xp.arange(b)[:, None], flat] = 1.0
+        onehot = np.zeros((b, t * self.vocab_size))
+        flat = tokens + np.arange(t) * self.vocab_size
+        onehot[np.arange(b)[:, None], flat] = 1.0
         x = Tensor(onehot)
         for layer in self.layers[:-1]:
             x = layer.forward(x).relu()
@@ -199,9 +197,9 @@ class NAQSMLPAmplitude(_DenseOnlyAmplitude):
 
     def __init__(self, n_tokens: int, vocab_size: int = 4,
                  hidden: tuple[int, ...] = (128,),
-                 rng: host_np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or host_np.random.default_rng()
+        rng = rng or np.random.default_rng()
         self.n_tokens = n_tokens
         self.vocab_size = vocab_size
         in_dim = n_tokens * vocab_size + n_tokens  # masked prefix + position one-hot
@@ -211,15 +209,15 @@ class NAQSMLPAmplitude(_DenseOnlyAmplitude):
     def _dense_logits(self, tokens) -> Tensor:
         b, t = tokens.shape
         v = self.vocab_size
-        onehot = xp.zeros((b, t, v))
-        onehot[xp.arange(b)[:, None], xp.arange(t)[None, :], tokens] = 1.0
+        onehot = np.zeros((b, t, v))
+        onehot[np.arange(b)[:, None], np.arange(t)[None, :], tokens] = 1.0
         outs = []
         for i in range(t):
-            prefix = xp.zeros((b, t, v))
+            prefix = np.zeros((b, t, v))
             prefix[:, :i] = onehot[:, :i]
-            pos = xp.zeros((b, t))
+            pos = np.zeros((b, t))
             pos[:, i] = 1.0
-            x = Tensor(xp.concatenate([prefix.reshape(b, -1), pos], axis=1))
+            x = Tensor(np.concatenate([prefix.reshape(b, -1), pos], axis=1))
             for layer in self.layers[:-1]:
                 x = oracle.forward(layer, x).relu()
             outs.append(oracle.forward(self.layers[-1], x))
@@ -236,7 +234,7 @@ def build_baseline(foil, n_qubits: int, n_up: int, n_dn: int, *,
     (a class of this file, at its default widths): same phase MLP, same
     constraint, amplitude then phase drawn from one ``seed``.  Carries no
     rebuild ``spec`` — train it with ``output.publish = false``."""
-    rng = host_np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n_tokens = n_qubits // 2
     return NNQSWavefunction(
         n_qubits, foil(n_tokens, 4, rng=rng),
@@ -258,9 +256,9 @@ def check_baselines_agree(value_atol: float = 1e-12, grad_rtol: float = 1e-10) -
     """
     n, t = 8, 4
     bits = sector_basis(n, 2, 2).bits()
-    bits = host_np.concatenate([bits, bits[::3]])
-    bits = bits[host_np.random.default_rng(0).permutation(len(bits))]
-    coeff = host_np.random.default_rng(1).normal(size=len(bits))
+    bits = np.concatenate([bits, bits[::3]])
+    bits = bits[np.random.default_rng(0).permutation(len(bits))]
+    coeff = np.random.default_rng(1).normal(size=len(bits))
     report = {}
     for kind, foil in BASELINES.items():
         wf = build_baseline(foil, n, 2, 2, phase_hidden=(16,), seed=2)
@@ -275,7 +273,7 @@ def check_baselines_agree(value_atol: float = 1e-12, grad_rtol: float = 1e-10) -
         taped = float(abs(got - want).max())
         grad = float(abs(got_grad - want_grad).max() / abs(want_grad).max())
         walk = float(abs(2.0 * wf.log_amplitudes(bits).real - want).max())
-        batch = batch_autoregressive_sample(wf, 10**5, host_np.random.default_rng(3))
+        batch = batch_autoregressive_sample(wf, 10**5, np.random.default_rng(3))
         sweep = float(abs(batch.log_prob
                           - 2.0 * wf.log_amplitudes(batch.bits).real).max())
         assert max(taped, walk, sweep) <= value_atol, (kind, taped, walk, sweep)

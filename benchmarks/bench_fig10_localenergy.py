@@ -356,8 +356,7 @@ def test_fig10_local_energy_speedups(benchmark, full):
     benchmark(plan.local_energy, batch, table)
 
 
-def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5,
-              backend: str = "numpy") -> list[dict]:
+def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5) -> list[dict]:
     """The CI rung check: the planned kernel must not lose to vectorized on C2.
 
     Two rows, covering both table regimes: the sample-aware table (small
@@ -365,34 +364,27 @@ def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5,
     where the reference binary-searches every one) and the exact-mode
     extended table (large LUT, many hits — the hit list, the slot map's
     single full-key compare and the FUSE step's segment sums over the
-    pattern table carry the rung).  ``backend`` scopes the timed
-    kernels under a registered array backend (``--backend mock`` measures
-    the instrumentation overhead of the counting namespace).
+    pattern table carry the rung).
     """
-    from repro.backend import get_backend, use_backend
     from repro.core import extend_amplitude_table
 
-    array_backend = get_backend(backend)
     prob, comp, ref, batch, table, wf = _prepare("C2", n_samples=n_samples)
     extended = extend_amplitude_table(wf, comp, batch, table)
     results = []
     rows = []
     for regime, tbl in (("sample-aware", table), ("exact/extended", extended)):
-        with use_backend(array_backend):
-            res = measure_dedup_plan(comp, batch, tbl, repeats=repeats)
+        res = measure_dedup_plan(comp, batch, tbl, repeats=repeats)
         res["regime"] = regime
-        res["backend"] = backend
         results.append(res)
-        rows.append([regime, backend, res["n_unique"], res["table_entries"],
+        rows.append([regime, res["n_unique"], res["table_entries"],
                      f"{res['t_vectorized'] * 1e3:.1f}",
                      f"{res['t_planned'] * 1e3:.1f}",
                      f"{res['speedup']:.2f}x", res["bit_identical"]])
-    suffix = "" if backend == "numpy" else f"_{backend}"
     registry.record(
-        f"fig10_dedup_plan_smoke{suffix}",
+        "fig10_dedup_plan_smoke",
         format_table(
             "Fig. 10 smoke — planned kernel vs. vectorized (C2/STO-3G)",
-            ["table regime", "backend", "N_u", "table", "t_vec (ms)",
+            ["table regime", "N_u", "table", "t_vec (ms)",
              "t_plan (ms)", "speedup", "bit-identical"],
             rows,
             notes=("CI gate: speedup >= 1.0x in both regimes and "
@@ -414,14 +406,9 @@ if __name__ == "__main__":
                              "batch rungs run on the full paper-size batch; "
                              "the scalar ladder stays a pytest entry point)")
     parser.add_argument("--n-samples", type=int, default=None)
-    parser.add_argument("--backend", default="numpy",
-                        help="array backend the timed kernels run under "
-                             "(numpy/mock); a non-numpy choice "
-                             "also runs the numpy reference and records the "
-                             "per-backend overhead")
     args = parser.parse_args()
     n_samples = args.n_samples or (2 * 10**5 if args.smoke else 10**6)
-    results = run_smoke(n_samples=n_samples, backend=args.backend)
+    results = run_smoke(n_samples=n_samples)
     for res in results:
         assert res["bit_identical"], (
             f"planned kernel is not bit-identical ({res['regime']})"
@@ -433,51 +420,3 @@ if __name__ == "__main__":
         print(f"acceptance [{res['regime']}]: plan "
               f"{res['speedup']:.2f}x >= 1.0x vs vectorized, "
               "bit-identical — PASS")
-    if args.backend != "numpy":
-        # Overhead measurement on one prepared batch, interleaving the two
-        # backends (best-of pairs) so allocator/cache drift cancels instead
-        # of landing on whichever side ran second.
-        from repro.backend import get_backend, use_backend
-        from repro.core import extend_amplitude_table
-
-        array_backend = get_backend(args.backend)
-        prob, comp, _, batch, table, wf = _prepare("C2", n_samples=n_samples)
-        extended = extend_amplitude_table(wf, comp, batch, table)
-        plan = ElocPlan(comp)
-        rows = []
-        for regime, tbl in (("sample-aware", table),
-                            ("exact/extended", extended)):
-            plan.local_energy(batch, tbl)  # warm both paths
-            with use_backend(array_backend):
-                plan.local_energy(batch, tbl)
-            t_np = t_be = float("inf")
-            for _ in range(9):
-                t0 = time.perf_counter()
-                plan.local_energy(batch, tbl)
-                t_np = min(t_np, time.perf_counter() - t0)
-                with use_backend(array_backend):
-                    t0 = time.perf_counter()
-                    plan.local_energy(batch, tbl)
-                    t_be = min(t_be, time.perf_counter() - t0)
-            overhead = t_be / t_np - 1.0
-            rows.append([regime, args.backend, f"{t_np * 1e3:.1f}",
-                         f"{t_be * 1e3:.1f}", f"{overhead * 100:+.2f}%"])
-            if args.backend == "mock":
-                # The counting namespace must be near-free on the
-                # vectorized kernels (per-call wrapper cost amortized over
-                # full-batch array work).
-                assert overhead <= 0.02, (
-                    f"mock backend overhead {overhead * 100:.2f}% > 2% "
-                    f"on the {regime} table"
-                )
-        registry.record(
-            f"fig10_backend_overhead_{args.backend}",
-            format_table(
-                "Fig. 10 smoke — per-backend planned-kernel overhead vs numpy",
-                ["table regime", "backend", "t_numpy (ms)", "t_backend (ms)",
-                 "overhead"],
-                rows,
-                notes=("mock acceptance: instrumentation overhead <= 2% "
-                       "(fastest of the repeated timed runs on each side)."),
-            ),
-        )

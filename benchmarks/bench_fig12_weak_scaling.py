@@ -8,7 +8,7 @@ extrapolation.  Shape: time per iteration ~flat, efficiency decaying slowly
 
 Measurements run on the unified execution engine's ``ThreadBackend``
 (``measure_scaling`` drives ``repro.core.vmc.VMC`` + the staged pipeline of
-``repro.core.engine`` — the same path as ``parallel.backend=threads`` runs).
+``repro.core.engine`` — the stages ``parallel.backend=process`` runs).
 """
 from __future__ import annotations
 

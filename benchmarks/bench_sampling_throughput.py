@@ -19,12 +19,7 @@ speedup is a pure implementation win, not a sampling change.
 """
 from __future__ import annotations
 
-import sys
 import time
-from pathlib import Path
-
-if __name__ == "__main__":  # bare-script invocation: make src/ importable
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
@@ -126,68 +121,3 @@ def test_sampling_throughput(benchmark, full):
 
     wf = build_qiankunnet(40, 5, 5, seed=3)
     benchmark(lambda: _timed_sweep(wf, 10**4, 3))
-
-
-def run_backend_rows(n_samples: int = 10**3, backend: str = "numpy",
-                     repeats: int = 5) -> dict:
-    """One cached BAS sweep timed under ``backend``; per-backend row + the
-    numpy-vs-backend overhead (interleaved best-of, so allocator/cache
-    drift cancels instead of landing on whichever side ran second)."""
-    from repro.backend import get_backend, use_backend
-
-    array_backend = get_backend(backend)
-    wf = build_qiankunnet(40, 5, 5, seed=3)
-    _timed_sweep(wf, 100, 3)  # warm numpy path
-    with use_backend(array_backend):
-        _timed_sweep(wf, 100, 3)
-    t_np = t_be = float("inf")
-    expansions = bits_np = w_np = None
-    for _ in range(repeats):
-        wall, expansions, (bits_np, w_np) = _timed_sweep(wf, n_samples, 3)
-        t_np = min(t_np, wall)
-        with use_backend(array_backend):
-            wall, _, (bits_be, w_be) = _timed_sweep(wf, n_samples, 3)
-        t_be = min(t_be, wall)
-    np.testing.assert_array_equal(bits_np, bits_be)
-    np.testing.assert_array_equal(w_np, w_be)
-    return {
-        "backend": backend,
-        "n_unique": len(w_np),
-        "expansions": expansions,
-        "t_numpy": t_np,
-        "t_backend": t_be,
-        "overhead": t_be / t_np - 1.0,
-    }
-
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", default="numpy",
-                        help="array backend the cached sweep runs under "
-                             "(numpy/mock); outputs are asserted "
-                             "bit-identical to the numpy sweep")
-    parser.add_argument("--n-samples", type=int, default=10**3)
-    args = parser.parse_args()
-    r = run_backend_rows(n_samples=args.n_samples, backend=args.backend)
-    registry.record(
-        f"sampling_throughput_backend_{args.backend}",
-        format_table(
-            "Cached BAS sweep per array backend (40-qubit transformer)",
-            ["backend", "N_u", "expansions", "t_numpy (s)", "t_backend (s)",
-             "overhead"],
-            [[r["backend"], r["n_unique"], r["expansions"],
-              f"{r['t_numpy']:.3f}", f"{r['t_backend']:.3f}",
-              f"{r['overhead'] * 100:+.2f}%"]],
-            notes=("Bit-identical sampled sets on both sides; mock "
-                   "acceptance: instrumentation overhead <= 2%."),
-        ),
-    )
-    if args.backend == "mock":
-        assert r["overhead"] <= 0.02, (
-            f"mock backend overhead {r['overhead'] * 100:.2f}% > 2% "
-            "on the cached BAS sweep"
-        )
-        print(f"acceptance: mock overhead {r['overhead'] * 100:+.2f}% "
-              "<= 2% — PASS")

@@ -6,10 +6,11 @@ prints, per rank count: wall time, the sampling / local-energy / gradient
 stage decomposition (the Fig. 11 profile), measured communication bytes, and
 the closed-form Sec. 3.2 volume for comparison.
 
-The same configuration is one spec away from the CLI front door:
+The same iteration on forked process ranks is one spec away from the CLI
+front door:
 
     python -m repro run --preset smoke \
-        --set parallel.backend=threads --set parallel.n_ranks=4
+        --set parallel.backend=process --set parallel.n_ranks=4
 
 which additionally gets checkpoint/resume, metrics.jsonl and model
 publishing from the run driver.

@@ -18,7 +18,7 @@ it:
          metrics.jsonl    one JSON record per iteration (+ pretrain event)
          checkpoint.npz   bit-identical resume state
          report.json      TrainReport.to_dict() of the last train() call,
-                          plus its backend and screened-Hamiltonian sections
+                          plus its screened-Hamiltonian section
          models/          ModelRegistry of published snapshots
 
 4. auto-publishes the final snapshot (and, with ``output.publish_every``,
@@ -39,9 +39,8 @@ from inspect import signature
 from pathlib import Path
 
 from repro.api.spec import AnsatzSpec, ProblemSpec, RunSpec, SpecError
-from repro.backend import get_backend
 import repro.parallel as parallel
-from repro.core.engine import NoamAdamW, _merge_transfers
+from repro.core.engine import NoamAdamW
 from repro.chem import build_problem, run_fci
 from repro.chem.pipeline import MolecularProblem
 from repro.core.trainer import TrainConfig, Trainer, TrainReport
@@ -60,7 +59,6 @@ __all__ = [
     "materialize_problem",
     "materialize_ansatz",
     "materialize_backend",
-    "materialize_array_backend",
     "run",
     "resume",
     "serve_run",
@@ -134,7 +132,6 @@ def materialize_ansatz(spec: AnsatzSpec, problem: MolecularProblem):
 # only it can check — serial's single rank, cluster's rendezvous address).
 _BACKEND_CLASSES = {
     "serial": "SerialBackend",
-    "threads": "ThreadBackend",
     "process": "ProcessBackend",
     "cluster": "ClusterBackend",
 }
@@ -163,23 +160,6 @@ def materialize_backend(spec: RunSpec):
         return cls(**kwargs)
     except ValueError as exc:  # e.g. serial with n_ranks > 1
         raise SpecError(f"parallel: {exc}") from None
-
-
-def materialize_array_backend(spec: RunSpec):
-    """Resolve the spec's ``backend`` section into a live ArrayBackend."""
-    return get_backend(spec.backend.name)
-
-
-def _backend_report(spec: RunSpec, history: list[VMCStats]) -> dict:
-    """The report.json ``backend`` section: name + aggregated transfer
-    counters (instrumented backends only — numpy runs report the name)."""
-    info: dict = {"name": spec.backend.name}
-    transfers = _merge_transfers([
-        {"transfers": s.transfers} for s in history
-    ])
-    if transfers is not None:
-        info["transfers"] = transfers
-    return info
 
 
 def _resolve_reference(spec: RunSpec, problem: MolecularProblem) -> float | None:
@@ -286,7 +266,6 @@ def _build_trainer(spec: RunSpec, run_dir: Path,
             eloc_memory_budget_mb=spec.parallel.eloc_memory_budget_mb,
         ),
         backend=backend,
-        array_backend=materialize_array_backend(spec),
         optimizer=NoamAdamW(wf, lr_scale=o.lr_scale, warmup=o.warmup,
                             weight_decay=o.weight_decay, grad_clip=o.grad_clip),
     )
@@ -324,9 +303,7 @@ def _execute(spec: RunSpec, run_dir: Path,
         # rendezvous membership) release them even when training raises, so
         # a poisoned run neither hangs its peers nor leaks sockets.
         trainer.vmc.backend.close()
-    _write_report(run_dir, report,
-                  backend=_backend_report(spec, trainer.vmc.history),
-                  hamiltonian=_hamiltonian_report(problem))
+    _write_report(run_dir, report, hamiltonian=_hamiltonian_report(problem))
     if report.iterations > start_iteration:
         version = _publish_final(spec, run_dir, trainer.wf, report)
     else:

@@ -10,7 +10,7 @@ dataclasses, one per subsystem — instead of hand-threaded ``build_problem``
 * validation runs at construction (``__post_init__``) and names the exact
   field path (``sampling.ns_growth``) instead of failing deep in the loop;
 * the ``ansatz`` section is exactly ``build_qiankunnet``'s keyword
-  arguments, and ``parallel.backend`` names one of the four execution
+  arguments, and ``parallel.backend`` names one of the three execution
   backend classes;
 * dotted overrides (``train.max_iterations=3`` — the CLI ``--set`` syntax)
   rewrite the dict form before re-validation.
@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from repro.backend import BACKEND_NAMES
 from repro.chem.molecules import MOLECULES, geometry_keys
 from repro.core.engine import ELOC_MODES
 from repro.utils.atomic import atomic_write
@@ -36,7 +35,6 @@ __all__ = [
     "OptimizerSpec",
     "SamplingSpec",
     "ParallelSpec",
-    "BackendSpec",
     "TrainSpec",
     "OutputSpec",
     "ServeSpec",
@@ -252,8 +250,8 @@ class SamplingSpec(_Spec):
 class ParallelSpec(_Spec):
     """Execution backend choice — the Fig. 4 data-parallel iteration as data.
 
-    ``backend`` names an execution backend (``serial`` / ``threads`` /
-    ``process`` / ``cluster``); ``n_ranks`` and
+    ``backend`` names an execution backend (``serial`` / ``process`` /
+    ``cluster``); ``n_ranks`` and
     ``nu_star_per_rank`` map to the paper's N_p and N_u^*/N_p;
     ``eloc_memory_budget_mb`` is ``VMCConfig``'s (the byte budget the run's
     ``ElocPlan`` and exact mode's table extension shrink to).  Every other
@@ -326,27 +324,6 @@ class ParallelSpec(_Spec):
                  or self.eloc_memory_budget_mb > 0,
                  "parallel.eloc_memory_budget_mb",
                  f"must be None or positive, got {self.eloc_memory_budget_mb!r}")
-
-
-@dataclass
-class BackendSpec(_Spec):
-    """Array-backend choice — which namespace the hot kernels allocate on.
-
-    ``name`` picks a registered :mod:`repro.backend` implementation:
-    ``numpy`` (the default; bit-identical to the historical code) or
-    ``mock`` (numpy wrapped with allocation/transfer counters — the
-    residency-contract verifier, still bit-identical).
-    """
-
-    _SECTION = "backend"
-
-    name: str = "numpy"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require(self.name in BACKEND_NAMES,
-                 "backend.name",
-                 f"must be one of {BACKEND_NAMES}, got {self.name!r}")
 
 
 @dataclass
@@ -430,12 +407,9 @@ class ServeSpec(_Spec):
     table_max_entries: int = 500_000  # per-version amplitude-table cap
     refresh_poll_s: float = 2.0     # registry poll period (0: disabled)
     drain_timeout_s: float = 10.0   # graceful-shutdown budget
-    backend: str = "numpy"          # array backend model evaluations run under
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require(self.backend in BACKEND_NAMES, "serve.backend",
-                 f"must be one of {BACKEND_NAMES}, got {self.backend!r}")
         for attr in ("max_batch_size", "queue_capacity", "max_loaded_versions",
                      "prefix_cache_entries", "table_max_entries"):
             v = getattr(self, attr)
@@ -461,7 +435,6 @@ class ServeSpec(_Spec):
             max_loaded_versions=self.max_loaded_versions,
             prefix_cache_entries=self.prefix_cache_entries,
             table_max_entries=self.table_max_entries,
-            backend=self.backend,
         )
 
 
@@ -475,7 +448,6 @@ class RunSpec(_Spec):
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     sampling: SamplingSpec = field(default_factory=SamplingSpec)
     parallel: ParallelSpec = field(default_factory=ParallelSpec)
-    backend: BackendSpec = field(default_factory=BackendSpec)
     train: TrainSpec = field(default_factory=TrainSpec)
     output: OutputSpec = field(default_factory=OutputSpec)
     serve: ServeSpec = field(default_factory=ServeSpec)
@@ -521,7 +493,6 @@ _SUBSPEC_TYPES = {
     (RunSpec, "optimizer"): OptimizerSpec,
     (RunSpec, "sampling"): SamplingSpec,
     (RunSpec, "parallel"): ParallelSpec,
-    (RunSpec, "backend"): BackendSpec,
     (RunSpec, "train"): TrainSpec,
     (RunSpec, "output"): OutputSpec,
     (RunSpec, "serve"): ServeSpec,

@@ -1,4 +1,4 @@
-"""Reverse-mode autodiff over backend arrays (the PyTorch substitute).
+"""Reverse-mode autodiff over numpy arrays (the PyTorch substitute).
 
 ``tensor`` is the tape and the primitive ops; ``oracle`` the taped float64
 QiankunNet built from coarse block ops, the oracle of the production

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.autograd.tensor import Tensor, embedding_lookup
-from repro.backend import xp
-from repro.backend.dtypes import bool_, float64, int64
+from repro.dtypes import bool_, float64, int64
 from repro.nn import (
     CausalSelfAttention,
     DecoderLayer,
@@ -44,21 +45,21 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def last_axis_dot(a, b):
     """``sum(a * b, axis=-1, keepdims=True)`` without the product array."""
-    return xp.einsum("...i,...i->...", a, b)[..., None]
+    return np.einsum("...i,...i->...", a, b)[..., None]
 
 
 def _column_sums(rows):
     """``sum(rows, axis=0)`` of a 2-D array as one GEMV against ones."""
-    return xp.ones(len(rows)) @ rows
+    return np.ones(len(rows)) @ rows
 
 
 # --------------------------------------------------------------------------
-# Causal attention: graph-free float64 math on raw backend arrays
+# Causal attention: graph-free float64 math on raw numpy arrays
 # --------------------------------------------------------------------------
 def split_heads(qkv, n_heads: int):
     """``(b, t, 3 d)`` fused projection -> ``q, k, v`` views ``(b, h, t, d/h)``."""
     b, t, d3 = qkv.shape
-    heads = xp.transpose(
+    heads = np.transpose(
         qkv.reshape(b, t, 3, n_heads, d3 // (3 * n_heads)), (2, 0, 3, 1, 4)
     )
     return heads[0], heads[1], heads[2]
@@ -72,12 +73,12 @@ def attention_forward(q, k, v):
     the cache, ``repro.nn.inference.cached_attention``.)
     """
     t = q.shape[-2]
-    att = q @ xp.swapaxes(k, -1, -2)
+    att = q @ np.swapaxes(k, -1, -2)
     att *= 1.0 / math.sqrt(q.shape[-1])
     if t > 1:
-        att[..., xp.triu(xp.ones((t, t), dtype=bool_), k=1)] = MASK_VALUE
+        att[..., np.triu(np.ones((t, t), dtype=bool_), k=1)] = MASK_VALUE
     att -= last_axis_max(att)
-    xp.exp(att, out=att)
+    np.exp(att, out=att)
     att /= last_axis_sum(att)
     return att @ v, att
 
@@ -109,14 +110,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     xd, gd = x.data, gamma.data
     scale = 1.0 / xd.shape[-1]
     xhat = xd - last_axis_sum(xd) * scale
-    inv = 1.0 / xp.sqrt(last_axis_dot(xhat, xhat) * scale + eps)
+    inv = 1.0 / np.sqrt(last_axis_dot(xhat, xhat) * scale + eps)
     xhat *= inv
     out = xhat * gd
     out += beta.data
 
     def backward(g):
         rows = g.reshape(-1, g.shape[-1])
-        ggamma = xp.einsum("ij,ij->j", rows, xhat.reshape(rows.shape))
+        ggamma = np.einsum("ij,ij->j", rows, xhat.reshape(rows.shape))
         gbeta = _column_sums(rows)
         if not x.requires_grad:
             return None, ggamma, gbeta
@@ -134,7 +135,7 @@ def gelu(x: Tensor) -> Tensor:
     its derivative written out in float64 (the production pair is
     ``repro.nn.kernels.gelu_forward`` / ``gelu_backward``)."""
     a = x.data
-    t = xp.tanh(_GELU_C * (a + 0.044715 * (a * a * a)))
+    t = np.tanh(_GELU_C * (a + 0.044715 * (a * a * a)))
     du = _GELU_C * (1.0 + 3.0 * 0.044715 * (a * a))
 
     def backward(g):
@@ -155,18 +156,18 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     b, h, t, dh = q.shape
 
     def backward(g):
-        g = xp.transpose(g.reshape(b, t, h, dh), (0, 2, 1, 3))  # (b, h, t, dh)
-        gqkv = xp.empty((3, b, h, t, dh))
-        xp.matmul(xp.swapaxes(att, -1, -2), g, out=gqkv[2])        # gv
-        gs = g @ xp.swapaxes(v, -1, -2)                            # d att
+        g = np.transpose(g.reshape(b, t, h, dh), (0, 2, 1, 3))  # (b, h, t, dh)
+        gqkv = np.empty((3, b, h, t, dh))
+        np.matmul(np.swapaxes(att, -1, -2), g, out=gqkv[2])        # gv
+        gs = g @ np.swapaxes(v, -1, -2)                            # d att
         gs -= last_axis_dot(gs, att)
         gs *= att               # softmax backward; exactly 0 at masked entries
         gs *= 1.0 / math.sqrt(dh)
-        xp.matmul(gs, k, out=gqkv[0])                              # gq
-        xp.matmul(xp.swapaxes(gs, -1, -2), q, out=gqkv[1])         # gk
-        return (xp.transpose(gqkv, (1, 3, 0, 2, 4)).reshape(b, t, 3 * h * dh),)
+        np.matmul(gs, k, out=gqkv[0])                              # gq
+        np.matmul(np.swapaxes(gs, -1, -2), q, out=gqkv[1])         # gk
+        return (np.transpose(gqkv, (1, 3, 0, 2, 4)).reshape(b, t, 3 * h * dh),)
 
-    merged = xp.transpose(out, (0, 2, 1, 3)).reshape(b, t, h * dh)
+    merged = np.transpose(out, (0, 2, 1, 3)).reshape(b, t, h * dh)
     return Tensor._make(merged, (qkv,), backward)
 
 
@@ -181,14 +182,14 @@ def picked_log_softmax(logits: Tensor, allowed, tokens) -> Tensor:
     softmax)``, zero at every masked entry — a picked masked token included,
     as ``masked_fill`` would have it.
     """
-    z = logits.data if allowed is None else xp.where(allowed, logits.data, MASK_VALUE)
-    z = z - xp.max(z, axis=-1, keepdims=True)
-    z = z - xp.log(xp.sum(xp.exp(z), axis=-1, keepdims=True))
-    onehot = xp.asarray(tokens)[..., None] == xp.arange(z.shape[-1])
-    out = xp.sum(xp.where(onehot, z, 0.0), axis=(1, 2))
+    z = logits.data if allowed is None else np.where(allowed, logits.data, MASK_VALUE)
+    z = z - np.max(z, axis=-1, keepdims=True)
+    z = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    onehot = np.asarray(tokens)[..., None] == np.arange(z.shape[-1])
+    out = np.sum(np.where(onehot, z, 0.0), axis=(1, 2))
 
     def backward(g):
-        gl = (onehot - xp.exp(z)) * g[:, None, None]
+        gl = (onehot - np.exp(z)) * g[:, None, None]
         if allowed is not None:
             gl[~allowed] = 0.0
         return (gl,)
@@ -219,11 +220,11 @@ def _linear(lin, x):
 
 
 def _embedding(emb, idx):
-    return embedding_lookup(Leaf(emb.weight), xp.asarray(idx, dtype=int64))
+    return embedding_lookup(Leaf(emb.weight), np.asarray(idx, dtype=int64))
 
 
 def _positional(pos, length: int):
-    return Leaf(pos.weight)[xp.arange(length)]
+    return Leaf(pos.weight)[np.arange(length)]
 
 
 def _layer_norm(ln, x):
@@ -247,7 +248,7 @@ def _decoder_layer(layer, x):
 
 def _phase(mlp, bits):
     """``(batch, N)`` 0/1 bits -> ``(batch,)`` phase in radians."""
-    bits = xp.asarray(bits, dtype=float64)
+    bits = np.asarray(bits, dtype=float64)
     if bits.ndim == 1:
         bits = bits[None, :]
     x = Tensor(2.0 * bits - 1.0)
@@ -288,13 +289,13 @@ def conditional_logits(amp, tokens) -> Tensor:
     """
     if not isinstance(amp, TransformerAmplitude):
         return amp.conditional_logits(tokens)
-    tokens = xp.asarray(tokens, dtype=int64)
+    tokens = np.asarray(tokens, dtype=int64)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
     b, t = tokens.shape
     # Shift right: position i attends to [BOS, x_1, ..., x_{i-1}].
-    shifted = xp.concatenate(
-        [xp.full((b, 1), amp.bos, dtype=int64), tokens[:, : t - 1]], axis=1
+    shifted = np.concatenate(
+        [np.full((b, 1), amp.bos, dtype=int64), tokens[:, : t - 1]], axis=1
     )
     x = _embedding(amp.tok_emb, shifted) + _positional(amp.pos_emb, t)
     for layer in amp.layers:
@@ -306,9 +307,9 @@ def padded_next_logits(amp, prefix_tokens):
     """Next-position float64 logits of a ``(b, k)`` prefix, via
     :func:`conditional_logits` over the prefix right-padded to ``k + 1`` —
     the oracle of a decode step."""
-    prefix_tokens = xp.asarray(prefix_tokens, dtype=int64)
+    prefix_tokens = np.asarray(prefix_tokens, dtype=int64)
     b, k = prefix_tokens.shape
-    padded = xp.zeros((b, k + 1), dtype=int64)
+    padded = np.zeros((b, k + 1), dtype=int64)
     padded[:, :k] = prefix_tokens
     return conditional_logits(amp, padded).data[:, k, :]
 

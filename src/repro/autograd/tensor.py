@@ -1,8 +1,7 @@
-"""A reverse-mode automatic differentiation engine over backend arrays.
+"""A reverse-mode automatic differentiation engine over numpy arrays.
 
 This is the substrate that replaces PyTorch in the reproduction: a ``Tensor``
-wraps a float64 array from the active array backend (``repro.backend.xp`` —
-numpy by default) and records the operations applied to it so that
+wraps a float64 numpy array and records the operations applied to it so that
 ``backward()`` can accumulate gradients through the graph.  Only the
 operator set needed by the paper's models (transformer decoders, MLPs)
 is implemented, but each operator supports full broadcasting so the modules
@@ -24,26 +23,23 @@ Design notes
   built from plain data is a constant, and the oracle puts the parameters it
   reads on the tape as leaves (``oracle.Leaf``).  There is no global grad
   mode.
-* Gradients are accumulated into ``Tensor.grad`` (dense backend array, same
-  shape as ``data``) — or, for a parameter's leaf, into the parameter's own
-  gradient — and stay on the backend's device; graphs are rebuilt each
-  forward pass (define-by-run).
-* All math on the tape is float64 (``repro.backend.dtypes``): it is the
+* Gradients are accumulated into ``Tensor.grad`` (dense array, same shape as
+  ``data``) — or, for a parameter's leaf, into the parameter's own gradient;
+  graphs are rebuilt each forward pass (define-by-run).
+* All math on the tape is float64 (``repro.dtypes``): it is the
   oracle.  The float32 arithmetic is off the tape — the KV-cached decoder
   (``repro.nn.inference``), stage 5's pair over the prefix tree and the
   phase MLP's ``PhaseMLP.step`` / ``PhaseMLP.vjp`` — and its audit numbers
-  are in ``repro.backend.dtypes``.
-* Array math goes through ``xp``-level functions (``xp.sum``, ``xp.transpose``)
-  rather than ndarray methods where the conventions differ across backends,
-  so the same tape runs on numpy, the counting mock, and any device adapter.
+  are in ``repro.dtypes``.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Callable, Iterable
 
-from repro.backend import xp
-from repro.backend.dtypes import bool_, float64
+import numpy as np
+
+from repro.dtypes import bool_, float64
 
 __all__ = ["Tensor", "concat", "stack", "embedding_lookup"]
 
@@ -55,16 +51,16 @@ def _unbroadcast(grad, shape: tuple[int, ...]):
     # Sum over leading axes added by broadcasting.
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = xp.sum(grad, axis=tuple(range(extra)))
+        grad = np.sum(grad, axis=tuple(range(extra)))
     # Sum over axes that were size-1 in the original shape.
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
-        grad = xp.sum(grad, axis=axes, keepdims=True)
+        grad = np.sum(grad, axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
 class Tensor:
-    """A backend array with a gradient tape."""
+    """A numpy array with a gradient tape."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
     __array_priority__ = 100.0  # numpy defers binary ops to Tensor
@@ -72,7 +68,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = xp.asarray(data, dtype=float64)
+        self.data = np.asarray(data, dtype=float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable | None = None
@@ -107,7 +103,7 @@ class Tensor:
 
     def _accumulate(self, grad) -> None:
         if self.grad is None:
-            self.grad = xp.zeros_like(self.data)
+            self.grad = np.zeros_like(self.data)
         self.grad += grad
 
     def backward(self, grad=None) -> None:
@@ -117,8 +113,8 @@ class Tensor:
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("backward() without grad requires a scalar output")
-            grad = xp.ones_like(self.data)
-        grad = xp.asarray(grad, dtype=float64)
+            grad = np.ones_like(self.data)
+        grad = np.asarray(grad, dtype=float64)
 
         # Topological order via iterative DFS (graphs can be deep: one
         # attention layer per sampled token position).
@@ -150,7 +146,7 @@ class Tensor:
             for p, pg in zip(node._parents, parent_grads):
                 if pg is None or not p.requires_grad:
                     continue
-                pg = _unbroadcast(xp.asarray(pg, dtype=float64), p.data.shape)
+                pg = _unbroadcast(np.asarray(pg, dtype=float64), p.data.shape)
                 if p._backward is None and not p._parents:
                     p._accumulate(pg)  # leaf
                 else:
@@ -214,8 +210,8 @@ class Tensor:
         def backward(g):
             if a.ndim == 1 and b.ndim == 1:
                 return (g * b, g * a)
-            ga = g @ xp.swapaxes(b, -1, -2) if b.ndim > 1 else xp.outer(g, b)
-            gb = xp.swapaxes(a, -1, -2) @ g if a.ndim > 1 else xp.outer(a, g)
+            ga = g @ np.swapaxes(b, -1, -2) if b.ndim > 1 else np.outer(g, b)
+            gb = np.swapaxes(a, -1, -2) @ g if a.ndim > 1 else np.outer(a, g)
             # batched matmul may broadcast batch dims
             return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
@@ -223,15 +219,15 @@ class Tensor:
 
     # ------------------------------------------------------------- reductions
     def sum(self, axis=None, keepdims: bool = False):
-        out = xp.sum(self.data, axis=axis, keepdims=keepdims)
+        out = np.sum(self.data, axis=axis, keepdims=keepdims)
 
         def backward(g):
-            g = xp.asarray(g)
+            g = np.asarray(g)
             if axis is None:
-                return (xp.array(xp.broadcast_to(g, self.data.shape)),)
+                return (np.array(np.broadcast_to(g, self.data.shape)),)
             if not keepdims:
-                g = xp.expand_dims(g, axis)
-            return (xp.array(xp.broadcast_to(g, self.data.shape)),)
+                g = np.expand_dims(g, axis)
+            return (np.array(np.broadcast_to(g, self.data.shape)),)
 
         return Tensor._make(out, (self,), backward)
 
@@ -241,19 +237,19 @@ class Tensor:
 
     # ---------------------------------------------------------- elementwise
     def exp(self):
-        out = xp.exp(self.data)
+        out = np.exp(self.data)
         return Tensor._make(out, (self,), lambda g: (g * out,))
 
     def log(self):
         a = self.data
-        return Tensor._make(xp.log(a), (self,), lambda g: (g / a,))
+        return Tensor._make(np.log(a), (self,), lambda g: (g / a,))
 
     def sqrt(self):
-        out = xp.sqrt(self.data)
+        out = np.sqrt(self.data)
         return Tensor._make(out, (self,), lambda g: (g * 0.5 / out,))
 
     def tanh(self):
-        out = xp.tanh(self.data)
+        out = np.tanh(self.data)
         return Tensor._make(out, (self,), lambda g: (g * (1.0 - out * out),))
 
     def relu(self):
@@ -262,7 +258,7 @@ class Tensor:
         return Tensor._make(a * mask, (self,), lambda g: (g * mask,))
 
     def sigmoid(self):
-        out = 1.0 / (1.0 + xp.exp(-self.data))
+        out = 1.0 / (1.0 + np.exp(-self.data))
         return Tensor._make(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     # --------------------------------------------------------------- reshape
@@ -281,21 +277,21 @@ class Tensor:
             axes = tuple(axes[0])
         inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
         return Tensor._make(
-            xp.transpose(self.data, axes), (self,),
-            lambda g: (xp.transpose(g, inv),)
+            np.transpose(self.data, axes), (self,),
+            lambda g: (np.transpose(g, inv),)
         )
 
     def swapaxes(self, a: int, b: int):
         return Tensor._make(
-            xp.swapaxes(self.data, a, b), (self,), lambda g: (xp.swapaxes(g, a, b),)
+            np.swapaxes(self.data, a, b), (self,), lambda g: (np.swapaxes(g, a, b),)
         )
 
     def __getitem__(self, idx):
         out = self.data[idx]
 
         def backward(g):
-            full = xp.zeros_like(self.data)
-            xp.add.at(full, idx, g)
+            full = np.zeros_like(self.data)
+            np.add.at(full, idx, g)
             return (full,)
 
         return Tensor._make(out, (self,), backward)
@@ -303,31 +299,31 @@ class Tensor:
     # ------------------------------------------------------- fused helpers
     def masked_fill(self, mask, value: float):
         """Return a tensor equal to self with ``value`` where ``mask`` is True."""
-        mask = xp.asarray(mask, dtype=bool_)
-        out = xp.where(mask, value, self.data)
-        return Tensor._make(out, (self,), lambda g: (xp.where(mask, 0.0, g),))
+        mask = np.asarray(mask, dtype=bool_)
+        out = np.where(mask, value, self.data)
+        return Tensor._make(out, (self,), lambda g: (np.where(mask, 0.0, g),))
 
     def log_softmax(self, axis: int = -1):
         a = self.data
-        m = xp.max(a, axis=axis, keepdims=True)
+        m = np.max(a, axis=axis, keepdims=True)
         shifted = a - m
-        lse = xp.log(xp.sum(xp.exp(shifted), axis=axis, keepdims=True))
+        lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
         out = shifted - lse
 
         def backward(g):
-            softmax = xp.exp(out)
-            return (g - softmax * xp.sum(g, axis=axis, keepdims=True),)
+            softmax = np.exp(out)
+            return (g - softmax * np.sum(g, axis=axis, keepdims=True),)
 
         return Tensor._make(out, (self,), backward)
 
     def softmax(self, axis: int = -1):
         a = self.data
-        m = xp.max(a, axis=axis, keepdims=True)
-        e = xp.exp(a - m)
-        out = e / xp.sum(e, axis=axis, keepdims=True)
+        m = np.max(a, axis=axis, keepdims=True)
+        e = np.exp(a - m)
+        out = e / np.sum(e, axis=axis, keepdims=True)
 
         def backward(g):
-            dot = xp.sum(g * out, axis=axis, keepdims=True)
+            dot = np.sum(g * out, axis=axis, keepdims=True)
             return (out * (g - dot),)
 
         return Tensor._make(out, (self,), backward)
@@ -336,7 +332,7 @@ class Tensor:
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
     datas = [t.data for t in tensors]
-    out = xp.concatenate(datas, axis=axis)
+    out = np.concatenate(datas, axis=axis)
     sizes = [d.shape[axis] for d in datas]
     offsets = list(itertools.accumulate([0] + sizes))
 
@@ -352,22 +348,22 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    out = xp.stack([t.data for t in tensors], axis=axis)
+    out = np.stack([t.data for t in tensors], axis=axis)
 
     def backward(g):
-        return tuple(xp.take(g, i, axis=axis) for i in range(len(tensors)))
+        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
 
     return Tensor._make(out, tensors, backward)
 
 
 def embedding_lookup(table: Tensor, idx) -> Tensor:
     """Row gather ``table[idx]`` with scatter-add backward (nn.Embedding)."""
-    idx = xp.asarray(idx)
+    idx = np.asarray(idx)
     out = table.data[idx]
 
     def backward(g):
-        full = xp.zeros_like(table.data)
-        xp.add.at(full, idx.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+        full = np.zeros_like(table.data)
+        np.add.at(full, idx.reshape(-1), g.reshape(-1, table.data.shape[-1]))
         return (full,)
 
     return Tensor._make(out, (table,), backward)

@@ -42,7 +42,7 @@ differ only in how a rank gets its :class:`~repro.parallel.comm.Comm`:
 
 The "engine" object the backends drive is any object with the VMC state
 surface (``wf``, ``comp``, ``config``, ``rng``, ``optimizer``,
-``iteration``, ``backend``, ``array_backend``, ``eloc_plan``) — in
+``iteration``, ``backend``, ``eloc_plan``) — in
 practice :class:`repro.core.vmc.VMC`, which keeps the checkpoint/resume
 format unchanged.
 """
@@ -55,9 +55,8 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.backend import active_backend, counter_delta, use_backend, xp
-from repro.backend.dtypes import float64, int64
-from repro.backend.host import host_np
+import numpy as np
+
 from repro.core.local_energy import (
     AmplitudeTable,
     ElocPlan,
@@ -69,6 +68,7 @@ from repro.core.sampler import (
     bas_prefix_sweep,
     batch_autoregressive_sample,
 )
+from repro.dtypes import float64, int64
 from repro.optim import AdamW
 from repro.parallel.comm import Comm, CommStats, SoloTransport
 from repro.parallel.partition import split_tree_state
@@ -162,11 +162,6 @@ class VMCStats:
     # Wire bytes actually moved (<= comm_bytes: stage 2 is compressed); None on
     # serial iterations and on histories recorded before the split existed.
     comm_bytes_wire: int | None = None
-    # Array-backend transfer/allocation counters (instrumented backends only;
-    # None on the numpy backend).  Observability data: excluded from equality,
-    # from stats_record (metrics.jsonl stays bit-identical across backends)
-    # and from checkpoints; surfaced through report.json's backend section.
-    transfers: dict | None = field(default=None, compare=False)
 
 
 def stats_record(stats: VMCStats) -> dict:
@@ -205,7 +200,7 @@ def stats_record(stats: VMCStats) -> dict:
 # Stage functions (the one implementation every backend schedules)
 # --------------------------------------------------------------------------
 def stage_sample(wf, n_samples: int,
-                 rng: host_np.random.Generator) -> SampleBatch:
+                 rng: np.random.Generator) -> SampleBatch:
     """Stage 1, single rank: one BAS sweep."""
     return batch_autoregressive_sample(wf, n_samples, rng)
 
@@ -222,10 +217,10 @@ def stage_sample_parallel(wf, n_samples: int, seed: int, iteration: int,
     alone — no RNG state crosses ranks.
     """
     rank, size = comm.Get_rank(), comm.Get_size()
-    shared_rng = host_np.random.default_rng((seed, iteration, 0xBA5))
+    shared_rng = np.random.default_rng((seed, iteration, 0xBA5))
     state = bas_prefix_sweep(wf, n_samples, shared_rng, nu_star)
     my_state = split_tree_state(state, size)[rank]
-    cont_rng = host_np.random.default_rng((seed, iteration, rank + 1))
+    cont_rng = np.random.default_rng((seed, iteration, rank + 1))
     return batch_autoregressive_sample(wf, 0, cont_rng, start=my_state)
 
 
@@ -295,21 +290,17 @@ def stage_gather_table(comm, wf, local: SampleBatch):
         parts = [(keys, weights) if r == rank else decode_sample_payload(b)
                  for r, b in enumerate(blobs)]
         n_sampled = [len(k) for k, _ in parts]
-        keys = xp.concatenate([k for k, _ in parts], axis=0)
-        weights = xp.concatenate([c for _, c in parts])
+        keys = np.concatenate([k for k, _ in parts], axis=0)
+        weights = np.concatenate([c for _, c in parts])
         global_order = lexsort_keys(keys)
         keys, weights = keys[global_order], weights[global_order]
 
     # The cut stage_partition hands stage 3, computed here again rather than
     # called: the six stage functions run one after another, none inside
     # another, so each one's time is its own.
-    chunks = host_np.array_split(host_np.arange(len(weights)), size)
+    chunks = np.array_split(np.arange(len(weights)), size)
     phi, phase = wf.phase_forward(unpack_bits(keys[chunks[rank]], wf.n_qubits))
-    # The stage-2 comm boundary: log pi and phi leave the device exactly once
-    # per rank and iteration, entering the host-resident global table (and,
-    # multi-rank, the stage2_amps collective).
-    shipped = active_backend().to_host(
-        xp.concatenate([local.log_prob[order], phi]), tag="stage2.amps")
+    shipped = np.concatenate([local.log_prob[order], phi])
     amp_parts = [shipped]
     if size > 1:
         amp_parts = comm.allgather_ndarray(shipped, channel="stage2_amps")
@@ -318,8 +309,8 @@ def stage_gather_table(comm, wf, local: SampleBatch):
             raise ValueError(
                 f"stage 2: rank {r} shipped {len(part)} log pi + phi values for "
                 f"{n_sampled[r]} sampled and {len(chunks[r])} chunk rows")
-    log_prob = xp.concatenate([p[:n] for p, n in zip(amp_parts, n_sampled)])
-    phi = xp.concatenate([p[n:] for p, n in zip(amp_parts, n_sampled)])
+    log_prob = np.concatenate([p[:n] for p, n in zip(amp_parts, n_sampled)])
+    phi = np.concatenate([p[n:] for p, n in zip(amp_parts, n_sampled)])
     if size > 1:
         log_prob = log_prob[global_order]
     table = AmplitudeTable(keys=keys, log_amps=0.5 * log_prob + 1j * phi)
@@ -334,7 +325,7 @@ def stage_partition(weights, n_ranks: int) -> list:
     it was sampled; sample weight is balanced where it predicts work, in
     stage 1's BAS tree split (:func:`~repro.parallel.partition.split_tree_state`).
     """
-    return host_np.array_split(host_np.arange(len(weights)), n_ranks)
+    return np.array_split(np.arange(len(weights)), n_ranks)
 
 
 def stage_local_energy(wf, comp, chunk: SampleBatch, table: AmplitudeTable,
@@ -411,10 +402,10 @@ def stage_update(opt: NoamAdamW, grad, grad_norm: float | None = None) -> None:
     when the caller already has it (``execute_iteration``'s non-finite guard
     computes it).
     """
-    grad = xp.asarray(grad)
+    grad = np.asarray(grad)
     clip = opt.grad_clip
     if clip is not None:
-        norm = xp.linalg.norm(grad) if grad_norm is None else grad_norm
+        norm = np.linalg.norm(grad) if grad_norm is None else grad_norm
         if norm > clip:
             grad *= clip / norm
     opt.sched_i += 1
@@ -459,7 +450,7 @@ class NoamAdamW(AdamW):
                 * min(i**-0.5, i * self.warmup**-1.5))
 
     def state_views(self) -> dict:
-        return {**super().state_views(), "sched_i": host_np.array(self.sched_i)}
+        return {**super().state_views(), "sched_i": np.array(self.sched_i)}
 
     def load_state(self, data) -> None:
         sched_i = int(data["sched_i"])  # read before anything is written
@@ -470,37 +461,14 @@ class NoamAdamW(AdamW):
 # --------------------------------------------------------------------------
 # The per-rank iteration body (shared verbatim by every backend)
 # --------------------------------------------------------------------------
-def _rank_iteration(engine, comm, wf, rng, nu_star: int) -> dict:
+def _rank_iteration_stages(engine, comm, wf, rng, nu_star: int) -> dict:
     """Run stages 1-6 as one rank of ``comm``; returns the rank's results.
 
     With a size-1 communicator this *is* the serial iteration: the sample
     stage consumes the engine's persistent RNG, the collectives are
     identities, and the chunk is the whole unique set — which is what makes
     ``ThreadBackend(n_ranks=1)`` bit-identical to :class:`SerialBackend`.
-
-    The whole body runs under the engine's array backend (``use_backend``),
-    so every ``xp`` allocation in the stages lands on it.  On instrumented
-    backends the counters are snapshotted around stage 1, and the per-rank
-    deltas ship back as ``out['transfers']`` — the data behind the residency
-    contract's "zero unplanned host transfers inside the sampling loop".
     """
-    array_backend = engine.array_backend
-    with use_backend(array_backend):
-        snap0 = array_backend.counter_snapshot()
-        out, snap1 = _rank_iteration_stages(engine, comm, wf, rng, nu_star)
-        snap2 = array_backend.counter_snapshot()
-    sampling = counter_delta(snap0, snap1)
-    if sampling is not None:
-        out["transfers"] = {
-            "sampling": sampling,
-            "post_sampling": counter_delta(snap1, snap2),
-        }
-    return out
-
-
-def _rank_iteration_stages(engine, comm, wf, rng,
-                           nu_star: int) -> tuple[dict, dict | None]:
-    """Stages 1-6 proper; returns ``(out, post-stage-1 counter snapshot)``."""
     cfg: VMCConfig = engine.config
     size = comm.Get_size()
     rank = comm.Get_rank()
@@ -516,7 +484,6 @@ def _rank_iteration_stages(engine, comm, wf, rng,
             wf, n_samples, cfg.seed, engine.iteration, nu_star, comm
         )
     times["sampling"] = time.perf_counter() - t0
-    snap_sampled = active_backend().counter_snapshot()
 
     # ---- stage 2: allgather, this rank's phases, global amplitude table -----
     keys, weights, table, phase = stage_gather_table(comm, wf, local)
@@ -532,7 +499,7 @@ def _rank_iteration_stages(engine, comm, wf, rng,
     eloc = stage_local_energy(wf, engine.comp, chunk, table, cfg,
                               engine.eloc_plan, phase.params32)
     times["local_energy"] = time.perf_counter() - t0
-    if not bool(xp.all(xp.isfinite(eloc))):
+    if not bool(np.all(np.isfinite(eloc))):
         raise FloatingPointError(
             f"non-finite local energy on rank {rank} after stage 3 "
             f"(local energy) of iteration {engine.iteration + 1}"
@@ -540,8 +507,8 @@ def _rank_iteration_stages(engine, comm, wf, rng,
 
     # ---- stage 4: allreduce the weighted energy sums -----------------------
     w_chunk = chunk.weights.astype(float64)
-    local_sums = xp.array(
-        [xp.sum(w_chunk * eloc.real), xp.sum(w_chunk * eloc.imag), w_chunk.sum()]
+    local_sums = np.array(
+        [np.sum(w_chunk * eloc.real), np.sum(w_chunk * eloc.imag), w_chunk.sum()]
     )
     sums = comm.allreduce_ndarray(local_sums)
     e_mean = sums[0] / sums[2]
@@ -556,12 +523,9 @@ def _rank_iteration_stages(engine, comm, wf, rng,
     # Stage 5 accumulated the gradient in the arena's M + 1 payload and the
     # variance takes the trailing slot, so nothing is concatenated.
     arena = wf.arena()
-    arena.payload[-1] = xp.sum(w_chunk * (eloc.real - e_mean) ** 2)
-    # The stage-6 comm boundary: the fused gradient + variance payload leaves
-    # the device exactly once per rank and iteration, entering the allreduce
-    # (which, on a size-1 world, hands the payload itself back).
-    fused = active_backend().to_host(arena.payload, tag="stage6.grad")
-    packed = comm.allreduce_ndarray(fused, channel="stage6_grads")
+    arena.payload[-1] = np.sum(w_chunk * (eloc.real - e_mean) ** 2)
+    # On a size-1 world the allreduce hands the payload itself back.
+    packed = comm.allreduce_ndarray(arena.payload, channel="stage6_grads")
     grad_total, variance = packed[:-1], float(packed[-1] / sums[2])
 
     return {
@@ -573,7 +537,7 @@ def _rank_iteration_stages(engine, comm, wf, rng,
         "n_local_unique": int(local.n_unique),
         "n_samples": int(n_samples),
         "times": times,
-    }, snap_sampled
+    }
 
 
 # --------------------------------------------------------------------------
@@ -605,7 +569,7 @@ def _apply_update(engine, r0: dict) -> None:
     :func:`stage_update` with the reduced gradient.  The guard fires before
     anything of the engine is touched, on every rank alike (the reduced
     values are the same bits everywhere)."""
-    grad_norm = float(xp.linalg.norm(xp.asarray(r0["grad"])))
+    grad_norm = float(np.linalg.norm(np.asarray(r0["grad"])))
     _require_finite(
         f"before the stage 6 update of iteration {engine.iteration + 1}",
         energy=r0["energy"], variance=r0["variance"], gradient=grad_norm,
@@ -622,11 +586,11 @@ class SerialBackend(ExecutionBackend):
         if n_ranks != 1:
             raise ValueError(
                 f"the serial backend runs exactly one rank (got n_ranks={n_ranks}); "
-                "use parallel.backend=threads, =process or =cluster for N_p > 1"
+                "use parallel.backend=process or =cluster for N_p > 1"
             )
 
     def execute(self, engine) -> tuple[list[dict], tuple[int, int] | None]:
-        result = _rank_iteration(
+        result = _rank_iteration_stages(
             engine, Comm(SoloTransport()), engine.wf, engine.rng, nu_star=0,
         )
         _apply_update(engine, result)
@@ -645,11 +609,11 @@ _GO, _ITERATION, _N_SAMPLES, _MOVED = range(4)
 _STOP = (0, 0, 0, 0)
 
 
-def _exchange_header(comm, header) -> host_np.ndarray:
+def _exchange_header(comm, header) -> np.ndarray:
     """Rank 0's header, its move flag or-ed with every rank's (a cluster host
     may have moved too).  Each rank ships its own, so a rank that left is
     named before any stage runs."""
-    parts = comm.allgather_ndarray(host_np.asarray(header, dtype=host_np.int64))
+    parts = comm.allgather_ndarray(np.asarray(header, dtype=np.int64))
     out = parts[0].copy()
     out[_MOVED] = max(p[_MOVED] for p in parts)
     return out
@@ -666,11 +630,11 @@ class _StateMark:
     """
 
     def __init__(self, engine):
-        self.theta = host_np.empty_like(engine.wf.arena().theta)
+        self.theta = np.empty_like(engine.wf.arena().theta)
         self.mark(engine)
 
     def mark(self, engine) -> None:
-        host_np.copyto(self.theta, engine.wf.arena().theta)
+        np.copyto(self.theta, engine.wf.arena().theta)
         # the moments themselves, not their ids: a freed id can be reused
         self.state = engine.optimizer.state_views()
 
@@ -679,7 +643,7 @@ class _StateMark:
         return not (now.keys() == then.keys()
                     and all(now[k] is then[k] if k in ("opt_m", "opt_v")
                             else now[k] == then[k] for k in now)
-                    and host_np.array_equal(engine.wf.arena().theta, self.theta))
+                    and np.array_equal(engine.wf.arena().theta, self.theta))
 
 
 def _broadcast_state(engine, comm) -> None:
@@ -687,11 +651,11 @@ def _broadcast_state(engine, comm) -> None:
     allgather on channel ``resync``, ``[opt_t, sched_i, theta, m, v]`` from
     rank 0 and nothing from the others."""
     opt, theta = engine.optimizer, engine.wf.arena().theta
-    mine = host_np.empty(0)
+    mine = np.empty(0)
     if comm.Get_rank() == 0:
         st = opt.state_views()
-        mine = host_np.concatenate([[st["opt_t"], st["sched_i"]], theta,
-                                    st.get("opt_m", []), st.get("opt_v", [])])
+        mine = np.concatenate([[st["opt_t"], st["sched_i"]], theta,
+                               st.get("opt_m", []), st.get("opt_v", [])])
     got = comm.allgather_ndarray(mine, channel="resync")[0]
     if comm.Get_rank() != 0:
         n = theta.size
@@ -714,16 +678,15 @@ def _spmd_iteration(engine, comm, nu_star: int, resync: bool):
     comm.stats = CommStats()
     if resync:
         _broadcast_state(engine, comm)
-    out = _rank_iteration(engine, comm, engine.wf, engine.rng, nu_star=nu_star)
+    out = _rank_iteration_stages(engine, comm, engine.wf, engine.rng, nu_star=nu_star)
     stats, comm.stats = comm.stats, CommStats()
     t = out["times"]
-    gathered = comm.allgather_ndarray(host_np.array(
+    gathered = comm.allgather_ndarray(np.array(
         [t["sampling"], t["local_energy"], t["gradient"], out["n_local_unique"]]))
     results = [{"times": dict(zip(t, map(float, g[:3]))), "n_local_unique": int(g[3])}
                for g in gathered]
     results[0].update({key: out[key] for key in (
         "grad", "energy", "eloc_imag", "variance", "n_unique", "n_samples")})
-    results[comm.Get_rank()]["transfers"] = out.get("transfers")  # this rank's
     _apply_update(engine, results[0])
     return results, (stats.total_bytes, stats.total_wire_bytes), stats
 
@@ -735,7 +698,7 @@ class _Follower:
     def __init__(self, engine, wf, optimizer):
         self.wf, self.optimizer, self.rng = wf, optimizer, None
         self.comp, self.config = engine.comp, engine.config
-        self.eloc_plan, self.array_backend = engine.eloc_plan, engine.array_backend
+        self.eloc_plan = engine.eloc_plan
         self.iteration = self.n_samples = 0
 
     def _n_samples(self) -> int:
@@ -833,7 +796,9 @@ class SPMDBackend(ExecutionBackend):
 
 class ThreadBackend(SPMDBackend):
     """Ranks 1..N_p-1 in follower threads, each on one deep copy of the model
-    and its optimizer, made before any rank runs."""
+    and its optimizer, made before any rank runs.  The tests' and benchmarks'
+    in-process launcher, not a run option: GIL-bound, it is slower than
+    :class:`ProcessBackend` at every measured N_s."""
 
     name = "threads"
 
@@ -878,26 +843,6 @@ class ProcessBackend(SPMDBackend):
 # --------------------------------------------------------------------------
 # The engine step: the backend's stages and update, then the stats record
 # --------------------------------------------------------------------------
-def _merge_transfers(results: list) -> dict | None:
-    """Sum the per-rank counter deltas (None unless a rank was instrumented)."""
-    deltas = [r.get("transfers") for r in results if r.get("transfers")]
-    if not deltas:
-        return None
-
-    def merge(into: dict, part: dict) -> dict:
-        for k, v in part.items():
-            if isinstance(v, dict):
-                into[k] = merge(dict(into.get(k, {})), v)
-            else:
-                into[k] = into.get(k, 0) + v
-        return into
-
-    merged: dict = {}
-    for d in deltas:
-        merge(merged, d)
-    return merged
-
-
 def execute_iteration(engine) -> VMCStats:
     """One full VMC iteration of ``engine``: its backend runs stages 1-6 and
     the update; this advances the iteration counter and returns the unified
@@ -924,5 +869,4 @@ def execute_iteration(engine) -> VMCStats:
             None if comm is None else [r["n_local_unique"] for r in results]
         ),
         comm_bytes_wire=None if comm is None else comm[1],
-        transfers=_merge_transfers(results),
     )

@@ -48,10 +48,11 @@ import threading
 import weakref
 from dataclasses import dataclass
 
-from repro.backend import xp
-from repro.backend.dtypes import bool_, complex128, float64, int32, int64, uint64
+import numpy as np
+
 from repro.core.sampler import SampleBatch
 from repro.core.wavefunction import NNQSWavefunction
+from repro.dtypes import bool_, complex128, float64, int32, int64, uint64
 from repro.hamiltonian.compressed import (
     PATTERN_QUBITS,
     CompressedHamiltonian,
@@ -93,21 +94,21 @@ class AmplitudeTable:
     arrays it already sorted.
     """
 
-    keys: xp.ndarray       # (U, W) uint64, lexsorted, unique
-    log_amps: xp.ndarray   # (U,) complex128 — log Psi of each key
+    keys: np.ndarray       # (U, W) uint64, lexsorted, unique
+    log_amps: np.ndarray   # (U,) complex128 — log Psi of each key
 
     @property
     def n_entries(self) -> int:
         return len(self.log_amps)
 
 
-def _tabulate(keys: xp.ndarray, log_amps: xp.ndarray) -> AmplitudeTable:
+def _tabulate(keys: np.ndarray, log_amps: np.ndarray) -> AmplitudeTable:
     """The one place the table invariant is established: a stable lexsort,
     keeping the first row of each key."""
     order = lexsort_keys(keys)
     keys, log_amps = keys[order], log_amps[order]
-    keep = xp.ones(len(keys), dtype=bool_)
-    keep[1:] = xp.any(keys[1:] != keys[:-1], axis=1)
+    keep = np.ones(len(keys), dtype=bool_)
+    keep[1:] = np.any(keys[1:] != keys[:-1], axis=1)
     if not keep.all():
         keys, log_amps = keys[keep], log_amps[keep]
     return AmplitudeTable(keys=keys, log_amps=log_amps)
@@ -120,7 +121,7 @@ def build_amplitude_table(wf: NNQSWavefunction, batch: SampleBatch) -> Amplitude
 
 
 def grow_amplitude_table(wf: NNQSWavefunction, table: AmplitudeTable,
-                         keys: xp.ndarray, params32=None) -> AmplitudeTable:
+                         keys: np.ndarray, params32=None) -> AmplitudeTable:
     """``table`` plus log Psi of the ``(M, W)`` keys it lacks, each evaluated
     once; ``table`` itself when it holds them all.  Entries already in the
     table keep their values (they must come from the same parameters);
@@ -130,8 +131,8 @@ def grow_amplitude_table(wf: NNQSWavefunction, table: AmplitudeTable,
     if not len(missing):
         return table
     log_amps = wf.log_amplitudes(unpack_bits(missing, wf.n_qubits), params32)
-    return _tabulate(xp.concatenate([table.keys, missing], axis=0),
-                     xp.concatenate([table.log_amps, log_amps]))
+    return _tabulate(np.concatenate([table.keys, missing], axis=0),
+                     np.concatenate([table.log_amps, log_amps]))
 
 
 def extend_amplitude_table(
@@ -185,7 +186,7 @@ def extend_amplitude_table(
             missing_parts.append(miss)
     if not missing_parts:
         return table
-    missing = xp.concatenate(missing_parts, axis=0)
+    missing = np.concatenate(missing_parts, axis=0)
     if len(missing_parts) > 1:
         missing = unique_keys(missing)  # dedup across row chunks
     if len(missing) > max_extra:
@@ -226,12 +227,12 @@ def budgeted_sample_chunk(
     return int(max(1, min(sample_chunk, memory_budget_bytes // bytes_per_sample)))
 
 
-def _refuse_empty_groups(group_sizes: xp.ndarray) -> None:
+def _refuse_empty_groups(group_sizes: np.ndarray) -> None:
     """Both kernels sum a hit's terms as one ``add.reduceat`` segment, and
     ``reduceat`` answers an empty segment with the next segment's first
     term, not 0: a group without terms must never reach it.
     ``compress_hamiltonian`` builds none; a hand-made Hamiltonian might."""
-    empty = xp.flatnonzero(group_sizes == 0)
+    empty = np.flatnonzero(group_sizes == 0)
     if len(empty):
         raise ValueError(
             f"Hamiltonian group {int(empty[0])} has no terms ({len(empty)} empty "
@@ -244,12 +245,12 @@ def _log_amp_scale(table: AmplitudeTable) -> float:
     return float(table.log_amps.real.max()) if table.n_entries else 0.0
 
 
-def _shifted_psi(log_amps: xp.ndarray, m: float) -> xp.ndarray:
+def _shifted_psi(log_amps: np.ndarray, m: float) -> np.ndarray:
     """``ψ e^{-m}`` from ``log ψ``: at most 1 in modulus, so nothing
     overflows, and a coupled entry that underflows to 0 weighs < e^-745 of
     the table's largest.  Elementwise, so evaluating it over the whole
     table and gathering gives the same bits as evaluating it on a gather."""
-    return xp.exp(log_amps - m)
+    return np.exp(log_amps - m)
 
 
 def local_energy_vectorized(
@@ -259,7 +260,7 @@ def local_energy_vectorized(
     group_chunk: int = 512,
     sample_chunk: int = 4096,
     memory_budget_bytes: int | None = None,
-) -> xp.ndarray:
+) -> np.ndarray:
     """The reference kernel — for testing purposes only.
 
     Stateless SA+FUSE+LUT arithmetic: no plan, no slot map, no caches; what
@@ -282,33 +283,33 @@ def local_energy_vectorized(
         keys_all.shape[1], comp.n_groups, group_chunk, sample_chunk,
         memory_budget_bytes,
     )
-    group_sizes = xp.diff(comp.idxs)
+    group_sizes = np.diff(comp.idxs)
     _refuse_empty_groups(group_sizes)
     red = reduce_terms(comp)
-    n_reduced = xp.diff(red.group_idxs)
-    starts_reduced = xp.zeros(comp.n_terms, dtype=bool_)
+    n_reduced = np.diff(red.group_idxs)
+    starts_reduced = np.zeros(comp.n_terms, dtype=bool_)
     starts_reduced[red.idxs[:-1]] = True
     idx_self = searchsorted_keys(table.keys, keys_all)
-    if xp.any(idx_self < 0):
+    if np.any(idx_self < 0):
         raise ValueError("amplitude table must contain every sample")
     m = _log_amp_scale(table)
-    inv_x_all = xp.exp(m - table.log_amps[idx_self])     # e^m / ψ(x)
+    inv_x_all = np.exp(m - table.log_amps[idx_self])     # e^m / ψ(x)
 
-    eloc = xp.full(batch.n_unique, comp.constant, dtype=complex128)
+    eloc = np.full(batch.n_unique, comp.constant, dtype=complex128)
 
     for s0 in range(0, batch.n_unique, sample_chunk):
         s1 = min(s0 + sample_chunk, batch.n_unique)
         keys = keys_all[s0:s1]
         b = s1 - s0
-        acc_re = xp.zeros(b, dtype=float64)
-        acc_im = xp.zeros(b, dtype=float64)
+        acc_re = np.zeros(b, dtype=float64)
+        acc_im = np.zeros(b, dtype=float64)
         for g0 in range(0, comp.n_groups, group_chunk):
             g1 = min(g0 + group_chunk, comp.n_groups)
             # Coupled configurations + lookup (cheap: XOR + binary search).
             flips = keys[:, None, :] ^ comp.xy_unique[None, g0:g1, :]
             idx = searchsorted_keys(table.keys, flips.reshape(-1, keys.shape[1]))
             idx = idx.reshape(b, g1 - g0)
-            s_hit, g_hit = xp.nonzero(idx >= 0)
+            s_hit, g_hit = np.nonzero(idx >= 0)
             if len(s_hit) == 0:
                 continue
             # Coefficients only for the (sample, group) pairs actually found —
@@ -317,24 +318,24 @@ def local_energy_vectorized(
             # red.order, cut where a reduced term starts.
             g_abs = g_hit + g0
             sizes = group_sizes[g_abs]                       # terms per pair
-            offs = xp.cumsum(sizes) - sizes                  # segment starts
-            pos = xp.repeat(comp.idxs[g_abs], sizes) + (
-                xp.arange(int(sizes.sum())) - xp.repeat(offs, sizes))
+            offs = np.cumsum(sizes) - sizes                  # segment starts
+            pos = np.repeat(comp.idxs[g_abs], sizes) + (
+                np.arange(int(sizes.sum())) - np.repeat(offs, sizes))
             term_idx = red.order[pos]
             par = (
-                parity64(xp.repeat(keys[s_hit], sizes, axis=0)
+                parity64(np.repeat(keys[s_hit], sizes, axis=0)
                          & comp.yz_buf[term_idx]).sum(axis=1) & 1
             )
             signed = comp.coeffs_buf[term_idx] * (1.0 - 2.0 * par)
             # one segment sum per reduced term, then one per pair, in
             # reduceat's order (the plan's)
             r_sizes = n_reduced[g_abs]                       # reduced terms per pair
-            coef = xp.add.reduceat(
-                xp.add.reduceat(signed, xp.flatnonzero(starts_reduced[pos])),
-                xp.cumsum(r_sizes) - r_sizes)
+            coef = np.add.reduceat(
+                np.add.reduceat(signed, np.flatnonzero(starts_reduced[pos])),
+                np.cumsum(r_sizes) - r_sizes)
             psi = _shifted_psi(table.log_amps[idx[s_hit, g_hit]], m)
-            acc_re += xp.bincount(s_hit, weights=coef * psi.real, minlength=b)
-            acc_im += xp.bincount(s_hit, weights=coef * psi.imag, minlength=b)
+            acc_re += np.bincount(s_hit, weights=coef * psi.real, minlength=b)
+            acc_im += np.bincount(s_hit, weights=coef * psi.imag, minlength=b)
         eloc[s0:s1] += (acc_re + 1j * acc_im) * inv_x_all[s0:s1]
     return eloc
 
@@ -363,11 +364,11 @@ class _TableIndex:
     :meth:`ElocPlan._table_index`, cached per thread until the table object
     changes)."""
 
-    records: xp.ndarray   # (U,) scalar/record keys, LUT order — the search base
-    slots: xp.ndarray     # (2^k,) int32: table row, _EMPTY or _SHARED
+    records: np.ndarray   # (U,) scalar/record keys, LUT order — the search base
+    slots: np.ndarray     # (2^k,) int32: table row, _EMPTY or _SHARED
     shift: uint64         # slot = hash >> shift (the hash's top k bits)
     m: float              # _log_amp_scale(table)
-    psi: xp.ndarray | None = None   # _shifted_psi over the table, when needed
+    psi: np.ndarray | None = None   # _shifted_psi over the table, when needed
 
     @property
     def n_entries(self) -> int:
@@ -386,12 +387,12 @@ class _GroupChunkScaffold:
 
     g0: int
     g1: int
-    xy: xp.ndarray       # (gc, W) uint64, contiguous copy of the flip masks
-    starts: xp.ndarray   # (gc,) int64 — first reduced term of each group
-    sizes: xp.ndarray    # (gc,) int64 — reduced terms per group
+    xy: np.ndarray       # (gc, W) uint64, contiguous copy of the flip masks
+    starts: np.ndarray   # (gc,) int64 — first reduced term of each group
+    sizes: np.ndarray    # (gc,) int64 — reduced terms per group
     patterns: list       # W x (gc,) uint64 — the pattern qubits, word by word
-    shifts: xp.ndarray   # (gc,) uint64 — the lowest pattern qubit's bit in its word
-    multipliers: xp.ndarray  # (gc,) uint64 — the pattern hash's multipliers
+    shifts: np.ndarray   # (gc,) uint64 — the lowest pattern qubit's bit in its word
+    multipliers: np.ndarray  # (gc,) uint64 — the pattern hash's multipliers
 
 
 class ElocPlan:
@@ -470,7 +471,7 @@ class ElocPlan:
         self.sample_chunk = sample_chunk
         self.memory_budget_bytes = memory_budget_bytes
         self.n_words = (comp.n_qubits + 63) // 64
-        _refuse_empty_groups(xp.diff(comp.idxs))
+        _refuse_empty_groups(np.diff(comp.idxs))
         # FUSE tables: the pattern table, one row of 32 floats per reduced
         # term (``(r << 5) | (pattern << 1) | parity``), and each word of the
         # reduced terms' sign masks as its own contiguous column.
@@ -479,44 +480,44 @@ class ElocPlan:
         # shift the lowest pattern qubit to bit 0.  The multipliers depend
         # on the shifted mask alone, so the search runs once per distinct
         # shifted mask (at most 41 729 of them, whatever the Hamiltonian).
-        word = xp.bitwise_or.reduce(red.pattern_masks, axis=1)
-        shifts = xp.bitwise_count((word & (~word + uint64(1))) - uint64(1))
-        shifts = xp.where(word != 0, shifts, 0).astype(uint64)
-        masks, group_mask = xp.unique(word >> shifts, return_inverse=True)
+        word = np.bitwise_or.reduce(red.pattern_masks, axis=1)
+        shifts = np.bitwise_count((word & (~word + uint64(1))) - uint64(1))
+        shifts = np.where(word != 0, shifts, 0).astype(uint64)
+        masks, group_mask = np.unique(word >> shifts, return_inverse=True)
         subsets = self._pattern_subsets(masks)
         multipliers = self._pattern_multipliers(subsets)
         self.pattern_table = self._compile_pattern_table(
             comp, red, shifts, subsets[group_mask],
             self._pattern(subsets, multipliers[:, None])[group_mask])
         multipliers = multipliers[group_mask]
-        self.sign_cols = [xp.ascontiguousarray(red.sign_masks[:, w])
+        self.sign_cols = [np.ascontiguousarray(red.sign_masks[:, w])
                           for w in range(self.n_words)]
-        n_reduced = xp.diff(red.group_idxs)
+        n_reduced = np.diff(red.group_idxs)
         self.chunks: list[_GroupChunkScaffold] = []
         for g0 in range(0, comp.n_groups, group_chunk):
             g1 = min(g0 + group_chunk, comp.n_groups)
             self.chunks.append(_GroupChunkScaffold(
                 g0=g0, g1=g1,
-                xy=xp.ascontiguousarray(comp.xy_unique[g0:g1]),
-                starts=xp.ascontiguousarray(red.group_idxs[g0:g1]).astype(int64),
-                sizes=xp.ascontiguousarray(n_reduced[g0:g1]).astype(int64),
-                patterns=[xp.ascontiguousarray(red.pattern_masks[g0:g1, w])
+                xy=np.ascontiguousarray(comp.xy_unique[g0:g1]),
+                starts=np.ascontiguousarray(red.group_idxs[g0:g1]).astype(int64),
+                sizes=np.ascontiguousarray(n_reduced[g0:g1]).astype(int64),
+                patterns=[np.ascontiguousarray(red.pattern_masks[g0:g1, w])
                           for w in range(self.n_words)],
-                shifts=xp.ascontiguousarray(shifts[g0:g1]),
-                multipliers=xp.ascontiguousarray(multipliers[g0:g1]),
+                shifts=np.ascontiguousarray(shifts[g0:g1]),
+                multipliers=np.ascontiguousarray(multipliers[g0:g1]),
             ))
         self._local = threading.local()
 
     # --------------------------------------------------------- pattern table
     @staticmethod
-    def _pattern_subsets(masks: xp.ndarray) -> xp.ndarray:
+    def _pattern_subsets(masks: np.ndarray) -> np.ndarray:
         """``(U, 16)``: subset ``s`` of each one-word mask's set bits — the
         ``j``-th lowest bit is in it when bit ``j`` of ``s`` is set.  A mask
         of ``k < 4`` bits repeats its ``2^k`` subsets."""
         rest = masks.copy()
-        subsets = xp.zeros((len(masks), 1 << PATTERN_QUBITS), dtype=uint64)
-        has_bit = (xp.arange(1 << PATTERN_QUBITS)[:, None]
-                   >> xp.arange(PATTERN_QUBITS)[None, :]) & 1
+        subsets = np.zeros((len(masks), 1 << PATTERN_QUBITS), dtype=uint64)
+        has_bit = (np.arange(1 << PATTERN_QUBITS)[:, None]
+                   >> np.arange(PATTERN_QUBITS)[None, :]) & 1
         for j in range(PATTERN_QUBITS):
             bit = rest & (~rest + uint64(1))           # the lowest set bit (none: 0)
             rest ^= bit
@@ -524,14 +525,14 @@ class ElocPlan:
         return subsets
 
     @staticmethod
-    def _pattern(subsets: xp.ndarray, multipliers: xp.ndarray) -> xp.ndarray:
+    def _pattern(subsets: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
         """The pattern index (``0 .. 15``) of shifted subsets under
         multipliers (broadcast): the top 4 bits of ``subset M`` (mod 2^64)
         — the multiply-shift of the kernel's ``_pair_coefficients``."""
         return (subsets * multipliers) >> uint64(64 - PATTERN_QUBITS)
 
     @classmethod
-    def _pattern_multipliers(cls, subsets: xp.ndarray) -> xp.ndarray:
+    def _pattern_multipliers(cls, subsets: np.ndarray) -> np.ndarray:
         """``(U,)`` uint64 multipliers whose :meth:`_pattern` is one-to-one
         over each mask's subsets, by a seeded search: sparse candidates
         (the AND of two random words: ~2 % of them separate 4 qubits, 3x
@@ -539,24 +540,24 @@ class ElocPlan:
         unresolved masks.  Every mask whose lowest bit is bit 0 has one
         (checked over all of them); fails loudly when a mask stays
         unresolved."""
-        rng = xp.random.default_rng(_SEARCH_SEED)
+        rng = np.random.default_rng(_SEARCH_SEED)
         # 2^k subsets, k the mask's bit count (all bits of subset 15)
-        n_patterns = xp.left_shift(1, xp.bitwise_count(subsets[:, -1]))
-        multipliers = xp.zeros(len(subsets), dtype=uint64)
-        todo = xp.arange(len(subsets))
+        n_patterns = np.left_shift(1, np.bitwise_count(subsets[:, -1]))
+        multipliers = np.zeros(len(subsets), dtype=uint64)
+        todo = np.arange(len(subsets))
         for _ in range(_SEARCH_ROUNDS):
             if len(todo) == 0:
                 return multipliers
             size = (len(todo), max(1, _SEARCH_CANDIDATES // len(todo)))
             cand = rng.integers(0, 1 << 64, size=size, dtype=uint64)
             cand &= rng.integers(0, 1 << 64, size=size, dtype=uint64)
-            seen = xp.zeros(size, dtype=uint64)       # bit p: pattern p taken
+            seen = np.zeros(size, dtype=uint64)       # bit p: pattern p taken
             for s in range(1 << PATTERN_QUBITS):
-                seen |= xp.left_shift(
+                seen |= np.left_shift(
                     uint64(1), cls._pattern(subsets[todo, s, None], cand))
-            good = xp.bitwise_count(seen) == n_patterns[todo, None]
+            good = np.bitwise_count(seen) == n_patterns[todo, None]
             found = good.any(axis=1)
-            multipliers[todo[found]] = cand[found, xp.argmax(good[found], axis=1)]
+            multipliers[todo[found]] = cand[found, np.argmax(good[found], axis=1)]
             todo = todo[~found]
         if len(todo):
             raise RuntimeError(
@@ -567,8 +568,8 @@ class ElocPlan:
 
     @staticmethod
     def _compile_pattern_table(comp: CompressedHamiltonian, red: ReducedTerms,
-                               shifts: xp.ndarray, subsets: xp.ndarray,
-                               pattern: xp.ndarray) -> xp.ndarray:
+                               shifts: np.ndarray, subsets: np.ndarray,
+                               pattern: np.ndarray) -> np.ndarray:
         """The pattern table: ``table[(r << 5) | (p << 1) | q]`` is
         ``(-1)^q Σ_{t in r} c_t (-1)^popcount(s & yz_t)`` for the subset
         ``s`` of pattern ``p`` (``subsets`` and ``pattern``: ``(G, 16)``,
@@ -578,22 +579,22 @@ class ElocPlan:
         sign-mask parity is ``q``.  Patterns no subset maps to stay 0
         (never read)."""
         n_groups = comp.n_groups
-        group_of_term = xp.repeat(xp.arange(n_groups), xp.diff(comp.idxs))[red.order]
-        group_of_red = xp.repeat(xp.arange(n_groups), xp.diff(red.group_idxs))
+        group_of_term = np.repeat(np.arange(n_groups), np.diff(comp.idxs))[red.order]
+        group_of_red = np.repeat(np.arange(n_groups), np.diff(red.group_idxs))
         # each term's YZ letters in its group's pattern word, shifted alike
-        pattern_word = xp.argmax(red.pattern_masks != 0, axis=1)
+        pattern_word = np.argmax(red.pattern_masks != 0, axis=1)
         yz = comp.yz_buf[red.order, pattern_word[group_of_term]]
         yz >>= shifts[group_of_term]
         coeffs = comp.coeffs_buf[red.order]
         offs = red.idxs[:-1]
-        rows = xp.arange(red.n_reduced) << _ROW_BITS
-        table = xp.zeros(red.n_reduced << _ROW_BITS, dtype=float64)
+        rows = np.arange(red.n_reduced) << _ROW_BITS
+        table = np.zeros(red.n_reduced << _ROW_BITS, dtype=float64)
         for s in range(1 << PATTERN_QUBITS):
             x = subsets[:, s].take(group_of_term) & yz
-            signed = coeffs * (1.0 - 2.0 * (xp.bitwise_count(x) & 1))
+            signed = coeffs * (1.0 - 2.0 * (np.bitwise_count(x) & 1))
             slot = rows | (pattern[:, s].take(group_of_red).astype(int64) << 1)
-            table[slot] = xp.add.reduceat(signed, offs)
-            table[slot | 1] = xp.add.reduceat(-signed, offs)
+            table[slot] = np.add.reduceat(signed, offs)
+            table[slot | 1] = np.add.reduceat(-signed, offs)
         return table
 
     # ---------------------------------------------------------- table index
@@ -617,15 +618,15 @@ class ElocPlan:
         return index
 
     @classmethod
-    def _slot_map(cls, keys: xp.ndarray, n_bits: int) -> tuple[xp.ndarray, uint64]:
+    def _slot_map(cls, keys: np.ndarray, n_bits: int) -> tuple[np.ndarray, uint64]:
         """``(slots, shift)``: ``2^n_bits`` int32 slots over ``(U, W)`` table
         keys, slot = the top ``n_bits`` bits of :meth:`_hash`.  A slot holds
         the row of the one key that hashes there, ``_EMPTY`` when none does
         and ``_SHARED`` when two or more do."""
         shift = uint64(64 - n_bits)
         slot = cls._hash(keys) >> shift
-        rows = xp.arange(len(keys), dtype=int32)
-        slots = xp.full(1 << n_bits, _EMPTY, dtype=int32)
+        rows = np.arange(len(keys), dtype=int32)
+        slots = np.full(1 << n_bits, _EMPTY, dtype=int32)
         slots[slot] = rows
         # A slot two keys share keeps one row, whichever write landed last:
         # a key that reads back another row marks its slot shared.
@@ -633,29 +634,29 @@ class ElocPlan:
         return slots, shift
 
     @staticmethod
-    def _hash(keys: xp.ndarray, out: xp.ndarray | None = None) -> xp.ndarray:
+    def _hash(keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``(M, W)`` uint64 rows -> ``(M,)`` multiplicative (Fibonacci) hash,
         folded over the words; the high bits are the well-mixed ones.
         Computed in place in ``out`` when given."""
-        h = xp.multiply(keys[:, 0], _HASH_MULTIPLIER, out=out)
+        h = np.multiply(keys[:, 0], _HASH_MULTIPLIER, out=out)
         for w in range(1, keys.shape[1]):
             h ^= keys[:, w]
             h *= _HASH_MULTIPLIER
         return h
 
-    def _workspace(self, name: str, size: int) -> xp.ndarray:
+    def _workspace(self, name: str, size: int) -> np.ndarray:
         """The first ``size`` entries of the per-thread uint64 workspace
         ``name`` (``flip_buf``: the XOR buffer; ``hash_buf``: the lookup's
         hashes), grown on demand and reused across chunks and calls."""
         buf = getattr(self._local, name, None)
         if buf is None or buf.size < size:
-            buf = xp.empty(size, dtype=uint64)
+            buf = np.empty(size, dtype=uint64)
             setattr(self._local, name, buf)
         return buf[:size]
 
     # -------------------------------------------------------------- lookups
     def _lookup(self, index: _TableIndex,
-                keys: xp.ndarray) -> tuple[xp.ndarray, xp.ndarray]:
+                keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(flat, rows)``: the ascending positions of the ``(M, W)`` keys
         that are in the table, and their table rows — the hits of
         :func:`searchsorted_keys`, which returns ``rows`` at ``flat`` and
@@ -670,24 +671,24 @@ class ElocPlan:
         until the hits are known.
         """
         if index.n_entries == 0:
-            empty = xp.zeros(0, dtype=int64)
+            empty = np.zeros(0, dtype=int64)
             return empty, empty
         h = self._hash(keys, out=self._workspace("hash_buf", len(keys)))
         h >>= index.shift
         cand = index.slots.take(h.view(int64))
-        flat = xp.flatnonzero(cand != _EMPTY)
+        flat = np.flatnonzero(cand != _EMPTY)
         rows = cand.take(flat)
         rec = key_records(keys.take(flat, axis=0))
-        shared = xp.flatnonzero(rows == _SHARED)
+        shared = np.flatnonzero(rows == _SHARED)
         if len(shared):
-            rows[shared] = xp.minimum(
-                xp.searchsorted(index.records, rec[shared]), index.n_entries - 1)
+            rows[shared] = np.minimum(
+                np.searchsorted(index.records, rec[shared]), index.n_entries - 1)
         hit = index.records.take(rows) == rec
         return flat[hit], rows[hit].astype(int64)
 
     @staticmethod
-    def _psi(index: _TableIndex, log_amps: xp.ndarray,
-             rows: xp.ndarray) -> xp.ndarray:
+    def _psi(index: _TableIndex, log_amps: np.ndarray,
+             rows: np.ndarray) -> np.ndarray:
         """``ψ e^{-m}`` of the table ``rows``: evaluated on the gathered rows
         when they are fewer than the table's entries, else once over the
         whole table (kept in ``index``) and gathered — the same bits."""
@@ -697,8 +698,8 @@ class ElocPlan:
             index.psi = _shifted_psi(log_amps, index.m)
         return index.psi[rows]
 
-    def _pair_coefficients(self, keys: xp.ndarray, s_hit: xp.ndarray,
-                           g_hit: xp.ndarray, cp: _GroupChunkScaffold) -> xp.ndarray:
+    def _pair_coefficients(self, keys: np.ndarray, s_hit: np.ndarray,
+                           g_hit: np.ndarray, cp: _GroupChunkScaffold) -> np.ndarray:
         """H_xx' of each hit pair (sample ``s_hit``, group ``cp.g0 + g_hit``)
         (FUSE): one ``add.reduceat`` segment per pair over its group's
         reduced terms, each read off the pattern table at the pair's
@@ -710,7 +711,7 @@ class ElocPlan:
         temporaries (the largest arrays of a call) die on return, before
         the next group chunk is looked up."""
         sizes = cp.sizes[g_hit]                      # reduced terms per pair
-        ends = xp.cumsum(sizes)
+        ends = np.cumsum(sizes)
         offs = ends - sizes                          # segment starts
         words = [keys[:, w].take(s_hit) for w in range(self.n_words)]
         h = None                 # x & pattern: one word holds the pattern qubits
@@ -728,24 +729,24 @@ class ElocPlan:
         base |= h.view(int64) << 1
         # table index (r << 5) | (pattern << 1), r running over the
         # concatenated [start_p, start_p + size_p), built in place
-        slot = xp.arange(0, int(ends[-1]) << _ROW_BITS, 1 << _ROW_BITS)
-        slot += xp.repeat(base, sizes)
+        slot = np.arange(0, int(ends[-1]) << _ROW_BITS, 1 << _ROW_BITS)
+        slot += np.repeat(base, sizes)
         red = slot >> _ROW_BITS
         x = None                            # the words of x & sign, XOR-folded
         for word, sign in zip(words, self.sign_cols):
-            word = xp.repeat(word, sizes)
+            word = np.repeat(word, sizes)
             word &= sign.take(red)
             if x is None:
                 x = word
             else:
                 x ^= word
-        par = xp.bitwise_count(x)
+        par = np.bitwise_count(x)
         par &= 1
         slot |= par
-        return xp.add.reduceat(self.pattern_table.take(slot), offs)
+        return np.add.reduceat(self.pattern_table.take(slot), offs)
 
     # --------------------------------------------------------------- kernel
-    def local_energy(self, batch: SampleBatch, table: AmplitudeTable) -> xp.ndarray:
+    def local_energy(self, batch: SampleBatch, table: AmplitudeTable) -> np.ndarray:
         """The planned kernel — bit-identical to ``local_energy_vectorized``."""
         comp = self.comp
         keys_all = pack_bits(batch.bits)
@@ -762,28 +763,28 @@ class ElocPlan:
         found, rows_self = self._lookup(index, keys_all)
         if len(found) != batch.n_unique:
             raise ValueError("amplitude table must contain every sample")
-        inv_x_all = xp.exp(index.m - table.log_amps[rows_self])   # e^m / ψ(x)
+        inv_x_all = np.exp(index.m - table.log_amps[rows_self])   # e^m / ψ(x)
 
-        eloc = xp.full(batch.n_unique, comp.constant, dtype=complex128)
+        eloc = np.full(batch.n_unique, comp.constant, dtype=complex128)
         for s0 in range(0, batch.n_unique, sample_chunk):
             s1 = min(s0 + sample_chunk, batch.n_unique)
             keys = keys_all[s0:s1]
             b = s1 - s0
-            acc_re = xp.zeros(b, dtype=float64)
-            acc_im = xp.zeros(b, dtype=float64)
+            acc_re = np.zeros(b, dtype=float64)
+            acc_im = np.zeros(b, dtype=float64)
             for cp in self.chunks:
                 gc = cp.g1 - cp.g0
                 flips = self._workspace("flip_buf", b * gc * self.n_words).reshape(
                     b, gc, self.n_words)
-                xp.bitwise_xor(keys[:, None, :], cp.xy[None, :, :], out=flips)
+                np.bitwise_xor(keys[:, None, :], cp.xy[None, :, :], out=flips)
                 flat, rows = self._lookup(index, flips.reshape(-1, self.n_words))
                 if len(flat) == 0:
                     continue
-                s_hit, g_hit = xp.divmod(flat, gc)
+                s_hit, g_hit = np.divmod(flat, gc)
                 coef = self._pair_coefficients(keys, s_hit, g_hit, cp)
                 psi = self._psi(index, table.log_amps, rows)
-                acc_re += xp.bincount(s_hit, weights=coef * psi.real, minlength=b)
-                acc_im += xp.bincount(s_hit, weights=coef * psi.imag, minlength=b)
+                acc_re += np.bincount(s_hit, weights=coef * psi.real, minlength=b)
+                acc_im += np.bincount(s_hit, weights=coef * psi.imag, minlength=b)
             eloc[s0:s1] += (acc_re + 1j * acc_im) * inv_x_all[s0:s1]
         return eloc
 
@@ -801,7 +802,7 @@ def local_energy_planned(
     batch: SampleBatch,
     table: AmplitudeTable,
     plan: ElocPlan | None = None,
-) -> xp.ndarray:
+) -> np.ndarray:
     """Run ``plan`` on one batch (function spelling of the production kernel).
 
     Chunking and the memory budget are properties of the plan.  With
@@ -826,7 +827,7 @@ def local_energy(
     table: AmplitudeTable | None = None,
     memory_budget_bytes: int | None = None,
     plan: ElocPlan | None = None,
-) -> tuple[xp.ndarray, AmplitudeTable]:
+) -> tuple[np.ndarray, AmplitudeTable]:
     """High-level entry point: build/extend the table, then run the plan.
 
     ``mode='exact'`` extends the amplitude table with all coupled

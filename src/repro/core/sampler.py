@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.core.wavefunction import NNQSWavefunction
 
 __all__ = ["SampleBatch", "autoregressive_sample", "batch_autoregressive_sample", "BASTreeState"]
@@ -95,9 +94,6 @@ def autoregressive_sample(wf: NNQSWavefunction, n_samples: int,
     for step in range(t):
         logits = session.step(tokens[:, -1] if step > 0 else None)
         probs = wf.probs_from_logits(logits, cu, cd, step)  # (B, vocab)
-        # The one planned device->host sync of the sampling loop: the host
-        # RNG consumes the conditional probabilities.
-        probs = active_backend().to_host(probs, tag="sampling.probs")
         u = rng.random((n_samples, 1))
         choice = (probs.cumsum(axis=1) < u).sum(axis=1)
         choice = np.minimum(choice, wf.vocab_size - 1)
@@ -160,13 +156,8 @@ def _bas_step(wf: NNQSWavefunction, state: BASTreeState,
         else:
             logits = session.step(
                 state.prefixes[stepped, -1] if state.step > 0 else None)
-        # The one planned device->host sync per BAS step (none on a level
-        # the mask decides entirely): the host RNG's multinomial split
-        # consumes the conditional probabilities.
-        probs[stepped] = active_backend().to_host(
-            wf.probs_from_logits(logits, state.counts_up[stepped],
-                                 state.counts_dn[stepped], state.step),
-            tag="sampling.probs")
+        probs[stepped] = wf.probs_from_logits(
+            logits, state.counts_up[stepped], state.counts_dn[stepped], state.step)
     if not stepped.all():
         forced = ~stepped
         probs[forced] = wf.constraint.mask_for_step(

@@ -83,8 +83,7 @@ class VMC:
     """The VMC optimizer: engine state + a pluggable execution backend.
 
     Everything that shapes a run arrives as an object: ``config`` (what
-    stages 1-3 read), ``backend`` (an ``ExecutionBackend``; default serial),
-    ``array_backend`` (a ``repro.backend`` name or instance; default numpy)
+    stages 1-3 read), ``backend`` (an ``ExecutionBackend``; default serial)
     and ``optimizer`` (default ``NoamAdamW(wf)``, the paper's AdamW + Eq. 13;
     it must be built on ``wf``).  ``eloc_plan`` is compiled here under the
     config's byte budget; assign another ``ElocPlan`` to run stage 3 with
@@ -95,9 +94,7 @@ class VMC:
                  hamiltonian: QubitHamiltonian | CompressedHamiltonian,
                  config: VMCConfig | None = None,
                  backend: ExecutionBackend | None = None,
-                 array_backend=None, optimizer: NoamAdamW | None = None):
-        from repro.backend import get_backend
-
+                 optimizer: NoamAdamW | None = None):
         # Stage 5 differentiates wf and stage 6 steps the optimizer's model:
         # another model would train in wf's place, silently.
         if optimizer is not None and optimizer.model is not wf:
@@ -106,9 +103,6 @@ class VMC:
                 "optimizer=NoamAdamW(wf, ...) for the wavefunction being trained"
             )
         self.wf = wf
-        # The array backend every xp allocation of the staged iteration lands
-        # on (name, ArrayBackend instance, or None for the numpy default).
-        self.array_backend = get_backend(array_backend or "numpy")
         self.comp = (
             hamiltonian
             if isinstance(hamiltonian, CompressedHamiltonian)

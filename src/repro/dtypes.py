@@ -3,8 +3,7 @@
 Every hot-path module takes its dtypes from here instead of spelling
 ``np.float64`` / ``np.complex128`` literals inline, so the policy (VMC math
 in float64 but for what no tape reads, amplitudes in complex128, packed
-configuration keys in uint64) is stated once and adapters can translate it
-per backend:
+configuration keys in uint64) is stated once:
 
 * float64 everywhere real-valued — VMC gradients are small differences of
   local energies — except the two networks' arithmetic, no-grad and stage 5
@@ -43,10 +42,8 @@ per backend:
   uint8 for unpacked bit arrays; int64 for weights/counts/indices;
   uint32 for natural-width wire counts.
 
-These are numpy scalar types (usable both as ``dtype=`` arguments and as
-converters, e.g. ``float64(x)``); non-numpy backends translate them inside
-their ``xp`` adapter namespace, so kernel code never branches on the
-backend to pick a dtype.
+These are numpy scalar types, usable both as ``dtype=`` arguments and as
+converters (``float64(x)``).
 """
 from __future__ import annotations
 

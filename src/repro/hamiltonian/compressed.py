@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend.dtypes import bool_, int64
+from repro.dtypes import bool_, int64
 from repro.hamiltonian.qubit_hamiltonian import QubitHamiltonian
 from repro.utils.bitstrings import lexsort_keys, popcount64
 

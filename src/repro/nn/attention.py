@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 
-from repro.backend import xp
-from repro.backend.dtypes import float32
-from repro.backend.host import host_np
+import numpy as np
+
+from repro.dtypes import float32
 from repro.nn.inference import attention_weights
 from repro.nn.kernels import MASK_VALUE
 from repro.nn.layers import LayerNorm, Linear
@@ -33,7 +33,7 @@ class CausalSelfAttention(Module):
     """Multi-head self-attention with a causal (lower-triangular) mask."""
 
     def __init__(self, d_model: int, n_heads: int,
-                 rng: host_np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         if d_model % n_heads != 0:
             raise ValueError(f"d_model={d_model} not divisible by n_heads={n_heads}")
@@ -47,7 +47,7 @@ class FeedForward(Module):
     """Position-wise feed-forward network (d_model -> 4 d_model -> d_model)."""
 
     def __init__(self, d_model: int, d_ff: int | None = None,
-                 rng: host_np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         d_ff = d_ff or 4 * d_model
         self.fc1 = Linear(d_model, d_ff, rng=rng)
@@ -58,7 +58,7 @@ class DecoderLayer(Module):
     """Pre-norm transformer decoder block: x + MHA(LN(x)), then x + FF(LN(x))."""
 
     def __init__(self, d_model: int, n_heads: int, d_ff: int | None = None,
-                 rng: host_np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         self.ln1 = LayerNorm(d_model)
         self.attn = CausalSelfAttention(d_model, n_heads, rng=rng)
@@ -87,13 +87,13 @@ def ancestor_layout(rep_row, level):
     """
     n = len(level)
     depth = int(level.max()) + 1
-    pre = xp.lexsort((level, rep_row))
-    inv = xp.empty_like(pre)
-    inv[pre] = xp.arange(n)
+    pre = np.lexsort((level, rep_row))
+    inv = np.empty_like(pre)
+    inv[pre] = np.arange(n)
     starts = level * n + inv
-    runs = xp.diff(starts, append=depth * n)
-    positions = xp.arange(depth)[:, None, None]
-    mask = xp.where(positions > level[pre], MASK_VALUE, 0.0).astype(float32)
+    runs = np.diff(starts, append=depth * n)
+    positions = np.arange(depth)[:, None, None]
+    mask = np.where(positions > level[pre], MASK_VALUE, 0.0).astype(float32)
     return pre, inv, starts, runs, mask
 
 
@@ -111,12 +111,12 @@ def tree_attention_forward(qkv, layout, n_heads: int):
     pre, inv, _, runs, mask = layout
     d3, n = qkv.shape
     heads = qkv.reshape(3, n_heads, d3 // (3 * n_heads), n)
-    q = xp.take(heads[0], pre, axis=-1)
-    kv = xp.repeat(heads[1:], runs, axis=-1).reshape(heads[1:].shape[:-1] + (len(mask), n))
-    k, v = (xp.moveaxis(a, 2, 0) for a in kv)                # (depth, h, dh, n)
+    q = np.take(heads[0], pre, axis=-1)
+    kv = np.repeat(heads[1:], runs, axis=-1).reshape(heads[1:].shape[:-1] + (len(mask), n))
+    k, v = (np.moveaxis(a, 2, 0) for a in kv)                # (depth, h, dh, n)
     p = attention_weights(q, k, mask)
-    out = xp.einsum("thn,thdn->hdn", p, v).reshape(d3 // 3, n)
-    return xp.take(out, inv, axis=1), (q, kv, p)
+    out = np.einsum("thn,thdn->hdn", p, v).reshape(d3 // 3, n)
+    return np.take(out, inv, axis=1), (q, kv, p)
 
 
 def tree_attention_vjp(saved, g, layout):
@@ -130,16 +130,16 @@ def tree_attention_vjp(saved, g, layout):
     pre, inv, starts, _, _ = layout
     q, kv, p = saved
     n_heads, dh, n = q.shape
-    k, v = (xp.moveaxis(a, 2, 0) for a in kv)
-    go = xp.take(g, pre, axis=1).reshape(q.shape)
-    g_ancestors = xp.empty_like(kv)
-    gk, gv = (xp.moveaxis(a, 2, 0) for a in g_ancestors)
-    gp = xp.einsum("hdn,thdn->thn", go, v)
-    xp.einsum("thn,hdn->thdn", p, go, out=gv)
-    gp -= xp.einsum("thn,thn->hn", gp, p)
+    k, v = (np.moveaxis(a, 2, 0) for a in kv)
+    go = np.take(g, pre, axis=1).reshape(q.shape)
+    g_ancestors = np.empty_like(kv)
+    gk, gv = (np.moveaxis(a, 2, 0) for a in g_ancestors)
+    gp = np.einsum("hdn,thdn->thn", go, v)
+    np.einsum("thn,hdn->thdn", p, go, out=gv)
+    gp -= np.einsum("thn,thn->hn", gp, p)
     gp *= p                 # softmax backward; exactly 0 at masked positions
     gp *= 1.0 / math.sqrt(dh)
-    gq = xp.einsum("thn,thdn->hdn", gp, k).reshape(n_heads * dh, n)
-    xp.einsum("thn,hdn->thdn", gp, q, out=gk)
-    gkv = xp.add.reduceat(g_ancestors.reshape(2 * n_heads * dh, -1), starts, axis=1)
-    return xp.concatenate([xp.take(gq, inv, axis=1), gkv])
+    gq = np.einsum("thn,thdn->hdn", gp, k).reshape(n_heads * dh, n)
+    np.einsum("thn,hdn->thdn", gp, q, out=gk)
+    gkv = np.add.reduceat(g_ancestors.reshape(2 * n_heads * dh, -1), starts, axis=1)
+    return np.concatenate([np.take(gq, inv, axis=1), gkv])

@@ -24,20 +24,21 @@ one position per call):
   first position.  ``select`` and ``copy``
   share that copy, so weights and KV cache have one lifetime.  Logits come
   back float64: the masks, log-softmax, multinomial split and the walk's
-  running log pi stay float64.  The audit is ``backend/dtypes.py``'s.
+  running log pi stay float64.  The audit is ``repro/dtypes.py``'s.
 * **Oracle.** The dense float64 forward of ``repro.autograd.oracle``
   (``conditional_logits``, through ``padded_next_logits``) is the oracle of
   every decode (``tests/test_inference.py``, ``tests/test_precision.py``).
 
 ``prefill`` is a loop of the same kernel over the prefix.  Everything here
-is graph-free bookkeeping on backend arrays allocated through ``xp``.
+is graph-free bookkeeping on numpy arrays.
 """
 from __future__ import annotations
 
 import math
 
-from repro.backend import xp
-from repro.backend.dtypes import float32, float64, int64
+import numpy as np
+
+from repro.dtypes import float32, float64, int64
 from repro.nn.kernels import gelu_forward
 
 __all__ = [
@@ -65,8 +66,8 @@ class DecodeWeights:
     __slots__ = ("tok", "pos", "layers", "head", "n_heads")
 
     def __init__(self, model):
-        self.tok = xp.ascontiguousarray(model.tok_emb.weight.data.T, dtype=float32)
-        self.pos = xp.ascontiguousarray(model.pos_emb.weight.data.T, dtype=float32)
+        self.tok = np.ascontiguousarray(model.tok_emb.weight.data.T, dtype=float32)
+        self.pos = np.ascontiguousarray(model.pos_emb.weight.data.T, dtype=float32)
         self.layers = [
             (_normed(layer.ln1, layer.attn.qkv), _affine_of(layer.attn.proj),
              _normed(layer.ln2, layer.ff.fc1), _affine_of(layer.ff.fc2))
@@ -77,18 +78,18 @@ class DecodeWeights:
 
 
 def _column32(b):
-    return xp.asarray(b, dtype=float32)[:, None]
+    return np.asarray(b, dtype=float32)[:, None]
 
 
 def _affine_of(lin):
     """``(W, c)`` of a linear layer in float32."""
-    return xp.asarray(lin.weight.data, dtype=float32), _column32(lin.bias.data)
+    return np.asarray(lin.weight.data, dtype=float32), _column32(lin.bias.data)
 
 
 def _normed(ln, lin):
     """``(W diag g, W b + c, eps)``: LayerNorm ``ln`` folded into ``lin``."""
     w = lin.weight.data
-    return (xp.asarray(w * ln.gamma.data, dtype=float32),
+    return (np.asarray(w * ln.gamma.data, dtype=float32),
             _column32(w @ ln.beta.data + lin.bias.data), ln.eps)
 
 
@@ -104,10 +105,10 @@ def _standardize(x, eps: float):
     activations: the oracle's ``layer_norm`` statistics, transposed."""
     scale = 1.0 / len(x)
     xc = x - x.sum(axis=0) * scale
-    std = xp.einsum("dn,dn->n", xc, xc)
+    std = np.einsum("dn,dn->n", xc, xc)
     std *= scale
     std += eps
-    xp.sqrt(std, out=std)
+    np.sqrt(std, out=std)
     return xc, std
 
 
@@ -130,12 +131,12 @@ def attention_weights(q, k, mask=None):
     ``mask`` (0 or ``MASK_VALUE``, broadcast to that shape) removes
     positions.
     """
-    s = xp.einsum("thdn,hdn->thn", k, q)
+    s = np.einsum("thdn,hdn->thn", k, q)
     s *= 1.0 / math.sqrt(q.shape[1])
     if mask is not None:
         s += mask
     s -= s.max(axis=0)
-    xp.exp(s, out=s)
+    np.exp(s, out=s)
     s /= s.sum(axis=0)
     return s
 
@@ -147,7 +148,7 @@ def cached_attention(q, k, v):
     rows)``.  Returns ``(heads, d_head, rows)`` — row ``t - 1`` of the
     dense causal attention (the oracle's ``attention_forward``).
     """
-    return xp.einsum("thn,thdn->hdn", attention_weights(q, k), v)
+    return np.einsum("thn,thdn->hdn", attention_weights(q, k), v)
 
 
 def decode_step(w: DecodeWeights, kv, pos: int, inputs):
@@ -161,7 +162,7 @@ def decode_step(w: DecodeWeights, kv, pos: int, inputs):
     h = w.n_heads
     # take, not w.tok[:, inputs]: the fancy index returns the columns
     # Fortran-ordered, and every later op would inherit that order.
-    x = xp.take(w.tok, inputs, axis=1)
+    x = np.take(w.tok, inputs, axis=1)
     x += w.pos[:, pos, None]
     for layer, (qkv_w, proj, fc1, fc2) in enumerate(w.layers):
         qkv = _norm_affine(*qkv_w, x).reshape(3, h, d // h, n)
@@ -171,7 +172,7 @@ def decode_step(w: DecodeWeights, kv, pos: int, inputs):
         x += _affine(*proj, att.reshape(d, n))
         x += _affine(*fc2, gelu_forward(_norm_affine(*fc1, x))[0])
     logits = _norm_affine(*w.head, x)
-    return xp.ascontiguousarray(logits.T, dtype=float64)
+    return np.ascontiguousarray(logits.T, dtype=float64)
 
 
 # --------------------------------------------------------------------------
@@ -203,10 +204,10 @@ class TransformerInferenceSession:
         if prev_tokens is None:
             if self.pos != 0:
                 raise ValueError("prev_tokens required once the session has started")
-            return self._advance(xp.full(self.batch_size, self.model.bos, dtype=int64))
+            return self._advance(np.full(self.batch_size, self.model.bos, dtype=int64))
         if self.pos == 0:
             raise ValueError("the first step consumes BOS: call step(None) or prefill()")
-        return self._advance(xp.asarray(prev_tokens, dtype=int64).reshape(-1))
+        return self._advance(np.asarray(prev_tokens, dtype=int64).reshape(-1))
 
     def prefill(self, prefix_tokens):
         """Consume BOS and a whole ``(batch, k)`` prefix, one kernel step per
@@ -214,10 +215,10 @@ class TransformerInferenceSession:
         Only valid on a fresh session (``pos == 0``)."""
         if self.pos != 0:
             raise ValueError("prefill requires a fresh session")
-        prefix = xp.asarray(prefix_tokens, dtype=int64)
+        prefix = np.asarray(prefix_tokens, dtype=int64)
         if prefix.ndim == 1:
             prefix = prefix[None, :]
-        logits = self._advance(xp.full(len(prefix), self.model.bos, dtype=int64))
+        logits = self._advance(np.full(len(prefix), self.model.bos, dtype=int64))
         for k in range(prefix.shape[1]):
             logits = self._advance(prefix[:, k])
         return logits
@@ -232,7 +233,7 @@ class TransformerInferenceSession:
         if self.pos == 0:
             self._weights = DecodeWeights(model)
             heads = self._weights.n_heads
-            self._kv = xp.empty((model.n_tokens, len(model.layers), 2, heads,
+            self._kv = np.empty((model.n_tokens, len(model.layers), 2, heads,
                                  model.d_model // heads, len(inputs)), dtype=float32)
         logits = decode_step(self._weights, self._kv, self.pos, inputs)
         self.pos += 1
@@ -251,20 +252,20 @@ class TransformerInferenceSession:
         fresh cache: a fancy index on the last axis would return a transposed,
         non-contiguous array and slow every later step.
         """
-        idx = xp.asarray(idx, dtype=int64)
+        idx = np.asarray(idx, dtype=int64)
         if self._kv is None:
             return self._derived(len(idx), None)
         n = self._kv.shape[-1]
         if len(idx) and (int(idx.min()) < 0 or int(idx.max()) >= n):
             raise IndexError(f"select: session rows out of range for {n} rows")
-        kv = xp.empty(self._kv.shape[:-1] + (len(idx),), dtype=float32)
+        kv = np.empty(self._kv.shape[:-1] + (len(idx),), dtype=float32)
         # mode="wrap" skips take's buffered bounds check (checked above).
-        xp.take(self._kv[:self.pos], idx, axis=-1, out=kv[:self.pos], mode="wrap")
+        np.take(self._kv[:self.pos], idx, axis=-1, out=kv[:self.pos], mode="wrap")
         return self._derived(len(idx), kv)
 
     def copy(self) -> "TransformerInferenceSession":
         """Deep-copied cache, shared weights: stepping the copy never mutates
         the original."""
         return self._derived(self.batch_size,
-                             None if self._kv is None else xp.array(self._kv))
+                             None if self._kv is None else np.array(self._kv))
 

@@ -5,14 +5,14 @@ pretraining.  The oracle (``repro.autograd.oracle``) writes its own GELU and
 head, so a fault here shows in the precision audit.
 
 Short last axes (4 to 64 wide) are reduced by contractions (``last_axis_sum``
-/ ``last_axis_max``; ``tools/lint_backend.py`` refuses ``axis=-1``
+/ ``last_axis_max``; ``tools/lint_kernels.py`` refuses ``axis=-1``
 reductions here): numpy's reduction loop runs once per output element.
 """
 from __future__ import annotations
 
 import math
 
-from repro.backend import xp
+import numpy as np
 
 __all__ = ["MASK_VALUE", "last_axis_sum", "last_axis_max", "gelu_forward",
            "gelu_backward", "softmax", "log_softmax", "picked_log_softmax_forward",
@@ -29,14 +29,14 @@ _GELU_CK = _GELU_C * 0.044715
 def last_axis_sum(x):
     """``sum(x, axis=-1, keepdims=True)`` as one GEMV against ones."""
     n = x.shape[-1]
-    return (x.reshape(-1, n) @ xp.ones(n)).reshape(x.shape[:-1] + (1,))
+    return (x.reshape(-1, n) @ np.ones(n)).reshape(x.shape[:-1] + (1,))
 
 
 def last_axis_max(x):
     """``max(x, axis=-1, keepdims=True)`` as a running maximum over columns."""
-    m = xp.array(x[..., 0])
+    m = np.array(x[..., 0])
     for j in range(1, x.shape[-1]):
-        xp.maximum(m, x[..., j], out=m)
+        np.maximum(m, x[..., j], out=m)
     return m[..., None]
 
 
@@ -51,7 +51,7 @@ def gelu_forward(a):
     t *= _GELU_CK
     t += _GELU_C
     t *= a
-    xp.tanh(t, out=t)
+    np.tanh(t, out=t)
     out = t + 1.0
     out *= a
     out *= 0.5
@@ -79,7 +79,7 @@ def gelu_backward(g, a, t):
 def softmax(x):
     """Softmax over the last axis (max-shifted; the input is left untouched)."""
     e = x - last_axis_max(x)
-    xp.exp(e, out=e)
+    np.exp(e, out=e)
     e /= last_axis_sum(e)
     return e
 
@@ -89,7 +89,7 @@ def log_softmax(x):
     untouched) — the arithmetic of :func:`picked_log_softmax_forward` before
     the pick."""
     z = x - last_axis_max(x)
-    z -= xp.log(last_axis_sum(xp.exp(z)))
+    z -= np.log(last_axis_sum(np.exp(z)))
     return z
 
 
@@ -108,13 +108,13 @@ def picked_log_softmax_forward(logits, allowed, tokens, node_at):
     (``None`` = unconstrained).  Float64: it is ``nodes x vocab`` only.
     """
     if allowed is not None:
-        logits = xp.where(allowed, logits, MASK_VALUE)
+        logits = np.where(allowed, logits, MASK_VALUE)
     z = logits - last_axis_max(logits)
-    p = xp.exp(z)
+    p = np.exp(z)
     norm = last_axis_sum(p)
-    z -= xp.log(norm)
-    flat = xp.where(node_at < 0, z.size, node_at * z.shape[-1] + tokens)
-    out = last_axis_sum(xp.take(xp.append(z, 0.0), flat))[:, 0]
+    z -= np.log(norm)
+    flat = np.where(node_at < 0, z.size, node_at * z.shape[-1] + tokens)
+    out = last_axis_sum(np.take(np.append(z, 0.0), flat))[:, 0]
     p /= norm
     return out, p, flat
 
@@ -124,8 +124,8 @@ def picked_log_softmax_backward(g, p, flat, allowed):
     with ``picked`` the ``(b,)`` weights ``g`` binned per (node, token) — one
     ``bincount`` — and ``G`` its sum per node; exactly zero at masked
     entries and at a node whose one allowed token is picked."""
-    weights = xp.repeat(g, flat.shape[1])
-    picked = xp.bincount(flat.reshape(-1), weights=weights, minlength=p.size + 1)
+    weights = np.repeat(g, flat.shape[1])
+    picked = np.bincount(flat.reshape(-1), weights=weights, minlength=p.size + 1)
     picked = picked[: p.size].reshape(p.shape)
     gl = picked - p * last_axis_sum(picked)
     if allowed is not None:

@@ -2,9 +2,8 @@
 
 Initializations follow the PyTorch defaults the paper's implementation
 inherits (Kaiming-uniform linear layers, N(0,1)-scaled embeddings).
-Initialization is host-side by contract (the seeded ``host_np`` Generator
-defines the parameter bitstream); the resulting Parameters live on the
-active array backend (``Parameter`` converts with ``xp.asarray``).
+A seeded numpy Generator defines the parameter bitstream (``Parameter``
+converts with ``np.asarray``).
 
 The layers hold parameters only: the float32 kernels that read them are the
 decode's and stage 5's (``repro.nn.inference``, ``repro.nn.transformer``),
@@ -14,8 +13,8 @@ from __future__ import annotations
 
 import math
 
-from repro.backend import xp
-from repro.backend.host import host_np
+import numpy as np
+
 from repro.nn.module import Module, Parameter
 
 __all__ = ["Linear", "Embedding", "LayerNorm", "PositionalEmbedding"]
@@ -25,9 +24,9 @@ class Linear(Module):
     """Affine map ``y = x W^T + b`` over the last axis."""
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 rng: host_np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or host_np.random.default_rng()
+        rng = rng or np.random.default_rng()
         bound = 1.0 / math.sqrt(in_features)
         self.weight = Parameter(rng.uniform(-bound, bound, size=(out_features, in_features)))
         self.bias = Parameter(rng.uniform(-bound, bound, size=(out_features,))) if bias else None
@@ -39,9 +38,9 @@ class Embedding(Module):
     """Token embedding table."""
 
     def __init__(self, num_embeddings: int, dim: int,
-                 rng: host_np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or host_np.random.default_rng()
+        rng = rng or np.random.default_rng()
         self.weight = Parameter(rng.normal(0.0, 0.02, size=(num_embeddings, dim)))
         self.num_embeddings = num_embeddings
         self.dim = dim
@@ -51,9 +50,9 @@ class PositionalEmbedding(Module):
     """Learned absolute positional embedding (GPT-style, as in QiankunNet)."""
 
     def __init__(self, max_len: int, dim: int,
-                 rng: host_np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or host_np.random.default_rng()
+        rng = rng or np.random.default_rng()
         self.weight = Parameter(rng.normal(0.0, 0.02, size=(max_len, dim)))
         self.max_len = max_len
 
@@ -63,7 +62,7 @@ class LayerNorm(Module):
 
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
-        self.gamma = Parameter(xp.ones(dim))
-        self.beta = Parameter(xp.zeros(dim))
+        self.gamma = Parameter(np.ones(dim))
+        self.beta = Parameter(np.zeros(dim))
         self.eps = eps
         self.dim = dim

@@ -19,12 +19,46 @@ oracle's (``repro.autograd.oracle``), for tests and benchmarks.
 """
 from __future__ import annotations
 
+import ctypes
+import sys
 from typing import Iterator
 
-from repro.backend import xp
-from repro.backend.dtypes import float64
+import numpy as np
+
+from repro.dtypes import float64
 
 __all__ = ["Parameter", "ParameterArena", "Module"]
+
+# glibc's mallopt(M_TOP_PAD, bytes): how much free memory stays at the top of
+# the heap before it is handed back to the kernel.  Stage 5's row blocks free
+# their activations there; at the default (dynamic, ~4 MB) the heap is trimmed
+# after a block and the next one re-faults it, one 4 KiB page at a time.  Per
+# n2_grad iteration (steady state, one BLAS thread of an AMD EPYC core, both
+# halves of stage 5 float32 VJPs; six alternating pairs of processes):
+# ~1 760 minor faults and 15.1 ms without the pad, ~8 and 13.8 ms with it,
+# for +1.6 MiB peak RSS (68.4 -> 70.0).  Measured, not tuned: 16 MiB and
+# MALLOC_TRIM_THRESHOLD_ alone were both worse than doing nothing (DESIGN.md,
+# "Parameter arena").
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD_BYTES = 64 << 20
+
+
+def _keep_heap_top() -> None:
+    """Set the heap-top pad where the C library is glibc; a no-op elsewhere."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # not glibc: no mallopt to call
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD_BYTES)
+
+
+# Once per process, on import: every network, and so every arena and stage-5
+# block, is built after this module loads.
+_keep_heap_top()
 
 
 class Parameter:
@@ -34,7 +68,7 @@ class Parameter:
     __slots__ = ("data", "grad", "name")
 
     def __init__(self, data, name: str | None = None):
-        self.data = xp.asarray(data, dtype=float64)
+        self.data = np.asarray(data, dtype=float64)
         self.grad = None
         self.name = name
 
@@ -44,7 +78,7 @@ class Parameter:
     def _accumulate(self, grad) -> None:
         """Add ``grad`` into the gradient (in place once it exists)."""
         if self.grad is None:
-            self.grad = xp.zeros_like(self.data)
+            self.grad = np.zeros_like(self.data)
         self.grad += grad
 
 
@@ -71,8 +105,8 @@ class ParameterArena:
         for p in params:
             self._spans.append((offset, offset + p.size))
             offset += p.size
-        self.theta = xp.empty(offset, dtype=float64)
-        self.payload = xp.zeros(offset + 1, dtype=float64)
+        self.theta = np.empty(offset, dtype=float64)
+        self.payload = np.zeros(offset + 1, dtype=float64)
         self.grad = self.payload[:offset]
         self._grad_views = []
         for p, (a, b) in zip(params, self._spans):
@@ -120,7 +154,7 @@ class ParameterArena:
 
 def _flat(vector, size: int):
     """``vector`` as a 1-D array, refused unless it has ``size`` elements."""
-    vector = xp.asarray(vector)
+    vector = np.asarray(vector)
     if vector.size != size:
         raise ValueError(f"flat vector size {vector.size} != model size {size}")
     return vector.reshape(-1)
@@ -195,7 +229,7 @@ class Module:
     def get_flat_grads(self):
         """A copy of the gradient vector; parameters without one read zero."""
         arena = self.arena()
-        out = xp.zeros(arena.grad.size, dtype=float64)
+        out = np.zeros(arena.grad.size, dtype=float64)
         for a, b in arena.gather_grads():
             out[a:b] = arena.grad[a:b]
         return out

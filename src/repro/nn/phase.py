@@ -18,13 +18,13 @@ so none outlives what it was cast for, and nothing an optimizer step, a
 restore or a version swap could leave stale is kept here.  The taped
 float64 head is the oracle's (``repro.autograd.oracle``): tests and
 benchmarks differentiate it by tape.  The audit behind the choice is
-``backend/dtypes.py``'s.
+``repro/dtypes.py``'s.
 """
 from __future__ import annotations
 
-from repro.backend import xp
-from repro.backend.dtypes import float32, float64
-from repro.backend.host import host_np
+import numpy as np
+
+from repro.dtypes import float32, float64
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 
@@ -33,9 +33,9 @@ __all__ = ["PhaseMLP"]
 
 class PhaseMLP(Module):
     def __init__(self, n_qubits: int, hidden: tuple[int, ...] = (512, 512),
-                 rng: host_np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or host_np.random.default_rng()
+        rng = rng or np.random.default_rng()
         sizes = (n_qubits, *hidden, 1)
         self.layers = [Linear(sizes[i], sizes[i + 1], rng=rng) for i in range(len(sizes) - 1)]
         self.n_qubits = n_qubits
@@ -45,8 +45,8 @@ class PhaseMLP(Module):
         one caller's :meth:`step` / :meth:`vjp` calls (a row-blocked caller
         casts once and passes the copies to each block).  The copies are the
         caller's to drop; nothing here keeps them."""
-        return [(xp.asarray(layer.weight.data, dtype=float32),
-                 xp.asarray(layer.bias.data, dtype=float32))
+        return [(np.asarray(layer.weight.data, dtype=float32),
+                 np.asarray(layer.bias.data, dtype=float32))
                 for layer in self.layers]
 
     def step(self, bits, params32: list | None = None):
@@ -65,7 +65,7 @@ class PhaseMLP(Module):
         if params32 is None:
             params32 = self.cast32()
         _, *hidden, out = self._forward32(bits, params32)
-        return xp.asarray(out[0], dtype=float64), hidden
+        return np.asarray(out[0], dtype=float64), hidden
 
     def vjp(self, bits, coeff, params32: list | None = None,
             hidden: list | None = None) -> None:
@@ -88,7 +88,7 @@ class PhaseMLP(Module):
         hidden activations, given or computed, are overwritten: a forward is
         differentiated once.
         """
-        coeff = xp.asarray(coeff, dtype=float64)
+        coeff = np.asarray(coeff, dtype=float64)
         if params32 is None:
             params32 = self.cast32()
         if hidden is None:
@@ -96,13 +96,13 @@ class PhaseMLP(Module):
         else:
             acts = [_inputs32(bits), *hidden]
         top = len(self.layers) - 1
-        self.layers[top].bias._accumulate(xp.sum(coeff, keepdims=True))
+        self.layers[top].bias._accumulate(np.sum(coeff, keepdims=True))
         g = coeff.astype(float32)[None, :]      # dloss / dz of layer i, (out, batch)
         for i in range(top, -1, -1):
             layer, h = self.layers[i], acts[i]
             layer.weight._accumulate(g @ h.T)
             if i < top:
-                layer.bias._accumulate(xp.sum(g, axis=1))
+                layer.bias._accumulate(np.sum(g, axis=1))
             if i:
                 w = params32[i][0]
                 # The output layer's W^T g is a (hidden, 1) @ (1, batch) outer
@@ -112,7 +112,7 @@ class PhaseMLP(Module):
                 # h is layer i - 1's tanh output, read for the last time:
                 # 1 - h^2 overwrites it instead of allocating twice.
                 h *= h
-                g *= xp.subtract(1.0, h, out=h)
+                g *= np.subtract(1.0, h, out=h)
 
     def _forward32(self, bits, params32: list) -> list:
         """The float32 forward: ``[x, h_1, ..., h_L]``, feature-major
@@ -129,14 +129,14 @@ class PhaseMLP(Module):
         *hidden, last = params32
         for w, b in hidden:
             h = _affine32(w, b, acts[-1])
-            acts.append(xp.tanh(h, out=h))
+            acts.append(np.tanh(h, out=h))
         acts.append(_affine32(*last, acts[-1]))
         return acts
 
 
 def _inputs32(bits):
     """``x = 2 bits - 1``, feature-major ``(N, batch)`` float32."""
-    x = xp.asarray(bits, dtype=float32)
+    x = np.asarray(bits, dtype=float32)
     if x.ndim == 1:
         x = x[None, :]
     return (2.0 * x - 1.0).T     # a Python scalar keeps float32

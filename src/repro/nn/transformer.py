@@ -41,9 +41,9 @@ transformer's, and a network of another kind brings its own taped
 """
 from __future__ import annotations
 
-from repro.backend import xp
-from repro.backend.dtypes import float32, float64, int64
-from repro.backend.host import host_np
+import numpy as np
+
+from repro.dtypes import float32, float64, int64
 from repro.nn.attention import (
     DecoderLayer,
     ancestor_layout,
@@ -68,9 +68,9 @@ class TransformerAmplitude(Module):
 
     def __init__(self, n_tokens: int, vocab_size: int = 4, d_model: int = 16,
                  n_heads: int = 4, n_layers: int = 2, d_ff: int | None = None,
-                 rng: host_np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or host_np.random.default_rng()
+        rng = rng or np.random.default_rng()
         self.n_tokens = n_tokens
         self.vocab_size = vocab_size
         self.d_model = d_model
@@ -96,16 +96,16 @@ class TransformerAmplitude(Module):
         folded into the next linear, as the decode folds it: its gain and
         shift need gradients of their own.
         """
-        tokens = xp.asarray(tokens, dtype=int64)
-        inputs = xp.where(level > 0, tokens[rep_row, level - 1], self.bos)
-        x = xp.take(_f32(self.tok_emb.weight).T, inputs, axis=1)
-        x += xp.take(_f32(self.pos_emb.weight).T, level, axis=1)
+        tokens = np.asarray(tokens, dtype=int64)
+        inputs = np.where(level > 0, tokens[rep_row, level - 1], self.bos)
+        x = np.take(_f32(self.tok_emb.weight).T, inputs, axis=1)
+        x += np.take(_f32(self.pos_emb.weight).T, level, axis=1)
         layout = ancestor_layout(rep_row, level)
         layers = [_decoder_forward(layer, x, layout) for layer in self.layers]
         hf, ln_f = _layer_norm(self.ln_f, x)
         logits, head = _linear(self.head, hf)
         saved = (inputs, level, layout, layers, ln_f, head)
-        return xp.ascontiguousarray(logits.T, dtype=float64), saved
+        return np.ascontiguousarray(logits.T, dtype=float64), saved
 
     def prefix_vjp(self, saved, g) -> None:
         """Add the gradient of ``sum(g * logits)`` into every parameter's
@@ -122,13 +122,13 @@ class TransformerAmplitude(Module):
         Adam's ``m / (sqrt(v) + eps)`` turns into an lr-sized random walk.
         """
         inputs, level, layout, layers, ln_f, head = saved
-        self.head.bias._accumulate(xp.sum(g, axis=0))
+        self.head.bias._accumulate(np.sum(g, axis=0))
         gx = _layer_norm_vjp(self.ln_f, ln_f, _linear_vjp(
-            self.head, head, xp.ascontiguousarray(g.T, dtype=float32), bias=False))
+            self.head, head, np.ascontiguousarray(g.T, dtype=float32), bias=False))
         for layer, saved_layer in zip(reversed(self.layers), reversed(layers)):
             _decoder_vjp(layer, saved_layer, gx, layout)
         for emb, index in ((self.tok_emb, inputs), (self.pos_emb, level)):
-            one_hot = (index[:, None] == xp.arange(len(emb.weight.data))).astype(float32)
+            one_hot = (index[:, None] == np.arange(len(emb.weight.data))).astype(float32)
             emb.weight._accumulate((gx @ one_hot).T)
 
     # ------------------------------------------------- incremental decoding
@@ -142,7 +142,7 @@ class TransformerAmplitude(Module):
 # The prefix-tree pair's layers: feature-major ``(features, n)``, float32
 # --------------------------------------------------------------------------
 def _f32(p):
-    return xp.asarray(p.data, dtype=float32)
+    return np.asarray(p.data, dtype=float32)
 
 
 def _linear(lin: Linear, h):
@@ -157,7 +157,7 @@ def _linear_vjp(lin: Linear, saved, g, bias=True):
     w, h = saved
     lin.weight._accumulate(g @ h.T)
     if bias:
-        lin.bias._accumulate(xp.sum(g, axis=1))
+        lin.bias._accumulate(np.sum(g, axis=1))
     return w.T @ g
 
 
@@ -176,12 +176,12 @@ def _layer_norm_vjp(ln: LayerNorm, saved, g):
     """Add the gain's and shift's gradients; return the input's gradient
     (``layer_norm``'s backward, transposed)."""
     xhat, std, gamma = saved
-    ln.gamma._accumulate(xp.einsum("dn,dn->d", g, xhat))
-    ln.beta._accumulate(xp.sum(g, axis=1))
+    ln.gamma._accumulate(np.einsum("dn,dn->d", g, xhat))
+    ln.beta._accumulate(np.sum(g, axis=1))
     scale = 1.0 / len(g)
     gx = g * gamma
-    dot = xp.einsum("dn,dn->n", gx, xhat)
-    gx -= xp.sum(gx, axis=0) * scale
+    dot = np.einsum("dn,dn->n", gx, xhat)
+    gx -= np.sum(gx, axis=0) * scale
     gx -= xhat * (dot * scale)
     gx /= std
     return gx
@@ -211,7 +211,7 @@ def _decoder_vjp(layer: DecoderLayer, saved, gx, layout) -> None:
     gx += _layer_norm_vjp(layer.ln2, ln2, _linear_vjp(layer.ff.fc1, fc1, ga))
     gqkv = tree_attention_vjp(core, _linear_vjp(layer.attn.proj, proj, gx), layout)
     d = len(gx)
-    gb = xp.sum(gqkv, axis=1)
+    gb = np.sum(gqkv, axis=1)
     gb[d:2 * d] = 0.0         # the key bias: a gauge (prefix_vjp)
     layer.attn.qkv.bias._accumulate(gb)
     gx += _layer_norm_vjp(layer.ln1, ln1,

@@ -6,9 +6,9 @@ i * S_warmup^-1.5)" — the schedule is :class:`repro.core.engine.NoamAdamW`'s.
 """
 from __future__ import annotations
 
-from repro.backend import xp
-from repro.backend.dtypes import float64
-from repro.backend.host import host_np
+import numpy as np
+
+from repro.dtypes import float64
 from repro.nn.module import Module
 
 __all__ = ["AdamW"]
@@ -53,8 +53,8 @@ class AdamW:
         else:
             spans = [(0, size)]
         if self._m is None:
-            self._m = xp.zeros(size, dtype=float64)
-            self._v = xp.zeros(size, dtype=float64)
+            self._m = np.zeros(size, dtype=float64)
+            self._v = np.zeros(size, dtype=float64)
         self.t += 1
         root_bc2 = (1.0 - self.beta2**self.t) ** 0.5
         alpha = self.lr * root_bc2 / (1.0 - self.beta1**self.t)
@@ -83,9 +83,9 @@ class AdamW:
         g *= (1 - b2) / (1 - b1) ** 2
         v *= b2
         v += g                            # v = b2 v + (1 - b2) g g
-        xp.sqrt(v, out=g)
+        np.sqrt(v, out=g)
         g += eps_hat
-        xp.divide(m, g, out=g)
+        np.divide(m, g, out=g)
         g *= alpha                        # g = alpha m / (sqrt(v) + eps_hat)
         theta *= decay                    # decoupled weight decay (AdamW)
         theta -= g
@@ -97,7 +97,7 @@ class AdamW:
         """Step counter and flat moments, under their checkpoint key names;
         ``opt_m`` / ``opt_v`` are the live moments, not copies (the next step
         overwrites them): what a checkpoint writer reads in place."""
-        out = {"opt_t": host_np.array(self.t)}
+        out = {"opt_t": np.array(self.t)}
         if self._m is not None:
             out["opt_m"], out["opt_v"] = self._m, self._v
         return out
@@ -130,7 +130,7 @@ class AdamW:
 def _adopted(moment):
     """``moment`` itself when the kernel can update it in place, else a
     float64 copy."""
-    moment = xp.asarray(moment, dtype=float64)
+    moment = np.asarray(moment, dtype=float64)
     if moment.flags.c_contiguous and moment.flags.writeable:
         return moment
-    return xp.array(moment)
+    return np.array(moment)

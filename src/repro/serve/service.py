@@ -44,7 +44,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import get_backend, use_backend
 from repro.core.local_energy import (
     AmplitudeTable,
     ElocPlan,
@@ -73,7 +72,6 @@ class ServeConfig:
     max_loaded_versions: int = 4     # resident snapshot LRU
     prefix_cache_entries: int = 8    # live decoding sessions per version
     table_max_entries: int = 500_000  # per-version amplitude-table cap
-    backend: str = "numpy"           # array backend evaluations run under
 
 
 class _PrefixEntry:
@@ -169,15 +167,11 @@ class _LoadedModel:
     """One resident snapshot: wavefunction + its per-version reuse state."""
 
     __slots__ = ("version", "wf", "prefix_cache", "table",
-                 "table_overflows", "eloc_plan", "backend")
+                 "table_overflows", "eloc_plan")
 
     def __init__(self, version: int, wf: NNQSWavefunction, cfg: ServeConfig):
         self.version = version
         self.wf = wf
-        # Per-version array-backend placement: every evaluation of this
-        # snapshot (fused forwards, sampling, local energies) runs under
-        # this backend's xp namespace on the scheduler thread.
-        self.backend = get_backend(cfg.backend)
         self.prefix_cache = PrefixSessionCache(
             wf.amplitude, max_entries=cfg.prefix_cache_entries
         )
@@ -377,19 +371,18 @@ class WavefunctionService:
         with self._state_lock:
             self._op_counts[op] = self._op_counts.get(op, 0) + len(payloads)
         model = self._model(version)
-        with use_backend(model.backend):
-            if op == "log_amps":
-                return self._run_fused(model.wf.log_amplitudes, payloads,
-                                       model.wf.n_qubits)
-            if op == "amps":
-                return self._run_fused(model.wf.amplitudes, payloads,
-                                       model.wf.n_qubits)
-            if op == "cond_probs":
-                return [self._run_cond_probs(model, p) for p in payloads]
-            if op == "sample":
-                return [self._run_sample(model, p) for p in payloads]
-            if op == "local_energy":
-                return [self._run_local_energy(model, p) for p in payloads]
+        if op == "log_amps":
+            return self._run_fused(model.wf.log_amplitudes, payloads,
+                                   model.wf.n_qubits)
+        if op == "amps":
+            return self._run_fused(model.wf.amplitudes, payloads,
+                                   model.wf.n_qubits)
+        if op == "cond_probs":
+            return [self._run_cond_probs(model, p) for p in payloads]
+        if op == "sample":
+            return [self._run_sample(model, p) for p in payloads]
+        if op == "local_energy":
+            return [self._run_local_energy(model, p) for p in payloads]
         raise RuntimeError(f"unknown op {op!r}")  # pragma: no cover
 
     @staticmethod

@@ -348,13 +348,13 @@ class TestFailureContract:
             assert is_runtime_error, message
             assert f"rank {rank}: communicator is closed" in message
 
-    def test_spec_collective_timeout_reaches_the_thread_backend(self):
+    def test_spec_collective_timeout_reaches_the_process_backend(self):
         from repro.api import RunSpec
         from repro.api.driver import materialize_backend
 
         spec = RunSpec.from_dict({
             "name": "t", "problem": {"molecule": "H2", "basis": "sto-3g"},
-            "parallel": {"backend": "threads", "n_ranks": 2,
+            "parallel": {"backend": "process", "n_ranks": 2,
                          "collective_timeout_s": 7.0},
         })
         assert materialize_backend(spec).collective_timeout_s == 7.0

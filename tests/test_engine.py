@@ -521,14 +521,14 @@ class TestRunSpecIntegration:
             "optimizer": {"warmup": 100},
             "sampling": {"ns_pretrain": 500, "ns_max": 500,
                          "pretrain_iters": 3},
-            "parallel": {"backend": "threads", "n_ranks": 2,
+            "parallel": {"backend": "process", "n_ranks": 2,
                          "nu_star_per_rank": 4, **parallel},
             "train": {"max_iterations": 2, "pretrain_steps": 10,
                       "early_stop": False, "seed": 2},
             "output": {"publish": True},
         })
 
-    def test_threads_run_produces_artifact_contract(self, tmp_path):
+    def test_process_run_produces_artifact_contract(self, tmp_path):
         import json
 
         from repro.api import run
@@ -548,7 +548,7 @@ class TestRunSpecIntegration:
             assert "time_sampling" in r and "time_local_energy" in r
             assert r["variance"] >= 0
 
-    def test_threads_resume_bit_identical(self, tmp_path):
+    def test_process_resume_bit_identical(self, tmp_path):
         import json
 
         from repro.api import resume, run
@@ -587,14 +587,14 @@ class TestRunSpecIntegration:
             materialize_backend(spec)
 
     def test_each_backend_name_builds_its_class(self):
-        """The driver's table: each of the four names builds its class,
+        """The driver's table: each of the three names builds its class,
         which receives the section's rank fields."""
         from repro.api.driver import materialize_backend
-        from repro.core.engine import ProcessBackend, SerialBackend, ThreadBackend
+        from repro.core.engine import ProcessBackend, SerialBackend
         from repro.parallel.cluster import ClusterBackend
 
-        expected = {"serial": SerialBackend, "threads": ThreadBackend,
-                    "process": ProcessBackend, "cluster": ClusterBackend}
+        expected = {"serial": SerialBackend, "process": ProcessBackend,
+                    "cluster": ClusterBackend}
         for name, cls in expected.items():
             n_ranks = 1 if name == "serial" else 2
             overrides = {"parallel.backend": name, "parallel.n_ranks": n_ranks}
@@ -607,16 +607,18 @@ class TestRunSpecIntegration:
                 assert backend.nu_star_per_rank == 4
 
     def test_unknown_backend_lists_registered(self):
-        """An unknown name is a SpecError naming the field and the four
-        backends of the driver's table."""
+        """An unknown name is a SpecError naming the field and the three
+        backends of the driver's table; thread ranks are no run option."""
         from repro.api import SpecError
         from repro.api.driver import materialize_backend
 
-        spec = self._spec().with_overrides({"parallel.backend": "gpu"})
-        with pytest.raises(SpecError, match=r"parallel\.backend: .*'gpu'") as err:
-            materialize_backend(spec)
-        for name in ("serial", "threads", "process", "cluster"):
-            assert name in str(err.value)
+        for unknown in ("gpu", "threads"):
+            spec = self._spec().with_overrides({"parallel.backend": unknown})
+            with pytest.raises(SpecError,
+                               match=rf"parallel\.backend: .*'{unknown}'") as err:
+                materialize_backend(spec)
+            for name in ("serial", "process", "cluster"):
+                assert name in str(err.value)
 
     def test_parallel_spec_validation_names_fields(self):
         from repro.api import SpecError

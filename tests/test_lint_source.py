@@ -154,7 +154,13 @@ class TestSourceLint:
          "def build_thread_backend(spec):"),
         ("no-component-registry", "src/repro/api/registry.py",
          'ANSATZE = ComponentRegistry("ansatz")'),
-        ("no-device-adapter-without-a-device", "src/repro/backend/x.py", "import torch"),
+        ("no-device-adapter-without-a-device", "src/repro/nn/x.py", "import torch"),
+        ("no-array-backend-seam", "src/repro/core/engine.py",
+         "    with use_backend(engine.array_backend):"),
+        ("no-array-backend-seam", "src/repro/core/sampler.py",
+         '        probs = active_backend().to_host(probs, tag="sampling.probs")'),
+        ("no-array-backend-seam", "src/repro/nn/layers.py",
+         "from repro.backend.host import host_np"),
         ("one-sampler", "src/repro/core/x.py", "SAMPLERS = {}"),
         ("one-sampler", "src/repro/parallel/x.py", "from mpi4py import MPI"),
         ("no-sampler-field", "src/repro/api/spec.py", "    sampler: str = 'bas'"),

@@ -9,8 +9,8 @@ every layer, float32 for the transformer.  The dense taped forward
 (``log_prob``) is the oracle of both, on every input shape: the walk's and
 the pair's log pi must agree to ``LOGIT_TOL`` and the pair's gradient with
 the tape's to ``LOG_PI_GRAD_RTOL`` (the foils': 1e-12 and 1e-10), and
-everything built on the entry points — the table extension, exact local
-energies, the mock backend's transfer contract — must be unchanged.  The
+everything built on the entry points — the table extension and exact local
+energies — must be unchanged.  The
 phase half of a log-amplitude comes from the MLP's float32 evaluator, so it
 is held to the float64 head ``phase_of`` at ``PHASE_TOL``.
 """
@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.wavefunction as wavefunction
 from repro.autograd import Tensor
-from repro.backend import UNTAGGED, use_backend
 from repro.core import (
     SampleBatch,
     build_amplitude_table,
@@ -39,7 +38,6 @@ from repro.utils.bitstrings import (
     unpack_bits,
 )
 from tests.conftest import LOG_PI_GRAD_RTOL, LOGIT_TOL, baselines, build_wf
-from tests.test_backend import _fresh_vmc
 from tests.test_local_energy import dense_local_energy
 from tests.test_wavefunction import sector_bitstrings
 
@@ -257,14 +255,6 @@ class TestTapedTreeEqualsDense:
         bits = bits_of([0b11111111, 0b00000000, 0b00001111, 0b00111100])
         np.testing.assert_allclose(wf.log_prob_vjp(bits, np.zeros(4)),
                                    wf.log_prob(bits).data, rtol=TOL, atol=LOGIT_TOL)
-
-    def test_mock_backend(self):
-        wf = build(constrain=True)
-        bits = np.tile(sector_bitstrings(N, 2, 2)[::2], (2, 1))
-        with use_backend("mock") as backend:
-            before = backend.counter_snapshot()["to_host"]
-            self._assert_equal(wf, bits)
-            assert backend.counter_snapshot()["to_host"] == before
 
 
 # (n_qubits, n_up, n_dn) where the mask decides much of the tree: H2 (every
@@ -505,13 +495,3 @@ class TestExactLocalEnergy:
         # that held in float64.
         np.testing.assert_allclose(eloc, ref, rtol=1e-6)
 
-
-def test_mock_backend_sees_no_unplanned_host_crossing(h2_problem):
-    """Stages 2 and 3 (table build + exact-mode extension) evaluate through
-    the walk without pulling anything to the host untagged."""
-    vmc = _fresh_vmc(h2_problem, array_backend="mock")
-    for _ in range(2):
-        transfers = vmc.step().transfers
-        for window in ("sampling", "post_sampling"):
-            assert UNTAGGED not in transfers[window]["to_host"], transfers
-        assert transfers["post_sampling"]["to_host"]["stage2.amps"] == 1

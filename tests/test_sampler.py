@@ -10,7 +10,6 @@ from repro.core import (
     batch_autoregressive_sample,
     build_qiankunnet,
 )
-from repro.backend import use_backend
 from repro.core.sampler import _bas_step, initial_tree_state
 from repro.nn import TransformerInferenceSession
 from repro.parallel.partition import split_tree_state
@@ -272,17 +271,6 @@ class TestDecidedRowsSkipTheDecoder:
         assert sum(decoded) == open_prefix_count(wf, batch.bits)
         if sector == "h2":
             assert decoded == [1]                   # the root; its 4 children are decided
-
-    def test_a_level_the_mask_decides_makes_no_host_crossing(self):
-        """H2: one ``sampling.probs`` crossing per sweep, for the root."""
-        wf = build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
-                              phase_hidden=(8,), seed=9)
-        with use_backend("mock") as backend:
-            before = dict(backend.counter_snapshot()["to_host"])
-            batch_autoregressive_sample(wf, 1000, np.random.default_rng(0))
-            after = backend.counter_snapshot()["to_host"]
-        assert after.get("sampling.probs", 0) - before.get("sampling.probs", 0) == 1
-        assert set(after) <= {"sampling.probs"} | set(before)
 
 
 class TestResumeKeepsSessionRowsUndecided:

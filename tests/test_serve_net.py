@@ -87,7 +87,7 @@ class TestServeSpec:
 
     @pytest.mark.parametrize("field", ["workers", "prefix_anchor",
                                        "hash_replicas", "respawn_backoff_s",
-                                       "session_pool_size"])
+                                       "session_pool_size", "backend"])
     def test_a_spec_naming_a_removed_field_fails_loudly(self, field):
         data = RunSpec().to_dict()
         data["serve"][field] = 1

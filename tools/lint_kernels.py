@@ -1,17 +1,8 @@
 #!/usr/bin/env python
-"""Backend-purity lint: no bare numpy in the hot-path modules.
+"""Kernel lint: two numpy costs the hot-path modules must not pay.
 
-The array-backend seam (``repro.backend``, see DESIGN.md "Array backend")
-only works if the kernels under it allocate through the active backend's
-``xp`` namespace.  A stray ``import numpy`` or ``np.`` call in a hot-path
-module silently pins that kernel to the host and defeats both the mock
-backend's transfer accounting and any device backend.  This lint fails CI
-on exactly that.
+Rule, applied to the modules in ``HOT_PATH_FILES``:
 
-Rules, applied to the modules in ``HOT_PATH_FILES`` only:
-
-* a NAME token ``numpy`` anywhere (imports included) is an error;
-* a NAME token ``np`` immediately followed by a ``.`` operator is an error;
 * a ``**`` operator followed by an integer literal >= 3 is an error: on an
   array, numpy routes it through ``pow`` (~30x the cost of multiplying —
   ``a**3`` in GELU was once 29 % of a VMC iteration).  A literal base
@@ -27,15 +18,12 @@ over the prefix tree, ``nn/attention.py`` and ``nn/transformer.py``):
   us against 45 us); nn/kernels writes them as contractions
   (``last_axis_sum`` / ``last_axis_max``) — one formulation per reduction,
   whatever the width — and the feature-major kernels put the rows last, so
-  their short axes are never the last one.  The taped float64 oracle
-  (``autograd/oracle.py``) is held to backend purity only.
+  their short axes are never the last one.
 
-Deliberately host-bound code escapes through ``repro.backend.host``'s
-``host_np`` alias — a distinct NAME, so it passes.  Comments, docstrings
-and string literals are token types the lint never looks at, so prose may
-mention numpy freely.
+Comments, docstrings and string literals are token types the lint never
+looks at.
 
-Usage: ``python tools/lint_backend.py`` (from the repo root; exits nonzero
+Usage: ``python tools/lint_kernels.py`` (from the repo root; exits nonzero
 with ``file:line:col`` messages on violations).
 """
 from __future__ import annotations
@@ -44,9 +32,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-# The hot-path set: every module whose kernels must run entirely on the
-# active array backend.  Extend this list when a new module joins the
-# sampling/eloc/backward path.
+# The hot-path set: every module on the sampling/eloc/backward path.  Extend
+# this list when a new module joins it.
 HOT_PATH_FILES = [
     "src/repro/autograd/tensor.py",
     "src/repro/autograd/oracle.py",
@@ -100,40 +87,6 @@ def lint_file(path: Path, contractions: bool = False) -> list[str]:
                     f"{path}:{row}:{col}: '** {exponent.string}' in a hot-path "
                     "module (numpy routes it through pow; multiply instead)"
                 )
-            continue
-        if tok.type != tokenize.NAME:
-            continue
-        if tok.string == "numpy":
-            # `def numpy(self)` / `t.numpy()` are the Tensor escape-hatch
-            # method, not the module — only the module reference is banned.
-            prev = next(
-                (t for t in reversed(tokens[:i])
-                 if t.type not in (tokenize.NL, tokenize.NEWLINE,
-                                   tokenize.COMMENT, tokenize.INDENT,
-                                   tokenize.DEDENT)), None,
-            )
-            if prev is not None and (
-                (prev.type == tokenize.NAME and prev.string == "def")
-                or (prev.type == tokenize.OP and prev.string == ".")
-            ):
-                continue
-            errors.append(
-                f"{path}:{row}:{col}: bare 'numpy' in a hot-path module "
-                "(use 'from repro.backend import xp', or "
-                "'from repro.backend.host import host_np' for deliberately "
-                "host-bound code)"
-            )
-        elif tok.string == "np":
-            nxt = next(
-                (t for t in tokens[i + 1:]
-                 if t.type not in (tokenize.NL, tokenize.COMMENT)), None,
-            )
-            if nxt is not None and nxt.type == tokenize.OP and nxt.string == ".":
-                errors.append(
-                    f"{path}:{row}:{col}: bare 'np.' in a hot-path module "
-                    "(use the backend 'xp' namespace, or 'host_np' for "
-                    "deliberately host-bound code)"
-                )
     return errors
 
 
@@ -141,7 +94,7 @@ def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     missing = [f for f in HOT_PATH_FILES if not (root / f).exists()]
     if missing:
-        print(f"lint_backend: missing hot-path files: {missing}",
+        print(f"lint_kernels: missing hot-path files: {missing}",
               file=sys.stderr)
         return 2
     errors: list[str] = []
@@ -150,10 +103,10 @@ def main(argv: list[str]) -> int:
     for err in errors:
         print(err, file=sys.stderr)
     if errors:
-        print(f"lint_backend: {len(errors)} violation(s) in "
+        print(f"lint_kernels: {len(errors)} violation(s) in "
               f"{len(HOT_PATH_FILES)} hot-path files", file=sys.stderr)
         return 1
-    print(f"lint_backend: OK ({len(HOT_PATH_FILES)} hot-path files clean)")
+    print(f"lint_kernels: OK ({len(HOT_PATH_FILES)} hot-path files clean)")
     return 0
 
 

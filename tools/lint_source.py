@@ -110,6 +110,12 @@ RULES = (
     Rule("no-device-adapter-without-a-device", r"torch|cupy", (SRC,),
          "no device adapter comes back without a device host to run it "
          "(ROADMAP, Parked)"),
+    Rule("no-array-backend-seam",
+         r"use_backend|active_backend|get_backend|to_host\(|array_backend|host_np",
+         (SRC,),
+         "the kernels call numpy directly: no array-module proxy, backend "
+         "switch or tagged host crossing until a device adapter comes back "
+         "with a device host (ROADMAP, Parked)"),
     Rule("one-sampler",
          r"SAMPLERS|register_sampler|materialize_sampler|cache_budget|RBMVMC"
          r"|RBMWavefunction|metropolis_sample|merged_batch_sample|MPITransport|mpi4py",
