@@ -613,7 +613,7 @@ def _exchange_header(comm, header) -> np.ndarray:
     """Rank 0's header, its move flag or-ed with every rank's (a cluster host
     may have moved too).  Each rank ships its own, so a rank that left is
     named before any stage runs."""
-    parts = comm.allgather_ndarray(np.asarray(header, dtype=np.int64))
+    parts = comm.allgather_ndarray(np.asarray(header, dtype=int64))
     out = parts[0].copy()
     out[_MOVED] = max(p[_MOVED] for p in parts)
     return out

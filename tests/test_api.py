@@ -269,6 +269,41 @@ class TestRegistries:
         assert set(AnsatzSpec().to_dict()) == set(
             signature(build_qiankunnet).parameters) - {"n_qubits", "n_up", "n_dn"}
 
+    def test_the_array_backend_seam_is_gone(self):
+        """The kernels call numpy directly: no backend package, no
+        ``array_backend`` engine argument, no ``backend`` spec section or
+        serve field, no transfer counters on an iteration's stats."""
+        import dataclasses
+        import importlib
+
+        import repro.api.driver
+        from repro.core.engine import VMCStats
+        from repro.serve import ServeConfig
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.backend")
+        assert "array_backend" not in signature(VMC).parameters
+        assert "backend" not in RunSpec().to_dict()
+        assert "backend" not in {f.name for f in dataclasses.fields(ServeConfig)}
+        assert "transfers" not in {f.name for f in dataclasses.fields(VMCStats)}
+        for gone in ("materialize_array_backend", "_backend_report"):
+            assert not hasattr(repro.api.driver, gone)
+
+    @pytest.mark.parametrize("path", ["backend.name", "serve.backend"])
+    def test_a_removed_backend_field_is_refused_by_name(self, path, tmp_path,
+                                                        capsys):
+        """A spec or ``--set`` naming the array backend is an unknown field,
+        refused by name before a run directory exists."""
+        from repro.api.cli import main
+
+        with pytest.raises(SpecError, match=path.replace(".", r"\.")):
+            RunSpec().with_overrides({path: "numpy"})
+        run_dir = tmp_path / "run"
+        assert main(["run", "--preset", "smoke", "--set", f'{path}="numpy"',
+                     "--run-dir", str(run_dir)]) == 2
+        assert path in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_the_optimizer_machinery_is_gone(self):
         """One optimizer: no registry, protocol, schedule object or foil is
         exported (SR lives in benchmarks/bench_ablations.py)."""
@@ -448,6 +483,23 @@ class TestDriverEquivalence:
 
         # The extended budget is persisted for future resumes.
         assert RunSpec.load(resumed.spec_path).train.max_iterations == 6
+
+    def test_a_spec_run_twice_is_bit_identical(self, tmp_path):
+        """Byte-identical metrics, the same report apart from wall time and
+        the same checkpoint apart from its timing histories."""
+        a, b = (run(tiny_spec(), run_dir=tmp_path / name) for name in "ab")
+        assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
+        ra, rb = (json.loads(r.report_path.read_text()) for r in (a, b))
+        for r in (ra, rb):
+            r.pop("wall_time")
+        assert ra == rb
+        timing = {"hist_wall_time", "hist_time_sampling",
+                  "hist_time_local_energy", "hist_time_gradient"}
+        ca, cb = (np.load(r.checkpoint_path, allow_pickle=True) for r in (a, b))
+        assert set(ca.files) == set(cb.files) and timing <= set(ca.files)
+        for key in set(ca.files) - timing:
+            if ca[key].dtype != object:
+                np.testing.assert_array_equal(ca[key], cb[key], err_msg=key)
 
     def test_refused_resume_leaves_the_run_resumable(self, tmp_path):
         """Overrides reach spec.json only after every component materialized:

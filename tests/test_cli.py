@@ -83,7 +83,8 @@ class TestRun:
         ("ansatz.n_heads=3", "ansatz.n_heads", "d_model=8"),
         ("problem.molecule=Xx", "problem.molecule", "LiH"),
         ('problem.geometry={"bogus": 1.0}', "problem.geometry", "bogus"),
-    ], ids=["n_heads", "molecule", "geometry"])
+        ('parallel.backend="threads"', "parallel.backend", "process"),
+    ], ids=["n_heads", "molecule", "geometry", "thread_ranks"])
     def test_a_spec_mistake_is_one_line_naming_the_path(self, assignment, path,
                                                         hint, capsys, tmp_path):
         """Exit 2 with ``error: <path> ...``, not a traceback out of the

@@ -67,6 +67,54 @@ class TestSerialThreadBitIdentity:
     def test_serial_backend_is_default(self, h2_problem):
         assert isinstance(_fresh_vmc(h2_problem).backend, SerialBackend)
 
+    def test_serial_backend_names_the_multi_rank_run_options(self):
+        with pytest.raises(ValueError,
+                           match=r"parallel\.backend=process or =cluster") as err:
+            SerialBackend(n_ranks=2)
+        assert "threads" not in str(err.value)
+
+
+class TestSerialDeterminism:
+    @pytest.mark.parametrize("amplitude_type", ANSATZE)
+    def test_seeded_runs_are_bit_identical(self, h2_problem, amplitude_type):
+        """Two engines built from the same seeds take the same sample /
+        E_loc / Eq. 7 backward trajectory, bit for bit."""
+        a, b = (_fresh_vmc(h2_problem, amplitude_type) for _ in range(2))
+        for _ in range(3):
+            sa, sb = a.step(), b.step()
+            assert (sa.energy, sa.variance, sa.eloc_imag, sa.n_unique) == \
+                (sb.energy, sb.variance, sb.eloc_imag, sb.n_unique)
+            np.testing.assert_array_equal(a.wf.get_flat_params(),
+                                          b.wf.get_flat_params())
+
+
+class TestCommBoundaries:
+    @pytest.mark.parametrize("cls,n_ranks", [
+        (ThreadBackend, 1), (ThreadBackend, 2), (ThreadBackend, 4),
+        (ProcessBackend, 2),
+    ], ids=["threads-1", "threads-2", "threads-4", "process-2"])
+    def test_amplitudes_and_gradient_cross_once_per_iteration(self, h2_problem,
+                                                              cls, n_ranks):
+        """Per rank and iteration, stage 2 ships log pi + phi in one
+        ``stage2_amps`` allgather (none on one rank) and stage 6 the fused
+        M gradient entries + the variance in one ``stage6_grads`` allreduce."""
+        backend = cls(n_ranks=n_ranks, nu_star_per_rank=4)
+        vmc = _fresh_vmc(h2_problem, backend=backend)
+        n_params = vmc.wf.get_flat_params().size
+        try:
+            for _ in range(2):
+                vmc.step()
+                channels = backend.last_comm_stats.channels
+                grads = channels["stage6_grads"]
+                assert grads["calls"] == 1
+                assert grads["logical"] == 8 * (n_params + 1) * n_ranks
+                if n_ranks == 1:
+                    assert "stage2_amps" not in channels
+                else:
+                    assert channels["stage2_amps"]["calls"] == 1
+        finally:
+            backend.close()
+
 
 class TestParallelDeterminism:
     @pytest.mark.parametrize("n_ranks", [2, 4])
@@ -120,6 +168,23 @@ class TestProcessBackend:
         np.testing.assert_array_equal(
             thread.wf.get_flat_params(), proc.wf.get_flat_params()
         )
+
+    @pytest.mark.parametrize("amplitude_type", ["made", "naqs-mlp"])
+    def test_the_foils_match_thread_ranks(self, h2_problem, amplitude_type):
+        """Process ranks, the spec's local multi-rank option, take the thread
+        ranks' trajectory for the foil ansatze too."""
+        runs = []
+        for backend in (ThreadBackend(n_ranks=2, nu_star_per_rank=4),
+                        ProcessBackend(n_ranks=2, nu_star_per_rank=4)):
+            vmc = _fresh_vmc(h2_problem, amplitude_type, backend=backend)
+            try:
+                runs.append(([(s.energy, s.variance) for s in vmc.run(2)],
+                             vmc.wf.get_flat_params()))
+            finally:
+                backend.close()
+        (ref_hist, ref_params), (hist, params) = runs
+        assert hist == ref_hist
+        np.testing.assert_array_equal(ref_params, params)
 
     def test_single_rank_is_the_serial_stream(self, h2_problem):
         """One process rank forks nothing: rank 0 is the caller, sweeping on

@@ -1,6 +1,7 @@
 """Self-test of the kernel lint (``tools/lint_kernels.py``): the
 integer-``**`` rule on the hot-path modules and the ``axis=-1`` reduction
-rule on the contraction modules, and the tree passes both."""
+rule on the contraction modules, and the tree passes both; the hot-path
+modules take their dtypes from ``repro.dtypes``."""
 from __future__ import annotations
 
 import pytest
@@ -33,6 +34,18 @@ class TestKernelLint:
         assert any(":1:" in e and "multiply instead" in e for e in errors)
         assert any(":2:" in e for e in errors)
 
+    def test_numpy_is_the_array_module(self, lint_file, tmp_path):
+        """The kernels call numpy directly: neither rule flags an import of
+        numpy or an ``np.`` call."""
+        src = tmp_path / "np.py"
+        src.write_text(
+            "import numpy as np\n"
+            "x = np.zeros(3)\n"
+            "y = np.einsum('ij,j->i', a, x)\n"
+        )
+        assert lint_file(src) == []
+        assert lint_file(src, contractions=True) == []
+
     def test_flags_last_axis_reductions_where_contractions_are_required(
             self, lint_file, tmp_path):
         src = tmp_path / "reduce.py"
@@ -50,6 +63,26 @@ class TestKernelLint:
         for line in (1, 3, 4):
             assert any(f":{line}:" in e and "last_axis_sum" in e for e in errors)
         assert lint_file(src) == []      # the rule is per file
+
+    def test_hot_path_files_take_dtypes_from_the_policy_module(self):
+        """The dtype policy is one module, ``repro.dtypes``: no hot-path file
+        spells a numpy scalar type inline."""
+        import importlib.util
+        import re
+        from pathlib import Path
+
+        import repro.dtypes
+
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "lint_kernels", root / "tools" / "lint_kernels.py")
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        inline = re.compile(
+            r"\bnp\.(%s)\b" % "|".join(map(re.escape, repro.dtypes.__all__)))
+        for rel in mod.HOT_PATH_FILES:
+            hits = inline.findall((root / rel).read_text())
+            assert hits == [], (rel, hits)
 
     def test_hot_path_files_are_clean(self, lint_file):
         import importlib.util

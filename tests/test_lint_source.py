@@ -161,6 +161,14 @@ class TestSourceLint:
          '        probs = active_backend().to_host(probs, tag="sampling.probs")'),
         ("no-array-backend-seam", "src/repro/nn/layers.py",
          "from repro.backend.host import host_np"),
+        ("no-array-backend-seam", "src/repro/serve/service.py",
+         "        backend = get_backend(self.config.backend)"),
+        ("no-array-backend-seam", "src/repro/core/engine.py",
+         '    fused = backend.to_host(arena.payload, tag="stage6.grad")'),
+        ("no-array-backend-seam", "src/repro/core/vmc.py",
+         "        self.array_backend = array_backend"),
+        ("no-array-backend-seam", "src/repro/nn/attention.py",
+         "from repro.backend import xp"),
         ("one-sampler", "src/repro/core/x.py", "SAMPLERS = {}"),
         ("one-sampler", "src/repro/parallel/x.py", "from mpi4py import MPI"),
         ("no-sampler-field", "src/repro/api/spec.py", "    sampler: str = 'bas'"),
@@ -300,6 +308,16 @@ class TestSourceLint:
             '    """No weighted bincount over a pair id."""\n')
         (tree / "src/repro/core/observables.py").write_text(
             "coef = np.bincount(pair_of_term, weights=signed)\n")
+        assert lint_source.lint(tree) == []
+
+    def test_the_execution_backend_passes_the_seam_rule(self, lint_source, tree):
+        """The seam rule bans the array-module proxy, not the Fig. 4
+        execution backends that share the word."""
+        (tree / "src/repro/api/driver.py").write_text(
+            "    backend = materialize_backend(spec)\n")
+        (tree / "src/repro/core/vmc.py").write_text(
+            "        self.backend = backend or SerialBackend()\n"
+            "        vmc.backend.close()\n")
         assert lint_source.lint(tree) == []
 
     def test_comm_accounting_is_allowed_in_comm_py(self, lint_source, tree):

@@ -338,10 +338,15 @@ _EXIT_WITHOUT_CLOSE = textwrap.dedent("""
               backend={cls}(n_ranks=3, nu_star_per_rank=4),
               optimizer=NoamAdamW(wf, warmup=50))
     vmc.run(2)
-    tasks = os.listdir("/proc/self/task")
-    kids = set()
-    for t in tasks:
-        kids.update(open(f"/proc/self/task/{{t}}/children").read().split())
+    while True:  # a collective's sender threads come and go: retry until
+        try:     # one listing of the tasks reads through
+            tasks = os.listdir("/proc/self/task")
+            kids = set()
+            for t in tasks:
+                kids.update(open(f"/proc/self/task/{{t}}/children").read().split())
+            break
+        except FileNotFoundError:
+            continue
     print(len(tasks), " ".join(sorted(kids)), flush=True)
     {how}
 """)

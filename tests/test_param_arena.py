@@ -24,7 +24,13 @@ The size-1 allreduce aliasing rule lives in ``test_comm_contract.py``.
 from __future__ import annotations
 
 import copy
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +48,7 @@ from repro.core import engine, wavefunction
 from repro.core.checkpoint import load_model_snapshot, save_model_snapshot
 from repro.core.engine import ThreadBackend
 from repro.core.sampler import batch_autoregressive_sample
+from repro.nn import module as nn_module
 from repro.nn.module import Module, Parameter
 from repro.optim import AdamW, adamw
 from tests.conftest import (
@@ -522,3 +529,47 @@ class TestEngineOnTheArena:
         assert wf.arena() is arena
         np.testing.assert_array_equal(arena.theta, expected)
         _assert_packed(wf)
+
+
+# ------------------------------------------------------------ heap-top pad
+_COUNT_MALLOPT = textwrap.dedent("""
+    import ctypes
+    calls, real_cdll = [], ctypes.CDLL
+
+    class Recording:
+        def __init__(self, name, *args, **kwargs):
+            self._lib = real_cdll(name, *args, **kwargs)
+
+        def __getattr__(self, attr):
+            fn = getattr(self._lib, attr)
+            if attr != "mallopt":
+                return fn
+            def mallopt(*args):
+                calls.append(args)
+                return fn(*args)
+            return mallopt
+
+    ctypes.CDLL = Recording
+    from repro.chem import build_problem
+    from repro.core import VMC, NoamAdamW, VMCConfig, build_qiankunnet
+    wf = build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
+                          phase_hidden=(8,), seed=7)
+    VMC(wf, build_problem("H2", "sto-3g", r=0.7414).hamiltonian,
+        VMCConfig(n_samples=200, seed=3),
+        optimizer=NoamAdamW(wf, warmup=50)).run(2)
+    print(calls)
+""")
+
+
+def test_the_heap_top_pad_is_set_once_per_process():
+    """Importing the arena's module sets glibc's M_TOP_PAD once, before any
+    network (and so any stage-5 block) exists; nothing sets it again."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _COUNT_MALLOPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    glibc = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+    expected = [(nn_module._M_TOP_PAD, 64 << 20)] if glibc else []
+    assert proc.stdout.splitlines()[-1] == str(expected)

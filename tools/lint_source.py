@@ -111,7 +111,8 @@ RULES = (
          "no device adapter comes back without a device host to run it "
          "(ROADMAP, Parked)"),
     Rule("no-array-backend-seam",
-         r"use_backend|active_backend|get_backend|to_host\(|array_backend|host_np",
+         r"repro\.backend\b|use_backend|active_backend|get_backend|to_host\("
+         r"|array_backend|host_np",
          (SRC,),
          "the kernels call numpy directly: no array-module proxy, backend "
          "switch or tagged host crossing until a device adapter comes back "
