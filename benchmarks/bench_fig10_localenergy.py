@@ -35,13 +35,15 @@ to 1e-10 on the same rows (``ladder_values``).
 
 CI smoke: ``python benchmarks/bench_fig10_localenergy.py --smoke`` runs the
 two batch rungs only on a small C2 batch, asserts the plan kernel is
-no slower than the vectorized one (values bit-identical), and records the
-measured ratio to ``benchmarks/results/``.
+no slower than the vectorized one and allocates no more (tracemalloc peak
+of one call, the plan's workspaces included; values bit-identical), and
+records the measured ratio and peaks to ``benchmarks/results/``.
 """
 from __future__ import annotations
 
 import sys
 import time
+import tracemalloc
 from bisect import bisect_left
 from pathlib import Path
 
@@ -269,16 +271,28 @@ def _best_of(fn, repeats: int = 3) -> float:
     return min(times)
 
 
+def _traced(fn):
+    """``(fn(), tracemalloc peak bytes of the call)``."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def measure_dedup_plan(comp, batch, table, repeats: int = 3) -> dict:
-    """Vectorized vs. planned kernel on one batch: times + bit-identity.
+    """Vectorized vs. planned kernel on one batch: times, tracemalloc peaks
+    and bit-identity.
 
     The plan is compiled once outside the timed region (that is the point:
     compile once, evaluate many); both kernels then run ``repeats`` times
-    and the fastest wall time of each is compared.
+    and the fastest wall time of each is compared.  Each peak is one call
+    on its own, the plan's first on a fresh plan, so its per-thread
+    workspace and table index count.
     """
+    e_vec, peak_vec = _traced(lambda: local_energy_vectorized(comp, batch, table))
     plan = ElocPlan(comp)
-    e_vec = local_energy_vectorized(comp, batch, table)
-    e_plan = plan.local_energy(batch, table)
+    e_plan, peak_plan = _traced(lambda: plan.local_energy(batch, table))
     identical = bool(np.array_equal(e_vec, e_plan))
     t_vec = _best_of(lambda: local_energy_vectorized(comp, batch, table), repeats)
     t_plan = _best_of(lambda: plan.local_energy(batch, table), repeats)
@@ -287,6 +301,8 @@ def measure_dedup_plan(comp, batch, table, repeats: int = 3) -> dict:
         "t_planned": t_plan,
         "speedup": t_vec / t_plan,
         "bit_identical": identical,
+        "peak_vectorized": peak_vec,
+        "peak_planned": peak_plan,
         "n_unique": batch.n_unique,
         "table_entries": table.n_entries,
     }
@@ -379,19 +395,25 @@ def run_smoke(n_samples: int = 2 * 10**5, repeats: int = 5) -> list[dict]:
         rows.append([regime, res["n_unique"], res["table_entries"],
                      f"{res['t_vectorized'] * 1e3:.1f}",
                      f"{res['t_planned'] * 1e3:.1f}",
-                     f"{res['speedup']:.2f}x", res["bit_identical"]])
+                     f"{res['speedup']:.2f}x",
+                     f"{res['peak_vectorized'] / 2**20:.2f}",
+                     f"{res['peak_planned'] / 2**20:.2f}", res["bit_identical"]])
     registry.record(
         "fig10_dedup_plan_smoke",
         format_table(
             "Fig. 10 smoke — planned kernel vs. vectorized (C2/STO-3G)",
             ["table regime", "N_u", "table", "t_vec (ms)",
-             "t_plan (ms)", "speedup", "bit-identical"],
+             "t_plan (ms)", "speedup", "peak_vec (MiB)", "peak_plan (MiB)",
+             "bit-identical"],
             rows,
-            notes=("CI gate: speedup >= 1.0x in both regimes and "
-                   "bitwise-equal local energies (ElocPlan compiled once, "
-                   "evaluated many; a per-table slot map finds coupled keys in one gather, "
-                   "one add.reduceat segment per hit sums its reduced terms, "
-                   "each one pattern-table gather)."),
+            notes=("CI gate: speedup >= 1.0x, planned tracemalloc peak <= "
+                   "vectorized peak (one call each, the plan's workspaces "
+                   "included) in both regimes, and bitwise-equal local "
+                   "energies (ElocPlan compiled once, evaluated many; coupled "
+                   "keys hashed in place into a per-table slot map, one "
+                   "add.reduceat segment per hit sums its reduced terms, each "
+                   "one pattern-table gather; the diagonal group one "
+                   "quadratic form)."),
         ),
     )
     return results
@@ -417,6 +439,12 @@ if __name__ == "__main__":
             f"plan rung regressed on the {res['regime']} table: "
             f"{res['speedup']:.2f}x vs vectorized"
         )
+        assert res["peak_planned"] <= res["peak_vectorized"], (
+            f"plan rung allocates more than vectorized on the "
+            f"{res['regime']} table: {res['peak_planned'] / 2**20:.2f} MiB vs "
+            f"{res['peak_vectorized'] / 2**20:.2f} MiB"
+        )
         print(f"acceptance [{res['regime']}]: plan "
-              f"{res['speedup']:.2f}x >= 1.0x vs vectorized, "
-              "bit-identical — PASS")
+              f"{res['speedup']:.2f}x >= 1.0x vs vectorized, peak "
+              f"{res['peak_planned'] / 2**20:.2f} <= "
+              f"{res['peak_vectorized'] / 2**20:.2f} MiB, bit-identical — PASS")

@@ -1,20 +1,21 @@
 """Fig. 11: strong scaling of the data-centric parallel VMC iteration.
 
 The paper scales benzene/6-31G (120 qubits) from 4 to 64 A100s at fixed
-N_s = 1.6e6.  Substitution (DESIGN.md): thread-rank measurements on
+N_s = 1.6e6.  Substitution (DESIGN.md): process-rank measurements on
 N2/STO-3G at fixed sample budget on this host's cores, extended by the
 calibrated analytic model (embarrassingly parallel E_loc/backward stages,
 serial shared-prefix fraction in sampling, Sec. 3.2 communication volume) out
 to 64 ranks.  Shape: monotonically decreasing efficiency, still high at
 moderate rank counts.
 
-Iterations run on the unified execution engine's ``ThreadBackend``
-(``repro.core.engine``); a load table pins stage 3's cut — contiguous
-chunks of equal row count — by the stage-3 time each rank's chunk of one
-iteration's unique set measures, against the Sec. 3.3 weight-balanced cut
-(which stage 1 keeps for the BAS tree split) — and a process-backend block
-measures the fork-rank path over the socket-pair mesh with the compressed
-stage-2 payload.
+Iterations run on the unified execution engine's ``ProcessBackend``
+(``repro.core.engine``, fork ranks over the socket-pair mesh with the
+compressed stage-2 payload — what ``parallel.backend=process`` runs); a
+load table pins stage 3's cut — contiguous chunks of equal row count — by
+the stage-3 time each rank's chunk of one iteration's unique set measures,
+against the Sec. 3.3 weight-balanced cut (which stage 1 keeps for the BAS
+tree split) — and a comm block records each measured point's logical and
+wire volume.
 
 CI smoke: ``python benchmarks/bench_fig11_strong_scaling.py --smoke`` runs
 the same workload on 1 and 2 process ranks and on 1 and 2 thread ranks,
@@ -123,7 +124,7 @@ def test_fig11_strong_scaling(benchmark, full):
          "efficiency"],
         rows,
         notes=(
-            f"Measured: thread ranks on this host (N2/STO-3G, N_s={_NS}); "
+            f"Measured: process ranks on this host (N2/STO-3G, N_s={_NS}); "
             "* = calibrated model on the measured base; ^ = model at the "
             "paper's 120-qubit benzene workload scale (DESIGN.md "
             "substitution). Paper: 99.2% @8, 96.7% @16, 84.1% @32, 67.7% @64."
@@ -140,29 +141,19 @@ def test_fig11_strong_scaling(benchmark, full):
         xlabel="ranks", ylabel="%",
     )
     cmp_table = _partition_load_table(prob, comp)
-    # Process-backend rows: fork ranks over the socket-pair mesh + codec comm
-    # layer (true core parallelism even for GIL-bound stages).
-    proc_ranks = [1, 2] + ([4] if full else [])
-    proc_points = measure_scaling(
-        _wf_factory(prob), comp, proc_ranks, n_samples_for=lambda n: _NS,
-        n_iters=2, config=VMCConfig(eloc_mode="sample_aware", seed=14),
-        nu_star_per_rank=32, backend="process",
-    )
-    proc_eff = parallel_efficiency(proc_points, mode="strong")
     proc_rows = [
         [p.n_ranks, p.n_unique, f"{p.time_per_iter:.3f}",
          f"{p.comm_bytes / 1e6:.2f}", f"{p.comm_bytes_wire / 1e6:.2f}",
          f"{100 * e:.1f}%"]
-        for p, e in zip(proc_points, proc_eff)
+        for p, e in zip(points, eff)
     ]
     proc_table = format_table(
         "Process backend (fork ranks, socket-pair mesh + codec comm layer)",
         ["ranks", "N_u", "t/iter (s)", "comm MB logical", "comm MB wire",
          "efficiency"],
         proc_rows,
-        notes="Same staged iteration as the thread rows; collectives move "
-              "as frames over socket pairs with delta/varint-compressed "
-              "stage-2 payloads.",
+        notes="The measured rows above; collectives move as frames over "
+              "socket pairs with delta/varint-compressed stage-2 payloads.",
     )
     registry.record("fig11_strong_scaling",
                     table + "\n\n" + chart + "\n\n" + cmp_table
@@ -171,10 +162,11 @@ def test_fig11_strong_scaling(benchmark, full):
     driver = VMC(
         _wf_factory(prob)(), comp,
         VMCConfig(n_samples=_NS, eloc_mode="sample_aware", seed=15),
-        backend=ThreadBackend(n_ranks=2, nu_star_per_rank=32),
+        backend=ProcessBackend(n_ranks=2, nu_star_per_rank=32),
     )
     driver.step()
     benchmark(driver.step)
+    driver.backend.close()
 
 
 def _n_params(prob) -> int:

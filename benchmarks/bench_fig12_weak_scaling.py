@@ -6,9 +6,10 @@ the same per-stage timing decomposition plus the calibrated-model
 extrapolation.  Shape: time per iteration ~flat, efficiency decaying slowly
 (paper: 93.4% @32, 84.3% @64).
 
-Measurements run on the unified execution engine's ``ThreadBackend``
+Measurements run on the unified execution engine's ``ProcessBackend``
 (``measure_scaling`` drives ``repro.core.vmc.VMC`` + the staged pipeline of
-``repro.core.engine`` — the stages ``parallel.backend=process`` runs).
+``repro.core.engine`` on fork ranks — what ``parallel.backend=process``
+runs).
 """
 from __future__ import annotations
 

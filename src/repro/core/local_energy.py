@@ -30,7 +30,11 @@ segment per reduced term over its signed terms, then one per hit over
 those — the same nesting in both kernels, so both sum in the same order.
 The plan takes the inner sums from its pattern table, where the reference
 sums the terms; a Hamiltonian with a term-less group is refused, because
-``reduceat`` would read the next group's first term for it.
+``reduceat`` would read the next group's first term for it.  The diagonal
+group (XY mask 0: every Z string, which couples x to itself) is no hit at
+all: both kernels add it to E_loc as one quadratic form over ``z = 1 - 2x``
+(:class:`_DiagonalForm`) and walk only the other groups, unless one of its
+Z strings has weight ≥ 3.
 
 The scalar rungs of the paper's Fig. 10 ladder (bare-CPU baseline, SA+FUSE,
 SA+FUSE+LUT) are the subject of ``benchmarks/bench_fig10_localenergy.py``
@@ -212,10 +216,10 @@ def budgeted_sample_chunk(
     The reference's peak transient is the ``(sample_chunk, group_chunk, W)``
     uint64 flip array plus its ``(sample_chunk, group_chunk)`` int64 lookup —
     ``group_chunk * (W + 1) * 8`` bytes per sample row.  The planned kernel
-    holds no such index matrix (its lookup returns the hits alone, and its
-    per-key hash workspace is the same 8 bytes), but it takes the same row
-    count: the two must cut the batch at the same boundaries to stay
-    bit-identical.
+    materializes neither (it hashes each coupled key straight from the
+    sample and the flip mask into an 8-byte workspace entry, and its lookup
+    returns the hits alone), but it takes the same row count: the two must
+    cut the batch at the same boundaries to stay bit-identical.
     Wide Hamiltonians (large group counts, Fig. 9's memory story) can exceed
     a host budget at the default chunking; the budget caps the row count
     instead of failing.
@@ -253,6 +257,51 @@ def _shifted_psi(log_amps: np.ndarray, m: float) -> np.ndarray:
     return np.exp(log_amps - m)
 
 
+@dataclass(frozen=True)
+class _DiagonalForm:
+    """The diagonal group (XY mask 0) as one quadratic form over
+    ``z = 1 - 2x``: ``E_diag(x) = c0 + z·a + zᵀUz``, ``a`` the ``Z_i`` and
+    ``U`` (strictly upper) the ``Z_i Z_j`` coefficients, ``c0`` the
+    group's identity strings."""
+
+    c0: float
+    a: np.ndarray   # (N,) float64
+    u: np.ndarray   # (N, N) float64, zero on and below the diagonal
+
+    def energy(self, bits: np.ndarray) -> np.ndarray:
+        """``(b,)`` float64 ``E_diag`` of ``(b, N)`` 0/1 rows — one GEMM, so
+        a row's last bits can move with the rows beside it (BLAS blocking);
+        both kernels call it on the same sample chunks."""
+        z = 1.0 - 2.0 * bits
+        w = z @ self.u
+        w += self.a
+        e = np.einsum("ij,ij->i", w, z)
+        e += self.c0
+        return e
+
+
+def _diagonal_form(comp: CompressedHamiltonian) -> _DiagonalForm | None:
+    """The :class:`_DiagonalForm` of ``comp``'s diagonal group — the first
+    group, when there is one — or ``None`` when there is none or one of its
+    Z strings has weight ≥ 3 (the kernels then walk the group like any
+    other).  A Jordan-Wigner two-body Hamiltonian has only weights ≤ 2."""
+    if comp.n_groups == 0 or comp.xy_unique[0].any():
+        return None
+    terms = slice(int(comp.idxs[0]), int(comp.idxs[1]))
+    qubits = unpack_bits(comp.yz_buf[terms], comp.n_qubits)
+    weight = np.count_nonzero(qubits, axis=1)
+    if weight.max() > 2:
+        return None
+    coeffs = comp.coeffs_buf[terms]
+    first = np.argmax(qubits, axis=1)
+    last = comp.n_qubits - 1 - np.argmax(qubits[:, ::-1], axis=1)
+    a = np.zeros(comp.n_qubits, dtype=float64)
+    u = np.zeros((comp.n_qubits, comp.n_qubits), dtype=float64)
+    np.add.at(a, first[weight == 1], coeffs[weight == 1])
+    np.add.at(u, (first[weight == 2], last[weight == 2]), coeffs[weight == 2])
+    return _DiagonalForm(c0=float(coeffs[weight == 0].sum()), a=a, u=u)
+
+
 def local_energy_vectorized(
     comp: CompressedHamiltonian,
     batch: SampleBatch,
@@ -269,7 +318,9 @@ def local_energy_vectorized(
     matrix, and each hit's signed terms are spelled ``c (1 - 2 parity)``
     (exactly ``±c``) in reduced-term order; one ``add.reduceat`` segment
     per reduced term (the segment the plan's pattern-table entry holds),
-    then one per hit, and the ψ product (module docstring) are the plan's.
+    then one per hit, and the ψ product (module docstring) are the plan's;
+    so are the diagonal form, added per sample chunk, and the group chunks,
+    cut from the first group after the diagonal one when there is a form.
 
     The double chunking mirrors the paper's two-level parallelization: the
     outer sample chunks correspond to the per-thread batches of Fig. 7(a),
@@ -294,6 +345,8 @@ def local_energy_vectorized(
         raise ValueError("amplitude table must contain every sample")
     m = _log_amp_scale(table)
     inv_x_all = np.exp(m - table.log_amps[idx_self])     # e^m / ψ(x)
+    diagonal = _diagonal_form(comp)
+    first_group = 0 if diagonal is None else 1
 
     eloc = np.full(batch.n_unique, comp.constant, dtype=complex128)
 
@@ -303,7 +356,7 @@ def local_energy_vectorized(
         b = s1 - s0
         acc_re = np.zeros(b, dtype=float64)
         acc_im = np.zeros(b, dtype=float64)
-        for g0 in range(0, comp.n_groups, group_chunk):
+        for g0 in range(first_group, comp.n_groups, group_chunk):
             g1 = min(g0 + group_chunk, comp.n_groups)
             # Coupled configurations + lookup (cheap: XOR + binary search).
             flips = keys[:, None, :] ^ comp.xy_unique[None, g0:g1, :]
@@ -337,6 +390,8 @@ def local_energy_vectorized(
             acc_re += np.bincount(s_hit, weights=coef * psi.real, minlength=b)
             acc_im += np.bincount(s_hit, weights=coef * psi.imag, minlength=b)
         eloc[s0:s1] += (acc_re + 1j * acc_im) * inv_x_all[s0:s1]
+        if diagonal is not None:
+            eloc[s0:s1] += diagonal.energy(batch.bits[s0:s1])
     return eloc
 
 
@@ -415,20 +470,23 @@ class ElocPlan:
       lowest one's bit, with a multiplier ``M`` per distinct shifted mask
       that a seeded search (:meth:`_pattern_multipliers`) makes one-to-one
       over the mask's ``2^k`` subsets;
+    * the diagonal group as a :class:`_DiagonalForm` (``diagonal``; ``None``
+      keeps the group in the chunks when a Z string has weight ≥ 3);
     * a cached :class:`_TableIndex` of the current amplitude table — its
       :func:`~repro.utils.bitstrings.key_records` view (the search base),
       slot map, ``m`` and, once a chunk has more hits than the table
       has entries, ``ψ e^{-m}`` of every entry (rebuilt only when the table
       object changes — i.e. when the parameters moved);
-    * per-thread workspaces — the ``(sample_chunk, group_chunk, W)`` flip
-      buffer and the lookup's hash buffer — reused across iterations
-      instead of reallocated per chunk.
+    * one per-thread workspace — the lookup's uint64 hashes — reused across
+      chunks and iterations instead of reallocated per chunk.
 
     :meth:`local_energy` is the planned kernel: identical arithmetic to
-    :func:`local_energy_vectorized` except for the lookup and the inner sum
-    of each hit (one pattern-table gather per reduced term instead of the
-    ``add.reduceat`` of its ``c_t (1 - 2 parity)`` terms: the same float,
-    summed at compile time over the same segment).  :meth:`_lookup`
+    :func:`local_energy_vectorized` except for the lookup (coupled keys are
+    hashed from ``keys[s]`` and ``xy[g]`` and rebuilt only for the slot
+    candidates) and the inner sum of each hit (one pattern-table gather per
+    reduced term instead of the ``add.reduceat`` of its ``c_t (1 - 2
+    parity)`` terms: the same float, summed at compile time over the same
+    segment).  :meth:`_lookup`
     returns the hits alone, ascending in flat ``(sample, group)`` position —
     the order of the reference's ``nonzero`` over its index matrix — with
     their table rows, found through the slot map.  Results are
@@ -440,18 +498,19 @@ class ElocPlan:
     (4 214) and 1.71 MiB on LiCl (7 023), ``build_problem``'s screened
     Hamiltonians — against 16 B per term for a table of ``±c_t``.  The
     slot map holds 4-byte slots, ``SLOTS_PER_KEY`` to twice that per table
-    entry — 128-256 B per entry; a 14.8k-entry table takes 2 MiB.  One map
-    lives per plan and thread, for the table it last saw; serving's worst
-    case is
+    entry — 128-256 B per entry; the screened C2's 11.2k-entry extended
+    table takes 2 MiB.  One map lives per plan and thread, for the table it
+    last saw; serving's worst case is
     ``table_max_entries`` x ``max_loaded_versions`` = 500 000 x 4 entries at
     the defaults, 64 MiB per version, 256 MiB per thread that serves local
     energies.  The hash workspace holds 8 B per key of the largest lookup —
     a group chunk's coupled keys, ``b x gc`` (or the batch's samples, when
     more): 0.5 MiB on C2's 128 x 512, 2.2 MiB on N2's ~550 x 512 and 16 MiB
-    in serving's worst case of 4096 x 512, the same as the flip buffer for
-    single-word keys.
+    in serving's worst case of 4096 x 512.  Coupled keys are rebuilt only
+    for the keys whose slot holds a row, not for the chunk.  The diagonal
+    form holds ``8 N (N + 1)`` bytes (3.3 KiB at 20 qubits).
 
-    Thread safety: the compiled scaffolds are immutable; the workspaces and
+    Thread safety: the compiled scaffolds are immutable; the workspace and
     the table index live in ``threading.local``, so thread-rank
     backends can share one plan.  Plans hold no model state — they are
     invalidated only by a different Hamiltonian or chunking config, never by
@@ -493,8 +552,10 @@ class ElocPlan:
         self.sign_cols = [np.ascontiguousarray(red.sign_masks[:, w])
                           for w in range(self.n_words)]
         n_reduced = np.diff(red.group_idxs)
+        self.diagonal = _diagonal_form(comp)
         self.chunks: list[_GroupChunkScaffold] = []
-        for g0 in range(0, comp.n_groups, group_chunk):
+        first_group = 0 if self.diagonal is None else 1
+        for g0 in range(first_group, comp.n_groups, group_chunk):
             g1 = min(g0 + group_chunk, comp.n_groups)
             self.chunks.append(_GroupChunkScaffold(
                 g0=g0, g1=g1,
@@ -644,41 +705,68 @@ class ElocPlan:
             h *= _HASH_MULTIPLIER
         return h
 
-    def _workspace(self, name: str, size: int) -> np.ndarray:
-        """The first ``size`` entries of the per-thread uint64 workspace
-        ``name`` (``flip_buf``: the XOR buffer; ``hash_buf``: the lookup's
-        hashes), grown on demand and reused across chunks and calls."""
-        buf = getattr(self._local, name, None)
+    @staticmethod
+    def _hash_coupled(keys: np.ndarray, xy: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+        """:meth:`_hash` of the ``b x gc`` coupled keys ``keys[s] ^ xy[g]``,
+        flattened ``s``-major into ``out`` (``b gc`` entries): each word is
+        XORed in as its two operands, never as a coupled key."""
+        h = out.reshape(len(keys), len(xy))
+        np.bitwise_xor(keys[:, None, 0], xy[None, :, 0], out=h)
+        h *= _HASH_MULTIPLIER
+        for w in range(1, keys.shape[1]):
+            h ^= keys[:, None, w]
+            h ^= xy[None, :, w]
+            h *= _HASH_MULTIPLIER
+        return out
+
+    def _workspace(self, size: int) -> np.ndarray:
+        """The first ``size`` entries of the per-thread uint64 workspace that
+        holds the lookup's hashes, grown on demand and reused across chunks
+        and calls."""
+        buf = getattr(self._local, "hash_buf", None)
         if buf is None or buf.size < size:
-            buf = np.empty(size, dtype=uint64)
-            setattr(self._local, name, buf)
+            buf = self._local.hash_buf = np.empty(size, dtype=uint64)
         return buf[:size]
 
     # -------------------------------------------------------------- lookups
-    def _lookup(self, index: _TableIndex,
-                keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _lookup(self, index: _TableIndex, keys: np.ndarray,
+                xy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """``(flat, rows)``: the ascending positions of the ``(M, W)`` keys
         that are in the table, and their table rows — the hits of
         :func:`searchsorted_keys`, which returns ``rows`` at ``flat`` and
-        ``-1`` everywhere else.
+        ``-1`` everywhere else.  With ``(gc, W)`` flip masks ``xy`` the
+        queries are the ``b x gc`` coupled keys ``keys[s] ^ xy[g]`` at
+        ``flat = s gc + g``, never materialized: their hashes are folded
+        straight from the two operands.
 
         One gather reads every key's slot, hashed in place in the per-thread
         workspace.  An empty slot is a miss; a slot holding a row is a
         candidate; a shared slot sends the key to the binary search on the
         record view.  Every candidate, searched or not, is then compared with
-        its table key in full, so a slot never decides a hit and the rows are
-        the search's by construction.  Rows stay int32 (the slot map's type)
-        until the hits are known.
+        its table key in full (a coupled one rebuilt from its ``(s, g)``), so
+        a slot never decides a hit and the rows are the search's by
+        construction.  Rows stay int32 (the slot map's type) until the hits
+        are known.
         """
         if index.n_entries == 0:
             empty = np.zeros(0, dtype=int64)
             return empty, empty
-        h = self._hash(keys, out=self._workspace("hash_buf", len(keys)))
+        if xy is None:
+            h = self._hash(keys, out=self._workspace(len(keys)))
+        else:
+            h = self._hash_coupled(keys, xy, self._workspace(len(keys) * len(xy)))
         h >>= index.shift
         cand = index.slots.take(h.view(int64))
         flat = np.flatnonzero(cand != _EMPTY)
         rows = cand.take(flat)
-        rec = key_records(keys.take(flat, axis=0))
+        if xy is None:
+            found = keys.take(flat, axis=0)
+        else:
+            s, g = np.divmod(flat, len(xy))
+            found = keys.take(s, axis=0)
+            found ^= xy.take(g, axis=0)
+        rec = key_records(found)
         shared = np.flatnonzero(rows == _SHARED)
         if len(shared):
             rows[shared] = np.minimum(
@@ -773,19 +861,17 @@ class ElocPlan:
             acc_re = np.zeros(b, dtype=float64)
             acc_im = np.zeros(b, dtype=float64)
             for cp in self.chunks:
-                gc = cp.g1 - cp.g0
-                flips = self._workspace("flip_buf", b * gc * self.n_words).reshape(
-                    b, gc, self.n_words)
-                np.bitwise_xor(keys[:, None, :], cp.xy[None, :, :], out=flips)
-                flat, rows = self._lookup(index, flips.reshape(-1, self.n_words))
+                flat, rows = self._lookup(index, keys, cp.xy)
                 if len(flat) == 0:
                     continue
-                s_hit, g_hit = np.divmod(flat, gc)
+                s_hit, g_hit = np.divmod(flat, cp.g1 - cp.g0)
                 coef = self._pair_coefficients(keys, s_hit, g_hit, cp)
                 psi = self._psi(index, table.log_amps, rows)
                 acc_re += np.bincount(s_hit, weights=coef * psi.real, minlength=b)
                 acc_im += np.bincount(s_hit, weights=coef * psi.imag, minlength=b)
             eloc[s0:s1] += (acc_re + 1j * acc_im) * inv_x_all[s0:s1]
+            if self.diagonal is not None:
+                eloc[s0:s1] += self.diagonal.energy(batch.bits[s0:s1])
         return eloc
 
 

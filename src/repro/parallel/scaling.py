@@ -2,7 +2,7 @@
 
 The paper measures time-per-iteration of the three profiled stages (sampling,
 local energy, backpropagation) on 4..64 GPUs for benzene/6-31G (120 qubits).
-Our substitution (DESIGN.md): thread-rank measurements on a molecule that
+Our substitution (DESIGN.md): process-rank measurements on a molecule that
 fits this host, reported next to an analytic extrapolation calibrated from
 the measured single-rank stage times plus the byte-accurate communication
 model.  The *shape* — parallel efficiency decreasing gently with rank count,
@@ -11,7 +11,7 @@ reproduced result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,18 +46,21 @@ def measure_scaling(
     warmup_iters: int = 1,
     config: VMCConfig | None = None,
     nu_star_per_rank: int = 64,
-    backend: str = "threads",
+    backend: str = "process",
 ) -> list[ScalingPoint]:
     """Measure per-iteration stage times for each rank count.
 
     ``wf_factory()`` must return a *fresh identically-seeded* wavefunction so
     every rank count optimizes the same model; ``n_samples_for(n_ranks)``
-    fixes the workload (constant for strong scaling, proportional for weak).
-    Iterations run on the unified engine's :class:`ThreadBackend` (default),
-    :class:`ProcessBackend` (``backend="process"``) or the SPMD cluster
-    transport over localhost TCP (``backend="cluster"``: one full driver per
-    rank in a thread, meeting inside the socket collectives — rank 0's stats
-    speak for the world since SPMD trajectories are identical).
+    fixes the workload (constant for strong scaling, proportional for weak);
+    ``config`` is copied per rank count, never written to.  Iterations run
+    on the unified engine's :class:`ProcessBackend` (default: one fork per
+    follower rank, what ``parallel.backend=process`` runs), the GIL-bound
+    :class:`ThreadBackend` (``backend="threads"``, for bit-identity checks)
+    or the SPMD cluster transport over localhost TCP (``backend="cluster"``:
+    one full driver per rank in a thread, meeting inside the socket
+    collectives — rank 0's stats speak for the world since SPMD
+    trajectories are identical).
     """
     if backend not in ("threads", "process", "cluster"):
         raise ValueError(
@@ -66,8 +69,8 @@ def measure_scaling(
         )
     points = []
     for n_ranks in rank_counts:
-        cfg = config or VMCConfig(eloc_mode="sample_aware")
-        cfg.n_samples = n_samples_for(n_ranks)
+        cfg = replace(config or VMCConfig(eloc_mode="sample_aware"),
+                      n_samples=n_samples_for(n_ranks))
         if backend == "cluster":
             stats = _cluster_iteration_stats(
                 wf_factory, comp, cfg, n_ranks,

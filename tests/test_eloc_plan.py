@@ -9,6 +9,9 @@ Acceptance contracts of ``ElocPlan``, the one production local-energy path:
 * agreement with the scalar ``sa_fuse_lut`` rung of the Fig. 10 bench;
 * the one lookup (membership map first, binary search on the survivors) is
   index-identical to searching every key, single- and multi-word;
+* the diagonal group (XY mask 0) as one quadratic form over ``z = 1 - 2x``
+  against per-term integer parity, and the walk kept for a weight-3 Z
+  string; coupled keys hashed from their two operands, in one workspace;
 * the FUSE step (each hit's reduced terms one ``add.reduceat`` segment of
   pattern-table gathers) against an integer-parity oracle, the pattern
   table and its multipliers on Python ints, the paper-regime systems
@@ -47,6 +50,7 @@ from repro.core.local_energy import AmplitudeTable
 from repro.core.sampler import batch_autoregressive_sample
 from repro.hamiltonian import (
     CompressedHamiltonian,
+    QubitHamiltonian,
     compress_hamiltonian,
     sector_hamiltonian_dense,
     synthetic_molecular_hamiltonian,
@@ -192,6 +196,28 @@ class TestDedup:
         np.testing.assert_array_equal(
             as_built, local_energy_vectorized(comp, batch, table))
 
+    @pytest.mark.parametrize("n_qubits", [12, 70, 130])           # 1, 2, 3 words
+    def test_coupled_keys_hashed_in_place(self, n_qubits):
+        """``_lookup(index, keys, xy)`` finds the hits of searching the
+        materialized ``keys[s] ^ xy[g]``, at ``s gc + g``, through one
+        per-thread workspace of ``b gc`` hashes."""
+        rng = np.random.default_rng(n_qubits)
+        comp = compress_hamiltonian(synthetic_molecular_hamiltonian(n_qubits, 80, seed=2))
+        plan = ElocPlan(comp, group_chunk=5)
+        keys = pack_bits(rng.integers(0, 2, size=(9, n_qubits)).astype(np.uint8))
+        coupled = (keys[:, None, :] ^ comp.xy_unique[None, :, :]).reshape(-1, plan.n_words)
+        table = _mock_table(rng, np.concatenate(
+            [keys, coupled[rng.random(len(coupled)) < 0.3]]))
+        index = plan._table_index(table)
+        for cp in plan.chunks:
+            flat, rows = plan._lookup(index, keys, cp.xy)
+            want_flat, want_rows = _hits_of_search(
+                table, (keys[:, None, :] ^ cp.xy[None, :, :]).reshape(-1, plan.n_words))
+            assert 0 < len(flat)
+            np.testing.assert_array_equal(flat, want_flat)
+            np.testing.assert_array_equal(rows, want_rows)
+        assert plan._local.hash_buf.size == len(keys) * plan.group_chunk
+
     @settings(max_examples=60, deadline=None)
     @given(n_qubits=st.sampled_from((30, 64, 100, 150)),          # 1, 1, 2, 3 words
            n_entries=st.sampled_from((0, 1, 2, 5, 3000)),
@@ -321,6 +347,76 @@ class TestPsiProduct:
         np.testing.assert_allclose(ref, (dense @ psi)[picked] / psi[picked],
                                    rtol=0, atol=1e-10)
         assert np.array_equal(ElocPlan(comp).local_energy(batch, table), ref)
+
+
+def _per_term_diagonal(comp, keys):
+    """Σ_t c_t (-1)^popcount(x & z_t) over the diagonal group, parity on
+    Python ints, and Σ_t |c_t|."""
+    terms = range(comp.idxs[0], comp.idxs[1])
+    z = [_as_int(comp.yz_buf[t]) for t in terms]
+    c = [comp.coeffs_buf[t] for t in terms]
+    want = [sum(ct * (-1) ** bin(_as_int(row) & zt).count("1")
+                for ct, zt in zip(c, z)) for row in keys]
+    return np.array(want), sum(map(abs, c))
+
+
+class TestDiagonalForm:
+    """The diagonal group (XY mask 0) is one quadratic form
+    ``c0 + z·a + zᵀUz`` over ``z = 1 - 2x``, compiled when every Z string
+    has weight ≤ 2; both kernels add it straight to E_loc and walk only the
+    other groups."""
+
+    @pytest.mark.parametrize("name", ["H2", "LiH", "H2O", "N2", "C2"])
+    def test_form_equals_per_term_parity(self, name):
+        problem = build_problem(name)
+        comp = compress_hamiltonian(problem.hamiltonian)
+        plan = ElocPlan(comp)
+        assert plan.diagonal is not None and not comp.xy_unique[0].any()
+        assert plan.chunks[0].g0 == 1
+        rng = np.random.default_rng(55)
+        bits = np.vstack([problem.hf_bits,
+                          rng.integers(0, 2, size=(64, comp.n_qubits))]).astype(np.uint8)
+        want, scale = _per_term_diagonal(comp, pack_bits(bits))
+        got = plan.diagonal.energy(bits)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_a_weight_three_z_string_keeps_the_walk(self, lih_problem):
+        """LiH plus ``0.03 Z0 Z3 Z5``: no form, group 0 walked like any other
+        group, plan == reference bit for bit, and E_loc moves by exactly the
+        new term's diagonal value (to rounding)."""
+        wf, comp, batch, table = _setup(lih_problem)
+        ham = lih_problem.hamiltonian
+        z = np.zeros((1, ham.n_words), dtype=np.uint64)
+        z[0, 0] = (1 << 0) | (1 << 3) | (1 << 5)
+        extra = QubitHamiltonian(
+            n_qubits=ham.n_qubits, constant=ham.constant,
+            x_masks=np.vstack([ham.x_masks, np.zeros_like(z)]),
+            z_masks=np.vstack([ham.z_masks, z]),
+            coeffs=np.append(ham.coeffs, 0.03))
+        comp3 = compress_hamiltonian(extra)
+        plan = ElocPlan(comp3, group_chunk=7)
+        assert plan.diagonal is None and plan.chunks[0].g0 == 0
+        ext = extend_amplitude_table(wf, comp3, batch, table)
+        for tbl in (table, ext):
+            got = plan.local_energy(batch, tbl)
+            np.testing.assert_array_equal(
+                got, local_energy_vectorized(comp3, batch, tbl, group_chunk=7))
+            sign = 1.0 - 2.0 * (np.bitwise_count(pack_bits(batch.bits)[:, 0] & z[0, 0]) & 1)
+            np.testing.assert_allclose(
+                got, ElocPlan(comp).local_energy(batch, tbl) + 0.03 * sign,
+                rtol=0, atol=1e-12)
+
+    def test_one_workspace_and_no_flip_buffer(self, lih_problem):
+        """Per thread the plan holds its table index and one uint64 hash
+        workspace of ``max(N_u, b x gc)`` entries — no coupled-key buffer."""
+        wf, comp, batch, table = _setup(lih_problem)
+        plan = ElocPlan(comp, group_chunk=64, sample_chunk=16)
+        plan.local_energy(batch, table)
+        assert set(vars(plan._local)) == {"table_cache", "hash_buf"}
+        buf = plan._local.hash_buf
+        assert buf.dtype == np.uint64
+        assert buf.size == max(batch.n_unique, 16 * 64)
 
 
 class TestPlanLifecycle:

@@ -5,19 +5,38 @@ for 64 <= N < 128 (Sec. 3.4, method (5)).  These tests drive every engine of
 the Fig. 10 ladder through the two-word code paths (packing, XOR coupling,
 lexicographic binary search, Python-int views) on synthetic 70- and
 100-qubit Hamiltonians with a mock amplitude table — the engines only
-consume tables, so no wave function is needed.
+consume tables, so no wave function is needed — and hold the planned kernel
+to the reference bit for bit at 70 and 120 qubits, with the diagonal group
+walked (the synthetic operator has weight-4 Z strings) and as the quadratic
+form (its Z strings of weight ≥ 3 dropped).
 """
 import numpy as np
 import pytest
 
 from repro.core import SampleBatch
-from repro.core.local_energy import AmplitudeTable, local_energy_vectorized
-from repro.hamiltonian import build_reference, compress_hamiltonian, synthetic_molecular_hamiltonian
+from repro.core.local_energy import AmplitudeTable, ElocPlan, local_energy_vectorized
+from repro.hamiltonian import (
+    QubitHamiltonian,
+    build_reference,
+    compress_hamiltonian,
+    synthetic_molecular_hamiltonian,
+)
 from repro.utils.bitstrings import lexsort_keys, pack_bits
 
 
-def make_setup(n_qubits: int, n_terms: int, n_samples: int, seed: int):
+def _two_body_diagonal(ham: QubitHamiltonian) -> QubitHamiltonian:
+    """``ham`` without its diagonal Z strings of weight ≥ 3."""
+    keep = ham.x_masks.any(axis=1) | (np.bitwise_count(ham.z_masks).sum(axis=1) <= 2)
+    return QubitHamiltonian(n_qubits=ham.n_qubits, x_masks=ham.x_masks[keep],
+                            z_masks=ham.z_masks[keep], coeffs=ham.coeffs[keep],
+                            constant=ham.constant)
+
+
+def make_setup(n_qubits: int, n_terms: int, n_samples: int, seed: int,
+               two_body_diagonal: bool = False):
     ham = synthetic_molecular_hamiltonian(n_qubits, n_terms, seed=seed)
+    if two_body_diagonal:
+        ham = _two_body_diagonal(ham)
     comp = compress_hamiltonian(ham)
     ref = build_reference(ham)
     rng = np.random.default_rng(seed + 1)
@@ -54,6 +73,20 @@ class TestMultiwordEngines:
         tiny = local_energy_vectorized(comp, batch, table, group_chunk=7,
                                        sample_chunk=5)
         np.testing.assert_allclose(tiny, full, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_qubits", [70, 120])
+@pytest.mark.parametrize("two_body_diagonal", [False, True], ids=["walked", "form"])
+def test_planned_equals_reference_bit_for_bit(n_qubits, two_body_diagonal):
+    _, comp, _, batch, table = make_setup(n_qubits, 400, 40, seed=8,
+                                          two_body_diagonal=two_body_diagonal)
+    for group_chunk, sample_chunk in ((512, 4096), (7, 5)):
+        plan = ElocPlan(comp, group_chunk=group_chunk, sample_chunk=sample_chunk)
+        assert (plan.diagonal is not None) == two_body_diagonal
+        np.testing.assert_array_equal(
+            plan.local_energy(batch, table),
+            local_energy_vectorized(comp, batch, table, group_chunk=group_chunk,
+                                    sample_chunk=sample_chunk))
 
 
 class TestDiagonalIdentity:

@@ -1,4 +1,6 @@
-"""Tree partitioning, comm model, data-parallel VMC."""
+"""Tree partitioning, comm model, data-parallel VMC, the scaling harness."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,3 +163,31 @@ class TestDataParallelVMC:
         b1 = driver_factory(1).step().comm_bytes
         b3 = driver_factory(3).step().comm_bytes
         assert b3 > b1
+
+
+class TestMeasureScaling:
+    """The Figs. 11-12 harness times the run path: process ranks by
+    default, on a copy of the caller's config."""
+
+    def test_default_is_process_ranks_and_config_is_not_written(
+            self, h2_problem, monkeypatch):
+        from repro.parallel import scaling
+
+        launched = []
+
+        class Recording(scaling.ProcessBackend):
+            def __init__(self, n_ranks, **kw):
+                launched.append(n_ranks)
+                super().__init__(n_ranks=n_ranks, **kw)
+
+        monkeypatch.setattr(scaling, "ProcessBackend", Recording)
+        config = VMCConfig(n_samples=7, eloc_mode="sample_aware", seed=3)
+        before = dataclasses.asdict(config)
+        points = scaling.measure_scaling(
+            lambda: build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
+                                     phase_hidden=(8,), seed=5),
+            h2_problem.hamiltonian, [1, 2], n_samples_for=lambda n: 500 * n,
+            n_iters=1, warmup_iters=0, config=config, nu_star_per_rank=2)
+        assert launched == [1, 2]
+        assert [p.n_samples for p in points] == [500, 1000]
+        assert dataclasses.asdict(config) == before
