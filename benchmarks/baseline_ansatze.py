@@ -37,7 +37,7 @@ from repro.core import (
 )
 from repro.dtypes import float64, int64
 from repro.hamiltonian import sector_basis
-from repro.nn import PhaseMLP
+from repro.nn import PHASE_HIDDEN, PhaseMLP
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
 
@@ -228,7 +228,7 @@ BASELINES = {"made": MADEAmplitude, "naqs-mlp": NAQSMLPAmplitude}
 
 
 def build_baseline(foil, n_qubits: int, n_up: int, n_dn: int, *,
-                   phase_hidden=(512, 512), constrain: bool = True,
+                   phase_hidden=PHASE_HIDDEN, constrain: bool = True,
                    seed: int = 0) -> NNQSWavefunction:
     """``build_qiankunnet`` with the amplitude network swapped for ``foil``
     (a class of this file, at its default widths): same phase MLP, same

@@ -13,6 +13,9 @@ runs).
 """
 from __future__ import annotations
 
+import os
+
+from bench_fig11_strong_scaling import measured_ranks
 from repro.bench import format_table, registry
 from repro.chem import build_problem
 from repro.core import VMCConfig, build_qiankunnet, pretrain_to_reference
@@ -31,7 +34,7 @@ def test_fig12_weak_scaling(benchmark, full):
         pretrain_to_reference(wf, prob.hf_bits, n_steps=60, target_prob=0.2)
         return wf
 
-    ranks = [1, 2, 4] + ([8] if full else [])
+    ranks = measured_ranks(full)
     points = measure_scaling(
         factory, comp, ranks, n_samples_for=lambda n: _NS_PER_RANK * n,
         n_iters=3, config=VMCConfig(eloc_mode="sample_aware", seed=24),
@@ -45,7 +48,7 @@ def test_fig12_weak_scaling(benchmark, full):
         for p, e in zip(points, eff)
     ]
     wf0 = factory()
-    model = model_scaling(points[0], [4, 8, 16, 32, 64], prob.n_qubits,
+    model = model_scaling(points[0], [2, 4, 8, 16, 32, 64], prob.n_qubits,
                           wf0.num_parameters(), mode="weak")
     eff_m = parallel_efficiency([points[0]] + model, mode="weak")[1:]
     for p, e in zip(model, eff_m):
@@ -76,8 +79,10 @@ def test_fig12_weak_scaling(benchmark, full):
          "t_grad", "efficiency"],
         rows,
         notes=(
-            "Paper: 96.9% @8 ... 84.3% @64 on benzene/6-31G. * = calibrated "
-            "model on the measured base; ^ = model at the paper's workload "
+            f"Measured: process ranks on this host, up to its {os.cpu_count()} "
+            "cores. Paper: 96.9% @8 ... 84.3% @64 on benzene/6-31G. * = "
+            "calibrated model on the measured base (2* sits beside the "
+            "measured 2); ^ = model at the paper's workload "
             "scale (DESIGN.md substitution)."
         ),
     )

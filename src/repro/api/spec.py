@@ -26,6 +26,7 @@ from pathlib import Path
 
 from repro.chem.molecules import MOLECULES, geometry_keys
 from repro.core.engine import ELOC_MODES
+from repro.nn.phase import PHASE_HIDDEN
 from repro.utils.atomic import atomic_write
 
 __all__ = [
@@ -167,14 +168,15 @@ class ProblemSpec(_Spec):
 @dataclass
 class AnsatzSpec(_Spec):
     """QiankunNet's architecture and seed: exactly ``build_qiankunnet``'s
-    keyword arguments, at the paper's Sec. 4.1 defaults."""
+    keyword arguments, at its defaults (the paper's Sec. 4.1, but for the
+    phase MLP's width, ``PHASE_HIDDEN``)."""
 
     _SECTION = "ansatz"
 
     d_model: int = 16
     n_heads: int = 4
     n_layers: int = 2
-    phase_hidden: tuple = (512, 512)
+    phase_hidden: tuple = PHASE_HIDDEN
     token_bits: int = 2
     constrain: bool = True
     reverse_order: bool = True

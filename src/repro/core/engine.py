@@ -362,7 +362,7 @@ def stage_backward(wf, chunk: SampleBatch, w_norm,
     * ``phi`` first: ``wf.phase_vjp`` (float32 GEMMs, the output bias in
       float64) differentiates ``phase``, stage 2's kept forward of this chunk
       (:func:`stage_gather_table`): no forward GEMM and no second float32
-      cast, except for blocks past ``PHASE_KEEP_ROWS``, which it recomputes
+      cast, except for blocks past ``PHASE_KEEP_BYTES``, which it recomputes
       (every block when ``phase`` is ``None``).  It consumes ``phase``, so the
       kept activations are freed before the amplitude half allocates.
     * ``log pi``: ``wf.log_prob_vjp`` — ``ROW_BLOCK`` blocks of lexsorted

@@ -493,10 +493,11 @@ class ElocPlan:
     bit-identical: the slot map finds exactly the rows the binary search
     finds, and the accumulation order is unchanged.
 
-    Memory: the pattern table holds 256 B per reduced term — 0.24 MiB on
-    N2 (971 reduced terms), 0.34 MiB on C2 (1 409), 1.03 MiB on Li2O
-    (4 214) and 1.71 MiB on LiCl (7 023), ``build_problem``'s screened
-    Hamiltonians — against 16 B per term for a table of ``±c_t``.  The
+    Memory: the pattern table holds 256 B per reduced term off the diagonal
+    group — 0.19 MiB on N2 (761 reduced terms), 0.29 MiB on C2 (1 199),
+    0.92 MiB on Li2O (3 749) and 1.62 MiB on LiCl (6 617),
+    ``build_problem``'s screened Hamiltonians — against 16 B per term for a
+    table of ``±c_t``.  The
     slot map holds 4-byte slots, ``SLOTS_PER_KEY`` to twice that per table
     entry — 128-256 B per entry; the screened C2's 11.2k-entry extended
     table takes 2 MiB.  One map lives per plan and thread, for the table it
@@ -531,10 +532,13 @@ class ElocPlan:
         self.memory_budget_bytes = memory_budget_bytes
         self.n_words = (comp.n_qubits + 63) // 64
         _refuse_empty_groups(np.diff(comp.idxs))
+        self.diagonal = _diagonal_form(comp)
+        first_group = 0 if self.diagonal is None else 1
         # FUSE tables: the pattern table, one row of 32 floats per reduced
         # term (``(r << 5) | (pattern << 1) | parity``), and each word of the
-        # reduced terms' sign masks as its own contiguous column.
-        red = reduce_terms(comp)
+        # reduced terms' sign masks as its own contiguous column — none for
+        # the diagonal group when its form replaces it.
+        red = reduce_terms(comp, first_group)
         # One word holds a group's pattern qubits: fold the words, then
         # shift the lowest pattern qubit to bit 0.  The multipliers depend
         # on the shifted mask alone, so the search runs once per distinct
@@ -552,9 +556,7 @@ class ElocPlan:
         self.sign_cols = [np.ascontiguousarray(red.sign_masks[:, w])
                           for w in range(self.n_words)]
         n_reduced = np.diff(red.group_idxs)
-        self.diagonal = _diagonal_form(comp)
         self.chunks: list[_GroupChunkScaffold] = []
-        first_group = 0 if self.diagonal is None else 1
         for g0 in range(first_group, comp.n_groups, group_chunk):
             g1 = min(g0 + group_chunk, comp.n_groups)
             self.chunks.append(_GroupChunkScaffold(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.constraints import ParticleNumberConstraint
-from repro.nn import Module, PhaseMLP, TransformerAmplitude
+from repro.nn import PHASE_HIDDEN, Module, PhaseMLP, TransformerAmplitude
 from repro.nn.kernels import (
     MASK_VALUE,
     log_softmax,
@@ -27,7 +27,7 @@ from repro.nn.kernels import (
 )
 
 __all__ = ["NNQSWavefunction", "build_qiankunnet", "ROW_BLOCK", "PREFIX_BLOCK",
-           "PHASE_BLOCK", "PHASE_KEEP_ROWS", "PhaseForward", "row_blocks",
+           "PHASE_BLOCK", "PHASE_KEEP_BYTES", "PhaseForward", "row_blocks",
            "token_order", "prefix_tree"]
 
 # Row bound of one block of stage 5's forward/VJP pair
@@ -54,23 +54,29 @@ ROW_BLOCK = 1024
 PREFIX_BLOCK = 2048
 
 # Row bound of one phase-MLP block (``NNQSWavefunction.phases`` and
-# ``phase_vjp``): the float32 GEMM chain keeps no tape, and on N2 exact 1 024-row
-# blocks beat 256 in 19 of 20 alternating pairs (-2 ... -3 % per iteration, a
-# gap inside the runs' quartile spread) for +0.3 MiB peak RSS; 2 048 cost
-# another +2.3 MiB (10 of 10 pairs, with 2 048-row walk blocks).
+# ``phase_vjp``): the float32 GEMM chain keeps no tape.  At 512 wide, on N2
+# exact 1 024-row blocks beat 256 in 19 of 20 alternating pairs (-2 ... -3 %
+# per iteration, a gap inside the runs' quartile spread) for +0.3 MiB peak
+# RSS; 2 048 cost another +2.3 MiB (10 of 10 pairs, with 2 048-row walk
+# blocks).  Re-measured at the default 256 wide on the ``n2_exact`` set-up
+# (one process, 12 interleaved pairs of 3 ``VMC.step()`` per side, seeds 1
+# and 2): 2 048 was faster in 4 and 7 of 12 pairs, medians 37.4 / 37.6 and
+# 39.3 / 39.9 ms per step, tracemalloc peaks 3.7-4.9 MiB either way — no
+# win, so 1 024 stays.
 PHASE_BLOCK = 1024
 
-# Row bound of the phase-MLP activations stage 2 keeps for stage 5
+# Byte bound of the phase-MLP activations stage 2 keeps for stage 5
 # (``NNQSWavefunction.phase_forward``): blocks past it are dropped after their
-# phases are read, and ``phase_vjp`` recomputes them.  A kept row holds two
-# float32 512-wide hidden layers, 4 KiB.  Each kept 1 024-row block saves one
-# 512 x 512 GEMM and costs 4 MiB, with no knee: 8 192 rows of the paper-size
-# net (one OpenBLAS thread, median of 12 interleaved rounds) take 196 ms
-# forward + VJP recomputing every block, 173 / 170 / 147 ms keeping 2 048 /
-# 4 096 / 8 192 rows, at a tracemalloc peak of 11 / 15 / 23 / 39 MiB.  4 096
-# rows caps the keep at 16 MiB, the E_loc budget of ``n2_exact``; every chunk
-# of the benchmark workloads (<= ~550 rows) is kept whole.
-PHASE_KEEP_ROWS = 4096
+# phases are read, and ``phase_vjp`` recomputes them.  A kept row holds its
+# float32 hidden layers, ``PhaseMLP.row_bytes`` = 4 x sum(hidden) bytes, so
+# the bound keeps 4 096 rows of the paper's 512 x 512 net and 8 192 of the
+# default 256 x 256 one: N2 at N_s 1e9 (N_u ~5.5k) keeps every row.  Keeping
+# is a pure time/memory trade with no knee: 8 192 rows of the 512-wide net
+# (one OpenBLAS thread, median of 12 interleaved rounds) take 196 ms forward
+# + VJP recomputing every block, 173 / 170 / 147 ms keeping 2 048 / 4 096 /
+# 8 192 rows, at a tracemalloc peak of 11 / 15 / 23 / 39 MiB.  16 MiB is the
+# E_loc budget of ``n2_exact``; it follows the width, so there is no knob.
+PHASE_KEEP_BYTES = 16 * 2**20
 
 
 def row_blocks(n_rows: int, bound: int | None = None) -> list[slice]:
@@ -133,7 +139,7 @@ class PhaseForward:
     """One :meth:`NNQSWavefunction.phase_forward` over some rows, kept for
     :meth:`NNQSWavefunction.phase_vjp` of the same rows: the float32
     parameters it ran on, its row blocks and, per block, the hidden
-    activations (``None`` past ``PHASE_KEEP_ROWS``).  The caller holds it from
+    activations (``None`` past ``PHASE_KEEP_BYTES``).  The caller holds it from
     one stage to the next; nothing on the wavefunction refers to it, and
     ``phase_vjp`` consumes it, releasing each block as it goes."""
 
@@ -335,17 +341,18 @@ class NNQSWavefunction(Module):
         forward it ran, kept for :meth:`phase_vjp` of the same bits — stage 2
         evaluates its chunk here and stage 5 differentiates the result.  The
         hidden activations of the blocks within the first
-        ``PHASE_KEEP_ROWS`` rows are kept, with the one float32 cast they
-        were computed with; a later block's are dropped as soon as its
-        phases are read, and ``phase_vjp`` recomputes them."""
+        ``PHASE_KEEP_BYTES // phase.row_bytes`` rows are kept, with the one
+        float32 cast they were computed with; a later block's are dropped as
+        soon as its phases are read, and ``phase_vjp`` recomputes them."""
         bits = np.atleast_2d(bits)
         out = np.empty(len(bits))
         params32 = self.phase.cast32()
         blocks = row_blocks(len(bits), PHASE_BLOCK)
+        keep_rows = PHASE_KEEP_BYTES // self.phase.row_bytes
         kept = []
         for rows in blocks:
             out[rows], hidden = self.phase.forward(bits[rows], params32)
-            kept.append(hidden if rows.stop <= PHASE_KEEP_ROWS else None)
+            kept.append(hidden if rows.stop <= keep_rows else None)
             del hidden          # a dropped block goes before the next one runs
         return out, PhaseForward(len(bits), params32, blocks, kept)
 
@@ -479,13 +486,14 @@ def build_qiankunnet(
     d_model: int = 16,
     n_heads: int = 4,
     n_layers: int = 2,
-    phase_hidden: tuple[int, ...] = (512, 512),
+    phase_hidden: tuple[int, ...] = PHASE_HIDDEN,
     token_bits: int = 2,
     constrain: bool = True,
     reverse_order: bool = True,
     seed: int = 0,
 ) -> NNQSWavefunction:
-    """QiankunNet with the paper's Sec. 4.1 defaults; the returned
+    """QiankunNet with the paper's Sec. 4.1 defaults, but for the phase MLP's
+    width (``PHASE_HIDDEN``, DESIGN.md "Phase MLP width"); the returned
     wavefunction records these arguments as its rebuild ``spec``."""
     rng = np.random.default_rng(seed)
     n_tokens = n_qubits // token_bits

@@ -189,11 +189,18 @@ class ReducedTerms:
         return len(self.idxs) - 1
 
 
-def reduce_terms(comp: CompressedHamiltonian) -> ReducedTerms:
+def reduce_terms(comp: CompressedHamiltonian, first_group: int = 0) -> ReducedTerms:
     """The :class:`ReducedTerms` of any :class:`CompressedHamiltonian`,
-    hand-made ones included (vectorized: no loop over groups)."""
+    hand-made ones included (vectorized: no loop over groups).
+
+    Groups before ``first_group`` get no reduced terms (``order`` skips their
+    terms; their ``group_idxs`` span is empty): the plan evaluates the
+    diagonal group as a quadratic form and reads none of its terms.  Every
+    other group's reduced terms are the ones a full reduction gives, in the
+    same order."""
     n_groups, n_words = comp.xy_unique.shape
-    group_of_term = np.repeat(np.arange(n_groups), np.diff(comp.idxs))
+    t0 = int(comp.idxs[first_group]) if n_groups else 0
+    group_of_term = np.repeat(np.arange(n_groups), np.diff(comp.idxs))[t0:]
     n_flips = popcount64(comp.xy_unique).sum(axis=1)
     # Pattern qubits must share one word: the plan's multiply-shift cannot
     # separate qubits that sit high in different words (63 and 127 both
@@ -201,7 +208,7 @@ def reduce_terms(comp: CompressedHamiltonian) -> ReducedTerms:
     one_word = np.count_nonzero(comp.xy_unique, axis=1) <= 1
     pattern = np.where(((n_flips <= PATTERN_QUBITS) & one_word)[:, None],
                        comp.xy_unique, np.uint64(0))
-    sign = comp.yz_buf & ~pattern[group_of_term]
+    sign = comp.yz_buf[t0:] & ~pattern[group_of_term]
     # np.lexsort is stable and sorts by its last key first: group, then the
     # sign mask in lexsort_keys order (last word most significant).
     order = np.lexsort([sign[:, w] for w in range(n_words)] + [group_of_term])
@@ -211,7 +218,7 @@ def reduce_terms(comp: CompressedHamiltonian) -> ReducedTerms:
         sign[1:] != sign[:-1], axis=1)
     starts = np.flatnonzero(new)
     return ReducedTerms(
-        order=order.astype(int64),
+        order=(order + t0).astype(int64),
         idxs=np.append(starts, len(order)).astype(int64),
         group_idxs=np.searchsorted(group_of_term[starts],
                                    np.arange(n_groups + 1)).astype(int64),

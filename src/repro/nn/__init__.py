@@ -4,7 +4,7 @@ from repro.nn.layers import Embedding, LayerNorm, Linear, PositionalEmbedding
 from repro.nn.inference import TransformerInferenceSession
 from repro.nn.attention import CausalSelfAttention, DecoderLayer, FeedForward
 from repro.nn.transformer import TransformerAmplitude
-from repro.nn.phase import PhaseMLP
+from repro.nn.phase import PHASE_HIDDEN, PhaseMLP
 
 __all__ = [
     "Module",
@@ -19,4 +19,5 @@ __all__ = [
     "FeedForward",
     "TransformerAmplitude",
     "PhaseMLP",
+    "PHASE_HIDDEN",
 ]

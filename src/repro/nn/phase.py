@@ -1,7 +1,9 @@
 """The phase sub-network: a multilevel perceptron phi(x) (Fig. 2, right).
 
 The paper decomposes Psi(x) = |Psi(x)| e^{i phi(x)} and models the phase with
-an MLP of layer sizes N x 512 x 512 x 1 (Sec. 4.1).  The input is the raw
+an MLP of layer sizes N x 512 x 512 x 1 (Sec. 4.1).  The default here is
+N x 256 x 256 x 1 (``PHASE_HIDDEN``), a documented deviation sized by seconds
+to chemical accuracy (DESIGN.md "Phase MLP width").  The input is the raw
 qubit bitstring mapped to {-1, +1}; the output is an unconstrained real phase
 in radians.
 
@@ -28,17 +30,27 @@ from repro.dtypes import float32, float64
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 
-__all__ = ["PhaseMLP"]
+__all__ = ["PHASE_HIDDEN", "PhaseMLP"]
+
+# The default hidden widths, read by ``build_qiankunnet`` and ``AnsatzSpec``.
+# Against the paper's (512, 512), (256, 256) reaches 1.6 mHa sooner on h2
+# (median 0.30 s against 1.38 s, 16 seeds) and n2-cas66 (1.73 s against
+# 3.44 s, 6 seeds), and ties on N2's exact error at about one wall budget
+# (median 23.1 against 26.1 mHa, 5 ansatz seeds, inside 512's seed spread):
+# ``benchmarks/results/phase_width_sweep.txt``, DESIGN.md "Phase MLP width".
+PHASE_HIDDEN = (256, 256)
 
 
 class PhaseMLP(Module):
-    def __init__(self, n_qubits: int, hidden: tuple[int, ...] = (512, 512),
+    def __init__(self, n_qubits: int, hidden: tuple[int, ...] = PHASE_HIDDEN,
                  rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng()
         sizes = (n_qubits, *hidden, 1)
         self.layers = [Linear(sizes[i], sizes[i + 1], rng=rng) for i in range(len(sizes) - 1)]
         self.n_qubits = n_qubits
+        # What one row's kept activations (:meth:`forward`'s hidden) take.
+        self.row_bytes = np.dtype(float32).itemsize * sum(hidden)
 
     def cast32(self) -> list:
         """``[(W, b), ...]``: float32 copies of every layer's parameters, for

@@ -16,9 +16,10 @@ __all__ = ["AdamW"]
 # Elements per call of the AdamW kernel.  The kernel makes 13 elementwise
 # passes over four streams (theta, m, v, gradient); 32 768 doubles of each is
 # 1 MiB, which stays L2-resident across the passes, where the whole arena
-# (4 x 2.1 MiB on H2) streams from memory 13 times.  Measured on an arena of
-# the h2 preset's size (272 517), median step: one call 1.30 ms, 65 536 1.01,
-# 32 768 1.03, 16 384 1.05.  A constant: the kernel is elementwise, so any
+# (4 x 2.1 MiB on H2 at the paper's 512-wide phase MLP) streams from memory
+# 13 times.  Measured on an arena of the h2 preset's size at that width
+# (272 517; 74 117 at the default 256), median step: one call 1.30 ms,
+# 65 536 1.01, 32 768 1.03, 16 384 1.05.  A constant: the kernel is elementwise, so any
 # blocking gives the same bits.
 _BLOCK = 32768
 

@@ -120,6 +120,13 @@ def ablations():
     return _load_bench("bench_ablations")
 
 
+@pytest.fixture(scope="session")
+def phase_width():
+    """``benchmarks/bench_phase_width.py`` as a module: the phase-MLP width
+    sweep, its adoption rule and its committed rows."""
+    return _load_bench("bench_phase_width")
+
+
 @pytest.fixture()
 def stage3_vs_reference(monkeypatch):
     """Check every stage-3 kernel call of the engine against the reference.

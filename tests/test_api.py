@@ -437,13 +437,30 @@ class TestDriverEquivalence:
         assert driven == hand  # exact float equality, not approx
 
     # (n_params, sum p, p @ p, sum i*p) of each preset's initial flat
-    # parameters, measured when the ansatz was still built through a registry.
+    # parameters.  "smoke" was measured when the ansatz was still built
+    # through a registry; "h2" and "n2-cas66" at the default phase MLP
+    # (256, 256), and PAPER_WIDTH_PARAMS at the paper's (512, 512), the
+    # registry-era default.
     PRESET_PARAMS = {
         "smoke": (1085, 24.268321076117328, 58.29313182608183, 14060.78283615755),
+        "h2": (74117, 91.80305439032561, 376.62734458550506, 471658.11352939624),
+        "n2-cas66": (76229, 106.37623147599214, 360.39732005928255,
+                     651089.9224654987),
+    }
+    PAPER_WIDTH_PARAMS = {
         "h2": (272517, 85.05968319546906, 570.4846465706622, -1365265.9186880463),
         "n2-cas66": (276677, 104.28472801674576, 537.6882276273324,
                      -1387255.1322088216),
     }
+
+    @staticmethod
+    def _check_params(wf, expected):
+        p = wf.get_flat_params()
+        n, total, square, moment = expected
+        assert p.size == n
+        np.testing.assert_allclose(
+            [p.sum(), p @ p, np.arange(p.size) @ p], [total, square, moment],
+            rtol=1e-12)
 
     @pytest.mark.parametrize("preset", sorted(PRESET_PARAMS))
     def test_preset_builds_the_same_qiankunnet(self, preset):
@@ -456,12 +473,16 @@ class TestDriverEquivalence:
         assert isinstance(wf, NNQSWavefunction) and wf.spec is not None
         for attr in ("make_session", "prefix_forward", "prefix_vjp", "d_model"):
             assert hasattr(wf.amplitude, attr)
-        p = wf.get_flat_params()
-        n, total, square, moment = self.PRESET_PARAMS[preset]
-        assert p.size == n
-        np.testing.assert_allclose(
-            [p.sum(), p @ p, np.arange(p.size) @ p], [total, square, moment],
-            rtol=1e-12)
+        self._check_params(wf, self.PRESET_PARAMS[preset])
+
+    @pytest.mark.parametrize("preset", sorted(PAPER_WIDTH_PARAMS))
+    def test_paper_width_builds_the_registry_era_parameters(self, preset):
+        """The default width moved and nothing else: a preset with
+        ``ansatz.phase_hidden`` set to the paper's (512, 512) draws the very
+        parameters it drew when that was the default."""
+        spec = get_preset(preset).with_overrides({"ansatz.phase_hidden": [512, 512]})
+        wf = materialize_ansatz(spec.ansatz, materialize_problem(spec.problem))
+        self._check_params(wf, self.PAPER_WIDTH_PARAMS[preset])
 
     def test_resume_continues_bit_identically(self, tmp_path):
         """Acceptance: resume(run_dir) continues the trajectory exactly."""
@@ -648,6 +669,35 @@ class TestServing:
             served = service.log_amplitudes(batch.bits)
         direct = result.wavefunction.log_amplitudes(batch.bits)
         np.testing.assert_allclose(served, direct, atol=1e-12, rtol=0)
+
+    def test_a_paper_width_run_reloads_trains_and_serves_at_its_width(self, tmp_path):
+        """A run written at the phase width (512, 512), the default before
+        (256, 256), records that width in ``spec.json``, ``checkpoint.npz``'s
+        run and every snapshot's spec; so it resumes, publishes and serves at
+        512 wide, and the default never reaches it."""
+        result = run(tiny_spec({"ansatz.phase_hidden": [512, 512]}),
+                     run_dir=tmp_path / "run")
+        on_disk = json.loads(result.spec_path.read_text())
+        assert on_disk["ansatz"]["phase_hidden"] == [512, 512]
+
+        def widths(wf):
+            return [layer.out_features for layer in wf.phase.layers]
+
+        again = resume(result.run_dir, overrides={"train.max_iterations": 6})
+        assert again.report.iterations == 6
+        assert widths(again.wavefunction) == [512, 512, 1]
+        registry = again.registry()
+        assert registry.versions() == [1, 2]
+        for version in registry.versions():
+            wf, _ = registry.load(version)
+            assert widths(wf) == [512, 512, 1]
+        np.testing.assert_array_equal(wf.get_flat_params(),
+                                      again.wavefunction.get_flat_params())
+        with serve_run(result.run_dir) as service:
+            batch = service.sample(32, seed=3)
+            served = service.log_amplitudes(batch.bits)
+        np.testing.assert_allclose(
+            served, again.wavefunction.log_amplitudes(batch.bits), atol=1e-12, rtol=0)
 
     def test_a_parent_written_run_resumes_but_its_snapshots_are_refused(self, tmp_path):
         """A run directory of the commit before the ``amplitude_type`` key

@@ -784,7 +784,7 @@ class TestFuse:
         sign-mask columns are the reduced terms' ``yz & ~pattern``."""
         comp = compress_hamiltonian(lih_problem.hamiltonian)
         plan = ElocPlan(comp, group_chunk=7)
-        red = reduce_terms(comp)
+        red = reduce_terms(comp, 0 if plan.diagonal is None else 1)
         table = plan.pattern_table.reshape(red.n_reduced, 16, 2)
         np.testing.assert_array_equal(table[..., 1], -table[..., 0])
         yz = [_as_int(row) for row in comp.yz_buf]
@@ -805,6 +805,25 @@ class TestFuse:
                         assert table[r, p, 0] == np.add.reduceat(signed, [0])[0]
                         n_checked += 1
         assert n_checked >= red.n_reduced
+
+    @pytest.mark.parametrize("name", ["LiH", "N2"])
+    def test_the_diagonal_group_compiles_no_reduced_terms(self, name):
+        """With the quadratic form, group 0 has no reduced terms, pattern
+        rows or sign columns; every other group's reduced terms are the full
+        reduction's, term for term."""
+        comp = compress_hamiltonian(build_problem(name).hamiltonian)
+        plan = ElocPlan(comp)
+        assert plan.diagonal is not None
+        full, red = reduce_terms(comp), reduce_terms(comp, 1)
+        n0 = int(full.group_idxs[1])       # the diagonal group's reduced terms
+        assert n0 > 0 and red.group_idxs[1] == 0
+        np.testing.assert_array_equal(red.group_idxs[1:], full.group_idxs[1:] - n0)
+        np.testing.assert_array_equal(red.idxs, full.idxs[n0:] - full.idxs[n0])
+        np.testing.assert_array_equal(red.order, full.order[full.idxs[n0]:])
+        np.testing.assert_array_equal(red.sign_masks, full.sign_masks[n0:])
+        np.testing.assert_array_equal(red.pattern_masks, full.pattern_masks)
+        assert plan.pattern_table.size == red.n_reduced * 32
+        assert len(plan.sign_cols[0]) == red.n_reduced
 
     @pytest.mark.parametrize("name", ["H2", "LiH", "N2", "C2"])
     def test_every_multiplier_is_one_to_one(self, name):

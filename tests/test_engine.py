@@ -240,12 +240,13 @@ class TestKeptPhaseForward:
 
     @pytest.mark.parametrize("rows, keep", [(40, 4096), (40, 16), (0, 4096)],
                              ids=["whole", "past-the-keep-bound", "empty"])
+    # ``keep`` is in rows; the bound is in bytes, 512 per row of (64, 64).
     def test_kept_forward_gives_the_recomputed_gradient(self, monkeypatch, rows, keep):
         from repro.core import SampleBatch, wavefunction
         from repro.core.engine import stage_backward
 
         monkeypatch.setattr(wavefunction, "PHASE_BLOCK", 8)
-        monkeypatch.setattr(wavefunction, "PHASE_KEEP_ROWS", keep)
+        monkeypatch.setattr(wavefunction, "PHASE_KEEP_BYTES", keep * 4 * (64 + 64))
         wf = build_qiankunnet(20, 5, 5, d_model=8, n_heads=2, n_layers=1,
                               phase_hidden=(64, 64), constrain=False, seed=3)
         rng = np.random.default_rng(rows)
@@ -264,6 +265,46 @@ class TestKeptPhaseForward:
             assert any(kept) and not all(kept)
         np.testing.assert_array_equal(stage_backward(*args, forward), want)
         assert forward.params32 is None and not any(h is not None for h in forward.hidden)
+
+    @pytest.mark.parametrize("hidden, keep_rows", [((512, 512), 4096), ((256, 256), 8192)],
+                             ids=["paper-512", "default-256"])
+    def test_the_byte_bound_keeps_rows_by_width(self, hidden, keep_rows):
+        """16 MiB of kept activations: 4 096 rows of the paper's net, 8 192
+        of the default's; the first block past them is recomputed."""
+        from repro.core import wavefunction
+
+        wf = build_qiankunnet(20, 5, 5, d_model=8, n_heads=2, n_layers=1,
+                              phase_hidden=hidden, constrain=False, seed=3)
+        assert wavefunction.PHASE_KEEP_BYTES // wf.phase.row_bytes == keep_rows
+        block = wavefunction.PHASE_BLOCK
+        bits = np.random.default_rng(1).integers(0, 2, size=(keep_rows + block, 20),
+                                                 dtype=np.uint8)
+        _, forward = wf.phase_forward(bits)
+        kept = [h is not None for h in forward.hidden]
+        assert kept == [True] * (keep_rows // block) + [False]
+        assert sum(h.nbytes for hs in forward.hidden if hs for h in hs) \
+            == wavefunction.PHASE_KEEP_BYTES
+
+    def test_phase_vjp_over_kept_rows_is_the_recompute_bit_for_bit(self):
+        """At the default width, several blocks, every one kept: the gradient
+        of the kept forward equals ``phase_vjp`` running its own forward."""
+        from repro.core import wavefunction
+
+        wf = build_qiankunnet(20, 5, 5, d_model=8, n_heads=2, n_layers=1,
+                              constrain=False, seed=4)
+        rows = 2 * wavefunction.PHASE_BLOCK + 37
+        rng = np.random.default_rng(2)
+        bits = rng.integers(0, 2, size=(rows, 20), dtype=np.uint8)
+        coeff = rng.normal(size=rows)
+        grads = []
+        for keep in (True, False):
+            wf.zero_grad()
+            _, forward = wf.phase_forward(bits)
+            assert all(h is not None for h in forward.hidden)
+            wf.phase_vjp(bits, coeff, forward if keep else None)
+            grads.append(wf.get_flat_grads().copy())
+        assert np.any(grads[0])
+        np.testing.assert_array_equal(grads[0], grads[1])
 
     def test_a_forward_of_other_rows_is_refused(self):
         wf = build_qiankunnet(4, 1, 1, phase_hidden=(8,), seed=1)

@@ -176,9 +176,27 @@ class TestPhaseMLP:
         assert np.linalg.norm(ph.get_flat_grads()) > 0
 
     def test_paper_layer_sizes(self, rng):
-        ph = PhaseMLP(20, rng=rng)  # default N x 512 x 512 x 1
+        ph = PhaseMLP(20, hidden=(512, 512), rng=rng)  # Sec. 4.1: N x 512 x 512 x 1
         sizes = [(layer.in_features, layer.out_features) for layer in ph.layers]
         assert sizes == [(20, 512), (512, 512), (512, 1)]
+        assert ph.row_bytes == 4 * 1024
+
+    def test_default_layer_sizes(self, rng):
+        """The default is N x 256 x 256 x 1 (DESIGN.md "Phase MLP width"),
+        and ``build_qiankunnet`` and ``AnsatzSpec`` read the same constant."""
+        from repro.api.spec import AnsatzSpec
+        from repro.core import build_qiankunnet
+        from repro.nn import PHASE_HIDDEN
+
+        assert PHASE_HIDDEN == (256, 256)
+        ph = PhaseMLP(20, rng=rng)
+        sizes = [(layer.in_features, layer.out_features) for layer in ph.layers]
+        assert sizes == [(20, 256), (256, 256), (256, 1)]
+        assert ph.row_bytes == 4 * 512
+        assert AnsatzSpec().phase_hidden == PHASE_HIDDEN
+        wf = build_qiankunnet(4, 1, 1, seed=0)
+        assert wf.spec["phase_hidden"] == list(PHASE_HIDDEN)
+        assert [layer.out_features for layer in wf.phase.layers] == [256, 256, 1]
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(2, 16))

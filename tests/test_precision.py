@@ -383,7 +383,7 @@ class TestPhaseVJP:
 
     @pytest.fixture(scope="class")
     def net(self):
-        return PhaseMLP(20, rng=np.random.default_rng(0))
+        return PhaseMLP(20, hidden=(512, 512), rng=np.random.default_rng(0))
 
     @staticmethod
     def _taped(net, bits, coeff):
@@ -487,7 +487,7 @@ class TestPhaseEvaluator:
 
     @pytest.fixture(scope="class")
     def net(self):
-        return PhaseMLP(20, rng=np.random.default_rng(0))
+        return PhaseMLP(20, hidden=(512, 512), rng=np.random.default_rng(0))
 
     def test_matches_the_taped_head(self, net):
         bits = np.random.default_rng(1).integers(0, 2, size=(2000, 20), dtype=np.uint8)
