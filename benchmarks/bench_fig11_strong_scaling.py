@@ -25,16 +25,30 @@ stage-2 samples wire volume being below its logical volume, and records the
 2-rank process efficiency to ``benchmarks/results/``; ``--cluster`` runs the
 same comparison over the TCP cluster transport (localhost mesh,
 thread-hosted SPMD ranks).
+
+Every measured row runs with one BLAS thread per rank: under pytest the
+scaling points come from a child interpreter started with the
+``*_NUM_THREADS=1`` variables (:func:`pinned_points`), and a bare-script
+run sets them before numpy loads.  Two ranks with a two-thread pool each on
+two cores measure oversubscription, not scaling.
 """
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
+_ONE_BLAS_THREAD = {var: "1" for var in (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
 if __name__ == "__main__":  # bare-script invocation: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    os.environ.update(_ONE_BLAS_THREAD)  # read once, when numpy loads
 
 import numpy as np
 
@@ -58,6 +72,7 @@ from repro.core.engine import (
 from repro.core.vmc import VMC
 from repro.hamiltonian import compress_hamiltonian
 from repro.parallel import (
+    ScalingPoint,
     balanced_weight_partition,
     measure_scaling,
     model_scaling,
@@ -77,6 +92,36 @@ def measured_ranks(full: bool) -> list[int]:
     return [n for n in candidates if n <= (os.cpu_count() or 1)]
 
 
+def pinned_points(bench_file: str,
+                  full: bool) -> tuple[list[ScalingPoint], str]:
+    """The measured scaling points of ``bench_file``'s ``measure_points``
+    and the BLAS thread count they ran with.  They are measured in a child
+    interpreter started with one BLAS thread: numpy reads the variables
+    once, when it loads, and under pytest it has loaded long before this
+    runs."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, **_ONE_BLAS_THREAD, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here),
+         os.environ.get("PYTHONPATH", "")]))
+    code = (f"from {Path(__file__).stem} import print_points; "
+            f"print_points({Path(bench_file).stem!r}, {full!r})")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    return ([ScalingPoint(**p) for p in record["points"]],
+            record["blas_threads"])
+
+
+def print_points(module: str, full: bool) -> None:
+    """The child's side of :func:`pinned_points`."""
+    points = importlib.import_module(module).measure_points(full)
+    print(json.dumps({
+        "blas_threads": _blas_threads(),
+        "points": [dataclasses.asdict(p) for p in points],
+    }))
+
+
 def _wf_factory(prob):
     def make():
         wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=13)
@@ -86,15 +131,20 @@ def _wf_factory(prob):
     return make
 
 
-def test_fig11_strong_scaling(benchmark, full):
+def measure_points(full: bool) -> list[ScalingPoint]:
     prob = build_problem("N2", "sto-3g")
-    comp = compress_hamiltonian(prob.hamiltonian)
-    ranks = measured_ranks(full)
-    points = measure_scaling(
-        _wf_factory(prob), comp, ranks, n_samples_for=lambda n: _NS,
+    return measure_scaling(
+        _wf_factory(prob), compress_hamiltonian(prob.hamiltonian),
+        measured_ranks(full), n_samples_for=lambda n: _NS,
         n_iters=3, config=VMCConfig(eloc_mode="sample_aware", seed=14),
         nu_star_per_rank=32,
     )
+
+
+def test_fig11_strong_scaling(benchmark, full):
+    prob = build_problem("N2", "sto-3g")
+    comp = compress_hamiltonian(prob.hamiltonian)
+    points, blas_threads = pinned_points(__file__, full)
     eff = parallel_efficiency(points, mode="strong")
     rows = [
         [p.n_ranks, p.n_unique, f"{p.time_per_iter:.3f}", f"{p.time_sampling:.3f}",
@@ -111,8 +161,6 @@ def test_fig11_strong_scaling(benchmark, full):
                      f"{p.time_gradient:.3f}", f"{100 * e:.1f}%"])
     # Paper-scale model: a base point shaped like the paper's 4-GPU benzene
     # iteration (~250 s, stage split from the Fig. 11 stacked bars).
-    from repro.parallel import ScalingPoint
-
     paper_base = ScalingPoint(
         n_ranks=4, n_samples=1_600_000, time_per_iter=250.0,
         time_sampling=100.0, time_local_energy=100.0, time_gradient=50.0,
@@ -134,7 +182,8 @@ def test_fig11_strong_scaling(benchmark, full):
         rows,
         notes=(
             f"Measured: process ranks on this host (N2/STO-3G, N_s={_NS}), "
-            f"up to its {os.cpu_count()} cores; * = calibrated model on the "
+            f"up to its {os.cpu_count()} cores, {blas_threads} BLAS thread(s) "
+            "per rank; * = calibrated model on the "
             "measured base (2* sits beside the measured 2); ^ = model at the "
             "paper's 120-qubit benzene workload scale (DESIGN.md "
             "substitution). Paper: 99.2% @8, 96.7% @16, 84.1% @32, 67.7% @64."
@@ -249,6 +298,10 @@ def _smoke_runs(prob, comp, backend_cls, n_samples: int, n_iters: int) -> dict:
     return runs
 
 
+def _blas_threads() -> str:
+    return os.environ.get("OPENBLAS_NUM_THREADS", "unpinned")
+
+
 def run_smoke(n_samples: int = 10**5, n_iters: int = 3) -> dict:
     """2-rank process-backend strong scaling, checked against thread ranks.
 
@@ -300,7 +353,8 @@ def run_smoke(n_samples: int = 10**5, n_iters: int = 3) -> dict:
                 f"samples wire {stage2['wire']} B < logical "
                 f"{stage2['logical']} B ({'PASS' if compressed else 'FAIL'}). "
                 "2-rank process efficiency "
-                f"{100 * eff['process', 2]:.1f}% (recorded, not gated)."
+                f"{100 * eff['process', 2]:.1f}% (recorded, not gated), "
+                f"BLAS threads per rank: {_blas_threads()}."
             ),
         ),
     )
@@ -353,7 +407,8 @@ def run_cluster_smoke(n_samples: int = 10**5, n_iters: int = 2) -> dict:
                 "socket transport but shares the GIL, so it bounds overhead "
                 "rather than measuring scaling. Gate: N_u and the "
                 "logical/wire comm volumes are bit-identical to the thread "
-                f"backend at every rank count ({'PASS' if identical else 'FAIL'})."
+                f"backend at every rank count ({'PASS' if identical else 'FAIL'}). "
+                f"BLAS threads per rank: {_blas_threads()}."
             ),
         ),
     )

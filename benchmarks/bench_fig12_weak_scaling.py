@@ -9,37 +9,50 @@ extrapolation.  Shape: time per iteration ~flat, efficiency decaying slowly
 Measurements run on the unified execution engine's ``ProcessBackend``
 (``measure_scaling`` drives ``repro.core.vmc.VMC`` + the staged pipeline of
 ``repro.core.engine`` on fork ranks — what ``parallel.backend=process``
-runs).
+runs), in a child interpreter with one BLAS thread per rank
+(``bench_fig11_strong_scaling.pinned_points``).
 """
 from __future__ import annotations
 
 import os
 
-from bench_fig11_strong_scaling import measured_ranks
+from bench_fig11_strong_scaling import measured_ranks, pinned_points
 from repro.bench import format_table, registry
 from repro.chem import build_problem
 from repro.core import VMCConfig, build_qiankunnet, pretrain_to_reference
 from repro.hamiltonian import compress_hamiltonian
-from repro.parallel import measure_scaling, model_scaling, parallel_efficiency
+from repro.parallel import (
+    ScalingPoint,
+    measure_scaling,
+    model_scaling,
+    parallel_efficiency,
+)
 
 _NS_PER_RANK = 100_000
 
 
-def test_fig12_weak_scaling(benchmark, full):
-    prob = build_problem("N2", "sto-3g")
-    comp = compress_hamiltonian(prob.hamiltonian)
-
-    def factory():
+def _factory(prob):
+    def make():
         wf = build_qiankunnet(prob.n_qubits, prob.n_up, prob.n_dn, seed=23)
         pretrain_to_reference(wf, prob.hf_bits, n_steps=60, target_prob=0.2)
         return wf
+    return make
 
-    ranks = measured_ranks(full)
-    points = measure_scaling(
-        factory, comp, ranks, n_samples_for=lambda n: _NS_PER_RANK * n,
+
+def measure_points(full: bool) -> list[ScalingPoint]:
+    prob = build_problem("N2", "sto-3g")
+    return measure_scaling(
+        _factory(prob), compress_hamiltonian(prob.hamiltonian),
+        measured_ranks(full), n_samples_for=lambda n: _NS_PER_RANK * n,
         n_iters=3, config=VMCConfig(eloc_mode="sample_aware", seed=24),
         nu_star_per_rank=32,
     )
+
+
+def test_fig12_weak_scaling(benchmark, full):
+    prob = build_problem("N2", "sto-3g")
+    factory = _factory(prob)
+    points, blas_threads = pinned_points(__file__, full)
     eff = parallel_efficiency(points, mode="weak")
     rows = [
         [p.n_ranks, p.n_samples, p.n_unique, f"{p.time_per_iter:.3f}",
@@ -57,8 +70,6 @@ def test_fig12_weak_scaling(benchmark, full):
                      f"{p.time_local_energy:.3f}", f"{p.time_gradient:.3f}",
                      f"{100 * e:.1f}%"])
     # Paper-scale model (benzene/6-31G, ~2.04e4 unique samples per GPU).
-    from repro.parallel import ScalingPoint
-
     paper_base = ScalingPoint(
         n_ranks=4, n_samples=200_000, time_per_iter=33.0,
         time_sampling=13.0, time_local_energy=13.0, time_gradient=7.0,
@@ -80,7 +91,7 @@ def test_fig12_weak_scaling(benchmark, full):
         rows,
         notes=(
             f"Measured: process ranks on this host, up to its {os.cpu_count()} "
-            "cores. Paper: 96.9% @8 ... 84.3% @64 on benzene/6-31G. * = "
+            f"cores, {blas_threads} BLAS thread(s) per rank. Paper: 96.9% @8 ... 84.3% @64 on benzene/6-31G. * = "
             "calibrated model on the measured base (2* sits beside the "
             "measured 2); ^ = model at the paper's workload "
             "scale (DESIGN.md substitution)."

@@ -93,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of ranks in the job")
     p_rdv.add_argument("--join-timeout", type=float, default=60.0,
                        help="seconds to wait for all ranks to join")
-    p_rdv.add_argument("--heartbeat-interval", type=float, default=2.0,
-                       help="seconds between member heartbeats")
-    p_rdv.add_argument("--heartbeat-timeout", type=float, default=10.0,
-                       help="seconds without a heartbeat before a rank is "
-                            "declared dead")
     return parser
 
 
@@ -324,15 +319,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_rendezvous(args: argparse.Namespace) -> int:
-    """Supervise one cluster job: assign ranks, watch heartbeats, exit with
-    0 on a clean completion and 1 when the job aborted."""
+    """Hand one cluster job its ranks and peer addresses: exit 0 once every
+    member is welcomed, 1 when the join timed out."""
     from repro.parallel.rendezvous import RendezvousCoordinator
 
     coord = RendezvousCoordinator(
         world_size=args.world_size, host=args.host, port=args.port,
         join_timeout=args.join_timeout,
-        heartbeat_interval=args.heartbeat_interval,
-        heartbeat_timeout=args.heartbeat_timeout,
     )
     host, port = coord.start()
     print(f"rendezvous listening on {host}:{port} "

@@ -4,8 +4,9 @@ The parallel iteration itself lives in :mod:`repro.core.engine` (the unified
 execution engine); this package provides the one communicator it runs over
 (:class:`Comm`) and the launchers that give a rank its transport —
 :func:`start_thread_ranks` thread ranks, :func:`start_process_ranks` forked
-ranks, :func:`create_cluster_comm` multi-host TCP ranks — plus the BAS tree
-partitioning, the communication-volume model, and the scaling harness.  The engine backends
+ranks, :class:`~repro.parallel.cluster.MeshTransport` multi-host TCP ranks
+joined through the rendezvous — plus the BAS tree partitioning, the
+communication-volume model, and the scaling harness.  The engine backends
 are re-exported here for discoverability.
 """
 from repro._lazy import lazy_exports
@@ -24,7 +25,6 @@ _EXPORTS = {
     "ThreadBackend": "repro.core.engine",
     "ProcessBackend": "repro.core.engine",
     "ClusterBackend": ".cluster",
-    "create_cluster_comm": ".cluster",
     "ClusterProtocolError": ".rendezvous",
     "RendezvousCoordinator": ".rendezvous",
     "ScalingPoint": ".scaling",

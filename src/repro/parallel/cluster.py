@@ -2,15 +2,17 @@
 
 * :class:`MeshTransport` — a full mesh of stream sockets between ranks
   moving each ``exchange`` as length-prefixed validated frames
-  (:mod:`repro.parallel.rendezvous`).  Across hosts the mesh is TCP (rank *i*
-  dials every rank *j < i*, accepts from every *j > i*) and membership, rank
-  assignment and liveness come from the rendezvous coordinator (``python -m
-  repro rendezvous``): each rank heartbeats the coordinator, and a rank that
-  dies poisons every survivor with
-  :class:`~repro.parallel.comm.CommAbortError`.  Thread and forked ranks
-  on one host (:mod:`repro.parallel.multiprocess`) start from socket pairs
-  made before any rank starts (:meth:`MeshTransport.from_sockets`): no
-  coordinator, and a dead peer is its socket's EOF.
+  (:mod:`repro.parallel.rendezvous`).  It gets its peers one of two ways.
+  Across hosts the mesh is TCP: the rendezvous coordinator (``python -m
+  repro rendezvous``) hands out the rank and the peers' listen addresses and
+  steps out, rank *i* dials every rank *j < i* and accepts from every
+  *j > i*.  Thread and forked ranks on one host
+  (:mod:`repro.parallel.multiprocess`) start from socket pairs made before
+  any rank starts (:meth:`MeshTransport.from_sockets`).  Either way the
+  built transport is the same: no coordinator and no helper thread; a dead
+  peer is its socket's EOF, named at once as
+  :class:`~repro.parallel.comm.CommAbortError`, and a silent one is named
+  with op and seq after ``collective_timeout``.
 
 * :class:`ClusterBackend` — the :class:`~repro.core.engine.SPMDBackend`
   registered as ``parallel.backend=cluster``: every host runs the *full*
@@ -46,22 +48,18 @@ from repro.parallel.rendezvous import (
     send_parts,
 )
 
-__all__ = [
-    "ClusterBackend",
-    "MeshTransport",
-    "create_cluster_comm",
-]
+__all__ = ["ClusterBackend", "MeshTransport"]
 
 
 class MeshTransport:
     """One rank's end of the mesh.
 
-    Construction performs the whole rendezvous: dial the coordinator (with
-    bounded-backoff retry, covering the ranks-before-coordinator launch
-    race), receive rank + peer table, build the mesh, then start the
-    heartbeat and control-listener threads.  Exchanges afterwards involve
-    only the mesh; the coordinator is pure liveness supervision.
-    :meth:`from_sockets` skips all of that for peers already connected.
+    Construction joins through the coordinator at ``rendezvous_addr``: dial
+    it (with bounded-backoff retry, covering the ranks-before-coordinator
+    launch race), say ``hello``, take rank + peer table, close the
+    coordinator socket and build the mesh.  A failed join closes every
+    socket it opened before it raises.  :meth:`from_sockets` skips all of
+    that for peers already connected.
 
     Every frame carries ``(op, seq, src, session)``: ``src``/``session`` are
     validated here, the ``(op, seq)`` tag goes back to ``Comm``'s desync
@@ -71,55 +69,52 @@ class MeshTransport:
     def __init__(self, world_size: int, rendezvous_addr: str, *,
                  rank: int | None = None, join_timeout: float = 60.0,
                  collective_timeout: float = 600.0):
-        self._setup(world_size, collective_timeout)
-        self._wants_rank = rank
-        self._join_timeout = float(join_timeout)
-        self._connect(rendezvous_addr)
+        if world_size < 1:
+            raise ValueError(f"world_size must be >= 1, got {world_size}")
+        self.size = int(world_size)
+        self._peers: dict[int, socket.socket] = {}
+        try:
+            self._join(rendezvous_addr, rank, float(join_timeout))
+        except BaseException:
+            for conn in self._peers.values():
+                conn.close()
+            raise
+        self._ready(collective_timeout)
 
     @classmethod
     def from_sockets(cls, rank: int, peers: dict[int, socket.socket], *,
                      collective_timeout: float = 600.0) -> "MeshTransport":
         """Rank ``rank`` of a world whose other members are the connected
-        stream sockets ``peers`` (peer rank -> socket).  There is no
-        coordinator and no helper thread: a peer that dies or leaves is its
-        socket's EOF, named at once."""
+        stream sockets ``peers`` (peer rank -> socket)."""
         self = cls.__new__(cls)
-        self._setup(len(peers) + 1, collective_timeout)
+        self.size = len(peers) + 1
         self.rank = int(rank)
         self._session = "local"
         self._peers = dict(peers)
-        for conn in self._peers.values():
-            conn.settimeout(self._collective_timeout)
+        self._ready(collective_timeout)
         return self
 
-    def _setup(self, world_size: int, collective_timeout: float) -> None:
-        if world_size < 1:
-            raise ValueError(f"world_size must be >= 1, got {world_size}")
-        self.size = int(world_size)
+    def _ready(self, collective_timeout: float) -> None:
         self._collective_timeout = float(collective_timeout)
-        self._peers: dict[int, socket.socket] = {}
-        self._coord: socket.socket | None = None
-        self._coord_lock = threading.Lock()
-        self._abort_event = threading.Event()
         self._abort_reason: str | None = None
         self._closed = False
-        self._hb_stop = threading.Event()
-        self._threads: list[threading.Thread] = []
+        for conn in self._peers.values():
+            conn.settimeout(self._collective_timeout)
 
     # ------------------------------------------------------------ rendezvous
-    def _connect(self, rendezvous_addr: str) -> None:
+    def _join(self, rendezvous_addr: str, wants_rank: int | None,
+              join_timeout: float) -> None:
         host, port = parse_addr(rendezvous_addr)
-        coord = connect_with_retry(host, port, timeout=self._join_timeout)
-        try:
-            local_ip = coord.getsockname()[0]
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.bind((local_ip, 0))
-            listener.listen(self.size + 2)
-            listen_addr = f"{local_ip}:{listener.getsockname()[1]}"
-            send_ctrl(coord, kind="hello", wants_rank=self._wants_rank,
-                      addr=listen_addr, world_size=self.size)
-            coord.settimeout(self._join_timeout)
+        coord = connect_with_retry(host, port, timeout=join_timeout)
+        with coord, socket.create_server((coord.getsockname()[0], 0),
+                                         backlog=self.size + 2) as listener:
+            listen_host, listen_port = listener.getsockname()[:2]
+            send_ctrl(coord, kind="hello", wants_rank=wants_rank,
+                      addr=f"{listen_host}:{listen_port}",
+                      world_size=self.size)
+            coord.settimeout(join_timeout)
             _, meta, _ = recv_frame(coord)
+            coord.close()
             kind = meta.get("kind")
             if kind == "reject":
                 raise RuntimeError(
@@ -132,36 +127,25 @@ class MeshTransport:
             self.rank = int(meta["rank"])
             if int(meta["world_size"]) != self.size:
                 raise RuntimeError(
-                    f"coordinator supervises {meta['world_size']} ranks but "
+                    f"coordinator assigns {meta['world_size']} ranks but "
                     f"this member was configured for world_size={self.size}"
                 )
             self._session = str(meta["session"])
-            self._heartbeat_interval = float(meta.get("heartbeat_interval", 2.0))
             peers = {int(r): str(a) for r, a in meta["peers"].items()}
-            coord.settimeout(None)
-            self._coord = coord
-            self._build_mesh(listener, peers)
-        except BaseException:
-            try:
-                listener.close()
-            except (OSError, UnboundLocalError):
-                pass
-            coord.close()
-            raise
-        self._start_threads()
+            self._build_mesh(listener, peers, join_timeout)
 
-    def _build_mesh(self, listener: socket.socket,
-                    peers: dict[int, str]) -> None:
-        deadline = time.monotonic() + self._join_timeout
+    def _build_mesh(self, listener: socket.socket, peers: dict[int, str],
+                    join_timeout: float) -> None:
+        deadline = time.monotonic() + join_timeout
         # Dial the lower ranks; their listeners were up before they said hello.
         for j in range(self.rank):
             h, p = parse_addr(peers[j])
             conn = connect_with_retry(
                 h, p, timeout=max(deadline - time.monotonic(), 1.0)
             )
+            self._peers[j] = conn
             send_ctrl(conn, kind="peer-hello", rank=self.rank,
                       session=self._session)
-            self._peers[j] = conn
         # Accept the higher ranks; tolerate garbage connections.
         listener.settimeout(0.2)
         need = set(range(self.rank + 1, self.size))
@@ -187,59 +171,11 @@ class MeshTransport:
                     raise ClusterProtocolError(f"unexpected peer rank {j}")
             except (ClusterProtocolError, ConnectionError, OSError,
                     ValueError, TypeError, KeyError):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                conn.close()
                 continue
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             need.discard(j)
             self._peers[j] = conn
-        listener.close()
-        for conn in self._peers.values():
-            conn.settimeout(self._collective_timeout)
-
-    def _start_threads(self) -> None:
-        hb = threading.Thread(
-            target=self._heartbeat_loop,
-            name=f"cluster-heartbeat-{self.rank}", daemon=True,
-        )
-        ctrl = threading.Thread(
-            target=self._ctrl_loop,
-            name=f"cluster-ctrl-{self.rank}", daemon=True,
-        )
-        hb.start()
-        ctrl.start()
-        self._threads = [hb, ctrl]
-
-    def _heartbeat_loop(self) -> None:
-        while not self._hb_stop.wait(self._heartbeat_interval):
-            with self._coord_lock:
-                if self._closed or self._coord is None:
-                    return
-                try:
-                    send_ctrl(self._coord, kind="heartbeat", rank=self.rank)
-                except OSError:
-                    return
-
-    def _ctrl_loop(self) -> None:
-        """Watch the coordinator channel for abort poison."""
-        while True:
-            try:
-                ftype, meta, _ = recv_frame(self._coord)
-            except (ConnectionError, ClusterProtocolError, OSError):
-                return  # channel closed: normal shutdown or coordinator gone
-            if ftype == FRAME_CTRL and meta.get("kind") == "abort":
-                self._abort_reason = str(meta.get("reason", "aborted"))
-                self._abort_event.set()
-                # Wake any collective blocked on a mesh recv so the poison
-                # is observed promptly instead of after collective_timeout.
-                for conn in self._peers.values():
-                    try:
-                        conn.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
-                return
 
     def wait_for(self, peer: int) -> None:
         """Block, with no timeout, until ``peer`` has sent something or left:
@@ -257,18 +193,13 @@ class MeshTransport:
 
     def _raise_abort(self, peer: int, exc: BaseException, tag):
         """A send to or recv from ``peer`` failed in collective ``tag``: a
-        timeout names the silent peer with op and seq; otherwise surface the
-        coordinator's verdict if one arrives within a short grace window,
-        else (and at once without a coordinator) name the peer as gone."""
+        timeout names the silent peer with op and seq, anything else names
+        the peer as gone."""
         if isinstance(exc, socket.timeout):
             raise CommAbortError(
                 f"rank {self.rank}: timed out after "
                 f"{self._collective_timeout}s waiting for rank {peer} in "
                 f"{tag[0]} (seq {tag[1]})"
-            ) from exc
-        if self._coord is not None and self._abort_event.wait(1.0):
-            raise CommAbortError(
-                f"collective aborted: {self._abort_reason}"
             ) from exc
         raise CommAbortError(
             f"rank {self.rank}: "
@@ -341,62 +272,25 @@ class MeshTransport:
         return results
 
     def abort(self, reason: str) -> None:
-        """Die abruptly — no leave, sockets dropped, as a killed host would:
-        the coordinator (or, without one, every peer) sees the EOF and
-        every survivor raises."""
+        """Die abruptly — sockets dropped, as a killed host would: every
+        peer sees the EOF and raises."""
         if self._abort_reason is None:
             self._abort_reason = reason
-        self._closed = True
-        self._hb_stop.set()
-        self._teardown_sockets()
+        self.close()
 
-    # --------------------------------------------------------------- shutdown
     def close(self) -> None:
-        """Leave the job cleanly and release every socket (idempotent)."""
+        """Release every socket (idempotent): every peer sees the EOF."""
         if self._closed:
             return
         self._closed = True
-        self._hb_stop.set()
-        with self._coord_lock:
-            if self._coord is not None:
-                try:
-                    send_ctrl(self._coord, kind="leave", rank=self.rank)
-                except OSError:
-                    pass
-        self._teardown_sockets()
-        for t in self._threads:
-            if t is not threading.current_thread():
-                t.join(timeout=5.0)
-
-    def _teardown_sockets(self) -> None:
-        for conn in list(self._peers.values()):
+        for conn in self._peers.values():
             close_socket(conn)
-        if self._coord is not None:
-            close_socket(self._coord)
-
-    # ------------------------------------------------------------- test hooks
-    def _stop_heartbeating(self) -> None:
-        """Wedge simulation: stay connected but stop sending heartbeats."""
-        self._hb_stop.set()
 
 
 _NEEDS_RENDEZVOUS = (
     "the cluster backend needs parallel.rendezvous_addr (host:port of a "
     "`python -m repro rendezvous` coordinator)"
 )
-
-
-def create_cluster_comm(world_size: int, *, rendezvous_addr: str | None = None,
-                        rank: int | None = None, join_timeout: float = 60.0,
-                        collective_timeout: float = 600.0):
-    """Build the cluster communicator: a :class:`MeshTransport` joined
-    through the coordinator at ``rendezvous_addr``."""
-    if rendezvous_addr is None:
-        raise ValueError(_NEEDS_RENDEZVOUS)
-    return Comm(MeshTransport(
-        world_size, rendezvous_addr, rank=rank, join_timeout=join_timeout,
-        collective_timeout=collective_timeout,
-    ))
 
 
 class ClusterBackend(SPMDBackend):
@@ -421,23 +315,23 @@ class ClusterBackend(SPMDBackend):
         if comm is None and rendezvous_addr is None:
             # Fail at construction (spec time), not deep inside rendezvous.
             raise ValueError(_NEEDS_RENDEZVOUS)
+        if comm is not None and comm.Get_size() != n_ranks:
+            raise ValueError(
+                f"communicator world size {comm.Get_size()} != "
+                f"backend n_ranks {n_ranks}"
+            )
         self.rendezvous_addr = rendezvous_addr
         self.rank = rank
         self.join_timeout_s = float(join_timeout_s)
         self._given_comm = comm
 
     def _launch(self, engine):
-        comm = self._given_comm or create_cluster_comm(
-            self.n_ranks, rendezvous_addr=self.rendezvous_addr,
-            rank=self.rank, join_timeout=self.join_timeout_s,
+        if self._given_comm is not None:
+            # A communicator the caller owns is the caller's to close.
+            return self._given_comm, lambda: None
+        comm = Comm(MeshTransport(
+            self.n_ranks, self.rendezvous_addr, rank=self.rank,
+            join_timeout=self.join_timeout_s,
             collective_timeout=self.collective_timeout_s,
-        )
-        if comm.Get_size() != self.n_ranks:
-            if comm is not self._given_comm:
-                comm.close()
-            raise ValueError(
-                f"communicator world size {comm.Get_size()} != "
-                f"backend n_ranks {self.n_ranks}"
-            )
-        # A communicator the caller owns is the caller's to close.
-        return comm, (comm.close if comm is not self._given_comm else lambda: None)
+        ))
+        return comm, comm.close

@@ -20,24 +20,19 @@ are independent of the collectives themselves:
   reconstructing garbage.
 
 * **The rendezvous coordinator** — a tiny TCP server (``python -m repro
-  rendezvous --port P --world-size N``) that assigns ranks, exchanges peer
-  listen addresses so ranks can build the full mesh, and then supervises
-  heartbeats: a rank that stops heartbeating (or whose connection drops
-  without a clean ``leave``) past the deadline poisons every survivor with an
-  ``abort`` control frame carrying the canonical
-  :func:`~repro.parallel.comm.dead_rank_message`, the message forked
-  ranks' mesh raises on a peer's EOF.
+  rendezvous --port P --world-size N``) that assigns ranks and hands every
+  member the table of peer listen addresses, then closes its sockets and
+  exits: the ranks build the mesh themselves and never talk to it again.  A
+  dead or silent rank is its peers' concern, as for forked ranks: socket EOF
+  or ``collective_timeout_s`` (:mod:`repro.parallel.cluster`).
 
 Control messages are JSON dicts with a ``kind`` key:
 
 ====================  ======================================================
 ``hello``             rank -> coordinator: ``{wants_rank, addr, world_size}``
 ``welcome``           coordinator -> rank: ``{rank, world_size, peers,
-                      heartbeat_interval, heartbeat_timeout, session}``
+                      session}`` (then close)
 ``reject``            coordinator -> rank: ``{reason}`` (then close)
-``heartbeat``         rank -> coordinator: ``{rank}`` (periodic liveness)
-``leave``             rank -> coordinator: ``{rank}`` (clean shutdown)
-``abort``             coordinator -> rank: ``{reason}`` (poison survivors)
 ``peer-hello``        rank -> rank: ``{rank, session}`` (mesh handshake)
 ====================  ======================================================
 """
@@ -52,8 +47,6 @@ import time
 import uuid
 
 import numpy as np
-
-from repro.parallel.comm import dead_rank_message
 
 __all__ = [
     "ClusterProtocolError",
@@ -299,153 +292,105 @@ def close_socket(sock: socket.socket) -> None:
 
 # ---------------------------------------------------------------- coordinator
 class RendezvousCoordinator:
-    """Rank assignment + liveness supervision for one cluster job.
+    """Rank assignment and the peer address book for one cluster job.
 
     Lifecycle::
 
         coord = RendezvousCoordinator(world_size=2, port=0)
-        host, port = coord.start()     # accept thread running
-        ...                            # ranks connect, run, leave
-        outcome = coord.wait()         # "completed" | "aborted: ..."
+        host, port = coord.start()     # join thread running
+        outcome = coord.wait()         # "completed" | "aborted: join timeout (k/N)"
         coord.stop()
 
     The coordinator accepts exactly ``world_size`` members.  Each member
     sends ``hello`` (optionally pinning an explicit rank); once the world is
     full every member receives ``welcome`` with the rank -> listen-address
-    table so the mesh can be built without further coordinator involvement.
-    After that the coordinator only watches heartbeats: a member that misses
-    the heartbeat deadline, or whose socket drops without ``leave``, is
-    declared dead and every survivor is poisoned with an ``abort`` frame.
-    Garbage connections (port scanners, protocol mismatches) are rejected
-    without disturbing the job.
+    table, and the coordinator closes its sockets and finishes: the ranks
+    build the mesh and run without it.  Garbage connections (port scanners,
+    protocol mismatches) are closed without disturbing the join; bad rank
+    claims and world-size mismatches get ``reject``, and so does every
+    waiting member when ``join_timeout`` runs out.
     """
 
     def __init__(self, world_size: int, host: str = "127.0.0.1",
-                 port: int = 0, *, join_timeout: float = 60.0,
-                 heartbeat_interval: float = 2.0,
-                 heartbeat_timeout: float = 10.0):
+                 port: int = 0, *, join_timeout: float = 60.0):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
-        if heartbeat_timeout <= heartbeat_interval:
-            raise ValueError(
-                "heartbeat_timeout must exceed heartbeat_interval "
-                f"({heartbeat_timeout} <= {heartbeat_interval})"
-            )
         self.world_size = int(world_size)
         self.host = host
         self.port = int(port)
         self.join_timeout = float(join_timeout)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.heartbeat_timeout = float(heartbeat_timeout)
         self.session = uuid.uuid4().hex[:12]
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._lock = threading.Lock()
-        self._members: dict[int, dict] = {}  # rank -> {conn, addr, last_seen, left}
+        self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._done = threading.Event()
         self._outcome: str | None = None
 
-    # ------------------------------------------------------------- lifecycle
     def start(self) -> tuple[str, int]:
-        """Bind, listen and launch the accept + monitor threads."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(self.world_size + 4)
+        """Bind, listen and launch the join thread."""
+        listener = socket.create_server((self.host, self.port),
+                                        backlog=self.world_size + 4)
         listener.settimeout(0.2)
-        self._listener = listener
         self.port = listener.getsockname()[1]
-        accept = threading.Thread(
-            target=self._accept_loop, name="rendezvous-accept", daemon=True
+        self._thread = threading.Thread(
+            target=self._join, args=(listener,), name="rendezvous-join",
+            daemon=True,
         )
-        accept.start()
-        self._threads.append(accept)
+        self._thread.start()
         return self.host, self.port
 
     def wait(self, timeout: float | None = None) -> str | None:
-        """Block until the job finishes; returns the outcome string."""
+        """Block until the join ends; returns the outcome string."""
         self._done.wait(timeout)
         return self._outcome
 
     def stop(self) -> None:
-        """Tear down the listener and every member connection."""
+        """End the join (members still waiting see their socket close)."""
         self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            conns = [m["conn"] for m in self._members.values()]
-        for conn in conns:
-            close_socket(conn)
-        for t in self._threads:
-            if t is not threading.current_thread():
-                t.join(timeout=5.0)
+        if self._thread is not None:
+            self._thread.join(timeout=10.0)
 
-    def _finish(self, outcome: str, poison: str | None = None,
-                exclude: set[int] = frozenset()) -> None:
-        """Conclude the job: the first verdict stands, and it is recorded
-        *before* the survivors are poisoned with ``poison``.  Poisoning shuts
-        down member sockets, which wakes their readers with an EOF; a reader
-        must find the verdict taken, not blame the rank it was woken for.
-        ``wait()`` is released only once the poison is out."""
-        with self._lock:
-            if self._outcome is not None:
-                return
-            self._outcome = outcome
-        try:
-            if poison is not None:
-                self._abort_all(poison, exclude=exclude)
-        finally:
-            self._done.set()
-
-    # ----------------------------------------------------------- join phase
-    def _accept_loop(self) -> None:
+    def _join(self, listener: socket.socket) -> None:
         deadline = time.monotonic() + self.join_timeout
-        joined = 0
-        claimed: set[int] = set()
-        pending: list[tuple[socket.socket, dict]] = []
+        pending: dict[int, tuple[socket.socket, str]] = {}  # rank -> (conn, addr)
         try:
-            while joined < self.world_size and not self._stop.is_set():
+            while len(pending) < self.world_size and not self._stop.is_set():
                 if time.monotonic() > deadline:
-                    for conn, _ in pending:
-                        self._close_quietly(conn)
-                    self._finish(
-                        f"aborted: join timeout ({joined}/{self.world_size})",
-                        poison=f"rendezvous join timed out: {joined} of "
-                               f"{self.world_size} ranks joined within "
-                               f"{self.join_timeout:.1f}s",
-                    )
+                    reason = (f"rendezvous join timed out: {len(pending)} of "
+                              f"{self.world_size} ranks joined within "
+                              f"{self.join_timeout:.1f}s")
+                    for conn, _ in pending.values():
+                        _reject(conn, reason)
+                    self._outcome = (f"aborted: join timeout "
+                                     f"({len(pending)}/{self.world_size})")
                     return
                 try:
-                    conn, _ = self._listener.accept()
+                    conn, _ = listener.accept()
                 except socket.timeout:
                     continue
-                except OSError:
-                    return
-                hello = self._read_hello(conn)
-                if hello is None:
-                    continue  # garbage connection, already closed
-                rank = self._assign_rank(hello, claimed, conn)
-                if rank is None:
-                    continue  # rejected, already closed
-                claimed.add(rank)
-                pending.append((conn, {"rank": rank, "addr": hello["addr"]}))
-                joined += 1
+                hello = self._read_hello(conn, pending)
+                if hello is not None:
+                    pending[hello[0]] = (conn, hello[1])
             if self._stop.is_set():
-                for conn, _ in pending:
-                    self._close_quietly(conn)
                 return
-            self._welcome_all(pending)
-            self._supervise()
-        except Exception as exc:  # pragma: no cover - defensive backstop
-            self._finish(f"aborted: coordinator error: {exc!r}",
-                         poison=f"coordinator internal error: {exc!r}")
+            peers = {str(r): addr for r, (_, addr) in pending.items()}
+            for rank, (conn, _) in pending.items():
+                send_ctrl(conn, kind="welcome", rank=rank,
+                          world_size=self.world_size, peers=peers,
+                          session=self.session)
+            self._outcome = "completed"
+        except OSError as exc:
+            self._outcome = f"aborted: {exc!r}"
+        finally:
+            for conn, _ in pending.values():
+                close_socket(conn)
+            listener.close()
+            self._done.set()
 
-    def _read_hello(self, conn: socket.socket) -> dict | None:
-        """Read + validate one hello; returns None (conn closed) on garbage."""
+    def _read_hello(self, conn: socket.socket,
+                    pending: dict) -> tuple[int, str] | None:
+        """``(rank, listen addr)`` of one valid hello; None, with ``conn``
+        rejected or closed, for garbage, a bad rank claim or a world-size
+        mismatch."""
         conn.settimeout(5.0)
         try:
             ftype, meta, _ = recv_frame(conn)
@@ -454,159 +399,38 @@ class RendezvousCoordinator:
                     f"expected hello, got {meta.get('kind')!r}"
                 )
             host, port = parse_addr(str(meta["addr"]))
-            meta["addr"] = f"{host}:{port}"
-            if int(meta.get("world_size", self.world_size)) != self.world_size:
-                send_ctrl(
-                    conn, kind="reject",
-                    reason=(
-                        f"world_size mismatch: coordinator supervises "
-                        f"{self.world_size} ranks, member expects "
-                        f"{meta.get('world_size')}"
-                    ),
-                )
-                self._close_quietly(conn)
-                return None
-            return meta
+            wants = meta.get("wants_rank")
+            world = int(meta.get("world_size", self.world_size))
         except (ClusterProtocolError, ConnectionError, ValueError, KeyError,
                 TypeError, OSError):
-            self._close_quietly(conn)
+            close_socket(conn)
             return None
-
-    def _assign_rank(self, hello: dict, claimed: set[int],
-                     conn: socket.socket) -> int | None:
-        wants = hello.get("wants_rank")
+        if world != self.world_size:
+            return _reject(conn, (
+                f"world_size mismatch: coordinator supervises "
+                f"{self.world_size} ranks, member expects {world}"
+            ))
         if wants is None:
-            rank = next(
-                r for r in range(self.world_size) if r not in claimed
-            )
-            return rank
+            return next(r for r in range(self.world_size)
+                        if r not in pending), f"{host}:{port}"
         try:
             rank = int(wants)
         except (TypeError, ValueError):
             rank = -1
-        reason = None
         if not 0 <= rank < self.world_size:
-            reason = (
-                f"requested rank {wants!r} outside world of {self.world_size}"
-            )
-        elif rank in claimed:
-            reason = f"rank {rank} already claimed by another member"
-        if reason is not None:
-            try:
-                send_ctrl(conn, kind="reject", reason=reason)
-            except OSError:
-                pass
-            self._close_quietly(conn)
-            return None
-        return rank
+            return _reject(conn, f"requested rank {wants!r} outside world of "
+                                 f"{self.world_size}")
+        if rank in pending:
+            return _reject(conn,
+                           f"rank {rank} already claimed by another member")
+        return rank, f"{host}:{port}"
 
-    def _welcome_all(self, pending: list[tuple[socket.socket, dict]]) -> None:
-        peers = {
-            str(info["rank"]): info["addr"] for _, info in pending
-        }
-        now = time.monotonic()
-        with self._lock:
-            for conn, info in pending:
-                self._members[info["rank"]] = {
-                    "conn": conn, "addr": info["addr"], "last_seen": now,
-                    "left": False,
-                }
-        for conn, info in pending:
-            send_ctrl(
-                conn, kind="welcome", rank=info["rank"],
-                world_size=self.world_size, peers=peers,
-                heartbeat_interval=self.heartbeat_interval,
-                heartbeat_timeout=self.heartbeat_timeout,
-                session=self.session,
-            )
 
-    # ------------------------------------------------------ supervise phase
-    def _supervise(self) -> None:
-        """Watch heartbeat deadlines until the job has a verdict; the member
-        readers conclude it themselves on a death or the last ``leave``."""
-        for rank, member in list(self._members.items()):
-            t = threading.Thread(
-                target=self._member_reader, args=(rank, member["conn"]),
-                name=f"rendezvous-member-{rank}", daemon=True,
-            )
-            t.start()
-            self._threads.append(t)
-        tick = min(self.heartbeat_interval, 0.2)
-        while not self._stop.wait(tick) and not self._done.is_set():
-            now = time.monotonic()
-            with self._lock:
-                dead = [
-                    r for r, m in self._members.items()
-                    if not m["left"]
-                    and now - m["last_seen"] > self.heartbeat_timeout
-                ]
-            if dead:
-                message = dead_rank_message(
-                    dead, "missed the heartbeat deadline"
-                )
-                self._finish(f"aborted: {message}", poison=message,
-                             exclude=set(dead))
-                return
-
-    def _member_reader(self, rank: int, conn: socket.socket) -> None:
-        """Consume heartbeats/leave from one member; EOF marks it dead."""
-        while not self._stop.is_set():
-            try:
-                # Inside the try: stop() may have closed the socket before
-                # this thread was first scheduled.
-                conn.settimeout(None)
-                ftype, meta, _ = recv_frame(conn)
-            except (ConnectionError, ClusterProtocolError, OSError):
-                with self._lock:
-                    member = self._members.get(rank)
-                    if (member is None or member["left"]
-                            or self._outcome is not None):
-                        return
-                # Socket dropped without a clean leave: poison immediately
-                # rather than waiting out the heartbeat deadline.
-                message = dead_rank_message(
-                    [rank], "connection closed mid-run"
-                )
-                self._finish(f"aborted: {message}", poison=message,
-                             exclude={rank})
-                return
-            if ftype != FRAME_CTRL:
-                continue
-            kind = meta.get("kind")
-            if kind == "heartbeat":
-                with self._lock:
-                    if rank in self._members:
-                        self._members[rank]["last_seen"] = time.monotonic()
-            elif kind == "leave":
-                with self._lock:
-                    if rank in self._members:
-                        self._members[rank]["left"] = True
-                    all_left = all(m["left"] for m in self._members.values())
-                if all_left:
-                    self._finish("completed")
-                return
-
-    def _abort_all(self, message: str, exclude: set[int] = frozenset()) -> None:
-        """Send every live member the ``abort`` poison; a member whose
-        channel is already gone is skipped — it is dead or dying anyway."""
-        with self._lock:
-            targets = [
-                m["conn"] for r, m in sorted(self._members.items())
-                if r not in exclude and not m["left"]
-            ]
-        for conn in targets:
-            try:
-                send_ctrl(conn, kind="abort", reason=message)
-                # Wake any recv blocked on this socket so the poison is seen
-                # even if the member is wedged inside a collective on the mesh.
-                conn.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-
-    @staticmethod
-    def _close_quietly(conn: socket.socket) -> None:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
+def _reject(conn: socket.socket, reason: str) -> None:
+    """Send ``reject`` with ``reason`` (if the member still listens) and
+    close ``conn``."""
+    try:
+        send_ctrl(conn, kind="reject", reason=reason)
+    except OSError:
+        pass
+    close_socket(conn)

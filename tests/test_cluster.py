@@ -1,27 +1,29 @@
 """Tests for the multi-host cluster transport (frames, rendezvous, comm).
 
-Cluster ranks run here as localhost threads — each owns a real TCP mesh
-socket set and a real coordinator connection, so everything short of the
-physical network is exercised: the framed wire protocol, rendezvous rank
-assignment, heartbeat supervision, dead-rank poisoning and the SPMD
-bit-identity contract against the thread backend.
+Cluster ranks run here as localhost threads — each joins through a real
+coordinator and owns a real TCP mesh socket set — and, for the fault table,
+as CLI processes, so everything short of the physical network is exercised:
+the framed wire protocol, rendezvous rank assignment, dead and silent peers
+named on the mesh, and the SPMD bit-identity contract against the thread
+backend.
 """
 from __future__ import annotations
 
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import VMC, NoamAdamW, VMCConfig, build_qiankunnet
 from repro.core.engine import ThreadBackend
-from repro.parallel.cluster import (
-    ClusterBackend,
-    MeshTransport,
-    create_cluster_comm,
-)
+from repro.parallel.cluster import ClusterBackend, MeshTransport
 from repro.parallel.comm import Comm, CommAbortError
 from repro.parallel.rendezvous import (
     FRAME_ARRAY,
@@ -37,9 +39,7 @@ from repro.parallel.rendezvous import (
     recv_frame,
     send_frame,
 )
-
-# Short, test-friendly liveness knobs: fast heartbeats, fast verdicts.
-_FAST = dict(heartbeat_interval=0.1, heartbeat_timeout=0.6)
+from tests.conftest import child_pids
 
 
 @pytest.fixture(autouse=True)
@@ -70,31 +70,24 @@ def _start_coordinator(world_size: int, **kwargs):
     return coord, f"{host}:{port}"
 
 
-def _run_cluster(world_size: int, fn, *, coordinator_kwargs=None,
-                 comm_kwargs=None, close=True):
-    """Run ``fn(comm)`` on ``world_size`` thread-hosted cluster ranks.
-
-    Returns ``(results, comms, outcome)``; exceptions from any rank are
-    re-raised in the caller (first one wins, by rank order).
-    """
-    coord, addr = _start_coordinator(world_size,
-                                     **(coordinator_kwargs or _FAST))
+def _run_cluster(world_size: int, fn) -> list:
+    """Run ``fn(comm)`` on ``world_size`` thread-hosted cluster ranks and
+    return their results; exceptions from any rank are re-raised in the
+    caller (first one wins, by rank order)."""
+    coord, addr = _start_coordinator(world_size)
     results: list = [None] * world_size
     failures: list = []
-    comms: list = [None] * world_size
 
     def run_rank(rank: int):
         comm = None
         try:
             comm = Comm(MeshTransport(world_size, addr, rank=rank,
-                                      join_timeout=10.0,
-                                      **(comm_kwargs or {})))
-            comms[rank] = comm
+                                      join_timeout=10.0))
             results[rank] = fn(comm)
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             failures.append((rank, exc))
         finally:
-            if close and comm is not None:
+            if comm is not None:
                 comm.close()
 
     threads = [threading.Thread(target=run_rank, args=(r,), daemon=True)
@@ -105,12 +98,11 @@ def _run_cluster(world_size: int, fn, *, coordinator_kwargs=None,
         for t in threads:
             t.join(timeout=60.0)
     finally:
-        outcome = coord.wait(timeout=5.0)
         coord.stop()
     if failures:
         failures.sort(key=lambda f: f[0])
         raise failures[0][1]
-    return results, comms, outcome
+    return results
 
 
 # --------------------------------------------------------------------- frames
@@ -241,7 +233,7 @@ class TestFrameProtocol:
 # ----------------------------------------------------------------- rendezvous
 class TestRendezvous:
     def test_ranks_autoassigned_and_clean_completion(self):
-        coord, addr = _start_coordinator(2, **_FAST)
+        coord, addr = _start_coordinator(2)
         seen = []
 
         def member():
@@ -259,30 +251,74 @@ class TestRendezvous:
         coord.stop()
         assert sorted(seen) == [0, 1]
 
-    def test_wait_returns_as_the_last_member_leaves(self):
-        """The last ``leave`` concludes the job: ``wait()`` does not sit
-        out a supervision tick (0.2 s at the default heartbeat interval)."""
+    def test_wait_returns_once_every_member_is_welcomed(self):
+        """The coordinator is done once the address book is out: ``wait()``
+        says "completed" while the members still hold their mesh, its thread
+        is gone, and the mesh runs without it."""
         coord, addr = _start_coordinator(2)
-        comms: list = [None, None]
+        coordinator_done = threading.Event()
+        results: list = [None, None]
 
         def member(rank):
-            comms[rank] = Comm(MeshTransport(2, addr, rank=rank,
-                                             join_timeout=10.0))
+            comm = Comm(MeshTransport(2, addr, rank=rank, join_timeout=10.0))
+            try:
+                coordinator_done.wait(30.0)
+                results[rank] = [int(r) for r in
+                                 comm.allgather_ndarray(np.array(rank))]
+            finally:
+                comm.close()
 
         threads = [threading.Thread(target=member, args=(r,), daemon=True)
                    for r in range(2)]
         for t in threads:
             t.start()
-        for t in threads:
-            t.join(timeout=30.0)
         try:
-            for comm in comms:
-                comm.close()
-            last_close = time.monotonic()
-            assert coord.wait(timeout=5.0) == "completed"
-            assert time.monotonic() - last_close < 0.1
-        finally:
+            assert coord.wait(timeout=10.0) == "completed"
             coord.stop()
+            assert not [t.name for t in threading.enumerate()
+                        if t.name.startswith("rendezvous-")]
+        finally:
+            coordinator_done.set()
+            for t in threads:
+                t.join(timeout=30.0)
+            coord.stop()
+        assert results == [[0, 1], [0, 1]]
+
+    def test_failed_mesh_join_closes_the_sockets_it_opened(self):
+        """Rank 2 of 3 says hello and never dials: ranks 0 and 1 time out
+        building the mesh, and while their exceptions are still held (their
+        frames reference the half-built transports) no socket of theirs is
+        open."""
+        from tests.test_comm_contract import _open_fds
+
+        before = _open_fds()
+        coord, addr = _start_coordinator(3, join_timeout=10.0)
+        silent = connect_with_retry(*parse_addr(addr), timeout=5.0)
+        send_frame(silent, FRAME_CTRL, {"kind": "hello", "wants_rank": 2,
+                                        "addr": "127.0.0.1:9",
+                                        "world_size": 3})
+        errors: list = [None, None]
+
+        def member(rank):
+            try:
+                MeshTransport(3, addr, rank=rank, join_timeout=1.0)
+            except Exception as exc:  # noqa: BLE001 - held for the assert
+                errors[rank] = exc
+
+        threads = [threading.Thread(target=member, args=(r,), daemon=True)
+                   for r in range(2)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert recv_frame(silent)[1]["kind"] == "welcome"
+        finally:
+            silent.close()
+            coord.stop()
+        assert [type(e) for e in errors] == [TimeoutError] * 2, errors
+        assert _open_fds() == before
+        assert coord.wait(timeout=0) == "completed"
 
     def test_members_retry_until_coordinator_appears(self):
         """Ranks launched before the coordinator must connect via backoff."""
@@ -304,7 +340,7 @@ class TestRendezvous:
         for t in threads:
             t.start()
         time.sleep(0.5)  # members are already retrying against a dead port
-        coord = RendezvousCoordinator(world_size=2, port=port, **_FAST)
+        coord = RendezvousCoordinator(world_size=2, port=port)
         coord.start()
         for t in threads:
             t.join(timeout=30.0)
@@ -323,8 +359,7 @@ class TestRendezvous:
         assert time.monotonic() - t0 < 5.0
 
     def test_join_timeout_aborts_partial_world(self):
-        coord, addr = _start_coordinator(
-            2, join_timeout=0.8, **_FAST)
+        coord, addr = _start_coordinator(2, join_timeout=0.8)
         with pytest.raises((ConnectionError, ClusterProtocolError,
                             RuntimeError, TimeoutError)):
             MeshTransport(2, addr, join_timeout=10.0)  # lone member of a 2-world
@@ -333,7 +368,7 @@ class TestRendezvous:
         assert outcome is not None and "join timeout (1/2)" in outcome
 
     def test_world_size_mismatch_rejected(self):
-        coord, addr = _start_coordinator(2, join_timeout=5.0, **_FAST)
+        coord, addr = _start_coordinator(2, join_timeout=5.0)
         try:
             with pytest.raises(RuntimeError, match="world_size mismatch"):
                 MeshTransport(3, addr, join_timeout=5.0)
@@ -341,7 +376,7 @@ class TestRendezvous:
             coord.stop()
 
     def test_out_of_range_rank_request_rejected(self):
-        coord, addr = _start_coordinator(2, join_timeout=5.0, **_FAST)
+        coord, addr = _start_coordinator(2, join_timeout=5.0)
         try:
             with pytest.raises(RuntimeError,
                                match="rejected.*rank 7 outside world"):
@@ -352,7 +387,7 @@ class TestRendezvous:
     def test_duplicate_rank_claim_rejected(self):
         # Both members pin rank 0: one wins the claim (and later times out
         # waiting for the never-full world), the other is rejected cleanly.
-        coord, addr = _start_coordinator(2, join_timeout=2.0, **_FAST)
+        coord, addr = _start_coordinator(2, join_timeout=2.0)
         errors: list = []
 
         def claim_zero():
@@ -373,7 +408,7 @@ class TestRendezvous:
         assert any("already claimed" in e for e in errors)
 
     def test_garbage_connection_does_not_disturb_the_job(self):
-        coord, addr = _start_coordinator(2, **_FAST)
+        coord, addr = _start_coordinator(2)
         host, port = parse_addr(addr)
         scanner = socket.create_connection((host, port))
         scanner.sendall(b"GET / HTTP/1.1\r\n\r\n")  # port scanner noise
@@ -400,11 +435,6 @@ class TestRendezvous:
         assert coord.wait(timeout=5.0) == "completed"
         coord.stop()
 
-    def test_heartbeat_timeout_must_exceed_interval(self):
-        with pytest.raises(ValueError, match="heartbeat_timeout"):
-            RendezvousCoordinator(world_size=1, heartbeat_interval=2.0,
-                                  heartbeat_timeout=1.0)
-
 
 # ----------------------------------------------------------- failure handling
 class TestFailureSemantics:
@@ -427,73 +457,102 @@ class TestFailureSemantics:
             _run_cluster(2, fn)
         assert time.monotonic() - t0 < 20.0
 
-    def test_missed_heartbeats_poison_blocked_survivors(self):
-        """A wedged rank (alive socket, no heartbeats, no collectives) must
-        get every peer aborted within the heartbeat deadline."""
+    def test_a_built_rank_runs_no_thread_that_outlives_an_exchange(self):
+        """Past construction and each ``exchange`` a cluster rank runs no
+        thread of its own: the only threads left are the test's ranks."""
+        before = set(threading.enumerate())
         barrier = threading.Barrier(2, timeout=30.0)
-        comms = []
+        ranks: set = set()
+        extra: list = []
 
         def fn(comm):
-            comms.append(comm)
-            if comm.Get_rank() == 1:
-                comm.transport._stop_heartbeating()
-                barrier.wait()
-                time.sleep(4.0)  # wedged: never joins the collective
-                return None
-            barrier.wait()
+            ranks.add(threading.current_thread())
             comm.allreduce_ndarray(np.ones(8))
-            return "unreachable"
+            barrier.wait()  # both ranks' exchanges are over
+            if comm.Get_rank() == 0:
+                extra.extend(
+                    t.name for t in set(threading.enumerate()) - before - ranks
+                    if not t.name.startswith("rendezvous-"))
+            barrier.wait()
 
+        _run_cluster(2, fn)
+        assert extra == []
+
+
+# ------------------------------------------------------------ CLI fault table
+_FAULT_TIMEOUT_S = 2.0
+
+
+def _smoke_rank(rank: int, port: str, run_dir: Path) -> list[str]:
+    return [sys.executable, "-m", "repro", "run", "--preset", "smoke",
+            "--set", "parallel.backend=cluster", "--set", "parallel.n_ranks=2",
+            "--set", f"parallel.rank={rank}",
+            "--set", f"parallel.rendezvous_addr=127.0.0.1:{port}",
+            "--set", f"parallel.collective_timeout_s={_FAULT_TIMEOUT_S}",
+            "--set", "train.max_iterations=100000",
+            "--run-dir", str(run_dir)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGSTOP],
+                         ids=["sigkill", "sigstop"])
+def test_cli_fault_table(sig, tmp_path):
+    """DESIGN.md's fault table on real processes: a coordinator and two
+    ``python -m repro run --preset smoke`` cluster ranks.  The coordinator
+    exits 0 once the ranks are assigned; rank 1 is killed or stopped
+    mid-run, and rank 0 exits non-zero naming it (a stopped rank within the
+    collective timeout plus slack, with the op and seq).  Every child is
+    reaped."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    before = child_pids()
+    procs: list = []
+    logs = [open(tmp_path / f"rank{r}.err", "w") for r in range(2)]
+    try:
+        coord = subprocess.Popen(
+            [sys.executable, "-m", "repro", "rendezvous", "--host",
+             "127.0.0.1", "--port", "0", "--world-size", "2"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        procs.append(coord)
+        # "rendezvous listening on 127.0.0.1:PORT (world_size=2)"
+        port = coord.stdout.readline().split()[3].rpartition(":")[2]
+        for rank in (1, 0):
+            procs.append(subprocess.Popen(
+                _smoke_rank(rank, port, tmp_path / f"run{rank}"), env=env,
+                stdout=subprocess.DEVNULL, stderr=logs[rank]))
+        rank1, rank0 = procs[1:]
+        metrics = tmp_path / "run0" / "metrics.jsonl"
+        deadline = time.monotonic() + 120.0
+        while not (metrics.exists()
+                   and metrics.read_text().count('"iteration"') >= 2):
+            assert rank0.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        rank1.send_signal(sig)
         t0 = time.monotonic()
-        with pytest.raises(CommAbortError,
-                           match="rank 1.*missed the heartbeat deadline"):
-            _run_cluster(2, fn, close=False)
-        # Detection bound: heartbeat_timeout (0.6s) + supervision poll +
-        # abort propagation, with generous slack for loaded runners.
-        assert time.monotonic() - t0 < 10.0
-        for comm in comms:
-            comm.close()
-
-    def test_abort_leaves_no_live_helper_threads(self):
-        def fn(comm):
-            if comm.Get_rank() == 1:
-                comm.transport.abort("killed")
-                return None
-            try:
-                comm.allreduce_ndarray(np.ones(8))
-            except CommAbortError:
-                pass
-            return comm
-
-        results, comms, _ = _run_cluster(2, fn)
-        time.sleep(0.2)
-        for comm in comms:
-            comm.close()  # idempotent even after a crash/abort
-            for t in comm.transport._threads:
-                t.join(timeout=5.0)
-                assert not t.is_alive()
-
-    def test_coordinator_reports_abort_outcome(self):
-        def fn(comm):
-            if comm.Get_rank() == 1:
-                comm.transport.abort("killed")
-                return None
-            try:
-                _sync(comm)
-            except CommAbortError:
-                pass
-            return None
-
-        _, _, outcome = _run_cluster(2, fn)
-        assert outcome is not None and outcome.startswith("aborted")
-        assert "rank 1" in outcome
-
-
-# ------------------------------------------------------- create_cluster_comm
-class TestCreateClusterComm:
-    def test_socket_path_without_rendezvous_addr_names_the_field(self):
-        with pytest.raises(ValueError, match="parallel.rendezvous_addr"):
-            create_cluster_comm(2)
+        returncode = rank0.wait(timeout=60.0)
+        waited = time.monotonic() - t0
+        assert coord.wait(timeout=10.0) == 0
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGCONT)
+                proc.kill()
+            proc.wait()
+            if proc.stdout is not None:
+                proc.stdout.close()
+        for log in logs:
+            log.close()
+    assert child_pids() <= before
+    verdict = (tmp_path / "rank0.err").read_text().strip().splitlines()[-1]
+    assert returncode != 0
+    assert verdict.startswith("repro.parallel.comm.CommAbortError: rank 0: ")
+    assert "rank 1" in verdict, verdict
+    if sig == signal.SIGSTOP:
+        assert (f"timed out after {_FAULT_TIMEOUT_S}s waiting for rank 1 in "
+                in verdict), verdict
+        assert "(seq " in verdict, verdict
+        assert waited < _FAULT_TIMEOUT_S + 10.0
 
 
 # ------------------------------------------------------------ VMC bit-identity
@@ -507,7 +566,7 @@ def _fresh_vmc(problem, backend, *, n_samples=800, seed=3):
 
 def _run_cluster_vmc(problem, n_ranks, n_steps):
     """Drive ``n_ranks`` full SPMD VMC drivers over a localhost mesh."""
-    coord, addr = _start_coordinator(n_ranks, **_FAST)
+    coord, addr = _start_coordinator(n_ranks)
     drivers: list = [None] * n_ranks
     failures: list = []
 

@@ -5,16 +5,16 @@ socket-pair mesh — rank 0 in the caller, the others the launch's followers
 — coordinator-joined socket mesh): rank order (1-D, 0-d and
 empty arrays, blobs), the rank-ordered reduction bit-equal to a sequential
 ``functools.reduce``, identical ``CommStats`` on every rank of every
-transport, the size-1 degenerate world, a mesh job whose ranks all return
-ending "completed" at the coordinator, and the failure contract — a
+transport, the size-1 degenerate world, a mesh job whose every member the
+coordinator welcomed, and the failure contract — a
 desynchronized, departed, failed or wedged rank surfaces as
 ``CommAbortError`` naming the op/seq or the rank on every peer, within a
 bound each test enforces itself (CI has no pytest-timeout), and leaves no
 descriptor open; a collective on a closed communicator names its rank.
 
-Transport-specific safety lives next to the transport: frame rejection and
-heartbeat poisoning in test_cluster.py, a killed forked rank's children and
-descriptors in test_multiprocess.py.
+Transport-specific safety lives next to the transport: frame rejection, the
+rendezvous join and the CLI fault table in test_cluster.py, a killed forked
+rank's children and descriptors in test_multiprocess.py.
 """
 from __future__ import annotations
 
@@ -83,18 +83,18 @@ def _launch_process(size, fn, timeout=2 * BOUND_S):
     return run_ranks(start_process_ranks, size, fn, timeout)
 
 
-def _launch_mesh(size, fn):
-    coord = RendezvousCoordinator(world_size=size, heartbeat_interval=0.1,
-                                  heartbeat_timeout=0.6)
+def _launch_mesh(size, fn, timeout=2 * BOUND_S):
+    coord = RendezvousCoordinator(world_size=size)
     host, port = coord.start()
     try:
         results = _run_threads_with(
             lambda rank: Comm(MeshTransport(size, f"{host}:{port}", rank=rank,
-                                            join_timeout=10.0)),
+                                            join_timeout=10.0,
+                                            collective_timeout=timeout)),
             size, fn,
             on_error=lambda comm, rank, exc: comm.transport.abort(repr(exc)),
         )
-        # Every rank returned: the coordinator saw a clean job.
+        # Every member was welcomed.
         assert coord.wait(timeout=BOUND_S) == "completed"
         return results
     finally:
@@ -303,7 +303,7 @@ class TestFailureContract:
         assert "rank 1" in message
         assert _open_fds() == before
 
-    @pytest.mark.parametrize("name", ["thread", "process"])
+    @pytest.mark.parametrize("name", MULTI_RANK)
     def test_collective_timeout_names_op_and_seq(self, name):
         """``timeout`` bounds a rank's wait for a peer that is alive but
         never communicates: the waiter names the peer, the op and the seq,
