@@ -1,4 +1,4 @@
-"""Terminal line plots for benches and examples (no plotting dependency).
+"""Terminal line plots for the benches (no plotting dependency).
 
 The paper's figures are line plots (PES curves, scaling curves, error
 panels); on a headless host the benches render them as compact ASCII charts

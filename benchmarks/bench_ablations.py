@@ -29,7 +29,7 @@ import numpy as np
 from baseline_ansatze import BASELINES, build_baseline
 
 from repro.autograd import oracle
-from repro.bench import format_table, registry
+from reporting import format_table, registry
 from repro.chem import build_problem, run_fci
 from repro.core import (
     VMC,

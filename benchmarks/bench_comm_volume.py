@@ -22,12 +22,13 @@ if __name__ == "__main__":  # bare-script invocation: make src/ importable
 
 import numpy as np
 
-from repro.bench import format_table, registry
+from reporting import format_table, registry
 from repro.chem import build_problem
 from repro.core import VMCConfig, build_qiankunnet, pretrain_to_reference
 from repro.core.vmc import VMC
 from repro.hamiltonian import compress_hamiltonian
-from repro.parallel import CommVolumeModel, ThreadBackend
+from repro.parallel import ThreadBackend
+from scaling import CommVolumeModel
 
 
 def _measure_c2(n_samples: int = 10**5, n_steps: int = 2):

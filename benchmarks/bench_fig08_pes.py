@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import format_table, registry
+from reporting import format_table, registry
 from repro.chem import (
     build_problem,
     compute_integrals,
@@ -67,7 +67,7 @@ def test_fig08_beh2_pes(benchmark, full):
         ),
     )
     if len(rows) >= 2:  # panel (b): the error curves, as in the paper
-        from repro.utils import line_plot
+        from ascii_plot import line_plot
 
         chart = line_plot(
             [float(row[0]) for row in rows],

@@ -8,7 +8,7 @@ The timed kernel is Algorithm 1 itself (the compression pass) on N2.
 """
 from __future__ import annotations
 
-from repro.bench import format_table, registry
+from reporting import format_table, registry
 from repro.chem import build_problem
 from repro.hamiltonian import build_reference, compress_hamiltonian
 

@@ -52,7 +52,7 @@ if __name__ == "__main__":  # bare-script invocation: make src/ importable
 
 import numpy as np
 
-from repro.bench import format_table, registry
+from reporting import format_table, registry
 from repro.chem import build_problem
 from repro.core import (
     AmplitudeTable,

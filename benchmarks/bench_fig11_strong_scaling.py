@@ -52,7 +52,7 @@ if __name__ == "__main__":  # bare-script invocation: make src/ importable
 
 import numpy as np
 
-from repro.bench import format_table, registry
+from reporting import format_table, registry
 from repro.chem import build_problem
 from repro.core import (
     ElocPlan,
@@ -71,17 +71,15 @@ from repro.core.engine import (
 )
 from repro.core.vmc import VMC
 from repro.hamiltonian import compress_hamiltonian
-from repro.parallel import (
-    ScalingPoint,
-    balanced_weight_partition,
-    measure_scaling,
-    model_scaling,
-    parallel_efficiency,
-)
+from repro.parallel import balanced_weight_partition
 from repro.parallel.comm import Comm, SoloTransport
 from repro.utils.bitstrings import unpack_bits
+from scaling import ScalingPoint, measure_scaling, model_scaling, parallel_efficiency
 
 _NS = 200_000
+# Iterations per measured point after the warm-up: at 3, four back-to-back
+# runs of the 2-rank row read 36.6 to 60.7 % efficiency.
+MEASURED_ITERS = 7
 
 
 def measured_ranks(full: bool) -> list[int]:
@@ -136,7 +134,8 @@ def measure_points(full: bool) -> list[ScalingPoint]:
     return measure_scaling(
         _wf_factory(prob), compress_hamiltonian(prob.hamiltonian),
         measured_ranks(full), n_samples_for=lambda n: _NS,
-        n_iters=3, config=VMCConfig(eloc_mode="sample_aware", seed=14),
+        n_iters=MEASURED_ITERS,
+        config=VMCConfig(eloc_mode="sample_aware", seed=14),
         nu_star_per_rank=32,
     )
 
@@ -147,7 +146,8 @@ def test_fig11_strong_scaling(benchmark, full):
     points, blas_threads = pinned_points(__file__, full)
     eff = parallel_efficiency(points, mode="strong")
     rows = [
-        [p.n_ranks, p.n_unique, f"{p.time_per_iter:.3f}", f"{p.time_sampling:.3f}",
+        [p.n_ranks, p.n_unique, f"{p.time_per_iter:.3f}",
+         f"{p.time_per_iter_iqr:.3f}", f"{p.time_sampling:.3f}",
          f"{p.time_local_energy:.3f}", f"{p.time_gradient:.3f}",
          f"{100 * e:.1f}%"]
         for p, e in zip(points, eff)
@@ -156,7 +156,7 @@ def test_fig11_strong_scaling(benchmark, full):
                           _n_params(prob), mode="strong")
     eff_m = parallel_efficiency([points[0]] + model, mode="strong")[1:]
     for p, e in zip(model, eff_m):
-        rows.append([f"{p.n_ranks}*", p.n_unique, f"{p.time_per_iter:.3f}",
+        rows.append([f"{p.n_ranks}*", p.n_unique, f"{p.time_per_iter:.3f}", "-",
                      f"{p.time_sampling:.3f}", f"{p.time_local_energy:.3f}",
                      f"{p.time_gradient:.3f}", f"{100 * e:.1f}%"])
     # Paper-scale model: a base point shaped like the paper's 4-GPU benzene
@@ -171,25 +171,26 @@ def test_fig11_strong_scaling(benchmark, full):
     eff_p = parallel_efficiency([paper_base] + paper_model, mode="strong")[1:]
     paper_ref = {8: 99.2, 16: 96.7, 32: 84.1, 64: 67.7}
     for p, e in zip(paper_model, eff_p):
-        rows.append([f"{p.n_ranks}^", p.n_unique, f"{p.time_per_iter:.1f}",
+        rows.append([f"{p.n_ranks}^", p.n_unique, f"{p.time_per_iter:.1f}", "-",
                      f"{p.time_sampling:.1f}", f"{p.time_local_energy:.1f}",
                      f"{p.time_gradient:.1f}",
                      f"{100 * e:.1f}% (paper {paper_ref[p.n_ranks]}%)"])
     table = format_table(
         "Fig. 11 — Strong scaling (fixed N_s), measured + model (*)",
-        ["ranks", "N_u", "t/iter (s)", "t_sample", "t_eloc", "t_grad",
-         "efficiency"],
+        ["ranks", "N_u", "t/iter (s)", "IQR (s)", "t_sample", "t_eloc",
+         "t_grad", "efficiency"],
         rows,
         notes=(
             f"Measured: process ranks on this host (N2/STO-3G, N_s={_NS}), "
             f"up to its {os.cpu_count()} cores, {blas_threads} BLAS thread(s) "
-            "per rank; * = calibrated model on the "
+            f"per rank; medians of {MEASURED_ITERS} iterations after a "
+            "warm-up, IQR their spread; * = calibrated model on the "
             "measured base (2* sits beside the measured 2); ^ = model at the "
             "paper's 120-qubit benzene workload scale (DESIGN.md "
             "substitution). Paper: 99.2% @8, 96.7% @16, 84.1% @32, 67.7% @64."
         ),
     )
-    from repro.utils import line_plot
+    from ascii_plot import line_plot
 
     chart = line_plot(
         [4, 8, 16, 32, 64],

@@ -16,17 +16,12 @@ from __future__ import annotations
 
 import os
 
-from bench_fig11_strong_scaling import measured_ranks, pinned_points
-from repro.bench import format_table, registry
+from bench_fig11_strong_scaling import MEASURED_ITERS, measured_ranks, pinned_points
+from reporting import format_table, registry
 from repro.chem import build_problem
 from repro.core import VMCConfig, build_qiankunnet, pretrain_to_reference
 from repro.hamiltonian import compress_hamiltonian
-from repro.parallel import (
-    ScalingPoint,
-    measure_scaling,
-    model_scaling,
-    parallel_efficiency,
-)
+from scaling import ScalingPoint, measure_scaling, model_scaling, parallel_efficiency
 
 _NS_PER_RANK = 100_000
 
@@ -44,7 +39,7 @@ def measure_points(full: bool) -> list[ScalingPoint]:
     return measure_scaling(
         _factory(prob), compress_hamiltonian(prob.hamiltonian),
         measured_ranks(full), n_samples_for=lambda n: _NS_PER_RANK * n,
-        n_iters=3, config=VMCConfig(eloc_mode="sample_aware", seed=24),
+        n_iters=MEASURED_ITERS, config=VMCConfig(eloc_mode="sample_aware", seed=24),
         nu_star_per_rank=32,
     )
 
@@ -56,8 +51,9 @@ def test_fig12_weak_scaling(benchmark, full):
     eff = parallel_efficiency(points, mode="weak")
     rows = [
         [p.n_ranks, p.n_samples, p.n_unique, f"{p.time_per_iter:.3f}",
-         f"{p.time_sampling:.3f}", f"{p.time_local_energy:.3f}",
-         f"{p.time_gradient:.3f}", f"{100 * e:.1f}%"]
+         f"{p.time_per_iter_iqr:.3f}", f"{p.time_sampling:.3f}",
+         f"{p.time_local_energy:.3f}", f"{p.time_gradient:.3f}",
+         f"{100 * e:.1f}%"]
         for p, e in zip(points, eff)
     ]
     wf0 = factory()
@@ -66,7 +62,7 @@ def test_fig12_weak_scaling(benchmark, full):
     eff_m = parallel_efficiency([points[0]] + model, mode="weak")[1:]
     for p, e in zip(model, eff_m):
         rows.append([f"{p.n_ranks}*", p.n_samples, p.n_unique,
-                     f"{p.time_per_iter:.3f}", f"{p.time_sampling:.3f}",
+                     f"{p.time_per_iter:.3f}", "-", f"{p.time_sampling:.3f}",
                      f"{p.time_local_energy:.3f}", f"{p.time_gradient:.3f}",
                      f"{100 * e:.1f}%"])
     # Paper-scale model (benzene/6-31G, ~2.04e4 unique samples per GPU).
@@ -81,23 +77,25 @@ def test_fig12_weak_scaling(benchmark, full):
     paper_ref = {8: 96.9, 16: 96.3, 32: 93.4, 64: 84.3}
     for p, e in zip(paper_model, eff_p):
         rows.append([f"{p.n_ranks}^", p.n_samples, p.n_unique,
-                     f"{p.time_per_iter:.1f}", f"{p.time_sampling:.1f}",
+                     f"{p.time_per_iter:.1f}", "-", f"{p.time_sampling:.1f}",
                      f"{p.time_local_energy:.1f}", f"{p.time_gradient:.1f}",
                      f"{100 * e:.1f}% (paper {paper_ref[p.n_ranks]}%)"])
     table = format_table(
         "Fig. 12 — Weak scaling (N_s proportional to ranks), measured + model (*)",
-        ["ranks", "N_s", "N_u", "t/iter (s)", "t_sample", "t_eloc",
+        ["ranks", "N_s", "N_u", "t/iter (s)", "IQR (s)", "t_sample", "t_eloc",
          "t_grad", "efficiency"],
         rows,
         notes=(
             f"Measured: process ranks on this host, up to its {os.cpu_count()} "
-            f"cores, {blas_threads} BLAS thread(s) per rank. Paper: 96.9% @8 ... 84.3% @64 on benzene/6-31G. * = "
+            f"cores, {blas_threads} BLAS thread(s) per rank; medians of "
+            f"{MEASURED_ITERS} iterations after a warm-up, IQR their spread. "
+            "Paper: 96.9% @8 ... 84.3% @64 on benzene/6-31G. * = "
             "calibrated model on the measured base (2* sits beside the "
             "measured 2); ^ = model at the paper's workload "
             "scale (DESIGN.md substitution)."
         ),
     )
-    from repro.utils import line_plot
+    from ascii_plot import line_plot
 
     chart = line_plot(
         [4, 8, 16, 32, 64],

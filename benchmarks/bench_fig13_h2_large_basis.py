@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import format_table, registry
+from reporting import format_table, registry
 from repro.chem import build_problem, run_fci
 from repro.core import (
     VMC,

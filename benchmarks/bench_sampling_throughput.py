@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro.bench import format_table, registry
+from reporting import format_table, registry
 from repro.core import build_qiankunnet
 from repro.core.sampler import (
     BASTreeState,

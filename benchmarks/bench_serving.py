@@ -152,7 +152,7 @@ def _bench_config(n_qubits: int, n_elec: int, n_clients: int,
 
 
 def _format(results: list[dict]) -> str:
-    from repro.bench import format_table
+    from reporting import format_table
 
     rows = [
         [
@@ -190,7 +190,7 @@ def run_bench(smoke: bool = False, full: bool = False) -> list[dict]:
 
 
 def test_serving_throughput(benchmark, full):
-    from repro.bench import registry
+    from reporting import registry
 
     results = run_bench(full=full)
     registry.record("serving_throughput", _format(results))

@@ -293,7 +293,7 @@ def _baseline_src(tmp: Path, baseline_src: Path | None) -> Path:
 
 
 def _format(points: list[dict], note: str) -> str:
-    from repro.bench import format_table
+    from reporting import format_table
 
     rows = [
         [
@@ -322,7 +322,7 @@ def _quartiles(xs: list[float]) -> str:
 
 def run_bench(duration: float = 3.0,
               baseline_src: Path | None = None) -> tuple[list[dict], str]:
-    from repro.bench import registry
+    from reporting import registry
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-serving-net-"))
     try:
@@ -373,7 +373,7 @@ def run_smoke() -> str:
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.api.driver import serve_run
-    from repro.bench import registry
+    from reporting import registry
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-serving-net-smoke-"))
     run_dir = tmp / "run"

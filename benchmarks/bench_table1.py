@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from baseline_ansatze import MADEAmplitude, build_baseline
 
-from repro.bench import format_table, registry
+from reporting import format_table, registry
 from repro.chem import (
     build_problem,
     compute_integrals,

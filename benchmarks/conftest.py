@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.bench import registry
+from reporting import registry
 
 
 def full_mode() -> bool:

@@ -1,6 +1,7 @@
 """Rendering of paper-style result tables + a process-wide registry.
 
-Benchmarks register their rendered tables here; the pytest hook in
+A benchmark helper, not part of the ``repro`` package.  Benchmarks
+register their rendered tables here; the pytest hook in
 ``benchmarks/conftest.py`` prints every registered experiment at the end of
 the run (so ``pytest benchmarks/ --benchmark-only | tee ...`` captures them)
 and mirrors each one to ``benchmarks/results/<name>.txt``.

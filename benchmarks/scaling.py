@@ -1,4 +1,5 @@
-"""Strong/weak scaling harness (Figs. 11 and 12).
+"""Strong/weak scaling harness (Figs. 11 and 12) and the Sec. 3.2
+communication-volume model.
 
 The paper measures time-per-iteration of the three profiled stages (sampling,
 local energy, backpropagation) on 4..64 GPUs for benzene/6-31G (120 qubits).
@@ -8,20 +9,127 @@ the measured single-rank stage times plus the byte-accurate communication
 model.  The *shape* — parallel efficiency decreasing gently with rank count,
 sampling the least scalable stage because of the shared prefix sweep — is the
 reproduced result.
+
+The communication model states the paper's per-iteration volumes for the
+three communicating stages:
+
+* stage 2 (Allgather of unique samples + weights):
+    ``N_u * N_p * (ceil(N / 8) + 16)`` bytes
+  (each unique sample: packed bits ceil(N/8) + an 8-byte weight and an 8-byte
+  amplitude record = 16 bytes);
+* stage 4 (Allreduce of the energy average): ``16 * N_p`` bytes (one complex);
+* stage 6 (Allreduce of gradients / parameters): ``8 * M * N_p`` bytes.
+
+With the paper's example — C2/STO-3G, N = 20, N_u = 2.7e4, N_p = 64,
+M = 2.7e5 — this evaluates to ~171 MB, matching the quoted "about 173 MB".
+
+The *compressed* prediction models the typed/codec wire format of
+:mod:`repro.parallel.codec`: lexsorted keys delta/varint-encoded (expected
+gap ~ 2^N / N_u, i.e. ``max(1, N - log2(N_u))`` significant bits per delta,
+7 bits per varint byte), weights as uint32 counts, amplitudes still a raw
+complex128 — the incompressible floor of the stage-2 payload.
+
+A benchmark helper, not part of the ``repro`` package: bench files import it
+from their own directory, tests through ``tests/conftest.py``'s
+``_load_bench``, examples by path.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.engine import ProcessBackend, ThreadBackend
 from repro.core.vmc import VMC, VMCConfig
-from repro.core.wavefunction import NNQSWavefunction
 from repro.hamiltonian.compressed import CompressedHamiltonian
-from repro.parallel.comm_model import CommVolumeModel
 
-__all__ = ["ScalingPoint", "measure_scaling", "model_scaling", "parallel_efficiency"]
+__all__ = ["CommVolumeModel", "ScalingPoint", "measure_scaling",
+           "model_scaling", "parallel_efficiency"]
+
+
+@dataclass
+class CommVolumeModel:
+    n_qubits: int
+    n_unique: int
+    n_ranks: int
+    n_params: int
+
+    @property
+    def sample_record_bytes(self) -> int:
+        """Packed bits + (weight, amplitude) metadata per unique sample."""
+        return (self.n_qubits + 7) // 8 + 16
+
+    @property
+    def allgather_samples_bytes(self) -> int:
+        return self.n_unique * self.n_ranks * self.sample_record_bytes
+
+    @property
+    def allreduce_energy_bytes(self) -> int:
+        return 16 * self.n_ranks
+
+    @property
+    def allreduce_gradient_bytes(self) -> int:
+        return 8 * self.n_params * self.n_ranks
+
+    @property
+    def total_bytes(self) -> int:
+        return (
+            self.allgather_samples_bytes
+            + self.allreduce_energy_bytes
+            + self.allreduce_gradient_bytes
+        )
+
+    # ------------------------------------------------- compressed (wire) model
+    @property
+    def compressed_sample_record_bytes(self) -> float:
+        """Expected wire bytes per unique sample with the delta/varint codec.
+
+        Keys: consecutive lexsorted keys differ by ~2^N / N_u on average, so
+        a delta carries ``max(1, N - log2(N_u))`` significant bits at 7 bits
+        per varint byte.  Weights: a uint32 count varint-encodes to <= 5
+        bytes (typically 1-2; we charge 2).  Amplitudes stay a raw
+        complex128 — they travel on the separate uncompressed channel.
+        """
+        delta_bits = max(1.0, self.n_qubits - math.log2(max(self.n_unique, 2)))
+        key_bytes = math.ceil(delta_bits / 7)
+        count_bytes = 2
+        amp_bytes = 16
+        return key_bytes + count_bytes + amp_bytes
+
+    @property
+    def compressed_allgather_samples_bytes(self) -> int:
+        return int(
+            self.n_unique * self.n_ranks * self.compressed_sample_record_bytes
+        )
+
+    @property
+    def compressed_total_bytes(self) -> int:
+        """Predicted wire total: compressed stage 2, raw reductions."""
+        return (
+            self.compressed_allgather_samples_bytes
+            + self.allreduce_energy_bytes
+            + self.allreduce_gradient_bytes
+        )
+
+    def breakdown(self) -> dict[str, float]:
+        mb = 1e6  # decimal MB, the unit the paper quotes ("about 173 MB")
+        return {
+            "stage2_allgather_samples_MB": self.allgather_samples_bytes / mb,
+            "stage4_allreduce_energy_MB": self.allreduce_energy_bytes / mb,
+            "stage6_allreduce_gradients_MB": self.allreduce_gradient_bytes / mb,
+            "total_MB": self.total_bytes / mb,
+        }
+
+    def compressed_breakdown(self) -> dict[str, float]:
+        mb = 1e6
+        return {
+            "stage2_allgather_samples_MB":
+                self.compressed_allgather_samples_bytes / mb,
+            "stage4_allreduce_energy_MB": self.allreduce_energy_bytes / mb,
+            "stage6_allreduce_gradients_MB": self.allreduce_gradient_bytes / mb,
+            "total_MB": self.compressed_total_bytes / mb,
+        }
 
 
 @dataclass
@@ -35,6 +143,9 @@ class ScalingPoint:
     n_unique: int
     comm_bytes: int
     comm_bytes_wire: int = 0
+    # interquartile range of the measured per-iteration wall times (0 for a
+    # modeled point)
+    time_per_iter_iqr: float = 0.0
 
 
 def measure_scaling(
@@ -53,7 +164,9 @@ def measure_scaling(
     ``wf_factory()`` must return a *fresh identically-seeded* wavefunction so
     every rank count optimizes the same model; ``n_samples_for(n_ranks)``
     fixes the workload (constant for strong scaling, proportional for weak);
-    ``config`` is copied per rank count, never written to.  Iterations run
+    ``config`` is copied per rank count, never written to.  Each point is
+    the median of ``n_iters`` iterations after ``warmup_iters`` (its
+    ``time_per_iter_iqr`` the spread of those wall times).  Iterations run
     on the unified engine's :class:`ProcessBackend` (default: one fork per
     follower rank, what ``parallel.backend=process`` runs), the GIL-bound
     :class:`ThreadBackend` (``backend="threads"``, for bit-identity checks)
@@ -78,10 +191,9 @@ def measure_scaling(
                 n_iters=n_iters, warmup_iters=warmup_iters,
             )
         else:
-            wf: NNQSWavefunction = wf_factory()
             backend_cls = ThreadBackend if backend == "threads" else ProcessBackend
             driver = VMC(
-                wf, comp, cfg,
+                wf_factory(), comp, cfg,
                 backend=backend_cls(n_ranks=n_ranks,
                                     nu_star_per_rank=nu_star_per_rank),
             )
@@ -89,11 +201,13 @@ def measure_scaling(
                 driver.step()
             stats = [driver.step() for _ in range(n_iters)]
             driver.backend.close()
+        walls = [s.wall_time for s in stats]
+        q1, q3 = np.percentile(walls, [25, 75])
         points.append(
             ScalingPoint(
                 n_ranks=n_ranks,
                 n_samples=cfg.n_samples,
-                time_per_iter=float(np.median([s.wall_time for s in stats])),
+                time_per_iter=float(np.median(walls)),
                 time_sampling=float(np.median([s.time_sampling for s in stats])),
                 time_local_energy=float(np.median([s.time_local_energy for s in stats])),
                 time_gradient=float(np.median([s.time_gradient for s in stats])),
@@ -101,6 +215,7 @@ def measure_scaling(
                 comm_bytes=stats[-1].comm_bytes,
                 comm_bytes_wire=(stats[-1].comm_bytes_wire
                                  or stats[-1].comm_bytes),
+                time_per_iter_iqr=float(q3 - q1),
             )
         )
     return points

@@ -4,7 +4,8 @@
 Runs the unified execution engine's staged iteration on thread ranks and
 prints, per rank count: wall time, the sampling / local-energy / gradient
 stage decomposition (the Fig. 11 profile), measured communication bytes, and
-the closed-form Sec. 3.2 volume for comparison.
+the closed-form Sec. 3.2 volume for comparison (``CommVolumeModel`` of
+``benchmarks/scaling.py``, loaded by path).
 
 The same iteration on forked process ranks is one spec away from the CLI
 front door:
@@ -18,11 +19,22 @@ publishing from the run driver.
 Usage:  python examples/parallel_scaling.py [--molecule N2] [--ranks 1 2 4]
 """
 import argparse
+import importlib.util
+import sys
+from pathlib import Path
 
 from repro import build_problem, build_qiankunnet
 from repro.core import VMC, VMCConfig, pretrain_to_reference
 from repro.hamiltonian import compress_hamiltonian
-from repro.parallel import CommVolumeModel, ThreadBackend
+from repro.parallel import ThreadBackend
+
+
+def load_scaling():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "scaling.py"
+    spec = importlib.util.spec_from_file_location("scaling", path)
+    scaling = sys.modules["scaling"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    return scaling
 
 
 def main() -> None:
@@ -32,6 +44,7 @@ def main() -> None:
     ap.add_argument("--samples", type=int, default=200_000)
     ap.add_argument("--iters", type=int, default=3)
     args = ap.parse_args()
+    scaling = load_scaling()
 
     prob = build_problem(args.molecule, "sto-3g")
     comp = compress_hamiltonian(prob.hamiltonian)
@@ -53,8 +66,8 @@ def main() -> None:
         driver.step()  # warmup
         stats = [driver.step() for _ in range(args.iters)]
         s = stats[-1]
-        model = CommVolumeModel(prob.n_qubits, s.n_unique, n_ranks,
-                                wf.num_parameters())
+        model = scaling.CommVolumeModel(prob.n_qubits, s.n_unique, n_ranks,
+                                        wf.num_parameters())
         wall = sum(x.wall_time for x in stats) / len(stats)
         print(f"{n_ranks:5d}  {wall:9.3f}  {s.time_sampling:8.3f}  "
               f"{s.time_local_energy:6.3f}  {s.time_gradient:6.3f}  "
@@ -62,7 +75,7 @@ def main() -> None:
               f"{model.total_bytes / 1e6:9.1f}")
     print()
     print("Paper's Sec. 3.2 example (C2, N_u=2.7e4, N_p=64, M=2.7e5):")
-    example = CommVolumeModel(20, 27_000, 64, 270_000)
+    example = scaling.CommVolumeModel(20, 27_000, 64, 270_000)
     print(f"  model total = {example.total_bytes / 1e6:.1f} MB "
           f"(paper quotes 'about 173 MB')")
 

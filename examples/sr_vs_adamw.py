@@ -48,7 +48,8 @@ def load_bench(name: str):
 
 
 def main() -> None:
-    load_bench("baseline_ansatze")        # bench_ablations imports it by name
+    for name in ("baseline_ansatze", "reporting"):
+        load_bench(name)                  # bench_ablations imports them by name
     ablations = load_bench("bench_ablations")
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sr-iters", type=int, default=60)

@@ -7,10 +7,8 @@ Subcommands:
 * ``resume``  — continue a run directory (``--set`` can extend the budget).
 * ``info``    — inspect a run directory, or list the presets
   (``--presets``).
-* ``serve``   — with ``--port``, run the HTTP/JSON front door over one
-  in-process service (SIGTERM/SIGINT drain gracefully).  Without
-  ``--port``, answer ``log_amplitudes`` requests in-process, self-checked
-  against direct evaluation of the loaded snapshot.
+* ``serve``   — run the HTTP/JSON front door over one in-process service
+  (SIGTERM/SIGINT drain gracefully).
 * ``rendezvous`` — run the cluster rendezvous coordinator for one
   multi-host job (``parallel.backend=cluster`` members dial it).
 
@@ -23,8 +21,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from repro.api import driver, presets
 from repro.api.spec import RunSpec, SpecError
@@ -60,27 +56,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--presets", action="store_true",
                         help="list built-in preset specs")
 
-    p_serve = sub.add_parser(
-        "serve", help="serve a run's snapshots (HTTP with --port, "
-                      "self-check otherwise)")
+    p_serve = sub.add_parser("serve", help="serve a run's snapshots over HTTP")
     p_serve.add_argument("run_dir", type=Path)
-    p_serve.add_argument("--port", type=int, default=None,
-                         help="start the HTTP serving tier on this port "
-                              "(0 picks a free port)")
+    p_serve.add_argument("--port", type=int, default=0,
+                         help="TCP port of the HTTP front door "
+                              "(default 0: a free port, printed at start)")
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="interface the HTTP tier binds "
                               "(default: loopback)")
     p_serve.add_argument("--set", dest="overrides", action="append",
                          default=[], metavar="KEY=VALUE",
                          help="spec override, e.g. serve.max_batch_size=64")
-    p_serve.add_argument("--bits-file", type=Path, default=None,
-                         help="JSON file with a list of 0/1 bitstring rows to evaluate")
-    p_serve.add_argument("--n-random", type=int, default=4,
-                         help="additionally evaluate N seeded random bitstrings")
-    p_serve.add_argument("--seed", type=int, default=0,
-                         help="seed for the random request bitstrings")
-    p_serve.add_argument("--version", type=int, default=None,
-                         help="pin a published snapshot version (default: latest)")
 
     p_rdv = sub.add_parser(
         "rendezvous",
@@ -228,7 +214,7 @@ def _load_run_spec(run_dir: Path, overrides: list[str]) -> RunSpec:
     return RunSpec.load(spec_path).with_overrides(overrides)
 
 
-def _cmd_serve_net(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
     """The HTTP front door until SIGTERM/SIGINT, then a graceful drain
     (every accepted request is answered); exits 1 when the drain outlasts
     ``serve.drain_timeout_s``."""
@@ -269,55 +255,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Answer ``log_amplitudes`` requests through the serving stack.
-
-    Every evaluation is checked against direct (in-process) evaluation of
-    the same snapshot; any mismatch beyond fused-BLAS rounding is an error.
-    """
-    service = driver.serve_run(args.run_dir)
-    registry = service.registry
-    wf, _ = registry.load(args.version)
-
-    requests = []
-    if args.bits_file is not None:
-        rows = json.loads(Path(args.bits_file).read_text())
-        requests.append(("bits-file", np.asarray(rows, dtype=np.uint8)))
-
-    worst = 0.0
-    with service:
-        version = args.version or service.active_version()
-        if args.n_random > 0:
-            # Draw physically valid configurations through the service's own
-            # seeded sampler instead of unconstrained random bits.
-            batch = service.sample(max(64, args.n_random), seed=args.seed,
-                                   version=args.version)
-            requests.append(("sampled", batch.bits[: args.n_random]))
-        if not requests:
-            print("nothing to evaluate (empty --bits-file and --n-random 0)",
-                  file=sys.stderr)
-            return 2
-        for label, bits in requests:
-            served = service.log_amplitudes(bits, version=args.version)
-            direct = wf.log_amplitudes(bits)
-            diff = float(np.max(np.abs(served - direct)))
-            worst = max(worst, diff)
-            for row, value in zip(bits, served):
-                print(json.dumps({
-                    "request": label,
-                    "bits": row.tolist(),
-                    "log_amplitude": [value.real, value.imag],
-                }))
-    print(f"served {sum(len(b) for _, b in requests)} log_amplitudes "
-          f"requests from version {version} "
-          f"(max |served - direct| = {worst:.2e})", file=sys.stderr)
-    if worst > 1e-9:
-        print("ERROR: served amplitudes disagree with direct evaluation",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_rendezvous(args: argparse.Namespace) -> int:
     """Hand one cluster job its ranks and peer addresses: exit 0 once every
     member is welcomed, 1 when the join timed out."""
@@ -351,15 +288,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "info":
             return _cmd_info(args)
         if args.command == "serve":
-            if args.port is not None:
-                return _cmd_serve_net(args)
             return _cmd_serve(args)
         if args.command == "rendezvous":
             return _cmd_rendezvous(args)
     except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:  # e.g. serve --version naming no published snapshot
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -28,8 +28,6 @@ _EXPORTS = {
     "to_spin_orbitals": ".mo_integrals",
     "CCSDResult": ".ccsd",
     "run_ccsd": ".ccsd",
-    "MP2Result": ".mp2",
-    "run_mp2": ".mp2",
     "FCIResult": ".fci",
     "run_fci": ".fci",
     "TruncatedCIResult": ".ci",

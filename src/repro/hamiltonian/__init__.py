@@ -31,7 +31,6 @@ _EXPORTS = {
     "SectorOperator": ".exact",
     "sector_basis": ".exact",
     "sector_hamiltonian_dense": ".exact",
-    "synthetic_molecular_hamiltonian": ".synthetic",
 }
 
 __all__ = list(_EXPORTS)

@@ -1,13 +1,14 @@
-"""Data-centric parallelization (Sec. 3.2/3.3): Comm, parallel BAS, scaling.
+"""Data-centric parallelization (Sec. 3.2/3.3): Comm, launchers, parallel BAS.
 
 The parallel iteration itself lives in :mod:`repro.core.engine` (the unified
 execution engine); this package provides the one communicator it runs over
 (:class:`Comm`) and the launchers that give a rank its transport —
 :func:`start_thread_ranks` thread ranks, :func:`start_process_ranks` forked
 ranks, :class:`~repro.parallel.cluster.MeshTransport` multi-host TCP ranks
-joined through the rendezvous — plus the BAS tree partitioning, the
-communication-volume model, and the scaling harness.  The engine backends
-are re-exported here for discoverability.
+joined through the rendezvous — plus the BAS tree partitioning.  The
+engine backends are re-exported here for discoverability.  The scaling
+harness of Figs. 11-12 and the Sec. 3.2 communication-volume model measure
+around this package and live beside the benches (``benchmarks/scaling.py``).
 """
 from repro._lazy import lazy_exports
 
@@ -19,18 +20,12 @@ _EXPORTS = {
     "start_process_ranks": ".multiprocess",
     "balanced_weight_partition": ".partition",
     "split_tree_state": ".partition",
-    "CommVolumeModel": ".comm_model",
-    "comm_volume_bytes": ".comm_model",
     "SerialBackend": "repro.core.engine",
     "ThreadBackend": "repro.core.engine",
     "ProcessBackend": "repro.core.engine",
     "ClusterBackend": ".cluster",
     "ClusterProtocolError": ".rendezvous",
     "RendezvousCoordinator": ".rendezvous",
-    "ScalingPoint": ".scaling",
-    "measure_scaling": ".scaling",
-    "model_scaling": ".scaling",
-    "parallel_efficiency": ".scaling",
 }
 
 __all__ = list(_EXPORTS)

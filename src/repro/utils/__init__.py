@@ -1,8 +1,7 @@
-"""Shared utilities: bit packing, disk caching, deterministic RNG streams."""
+"""Shared utilities: bit packing and disk caching."""
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "line_plot": ".ascii_plot",
     "lexsort_keys": ".bitstrings",
     "pack_bits": ".bitstrings",
     "parity64": ".bitstrings",
@@ -10,7 +9,6 @@ _EXPORTS = {
     "searchsorted_keys": ".bitstrings",
     "disk_cache": ".cache",
     "cache_dir": ".cache",
-    "spawn_rngs": ".rng",
 }
 
 __all__ = list(_EXPORTS)

@@ -1,7 +1,7 @@
 """Shared fixtures: small molecular problems (session-scoped, disk-cached)."""
 from __future__ import annotations
 
-import importlib.util
+import importlib
 import sys
 from pathlib import Path
 
@@ -61,18 +61,17 @@ def rng():
     return np.random.default_rng(1234)
 
 
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
 def _load_bench(name: str):
-    """``benchmarks/<name>.py`` as a module, loaded once (registered in
-    ``sys.modules`` first: its dataclasses resolve their annotations through
-    it, and one bench file imports another by that name)."""
-    if name in sys.modules:
-        return sys.modules[name]
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+    """``benchmarks/<name>.py`` as a module, imported the way a bench file
+    sees its neighbours: with ``benchmarks/`` on the path, so its own imports
+    of the bench helpers (``reporting``, ``scaling``, ``ascii_plot``) and of
+    other bench files resolve."""
+    if str(BENCHMARKS) not in sys.path:
+        sys.path.append(str(BENCHMARKS))
+    return importlib.import_module(name)
 
 
 # The ansatz matrix: the production ansatz plus the two Table 1 foils, which

@@ -1,9 +1,8 @@
 """Second-order Moller-Plesset perturbation theory (spin-orbital form).
 
 E_MP2 = 1/4 sum_{ijab} |<ij||ab>|^2 / (e_i + e_j - e_a - e_b) — the cheapest
-correlated baseline; used in tests as a bracketing check
-(E_HF > E_MP2-total > ~E_CCSD for well-behaved systems) and available to
-library users as a quick correlation estimate.
+correlated baseline, kept as a test helper: ``tests/test_scf_ccsd.py``
+brackets with it (E_HF > E_MP2-total > ~E_CCSD for well-behaved systems).
 """
 from __future__ import annotations
 

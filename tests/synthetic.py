@@ -1,9 +1,9 @@
 """Synthetic qubit Hamiltonians with molecular structural statistics.
 
-Used by the scaling benches to exercise the >100-qubit code paths (sampling
-tree partitioning, packed-key lookup tables, chunked local-energy kernels)
-without paying for pure-Python benzene/6-31G integrals — the documented
-substitution for the paper's 120-qubit workload (DESIGN.md Sec. 1).
+A test helper: it exercises the >100-qubit code paths (sampling tree
+partitioning, packed-key lookup tables, chunked local-energy kernels) without
+paying for pure-Python benzene/6-31G integrals — the documented substitution
+for the paper's 120-qubit workload (DESIGN.md Sec. 1).
 
 The generator mimics Jordan-Wigner output: every term carries an even number
 of Y letters (real Hamiltonian), flip masks touch at most four spin orbitals

@@ -750,7 +750,7 @@ class TestServing:
             with pytest.raises(SpecError, match=refused):
                 serve_run(result.run_dir)
             for argv in (["resume", str(result.run_dir)], ["info", str(result.run_dir)],
-                         ["serve", str(result.run_dir), "--n-random", "1"]):
+                         ["serve", str(result.run_dir)]):
                 assert main(argv) == 2
                 assert names in capsys.readouterr().err
             assert tree() == before

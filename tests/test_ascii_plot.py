@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.ascii_plot import line_plot
+from tests.conftest import _load_bench
+
+line_plot = _load_bench("ascii_plot").line_plot
 
 
 class TestLinePlot:

@@ -3,8 +3,10 @@ import os
 
 import pytest
 
-from repro.bench import format_table
-from repro.bench.reporting import ExperimentRegistry
+from tests.conftest import _load_bench
+
+reporting = _load_bench("reporting")
+ExperimentRegistry, format_table = reporting.ExperimentRegistry, reporting.format_table
 
 
 class TestFormatTable:

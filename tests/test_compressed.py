@@ -16,9 +16,9 @@ from repro.hamiltonian import (
     sector_basis,
     sector_hamiltonian_dense,
     strings_to_matrix,
-    synthetic_molecular_hamiltonian,
 )
 from repro.utils.bitstrings import unpack_bits
+from tests.synthetic import synthetic_molecular_hamiltonian
 
 
 class TestCompression:

@@ -53,7 +53,6 @@ from repro.hamiltonian import (
     QubitHamiltonian,
     compress_hamiltonian,
     sector_hamiltonian_dense,
-    synthetic_molecular_hamiltonian,
 )
 from repro.hamiltonian.compressed import reduce_terms
 from repro.utils.bitstrings import (
@@ -63,6 +62,7 @@ from repro.utils.bitstrings import (
     unpack_bits,
 )
 from tests.conftest import ANSATZE, build_wf
+from tests.synthetic import synthetic_molecular_hamiltonian
 
 
 def _setup(problem, amplitude_type="transformer", n_samples=2000, seed=11):

@@ -100,7 +100,7 @@ class TestLargeSystemMachinery:
     @pytest.mark.slow
     def test_56_qubit_sampling_and_packing(self):
         """Multiword (W=1? 56<64) and 92-qubit (W=2) code paths both work."""
-        from repro.hamiltonian import synthetic_molecular_hamiltonian
+        from tests.synthetic import synthetic_molecular_hamiltonian
 
         for n_qubits in (56, 92):
             h = synthetic_molecular_hamiltonian(n_qubits, 300, seed=9,

@@ -331,16 +331,15 @@ class TestSourceLint:
 
 
 # What a serial VMC process never loads (DESIGN.md "What a rank pays before
-# iteration 1"): transports, serving, the tape, reference chemistry, the
-# observables, the plots and the bench tables.  A name covers its submodules.
+# iteration 1"): transports, serving, the tape, reference chemistry and the
+# observables.  A name covers its submodules.
 OFF_THE_RUN_PATH = (
     "repro.serve.scheduler", "repro.serve.service", "repro.serve.net",
     "repro.parallel.cluster", "repro.parallel.rendezvous", "repro.parallel.multiprocess",
-    "repro.parallel.scaling", "repro.parallel.comm_model",
     "repro.autograd",
-    "repro.chem.ccsd", "repro.chem.ci", "repro.chem.mp2", "repro.chem.properties",
-    "repro.hamiltonian.operators", "repro.hamiltonian.synthetic",
-    "repro.core.observables", "repro.utils.ascii_plot", "repro.bench",
+    "repro.chem.ccsd", "repro.chem.ci", "repro.chem.properties",
+    "repro.hamiltonian.operators",
+    "repro.core.observables",
 )
 LAZY_PACKAGES = ("repro", "repro.core", "repro.chem", "repro.hamiltonian",
                  "repro.parallel", "repro.serve", "repro.utils")

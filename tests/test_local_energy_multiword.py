@@ -15,13 +15,9 @@ import pytest
 
 from repro.core import SampleBatch
 from repro.core.local_energy import AmplitudeTable, ElocPlan, local_energy_vectorized
-from repro.hamiltonian import (
-    QubitHamiltonian,
-    build_reference,
-    compress_hamiltonian,
-    synthetic_molecular_hamiltonian,
-)
+from repro.hamiltonian import QubitHamiltonian, build_reference, compress_hamiltonian
 from repro.utils.bitstrings import lexsort_keys, pack_bits
+from tests.synthetic import synthetic_molecular_hamiltonian
 
 
 def _two_body_diagonal(ham: QubitHamiltonian) -> QubitHamiltonian:

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from repro.core import VMC, NoamAdamW, VMCConfig, build_qiankunnet
 from repro.core.sampler import BASTreeState
-from repro.parallel import (
-    CommVolumeModel,
-    ThreadBackend,
-    balanced_weight_partition,
-    split_tree_state,
-)
+from repro.parallel import ThreadBackend, balanced_weight_partition, split_tree_state
+from tests.conftest import _load_bench
+
+scaling = _load_bench("scaling")
+CommVolumeModel = scaling.CommVolumeModel
 
 
 class TestPartition:
@@ -171,8 +170,6 @@ class TestMeasureScaling:
 
     def test_default_is_process_ranks_and_config_is_not_written(
             self, h2_problem, monkeypatch):
-        from repro.parallel import scaling
-
         launched = []
 
         class Recording(scaling.ProcessBackend):

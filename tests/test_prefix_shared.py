@@ -27,7 +27,7 @@ from repro.core import (
     extend_amplitude_table,
     local_energy,
 )
-from repro.hamiltonian import compress_hamiltonian, synthetic_molecular_hamiltonian
+from repro.hamiltonian import compress_hamiltonian
 from repro.nn import TransformerAmplitude, TransformerInferenceSession
 from repro.utils.bitstrings import (
     ints_to_keys,
@@ -38,6 +38,7 @@ from repro.utils.bitstrings import (
     unpack_bits,
 )
 from tests.conftest import LOG_PI_GRAD_RTOL, LOGIT_TOL, baselines, build_wf
+from tests.synthetic import synthetic_molecular_hamiltonian
 from tests.test_local_energy import dense_local_energy
 from tests.test_wavefunction import sector_bitstrings
 

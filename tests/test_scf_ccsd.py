@@ -9,10 +9,10 @@ from repro.chem import (
     mo_transform,
     run_ccsd,
     run_fci,
-    run_mp2,
     run_rhf,
     to_spin_orbitals,
 )
+from tests.mp2 import run_mp2
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,15 @@
-"""Disk cache, RNG streams, bench reporting, package surface."""
+"""Disk cache, bench reporting, package surface."""
 import os
 
 import numpy as np
 import pytest
 
-from repro.bench import format_table, registry
-from repro.utils import disk_cache, spawn_rngs
+from repro.utils import disk_cache
 from repro.utils.cache import cache_dir
+from tests.conftest import _load_bench
+
+reporting = _load_bench("reporting")
+format_table, registry = reporting.format_table, reporting.registry
 
 
 class TestDiskCache:
@@ -55,19 +58,6 @@ class TestDiskCache:
         a2, meta2 = arr(5)
         np.testing.assert_array_equal(a1, a2)
         assert meta1 == meta2
-
-
-class TestRNG:
-    def test_streams_independent(self):
-        r1, r2 = spawn_rngs(42, 2)
-        a = r1.random(5)
-        b = r2.random(5)
-        assert not np.allclose(a, b)
-
-    def test_deterministic(self):
-        a = spawn_rngs(7, 3)[1].random(4)
-        b = spawn_rngs(7, 3)[1].random(4)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestReporting:

@@ -208,7 +208,7 @@ class TestVMCConfigValidation:
         and the whole configured budget reaches it."""
         wf = build_qiankunnet(4, 1, 1, d_model=8, n_heads=2, n_layers=1,
                               phase_hidden=(8,), seed=0)
-        from repro.hamiltonian.synthetic import synthetic_molecular_hamiltonian
+        from tests.synthetic import synthetic_molecular_hamiltonian
 
         ham = synthetic_molecular_hamiltonian(4, n_terms=8, seed=3)
         with pytest.raises(TypeError, match="sampler"):
