@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.cli import main
+from repro.api.cli import build_parser, main
 from repro.core.checkpoint import load_model_snapshot
 
 SMOKE_ARGS = [
@@ -184,6 +184,21 @@ class TestServe:
         rc = main(["serve", str(tmp_path / "empty")])
         assert rc == 2
         assert "not a run directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--bits-file", "bits.json"],
+                                      ["--n-random", "3"], ["--seed", "0"],
+                                      ["--version", "1"]])
+    def test_self_check_flags_are_refused(self, flag, capsys):
+        # serve has one mode, the HTTP front door; the in-process
+        # self-check and its flags are gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "RUN", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_port_defaults_to_a_free_port(self):
+        args = build_parser().parse_args(["serve", "RUN"])
+        assert (args.port, args.host) == (0, "127.0.0.1")
 
 
 def test_module_entry_point(tmp_path):

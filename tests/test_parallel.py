@@ -1,5 +1,6 @@
 """Tree partitioning, comm model, data-parallel VMC, the scaling harness."""
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,3 +189,31 @@ class TestMeasureScaling:
         assert launched == [1, 2]
         assert [p.n_samples for p in points] == [500, 1000]
         assert dataclasses.asdict(config) == before
+
+    def test_point_is_the_median_of_its_iterations_with_their_iqr(
+            self, h2_problem, monkeypatch):
+        walls = iter([9.0, 4.0, 1.0, 3.0, 2.0, 5.0])  # warm-up first
+
+        class Scripted:
+            def __init__(self, wf, comp, cfg, backend):
+                self.backend = SimpleNamespace(close=lambda: None)
+
+            def step(self):
+                wall = next(walls)
+                return SimpleNamespace(
+                    wall_time=wall, time_sampling=wall / 2,
+                    time_local_energy=wall / 4, time_gradient=wall / 8,
+                    n_unique=3, comm_bytes=10, comm_bytes_wire=0)
+
+        monkeypatch.setattr(scaling, "VMC", Scripted)
+        (point,) = scaling.measure_scaling(
+            lambda: None, h2_problem.hamiltonian, [1],
+            n_samples_for=lambda n: 100, n_iters=5, warmup_iters=1,
+            backend="threads")
+        # medians and spread of 4, 1, 3, 2, 5: the warm-up's 9 is dropped
+        assert point.time_per_iter == 3.0
+        assert point.time_per_iter_iqr == 2.0
+        assert (point.time_sampling, point.time_gradient) == (1.5, 0.375)
+        assert point.comm_bytes_wire == point.comm_bytes == 10
+        modeled = scaling.model_scaling(point, [2, 4], n_qubits=4, n_params=50)
+        assert [p.time_per_iter_iqr for p in modeled] == [0.0, 0.0]
